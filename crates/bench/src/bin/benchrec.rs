@@ -1,9 +1,7 @@
 //! `dim-benchrec` — records the sample/select hot-path trajectory point
-//! (`BENCH_sample_select.json`) without the criterion harness, so the
-//! file regenerates in seconds on any machine (including offline-stub
-//! builds, which must tag `--provenance offline-stub`: the stub RNG
-//! changes the sampled sketch, so those numbers are only comparable to
-//! other offline-stub runs).
+//! (`BENCH_sample_select.json`) in seconds on any machine. Tag the build
+//! with `--provenance` (`cargo-release` for `cargo build --release`): rows
+//! are only comparable within one provenance.
 //!
 //! ```text
 //! dim-benchrec [--graph facebook] [--scale 1.0] [--theta 20000]
@@ -26,9 +24,10 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use dim_bench::sample_select::{
-    batch_seed_sets, build_shards, json_number, select_top_k, spread_batch, time_best_of,
+    batch_seed_sets, build_shards, select_top_k, spread_batch, time_best_of,
     time_fault_recover, time_stream_apply, SampleSelectReport, PHASE_KEYS,
 };
+use dim_cluster::json::Json;
 use dim_graph::DatasetProfile;
 
 /// Relative regression budget for `--check`.
@@ -178,18 +177,15 @@ fn check_regression(committed: &str, fresh: &SampleSelectReport) -> Result<bool,
         .rev()
         .find(|l| !l.trim().is_empty())
         .ok_or_else(|| format!("{committed} has no recorded entries"))?;
-    let label = baseline
-        .split("\"label\":\"")
-        .nth(1)
-        .and_then(|s| s.split('"').next())
-        .unwrap_or("?");
+    let baseline = Json::parse(baseline).map_err(|e| format!("{committed}: last entry: {e}"))?;
+    let label = baseline.str_of("label").unwrap_or("?");
     println!("checking against {committed} (entry {label:?}):");
     let mut ok = true;
     for key in PHASE_KEYS {
         // A committed entry may predate a phase (e.g. `stream_apply_ms`
         // landed after the trajectory started): skip it instead of
         // failing, so --check keeps working against older baselines.
-        let Some(was) = json_number(baseline, key) else {
+        let Some(&Json::Num(was)) = baseline.get(key) else {
             println!("  {key}: not recorded in baseline entry, skipped");
             continue;
         };

@@ -41,7 +41,7 @@ pub struct Context {
     pub core_counts: Vec<usize>,
     /// Directory for JSON result dumps.
     pub out_dir: String,
-    /// Cluster backend (`--backend sequential|threads|rayon|proc`).
+    /// Cluster backend (`--backend sequential|threads|proc`).
     pub backend: Backend,
 }
 
@@ -118,7 +118,6 @@ impl Context {
                     ctx.backend = match value("--backend")?.as_str() {
                         "sequential" | "seq" => Backend::Sim(ExecMode::Sequential),
                         "threads" => Backend::Sim(ExecMode::Threads),
-                        "rayon" => Backend::Sim(ExecMode::Rayon),
                         "proc" if cfg!(feature = "proc-backend") => Backend::Proc,
                         "join" if cfg!(feature = "proc-backend") => Backend::Join,
                         name @ ("proc" | "join") => {

@@ -9,20 +9,19 @@ use dim_coverage::greedy::{bucket_greedy, celf_greedy, naive_greedy};
 use dim_coverage::{newgreedi, CoverageProblem};
 use dim_diffusion::rr::{sample_batch, AnySampler};
 use dim_diffusion::{DiffusionModel, RrStore};
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-use serde::Serialize;
+use dim_graph::rng::Rng;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct TrafficRow {
-    dataset: &'static str,
-    machines: usize,
-    sparse_bytes: u64,
-    dense_bytes: u64,
-    saving_factor: f64,
+report::json_row! {
+    struct TrafficRow {
+        dataset: &'static str,
+        machines: usize,
+        sparse_bytes: u64,
+        dense_bytes: u64,
+        saving_factor: f64,
+    }
 }
 
 /// Sparse `⟨v, Δ⟩` delta messages (what NewGreeDi sends) vs the naive
@@ -66,17 +65,18 @@ pub fn traffic(ctx: &Context) {
             row.dense_bytes as f64 / 1024.0,
             row.saving_factor,
         );
-        report::dump_json(&ctx.out_dir, "ablation_traffic", &row);
+        report::dump_json(&ctx.out_dir, "ablation_traffic", &row.to_json());
     }
 }
 
-#[derive(Serialize)]
-struct GreedyRow {
-    dataset: &'static str,
-    bucket_s: f64,
-    celf_s: f64,
-    naive_s: f64,
-    coverage: u64,
+report::json_row! {
+    struct GreedyRow {
+        dataset: &'static str,
+        bucket_s: f64,
+        celf_s: f64,
+        naive_s: f64,
+        coverage: u64,
+    }
 }
 
 /// The paper's bucket vector `D` with lazy updates vs CELF vs naive rescan.
@@ -113,19 +113,20 @@ pub fn greedy(ctx: &Context) {
             "{:>12} {:>10.3} {:>10.3} {:>10.3} {:>10}",
             row.dataset, row.bucket_s, row.celf_s, row.naive_s, row.coverage,
         );
-        report::dump_json(&ctx.out_dir, "ablation_greedy", &row);
+        report::dump_json(&ctx.out_dir, "ablation_greedy", &row.to_json());
     }
 }
 
-#[derive(Serialize)]
-struct SamplerRow {
-    dataset: &'static str,
-    rr_sets: usize,
-    bfs_s: f64,
-    bfs_edges: u64,
-    subsim_s: f64,
-    subsim_edges: u64,
-    work_saving: f64,
+report::json_row! {
+    struct SamplerRow {
+        dataset: &'static str,
+        rr_sets: usize,
+        bfs_s: f64,
+        bfs_edges: u64,
+        subsim_s: f64,
+        subsim_edges: u64,
+        work_saving: f64,
+    }
 }
 
 /// SUBSIM's geometric jumps vs the standard per-edge reverse BFS, on the
@@ -145,7 +146,7 @@ pub fn sampler(ctx: &Context) {
         let graph = ctx.graph(profile);
         let run = |sampler: AnySampler| {
             let mut store = RrStore::new();
-            let mut rng = Pcg64::seed_from_u64(ctx.seed);
+            let mut rng = Rng::new(ctx.seed);
             let start = Instant::now();
             let edges = sample_batch(&sampler, count, &mut rng, &mut store);
             (start.elapsed().as_secs_f64(), edges)
@@ -168,18 +169,19 @@ pub fn sampler(ctx: &Context) {
             "{:>12} {:>9.3} {:>12} {:>10.3} {:>12} {:>7.1}x",
             row.dataset, row.bfs_s, row.bfs_edges, row.subsim_s, row.subsim_edges, row.work_saving,
         );
-        report::dump_json(&ctx.out_dir, "ablation_sampler", &row);
+        report::dump_json(&ctx.out_dir, "ablation_sampler", &row.to_json());
     }
 }
 
-#[derive(Serialize)]
-struct IncrementalRow {
-    dataset: &'static str,
-    machines: usize,
-    full_bytes_up: u64,
-    incremental_bytes_up: u64,
-    saving_factor: f64,
-    same_seeds: bool,
+report::json_row! {
+    struct IncrementalRow {
+        dataset: &'static str,
+        machines: usize,
+        full_bytes_up: u64,
+        incremental_bytes_up: u64,
+        saving_factor: f64,
+        same_seeds: bool,
+    }
 }
 
 /// The paper's §III-C optimization inside DiIMM: each NewGreeDi call
@@ -239,6 +241,6 @@ pub fn incremental(ctx: &Context) {
             row.saving_factor,
             row.same_seeds,
         );
-        report::dump_json(&ctx.out_dir, "ablation_incremental", &row);
+        report::dump_json(&ctx.out_dir, "ablation_incremental", &row.to_json());
     }
 }

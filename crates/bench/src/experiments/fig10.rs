@@ -8,23 +8,23 @@ use dim_cluster::{ClusterBackend, NetworkModel, SimCluster};
 use dim_coverage::greedi::greedi;
 use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::{newgreedi, CoverageProblem};
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct Row {
-    dataset: &'static str,
-    cores: usize,
-    newgreedi_s: f64,
-    newgreedi_comm_s: f64,
-    newgreedi_speedup: f64,
-    greedi_s: f64,
-    greedi_speedup: f64,
-    newgreedi_coverage: u64,
-    greedi_coverage: u64,
-    coverage_ratio: f64,
+report::json_row! {
+    struct Row {
+        dataset: &'static str,
+        cores: usize,
+        newgreedi_s: f64,
+        newgreedi_comm_s: f64,
+        newgreedi_speedup: f64,
+        greedi_s: f64,
+        greedi_speedup: f64,
+        newgreedi_coverage: u64,
+        greedi_coverage: u64,
+        coverage_ratio: f64,
+    }
 }
 
 /// Runs the paper's §IV-C workload: the graph as `|V|` sets over `|V|`
@@ -105,7 +105,7 @@ pub fn run(ctx: &Context) {
                 row.greedi_speedup,
                 row.coverage_ratio,
             );
-            report::dump_json(&ctx.out_dir, "fig10", &row);
+            report::dump_json(&ctx.out_dir, "fig10", &row.to_json());
         }
         println!();
     }

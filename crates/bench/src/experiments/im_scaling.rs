@@ -20,20 +20,20 @@ use dim_core::{setup_im_cluster, WorkerHost};
 use dim_core::{ImConfig, ImResult, SamplerKind};
 use dim_diffusion::DiffusionModel;
 use dim_graph::Graph;
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-/// One timeline label, flattened for the JSON dump.
-#[derive(Serialize)]
-struct PhaseRow {
-    phase: &'static str,
-    compute_s: f64,
-    comm_s: f64,
-    measured_s: f64,
-    messages: u64,
-    bytes: u64,
+report::json_row! {
+    /// One timeline label, flattened for the JSON dump.
+    struct PhaseRow {
+        phase: &'static str,
+        compute_s: f64,
+        comm_s: f64,
+        measured_s: f64,
+        messages: u64,
+        bytes: u64,
+    }
 }
 
 fn phase_rows(timeline: &PhaseTimeline) -> Vec<PhaseRow> {
@@ -50,24 +50,25 @@ fn phase_rows(timeline: &PhaseTimeline) -> Vec<PhaseRow> {
         .collect()
 }
 
-#[derive(Serialize)]
-struct Row {
-    figure: &'static str,
-    dataset: &'static str,
-    model: &'static str,
-    sampler: &'static str,
-    machines: usize,
-    sampling_s: f64,
-    selection_s: f64,
-    comm_s: f64,
-    measured_comm_s: f64,
-    total_s: f64,
-    speedup: f64,
-    rr_sets: usize,
-    bytes_up: u64,
-    bytes_down: u64,
-    est_spread: f64,
-    phases: Vec<PhaseRow>,
+report::json_row! {
+    struct Row {
+        figure: &'static str,
+        dataset: &'static str,
+        model: &'static str,
+        sampler: &'static str,
+        machines: usize,
+        sampling_s: f64,
+        selection_s: f64,
+        comm_s: f64,
+        measured_comm_s: f64,
+        total_s: f64,
+        speedup: f64,
+        rr_sets: usize,
+        bytes_up: u64,
+        bytes_down: u64,
+        est_spread: f64,
+        phases: Vec<PhaseRow>,
+    }
 }
 
 struct Setup {
@@ -203,7 +204,7 @@ fn run_setup(ctx: &Context, setup: Setup) {
                 row.speedup,
                 row.rr_sets,
             );
-            report::dump_json(&ctx.out_dir, setup.figure, &row);
+            report::dump_json(&ctx.out_dir, setup.figure, &row.to_json());
         }
         println!();
     }

@@ -7,21 +7,21 @@ use dim_core::diimm::diimm;
 use dim_core::opim::dopim_c;
 use dim_core::{ImConfig, SamplerKind};
 use dim_diffusion::DiffusionModel;
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct Row {
-    dataset: &'static str,
-    machines: usize,
-    imm_rr_sets: usize,
-    opim_rr_sets: usize,
-    sample_saving: f64,
-    imm_total_s: f64,
-    opim_total_s: f64,
-    spread_ratio: f64,
+report::json_row! {
+    struct Row {
+        dataset: &'static str,
+        machines: usize,
+        imm_rr_sets: usize,
+        opim_rr_sets: usize,
+        sample_saving: f64,
+        imm_total_s: f64,
+        opim_total_s: f64,
+        spread_ratio: f64,
+    }
 }
 
 /// Compares DiIMM and distributed OPIM-C at ℓ = 8 on every dataset.
@@ -69,6 +69,6 @@ pub fn run(ctx: &Context) {
             row.opim_total_s,
             row.spread_ratio,
         );
-        report::dump_json(&ctx.out_dir, "ext_opim", &row);
+        report::dump_json(&ctx.out_dir, "ext_opim", &row.to_json());
     }
 }

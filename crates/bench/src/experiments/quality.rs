@@ -11,20 +11,20 @@ use dim_core::heuristics::{degree_discount, random_seeds, top_degree, top_pagera
 use dim_core::{ImConfig, SamplerKind};
 use dim_diffusion::forward::estimate_spread;
 use dim_diffusion::DiffusionModel;
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct Row {
-    dataset: &'static str,
-    k: usize,
-    diimm_spread: f64,
-    degree_ratio: f64,
-    degree_discount_ratio: f64,
-    pagerank_ratio: f64,
-    random_ratio: f64,
+report::json_row! {
+    struct Row {
+        dataset: &'static str,
+        k: usize,
+        diimm_spread: f64,
+        degree_ratio: f64,
+        degree_discount_ratio: f64,
+        pagerank_ratio: f64,
+        random_ratio: f64,
+    }
 }
 
 /// Runs the comparison on every selected dataset (IC model, 1k cascades
@@ -94,6 +94,6 @@ pub fn run(ctx: &Context) {
             row.pagerank_ratio,
             row.random_ratio,
         );
-        report::dump_json(&ctx.out_dir, "quality", &row);
+        report::dump_json(&ctx.out_dir, "quality", &row.to_json());
     }
 }

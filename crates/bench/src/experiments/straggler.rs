@@ -8,18 +8,18 @@
 
 use dim_cluster::{ClusterBackend, NetworkModel, SimCluster};
 use dim_coverage::{newgreedi, CoverageProblem};
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct Row {
-    dataset: &'static str,
-    cores: usize,
-    even_s: f64,
-    straggler_s: f64,
-    inflation: f64,
+report::json_row! {
+    struct Row {
+        dataset: &'static str,
+        cores: usize,
+        even_s: f64,
+        straggler_s: f64,
+        inflation: f64,
+    }
 }
 
 /// Runs the comparison on every selected dataset.
@@ -65,7 +65,7 @@ pub fn run(ctx: &Context) {
                 "{:>12} {:>6} {:>9.4} {:>13.4} {:>9.2}x",
                 row.dataset, row.cores, row.even_s, row.straggler_s, row.inflation,
             );
-            report::dump_json(&ctx.out_dir, "straggler", &row);
+            report::dump_json(&ctx.out_dir, "straggler", &row.to_json());
         }
     }
 }

@@ -9,19 +9,19 @@ use dim_cluster::{NetworkModel, SimCluster};
 use dim_coverage::greedi::greedi;
 use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::{newgreedi, CoverageProblem};
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct Row {
-    dataset: &'static str,
-    machines: usize,
-    greedy_coverage: u64,
-    newgreedi_ratio: f64,
-    greedi_ratio: f64,
-    randgreedi_ratio: f64,
+report::json_row! {
+    struct Row {
+        dataset: &'static str,
+        machines: usize,
+        greedy_coverage: u64,
+        newgreedi_ratio: f64,
+        greedi_ratio: f64,
+        randgreedi_ratio: f64,
+    }
 }
 
 /// Measures the coverage ratio of each distributed method at ℓ = 8.
@@ -79,6 +79,6 @@ pub fn run(ctx: &Context) {
             row.greedi_ratio,
             row.randgreedi_ratio,
         );
-        report::dump_json(&ctx.out_dir, "table2", &row);
+        report::dump_json(&ctx.out_dir, "table2", &row.to_json());
     }
 }

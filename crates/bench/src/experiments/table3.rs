@@ -1,21 +1,21 @@
 //! Table III — dataset statistics.
 
 use dim_graph::GraphStats;
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct Row {
-    dataset: &'static str,
-    scale: f64,
-    nodes: usize,
-    edges: usize,
-    avg_degree: f64,
-    paper_nodes: usize,
-    paper_avg_degree: f64,
-    directed: bool,
+report::json_row! {
+    struct Row {
+        dataset: &'static str,
+        scale: f64,
+        nodes: usize,
+        edges: usize,
+        avg_degree: f64,
+        paper_nodes: usize,
+        paper_avg_degree: f64,
+        directed: bool,
+    }
 }
 
 /// Prints the generated profiles next to the paper's real dataset sizes.
@@ -54,6 +54,6 @@ pub fn run(ctx: &Context) {
             row.paper_avg_degree,
             if row.directed { "directed" } else { "undirected" },
         );
-        report::dump_json(&ctx.out_dir, "table3", &row);
+        report::dump_json(&ctx.out_dir, "table3", &row.to_json());
     }
 }

@@ -2,20 +2,20 @@
 
 use dim_core::{imm, ImConfig, SamplerKind};
 use dim_diffusion::DiffusionModel;
-use serde::Serialize;
 
 use crate::context::Context;
-use crate::report;
+use crate::report::{self, ToJson};
 
-#[derive(Serialize)]
-struct Row {
-    dataset: &'static str,
-    epsilon: f64,
-    k: usize,
-    rr_sets: usize,
-    total_size: usize,
-    avg_rr_size: f64,
-    edges_examined: u64,
+report::json_row! {
+    struct Row {
+        dataset: &'static str,
+        epsilon: f64,
+        k: usize,
+        rr_sets: usize,
+        total_size: usize,
+        avg_rr_size: f64,
+        edges_examined: u64,
+    }
 }
 
 /// Runs sequential IMM per dataset and reports θ and Σ|R| — the workload
@@ -51,6 +51,6 @@ pub fn run(ctx: &Context) {
             "{:>12} {:>12} {:>14} {:>9.2} {:>14}",
             row.dataset, row.rr_sets, row.total_size, row.avg_rr_size, row.edges_examined,
         );
-        report::dump_json(&ctx.out_dir, "table4", &row);
+        report::dump_json(&ctx.out_dir, "table4", &row.to_json());
     }
 }

@@ -1,13 +1,7 @@
-//! The sample/select benchmark workloads, shared by the
-//! `benches/sample_select.rs` criterion harness and the `dim-benchrec`
-//! binary that records `BENCH_sample_select.json` (same code timed two
-//! ways, so the trajectory file and the criterion reports agree on what
-//! was measured).
+//! The sample/select benchmark workloads the `dim-benchrec` binary times
+//! to record `BENCH_sample_select.json`.
 
 use std::time::{Duration, Instant};
-
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
 
 use dim_cluster::{
     phase, ExecMode, FaultInjector, FaultPlan, NetworkModel, OpCluster, SimCluster, WorkerOp,
@@ -19,6 +13,7 @@ use dim_coverage::{constrained_greedy, CoverageShard, SketchCursors};
 use dim_diffusion::rr::{AnySampler, RrSampler};
 use dim_diffusion::visit::VisitTracker;
 use dim_diffusion::DiffusionModel;
+use dim_graph::rng::Rng;
 use dim_graph::{DeltaBatch, EdgeOp, Graph};
 
 /// Samples `theta` RR sets under IC and builds the per-machine coverage
@@ -32,7 +27,7 @@ use dim_graph::{DeltaBatch, EdgeOp, Graph};
 /// staged construction.
 pub fn build_shards(graph: &Graph, theta: usize, shards: usize, seed: u64) -> Vec<CoverageShard> {
     let sampler = AnySampler::for_model(graph, DiffusionModel::IndependentCascade);
-    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut visited = VisitTracker::new(graph.num_nodes());
     if theta == 0 {
         return Vec::new();
@@ -329,23 +324,10 @@ impl SampleSelectReport {
     }
 }
 
-/// Extracts field `key`'s numeric value from one serialized report line.
-/// A minimal scanner (the report format is flat, fields never contain `,`
-/// or `}`), so the `--check` regression guard works in offline-stub
-/// builds where no real JSON parser is available.
-pub fn json_number(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| c == ',' || c == '}')
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dim_cluster::json::Json;
     use dim_graph::generators::barabasi_albert;
     use dim_graph::WeightModel;
 
@@ -460,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn json_number_roundtrips_phases() {
+    fn report_line_reads_back_by_key() {
         let report = SampleSelectReport {
             label: "before".into(),
             provenance: "unit-test".into(),
@@ -479,17 +461,12 @@ mod tests {
             fault_recover_ms: 9.301,
             recover_rebuilt: 15_000,
         };
-        let line = report.to_json();
+        let line = Json::parse(&report.to_json()).unwrap();
         for key in PHASE_KEYS {
-            let parsed = json_number(&line, key).unwrap();
-            let original = report.phase_ms(key).unwrap();
-            assert!(
-                (parsed - original).abs() < 1e-9,
-                "{key}: {parsed} vs {original}"
-            );
+            assert_eq!(line.get(key), Some(&Json::Num(report.phase_ms(key).unwrap())), "{key}");
         }
-        assert_eq!(json_number(&line, "theta"), Some(20_000.0));
-        assert_eq!(json_number(&line, "no_such_key"), None);
-        assert_eq!(json_number("not json", "sample_build_ms"), None);
+        assert_eq!(line.get("theta"), Some(&Json::Num(20_000.0)));
+        assert_eq!(line.str_of("label"), Some("before"));
+        assert_eq!(line.get("no_such_key"), None);
     }
 }

@@ -8,14 +8,14 @@
 //! quantifies exactly what batching buys. Client-side latencies go
 //! through the serving tier's own [`LatencyHistogram`], and the final
 //! report joins them with the server's `REQ_STATS` view into the
-//! hand-rolled JSON that lands in `BENCH_serve.json` (dependency-free,
-//! so offline builds produce real files too).
+//! hand-rolled JSON that lands in `BENCH_serve.json`.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dim_graph::rng::Rng;
 use dim_serve::{
     ConnectOptions, Credentials, LatencyHistogram, QueryClient, QueryRequest, QueryResponse,
     SketchStats,
@@ -100,23 +100,15 @@ impl PhaseResult {
     }
 }
 
-/// splitmix64 — the workload stream. Deterministic per (seed, client),
-/// so reruns and the two phases issue the same queries.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The spread queries client `client_idx` issues in one phase.
+/// Deterministic per (seed, client), so reruns and the two phases issue
+/// the same queries.
 fn client_queries(config: &LoadgenConfig, client_idx: usize) -> Vec<QueryRequest> {
-    let mut state = config.seed ^ (client_idx as u64).wrapping_mul(0xA24B_AED4_963E_E407);
+    let mut rng = Rng::new(config.seed ^ (client_idx as u64).wrapping_mul(0xA24B_AED4_963E_E407));
     (0..config.requests_per_client)
         .map(|_| {
             let seeds = (0..config.seeds_per_query)
-                .map(|_| (splitmix64(&mut state) % config.num_nodes.max(1) as u64) as u32)
+                .map(|_| rng.below(config.num_nodes.max(1) as usize) as u32)
                 .collect();
             QueryRequest::Spread { seeds }
         })
@@ -336,8 +328,8 @@ pub struct ServeBenchReport {
     pub multi_tenant: Option<MultiTenantResult>,
     /// Server-side view after both phases.
     pub server: SketchStats,
-    /// How the numbers were produced (e.g. `cargo-release`,
-    /// `offline-stub`) — keeps trajectories comparable.
+    /// How the numbers were produced (e.g. `cargo-release`) — keeps
+    /// trajectories comparable.
     pub provenance: String,
 }
 

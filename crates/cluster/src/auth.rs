@@ -8,8 +8,8 @@
 //! constant time so a byte-wise early exit cannot leak prefix matches.
 //!
 //! SHA-256 is implemented here (FIPS 180-4, ~60 lines) because the
-//! offline build environment has no registry access; the test vectors
-//! below pin the implementation to the published digests.
+//! workspace takes no registry dependencies; the test vectors below pin
+//! the implementation to the published digests.
 
 /// Length of every token digest on the wire.
 pub const DIGEST_LEN: usize = 32;

@@ -21,10 +21,10 @@
 //! accumulate per label in a [`PhaseTimeline`], which experiment harnesses
 //! read directly for stacked time breakdowns (paper Figs. 5/8).
 //!
-//! [`crate::SimCluster`] implements the trait with three execution
+//! [`crate::SimCluster`] implements the trait with two execution
 //! strategies ([`crate::ExecMode`]): deterministic sequential virtual-time
-//! simulation, bounded OS threads, and a rayon pool. A future TCP/process
-//! backend drops in at this seam with zero algorithm changes.
+//! simulation and bounded OS threads. The TCP/process backends drop in at
+//! this seam with zero algorithm changes.
 
 use crate::metrics::{ClusterMetrics, PhaseTimeline};
 use crate::network::NetworkModel;
@@ -86,7 +86,7 @@ pub mod phase {
 /// `Self::Worker` (its shard of the data).
 ///
 /// Implementations decide *how* phases execute (sequentially, on OS
-/// threads, on a rayon pool, over TCP, …) and *how* virtual time is
+/// threads, over TCP, …) and *how* virtual time is
 /// accounted; algorithms only see the phase contract. All bookkeeping
 /// funnels through [`ClusterBackend::record`], so an implementation gets a
 /// consistent [`PhaseTimeline`] for free by storing one and merging deltas

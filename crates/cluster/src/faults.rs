@@ -25,7 +25,10 @@
 
 use std::time::Duration;
 
-use bytes::{Buf, BufMut, BytesMut};
+use dim_graph::rng::splitmix64;
+
+use crate::json::Json;
+use crate::ops::{put_u32, put_u64, Reader};
 
 /// Parts-per-million denominator for the plan's probability knobs.
 pub const PPM: u32 = 1_000_000;
@@ -120,14 +123,11 @@ pub enum FaultEventKind {
 /// — same construction as [`crate::rng::stream_seed`], with a salt so the
 /// jitter/loss/stall draws are independent streams.
 fn chaos_mix(seed: u64, machine: u32, round: u64, salt: u64) -> u64 {
-    let mut x = seed
-        ^ (u64::from(machine) + 1).wrapping_mul(0x9E3779B97F4A7C15)
-        ^ round.wrapping_add(1).wrapping_mul(0xD1B54A32D192ED03)
-        ^ salt.wrapping_mul(0x2545F4914F6CDD1D);
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
+    splitmix64(
+        seed ^ (u64::from(machine) + 1).wrapping_mul(0x9E3779B97F4A7C15)
+            ^ round.wrapping_add(1).wrapping_mul(0xD1B54A32D192ED03)
+            ^ salt.wrapping_mul(0x2545F4914F6CDD1D),
+    )
 }
 
 /// Draws a ppm-scale coin: true with probability `prob_ppm` / 10⁶.
@@ -262,114 +262,90 @@ const PLAN_VERSION: u32 = 1;
 impl FaultPlan {
     /// Serializes the plan.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(PLAN_MAGIC);
-        buf.put_u32_le(PLAN_VERSION);
-        buf.put_u64_le(self.chaos_seed);
-        buf.put_u32_le(self.link_faults.len() as u32);
+        let mut buf = Vec::new();
+        put_u32(&mut buf, PLAN_MAGIC);
+        put_u32(&mut buf, PLAN_VERSION);
+        put_u64(&mut buf, self.chaos_seed);
+        put_u32(&mut buf, self.link_faults.len() as u32);
         for f in &self.link_faults {
-            buf.put_u32_le(f.machine);
-            buf.put_u64_le(f.extra_latency_us);
-            buf.put_u64_le(f.jitter_us);
-            buf.put_u32_le(f.loss_prob_ppm);
-            buf.put_u64_le(f.loss_retry_us);
-            buf.put_u32_le(f.stall_prob_ppm);
-            buf.put_u64_le(f.stall_ms);
+            put_u32(&mut buf, f.machine);
+            put_u64(&mut buf, f.extra_latency_us);
+            put_u64(&mut buf, f.jitter_us);
+            put_u32(&mut buf, f.loss_prob_ppm);
+            put_u64(&mut buf, f.loss_retry_us);
+            put_u32(&mut buf, f.stall_prob_ppm);
+            put_u64(&mut buf, f.stall_ms);
             match f.kill_at_round {
                 Some(at) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(at);
+                    buf.push(1);
+                    put_u64(&mut buf, at);
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
         }
-        buf.put_u32_le(self.partitions.len() as u32);
+        put_u32(&mut buf, self.partitions.len() as u32);
         for p in &self.partitions {
-            buf.put_u64_le(p.from_round);
-            buf.put_u64_le(p.to_round);
-            buf.put_u64_le(p.heal_us);
-            buf.put_u32_le(p.machines.len() as u32);
+            put_u64(&mut buf, p.from_round);
+            put_u64(&mut buf, p.to_round);
+            put_u64(&mut buf, p.heal_us);
+            put_u32(&mut buf, p.machines.len() as u32);
             for &m in &p.machines {
-                buf.put_u32_le(m);
+                put_u32(&mut buf, m);
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Deserializes a plan encoded by [`FaultPlan::encode`]. Strict:
     /// truncation, trailing bytes, bad magic/version, over-large counts,
     /// and non-canonical option tags are all `None`.
     pub fn decode(bytes: &[u8]) -> Option<FaultPlan> {
-        let mut buf = bytes;
-        if buf.remaining() < 4 + 4 + 8 + 4 {
+        let mut r = Reader::new(bytes);
+        if r.u32()? != PLAN_MAGIC || r.u32()? != PLAN_VERSION {
             return None;
         }
-        if buf.get_u32_le() != PLAN_MAGIC || buf.get_u32_le() != PLAN_VERSION {
-            return None;
-        }
-        let chaos_seed = buf.get_u64_le();
-        let n_faults = buf.get_u32_le() as usize;
+        let chaos_seed = r.u64()?;
+        let n_faults = r.u32()? as usize;
         // Each link-fault record is ≥ 45 bytes: a hostile count cannot
         // out-claim the buffer.
-        if n_faults > buf.remaining() / 45 {
+        if n_faults > r.remaining() / 45 {
             return None;
         }
         let mut link_faults = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
-            if buf.remaining() < 45 {
-                return None;
-            }
-            let machine = buf.get_u32_le();
-            let extra_latency_us = buf.get_u64_le();
-            let jitter_us = buf.get_u64_le();
-            let loss_prob_ppm = buf.get_u32_le();
-            let loss_retry_us = buf.get_u64_le();
-            let stall_prob_ppm = buf.get_u32_le();
-            let stall_ms = buf.get_u64_le();
-            let kill_at_round = match buf.get_u8() {
-                0 => None,
-                1 => {
-                    if buf.remaining() < 8 {
-                        return None;
-                    }
-                    Some(buf.get_u64_le())
-                }
-                _ => return None,
+            let fault = LinkFault {
+                machine: r.u32()?,
+                extra_latency_us: r.u64()?,
+                jitter_us: r.u64()?,
+                loss_prob_ppm: r.u32()?,
+                loss_retry_us: r.u64()?,
+                stall_prob_ppm: r.u32()?,
+                stall_ms: r.u64()?,
+                kill_at_round: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.u64()?),
+                    _ => return None,
+                },
             };
-            if loss_prob_ppm > PPM || stall_prob_ppm > PPM {
+            if fault.loss_prob_ppm > PPM || fault.stall_prob_ppm > PPM {
                 return None;
             }
-            link_faults.push(LinkFault {
-                machine,
-                extra_latency_us,
-                jitter_us,
-                loss_prob_ppm,
-                loss_retry_us,
-                stall_prob_ppm,
-                stall_ms,
-                kill_at_round,
-            });
+            link_faults.push(fault);
         }
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let n_parts = buf.get_u32_le() as usize;
-        if n_parts > buf.remaining() / 28 {
+        let n_parts = r.u32()? as usize;
+        if n_parts > r.remaining() / 28 {
             return None;
         }
         let mut partitions = Vec::with_capacity(n_parts);
         for _ in 0..n_parts {
-            if buf.remaining() < 28 {
+            let from_round = r.u64()?;
+            let to_round = r.u64()?;
+            let heal_us = r.u64()?;
+            let n_machines = r.u32()? as usize;
+            if n_machines > r.remaining() / 4 {
                 return None;
             }
-            let from_round = buf.get_u64_le();
-            let to_round = buf.get_u64_le();
-            let heal_us = buf.get_u64_le();
-            let n_machines = buf.get_u32_le() as usize;
-            if Some(true) != n_machines.checked_mul(4).map(|b| b <= buf.remaining()) {
-                return None;
-            }
-            let machines = (0..n_machines).map(|_| buf.get_u32_le()).collect();
+            let machines = (0..n_machines).map(|_| r.u32()).collect::<Option<_>>()?;
             partitions.push(Partition {
                 from_round,
                 to_round,
@@ -377,9 +353,7 @@ impl FaultPlan {
                 machines,
             });
         }
-        if buf.remaining() > 0 {
-            return None;
-        }
+        r.finish()?;
         Some(FaultPlan {
             chaos_seed,
             link_faults,
@@ -392,7 +366,6 @@ impl FaultPlan {
 // JSON codec — the `dim chaos --plan PLAN.json` surface. Hand-rolled like
 // the rest of the workspace's JSON touchpoints (the binaries carry no
 // serde); strict enough to reject anything structurally off.
-use crate::json::Json;
 
 impl FaultPlan {
     /// Parses a plan from the `dim chaos --plan` JSON shape. Unknown keys

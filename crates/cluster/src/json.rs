@@ -1,9 +1,11 @@
-//! A minimal, dependency-free JSON reader shared by every config
-//! surface that parses operator-authored files: fault plans
+//! A minimal, dependency-free JSON reader and writer shared by every
+//! surface that touches JSON: operator-authored fault plans
 //! ([`crate::faults::FaultPlan::from_json`]) and tenant registries
-//! (`dim_serve::tenant`). It supports exactly the JSON these configs
-//! use — objects, arrays, strings with basic escapes, numbers, bools,
-//! null — with strict trailing-byte detection via [`Json::parse`].
+//! (`dim_serve::tenant`), and the bench records `dim-bench` writes and
+//! reads back. It supports exactly the JSON these use — objects, arrays,
+//! strings with basic escapes, numbers, bools, null — with strict
+//! trailing-byte detection via [`Json::parse`]; `Display` renders the
+//! compact single-line form, and `parse ∘ to_string = id`.
 
 /// A minimal JSON value tree, wide enough for fault plans and
 /// tenant configs.
@@ -119,6 +121,19 @@ impl<'a> JsonParser<'a> {
                         Some(b'/') => out.push('/'),
                         Some(b'n') => out.push('\n'),
                         Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let code = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32);
+                            let Some(c) = code else {
+                                return self.err("bad \\u escape");
+                            };
+                            out.push(c);
+                            self.pos += 4;
+                        }
                         _ => return self.err("unsupported escape"),
                     }
                     self.pos += 1;
@@ -242,5 +257,76 @@ impl Json {
             Json::Str(s) => Ok(s),
             other => Err(format!("{what}: expected a string, got {other:?}")),
         }
+    }
+}
+
+/// Compact single-line rendering. Numbers print as the shortest decimal
+/// that reads back to the same `f64` (integers without a fraction); JSON
+/// has no NaN or infinity, so those print as `null`.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use std::fmt::Write as _;
+        fn quoted(f: &mut std::fmt::Formatter<'_>, s: &str) -> std::fmt::Result {
+            f.write_char('"')?;
+            for c in s.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\t' => f.write_str("\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => f.write_char(c)?,
+                }
+            }
+            f.write_char('"')
+        }
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => quoted(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    quoted(f, key)?;
+                    write!(f, ":{value}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rendered_values_read_back_exactly() {
+        let doc = Json::Obj(vec![
+            ("name".into(), Json::Str("a \"quoted\"\tpath\\x\u{1}".into())),
+            ("value".into(), Json::Num(0.1 + 0.2)),
+            ("count".into(), Json::Num(3.0)),
+            ("list".into(), Json::Arr(vec![Json::Bool(true), Json::Null, Json::Num(1.5e-9)])),
+        ]);
+        let line = doc.to_string();
+        assert!(line.contains("\"count\":3,"), "integers print without a fraction: {line}");
+        assert!(!line.contains('\n'));
+        assert_eq!(Json::parse(&line).unwrap(), doc);
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
     }
 }

@@ -24,9 +24,14 @@
 //!   accumulate per label in a [`PhaseTimeline`], so stacked time
 //!   breakdowns (paper Figs. 5/8) read straight off the run.
 //!
-//! [`SimCluster`] executes phases in one of three [`ExecMode`]s:
-//! deterministic sequential (virtual time), bounded OS threads (capped at
-//! the host's available parallelism), or the rayon pool.
+//! [`SimCluster`] executes phases in one of two [`ExecMode`]s:
+//! deterministic sequential (virtual time) or bounded OS threads (capped at
+//! the host's available parallelism).
+//!
+//! Randomness: seed derivation ([`rng`]), the chaos schedule ([`faults`])
+//! and reconnect jitter ([`Backoff`]) all call the one SplitMix64 finalizer
+//! in `dim_graph::rng`, which also defines the workspace's generator and
+//! states its distribution properties.
 //!
 //! # Example
 //!
@@ -46,7 +51,6 @@
 //! assert_eq!(cluster.metrics().bytes_to_master, 32);
 //! assert_eq!(cluster.timeline().get(phase::COUNT_UPLOAD).messages, 4);
 //! ```
-
 //!
 //! Distributed phases are expressed as serializable [`ops::WorkerOp`] /
 //! [`ops::WorkerReply`] messages executed through the [`OpCluster`] seam:
@@ -59,6 +63,7 @@
 
 pub mod auth;
 pub mod backend;
+pub mod backoff;
 pub mod faults;
 pub mod json;
 pub mod metrics;
@@ -74,6 +79,7 @@ pub mod wire;
 
 pub use auth::{cluster_token_digest, ct_eq, sha256, token_digest, Digest};
 pub use backend::{phase, ClusterBackend};
+pub use backoff::Backoff;
 pub use faults::{
     FaultEvent, FaultEventKind, FaultInjector, FaultPlan, LinkDecision, LinkFault, Partition,
 };
@@ -82,7 +88,7 @@ pub use network::NetworkModel;
 pub use ops::{OpCluster, OpExecutor, SamplerSpec, WorkerOp, WorkerReply, WorkerStats};
 #[cfg(feature = "proc-backend")]
 pub use rendezvous::{
-    connect_and_join, run_join_worker, Backoff, JoinCluster, JoinConfig, JoinOptions,
+    connect_and_join, run_join_worker, JoinCluster, JoinConfig, JoinOptions,
     JoinedSession, Rendezvous,
 };
 pub use rng::{rr_set_seed, stream_seed};

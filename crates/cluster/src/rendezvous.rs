@@ -51,6 +51,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::backend::{phase, ClusterBackend};
+use crate::backoff::Backoff;
 use crate::metrics::{ClusterMetrics, PhaseTimeline};
 use crate::network::NetworkModel;
 use crate::ops::{put_u32, put_u64, OpCluster, OpExecutor, Reader, WorkerOp, WorkerReply};
@@ -1028,47 +1029,6 @@ pub fn join_deadline_env() -> Option<Duration> {
         .map(Duration::from_secs)
 }
 
-/// Jittered exponential backoff for join retries.
-///
-/// Delays double from 50 ms up to a 2 s cap, each drawn uniformly from
-/// `[base/2, base]` so a fleet of workers restarted together does not
-/// hammer the master in lockstep. The jitter source is a tiny splitmix64
-/// stream seeded per worker — deterministic given the seed, which keeps
-/// tests reproducible.
-#[derive(Clone, Debug)]
-pub struct Backoff {
-    base: Duration,
-    cap: Duration,
-    state: u64,
-}
-
-impl Backoff {
-    /// A fresh schedule whose jitter stream is derived from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Backoff {
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(2),
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    /// The next delay to sleep: jittered from the current base, which
-    /// then doubles (capped).
-    pub fn next_delay(&mut self) -> Duration {
-        // splitmix64 step.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let base_ns = self.base.as_nanos() as u64;
-        let jittered = base_ns / 2 + z % (base_ns / 2 + 1);
-        let delay = Duration::from_nanos(jittered);
-        self.base = (self.base * 2).min(self.cap);
-        delay
-    }
-}
-
 /// Connects to `addr` and completes the join handshake, retrying
 /// transient failures (master not up yet, session full, dropped
 /// connections) with jittered exponential backoff until the deadline in
@@ -1080,6 +1040,8 @@ pub fn connect_and_join(
 ) -> io::Result<(TcpStream, Welcome)> {
     let deadline = opts.deadline.map(|d| Instant::now() + d);
     let mut backoff = Backoff::new(
+        Duration::from_millis(50),
+        Duration::from_secs(2),
         u64::from(opts.requested.unwrap_or(ANY_SLOT)) ^ u64::from(std::process::id()),
     );
     loop {
@@ -1340,23 +1302,6 @@ mod tests {
         table.release(0);
         assert_eq!(table.joined(), 0);
         assert_eq!(table.register(&JoinHello::new(Some(0))), Ok(0));
-    }
-
-    #[test]
-    fn backoff_jitters_within_bounds_and_doubles() {
-        let mut backoff = Backoff::new(7);
-        let mut base = Duration::from_millis(50);
-        for _ in 0..8 {
-            let d = backoff.next_delay();
-            assert!(d >= base / 2 && d <= base, "{d:?} outside [{:?}, {base:?}]", base / 2);
-            base = (base * 2).min(Duration::from_secs(2));
-        }
-        // Deterministic given the seed; different seeds diverge.
-        let a: Vec<_> = (0..4).map(|_| Backoff::new(1).next_delay()).collect();
-        assert!(a.iter().all(|&d| d == a[0]));
-        let mut b1 = Backoff::new(1);
-        let mut b2 = Backoff::new(2);
-        assert_ne!(b1.next_delay(), b2.next_delay());
     }
 
     /// Toy resident executor counting SampleRr totals, as in tcp.rs tests.

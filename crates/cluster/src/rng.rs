@@ -1,5 +1,7 @@
 //! Deterministic per-machine random-stream derivation.
 
+use dim_graph::rng::splitmix64;
+
 /// Derives the RNG seed for machine `machine_id` from the run's master seed.
 ///
 /// Every stochastic distributed component in the workspace seeds machine
@@ -7,13 +9,7 @@
 /// (a) reproducible for a fixed `(master_seed, ℓ)` regardless of execution
 /// order, and (b) statistically independent across machines.
 pub fn stream_seed(master_seed: u64, machine_id: usize) -> u64 {
-    // SplitMix64 over a mixed input; mirrors dim-graph's splitmix64 (kept
-    // local so this crate stays dependency-free at the bottom of the stack).
-    let mut x = master_seed ^ (machine_id as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
+    splitmix64(master_seed ^ (machine_id as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15))
 }
 
 /// Derives the RNG seed for one RR set from its machine's stream seed and
@@ -26,13 +22,9 @@ pub fn stream_seed(master_seed: u64, machine_id: usize) -> u64 {
 /// re-sample of that graph — untouched sets replay identically, repaired
 /// sets are re-drawn from their own streams.
 pub fn rr_set_seed(machine_seed: u64, set_index: u64) -> u64 {
-    // Same SplitMix64 finalizer as `stream_seed`, over a differently mixed
-    // input so the per-set family never collides with the machine family.
-    let mut x = machine_seed ^ (set_index.wrapping_add(1)).wrapping_mul(0xD1B54A32D192ED03);
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
+    // A different multiplier from `stream_seed`'s, so the per-set family
+    // never collides with the machine family.
+    splitmix64(machine_seed ^ (set_index.wrapping_add(1)).wrapping_mul(0xD1B54A32D192ED03))
 }
 
 #[cfg(test)]

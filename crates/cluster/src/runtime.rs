@@ -20,19 +20,14 @@ pub enum ExecMode {
     /// each machine is timed on its own — but wall-clock time actually
     /// shrinks on multi-core hosts.
     Threads,
-    /// Machines run as tasks on the global rayon pool — the right choice
-    /// when phases are many and short (intra-machine Monte-Carlo work),
-    /// since the pool's threads are reused across phases instead of being
-    /// respawned.
-    Rayon,
 }
 
 /// A master/worker cluster of `ℓ` simulated machines, each owning a worker
 /// state `W` (its shard of the data).
 ///
 /// This is the in-process implementation of [`ClusterBackend`]: phases
-/// really execute (sequentially, on bounded OS threads, or on the rayon
-/// pool per [`ExecMode`]), per-machine times feed a virtual clock
+/// really execute (sequentially or on bounded OS threads, per
+/// [`ExecMode`]), per-machine times feed a virtual clock
 /// (`max` over machines per phase), and message bytes are priced through
 /// the [`NetworkModel`]. All metrics accumulate in a phase-labeled
 /// [`PhaseTimeline`].
@@ -208,20 +203,6 @@ impl<W: Send> SimCluster<W> {
                 }
                 (results, times)
             }
-            ExecMode::Rayon => {
-                use rayon::prelude::*;
-                let pairs: Vec<(R, Duration)> = self
-                    .workers
-                    .par_iter_mut()
-                    .enumerate()
-                    .map(|(i, w)| {
-                        let start = Instant::now();
-                        let r = f(i, w);
-                        (r, start.elapsed())
-                    })
-                    .collect();
-                pairs.into_iter().unzip()
-            }
         }
     }
 }
@@ -321,15 +302,13 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_match_sequential_results() {
+    fn threads_mode_matches_sequential_results() {
         let mut seq = cluster(4);
         let expected = seq.par_step(STEP, |i, w| *w * 2 + i as u64);
-        for mode in [ExecMode::Threads, ExecMode::Rayon] {
-            let mut c = SimCluster::new((0..4u64).collect(), NetworkModel::zero(), mode);
-            let got = c.par_step(STEP, |i, w| *w * 2 + i as u64);
-            assert_eq!(got, expected, "{mode:?}");
-            assert_eq!(c.metrics().phases, 1, "{mode:?}");
-        }
+        let mut c = SimCluster::new((0..4u64).collect(), NetworkModel::zero(), ExecMode::Threads);
+        let got = c.par_step(STEP, |i, w| *w * 2 + i as u64);
+        assert_eq!(got, expected);
+        assert_eq!(c.metrics().phases, 1);
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Wire codec for the messages exchanged by the distributed algorithms.
+//! Framing, size accounting and typed errors for the messages exchanged by
+//! the distributed algorithms.
 //!
 //! NewGreeDi's reduce stage has workers upload sparse vectors of
-//! `⟨node, Δ⟩` tuples (§III-B2 of the paper). Serializing them for real —
-//! rather than estimating sizes — makes the cluster's traffic accounting
-//! byte-accurate and lets tests assert exact message contents.
-//!
-//! Format (little-endian):
+//! `⟨node, Δ⟩` tuples (§III-B2 of the paper). They are serialized for real
+//! as [`crate::ops::WorkerReply::Deltas`]; this module holds the
+//! length-prefixed frame every op and reply travels in, and the size
+//! formulas the simulated backends charge so their traffic accounting is
+//! byte-accurate:
 //! `[u32 count] ([u32 node] [u32 delta])*` for delta vectors, and
-//! `[u32 count] ([u32 value])*` for plain id vectors.
+//! `[u32 count] ([u32 value])*` for plain id vectors (little-endian).
 
 use std::io::{self, Read, Write};
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// A sparse coverage-delta message: each tuple says "node `v`'s marginal
 /// coverage decreases by `delta`".
@@ -164,88 +163,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
             format!("bad frame length {len}"),
         ));
     }
-    let mut body = vec![0u8; len];
+    let mut opcode = [0u8; 1];
+    r.read_exact(&mut opcode)?;
+    let mut body = vec![0u8; len - 1];
     r.read_exact(&mut body)?;
-    let opcode = body[0];
-    body.remove(0);
-    Ok((opcode, body))
+    Ok((opcode[0], body))
 }
 
 /// An `InvalidData` error for protocol violations.
 pub fn protocol_err(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// Serializes a delta vector.
-pub fn encode_deltas(deltas: &[(u32, u32)]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + deltas.len() * 8);
-    buf.put_u32_le(deltas.len() as u32);
-    for &(v, d) in deltas {
-        buf.put_u32_le(v);
-        buf.put_u32_le(d);
-    }
-    buf.freeze()
-}
-
-/// Deserializes a delta vector. Returns `None` on malformed input.
-pub fn decode_deltas(mut buf: &[u8]) -> Option<DeltaVec> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let count = buf.get_u32_le() as usize;
-    // `count * 8` wraps on 32-bit targets for counts ≥ 2²⁹, letting a
-    // hostile header pass the length check with a short body.
-    if Some(buf.len()) != count.checked_mul(8) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let v = buf.get_u32_le();
-        let d = buf.get_u32_le();
-        out.push((v, d));
-    }
-    Some(out)
-}
-
-/// Visits each `⟨set, Δ⟩` tuple of an encoded delta message without
-/// allocating. Returns `None` on malformed input. The master's reduce
-/// stage uses this on the hot path instead of [`decode_deltas`].
-pub fn for_each_delta(mut buf: &[u8], mut f: impl FnMut(u32, u32)) -> Option<()> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let count = buf.get_u32_le() as usize;
-    if Some(buf.len()) != count.checked_mul(8) {
-        return None;
-    }
-    for _ in 0..count {
-        let v = buf.get_u32_le();
-        let d = buf.get_u32_le();
-        f(v, d);
-    }
-    Some(())
-}
-
-/// Serializes a vector of 32-bit ids (e.g. the chosen seed broadcast).
-pub fn encode_ids(ids: &[u32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + ids.len() * 4);
-    buf.put_u32_le(ids.len() as u32);
-    for &v in ids {
-        buf.put_u32_le(v);
-    }
-    buf.freeze()
-}
-
-/// Deserializes a vector of 32-bit ids. Returns `None` on malformed input.
-pub fn decode_ids(mut buf: &[u8]) -> Option<Vec<u32>> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let count = buf.get_u32_le() as usize;
-    if Some(buf.len()) != count.checked_mul(4) {
-        return None;
-    }
-    Some((0..count).map(|_| buf.get_u32_le()).collect())
 }
 
 /// Size in bytes of an encoded delta vector with `count` tuples, without
@@ -271,84 +198,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_roundtrip() {
-        let deltas = vec![(0u32, 3u32), (17, 1), (u32::MAX, 42)];
-        let bytes = encode_deltas(&deltas);
-        assert_eq!(bytes.len() as u64, delta_wire_size(deltas.len()));
-        assert_eq!(decode_deltas(&bytes).unwrap(), deltas);
-    }
-
-    #[test]
-    fn empty_delta_roundtrip() {
-        let bytes = encode_deltas(&[]);
-        assert_eq!(bytes.len(), 4);
-        assert_eq!(decode_deltas(&bytes).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn for_each_matches_decode() {
-        let deltas = vec![(3u32, 1u32), (9, 4)];
-        let bytes = encode_deltas(&deltas);
-        let mut seen = Vec::new();
-        for_each_delta(&bytes, |v, d| seen.push((v, d))).unwrap();
-        assert_eq!(seen, deltas);
-        assert!(for_each_delta(&bytes[..3], |_, _| ()).is_none());
-    }
-
-    #[test]
-    fn ids_roundtrip() {
-        let ids = vec![5u32, 0, 999_999];
-        let bytes = encode_ids(&ids);
-        assert_eq!(bytes.len() as u64, ids_wire_size(ids.len()));
-        assert_eq!(decode_ids(&bytes).unwrap(), ids);
-    }
-
-    #[test]
-    fn rejects_truncated() {
-        let bytes = encode_deltas(&[(1, 2), (3, 4)]);
-        assert!(decode_deltas(&bytes[..bytes.len() - 1]).is_none());
-        assert!(decode_deltas(&[]).is_none());
-        let ids = encode_ids(&[7]);
-        assert!(decode_ids(&ids[..ids.len() - 2]).is_none());
-    }
-
-    #[test]
     fn u64_wire_size_is_eight() {
         assert_eq!(u64_wire_size(), 8);
-    }
-
-    #[test]
-    fn rejects_overlong() {
-        let mut bytes = encode_ids(&[7]).to_vec();
-        bytes.push(0);
-        assert!(decode_ids(&bytes).is_none());
-    }
-
-    #[test]
-    fn rejects_pathological_counts() {
-        // Header claims u32::MAX tuples with an 8-byte body. On 32-bit
-        // targets `count * 8` used to wrap; on any target the decoder must
-        // reject rather than trust the header.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 8]);
-        assert!(decode_deltas(&bytes).is_none());
-        assert!(for_each_delta(&bytes, |_, _| ()).is_none());
-        assert!(decode_ids(&bytes).is_none());
-
-        // count = 2²⁹ + 1: `count * 8` ≡ 8 (mod 2³²), matching an 8-byte
-        // body exactly on a 32-bit usize — the precise wrap case.
-        let mut wrap = Vec::new();
-        wrap.extend_from_slice(&0x2000_0001u32.to_le_bytes());
-        wrap.extend_from_slice(&[0u8; 8]);
-        assert!(decode_deltas(&wrap).is_none());
-        assert!(for_each_delta(&wrap, |_, _| ()).is_none());
-
-        // count = 2³⁰ + 1: `count * 4` ≡ 4 (mod 2³²), ditto for ids.
-        let mut wrap4 = Vec::new();
-        wrap4.extend_from_slice(&0x4000_0001u32.to_le_bytes());
-        wrap4.extend_from_slice(&[0u8; 4]);
-        assert!(decode_ids(&wrap4).is_none());
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //!   returning exactly the centralized greedy solution (Lemma 2), hence
 //!   preserving IMM's `(1 − 1/e − ε)` guarantee (Theorem 1).
 
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-
 use dim_cluster::ops::{expect_ok, expect_stats};
 use dim_cluster::{
     phase, rr_set_seed, stream_seed, ExecMode, NetworkModel, OpCluster,
@@ -22,6 +19,7 @@ use dim_coverage::newgreedi::{newgreedi_incremental, newgreedi_with, NewGreediRe
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::rr::RrSampler;
 use dim_diffusion::visit::VisitTracker;
+use dim_graph::rng::Rng;
 use dim_graph::{DeltaBatch, Graph};
 
 use crate::config::{ImConfig, ImResult, SamplerKind, Timings};
@@ -111,7 +109,7 @@ impl<'g> DiimmWorker<'g> {
         let graph = self.current.as_ref().unwrap_or(self.base);
         let sampler = self.sampler_kind.make(graph);
         for _ in 0..count {
-            let mut rng = Pcg64::seed_from_u64(rr_set_seed(self.machine_seed, self.sets));
+            let mut rng = Rng::new(rr_set_seed(self.machine_seed, self.sets));
             self.edges_examined += sampler.sample(&mut rng, &mut self.buf, &mut self.visited);
             self.shard.push_element(&self.buf);
             self.sets += 1;
@@ -145,7 +143,7 @@ impl<'g> DiimmWorker<'g> {
         let sampler = self.sampler_kind.make(&mutated);
         let mut repaired = Vec::with_capacity(invalid.len());
         for &j in &invalid {
-            let mut rng = Pcg64::seed_from_u64(rr_set_seed(self.machine_seed, j as u64));
+            let mut rng = Rng::new(rr_set_seed(self.machine_seed, j as u64));
             self.edges_examined += sampler.sample(&mut rng, &mut self.buf, &mut self.visited);
             repaired.push((j, self.buf.clone()));
         }

@@ -11,9 +11,6 @@
 //! `theta` sampling budget rather than re-deriving IMM's worst-case bound
 //! (whose constants are specific to top-`k` maximization).
 
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-
 use dim_cluster::{
     phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, NetworkModel, OpExecutor,
     SimCluster, WireError, WorkerOp, WorkerReply,
@@ -23,6 +20,7 @@ use dim_coverage::newgreedi::{newgreedi_until, newgreedi_with};
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::rr::{RrSampler, TargetedSampler};
 use dim_diffusion::visit::VisitTracker;
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::config::SamplerKind;
@@ -31,7 +29,7 @@ use crate::diimm::split_counts;
 /// A generic distributed-RIS worker: any sampler, one element shard.
 struct RisWorker<S> {
     sampler: S,
-    rng: Pcg64,
+    rng: Rng,
     shard: CoverageShard,
     buf: Vec<u32>,
     visited: VisitTracker,
@@ -41,7 +39,7 @@ impl<S: RrSampler> RisWorker<S> {
     fn new(n: usize, sampler: S, seed: u64, machine_id: usize) -> Self {
         RisWorker {
             sampler,
-            rng: Pcg64::seed_from_u64(stream_seed(seed, machine_id)),
+            rng: Rng::new(stream_seed(seed, machine_id)),
             shard: CoverageShard::new(n),
             buf: Vec::new(),
             visited: VisitTracker::new(n),

@@ -16,11 +16,8 @@
 //!   in expectation but orders of magnitude slower than RIS (which is why
 //!   IMM exists). Tiny graphs only.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-
 use dim_graph::analysis::influence_pagerank;
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::config::SamplerKind;
@@ -83,9 +80,9 @@ pub fn top_pagerank(graph: &Graph, k: usize) -> Vec<u32> {
 
 /// `k` uniformly random distinct nodes.
 pub fn random_seeds(graph: &Graph, k: usize, seed: u64) -> Vec<u32> {
-    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut nodes: Vec<u32> = graph.nodes().collect();
-    nodes.shuffle(&mut rng);
+    rng.shuffle(&mut nodes);
     nodes.truncate(k);
     nodes
 }

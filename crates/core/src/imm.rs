@@ -10,14 +10,12 @@
 
 use std::time::Instant;
 
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-
 use dim_cluster::{rr_set_seed, stream_seed, ClusterMetrics, PhaseTimeline};
 use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::CoverageShard;
 use dim_diffusion::rr::RrSampler;
 use dim_diffusion::visit::VisitTracker;
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult, Timings};
@@ -45,7 +43,7 @@ pub fn imm(graph: &Graph, config: &ImConfig) -> ImResult {
                         edges: &mut u64| {
         let start = Instant::now();
         for _ in 0..count {
-            let mut rng = Pcg64::seed_from_u64(rr_set_seed(machine_seed, sets));
+            let mut rng = Rng::new(rr_set_seed(machine_seed, sets));
             *edges += sampler.sample(&mut rng, &mut buf, &mut visited);
             shard.push_element(&buf);
             sets += 1;

@@ -23,9 +23,6 @@
 //! through NewGreeDi on the `R₁` shards; validation gathers one coverage
 //! count per machine over the `R₂` shards.
 
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-
 use dim_cluster::ops::{expect_counts, expect_ok};
 use dim_cluster::{
     phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, NetworkModel, OpCluster,
@@ -36,6 +33,7 @@ use dim_coverage::newgreedi::newgreedi_incremental;
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::rr::{AnySampler, RrSampler};
 use dim_diffusion::visit::VisitTracker;
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult, Timings};
@@ -89,7 +87,7 @@ fn shard_coverage(shard: &CoverageShard, seeds: &[u32], marked: &mut VisitTracke
 pub fn opim_c(graph: &Graph, config: &ImConfig) -> ImResult {
     let n = graph.num_nodes();
     let sampler = config.sampler.make(graph);
-    let mut rng = Pcg64::seed_from_u64(stream_seed(config.seed, 0));
+    let mut rng = Rng::new(stream_seed(config.seed, 0));
     let t_max = theta_max(n, config.k, config.epsilon, config.delta);
     let theta_0 = ((t_max as f64 * config.epsilon * config.epsilon * config.k as f64
         / n as f64)
@@ -157,7 +155,7 @@ pub fn opim_c(graph: &Graph, config: &ImConfig) -> ImResult {
 /// collections plus its sampler/RNG.
 pub struct DopimWorker<'g> {
     sampler: AnySampler<'g>,
-    rng: Pcg64,
+    rng: Rng,
     /// Selection collection shard (`R₁,ᵢ`).
     pub r1: CoverageShard,
     /// Validation collection shard (`R₂,ᵢ`).
@@ -172,7 +170,7 @@ impl<'g> DopimWorker<'g> {
     fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
         DopimWorker {
             sampler: config.sampler.make(graph),
-            rng: Pcg64::seed_from_u64(stream_seed(config.seed, machine_id)),
+            rng: Rng::new(stream_seed(config.seed, machine_id)),
             r1: CoverageShard::new(graph.num_nodes()),
             r2: CoverageShard::new(graph.num_nodes()),
             buf: Vec::new(),

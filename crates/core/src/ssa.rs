@@ -23,9 +23,6 @@
 //! distributed RIS and the selection through NewGreeDi, mirroring
 //! [`crate::opim`].
 
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-
 use dim_cluster::ops::{expect_counts, expect_ok};
 use dim_cluster::{
     phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, NetworkModel, OpCluster,
@@ -36,6 +33,7 @@ use dim_coverage::newgreedi::newgreedi_incremental;
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::rr::{AnySampler, RrSampler};
 use dim_diffusion::visit::VisitTracker;
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult, Timings};
@@ -93,7 +91,7 @@ pub fn ssa(graph: &Graph, config: &ImConfig) -> ImResult {
     let n = graph.num_nodes();
     let sched = schedule(n, config.k, config.epsilon, config.delta);
     let sampler = config.sampler.make(graph);
-    let mut rng = Pcg64::seed_from_u64(stream_seed(config.seed, 0));
+    let mut rng = Rng::new(stream_seed(config.seed, 0));
     let mut r1 = CoverageShard::new(n);
     let mut r2 = CoverageShard::new(n);
     let mut buf = Vec::new();
@@ -152,7 +150,7 @@ pub fn ssa(graph: &Graph, config: &ImConfig) -> ImResult {
 /// One machine's state for distributed SSA.
 pub struct DssaWorker<'g> {
     sampler: AnySampler<'g>,
-    rng: Pcg64,
+    rng: Rng,
     r1: CoverageShard,
     r2: CoverageShard,
     buf: Vec<u32>,
@@ -165,7 +163,7 @@ impl<'g> DssaWorker<'g> {
     fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
         DssaWorker {
             sampler: config.sampler.make(graph),
-            rng: Pcg64::seed_from_u64(stream_seed(config.seed, machine_id)),
+            rng: Rng::new(stream_seed(config.seed, machine_id)),
             r1: CoverageShard::new(graph.num_nodes()),
             r2: CoverageShard::new(graph.num_nodes()),
             buf: Vec::new(),

@@ -1,5 +1,6 @@
 //! Global maximum-coverage instances and sharding.
 
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::pooled::PooledSets;
@@ -110,19 +111,7 @@ impl CoverageProblem {
         let index = self.elements.transpose(self.num_sets);
         let mut order: Vec<u32> = (0..self.num_sets as u32).collect();
         if let Some(seed) = shuffle_seed {
-            // Fisher–Yates with a SplitMix-derived stream.
-            let mut state = seed;
-            let mut next = move || {
-                state = state.wrapping_add(0x9E3779B97F4A7C15);
-                let mut x = state;
-                x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-                x ^ (x >> 31)
-            };
-            for i in (1..order.len()).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
+            Rng::new(seed).shuffle(&mut order);
         }
         let mut shards: Vec<SetShard> = (0..machines)
             .map(|_| SetShard {

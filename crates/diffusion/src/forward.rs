@@ -4,10 +4,7 @@
 //! by the optimization algorithms (the paper evaluates seed quality this
 //! way; Kempe et al. introduced the estimator).
 
-use rand::{Rng, SeedableRng};
-use rand_pcg::Pcg64;
-use rayon::prelude::*;
-
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::model::DiffusionModel;
@@ -39,11 +36,12 @@ impl SimScratch {
 }
 
 /// Runs one forward simulation and returns the number of activated nodes.
-pub fn simulate<R: Rng>(
+#[inline]
+pub fn simulate(
     graph: &Graph,
     model: DiffusionModel,
     seeds: &[u32],
-    rng: &mut R,
+    rng: &mut Rng,
     scratch: &mut SimScratch,
 ) -> usize {
     match model {
@@ -53,10 +51,11 @@ pub fn simulate<R: Rng>(
 }
 
 /// One IC cascade: BFS over out-edges, each edge fires once with `p(u,v)`.
-pub fn simulate_ic<R: Rng>(
+#[inline]
+pub fn simulate_ic(
     graph: &Graph,
     seeds: &[u32],
-    rng: &mut R,
+    rng: &mut Rng,
     scratch: &mut SimScratch,
 ) -> usize {
     let visited = &mut scratch.visited;
@@ -75,7 +74,7 @@ pub fn simulate_ic<R: Rng>(
         let nbrs = graph.out_neighbors(u);
         let probs = graph.out_probs(u);
         for (&v, &p) in nbrs.iter().zip(probs) {
-            if !visited.is_marked(v) && rng.gen::<f32>() < p {
+            if !visited.is_marked(v) && rng.f32() < p {
                 visited.mark(v);
                 frontier.push(v);
             }
@@ -87,10 +86,11 @@ pub fn simulate_ic<R: Rng>(
 /// One LT cascade: thresholds are drawn lazily the first time a node
 /// receives incoming weight; a node activates when accumulated weight
 /// reaches its threshold.
-pub fn simulate_lt<R: Rng>(
+#[inline]
+pub fn simulate_lt(
     graph: &Graph,
     seeds: &[u32],
-    rng: &mut R,
+    rng: &mut Rng,
     scratch: &mut SimScratch,
 ) -> usize {
     let visited = &mut scratch.visited;
@@ -121,7 +121,7 @@ pub fn simulate_lt<R: Rng>(
                 weight[vi] = 0.0;
                 // λ_v ∈ (0,1]: a node with threshold exactly 0 would
                 // self-activate; drawing in (0,1] matches Pr[λ ≤ w] = w.
-                threshold[vi] = 1.0 - rng.gen::<f32>();
+                threshold[vi] = 1.0 - rng.f32();
             }
             weight[vi] += p;
             if weight[vi] >= threshold[vi] {
@@ -133,12 +133,59 @@ pub fn simulate_lt<R: Rng>(
     frontier.len()
 }
 
+/// Sums of cascade sizes `(Σx, Σx²)` over `num_samples` independent
+/// cascades — the one sampling loop behind both estimators.
+///
+/// Samples are partitioned into fixed 256-cascade chunks, each with an RNG
+/// stream derived from `(seed, chunk start)`, and the chunk list is split
+/// into at most [`std::thread::available_parallelism`] contiguous runs, one
+/// scoped thread each. Integer sums merge exactly, so the result does not
+/// depend on the thread count.
+fn cascade_sums(
+    graph: &Graph,
+    model: DiffusionModel,
+    seeds: &[u32],
+    num_samples: usize,
+    seed: u64,
+) -> (u64, u128) {
+    const CHUNK: usize = 256;
+    let starts: Vec<usize> = (0..num_samples).step_by(CHUNK).collect();
+    let run = |starts: &[usize]| {
+        let mut scratch = SimScratch::new(graph.num_nodes());
+        let (mut s, mut s2) = (0u64, 0u128);
+        for &start in starts {
+            let mut rng = Rng::new(seed ^ (start as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            for _ in 0..CHUNK.min(num_samples - start) {
+                let x = simulate(graph, model, seeds, &mut rng, &mut scratch) as u64;
+                s += x;
+                s2 += (x as u128) * (x as u128);
+            }
+        }
+        (s, s2)
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let per = starts.len().div_ceil(cores).max(1);
+    if per >= starts.len() {
+        return run(&starts);
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = starts
+            .chunks(per)
+            .map(|part| scope.spawn(move || run(part)))
+            .collect();
+        handles.into_iter().fold((0, 0), |acc, h| {
+            let part = h.join().expect("cascade thread panicked");
+            (acc.0 + part.0, acc.1 + part.1)
+        })
+    })
+}
+
 /// Monte-Carlo estimate of the influence spread `σ(S)` using
-/// `num_samples` independent cascades, parallelized across rayon workers.
+/// `num_samples` independent cascades, parallelized across scoped threads.
 ///
 /// Deterministic for a fixed `(seed, num_samples)` regardless of thread
 /// count: samples are partitioned into fixed chunks, each with a derived
-/// RNG stream.
+/// RNG stream, and the integer sums merge exactly.
 pub fn estimate_spread(
     graph: &Graph,
     model: DiffusionModel,
@@ -149,24 +196,8 @@ pub fn estimate_spread(
     if num_samples == 0 {
         return 0.0;
     }
-    const CHUNK: usize = 256;
-    let chunks: Vec<(usize, usize)> = (0..num_samples)
-        .step_by(CHUNK)
-        .map(|start| (start, CHUNK.min(num_samples - start)))
-        .collect();
-    let total: u64 = chunks
-        .par_iter()
-        .map(|&(start, len)| {
-            let mut rng = Pcg64::seed_from_u64(seed ^ (start as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            let mut scratch = SimScratch::new(graph.num_nodes());
-            let mut acc = 0u64;
-            for _ in 0..len {
-                acc += simulate(graph, model, seeds, &mut rng, &mut scratch) as u64;
-            }
-            acc
-        })
-        .sum();
-    total as f64 / num_samples as f64
+    let (sum, _) = cascade_sums(graph, model, seeds, num_samples, seed);
+    sum as f64 / num_samples as f64
 }
 
 /// A Monte-Carlo spread estimate with uncertainty.
@@ -207,29 +238,7 @@ pub fn estimate_spread_ci(
             samples: 0,
         };
     }
-    const CHUNK: usize = 256;
-    let chunks: Vec<(usize, usize)> = (0..num_samples)
-        .step_by(CHUNK)
-        .map(|start| (start, CHUNK.min(num_samples - start)))
-        .collect();
-    // (Σx, Σx²) per chunk; merged exactly, so the result is deterministic
-    // and identical to a sequential pass.
-    let (sum, sum_sq): (u64, u128) = chunks
-        .par_iter()
-        .map(|&(start, len)| {
-            let mut rng =
-                Pcg64::seed_from_u64(seed ^ (start as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            let mut scratch = SimScratch::new(graph.num_nodes());
-            let mut s = 0u64;
-            let mut s2 = 0u128;
-            for _ in 0..len {
-                let x = simulate(graph, model, seeds, &mut rng, &mut scratch) as u64;
-                s += x;
-                s2 += (x as u128) * (x as u128);
-            }
-            (s, s2)
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+    let (sum, sum_sq) = cascade_sums(graph, model, seeds, num_samples, seed);
     let n = num_samples as f64;
     let mean = sum as f64 / n;
     let variance = ((sum_sq as f64) / n - mean * mean).max(0.0) * n / (n - 1.0).max(1.0);
@@ -289,7 +298,7 @@ mod tests {
     #[test]
     fn duplicate_seeds_ignored() {
         let g = fig1();
-        let mut rng = Pcg64::seed_from_u64(5);
+        let mut rng = Rng::new(5);
         let mut scratch = SimScratch::new(4);
         let n = simulate_ic(&g, &[0, 0, 0], &mut rng, &mut scratch);
         assert!(n >= 3, "v1 deterministically activates v2 and v3");

@@ -1,7 +1,6 @@
 //! IC RR sets via stochastic reverse BFS (§III-A of the paper).
 
-use rand::Rng;
-
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::rr::RrSampler;
@@ -26,10 +25,11 @@ impl RrSampler for IcRrSampler<'_> {
         self.graph
     }
 
-    fn sample_rooted<R: Rng>(
+    #[inline]
+    fn sample_rooted(
         &self,
         root: u32,
-        rng: &mut R,
+        rng: &mut Rng,
         out: &mut Vec<u32>,
         visited: &mut VisitTracker,
     ) -> u64 {
@@ -49,7 +49,7 @@ impl RrSampler for IcRrSampler<'_> {
             for (&w, &p) in sources.iter().zip(probs) {
                 // Each live-edge coin is independent; flipping it is only
                 // observable when the source is not yet in R.
-                if !visited.is_marked(w) && rng.gen::<f32>() < p {
+                if !visited.is_marked(w) && rng.f32() < p {
                     visited.mark(w);
                     out.push(w);
                 }
@@ -62,8 +62,6 @@ impl RrSampler for IcRrSampler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
 
     use dim_graph::{GraphBuilder, WeightModel};
 
@@ -81,7 +79,7 @@ mod tests {
     fn contains_root() {
         let g = fig1();
         let s = IcRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         for root in 0..4 {
@@ -94,7 +92,7 @@ mod tests {
     fn no_duplicates() {
         let g = fig1();
         let s = IcRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(2);
+        let mut rng = Rng::new(2);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         for _ in 0..500 {
@@ -111,7 +109,7 @@ mod tests {
         // Root v2 (id 1): its only in-edge v1→v2 has p = 1, so R = {v2, v1}.
         let g = fig1();
         let s = IcRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         for _ in 0..50 {
@@ -132,7 +130,7 @@ mod tests {
     fn example2_probability() {
         let g = fig1();
         let s = IcRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 400_000;
@@ -154,7 +152,7 @@ mod tests {
     fn lemma1_single_node() {
         let g = fig1();
         let s = IcRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(5);
+        let mut rng = Rng::new(5);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 300_000;
@@ -175,7 +173,7 @@ mod tests {
     fn edge_work_counted() {
         let g = fig1();
         let s = IcRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(6);
+        let mut rng = Rng::new(6);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         // Root v4 examines its three in-edges at minimum.

@@ -1,7 +1,6 @@
 //! LT RR sets via reverse random walk (§III-A of the paper).
 
-use rand::Rng;
-
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::rr::RrSampler;
@@ -48,10 +47,11 @@ impl RrSampler for LtRrSampler<'_> {
         self.graph
     }
 
-    fn sample_rooted<R: Rng>(
+    #[inline]
+    fn sample_rooted(
         &self,
         root: u32,
-        rng: &mut R,
+        rng: &mut Rng,
         out: &mut Vec<u32>,
         visited: &mut VisitTracker,
     ) -> u64 {
@@ -69,7 +69,7 @@ impl RrSampler for LtRrSampler<'_> {
             let total = self.graph.in_prob_sum(u);
             // One uniform draw decides both stop-vs-continue and, scaled,
             // which in-neighbor to walk to.
-            let x = rng.gen::<f32>();
+            let x = rng.f32();
             if x >= total {
                 break; // stopped at u with probability 1 − Σ p
             }
@@ -109,8 +109,6 @@ impl RrSampler for LtRrSampler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
 
     use dim_graph::{GraphBuilder, WeightModel};
 
@@ -128,7 +126,7 @@ mod tests {
     fn walk_is_a_path() {
         let g = fig1();
         let s = LtRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         for _ in 0..500 {
@@ -151,7 +149,7 @@ mod tests {
     fn example2_lt_probability() {
         let g = fig1();
         let s = LtRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(2);
+        let mut rng = Rng::new(2);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 200_000;
@@ -171,7 +169,7 @@ mod tests {
     fn lemma1_lt() {
         let g = fig1();
         let s = LtRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 300_000;
@@ -192,7 +190,7 @@ mod tests {
         // |R| = 1 with probability 0.1.
         let g = fig1();
         let s = LtRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 200_000;
@@ -213,7 +211,7 @@ mod tests {
         let g = fig1();
         let s = LtRrSampler::new(&g);
         assert!(s.uniform[3].is_none());
-        let mut rng = Pcg64::seed_from_u64(5);
+        let mut rng = Rng::new(5);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 200_000;

@@ -17,8 +17,7 @@
 //! `p·d + 1`, i.e. when `d ≥ JUMP_ALPHA / (1 − p)` — on weighted-cascade
 //! graphs (`p = 1/d`) that is every node with in-degree above ≈`JUMP_ALPHA`.
 
-use rand::Rng;
-
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::rr::RrSampler;
@@ -69,11 +68,11 @@ impl<'g> SubsimRrSampler<'g> {
     /// Processes `u`'s in-edges via geometric jumps; pushes newly reached
     /// sources onto `out`. Returns the work performed (number of jumps).
     #[inline]
-    fn jump_scan<R: Rng>(
+    fn jump_scan(
         &self,
         sources: &[u32],
         ln_q: f64,
-        rng: &mut R,
+        rng: &mut Rng,
         out: &mut Vec<u32>,
         visited: &mut VisitTracker,
     ) -> u64 {
@@ -105,9 +104,9 @@ impl<'g> SubsimRrSampler<'g> {
 /// Number of failures before the next success: `floor(ln U / ln(1−p))` with
 /// `U` uniform in `(0,1]`.
 #[inline]
-fn geometric_skip<R: Rng>(rng: &mut R, ln_q: f64) -> usize {
+fn geometric_skip(rng: &mut Rng, ln_q: f64) -> usize {
     // 1 − gen::<f64>() ∈ (0, 1] avoids ln(0).
-    let u = 1.0 - rng.gen::<f64>();
+    let u = 1.0 - rng.f64();
     let skip = (u.ln() / ln_q).floor();
     if skip >= usize::MAX as f64 {
         usize::MAX
@@ -121,10 +120,11 @@ impl RrSampler for SubsimRrSampler<'_> {
         self.graph
     }
 
-    fn sample_rooted<R: Rng>(
+    #[inline]
+    fn sample_rooted(
         &self,
         root: u32,
-        rng: &mut R,
+        rng: &mut Rng,
         out: &mut Vec<u32>,
         visited: &mut VisitTracker,
     ) -> u64 {
@@ -153,7 +153,7 @@ impl RrSampler for SubsimRrSampler<'_> {
                     let probs = self.graph.in_probs(u);
                     work += sources.len() as u64;
                     for (&w, &p) in sources.iter().zip(probs) {
-                        if !visited.is_marked(w) && rng.gen::<f32>() < p {
+                        if !visited.is_marked(w) && rng.f32() < p {
                             visited.mark(w);
                             out.push(w);
                         }
@@ -168,8 +168,6 @@ impl RrSampler for SubsimRrSampler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
 
     use dim_graph::{GraphBuilder, WeightModel};
 
@@ -190,8 +188,8 @@ mod tests {
         let g = star(20);
         let sub = SubsimRrSampler::new(&g);
         let bfs = IcRrSampler::new(&g);
-        let mut rng_a = Pcg64::seed_from_u64(1);
-        let mut rng_b = Pcg64::seed_from_u64(2);
+        let mut rng_a = Rng::new(1);
+        let mut rng_b = Rng::new(2);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(21);
         let trials = 100_000;
@@ -215,7 +213,7 @@ mod tests {
         let g = star(1000);
         let sub = SubsimRrSampler::new(&g);
         let bfs = IcRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(1001);
         let mut w_sub = 0u64;
@@ -237,7 +235,7 @@ mod tests {
         b.add_weighted_edge(1, 2, 1.0);
         let g = b.build(WeightModel::WeightedCascade);
         let sub = SubsimRrSampler::new(&g);
-        let mut rng = Pcg64::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(3);
         sub.sample_rooted(2, &mut rng, &mut out, &mut visited);
@@ -259,7 +257,7 @@ mod tests {
         let g = b.build(WeightModel::WeightedCascade);
         let sub = SubsimRrSampler::new(&g);
         assert!(sub.jump_ln_q[3].is_none());
-        let mut rng = Pcg64::seed_from_u64(5);
+        let mut rng = Rng::new(5);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 300_000;
@@ -330,8 +328,8 @@ mod tests {
         assert!(sub.jump_ln_q[0].is_some(), "hub must take the jump path");
         assert!(sub.jump_ln_q[1].is_none(), "ring nodes take the coin path");
         let trials = 8000usize;
-        let mut rng_a = Pcg64::seed_from_u64(11);
-        let mut rng_b = Pcg64::seed_from_u64(12);
+        let mut rng_a = Rng::new(11);
+        let mut rng_b = Rng::new(12);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(200);
         let max_size = 200usize;
@@ -361,7 +359,7 @@ mod tests {
         // skip ~ Geometric(p): E[skip] = (1−p)/p. For p = 0.25: 3.
         let p = 0.25f64;
         let ln_q = (1.0 - p).ln();
-        let mut rng = Pcg64::seed_from_u64(6);
+        let mut rng = Rng::new(6);
         let trials = 200_000;
         let mean: f64 = (0..trials)
             .map(|_| geometric_skip(&mut rng, ln_q) as f64)

@@ -15,8 +15,7 @@
 //! sampler that work for *any* instance, plus the IC/LT instances used to
 //! cross-validate against the specialized code paths.
 
-use rand::Rng;
-
+use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::rr::RrSampler;
@@ -30,7 +29,7 @@ use crate::visit::VisitTracker;
 pub trait TriggeringDistribution: Sync {
     /// Samples `T_v` for node `v`, pushing in-neighbor indices into `out`
     /// (cleared by the caller). Returns the work performed (≈ RNG draws).
-    fn sample_into<R: Rng>(&self, graph: &Graph, v: u32, rng: &mut R, out: &mut Vec<u32>)
+    fn sample_into(&self, graph: &Graph, v: u32, rng: &mut Rng, out: &mut Vec<u32>)
         -> u64;
 }
 
@@ -38,16 +37,17 @@ pub trait TriggeringDistribution: Sync {
 pub struct IcTriggering;
 
 impl TriggeringDistribution for IcTriggering {
-    fn sample_into<R: Rng>(
+    #[inline]
+    fn sample_into(
         &self,
         graph: &Graph,
         v: u32,
-        rng: &mut R,
+        rng: &mut Rng,
         out: &mut Vec<u32>,
     ) -> u64 {
         let probs = graph.in_probs(v);
         for (i, &p) in probs.iter().enumerate() {
-            if rng.gen::<f32>() < p {
+            if rng.f32() < p {
                 out.push(i as u32);
             }
         }
@@ -60,18 +60,19 @@ impl TriggeringDistribution for IcTriggering {
 pub struct LtTriggering;
 
 impl TriggeringDistribution for LtTriggering {
-    fn sample_into<R: Rng>(
+    #[inline]
+    fn sample_into(
         &self,
         graph: &Graph,
         v: u32,
-        rng: &mut R,
+        rng: &mut Rng,
         out: &mut Vec<u32>,
     ) -> u64 {
         let probs = graph.in_probs(v);
         if probs.is_empty() {
             return 1;
         }
-        let x = rng.gen::<f32>();
+        let x = rng.f32();
         let mut acc = 0f32;
         for (i, &p) in probs.iter().enumerate() {
             acc += p;
@@ -87,11 +88,11 @@ impl TriggeringDistribution for LtTriggering {
 /// Forward simulation under an arbitrary triggering distribution:
 /// triggering sets are sampled lazily the first time a node is exposed,
 /// then membership decides activation. Returns the number activated.
-pub fn simulate_triggering<D: TriggeringDistribution, R: Rng>(
+pub fn simulate_triggering<D: TriggeringDistribution>(
     graph: &Graph,
     dist: &D,
     seeds: &[u32],
-    rng: &mut R,
+    rng: &mut Rng,
     scratch: &mut TriggeringScratch,
 ) -> usize {
     let TriggeringScratch {
@@ -175,10 +176,10 @@ impl<D: TriggeringDistribution> RrSampler for TriggeringRrSampler<'_, D> {
         self.graph
     }
 
-    fn sample_rooted<R: Rng>(
+    fn sample_rooted(
         &self,
         root: u32,
-        rng: &mut R,
+        rng: &mut Rng,
         out: &mut Vec<u32>,
         visited: &mut VisitTracker,
     ) -> u64 {
@@ -209,8 +210,6 @@ impl<D: TriggeringDistribution> RrSampler for TriggeringRrSampler<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
 
     use dim_graph::{GraphBuilder, WeightModel};
 
@@ -233,7 +232,7 @@ mod tests {
     #[test]
     fn triggering_ic_matches_exact() {
         let g = fig1();
-        let mut rng = Pcg64::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut scratch = TriggeringScratch::new(4);
         let trials = 200_000;
         let total: usize = (0..trials)
@@ -247,7 +246,7 @@ mod tests {
     #[test]
     fn triggering_lt_matches_exact() {
         let g = fig1();
-        let mut rng = Pcg64::seed_from_u64(2);
+        let mut rng = Rng::new(2);
         let mut scratch = TriggeringScratch::new(4);
         let trials = 200_000;
         let total: usize = (0..trials)
@@ -263,7 +262,7 @@ mod tests {
     fn triggering_rr_sampler_ic_lemma1() {
         let g = fig1();
         let sampler = TriggeringRrSampler::new(&g, IcTriggering);
-        let mut rng = Pcg64::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let mut out = Vec::new();
         let mut visited = VisitTracker::new(4);
         let trials = 300_000;
@@ -289,7 +288,7 @@ mod tests {
             .sum::<f64>()
             / 4.0;
         let sampler = TriggeringRrSampler::new(&g, LtTriggering);
-        let mut rng = Pcg64::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         let eps = estimate_eps(&sampler, 200_000, &mut rng);
         assert!(
             (eps - exact_avg).abs() < 0.02,
@@ -301,7 +300,7 @@ mod tests {
     #[test]
     fn lt_triggering_at_most_one() {
         let g = fig1();
-        let mut rng = Pcg64::seed_from_u64(5);
+        let mut rng = Rng::new(5);
         let mut out = Vec::new();
         for _ in 0..1000 {
             out.clear();
@@ -314,7 +313,7 @@ mod tests {
     #[test]
     fn ic_triggering_includes_certain_edges() {
         let g = fig1();
-        let mut rng = Pcg64::seed_from_u64(6);
+        let mut rng = Rng::new(6);
         let mut out = Vec::new();
         for _ in 0..100 {
             out.clear();

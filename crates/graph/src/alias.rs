@@ -5,7 +5,7 @@
 //! with probability proportional to the edge weight) when a node is visited
 //! many times.
 
-use rand::Rng;
+use crate::rng::Rng;
 
 /// Precomputed alias table over `0..len` with probabilities proportional to
 /// the weights supplied at construction.
@@ -77,9 +77,9 @@ impl AliasTable {
 
     /// Draws one index in O(1).
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let i = rng.below(self.prob.len());
+        if rng.f64() < self.prob[i] {
             i
         } else {
             self.alias[i] as usize
@@ -90,13 +90,11 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_pcg::Pcg64;
 
     #[test]
     fn uniform_weights_uniform_samples() {
         let t = AliasTable::new(&[1.0, 1.0, 1.0, 1.0]);
-        let mut rng = Pcg64::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut counts = [0usize; 4];
         for _ in 0..40_000 {
             counts[t.sample(&mut rng)] += 1;
@@ -109,7 +107,7 @@ mod tests {
     #[test]
     fn skewed_weights_respected() {
         let t = AliasTable::new(&[9.0, 1.0]);
-        let mut rng = Pcg64::seed_from_u64(2);
+        let mut rng = Rng::new(2);
         let hits = (0..50_000).filter(|_| t.sample(&mut rng) == 0).count();
         let frac = hits as f64 / 50_000.0;
         assert!((frac - 0.9).abs() < 0.01, "frac {frac}");
@@ -118,7 +116,7 @@ mod tests {
     #[test]
     fn zero_weight_never_sampled() {
         let t = AliasTable::new(&[0.0, 1.0, 0.0]);
-        let mut rng = Pcg64::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         for _ in 0..10_000 {
             assert_eq!(t.sample(&mut rng), 1);
         }
@@ -127,7 +125,7 @@ mod tests {
     #[test]
     fn singleton() {
         let t = AliasTable::new(&[42.0]);
-        let mut rng = Pcg64::seed_from_u64(4);
+        let mut rng = Rng::new(4);
         assert_eq!(t.sample(&mut rng), 0);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());

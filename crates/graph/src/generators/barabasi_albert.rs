@@ -1,10 +1,8 @@
 //! Barabási–Albert preferential attachment.
 
-use rand::{Rng, SeedableRng};
-use rand_pcg::Pcg64;
-
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
+use crate::rng::Rng;
 use crate::weights::WeightModel;
 
 /// Generates an undirected (symmetrized) Barabási–Albert graph: starts from
@@ -19,7 +17,7 @@ use crate::weights::WeightModel;
 pub fn barabasi_albert(n: usize, m_attach: usize, model: WeightModel, seed: u64) -> Graph {
     assert!(m_attach >= 1, "attachment count must be positive");
     assert!(n > m_attach, "need n > m_attach");
-    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut builder = GraphBuilder::with_capacity(n, 2 * n * m_attach);
     // `targets` holds one entry per edge endpoint; sampling uniformly from it
     // is sampling proportional to degree.
@@ -39,7 +37,7 @@ pub fn barabasi_albert(n: usize, m_attach: usize, model: WeightModel, seed: u64)
         picked.clear();
         // Rejection-sample m_attach distinct targets.
         while picked.len() < m_attach {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
+            let t = endpoints[rng.below(endpoints.len())];
             if !picked.contains(&t) {
                 picked.push(t);
             }

@@ -8,12 +8,10 @@
 //! (Google+, LiveJournal, Twitter in Table III) are approximated at
 //! configurable scale.
 
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
-
 use crate::alias::AliasTable;
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
+use crate::rng::Rng;
 use crate::weights::WeightModel;
 
 /// Power-law weight sequence `w_i = c · (i + i0)^(−1/(γ−1))` scaled so that
@@ -77,7 +75,7 @@ fn sample_edges(
 ) -> Graph {
     let src_table = AliasTable::new(w_out);
     let dst_table = AliasTable::new(w_in);
-    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut seen = std::collections::HashSet::with_capacity(m * 2);
     let mut builder = GraphBuilder::with_capacity(n, if symmetric { 2 * m } else { m });
     let mut produced = 0usize;

@@ -1,10 +1,8 @@
 //! Erdős–Rényi G(n, m) random graphs.
 
-use rand::{Rng, SeedableRng};
-use rand_pcg::Pcg64;
-
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
+use crate::rng::Rng;
 use crate::weights::WeightModel;
 
 /// Generates a directed G(n, m) graph: `m` edges sampled uniformly among all
@@ -17,12 +15,12 @@ pub fn erdos_renyi(n: usize, m: usize, model: WeightModel, seed: u64) -> Graph {
     assert!(n >= 2, "need at least two nodes");
     let max_edges = n * (n - 1);
     assert!(m <= max_edges, "m = {m} exceeds n(n-1) = {max_edges}");
-    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut seen = std::collections::HashSet::with_capacity(m * 2);
     let mut builder = GraphBuilder::with_capacity(n, m);
     while seen.len() < m {
-        let u = rng.gen_range(0..n as u32);
-        let v = rng.gen_range(0..n as u32);
+        let u = rng.below(n) as u32;
+        let v = rng.below(n) as u32;
         if u != v && seen.insert((u, v)) {
             builder.add_edge(u, v);
         }

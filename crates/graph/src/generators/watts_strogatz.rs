@@ -1,10 +1,8 @@
 //! Watts–Strogatz small-world graphs.
 
-use rand::{Rng, SeedableRng};
-use rand_pcg::Pcg64;
-
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
+use crate::rng::Rng;
 use crate::weights::WeightModel;
 
 /// Generates an undirected (symmetrized) Watts–Strogatz small-world graph:
@@ -21,16 +19,16 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, model: WeightModel, seed: u
     assert!(k > 0 && k.is_multiple_of(2), "k must be positive and even, got {k}");
     assert!(n > k, "need n > k");
     assert!((0.0..=1.0).contains(&beta), "beta out of [0,1]: {beta}");
-    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut edges = std::collections::HashSet::with_capacity(n * k / 2);
     for u in 0..n {
         for j in 1..=k / 2 {
             let v = (u + j) % n;
             let (mut a, mut b) = (u as u32, v as u32);
-            if rng.gen::<f64>() < beta {
+            if rng.f64() < beta {
                 // Rewire the far endpoint to a uniform random node avoiding
                 // self-loops; duplicates are skipped below.
-                b = rng.gen_range(0..n as u32);
+                b = rng.below(n) as u32;
                 if a == b {
                     continue;
                 }

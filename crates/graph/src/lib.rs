@@ -15,6 +15,8 @@
 //! * [`generators`] — synthetic social-network generators plus the dataset
 //!   profiles substituting for the SNAP datasets of the paper (Table III).
 //! * [`io`] — plain-text edge-list reading and writing.
+//! * [`rng`] — the workspace's one generator ([`Rng`], SplitMix64) and the
+//!   `splitmix64` finalizer every seed derivation calls.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@ pub mod delta;
 pub mod error;
 pub mod generators;
 pub mod io;
+pub mod rng;
 pub mod scc;
 pub mod weights;
 
@@ -50,6 +53,7 @@ pub use csr::Graph;
 pub use delta::{apply_batch, DeltaBatch, DeltaError, DeltaGraph, EdgeOp};
 pub use error::GraphError;
 pub use generators::profiles::DatasetProfile;
+pub use rng::Rng;
 pub use weights::WeightModel;
 
 /// Node identifier. Graphs in this workspace are limited to `u32::MAX`

@@ -1,5 +1,6 @@
 //! Propagation-probability assignment models.
 
+use crate::rng::splitmix64;
 use crate::NodeId;
 
 /// How propagation probabilities `p(u,v)` are assigned to edges that were
@@ -45,17 +46,6 @@ impl WeightModel {
     }
 }
 
-/// SplitMix64 — tiny, high-quality 64-bit mixer. Used across the workspace
-/// for deriving deterministic per-entity values (trivalency choices,
-/// per-machine RNG streams).
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,10 +76,5 @@ mod tests {
     fn trivalency_deterministic() {
         let m = WeightModel::Trivalency;
         assert_eq!(m.probability(3, 4, 2, 5), m.probability(3, 4, 2, 5));
-    }
-
-    #[test]
-    fn splitmix_differs() {
-        assert_ne!(splitmix64(1), splitmix64(2));
     }
 }

@@ -6,6 +6,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use dim_cluster::wire::{protocol_err, read_frame, write_frame};
+use dim_cluster::Backoff;
 
 use crate::auth::Credentials;
 use crate::proto::{
@@ -59,41 +60,6 @@ impl Default for ConnectOptions {
             jitter_seed: 0x51ce_5eed,
             credentials: None,
         }
-    }
-}
-
-/// Jittered exponential backoff, mirroring
-/// `dim_cluster::rendezvous::Backoff` (which sits behind the
-/// `proc-backend` feature and cannot be imported here): each delay is
-/// drawn uniformly from `[base/2, base]`, then the base doubles, capped.
-struct Backoff {
-    base: Duration,
-    cap: Duration,
-    rng_state: u64,
-}
-
-impl Backoff {
-    fn new(base: Duration, cap: Duration, seed: u64) -> Self {
-        Backoff {
-            base,
-            cap,
-            rng_state: seed ^ 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    fn splitmix64(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_delay(&mut self) -> Duration {
-        let base_ns = self.base.as_nanos() as u64;
-        let jittered = base_ns / 2 + self.splitmix64() % (base_ns / 2 + 1);
-        self.base = (self.base * 2).min(self.cap);
-        Duration::from_nanos(jittered)
     }
 }
 
@@ -315,27 +281,6 @@ impl QueryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_within_jitter_bounds() {
-        let mut b = Backoff::new(
-            Duration::from_millis(50),
-            Duration::from_millis(400),
-            7,
-        );
-        let mut expected_base = Duration::from_millis(50);
-        for _ in 0..6 {
-            let d = b.next_delay();
-            assert!(d >= expected_base / 2, "{d:?} < {expected_base:?}/2");
-            assert!(d <= expected_base, "{d:?} > {expected_base:?}");
-            expected_base = (expected_base * 2).min(Duration::from_millis(400));
-        }
-        // Two different seeds draw different jitter streams.
-        let base = Duration::from_secs(500);
-        let a = Backoff::new(base, base, 1).next_delay();
-        let c = Backoff::new(base, base, 2).next_delay();
-        assert_ne!(a, c);
-    }
 
     #[test]
     fn connect_with_gives_up_at_deadline() {

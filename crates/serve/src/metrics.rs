@@ -144,8 +144,7 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Serializes to a JSON object. Hand-rolled: every field is an
-    /// integer, and keeping the encoder dependency-free lets offline
-    /// builds produce real `BENCH_serve.json` files.
+    /// integer.
     pub fn to_json(&self) -> String {
         format!(
             concat!(

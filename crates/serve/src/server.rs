@@ -613,8 +613,12 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+        // Only the read half: a handler that has already answered (and
+        // counted) a query must still be able to write that reply — it
+        // then sees `stop`, returns, and drops the stream, which closes
+        // the write half too.
         for (_, conn) in self.shared.conns.lock().unwrap().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
+            let _ = conn.shutdown(Shutdown::Read);
         }
         for h in self.workers.drain(..) {
             let _ = h.join();

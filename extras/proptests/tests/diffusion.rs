@@ -5,10 +5,9 @@ use dim_diffusion::forward::estimate_spread;
 use dim_diffusion::rr::{sample_batch, AnySampler};
 use dim_diffusion::visit::VisitTracker;
 use dim_diffusion::{DiffusionModel, RrSampler, RrStore};
+use dim_graph::rng::Rng;
 use dim_graph::{Graph, GraphBuilder, WeightModel};
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
 
 /// Tiny random weighted digraphs (≤ 6 nodes, ≤ 8 edges) small enough for
 /// exact live-edge enumeration under both models.
@@ -37,7 +36,7 @@ proptest! {
             let n = g.num_nodes();
             let exact = exact_spread(&g, model, &[root]);
             let sampler = AnySampler::for_model(&g, model);
-            let mut rng = Pcg64::seed_from_u64(seed);
+            let mut rng = Rng::new(seed);
             let mut out = Vec::new();
             let mut visited = VisitTracker::new(n);
             let trials = 30_000;
@@ -120,7 +119,7 @@ proptest! {
         ];
         for sampler in &samplers {
             let mut store = RrStore::new();
-            let mut rng = Pcg64::seed_from_u64(seed);
+            let mut rng = Rng::new(seed);
             sample_batch(sampler, 200, &mut rng, &mut store);
             for rr in store.iter() {
                 prop_assert!(!rr.is_empty());
@@ -138,7 +137,7 @@ proptest! {
     fn inverted_index_consistent(g in tiny_graph(), seed in 0u64..1000) {
         let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
         let mut store = RrStore::new();
-        let mut rng = Pcg64::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         sample_batch(&sampler, 300, &mut rng, &mut store);
         let idx = store.invert(g.num_nodes());
         for v in 0..g.num_nodes() as u32 {

@@ -29,8 +29,8 @@
 //! generation and hot-swaps to later ones on SIGHUP or `query --reload`
 //! without dropping in-flight queries.
 //!
-//! `--backend` selects the cluster execution layer: `sequential` (default),
-//! `threads`, and `rayon` run the simulated cluster in-process; `proc`
+//! `--backend` selects the cluster execution layer: `sequential` (default)
+//! and `threads` run the simulated cluster in-process; `proc`
 //! (requires the `proc-backend` feature) spawns one `dim-worker` process
 //! per machine over loopback TCP and drives them through the same phase-op
 //! protocol, so seeds and marginals are identical to the simulator's.
@@ -131,7 +131,7 @@ graph sources: a SNAP edge-list path, or profile:NAME[:SCALE]
 
 common flags: --model ic|lt  --epsilon E  --delta D  --k K  --seed S
   --machines L  --algorithm imm|diimm|opim|subsim  --undirected
-  --backend sequential|threads|rayon|proc|join
+  --backend sequential|threads|proc|join
   --weights wc|uniform:P|trivalency  --sims N  --evaluate  --breakdown
 
 join backend: workers are pre-started (dim-worker --connect ADDR --join)
@@ -260,7 +260,6 @@ fn backend_of(flags: &Flags) -> Result<Backend, String> {
     match flags.get("backend").unwrap_or("sequential") {
         "sequential" => Ok(Backend::Sim(ExecMode::Sequential)),
         "threads" => Ok(Backend::Sim(ExecMode::Threads)),
-        "rayon" => Ok(Backend::Sim(ExecMode::Rayon)),
         name @ ("proc" | "join") => {
             #[cfg(feature = "proc-backend")]
             {
@@ -1065,7 +1064,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         }
         #[cfg(feature = "proc-backend")]
         Backend::Join => {
-            return Err("chaos replay drives sequential|threads|rayon|proc backends".into())
+            return Err("chaos replay drives sequential|threads|proc backends".into())
         }
     };
 

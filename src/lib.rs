@@ -112,6 +112,6 @@ pub mod prelude {
     pub use dim_graph::scc::strongly_connected_components;
     pub use dim_graph::{
         apply_batch, DatasetProfile, DeltaBatch, EdgeOp, Graph, GraphBuilder, GraphStats, NodeId,
-        WeightModel,
+        Rng, WeightModel,
     };
 }

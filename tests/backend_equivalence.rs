@@ -2,13 +2,13 @@
 //! must be an *execution strategy*, never an *algorithm change*. DiIMM and
 //! NewGreeDi depend only on the per-machine RNG streams (seeded by
 //! `stream_seed(master, machine_id)`), so the deterministic sequential
-//! loop, the capped OS-thread pool, and the rayon pool must return the
-//! same answer bit for bit, at every machine count.
+//! loop and the capped OS-thread pool must return the same answer bit for
+//! bit, at every machine count.
 
 use dim::prelude::*;
 
 const MACHINE_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const MODES: [ExecMode; 3] = [ExecMode::Sequential, ExecMode::Threads, ExecMode::Rayon];
+const MODES: [ExecMode; 2] = [ExecMode::Sequential, ExecMode::Threads];
 
 /// DiIMM: seeds, coverage, θ, RR-set mass, and the accounted traffic are
 /// identical whichever backend executes the phases.
@@ -29,7 +29,7 @@ fn diimm_identical_across_backends() {
         )
         .unwrap();
         assert_eq!(reference.seeds.len(), 6);
-        for mode in [ExecMode::Threads, ExecMode::Rayon] {
+        for &mode in &MODES[1..] {
             let r = diimm(&g, &config, machines, NetworkModel::cluster_1gbps(), mode).unwrap();
             assert_eq!(r.seeds, reference.seeds, "ℓ = {machines}, {mode:?}");
             assert_eq!(r.coverage, reference.coverage, "ℓ = {machines}, {mode:?}");
@@ -90,7 +90,7 @@ fn diimm_subsim_cutover_identical_across_backends() {
         )
         .unwrap();
         assert_eq!(reference.seeds.len(), 6);
-        for mode in [ExecMode::Threads, ExecMode::Rayon] {
+        for &mode in &MODES[1..] {
             let r = diimm(&g, &config, machines, NetworkModel::cluster_1gbps(), mode).unwrap();
             let ctx = format!("ℓ = {machines}, {mode:?}");
             assert_eq!(r.seeds, reference.seeds, "{ctx}");

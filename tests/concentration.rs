@@ -3,8 +3,7 @@
 use dim::prelude::*;
 use dim_diffusion::rr::{sample_batch, AnySampler};
 use dim_diffusion::RrStore;
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
+use dim_graph::rng::Rng;
 
 /// Corollary 1: the total size of T RR sets concentrates around T·EPS —
 /// across many independent batches, the batch totals stay within ±20% of
@@ -18,7 +17,7 @@ fn corollary1_rr_size_concentration() {
     let totals: Vec<usize> = (0..batches)
         .map(|i| {
             let mut store = RrStore::new();
-            let mut rng = Pcg64::seed_from_u64(1000 + i);
+            let mut rng = Rng::new(1000 + i);
             sample_batch(&sampler, batch, &mut rng, &mut store);
             store.total_size()
         })
@@ -42,7 +41,7 @@ fn workload_balanced_across_machines() {
     let sizes: Vec<usize> = (0..machines)
         .map(|i| {
             let mut store = RrStore::new();
-            let mut rng = Pcg64::seed_from_u64(stream_seed(9, i));
+            let mut rng = Rng::new(stream_seed(9, i));
             sample_batch(&sampler, per_machine, &mut rng, &mut store);
             store.total_size()
         })
@@ -65,7 +64,7 @@ fn lemma1_multi_node_unbiasedness() {
     let n = g.num_nodes();
     let seeds: Vec<u32> = vec![0, 5, 11];
     let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
-    let mut rng = Pcg64::seed_from_u64(2);
+    let mut rng = Rng::new(2);
     let mut store = RrStore::new();
     let count = 60_000;
     sample_batch(&sampler, count, &mut rng, &mut store);
@@ -93,7 +92,7 @@ fn samplers_agree_on_eps() {
     let count = 40_000;
     let eps_of = |sampler: AnySampler| {
         let mut store = RrStore::new();
-        let mut rng = Pcg64::seed_from_u64(5);
+        let mut rng = Rng::new(5);
         sample_batch(&sampler, count, &mut rng, &mut store);
         store.total_size() as f64 / count as f64
     };

@@ -28,39 +28,42 @@ fn imm_is_diimm_with_one_machine() {
 /// coverage, θ, and spread are bit-identical with and without it.
 #[test]
 fn incremental_reporting_preserves_output() {
-    let g = DatasetProfile::GooglePlus.generate(0.02, 5);
-    let config = ImConfig {
-        k: 10,
-        ..ImConfig::paper_defaults(&g, 0.3, 17)
-    };
-    for machines in [1, 4, 8] {
-        let full = diimm_with_options(
-            &g,
-            &config,
-            machines,
-            NetworkModel::cluster_1gbps(),
-            ExecMode::Sequential,
-            false,
-        )
-        .unwrap();
-        let incr = diimm_with_options(
-            &g,
-            &config,
-            machines,
-            NetworkModel::cluster_1gbps(),
-            ExecMode::Sequential,
-            true,
-        )
-        .unwrap();
-        assert_eq!(full.seeds, incr.seeds, "ℓ = {machines}");
-        assert_eq!(full.num_rr_sets, incr.num_rr_sets);
-        assert_eq!(full.coverage, incr.coverage);
-        assert!(
-            incr.metrics.bytes_to_master < full.metrics.bytes_to_master,
-            "ℓ = {machines}: incremental {} B should beat full {} B",
-            incr.metrics.bytes_to_master,
-            full.metrics.bytes_to_master
-        );
+    // (graph, whether a traffic tie would be a bug). On the dense Google+
+    // profile every search round's RR sets touch every node, so the
+    // incremental report legitimately ships as many tuples as the full one;
+    // on the sparse LiveJournal profile later rounds leave most nodes
+    // untouched and the incremental report must be strictly smaller.
+    let cases = [
+        (DatasetProfile::GooglePlus.generate(0.02, 5), false),
+        (DatasetProfile::LiveJournal.generate(0.002, 5), true),
+    ];
+    for (g, strict) in &cases {
+        let config = ImConfig {
+            k: 10,
+            ..ImConfig::paper_defaults(g, 0.3, 17)
+        };
+        for machines in [1, 4, 8] {
+            let run = |incremental| {
+                diimm_with_options(
+                    g,
+                    &config,
+                    machines,
+                    NetworkModel::cluster_1gbps(),
+                    ExecMode::Sequential,
+                    incremental,
+                )
+                .unwrap()
+            };
+            let (full, incr) = (run(false), run(true));
+            assert_eq!(full.seeds, incr.seeds, "ℓ = {machines}");
+            assert_eq!(full.num_rr_sets, incr.num_rr_sets);
+            assert_eq!(full.coverage, incr.coverage);
+            let (incr_b, full_b) = (incr.metrics.bytes_to_master, full.metrics.bytes_to_master);
+            assert!(
+                incr_b < full_b || (!strict && incr_b == full_b),
+                "ℓ = {machines}, strict = {strict}: incremental {incr_b} B vs full {full_b} B"
+            );
+        }
     }
 }
 
@@ -74,12 +77,12 @@ fn newgreedi_exact_on_ris_instances() {
     use dim_coverage::CoverageShard;
     use dim_diffusion::rr::{sample_batch, AnySampler};
     use dim_diffusion::RrStore;
-    use rand::SeedableRng;
+    use dim_graph::rng::Rng;
 
     let g = DatasetProfile::Facebook.generate(0.1, 8);
     let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
     let mut store = RrStore::new();
-    let mut rng = rand_pcg::Pcg64::seed_from_u64(3);
+    let mut rng = Rng::new(3);
     sample_batch(&sampler, 4000, &mut rng, &mut store);
 
     let mut central = CoverageShard::from_records(g.num_nodes(), store.iter());

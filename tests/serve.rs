@@ -21,17 +21,8 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 /// A tiny deterministic id stream so every thread queries different seed
 /// sets without sharing state.
 fn pseudo_ids(stream: u64, round: u64, n: u32, len: usize) -> Vec<u32> {
-    let mut x = stream
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(round);
-    (0..len)
-        .map(|_| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((x >> 33) as u32) % n
-        })
-        .collect()
+    let mut rng = Rng::new(stream << 32 | round);
+    (0..len).map(|_| rng.below(n as usize) as u32).collect()
 }
 
 /// Samples a real DiIMM sketch, serves it, and checks every concurrent
