@@ -15,9 +15,9 @@
 //!   --scale <f>          multiply every dataset scale by f
 //!   --datasets <a,b,..>  facebook, googleplus, livejournal, twitter
 //!   --machines <a,b,..>  machine/core counts to sweep
-//!   --backend <b>        sequential | threads | proc (needs
-//!                        --features proc-backend; DiIMM scaling figures
-//!                        then report measured next to modeled comm time)
+//!   --backend <b>        sequential | threads | proc | join (on the TCP
+//!                        backends the DiIMM scaling figures report
+//!                        measured next to modeled comm time)
 //!   --out <dir>          JSON output directory (default results/)
 //! ```
 

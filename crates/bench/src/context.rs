@@ -9,8 +9,7 @@ pub enum Backend {
     /// In-process `SimCluster` with the given execution mode.
     Sim(ExecMode),
     /// Process-per-machine TCP backend (`ProcCluster`); only the DiIMM
-    /// scaling experiments support it, and only when the harness is built
-    /// with `--features proc-backend`.
+    /// scaling experiments support it.
     Proc,
     /// Rendezvous TCP backend (`JoinCluster`): pre-started
     /// `dim-worker --connect ADDR --join` processes register with the
@@ -118,13 +117,8 @@ impl Context {
                     ctx.backend = match value("--backend")?.as_str() {
                         "sequential" | "seq" => Backend::Sim(ExecMode::Sequential),
                         "threads" => Backend::Sim(ExecMode::Threads),
-                        "proc" if cfg!(feature = "proc-backend") => Backend::Proc,
-                        "join" if cfg!(feature = "proc-backend") => Backend::Join,
-                        name @ ("proc" | "join") => {
-                            return Err(format!(
-                                "backend {name:?} needs a build with --features proc-backend"
-                            ))
-                        }
+                        "proc" => Backend::Proc,
+                        "join" => Backend::Join,
                         other => return Err(format!("unknown backend {other:?}")),
                     };
                 }
@@ -230,17 +224,11 @@ mod tests {
         assert_eq!(ctx.backend, Backend::Sim(ExecMode::Threads));
         assert_eq!(ctx.exec_mode(), ExecMode::Threads);
         assert!(Context::parse(&args(&["--backend", "mpi"])).is_err());
-        let proc = Context::parse(&args(&["--backend", "proc"]));
-        let join = Context::parse(&args(&["--backend", "join"]));
-        if cfg!(feature = "proc-backend") {
-            assert_eq!(proc.unwrap().backend, Backend::Proc);
-            let join = join.unwrap();
-            assert_eq!(join.backend, Backend::Join);
-            assert_eq!(join.exec_mode(), ExecMode::Sequential);
-        } else {
-            assert!(proc.is_err());
-            assert!(join.is_err());
-        }
+        let proc = Context::parse(&args(&["--backend", "proc"])).unwrap();
+        assert_eq!(proc.backend, Backend::Proc);
+        let join = Context::parse(&args(&["--backend", "join"])).unwrap();
+        assert_eq!(join.backend, Backend::Join);
+        assert_eq!(join.exec_mode(), ExecMode::Sequential);
     }
 
     #[test]

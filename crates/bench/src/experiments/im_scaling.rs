@@ -9,15 +9,9 @@
 //! is the timeline total's modeled transfer time. The JSON rows also
 //! carry the raw per-label breakdown for finer-grained plots.
 
-#[cfg(feature = "proc-backend")]
-use dim_cluster::{JoinConfig, ProcCluster, Rendezvous};
-use dim_cluster::{phase, NetworkModel, PhaseTimeline};
-#[cfg(feature = "proc-backend")]
-use dim_core::diimm::diimm_on;
-use dim_core::diimm::diimm;
-#[cfg(feature = "proc-backend")]
-use dim_core::{setup_im_cluster, WorkerHost};
-use dim_core::{ImConfig, ImResult, SamplerKind};
+use dim_cluster::{phase, JoinConfig, NetworkModel, PhaseTimeline, ProcCluster, Rendezvous};
+use dim_core::diimm::{diimm, diimm_on};
+use dim_core::{setup_im_cluster, ImConfig, ImResult, SamplerKind, WorkerHost};
 use dim_diffusion::DiffusionModel;
 use dim_graph::Graph;
 
@@ -87,7 +81,6 @@ fn run_one(
     machines: usize,
     network: NetworkModel,
 ) -> ImResult {
-    #[cfg(feature = "proc-backend")]
     if ctx.backend == crate::context::Backend::Proc {
         let seed = config.seed;
         let mut cluster =
@@ -96,7 +89,6 @@ fn run_one(
         setup_im_cluster(&mut cluster, graph, config.sampler).expect("well-formed wire");
         return diimm_on(&mut cluster, graph, config, true).expect("well-formed wire");
     }
-    #[cfg(feature = "proc-backend")]
     if ctx.backend == crate::context::Backend::Join {
         // One rendezvous session per row: pre-started join workers
         // re-register between rows, so a fleet started once covers the

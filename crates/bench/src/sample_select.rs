@@ -140,7 +140,7 @@ pub fn time_stream_apply(
             .apply_delta(&batch)
             .expect("generated batch is valid for the graph");
         let elapsed = start.elapsed();
-        if best.map_or(true, |b| elapsed < b) {
+        if best.is_none_or(|b| elapsed < b) {
             best = Some(elapsed);
         }
         outcome = Some(StreamApplyOutcome {
@@ -208,7 +208,7 @@ pub fn time_fault_recover(
             .control(phase::RR_SAMPLING, |_| WorkerOp::SampleRr { count: per_round })
             .expect("single loss recovers under min_survivors = 1");
         let elapsed = start.elapsed();
-        if best.map_or(true, |b| elapsed < b) {
+        if best.is_none_or(|b| elapsed < b) {
             best = Some(elapsed);
         }
         let degraded = cluster
@@ -232,7 +232,7 @@ pub fn time_best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (Duration, T) 
         let start = Instant::now();
         let value = f();
         let elapsed = start.elapsed();
-        if best.map_or(true, |b| elapsed < b) {
+        if best.is_none_or(|b| elapsed < b) {
             best = Some(elapsed);
         }
         last = Some(value);

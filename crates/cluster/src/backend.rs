@@ -1,30 +1,37 @@
-//! The pluggable cluster execution contract.
+//! The cluster contract: accounting here, ops in [`crate::ops`].
 //!
-//! Every distributed algorithm in this workspace (NewGreeDi, GreeDi,
-//! DiIMM, distributed OPIM-C/SSA, the budgeted/targeted extensions) is
-//! written against [`ClusterBackend`], not against a concrete runtime. The
-//! trait captures the paper's master/worker programming model:
+//! Every distributed algorithm in this workspace (NewGreeDi, DiIMM,
+//! distributed OPIM-C/SSA, streams, recovery) is written against the
+//! supertrait pair [`ClusterBackend`] + [`crate::OpCluster`], not against
+//! a concrete runtime:
 //!
-//! * [`ClusterBackend::par_step`] — run a closure on every machine "in
-//!   parallel" and charge the phase `max_i(elapsed_i)` of compute time;
-//! * [`ClusterBackend::gather`] — a `par_step` whose per-machine results
-//!   are uploaded to the master, charging one tree collective;
-//! * [`ClusterBackend::broadcast`] — a master→workers transfer;
-//! * [`ClusterBackend::master`] — timed serial master-side work;
+//! * [`ClusterBackend`] is the **accounting/topology** half — how many
+//!   machines, which [`NetworkModel`] prices their messages, and the
+//!   phase-labeled [`PhaseTimeline`] every charge funnels into through
+//!   [`ClusterBackend::record`]. On top of those four it provides
+//!   [`ClusterBackend::master`] (timed serial master-side work),
+//!   [`ClusterBackend::charge_upload`] and [`ClusterBackend::broadcast`]
+//!   (one tree collective each) and [`ClusterBackend::metrics`].
+//! * [`crate::OpCluster`] is the **execution** half — serialized
+//!   [`crate::WorkerOp`] rounds, the only way work reaches a machine on
+//!   every backend.
 //!
-//! plus per-machine deterministic RNG streams (derived outside the trait
-//! via [`crate::stream_seed`] — workers own their streams, so determinism
+//! Closure phases (`par_step` / `gather`) are *not* part of the contract:
+//! only a backend whose worker state lives in the master's address space
+//! can run a closure against it, so they are inherent methods of
+//! [`crate::SimCluster`] — its in-process primitives, used by the GreeDi
+//! baseline and by `SimCluster`'s own op interpreter.
+//!
+//! Per-machine RNG streams are derived outside the traits via
+//! [`crate::stream_seed`] — workers own their streams, so determinism
 //! depends only on the seed/machine-id pair, never on how a backend
-//! schedules the work).
+//! schedules the work.
 //!
 //! Every phase call takes a `&'static str` label (see [`phase`]); metrics
 //! accumulate per label in a [`PhaseTimeline`], which experiment harnesses
 //! read directly for stacked time breakdowns (paper Figs. 5/8).
-//!
-//! [`crate::SimCluster`] implements the trait with two execution
-//! strategies ([`crate::ExecMode`]): deterministic sequential virtual-time
-//! simulation and bounded OS threads. The TCP/process backends drop in at
-//! this seam with zero algorithm changes.
+
+use std::time::Instant;
 
 use crate::metrics::{ClusterMetrics, PhaseTimeline};
 use crate::network::NetworkModel;
@@ -82,27 +89,18 @@ pub mod phase {
     pub const STREAM_APPLY: &str = "stream-apply";
 }
 
-/// A master/worker cluster of `ℓ` machines, each owning a worker state
-/// `Self::Worker` (its shard of the data).
+/// Accounting and topology of a master/worker cluster of `ℓ` machines.
 ///
-/// Implementations decide *how* phases execute (sequentially, on OS
-/// threads, over TCP, …) and *how* virtual time is
-/// accounted; algorithms only see the phase contract. All bookkeeping
-/// funnels through [`ClusterBackend::record`], so an implementation gets a
-/// consistent [`PhaseTimeline`] for free by storing one and merging deltas
-/// into it.
+/// Implementations store one [`PhaseTimeline`] and merge deltas into it in
+/// [`ClusterBackend::record`]; everything else here is provided on top of
+/// the four required methods, so every backend prices master work, uploads
+/// and broadcasts identically.
 pub trait ClusterBackend {
-    /// Per-machine worker state (a data shard plus any sampler/RNG state).
-    type Worker: Send;
-
     /// Number of machines `ℓ`.
     fn num_machines(&self) -> usize;
 
     /// The network model pricing this cluster's messages.
     fn network(&self) -> NetworkModel;
-
-    /// Immutable view of the worker states, in machine order.
-    fn workers(&self) -> &[Self::Worker];
 
     /// Phase-labeled metrics accumulated so far.
     fn timeline(&self) -> &PhaseTimeline;
@@ -110,39 +108,27 @@ pub trait ClusterBackend {
     /// Merges a metrics delta into the phase labeled `label`.
     fn record(&mut self, label: &'static str, delta: ClusterMetrics);
 
-    /// Runs `f(machine_id, worker)` on every machine "in parallel" and
-    /// returns the per-machine results in machine order. Charges the phase
-    /// `max_i(elapsed_i)` of worker compute time under `label`.
-    fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut Self::Worker) -> R + Sync;
-
     /// Runs serial master-side work, charging its elapsed time under
     /// `label`.
     fn master<R, F>(&mut self, label: &'static str, f: F) -> R
     where
-        F: FnOnce() -> R;
+        F: FnOnce() -> R,
+    {
+        let start = Instant::now();
+        let r = f();
+        self.record(
+            label,
+            ClusterMetrics {
+                master_compute: start.elapsed(),
+                ..Default::default()
+            },
+        );
+        r
+    }
 
     /// Flat aggregate of the whole run — [`PhaseTimeline::total`].
     fn metrics(&self) -> ClusterMetrics {
         self.timeline().total()
-    }
-
-    /// [`ClusterBackend::par_step`] followed by an upload of each
-    /// machine's result to the master. `payload_bytes(result)` reports
-    /// each message's wire size; both compute and communication accrue
-    /// under `label`.
-    fn gather<R, F, S>(&mut self, label: &'static str, f: F, payload_bytes: S) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut Self::Worker) -> R + Sync,
-        S: Fn(&R) -> u64,
-    {
-        let results = self.par_step(label, f);
-        let bytes: u64 = results.iter().map(&payload_bytes).sum();
-        self.charge_upload(label, results.len() as u64, bytes);
-        results
     }
 
     /// Charges a gather of `bytes` from `messages` workers to the master,
@@ -185,23 +171,18 @@ mod tests {
     use crate::runtime::{ExecMode, SimCluster};
     use std::time::Duration;
 
-    // Exercise the provided methods through a generic function to prove
-    // algorithms can be written against the trait alone.
-    fn shard_sum<B: ClusterBackend<Worker = Vec<u64>>>(cluster: &mut B) -> u64 {
+    #[test]
+    fn gather_then_provided_master_on_sim_backend() {
+        let shards = vec![vec![1u64, 2], vec![3], vec![4, 5, 6], vec![]];
+        let mut cluster =
+            SimCluster::new(shards, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
         let partials = cluster.gather(
             phase::COVERAGE_UPLOAD,
             |_, shard| shard.iter().sum::<u64>(),
             |_| crate::wire::u64_wire_size(),
         );
-        cluster.master(phase::SEED_SELECT, || partials.iter().sum())
-    }
-
-    #[test]
-    fn generic_algorithm_runs_on_sim_backend() {
-        let shards = vec![vec![1u64, 2], vec![3], vec![4, 5, 6], vec![]];
-        let mut cluster =
-            SimCluster::new(shards, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
-        assert_eq!(shard_sum(&mut cluster), 21);
+        let total: u64 = cluster.master(phase::SEED_SELECT, || partials.iter().sum());
+        assert_eq!(total, 21);
         let tl = cluster.timeline();
         assert_eq!(tl.get(phase::COVERAGE_UPLOAD).bytes_to_master, 32);
         assert_eq!(tl.get(phase::COVERAGE_UPLOAD).messages, 4);

@@ -14,9 +14,9 @@
 //! * [`SimCluster`](crate::SimCluster) applies decisions in **virtual
 //!   time** — injected delay is charged to the round's phase metrics, and
 //!   a killed machine simply stops answering (its op is not executed).
-//! * With the `chaos` feature, the TCP process backend applies the same
-//!   decisions **for real**: stalls become socket-level sleeps, kills
-//!   become mid-frame connection teardown (see `tcp::ChaosInjector`).
+//! * The TCP process backend applies the same decisions **for real**:
+//!   stalls become socket-level sleeps, kills become mid-frame connection
+//!   teardown (see [`ProcCluster::set_chaos`](crate::ProcCluster::set_chaos)).
 //!
 //! Either way the injector records an ordered [`FaultEvent`] log, so two
 //! runs from the same chaos seed can be asserted identical event for

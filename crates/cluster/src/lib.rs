@@ -3,11 +3,14 @@
 //! The paper evaluates on a 17-node Open-MPI cluster (1 Gbps switch) and an
 //! 80-core MS-MPI server. Neither is available to this reproduction (the
 //! benchmark host has a single CPU core), so this crate provides the
-//! [`ClusterBackend`] execution contract — the `par_step` / `gather` /
-//! `broadcast` / `master` phase model every distributed algorithm in the
-//! workspace is written against — plus a **deterministic simulated
-//! cluster** implementation, [`SimCluster`], that preserves the quantities
-//! the paper measures:
+//! cluster contract every distributed algorithm in the workspace is written
+//! against — [`ClusterBackend`] for accounting and topology (`record`,
+//! `master`, `charge_upload`, `broadcast` over a phase-labeled timeline)
+//! plus [`OpCluster`] for execution (serialized [`WorkerOp`] rounds) — and
+//! three implementations: the **deterministic simulated cluster**
+//! [`SimCluster`], the process-per-machine TCP backend [`ProcCluster`] and
+//! its rendezvous front door [`JoinCluster`]. The simulator preserves the
+//! quantities the paper measures:
 //!
 //! * **Computation time** — every simulated machine *really executes* its
 //!   partition of the work and is individually wall-clock timed. A parallel
@@ -26,7 +29,10 @@
 //!
 //! [`SimCluster`] executes phases in one of two [`ExecMode`]s:
 //! deterministic sequential (virtual time) or bounded OS threads (capped at
-//! the host's available parallelism).
+//! the host's available parallelism). Because its worker state lives in
+//! the master's address space it also offers closure phases —
+//! [`SimCluster::par_step`] and [`SimCluster::gather`] — as in-process
+//! primitives; they are not part of the contract the TCP backends honour.
 //!
 //! Randomness: seed derivation ([`rng`]), the chaos schedule ([`faults`])
 //! and reconnect jitter ([`Backoff`]) all call the one SplitMix64 finalizer
@@ -54,11 +60,11 @@
 //!
 //! Distributed phases are expressed as serializable [`ops::WorkerOp`] /
 //! [`ops::WorkerReply`] messages executed through the [`OpCluster`] seam:
-//! [`SimCluster`] interprets them in process, and with the `proc-backend`
-//! feature [`tcp::ProcCluster`] ships the *identical* ops to
-//! process-per-machine workers over TCP (workers own their graph
-//! partition, RNG stream, and coverage shard), recording wall-clock
-//! transfer time in [`ClusterMetrics::measured_comm`] next to the modeled
+//! [`SimCluster`] interprets them in process, and [`tcp::ProcCluster`]
+//! ships the *identical* ops to process-per-machine workers over TCP
+//! (workers own their graph partition, RNG stream, and coverage shard),
+//! recording wall-clock transfer time in
+//! [`ClusterMetrics::measured_comm`] next to the modeled
 //! [`ClusterMetrics::comm_time`].
 
 pub mod auth;
@@ -69,11 +75,9 @@ pub mod json;
 pub mod metrics;
 pub mod network;
 pub mod ops;
-#[cfg(feature = "proc-backend")]
 pub mod rendezvous;
 pub mod rng;
 pub mod runtime;
-#[cfg(feature = "proc-backend")]
 pub mod tcp;
 pub mod wire;
 
@@ -86,13 +90,11 @@ pub use faults::{
 pub use metrics::{ClusterMetrics, PhaseTimeline};
 pub use network::NetworkModel;
 pub use ops::{OpCluster, OpExecutor, SamplerSpec, WorkerOp, WorkerReply, WorkerStats};
-#[cfg(feature = "proc-backend")]
 pub use rendezvous::{
     connect_and_join, run_join_worker, JoinCluster, JoinConfig, JoinOptions,
     JoinedSession, Rendezvous,
 };
 pub use rng::{rr_set_seed, stream_seed};
 pub use runtime::{ExecMode, SimCluster};
-#[cfg(feature = "proc-backend")]
 pub use tcp::{ProcCluster, SessionEnd, WorkerFault};
 pub use wire::{WireError, WireErrorKind};

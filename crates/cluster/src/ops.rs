@@ -594,7 +594,7 @@ impl<T: OpExecutor + ?Sized> OpExecutor for &mut T {
 /// This is the seam the distributed algorithms actually use: each
 /// gather/broadcast round becomes "build an op per machine, collect the
 /// typed replies". [`crate::SimCluster`] interprets ops in process;
-/// `crate::tcp::ProcCluster` serializes the identical values to worker
+/// [`crate::ProcCluster`] serializes the identical values to worker
 /// processes — so both backends run the same op sequence by construction.
 pub trait OpCluster: ClusterBackend {
     /// Executes `op(i)` on every machine `i` and returns the replies in
@@ -656,7 +656,7 @@ pub trait OpCluster: ClusterBackend {
 
     /// An op round whose replies are uploaded to the master: charges one
     /// tree collective of `Σ reply.wire_size()` bytes across ℓ messages
-    /// under `label`, exactly like [`ClusterBackend::gather`].
+    /// under `label`, exactly like [`SimCluster::gather`].
     fn op_gather<F>(&mut self, label: &'static str, op: F) -> Result<Vec<WorkerReply>, WireError>
     where
         F: Fn(usize) -> WorkerOp + Sync,

@@ -571,13 +571,11 @@ pub fn master_handshake_with(
             "expected JOIN, got opcode {opcode}"
         ))));
     }
-    let join = JoinHello::decode(&body).ok_or_else(|| {
-        HandshakeError::Wire(WireError {
-            phase: phase::RENDEZVOUS,
-            machine: None,
-            kind: crate::wire::WireErrorKind::Malformed,
-        })
-    })?;
+    let join = JoinHello::decode(&body).ok_or(HandshakeError::Wire(WireError {
+        phase: phase::RENDEZVOUS,
+        machine: None,
+        kind: crate::wire::WireErrorKind::Malformed,
+    }))?;
     if let Some(expected) = required {
         if !crate::auth::verify_digest(&join.auth, expected) {
             let reason = RejectReason::Unauthorized;
@@ -593,10 +591,7 @@ pub fn master_handshake_with(
         }
     };
     // The slot is assigned; from here every failure must release it.
-    confirm_member(stream, table, session, master_seed, id).map_err(|e| {
-        table.release(id);
-        e
-    })
+    confirm_member(stream, table, session, master_seed, id).inspect_err(|_| table.release(id))
 }
 
 /// WELCOME + HELLO verification half of [`master_handshake`].
@@ -910,22 +905,18 @@ impl JoinCluster {
 
     /// Arms (or clears) the socket-level chaos injector — see
     /// [`ProcCluster::set_chaos`].
-    #[cfg(feature = "chaos")]
     pub fn set_chaos(&mut self, injector: Option<crate::faults::FaultInjector>) {
         self.inner.set_chaos(injector);
     }
 
     /// The armed chaos injector, if any — see
     /// [`ProcCluster::chaos_injector`].
-    #[cfg(feature = "chaos")]
     pub fn chaos_injector(&self) -> Option<&crate::faults::FaultInjector> {
         self.inner.chaos_injector()
     }
 }
 
 impl ClusterBackend for JoinCluster {
-    type Worker = ();
-
     fn num_machines(&self) -> usize {
         self.inner.num_machines()
     }
@@ -934,31 +925,12 @@ impl ClusterBackend for JoinCluster {
         self.inner.network()
     }
 
-    fn workers(&self) -> &[()] {
-        self.inner.workers()
-    }
-
     fn timeline(&self) -> &PhaseTimeline {
         self.inner.timeline()
     }
 
     fn record(&mut self, label: &'static str, delta: ClusterMetrics) {
         self.inner.record(label, delta);
-    }
-
-    fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut ()) -> R + Sync,
-    {
-        self.inner.par_step(label, f)
-    }
-
-    fn master<R, F>(&mut self, label: &'static str, f: F) -> R
-    where
-        F: FnOnce() -> R,
-    {
-        self.inner.master(label, f)
     }
 }
 

@@ -1,4 +1,5 @@
-//! The simulated cluster runtime — the in-process [`ClusterBackend`].
+//! The simulated cluster runtime — the in-process backend, and the only one
+//! that can run closures against worker state ([`SimCluster::par_step`]).
 
 use std::time::{Duration, Instant};
 
@@ -146,6 +147,55 @@ impl<W: Send> SimCluster<W> {
         self.workers
     }
 
+    /// Immutable view of the worker states, in machine order.
+    pub fn workers(&self) -> &[W] {
+        &self.workers
+    }
+
+    /// Runs `f(machine_id, worker)` on every machine "in parallel" and
+    /// returns the per-machine results in machine order. Charges the phase
+    /// `max_i(elapsed_i)` of worker compute time under `label`.
+    pub fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut W) -> R + Sync,
+    {
+        let (results, times) = self.execute(f);
+        // Scale each machine's measured time by its relative speed.
+        let scaled: Vec<Duration> = times
+            .iter()
+            .zip(&self.speeds)
+            .map(|(t, &s)| t.div_f64(s))
+            .collect();
+        let max = scaled.iter().copied().max().unwrap_or(Duration::ZERO);
+        let sum: Duration = scaled.iter().sum();
+        self.record(
+            label,
+            ClusterMetrics {
+                worker_compute: max,
+                worker_busy: sum,
+                phases: 1,
+                ..Default::default()
+            },
+        );
+        results
+    }
+
+    /// [`Self::par_step`] followed by an upload of each machine's result
+    /// to the master. `payload_bytes(result)` reports each message's wire
+    /// size; both compute and communication accrue under `label`.
+    pub fn gather<R, F, S>(&mut self, label: &'static str, f: F, payload_bytes: S) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut W) -> R + Sync,
+        S: Fn(&R) -> u64,
+    {
+        let results = self.par_step(label, f);
+        let bytes: u64 = results.iter().map(&payload_bytes).sum();
+        self.charge_upload(label, results.len() as u64, bytes);
+        results
+    }
+
     /// Executes one parallel phase in the configured [`ExecMode`],
     /// returning per-machine results and raw (unscaled) per-machine times.
     fn execute<R, F>(&mut self, f: F) -> (Vec<R>, Vec<Duration>)
@@ -208,8 +258,6 @@ impl<W: Send> SimCluster<W> {
 }
 
 impl<W: Send> ClusterBackend for SimCluster<W> {
-    type Worker = W;
-
     fn num_machines(&self) -> usize {
         self.workers.len()
     }
@@ -218,58 +266,12 @@ impl<W: Send> ClusterBackend for SimCluster<W> {
         self.network
     }
 
-    fn workers(&self) -> &[W] {
-        &self.workers
-    }
-
     fn timeline(&self) -> &PhaseTimeline {
         &self.timeline
     }
 
     fn record(&mut self, label: &'static str, delta: ClusterMetrics) {
         self.timeline.record(label, delta);
-    }
-
-    fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut W) -> R + Sync,
-    {
-        let (results, times) = self.execute(f);
-        // Scale each machine's measured time by its relative speed.
-        let scaled: Vec<Duration> = times
-            .iter()
-            .zip(&self.speeds)
-            .map(|(t, &s)| t.div_f64(s))
-            .collect();
-        let max = scaled.iter().copied().max().unwrap_or(Duration::ZERO);
-        let sum: Duration = scaled.iter().sum();
-        self.record(
-            label,
-            ClusterMetrics {
-                worker_compute: max,
-                worker_busy: sum,
-                phases: 1,
-                ..Default::default()
-            },
-        );
-        results
-    }
-
-    fn master<R, F>(&mut self, label: &'static str, f: F) -> R
-    where
-        F: FnOnce() -> R,
-    {
-        let start = Instant::now();
-        let r = f();
-        self.record(
-            label,
-            ClusterMetrics {
-                master_compute: start.elapsed(),
-                ..Default::default()
-            },
-        );
-        r
     }
 }
 
@@ -289,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn par_step_runs_all_machines_in_order() {
+    fn all_machines_run_par_step_in_order() {
         let mut c = cluster(4);
         let ids = c.par_step(STEP, |i, w| {
             *w += 10;

@@ -1,4 +1,4 @@
-//! The process-per-machine [`ClusterBackend`] over TCP.
+//! The process-per-machine backend over TCP.
 //!
 //! [`ProcCluster`] is the "real distribution" counterpart of
 //! [`crate::SimCluster`]: each of the ℓ machines is a separate OS process
@@ -30,7 +30,7 @@
 //! in a [`rendezvous::MembershipTable`] and answers WELCOME (or REJECT
 //! with a typed reason), and the worker confirms with HELLO carrying the
 //! stream seed it derived from the WELCOME. The master cross-checks that
-//! seed against [`stream_seed`]`(master_seed, id)` — the cross-process RNG
+//! seed against [`crate::stream_seed`]`(master_seed, id)` — the cross-process RNG
 //! contract is load-bearing for backend equivalence, so a divergent worker
 //! is refused before it can compute anything.
 //!
@@ -74,7 +74,6 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::backend::{phase, ClusterBackend};
-#[cfg(feature = "chaos")]
 use crate::faults::{FaultInjector, LinkDecision};
 use crate::metrics::{ClusterMetrics, PhaseTimeline};
 use crate::network::NetworkModel;
@@ -118,11 +117,8 @@ pub(crate) mod frame {
     pub const REJECT: u8 = 6;
 }
 
-/// Fault injections for protocol tests (worker side).
-///
-/// The `dim-worker` binary reads these from the `DIM_WORKER_FAULT`
-/// environment variable (e.g. `truncate-upload:1`); in-crate tests pass
-/// them to [`run_worker_with_fault`] directly.
+/// Fault injections for protocol tests (worker side), passed in process to
+/// [`run_worker_with_fault`] / [`ProcCluster::local_with_faults`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFault {
     /// On the `request`-th reply (1-based), declare a full frame but send
@@ -131,19 +127,6 @@ pub enum WorkerFault {
         /// Which reply (1-based) to sabotage.
         request: usize,
     },
-}
-
-impl WorkerFault {
-    /// Parses the `DIM_WORKER_FAULT` syntax (`truncate-upload:N`).
-    pub fn parse(s: &str) -> Option<WorkerFault> {
-        let (kind, arg) = s.split_once(':')?;
-        match kind {
-            "truncate-upload" => Some(WorkerFault::TruncateUpload {
-                request: arg.parse().ok()?,
-            }),
-            _ => None,
-        }
-    }
 }
 
 /// How a served session ended, from the worker's point of view.
@@ -312,12 +295,10 @@ pub(crate) enum Served {
 /// [`ProcCluster::local_with`]), driven through serialized [`WorkerOp`]s.
 ///
 /// Worker state is *resident in the endpoints* — the master side carries no
-/// shard data, which is why [`ClusterBackend::Worker`] is `()` here.
+/// shard data, only one link per machine.
 /// Implements [`OpCluster`] with pipelined op rounds that populate
 /// [`ClusterMetrics::measured_comm`] per phase from the real transfers.
 pub struct ProcCluster {
-    /// One unit per machine; the real state lives across the sockets.
-    units: Vec<()>,
     network: NetworkModel,
     timeline: PhaseTimeline,
     master_seed: u64,
@@ -337,7 +318,6 @@ pub struct ProcCluster {
     /// [`FaultInjector`] schedule `SimCluster` interprets in virtual time,
     /// applied here for real — stalls become socket sleeps, kills become
     /// mid-frame connection teardown.
-    #[cfg(feature = "chaos")]
     chaos: Option<FaultInjector>,
 }
 
@@ -520,7 +500,6 @@ impl ProcCluster {
             links.push(Link { stream, alive: true });
         }
         Ok(ProcCluster {
-            units: vec![(); count],
             network,
             timeline: PhaseTimeline::new(),
             master_seed,
@@ -531,7 +510,6 @@ impl ProcCluster {
             heartbeat_timeout,
             heartbeat_interval: default_heartbeat_interval(),
             heartbeat_seq: 0,
-            #[cfg(feature = "chaos")]
             chaos: None,
         })
     }
@@ -543,14 +521,12 @@ impl ProcCluster {
     /// sees a truncated frame then a reset, exactly like a crashed master,
     /// and the master's round surfaces a typed link error for that
     /// machine.
-    #[cfg(feature = "chaos")]
     pub fn set_chaos(&mut self, injector: Option<FaultInjector>) {
         self.chaos = injector;
     }
 
     /// The armed chaos injector, if any (its event log is the determinism
     /// observable).
-    #[cfg(feature = "chaos")]
     pub fn chaos_injector(&self) -> Option<&FaultInjector> {
         self.chaos.as_ref()
     }
@@ -558,7 +534,6 @@ impl ProcCluster {
     /// Mid-frame kill: ship a torn frame prefix (2 of the 4 length-header
     /// bytes) so the peer is mid-`read_exact` when the socket resets, then
     /// shut the connection down both ways.
-    #[cfg(feature = "chaos")]
     fn kill_link_mid_frame(&mut self, i: usize) {
         let _ = self.links[i].stream.write_all(&[0xAA, 0x55]);
         let _ = self.links[i].stream.flush();
@@ -879,20 +854,12 @@ impl Drop for ProcCluster {
 }
 
 impl ClusterBackend for ProcCluster {
-    /// Worker state is resident in the worker processes; the master holds
-    /// only connection endpoints.
-    type Worker = ();
-
     fn num_machines(&self) -> usize {
-        self.units.len()
+        self.links.len()
     }
 
     fn network(&self) -> NetworkModel {
         self.network
-    }
-
-    fn workers(&self) -> &[()] {
-        &self.units
     }
 
     fn timeline(&self) -> &PhaseTimeline {
@@ -901,53 +868,6 @@ impl ClusterBackend for ProcCluster {
 
     fn record(&mut self, label: &'static str, delta: ClusterMetrics) {
         self.timeline.record(label, delta);
-    }
-
-    /// Master-side sequential execution over the unit states, timed like
-    /// `SimCluster` in `ExecMode::Sequential`. Algorithms running on this
-    /// backend do their distributed work through [`OpCluster::exec_ops`];
-    /// this exists to satisfy the closure contract for master-local steps.
-    fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut ()) -> R + Sync,
-    {
-        let mut results = Vec::with_capacity(self.units.len());
-        let mut max = Duration::ZERO;
-        let mut sum = Duration::ZERO;
-        for (i, u) in self.units.iter_mut().enumerate() {
-            let start = Instant::now();
-            results.push(f(i, u));
-            let t = start.elapsed();
-            max = max.max(t);
-            sum += t;
-        }
-        self.record(
-            label,
-            ClusterMetrics {
-                worker_compute: max,
-                worker_busy: sum,
-                phases: 1,
-                ..Default::default()
-            },
-        );
-        results
-    }
-
-    fn master<R, F>(&mut self, label: &'static str, f: F) -> R
-    where
-        F: FnOnce() -> R,
-    {
-        let start = Instant::now();
-        let r = f();
-        self.record(
-            label,
-            ClusterMetrics {
-                master_compute: start.elapsed(),
-                ..Default::default()
-            },
-        );
-        r
     }
 }
 
@@ -999,7 +919,6 @@ impl OpCluster for ProcCluster {
         // Socket-level chaos: fix this round's decisions up front (the
         // injector is round-ordered, matching SimCluster's interpretation
         // of the same plan).
-        #[cfg(feature = "chaos")]
         let decisions: Option<Vec<LinkDecision>> = self.chaos.as_mut().map(|inj| {
             let d = (0..l).map(|i| inj.decide(i)).collect();
             inj.next_round();
@@ -1012,7 +931,6 @@ impl OpCluster for ProcCluster {
                 out[i] = Some(Err(WireError::link(up_label, i)));
                 continue;
             }
-            #[cfg(feature = "chaos")]
             if let Some(ds) = &decisions {
                 match ds[i] {
                     LinkDecision::Killed => {
@@ -1039,19 +957,19 @@ impl OpCluster for ProcCluster {
         let mut max_elapsed = Duration::ZERO;
         let mut sum_elapsed = Duration::ZERO;
         let mut replied: Vec<usize> = Vec::with_capacity(l);
-        for i in 0..l {
-            if out[i].is_some() {
+        for (i, slot) in out.iter_mut().enumerate() {
+            if slot.is_some() {
                 continue;
             }
             let (opcode, body) = match self.read_reply(up_label, i, &replied) {
                 Ok(f) => f,
                 Err(e) => {
-                    out[i] = Some(Err(e));
+                    *slot = Some(Err(e));
                     continue;
                 }
             };
             if opcode != frame::REPLY {
-                out[i] = Some(Err(self.fail_link(up_label, i, WireErrorKind::Malformed)));
+                *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Malformed)));
                 continue;
             }
             // A REPLY body shorter than its 8-byte elapsed-time prefix is
@@ -1059,25 +977,25 @@ impl OpCluster for ProcCluster {
             // generic malformed path; the `[..8].try_into()` below is
             // guarded by this check).
             if body.len() < 8 {
-                out[i] = Some(Err(self.fail_link(up_label, i, WireErrorKind::Truncated)));
+                *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Truncated)));
                 continue;
             }
             let nanos = u64::from_le_bytes(body[..8].try_into().unwrap());
             let Some(reply) = WorkerReply::decode(&body[8..]) else {
-                out[i] = Some(Err(self.fail_link(up_label, i, WireErrorKind::Malformed)));
+                *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Malformed)));
                 continue;
             };
             if let WorkerReply::Err(msg) = &reply {
                 // A typed worker-side failure: the link itself is healthy.
                 eprintln!("dim worker {i} failed op in phase `{up_label}`: {msg}");
-                out[i] = Some(Err(WireError::malformed(up_label, i)));
+                *slot = Some(Err(WireError::malformed(up_label, i)));
                 continue;
             }
             let elapsed = Duration::from_nanos(nanos);
             max_elapsed = max_elapsed.max(elapsed);
             sum_elapsed += elapsed;
             replied.push(i);
-            out[i] = Some(Ok(reply));
+            *slot = Some(Ok(reply));
         }
         let recv_wall = recv_start.elapsed();
 
@@ -1142,16 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_parse() {
-        assert_eq!(
-            WorkerFault::parse("truncate-upload:3"),
-            Some(WorkerFault::TruncateUpload { request: 3 })
-        );
-        assert_eq!(WorkerFault::parse("nonsense"), None);
-        assert_eq!(WorkerFault::parse("truncate-upload:x"), None);
-    }
-
-    #[test]
     fn op_rounds_reach_resident_state() {
         let mut cluster = ProcCluster::local_with(3, NetworkModel::cluster_1gbps(), 7, |i| {
             Tally(i as u64 * 100)
@@ -1200,17 +1108,26 @@ mod tests {
         assert_eq!(labels, vec![phase::SEED_BROADCAST, phase::DELTA_UPLOAD]);
     }
 
-    /// Runs the same two op rounds through any [`OpCluster`]; used to show
-    /// sim and proc backends agree on results and modeled metrics.
+    /// Runs the same two op rounds and one master step through any
+    /// [`OpCluster`]; used to show sim and proc backends agree on results
+    /// and modeled metrics.
     fn sample_then_count<B: OpCluster>(cluster: &mut B) -> Vec<WorkerReply> {
         cluster
             .control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
                 count: 10 * (i as u64 + 1),
             })
             .unwrap();
-        cluster
+        let counts = cluster
             .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
-            .unwrap()
+            .unwrap();
+        let total: u64 = cluster.master(phase::SEED_SELECT, || {
+            expect_counts(&counts, phase::COUNT_UPLOAD)
+                .unwrap()
+                .iter()
+                .sum()
+        });
+        assert_eq!(total, 30);
+        counts
     }
 
     #[test]
@@ -1233,6 +1150,19 @@ mod tests {
         assert_eq!(ms.comm_time, mp.comm_time);
         assert_eq!(ms.measured_comm, Duration::ZERO);
         assert!(mp.measured_comm > Duration::ZERO);
+        // The provided `master` records under its label — master compute
+        // and nothing else — on both backends.
+        for tl in [sim.timeline(), proc.timeline()] {
+            assert!(tl.labels().any(|l| l == phase::SEED_SELECT));
+            let m = tl.get(phase::SEED_SELECT);
+            assert_eq!(
+                m,
+                ClusterMetrics {
+                    master_compute: m.master_compute,
+                    ..Default::default()
+                }
+            );
+        }
     }
 
     #[test]
@@ -1408,7 +1338,6 @@ mod tests {
         assert_eq!(again[2], Ok(WorkerReply::Count(3)));
     }
 
-    #[cfg(feature = "chaos")]
     #[test]
     fn chaos_kill_tears_link_mid_frame_and_types_the_error() {
         use crate::faults::{FaultInjector, FaultPlan};

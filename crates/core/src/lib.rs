@@ -9,7 +9,7 @@
 //!   the baseline every speedup figure compares against.
 //! * [`mod@diimm`] — **DiIMM** (Algorithm 2): IMM with distributed RIS for the
 //!   sampling phase and NewGreeDi for seed selection, generic over any
-//!   [`dim_cluster::ClusterBackend`] (with [`dim_cluster::SimCluster`] as the
+//!   [`dim_cluster::OpCluster`] (with [`dim_cluster::SimCluster`] as the
 //!   stock backend).
 //! * [`config`] — shared run configuration ([`ImConfig`]) and result type
 //!   ([`ImResult`]) with per-phase timing breakdowns matching the paper's

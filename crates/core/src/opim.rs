@@ -70,7 +70,11 @@ fn sigma_upper(cov: u64, theta: usize, n: usize, a: f64) -> f64 {
 
 /// Coverage of `seeds` over one RR-set shard (validation side): number of
 /// local elements intersecting the seed set.
-fn shard_coverage(shard: &CoverageShard, seeds: &[u32], marked: &mut VisitTracker) -> u64 {
+pub(crate) fn shard_coverage(
+    shard: &CoverageShard,
+    seeds: &[u32],
+    marked: &mut VisitTracker,
+) -> u64 {
     marked.clear();
     for &s in seeds {
         marked.mark(s);
@@ -151,9 +155,10 @@ pub fn opim_c(graph: &Graph, config: &ImConfig) -> ImResult {
     }
 }
 
-/// One machine's state for distributed OPIM-C: its shards of both
-/// collections plus its sampler/RNG.
-pub struct DopimWorker<'g> {
+/// One machine's state for the paired-collection frameworks (distributed
+/// OPIM-C and distributed SSA): its shards of both collections plus its
+/// sampler/RNG.
+pub struct PairedRisWorker<'g> {
     sampler: AnySampler<'g>,
     rng: Rng,
     /// Selection collection shard (`R₁,ᵢ`).
@@ -163,12 +168,12 @@ pub struct DopimWorker<'g> {
     buf: Vec<u32>,
     visited: VisitTracker,
     marked: VisitTracker,
-    edges_examined: u64,
+    pub(crate) edges_examined: u64,
 }
 
-impl<'g> DopimWorker<'g> {
-    fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
-        DopimWorker {
+impl<'g> PairedRisWorker<'g> {
+    pub(crate) fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
+        PairedRisWorker {
             sampler: config.sampler.make(graph),
             rng: Rng::new(stream_seed(config.seed, machine_id)),
             r1: CoverageShard::new(graph.num_nodes()),
@@ -194,10 +199,11 @@ impl<'g> DopimWorker<'g> {
     }
 }
 
-/// The op vocabulary a distributed-OPIM machine answers: paired sampling
+/// The op vocabulary a paired-collection machine answers: paired sampling
 /// into both resident collections, NewGreeDi's coverage phases against
-/// `R₁`, and validation coverage of a broadcast seed set against `R₂`.
-impl OpExecutor for DopimWorker<'_> {
+/// `R₁`, and validation coverage of a broadcast seed set against `R₂`
+/// (OPIM-C's bound check, SSA's stare step).
+impl OpExecutor for PairedRisWorker<'_> {
     fn execute(&mut self, op: &WorkerOp) -> WorkerReply {
         match op {
             WorkerOp::SampleRr { count } => {
@@ -214,7 +220,7 @@ impl OpExecutor for DopimWorker<'_> {
                 edges_examined: self.edges_examined,
             }),
             other => execute_coverage_op(&mut self.r1, other)
-                .unwrap_or_else(|| WorkerReply::Err("op unsupported by OPIM worker".into())),
+                .unwrap_or_else(|| WorkerReply::Err("op unsupported by paired-RIS worker".into())),
         }
     }
 }
@@ -239,8 +245,8 @@ pub fn dopim_c(
     let a = (3.0 * i_max as f64 / config.delta).ln();
     let target = 1.0 - (-1.0f64).exp() - config.epsilon;
 
-    let workers: Vec<DopimWorker> = (0..machines)
-        .map(|i| DopimWorker::new(graph, config, i))
+    let workers: Vec<PairedRisWorker> = (0..machines)
+        .map(|i| PairedRisWorker::new(graph, config, i))
         .collect();
     let mut cluster = SimCluster::new(workers, network, mode);
     let mut base_coverage = vec![0u64; n];

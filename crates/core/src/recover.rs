@@ -143,9 +143,7 @@ pub struct RecoveredRun {
 /// the first post-setup op round onward: ops executed before wrapping
 /// must be covered by the [`RecoverySource`] instead (fresh workers for
 /// [`RecoverySource::Resample`], a persisted generation for
-/// [`RecoverySource::Store`]). Recovery applies to the op seam only —
-/// closure phases ([`ClusterBackend::par_step`]) delegate straight to
-/// the inner backend.
+/// [`RecoverySource::Store`]).
 pub struct RecoveringCluster<'g, C: OpCluster> {
     inner: C,
     graph: &'g Graph,
@@ -300,8 +298,6 @@ impl<'g, C: OpCluster> RecoveringCluster<'g, C> {
 }
 
 impl<'g, C: OpCluster> ClusterBackend for RecoveringCluster<'g, C> {
-    type Worker = C::Worker;
-
     fn num_machines(&self) -> usize {
         self.inner.num_machines()
     }
@@ -310,31 +306,12 @@ impl<'g, C: OpCluster> ClusterBackend for RecoveringCluster<'g, C> {
         self.inner.network()
     }
 
-    fn workers(&self) -> &[Self::Worker] {
-        self.inner.workers()
-    }
-
     fn timeline(&self) -> &PhaseTimeline {
         self.inner.timeline()
     }
 
     fn record(&mut self, label: &'static str, delta: ClusterMetrics) {
         self.inner.record(label, delta);
-    }
-
-    fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut Self::Worker) -> R + Sync,
-    {
-        self.inner.par_step(label, f)
-    }
-
-    fn master<R, F>(&mut self, label: &'static str, f: F) -> R
-    where
-        F: FnOnce() -> R,
-    {
-        self.inner.master(label, f)
     }
 }
 

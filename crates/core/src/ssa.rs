@@ -26,30 +26,18 @@
 use dim_cluster::ops::{expect_counts, expect_ok};
 use dim_cluster::{
     phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, NetworkModel, OpCluster,
-    OpExecutor, PhaseTimeline, SimCluster, WireError, WorkerOp, WorkerReply, WorkerStats,
+    PhaseTimeline, SimCluster, WireError, WorkerOp,
 };
 use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::newgreedi::newgreedi_incremental;
-use dim_coverage::{execute_coverage_op, CoverageShard};
-use dim_diffusion::rr::{AnySampler, RrSampler};
+use dim_coverage::CoverageShard;
+use dim_diffusion::rr::RrSampler;
 use dim_diffusion::visit::VisitTracker;
 use dim_graph::rng::Rng;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult, Timings};
-
-/// Coverage of `seeds` over a shard's elements (validation side).
-fn shard_coverage(shard: &CoverageShard, seeds: &[u32], marked: &mut VisitTracker) -> u64 {
-    marked.clear();
-    for &s in seeds {
-        marked.mark(s);
-    }
-    shard
-        .elements()
-        .iter()
-        .filter(|rr| rr.iter().any(|&v| marked.is_marked(v)))
-        .count() as u64
-}
+use crate::opim::{shard_coverage, PairedRisWorker};
 
 struct SsaSchedule {
     theta_0: usize,
@@ -147,70 +135,6 @@ pub fn ssa(graph: &Graph, config: &ImConfig) -> ImResult {
     }
 }
 
-/// One machine's state for distributed SSA.
-pub struct DssaWorker<'g> {
-    sampler: AnySampler<'g>,
-    rng: Rng,
-    r1: CoverageShard,
-    r2: CoverageShard,
-    buf: Vec<u32>,
-    visited: VisitTracker,
-    marked: VisitTracker,
-    edges_examined: u64,
-}
-
-impl<'g> DssaWorker<'g> {
-    fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
-        DssaWorker {
-            sampler: config.sampler.make(graph),
-            rng: Rng::new(stream_seed(config.seed, machine_id)),
-            r1: CoverageShard::new(graph.num_nodes()),
-            r2: CoverageShard::new(graph.num_nodes()),
-            buf: Vec::new(),
-            visited: VisitTracker::new(graph.num_nodes()),
-            marked: VisitTracker::new(graph.num_nodes()),
-            edges_examined: 0,
-        }
-    }
-
-    fn generate_pairs(&mut self, count: usize) {
-        for _ in 0..count {
-            self.edges_examined +=
-                self.sampler
-                    .sample(&mut self.rng, &mut self.buf, &mut self.visited);
-            self.r1.push_element(&self.buf);
-            self.edges_examined +=
-                self.sampler
-                    .sample(&mut self.rng, &mut self.buf, &mut self.visited);
-            self.r2.push_element(&self.buf);
-        }
-    }
-}
-
-/// Same op vocabulary as [`crate::opim::DopimWorker`]: paired sampling,
-/// NewGreeDi phases on `R₁`, stare-step validation counts on `R₂`.
-impl OpExecutor for DssaWorker<'_> {
-    fn execute(&mut self, op: &WorkerOp) -> WorkerReply {
-        match op {
-            WorkerOp::SampleRr { count } => {
-                self.generate_pairs(*count as usize);
-                WorkerReply::Ok
-            }
-            WorkerOp::Validate { seeds } => {
-                self.r2.prepare();
-                WorkerReply::Count(shard_coverage(&self.r2, seeds, &mut self.marked))
-            }
-            WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
-                num_elements: (self.r1.num_elements() + self.r2.num_elements()) as u64,
-                total_size: (self.r1.total_size() + self.r2.total_size()) as u64,
-                edges_examined: self.edges_examined,
-            }),
-            other => execute_coverage_op(&mut self.r1, other)
-                .unwrap_or_else(|| WorkerReply::Err("op unsupported by SSA worker".into())),
-        }
-    }
-}
-
 /// Distributed SSA: distributed RIS for both collections, NewGreeDi for
 /// selection, per-machine coverage counts for the stare step.
 pub fn dssa(
@@ -223,8 +147,8 @@ pub fn dssa(
     assert!(machines >= 1);
     let n = graph.num_nodes();
     let sched = schedule(n, config.k, config.epsilon, config.delta);
-    let workers: Vec<DssaWorker> = (0..machines)
-        .map(|i| DssaWorker::new(graph, config, i))
+    let workers: Vec<PairedRisWorker> = (0..machines)
+        .map(|i| PairedRisWorker::new(graph, config, i))
         .collect();
     let mut cluster = SimCluster::new(workers, network, mode);
     let mut base_coverage = vec![0u64; n];

@@ -21,6 +21,7 @@ use dim_cluster::{
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::DiffusionModel;
 use dim_graph::{binary, Graph};
+use dim_store::fnv1a;
 
 use crate::config::{ImConfig, SamplerKind};
 use crate::diimm::DiimmWorker;
@@ -135,17 +136,6 @@ impl WorkerHost {
         self.diimm = Some(DiimmWorker::new(graph, &config, self.machine_id));
         WorkerReply::Ok
     }
-}
-
-/// FNV-1a over a byte slice; cheap and collision-safe enough for "is this
-/// the same blob the master sent last session".
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// Installs resident IM state on every machine of an op cluster: the

@@ -21,7 +21,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use dim_cluster::{phase, wire, ClusterBackend};
+use dim_cluster::{phase, wire, ClusterBackend, SimCluster};
 
 use crate::greedy::bucket_greedy;
 use crate::pooled::PooledSets;
@@ -103,10 +103,7 @@ fn local_greedy(shard: &SetShard, kappa: usize) -> Candidates {
 /// Runs GreeDi with core-set size `kappa` (the paper sets `κ = k`).
 /// Returns the better of the merged-greedy solution and the best
 /// single-machine solution, per the original algorithm.
-pub fn greedi<B>(cluster: &mut B, k: usize, kappa: usize) -> GreediResult
-where
-    B: ClusterBackend<Worker = SetShard>,
-{
+pub fn greedi(cluster: &mut SimCluster<SetShard>, k: usize, kappa: usize) -> GreediResult {
     let num_elements = cluster.workers()[0].num_elements;
     // Stage 1: per-machine core-sets, uploaded with their element lists.
     let candidates = cluster.gather(
@@ -169,7 +166,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dim_cluster::{ExecMode, NetworkModel, SimCluster};
+    use dim_cluster::{ExecMode, NetworkModel};
 
     use crate::newgreedi::newgreedi;
 

@@ -14,7 +14,7 @@
 //! * [`greedy`] — centralized algorithms: bucket greedy, CELF lazy greedy,
 //!   and a naive per-round rescan oracle.
 //! * [`mod@newgreedi`] — **NewGreeDi** (Algorithm 1): element-distributed greedy
-//!   generic over any [`dim_cluster::ClusterBackend`], returning *exactly* the
+//!   generic over any [`dim_cluster::OpCluster`], returning *exactly* the
 //!   centralized greedy solution (Lemma 2), with sparse-delta map/reduce
 //!   updates.
 //! * [`greedi`] — the set-distributed composable core-sets baselines GreeDi

@@ -19,7 +19,7 @@
 
 use dim_cluster::ops::{expect_counts, expect_deltas};
 use dim_cluster::wire::DeltaVec;
-use dim_cluster::{phase, wire, ClusterBackend, OpCluster, WireError, WorkerOp};
+use dim_cluster::{phase, wire, OpCluster, SimCluster, WireError, WorkerOp};
 
 use crate::selector::BucketSelector;
 use crate::shard::CoverageShard;
@@ -218,13 +218,14 @@ pub fn newgreedi_until<B: OpCluster>(
     )
 }
 
-/// [`newgreedi_with`] for clusters whose worker state *is* the shard
-/// (reads `num_sets` off machine 0). Backends without master-side worker
-/// state (the process backend) should call [`newgreedi_with`] directly.
-pub fn newgreedi<B>(cluster: &mut B, k: usize) -> Result<NewGreediResult, WireError>
-where
-    B: OpCluster + ClusterBackend<Worker = CoverageShard>,
-{
+/// [`newgreedi_with`] for the in-process cluster, whose worker state *is*
+/// the shard (reads `num_sets` off machine 0). Backends without
+/// master-side worker state (the process backend) call [`newgreedi_with`]
+/// directly.
+pub fn newgreedi(
+    cluster: &mut SimCluster<CoverageShard>,
+    k: usize,
+) -> Result<NewGreediResult, WireError> {
     let num_sets = cluster.workers()[0].num_sets();
     newgreedi_with(cluster, num_sets, k)
 }
@@ -232,7 +233,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dim_cluster::{ExecMode, NetworkModel, SimCluster};
+    use dim_cluster::{ClusterBackend, ExecMode, NetworkModel};
 
     use crate::greedy::bucket_greedy;
     use crate::problem::CoverageProblem;

@@ -47,5 +47,8 @@ pub use proto::{
     decode_batch, decode_response_batch, encode_batch, encode_response_batch, spread_estimate,
     QueryRequest, QueryResponse, SketchStats,
 };
-pub use server::{ReloadError, ReloadSource, ServeOptions, Server, Sketch, TenantBind, TenantHandle};
+pub use server::{
+    ReloadError, ReloadOutcome, ReloadSource, ServeOptions, Server, Sketch, TenantBind,
+    TenantHandle,
+};
 pub use tenant::{AuthFailure, TenantQuota, TenantRegistry, TenantSpec};

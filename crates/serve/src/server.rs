@@ -224,6 +224,9 @@ impl std::fmt::Display for ReloadError {
 
 impl std::error::Error for ReloadError {}
 
+/// What a reload reports: `(generation now served, whether it changed)`.
+pub type ReloadOutcome = Result<(u64, bool), ReloadError>;
+
 /// One generation of the serving sketch. Requests pin a generation by
 /// cloning the `Arc` and answer entirely against it.
 struct SketchState {
@@ -584,13 +587,13 @@ impl Server {
     /// (only) tenant. Returns `(generation, changed)`; in-flight queries
     /// finish on their pinned generation either way. Also triggered over
     /// the wire by [`QueryRequest::Reload`] (and by SIGHUP in the CLI).
-    pub fn reload(&self) -> Result<(u64, bool), ReloadError> {
+    pub fn reload(&self) -> ReloadOutcome {
         try_reload(&self.shared.tenants[0])
     }
 
     /// Reloads every tenant independently (the SIGHUP path in multi
     /// mode): one tenant's store error does not stop the others.
-    pub fn reload_all(&self) -> Vec<(String, Result<(u64, bool), ReloadError>)> {
+    pub fn reload_all(&self) -> Vec<(String, ReloadOutcome)> {
         self.shared
             .tenants
             .iter()
@@ -656,12 +659,12 @@ impl TenantHandle {
 
     /// Reloads only this tenant; other tenants' generations are
     /// untouched and their in-flight queries undisturbed.
-    pub fn reload(&self) -> Result<(u64, bool), ReloadError> {
+    pub fn reload(&self) -> ReloadOutcome {
         try_reload(&self.tenant)
     }
 }
 
-fn try_reload(tenant: &TenantServing) -> Result<(u64, bool), ReloadError> {
+fn try_reload(tenant: &TenantServing) -> ReloadOutcome {
     let src = tenant
         .reload_source
         .as_ref()

@@ -30,10 +30,11 @@
 //! without dropping in-flight queries.
 //!
 //! `--backend` selects the cluster execution layer: `sequential` (default)
-//! and `threads` run the simulated cluster in-process; `proc`
-//! (requires the `proc-backend` feature) spawns one `dim-worker` process
-//! per machine over loopback TCP and drives them through the same phase-op
-//! protocol, so seeds and marginals are identical to the simulator's.
+//! and `threads` run the simulated cluster in-process; `proc` spawns one
+//! `dim-worker` process per machine over loopback TCP and `join` waits for
+//! pre-started `dim-worker --join` processes, driving them through the
+//! same phase-op protocol, so seeds and marginals are identical to the
+//! simulator's.
 //!
 //! Graphs load from SNAP-style edge lists (`u v [p]`, `#` comments) or are
 //! generated from the paper's dataset profiles (`profile:facebook`,
@@ -248,11 +249,9 @@ enum Backend {
     /// In-process simulated cluster ([`SimCluster`]) in one of its modes.
     Sim(ExecMode),
     /// One `dim-worker` process per machine over loopback TCP.
-    #[cfg(feature = "proc-backend")]
     Proc,
     /// Pre-started `dim-worker --join` processes registering with this
     /// master over TCP (multi-host capable; bind via `DIM_MASTER_BIND`).
-    #[cfg(feature = "proc-backend")]
     Join,
 }
 
@@ -260,26 +259,14 @@ fn backend_of(flags: &Flags) -> Result<Backend, String> {
     match flags.get("backend").unwrap_or("sequential") {
         "sequential" => Ok(Backend::Sim(ExecMode::Sequential)),
         "threads" => Ok(Backend::Sim(ExecMode::Threads)),
-        name @ ("proc" | "join") => {
-            #[cfg(feature = "proc-backend")]
-            {
-                Ok(if name == "proc" { Backend::Proc } else { Backend::Join })
-            }
-            #[cfg(not(feature = "proc-backend"))]
-            {
-                Err(format!(
-                    "--backend {name} needs the `proc-backend` feature \
-                     (cargo build --features proc-backend)"
-                ))
-            }
-        }
+        "proc" => Ok(Backend::Proc),
+        "join" => Ok(Backend::Join),
         other => Err(format!("unknown backend {other:?}")),
     }
 }
 
 /// Spawns (or thread-hosts, when no `dim-worker` binary is discoverable)
 /// the worker processes for a proc-backend run.
-#[cfg(feature = "proc-backend")]
 fn proc_cluster(machines: usize, net: NetworkModel, seed: u64) -> Result<ProcCluster, String> {
     ProcCluster::auto_with(machines, net, seed, move |i| WorkerHost::new(i, seed))
         .map_err(|e| format!("cannot start worker cluster: {e}"))
@@ -291,7 +278,6 @@ fn proc_cluster(machines: usize, net: NetworkModel, seed: u64) -> Result<ProcClu
 /// `DIM_JOIN_TIMEOUT_SECS`), and reports where the cluster came up and
 /// how long rendezvous took. The latency also lands in the run's
 /// `--breakdown` timeline under the `rendezvous` phase.
-#[cfg(feature = "proc-backend")]
 fn join_cluster(
     machines: usize,
     net: NetworkModel,
@@ -372,7 +358,6 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
         }
         let mode = match backend {
             Backend::Sim(mode) => mode,
-            #[cfg(feature = "proc-backend")]
             _ => return Err("--load-rr selects locally; use a simulated backend".into()),
         };
         diimm_load_rr(&g, &config, std::path::Path::new(dir), net, mode)
@@ -383,13 +368,11 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
             ("diimm" | "subsim", Backend::Sim(mode)) => {
                 diimm(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
-            #[cfg(feature = "proc-backend")]
             ("diimm" | "subsim", Backend::Proc) => {
                 let mut cluster = proc_cluster(machines, net, config.seed)?;
                 setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
                 diimm_on(&mut cluster, &g, &config, true).map_err(|e| e.to_string())?
             }
-            #[cfg(feature = "proc-backend")]
             ("diimm" | "subsim", Backend::Join) => {
                 let mut cluster = join_cluster(machines, net, config.seed, flags)?;
                 setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
@@ -398,7 +381,6 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
             ("opim", Backend::Sim(mode)) => {
                 dopim_c(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
-            #[cfg(feature = "proc-backend")]
             ("opim", Backend::Proc | Backend::Join) => {
                 return Err("--backend proc/join supports diimm/subsim (opim keeps two \
                             resident collections; use a simulated backend)"
@@ -429,7 +411,6 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
 /// Runs DiIMM on an op-driven cluster (spawned or joined) and has every
 /// worker persist its resident shard — each process writes its own file,
 /// the shard never crosses the wire.
-#[cfg(feature = "proc-backend")]
 fn sample_on_ops<B: OpCluster>(
     cluster: &mut B,
     g: &Graph,
@@ -471,12 +452,10 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
     let r = match backend_of(flags)? {
         Backend::Sim(mode) => diimm_sample(&g, &config, machines, net, mode, &dir)
             .map_err(|e| e.to_string())?,
-        #[cfg(feature = "proc-backend")]
         Backend::Proc => {
             let mut cluster = proc_cluster(machines, net, config.seed)?;
             sample_on_ops(&mut cluster, &g, &config, &dir)?
         }
-        #[cfg(feature = "proc-backend")]
         Backend::Join => {
             let mut cluster = join_cluster(machines, net, config.seed, flags)?;
             sample_on_ops(&mut cluster, &g, &config, &dir)?
@@ -554,7 +533,6 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let batch_size = flags.num("batch-size", 0usize)?;
     let mode = match backend_of(flags)? {
         Backend::Sim(mode) => mode,
-        #[cfg(feature = "proc-backend")]
         _ => return Err("stream repairs the sketch locally; use a simulated backend".into()),
     };
 
@@ -937,7 +915,6 @@ fn print_breakdown(timeline: &PhaseTimeline) {
 /// Runs NewGreeDi over an op-driven cluster (spawned or joined): ships
 /// each machine its element partition, then executes the identical phase
 /// ops the simulated backends run.
-#[cfg(feature = "proc-backend")]
 fn coverage_on_ops<B: OpCluster>(
     cluster: &mut B,
     problem: &CoverageProblem,
@@ -969,13 +946,11 @@ fn cmd_coverage(flags: &Flags) -> Result<(), String> {
             let r = newgreedi(&mut cluster, k).map_err(|e| e.to_string())?;
             (r, cluster.metrics(), cluster.timeline().clone())
         }
-        #[cfg(feature = "proc-backend")]
         Backend::Proc => {
             let seed = flags.num("seed", 42u64)?;
             let mut cluster = proc_cluster(machines, net, seed)?;
             coverage_on_ops(&mut cluster, &problem, &shards, k)?
         }
-        #[cfg(feature = "proc-backend")]
         Backend::Join => {
             let seed = flags.num("seed", 42u64)?;
             let mut cluster = join_cluster(machines, net, seed, flags)?;
@@ -1001,8 +976,7 @@ fn cmd_coverage(flags: &Flags) -> Result<(), String> {
 /// entry point. The reference always runs on the deterministic
 /// sequential simulator; the chaos run goes to `--backend` (sim modes
 /// interpret the plan in virtual time, `proc` injects it at the socket
-/// layer when built with the `chaos` feature). Divergence is a hard
-/// error, so the exit code is the assertion.
+/// layer). Divergence is a hard error, so the exit code is the assertion.
 fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let (config, _) = im_config(flags, &g)?;
@@ -1043,26 +1017,14 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
             let cluster = SimCluster::new(workers, net, mode).with_faults(injector);
             diimm_on_recovering(cluster, &g, &config, true, policy).map_err(|e| e.to_string())?
         }
-        #[cfg(feature = "proc-backend")]
         Backend::Proc => {
-            #[cfg(feature = "chaos")]
-            {
-                let mut cluster = proc_cluster(machines, net, config.seed)?;
-                setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
-                // Armed after setup, so plan rounds count op rounds from
-                // the first algorithm phase — same clock as the simulator.
-                cluster.set_chaos(Some(injector));
-                diimm_on_recovering(cluster, &g, &config, true, policy)
-                    .map_err(|e| e.to_string())?
-            }
-            #[cfg(not(feature = "chaos"))]
-            {
-                return Err("--backend proc chaos injection needs the `chaos` feature \
-                            (cargo build --features chaos)"
-                    .into());
-            }
+            let mut cluster = proc_cluster(machines, net, config.seed)?;
+            setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
+            // Armed after setup, so plan rounds count op rounds from
+            // the first algorithm phase — same clock as the simulator.
+            cluster.set_chaos(Some(injector));
+            diimm_on_recovering(cluster, &g, &config, true, policy).map_err(|e| e.to_string())?
         }
-        #[cfg(feature = "proc-backend")]
         Backend::Join => {
             return Err("chaos replay drives sequential|threads|proc backends".into())
         }

@@ -23,9 +23,7 @@
 //! logs it and exits 0.
 //!
 //! The master address may also come from the `DIM_WORKER_ADDR` environment
-//! variable (`--addr` and `--connect` are aliases; flags win). The
-//! `DIM_WORKER_FAULT` environment variable (e.g. `truncate-upload:1`)
-//! injects protocol faults for resilience tests.
+//! variable (`--addr` and `--connect` are aliases; flags win).
 
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -33,7 +31,7 @@ use std::time::Duration;
 
 use dim::dim_core::WorkerHost;
 use dim_cluster::rendezvous::{self, JoinOptions};
-use dim_cluster::tcp::{run_worker_with_fault, WorkerFault};
+use dim_cluster::tcp::run_worker;
 
 /// How long a join-mode worker that has already served a session keeps
 /// trying to re-register before concluding the master is gone (used when
@@ -72,17 +70,13 @@ fn main() -> ExitCode {
         }
     }
     let addr = addr.or_else(|| std::env::var("DIM_WORKER_ADDR").ok());
-    let fault = std::env::var("DIM_WORKER_FAULT")
-        .ok()
-        .as_deref()
-        .and_then(WorkerFault::parse);
 
     if join {
         let Some(addr) = addr else {
             eprintln!("usage: dim-worker --connect HOST:PORT --join [--machine-id N] [--join-deadline SECS]");
             return ExitCode::from(2);
         };
-        return run_join_mode(&addr, machine_id, join_deadline, fault);
+        return run_join_mode(&addr, machine_id, join_deadline);
     }
 
     let (Some(addr), Some(id), Some(seed)) = (addr, machine_id, master_seed) else {
@@ -99,7 +93,7 @@ fn main() -> ExitCode {
         }
     };
     let mut host = WorkerHost::new(id as usize, seed);
-    match run_worker_with_fault(stream, id, seed, &mut host, fault) {
+    match run_worker(stream, id, seed, &mut host) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("dim-worker {id}: {e}");
@@ -110,12 +104,7 @@ fn main() -> ExitCode {
 
 /// The join-mode loop: register → serve a session → re-register, keeping
 /// one long-lived [`WorkerHost`] (and its loaded graph) across sessions.
-fn run_join_mode(
-    addr: &str,
-    requested: Option<u32>,
-    deadline: Option<Duration>,
-    fault: Option<WorkerFault>,
-) -> ExitCode {
+fn run_join_mode(addr: &str, requested: Option<u32>, deadline: Option<Duration>) -> ExitCode {
     let deadline = deadline.or_else(rendezvous::join_deadline_env);
     let mut host = WorkerHost::new(requested.unwrap_or(0) as usize, 0);
     let mut sessions_served = 0u64;
@@ -127,7 +116,7 @@ fn run_join_mode(
             // bound the re-join so the worker can notice and exit clean.
             deadline: deadline.or((sessions_served > 0).then_some(REJOIN_GRACE)),
         };
-        match rendezvous::run_join_worker(addr, &opts, fault, |welcome| {
+        match rendezvous::run_join_worker(addr, &opts, None, |welcome| {
             host.reset_session(welcome.machine_id as usize, welcome.master_seed);
             eprintln!(
                 "dim-worker: joined session {} as machine {} of {}",

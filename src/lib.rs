@@ -19,7 +19,7 @@
 //! |-------|----------|
 //! | [`dim_graph`] | CSR graphs, edge-list IO, synthetic social-network generators, dataset profiles |
 //! | [`dim_diffusion`] | IC/LT diffusion, Monte-Carlo + exact spread, RR-set samplers (BFS / walk / SUBSIM) |
-//! | [`dim_cluster`] | pluggable `ClusterBackend` execution layer with phase-labeled metrics timelines |
+//! | [`dim_cluster`] | the cluster contract (`ClusterBackend` accounting + `OpCluster` ops) and its sim / TCP backends |
 //! | [`dim_coverage`] | maximum coverage: bucket/CELF greedy, NewGreeDi, GreeDi/RandGreeDi baselines |
 //! | [`dim_core`] | IMM, DiIMM, and SUBSIM with the `(1 − 1/e − ε)` guarantee |
 //! | [`dim_store`] | versioned on-disk RR-sketch snapshots (`dim sample` / `--load-rr`) |
@@ -55,13 +55,10 @@ pub use dim_store;
 pub mod prelude {
     pub use dim_cluster::{
         phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, FaultEvent, FaultEventKind,
-        FaultInjector, FaultPlan, LinkDecision, LinkFault, NetworkModel, OpCluster, OpExecutor,
-        Partition, PhaseTimeline, SamplerSpec, SimCluster, WireError, WireErrorKind, WorkerOp,
-        WorkerReply, WorkerStats,
-    };
-    #[cfg(feature = "proc-backend")]
-    pub use dim_cluster::{
-        JoinCluster, JoinConfig, JoinOptions, ProcCluster, Rendezvous, SessionEnd,
+        FaultInjector, FaultPlan, JoinCluster, JoinConfig, JoinOptions, LinkDecision, LinkFault,
+        NetworkModel, OpCluster, OpExecutor, Partition, PhaseTimeline, ProcCluster, Rendezvous,
+        SamplerSpec, SessionEnd, SimCluster, WireError, WireErrorKind, WorkerOp, WorkerReply,
+        WorkerStats,
     };
     pub use dim_core::diimm::{diimm, diimm_on, diimm_with_options};
     pub use dim_core::extensions::{

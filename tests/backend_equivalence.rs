@@ -308,7 +308,6 @@ mod stream {
     /// fixed θ, the master broadcasts `ApplyDelta`, every worker repairs
     /// its resident shard locally, and selection over the repaired
     /// cluster equals a from-scratch re-sample of the mutated graph.
-    #[cfg(feature = "proc-backend")]
     #[test]
     fn stream_repair_matches_full_resample_proc() {
         use dim_cluster::ops::{expect_counts, expect_ok};
@@ -382,7 +381,6 @@ mod stream {
 /// lives in the endpoints (threads or real `dim-worker` processes), every
 /// phase ships real op/reply payloads, and the answer — seeds, marginals,
 /// modeled metrics — is identical to the simulated Sequential backend.
-#[cfg(feature = "proc-backend")]
 mod proc_backend {
     use std::time::Duration;
 
@@ -618,7 +616,6 @@ mod proc_backend {
 /// point instead of the master spawning them. Same op protocol, same
 /// answers — plus session reuse (a worker's resident graph survives into
 /// the next run) and heartbeat fail-stop on dead links.
-#[cfg(feature = "proc-backend")]
 mod join_backend {
     use std::thread;
     use std::time::Duration;
@@ -1008,7 +1005,6 @@ mod chaos {
     /// recovery layer rebuilds its shard from the op log — seeds and
     /// marginals byte-identical to the fault-free sequential reference
     /// at ℓ = 2 and ℓ = 4.
-    #[cfg(feature = "chaos")]
     #[test]
     fn single_kill_recovers_byte_identically_proc() {
         use dim_cluster::ProcCluster;
@@ -1059,7 +1055,6 @@ mod chaos {
     /// Stall-only schedules on the process backend are real socket
     /// sleeps, well inside `DIM_HEARTBEAT_TIMEOUT_SECS`: no link dies,
     /// no recovery engages, and the answer does not diverge by a byte.
-    #[cfg(feature = "chaos")]
     #[test]
     fn stall_schedule_zero_divergence_proc() {
         use dim_cluster::ProcCluster;

@@ -2,36 +2,21 @@
 //! processes, install resident state through setup ops, run phase ops
 //! against it, and verify (a) the replies match an in-process shard, (b)
 //! real transfer times are measured, and (c) dropping the cluster shuts
-//! every worker process down — no orphans. Skips gracefully (with a note)
-//! where the worker binary is missing or process spawning is unavailable —
-//! e.g. minimal sandboxes.
-#![cfg(feature = "proc-backend")]
+//! every worker process down — no orphans. Cargo builds `dim-worker` for
+//! this test target, so a missing binary or a failed spawn is a failure.
 
 use std::time::Duration;
 
 use dim::prelude::*;
 use dim_cluster::ops::{expect_deltas, expect_ok};
 
-fn worker_binary() -> Option<String> {
-    std::env::var("DIM_WORKER_BIN")
-        .ok()
-        .or_else(|| option_env!("CARGO_BIN_EXE_dim-worker").map(String::from))
-        .filter(|p| std::path::Path::new(p).exists())
-}
+/// The `dim-worker` binary cargo built alongside this test.
+const WORKER_BIN: &str = env!("CARGO_BIN_EXE_dim-worker");
 
-fn spawn_cluster(count: usize, seed: u64) -> Option<ProcCluster> {
-    let bin = worker_binary().or_else(|| {
-        eprintln!("skipping: dim-worker binary not built/locatable");
-        None
-    })?;
-    std::env::set_var("DIM_WORKER_BIN", &bin);
-    match ProcCluster::spawn(count, NetworkModel::cluster_1gbps(), seed) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("skipping: cannot spawn worker processes: {e}");
-            None
-        }
-    }
+fn spawn_cluster(count: usize, seed: u64) -> ProcCluster {
+    std::env::set_var("DIM_WORKER_BIN", WORKER_BIN);
+    ProcCluster::spawn(count, NetworkModel::cluster_1gbps(), seed)
+        .expect("spawn dim-worker processes")
 }
 
 /// Fig. 2's instance, split over two machines.
@@ -44,9 +29,7 @@ fn shard_records(machine: usize) -> Vec<Vec<u32>> {
 
 #[test]
 fn spawned_worker_processes_hold_shards_and_answer_ops() {
-    let Some(mut cluster) = spawn_cluster(2, 42) else {
-        return;
-    };
+    let mut cluster = spawn_cluster(2, 42);
     // State ships to the workers once; nothing is retained master-side.
     let replies = cluster
         .control(phase::SETUP, |i| WorkerOp::BuildShard {
@@ -83,17 +66,14 @@ fn spawned_worker_processes_hold_shards_and_answer_ops() {
 
 /// Spawns a pre-started join-mode worker process, as an operator would:
 /// `dim-worker --connect ADDR --join --machine-id ID --join-deadline 5`.
-fn start_join_worker(
-    bin: &str,
-    addr: std::net::SocketAddr,
-    id: u32,
-) -> std::io::Result<std::process::Child> {
-    std::process::Command::new(bin)
+fn start_join_worker(addr: std::net::SocketAddr, id: u32) -> std::process::Child {
+    std::process::Command::new(WORKER_BIN)
         .args(["--connect", &addr.to_string(), "--join"])
         .args(["--machine-id", &id.to_string()])
         .args(["--join-deadline", "5"])
         .stdin(std::process::Stdio::null())
         .spawn()
+        .expect("spawn dim-worker --join")
 }
 
 fn join_rendezvous(machines: usize) -> dim_cluster::rendezvous::Rendezvous {
@@ -132,25 +112,9 @@ fn run_coverage_session(cluster: &mut dim_cluster::JoinCluster, session: u64) {
 /// master is gone.
 #[test]
 fn join_mode_processes_serve_two_sessions_and_exit_clean() {
-    let Some(bin) = worker_binary() else {
-        eprintln!("skipping: dim-worker binary not built/locatable");
-        return;
-    };
     let mut rendezvous = join_rendezvous(2);
     let addr = rendezvous.local_addr().unwrap();
-    let mut children = Vec::new();
-    for id in 0..2 {
-        match start_join_worker(&bin, addr, id) {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                eprintln!("skipping: cannot spawn worker processes: {e}");
-                for mut c in children {
-                    let _ = c.kill();
-                }
-                return;
-            }
-        }
-    }
+    let children: Vec<_> = (0..2).map(|id| start_join_worker(addr, id)).collect();
     for session in 1..=2 {
         let mut cluster = rendezvous
             .accept_session(NetworkModel::cluster_1gbps(), 42)
@@ -176,25 +140,9 @@ fn join_mode_processes_serve_two_sessions_and_exit_clean() {
 /// registers for the *next* session against the same master.
 #[test]
 fn killed_join_worker_fail_stops_and_a_restart_rejoins() {
-    let Some(bin) = worker_binary() else {
-        eprintln!("skipping: dim-worker binary not built/locatable");
-        return;
-    };
     let mut rendezvous = join_rendezvous(2);
     let addr = rendezvous.local_addr().unwrap();
-    let mut children = Vec::new();
-    for id in 0..2 {
-        match start_join_worker(&bin, addr, id) {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                eprintln!("skipping: cannot spawn worker processes: {e}");
-                for mut c in children {
-                    let _ = c.kill();
-                }
-                return;
-            }
-        }
-    }
+    let mut children: Vec<_> = (0..2).map(|id| start_join_worker(addr, id)).collect();
     let mut cluster = rendezvous
         .accept_session(NetworkModel::cluster_1gbps(), 7)
         .expect("both join workers register in time");
@@ -223,7 +171,7 @@ fn killed_join_worker_fail_stops_and_a_restart_rejoins() {
 
     // An operator restarts the dead worker; the surviving process and the
     // replacement assemble the next session and serve it clean.
-    children.push(start_join_worker(&bin, addr, 1).expect("restart worker 1"));
+    children.push(start_join_worker(addr, 1));
     let mut cluster = rendezvous
         .accept_session(NetworkModel::cluster_1gbps(), 7)
         .expect("survivor + replacement register in time");
@@ -240,9 +188,7 @@ fn killed_join_worker_fail_stops_and_a_restart_rejoins() {
 
 #[test]
 fn dropping_the_cluster_leaves_no_orphan_processes() {
-    let Some(cluster) = spawn_cluster(3, 7) else {
-        return;
-    };
+    let cluster = spawn_cluster(3, 7);
     let pids = cluster.worker_pids();
     assert_eq!(pids.len(), 3, "three real worker processes");
     for &pid in &pids {

@@ -305,7 +305,7 @@ fn stream_generations_hot_reload_under_fire() {
             generation,
             reload: Some(ReloadSource {
                 root: root.clone(),
-                request: request.clone(),
+                request,
                 num_nodes: g.num_nodes(),
             }),
             ..ServeOptions::default()
@@ -737,7 +737,7 @@ fn reload_and_gc_survive_fault_schedule() {
             generation,
             reload: Some(ReloadSource {
                 root: root.clone(),
-                request: request.clone(),
+                request,
                 num_nodes: g.num_nodes(),
             }),
             ..ServeOptions::default()
