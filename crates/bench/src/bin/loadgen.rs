@@ -1,4 +1,6 @@
-//! `dim-loadgen` — open-loop load generator for a running `dim serve`.
+//! `dim-loadgen` — closed-loop load generator for a running `dim serve`
+//! (each client connection sends its next query when the previous reply
+//! has arrived; no arrival rate is imposed).
 //!
 //! ```text
 //! dim-loadgen --addr 127.0.0.1:7117 [--concurrency 8] [--requests 200]

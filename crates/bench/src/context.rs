@@ -8,11 +8,13 @@ use dim_graph::{DatasetProfile, Graph};
 pub enum Backend {
     /// In-process `SimCluster` with the given execution mode.
     Sim(ExecMode),
-    /// Process-per-machine TCP backend (`ProcCluster`); only the DiIMM
-    /// scaling experiments support it.
+    /// Process-per-machine TCP backend (`ProcCluster`) whose `dim-worker`
+    /// processes the master spawns itself (binary via `DIM_WORKER_BIN` or
+    /// next to `repro`; no fallback). Only the DiIMM scaling experiments
+    /// support it.
     Proc,
-    /// Rendezvous TCP backend (`JoinCluster`): pre-started
-    /// `dim-worker --connect ADDR --join` processes register with the
+    /// The same `ProcCluster`, assembled from pre-started
+    /// `dim-worker --connect ADDR --join` processes that register with the
     /// master at `DIM_MASTER_BIND` instead of being spawned. Same
     /// restrictions as `Proc`, and the rendezvous latency lands in each
     /// row's phase breakdown under the `rendezvous` label.

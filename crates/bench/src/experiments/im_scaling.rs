@@ -11,11 +11,11 @@
 
 use dim_cluster::{phase, JoinConfig, NetworkModel, PhaseTimeline, ProcCluster, Rendezvous};
 use dim_core::diimm::{diimm, diimm_on};
-use dim_core::{setup_im_cluster, ImConfig, ImResult, SamplerKind, WorkerHost};
+use dim_core::{setup_im_cluster, ImConfig, ImResult, SamplerKind};
 use dim_diffusion::DiffusionModel;
 use dim_graph::Graph;
 
-use crate::context::Context;
+use crate::context::{Backend, Context};
 use crate::report::{self, ToJson};
 
 report::json_row! {
@@ -73,6 +73,34 @@ struct Setup {
     multicore: bool,
 }
 
+/// The TCP cluster for `--backend proc|join`: spawned `dim-worker`
+/// processes, or one rendezvous session of pre-started ones.
+fn tcp_cluster(
+    backend: Backend,
+    machines: usize,
+    network: NetworkModel,
+    seed: u64,
+) -> ProcCluster {
+    if backend == Backend::Proc {
+        return ProcCluster::spawn(machines, network, seed)
+            .expect("spawn dim-worker processes (set DIM_WORKER_BIN)");
+    }
+    // One rendezvous session per row: pre-started join workers
+    // re-register between rows, so a fleet started once covers the
+    // whole sweep. The bind→membership latency is recorded in the
+    // timeline (`rendezvous` label) and ends up in the JSON rows.
+    let mut rendezvous = Rendezvous::bind_env(JoinConfig::new(machines))
+        .expect("bind rendezvous listener (DIM_MASTER_BIND)");
+    let addr = rendezvous.local_addr().expect("rendezvous local addr");
+    eprintln!(
+        "waiting for {machines} join worker(s) on {addr} \
+         (start each with: dim-worker --connect {addr} --join)"
+    );
+    rendezvous
+        .accept_session(network, seed)
+        .expect("join workers register before the join timeout")
+}
+
 /// One DiIMM run on the configured backend.
 fn run_one(
     ctx: &Context,
@@ -81,33 +109,15 @@ fn run_one(
     machines: usize,
     network: NetworkModel,
 ) -> ImResult {
-    if ctx.backend == crate::context::Backend::Proc {
-        let seed = config.seed;
-        let mut cluster =
-            ProcCluster::auto_with(machines, network, seed, |i| WorkerHost::new(i, seed))
-                .expect("loopback worker cluster");
-        setup_im_cluster(&mut cluster, graph, config.sampler).expect("well-formed wire");
-        return diimm_on(&mut cluster, graph, config, true).expect("well-formed wire");
+    match ctx.backend {
+        Backend::Sim(mode) => diimm(graph, config, machines, network, mode),
+        backend @ (Backend::Proc | Backend::Join) => {
+            let mut cluster = tcp_cluster(backend, machines, network, config.seed);
+            setup_im_cluster(&mut cluster, graph, config.sampler).expect("well-formed wire");
+            diimm_on(&mut cluster, graph, config, true)
+        }
     }
-    if ctx.backend == crate::context::Backend::Join {
-        // One rendezvous session per row: pre-started join workers
-        // re-register between rows, so a fleet started once covers the
-        // whole sweep. The bind→membership latency is recorded in the
-        // timeline (`rendezvous` label) and ends up in the JSON rows.
-        let mut rendezvous = Rendezvous::bind_env(JoinConfig::new(machines))
-            .expect("bind rendezvous listener (DIM_MASTER_BIND)");
-        let addr = rendezvous.local_addr().expect("rendezvous local addr");
-        eprintln!(
-            "waiting for {machines} join worker(s) on {addr} \
-             (start each with: dim-worker --connect {addr} --join)"
-        );
-        let mut cluster = rendezvous
-            .accept_session(network, config.seed)
-            .expect("join workers register before the join timeout");
-        setup_im_cluster(&mut cluster, graph, config.sampler).expect("well-formed wire");
-        return diimm_on(&mut cluster, graph, config, true).expect("well-formed wire");
-    }
-    diimm(graph, config, machines, network, ctx.exec_mode()).expect("well-formed wire")
+    .expect("well-formed wire")
 }
 
 fn run_setup(ctx: &Context, setup: Setup) {

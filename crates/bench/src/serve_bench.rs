@@ -1,4 +1,4 @@
-//! Open-loop load generation against a running `dim serve` instance —
+//! Closed-loop load generation against a running `dim serve` instance —
 //! the engine of the `dim-loadgen` binary and of the serve-tier CI
 //! benchmark.
 //!

@@ -65,12 +65,13 @@ pub mod phase {
     /// stats collection. Charges no modeled traffic: the paper's
     /// accounting starts after data placement.
     pub const SETUP: &str = "setup";
-    /// Cluster rendezvous: bind → full membership (join-mode clusters).
+    /// Cluster rendezvous: bind → full membership, recorded by
+    /// `Rendezvous::accept_session` (clusters of operator-started workers).
     /// Like [`SETUP`], charges no modeled traffic — it measures the real
     /// wall-clock cost of assembling the cluster before the algorithms
     /// start.
     pub const RENDEZVOUS: &str = "rendezvous";
-    /// Liveness probes on idle links (join-mode clusters). Real traffic
+    /// Liveness probes on idle links (`ProcCluster::heartbeat`). Real traffic
     /// only — heartbeats are not part of the paper's modeled algorithm
     /// cost.
     pub const HEARTBEAT: &str = "heartbeat";

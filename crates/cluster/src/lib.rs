@@ -7,10 +7,11 @@
 //! against — [`ClusterBackend`] for accounting and topology (`record`,
 //! `master`, `charge_upload`, `broadcast` over a phase-labeled timeline)
 //! plus [`OpCluster`] for execution (serialized [`WorkerOp`] rounds) — and
-//! three implementations: the **deterministic simulated cluster**
-//! [`SimCluster`], the process-per-machine TCP backend [`ProcCluster`] and
-//! its rendezvous front door [`JoinCluster`]. The simulator preserves the
-//! quantities the paper measures:
+//! two implementations: the **deterministic simulated cluster**
+//! [`SimCluster`] and the process-per-machine TCP backend [`ProcCluster`],
+//! whose workers — launched by the master or started by an operator — are
+//! all admitted through one front door, [`Rendezvous`]. The simulator
+//! preserves the quantities the paper measures:
 //!
 //! * **Computation time** — every simulated machine *really executes* its
 //!   partition of the work and is individually wall-clock timed. A parallel
@@ -32,7 +33,7 @@
 //! the host's available parallelism). Because its worker state lives in
 //! the master's address space it also offers closure phases —
 //! [`SimCluster::par_step`] and [`SimCluster::gather`] — as in-process
-//! primitives; they are not part of the contract the TCP backends honour.
+//! primitives; they are not part of the contract the TCP backend honours.
 //!
 //! Randomness: seed derivation ([`rng`]), the chaos schedule ([`faults`])
 //! and reconnect jitter ([`Backoff`]) all call the one SplitMix64 finalizer
@@ -91,8 +92,7 @@ pub use metrics::{ClusterMetrics, PhaseTimeline};
 pub use network::NetworkModel;
 pub use ops::{OpCluster, OpExecutor, SamplerSpec, WorkerOp, WorkerReply, WorkerStats};
 pub use rendezvous::{
-    connect_and_join, run_join_worker, JoinCluster, JoinConfig, JoinOptions,
-    JoinedSession, Rendezvous,
+    connect_and_join, run_join_worker, JoinConfig, JoinOptions, JoinedSession, Rendezvous,
 };
 pub use rng::{rr_set_seed, stream_seed};
 pub use runtime::{ExecMode, SimCluster};

@@ -30,6 +30,11 @@ use crate::backend::ClusterBackend;
 use crate::runtime::SimCluster;
 use crate::wire::{delta_wire_size, u64_wire_size, DeltaVec, WireError};
 
+/// The workspace's one strict little-endian cursor lives in `dim-graph`;
+/// re-exported here because the rendezvous, `dim-store` and `dim-serve`
+/// codecs import it from this module.
+pub use dim_graph::codec::{put_u32, put_u64, Reader};
+
 /// Which RR-set sampler a worker should instantiate over its graph.
 ///
 /// Mirrors `dim-core`'s `SamplerKind` without depending on it (this crate
@@ -222,74 +227,6 @@ const REPLY_DELTAS: u8 = 1;
 const REPLY_COUNT: u8 = 2;
 const REPLY_STATS: u8 = 3;
 const REPLY_ERR: u8 = 4;
-
-/// Strict little-endian cursor over a byte slice. Every read is
-/// length-checked; [`Reader::finish`] rejects trailing bytes, so a decode
-/// accepts exactly the canonical encoding and nothing else. Shared with
-/// the rendezvous handshake codecs (`crate::rendezvous`), the snapshot
-/// codecs in `dim-store`, and the query codecs in `dim-serve`.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    /// Starts a cursor at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        let (&b, rest) = self.buf.split_first()?;
-        self.buf = rest;
-        Some(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        let bytes = self.take(4)?;
-        Some(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        let bytes = self.take(8)?;
-        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Some(head)
-    }
-
-    /// Bytes not yet consumed. Decoders bounds-check length prefixes
-    /// against this *before* allocating, so a hostile count can never
-    /// trigger an oversized allocation.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Consumes the cursor, failing if any input remains — the canonical
-    /// "no trailing bytes" check every strict decoder ends with.
-    pub fn finish(self) -> Option<()> {
-        self.buf.is_empty().then_some(())
-    }
-}
-
-/// Appends a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 impl WorkerOp {
     /// Serializes the op to its canonical byte encoding.

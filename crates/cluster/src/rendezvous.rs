@@ -1,11 +1,12 @@
-//! Cluster rendezvous & membership for join-mode workers.
+//! Cluster rendezvous & membership: the one way a TCP cluster is assembled.
 //!
-//! The spawn path ([`crate::tcp::ProcCluster::spawn`]) launches its own
-//! worker processes, so membership is trivial: the master knows exactly
-//! who is coming. Real multi-host deployments invert that — operators
-//! start `dim-worker --connect <addr> --join` on each host *first*, and
-//! the master assembles its cluster from whoever registers. This module
-//! provides that inversion:
+//! However a worker was *launched* — `fork/exec`ed by the master
+//! ([`ProcCluster::spawn`]), started as a thread
+//! ([`ProcCluster::local_with`]), or started by an operator as
+//! `dim-worker --connect <addr> --join` on another host before the master
+//! even exists — it is *admitted* the same way: it connects to a
+//! [`Rendezvous`], registers, and serves the session it was welcomed into.
+//! This module provides that front door:
 //!
 //! * **Codecs** for the v2 handshake and liveness frames ([`JoinHello`],
 //!   [`Welcome`], [`Hello`], [`Heartbeat`], [`Reject`]) — fixed-size,
@@ -21,26 +22,25 @@
 //!   ([`Rendezvous::bind_env`] reads `DIM_MASTER_BIND`), then
 //!   [`Rendezvous::accept_session`] registers joiners until the expected
 //!   cluster size ℓ is reached (or the join deadline expires), yielding a
-//!   [`JoinCluster`]. Rejected joiners are logged and do not abort the
+//!   [`ProcCluster`]. Rejected joiners are logged and do not abort the
 //!   assembly. The bind→full-membership latency is recorded under
-//!   [`phase::RENDEZVOUS`] in the cluster's [`PhaseTimeline`].
-//! * [`JoinCluster`] — a [`ClusterBackend`] + [`OpCluster`] whose
-//!   membership came from registrations. It owns the links but **not**
-//!   the worker processes: drop ends the *session* (workers go back to
-//!   joining), and [`JoinCluster::heartbeat`] probes idle links,
-//!   fail-stopping dead ones with the same typed [`WireError`] an
-//!   op-round failure produces.
+//!   [`phase::RENDEZVOUS`] in the cluster's
+//!   [`PhaseTimeline`](crate::PhaseTimeline). A cluster assembled from
+//!   operator-started workers owns the links but **not** the worker
+//!   processes: drop ends the *session* (workers go back to joining).
 //! * The worker side: [`connect_and_join`] retries with jittered
 //!   exponential backoff ([`Backoff`]) until a configurable deadline, and
-//!   [`run_join_worker`] serves one full session; the `dim-worker` binary
-//!   loops it, so a restarted (or merely surviving) worker re-registers
-//!   for the *next* run against the same master process.
+//!   [`run_join_worker`] serves one full session — the only worker-side
+//!   session entry point. `dim-worker --join` loops it, so a restarted (or
+//!   merely surviving) worker re-registers for the *next* run against the
+//!   same master process; without `--join` (what `spawn` launches) it runs
+//!   once.
 //!
 //! # Sessions
 //!
 //! A session is one cluster lifetime: one `accept_session` call on the
-//! master, one served op loop per worker. Session ids are per-master
-//! counters starting at 1 (spawn-mode clusters use 0) and ride in every
+//! master, one served op loop per worker. Session ids are
+//! per-[`Rendezvous`] counters starting at 1 and ride in every
 //! WELCOME and HEARTBEAT, so a worker that lags a session behind cannot
 //! be confused for a current member. Machine ids are *per session* — a
 //! worker that requested "any slot" may get a different id next session,
@@ -52,13 +52,13 @@ use std::time::{Duration, Instant};
 
 use crate::backend::{phase, ClusterBackend};
 use crate::backoff::Backoff;
-use crate::metrics::{ClusterMetrics, PhaseTimeline};
+use crate::metrics::ClusterMetrics;
 use crate::network::NetworkModel;
-use crate::ops::{put_u32, put_u64, OpCluster, OpExecutor, Reader, WorkerOp, WorkerReply};
+use crate::ops::{put_u32, put_u64, OpExecutor, Reader};
 use crate::rng::stream_seed;
 use crate::tcp::{
-    self, frame, handshake_timeout, protocol_err, read_frame, write_frame, ProcCluster,
-    SessionEnd, WorkerFault,
+    self, env_secs, frame, handshake_timeout, protocol_err, read_frame, write_frame,
+    ProcCluster, SessionEnd, WorkerFault,
 };
 use crate::wire::WireError;
 
@@ -88,9 +88,9 @@ const ANY_SLOT: u32 = u32::MAX;
 
 /// First frame of the v2 handshake, worker → master (opcode JOIN).
 ///
-/// `requested` pins a specific machine id (spawned workers request the id
-/// they were launched with; operators can pin via `--machine-id`); `None`
-/// asks for any free slot. `auth` is the SHA-256 digest of the cluster
+/// `requested` pins a specific machine id (workers the master launched
+/// request the id they were launched with; operators can pin via
+/// `--machine-id`); `None` asks for any free slot. `auth` is the SHA-256 digest of the cluster
 /// token (`DIM_CLUSTER_TOKEN`), all-zeros when no token is configured —
 /// an auth-requiring master refuses the zero digest like any other
 /// mismatch ([`RejectReason::Unauthorized`]).
@@ -390,9 +390,8 @@ impl Reject {
 ///
 /// Pure state — no sockets — so registration policy (duplicates,
 /// out-of-range ids, fullness, any-slot assignment) is testable without a
-/// network. Both the spawn path ([`crate::tcp::ProcCluster::spawn`]) and
-/// the join path ([`Rendezvous::accept_session`]) drive their handshakes
-/// through one of these.
+/// network. Every session a [`Rendezvous`] assembles drives its
+/// handshakes through one of these.
 #[derive(Clone, Debug)]
 pub struct MembershipTable {
     taken: Vec<bool>,
@@ -696,7 +695,7 @@ pub struct JoinConfig {
     /// How long [`Rendezvous::accept_session`] waits for full membership
     /// before giving up.
     pub join_timeout: Duration,
-    /// How long a [`JoinCluster::heartbeat`] echo may take before the
+    /// How long a [`ProcCluster::heartbeat`] echo may take before the
     /// link fail-stops.
     pub heartbeat_timeout: Duration,
 }
@@ -717,18 +716,13 @@ impl JoinConfig {
 /// The master's join deadline: `DIM_JOIN_TIMEOUT_SECS` (whole seconds) or
 /// 30 s.
 pub fn default_join_timeout() -> Duration {
-    std::env::var("DIM_JOIN_TIMEOUT_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|&secs| secs > 0)
-        .map(Duration::from_secs)
-        .unwrap_or(Duration::from_secs(30))
+    env_secs("DIM_JOIN_TIMEOUT_SECS").unwrap_or(Duration::from_secs(30))
 }
 
-/// The master side of join-mode clustering: a bound listener that
-/// assembles sessions from registering workers.
+/// The master side of cluster assembly: a bound listener that assembles
+/// sessions from registering workers.
 ///
-/// One `Rendezvous` outlives its sessions — after a [`JoinCluster`] is
+/// One `Rendezvous` outlives its sessions — after a [`ProcCluster`] is
 /// dropped (ending its session), call [`Rendezvous::accept_session`]
 /// again and surviving or restarted workers re-register for the next run.
 pub struct Rendezvous {
@@ -762,201 +756,87 @@ impl Rendezvous {
         self.listener.local_addr()
     }
 
-    /// The id the next [`Rendezvous::accept_session`] will use.
-    pub fn next_session(&self) -> u64 {
-        self.next_session
-    }
-
     /// Assembles one session: accepts and handshakes joiners until all ℓ
-    /// slots are registered, then returns the [`JoinCluster`].
+    /// slots are registered, then returns the [`ProcCluster`].
     ///
     /// Rejected or failed joiners are logged and do not abort assembly —
     /// their slot (if any) is released for a replacement. If membership
     /// is still incomplete after the join timeout, errors `TimedOut`
     /// naming how many workers had joined. The bind→membership latency is
-    /// recorded under [`phase::RENDEZVOUS`] in the cluster's timeline and
-    /// is also available as [`JoinCluster::rendezvous_latency`].
+    /// recorded under [`phase::RENDEZVOUS`] in the cluster's timeline
+    /// (`master_compute`, one phase, no traffic).
     pub fn accept_session(
         &mut self,
         network: NetworkModel,
         master_seed: u64,
-    ) -> io::Result<JoinCluster> {
+    ) -> io::Result<ProcCluster> {
+        let start = Instant::now();
+        let mut cluster = self.assemble(network, master_seed)?;
+        cluster.record(
+            phase::RENDEZVOUS,
+            ClusterMetrics {
+                master_compute: start.elapsed(),
+                phases: 1,
+                ..Default::default()
+            },
+        );
+        Ok(cluster)
+    }
+
+    /// The accept loop behind every TCP cluster: [`Self::accept_session`]
+    /// for operator-started workers, `ProcCluster::launch` for workers the
+    /// master started itself (whose timelines carry no rendezvous phase).
+    pub(crate) fn assemble(
+        &mut self,
+        network: NetworkModel,
+        master_seed: u64,
+    ) -> io::Result<ProcCluster> {
         let session = self.next_session;
         self.next_session += 1;
-        let start = Instant::now();
-        let deadline = start + self.config.join_timeout;
+        let deadline = Instant::now() + self.config.join_timeout;
         let mut table = MembershipTable::new(self.config.expected);
         let mut slots: Vec<Option<TcpStream>> =
             (0..self.config.expected).map(|_| None).collect();
         while !table.is_full() {
+            // Checked on every iteration, not only when the backlog is
+            // empty: a peer that keeps reconnecting with refused or
+            // garbage JOINs must not be able to hold the session open.
+            if Instant::now() >= deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "rendezvous timed out: {} of {} workers joined session {session}",
+                        table.joined(),
+                        table.expected()
+                    ),
+                ));
+            }
             match self.listener.accept() {
                 Ok((mut stream, peer)) => {
-                    stream.set_nonblocking(false)?;
-                    match master_handshake(&mut stream, &mut table, session, master_seed) {
+                    let admitted = stream
+                        .set_nonblocking(false)
+                        .map_err(HandshakeError::Io)
+                        .and_then(|()| {
+                            master_handshake(&mut stream, &mut table, session, master_seed)
+                        });
+                    match admitted {
                         Ok(id) => slots[id as usize] = Some(stream),
-                        Err(e) => {
-                            eprintln!(
-                                "dim master: refused joiner {peer} for session {session}: {e}"
-                            );
-                        }
+                        Err(e) => eprintln!(
+                            "dim master: refused joiner {peer} for session {session}: {e}"
+                        ),
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "rendezvous timed out: {} of {} workers joined session {session}",
-                                table.joined(),
-                                table.expected()
-                            ),
-                        ));
-                    }
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) => return Err(e),
             }
         }
-        let latency = start.elapsed();
         let streams = slots
             .into_iter()
             .map(|s| s.expect("full membership table implies a stream per slot"))
             .collect();
-        let mut inner = ProcCluster::from_streams(
-            streams,
-            Vec::new(),
-            network,
-            master_seed,
-            session,
-            self.config.heartbeat_timeout,
-        )?;
-        inner.record(
-            phase::RENDEZVOUS,
-            ClusterMetrics {
-                master_compute: latency,
-                phases: 1,
-                ..Default::default()
-            },
-        );
-        Ok(JoinCluster {
-            inner,
-            rendezvous_latency: latency,
-        })
-    }
-}
-
-/// A cluster whose membership was assembled from registrations
-/// ([`Rendezvous::accept_session`]) instead of spawning.
-///
-/// Runs the identical op protocol as [`ProcCluster`] — algorithms cannot
-/// tell the backends apart, which is what makes join-mode results
-/// byte-identical to spawn-mode and sequential runs. The difference is
-/// ownership: a `JoinCluster` owns only the *links*. Dropping it sends
-/// the Shutdown op, which ends the session; the worker processes survive
-/// and re-register with the same [`Rendezvous`] for the next session.
-pub struct JoinCluster {
-    inner: ProcCluster,
-    rendezvous_latency: Duration,
-}
-
-impl std::fmt::Debug for JoinCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JoinCluster")
-            .field("session", &self.session_id())
-            .field("machines", &self.num_machines())
-            .field("live_links", &self.live_links())
-            .field("rendezvous_latency", &self.rendezvous_latency)
-            .finish()
-    }
-}
-
-impl JoinCluster {
-    /// The session id this membership is valid for.
-    pub fn session_id(&self) -> u64 {
-        self.inner.session_id()
-    }
-
-    /// Wall-clock time from `accept_session` start to full membership
-    /// (also recorded under [`phase::RENDEZVOUS`] in the timeline).
-    pub fn rendezvous_latency(&self) -> Duration {
-        self.rendezvous_latency
-    }
-
-    /// The master seed the worker streams were derived from.
-    pub fn master_seed(&self) -> u64 {
-        self.inner.master_seed()
-    }
-
-    /// Number of link faults observed so far (dead links stay dead).
-    pub fn link_errors(&self) -> u64 {
-        self.inner.link_errors()
-    }
-
-    /// Number of links still alive.
-    pub fn live_links(&self) -> usize {
-        self.inner.live_links()
-    }
-
-    /// Probes every live link and fail-stops dead ones — see
-    /// [`ProcCluster::heartbeat`].
-    pub fn heartbeat(&mut self) -> Result<(), WireError> {
-        self.inner.heartbeat()
-    }
-
-    /// Arms (or clears) the socket-level chaos injector — see
-    /// [`ProcCluster::set_chaos`].
-    pub fn set_chaos(&mut self, injector: Option<crate::faults::FaultInjector>) {
-        self.inner.set_chaos(injector);
-    }
-
-    /// The armed chaos injector, if any — see
-    /// [`ProcCluster::chaos_injector`].
-    pub fn chaos_injector(&self) -> Option<&crate::faults::FaultInjector> {
-        self.inner.chaos_injector()
-    }
-}
-
-impl ClusterBackend for JoinCluster {
-    fn num_machines(&self) -> usize {
-        self.inner.num_machines()
-    }
-
-    fn network(&self) -> NetworkModel {
-        self.inner.network()
-    }
-
-    fn timeline(&self) -> &PhaseTimeline {
-        self.inner.timeline()
-    }
-
-    fn record(&mut self, label: &'static str, delta: ClusterMetrics) {
-        self.inner.record(label, delta);
-    }
-}
-
-impl OpCluster for JoinCluster {
-    fn exec_ops<F>(
-        &mut self,
-        down_label: Option<&'static str>,
-        up_label: &'static str,
-        op: F,
-    ) -> Result<Vec<WorkerReply>, WireError>
-    where
-        F: Fn(usize) -> WorkerOp + Sync,
-    {
-        self.inner.exec_ops(down_label, up_label, op)
-    }
-
-    fn exec_ops_each<F>(
-        &mut self,
-        down_label: Option<&'static str>,
-        up_label: &'static str,
-        op: F,
-    ) -> Vec<Result<WorkerReply, WireError>>
-    where
-        F: Fn(usize) -> WorkerOp + Sync,
-    {
-        self.inner.exec_ops_each(down_label, up_label, op)
+        ProcCluster::from_streams(streams, network, session, self.config.heartbeat_timeout)
     }
 }
 
@@ -994,11 +874,7 @@ impl Default for JoinOptions {
 /// The worker's optional join deadline: `DIM_JOIN_DEADLINE_SECS` (whole
 /// seconds), unset = retry forever.
 pub fn join_deadline_env() -> Option<Duration> {
-    std::env::var("DIM_JOIN_DEADLINE_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|&secs| secs > 0)
-        .map(Duration::from_secs)
+    env_secs("DIM_JOIN_DEADLINE_SECS")
 }
 
 /// Connects to `addr` and completes the join handshake, retrying
@@ -1063,12 +939,14 @@ pub struct JoinedSession {
 
 /// Joins a master at `addr` and serves one full session.
 ///
-/// `setup(&welcome)` builds (or re-binds) the op executor once membership
-/// is known — a join-mode `dim-worker` passes a closure that resets its
-/// long-lived host state to the session's machine id and master seed and
-/// returns `&mut host`, keeping an already-loaded graph across sessions.
-/// Returns when the master ends the session; the binary loops this to
-/// re-register for the next run.
+/// The only worker-side session entry point: `dim-worker` (with or
+/// without `--join`) and the threads of [`ProcCluster::local_with`] all
+/// come through here. `setup(&welcome)` builds (or re-binds) the op
+/// executor once membership is known — `dim-worker` passes a closure that
+/// resets its long-lived host state to the session's machine id and
+/// master seed and returns `&mut host`, keeping an already-loaded graph
+/// across sessions. Returns when the master ends the session;
+/// `dim-worker --join` loops this to re-register for the next run.
 pub fn run_join_worker<E, F>(
     addr: &str,
     opts: &JoinOptions,
@@ -1088,7 +966,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{expect_counts, OpCluster};
+    use crate::ops::{expect_counts, OpCluster, WorkerOp, WorkerReply};
     use crate::wire::WireErrorKind;
 
     #[test]
@@ -1343,7 +1221,8 @@ mod tests {
             let m = cluster.timeline().get(phase::RENDEZVOUS);
             assert_eq!(m.phases, 1);
             assert_eq!(m.bytes_to_master + m.bytes_from_master, 0);
-            assert_eq!(m.master_compute, cluster.rendezvous_latency());
+            assert!(m.master_compute > Duration::ZERO);
+            assert_eq!(m, cluster.metrics(), "nothing else is recorded at assembly");
             cluster.heartbeat().unwrap();
             cluster
                 .control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
@@ -1451,11 +1330,13 @@ mod tests {
 
     #[test]
     fn rendezvous_times_out_naming_partial_membership() {
+        use std::sync::mpsc;
         let mut config = test_config(2);
         config.join_timeout = Duration::from_millis(300);
         let mut rdv = Rendezvous::bind("127.0.0.1:0", config).unwrap();
-        let addr = rdv.local_addr().unwrap().to_string();
+        let master = rdv.local_addr().unwrap();
         // Only one of the two expected workers ever joins.
+        let (joined_tx, joined_rx) = mpsc::channel();
         let lone = std::thread::spawn(move || {
             let opts = JoinOptions {
                 requested: Some(0),
@@ -1463,17 +1344,45 @@ mod tests {
                 deadline: Some(Duration::from_secs(10)),
             };
             let mut tally = Tally(0);
-            run_join_worker(&addr, &opts, None, |_| &mut tally)
+            run_join_worker(&master.to_string(), &opts, None, |_| {
+                let _ = joined_tx.send(());
+                &mut tally
+            })
         });
+        // A hostile peer keeps the accept backlog non-empty for ~3 s, far
+        // past the join timeout: it queues 60 connections at once and feeds
+        // each a junk JOIN 50 ms after the previous one, so whenever the
+        // master has refused one, the next is already waiting to be
+        // accepted. The deadline must hold regardless.
+        let (stop_tx, stop_rx) = mpsc::channel::<()>();
+        let hostile = std::thread::spawn(move || {
+            use std::io::Write;
+            joined_rx.recv().expect("the lone worker joins first");
+            let mut queued: Vec<TcpStream> =
+                (0..60).filter_map(|_| TcpStream::connect(master).ok()).collect();
+            for stream in &mut queued {
+                let tick = stop_rx.recv_timeout(Duration::from_millis(50));
+                if tick != Err(mpsc::RecvTimeoutError::Timeout) {
+                    break;
+                }
+                let _ = stream.write_all(&[0xff; 16]);
+            }
+        });
+        let start = Instant::now();
         let err = rdv
             .accept_session(NetworkModel::cluster_1gbps(), 1)
-            .unwrap_err();
+            .err()
+            .expect("one of two workers is not a cluster");
+        let waited = start.elapsed();
+        drop(stop_tx);
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert!(err.to_string().contains("1 of 2"), "{err}");
+        assert!(waited < Duration::from_secs(2), "deadline ignored for {waited:?}");
         drop(rdv);
         // The joined worker sees the master hang up — a clean session end.
         let session = lone.join().unwrap().unwrap();
         assert_eq!(session.end, SessionEnd::Disconnected);
+        hostile.join().unwrap();
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! | 5      | HEARTBEAT | m ⇄ w     | [`rendezvous::Heartbeat`] (session, seq) — worker echoes |
 //! | 6      | REJECT    | m → w     | [`rendezvous::Reject`] (reason)          |
 //!
-//! Every connection — spawned worker or join-mode worker — handshakes the
-//! same way (protocol v2): the worker sends JOIN, the master registers it
+//! Every connection — from a spawned process, an in-process thread or an
+//! operator-started `dim-worker --join` — is accepted by the same loop
+//! ([`rendezvous::Rendezvous`]) and handshakes the same way (protocol v2):
+//! the worker sends JOIN, the master registers it
 //! in a [`rendezvous::MembershipTable`] and answers WELCOME (or REJECT
 //! with a typed reason), and the worker confirms with HELLO carrying the
 //! stream seed it derived from the WELCOME. The master cross-checks that
@@ -66,11 +68,12 @@
 //!
 //! The master binds `127.0.0.1:0` by default; set `DIM_MASTER_BIND` (e.g.
 //! `0.0.0.0:7070`) to accept workers from other hosts. Workers are told
-//! where to connect via `--addr` (or the `DIM_WORKER_ADDR` environment
-//! variable) — groundwork for multi-host runs beyond loopback.
+//! where to connect via `--connect` (or the `DIM_WORKER_ADDR` environment
+//! variable); [`ProcCluster::spawn`] passes its own bound address to the
+//! children it launches.
 
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::backend::{phase, ClusterBackend};
@@ -78,7 +81,7 @@ use crate::faults::{FaultInjector, LinkDecision};
 use crate::metrics::{ClusterMetrics, PhaseTimeline};
 use crate::network::NetworkModel;
 use crate::ops::{OpCluster, OpExecutor, WorkerOp, WorkerReply};
-use crate::rendezvous::{self, Heartbeat, JoinHello, MembershipTable, Reject};
+use crate::rendezvous::{self, Heartbeat, JoinConfig, JoinOptions, Reject, Rendezvous};
 use crate::wire::{WireError, WireErrorKind};
 
 pub use crate::wire::MAX_FRAME;
@@ -93,17 +96,24 @@ const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// and its REPLY.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The handshake/connect timeout, shared by the spawn and join paths:
-/// `DIM_HANDSHAKE_TIMEOUT_SECS` (whole seconds) or 10 s. Bounds every
-/// pre-membership read — accept loops, JOIN/WELCOME/HELLO exchanges — and
-/// the join-mode worker's connect attempts.
-pub fn handshake_timeout() -> Duration {
-    std::env::var("DIM_HANDSHAKE_TIMEOUT_SECS")
+/// A positive whole-seconds duration from environment variable `name`;
+/// unset, unparsable or zero reads as `None`. Every timeout knob of this
+/// crate goes through here.
+pub(crate) fn env_secs(name: &str) -> Option<Duration> {
+    std::env::var(name)
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
         .filter(|&secs| secs > 0)
         .map(Duration::from_secs)
-        .unwrap_or(DEFAULT_HANDSHAKE_TIMEOUT)
+}
+
+/// The handshake/connect timeout: `DIM_HANDSHAKE_TIMEOUT_SECS` (whole
+/// seconds) or 10 s. Bounds every pre-membership read — the
+/// JOIN/WELCOME/HELLO exchanges — every worker connect attempt, and how
+/// long a cluster that launches its own workers ([`ProcCluster::spawn`],
+/// [`ProcCluster::local_with`]) waits for them to join.
+pub fn handshake_timeout() -> Duration {
+    env_secs("DIM_HANDSHAKE_TIMEOUT_SECS").unwrap_or(DEFAULT_HANDSHAKE_TIMEOUT)
 }
 
 /// Frame opcodes (see the module docs for the protocol table).
@@ -118,7 +128,7 @@ pub(crate) mod frame {
 }
 
 /// Fault injections for protocol tests (worker side), passed in process to
-/// [`run_worker_with_fault`] / [`ProcCluster::local_with_faults`].
+/// [`rendezvous::run_join_worker`] / [`ProcCluster::local_with_faults`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFault {
     /// On the `request`-th reply (1-based), declare a full frame but send
@@ -133,57 +143,17 @@ pub enum WorkerFault {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionEnd {
     /// The master sent [`WorkerOp::Shutdown`]; the session is over but the
-    /// master process may still be alive (join-mode workers re-register
+    /// master process may still be alive (`--join` workers re-register
     /// for the next session).
     Shutdown,
     /// The master hung up (EOF) without a shutdown op — equally clean.
     Disconnected,
 }
 
-/// Serves the worker side of the protocol until [`WorkerOp::Shutdown`] or
-/// master disconnect, answering every op via `executor`.
-///
-/// This is the entire body of the `dim-worker` binary's spawn mode; tests
-/// call it on a thread with one end of a loopback socket pair. Returns
-/// `Ok(())` on both clean exits (shutdown op, EOF) so process workers
-/// exit 0.
-pub fn run_worker<E: OpExecutor>(
-    stream: TcpStream,
-    machine_id: u32,
-    master_seed: u64,
-    executor: &mut E,
-) -> io::Result<()> {
-    run_worker_with_fault(stream, machine_id, master_seed, executor, None)
-}
-
-/// [`run_worker`] with an optional injected fault.
-///
-/// Spawn-mode preamble: the worker was launched knowing its machine id and
-/// the master seed, so it requests exactly that slot through the v2
-/// JOIN/WELCOME/HELLO handshake and cross-checks the WELCOME against its
-/// command line before serving ops.
-pub fn run_worker_with_fault<E: OpExecutor>(
-    mut stream: TcpStream,
-    machine_id: u32,
-    master_seed: u64,
-    executor: &mut E,
-    fault: Option<WorkerFault>,
-) -> io::Result<()> {
-    let welcome = rendezvous::join_handshake(&mut stream, JoinHello::new(Some(machine_id)))
-        .map_err(|e| e.into_io())?;
-    if welcome.master_seed != master_seed {
-        return Err(protocol_err(&format!(
-            "WELCOME master seed {} does not match --master-seed {}",
-            welcome.master_seed, master_seed
-        )));
-    }
-    serve_session(stream, machine_id, executor, fault).map(|_| ())
-}
-
 /// Serves one session's op loop after a completed handshake: answers OP
-/// frames, echoes HEARTBEAT frames, and returns how the session ended.
-/// Shared by the spawn path ([`run_worker`]) and the join path
-/// ([`rendezvous::run_join_worker`]).
+/// frames, echoes HEARTBEAT frames, and returns how the session ended —
+/// `Ok` on both clean ends (shutdown op, master hang-up). The op loop of
+/// every worker, reached through [`rendezvous::run_join_worker`].
 pub(crate) fn serve_session<E: OpExecutor>(
     mut stream: TcpStream,
     machine_id: u32,
@@ -196,27 +166,24 @@ pub(crate) fn serve_session<E: OpExecutor>(
     // last heartbeat echo may still sit unread in its receive buffer, so
     // the close arrives as an RST: the next read or write here fails with
     // ConnectionReset/BrokenPipe rather than UnexpectedEof. All of those
-    // mean the same thing to a worker (especially a join-mode one, which
+    // mean the same thing to a worker (especially a `--join` one, which
     // re-registers for the next session), so map the whole family to
-    // `SessionEnd::Disconnected`.
-    let disconnected = |e: &io::Error| {
-        matches!(
-            e.kind(),
-            io::ErrorKind::UnexpectedEof
-                | io::ErrorKind::BrokenPipe
-                | io::ErrorKind::ConnectionReset
-                | io::ErrorKind::ConnectionAborted
-        )
+    // `SessionEnd::Disconnected` and pass every other error through.
+    let disconnected = |e: io::Error| match e.kind() {
+        io::ErrorKind::UnexpectedEof
+        | io::ErrorKind::BrokenPipe
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::ConnectionAborted => {
+            eprintln!("dim-worker[{machine_id}]: master disconnected, exiting session");
+            Ok(SessionEnd::Disconnected)
+        }
+        _ => Err(e),
     };
     let mut replies = 0usize;
     loop {
         let (opcode, body) = match read_frame(&mut stream) {
             Ok(f) => f,
-            Err(e) if disconnected(&e) => {
-                eprintln!("dim-worker[{machine_id}]: master disconnected, exiting session");
-                return Ok(SessionEnd::Disconnected);
-            }
-            Err(e) => return Err(e),
+            Err(e) => return disconnected(e),
         };
         match opcode {
             frame::OP => {}
@@ -225,16 +192,10 @@ pub(crate) fn serve_session<E: OpExecutor>(
                 if Heartbeat::decode(&body).is_none() {
                     return Err(protocol_err("malformed heartbeat"));
                 }
-                match write_frame(&mut stream, frame::HEARTBEAT, &body) {
-                    Ok(()) => continue,
-                    Err(e) if disconnected(&e) => {
-                        eprintln!(
-                            "dim-worker[{machine_id}]: master disconnected, exiting session"
-                        );
-                        return Ok(SessionEnd::Disconnected);
-                    }
-                    Err(e) => return Err(e),
+                if let Err(e) = write_frame(&mut stream, frame::HEARTBEAT, &body) {
+                    return disconnected(e);
                 }
+                continue;
             }
             frame::REJECT => {
                 let reason = Reject::decode(&body)
@@ -265,13 +226,8 @@ pub(crate) fn serve_session<E: OpExecutor>(
             return Ok(SessionEnd::Disconnected);
         }
         let body = [&elapsed.to_le_bytes()[..], &reply.encode()].concat();
-        match write_frame(&mut stream, frame::REPLY, &body) {
-            Ok(()) => {}
-            Err(e) if disconnected(&e) => {
-                eprintln!("dim-worker[{machine_id}]: master disconnected, exiting session");
-                return Ok(SessionEnd::Disconnected);
-            }
-            Err(e) => return Err(e),
+        if let Err(e) = write_frame(&mut stream, frame::REPLY, &body) {
+            return disconnected(e);
         }
     }
 }
@@ -282,17 +238,50 @@ struct Link {
     alive: bool,
 }
 
-/// What keeps a worker endpoint running.
-pub(crate) enum Served {
+/// A worker endpoint this master launched itself and therefore reaps.
+enum Served {
     /// A spawned `dim-worker` OS process.
     Process(std::process::Child),
-    /// An in-process thread serving [`run_worker`] (test/fallback mode).
+    /// An in-process thread serving one session.
     Thread(std::thread::JoinHandle<io::Result<()>>),
 }
 
+impl Served {
+    /// Waits for the endpoint to finish, killing a process that is still
+    /// running after `grace`.
+    fn reap(self, grace: Duration) {
+        match self {
+            Served::Process(mut child) => {
+                let deadline = Instant::now() + grace;
+                loop {
+                    match child.try_wait() {
+                        Ok(Some(_)) => break,
+                        Ok(None) if Instant::now() < deadline => {
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                        _ => {
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            break;
+                        }
+                    }
+                }
+            }
+            Served::Thread(handle) => {
+                let _ = handle.join();
+            }
+        }
+    }
+}
+
 /// A master/worker cluster of ℓ machines, each a separate endpoint over
-/// TCP (OS processes via [`ProcCluster::spawn`], threads via
-/// [`ProcCluster::local_with`]), driven through serialized [`WorkerOp`]s.
+/// TCP, driven through serialized [`WorkerOp`]s. The only TCP cluster
+/// type: who *launched* the workers — this master as OS processes
+/// ([`ProcCluster::spawn`]) or threads ([`ProcCluster::local_with`]), or
+/// an operator ([`Rendezvous::accept_session`]) — is a fact about the
+/// deployment, not about the cluster. The one difference is ownership:
+/// workers the master launched are reaped on drop, operator-started ones
+/// only see their session end and re-register for the next.
 ///
 /// Worker state is *resident in the endpoints* — the master side carries no
 /// shard data, only one link per machine.
@@ -301,11 +290,11 @@ pub(crate) enum Served {
 pub struct ProcCluster {
     network: NetworkModel,
     timeline: PhaseTimeline,
-    master_seed: u64,
-    /// Rendezvous session this cluster was assembled for (0 for
-    /// spawn/thread clusters, which live exactly one session).
+    /// Rendezvous session this cluster was assembled for (1 for
+    /// spawn/thread clusters, whose rendezvous lives exactly one session).
     session: u64,
     links: Vec<Link>,
+    /// Workers this master launched (empty for operator-started ones).
     served: Vec<Served>,
     link_errors: u64,
     /// How long a heartbeat echo may take before the link fail-stops.
@@ -327,70 +316,36 @@ pub(crate) fn master_bind_addr() -> String {
 }
 
 impl ProcCluster {
-    /// Spawns `count` `dim-worker` OS processes and connects them over TCP.
+    /// Spawns `count` `dim-worker` OS processes and admits them over TCP.
     ///
     /// The worker binary is located via the `DIM_WORKER_BIN` environment
     /// variable, falling back to a `dim-worker` next to (or one directory
     /// above) the current executable — which covers `cargo test`, whose
     /// test binaries live in `target/<profile>/deps` while bin targets
-    /// land in `target/<profile>`. Errors if the binary cannot be found
-    /// or any worker fails to spawn/handshake, so callers can skip
-    /// gracefully where process spawning is unavailable.
+    /// land in `target/<profile>`. Errors if the binary cannot be found,
+    /// a child fails to spawn, or the children have not all joined within
+    /// [`handshake_timeout`]; there is no fallback to threads.
     pub fn spawn(count: usize, network: NetworkModel, master_seed: u64) -> io::Result<Self> {
         let bin = worker_binary()?;
-        Self::spawn_with_bin(count, network, master_seed, &bin)
-    }
-
-    /// [`ProcCluster::spawn`] with an explicit worker binary.
-    fn spawn_with_bin(
-        count: usize,
-        network: NetworkModel,
-        master_seed: u64,
-        bin: &std::path::Path,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(master_bind_addr())?;
-        let addr = listener.local_addr()?;
-        let mut children = Vec::with_capacity(count);
-        let mut spawn_all = || -> io::Result<Vec<TcpStream>> {
-            for id in 0..count {
-                let child = std::process::Command::new(bin)
-                    .arg("--addr")
-                    .arg(addr.to_string())
-                    .arg("--machine-id")
-                    .arg(id.to_string())
-                    .arg("--master-seed")
-                    .arg(master_seed.to_string())
-                    .stdin(std::process::Stdio::null())
-                    .spawn()?;
-                children.push(child);
-            }
-            accept_n(&listener, count)
-        };
-        match spawn_all() {
-            Ok(streams) => Self::assemble(
-                count,
-                network,
-                master_seed,
-                streams,
-                children.into_iter().map(Served::Process).collect(),
-            ),
-            Err(e) => {
-                for mut c in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                Err(e)
-            }
-        }
+        Self::launch(&master_bind_addr(), count, network, master_seed, |id, addr| {
+            std::process::Command::new(&bin)
+                .arg("--connect")
+                .arg(addr.to_string())
+                .arg("--machine-id")
+                .arg(id.to_string())
+                .stdin(std::process::Stdio::null())
+                .spawn()
+                .map(Served::Process)
+        })
     }
 
     /// Builds a cluster whose machines are in-process threads serving the
     /// identical frame protocol over real loopback sockets, each running
     /// the executor `factory(machine_id)` produces.
     ///
-    /// This is the test seam and the fallback where spawning processes is
-    /// unavailable; everything except the process boundary (handshake,
-    /// framing, op dispatch, measured transfers) is exercised the same way.
+    /// This is the test seam and the benchmark's cluster; everything except
+    /// the process boundary (rendezvous, handshake, framing, op dispatch,
+    /// measured transfers) is exercised the same way.
     pub fn local_with<E, F>(
         count: usize,
         network: NetworkModel,
@@ -417,79 +372,65 @@ impl ProcCluster {
         E: OpExecutor + Send + 'static,
         F: Fn(usize) -> E,
     {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let mut served = Vec::with_capacity(count);
-        for id in 0..count {
+        Self::launch("127.0.0.1:0", count, network, master_seed, |id, addr| {
             let fault = faults.get(id).copied().flatten();
-            let mut executor = factory(id);
-            let handle = std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr)?;
-                run_worker_with_fault(stream, id as u32, master_seed, &mut executor, fault)
-            });
-            served.push(Served::Thread(handle));
-        }
-        let streams = accept_n(&listener, count)?;
-        Self::assemble(count, network, master_seed, streams, served)
+            let executor = factory(id);
+            let opts = JoinOptions {
+                requested: Some(id as u32),
+                caps: rendezvous::caps::ALL,
+                deadline: Some(handshake_timeout()),
+            };
+            Ok(Served::Thread(std::thread::spawn(move || {
+                rendezvous::run_join_worker(&addr.to_string(), &opts, fault, |_| executor)
+                    .map(|_| ())
+            })))
+        })
     }
 
-    /// [`ProcCluster::spawn`] if a worker binary is available and spawning
-    /// works, otherwise [`ProcCluster::local_with`] using `factory`. Never
-    /// fails for want of the binary alone.
-    pub fn auto_with<E, F>(
+    /// The one way a master launches its own workers: bind a
+    /// [`Rendezvous`] on `bind`, start `count` endpoints that join it
+    /// pinned to their machine id (`start(id, bound_addr)`), assemble one
+    /// session through the loop [`Rendezvous::accept_session`] uses, and
+    /// adopt the endpoints. The children were launched against this
+    /// listener only, so it closes with the session either way; on failure
+    /// every endpoint already started is reaped before the error returns.
+    fn launch(
+        bind: &str,
         count: usize,
         network: NetworkModel,
         master_seed: u64,
-        factory: F,
-    ) -> io::Result<Self>
-    where
-        E: OpExecutor + Send + 'static,
-        F: Fn(usize) -> E,
-    {
-        if let Ok(bin) = worker_binary() {
-            if let Ok(cluster) = Self::spawn_with_bin(count, network, master_seed, &bin) {
-                return Ok(cluster);
+        mut start: impl FnMut(usize, SocketAddr) -> io::Result<Served>,
+    ) -> io::Result<Self> {
+        let config = JoinConfig {
+            expected: count,
+            join_timeout: handshake_timeout(),
+            heartbeat_timeout: default_heartbeat_timeout(),
+        };
+        let mut rendezvous = Rendezvous::bind(bind, config)?;
+        let addr = rendezvous.local_addr()?;
+        let mut served = Vec::with_capacity(count);
+        let assembled = (0..count)
+            .try_for_each(|id| start(id, addr).map(|endpoint| served.push(endpoint)))
+            .and_then(|()| rendezvous.assemble(network, master_seed));
+        drop(rendezvous);
+        match assembled {
+            Ok(mut cluster) => {
+                cluster.served = served;
+                Ok(cluster)
+            }
+            Err(e) => {
+                served.into_iter().for_each(|endpoint| endpoint.reap(Duration::ZERO));
+                Err(e)
             }
         }
-        Self::local_with(count, network, master_seed, factory)
     }
 
-    /// Handshakes `streams` (in any order — the JOIN carries each worker's
-    /// requested machine id) and assembles the cluster. Spawn-mode
-    /// assembly is strict: any handshake failure fails the whole
-    /// construction, because the master launched exactly `count` workers
-    /// itself.
-    fn assemble(
-        count: usize,
-        network: NetworkModel,
-        master_seed: u64,
-        streams: Vec<TcpStream>,
-        served: Vec<Served>,
-    ) -> io::Result<Self> {
-        assert!(count > 0, "cluster needs at least one machine");
-        let mut table = MembershipTable::new(count);
-        let mut slots: Vec<Option<TcpStream>> = (0..count).map(|_| None).collect();
-        for mut stream in streams {
-            let id = rendezvous::master_handshake(&mut stream, &mut table, 0, master_seed)
-                .map_err(|e| e.into_io())?;
-            slots[id as usize] = Some(stream);
-        }
-        let links = slots
-            .into_iter()
-            .map(|s| s.ok_or_else(|| protocol_err("missing worker connection")))
-            .collect::<io::Result<Vec<_>>>()?;
-        Self::from_streams(links, served, network, master_seed, 0, default_heartbeat_timeout())
-    }
-
-    /// Builds a cluster from fully handshaked streams in machine order.
-    /// `served` may be empty (join-mode clusters do not own their worker
-    /// processes). Shared by [`ProcCluster::assemble`] and
-    /// [`rendezvous::Rendezvous::accept_session`].
+    /// Builds a cluster from fully handshaked streams in machine order;
+    /// it owns the links and, until [`ProcCluster::launch`] hands it any,
+    /// no worker endpoints.
     pub(crate) fn from_streams(
         streams: Vec<TcpStream>,
-        served: Vec<Served>,
         network: NetworkModel,
-        master_seed: u64,
         session: u64,
         heartbeat_timeout: Duration,
     ) -> io::Result<Self> {
@@ -502,10 +443,9 @@ impl ProcCluster {
         Ok(ProcCluster {
             network,
             timeline: PhaseTimeline::new(),
-            master_seed,
             session,
             links,
-            served,
+            served: Vec::new(),
             link_errors: 0,
             heartbeat_timeout,
             heartbeat_interval: default_heartbeat_interval(),
@@ -540,11 +480,6 @@ impl ProcCluster {
         let _ = self.links[i].stream.shutdown(std::net::Shutdown::Both);
     }
 
-    /// The master seed the worker streams were derived from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Number of link faults observed so far (dead links stay dead).
     pub fn link_errors(&self) -> u64 {
         self.link_errors
@@ -555,8 +490,9 @@ impl ProcCluster {
         self.links.iter().filter(|l| l.alive).count()
     }
 
-    /// OS process ids of the spawned worker processes (empty for
-    /// thread-served clusters). Lets tests verify no orphans survive drop.
+    /// OS process ids of the spawned worker processes (empty for thread-
+    /// and operator-served clusters). Lets tests verify no orphans survive
+    /// drop.
     pub fn worker_pids(&self) -> Vec<u32> {
         self.served
             .iter()
@@ -567,8 +503,8 @@ impl ProcCluster {
             .collect()
     }
 
-    /// The rendezvous session this cluster belongs to (0 when the master
-    /// spawned its own workers).
+    /// The rendezvous session this cluster belongs to (counted from 1 per
+    /// [`Rendezvous`]; always 1 when the master launched its own workers).
     pub fn session_id(&self) -> u64 {
         self.session
     }
@@ -731,12 +667,7 @@ impl ProcCluster {
 /// The heartbeat-echo deadline: `DIM_HEARTBEAT_TIMEOUT_SECS` (whole
 /// seconds) or 5 s.
 pub(crate) fn default_heartbeat_timeout() -> Duration {
-    std::env::var("DIM_HEARTBEAT_TIMEOUT_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|&secs| secs > 0)
-        .map(Duration::from_secs)
-        .unwrap_or(Duration::from_secs(5))
+    env_secs("DIM_HEARTBEAT_TIMEOUT_SECS").unwrap_or(Duration::from_secs(5))
 }
 
 /// The *mid-phase* idle-link probe interval: `DIM_HEARTBEAT_INTERVAL_SECS`
@@ -751,38 +682,7 @@ pub(crate) fn default_heartbeat_timeout() -> Duration {
 /// bounded by the companion knob `DIM_HEARTBEAT_TIMEOUT_SECS` (see
 /// [`default_heartbeat_timeout`] above).
 pub(crate) fn default_heartbeat_interval() -> Option<Duration> {
-    std::env::var("DIM_HEARTBEAT_INTERVAL_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|&secs| secs > 0)
-        .map(Duration::from_secs)
-}
-
-/// Accepts exactly `n` connections, bounded by [`handshake_timeout`]
-/// overall.
-fn accept_n(listener: &TcpListener, n: usize) -> io::Result<Vec<TcpStream>> {
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + handshake_timeout();
-    let mut streams = Vec::with_capacity(n);
-    while streams.len() < n {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                streams.push(stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "workers did not all connect",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(streams)
+    env_secs("DIM_HEARTBEAT_INTERVAL_SECS")
 }
 
 /// Locates the `dim-worker` binary (see [`ProcCluster::spawn`]).
@@ -825,30 +725,10 @@ impl Drop for ProcCluster {
             }
             let _ = link.stream.shutdown(std::net::Shutdown::Both);
         }
-        for served in self.served.drain(..) {
-            match served {
-                Served::Process(mut child) => {
-                    // The Shutdown op (or the closed socket) makes workers
-                    // exit; give them a moment, then make sure.
-                    let deadline = Instant::now() + Duration::from_secs(2);
-                    loop {
-                        match child.try_wait() {
-                            Ok(Some(_)) => break,
-                            Ok(None) if Instant::now() < deadline => {
-                                std::thread::sleep(Duration::from_millis(10));
-                            }
-                            _ => {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                break;
-                            }
-                        }
-                    }
-                }
-                Served::Thread(handle) => {
-                    let _ = handle.join();
-                }
-            }
+        // The Shutdown op (or the closed socket) ends the one session a
+        // launched worker serves; give processes a moment, then make sure.
+        for endpoint in self.served.drain(..) {
+            endpoint.reap(Duration::from_secs(2));
         }
     }
 }
@@ -1031,7 +911,7 @@ impl OpCluster for ProcCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rendezvous::PROTOCOL_VERSION;
+    use crate::rendezvous::{JoinHello, MembershipTable, PROTOCOL_VERSION};
     use crate::backend::phase;
     use crate::ops::{expect_counts, expect_ok};
     use crate::runtime::{ExecMode, SimCluster};
@@ -1244,9 +1124,9 @@ mod tests {
     #[test]
     fn rejects_seed_mismatch_in_handshake() {
         // A worker whose confirming HELLO advertises the wrong stream seed
-        // is refused at construction: the cross-process RNG contract is
+        // is refused at the handshake: the cross-process RNG contract is
         // load-bearing.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let bogus = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
@@ -1271,13 +1151,14 @@ mod tests {
                 );
             }
         });
-        let streams = accept_n(&listener, 1).unwrap();
-        let err = match ProcCluster::assemble(1, NetworkModel::zero(), 1, streams, Vec::new()) {
-            Ok(_) => panic!("seed mismatch accepted"),
-            Err(e) => e,
-        };
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut table = MembershipTable::new(1);
+        let err = rendezvous::master_handshake(&mut stream, &mut table, 1, 1)
+            .expect_err("seed mismatch accepted");
         assert!(err.to_string().contains("seed mismatch"), "{err}");
-        let _ = bogus.join();
+        // The refused worker's slot is free again for a replacement.
+        assert_eq!(table.joined(), 0);
+        bogus.join().unwrap();
     }
 
     #[test]
@@ -1286,8 +1167,8 @@ mod tests {
         // shorter than the 8-byte elapsed-time prefix. The old decode path
         // folded this into generic malformed; it must surface as a typed
         // truncation naming the machine — and never panic.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let mut rendezvous = Rendezvous::bind("127.0.0.1:0", JoinConfig::new(1)).unwrap();
+        let addr = rendezvous.local_addr().unwrap();
         let hostile = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             rendezvous::join_handshake(&mut s, JoinHello::new(Some(0))).unwrap();
@@ -1297,9 +1178,7 @@ mod tests {
             // Hold the socket until the master tears it down.
             let _ = read_frame(&mut s);
         });
-        let streams = accept_n(&listener, 1).unwrap();
-        let mut cluster =
-            ProcCluster::assemble(1, NetworkModel::zero(), 7, streams, Vec::new()).unwrap();
+        let mut cluster = rendezvous.accept_session(NetworkModel::zero(), 7).unwrap();
         let err = cluster
             .control(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
             .unwrap_err();

@@ -1,0 +1,96 @@
+//! The workspace's one strict little-endian byte cursor.
+//!
+//! Every hand-written binary format in the workspace — edge
+//! [`DeltaBatch`](crate::DeltaBatch)es here, worker ops and rendezvous
+//! frames in `dim-cluster` (which re-exports these items as
+//! `dim_cluster::ops::{Reader, put_u32, put_u64}`), snapshot files in
+//! `dim-store`, query frames in `dim-serve` — decodes through [`Reader`],
+//! so "truncation or trailing bytes are an error, never a panic" is one
+//! implementation.
+//!
+//! Everything here is `#[inline]`: the codecs call these per 4-byte field
+//! from other crates, and without it each read is a cross-crate function
+//! call (`maxcover-tcp` decodes 29 MB of deltas per operation this way —
+//! its wire throughput drops from 3.6 GB/s to 1.4 GB/s).
+
+/// Strict little-endian cursor over a byte slice. Every read is
+/// length-checked; [`Reader::finish`] rejects trailing bytes, so a decode
+/// accepts exactly the canonical encoding and nothing else.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Starts a cursor at the beginning of `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf }
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Option<u8> {
+        let (&b, rest) = self.buf.split_first()?;
+        self.buf = rest;
+        Some(b)
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Option<u32> {
+        let bytes = self.take(4)?;
+        Some(u32::from_le_bytes(bytes.try_into().unwrap()))
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Option<u64> {
+        let bytes = self.take(8)?;
+        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
+    }
+
+    /// Reads a little-endian `f32` (raw IEEE-754 bits, NaNs included).
+    #[inline]
+    pub fn f32(&mut self) -> Option<f32> {
+        let bytes = self.take(4)?;
+        Some(f32::from_le_bytes(bytes.try_into().unwrap()))
+    }
+
+    /// Reads `n` raw bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.buf.len() < n {
+            return None;
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Some(head)
+    }
+
+    /// Bytes not yet consumed. Decoders bounds-check length prefixes
+    /// against this *before* allocating, so a hostile count can never
+    /// trigger an oversized allocation.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Consumes the cursor, failing if any input remains — the canonical
+    /// "no trailing bytes" check every strict decoder ends with.
+    #[inline]
+    pub fn finish(self) -> Option<()> {
+        self.buf.is_empty().then_some(())
+    }
+}
+
+/// Appends a little-endian `u32`.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}

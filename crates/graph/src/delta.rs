@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::builder::GraphBuilder;
+use crate::codec::Reader;
 use crate::csr::Graph;
 use crate::weights::WeightModel;
 use crate::NodeId;
@@ -97,58 +98,6 @@ impl std::error::Error for DeltaError {}
 
 fn corrupt(msg: impl Into<String>) -> DeltaError {
     DeltaError::Corrupt(msg.into())
-}
-
-/// Strict little-endian reader over a byte slice (mirrors the cluster wire
-/// codecs: every truncation or trailing byte is an error, never a panic).
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DeltaError> {
-        if self.remaining() < n {
-            return Err(corrupt(format!(
-                "need {n} bytes, {} remain",
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DeltaError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DeltaError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DeltaError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, DeltaError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn finish(self) -> Result<(), DeltaError> {
-        if self.remaining() != 0 {
-            return Err(corrupt(format!("{} trailing bytes", self.remaining())));
-        }
-        Ok(())
-    }
 }
 
 impl DeltaBatch {
@@ -230,9 +179,10 @@ impl DeltaBatch {
     /// truncation, pathological counts, and trailing bytes are all
     /// [`DeltaError::Corrupt`] — never a panic or over-allocation.
     pub fn decode(bytes: &[u8]) -> Result<Self, DeltaError> {
+        let truncated = || corrupt("truncated delta batch");
         let mut r = Reader::new(bytes);
-        let seq = r.u64()?;
-        let count = r.u32()? as usize;
+        let seq = r.u64().ok_or_else(truncated)?;
+        let count = r.u32().ok_or_else(truncated)? as usize;
         // Each op is at least 9 bytes; bound the allocation by what the
         // buffer could actually hold.
         if count > r.remaining() / 9 {
@@ -243,18 +193,20 @@ impl DeltaBatch {
         }
         let mut ops = Vec::with_capacity(count);
         for _ in 0..count {
-            let tag = r.u8()?;
-            let u = r.u32()?;
-            let v = r.u32()?;
+            let tag = r.u8().ok_or_else(truncated)?;
+            let u = r.u32().ok_or_else(truncated)?;
+            let v = r.u32().ok_or_else(truncated)?;
             let op = match tag {
-                TAG_INSERT => EdgeOp::Insert { u, v, p: r.f32()? },
+                TAG_INSERT => EdgeOp::Insert { u, v, p: r.f32().ok_or_else(truncated)? },
                 TAG_DELETE => EdgeOp::Delete { u, v },
-                TAG_REWEIGHT => EdgeOp::Reweight { u, v, p: r.f32()? },
+                TAG_REWEIGHT => {
+                    EdgeOp::Reweight { u, v, p: r.f32().ok_or_else(truncated)? }
+                }
                 t => return Err(corrupt(format!("unknown edge-op tag {t}"))),
             };
             ops.push(op);
         }
-        r.finish()?;
+        r.finish().ok_or_else(|| corrupt("trailing bytes after the last op"))?;
         Ok(DeltaBatch { seq, ops })
     }
 }

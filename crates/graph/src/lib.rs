@@ -8,6 +8,8 @@
 //!   propagation probability per edge. Reverse adjacency is first-class
 //!   because reverse influence sampling (RIS) traverses incoming edges.
 //! * [`GraphBuilder`] — the mutable builder used by parsers and generators.
+//! * [`codec`] — the one strict little-endian byte cursor ([`codec::Reader`])
+//!   every binary format in the workspace decodes through.
 //! * [`delta`] — edge-stream mutations ([`EdgeOp`] / [`DeltaBatch`]) and the
 //!   [`DeltaGraph`] overlay that replays them into a fresh CSR.
 //! * [`WeightModel`] — the standard ways of assigning propagation
@@ -38,6 +40,7 @@ pub mod alias;
 pub mod analysis;
 pub mod binary;
 pub mod builder;
+pub mod codec;
 pub mod csr;
 pub mod delta;
 pub mod error;

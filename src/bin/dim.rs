@@ -248,10 +248,12 @@ fn model_of(flags: &Flags) -> Result<DiffusionModel, String> {
 enum Backend {
     /// In-process simulated cluster ([`SimCluster`]) in one of its modes.
     Sim(ExecMode),
-    /// One `dim-worker` process per machine over loopback TCP.
+    /// [`ProcCluster`] whose `dim-worker` processes this master spawns,
+    /// one per machine.
     Proc,
-    /// Pre-started `dim-worker --join` processes registering with this
-    /// master over TCP (multi-host capable; bind via `DIM_MASTER_BIND`).
+    /// [`ProcCluster`] of pre-started `dim-worker --join` processes that
+    /// register with this master (multi-host capable; bind via
+    /// `DIM_MASTER_BIND`).
     Join,
 }
 
@@ -265,25 +267,27 @@ fn backend_of(flags: &Flags) -> Result<Backend, String> {
     }
 }
 
-/// Spawns (or thread-hosts, when no `dim-worker` binary is discoverable)
-/// the worker processes for a proc-backend run.
-fn proc_cluster(machines: usize, net: NetworkModel, seed: u64) -> Result<ProcCluster, String> {
-    ProcCluster::auto_with(machines, net, seed, move |i| WorkerHost::new(i, seed))
-        .map_err(|e| format!("cannot start worker cluster: {e}"))
-}
-
-/// Assembles a join-mode cluster from pre-started workers: binds the
-/// advertised address (`DIM_MASTER_BIND`, default loopback), waits until
-/// all `machines` workers have registered (bounded by `--join-timeout` /
-/// `DIM_JOIN_TIMEOUT_SECS`), and reports where the cluster came up and
-/// how long rendezvous took. The latency also lands in the run's
-/// `--breakdown` timeline under the `rendezvous` phase.
-fn join_cluster(
+/// Assembles the TCP cluster for `--backend proc|join` — one cluster type,
+/// two ways its workers came to exist.
+///
+/// `proc` spawns one `dim-worker` process per machine (binary located via
+/// `DIM_WORKER_BIN` or next to this executable). `join` waits for
+/// pre-started workers: it binds the advertised address (`DIM_MASTER_BIND`,
+/// default loopback), waits until all `machines` workers have registered
+/// (bounded by `--join-timeout` / `DIM_JOIN_TIMEOUT_SECS`), and reports
+/// where the cluster came up and how long rendezvous took — the latency
+/// the run's `--breakdown` timeline shows under the `rendezvous` phase.
+fn tcp_cluster(
+    backend: Backend,
     machines: usize,
     net: NetworkModel,
     seed: u64,
     flags: &Flags,
-) -> Result<JoinCluster, String> {
+) -> Result<ProcCluster, String> {
+    if backend == Backend::Proc {
+        return ProcCluster::spawn(machines, net, seed)
+            .map_err(|e| format!("cannot start worker cluster: {e}"));
+    }
     let mut config = JoinConfig::new(machines);
     let timeout_secs = flags.num("join-timeout", 0u64)?;
     if timeout_secs > 0 {
@@ -302,7 +306,7 @@ fn join_cluster(
     eprintln!(
         "dim: session {} assembled in {:.3}s",
         cluster.session_id(),
-        cluster.rendezvous_latency().as_secs_f64()
+        cluster.timeline().get(phase::RENDEZVOUS).master_compute.as_secs_f64()
     );
     Ok(cluster)
 }
@@ -368,13 +372,8 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
             ("diimm" | "subsim", Backend::Sim(mode)) => {
                 diimm(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
-            ("diimm" | "subsim", Backend::Proc) => {
-                let mut cluster = proc_cluster(machines, net, config.seed)?;
-                setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
-                diimm_on(&mut cluster, &g, &config, true).map_err(|e| e.to_string())?
-            }
-            ("diimm" | "subsim", Backend::Join) => {
-                let mut cluster = join_cluster(machines, net, config.seed, flags)?;
+            ("diimm" | "subsim", Backend::Proc | Backend::Join) => {
+                let mut cluster = tcp_cluster(backend, machines, net, config.seed, flags)?;
                 setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
                 diimm_on(&mut cluster, &g, &config, true).map_err(|e| e.to_string())?
             }
@@ -408,7 +407,7 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs DiIMM on an op-driven cluster (spawned or joined) and has every
+/// Runs DiIMM on an op-driven cluster and has every
 /// worker persist its resident shard — each process writes its own file,
 /// the shard never crosses the wire.
 fn sample_on_ops<B: OpCluster>(
@@ -452,12 +451,8 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
     let r = match backend_of(flags)? {
         Backend::Sim(mode) => diimm_sample(&g, &config, machines, net, mode, &dir)
             .map_err(|e| e.to_string())?,
-        Backend::Proc => {
-            let mut cluster = proc_cluster(machines, net, config.seed)?;
-            sample_on_ops(&mut cluster, &g, &config, &dir)?
-        }
-        Backend::Join => {
-            let mut cluster = join_cluster(machines, net, config.seed, flags)?;
+        backend @ (Backend::Proc | Backend::Join) => {
+            let mut cluster = tcp_cluster(backend, machines, net, config.seed, flags)?;
             sample_on_ops(&mut cluster, &g, &config, &dir)?
         }
     };
@@ -912,7 +907,7 @@ fn print_breakdown(timeline: &PhaseTimeline) {
     }
 }
 
-/// Runs NewGreeDi over an op-driven cluster (spawned or joined): ships
+/// Runs NewGreeDi over an op-driven cluster: ships
 /// each machine its element partition, then executes the identical phase
 /// ops the simulated backends run.
 fn coverage_on_ops<B: OpCluster>(
@@ -946,14 +941,9 @@ fn cmd_coverage(flags: &Flags) -> Result<(), String> {
             let r = newgreedi(&mut cluster, k).map_err(|e| e.to_string())?;
             (r, cluster.metrics(), cluster.timeline().clone())
         }
-        Backend::Proc => {
+        backend @ (Backend::Proc | Backend::Join) => {
             let seed = flags.num("seed", 42u64)?;
-            let mut cluster = proc_cluster(machines, net, seed)?;
-            coverage_on_ops(&mut cluster, &problem, &shards, k)?
-        }
-        Backend::Join => {
-            let seed = flags.num("seed", 42u64)?;
-            let mut cluster = join_cluster(machines, net, seed, flags)?;
+            let mut cluster = tcp_cluster(backend, machines, net, seed, flags)?;
             coverage_on_ops(&mut cluster, &problem, &shards, k)?
         }
     };
@@ -1018,7 +1008,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
             diimm_on_recovering(cluster, &g, &config, true, policy).map_err(|e| e.to_string())?
         }
         Backend::Proc => {
-            let mut cluster = proc_cluster(machines, net, config.seed)?;
+            let mut cluster = tcp_cluster(Backend::Proc, machines, net, config.seed, flags)?;
             setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
             // Armed after setup, so plan rounds count op rounds from
             // the first algorithm phase — same clock as the simulator.

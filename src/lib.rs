@@ -55,7 +55,7 @@ pub use dim_store;
 pub mod prelude {
     pub use dim_cluster::{
         phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, FaultEvent, FaultEventKind,
-        FaultInjector, FaultPlan, JoinCluster, JoinConfig, JoinOptions, LinkDecision, LinkFault,
+        FaultInjector, FaultPlan, JoinConfig, JoinOptions, LinkDecision, LinkFault,
         NetworkModel, OpCluster, OpExecutor, Partition, PhaseTimeline, ProcCluster, Rendezvous,
         SamplerSpec, SessionEnd, SimCluster, WireError, WireErrorKind, WorkerOp, WorkerReply,
         WorkerStats,

@@ -321,13 +321,9 @@ mod stream {
             let counts: Vec<u64> = (0..machines as u64)
                 .map(|i| theta / machines as u64 + u64::from(i < theta % machines as u64))
                 .collect();
-            let mut proc = ProcCluster::auto_with(
-                machines,
-                NetworkModel::cluster_1gbps(),
-                config.seed,
-                move |i| WorkerHost::new(i, config.seed),
-            )
-            .expect("loopback worker cluster");
+            let mut proc =
+                ProcCluster::spawn(machines, NetworkModel::cluster_1gbps(), config.seed)
+                    .expect("spawn dim-worker processes");
             setup_im_cluster(&mut proc, &g, config.sampler).unwrap();
             let replies = proc
                 .control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
@@ -412,10 +408,8 @@ mod proc_backend {
     }
 
     fn proc_cluster(machines: usize, seed: u64) -> ProcCluster {
-        ProcCluster::auto_with(machines, NetworkModel::cluster_1gbps(), seed, move |i| {
-            WorkerHost::new(i, seed)
-        })
-        .expect("loopback worker cluster")
+        ProcCluster::spawn(machines, NetworkModel::cluster_1gbps(), seed)
+            .expect("spawn dim-worker processes")
     }
 
     /// DiIMM over worker-resident graph shards — both the §III-C
@@ -623,7 +617,6 @@ mod join_backend {
     use super::*;
     use dim_cluster::ops::expect_ok;
     use dim_cluster::tcp::WorkerFault;
-    use dim_cluster::JoinCluster;
     use dim_cluster::rendezvous::{self, JoinConfig, JoinOptions, Rendezvous};
     use dim_core::diimm::{diimm_on, diimm_with_options};
 
@@ -686,7 +679,7 @@ mod join_backend {
             .collect()
     }
 
-    fn accept(rendezvous: &mut Rendezvous, seed: u64) -> JoinCluster {
+    fn accept(rendezvous: &mut Rendezvous, seed: u64) -> ProcCluster {
         rendezvous
             .accept_session(NetworkModel::cluster_1gbps(), seed)
             .expect("loopback join workers assemble in time")
@@ -1021,14 +1014,9 @@ mod chaos {
             )
             .unwrap();
             let victim = machines - 1;
-            let seed = config.seed;
-            let mut cluster = ProcCluster::auto_with(
-                machines,
-                NetworkModel::cluster_1gbps(),
-                seed,
-                move |i| WorkerHost::new(i, seed),
-            )
-            .expect("loopback worker cluster");
+            let mut cluster =
+                ProcCluster::spawn(machines, NetworkModel::cluster_1gbps(), config.seed)
+                    .expect("spawn dim-worker processes");
             setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
             // Armed after setup so round 0 is the first algorithm op
             // round — the same clock the simulator's plan uses.
@@ -1073,14 +1061,8 @@ mod chaos {
             ExecMode::Sequential,
         )
         .unwrap();
-        let seed = config.seed;
-        let mut cluster = ProcCluster::auto_with(
-            machines,
-            NetworkModel::cluster_1gbps(),
-            seed,
-            move |i| WorkerHost::new(i, seed),
-        )
-        .expect("loopback worker cluster");
+        let mut cluster = ProcCluster::spawn(machines, NetworkModel::cluster_1gbps(), config.seed)
+            .expect("spawn dim-worker processes");
         setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
         cluster.set_chaos(Some(FaultInjector::new(
             FaultPlan {

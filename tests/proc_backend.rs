@@ -2,10 +2,11 @@
 //! processes, install resident state through setup ops, run phase ops
 //! against it, and verify (a) the replies match an in-process shard, (b)
 //! real transfer times are measured, and (c) dropping the cluster shuts
-//! every worker process down — no orphans. Cargo builds `dim-worker` for
+//! every worker process down — no orphans, and a launched worker never
+//! outlives a master it cannot reach. Cargo builds `dim-worker` for
 //! this test target, so a missing binary or a failed spawn is a failure.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dim::prelude::*;
 use dim_cluster::ops::{expect_deltas, expect_ok};
@@ -30,6 +31,7 @@ fn shard_records(machine: usize) -> Vec<Vec<u32>> {
 #[test]
 fn spawned_worker_processes_hold_shards_and_answer_ops() {
     let mut cluster = spawn_cluster(2, 42);
+    assert_eq!(cluster.session_id(), 1, "a spawned cluster is its rendezvous' one session");
     // State ships to the workers once; nothing is retained master-side.
     let replies = cluster
         .control(phase::SETUP, |i| WorkerOp::BuildShard {
@@ -85,7 +87,7 @@ fn join_rendezvous(machines: usize) -> dim_cluster::rendezvous::Rendezvous {
 
 /// Runs the Fig. 2 coverage workload on an assembled join session and
 /// checks the replies against in-process shards.
-fn run_coverage_session(cluster: &mut dim_cluster::JoinCluster, session: u64) {
+fn run_coverage_session(cluster: &mut ProcCluster, session: u64) {
     assert_eq!(cluster.session_id(), session);
     let replies = cluster
         .control(phase::SETUP, |i| WorkerOp::BuildShard {
@@ -197,13 +199,55 @@ fn dropping_the_cluster_leaves_no_orphan_processes() {
             "worker {pid} alive while cluster is up"
         );
     }
+    let dropping = Instant::now();
     drop(cluster);
     // Drop sends Shutdown ops and reaps each child (kill after a 2 s
-    // grace), so by now every pid must be gone from the process table.
+    // grace), so by now every pid must be gone from the process table —
+    // and promptly: a spawned worker serves one session and exits on the
+    // Shutdown op, it does not re-register and wait to be killed.
+    let took = dropping.elapsed();
+    assert!(took < Duration::from_secs(1), "drop ran into the kill grace: {took:?}");
     for &pid in &pids {
         assert!(
             !std::path::Path::new(&format!("/proc/{pid}")).exists(),
             "worker process {pid} survived ProcCluster drop"
         );
+    }
+}
+
+/// A worker launched the way `ProcCluster::spawn` launches it (no
+/// `--join`) bounds its registration by the handshake timeout: against a
+/// master that is not there it fails fast instead of retrying forever.
+#[test]
+fn launched_worker_gives_up_on_an_absent_master() {
+    // Bind-then-drop guarantees nothing listens on the port.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    drop(listener);
+    let start = Instant::now();
+    let status = std::process::Command::new(WORKER_BIN)
+        .args(["--connect", &addr, "--machine-id", "0"])
+        .env("DIM_HANDSHAKE_TIMEOUT_SECS", "1")
+        .env_remove("DIM_JOIN_DEADLINE_SECS")
+        .stdin(std::process::Stdio::null())
+        .status()
+        .expect("run dim-worker");
+    assert_eq!(status.code(), Some(1), "join failure is exit 1, got {status:?}");
+    assert!(start.elapsed() < Duration::from_secs(5), "took {:?}", start.elapsed());
+}
+
+/// The spawn-mode spellings are gone: the seed arrives in WELCOME and the
+/// address has one flag.
+#[test]
+fn removed_flag_spellings_are_unknown_arguments() {
+    for flag in ["addr", "master-seed"] {
+        let out = std::process::Command::new(WORKER_BIN)
+            .args([&format!("--{flag}"), "1", "--connect", "127.0.0.1:1"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run dim-worker");
+        assert_eq!(out.status.code(), Some(2), "--{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown argument"), "--{flag}: {err}");
     }
 }
