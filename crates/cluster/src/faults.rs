@@ -434,56 +434,39 @@ impl FaultPlan {
     }
 
     /// Serializes the plan as `dim chaos --plan` JSON (one object, stable
-    /// field order; `from_json ∘ to_json = id`).
+    /// field order; `from_json ∘ to_json = id` for every `u64` — values
+    /// from 2⁵³ up are written as decimal strings, see [`Json::as_u64`]).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"chaos_seed\":{},\"link_faults\":[", self.chaos_seed);
-        for (i, f) in self.link_faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"machine\":{},\"extra_latency_us\":{},\"jitter_us\":{},\
-                 \"loss_prob_ppm\":{},\"loss_retry_us\":{},\"stall_prob_ppm\":{},\
-                 \"stall_ms\":{},\"kill_at_round\":",
-                f.machine,
-                f.extra_latency_us,
-                f.jitter_us,
-                f.loss_prob_ppm,
-                f.loss_retry_us,
-                f.stall_prob_ppm,
-                f.stall_ms,
-            );
-            match f.kill_at_round {
-                Some(at) => {
-                    let _ = write!(out, "{at}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push('}');
-        }
-        out.push_str("],\"partitions\":[");
-        for (i, p) in self.partitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"from_round\":{},\"to_round\":{},\"heal_us\":{},\"machines\":[",
-                p.from_round, p.to_round, p.heal_us
-            );
-            for (j, m) in p.machines.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{m}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        let obj = |fields: Vec<(&str, Json)>| {
+            Json::Obj(fields.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
+        };
+        let (small, exact) = (|v: u32| Json::Num(f64::from(v)), Json::exact_u64);
+        let link_faults = self.link_faults.iter().map(|f| {
+            obj(vec![
+                ("machine", small(f.machine)),
+                ("extra_latency_us", exact(f.extra_latency_us)),
+                ("jitter_us", exact(f.jitter_us)),
+                ("loss_prob_ppm", small(f.loss_prob_ppm)),
+                ("loss_retry_us", exact(f.loss_retry_us)),
+                ("stall_prob_ppm", small(f.stall_prob_ppm)),
+                ("stall_ms", exact(f.stall_ms)),
+                ("kill_at_round", f.kill_at_round.map_or(Json::Null, exact)),
+            ])
+        });
+        let partitions = self.partitions.iter().map(|p| {
+            obj(vec![
+                ("from_round", exact(p.from_round)),
+                ("to_round", exact(p.to_round)),
+                ("heal_us", exact(p.heal_us)),
+                ("machines", Json::Arr(p.machines.iter().map(|&m| small(m)).collect())),
+            ])
+        });
+        obj(vec![
+            ("chaos_seed", exact(self.chaos_seed)),
+            ("link_faults", Json::Arr(link_faults.collect())),
+            ("partitions", Json::Arr(partitions.collect())),
+        ])
+        .to_string()
     }
 
     /// A plan that kills `machine`'s link at op round `round` and does
@@ -584,6 +567,24 @@ mod tests {
         .unwrap();
         assert_eq!(kill.link_faults[0].kill_at_round, Some(3));
         assert_eq!(kill.link_faults[0].loss_prob_ppm, 0);
+    }
+
+    #[test]
+    fn json_keeps_every_u64_exact_or_refuses_it() {
+        // f64-parsed literals used to turn the first seed into …608128.
+        for big in [16294208416658607535, u64::MAX, 1 << 53] {
+            let mut plan = FaultPlan::kill_machine(1, big);
+            plan.chaos_seed = big;
+            assert_eq!(FaultPlan::from_json(&plan.to_json()), Ok(plan));
+        }
+        // 2⁵³ + 1 as a bare number has already been rounded by the time it
+        // is a `Json::Num`: refused, naming the key, never a neighbour.
+        let err = FaultPlan::from_json(r#"{"chaos_seed": 9007199254740993}"#).unwrap_err();
+        assert!(err.starts_with("chaos_seed: "), "{err}");
+        let quoted = FaultPlan::from_json(r#"{"chaos_seed": "9007199254740993"}"#).unwrap();
+        assert_eq!(quoted.chaos_seed, (1 << 53) + 1);
+        assert!(FaultPlan::from_json(r#"{"chaos_seed": "18446744073709551616"}"#).is_err());
+        assert!(FaultPlan::from_json(r#"{"chaos_seed": "-1"}"#).is_err());
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// 2⁵³: below it every integer is an `f64`, from it up some are not.
+const EXACT_INTEGERS_END: u64 = 1 << 53;
+
 pub struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -208,11 +211,34 @@ impl Json {
         }
     }
 
+    /// The value [`Json::as_u64`] reads back as exactly `v`: a number below
+    /// 2⁵³, a string of decimal digits from there up.
+    pub fn exact_u64(v: u64) -> Json {
+        if v < EXACT_INTEGERS_END {
+            Json::Num(v as f64)
+        } else {
+            Json::Str(v.to_string())
+        }
+    }
+
+    /// This value as a `u64`: a non-negative integer literal below 2⁵³, or
+    /// a string of decimal digits (the only exact form from 2⁵³ up).
+    ///
+    /// Literals are parsed as `f64`, so by the time they get here 2⁵³ and
+    /// 2⁵³ + 1 are the same number: anything that large is refused rather
+    /// than silently replaced by a neighbour.
     pub fn as_u64(&self, what: &str) -> Result<u64, String> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGERS_END as f64 => {
                 Ok(*n as u64)
             }
+            Json::Num(n) if *n >= EXACT_INTEGERS_END as f64 => Err(format!(
+                "{what}: {n} is not exact as a JSON number; write integers from 2^53 up \
+                 as a decimal string"
+            )),
+            Json::Str(s) if !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) => s
+                .parse()
+                .map_err(|_| format!("{what}: {s} does not fit in u64")),
             other => Err(format!("{what}: expected a non-negative integer, got {other:?}")),
         }
     }

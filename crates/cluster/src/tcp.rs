@@ -1078,10 +1078,10 @@ mod tests {
 
     #[test]
     fn truncated_reply_fails_round_with_typed_error() {
-        // Machine 1 truncates its first reply. Worker state is resident, so
+        // Machine 1 truncates its second reply. Worker state is resident, so
         // the round must fail with a typed error naming the machine — not
         // silently degrade like the old placeholder-payload path.
-        let faults = vec![None, Some(WorkerFault::TruncateUpload { request: 1 })];
+        let faults = vec![None, Some(WorkerFault::TruncateUpload { request: 2 })];
         let mut cluster = ProcCluster::local_with_faults(
             2,
             NetworkModel::cluster_1gbps(),
@@ -1090,6 +1090,11 @@ mod tests {
             faults,
         )
         .unwrap();
+        // The first round completes on both links.
+        let replies = cluster
+            .control(phase::RR_SAMPLING, |_| WorkerOp::SampleRr { count: 5 })
+            .unwrap();
+        assert_eq!(replies, vec![WorkerReply::Ok, WorkerReply::Ok]);
         let err = cluster
             .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
             .unwrap_err();
@@ -1101,12 +1106,14 @@ mod tests {
         );
         assert_eq!(cluster.link_errors(), 1);
         assert_eq!(cluster.live_links(), 1);
-        // Later rounds refuse to run without the dead machine's state.
+        // Later rounds, under any label, refuse to run without the dead
+        // machine's state — a typed link error, not a partial answer.
         let err = cluster
-            .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
+            .op_gather(phase::DELTA_UPLOAD, |_| WorkerOp::CoveredCount)
             .unwrap_err();
         assert_eq!(err.kind, WireErrorKind::Link);
         assert_eq!(err.machine, Some(1));
+        assert_eq!(cluster.link_errors(), 1, "no new faults after the first");
     }
 
     #[test]

@@ -65,9 +65,9 @@ pub use recover::{
     RecoverySource, StragglerEvent,
 };
 pub use snapshot::{
-    diimm_load_rr, diimm_sample, diimm_sample_generation, load_latest_rr_snapshot,
-    load_rr_snapshot, persist_rr_shards, rr_snapshot_request, snapshot_shards, SnapshotError,
-    StreamApplied, StreamSession,
+    diimm_load_rr, diimm_sample, diimm_sample_generation, diimm_sample_on,
+    load_latest_rr_snapshot, load_rr_snapshot, persist_rr_shards, rr_snapshot_request,
+    snapshot_shards, SnapshotError, StreamApplied, StreamSession,
 };
 pub use worker::{setup_im_cluster, WorkerHost};
 pub use diimm::diimm;

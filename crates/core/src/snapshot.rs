@@ -121,8 +121,21 @@ pub fn diimm_sample(
         .map(|i| DiimmWorker::new(graph, config, i))
         .collect();
     let mut cluster = SimCluster::new(workers, network, mode);
-    let mut result = diimm_on(&mut cluster, graph, config, true)?;
-    persist_rr_shards(&mut cluster, dir, graph, config, result.num_rr_sets as u64)?;
+    Ok(diimm_sample_on(&mut cluster, graph, config, dir)?)
+}
+
+/// [`diimm_sample`] on a cluster whose workers already hold the graph and
+/// a sampler (built in process as above, or installed by
+/// [`crate::setup_im_cluster`] on a TCP backend): DiIMM, then every
+/// machine persists its own shard into `dir`.
+pub fn diimm_sample_on<B: OpCluster>(
+    cluster: &mut B,
+    graph: &Graph,
+    config: &ImConfig,
+    dir: &Path,
+) -> Result<ImResult, WireError> {
+    let mut result = diimm_on(cluster, graph, config, true)?;
+    persist_rr_shards(cluster, dir, graph, config, result.num_rr_sets as u64)?;
     // Re-derive the result's metric views so they include the save phase.
     let timeline = cluster.timeline().clone();
     result.timings = Timings::from_timeline(&timeline);

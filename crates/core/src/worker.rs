@@ -109,7 +109,7 @@ impl WorkerHost {
             self.diimm = None;
             return WorkerReply::Ok;
         }
-        match binary::read_binary(&mut &blob[..]) {
+        match binary::decode_binary(blob) {
             Ok(g) => {
                 self.graph = Some(Box::leak(Box::new(g)));
                 self.graph_digest = Some(digest);
@@ -302,6 +302,34 @@ mod tests {
             WorkerReply::Ok
         );
         assert!(!std::ptr::eq(first, host.graph.unwrap()));
+    }
+
+    #[test]
+    fn hostile_graph_blob_is_a_typed_reply_and_the_host_lives_on() {
+        let good = graph_blob(&erdos_renyi(10, 20, WeightModel::WeightedCascade, 5));
+        let with_u64_at = |at: usize, value: u64| {
+            let mut blob = good.clone();
+            blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            blob
+        };
+        let mut host = WorkerHost::new(0, 1);
+        for blob in [
+            with_u64_at(8, 1 << 60),       // n
+            with_u64_at(8, u64::MAX),      // n
+            with_u64_at(16, 1 << 60),      // m
+            with_u64_at(16, u64::MAX),     // m
+            with_u64_at(24 + 8, u64::MAX), // offsets[1] > offsets[2]
+            [&good[..], &[0]].concat(),    // trailing byte
+        ] {
+            match host.execute(&WorkerOp::LoadGraph { blob }) {
+                WorkerReply::Err(msg) => assert!(msg.starts_with("LoadGraph: "), "{msg}"),
+                other => panic!("hostile blob answered {other:?}"),
+            }
+            // Still serving: the next op gets its ordinary answer.
+            let next = host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::StandardIc });
+            assert_eq!(next, WorkerReply::Err("InitSampler before LoadGraph".into()));
+        }
+        assert_eq!(host.execute(&WorkerOp::LoadGraph { blob: good }), WorkerReply::Ok);
     }
 
     #[test]

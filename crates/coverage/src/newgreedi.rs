@@ -50,27 +50,9 @@ pub(crate) fn reduce_deltas(
     Ok(())
 }
 
-/// Result of a NewGreeDi run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NewGreediResult {
-    /// Selected sets, in selection order.
-    pub seeds: Vec<u32>,
-    /// Total elements covered across all machines.
-    pub covered: u64,
-    /// Marginal (global) coverage of each selection.
-    pub marginals: Vec<u64>,
-}
-
-impl NewGreediResult {
-    /// Coverage fraction `F_R(S)` over `total` elements.
-    pub fn fraction(&self, total: usize) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.covered as f64 / total as f64
-        }
-    }
-}
+/// Result of a NewGreeDi run — field for field the centralized greedy's
+/// (Lemma 2: the two select the same seeds), so it *is* that type.
+pub type NewGreediResult = crate::greedy::GreedyResult;
 
 /// Runs Algorithm 1 on a cluster whose machines each hold a
 /// [`CoverageShard`] (directly, or inside a composite worker whose

@@ -10,11 +10,20 @@
 //! "DIMG" | u32 version | u64 n | u64 m
 //! u64 out_offsets[n+1] | u32 out_targets[m] | f32 out_probs[m]
 //! ```
+//!
+//! Decoding is bounded and strict, like every other format on
+//! [`Reader`]: `n` and `m` fix the image's length, so the decoder demands
+//! `8·(n+1) + 8·m` remaining bytes *before* allocating anything — a
+//! corrupted count, a truncated image and a trailing byte are all the same
+//! typed [`GraphError::Parse`]. Rows must be what [`write_binary`] emits
+//! (targets strictly increasing, no self-loops, probabilities in `[0, 1]`),
+//! so an image that decodes re-encodes to exactly the bytes it came from.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::builder::GraphBuilder;
+use crate::codec::Reader;
 use crate::csr::Graph;
 use crate::error::GraphError;
 use crate::weights::WeightModel;
@@ -51,67 +60,88 @@ pub fn write_binary<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphError
     Ok(())
 }
 
-/// Reads a graph written by [`write_binary`].
-pub fn read_binary<R: Read>(reader: R) -> Result<Graph, GraphError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: format!("bad magic {magic:?}, expected DIMG"),
-        });
+/// A typed "this is not a DIMG image" error (`line` is 0: no line numbers
+/// in a binary format).
+fn corrupt(message: impl Into<String>) -> GraphError {
+    GraphError::Parse {
+        line: 0,
+        message: message.into(),
     }
-    let version = read_u32(&mut r)?;
+}
+
+/// Decodes an in-memory image written by [`write_binary`]. Hostile bytes
+/// are a [`GraphError::Parse`], never a panic or an oversized allocation.
+pub fn decode_binary(bytes: &[u8]) -> Result<Graph, GraphError> {
+    let truncated = || corrupt("truncated image");
+    let mut r = Reader::new(bytes);
+    let magic = r.take(4).ok_or_else(truncated)?;
+    if magic != MAGIC {
+        return Err(corrupt(format!("bad magic {magic:?}, expected DIMG")));
+    }
+    let version = r.u32().ok_or_else(truncated)?;
     if version != VERSION {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: format!("unsupported version {version}"),
-        });
+        return Err(corrupt(format!("unsupported version {version}")));
     }
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
+    let n = r.u64().ok_or_else(truncated)?;
+    let m = r.u64().ok_or_else(truncated)?;
+    // `n` and `m` fix the length of everything that follows. Demanding it
+    // exactly bounds both counts by the buffer before any allocation and
+    // is the truncation and trailing-byte check in one.
+    let body_len = n
+        .checked_add(1)
+        .and_then(|offsets| offsets.checked_add(m)?.checked_mul(8));
+    if body_len != Some(r.remaining() as u64) || n > 1 << 32 {
+        return Err(corrupt(format!(
+            "n = {n}, m = {m} do not describe an image of {} bytes",
+            bytes.len()
+        )));
     }
-    if offsets.first() != Some(&0) || offsets.last() != Some(&m) {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: "corrupt offset array".into(),
-        });
+    let (n, m) = (n as usize, m as usize);
+    let offsets: Vec<usize> = (0..=n)
+        .map(|_| r.u64().and_then(|o| usize::try_from(o).ok()))
+        .collect::<Option<_>>()
+        .ok_or_else(truncated)?;
+    if offsets[0] != 0 || offsets[n] != m {
+        return Err(corrupt("corrupt offset array"));
     }
     if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: "non-monotone offsets".into(),
-        });
+        return Err(corrupt("non-monotone offsets"));
     }
-    let mut targets = vec![0u32; m];
-    read_u32_slice(&mut r, &mut targets)?;
-    if targets.iter().any(|&v| v as usize >= n) {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: "edge target out of range".into(),
-        });
-    }
-    let mut probs = vec![0f32; m];
-    read_f32_slice(&mut r, &mut probs)?;
-    if probs.iter().any(|&p| !(0.0..=1.0).contains(&p)) {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: "probability out of [0,1]".into(),
-        });
-    }
+    let mut targets = Reader::new(r.take(4 * m).ok_or_else(truncated)?);
+    let mut probs = Reader::new(r.take(4 * m).ok_or_else(truncated)?);
+    r.finish().ok_or_else(|| corrupt("trailing bytes"))?;
 
     // Rebuild through the builder (constructs the reverse CSR for us).
     let mut b = GraphBuilder::with_capacity(n, m);
     for u in 0..n {
-        for i in offsets[u]..offsets[u + 1] {
-            b.add_weighted_edge(u as u32, targets[i], probs[i]);
+        let mut prev = None;
+        for _ in offsets[u]..offsets[u + 1] {
+            let v = targets.u32().ok_or_else(truncated)?;
+            let p = probs.f32().ok_or_else(truncated)?;
+            if v as usize >= n {
+                return Err(corrupt("edge target out of range"));
+            }
+            // What `write_binary` emits for any built graph; anything else
+            // the builder would silently drop or reorder.
+            if v as usize == u || prev.is_some_and(|w| w >= v) {
+                return Err(corrupt("row is not strictly increasing and loop-free"));
+            }
+            if !(0.0..=1.0).contains(&p) {
+                return Err(corrupt("probability out of [0,1]"));
+            }
+            b.add_weighted_edge(u as u32, v, p);
+            prev = Some(v);
         }
     }
     Ok(b.build(WeightModel::WeightedCascade))
+}
+
+/// Reads a graph written by [`write_binary`]: the stream is read to its
+/// end and handed to [`decode_binary`].
+pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    decode_binary(&bytes)
 }
 
 /// Writes to a file path.
@@ -121,37 +151,7 @@ pub fn write_binary_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), G
 
 /// Reads from a file path.
 pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
-    read_binary(std::fs::File::open(path)?)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, GraphError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, GraphError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_u32_slice<R: Read>(r: &mut R, out: &mut [u32]) -> Result<(), GraphError> {
-    let mut buf = [0u8; 4];
-    for slot in out {
-        r.read_exact(&mut buf)?;
-        *slot = u32::from_le_bytes(buf);
-    }
-    Ok(())
-}
-
-fn read_f32_slice<R: Read>(r: &mut R, out: &mut [f32]) -> Result<(), GraphError> {
-    let mut buf = [0u8; 4];
-    for slot in out {
-        r.read_exact(&mut buf)?;
-        *slot = f32::from_le_bytes(buf);
-    }
-    Ok(())
+    decode_binary(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -204,6 +204,74 @@ mod tests {
         let targets_start = 24 + 11 * 8;
         buf[targets_start..targets_start + 4].copy_from_slice(&999u32.to_le_bytes());
         assert!(read_binary(buf.as_slice()).is_err());
+    }
+
+    /// `image` with the `u64` at byte `at` replaced (`n` is at 8, `m` at
+    /// 16, the offsets start at 24).
+    fn with_u64_at(image: &[u8], at: usize, value: u64) -> Vec<u8> {
+        let mut bytes = image.to_vec();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn hostile_images_are_parse_errors() {
+        let mut image = Vec::new();
+        write_binary(&erdos_renyi(10, 20, WeightModel::WeightedCascade, 5), &mut image).unwrap();
+        let hostile = [
+            ("n = 2^60", with_u64_at(&image, 8, 1 << 60)),
+            ("n = u64::MAX", with_u64_at(&image, 8, u64::MAX)),
+            ("m = 2^60", with_u64_at(&image, 16, 1 << 60)),
+            ("m = u64::MAX", with_u64_at(&image, 16, u64::MAX)),
+            ("offsets[1] > offsets[2]", with_u64_at(&image, 24 + 8, u64::MAX)),
+            ("trailing byte", [&image[..], &[0]].concat()),
+        ];
+        for (what, bytes) in hostile {
+            let err = read_binary(bytes.as_slice()).expect_err(what);
+            assert!(matches!(err, GraphError::Parse { .. }), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_rows_the_writer_never_emits() {
+        // 0 → {1, 2}: an unsorted row, a duplicate edge, a self-loop.
+        let mut b = GraphBuilder::new(3);
+        b.add_weighted_edge(0, 1, 0.5);
+        b.add_weighted_edge(0, 2, 0.5);
+        let mut image = Vec::new();
+        write_binary(&b.build(WeightModel::WeightedCascade), &mut image).unwrap();
+        let targets = 24 + 4 * 8;
+        for row in [[2u32, 1], [1, 1], [0, 2]] {
+            let mut bytes = image.clone();
+            bytes[targets..targets + 4].copy_from_slice(&row[0].to_le_bytes());
+            bytes[targets + 4..targets + 8].copy_from_slice(&row[1].to_le_bytes());
+            assert!(decode_binary(&bytes).is_err(), "row {row:?} accepted");
+        }
+    }
+
+    /// The image the commit before `decode_binary` wrote for the 5-node
+    /// graph below: the byte format did not move.
+    #[test]
+    fn reads_an_image_written_before_the_slice_decoder() {
+        #[rustfmt::skip]
+        const IMAGE: [u8; 112] = [
+            0x44, 0x49, 0x4d, 0x47, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3f,
+            0x00, 0x00, 0x80, 0x3e, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x3e, 0x00, 0x00, 0x40, 0x3f,
+        ];
+        let g = decode_binary(&IMAGE).unwrap();
+        assert_eq!(g.num_nodes(), 5);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            [(0, 1, 0.5), (0, 3, 0.25), (1, 2, 1.0), (3, 0, 0.125), (3, 4, 0.75)]
+        );
+        let mut rewritten = Vec::new();
+        write_binary(&g, &mut rewritten).unwrap();
+        assert_eq!(rewritten, IMAGE);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The workspace's one strict little-endian byte cursor.
 //!
 //! Every hand-written binary format in the workspace — edge
-//! [`DeltaBatch`](crate::DeltaBatch)es here, worker ops and rendezvous
-//! frames in `dim-cluster` (which re-exports these items as
+//! [`DeltaBatch`](crate::DeltaBatch)es and the DIMG graph image
+//! ([`crate::binary`]) here, worker ops and rendezvous frames in
+//! `dim-cluster` (which re-exports these items as
 //! `dim_cluster::ops::{Reader, put_u32, put_u64}`), snapshot files in
 //! `dim-store`, query frames in `dim-serve` — decodes through [`Reader`],
 //! so "truncation or trailing bytes are an error, never a panic" is one
-//! implementation.
+//! implementation (and one property suite: `tests/codecs.rs`).
 //!
 //! Everything here is `#[inline]`: the codecs call these per 4-byte field
 //! from other crates, and without it each read is a cross-crate function

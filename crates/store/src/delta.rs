@@ -45,7 +45,7 @@ use dim_cluster::ops::{put_u32, put_u64, Reader};
 use dim_cluster::SamplerSpec;
 use dim_graph::DeltaBatch;
 
-use crate::{fnv1a, StoreError};
+use crate::{seal, unseal, StoreError};
 
 /// File magic for delta shard files.
 pub const DELTA_MAGIC: [u8; 4] = *b"DIMD";
@@ -53,8 +53,6 @@ pub const DELTA_MAGIC: [u8; 4] = *b"DIMD";
 pub const DELTA_VERSION: u32 = 1;
 /// Extension used by delta shard files inside a generation directory.
 pub const DELTA_EXTENSION: &str = "rrd";
-/// Same forward-compatibility slack as the base format.
-const MAX_HEADER_LEN: usize = 4096;
 
 /// Provenance and chain linkage for one delta shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,7 +185,6 @@ pub fn encode_delta_shard(
         repaired.windows(2).all(|w| w[0].0 < w[1].0),
         "repaired records must be sorted by strictly increasing set index"
     );
-    let hdr = header.encode();
     let mut body = Vec::new();
     let batch_bytes = batch.encode();
     put_u32(&mut body, batch_bytes.len() as u32);
@@ -199,57 +196,13 @@ pub fn encode_delta_shard(
             put_u32(&mut body, v);
         }
     }
-    let mut out = Vec::with_capacity(4 + 4 + 4 + hdr.len() + 8 + body.len() + 8);
-    out.extend_from_slice(&DELTA_MAGIC);
-    put_u32(&mut out, DELTA_VERSION);
-    put_u32(&mut out, hdr.len() as u32);
-    out.extend_from_slice(&hdr);
-    put_u64(&mut out, fnv1a(&hdr));
-    out.extend_from_slice(&body);
-    put_u64(&mut out, fnv1a(&body));
-    out
+    seal(DELTA_MAGIC, DELTA_VERSION, &header.encode(), &body)
 }
 
 /// Decodes and fully validates a delta shard file from untrusted bytes.
 pub fn decode_delta_shard(bytes: &[u8]) -> Result<DeltaShard, StoreError> {
-    let mut r = Reader::new(bytes);
-    let magic = r
-        .take(4)
-        .ok_or_else(|| StoreError::corrupt("truncated magic"))?;
-    if magic != DELTA_MAGIC {
-        return Err(StoreError::corrupt("bad delta magic"));
-    }
-    let version = r
-        .u32()
-        .ok_or_else(|| StoreError::corrupt("truncated version"))?;
-    if version != DELTA_VERSION {
-        return Err(StoreError::corrupt("unsupported delta format version"));
-    }
-    let header_len = r
-        .u32()
-        .ok_or_else(|| StoreError::corrupt("truncated header length"))? as usize;
-    if header_len > MAX_HEADER_LEN {
-        return Err(StoreError::corrupt("header length out of range"));
-    }
-    let hdr = r
-        .take(header_len)
-        .ok_or_else(|| StoreError::corrupt("truncated delta header"))?;
-    let header_checksum = r
-        .u64()
-        .ok_or_else(|| StoreError::corrupt("truncated header checksum"))?;
-    if header_checksum != fnv1a(hdr) {
-        return Err(StoreError::corrupt("header checksum mismatch"));
-    }
+    let (hdr, body) = unseal(bytes, DELTA_MAGIC, DELTA_VERSION)?;
     let header = DeltaShardHeader::decode(hdr)?;
-    let consumed = 4 + 4 + 4 + header_len + 8;
-    if bytes.len() < consumed + 8 {
-        return Err(StoreError::corrupt("truncated delta body"));
-    }
-    let body = &bytes[consumed..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if stored != fnv1a(body) {
-        return Err(StoreError::corrupt("body checksum mismatch"));
-    }
     let mut r = Reader::new(body);
     let batch_len = r
         .u32()
@@ -387,6 +340,7 @@ pub fn delta_base_of(dir: &Path) -> Result<Option<u64>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv1a;
     use dim_graph::EdgeOp;
 
     fn sample_batch() -> DeltaBatch {

@@ -211,7 +211,7 @@ pub fn read_graph_file(dir: &Path) -> Result<Option<Graph>, StoreError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_err(&path, e)),
     };
-    dim_graph::binary::read_binary(&bytes[..])
+    dim_graph::binary::decode_binary(&bytes)
         .map(Some)
         .map_err(|_| StoreError::Corrupt {
             path: Some(path),
@@ -972,6 +972,16 @@ mod tests {
         assert_eq!(chain.tip_fingerprint, tip_fp);
         let restored = read_graph_file(&dir3).unwrap().expect("graph persisted");
         assert_eq!(crate::graph_fingerprint(&restored), tip_fp);
+        // A corrupted graph file (n = 2⁶⁰; a trailing byte) is a typed
+        // error, never a panic.
+        let graph_path = dir3.join(GRAPH_FILE);
+        let image = fs::read(&graph_path).unwrap();
+        let huge_n = [&image[..8], &(1u64 << 60).to_le_bytes(), &image[16..]].concat();
+        for hostile in [huge_n, [&image[..], &[0]].concat()] {
+            fs::write(&graph_path, hostile).unwrap();
+            assert!(matches!(read_graph_file(&dir3), Err(StoreError::Corrupt { .. })));
+        }
+        fs::write(&graph_path, image).unwrap();
         // No deltas left: compaction is idempotent.
         assert!(compact_generation(&root, &request(), &graph).unwrap().is_none());
         // A post-compaction delta chains off the persisted tip graph.

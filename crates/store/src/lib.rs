@@ -373,34 +373,39 @@ fn take_sets(r: &mut Reader<'_>, bound: usize, max_value: u64) -> Result<PooledS
 /// Serializes a shard file: header + elements + transpose index, both
 /// blocks checksummed.
 pub fn encode_shard(header: &ShardHeader, elements: &PooledSets, index: &PooledSets) -> Vec<u8> {
-    let hdr = header.encode();
     let mut body = Vec::new();
     put_sets(&mut body, elements);
     put_sets(&mut body, index);
+    seal(MAGIC, VERSION, &header.encode(), &body)
+}
+
+/// Wraps a header block and a body in the envelope `DIMR` and `DIMD` files
+/// share: `magic · version · header_len · header · fnv(header) · body ·
+/// fnv(body)`.
+pub(crate) fn seal(magic: [u8; 4], version: u32, hdr: &[u8], body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 4 + 4 + hdr.len() + 8 + body.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, VERSION);
+    out.extend_from_slice(&magic);
+    put_u32(&mut out, version);
     put_u32(&mut out, hdr.len() as u32);
-    out.extend_from_slice(&hdr);
-    put_u64(&mut out, fnv1a(&hdr));
-    out.extend_from_slice(&body);
-    put_u64(&mut out, fnv1a(&body));
+    out.extend_from_slice(hdr);
+    put_u64(&mut out, fnv1a(hdr));
+    out.extend_from_slice(body);
+    put_u64(&mut out, fnv1a(body));
     out
 }
 
-/// Decodes and fully validates a shard file from untrusted bytes.
-pub fn decode_shard(bytes: &[u8]) -> Result<ShardSnapshot, StoreError> {
+/// Opens an envelope written by [`seal`]: magic, version and both
+/// checksums must match. Returns the header block and the body.
+pub(crate) fn unseal(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u32,
+) -> Result<(&[u8], &[u8]), StoreError> {
     let mut r = Reader::new(bytes);
-    let magic = r
-        .take(4)
-        .ok_or_else(|| StoreError::corrupt("truncated magic"))?;
-    if magic != MAGIC {
+    if r.take(4).ok_or_else(|| StoreError::corrupt("truncated magic"))? != magic {
         return Err(StoreError::corrupt("bad magic"));
     }
-    let version = r
-        .u32()
-        .ok_or_else(|| StoreError::corrupt("truncated version"))?;
-    if version != VERSION {
+    if r.u32().ok_or_else(|| StoreError::corrupt("truncated version"))? != version {
         return Err(StoreError::corrupt("unsupported format version"));
     }
     let header_len = r
@@ -418,18 +423,23 @@ pub fn decode_shard(bytes: &[u8]) -> Result<ShardSnapshot, StoreError> {
     if header_checksum != fnv1a(hdr) {
         return Err(StoreError::corrupt("header checksum mismatch"));
     }
-    let header = ShardHeader::decode(hdr)?;
     // Everything between the header checksum and the final 8 bytes is the
     // checksummed body.
-    let consumed = 4 + 4 + 4 + header_len + 8;
-    if bytes.len() < consumed + 8 {
-        return Err(StoreError::corrupt("truncated body"));
-    }
-    let body = &bytes[consumed..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if stored != fnv1a(body) {
+    let body = r
+        .remaining()
+        .checked_sub(8)
+        .and_then(|len| r.take(len))
+        .ok_or_else(|| StoreError::corrupt("truncated body"))?;
+    if r.u64() != Some(fnv1a(body)) {
         return Err(StoreError::corrupt("body checksum mismatch"));
     }
+    Ok((hdr, body))
+}
+
+/// Decodes and fully validates a shard file from untrusted bytes.
+pub fn decode_shard(bytes: &[u8]) -> Result<ShardSnapshot, StoreError> {
+    let (hdr, body) = unseal(bytes, MAGIC, VERSION)?;
+    let header = ShardHeader::decode(hdr)?;
     let mut r = Reader::new(body);
     let elements = take_sets(&mut r, body.len(), header.num_sets)?;
     let index = take_sets(&mut r, body.len(), header.num_elements)?;

@@ -407,26 +407,6 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs DiIMM on an op-driven cluster and has every
-/// worker persist its resident shard — each process writes its own file,
-/// the shard never crosses the wire.
-fn sample_on_ops<B: OpCluster>(
-    cluster: &mut B,
-    g: &Graph,
-    config: &ImConfig,
-    out: &std::path::Path,
-) -> Result<ImResult, String> {
-    setup_im_cluster(cluster, g, config.sampler).map_err(|e| e.to_string())?;
-    let mut r = diimm_on(cluster, g, config, true).map_err(|e| e.to_string())?;
-    persist_rr_shards(cluster, out, g, config, r.num_rr_sets as u64)
-        .map_err(|e| e.to_string())?;
-    let timeline = cluster.timeline().clone();
-    r.timings = Timings::from_timeline(&timeline);
-    r.metrics = timeline.total();
-    r.timeline = timeline;
-    Ok(r)
-}
-
 fn cmd_sample(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let (config, _) = im_config(flags, &g)?;
@@ -453,7 +433,8 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
         backend @ (Backend::Proc | Backend::Join) => {
             let mut cluster = tcp_cluster(backend, machines, net, config.seed, flags)?;
-            sample_on_ops(&mut cluster, &g, &config, &dir)?
+            setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
+            diimm_sample_on(&mut cluster, &g, &config, &dir).map_err(|e| e.to_string())?
         }
     };
     if let Some(id) = gen_id {

@@ -72,9 +72,9 @@ pub mod prelude {
     pub use dim_core::opim::{dopim_c, opim_c};
     pub use dim_core::ssa::{dssa, ssa};
     pub use dim_core::snapshot::{
-        diimm_load_rr, diimm_sample, diimm_sample_generation, load_latest_rr_snapshot,
-        load_rr_snapshot, persist_rr_shards, rr_snapshot_request, snapshot_shards, SnapshotError,
-        StreamApplied, StreamSession,
+        diimm_load_rr, diimm_sample, diimm_sample_generation, diimm_sample_on,
+        load_latest_rr_snapshot, load_rr_snapshot, persist_rr_shards, rr_snapshot_request,
+        snapshot_shards, SnapshotError, StreamApplied, StreamSession,
     };
     pub use dim_core::recover::{
         diimm_on_recovering, DegradedOutcome, RecoveredRun, RecoveringCluster, RecoveryPolicy,

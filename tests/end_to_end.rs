@@ -13,8 +13,38 @@ fn small_config(k: usize, epsilon: f64, seed: u64, model: DiffusionModel) -> ImC
     }
 }
 
-/// Theorem 1 on a brute-forceable graph: DiIMM's seed set achieves
-/// (1 − 1/e − ε)·OPT true spread, for every machine count tried.
+/// Theorem 1 for every framework on a brute-forceable graph: the returned
+/// seed set achieves (1 − 1/e − ε)·OPT in *exact* spread — IMM, OPIM-C and
+/// SSA centrally; DiIMM at every machine count given; DOPIM-C, D-SSA and
+/// (under IC, whose distribution it samples) DiIMM on SUBSIM at ℓ ∈ {1, 3}.
+fn assert_guarantee(g: &Graph, model: DiffusionModel, k: usize, seed: u64, machine_counts: &[usize]) {
+    let config = small_config(k, 0.3, seed, model);
+    let (_, opt) = exact_opt(g, model, k);
+    let bound = (1.0 - (-1.0f64).exp() - config.epsilon) * opt;
+    let check = |framework: &str, machines: usize, r: ImResult| {
+        let achieved = exact_spread(g, model, &r.seeds);
+        assert!(
+            achieved >= bound,
+            "{framework}, ℓ = {machines}: σ(S) = {achieved} < {bound} (OPT = {opt})"
+        );
+    };
+    let (net, mode) = (NetworkModel::cluster_1gbps(), ExecMode::Sequential);
+    check("imm", 1, imm(g, &config));
+    check("opim_c", 1, opim_c(g, &config));
+    check("ssa", 1, ssa(g, &config));
+    for &machines in machine_counts {
+        check("diimm", machines, diimm(g, &config, machines, net, mode).unwrap());
+    }
+    for machines in [1, 3] {
+        check("dopim_c", machines, dopim_c(g, &config, machines, net, mode).unwrap());
+        check("dssa", machines, dssa(g, &config, machines, net, mode).unwrap());
+        if model == DiffusionModel::IndependentCascade {
+            let subsim = ImConfig { sampler: SamplerKind::Subsim, ..config };
+            check("diimm on subsim", machines, diimm(g, &subsim, machines, net, mode).unwrap());
+        }
+    }
+}
+
 #[test]
 fn diimm_guarantee_ic_all_machine_counts() {
     let mut b = GraphBuilder::new(9);
@@ -30,24 +60,7 @@ fn diimm_guarantee_ic_all_machine_counts() {
         b.add_weighted_edge(u, v, p);
     }
     let g = b.build(WeightModel::WeightedCascade);
-    let model = DiffusionModel::IndependentCascade;
-    let (_, opt) = exact_opt(&g, model, 3);
-    let bound = (1.0 - (-1.0f64).exp() - 0.3) * opt;
-    for machines in [1, 2, 4, 7] {
-        let r = diimm(
-            &g,
-            &small_config(3, 0.3, 77, model),
-            machines,
-            NetworkModel::cluster_1gbps(),
-            ExecMode::Sequential,
-        )
-        .unwrap();
-        let achieved = exact_spread(&g, model, &r.seeds);
-        assert!(
-            achieved >= bound,
-            "ℓ = {machines}: σ(S) = {achieved} < {bound} (OPT = {opt})"
-        );
-    }
+    assert_guarantee(&g, DiffusionModel::IndependentCascade, 3, 77, &[1, 2, 4, 7]);
 }
 
 /// Same guarantee under the LT model.
@@ -58,21 +71,7 @@ fn diimm_guarantee_lt() {
         b.add_edge(u, v);
     }
     let g = b.build(WeightModel::WeightedCascade);
-    let model = DiffusionModel::LinearThreshold;
-    let (_, opt) = exact_opt(&g, model, 2);
-    let bound = (1.0 - (-1.0f64).exp() - 0.3) * opt;
-    for machines in [1, 3, 5] {
-        let r = diimm(
-            &g,
-            &small_config(2, 0.3, 13, model),
-            machines,
-            NetworkModel::cluster_1gbps(),
-            ExecMode::Sequential,
-        )
-        .unwrap();
-        let achieved = exact_spread(&g, model, &r.seeds);
-        assert!(achieved >= bound, "ℓ = {machines}: {achieved} < {bound}");
-    }
+    assert_guarantee(&g, DiffusionModel::LinearThreshold, 2, 13, &[1, 3, 5]);
 }
 
 /// The RIS spread estimate agrees with forward Monte-Carlo simulation
