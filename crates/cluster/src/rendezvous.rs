@@ -532,38 +532,28 @@ impl From<io::Error> for HandshakeError {
 /// typed reason), reads the confirming HELLO, and cross-checks its stream
 /// seed against [`stream_seed`]`(master_seed, id)`. Any failure after the
 /// slot was assigned releases it, so a crashed joiner does not leak a
-/// slot. Every read is bounded by [`handshake_timeout`].
+/// slot.
 ///
-/// When `DIM_CLUSTER_TOKEN` is set in the master's environment, the
-/// JOIN's auth digest must match it (constant-time) or the joiner is
-/// refused with [`RejectReason::Unauthorized`] before any slot is
-/// assigned.
+/// With `required` set (the accept loop passes the digest of
+/// `DIM_CLUSTER_TOKEN`; `None` = open port), the JOIN's auth digest must
+/// match it (constant-time) or the joiner is refused with
+/// [`RejectReason::Unauthorized`] before any slot is assigned.
+///
+/// Every read and write of the exchange is bounded by `io_timeout` — the
+/// accept loop passes [`handshake_timeout`], or what is left of its join
+/// deadline when that is shorter. The bound stays on the stream; the
+/// caller resets it once the peer is a member.
 pub fn master_handshake(
     stream: &mut TcpStream,
     table: &mut MembershipTable,
     session: u64,
     master_seed: u64,
-) -> Result<u32, HandshakeError> {
-    master_handshake_with(
-        stream,
-        table,
-        session,
-        master_seed,
-        crate::auth::cluster_token_digest().as_ref(),
-    )
-}
-
-/// [`master_handshake`] with an explicit required-token digest instead of
-/// the `DIM_CLUSTER_TOKEN` environment variable (`None` = open port).
-pub fn master_handshake_with(
-    stream: &mut TcpStream,
-    table: &mut MembershipTable,
-    session: u64,
-    master_seed: u64,
     required: Option<&crate::auth::Digest>,
+    io_timeout: Duration,
 ) -> Result<u32, HandshakeError> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(handshake_timeout()))?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
     let (opcode, body) = read_frame(stream)?;
     if opcode != frame::JOIN {
         return Err(HandshakeError::Io(protocol_err(&format!(
@@ -797,11 +787,13 @@ impl Rendezvous {
         let mut table = MembershipTable::new(self.config.expected);
         let mut slots: Vec<Option<TcpStream>> =
             (0..self.config.expected).map(|_| None).collect();
+        let required = crate::auth::cluster_token_digest();
         while !table.is_full() {
             // Checked on every iteration, not only when the backlog is
             // empty: a peer that keeps reconnecting with refused or
             // garbage JOINs must not be able to hold the session open.
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
@@ -813,11 +805,22 @@ impl Rendezvous {
             }
             match self.listener.accept() {
                 Ok((mut stream, peer)) => {
+                    // Bounded by the deadline inside the handshake too: a
+                    // peer that connects and then says nothing costs the
+                    // session what is left of it, not a whole
+                    // handshake timeout on top.
                     let admitted = stream
                         .set_nonblocking(false)
                         .map_err(HandshakeError::Io)
                         .and_then(|()| {
-                            master_handshake(&mut stream, &mut table, session, master_seed)
+                            master_handshake(
+                                &mut stream,
+                                &mut table,
+                                session,
+                                master_seed,
+                                required.as_ref(),
+                                left.min(handshake_timeout()),
+                            )
                         });
                     match admitted {
                         Ok(id) => slots[id as usize] = Some(stream),
@@ -1046,12 +1049,13 @@ mod tests {
             let mut outcomes = Vec::new();
             for _ in 0..3 {
                 let (mut stream, _) = listener.accept().unwrap();
-                outcomes.push(master_handshake_with(
+                outcomes.push(master_handshake(
                     &mut stream,
                     &mut table,
                     1,
                     42,
                     Some(&required),
+                    handshake_timeout(),
                 ));
             }
             (outcomes, table.joined())
@@ -1383,6 +1387,28 @@ mod tests {
         let session = lone.join().unwrap().unwrap();
         assert_eq!(session.end, SessionEnd::Disconnected);
         hostile.join().unwrap();
+    }
+
+    #[test]
+    fn silent_peer_cannot_hold_the_accept_loop_past_the_join_deadline() {
+        let mut config = test_config(1);
+        config.join_timeout = Duration::from_millis(300);
+        let mut rdv = Rendezvous::bind("127.0.0.1:0", config).unwrap();
+        // Connects and never sends a byte: the master is inside this
+        // peer's handshake, blocked on its JOIN, when the deadline passes.
+        let silent = TcpStream::connect(rdv.local_addr().unwrap()).unwrap();
+        let start = Instant::now();
+        let err = rdv
+            .accept_session(NetworkModel::cluster_1gbps(), 1)
+            .err()
+            .expect("a silent peer is not a member");
+        let waited = start.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(err.to_string().contains("0 of 1"), "slot table touched: {err}");
+        // Well inside the (default 10 s) handshake timeout a silent peer
+        // used to cost.
+        assert!(waited < Duration::from_secs(2), "held for {waited:?}");
+        drop(silent);
     }
 
     #[test]

@@ -437,7 +437,10 @@ impl ProcCluster {
         let count = streams.len();
         let mut links = Vec::with_capacity(count);
         for stream in streams {
+            // Replaces the handshake's bounds: ops may compute for long, and
+            // a multi-MB BuildShard write may block on the peer's reads.
             stream.set_read_timeout(Some(REPLY_TIMEOUT))?;
+            stream.set_write_timeout(None)?;
             links.push(Link { stream, alive: true });
         }
         Ok(ProcCluster {
@@ -1160,8 +1163,9 @@ mod tests {
         });
         let (mut stream, _) = listener.accept().unwrap();
         let mut table = MembershipTable::new(1);
-        let err = rendezvous::master_handshake(&mut stream, &mut table, 1, 1)
-            .expect_err("seed mismatch accepted");
+        let err =
+            rendezvous::master_handshake(&mut stream, &mut table, 1, 1, None, handshake_timeout())
+                .expect_err("seed mismatch accepted");
         assert!(err.to_string().contains("seed mismatch"), "{err}");
         // The refused worker's slot is free again for a replacement.
         assert_eq!(table.joined(), 0);

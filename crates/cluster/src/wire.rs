@@ -10,7 +10,7 @@
 //! `[u32 count] ([u32 node] [u32 delta])*` for delta vectors, and
 //! `[u32 count] ([u32 value])*` for plain id vectors (little-endian).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSliceMut, Read, Write};
 
 /// A sparse coverage-delta message: each tuple says "node `v`'s marginal
 /// coverage decreases by `delta`".
@@ -138,21 +138,39 @@ impl std::error::Error for WireError {}
 /// backend, the rendezvous handshake, and the `dim-serve` query protocol.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// Bodies up to this size are copied next to their header so the frame
+/// leaves in one `write`; larger ones (shard builds, big delta vectors) go
+/// out as header, then body, uncopied.
+const COALESCE_MAX: usize = 16 << 10;
+
 /// Writes one length-prefixed frame: `[u32 len LE][u8 opcode][body]`,
-/// where `len` counts the opcode byte plus the body.
+/// where `len` counts the opcode byte plus the body. The sockets this runs
+/// on are `TCP_NODELAY`, where every `write` is a segment and a wake-up of
+/// the peer, so a small frame is one `write` and no frame is more than two.
 pub fn write_frame(w: &mut impl Write, opcode: u8, body: &[u8]) -> io::Result<()> {
     let len = 1 + body.len();
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
     }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&[opcode])?;
-    w.write_all(body)?;
+    let mut head = [0u8; 5];
+    head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    head[4] = opcode;
+    if body.len() <= COALESCE_MAX {
+        let mut frame = Vec::with_capacity(head.len() + body.len());
+        frame.extend_from_slice(&head);
+        frame.extend_from_slice(body);
+        w.write_all(&frame)?;
+    } else {
+        w.write_all(&head)?;
+        w.write_all(body)?;
+    }
     w.flush()
 }
 
 /// Reads one frame written by [`write_frame`], rejecting zero-length and
-/// over-[`MAX_FRAME`] headers before allocating.
+/// over-[`MAX_FRAME`] headers before allocating. Two reads when the frame
+/// has arrived whole: the length, then opcode and body together, the body
+/// landing in the buffer that is returned.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
     let mut hdr = [0u8; 4];
     r.read_exact(&mut hdr)?;
@@ -164,9 +182,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
         ));
     }
     let mut opcode = [0u8; 1];
-    r.read_exact(&mut opcode)?;
     let mut body = vec![0u8; len - 1];
-    r.read_exact(&mut body)?;
+    let got = loop {
+        let mut bufs = [IoSliceMut::new(&mut opcode), IoSliceMut::new(&mut body)];
+        match r.read_vectored(&mut bufs) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    r.read_exact(&mut body[got - 1..])?;
     Ok((opcode[0], body))
 }
 

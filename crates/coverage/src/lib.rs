@@ -23,9 +23,9 @@
 //! * [`budgeted`] — cost-aware (budgeted) maximum coverage with the same
 //!   element-distributed messaging, supporting the budgeted-IM application
 //!   the paper's conclusion names.
-//! * [`query`] — read-only influence queries over frozen shards
-//!   ([`QueryCursor`]): seed-set spread and constrained top-k, the
-//!   substrate of `dim serve`.
+//! * [`query`] — read-only influence queries over frozen shards: seed-set
+//!   spread ([`seed_set_coverage`], over the pooled [`scratch`] flags) and
+//!   constrained top-k ([`QueryCursor`]), the substrate of `dim serve`.
 //! * [`scratch`] — epoch-stamped reusable flag buffers ([`scratch::EpochFlags`])
 //!   that replace per-call `vec![false; n]` allocations on the hot paths.
 //!

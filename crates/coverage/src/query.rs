@@ -3,8 +3,8 @@
 //! Once RR sets are sampled (and possibly persisted through dim-store),
 //! the coverage shards become an immutable sketch that can answer many
 //! queries: the spread of an arbitrary seed set, or a fresh constrained
-//! top-k selection. Everything here works on `&[CoverageShard]` via
-//! [`QueryCursor`]s, so a server can share one sketch across concurrent
+//! top-k selection. Everything here works on `&[CoverageShard]` with
+//! per-thread scratch, so a server can share one sketch across concurrent
 //! query threads with no locking.
 
 use crate::greedy::GreedyResult;
@@ -16,63 +16,51 @@ use crate::shard::{CoverageShard, QueryCursor};
 /// shards. Divide by the total RR-set count θ for the coverage fraction
 /// `F_R(S)`, and multiply by `n` for the spread estimate (Eq. 2).
 /// Out-of-range and duplicate seed ids are ignored.
+///
+/// The only spread evaluation there is: every shard runs
+/// [`CoverageShard::coverage_of`] over one thread-local flag buffer
+/// ([`scratch::with_flags`], sized to the largest shard and epoch-cleared
+/// between shards), so a warm thread evaluates without allocating, whatever
+/// mix of sketches it is asked about.
+///
+/// # Panics
+/// Panics if any shard's index is stale (`needs_prepare`).
 pub fn seed_set_coverage(shards: &[CoverageShard], seeds: &[u32]) -> u64 {
-    SketchCursors::new(shards).seed_set_coverage(seeds)
+    let largest = shards.iter().map(|s| s.num_elements()).max().unwrap_or(0);
+    scratch::with_flags(largest, |seen| {
+        shards
+            .iter()
+            .map(|shard| {
+                seen.clear();
+                shard.coverage_of(seeds, seen)
+            })
+            .sum()
+    })
 }
 
-/// Reusable per-shard cursors for evaluating many seed sets against one
-/// frozen sketch.
-///
-/// [`seed_set_coverage`] allocates a fresh [`QueryCursor`] — a covered
-/// bitmap the size of the shard plus scratch space — per shard *per
-/// query*. For a single query that is the price of admission, but a batch
-/// of queries (dim-serve's `REQ_BATCH`) pays it N times for buffers that
-/// always come back all-zero. `SketchCursors` allocates once and
-/// [`QueryCursor::reset`]s between evaluations, which is the allocation
-/// amortization that makes batched queries cheaper than N singles.
-///
-/// Holds `&[CoverageShard]`, so many instances can serve one shared
-/// sketch concurrently (one per worker thread or per batch).
+/// A handle for evaluating many seed sets against one frozen sketch. A
+/// thin shell over [`seed_set_coverage`]: the reusable buffers live in the
+/// thread-local scratch pool, not here.
 pub struct SketchCursors<'a> {
     shards: &'a [CoverageShard],
-    cursors: Vec<QueryCursor<'a>>,
-    /// True when the cursors carry coverage from a previous evaluation
-    /// and must be reset before the next one (skips the reset sweep on
-    /// the first query).
-    dirty: bool,
 }
 
 impl<'a> SketchCursors<'a> {
-    /// Allocates one cursor per shard, everything uncovered.
+    /// Binds the evaluator to `shards`.
     ///
     /// # Panics
     /// Panics if any shard's index is stale (`needs_prepare`).
     pub fn new(shards: &'a [CoverageShard]) -> Self {
-        SketchCursors {
-            shards,
-            cursors: shards.iter().map(QueryCursor::new).collect(),
-            dirty: false,
-        }
+        assert!(
+            shards.iter().all(|s| !s.needs_prepare()),
+            "call prepare() first"
+        );
+        SketchCursors { shards }
     }
 
-    /// Same contract as the free [`seed_set_coverage`], reusing this
-    /// instance's buffers: out-of-range and duplicate seed ids are
-    /// ignored, and the result is independent of any earlier evaluation.
+    /// [`seed_set_coverage`] on this instance's shards.
     pub fn seed_set_coverage(&mut self, seeds: &[u32]) -> u64 {
-        if self.dirty {
-            self.cursors.iter_mut().for_each(QueryCursor::reset);
-        }
-        self.dirty = !seeds.is_empty();
-        let mut total = 0u64;
-        for (shard, cursor) in self.shards.iter().zip(&mut self.cursors) {
-            for &u in seeds {
-                if (u as usize) < shard.num_sets() {
-                    cursor.cover(u);
-                }
-            }
-            total += cursor.covered_count() as u64;
-        }
-        total
+        seed_set_coverage(self.shards, seeds)
     }
 
     /// The shards this evaluator reads.

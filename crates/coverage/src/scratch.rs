@@ -56,16 +56,15 @@ impl EpochFlags {
         self.epoch += 1;
     }
 
-    /// Sets flag `i`. Returns `true` if it was previously unset.
+    /// Sets flag `i`. Returns `true` if it was previously unset. The stamp
+    /// is stored unconditionally, so counting loops can add the result
+    /// instead of branching on it.
     #[inline]
     pub fn set(&mut self, i: usize) -> bool {
         let slot = &mut self.stamp[i];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
+        let fresh = *slot != self.epoch;
+        *slot = self.epoch;
+        fresh
     }
 
     /// True when flag `i` is set.

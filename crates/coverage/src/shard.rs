@@ -241,6 +241,31 @@ impl CoverageShard {
             .count()
     }
 
+    /// Local elements covered by `seeds`, read-only: the shard's own labels
+    /// are untouched and the transient "seen" marks live in the caller's
+    /// `seen` (cleared by the caller, reusable across shards and queries).
+    /// Out-of-range and duplicate seed ids add nothing. This is the one
+    /// spread kernel: [`crate::seed_set_coverage`] runs it per shard over
+    /// the thread-local pooled flags.
+    ///
+    /// # Panics
+    /// Panics if the index is stale (`needs_prepare`) or `seen` tracks
+    /// fewer indices than the shard has elements.
+    pub fn coverage_of(&self, seeds: &[u32], seen: &mut EpochFlags) -> u64 {
+        assert!(!self.needs_prepare(), "call prepare() first");
+        assert!(seen.len() >= self.num_elements(), "flags shorter than shard");
+        let mut covered = 0u64;
+        for &u in seeds {
+            if (u as usize) < self.num_sets {
+                // Stamp and add: no branch on whether the element was new.
+                for &e in self.index.get(u as usize) {
+                    covered += seen.set(e as usize) as u64;
+                }
+            }
+        }
+        covered
+    }
+
     /// Borrow the raw element records.
     pub fn elements(&self) -> &PooledSets {
         &self.elements
@@ -311,15 +336,13 @@ const _: () = {
 /// A read-only coverage evaluator over a prepared shard.
 ///
 /// Owns its covered labels and scratch space, so any number of cursors
-/// can query one `&CoverageShard` concurrently — the substrate for
-/// `dim serve`'s thread-per-connection query handling. For the same
-/// sequence of seeds, [`QueryCursor::apply_seed`] returns exactly what
+/// can query one `&CoverageShard` concurrently — what constrained top-k
+/// selection ([`crate::constrained_greedy`]) runs on in `dim serve`'s
+/// worker pool. For the same sequence of seeds,
+/// [`QueryCursor::apply_seed`] returns exactly what
 /// [`CoverageShard::apply_seed`] would on a freshly prepared shard.
 pub struct QueryCursor<'a> {
     shard: &'a CoverageShard,
-    /// Epoch-stamped labels: [`QueryCursor::reset`] is an O(1) epoch bump,
-    /// so pooled cursors (dim-serve's `SketchCursors`) pay nothing to
-    /// start a fresh query.
     covered: EpochFlags,
     covered_count: usize,
     scratch_counts: Vec<u32>,
@@ -391,22 +414,6 @@ impl<'a> QueryCursor<'a> {
         }
     }
 
-    /// Applies seed `u` without aggregating deltas, returning only the
-    /// number of newly covered elements — the cheap path for spread
-    /// queries, which never feed a selector.
-    ///
-    /// # Panics
-    /// Panics if `u` is outside the set universe.
-    pub fn cover(&mut self, u: u32) -> usize {
-        let before = self.covered_count;
-        for &e in self.shard.index.get(u as usize) {
-            if self.covered.set(e as usize) {
-                self.covered_count += 1;
-            }
-        }
-        self.covered_count - before
-    }
-
     /// Elements covered by the seeds applied so far.
     pub fn covered_count(&self) -> usize {
         self.covered_count
@@ -431,12 +438,6 @@ impl<'a> QueryCursor<'a> {
             .filter(|&&e| !self.covered.is_set(e as usize))
             .count();
         lanes.iter().sum::<usize>() + tail
-    }
-
-    /// Labels everything uncovered again in O(1) (epoch bump).
-    pub fn reset(&mut self) {
-        self.covered.clear();
-        self.covered_count = 0;
     }
 }
 
@@ -623,28 +624,33 @@ mod tests {
         let shard = example3();
         let mut a = QueryCursor::new(&shard);
         let mut b = QueryCursor::new(&shard);
-        assert_eq!(a.cover(0), 3);
+        a.apply_seed_each(0, |_| {});
+        assert_eq!(a.covered_count(), 3);
         // b is unaffected by a's progress, and the shard itself never
         // changed.
         assert_eq!(b.marginal(0), 3);
-        assert_eq!(b.cover(1), 3);
+        b.apply_seed_each(1, |_| {});
+        assert_eq!(b.covered_count(), 3);
         assert_eq!(shard.covered_count(), 0);
-        a.reset();
-        assert_eq!(a.covered_count(), 0);
-        assert_eq!(a.cover(0), 3);
     }
 
     #[test]
     fn cover_counts_match_deltas() {
         let shard = example3();
-        let mut via_cover = QueryCursor::new(&shard);
+        let mut seen = EpochFlags::new(shard.num_elements());
         let mut via_deltas = QueryCursor::new(&shard);
-        for u in [1u32, 4, 2] {
-            let gained = via_cover.cover(u);
-            via_deltas.apply_seed(u);
-            assert_eq!(via_cover.covered_count(), via_deltas.covered_count());
-            assert!(gained <= shard.num_elements());
+        let seeds = [1u32, 4, 2, 4, 99];
+        for upto in 1..=seeds.len() {
+            if let Some(&u) = seeds[..upto].last().filter(|&&u| u < 5) {
+                via_deltas.apply_seed(u);
+            }
+            seen.clear();
+            assert_eq!(
+                shard.coverage_of(&seeds[..upto], &mut seen),
+                via_deltas.covered_count() as u64
+            );
         }
+        assert_eq!(shard.covered_count(), 0, "read-only");
     }
 
     #[test]

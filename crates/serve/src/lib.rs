@@ -19,9 +19,9 @@
 //! `REQ_BATCH` opcode (one frame, N queries, replies in request order)
 //! and an admin `REQ_RELOAD`. The [`Server`] is a bounded worker pool
 //! over a shared accept queue serving a hot-swappable generation-tagged
-//! [`Sketch`] (queries evaluate through read-only
-//! [`dim_coverage::QueryCursor`]s pinned to one generation, so no
-//! locking sits on the answer path), with connection-limit load shedding
+//! [`Sketch`] (every query, single frame or batch entry, evaluates
+//! read-only against one pinned generation with per-thread scratch, so
+//! no locking sits on the answer path), with connection-limit load shedding
 //! and latency/throughput metrics ([`ServeMetrics`]). [`QueryClient`] is
 //! the matching blocking client used by `dim query` and `dim-loadgen`,
 //! with rendezvous-style retrying connects ([`ConnectOptions`]).

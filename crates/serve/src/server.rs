@@ -50,7 +50,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dim_cluster::wire::{read_frame, write_frame};
-use dim_coverage::{constrained_greedy, seed_set_coverage, CoverageShard, SketchCursors};
+use dim_coverage::{constrained_greedy, seed_set_coverage, CoverageShard};
 use dim_store::{Snapshot, SnapshotRequest, StoreError};
 
 use crate::auth::failure_error;
@@ -68,9 +68,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 const WORKER_POLL: Duration = Duration::from_millis(50);
 
 /// An immutable in-memory RR sketch: the per-machine coverage shards of
-/// one sampling run plus the scalars queries need. Queries evaluate
-/// through read-only [`dim_coverage::QueryCursor`]s, so one sketch serves
-/// any number of concurrent connections without locking.
+/// one sampling run plus the scalars queries need. Queries read the
+/// shards and keep their scratch per thread, so one sketch serves any
+/// number of concurrent connections without locking.
 pub struct Sketch {
     shards: Vec<CoverageShard>,
     num_nodes: usize,
@@ -177,8 +177,8 @@ pub struct ReloadSource {
     pub num_nodes: usize,
 }
 
-/// Server tuning knobs; `Default` matches the PR-5 prototype's behavior
-/// (no reload source, generation 0) with bounded threading.
+/// Server tuning knobs; `Default` is an unversioned sketch (generation 0)
+/// with no reload source, 8 workers and 1024 admitted connections.
 pub struct ServeOptions {
     /// Worker threads — connections served concurrently.
     pub workers: usize,
@@ -747,25 +747,16 @@ fn worker_loop(queue: Arc<Mutex<Receiver<(u64, TcpStream)>>>, shared: Arc<Shared
 }
 
 /// Answers one decoded query against a pinned generation, recording
-/// latency and the query count on the owning tenant. Spread queries
-/// inside a batch evaluate through the batch's reusable [`SketchCursors`]
-/// (the allocation amortization `REQ_BATCH` exists for).
+/// latency and the query count on the owning tenant. Single frames and
+/// batch entries alike go through [`Sketch::answer`].
 fn answer_query(
     shared: &Shared,
     tenant: &TenantServing,
     state: &SketchState,
     req: &QueryRequest,
-    cursors: Option<&mut SketchCursors<'_>>,
 ) -> QueryResponse {
     let start = Instant::now();
-    let mut resp = match (req, cursors) {
-        (QueryRequest::Spread { seeds }, Some(cursors)) => QueryResponse::Spread {
-            covered: cursors.seed_set_coverage(seeds),
-            theta: state.sketch.theta(),
-            num_nodes: state.sketch.num_nodes() as u64,
-        },
-        (req, _) => state.sketch.answer(req),
-    };
+    let mut resp = state.sketch.answer(req);
     let answered = tenant.queries.fetch_add(1, Ordering::Relaxed) + 1;
     tenant
         .latency
@@ -912,15 +903,11 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                         match t.admit(requests.len() as u64) {
                             Ok(_guard) => {
                                 // The whole batch answers against one
-                                // pinned generation and one set of
-                                // reusable cursors.
+                                // pinned generation.
                                 let state = t.pinned();
-                                let mut cursors = SketchCursors::new(state.sketch.shards());
                                 let responses: Vec<QueryResponse> = requests
                                     .iter()
-                                    .map(|req| {
-                                        answer_query(shared, t, &state, req, Some(&mut cursors))
-                                    })
+                                    .map(|req| answer_query(shared, t, &state, req))
                                     .collect();
                                 t.batches.fetch_add(1, Ordering::Relaxed);
                                 (RESP_BATCH, encode_response_batch(&responses))
@@ -953,7 +940,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 Some(req) => match t.admit(1) {
                     Ok(_guard) => {
                         let state = t.pinned();
-                        answer_query(shared, t, &state, &req, None)
+                        answer_query(shared, t, &state, &req)
                     }
                     Err(limit) => quota_refused(t, limit),
                 },

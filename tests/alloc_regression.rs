@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dim_coverage::{constrained_greedy, scratch, CoverageShard, SketchCursors};
+use dim_coverage::{constrained_greedy, scratch, seed_set_coverage, CoverageShard, SketchCursors};
 
 struct CountingAlloc;
 
@@ -38,11 +38,12 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Deterministic little sketch: 3 shards over a 100-set universe.
-fn fixture() -> Vec<CoverageShard> {
+/// Deterministic little sketch: 3 shards of `elements` records each over a
+/// 100-set universe.
+fn fixture(elements: u32) -> Vec<CoverageShard> {
     (0..3u32)
         .map(|s| {
-            let records: Vec<Vec<u32>> = (0..200u32)
+            let records: Vec<Vec<u32>> = (0..elements)
                 .map(|e| {
                     (0..(e % 7 + 1))
                         .map(|j| (s * 31 + e * 13 + j * 41) % 100)
@@ -56,7 +57,7 @@ fn fixture() -> Vec<CoverageShard> {
 
 #[test]
 fn hot_query_paths_do_not_allocate_in_steady_state() {
-    let shards = fixture();
+    let shards = fixture(200);
 
     // The pooled epoch-stamped scratch allocates only while growing.
     scratch::with_flags(100, |f| {
@@ -90,6 +91,40 @@ fn hot_query_paths_do_not_allocate_in_steady_state() {
         baseline,
         "repeated spread queries allocated in steady state"
     );
+
+    // The single-frame path: the free function borrows the same pooled
+    // flags, so after one call on the larger sketch the pool has grown for
+    // good and queries alternating between two sketches of different shard
+    // sizes allocate nothing — and never see each other's marks.
+    let larger = fixture(500);
+    let triple = |i: u32| [i % 100, (i + 7) % 100, (i + 31) % 100];
+    // Expected values by brute force, so the pool has not met the larger
+    // sketch before the one warm-up call below.
+    let brute = |shards: &[CoverageShard], seeds: &[u32]| -> u64 {
+        let hit = |s: &CoverageShard, e| s.elements().get(e).iter().any(|v| seeds.contains(v));
+        shards
+            .iter()
+            .map(|s| (0..s.num_elements()).filter(|&e| hit(s, e)).count() as u64)
+            .sum()
+    };
+    let expected: Vec<(u64, u64)> = (0..50)
+        .map(|i| (brute(&shards, &triple(i)), brute(&larger, &triple(i))))
+        .collect();
+    seed_set_coverage(&larger, &[1, 2, 3]);
+    let baseline = allocs();
+    let mut wrong = 0;
+    for (i, &(small, large)) in expected.iter().enumerate() {
+        let seeds = triple(i as u32);
+        wrong += usize::from(seed_set_coverage(&shards, &seeds) != small);
+        wrong += usize::from(seed_set_coverage(&larger, &seeds) != large);
+    }
+    assert_eq!(
+        allocs(),
+        baseline,
+        "single-frame spread queries allocated in steady state"
+    );
+    assert_eq!(wrong, 0, "pooled flags leaked between sketches");
+    assert!(expected.iter().any(|&(small, large)| small != large));
 
     // Full constrained selection allocates per call (cursors, counts,
     // selector), but the per-call count must be flat across repeats —

@@ -436,6 +436,51 @@ fn wire_frame_is_strict() {
     strict(Canonical, "wire_frame", CASES, gen, encode, decode);
 }
 
+/// However `write_frame` groups its writes, the bytes are the three-part
+/// layout `[u32 len LE][opcode][body]` — at every power of two ± 1 up to
+/// 64 KiB, so on both sides of the private one-write cutover in `wire.rs`
+/// wherever it sits in that range, and at the largest frame allowed — and
+/// `read_frame` takes them back from a reader that yields one byte per call. A zero or oversized length is refused on the
+/// header alone: the reader below holds nothing after it, so any attempt
+/// to go on to a body would surface as `UnexpectedEof` instead.
+#[test]
+fn wire_frame_layout_survives_write_coalescing() {
+    use dim::dim_cluster::wire::MAX_FRAME;
+    struct OneByte<'a>(&'a [u8]);
+    impl std::io::Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+    forall("wire_frame_layout", 4, any_u8, |&opcode, rng| {
+        for len in (0..=16).flat_map(|p| [(1usize << p) - 1, 1 << p, (1 << p) + 1]) {
+            let body = random_bytes(rng, len..len + 1);
+            let mut out = Vec::new();
+            write_frame(&mut out, opcode, &body).unwrap();
+            let three_writes =
+                [&(body.len() as u32 + 1).to_le_bytes()[..], &[opcode], &body].concat();
+            assert!(out == three_writes, "body length {len}");
+            let mut trickle = OneByte(&out);
+            assert!(read_frame(&mut trickle).unwrap() == (opcode, body), "body length {len}");
+            assert!(trickle.0.is_empty());
+        }
+    });
+    // The largest frame: a 64 MiB body goes out uncopied behind its header.
+    let mut body = vec![0u8; MAX_FRAME - 1];
+    (body[0], body[MAX_FRAME / 2], body[MAX_FRAME - 2]) = (1, 2, 3);
+    let mut out = Vec::new();
+    write_frame(&mut out, 9, &body).unwrap();
+    assert_eq!(out[..5], [&(MAX_FRAME as u32).to_le_bytes()[..], &[9]].concat()[..]);
+    assert!(out[5..] == body[..]);
+    for len in [0u32, MAX_FRAME as u32 + 1, u32::MAX] {
+        let err = read_frame(&mut OneByte(&len.to_le_bytes())).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len = {len}");
+    }
+}
+
 // Chaos plans and edge batches.
 
 #[test]

@@ -13,6 +13,7 @@ use std::time::Duration;
 use common::{any_u64, forall, in_range, vec_of};
 use dim::dim_core::params::log_choose;
 use dim::dim_coverage::greedy::naive_greedy;
+use dim::dim_coverage::{constrained_greedy, seed_set_coverage, SketchCursors};
 use dim::dim_diffusion::exact::LiveEdgeEnsemble;
 use dim::dim_diffusion::rr::{sample_batch, AnySampler};
 use dim::dim_diffusion::visit::VisitTracker;
@@ -274,6 +275,48 @@ fn greedi_is_consistent() {
         assert_eq!(r.covered, p.coverage_of(&r.seeds));
         assert!(r.covered <= p.brute_force_opt((*k).min(p.num_sets())).1);
         assert!(r.seeds.len() <= *k);
+    });
+}
+
+/// The one spread kernel, its `SketchCursors` shell and brute-force `|∪|`
+/// agree for every sharding, with duplicate and out-of-range seed ids in
+/// the list — and evaluations of different instances on one thread never
+/// see each other's marks in the pooled flags.
+#[test]
+fn seed_set_coverage_equals_cursors_equals_brute_force() {
+    let gen = |r: &mut Rng| {
+        let (p, _, l) = with_k_and_l(1, 6)(r);
+        let ids = p.num_sets() as u64 + 4;
+        (p, l, vec_of(r, 0..10, |r| in_range(r, 0..ids) as u32))
+    };
+    forall("seed_set_coverage_brute_force", COVERAGE_CASES, gen, |(p, l, seeds), _| {
+        let shards = p.shard_elements(*l);
+        let expected = p.coverage_of(seeds);
+        assert_eq!(seed_set_coverage(&shards, seeds), expected);
+        let mut cursors = SketchCursors::new(&shards);
+        assert_eq!(cursors.seed_set_coverage(seeds), expected);
+        assert_eq!(cursors.seed_set_coverage(&[]), 0);
+        assert_eq!(seed_set_coverage(&[p.single_shard()], seeds), expected);
+    });
+}
+
+/// Greedy is prefix-consistent: the first `k` picks of a longer
+/// unconstrained run are the run for `k`, ties and early stops (fewer
+/// useful sets than asked for) included, and the coverage of a prefix is
+/// the sum of its marginals.
+#[test]
+fn constrained_greedy_is_prefix_consistent() {
+    forall("greedy_prefix_consistent", COVERAGE_CASES, with_k_and_l(14, 4), |(p, big_k, l), _| {
+        let shards = p.shard_elements(*l);
+        let long = constrained_greedy(&shards, *big_k, &[], &[]);
+        assert!(long.seeds.len() <= *big_k);
+        for k in 0..=*big_k {
+            let short = constrained_greedy(&shards, k, &[], &[]);
+            let kept = k.min(long.seeds.len());
+            assert_eq!(short.seeds, long.seeds[..kept], "k = {k}");
+            assert_eq!(short.marginals, long.marginals[..kept], "k = {k}");
+            assert_eq!(short.covered, long.marginals[..kept].iter().sum::<u64>(), "k = {k}");
+        }
     });
 }
 
