@@ -5,7 +5,8 @@
 //!
 //! experiments:
 //!   table2 table3 table4 fig5 fig6 fig7 fig8 fig9 fig10
-//!   ablation-traffic ablation-greedy ablation-sampler
+//!   ablation-traffic ablation-greedy ablation-sampler ablation-incremental
+//!   ext-opim
 //!
 //! flags:
 //!   --quick              quarter scale, looser ε, shorter sweeps

@@ -9,7 +9,7 @@
 //! is the timeline total's modeled transfer time. The JSON rows also
 //! carry the raw per-label breakdown for finer-grained plots.
 
-use dim_cluster::{phase, JoinConfig, NetworkModel, PhaseTimeline, ProcCluster, Rendezvous};
+use dim_cluster::{phase, tcp_cluster, JoinConfig, NetworkModel, PhaseTimeline};
 use dim_core::diimm::{diimm, diimm_on};
 use dim_core::{setup_im_cluster, ImConfig, ImResult, SamplerKind};
 use dim_diffusion::DiffusionModel;
@@ -73,34 +73,6 @@ struct Setup {
     multicore: bool,
 }
 
-/// The TCP cluster for `--backend proc|join`: spawned `dim-worker`
-/// processes, or one rendezvous session of pre-started ones.
-fn tcp_cluster(
-    backend: Backend,
-    machines: usize,
-    network: NetworkModel,
-    seed: u64,
-) -> ProcCluster {
-    if backend == Backend::Proc {
-        return ProcCluster::spawn(machines, network, seed)
-            .expect("spawn dim-worker processes (set DIM_WORKER_BIN)");
-    }
-    // One rendezvous session per row: pre-started join workers
-    // re-register between rows, so a fleet started once covers the
-    // whole sweep. The bind→membership latency is recorded in the
-    // timeline (`rendezvous` label) and ends up in the JSON rows.
-    let mut rendezvous = Rendezvous::bind_env(JoinConfig::new(machines))
-        .expect("bind rendezvous listener (DIM_MASTER_BIND)");
-    let addr = rendezvous.local_addr().expect("rendezvous local addr");
-    eprintln!(
-        "waiting for {machines} join worker(s) on {addr} \
-         (start each with: dim-worker --connect {addr} --join)"
-    );
-    rendezvous
-        .accept_session(network, seed)
-        .expect("join workers register before the join timeout")
-}
-
 /// One DiIMM run on the configured backend.
 fn run_one(
     ctx: &Context,
@@ -112,7 +84,11 @@ fn run_one(
     match ctx.backend {
         Backend::Sim(mode) => diimm(graph, config, machines, network, mode),
         backend @ (Backend::Proc | Backend::Join) => {
-            let mut cluster = tcp_cluster(backend, machines, network, config.seed);
+            // One session per row; its bind→membership latency lands in
+            // the timeline (`rendezvous` label) and so in the JSON rows.
+            let spawn = backend == Backend::Proc;
+            let mut cluster = tcp_cluster(spawn, JoinConfig::new(machines), network, config.seed)
+                .expect("assemble the TCP cluster (DIM_WORKER_BIN / DIM_MASTER_BIND)");
             setup_im_cluster(&mut cluster, graph, config.sampler).expect("well-formed wire");
             diimm_on(&mut cluster, graph, config, true)
         }

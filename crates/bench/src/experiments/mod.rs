@@ -6,8 +6,6 @@ pub mod ablations;
 pub mod fig10;
 pub mod im_scaling;
 pub mod opim_ext;
-pub mod quality;
-pub mod straggler;
 pub mod table2;
 pub mod table3;
 pub mod table4;
@@ -32,9 +30,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("ablation-greedy", "bucket selector vs CELF vs naive rescan", ablations::greedy),
     ("ablation-sampler", "SUBSIM geometric jumps vs per-edge BFS work", ablations::sampler),
     ("ablation-incremental", "incremental vs full coverage reporting in DiIMM", ablations::incremental),
-    ("quality", "seed quality: DiIMM vs degree/degree-discount/PageRank/random", quality::run),
     ("ext-opim", "extension: OPIM-C adaptive stopping vs IMM sample counts", opim_ext::run),
-    ("ext-straggler", "extension: NewGreeDi sensitivity to a half-speed machine", straggler::run),
 ];
 
 /// Runs one experiment by name (or `all`). Returns false on unknown names.

@@ -30,7 +30,7 @@ const K: [u32; 64] = [
 ];
 
 /// SHA-256 of `data` (FIPS 180-4).
-pub fn sha256(data: &[u8]) -> Digest {
+pub(crate) fn sha256(data: &[u8]) -> Digest {
     let mut h: [u32; 8] = [
         0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
         0x5be0cd19,
@@ -99,7 +99,7 @@ pub fn token_digest(token: &str) -> Digest {
 /// inputs regardless of where they first differ, so response timing does
 /// not leak how long a matching prefix was. (Length mismatch returns
 /// early — lengths are public: every digest is [`DIGEST_LEN`] bytes.)
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -119,7 +119,7 @@ pub fn verify_digest(presented: &Digest, expected: &Digest) -> bool {
 /// digest the JOIN handshake carries and checks. `None` (unset or empty)
 /// means the rendezvous port accepts unauthenticated joiners — the
 /// pre-auth behavior.
-pub fn cluster_token_digest() -> Option<Digest> {
+pub(crate) fn cluster_token_digest() -> Option<Digest> {
     match std::env::var("DIM_CLUSTER_TOKEN") {
         Ok(token) if !token.is_empty() => Some(token_digest(&token)),
         _ => None,

@@ -137,8 +137,8 @@ fn ppm_roll(seed: u64, machine: u32, round: u64, salt: u64, prob_ppm: u32) -> bo
 
 /// Interprets a [`FaultPlan`] round by round, recording every injection.
 ///
-/// Backends call [`FaultInjector::decide`] once per machine per op round
-/// (in machine order) and [`FaultInjector::next_round`] after the round —
+/// Backends call `FaultInjector::decide` once per machine per op round
+/// (in machine order) and `FaultInjector::next_round` after the round —
 /// the decision for a `(machine, round)` pair is stateless apart from the
 /// once-only `Kill` event, so the same plan yields the same schedule
 /// regardless of which backend interprets it.
@@ -161,7 +161,7 @@ impl FaultInjector {
         }
     }
 
-    /// The op round the next [`FaultInjector::decide`] applies to.
+    /// The op round the next `FaultInjector::decide` applies to.
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -171,23 +171,14 @@ impl FaultInjector {
         &self.events
     }
 
-    /// Machines whose links have been killed so far.
-    pub fn killed(&self) -> Vec<usize> {
-        self.dead
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
-            .collect()
-    }
-
     /// Advances to the next op round.
-    pub fn next_round(&mut self) {
+    pub(crate) fn next_round(&mut self) {
         self.round += 1;
     }
 
     /// Decides what happens to `machine`'s link this round, recording the
     /// injected events.
-    pub fn decide(&mut self, machine: usize) -> LinkDecision {
+    pub(crate) fn decide(&mut self, machine: usize) -> LinkDecision {
         let m = machine as u32;
         let round = self.round;
         if self.dead.get(machine).copied().unwrap_or(false) {
@@ -435,7 +426,7 @@ impl FaultPlan {
 
     /// Serializes the plan as `dim chaos --plan` JSON (one object, stable
     /// field order; `from_json ∘ to_json = id` for every `u64` — values
-    /// from 2⁵³ up are written as decimal strings, see [`Json::as_u64`]).
+    /// from 2⁵³ up are written as decimal strings, see `Json::as_u64`).
     pub fn to_json(&self) -> String {
         let obj = |fields: Vec<(&str, Json)>| {
             Json::Obj(fields.into_iter().map(|(key, value)| (key.to_string(), value)).collect())
@@ -647,7 +638,7 @@ mod tests {
             .collect();
         assert_eq!(kills.len(), 1);
         assert_eq!((kills[0].round, kills[0].machine), (2, 1));
-        assert_eq!(inj.killed(), vec![1]);
+        assert_eq!(inj.dead, vec![false, true, false]);
     }
 
     #[test]

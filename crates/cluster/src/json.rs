@@ -22,24 +22,24 @@ pub enum Json {
 /// 2⁵³: below it every integer is an `f64`, from it up some are not.
 const EXACT_INTEGERS_END: u64 = 1 << 53;
 
-pub struct JsonParser<'a> {
+struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> JsonParser<'a> {
-    pub fn new(text: &'a str) -> Self {
+    fn new(text: &'a str) -> Self {
         JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
         }
     }
 
-    pub fn err<T>(&self, what: &str) -> Result<T, String> {
+    fn err<T>(&self, what: &str) -> Result<T, String> {
         Err(format!("{what} at byte {}", self.pos))
     }
 
-    pub fn skip_ws(&mut self) {
+    fn skip_ws(&mut self) {
         while self
             .bytes
             .get(self.pos)
@@ -63,7 +63,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    pub fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
@@ -213,7 +213,7 @@ impl Json {
 
     /// The value [`Json::as_u64`] reads back as exactly `v`: a number below
     /// 2⁵³, a string of decimal digits from there up.
-    pub fn exact_u64(v: u64) -> Json {
+    pub(crate) fn exact_u64(v: u64) -> Json {
         if v < EXACT_INTEGERS_END {
             Json::Num(v as f64)
         } else {
@@ -227,7 +227,7 @@ impl Json {
     /// Literals are parsed as `f64`, so by the time they get here 2⁵³ and
     /// 2⁵³ + 1 are the same number: anything that large is refused rather
     /// than silently replaced by a neighbour.
-    pub fn as_u64(&self, what: &str) -> Result<u64, String> {
+    pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGERS_END as f64 => {
                 Ok(*n as u64)
@@ -243,7 +243,7 @@ impl Json {
         }
     }
 
-    pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
+    pub(crate) fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
         match self.get(key) {
             None | Some(Json::Null) => Ok(default),
             Some(v) => v.as_u64(key),

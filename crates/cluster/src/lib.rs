@@ -82,7 +82,7 @@ pub mod runtime;
 pub mod tcp;
 pub mod wire;
 
-pub use auth::{cluster_token_digest, ct_eq, sha256, token_digest, Digest};
+pub use auth::{token_digest, Digest};
 pub use backend::{phase, ClusterBackend};
 pub use backoff::Backoff;
 pub use faults::{
@@ -92,7 +92,7 @@ pub use metrics::{ClusterMetrics, PhaseTimeline};
 pub use network::NetworkModel;
 pub use ops::{OpCluster, OpExecutor, SamplerSpec, WorkerOp, WorkerReply, WorkerStats};
 pub use rendezvous::{
-    connect_and_join, run_join_worker, JoinConfig, JoinOptions, JoinedSession, Rendezvous,
+    run_join_worker, tcp_cluster, JoinConfig, JoinOptions, JoinedSession, Rendezvous,
 };
 pub use rng::{rr_set_seed, stream_seed};
 pub use runtime::{ExecMode, SimCluster};

@@ -13,13 +13,13 @@
 //!   little-endian, strict (trailing bytes are rejected), carrying a
 //!   protocol-version byte and capability flags ([`caps`]) so future
 //!   workers can be refused with a typed reason instead of desyncing.
-//! * A [`MembershipTable`] — the pure registration state machine. It
+//! * A `MembershipTable` — the pure registration state machine. It
 //!   assigns machine-id slots, refuses duplicates and out-of-range
 //!   requests with typed [`RejectReason`]s (surfaced as
 //!   [`WireError`]s of kind `DuplicateId` / `IdOutOfRange`), and frees a
 //!   slot again if its owner dies before the session completes assembly.
 //! * [`Rendezvous`] — the master side: bind an advertised address
-//!   ([`Rendezvous::bind_env`] reads `DIM_MASTER_BIND`), then
+//!   ([`tcp_cluster`] reads it from `DIM_MASTER_BIND`), then
 //!   [`Rendezvous::accept_session`] registers joiners until the expected
 //!   cluster size ℓ is reached (or the join deadline expires), yielding a
 //!   [`ProcCluster`]. Rejected joiners are logged and do not abort the
@@ -28,9 +28,9 @@
 //!   [`PhaseTimeline`](crate::PhaseTimeline). A cluster assembled from
 //!   operator-started workers owns the links but **not** the worker
 //!   processes: drop ends the *session* (workers go back to joining).
-//! * The worker side: [`connect_and_join`] retries with jittered
+//! * The worker side: [`run_join_worker`] connects, retrying with jittered
 //!   exponential backoff ([`Backoff`]) until a configurable deadline, and
-//!   [`run_join_worker`] serves one full session — the only worker-side
+//!   serves one full session — the only worker-side
 //!   session entry point. `dim-worker --join` loops it, so a restarted (or
 //!   merely surviving) worker re-registers for the *next* run against the
 //!   same master process; without `--join` (what `spawn` launches) it runs
@@ -46,7 +46,7 @@
 //! worker that requested "any slot" may get a different id next session,
 //! and its WELCOME tells it which RNG stream to derive.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -115,14 +115,6 @@ impl JoinHello {
             caps: caps::ALL,
             requested,
             auth: crate::auth::cluster_token_digest().unwrap_or([0; crate::auth::DIGEST_LEN]),
-        }
-    }
-
-    /// [`JoinHello::new`] with an explicit token instead of the env var.
-    pub fn with_token(requested: Option<u32>, token: &str) -> Self {
-        JoinHello {
-            auth: crate::auth::token_digest(token),
-            ..JoinHello::new(requested)
         }
     }
 
@@ -335,13 +327,13 @@ impl RejectReason {
     /// Whether a rejected worker should keep retrying. Only
     /// [`RejectReason::SessionFull`] is transient — everything else means
     /// this worker, as configured, can never join this master.
-    pub fn retryable(self) -> bool {
+    pub(crate) fn retryable(self) -> bool {
         matches!(self, RejectReason::SessionFull)
     }
 
     /// The typed [`WireError`] this reason surfaces as on the master,
     /// attributed to `requested` where a machine id is meaningful.
-    pub fn wire_error(self, requested: Option<u32>) -> WireError {
+    pub(crate) fn wire_error(self, requested: Option<u32>) -> WireError {
         let machine = requested.map(|id| id as usize);
         match self {
             RejectReason::Duplicate => {
@@ -393,7 +385,7 @@ impl Reject {
 /// network. Every session a [`Rendezvous`] assembles drives its
 /// handshakes through one of these.
 #[derive(Clone, Debug)]
-pub struct MembershipTable {
+pub(crate) struct MembershipTable {
     taken: Vec<bool>,
 }
 
@@ -467,7 +459,7 @@ impl MembershipTable {
 
 /// What went wrong during a handshake.
 #[derive(Debug)]
-pub enum HandshakeError {
+pub(crate) enum HandshakeError {
     /// Transport failure (connect, read, write, timeout).
     Io(io::Error),
     /// Protocol violation, typed per [`WireError`] (master side).
@@ -526,6 +518,50 @@ impl From<io::Error> for HandshakeError {
     }
 }
 
+/// A handshaking peer's socket read and written against one absolute
+/// deadline. A socket timeout bounds a single syscall, and `read_exact`
+/// issues one per partial read, so a peer dripping a byte at a time just
+/// inside a fixed timeout would be waited on indefinitely; here every
+/// `read`/`write` arms the socket with what is left of `deadline` and
+/// fails `TimedOut` once nothing is.
+struct DeadlineIo<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl DeadlineIo<'_> {
+    fn left(&self) -> io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "handshake deadline passed"));
+        }
+        Ok(left)
+    }
+}
+
+impl Read for DeadlineIo<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read(buf)
+    }
+
+    fn read_vectored(&mut self, bufs: &mut [io::IoSliceMut<'_>]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read_vectored(bufs)
+    }
+}
+
+impl Write for DeadlineIo<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Master side of the v2 handshake on one accepted connection.
 ///
 /// Reads JOIN, registers it in `table`, answers WELCOME (or REJECT with a
@@ -539,21 +575,20 @@ impl From<io::Error> for HandshakeError {
 /// match it (constant-time) or the joiner is refused with
 /// [`RejectReason::Unauthorized`] before any slot is assigned.
 ///
-/// Every read and write of the exchange is bounded by `io_timeout` — the
-/// accept loop passes [`handshake_timeout`], or what is left of its join
-/// deadline when that is shorter. The bound stays on the stream; the
-/// caller resets it once the peer is a member.
-pub fn master_handshake(
+/// The whole exchange ends by `deadline` — the accept loop passes its join
+/// deadline, or [`handshake_timeout`] from now when that is sooner — however
+/// the peer paces its bytes (see [`DeadlineIo`]). The last bound armed
+/// stays on the stream; the caller resets it once the peer is a member.
+pub(crate) fn master_handshake(
     stream: &mut TcpStream,
     table: &mut MembershipTable,
     session: u64,
     master_seed: u64,
     required: Option<&crate::auth::Digest>,
-    io_timeout: Duration,
+    deadline: Instant,
 ) -> Result<u32, HandshakeError> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
+    let stream = &mut DeadlineIo { stream, deadline };
     let (opcode, body) = read_frame(stream)?;
     if opcode != frame::JOIN {
         return Err(HandshakeError::Io(protocol_err(&format!(
@@ -585,7 +620,7 @@ pub fn master_handshake(
 
 /// WELCOME + HELLO verification half of [`master_handshake`].
 fn confirm_member(
-    stream: &mut TcpStream,
+    stream: &mut DeadlineIo<'_>,
     table: &MembershipTable,
     session: u64,
     master_seed: u64,
@@ -629,7 +664,7 @@ fn confirm_member(
 /// against the request, and confirms with a HELLO carrying the derived
 /// stream seed. On success the stream's read timeout is cleared — the
 /// serve loop blocks indefinitely between ops by design.
-pub fn join_handshake(
+pub(crate) fn join_handshake(
     stream: &mut TcpStream,
     join: JoinHello,
 ) -> Result<Welcome, HandshakeError> {
@@ -705,7 +740,7 @@ impl JoinConfig {
 
 /// The master's join deadline: `DIM_JOIN_TIMEOUT_SECS` (whole seconds) or
 /// 30 s.
-pub fn default_join_timeout() -> Duration {
+fn default_join_timeout() -> Duration {
     env_secs("DIM_JOIN_TIMEOUT_SECS").unwrap_or(Duration::from_secs(30))
 }
 
@@ -732,13 +767,6 @@ impl Rendezvous {
             config,
             next_session: 1,
         })
-    }
-
-    /// [`Rendezvous::bind`] on the advertised address from
-    /// `DIM_MASTER_BIND` (default `127.0.0.1:0`). Multi-host deployments
-    /// set e.g. `DIM_MASTER_BIND=0.0.0.0:7070`.
-    pub fn bind_env(config: JoinConfig) -> io::Result<Self> {
-        Self::bind(tcp::master_bind_addr().as_str(), config)
     }
 
     /// The bound address workers should `--connect` to.
@@ -806,9 +834,9 @@ impl Rendezvous {
             match self.listener.accept() {
                 Ok((mut stream, peer)) => {
                     // Bounded by the deadline inside the handshake too: a
-                    // peer that connects and then says nothing costs the
-                    // session what is left of it, not a whole
-                    // handshake timeout on top.
+                    // peer that connects and then says nothing, or drips
+                    // its JOIN, costs the session what is left of it, not
+                    // a handshake timeout (per byte) on top.
                     let admitted = stream
                         .set_nonblocking(false)
                         .map_err(HandshakeError::Io)
@@ -819,7 +847,7 @@ impl Rendezvous {
                                 session,
                                 master_seed,
                                 required.as_ref(),
-                                left.min(handshake_timeout()),
+                                deadline.min(Instant::now() + handshake_timeout()),
                             )
                         });
                     match admitted {
@@ -841,6 +869,39 @@ impl Rendezvous {
             .collect();
         ProcCluster::from_streams(streams, network, session, self.config.heartbeat_timeout)
     }
+}
+
+/// The TCP cluster behind every `--backend proc|join`: `spawn_workers`
+/// launches one `dim-worker` process per machine ([`ProcCluster::spawn`]);
+/// otherwise pre-started `dim-worker --join` processes register with a
+/// [`Rendezvous`] bound to `DIM_MASTER_BIND` (default `127.0.0.1:0`;
+/// multi-host deployments set e.g. `0.0.0.0:7070`), whose address is
+/// announced on stderr.
+/// One rendezvous per call: join workers re-register between calls, so a
+/// fleet started once covers a whole sweep.
+pub fn tcp_cluster(
+    spawn_workers: bool,
+    config: JoinConfig,
+    network: NetworkModel,
+    master_seed: u64,
+) -> io::Result<ProcCluster> {
+    if spawn_workers {
+        return ProcCluster::spawn(config.expected, network, master_seed);
+    }
+    let mut rendezvous = Rendezvous::bind(tcp::master_bind_addr().as_str(), config)?;
+    let addr = rendezvous.local_addr()?;
+    eprintln!(
+        "dim: waiting for {} worker(s) to join at {addr} \
+         (dim-worker --connect {addr} --join)",
+        config.expected
+    );
+    let cluster = rendezvous.accept_session(network, master_seed)?;
+    eprintln!(
+        "dim: session {} assembled in {:.3}s",
+        cluster.session_id(),
+        cluster.timeline().get(phase::RENDEZVOUS).master_compute.as_secs_f64()
+    );
+    Ok(cluster)
 }
 
 /// Worker-side join knobs.
@@ -885,7 +946,7 @@ pub fn join_deadline_env() -> Option<Duration> {
 /// connections) with jittered exponential backoff until the deadline in
 /// `opts` (if any) expires. Fatal rejections — version or capability
 /// mismatch, duplicate or out-of-range id — surface immediately.
-pub fn connect_and_join(
+pub(crate) fn connect_and_join(
     addr: &str,
     opts: &JoinOptions,
 ) -> io::Result<(TcpStream, Welcome)> {
@@ -972,10 +1033,18 @@ mod tests {
     use crate::ops::{expect_counts, OpCluster, WorkerOp, WorkerReply};
     use crate::wire::WireErrorKind;
 
+    /// [`JoinHello::new`] with an explicit token instead of the env var.
+    fn join_with_token(requested: Option<u32>, token: &str) -> JoinHello {
+        JoinHello {
+            auth: crate::auth::token_digest(token),
+            ..JoinHello::new(requested)
+        }
+    }
+
     #[test]
     fn codec_roundtrips() {
         for requested in [None, Some(0), Some(7), Some(u32::MAX - 1)] {
-            let join = JoinHello::with_token(requested, "hunter2");
+            let join = join_with_token(requested, "hunter2");
             let bytes = join.encode();
             assert_eq!(bytes.len(), 38);
             assert_eq!(JoinHello::decode(&bytes), Some(join));
@@ -1055,7 +1124,7 @@ mod tests {
                     1,
                     42,
                     Some(&required),
-                    handshake_timeout(),
+                    Instant::now() + handshake_timeout(),
                 ));
             }
             (outcomes, table.joined())
@@ -1063,7 +1132,7 @@ mod tests {
         // Wrong token, then no token at all: both must be refused with the
         // typed reason on the worker side too.
         for join in [
-            JoinHello::with_token(None, "not-the-secret"),
+            join_with_token(None, "not-the-secret"),
             JoinHello {
                 auth: [0; crate::auth::DIGEST_LEN],
                 ..JoinHello::new(None)
@@ -1083,7 +1152,7 @@ mod tests {
         // The right token joins fine afterwards.
         let mut stream = TcpStream::connect(addr).unwrap();
         let welcome =
-            join_handshake(&mut stream, JoinHello::with_token(None, "cluster-secret")).unwrap();
+            join_handshake(&mut stream, join_with_token(None, "cluster-secret")).unwrap();
         assert_eq!(welcome.session, 1);
         let (outcomes, joined) = master.join().unwrap();
         assert!(matches!(
@@ -1409,6 +1478,42 @@ mod tests {
         // used to cost.
         assert!(waited < Duration::from_secs(2), "held for {waited:?}");
         drop(silent);
+    }
+
+    #[test]
+    fn dripping_peer_cannot_hold_the_accept_loop_past_the_join_deadline() {
+        let mut config = test_config(1);
+        config.join_timeout = Duration::from_millis(300);
+        let mut rdv = Rendezvous::bind("127.0.0.1:0", config).unwrap();
+        let master = rdv.local_addr().unwrap();
+        // A valid JOIN, one byte every 80 ms: every single read returns
+        // well inside any per-syscall timeout, the frame as a whole takes
+        // seconds. Stops at the first write the master's hang-up fails.
+        let drip = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(master).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut join = Vec::new();
+            write_frame(&mut join, frame::JOIN, &JoinHello::new(Some(0)).encode()).unwrap();
+            for byte in join {
+                if stream.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(80));
+            }
+        });
+        let start = Instant::now();
+        let err = rdv
+            .accept_session(NetworkModel::cluster_1gbps(), 1)
+            .err()
+            .expect("a peer still spelling its JOIN is not a member");
+        let waited = start.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(err.to_string().contains("0 of 1"), "slot table touched: {err}");
+        // 0.3 s of deadline plus scheduling slack; re-arming the timeout
+        // per read let this peer finish its JOIN after ~3.5 s.
+        assert!(waited < Duration::from_secs(1), "held for {waited:?}");
+        drop(rdv);
+        drip.join().unwrap();
     }
 
     #[test]

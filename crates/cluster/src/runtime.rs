@@ -37,11 +37,6 @@ pub struct SimCluster<W> {
     network: NetworkModel,
     mode: ExecMode,
     timeline: PhaseTimeline,
-    /// Per-machine relative speed (1.0 = nominal). A machine with speed
-    /// `s` is charged `elapsed / s` of virtual time — the knob for
-    /// modeling heterogeneous clusters and stragglers, which the paper's
-    /// balance analysis (Corollary 1) assumes away.
-    speeds: Vec<f64>,
     /// Optional chaos layer: when set, every op round consults the
     /// injector (see [`crate::faults`]) — injected delay is charged to the
     /// round's phase in **virtual time** and killed machines stop
@@ -55,35 +50,12 @@ impl<W: Send> SimCluster<W> {
     /// # Panics
     /// Panics if `workers` is empty.
     pub fn new(workers: Vec<W>, network: NetworkModel, mode: ExecMode) -> Self {
-        let speeds = vec![1.0; workers.len()];
-        Self::with_speeds(workers, network, mode, speeds)
-    }
-
-    /// Like [`Self::new`] but with per-machine relative speeds: machine
-    /// `i`'s measured work time is divided by `speeds[i]` when charged to
-    /// the virtual clock (0.5 = half-speed straggler).
-    ///
-    /// # Panics
-    /// Panics if `workers` is empty, lengths differ, or a speed is not
-    /// strictly positive.
-    pub fn with_speeds(
-        workers: Vec<W>,
-        network: NetworkModel,
-        mode: ExecMode,
-        speeds: Vec<f64>,
-    ) -> Self {
         assert!(!workers.is_empty(), "cluster needs at least one machine");
-        assert_eq!(workers.len(), speeds.len(), "one speed per machine");
-        assert!(
-            speeds.iter().all(|&s| s > 0.0 && s.is_finite()),
-            "speeds must be positive"
-        );
         SimCluster {
             workers,
             network,
             mode,
             timeline: PhaseTimeline::new(),
-            speeds,
             faults: None,
         }
     }
@@ -136,12 +108,6 @@ impl<W: Send> SimCluster<W> {
         Some(killed)
     }
 
-    /// Resets accumulated metrics to an empty timeline (worker state is
-    /// untouched).
-    pub fn reset_metrics(&mut self) {
-        self.timeline = PhaseTimeline::new();
-    }
-
     /// Consumes the cluster, returning the worker states.
     pub fn into_workers(self) -> Vec<W> {
         self.workers
@@ -161,14 +127,8 @@ impl<W: Send> SimCluster<W> {
         F: Fn(usize, &mut W) -> R + Sync,
     {
         let (results, times) = self.execute(f);
-        // Scale each machine's measured time by its relative speed.
-        let scaled: Vec<Duration> = times
-            .iter()
-            .zip(&self.speeds)
-            .map(|(t, &s)| t.div_f64(s))
-            .collect();
-        let max = scaled.iter().copied().max().unwrap_or(Duration::ZERO);
-        let sum: Duration = scaled.iter().sum();
+        let max = times.iter().copied().max().unwrap_or(Duration::ZERO);
+        let sum: Duration = times.iter().sum();
         self.record(
             label,
             ClusterMetrics {
@@ -197,7 +157,7 @@ impl<W: Send> SimCluster<W> {
     }
 
     /// Executes one parallel phase in the configured [`ExecMode`],
-    /// returning per-machine results and raw (unscaled) per-machine times.
+    /// returning per-machine results and per-machine times.
     fn execute<R, F>(&mut self, f: F) -> (Vec<R>, Vec<Duration>)
     where
         R: Send,
@@ -386,15 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_metrics() {
-        let mut c = cluster(2);
-        c.par_step(STEP, |_, _| ());
-        c.reset_metrics();
-        assert_eq!(c.metrics(), ClusterMetrics::default());
-        assert!(c.timeline().is_empty());
-    }
-
-    #[test]
     fn labels_accumulate_separately() {
         let mut c = cluster(2);
         c.par_step(phase::RR_SAMPLING, |_, _| ());
@@ -406,49 +357,6 @@ mod tests {
         assert_eq!(c.metrics().phases, 3);
         let labels: Vec<_> = c.timeline().labels().collect();
         assert_eq!(labels, vec![phase::RR_SAMPLING, phase::DELTA_UPLOAD]);
-    }
-
-    #[test]
-    fn straggler_dominates_phase_time() {
-        // Two machines doing identical work; machine 1 runs at 1/10 speed.
-        let work = |_: usize, w: &mut u64| {
-            *w = std::hint::black_box((0..200_000u64).fold(0, |a, b| a ^ b));
-        };
-        let mut even = SimCluster::new(vec![0u64; 2], NetworkModel::zero(), ExecMode::Sequential);
-        even.par_step(STEP, work);
-        let mut skew = SimCluster::with_speeds(
-            vec![0u64; 2],
-            NetworkModel::zero(),
-            ExecMode::Sequential,
-            vec![1.0, 0.1],
-        );
-        skew.par_step(STEP, work);
-        // The straggler cluster's phase takes ~10x the even cluster's.
-        let ratio = skew.metrics().worker_compute.as_secs_f64()
-            / even.metrics().worker_compute.as_secs_f64();
-        assert!(ratio > 3.0, "straggler should dominate (ratio {ratio})");
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_speed_mismatch() {
-        SimCluster::with_speeds(
-            vec![0u64; 2],
-            NetworkModel::zero(),
-            ExecMode::Sequential,
-            vec![1.0],
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_zero_speed() {
-        SimCluster::with_speeds(
-            vec![0u64; 1],
-            NetworkModel::zero(),
-            ExecMode::Sequential,
-            vec![0.0],
-        );
     }
 
     #[test]

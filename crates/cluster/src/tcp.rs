@@ -29,7 +29,7 @@
 //! operator-started `dim-worker --join` — is accepted by the same loop
 //! ([`rendezvous::Rendezvous`]) and handshakes the same way (protocol v2):
 //! the worker sends JOIN, the master registers it
-//! in a [`rendezvous::MembershipTable`] and answers WELCOME (or REJECT
+//! in a `rendezvous::MembershipTable` and answers WELCOME (or REJECT
 //! with a typed reason), and the worker confirms with HELLO carrying the
 //! stream seed it derived from the WELCOME. The master cross-checks that
 //! seed against [`crate::stream_seed`]`(master_seed, id)` — the cross-process RNG
@@ -128,7 +128,7 @@ pub(crate) mod frame {
 }
 
 /// Fault injections for protocol tests (worker side), passed in process to
-/// [`rendezvous::run_join_worker`] / [`ProcCluster::local_with_faults`].
+/// [`rendezvous::run_join_worker`] / `ProcCluster::local_with_faults`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFault {
     /// On the `request`-th reply (1-based), declare a full frame but send
@@ -361,7 +361,7 @@ impl ProcCluster {
 
     /// [`ProcCluster::local_with`] with per-machine fault injections
     /// (`faults.get(i)` applies to machine `i`).
-    pub fn local_with_faults<E, F>(
+    pub(crate) fn local_with_faults<E, F>(
         count: usize,
         network: NetworkModel,
         master_seed: u64,
@@ -1163,9 +1163,9 @@ mod tests {
         });
         let (mut stream, _) = listener.accept().unwrap();
         let mut table = MembershipTable::new(1);
-        let err =
-            rendezvous::master_handshake(&mut stream, &mut table, 1, 1, None, handshake_timeout())
-                .expect_err("seed mismatch accepted");
+        let deadline = Instant::now() + handshake_timeout();
+        let err = rendezvous::master_handshake(&mut stream, &mut table, 1, 1, None, deadline)
+            .expect_err("seed mismatch accepted");
         assert!(err.to_string().contains("seed mismatch"), "{err}");
         // The refused worker's slot is free again for a replacement.
         assert_eq!(table.joined(), 0);

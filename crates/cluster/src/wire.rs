@@ -96,7 +96,7 @@ impl WireError {
     }
 
     /// A duplicate-registration error in `phase` for machine `machine`.
-    pub fn duplicate_id(phase: &'static str, machine: usize) -> Self {
+    pub(crate) fn duplicate_id(phase: &'static str, machine: usize) -> Self {
         WireError {
             phase,
             machine: Some(machine),
@@ -105,7 +105,7 @@ impl WireError {
     }
 
     /// A session-full error in `phase` (no machine slot to attribute).
-    pub fn session_full(phase: &'static str) -> Self {
+    pub(crate) fn session_full(phase: &'static str) -> Self {
         WireError {
             phase,
             machine: None,

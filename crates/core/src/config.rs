@@ -20,7 +20,7 @@ pub enum SamplerKind {
 
 impl SamplerKind {
     /// Instantiates the sampler over a graph.
-    pub fn make<'g>(&self, graph: &'g Graph) -> AnySampler<'g> {
+    pub(crate) fn make<'g>(&self, graph: &'g Graph) -> AnySampler<'g> {
         match self {
             SamplerKind::Standard(model) => AnySampler::for_model(graph, *model),
             SamplerKind::Subsim => AnySampler::subsim(graph),
@@ -90,7 +90,7 @@ impl Timings {
     /// is every other phase's compute (worker map stages + master
     /// reduce/select), and communication is the modeled transfer time of
     /// the whole run.
-    pub fn from_timeline(timeline: &PhaseTimeline) -> Self {
+    pub(crate) fn from_timeline(timeline: &PhaseTimeline) -> Self {
         let total = timeline.total();
         let sampling = timeline.get(phase::RR_SAMPLING).compute();
         Timings {
@@ -130,17 +130,6 @@ pub struct ImResult {
     /// Phase-labeled metrics timeline of the run (empty for sequential
     /// runs). `timings` and `metrics` are derived views of this.
     pub timeline: PhaseTimeline,
-}
-
-impl ImResult {
-    /// Coverage fraction `F_R(S*)`.
-    pub fn coverage_fraction(&self) -> f64 {
-        if self.num_rr_sets == 0 {
-            0.0
-        } else {
-            self.coverage as f64 / self.num_rr_sets as f64
-        }
-    }
 }
 
 #[cfg(test)]

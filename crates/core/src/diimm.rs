@@ -75,7 +75,7 @@ impl<'g> DiimmWorker<'g> {
     /// sets (stream position resumes after them), prior sampling stats,
     /// and — for a streamed chain — the mutated tip graph the sets are
     /// valid against (`None` when `base` is current).
-    pub fn restore(
+    pub(crate) fn restore(
         base: &'g Graph,
         current: Option<Graph>,
         config: &ImConfig,

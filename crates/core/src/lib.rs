@@ -49,8 +49,6 @@
 
 pub mod config;
 pub mod diimm;
-pub mod extensions;
-pub mod heuristics;
 pub mod imm;
 pub mod opim;
 pub mod params;
@@ -72,7 +70,6 @@ pub use snapshot::{
 pub use worker::{setup_im_cluster, WorkerHost};
 pub use diimm::diimm;
 pub use imm::imm;
-pub use extensions::{budgeted_im, seed_minimization, targeted_im};
 pub use opim::{dopim_c, opim_c};
 pub use ssa::{dssa, ssa};
 pub use params::ImParams;

@@ -158,7 +158,7 @@ pub fn opim_c(graph: &Graph, config: &ImConfig) -> ImResult {
 /// One machine's state for the paired-collection frameworks (distributed
 /// OPIM-C and distributed SSA): its shards of both collections plus its
 /// sampler/RNG.
-pub struct PairedRisWorker<'g> {
+pub(crate) struct PairedRisWorker<'g> {
     sampler: AnySampler<'g>,
     rng: Rng,
     /// Selection collection shard (`R₁,ᵢ`).

@@ -52,7 +52,7 @@ pub enum RecoverySource {
     Resample,
     /// The machines started from the persisted `dim-store` generation in
     /// this directory: rebuild = the lost machine's snapshot shard
-    /// restored via [`DiimmWorker::restore`], then the same full replay.
+    /// restored via `DiimmWorker::restore`, then the same full replay.
     /// Much cheaper than [`RecoverySource::Resample`] when the snapshot
     /// carries most of θ (see EXPERIMENTS.md §fault_recover).
     Store(PathBuf),
@@ -79,16 +79,6 @@ impl RecoveryPolicy {
             min_survivors: 0,
             straggler_deadline: Duration::MAX,
             source: RecoverySource::Resample,
-        }
-    }
-
-    /// Majority quorum, no straggler deadline, rebuild from the
-    /// generation directory `dir`.
-    pub fn from_store(dir: impl Into<PathBuf>) -> Self {
-        RecoveryPolicy {
-            min_survivors: 0,
-            straggler_deadline: Duration::MAX,
-            source: RecoverySource::Store(dir.into()),
         }
     }
 
@@ -184,11 +174,6 @@ impl<'g, C: OpCluster> RecoveringCluster<'g, C> {
     /// The wrapped backend.
     pub fn inner(&self) -> &C {
         &self.inner
-    }
-
-    /// Unwraps, discarding recovery state.
-    pub fn into_inner(self) -> C {
-        self.inner
     }
 
     /// Machines lost and adopted so far, in adoption order.
@@ -512,8 +497,11 @@ mod tests {
         );
         let chaos = SimCluster::new(restore_all(), NetworkModel::zero(), ExecMode::Sequential)
             .with_faults(FaultInjector::new(FaultPlan::kill_machine(1, 0), 3));
-        let mut recovering =
-            RecoveringCluster::new(chaos, &g, &cfg, RecoveryPolicy::from_store(&dir));
+        let policy = RecoveryPolicy {
+            source: RecoverySource::Store(dir.clone()),
+            ..RecoveryPolicy::resample()
+        };
+        let mut recovering = RecoveringCluster::new(chaos, &g, &cfg, policy);
 
         // Drive identical post-restore rounds on both: top-up sampling,
         // then a covered-count gather.

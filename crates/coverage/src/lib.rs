@@ -20,12 +20,9 @@
 //! * [`greedi`] — the set-distributed composable core-sets baselines GreeDi
 //!   (Mirzasoleiman et al.) and RandGreeDi (Barbosa et al.), used by
 //!   Fig. 10's comparison.
-//! * [`budgeted`] — cost-aware (budgeted) maximum coverage with the same
-//!   element-distributed messaging, supporting the budgeted-IM application
-//!   the paper's conclusion names.
 //! * [`query`] — read-only influence queries over frozen shards: seed-set
 //!   spread ([`seed_set_coverage`], over the pooled [`scratch`] flags) and
-//!   constrained top-k ([`QueryCursor`]), the substrate of `dim serve`.
+//!   constrained top-k ([`constrained_greedy`]), the substrate of `dim serve`.
 //! * [`scratch`] — epoch-stamped reusable flag buffers ([`scratch::EpochFlags`])
 //!   that replace per-call `vec![false; n]` allocations on the hot paths.
 //!
@@ -46,7 +43,6 @@
 //! assert_eq!(result.covered, 6);
 //! ```
 
-pub mod budgeted;
 pub mod greedi;
 pub mod greedy;
 pub mod newgreedi;
@@ -58,12 +54,9 @@ pub mod selector;
 pub mod shard;
 
 pub use greedy::GreedyResult;
-pub use budgeted::{budgeted_greedy, newgreedi_budgeted, BudgetedResult};
-pub use newgreedi::{
-    newgreedi, newgreedi_incremental, newgreedi_until, newgreedi_with, NewGreediResult,
-};
+pub use newgreedi::{newgreedi, newgreedi_incremental, newgreedi_with, NewGreediResult};
 pub use pooled::PooledSets;
 pub use problem::CoverageProblem;
 pub use query::{constrained_greedy, seed_set_coverage, SketchCursors};
 pub use selector::BucketSelector;
-pub use shard::{execute_coverage_op, CoverageShard, QueryCursor};
+pub use shard::{execute_coverage_op, CoverageShard};

@@ -32,7 +32,7 @@ use crate::shard::CoverageShard;
 /// decode to `None` before reaching here); this guards the remaining
 /// semantic hazard — a delta naming a set outside the universe, which
 /// previously indexed straight into the master's coverage vector.
-pub(crate) fn reduce_deltas(
+fn reduce_deltas(
     label: &'static str,
     msgs: &[DeltaVec],
     num_sets: usize,
@@ -115,34 +115,15 @@ fn select_seeds<B: OpCluster>(
     k: usize,
     selector: &mut BucketSelector,
 ) -> Result<NewGreediResult, WireError> {
-    select_seeds_until(cluster, num_sets, k, None, selector)
-}
-
-/// [`select_seeds`] with an optional coverage target: selection stops as
-/// soon as the accumulated coverage (Σ of marginals) reaches the target —
-/// the primitive behind distributed *seed minimization* (the paper's
-/// conclusion lists it among the applications of these building blocks).
-pub(crate) fn select_seeds_until<B: OpCluster>(
-    cluster: &mut B,
-    num_sets: usize,
-    k: usize,
-    coverage_target: Option<u64>,
-    selector: &mut BucketSelector,
-) -> Result<NewGreediResult, WireError> {
     let mut seeds = Vec::with_capacity(k);
     let mut marginals = Vec::with_capacity(k);
-    let mut accumulated = 0u64;
     while seeds.len() < k {
-        if coverage_target.is_some_and(|t| accumulated >= t) {
-            break;
-        }
         // Lines 7–13: pick the maximum-coverage set with lazy updates.
         let Some((u, cov)) = cluster.master(phase::SEED_SELECT, || selector.select_next()) else {
             break;
         };
         seeds.push(u);
         marginals.push(cov);
-        accumulated += cov;
         // Broadcast the new seed, then the map stage (lines 14–21):
         // per-machine sparse deltas. We run it for the final seed too so
         // covered counts below are complete.
@@ -169,35 +150,6 @@ pub(crate) fn select_seeds_until<B: OpCluster>(
         covered,
         marginals,
     })
-}
-
-/// Element-distributed *partial cover*: selects seeds greedily until the
-/// number of covered elements reaches `coverage_target` (or `max_seeds`
-/// are spent). This is NewGreeDi with an early-exit stop rule; the greedy
-/// sequence itself is unchanged, so it inherits the classic
-/// `1 + ln(target)` seed-count approximation of greedy set cover.
-pub fn newgreedi_until<B: OpCluster>(
-    cluster: &mut B,
-    num_sets: usize,
-    coverage_target: u64,
-    max_seeds: usize,
-) -> Result<NewGreediResult, WireError> {
-    let replies = cluster.op_gather(phase::COVERAGE_UPLOAD, |_| WorkerOp::InitialCoverage)?;
-    let initial = expect_deltas(replies, phase::COVERAGE_UPLOAD)?;
-    let mut selector = cluster.master(phase::SEED_SELECT, || {
-        let mut coverage = vec![0u64; num_sets];
-        reduce_deltas(phase::COVERAGE_UPLOAD, &initial, num_sets, |v, d| {
-            coverage[v as usize] += d as u64
-        })
-        .map(|()| BucketSelector::new(&coverage))
-    })?;
-    select_seeds_until(
-        cluster,
-        num_sets,
-        max_seeds,
-        Some(coverage_target),
-        &mut selector,
-    )
 }
 
 /// [`newgreedi_with`] for the in-process cluster, whose worker state *is*

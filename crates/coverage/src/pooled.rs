@@ -45,10 +45,10 @@ impl PooledSets {
         }
     }
 
-    /// Validated reassembly from raw parts (inverse of
-    /// [`Self::into_parts`]): `Err` with the violated condition instead of
-    /// panicking, so callers holding untrusted bytes (dim-store snapshot
-    /// decoding) can surface a typed corruption error.
+    /// Validated assembly from raw `(offsets, pool)` parts: `Err` with the
+    /// violated condition instead of panicking, so callers holding
+    /// untrusted bytes (dim-store snapshot decoding) can surface a typed
+    /// corruption error.
     pub fn try_from_parts(offsets: Vec<usize>, pool: Vec<u32>) -> Result<Self, &'static str> {
         if offsets.is_empty() || offsets[0] != 0 {
             return Err("offset array must start at zero");
@@ -66,23 +66,6 @@ impl PooledSets {
             offsets: offsets.into_iter().map(|o| o as u32).collect(),
             pool,
         })
-    }
-
-    /// Reassembles storage from raw parts.
-    ///
-    /// # Panics
-    /// Panics if `offsets` is not a valid monotone offset array over `pool`.
-    /// Use [`Self::try_from_parts`] when the parts are untrusted.
-    pub fn from_parts(offsets: Vec<usize>, pool: Vec<u32>) -> Self {
-        Self::try_from_parts(offsets, pool).expect("malformed PooledSets parts")
-    }
-
-    /// Decomposes into `(offsets, pool)` without copying the pool.
-    pub fn into_parts(self) -> (Vec<usize>, Vec<u32>) {
-        (
-            self.offsets.into_iter().map(|o| o as usize).collect(),
-            self.pool,
-        )
     }
 
     /// Appends one list; returns its id.
@@ -187,18 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn parts_roundtrip() {
-        let mut p = PooledSets::new();
-        p.push(&[3, 1]);
-        p.push(&[2]);
-        let (o, pool) = p.clone().into_parts();
-        assert_eq!(o, vec![0, 2, 3]);
-        let q = PooledSets::from_parts(o, pool);
-        assert_eq!(q.get(0), p.get(0));
-        assert_eq!(q.get(1), p.get(1));
-    }
-
-    #[test]
     fn transpose_involution() {
         let mut p = PooledSets::new();
         p.push(&[0, 1]);
@@ -213,12 +184,6 @@ mod tests {
         for i in 0..p.len() {
             assert_eq!(back.get(i), p.get(i));
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_parts_validates() {
-        PooledSets::from_parts(vec![0, 5], vec![1, 2]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl CoverageProblem {
 
     /// Builds an instance from *set records* (for each set, the elements it
     /// covers) over the element domain `0..num_elements`.
-    pub fn from_set_records<'a>(
+    pub(crate) fn from_set_records<'a>(
         num_elements: usize,
         sets: impl IntoIterator<Item = &'a [u32]>,
     ) -> Self {

@@ -39,7 +39,7 @@ impl EpochFlags {
 
     /// Grows the tracked range to at least `n` indices (new indices unset).
     /// Never shrinks, so a pooled instance keeps its largest allocation.
-    pub fn grow(&mut self, n: usize) {
+    fn grow(&mut self, n: usize) {
         if n > self.stamp.len() {
             self.stamp.resize(n, 0);
         }

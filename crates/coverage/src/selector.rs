@@ -16,7 +16,7 @@ const BLOCK: usize = 64;
 ///
 /// Storage is cache-blocked: instead of `d*` separate `Vec`s (one heap
 /// allocation per level, most holding a handful of nodes), levels are
-/// grouped into blocks of [`BLOCK`]. Only the block under the scan head
+/// grouped into blocks of `BLOCK`. Only the block under the scan head
 /// keeps per-level lists; every other block is a single pile of
 /// `(level-in-block, node)` pairs, distributed into level lists in one
 /// pass when the scan reaches it. Filing records the level a node was
@@ -151,11 +151,6 @@ impl BucketSelector {
     pub fn coverage_of(&self, v: u32) -> u64 {
         self.coverage[v as usize]
     }
-
-    /// Whether `v` has been selected.
-    pub fn is_selected(&self, v: u32) -> bool {
-        self.selected[v as usize]
-    }
 }
 
 #[cfg(test)]
@@ -221,9 +216,9 @@ mod tests {
     fn query_helpers() {
         let mut s = BucketSelector::new(&[2, 1]);
         assert_eq!(s.coverage_of(0), 2);
-        assert!(!s.is_selected(0));
+        assert!(!s.selected[0]);
         s.select_next();
-        assert!(s.is_selected(0));
+        assert!(s.selected[0]);
     }
 
     #[test]
@@ -325,7 +320,7 @@ mod tests {
             // Random sparse decrements, identical on both selectors.
             for _ in 0..next(20) {
                 let v = next(300) as u32;
-                if v == u || blocked.is_selected(v) {
+                if v == u || blocked.selected[v as usize] {
                     continue;
                 }
                 let by = next(blocked.coverage_of(v) + 1);

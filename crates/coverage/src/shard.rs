@@ -59,7 +59,7 @@ impl CoverageShard {
     /// re-transpose happens here). The shard comes out exactly as if the
     /// records had been pushed and [`CoverageShard::prepare`]d: everything
     /// uncovered, nothing yet reported through
-    /// [`CoverageShard::take_new_coverage`].
+    /// `CoverageShard::take_new_coverage`.
     ///
     /// # Panics
     /// Panics if `index` does not have one list per set.
@@ -138,7 +138,7 @@ impl CoverageShard {
     /// NewGreeDi invocations (DiIMM adds RR sets between them), a machine
     /// need only report the marginals over its *newly generated* elements
     /// and let the master accumulate.
-    pub fn take_new_coverage(&mut self) -> Vec<(u32, u32)> {
+    pub(crate) fn take_new_coverage(&mut self) -> Vec<(u32, u32)> {
         for e in self.reported_elements..self.elements.len() {
             for &v in self.elements.get(e) {
                 if self.scratch_counts[v as usize] == 0 {
@@ -213,7 +213,7 @@ impl CoverageShard {
     /// unaggregated, unsorted order yields identical selector state — and
     /// skip the dense-counter aggregation, sort, and `Vec` that
     /// [`Self::apply_seed`] pays for the deterministic wire format.
-    pub fn apply_seed_each(&mut self, u: u32, mut f: impl FnMut(u32)) {
+    pub(crate) fn apply_seed_each(&mut self, u: u32, mut f: impl FnMut(u32)) {
         assert!(!self.needs_prepare(), "call prepare() first");
         for &e in self.index.get(u as usize) {
             let e = e as usize;
@@ -228,7 +228,7 @@ impl CoverageShard {
     }
 
     /// Number of locally covered elements after the seeds applied so far.
-    pub fn covered_count(&self) -> usize {
+    pub(crate) fn covered_count(&self) -> usize {
         self.covered_count
     }
 
@@ -335,18 +335,16 @@ const _: () = {
 
 /// A read-only coverage evaluator over a prepared shard.
 ///
-/// Owns its covered labels and scratch space, so any number of cursors
-/// can query one `&CoverageShard` concurrently — what constrained top-k
-/// selection ([`crate::constrained_greedy`]) runs on in `dim serve`'s
-/// worker pool. For the same sequence of seeds,
-/// [`QueryCursor::apply_seed`] returns exactly what
-/// [`CoverageShard::apply_seed`] would on a freshly prepared shard.
-pub struct QueryCursor<'a> {
+/// Owns its covered labels, so any number of cursors can query one
+/// `&CoverageShard` concurrently — what constrained top-k selection
+/// ([`crate::constrained_greedy`]) runs on in `dim serve`'s worker pool.
+/// For the same sequence of seeds, [`QueryCursor::apply_seed_each`] visits
+/// exactly what [`CoverageShard::apply_seed_each`] would on a freshly
+/// prepared shard.
+pub(crate) struct QueryCursor<'a> {
     shard: &'a CoverageShard,
     covered: EpochFlags,
     covered_count: usize,
-    scratch_counts: Vec<u32>,
-    scratch_touched: Vec<u32>,
 }
 
 impl<'a> QueryCursor<'a> {
@@ -360,40 +358,7 @@ impl<'a> QueryCursor<'a> {
             shard,
             covered: EpochFlags::new(shard.num_elements()),
             covered_count: 0,
-            scratch_counts: vec![0; shard.num_sets()],
-            scratch_touched: Vec::new(),
         }
-    }
-
-    /// The map stage for seed `u` against this cursor's private labels:
-    /// same contract and output as [`CoverageShard::apply_seed`].
-    ///
-    /// # Panics
-    /// Panics if `u` is outside the set universe.
-    pub fn apply_seed(&mut self, u: u32) -> Vec<(u32, u32)> {
-        for &e in self.shard.index.get(u as usize) {
-            let e = e as usize;
-            if self.covered.set(e) {
-                for &v in self.shard.elements.get(e) {
-                    if self.scratch_counts[v as usize] == 0 {
-                        self.scratch_touched.push(v);
-                    }
-                    self.scratch_counts[v as usize] += 1;
-                }
-                self.covered_count += 1;
-            }
-        }
-        self.scratch_touched.sort_unstable();
-        let out: Vec<(u32, u32)> = self
-            .scratch_touched
-            .iter()
-            .map(|&v| (v, self.scratch_counts[v as usize]))
-            .collect();
-        for &v in &self.scratch_touched {
-            self.scratch_counts[v as usize] = 0;
-        }
-        self.scratch_touched.clear();
-        out
     }
 
     /// The map stage for seed `u` with a per-occurrence callback: same
@@ -417,27 +382,6 @@ impl<'a> QueryCursor<'a> {
     /// Elements covered by the seeds applied so far.
     pub fn covered_count(&self) -> usize {
         self.covered_count
-    }
-
-    /// Coverage set `u` would add right now.
-    pub fn marginal(&self, u: u32) -> usize {
-        // Chunked counting with independent accumulators: the flag probes
-        // are gathers, but four data-independent lanes keep the loads in
-        // flight instead of serializing on one counter.
-        let idx = self.shard.index.get(u as usize);
-        let mut lanes = [0usize; 4];
-        let mut chunks = idx.chunks_exact(4);
-        for c in &mut chunks {
-            for (lane, &e) in lanes.iter_mut().zip(c) {
-                *lane += !self.covered.is_set(e as usize) as usize;
-            }
-        }
-        let tail: usize = chunks
-            .remainder()
-            .iter()
-            .filter(|&&e| !self.covered.is_set(e as usize))
-            .count();
-        lanes.iter().sum::<usize>() + tail
     }
 }
 
@@ -611,11 +555,10 @@ mod tests {
         let mut mutable = example3();
         let mut cursor = QueryCursor::new(&shard);
         for u in [0u32, 1, 0, 3] {
-            assert_eq!(cursor.apply_seed(u), mutable.apply_seed(u));
+            let mut counts = std::collections::BTreeMap::new();
+            cursor.apply_seed_each(u, |v| *counts.entry(v).or_insert(0u32) += 1);
+            assert_eq!(counts.into_iter().collect::<Vec<_>>(), mutable.apply_seed(u));
             assert_eq!(cursor.covered_count(), mutable.covered_count());
-        }
-        for v in 0..5 {
-            assert_eq!(cursor.marginal(v), mutable.marginal(v));
         }
     }
 
@@ -628,8 +571,7 @@ mod tests {
         assert_eq!(a.covered_count(), 3);
         // b is unaffected by a's progress, and the shard itself never
         // changed.
-        assert_eq!(b.marginal(0), 3);
-        b.apply_seed_each(1, |_| {});
+        b.apply_seed_each(0, |_| {});
         assert_eq!(b.covered_count(), 3);
         assert_eq!(shard.covered_count(), 0);
     }
@@ -642,7 +584,7 @@ mod tests {
         let seeds = [1u32, 4, 2, 4, 99];
         for upto in 1..=seeds.len() {
             if let Some(&u) = seeds[..upto].last().filter(|&&u| u < 5) {
-                via_deltas.apply_seed(u);
+                via_deltas.apply_seed_each(u, |_| {});
             }
             seen.clear();
             assert_eq!(

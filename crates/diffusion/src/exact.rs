@@ -143,11 +143,6 @@ impl LiveEdgeEnsemble {
         }
         total
     }
-
-    /// Number of enumerated outcomes (after pruning zero-probability ones).
-    pub fn num_outcomes(&self) -> usize {
-        self.outcomes.len()
-    }
 }
 
 /// Exact spread `σ(S)` of `seeds` under `model`. Convenience wrapper that

@@ -11,7 +11,7 @@ use crate::model::DiffusionModel;
 use crate::visit::VisitTracker;
 
 /// Reusable scratch buffers for repeated simulations on one graph.
-pub struct SimScratch {
+struct SimScratch {
     visited: VisitTracker,
     frontier: Vec<u32>,
     /// LT only: accumulated incoming weight per touched node.
@@ -24,7 +24,7 @@ pub struct SimScratch {
 
 impl SimScratch {
     /// Allocates scratch for a graph with `n` nodes.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         SimScratch {
             visited: VisitTracker::new(n),
             frontier: Vec::new(),
@@ -37,7 +37,7 @@ impl SimScratch {
 
 /// Runs one forward simulation and returns the number of activated nodes.
 #[inline]
-pub fn simulate(
+fn simulate(
     graph: &Graph,
     model: DiffusionModel,
     seeds: &[u32],
@@ -52,7 +52,7 @@ pub fn simulate(
 
 /// One IC cascade: BFS over out-edges, each edge fires once with `p(u,v)`.
 #[inline]
-pub fn simulate_ic(
+fn simulate_ic(
     graph: &Graph,
     seeds: &[u32],
     rng: &mut Rng,
@@ -87,7 +87,7 @@ pub fn simulate_ic(
 /// receives incoming weight; a node activates when accumulated weight
 /// reaches its threshold.
 #[inline]
-pub fn simulate_lt(
+fn simulate_lt(
     graph: &Graph,
     seeds: &[u32],
     rng: &mut Rng,
@@ -133,35 +133,32 @@ pub fn simulate_lt(
     frontier.len()
 }
 
-/// Sums of cascade sizes `(Σx, Σx²)` over `num_samples` independent
-/// cascades — the one sampling loop behind both estimators.
+/// Sum of cascade sizes over `num_samples` independent cascades.
 ///
 /// Samples are partitioned into fixed 256-cascade chunks, each with an RNG
 /// stream derived from `(seed, chunk start)`, and the chunk list is split
 /// into at most [`std::thread::available_parallelism`] contiguous runs, one
 /// scoped thread each. Integer sums merge exactly, so the result does not
 /// depend on the thread count.
-fn cascade_sums(
+fn cascade_sum(
     graph: &Graph,
     model: DiffusionModel,
     seeds: &[u32],
     num_samples: usize,
     seed: u64,
-) -> (u64, u128) {
+) -> u64 {
     const CHUNK: usize = 256;
     let starts: Vec<usize> = (0..num_samples).step_by(CHUNK).collect();
     let run = |starts: &[usize]| {
         let mut scratch = SimScratch::new(graph.num_nodes());
-        let (mut s, mut s2) = (0u64, 0u128);
+        let mut sum = 0u64;
         for &start in starts {
             let mut rng = Rng::new(seed ^ (start as u64).wrapping_mul(0x9E3779B97F4A7C15));
             for _ in 0..CHUNK.min(num_samples - start) {
-                let x = simulate(graph, model, seeds, &mut rng, &mut scratch) as u64;
-                s += x;
-                s2 += (x as u128) * (x as u128);
+                sum += simulate(graph, model, seeds, &mut rng, &mut scratch) as u64;
             }
         }
-        (s, s2)
+        sum
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let per = starts.len().div_ceil(cores).max(1);
@@ -173,10 +170,10 @@ fn cascade_sums(
             .chunks(per)
             .map(|part| scope.spawn(move || run(part)))
             .collect();
-        handles.into_iter().fold((0, 0), |acc, h| {
-            let part = h.join().expect("cascade thread panicked");
-            (acc.0 + part.0, acc.1 + part.1)
-        })
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("cascade thread panicked"))
+            .sum()
     })
 }
 
@@ -196,57 +193,7 @@ pub fn estimate_spread(
     if num_samples == 0 {
         return 0.0;
     }
-    let (sum, _) = cascade_sums(graph, model, seeds, num_samples, seed);
-    sum as f64 / num_samples as f64
-}
-
-/// A Monte-Carlo spread estimate with uncertainty.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpreadEstimate {
-    /// Sample mean of the cascade sizes.
-    pub mean: f64,
-    /// Standard error of the mean (`s / √N`).
-    pub std_error: f64,
-    /// Number of cascades simulated.
-    pub samples: usize,
-}
-
-impl SpreadEstimate {
-    /// Two-sided confidence interval at `z` standard errors (1.96 ≈ 95%).
-    pub fn confidence_interval(&self, z: f64) -> (f64, f64) {
-        (
-            self.mean - z * self.std_error,
-            self.mean + z * self.std_error,
-        )
-    }
-}
-
-/// [`estimate_spread`] with uncertainty quantification: returns the mean
-/// cascade size together with its standard error, so callers can decide
-/// whether `num_samples` sufficed instead of guessing.
-pub fn estimate_spread_ci(
-    graph: &Graph,
-    model: DiffusionModel,
-    seeds: &[u32],
-    num_samples: usize,
-    seed: u64,
-) -> SpreadEstimate {
-    if num_samples == 0 {
-        return SpreadEstimate {
-            mean: 0.0,
-            std_error: 0.0,
-            samples: 0,
-        };
-    }
-    let (sum, sum_sq) = cascade_sums(graph, model, seeds, num_samples, seed);
-    let n = num_samples as f64;
-    let mean = sum as f64 / n;
-    let variance = ((sum_sq as f64) / n - mean * mean).max(0.0) * n / (n - 1.0).max(1.0);
-    SpreadEstimate {
-        mean,
-        std_error: (variance / n).sqrt(),
-        samples: num_samples,
-    }
+    cascade_sum(graph, model, seeds, num_samples, seed) as f64 / num_samples as f64
 }
 
 #[cfg(test)]
@@ -319,43 +266,6 @@ mod tests {
         let a = estimate_spread(&g, DiffusionModel::LinearThreshold, &[0], 5_000, 9);
         let b = estimate_spread(&g, DiffusionModel::LinearThreshold, &[0], 5_000, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ci_estimate_consistent_with_plain() {
-        let g = fig1();
-        let model = DiffusionModel::IndependentCascade;
-        let plain = estimate_spread(&g, model, &[0], 20_000, 7);
-        let ci = estimate_spread_ci(&g, model, &[0], 20_000, 7);
-        assert_eq!(ci.mean, plain, "same RNG streams, same mean");
-        assert!(ci.std_error > 0.0);
-        let (lo, hi) = ci.confidence_interval(3.0);
-        assert!(lo <= 3.664 && 3.664 <= hi, "true spread inside 3σ: [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let g = fig1();
-        let model = DiffusionModel::LinearThreshold;
-        let small = estimate_spread_ci(&g, model, &[0], 1_000, 9);
-        let large = estimate_spread_ci(&g, model, &[0], 16_000, 9);
-        assert!(large.std_error < small.std_error);
-        assert_eq!(small.samples, 1_000);
-    }
-
-    #[test]
-    fn ci_zero_variance_for_deterministic_cascade() {
-        let g = fig1();
-        // Seeding everything activates exactly 4 nodes every time.
-        let ci = estimate_spread_ci(
-            &g,
-            DiffusionModel::IndependentCascade,
-            &[0, 1, 2, 3],
-            500,
-            1,
-        );
-        assert_eq!(ci.mean, 4.0);
-        assert_eq!(ci.std_error, 0.0);
     }
 
     #[test]

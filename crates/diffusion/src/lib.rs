@@ -13,9 +13,6 @@
 //!   SUBSIM geometric-jump sampler of Guo et al. (SIGMOD'20).
 //! * [`rrstore`] — pooled storage for millions of RR sets plus the inverted
 //!   node→RR-set index that seed selection consumes.
-//! * [`triggering`] — the general triggering model (the setting of the
-//!   paper's Lemma 3) with IC/LT as instances, a generic forward simulator,
-//!   and a generic RR sampler.
 //!
 //! # Example: estimating influence spread
 //!
@@ -38,7 +35,6 @@ pub mod forward;
 pub mod model;
 pub mod rr;
 pub mod rrstore;
-pub mod triggering;
 pub mod visit;
 
 pub use model::DiffusionModel;

@@ -13,7 +13,7 @@
 //! multiply-compare per coin, so on low-degree nodes the scalar coin loop
 //! wins even though it touches every edge. The constructor therefore
 //! applies a degree-threshold cutover per node: jumps when the expected
-//! coin work `d` exceeds [`JUMP_ALPHA`] times the expected jump work
+//! coin work `d` exceeds `JUMP_ALPHA` times the expected jump work
 //! `p·d + 1`, i.e. when `d ≥ JUMP_ALPHA / (1 − p)` — on weighted-cascade
 //! graphs (`p = 1/d`) that is every node with in-degree above ≈`JUMP_ALPHA`.
 

@@ -65,16 +65,6 @@ impl AliasTable {
         AliasTable { prob, alias }
     }
 
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True when the table has no outcomes (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
     /// Draws one index in O(1).
     #[inline]
     pub fn sample(&self, rng: &mut Rng) -> usize {
@@ -127,8 +117,7 @@ mod tests {
         let t = AliasTable::new(&[42.0]);
         let mut rng = Rng::new(4);
         assert_eq!(t.sample(&mut rng), 0);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.prob.len(), 1);
     }
 
     #[test]

@@ -120,159 +120,3 @@ mod tests {
         assert!(text.contains("m=1"));
     }
 }
-
-/// Standard PageRank via power iteration: rank flows along out-edges, so
-/// nodes with many important in-links score high (authority).
-///
-/// `damping` is the usual teleport factor (0.85 classically); iteration
-/// stops after `max_iters` or when the L1 change drops below `tol`.
-pub fn pagerank(g: &Graph, damping: f64, max_iters: usize, tol: f64) -> Vec<f64> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let uniform = 1.0 / n as f64;
-    let mut rank = vec![uniform; n];
-    let mut next = vec![0.0f64; n];
-    for _ in 0..max_iters {
-        // Dangling mass (nodes without out-edges) is spread uniformly.
-        let dangling: f64 = g
-            .nodes()
-            .filter(|&u| g.out_degree(u) == 0)
-            .map(|u| rank[u as usize])
-            .sum();
-        let base = (1.0 - damping) * uniform + damping * dangling * uniform;
-        next.fill(base);
-        for u in g.nodes() {
-            let d = g.out_degree(u);
-            if d == 0 {
-                continue;
-            }
-            let share = damping * rank[u as usize] / d as f64;
-            for &v in g.out_neighbors(u) {
-                next[v as usize] += share;
-            }
-        }
-        let delta: f64 = rank
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        std::mem::swap(&mut rank, &mut next);
-        if delta < tol {
-            break;
-        }
-    }
-    rank
-}
-
-/// Influence PageRank: PageRank computed on the *transposed* graph, so
-/// rank flows along in-edges and nodes that can *reach* many others score
-/// high. This is the orientation the PageRank seeding heuristic for
-/// influence maximization needs — standard PageRank measures being
-/// influenced, not influencing.
-pub fn influence_pagerank(g: &Graph, damping: f64, max_iters: usize, tol: f64) -> Vec<f64> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let uniform = 1.0 / n as f64;
-    let mut rank = vec![uniform; n];
-    let mut next = vec![0.0f64; n];
-    for _ in 0..max_iters {
-        let dangling: f64 = g
-            .nodes()
-            .filter(|&u| g.in_degree(u) == 0)
-            .map(|u| rank[u as usize])
-            .sum();
-        let base = (1.0 - damping) * uniform + damping * dangling * uniform;
-        next.fill(base);
-        for v in g.nodes() {
-            let d = g.in_degree(v);
-            if d == 0 {
-                continue;
-            }
-            let share = damping * rank[v as usize] / d as f64;
-            for &u in g.in_neighbors(v) {
-                next[u as usize] += share;
-            }
-        }
-        let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut rank, &mut next);
-        if delta < tol {
-            break;
-        }
-    }
-    rank
-}
-
-#[cfg(test)]
-mod pagerank_tests {
-    use super::*;
-    use crate::{GraphBuilder, WeightModel};
-
-    #[test]
-    fn sums_to_one() {
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(2, 0);
-        b.add_edge(3, 0);
-        let g = b.build(WeightModel::WeightedCascade);
-        let pr = pagerank(&g, 0.85, 100, 1e-12);
-        let total: f64 = pr.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "Σ = {total}");
-    }
-
-    #[test]
-    fn hub_target_ranks_highest() {
-        // Everyone points at node 4.
-        let mut b = GraphBuilder::new(5);
-        for u in 0..4 {
-            b.add_edge(u, 4);
-        }
-        let g = b.build(WeightModel::WeightedCascade);
-        let pr = pagerank(&g, 0.85, 100, 1e-12);
-        let best = (0..5).max_by(|&a, &b| pr[a].total_cmp(&pr[b])).unwrap();
-        assert_eq!(best, 4);
-    }
-
-    #[test]
-    fn influence_pagerank_ranks_sources() {
-        // Everyone points at node 4: standard PR crowns 4, influence PR
-        // crowns the pointers.
-        let mut b = GraphBuilder::new(5);
-        for u in 0..4 {
-            b.add_edge(u, 4);
-        }
-        let g = b.build(WeightModel::WeightedCascade);
-        let ipr = influence_pagerank(&g, 0.85, 100, 1e-12);
-        let worst = (0..5).min_by(|&a, &b| ipr[a].total_cmp(&ipr[b])).unwrap();
-        assert_eq!(worst, 4, "the sink influences nobody");
-        assert!(ipr[0] > ipr[4]);
-    }
-
-    #[test]
-    fn influence_pagerank_sums_to_one() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(2, 3);
-        let g = b.build(WeightModel::WeightedCascade);
-        let total: f64 = influence_pagerank(&g, 0.85, 100, 1e-12).iter().sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn symmetric_cycle_uniform() {
-        let mut b = GraphBuilder::new(4);
-        for u in 0..4u32 {
-            b.add_edge(u, (u + 1) % 4);
-        }
-        let g = b.build(WeightModel::WeightedCascade);
-        let pr = pagerank(&g, 0.85, 200, 1e-14);
-        for &r in &pr {
-            assert!((r - 0.25).abs() < 1e-9);
-        }
-    }
-}

@@ -19,7 +19,7 @@
 //! (targets strictly increasing, no self-loops, probabilities in `[0, 1]`),
 //! so an image that decodes re-encodes to exactly the bytes it came from.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use crate::builder::GraphBuilder;
@@ -136,14 +136,6 @@ pub fn decode_binary(bytes: &[u8]) -> Result<Graph, GraphError> {
     Ok(b.build(WeightModel::WeightedCascade))
 }
 
-/// Reads a graph written by [`write_binary`]: the stream is read to its
-/// end and handed to [`decode_binary`].
-pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    decode_binary(&bytes)
-}
-
 /// Writes to a file path.
 pub fn write_binary_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), GraphError> {
     write_binary(graph, std::fs::File::create(path)?)
@@ -164,7 +156,7 @@ mod tests {
         let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 3);
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(buf.as_slice()).unwrap();
+        let g2 = decode_binary(&buf).unwrap();
         assert_eq!(g.num_nodes(), g2.num_nodes());
         assert_eq!(g.num_edges(), g2.num_edges());
         assert_eq!(
@@ -180,7 +172,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let err = read_binary(&b"NOPE\x01\x00\x00\x00"[..]).unwrap_err();
+        let err = decode_binary(b"NOPE\x01\x00\x00\x00").unwrap_err();
         assert!(err.to_string().contains("bad magic"));
     }
 
@@ -190,7 +182,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
         for cut in [5, 20, buf.len() / 2, buf.len() - 3] {
-            assert!(read_binary(&buf[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_binary(&buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -203,7 +195,7 @@ mod tests {
         // magic(4) + version(4) + n(8) + m(8) + offsets((n+1)*8).
         let targets_start = 24 + 11 * 8;
         buf[targets_start..targets_start + 4].copy_from_slice(&999u32.to_le_bytes());
-        assert!(read_binary(buf.as_slice()).is_err());
+        assert!(decode_binary(&buf).is_err());
     }
 
     /// `image` with the `u64` at byte `at` replaced (`n` is at 8, `m` at
@@ -227,7 +219,7 @@ mod tests {
             ("trailing byte", [&image[..], &[0]].concat()),
         ];
         for (what, bytes) in hostile {
-            let err = read_binary(bytes.as_slice()).expect_err(what);
+            let err = decode_binary(&bytes).expect_err(what);
             assert!(matches!(err, GraphError::Parse { .. }), "{what}: {err}");
         }
     }
@@ -290,7 +282,7 @@ mod tests {
         let g = b.build(WeightModel::WeightedCascade);
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(buf.as_slice()).unwrap();
+        let g2 = decode_binary(&buf).unwrap();
         assert_eq!(g2.num_nodes(), 3);
         assert_eq!(g2.num_edges(), 0);
     }

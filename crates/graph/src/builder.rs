@@ -63,7 +63,7 @@ impl GraphBuilder {
 
     /// Adds both `(u,v)` and `(v,u)`, for undirected source data
     /// (e.g. the Facebook friendship dataset in Table III).
-    pub fn add_undirected_edge(&mut self, u: NodeId, v: NodeId) {
+    pub(crate) fn add_undirected_edge(&mut self, u: NodeId, v: NodeId) {
         self.add_edge(u, v);
         self.add_edge(v, u);
     }

@@ -5,8 +5,8 @@
 //! mutation (insert / delete / reweight of a directed edge), a
 //! [`DeltaBatch`] is a sequence-numbered group of ops with a canonical
 //! little-endian codec (so batches can live in `dim-store` delta shards and
-//! travel the cluster wire), and [`DeltaGraph`] is an overlay that stacks
-//! batches on a base graph and materializes a new CSR [`Graph`] on demand.
+//! travel the cluster wire), and [`apply_batch`] folds a batch into a base
+//! graph and materializes a new CSR [`Graph`].
 //!
 //! Mutations never add nodes: every op must reference nodes `< n`. This
 //! keeps all per-node state in the samplers and coverage shards (visit
@@ -217,7 +217,7 @@ impl DeltaBatch {
 /// and materializes a fresh CSR [`Graph`] on demand. The overlay itself is
 /// cheap to mutate (a `BTreeMap` keyed by `(u, v)`); materialization pays
 /// the full CSR rebuild, which the stream pipeline does once per batch.
-pub struct DeltaGraph<'g> {
+pub(crate) struct DeltaGraph<'g> {
     base: &'g Graph,
     /// Full current edge state: `(u, v) → p`. Seeded lazily from the base's
     /// edges on the first mutation.
@@ -243,21 +243,6 @@ impl<'g> DeltaGraph<'g> {
         let mut dg = DeltaGraph::new(base);
         dg.next_seq = next_seq;
         dg
-    }
-
-    /// The base graph the overlay was created from.
-    pub fn base(&self) -> &'g Graph {
-        self.base
-    }
-
-    /// Sequence number the next applied batch must carry.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Current edge count (base edges ± applied mutations).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Applies a batch: validates it, checks its sequence number continues
@@ -447,7 +432,7 @@ mod tests {
         assert!(dg.apply(&b1).is_err(), "out-of-order batch accepted");
         dg.apply(&b0).unwrap();
         dg.apply(&b1).unwrap();
-        assert_eq!(dg.next_seq(), 2);
+        assert_eq!(dg.next_seq, 2);
         let chained = dg.materialize();
         // Insert-then-delete composes back to the base graph.
         let direct = base();

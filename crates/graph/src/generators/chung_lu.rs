@@ -17,7 +17,7 @@ use crate::weights::WeightModel;
 /// Power-law weight sequence `w_i = c · (i + i0)^(−1/(γ−1))` scaled so that
 /// the weights sum to `target_sum`. Exponent `γ` is the degree-distribution
 /// exponent (2 < γ ≤ 3 for social networks).
-pub fn power_law_weights(n: usize, gamma: f64, target_sum: f64) -> Vec<f64> {
+fn power_law_weights(n: usize, gamma: f64, target_sum: f64) -> Vec<f64> {
     assert!(gamma > 2.0, "power-law exponent must exceed 2, got {gamma}");
     let alpha = 1.0 / (gamma - 1.0);
     let mut w: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-alpha)).collect();
@@ -35,7 +35,7 @@ pub fn power_law_weights(n: usize, gamma: f64, target_sum: f64) -> Vec<f64> {
 /// *rotated* node order so hubs of the two directions only partially
 /// coincide — mirroring follower graphs where popular accounts are not
 /// necessarily prolific followers.
-pub fn chung_lu_directed(
+pub(crate) fn chung_lu_directed(
     n: usize,
     m: usize,
     gamma: f64,
@@ -46,22 +46,7 @@ pub fn chung_lu_directed(
     let w_out = power_law_weights(n, gamma, m as f64);
     let mut w_in = w_out.clone();
     w_in.rotate_right(n / 3);
-    sample_edges(n, m, &w_out, &w_in, false, model, seed)
-}
-
-/// Generates an undirected (symmetrized) Chung-Lu graph: each sampled edge
-/// is inserted in both directions. `m` counts *undirected* edges; the CSR
-/// graph ends up with about `2·m` directed edges.
-pub fn chung_lu_undirected(
-    n: usize,
-    m: usize,
-    gamma: f64,
-    model: WeightModel,
-    seed: u64,
-) -> Graph {
-    assert!(n >= 2);
-    let w = power_law_weights(n, gamma, m as f64);
-    sample_edges(n, m, &w, &w, true, model, seed)
+    sample_edges(n, m, &w_out, &w_in, model, seed)
 }
 
 fn sample_edges(
@@ -69,7 +54,6 @@ fn sample_edges(
     m: usize,
     w_out: &[f64],
     w_in: &[f64],
-    symmetric: bool,
     model: WeightModel,
     seed: u64,
 ) -> Graph {
@@ -77,7 +61,7 @@ fn sample_edges(
     let dst_table = AliasTable::new(w_in);
     let mut rng = Rng::new(seed);
     let mut seen = std::collections::HashSet::with_capacity(m * 2);
-    let mut builder = GraphBuilder::with_capacity(n, if symmetric { 2 * m } else { m });
+    let mut builder = GraphBuilder::with_capacity(n, m);
     let mut produced = 0usize;
     let mut attempts = 0usize;
     // Bound attempts: heavy dedup on tiny dense graphs must not spin forever.
@@ -89,13 +73,8 @@ fn sample_edges(
         if u == v {
             continue;
         }
-        let key = if symmetric { (u.min(v), u.max(v)) } else { (u, v) };
-        if seen.insert(key) {
-            if symmetric {
-                builder.add_undirected_edge(u, v);
-            } else {
-                builder.add_edge(u, v);
-            }
+        if seen.insert((u, v)) {
+            builder.add_edge(u, v);
             produced += 1;
         }
     }
@@ -124,14 +103,6 @@ mod tests {
             "dedup removed too many edges: {}",
             g.num_edges()
         );
-    }
-
-    #[test]
-    fn undirected_symmetric() {
-        let g = chung_lu_undirected(500, 2000, 2.5, WeightModel::WeightedCascade, 4);
-        for (u, v, _) in g.edges() {
-            assert!(g.out_neighbors(v).contains(&u));
-        }
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //! Real OSN snapshots (the SNAP datasets in the paper's Table III) cannot be
 //! redistributed with this repository, so the benchmark harness generates
 //! graphs whose size, directedness, and degree skew match each dataset's
-//! published statistics — see [`profiles`]. The individual generators are
-//! also part of the public API for users building their own workloads.
+//! published statistics — see [`profiles`]. Erdős–Rényi and Barabási–Albert
+//! are also public for tests and examples building their own workloads;
+//! Chung-Lu is reached through the directed profiles.
 
 pub mod barabasi_albert;
-pub mod chung_lu;
+mod chung_lu;
 pub mod erdos_renyi;
 pub mod profiles;
-pub mod watts_strogatz;
 
 pub use barabasi_albert::barabasi_albert;
-pub use chung_lu::{chung_lu_directed, chung_lu_undirected};
+pub(crate) use chung_lu::chung_lu_directed;
 pub use erdos_renyi::erdos_renyi;
 pub use profiles::DatasetProfile;
-pub use watts_strogatz::watts_strogatz;

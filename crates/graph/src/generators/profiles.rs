@@ -100,7 +100,7 @@ impl DatasetProfile {
     }
 
     /// Node count after applying `scale ∈ (0, 1]`.
-    pub fn scaled_nodes(&self, scale: f64) -> usize {
+    fn scaled_nodes(&self, scale: f64) -> usize {
         assert!(scale > 0.0 && scale <= 1.0, "scale out of (0,1]: {scale}");
         ((self.full_nodes() as f64 * scale).round() as usize).max(64)
     }

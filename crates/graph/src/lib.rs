@@ -10,8 +10,8 @@
 //! * [`GraphBuilder`] — the mutable builder used by parsers and generators.
 //! * [`codec`] — the one strict little-endian byte cursor ([`codec::Reader`])
 //!   every binary format in the workspace decodes through.
-//! * [`delta`] — edge-stream mutations ([`EdgeOp`] / [`DeltaBatch`]) and the
-//!   [`DeltaGraph`] overlay that replays them into a fresh CSR.
+//! * [`delta`] — edge-stream mutations ([`EdgeOp`] / [`DeltaBatch`]) and
+//!   [`apply_batch`], which replays a batch into a fresh CSR.
 //! * [`WeightModel`] — the standard ways of assigning propagation
 //!   probabilities (weighted-cascade `1/indeg`, uniform, trivalency).
 //! * [`generators`] — synthetic social-network generators plus the dataset
@@ -36,7 +36,7 @@
 //! assert_eq!(g.in_probs(3), &[1.0]);
 //! ```
 
-pub mod alias;
+mod alias;
 pub mod analysis;
 pub mod binary;
 pub mod builder;
@@ -47,13 +47,12 @@ pub mod error;
 pub mod generators;
 pub mod io;
 pub mod rng;
-pub mod scc;
 pub mod weights;
 
 pub use analysis::GraphStats;
 pub use builder::GraphBuilder;
 pub use csr::Graph;
-pub use delta::{apply_batch, DeltaBatch, DeltaError, DeltaGraph, EdgeOp};
+pub use delta::{apply_batch, DeltaBatch, DeltaError, EdgeOp};
 pub use error::GraphError;
 pub use generators::profiles::DatasetProfile;
 pub use rng::Rng;

@@ -60,7 +60,7 @@ impl Credentials {
 }
 
 /// The wire error a refused AUTH attempt maps to.
-pub fn failure_error(tenant: &str, failure: AuthFailure) -> (u8, String) {
+pub(crate) fn failure_error(tenant: &str, failure: AuthFailure) -> (u8, String) {
     match failure {
         AuthFailure::UnknownTenant => (
             proto::ERR_UNKNOWN_TENANT,

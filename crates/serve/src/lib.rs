@@ -44,8 +44,8 @@ pub use auth::Credentials;
 pub use client::{ConnectOptions, QueryClient, TopKResult};
 pub use metrics::{LatencyHistogram, ServeMetrics};
 pub use proto::{
-    decode_batch, decode_response_batch, encode_batch, encode_response_batch, spread_estimate,
-    QueryRequest, QueryResponse, SketchStats,
+    decode_batch, decode_response_batch, encode_batch, encode_response_batch, QueryRequest,
+    QueryResponse, SketchStats,
 };
 pub use server::{
     ReloadError, ReloadOutcome, ReloadSource, ServeOptions, Server, Sketch, TenantBind,

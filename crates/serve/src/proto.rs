@@ -143,7 +143,7 @@ pub enum QueryResponse {
 }
 
 /// The spread estimate `n · covered / θ` (Eq. 2); 0 for an empty sketch.
-pub fn spread_estimate(covered: u64, theta: u64, num_nodes: u64) -> f64 {
+pub(crate) fn spread_estimate(covered: u64, theta: u64, num_nodes: u64) -> f64 {
     if theta == 0 {
         0.0
     } else {

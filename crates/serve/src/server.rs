@@ -31,7 +31,7 @@
 //! so tenants hot-reload independently. A connection must authenticate
 //! with one `REQ_AUTH` frame before anything else; every subsequent
 //! opcode is scoped to that tenant — its sketch, its reload source, its
-//! counters. Per-tenant quotas ([`dim_serve::tenant::TenantQuota`]) shed
+//! counters. Per-tenant quotas ([`crate::tenant::TenantQuota`]) shed
 //! with `ERR_QUOTA` (connection survives, unlike the global
 //! `ERR_OVERLOADED` admission shed): an in-flight ceiling, a queries/sec
 //! token bucket (burst = one second's allowance), and a batch-size cap.
@@ -531,11 +531,6 @@ impl Server {
     /// single-tenant mode is the only one).
     pub fn generation(&self) -> u64 {
         self.shared.tenants[0].state.read().unwrap().generation
-    }
-
-    /// Connections currently registered (being served or queued).
-    pub fn live_connections(&self) -> usize {
-        self.shared.conns.lock().unwrap().len()
     }
 
     /// A point-in-time snapshot of the daemon-wide serving metrics:
@@ -1184,7 +1179,7 @@ mod tests {
         // Workers reap asynchronously after EOF; the registry must drain
         // back to zero instead of growing per connection.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.live_connections() > 0 {
+        while server.metrics().live_connections > 0 {
             assert!(Instant::now() < deadline, "connections never reaped");
             std::thread::sleep(Duration::from_millis(10));
         }

@@ -163,7 +163,7 @@ pub struct DeltaShard {
 
 /// Canonical file name for delta shard `id` of `count` (e.g.
 /// `shard-3-of-8.rrd`).
-pub fn delta_file_name(id: u32, count: u32) -> String {
+pub(crate) fn delta_file_name(id: u32, count: u32) -> String {
     format!("shard-{id}-of-{count}.{DELTA_EXTENSION}")
 }
 
@@ -292,7 +292,7 @@ pub fn write_delta_shard(
 }
 
 /// Reads and validates one delta shard file.
-pub fn read_delta_shard(path: &Path) -> Result<DeltaShard, StoreError> {
+pub(crate) fn read_delta_shard(path: &Path) -> Result<DeltaShard, StoreError> {
     let bytes = fs::read(path).map_err(|source| StoreError::Io {
         path: path.to_path_buf(),
         source,
@@ -302,7 +302,7 @@ pub fn read_delta_shard(path: &Path) -> Result<DeltaShard, StoreError> {
 
 /// All `*.rrd` files in a generation directory, sorted by name. Empty for
 /// a base (`DIMR`) generation.
-pub fn delta_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
+pub(crate) fn delta_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
     let entries = fs::read_dir(dir).map_err(|source| StoreError::Io {
         path: dir.to_path_buf(),
         source,
@@ -330,7 +330,7 @@ pub fn delta_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
 /// first `*.rrd` file's header), or `None` when the directory holds no
 /// delta shards. Chain-aware GC uses this to keep transitively referenced
 /// bases alive.
-pub fn delta_base_of(dir: &Path) -> Result<Option<u64>, StoreError> {
+pub(crate) fn delta_base_of(dir: &Path) -> Result<Option<u64>, StoreError> {
     match delta_paths(dir)?.first() {
         Some(path) => Ok(Some(read_delta_shard(path)?.header.base_generation)),
         None => Ok(None),

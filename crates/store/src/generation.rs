@@ -70,7 +70,7 @@ pub fn generation_dir_name(id: u64) -> String {
 
 /// Parses a directory name as a generation id. Strict: the prefix
 /// followed by ASCII digits only.
-pub fn parse_generation_dir(name: &str) -> Option<u64> {
+pub(crate) fn parse_generation_dir(name: &str) -> Option<u64> {
     let digits = name.strip_prefix(GENERATION_PREFIX)?;
     if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -139,7 +139,7 @@ pub fn commit_generation(dir: &Path, id: u64) -> Result<(), StoreError> {
 /// Reads a generation directory's manifest: `Ok(None)` when absent
 /// (uncommitted), the committed id when present, `Corrupt` when the file
 /// exists but does not parse or its id disagrees with the expectation.
-pub fn read_manifest(dir: &Path) -> Result<Option<u64>, StoreError> {
+pub(crate) fn read_manifest(dir: &Path) -> Result<Option<u64>, StoreError> {
     let path = dir.join(MANIFEST_FILE);
     let content = match fs::read_to_string(&path) {
         Ok(c) => c,
@@ -157,17 +157,6 @@ pub fn read_manifest(dir: &Path) -> Result<Option<u64>, StoreError> {
         .and_then(|d| d.parse::<u64>().ok())
         .ok_or_else(corrupt)?;
     Ok(Some(id))
-}
-
-/// The newest *committed* generation under `root` (directory id and
-/// manifest agree), or `None` when the root has no committed generation.
-pub fn latest_generation(root: &Path) -> Result<Option<(u64, PathBuf)>, StoreError> {
-    for (id, dir) in list_generations(root)?.into_iter().rev() {
-        if read_manifest(&dir)? == Some(id) {
-            return Ok(Some((id, dir)));
-        }
-    }
-    Ok(None)
 }
 
 /// How a loaded generation relates to its delta chain: which base it
@@ -616,6 +605,17 @@ mod tests {
     use dim_cluster::SamplerSpec;
     use dim_coverage::PooledSets;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The newest *committed* generation under `root` (directory id and
+    /// manifest agree), or `None` when the root has no committed generation.
+    fn latest_generation(root: &Path) -> Result<Option<(u64, PathBuf)>, StoreError> {
+        for (id, dir) in list_generations(root)?.into_iter().rev() {
+            if read_manifest(&dir)? == Some(id) {
+                return Ok(Some((id, dir)));
+            }
+        }
+        Ok(None)
+    }
 
     fn temp_root(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);

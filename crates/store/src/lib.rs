@@ -35,15 +35,13 @@ pub mod delta;
 pub mod generation;
 
 pub use delta::{
-    decode_delta_shard, delta_base_of, delta_file_name, delta_paths, encode_delta_shard,
-    read_delta_shard, write_delta_shard, DeltaShard, DeltaShardHeader, DELTA_EXTENSION,
-    DELTA_MAGIC, DELTA_VERSION,
+    decode_delta_shard, encode_delta_shard, write_delta_shard, DeltaShard, DeltaShardHeader,
+    DELTA_EXTENSION, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use generation::{
     begin_generation, commit_generation, compact_generation, gc_generations, generation_dir_name,
-    latest_generation, list_generations, load_latest_chain, load_latest_snapshot,
-    parse_generation_dir, read_graph_file, read_manifest, ChainInfo, GENERATION_PREFIX,
-    GRAPH_FILE, MANIFEST_FILE,
+    list_generations, load_latest_chain, load_latest_snapshot, read_graph_file, ChainInfo,
+    GENERATION_PREFIX, GRAPH_FILE, MANIFEST_FILE,
 };
 
 use std::fmt;
@@ -108,7 +106,7 @@ impl StoreError {
     }
 
     /// Attaches a file path to a path-less [`StoreError::Corrupt`].
-    pub fn with_path(self, path: &Path) -> Self {
+    pub(crate) fn with_path(self, path: &Path) -> Self {
         match self {
             StoreError::Corrupt { path: None, detail } => StoreError::Corrupt {
                 path: Some(path.to_path_buf()),
@@ -503,7 +501,7 @@ pub fn write_shard(
 }
 
 /// Reads and validates one shard file.
-pub fn read_shard(path: &Path) -> Result<ShardSnapshot, StoreError> {
+pub(crate) fn read_shard(path: &Path) -> Result<ShardSnapshot, StoreError> {
     let bytes = fs::read(path).map_err(|source| StoreError::Io {
         path: path.to_path_buf(),
         source,
@@ -543,14 +541,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Total RR sets stored across shards (equals `theta`).
-    pub fn total_elements(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.header.num_elements)
-            .sum()
-    }
-
     /// Σ over all stored RR sets of their size.
     pub fn total_size(&self) -> u64 {
         self.shards
@@ -878,7 +868,6 @@ mod tests {
         let snap = load_snapshot(&dir, &request()).unwrap();
         assert_eq!(snap.shard_count, 2);
         assert_eq!(snap.shards.len(), 2);
-        assert_eq!(snap.total_elements(), 4);
         assert_eq!(snap.theta, 4);
         assert_eq!(snap.edges_examined, 34);
         assert_eq!(snap.shards[0].header.shard_id, 0);

@@ -267,16 +267,9 @@ fn backend_of(flags: &Flags) -> Result<Backend, String> {
     }
 }
 
-/// Assembles the TCP cluster for `--backend proc|join` — one cluster type,
-/// two ways its workers came to exist.
-///
-/// `proc` spawns one `dim-worker` process per machine (binary located via
-/// `DIM_WORKER_BIN` or next to this executable). `join` waits for
-/// pre-started workers: it binds the advertised address (`DIM_MASTER_BIND`,
-/// default loopback), waits until all `machines` workers have registered
-/// (bounded by `--join-timeout` / `DIM_JOIN_TIMEOUT_SECS`), and reports
-/// where the cluster came up and how long rendezvous took — the latency
-/// the run's `--breakdown` timeline shows under the `rendezvous` phase.
+/// The TCP cluster for `--backend proc|join` ([`dim_cluster::tcp_cluster`]),
+/// its rendezvous bounded by `--join-timeout` / `DIM_JOIN_TIMEOUT_SECS`; the
+/// run's `--breakdown` shows the assembly latency under `rendezvous`.
 fn tcp_cluster(
     backend: Backend,
     machines: usize,
@@ -284,31 +277,13 @@ fn tcp_cluster(
     seed: u64,
     flags: &Flags,
 ) -> Result<ProcCluster, String> {
-    if backend == Backend::Proc {
-        return ProcCluster::spawn(machines, net, seed)
-            .map_err(|e| format!("cannot start worker cluster: {e}"));
-    }
     let mut config = JoinConfig::new(machines);
     let timeout_secs = flags.num("join-timeout", 0u64)?;
     if timeout_secs > 0 {
         config.join_timeout = std::time::Duration::from_secs(timeout_secs);
     }
-    let mut rdv = Rendezvous::bind_env(config)
-        .map_err(|e| format!("cannot bind rendezvous address: {e}"))?;
-    let addr = rdv.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "dim: waiting for {machines} worker(s) to join at {addr} \
-         (dim-worker --connect {addr} --join)"
-    );
-    let cluster = rdv
-        .accept_session(net, seed)
-        .map_err(|e| format!("rendezvous failed: {e}"))?;
-    eprintln!(
-        "dim: session {} assembled in {:.3}s",
-        cluster.session_id(),
-        cluster.timeline().get(phase::RENDEZVOUS).master_compute.as_secs_f64()
-    );
-    Ok(cluster)
+    dim_cluster::tcp_cluster(backend == Backend::Proc, config, net, seed)
+        .map_err(|e| format!("cannot assemble the worker cluster: {e}"))
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {

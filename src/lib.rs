@@ -54,61 +54,42 @@ pub use dim_store;
 /// The commonly needed types and functions in one import.
 pub mod prelude {
     pub use dim_cluster::{
-        phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, FaultEvent, FaultEventKind,
-        FaultInjector, FaultPlan, JoinConfig, JoinOptions, LinkDecision, LinkFault,
-        NetworkModel, OpCluster, OpExecutor, Partition, PhaseTimeline, ProcCluster, Rendezvous,
-        SamplerSpec, SessionEnd, SimCluster, WireError, WireErrorKind, WorkerOp, WorkerReply,
-        WorkerStats,
+        phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, FaultInjector, FaultPlan,
+        JoinConfig, JoinOptions, LinkFault, NetworkModel, OpCluster, Partition, PhaseTimeline,
+        ProcCluster, Rendezvous, SamplerSpec, SessionEnd, SimCluster, WireErrorKind, WorkerOp,
+        WorkerReply, WorkerStats,
     };
     pub use dim_core::diimm::{diimm, diimm_on, diimm_with_options};
-    pub use dim_core::extensions::{
-        budgeted_im, seed_minimization, targeted_im, BudgetedImResult, SeedMinResult,
-        TargetedImResult,
-    };
-    pub use dim_core::heuristics::{
-        degree_discount, monte_carlo_greedy, random_seeds, top_degree, top_pagerank,
-    };
     pub use dim_core::imm::imm;
     pub use dim_core::opim::{dopim_c, opim_c};
-    pub use dim_core::ssa::{dssa, ssa};
+    pub use dim_core::recover::{
+        diimm_on_recovering, RecoveringCluster, RecoveryPolicy, RecoverySource,
+    };
     pub use dim_core::snapshot::{
         diimm_load_rr, diimm_sample, diimm_sample_generation, diimm_sample_on,
         load_latest_rr_snapshot, load_rr_snapshot, persist_rr_shards, rr_snapshot_request,
-        snapshot_shards, SnapshotError, StreamApplied, StreamSession,
+        snapshot_shards, StreamSession,
     };
-    pub use dim_core::recover::{
-        diimm_on_recovering, DegradedOutcome, RecoveredRun, RecoveringCluster, RecoveryPolicy,
-        RecoverySource, StragglerEvent,
-    };
-    pub use dim_core::{
-        setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, Timings, WorkerHost,
-    };
+    pub use dim_core::ssa::{dssa, ssa};
+    pub use dim_core::{setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, WorkerHost};
     pub use dim_coverage::greedi::greedi;
     pub use dim_coverage::greedy::{bucket_greedy, celf_greedy};
-    pub use dim_coverage::{
-        budgeted_greedy, newgreedi, newgreedi_until, CoverageProblem, CoverageShard,
+    pub use dim_coverage::{newgreedi, CoverageProblem, CoverageShard};
+    pub use dim_diffusion::exact::{exact_opt, exact_spread};
+    pub use dim_diffusion::forward::estimate_spread;
+    pub use dim_diffusion::{DiffusionModel, RrSampler};
+    pub use dim_graph::generators::{barabasi_albert, erdos_renyi};
+    pub use dim_graph::{
+        apply_batch, DatasetProfile, DeltaBatch, EdgeOp, Graph, GraphBuilder, GraphStats, Rng,
+        WeightModel,
     };
     pub use dim_serve::{
         ConnectOptions, Credentials, QueryClient, QueryRequest, QueryResponse, ReloadSource,
-        ServeMetrics, ServeOptions, Server, Sketch, SketchStats, TenantBind, TenantHandle,
-        TenantQuota, TenantRegistry, TenantSpec,
+        ServeMetrics, ServeOptions, Server, Sketch, SketchStats, TenantBind, TenantQuota,
+        TenantRegistry, TenantSpec,
     };
     pub use dim_store::{
-        begin_generation, commit_generation, compact_generation, gc_generations,
-        generation_dir_name, graph_fingerprint, latest_generation, list_generations,
-        load_latest_chain, load_latest_snapshot, load_snapshot, read_graph_file, ChainInfo,
-        Snapshot, SnapshotRequest, StoreError, GRAPH_FILE,
-    };
-    pub use dim_diffusion::exact::{exact_opt, exact_spread};
-    pub use dim_diffusion::forward::{estimate_spread, estimate_spread_ci, SpreadEstimate};
-    pub use dim_diffusion::{DiffusionModel, IcRrSampler, LtRrSampler, RrSampler, SubsimRrSampler};
-    pub use dim_graph::generators::{
-        barabasi_albert, chung_lu_directed, chung_lu_undirected, erdos_renyi, watts_strogatz,
-    };
-    pub use dim_graph::analysis::{influence_pagerank, pagerank};
-    pub use dim_graph::scc::strongly_connected_components;
-    pub use dim_graph::{
-        apply_batch, DatasetProfile, DeltaBatch, EdgeOp, Graph, GraphBuilder, GraphStats, NodeId,
-        Rng, WeightModel,
+        begin_generation, commit_generation, gc_generations, generation_dir_name,
+        graph_fingerprint, list_generations, load_latest_snapshot, load_snapshot, StoreError,
     };
 }
