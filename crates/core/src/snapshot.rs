@@ -359,7 +359,9 @@ impl<'g> StreamSession<'g> {
     /// writes its delta shard into a fresh generation which is committed
     /// atomically once all machines succeed; generations beyond the
     /// newest `keep` are then garbage-collected (chain bases are always
-    /// retained).
+    /// retained). GC runs last: if it fails the batch is still committed
+    /// and the session has advanced past it, so the error can be reported
+    /// and the next batch applied.
     pub fn apply(
         &mut self,
         ops: Vec<EdgeOp>,
@@ -394,22 +396,21 @@ impl<'g> StreamSession<'g> {
             spec,
         })?;
         let counts = expect_counts(&replies, phase::STREAM_APPLY)?;
-        let generation = match staged {
-            Some((id, dir)) => {
-                dim_store::commit_generation(&dir, id)?;
-                dim_store::gc_generations(&self.root, keep)?;
-                self.generation = id;
-                Some(id)
-            }
-            None => None,
-        };
-        let ops = batch.ops.len();
+        if let Some((id, dir)) = &staged {
+            dim_store::commit_generation(dir, *id)?;
+            self.generation = *id;
+        }
+        // The workers and (when persisting) the disk now hold the batch:
+        // the session follows before anything else can fail.
         self.current = mutated;
         self.tip_fingerprint = fingerprint;
         self.next_seq += 1;
+        if persist {
+            dim_store::gc_generations(&self.root, keep)?;
+        }
         Ok(StreamApplied {
-            generation,
-            ops,
+            generation: staged.map(|(id, _)| id),
+            ops: batch.ops.len(),
             sets_repaired: counts.iter().sum(),
         })
     }
@@ -419,14 +420,15 @@ impl<'g> StreamSession<'g> {
     /// along as [`dim_store::GRAPH_FILE`]), then GCs down to `keep`.
     /// Returns the new base's id, or `None` when there is nothing to
     /// fold (no batches applied since the last base). Subsequent applies
-    /// chain from the new base at sequence 0.
+    /// chain from the new base at sequence 0 — also when the trailing GC
+    /// fails, which leaves the new base committed.
     pub fn compact(&mut self, keep: usize) -> Result<Option<u64>, SnapshotError> {
         match dim_store::compact_generation(&self.root, &self.request, &self.current)? {
             Some((id, _dir)) => {
-                dim_store::gc_generations(&self.root, keep)?;
                 self.generation = id;
                 self.base_generation = id;
                 self.next_seq = 0;
+                dim_store::gc_generations(&self.root, keep)?;
                 Ok(Some(id))
             }
             None => Ok(None),
@@ -748,6 +750,80 @@ mod tests {
         let final_reload =
             StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
         assert_eq!(final_reload.generation(), 4);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A GC failure after the commit must not leave the session a step
+    /// behind the workers and the disk.
+    #[test]
+    fn gc_failure_after_commit_leaves_session_in_step() {
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 7);
+        let cfg = config(4, 33);
+        let root = temp_dir("stream-gc");
+        let net = NetworkModel::zero();
+        diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 4).unwrap();
+        let mut session =
+            StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        let (u, v, _) = g.edges().next().unwrap();
+        session.apply(vec![EdgeOp::Delete { u, v }], true, 4).unwrap();
+
+        // Flip generation 2's header checksum: the next GC, walking the
+        // chain back from generation 3 with `keep = 1`, cannot read its link.
+        let victim = root
+            .join(dim_store::generation_dir_name(2))
+            .join("shard-0-of-2.rrd");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        bytes[12 + header_len] ^= 0xff;
+        std::fs::write(&victim, &bytes).unwrap();
+        let insert = EdgeOp::Insert {
+            u: (u + 1) % 200,
+            v: (u + 3) % 200,
+            p: 0.6,
+        };
+        let err = session.apply(vec![insert], true, 1).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Store(StoreError::Corrupt { .. })),
+            "got {err:?}"
+        );
+        // The batch is committed, nothing was deleted, the session moved on.
+        assert_eq!(dim_store::list_generations(&root).unwrap().len(), 3);
+        assert_eq!(session.generation(), 3);
+        assert_eq!(session.next_seq(), 2);
+
+        // With the disk repaired the same session carries on …
+        bytes[12 + header_len] ^= 0xff;
+        std::fs::write(&victim, &bytes).unwrap();
+        let applied = session
+            .apply(vec![EdgeOp::Reweight { u, v: (u + 3) % 200, p: 0.2 }], true, 1)
+            .unwrap();
+        assert_eq!(applied.generation, Some(4));
+        let selected = session.select().unwrap();
+
+        // … and selects what a full re-sample of the tip graph selects.
+        let tip = session.current_graph().clone();
+        let fresh: Vec<DiimmWorker> = session
+            .cluster
+            .workers()
+            .iter()
+            .enumerate()
+            .map(|(i, resident)| {
+                let mut w = DiimmWorker::new(&tip, &cfg, i);
+                w.generate(resident.shard.num_elements());
+                w
+            })
+            .collect();
+        let mut fresh = SimCluster::new(fresh, net, ExecMode::Sequential);
+        let expected = newgreedi_with(&mut fresh, tip.num_nodes(), cfg.k).unwrap();
+        assert_eq!(selected.seeds, expected.seeds);
+        assert_eq!(selected.marginals, expected.marginals);
+
+        // The chain it wrote is one a new session accepts.
+        let mut reopened =
+            StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        assert_eq!(reopened.generation(), 4);
+        assert_eq!(reopened.next_seq(), 3);
+        assert_eq!(reopened.select().unwrap().seeds, selected.seeds);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

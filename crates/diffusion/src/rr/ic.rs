@@ -18,6 +18,25 @@ impl<'g> IcRrSampler<'g> {
     pub fn new(graph: &'g Graph) -> Self {
         IcRrSampler { graph }
     }
+
+    /// The live-edge coin of `⟨w, u⟩`. Coins are independent, and one is
+    /// only observable when `w` is not yet in R, so only those are flipped.
+    /// A node that joins R is dequeued later: its in-list starts loading now.
+    #[inline(always)]
+    fn flip(
+        &self,
+        w: u32,
+        p: f32,
+        rng: &mut Rng,
+        out: &mut Vec<u32>,
+        visited: &mut VisitTracker,
+    ) {
+        if !visited.is_marked(w) && rng.f32() < p {
+            visited.mark(w);
+            out.push(w);
+            prefetch(self.graph.in_neighbors(w));
+        }
+    }
 }
 
 impl RrSampler for IcRrSampler<'_> {
@@ -44,14 +63,19 @@ impl RrSampler for IcRrSampler<'_> {
             let u = out[head];
             head += 1;
             let sources = self.graph.in_neighbors(u);
-            let probs = self.graph.in_probs(u);
             edges += sources.len() as u64;
-            for (&w, &p) in sources.iter().zip(probs) {
-                // Each live-edge coin is independent; flipping it is only
-                // observable when the source is not yet in R.
-                if !visited.is_marked(w) && rng.f32() < p {
-                    visited.mark(w);
-                    out.push(w);
+            // A uniform row (every weighted-cascade in-list) flips the same
+            // coins in the same order without reading `in_probs` at all.
+            match self.graph.in_uniform_prob(u) {
+                Some(p) => {
+                    for &w in sources {
+                        self.flip(w, p, rng, out, visited);
+                    }
+                }
+                None => {
+                    for (&w, &p) in sources.iter().zip(self.graph.in_probs(u)) {
+                        self.flip(w, p, rng, out, visited);
+                    }
                 }
             }
         }
@@ -59,11 +83,25 @@ impl RrSampler for IcRrSampler<'_> {
     }
 }
 
+/// Hints the first cache line of `row` into L1; a no-op off x86-64.
+#[inline(always)]
+fn prefetch(row: &[u32]) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch of any address is architecturally a hint and
+    // never faults; SSE is part of the x86-64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(row.as_ptr().cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use dim_graph::{GraphBuilder, WeightModel};
+    use dim_graph::{apply_batch, DeltaBatch, EdgeOp, GraphBuilder, WeightModel};
 
     fn fig1() -> Graph {
         let mut b = GraphBuilder::new(4);
@@ -167,6 +205,76 @@ mod tests {
         let exact =
             crate::exact::exact_spread(&g, crate::DiffusionModel::IndependentCascade, &[0]);
         assert!((est - exact).abs() < 0.02, "RIS {est} vs exact {exact}");
+    }
+
+    /// A weighted-cascade graph (uniform rows) after a batch that mixes
+    /// some rows, with an all-`p = 1` row and nodes nothing points at.
+    fn mixed_rows() -> Graph {
+        let n = 320u32;
+        let mut rng = Rng::new(7);
+        let mut b = GraphBuilder::new(n as usize);
+        for _ in 0..1500 {
+            // Nodes 300.. get no in-edges from the cascade.
+            b.add_edge(rng.below(n as usize) as u32, rng.below(300) as u32);
+        }
+        let g = b.build(WeightModel::WeightedCascade);
+        let (ru, rv, _) = g.edges().nth(40).unwrap();
+        let batch = DeltaBatch::new(
+            0,
+            vec![
+                EdgeOp::Insert { u: 301, v: 5, p: 0.4 },
+                EdgeOp::Insert { u: 302, v: 17, p: 0.9 },
+                EdgeOp::Reweight { u: ru, v: rv, p: 0.05 },
+                EdgeOp::Insert { u: 1, v: 310, p: 1.0 },
+                EdgeOp::Insert { u: 2, v: 310, p: 1.0 },
+            ],
+        );
+        let g = apply_batch(&g, &batch).unwrap();
+        let uniform = g.nodes().filter(|&v| g.in_uniform_prob(v).is_some()).count();
+        let mixed = g.nodes().filter(|&v| g.in_degree(v) > 0).count() - uniform;
+        assert!(uniform > 200 && mixed >= 3, "{uniform} uniform, {mixed} mixed rows");
+        assert_eq!(g.in_uniform_prob(310), Some(1.0));
+        assert_eq!(g.in_degree(315), 0);
+        g
+    }
+
+    /// The uniform-row loop flips the same coins in the same order as the
+    /// per-edge loop: same members in the same order, same edge count, and
+    /// the generator left in the same state, on every per-set stream.
+    #[test]
+    fn uniform_rows_replay_the_per_edge_loop() {
+        let g = mixed_rows();
+        let s = IcRrSampler::new(&g);
+        let (mut out, mut expected) = (Vec::new(), Vec::new());
+        let mut visited = VisitTracker::new(g.num_nodes());
+        for stream in 0..10_000u64 {
+            let mut rng = Rng::new(stream);
+            let edges = s.sample(&mut rng, &mut out, &mut visited);
+
+            let mut reference = Rng::new(stream);
+            let root = reference.below(g.num_nodes()) as u32;
+            expected.clear();
+            expected.push(root);
+            visited.clear();
+            visited.mark(root);
+            let mut examined = 0u64;
+            let mut head = 0;
+            while head < expected.len() {
+                let u = expected[head];
+                head += 1;
+                for i in 0..g.in_degree(u) {
+                    examined += 1;
+                    let w = g.in_neighbors(u)[i];
+                    if !visited.is_marked(w) && reference.f32() < g.in_probs(u)[i] {
+                        visited.mark(w);
+                        expected.push(w);
+                    }
+                }
+            }
+            assert_eq!(out, expected, "stream {stream}");
+            assert_eq!(edges, examined, "stream {stream}");
+            assert_eq!(rng.next_u64(), reference.next_u64(), "stream {stream}");
+        }
     }
 
     #[test]

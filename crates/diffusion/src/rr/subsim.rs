@@ -46,18 +46,14 @@ impl<'g> SubsimRrSampler<'g> {
         let jump_ln_q = graph
             .nodes()
             .map(|v| {
-                let probs = graph.in_probs(v);
-                let (&first, rest) = probs.split_first()?;
-                if rest.iter().all(|&p| p == first) {
-                    if first >= 1.0 {
-                        Some(0.0)
-                    } else if probs.len() as f64 >= JUMP_ALPHA / (1.0 - first as f64) {
-                        Some((1.0 - first as f64).ln())
-                    } else {
-                        // Uniform but low-degree: coins are cheaper.
-                        None
-                    }
+                // Empty and mixed in-lists have no uniform probability.
+                let p = graph.in_uniform_prob(v)? as f64;
+                if p >= 1.0 {
+                    Some(0.0)
+                } else if graph.in_degree(v) as f64 >= JUMP_ALPHA / (1.0 - p) {
+                    Some((1.0 - p).ln())
                 } else {
+                    // Uniform but low-degree: coins are cheaper.
                     None
                 }
             })

@@ -24,7 +24,15 @@ pub struct Graph {
     /// Cumulative in-probability per node, `Σ_{u ∈ N_v^in} p(u,v)`, needed by
     /// the LT reverse random walk (stop probability `1 − Σ p`).
     in_prob_sums: Vec<f32>,
+    /// Per node: the one probability every in-edge carries, NaN when the
+    /// in-list is empty or mixed. Weighted cascade makes every row uniform,
+    /// so the IC samplers read this instead of streaming `in_probs`.
+    in_uniform_probs: Vec<f32>,
 }
+
+/// One edge's state after a batch, addressed within one CSR direction:
+/// `(row, column, Some(p) = present with probability p | None = absent)`.
+pub(crate) type RowEdit = (NodeId, NodeId, Option<f32>);
 
 impl Graph {
     /// Assembles a graph from raw CSR arrays. Intended for
@@ -45,8 +53,13 @@ impl Graph {
         debug_assert_eq!(in_sources.len(), in_probs.len());
         debug_assert_eq!(out_targets.len(), in_sources.len());
         let m = out_targets.len();
-        let in_prob_sums = (0..n)
-            .map(|v| in_probs[in_offsets[v]..in_offsets[v + 1]].iter().sum())
+        let in_row = |v: usize| &in_probs[in_offsets[v]..in_offsets[v + 1]];
+        let in_prob_sums = (0..n).map(|v| in_row(v).iter().sum()).collect();
+        let in_uniform_probs = (0..n)
+            .map(|v| match in_row(v).split_first() {
+                Some((&first, rest)) if rest.iter().all(|&p| p == first) => first,
+                _ => f32::NAN,
+            })
             .collect();
         Graph {
             n,
@@ -58,7 +71,30 @@ impl Graph {
             in_sources,
             in_probs,
             in_prob_sums,
+            in_uniform_probs,
         }
+    }
+
+    /// The graph with `edits` spliced in: untouched rows are copied as
+    /// whole runs, touched rows are merged. `by_source` holds each edited
+    /// edge as `(u, v, state)` sorted by `(u, v)`, `by_target` the same
+    /// edges as `(v, u, state)` sorted by `(v, u)`, one entry per edge.
+    /// Rows are strictly increasing before and after, so the arrays are
+    /// exactly what [`crate::GraphBuilder`] builds from the edited edge list.
+    pub(crate) fn spliced(&self, by_source: &[RowEdit], by_target: &[RowEdit]) -> Graph {
+        let (out_offsets, out_targets, out_probs) =
+            splice_rows(&self.out_offsets, &self.out_targets, &self.out_probs, by_source);
+        let (in_offsets, in_sources, in_probs) =
+            splice_rows(&self.in_offsets, &self.in_sources, &self.in_probs, by_target);
+        Graph::from_csr(
+            self.n,
+            out_offsets,
+            out_targets,
+            out_probs,
+            in_offsets,
+            in_sources,
+            in_probs,
+        )
     }
 
     /// Number of nodes `n = |V|`.
@@ -121,6 +157,14 @@ impl Graph {
         self.in_prob_sums[v as usize]
     }
 
+    /// The probability shared by every in-edge of `v`, `None` when the
+    /// in-list is empty or holds more than one value.
+    #[inline]
+    pub fn in_uniform_prob(&self, v: NodeId) -> Option<f32> {
+        let p = self.in_uniform_probs[v as usize];
+        (!p.is_nan()).then_some(p)
+    }
+
     /// Iterates over all directed edges as `(u, v, p)` triples in CSR order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f32)> + '_ {
         (0..self.n as NodeId).flat_map(move |u| {
@@ -147,9 +191,62 @@ impl Graph {
         use std::mem::size_of;
         (self.out_offsets.len() + self.in_offsets.len()) * size_of::<usize>()
             + (self.out_targets.len() + self.in_sources.len()) * size_of::<NodeId>()
-            + (self.out_probs.len() + self.in_probs.len() + self.in_prob_sums.len())
+            + (self.out_probs.len()
+                + self.in_probs.len()
+                + self.in_prob_sums.len()
+                + self.in_uniform_probs.len())
                 * size_of::<f32>()
     }
+}
+
+/// Splices `edits` (sorted by `(row, column)`, one per pair) into one CSR
+/// direction whose rows are strictly increasing.
+fn splice_rows(
+    offsets: &[usize],
+    cols: &[NodeId],
+    probs: &[f32],
+    edits: &[RowEdit],
+) -> (Vec<usize>, Vec<NodeId>, Vec<f32>) {
+    let n = offsets.len() - 1;
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    let mut new_cols = Vec::with_capacity(cols.len() + edits.len());
+    let mut new_probs = Vec::with_capacity(cols.len() + edits.len());
+    new_offsets.push(0);
+    // Base entries `from..to` are unaffected by any edit: one memcpy each.
+    let copy = |new_cols: &mut Vec<NodeId>, new_probs: &mut Vec<f32>, from: usize, to: usize| {
+        new_cols.extend_from_slice(&cols[from..to]);
+        new_probs.extend_from_slice(&probs[from..to]);
+    };
+    let mut next_row = 0;
+    // One group of edits per touched row, then `None` for the rows after
+    // the last of them.
+    for group in edits.chunk_by(|a, b| a.0 == b.0).map(Some).chain([None]) {
+        // The run of untouched rows up to the next edited one.
+        let row = group.map_or(n, |g| g[0].0 as usize);
+        let start = new_cols.len();
+        copy(&mut new_cols, &mut new_probs, offsets[next_row], offsets[row]);
+        new_offsets.extend(
+            offsets[next_row + 1..=row]
+                .iter()
+                .map(|&o| o - offsets[next_row] + start),
+        );
+        let Some(group) = group else { break };
+        let (mut at, end) = (offsets[row], offsets[row + 1]);
+        for &(_, col, state) in group {
+            let before = at + cols[at..end].partition_point(|&c| c < col);
+            copy(&mut new_cols, &mut new_probs, at, before);
+            // The edit supersedes the base entry, if there is one.
+            at = before + usize::from(before < end && cols[before] == col);
+            if let Some(p) = state {
+                new_cols.push(col);
+                new_probs.push(p);
+            }
+        }
+        copy(&mut new_cols, &mut new_probs, at, end);
+        new_offsets.push(new_cols.len());
+        next_row = row + 1;
+    }
+    (new_offsets, new_cols, new_probs)
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! mutation (insert / delete / reweight of a directed edge), a
 //! [`DeltaBatch`] is a sequence-numbered group of ops with a canonical
 //! little-endian codec (so batches can live in `dim-store` delta shards and
-//! travel the cluster wire), and [`apply_batch`] folds a batch into a base
-//! graph and materializes a new CSR [`Graph`].
+//! travel the cluster wire), and [`apply_batch`] splices a batch into a base
+//! graph's CSR rows, giving a new [`Graph`].
 //!
 //! Mutations never add nodes: every op must reference nodes `< n`. This
 //! keeps all per-node state in the samplers and coverage shards (visit
@@ -18,13 +18,10 @@
 //! * `Delete` / `Reweight` on a missing edge is a no-op.
 //! * Ops within a batch apply in order; later ops win.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::builder::GraphBuilder;
 use crate::codec::Reader;
-use crate::csr::Graph;
-use crate::weights::WeightModel;
+use crate::csr::{Graph, RowEdit};
 use crate::NodeId;
 
 /// One edge mutation in a stream batch.
@@ -211,95 +208,47 @@ impl DeltaBatch {
     }
 }
 
-/// Mutable overlay over a frozen base [`Graph`].
+/// Applies `batch` to `base` and returns the mutated graph.
 ///
-/// Holds the base plus the accumulated edge state from every applied batch,
-/// and materializes a fresh CSR [`Graph`] on demand. The overlay itself is
-/// cheap to mutate (a `BTreeMap` keyed by `(u, v)`); materialization pays
-/// the full CSR rebuild, which the stream pipeline does once per batch.
-pub(crate) struct DeltaGraph<'g> {
-    base: &'g Graph,
-    /// Full current edge state: `(u, v) → p`. Seeded lazily from the base's
-    /// edges on the first mutation.
-    edges: BTreeMap<(NodeId, NodeId), f32>,
-    next_seq: u64,
-}
-
-impl<'g> DeltaGraph<'g> {
-    /// Creates an overlay with no pending mutations (next expected batch
-    /// sequence number 0).
-    pub fn new(base: &'g Graph) -> Self {
-        let edges = base.edges().map(|(u, v, p)| ((u, v), p)).collect();
-        DeltaGraph {
-            base,
-            edges,
-            next_seq: 0,
-        }
-    }
-
-    /// Overlay resuming an existing chain: the next batch must carry
-    /// `next_seq`.
-    pub fn resuming(base: &'g Graph, next_seq: u64) -> Self {
-        let mut dg = DeltaGraph::new(base);
-        dg.next_seq = next_seq;
-        dg
-    }
-
-    /// Applies a batch: validates it, checks its sequence number continues
-    /// the chain, and folds its ops into the overlay in order.
-    pub fn apply(&mut self, batch: &DeltaBatch) -> Result<(), DeltaError> {
-        if batch.seq != self.next_seq {
-            return Err(DeltaError::Invalid(format!(
-                "batch seq {} does not continue chain (expected {})",
-                batch.seq, self.next_seq
-            )));
-        }
-        batch.validate(self.base.num_nodes())?;
-        for op in &batch.ops {
+/// The batch is first resolved to one final state per edited `(u, v)` —
+/// its ops folded in order over the edge's state in `base` — and the
+/// resolved edits are then spliced into both CSR directions: untouched
+/// rows are copied as whole runs and only edited rows are merged, so the
+/// cost is two array copies plus the batch, independent of how the edges
+/// are distributed. The result is array-for-array what rebuilding the
+/// edited edge list through [`crate::GraphBuilder`] gives.
+pub fn apply_batch(base: &Graph, batch: &DeltaBatch) -> Result<Graph, DeltaError> {
+    batch.validate(base.num_nodes())?;
+    // Stable, so each edge's ops stay in batch order.
+    let mut ops = batch.ops.clone();
+    ops.sort_by_key(|op| (op.source(), op.target()));
+    let mut by_source: Vec<RowEdit> = Vec::with_capacity(ops.len());
+    for group in ops.chunk_by(|a, b| (a.source(), a.target()) == (b.source(), b.target())) {
+        let (u, v) = (group[0].source(), group[0].target());
+        let mut state = base
+            .out_neighbors(u)
+            .binary_search(&v)
+            .ok()
+            .map(|i| base.out_probs(u)[i]);
+        for op in group {
             match *op {
-                EdgeOp::Insert { u, v, p } => {
-                    self.edges.insert((u, v), p);
-                }
-                EdgeOp::Delete { u, v } => {
-                    self.edges.remove(&(u, v));
-                }
-                EdgeOp::Reweight { u, v, p } => {
-                    if let Some(w) = self.edges.get_mut(&(u, v)) {
-                        *w = p;
-                    }
-                }
+                EdgeOp::Insert { p, .. } => state = Some(p),
+                EdgeOp::Delete { .. } => state = None,
+                EdgeOp::Reweight { p, .. } => state = state.map(|_| p),
             }
         }
-        self.next_seq += 1;
-        Ok(())
+        by_source.push((u, v, state));
     }
-
-    /// Materializes the current overlay state as a fresh CSR [`Graph`] with
-    /// the same node count as the base. Deterministic: edges are emitted in
-    /// `(u, v)` order regardless of mutation history.
-    pub fn materialize(&self) -> Graph {
-        let mut b = GraphBuilder::with_capacity(self.base.num_nodes(), self.edges.len());
-        for (&(u, v), &p) in &self.edges {
-            b.add_weighted_edge(u, v, p);
-        }
-        // Every edge carries an explicit weight, so the model is never
-        // consulted; WeightedCascade is just the conventional placeholder.
-        b.build(WeightModel::WeightedCascade)
-    }
-}
-
-/// Applies `batch` to `base` and materializes the mutated graph in one
-/// step — the common "one batch at a time" path in workers and tests.
-pub fn apply_batch(base: &Graph, batch: &DeltaBatch) -> Result<Graph, DeltaError> {
-    let mut dg = DeltaGraph::resuming(base, batch.seq);
-    dg.apply(batch)?;
-    Ok(dg.materialize())
+    let mut by_target: Vec<RowEdit> = by_source.iter().map(|&(u, v, s)| (v, u, s)).collect();
+    by_target.sort_unstable_by_key(|&(v, u, _)| (v, u));
+    Ok(base.spliced(&by_source, &by_target))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::erdos_renyi;
+    use crate::{GraphBuilder, WeightModel};
 
     fn base() -> Graph {
         let mut b = GraphBuilder::new(5);
@@ -423,59 +372,92 @@ mod tests {
         assert!(!mutated.out_neighbors(0).contains(&2));
     }
 
-    #[test]
-    fn chain_seq_enforced_and_composition_matches_one_shot() {
-        let g = base();
-        let b0 = DeltaBatch::new(0, vec![EdgeOp::Insert { u: 0, v: 3, p: 0.5 }]);
-        let b1 = DeltaBatch::new(1, vec![EdgeOp::Delete { u: 0, v: 3 }]);
-        let mut dg = DeltaGraph::new(&g);
-        assert!(dg.apply(&b1).is_err(), "out-of-order batch accepted");
-        dg.apply(&b0).unwrap();
-        dg.apply(&b1).unwrap();
-        assert_eq!(dg.next_seq, 2);
-        let chained = dg.materialize();
-        // Insert-then-delete composes back to the base graph.
-        let direct = base();
-        assert_eq!(chained.num_edges(), direct.num_edges());
-        for v in 0..5u32 {
-            assert_eq!(chained.out_neighbors(v), direct.out_neighbors(v));
-            assert_eq!(chained.out_probs(v), direct.out_probs(v));
+    /// Every array of both CSR directions, row by row.
+    fn assert_same_csr(a: &Graph, b: &Graph) {
+        assert_eq!(a.num_nodes(), b.num_nodes());
+        assert_eq!(a.num_edges(), b.num_edges());
+        for v in a.nodes() {
+            assert_eq!(a.out_neighbors(v), b.out_neighbors(v), "out row {v}");
+            assert_eq!(a.out_probs(v), b.out_probs(v), "out probs {v}");
+            assert_eq!(a.in_neighbors(v), b.in_neighbors(v), "in row {v}");
+            assert_eq!(a.in_probs(v), b.in_probs(v), "in probs {v}");
+            assert_eq!(a.in_prob_sum(v), b.in_prob_sum(v), "in sum {v}");
+            assert_eq!(a.in_uniform_prob(v), b.in_uniform_prob(v), "uniform {v}");
         }
     }
 
     #[test]
-    fn materialize_deterministic_on_larger_graph() {
-        let g = erdos_renyi(200, 900, WeightModel::WeightedCascade, 5);
+    fn chained_batches_compose_like_one_folded_batch() {
+        let g = base();
+        let b0 = DeltaBatch::new(0, vec![EdgeOp::Insert { u: 0, v: 3, p: 0.5 }]);
+        let b1 = DeltaBatch::new(1, vec![EdgeOp::Delete { u: 0, v: 3 }]);
+        let chained = apply_batch(&apply_batch(&g, &b0).unwrap(), &b1).unwrap();
+        // Insert-then-delete composes back to the base graph, one batch at
+        // a time or folded into one.
+        assert_same_csr(&chained, &g);
+        let folded = DeltaBatch::new(0, [b0.ops, b1.ops].concat());
+        assert_same_csr(&apply_batch(&g, &folded).unwrap(), &g);
+    }
+
+    #[test]
+    fn later_ops_on_one_edge_win_and_rows_empty_and_fill() {
+        let g = base();
         let batch = DeltaBatch::new(
             0,
             vec![
-                EdgeOp::Insert {
-                    u: 7,
-                    v: 150,
-                    p: 0.4,
-                },
-                EdgeOp::Delete { u: 3, v: 11 },
-                EdgeOp::Reweight {
-                    u: 100,
-                    v: 5,
-                    p: 0.6,
-                },
+                // (4, 0): created, reweighted, deleted, created again.
+                EdgeOp::Insert { u: 4, v: 0, p: 0.1 },
+                EdgeOp::Reweight { u: 4, v: 0, p: 0.2 },
+                EdgeOp::Delete { u: 4, v: 0 },
+                EdgeOp::Reweight { u: 4, v: 0, p: 0.9 }, // absent: no-op
+                EdgeOp::Insert { u: 4, v: 0, p: 0.3 },
+                // Row 3 emptied, row 4 filled at both ends of its range.
+                EdgeOp::Delete { u: 3, v: 4 },
+                EdgeOp::Insert { u: 4, v: 3, p: 0.4 },
+                EdgeOp::Insert { u: 4, v: 1, p: 0.6 },
             ],
         );
-        let a = apply_batch(&g, &batch).unwrap();
-        let b = apply_batch(&g, &batch).unwrap();
-        assert_eq!(a.num_edges(), b.num_edges());
-        for v in 0..200u32 {
-            assert_eq!(a.in_neighbors(v), b.in_neighbors(v));
-            assert_eq!(a.in_probs(v), b.in_probs(v));
+        let mutated = apply_batch(&g, &batch).unwrap();
+        let mut b = GraphBuilder::new(5);
+        b.add_weighted_edge(0, 1, 0.5);
+        b.add_weighted_edge(1, 2, 0.25);
+        b.add_weighted_edge(2, 3, 0.75);
+        b.add_weighted_edge(4, 0, 0.3);
+        b.add_weighted_edge(4, 1, 0.6);
+        b.add_weighted_edge(4, 3, 0.4);
+        assert_same_csr(&mutated, &b.build(WeightModel::WeightedCascade));
+        assert!(mutated.out_neighbors(3).is_empty());
+        assert_eq!(mutated.in_uniform_prob(0), Some(0.3));
+        assert_eq!(mutated.in_uniform_prob(1), None, "0.5 and 0.6 enter node 1");
+        assert_eq!(mutated.in_uniform_prob(4), None, "no in-edges left");
+    }
+
+    #[test]
+    fn splice_matches_rebuild_and_identity_on_larger_graph() {
+        let g = erdos_renyi(200, 900, WeightModel::WeightedCascade, 5);
+        let edges: Vec<_> = g.edges().collect();
+        let (du, dv, _) = edges[17];
+        let (ru, rv, _) = edges[edges.len() - 3];
+        let batch = DeltaBatch::new(
+            0,
+            vec![
+                EdgeOp::Insert { u: 7, v: 150, p: 0.4 },
+                EdgeOp::Delete { u: du, v: dv },
+                EdgeOp::Reweight { u: ru, v: rv, p: 0.6 },
+            ],
+        );
+        let mut b = GraphBuilder::new(200);
+        b.add_weighted_edge(7, 150, 0.4); // first occurrence wins in the builder
+        for &(u, v, p) in &edges {
+            if (u, v) != (du, dv) {
+                b.add_weighted_edge(u, v, if (u, v) == (ru, rv) { 0.6 } else { p });
+            }
         }
+        assert_same_csr(
+            &apply_batch(&g, &batch).unwrap(),
+            &b.build(WeightModel::WeightedCascade),
+        );
         // Identity batch reproduces the base CSR exactly.
-        let id = apply_batch(&g, &DeltaBatch::new(0, vec![])).unwrap();
-        assert_eq!(id.num_edges(), g.num_edges());
-        for v in 0..200u32 {
-            assert_eq!(id.in_neighbors(v), g.in_neighbors(v));
-            assert_eq!(id.in_probs(v), g.in_probs(v));
-            assert_eq!(id.out_neighbors(v), g.out_neighbors(v));
-        }
+        assert_same_csr(&apply_batch(&g, &DeltaBatch::new(0, vec![])).unwrap(), &g);
     }
 }

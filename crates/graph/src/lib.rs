@@ -11,7 +11,7 @@
 //! * [`codec`] — the one strict little-endian byte cursor ([`codec::Reader`])
 //!   every binary format in the workspace decodes through.
 //! * [`delta`] — edge-stream mutations ([`EdgeOp`] / [`DeltaBatch`]) and
-//!   [`apply_batch`], which replays a batch into a fresh CSR.
+//!   [`apply_batch`], which splices a batch into the CSR rows.
 //! * [`WeightModel`] — the standard ways of assigning propagation
 //!   probabilities (weighted-cascade `1/indeg`, uniform, trivalency).
 //! * [`generators`] — synthetic social-network generators plus the dataset

@@ -39,13 +39,14 @@
 //! [`StoreError`]s.
 
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use dim_cluster::ops::{put_u32, put_u64, Reader};
 use dim_cluster::SamplerSpec;
 use dim_graph::DeltaBatch;
 
-use crate::{seal, unseal, StoreError};
+use crate::{seal, unseal, unseal_header, StoreError, MAX_PREFIX_LEN};
 
 /// File magic for delta shard files.
 pub const DELTA_MAGIC: [u8; 4] = *b"DIMD";
@@ -326,13 +327,40 @@ pub(crate) fn delta_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
     Ok(paths)
 }
 
+/// Decodes the header of a delta shard from the start of its file — the
+/// whole file or just its first bytes — without looking at the body: the
+/// envelope prefix (`magic · version · header_len · header · fnv(header)`)
+/// is verified exactly as [`decode_delta_shard`] verifies it, and whatever
+/// follows is ignored.
+pub fn decode_delta_header(bytes: &[u8]) -> Result<DeltaShardHeader, StoreError> {
+    let (hdr, _) = unseal_header(bytes, DELTA_MAGIC, DELTA_VERSION)?;
+    DeltaShardHeader::decode(hdr)
+}
+
+/// Reads the header of one delta shard file: at most [`MAX_PREFIX_LEN`]
+/// bytes come off the disk. The body — batch and repaired records,
+/// megabytes on a live chain — is neither read nor checked.
+fn read_delta_header(path: &Path) -> Result<DeltaShardHeader, StoreError> {
+    let io = |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let mut prefix = Vec::with_capacity(MAX_PREFIX_LEN);
+    fs::File::open(path)
+        .map_err(io)?
+        .take(MAX_PREFIX_LEN as u64)
+        .read_to_end(&mut prefix)
+        .map_err(io)?;
+    decode_delta_header(&prefix).map_err(|e| e.with_path(path))
+}
+
 /// Reads the base-generation link from a delta generation directory (the
 /// first `*.rrd` file's header), or `None` when the directory holds no
 /// delta shards. Chain-aware GC uses this to keep transitively referenced
 /// bases alive.
 pub(crate) fn delta_base_of(dir: &Path) -> Result<Option<u64>, StoreError> {
     match delta_paths(dir)?.first() {
-        Some(path) => Ok(Some(read_delta_shard(path)?.header.base_generation)),
+        Some(path) => Ok(Some(read_delta_header(path)?.base_generation)),
         None => Ok(None),
     }
 }
@@ -499,6 +527,44 @@ mod tests {
                 assert_eq!(detail, "batch seq disagrees with header")
             }
             other => panic!("expected corrupt, got {other:?}"),
+        }
+    }
+
+    /// The header-only reader is as strict about the envelope prefix as
+    /// the full decoder, and blind to everything after it.
+    #[test]
+    fn header_only_reader_is_strict_about_the_prefix_and_ignores_the_body() {
+        let bytes = encode_sample();
+        let prefix_len = 12 + sample_header().encode().len() + 8;
+        assert_eq!(decode_delta_header(&bytes).unwrap(), sample_header());
+        assert_eq!(decode_delta_header(&bytes[..prefix_len]).unwrap(), sample_header());
+        for len in 0..prefix_len {
+            assert!(
+                matches!(decode_delta_header(&bytes[..len]), Err(StoreError::Corrupt { .. })),
+                "prefix truncated to {len} bytes decoded"
+            );
+        }
+        for i in 0..bytes.len() {
+            let mut mutated = bytes.clone();
+            mutated[i] ^= 0xff;
+            match decode_delta_header(&mutated) {
+                Err(StoreError::Corrupt { .. }) if i < prefix_len => {}
+                Ok(header) if i >= prefix_len => {
+                    assert_eq!(header, sample_header());
+                    assert!(decode_delta_shard(&mutated).is_err(), "body flip at {i}");
+                }
+                other => panic!("flip at byte {i}: {other:?}"),
+            }
+        }
+        for header_len in [MAX_PREFIX_LEN as u32, u32::MAX] {
+            let mut long = bytes.clone();
+            long[8..12].copy_from_slice(&header_len.to_le_bytes());
+            match decode_delta_header(&long) {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert_eq!(detail, "header length out of range")
+                }
+                other => panic!("header_len {header_len}: {other:?}"),
+            }
         }
     }
 

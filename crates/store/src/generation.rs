@@ -535,6 +535,14 @@ pub fn compact_generation(
 /// directories left behind by crashed compactions (the store is
 /// single-writer, so none can belong to a live one). Returns the removed
 /// generation ids in ascending order.
+///
+/// A kept generation's link is read once, from the checksummed header of
+/// its first delta shard; shard bodies are never opened. If any kept link
+/// is unreadable (truncated prefix, bad magic or version, header checksum
+/// mismatch) the error is returned and nothing is deleted. A kept delta
+/// shard whose *body* is corrupt does not fail GC — [`load_latest_chain`]
+/// and [`compact_generation`], which consume the body, still report it as
+/// [`StoreError::Corrupt`].
 pub fn gc_generations(root: &Path, keep: usize) -> Result<Vec<u64>, StoreError> {
     sweep_staging(root)?;
     let keep = keep.max(1);
@@ -545,24 +553,18 @@ pub fn gc_generations(root: &Path, keep: usize) -> Result<Vec<u64>, StoreError> 
     let mut first_kept = gens.len() - keep;
     // Chain closure: lower the boundary until every kept delta
     // generation's base (and therefore every intermediate link — ids are
-    // ordered) is kept too.
-    loop {
-        let mut min_base: Option<u64> = None;
-        for (_, dir) in &gens[first_kept..] {
+    // ordered) is kept too. `resolved` marks the generations whose link
+    // has been read: each pass looks only at the ones the last pass added.
+    let mut resolved = gens.len();
+    while first_kept < resolved {
+        let mut boundary = first_kept;
+        for (_, dir) in &gens[first_kept..resolved] {
             if let Some(base) = delta_base_of(dir)? {
-                min_base = Some(min_base.map_or(base, |m| m.min(base)));
+                boundary = boundary.min(gens.partition_point(|&(id, _)| id < base));
             }
         }
-        match min_base {
-            Some(base) => {
-                let lowered = gens.partition_point(|&(id, _)| id < base);
-                if lowered >= first_kept {
-                    break;
-                }
-                first_kept = lowered;
-            }
-            None => break,
-        }
+        resolved = first_kept;
+        first_kept = boundary;
     }
     let mut removed = Vec::new();
     for (id, dir) in &gens[..first_kept] {
@@ -934,6 +936,68 @@ mod tests {
         assert_eq!(left, vec![id4, id5]);
         assert!(!staging.exists(), "staging dir swept");
         assert!(unrelated.exists(), "non-generation tmp dir untouched");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// `path` with the byte at `at` (from the end when negative) inverted.
+    fn flip_byte(path: &Path, at: isize) {
+        let mut bytes = fs::read(path).unwrap();
+        let at = if at < 0 { bytes.len() - at.unsigned_abs() } else { at as usize };
+        bytes[at] ^= 0xff;
+        fs::write(path, bytes).unwrap();
+    }
+
+    /// GC reads links from checksummed headers only: an unreadable kept
+    /// link fails it before anything is deleted, a corrupt *body* is not
+    /// its business — the loaders that consume the body still refuse it.
+    #[test]
+    fn gc_reads_headers_only_and_deletes_nothing_on_an_unreadable_link() {
+        let root = temp_root("gchdr");
+        for mark in 0..2 {
+            let (id, dir) = begin_generation(&root).unwrap();
+            write_snapshot(&dir, mark);
+            commit_generation(&dir, id).unwrap();
+        }
+        let (_, dir3) =
+            write_delta_generation(&root, 2, 0, 0xfeed_f00d, 0xaaaa, vec![(0, vec![1])]);
+        write_delta_generation(&root, 2, 1, 0xaaaa, 0xbbbb, vec![(1, vec![2])]);
+        let ids = |root: &Path| -> Vec<u64> {
+            list_generations(root).unwrap().into_iter().map(|(id, _)| id).collect()
+        };
+        let victim = dir3.join(crate::delta::delta_file_name(0, 1));
+
+        // Header checksum, magic, version, header length, a truncated
+        // prefix: typed errors, and generation 1 (collectable) survives.
+        let intact = fs::read(&victim).unwrap();
+        let header_len = u32::from_le_bytes(intact[8..12].try_into().unwrap()) as usize;
+        for at in [12 + header_len, 0, 4, 11, 20] {
+            flip_byte(&victim, at as isize);
+            assert!(
+                matches!(gc_generations(&root, 1), Err(StoreError::Corrupt { .. })),
+                "flip at byte {at}"
+            );
+            assert_eq!(ids(&root), [1, 2, 3, 4], "flip at byte {at}");
+            fs::write(&victim, &intact).unwrap();
+        }
+        fs::write(&victim, &intact[..12 + header_len]).unwrap();
+        assert!(matches!(gc_generations(&root, 1), Err(StoreError::Corrupt { .. })));
+        assert_eq!(ids(&root), [1, 2, 3, 4]);
+        fs::write(&victim, &intact).unwrap();
+
+        // A corrupt body: GC walks the chain through the header and
+        // collects generation 1; loading and compacting still fail.
+        flip_byte(&victim, -9);
+        assert_eq!(gc_generations(&root, 1).unwrap(), [1]);
+        assert_eq!(ids(&root), [2, 3, 4]);
+        assert!(matches!(
+            load_latest_chain(&root, &request()),
+            Err(StoreError::Corrupt { .. })
+        ));
+        let graph = GraphBuilder::new(5).build(WeightModel::WeightedCascade);
+        assert!(matches!(
+            compact_generation(&root, &request(), &graph),
+            Err(StoreError::Corrupt { .. })
+        ));
         fs::remove_dir_all(&root).unwrap();
     }
 

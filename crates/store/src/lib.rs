@@ -35,8 +35,8 @@ pub mod delta;
 pub mod generation;
 
 pub use delta::{
-    decode_delta_shard, encode_delta_shard, write_delta_shard, DeltaShard, DeltaShardHeader,
-    DELTA_EXTENSION, DELTA_MAGIC, DELTA_VERSION,
+    decode_delta_header, decode_delta_shard, encode_delta_shard, write_delta_shard, DeltaShard,
+    DeltaShardHeader, DELTA_EXTENSION, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use generation::{
     begin_generation, commit_generation, compact_generation, gc_generations, generation_dir_name,
@@ -392,13 +392,20 @@ pub(crate) fn seal(magic: [u8; 4], version: u32, hdr: &[u8], body: &[u8]) -> Vec
     out
 }
 
-/// Opens an envelope written by [`seal`]: magic, version and both
-/// checksums must match. Returns the header block and the body.
-pub(crate) fn unseal(
+/// Longest envelope prefix [`unseal_header`] consumes: `magic · version ·
+/// header_len`, the largest accepted header block, its checksum.
+pub(crate) const MAX_PREFIX_LEN: usize = 12 + MAX_HEADER_LEN + 8;
+
+/// Opens the prefix of an envelope written by [`seal`] — `magic · version
+/// · header_len · header · fnv(header)` — and nothing after it: magic,
+/// version and the header checksum must match. Returns the header block
+/// and the cursor left after its checksum, so a caller that only wants the
+/// header may pass the first [`MAX_PREFIX_LEN`] bytes of a file.
+pub(crate) fn unseal_header(
     bytes: &[u8],
     magic: [u8; 4],
     version: u32,
-) -> Result<(&[u8], &[u8]), StoreError> {
+) -> Result<(&[u8], Reader<'_>), StoreError> {
     let mut r = Reader::new(bytes);
     if r.take(4).ok_or_else(|| StoreError::corrupt("truncated magic"))? != magic {
         return Err(StoreError::corrupt("bad magic"));
@@ -421,6 +428,17 @@ pub(crate) fn unseal(
     if header_checksum != fnv1a(hdr) {
         return Err(StoreError::corrupt("header checksum mismatch"));
     }
+    Ok((hdr, r))
+}
+
+/// Opens an envelope written by [`seal`]: magic, version and both
+/// checksums must match. Returns the header block and the body.
+pub(crate) fn unseal(
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u32,
+) -> Result<(&[u8], &[u8]), StoreError> {
+    let (hdr, mut r) = unseal_header(bytes, magic, version)?;
     // Everything between the header checksum and the final 8 bytes is the
     // checksummed body.
     let body = r

@@ -27,8 +27,8 @@ use dim::dim_coverage::PooledSets;
 use dim::dim_graph::binary::{decode_binary, write_binary};
 use dim::dim_serve::proto::*;
 use dim::dim_store::{
-    decode_delta_shard, decode_shard, encode_delta_shard, encode_shard, fnv1a, DeltaShardHeader,
-    ShardHeader,
+    decode_delta_header, decode_delta_shard, decode_shard, encode_delta_shard, encode_shard, fnv1a,
+    DeltaShardHeader, ShardHeader,
 };
 use dim::prelude::*;
 
@@ -633,6 +633,49 @@ fn dimd_header_and_file_are_strict() {
         Some((shard.header, shard.batch, shard.repaired))
     };
     strict(Detected, "dimd_file", CASES, any_delta_shard, encode, decode);
+}
+
+/// The header-only DIMD reader (what chain GC resolves links with): it
+/// accepts the file or just its envelope prefix, refuses every truncation
+/// of the prefix, a bad magic or version, an oversized `header_len` and any
+/// flipped prefix bit as `Corrupt` — and never looks past the prefix, so a
+/// flipped body bit is still the full decoder's to refuse.
+#[test]
+fn dimd_header_only_reader_is_strict() {
+    forall("dimd_header_only", CASES, any_delta_shard, |(header, batch, repaired), rng| {
+        let file = encode_delta_shard(header, batch, repaired);
+        let prefix = 4 + 4 + 4 + header.encode().len() + 8;
+        let corrupt = |bytes: &[u8], what: &str| {
+            let got = decode_delta_header(bytes);
+            assert!(matches!(got, Err(StoreError::Corrupt { .. })), "{what}: {got:?}");
+        };
+        assert_eq!(decode_delta_header(&file).ok(), Some(*header), "whole file");
+        assert_eq!(decode_delta_header(&file[..prefix]).ok(), Some(*header), "bare prefix");
+        for cut in 0..prefix {
+            corrupt(&file[..cut], &format!("{cut} of {prefix} prefix bytes"));
+        }
+        for (what, at, value) in [
+            ("bad magic", 0, *b"DIMR"),
+            ("bad version", 4, 2u32.to_le_bytes()),
+            ("header_len = MAX + 1", 8, 4097u32.to_le_bytes()),
+            ("header_len = u32::MAX", 8, u32::MAX.to_le_bytes()),
+        ] {
+            let mut bytes = file.clone();
+            bytes[at..at + 4].copy_from_slice(&value);
+            corrupt(&bytes, what);
+        }
+        for _ in 0..FLIPS {
+            let (at, bit) = (rng.below(file.len()), rng.below(8));
+            let mut mutated = file.clone();
+            mutated[at] ^= 1 << bit;
+            if at < prefix {
+                corrupt(&mutated, &format!("bit {bit} of prefix byte {at}"));
+            } else {
+                assert_eq!(decode_delta_header(&mutated).ok(), Some(*header), "body byte {at}");
+                assert!(decode_delta_shard(&mutated).is_err(), "body byte {at} undetected");
+            }
+        }
+    });
 }
 
 #[test]

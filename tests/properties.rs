@@ -8,6 +8,7 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use common::{any_u64, forall, in_range, vec_of};
@@ -96,6 +97,94 @@ fn rebuild_and_edge_list_io_are_fixed_points() {
             dim::dim_graph::io::read_edge_list(text.as_slice(), true, WeightModel::Trivalency)
                 .unwrap();
         assert_eq!(edges(&read), edges(g));
+    });
+}
+
+/// A graph and a chain of edit batches over it. Endpoints come from the
+/// graph's own edges half the time (so deletes and reweights hit) and from
+/// a pool of eight sources otherwise (so one row takes many ops and one
+/// edge is edited repeatedly); a batch may be empty.
+fn graph_and_batches(rng: &mut Rng) -> (Graph, Vec<Vec<EdgeOp>>) {
+    let model = [WeightModel::WeightedCascade, WeightModel::Trivalency][rng.below(2)];
+    let g = any_graph(model)(rng);
+    let existing = edges(&g);
+    let batches = vec_of(rng, 1..5, |r| {
+        vec_of(r, 0..40, |r| {
+            let (u, v) = match existing.get(r.below(2 * existing.len().max(1))) {
+                Some(&(u, v, _)) => (u, v),
+                None => (r.below(8) as u32, r.below(64) as u32),
+            };
+            let v = if u == v { (v + 1) % 64 } else { v };
+            let p = [0.0, 1.0, 0.25, r.f32()][r.below(4)];
+            match r.below(3) {
+                0 => EdgeOp::Insert { u, v, p },
+                1 => EdgeOp::Delete { u, v },
+                _ => EdgeOp::Reweight { u, v, p },
+            }
+        })
+    });
+    (g, batches)
+}
+
+/// Every array of both CSR directions plus the per-node summaries.
+fn assert_same_csr(a: &Graph, b: &Graph) {
+    assert_eq!((a.num_nodes(), a.num_edges()), (b.num_nodes(), b.num_edges()));
+    for v in a.nodes() {
+        assert_eq!(a.out_neighbors(v), b.out_neighbors(v), "out row {v}");
+        assert_eq!(a.out_probs(v), b.out_probs(v), "out probs {v}");
+        assert_eq!(a.in_neighbors(v), b.in_neighbors(v), "in row {v}");
+        assert_eq!(a.in_probs(v), b.in_probs(v), "in probs {v}");
+        assert_eq!(a.in_prob_sum(v), b.in_prob_sum(v), "in sum {v}");
+        assert_eq!(a.in_uniform_prob(v), b.in_uniform_prob(v), "uniform {v}");
+    }
+}
+
+/// The spliced `apply_batch` is a from-scratch rebuild of the edited edge
+/// list: same arrays, same summaries, same fingerprint through DIMG — one
+/// batch at a time or the whole chain folded into one batch.
+#[test]
+fn spliced_apply_batch_equals_rebuild() {
+    forall("apply_batch_splice", GRAPH_CASES, graph_and_batches, |(g, batches), _| {
+        let mut state: BTreeMap<(u32, u32), f32> =
+            g.edges().map(|(u, v, p)| ((u, v), p)).collect();
+        let mut chained = g.clone();
+        for (seq, ops) in batches.iter().enumerate() {
+            for op in ops {
+                match *op {
+                    EdgeOp::Insert { u, v, p } => {
+                        state.insert((u, v), p);
+                    }
+                    EdgeOp::Delete { u, v } => {
+                        state.remove(&(u, v));
+                    }
+                    EdgeOp::Reweight { u, v, p } => {
+                        state.entry((u, v)).and_modify(|w| *w = p);
+                    }
+                }
+            }
+            chained = apply_batch(&chained, &DeltaBatch::new(seq as u64, ops.clone())).unwrap();
+            let mut b = GraphBuilder::new(g.num_nodes());
+            for (&(u, v), &p) in &state {
+                b.add_weighted_edge(u, v, p);
+            }
+            assert_same_csr(&chained, &b.build(WeightModel::WeightedCascade));
+        }
+        let folded = apply_batch(g, &DeltaBatch::new(0, batches.concat())).unwrap();
+        assert_same_csr(&folded, &chained);
+        assert_same_csr(&apply_batch(&folded, &DeltaBatch::new(9, vec![])).unwrap(), &folded);
+        for v in folded.nodes() {
+            let uniform = match folded.in_probs(v) {
+                [first, rest @ ..] if rest.iter().all(|p| p == first) => Some(*first),
+                _ => None,
+            };
+            assert_eq!(folded.in_uniform_prob(v), uniform, "node {v}");
+        }
+        let mut image = Vec::new();
+        dim::dim_graph::binary::write_binary(&folded, &mut image).unwrap();
+        let decoded = dim::dim_graph::binary::decode_binary(&image).unwrap();
+        assert_same_csr(&decoded, &chained);
+        assert_eq!(graph_fingerprint(&decoded), graph_fingerprint(&chained));
+        assert_eq!(graph_fingerprint(&chained), dim::dim_store::fnv1a(&image));
     });
 }
 
