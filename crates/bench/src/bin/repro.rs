@@ -16,9 +16,10 @@
 //!   --scale <f>          multiply every dataset scale by f
 //!   --datasets <a,b,..>  facebook, googleplus, livejournal, twitter
 //!   --machines <a,b,..>  machine/core counts to sweep
-//!   --backend <b>        sequential | threads | proc | join (on the TCP
-//!                        backends the DiIMM scaling figures report
-//!                        measured next to modeled comm time)
+//!   --backend <b>        sequential | threads | proc | join (the TCP
+//!                        backends run fig5-fig9 only, reporting measured
+//!                        next to modeled comm time; any other experiment
+//!                        is refused with exit 2)
 //!   --out <dir>          JSON output directory (default results/)
 //! ```
 
@@ -34,16 +35,8 @@ fn main() {
         usage();
         return;
     }
-    let ctx = match Context::parse(rest) {
-        Ok(ctx) => ctx,
-        Err(msg) => {
-            eprintln!("error: {msg}\n");
-            usage();
-            std::process::exit(2);
-        }
-    };
-    if !experiments::run(name, &ctx) {
-        eprintln!("error: unknown experiment {name:?}\n");
+    if let Err(msg) = Context::parse(rest).and_then(|ctx| experiments::run(name, &ctx)) {
+        eprintln!("error: {msg}\n");
         usage();
         std::process::exit(2);
     }

@@ -11,7 +11,7 @@ pub enum Backend {
     /// Process-per-machine TCP backend (`ProcCluster`) whose `dim-worker`
     /// processes the master spawns itself (binary via `DIM_WORKER_BIN` or
     /// next to `repro`; no fallback). Only the DiIMM scaling experiments
-    /// support it.
+    /// ([`TCP_EXPERIMENTS`]) support it; `repro` refuses the rest.
     Proc,
     /// The same `ProcCluster`, assembled from pre-started
     /// `dim-worker --connect ADDR --join` processes that register with the
@@ -20,6 +20,10 @@ pub enum Backend {
     /// row's phase breakdown under the `rendezvous` label.
     Join,
 }
+
+/// The experiments that run on the TCP backends (`--backend proc|join`):
+/// the DiIMM scaling figures. Every other experiment is simulator-only.
+pub const TCP_EXPERIMENTS: [&str; 5] = ["fig5", "fig6", "fig7", "fig8", "fig9"];
 
 /// Configuration shared by all experiments.
 #[derive(Clone, Debug)]
@@ -133,13 +137,31 @@ impl Context {
         Ok(ctx)
     }
 
+    /// Refuses a TCP backend for any `experiment` outside
+    /// [`TCP_EXPERIMENTS`] (`all` included): those run only on the
+    /// simulator, and `repro` does not fall back to it silently.
+    pub fn check_backend(&self, experiment: &str) -> Result<(), String> {
+        let backend = match self.backend {
+            Backend::Sim(_) => return Ok(()),
+            Backend::Proc => "proc",
+            Backend::Join => "join",
+        };
+        if TCP_EXPERIMENTS.contains(&experiment) {
+            return Ok(());
+        }
+        Err(format!(
+            "experiment {experiment:?} does not run on --backend {backend} (only {} do)",
+            TCP_EXPERIMENTS.join(", ")
+        ))
+    }
+
     /// The `SimCluster` execution mode for experiments that only run on
-    /// the simulated backend; `--backend proc` falls back to `Sequential`
-    /// there (the process backend's master side is sequential anyway).
+    /// the simulated backend ([`Context::check_backend`] keeps the TCP
+    /// backends away from them).
     pub fn exec_mode(&self) -> ExecMode {
         match self.backend {
             Backend::Sim(mode) => mode,
-            Backend::Proc | Backend::Join => ExecMode::Sequential,
+            tcp => unreachable!("--backend {tcp:?} reached a simulator-only experiment"),
         }
     }
 
@@ -230,7 +252,23 @@ mod tests {
         assert_eq!(proc.backend, Backend::Proc);
         let join = Context::parse(&args(&["--backend", "join"])).unwrap();
         assert_eq!(join.backend, Backend::Join);
-        assert_eq!(join.exec_mode(), ExecMode::Sequential);
+    }
+
+    #[test]
+    fn tcp_backends_refuse_simulator_only_experiments() {
+        let sim = Context::parse(&[]).unwrap();
+        assert_eq!(sim.check_backend("all"), Ok(()));
+        for backend in ["proc", "join"] {
+            let ctx = Context::parse(&args(&["--backend", backend])).unwrap();
+            for name in TCP_EXPERIMENTS {
+                assert_eq!(ctx.check_backend(name), Ok(()), "{name}");
+                assert!(crate::experiments::EXPERIMENTS.iter().any(|(n, ..)| *n == name));
+            }
+            for name in ["table2", "fig10", "ablation-traffic", "ext-opim", "all"] {
+                let err = ctx.check_backend(name).unwrap_err();
+                assert!(err.contains(&format!("{name:?}")) && err.contains(backend), "{err}");
+            }
+        }
     }
 
     #[test]

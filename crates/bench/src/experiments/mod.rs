@@ -33,21 +33,22 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("ext-opim", "extension: OPIM-C adaptive stopping vs IMM sample counts", opim_ext::run),
 ];
 
-/// Runs one experiment by name (or `all`). Returns false on unknown names.
-pub fn run(name: &str, ctx: &Context) -> bool {
-    if name == "all" {
-        for (n, desc, f) in EXPERIMENTS {
-            println!("\n=== {n}: {desc} ===\n");
-            f(ctx);
-        }
-        return true;
+/// Runs one experiment by name (or `all`). Refuses, before running
+/// anything, an unknown name or a backend the experiment cannot run on
+/// ([`Context::check_backend`]).
+pub fn run(name: &str, ctx: &Context) -> Result<(), String> {
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|(n, _, _)| name == "all" || *n == name)
+        .collect();
+    if selected.is_empty() {
+        return Err(format!("unknown experiment {name:?}"));
     }
-    match EXPERIMENTS.iter().find(|(n, _, _)| *n == name) {
-        Some((n, desc, f)) => {
-            println!("=== {n}: {desc} ===\n");
-            f(ctx);
-            true
-        }
-        None => false,
+    ctx.check_backend(name)?;
+    for (i, (n, desc, f)) in selected.into_iter().enumerate() {
+        let gap = if i == 0 { "" } else { "\n" };
+        println!("{gap}=== {n}: {desc} ===\n");
+        f(ctx);
     }
+    Ok(())
 }

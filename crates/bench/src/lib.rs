@@ -2,7 +2,7 @@
 //! evaluation (§IV). See DESIGN.md for the experiment index and
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
 //!
-//! The entry point is the `repro` binary:
+//! The entry point is the `repro` binary, the crate's only one:
 //!
 //! ```text
 //! repro all                  # every experiment at the default scale
@@ -10,15 +10,11 @@
 //! repro table4 --epsilon 0.1 --datasets facebook,googleplus
 //! ```
 //!
-//! Two further binaries track the serving tier: `dim-loadgen`
-//! ([`serve_bench`]) drives a running `dim serve` and writes
-//! `BENCH_serve.json`; `dim-benchrec` ([`sample_select`]) times the
-//! sample/select hot paths and writes `BENCH_sample_select.json`.
+//! Performance is not measured here: `benchmark/` is the repo's one
+//! performance harness.
 
 pub mod context;
 pub mod experiments;
 pub mod report;
-pub mod sample_select;
-pub mod serve_bench;
 
 pub use context::Context;

@@ -1,9 +1,9 @@
 //! A minimal, dependency-free JSON reader and writer shared by every
 //! surface that touches JSON: operator-authored fault plans
 //! ([`crate::faults::FaultPlan::from_json`]) and tenant registries
-//! (`dim_serve::tenant`), and the bench records `dim-bench` writes and
-//! reads back. It supports exactly the JSON these use — objects, arrays,
-//! strings with basic escapes, numbers, bools, null — with strict
+//! (`dim_serve::tenant`), and the result rows `repro` writes. It
+//! supports exactly the JSON these use — objects, arrays, strings with
+//! basic escapes, numbers, bools, null — with strict
 //! trailing-byte detection via [`Json::parse`]; `Display` renders the
 //! compact single-line form, and `parse ∘ to_string = id`.
 

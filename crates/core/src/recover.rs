@@ -443,11 +443,27 @@ mod tests {
             min_survivors: 1,
             ..RecoveryPolicy::resample()
         };
-        let run = diimm_on_recovering(cluster, &g, &cfg, true, policy).unwrap();
+        let run = diimm_on_recovering(cluster, &g, &cfg, true, policy.clone()).unwrap();
         assert_eq!(run.result.seeds, healthy.seeds);
         assert_eq!(run.result.marginals, healthy.marginals);
         let degraded = run.degraded.expect("two machines were lost");
         assert_eq!(degraded.lost, vec![0, 2]);
+
+        // Down to the last machine: ℓ = 2 samples four rounds of ⌈400/4⌉
+        // sets and loses machine 1 on the last, so the survivor rebuilds
+        // exactly the 3 × 100 sets the victim held.
+        let workers: Vec<DiimmWorker> = (0..2).map(|i| DiimmWorker::new(&g, &cfg, i)).collect();
+        let sim = SimCluster::new(workers, NetworkModel::zero(), ExecMode::Sequential)
+            .with_faults(FaultInjector::new(FaultPlan::kill_machine(1, 3), 2));
+        let mut cluster = RecoveringCluster::new(sim, &g, &cfg, policy);
+        for _ in 0..4 {
+            cluster
+                .control(dim_cluster::phase::RR_SAMPLING, |_| WorkerOp::SampleRr { count: 100 })
+                .unwrap();
+        }
+        let degraded = cluster.degraded_outcome().expect("machine 1 was lost");
+        assert_eq!(degraded.lost, vec![1]);
+        assert_eq!(degraded.rebuilt_sets, 300, "replay rebuilds the whole shard");
     }
 
     #[test]

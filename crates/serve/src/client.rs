@@ -1,5 +1,5 @@
 //! A blocking client for the query protocol — the substrate of
-//! `dim query`, `dim-loadgen`, and of tests.
+//! `dim query` and of tests.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

@@ -23,7 +23,7 @@
 //! read-only against one pinned generation with per-thread scratch, so
 //! no locking sits on the answer path), with connection-limit load shedding
 //! and latency/throughput metrics ([`ServeMetrics`]). [`QueryClient`] is
-//! the matching blocking client used by `dim query` and `dim-loadgen`,
+//! the matching blocking client used by `dim query` and the tests,
 //! with rendezvous-style retrying connects ([`ConnectOptions`]).
 //!
 //! One daemon can serve many tenants: [`Server::start_multi`] takes a

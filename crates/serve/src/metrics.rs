@@ -116,8 +116,8 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// A point-in-time summary of a running server, serializable to JSON for
-/// `BENCH_serve.json` and exposed (in part) through `REQ_STATS`.
+/// A point-in-time summary of a running server, serializable to JSON and
+/// exposed (in part) through `REQ_STATS`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
     /// Store generation currently serving.

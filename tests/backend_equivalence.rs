@@ -232,7 +232,7 @@ mod stream {
 
     /// Ground truth: sample `counts[i]` RR sets per machine from scratch
     /// on `g` (same master seed → same per-set streams) and select.
-    fn resample_select(
+    fn select_from_scratch(
         g: &Graph,
         config: &ImConfig,
         counts: &[u64],
@@ -289,7 +289,7 @@ mod stream {
                 tip = apply_batch(&tip, &batch).unwrap();
             }
             let incremental = session.select().unwrap();
-            let (seeds, marginals) = resample_select(&tip, &config, &counts);
+            let (seeds, marginals) = select_from_scratch(&tip, &config, &counts);
             assert_eq!(incremental.seeds, seeds, "ℓ = {machines}");
             assert_eq!(incremental.marginals, marginals, "ℓ = {machines}");
 
@@ -365,7 +365,7 @@ mod stream {
             }
 
             let r = dim_coverage::newgreedi_with(&mut proc, g.num_nodes(), config.k).unwrap();
-            let (seeds, marginals) = resample_select(&tip, &config, &counts);
+            let (seeds, marginals) = select_from_scratch(&tip, &config, &counts);
             assert_eq!(r.seeds, seeds, "ℓ = {machines}");
             assert_eq!(r.marginals, marginals, "ℓ = {machines}");
             assert_eq!(proc.link_errors(), 0, "ℓ = {machines}");
