@@ -1,28 +1,13 @@
 //! Shared experiment configuration, parsed from CLI flags.
 
-use dim_cluster::ExecMode;
+use dim_cluster::{Backend, ExecMode};
 use dim_graph::{DatasetProfile, Graph};
 
-/// Which cluster backend the experiments run on (`--backend` flag).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// In-process `SimCluster` with the given execution mode.
-    Sim(ExecMode),
-    /// Process-per-machine TCP backend (`ProcCluster`) whose `dim-worker`
-    /// processes the master spawns itself (binary via `DIM_WORKER_BIN` or
-    /// next to `repro`; no fallback). Only the DiIMM scaling experiments
-    /// ([`TCP_EXPERIMENTS`]) support it; `repro` refuses the rest.
-    Proc,
-    /// The same `ProcCluster`, assembled from pre-started
-    /// `dim-worker --connect ADDR --join` processes that register with the
-    /// master at `DIM_MASTER_BIND` instead of being spawned. Same
-    /// restrictions as `Proc`, and the rendezvous latency lands in each
-    /// row's phase breakdown under the `rendezvous` label.
-    Join,
-}
-
 /// The experiments that run on the TCP backends (`--backend proc|join`):
-/// the DiIMM scaling figures. Every other experiment is simulator-only.
+/// the DiIMM scaling figures. Every other experiment is simulator-only,
+/// and `repro` refuses it there. `proc` workers come from `DIM_WORKER_BIN`
+/// or next to `repro` (no fallback); with `join` the rendezvous latency
+/// lands in each row's phase breakdown under the `rendezvous` label.
 pub const TCP_EXPERIMENTS: [&str; 5] = ["fig5", "fig6", "fig7", "fig8", "fig9"];
 
 /// Configuration shared by all experiments.
@@ -46,7 +31,7 @@ pub struct Context {
     pub core_counts: Vec<usize>,
     /// Directory for JSON result dumps.
     pub out_dir: String,
-    /// Cluster backend (`--backend sequential|threads|proc`).
+    /// Cluster backend (`--backend sequential|threads|proc|join`).
     pub backend: Backend,
 }
 
@@ -119,15 +104,7 @@ impl Context {
                     ctx.cluster_machines = parse_usize_list(&list)?;
                     ctx.core_counts = ctx.cluster_machines.clone();
                 }
-                "--backend" => {
-                    ctx.backend = match value("--backend")?.as_str() {
-                        "sequential" | "seq" => Backend::Sim(ExecMode::Sequential),
-                        "threads" => Backend::Sim(ExecMode::Threads),
-                        "proc" => Backend::Proc,
-                        "join" => Backend::Join,
-                        other => return Err(format!("unknown backend {other:?}")),
-                    };
-                }
+                "--backend" => ctx.backend = Backend::parse(&value("--backend")?)?,
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -141,14 +118,13 @@ impl Context {
     /// [`TCP_EXPERIMENTS`] (`all` included): those run only on the
     /// simulator, and `repro` does not fall back to it silently.
     pub fn check_backend(&self, experiment: &str) -> Result<(), String> {
-        let backend = match self.backend {
-            Backend::Sim(_) => return Ok(()),
-            Backend::Proc => "proc",
-            Backend::Join => "join",
+        let Backend::Tcp { spawn } = self.backend else {
+            return Ok(());
         };
         if TCP_EXPERIMENTS.contains(&experiment) {
             return Ok(());
         }
+        let backend = if spawn { "proc" } else { "join" };
         Err(format!(
             "experiment {experiment:?} does not run on --backend {backend} (only {} do)",
             TCP_EXPERIMENTS.join(", ")
@@ -240,18 +216,6 @@ mod tests {
         assert!(Context::parse(&args(&["--nope"])).is_err());
         assert!(Context::parse(&args(&["--datasets", "mars"])).is_err());
         assert!(Context::parse(&args(&["--epsilon"])).is_err());
-    }
-
-    #[test]
-    fn parses_backend() {
-        let ctx = Context::parse(&args(&["--backend", "threads"])).unwrap();
-        assert_eq!(ctx.backend, Backend::Sim(ExecMode::Threads));
-        assert_eq!(ctx.exec_mode(), ExecMode::Threads);
-        assert!(Context::parse(&args(&["--backend", "mpi"])).is_err());
-        let proc = Context::parse(&args(&["--backend", "proc"])).unwrap();
-        assert_eq!(proc.backend, Backend::Proc);
-        let join = Context::parse(&args(&["--backend", "join"])).unwrap();
-        assert_eq!(join.backend, Backend::Join);
     }
 
     #[test]

@@ -6,9 +6,9 @@ use dim_cluster::{ClusterBackend, NetworkModel, SimCluster};
 use dim_core::diimm::diimm_with_options;
 use dim_core::{ImConfig, SamplerKind};
 use dim_coverage::greedy::{bucket_greedy, celf_greedy, naive_greedy};
-use dim_coverage::{newgreedi, CoverageProblem};
+use dim_coverage::{newgreedi, CoverageProblem, PooledSets};
 use dim_diffusion::rr::{sample_batch, AnySampler};
-use dim_diffusion::{DiffusionModel, RrStore};
+use dim_diffusion::DiffusionModel;
 use dim_graph::rng::Rng;
 
 use crate::context::Context;
@@ -145,10 +145,12 @@ pub fn sampler(ctx: &Context) {
     for &profile in &ctx.datasets {
         let graph = ctx.graph(profile);
         let run = |sampler: AnySampler| {
-            let mut store = RrStore::new();
+            let mut sets = PooledSets::new();
             let mut rng = Rng::new(ctx.seed);
             let start = Instant::now();
-            let edges = sample_batch(&sampler, count, &mut rng, &mut store);
+            let edges = sample_batch(&sampler, count, &mut rng, |rr| {
+                sets.push(rr);
+            });
             (start.elapsed().as_secs_f64(), edges)
         };
         let (bfs_s, bfs_edges) = run(AnySampler::for_model(

@@ -9,13 +9,13 @@
 //! is the timeline total's modeled transfer time. The JSON rows also
 //! carry the raw per-label breakdown for finer-grained plots.
 
-use dim_cluster::{phase, tcp_cluster, JoinConfig, NetworkModel, PhaseTimeline};
+use dim_cluster::{phase, tcp_cluster, Backend, JoinConfig, NetworkModel, PhaseTimeline};
 use dim_core::diimm::{diimm, diimm_on};
 use dim_core::{setup_im_cluster, ImConfig, ImResult, SamplerKind};
 use dim_diffusion::DiffusionModel;
 use dim_graph::Graph;
 
-use crate::context::{Backend, Context};
+use crate::context::Context;
 use crate::report::{self, ToJson};
 
 report::json_row! {
@@ -83,10 +83,9 @@ fn run_one(
 ) -> ImResult {
     match ctx.backend {
         Backend::Sim(mode) => diimm(graph, config, machines, network, mode),
-        backend @ (Backend::Proc | Backend::Join) => {
+        Backend::Tcp { spawn } => {
             // One session per row; its bind→membership latency lands in
             // the timeline (`rendezvous` label) and so in the JSON rows.
-            let spawn = backend == Backend::Proc;
             let mut cluster = tcp_cluster(spawn, JoinConfig::new(machines), network, config.seed)
                 .expect("assemble the TCP cluster (DIM_WORKER_BIN / DIM_MASTER_BIND)");
             setup_im_cluster(&mut cluster, graph, config.sampler).expect("well-formed wire");

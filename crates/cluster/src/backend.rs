@@ -35,6 +35,34 @@ use std::time::Instant;
 
 use crate::metrics::{ClusterMetrics, PhaseTimeline};
 use crate::network::NetworkModel;
+use crate::runtime::ExecMode;
+
+/// Which cluster execution layer a run uses — the one `--backend`
+/// vocabulary of `dim` and `repro`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// In-process [`crate::SimCluster`] in one of its [`ExecMode`]s
+    /// (`sequential`, `threads`).
+    Sim(ExecMode),
+    /// [`crate::ProcCluster`] assembled by [`crate::tcp_cluster`]: with
+    /// `spawn` the master launches one `dim-worker` per machine (`proc`);
+    /// without, pre-started `dim-worker --join` processes register at
+    /// `DIM_MASTER_BIND` (`join`).
+    Tcp { spawn: bool },
+}
+
+impl Backend {
+    /// Parses a `--backend` value: `sequential|threads|proc|join`.
+    pub fn parse(name: &str) -> Result<Backend, String> {
+        match name {
+            "sequential" => Ok(Backend::Sim(ExecMode::Sequential)),
+            "threads" => Ok(Backend::Sim(ExecMode::Threads)),
+            "proc" => Ok(Backend::Tcp { spawn: true }),
+            "join" => Ok(Backend::Tcp { spawn: false }),
+            other => Err(format!("unknown backend {other:?}")),
+        }
+    }
+}
 
 /// Canonical phase labels used by the distributed algorithms.
 ///
@@ -169,8 +197,22 @@ pub trait ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{ExecMode, SimCluster};
+    use crate::runtime::SimCluster;
     use std::time::Duration;
+
+    #[test]
+    fn parses_backend() {
+        for (name, backend) in [
+            ("sequential", Backend::Sim(ExecMode::Sequential)),
+            ("threads", Backend::Sim(ExecMode::Threads)),
+            ("proc", Backend::Tcp { spawn: true }),
+            ("join", Backend::Tcp { spawn: false }),
+        ] {
+            assert_eq!(Backend::parse(name), Ok(backend));
+        }
+        let unknown = Backend::parse("mpi").unwrap_err();
+        assert_eq!(unknown, r#"unknown backend "mpi""#);
+    }
 
     #[test]
     fn gather_then_provided_master_on_sim_backend() {

@@ -28,13 +28,12 @@ use std::time::Duration;
 use dim_graph::rng::splitmix64;
 
 use crate::json::Json;
-use crate::ops::{put_u32, put_u64, Reader};
 
 /// Parts-per-million denominator for the plan's probability knobs.
 pub const PPM: u32 = 1_000_000;
 
 /// Per-link fault behavior. All probabilities are in parts per million so
-/// the codec stays integer-only (canonical bytes, no float comparison).
+/// the plan stays integer-only (exact in JSON, no float comparison).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkFault {
     /// Machine whose master link this entry shapes.
@@ -243,120 +242,10 @@ impl FaultInjector {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec — strict little-endian, canonical (decode ∘ encode = id,
-// re-encode of any decodable input reproduces it byte for byte).
-// ---------------------------------------------------------------------------
-
-const PLAN_MAGIC: u32 = 0x4443_4850; // "PHCD": plan header, chaos dim.
-const PLAN_VERSION: u32 = 1;
-
-impl FaultPlan {
-    /// Serializes the plan.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, PLAN_MAGIC);
-        put_u32(&mut buf, PLAN_VERSION);
-        put_u64(&mut buf, self.chaos_seed);
-        put_u32(&mut buf, self.link_faults.len() as u32);
-        for f in &self.link_faults {
-            put_u32(&mut buf, f.machine);
-            put_u64(&mut buf, f.extra_latency_us);
-            put_u64(&mut buf, f.jitter_us);
-            put_u32(&mut buf, f.loss_prob_ppm);
-            put_u64(&mut buf, f.loss_retry_us);
-            put_u32(&mut buf, f.stall_prob_ppm);
-            put_u64(&mut buf, f.stall_ms);
-            match f.kill_at_round {
-                Some(at) => {
-                    buf.push(1);
-                    put_u64(&mut buf, at);
-                }
-                None => buf.push(0),
-            }
-        }
-        put_u32(&mut buf, self.partitions.len() as u32);
-        for p in &self.partitions {
-            put_u64(&mut buf, p.from_round);
-            put_u64(&mut buf, p.to_round);
-            put_u64(&mut buf, p.heal_us);
-            put_u32(&mut buf, p.machines.len() as u32);
-            for &m in &p.machines {
-                put_u32(&mut buf, m);
-            }
-        }
-        buf
-    }
-
-    /// Deserializes a plan encoded by [`FaultPlan::encode`]. Strict:
-    /// truncation, trailing bytes, bad magic/version, over-large counts,
-    /// and non-canonical option tags are all `None`.
-    pub fn decode(bytes: &[u8]) -> Option<FaultPlan> {
-        let mut r = Reader::new(bytes);
-        if r.u32()? != PLAN_MAGIC || r.u32()? != PLAN_VERSION {
-            return None;
-        }
-        let chaos_seed = r.u64()?;
-        let n_faults = r.u32()? as usize;
-        // Each link-fault record is ≥ 45 bytes: a hostile count cannot
-        // out-claim the buffer.
-        if n_faults > r.remaining() / 45 {
-            return None;
-        }
-        let mut link_faults = Vec::with_capacity(n_faults);
-        for _ in 0..n_faults {
-            let fault = LinkFault {
-                machine: r.u32()?,
-                extra_latency_us: r.u64()?,
-                jitter_us: r.u64()?,
-                loss_prob_ppm: r.u32()?,
-                loss_retry_us: r.u64()?,
-                stall_prob_ppm: r.u32()?,
-                stall_ms: r.u64()?,
-                kill_at_round: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    _ => return None,
-                },
-            };
-            if fault.loss_prob_ppm > PPM || fault.stall_prob_ppm > PPM {
-                return None;
-            }
-            link_faults.push(fault);
-        }
-        let n_parts = r.u32()? as usize;
-        if n_parts > r.remaining() / 28 {
-            return None;
-        }
-        let mut partitions = Vec::with_capacity(n_parts);
-        for _ in 0..n_parts {
-            let from_round = r.u64()?;
-            let to_round = r.u64()?;
-            let heal_us = r.u64()?;
-            let n_machines = r.u32()? as usize;
-            if n_machines > r.remaining() / 4 {
-                return None;
-            }
-            let machines = (0..n_machines).map(|_| r.u32()).collect::<Option<_>>()?;
-            partitions.push(Partition {
-                from_round,
-                to_round,
-                heal_us,
-                machines,
-            });
-        }
-        r.finish()?;
-        Some(FaultPlan {
-            chaos_seed,
-            link_faults,
-            partitions,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSON codec — the `dim chaos --plan PLAN.json` surface. Hand-rolled like
-// the rest of the workspace's JSON touchpoints (the binaries carry no
-// serde); strict enough to reject anything structurally off.
+// JSON codec — the plan's one serialization, the `dim chaos --plan
+// PLAN.json` surface. Hand-rolled like the rest of the workspace's JSON
+// touchpoints (the binaries carry no serde); strict enough to reject
+// anything structurally off.
 
 impl FaultPlan {
     /// Parses a plan from the `dim chaos --plan` JSON shape. Unknown keys
@@ -507,41 +396,6 @@ mod tests {
                 machines: vec![1, 2],
             }],
         }
-    }
-
-    #[test]
-    fn binary_codec_roundtrips() {
-        let plan = sample_plan();
-        let bytes = plan.encode();
-        assert_eq!(FaultPlan::decode(&bytes).unwrap(), plan);
-        let empty = FaultPlan::default();
-        assert_eq!(FaultPlan::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn binary_codec_rejects_truncation_and_trailing() {
-        let bytes = sample_plan().encode();
-        for cut in 0..bytes.len() {
-            assert!(FaultPlan::decode(&bytes[..cut]).is_none(), "cut at {cut}");
-        }
-        let mut overlong = bytes.clone();
-        overlong.push(0);
-        assert!(FaultPlan::decode(&overlong).is_none());
-    }
-
-    #[test]
-    fn binary_codec_rejects_bad_magic_version_and_counts() {
-        let mut bytes = sample_plan().encode();
-        bytes[0] ^= 0xFF;
-        assert!(FaultPlan::decode(&bytes).is_none(), "bad magic");
-        let mut bytes = sample_plan().encode();
-        bytes[4] = 0xFF;
-        assert!(FaultPlan::decode(&bytes).is_none(), "bad version");
-        // A hostile link-fault count larger than the buffer can hold.
-        let mut hostile = FaultPlan::default().encode();
-        let at = 4 + 4 + 8;
-        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(FaultPlan::decode(&hostile).is_none(), "hostile count");
     }
 
     #[test]

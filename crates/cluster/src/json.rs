@@ -227,7 +227,7 @@ impl Json {
     /// Literals are parsed as `f64`, so by the time they get here 2⁵³ and
     /// 2⁵³ + 1 are the same number: anything that large is refused rather
     /// than silently replaced by a neighbour.
-    pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
+    pub fn as_u64(&self, what: &str) -> Result<u64, String> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGERS_END as f64 => {
                 Ok(*n as u64)

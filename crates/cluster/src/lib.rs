@@ -83,7 +83,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use auth::{token_digest, Digest};
-pub use backend::{phase, ClusterBackend};
+pub use backend::{phase, Backend, ClusterBackend};
 pub use backoff::Backoff;
 pub use faults::{
     FaultEvent, FaultEventKind, FaultInjector, FaultPlan, LinkDecision, LinkFault, Partition,

@@ -904,35 +904,16 @@ pub fn tcp_cluster(
     Ok(cluster)
 }
 
-/// Worker-side join knobs.
+/// Worker-side join knobs. Every worker advertises the full capability
+/// set ([`caps::ALL`], see [`JoinHello::new`]).
 #[derive(Clone, Copy, Debug)]
 pub struct JoinOptions {
     /// Pin a specific machine id, or `None` for any free slot.
     pub requested: Option<u32>,
-    /// Capability flags to advertise ([`caps`]).
-    pub caps: u8,
     /// Give up joining after this long (`None` = retry forever). The
     /// `dim-worker` binary seeds this from `DIM_JOIN_DEADLINE_SECS` /
     /// `--join-deadline`.
     pub deadline: Option<Duration>,
-}
-
-impl JoinOptions {
-    /// Any slot, full capabilities, deadline from
-    /// `DIM_JOIN_DEADLINE_SECS` if set (else retry forever).
-    pub fn new() -> Self {
-        JoinOptions {
-            requested: None,
-            caps: caps::ALL,
-            deadline: join_deadline_env(),
-        }
-    }
-}
-
-impl Default for JoinOptions {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// The worker's optional join deadline: `DIM_JOIN_DEADLINE_SECS` (whole
@@ -1266,7 +1247,6 @@ mod tests {
                     // same machine id across sessions.
                     let opts = JoinOptions {
                         requested: Some(id),
-                        caps: caps::ALL,
                         deadline: Some(Duration::from_secs(10)),
                     };
                     let mut served = Vec::new();
@@ -1336,7 +1316,6 @@ mod tests {
                     let mut tally = Tally(0);
                     let opts = JoinOptions {
                         requested: Some(0),
-                        caps: caps::ALL,
                         deadline: Some(Duration::from_secs(10)),
                     };
                     run_join_worker(&addr, &opts, None, |_| &mut tally).map(|s| s.end)
@@ -1375,7 +1354,6 @@ mod tests {
         let vanish = std::thread::spawn(move || {
             let opts = JoinOptions {
                 requested: Some(0),
-                caps: caps::ALL,
                 deadline: Some(Duration::from_secs(10)),
             };
             let (stream, welcome) = connect_and_join(&addr, &opts).unwrap();
@@ -1413,7 +1391,6 @@ mod tests {
         let lone = std::thread::spawn(move || {
             let opts = JoinOptions {
                 requested: Some(0),
-                caps: caps::ALL,
                 deadline: Some(Duration::from_secs(10)),
             };
             let mut tally = Tally(0);
@@ -1524,7 +1501,6 @@ mod tests {
         drop(listener);
         let opts = JoinOptions {
             requested: None,
-            caps: caps::ALL,
             deadline: Some(Duration::from_millis(150)),
         };
         let start = Instant::now();

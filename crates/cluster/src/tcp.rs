@@ -377,7 +377,6 @@ impl ProcCluster {
             let executor = factory(id);
             let opts = JoinOptions {
                 requested: Some(id as u32),
-                caps: rendezvous::caps::ALL,
                 deadline: Some(handshake_timeout()),
             };
             Ok(Served::Thread(std::thread::spawn(move || {

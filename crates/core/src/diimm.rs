@@ -18,8 +18,8 @@ use dim_cluster::{
 use dim_coverage::newgreedi::{newgreedi_incremental, newgreedi_with, NewGreediResult};
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::rr::RrSampler;
-use dim_diffusion::visit::VisitTracker;
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::{DeltaBatch, Graph};
 
 use crate::config::{ImConfig, ImResult, SamplerKind, Timings};
@@ -48,7 +48,7 @@ pub struct DiimmWorker<'g> {
     /// (element record = the RR set's member nodes).
     pub shard: CoverageShard,
     buf: Vec<u32>,
-    visited: VisitTracker,
+    visited: EpochFlags,
     edges_examined: u64,
     /// RR sets generated so far — the next set's stream index.
     sets: u64,
@@ -65,7 +65,7 @@ impl<'g> DiimmWorker<'g> {
             machine_id: machine_id as u32,
             shard: CoverageShard::new(graph.num_nodes()),
             buf: Vec::new(),
-            visited: VisitTracker::new(graph.num_nodes()),
+            visited: EpochFlags::new(graph.num_nodes()),
             edges_examined: 0,
             sets: 0,
         }
@@ -92,7 +92,7 @@ impl<'g> DiimmWorker<'g> {
             machine_id: machine_id as u32,
             shard,
             buf: Vec::new(),
-            visited: VisitTracker::new(base.num_nodes()),
+            visited: EpochFlags::new(base.num_nodes()),
             edges_examined,
             sets,
         }

@@ -14,8 +14,8 @@ use dim_cluster::{rr_set_seed, stream_seed, ClusterMetrics, PhaseTimeline};
 use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::CoverageShard;
 use dim_diffusion::rr::RrSampler;
-use dim_diffusion::visit::VisitTracker;
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult, Timings};
@@ -33,7 +33,7 @@ pub fn imm(graph: &Graph, config: &ImConfig) -> ImResult {
     let mut sets = 0u64;
     let mut shard = CoverageShard::new(n);
     let mut buf = Vec::new();
-    let mut visited = VisitTracker::new(n);
+    let mut visited = EpochFlags::new(n);
     let mut edges_examined = 0u64;
     let mut timings = Timings::default();
 

@@ -32,8 +32,8 @@ use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::newgreedi::newgreedi_incremental;
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::rr::{AnySampler, RrSampler};
-use dim_diffusion::visit::VisitTracker;
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult, Timings};
@@ -73,16 +73,16 @@ fn sigma_upper(cov: u64, theta: usize, n: usize, a: f64) -> f64 {
 pub(crate) fn shard_coverage(
     shard: &CoverageShard,
     seeds: &[u32],
-    marked: &mut VisitTracker,
+    marked: &mut EpochFlags,
 ) -> u64 {
     marked.clear();
     for &s in seeds {
-        marked.mark(s);
+        marked.set(s as usize);
     }
     shard
         .elements()
         .iter()
-        .filter(|rr| rr.iter().any(|&v| marked.is_marked(v)))
+        .filter(|rr| rr.iter().any(|&v| marked.is_set(v as usize)))
         .count() as u64
 }
 
@@ -103,8 +103,8 @@ pub fn opim_c(graph: &Graph, config: &ImConfig) -> ImResult {
     let mut r1 = CoverageShard::new(n);
     let mut r2 = CoverageShard::new(n);
     let mut buf = Vec::new();
-    let mut visited = VisitTracker::new(n);
-    let mut marked = VisitTracker::new(n);
+    let mut visited = EpochFlags::new(n);
+    let mut marked = EpochFlags::new(n);
     let mut edges = 0u64;
     let mut timings = Timings::default();
     let mut theta = theta_0;
@@ -166,8 +166,8 @@ pub(crate) struct PairedRisWorker<'g> {
     /// Validation collection shard (`R₂,ᵢ`).
     pub r2: CoverageShard,
     buf: Vec<u32>,
-    visited: VisitTracker,
-    marked: VisitTracker,
+    visited: EpochFlags,
+    marked: EpochFlags,
     pub(crate) edges_examined: u64,
 }
 
@@ -179,8 +179,8 @@ impl<'g> PairedRisWorker<'g> {
             r1: CoverageShard::new(graph.num_nodes()),
             r2: CoverageShard::new(graph.num_nodes()),
             buf: Vec::new(),
-            visited: VisitTracker::new(graph.num_nodes()),
-            marked: VisitTracker::new(graph.num_nodes()),
+            visited: EpochFlags::new(graph.num_nodes()),
+            marked: EpochFlags::new(graph.num_nodes()),
             edges_examined: 0,
         }
     }

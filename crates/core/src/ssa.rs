@@ -32,8 +32,8 @@ use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::newgreedi::newgreedi_incremental;
 use dim_coverage::CoverageShard;
 use dim_diffusion::rr::RrSampler;
-use dim_diffusion::visit::VisitTracker;
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult, Timings};
@@ -83,8 +83,8 @@ pub fn ssa(graph: &Graph, config: &ImConfig) -> ImResult {
     let mut r1 = CoverageShard::new(n);
     let mut r2 = CoverageShard::new(n);
     let mut buf = Vec::new();
-    let mut visited = VisitTracker::new(n);
-    let mut marked = VisitTracker::new(n);
+    let mut visited = EpochFlags::new(n);
+    let mut marked = EpochFlags::new(n);
     let mut edges = 0u64;
     let mut timings = Timings::default();
 

@@ -22,11 +22,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dim_cluster::{phase, wire, ClusterBackend, SimCluster};
+use dim_graph::scratch;
 
 use crate::greedy::bucket_greedy;
 use crate::pooled::PooledSets;
 use crate::problem::{CoverageProblem, SetShard};
-use crate::scratch;
 
 /// Result of a GreeDi run.
 #[derive(Clone, Debug, PartialEq, Eq)]

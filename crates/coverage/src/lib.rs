@@ -21,10 +21,9 @@
 //!   (Mirzasoleiman et al.) and RandGreeDi (Barbosa et al.), used by
 //!   Fig. 10's comparison.
 //! * [`query`] — read-only influence queries over frozen shards: seed-set
-//!   spread ([`seed_set_coverage`], over the pooled [`scratch`] flags) and
-//!   constrained top-k ([`constrained_greedy`]), the substrate of `dim serve`.
-//! * [`scratch`] — epoch-stamped reusable flag buffers ([`scratch::EpochFlags`])
-//!   that replace per-call `vec![false; n]` allocations on the hot paths.
+//!   spread ([`seed_set_coverage`], over the pooled [`dim_graph::scratch`]
+//!   flags) and constrained top-k ([`constrained_greedy`]), the substrate of
+//!   `dim serve`.
 //!
 //! # Example
 //!
@@ -49,7 +48,6 @@ pub mod newgreedi;
 pub mod pooled;
 pub mod problem;
 pub mod query;
-pub mod scratch;
 pub mod selector;
 pub mod shard;
 

@@ -1,9 +1,11 @@
 //! Flat pooled storage of `u32` lists.
 
 /// Append-only storage of variable-length `u32` lists, stored back-to-back
-/// in one pool. Mirrors `dim_diffusion::RrStore` but lives here so the
-/// coverage layer has no dependency on diffusion (maximum coverage is a
-/// standalone problem — Fig. 10 runs it on graph neighborhoods).
+/// in one pool: a machine's RR sets `R_i` and, through
+/// [`PooledSets::transpose`], their node→RR-set index `I_i(v)` (§III). The
+/// lists are plain `u32`s, so the coverage layer has no dependency on
+/// diffusion (maximum coverage is a standalone problem — Fig. 10 runs it on
+/// graph neighborhoods).
 ///
 /// The offset array is `u32` (struct-of-arrays over one arena), halving
 /// the index footprint versus `usize` offsets so more of the hot transpose
@@ -169,20 +171,45 @@ mod tests {
         assert_eq!(p.iter().count(), 3);
     }
 
+    fn pooled(lists: &[&[u32]]) -> PooledSets {
+        let mut p = PooledSets::new();
+        for list in lists {
+            p.push(list);
+        }
+        p
+    }
+
     #[test]
     fn transpose_involution() {
-        let mut p = PooledSets::new();
-        p.push(&[0, 1]);
-        p.push(&[1, 2, 3]);
-        p.push(&[0, 2]);
+        let p = pooled(&[&[0, 1], &[1, 2, 3], &[0, 2]]);
         let t = p.transpose(4);
         assert_eq!(t.get(0), &[0, 2]); // value 0 in lists 0 and 2
         assert_eq!(t.get(1), &[0, 1]);
         assert_eq!(t.get(3), &[1]);
+
+        // Paper Example 3 (Fig. 2): R1={v1,v2}, R2={v2,v3,v4}, R3={v1,v3},
+        // R4={v2,v5}, R5={v1}, R6={v4,v5}, ids shifted down by one, over a
+        // domain with one more node (id 5) that no RR set contains.
+        let fig2 = pooled(&[&[0, 1], &[1, 2, 3], &[0, 2], &[1, 4], &[0], &[3, 4]]);
+        let idx = fig2.transpose(6);
+        assert_eq!(idx.len(), 6);
+        assert_eq!(idx.get(0), &[0, 2, 4]); // v1 ∈ R1, R3, R5
+        assert_eq!(idx.get(1).len(), 3); // v2 ∈ R1, R2, R4
+        assert_eq!(idx.get(3), &[1, 5]);
+        assert_eq!(idx.get(5), &[] as &[u32], "absent node covers nothing");
+        // Σ coverage = total size.
+        let covered: usize = (0..idx.len()).map(|v| idx.get(v).len()).sum();
+        assert_eq!(covered, fig2.total_size());
+        assert_eq!(idx.total_size(), fig2.total_size());
+
+        // An empty collection transposes to empty lists.
+        let empty = PooledSets::new().transpose(3);
+        assert_eq!((empty.len(), empty.total_size()), (3, 0));
+
         // Transposing back over the list domain recovers the original.
-        let back = t.transpose(3);
-        for i in 0..p.len() {
-            assert_eq!(back.get(i), p.get(i));
+        for p in [p, fig2] {
+            let back = p.transpose(6).transpose(p.len());
+            assert!(back.iter().eq(p.iter()));
         }
     }
 

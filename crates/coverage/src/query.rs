@@ -7,8 +7,9 @@
 //! per-thread scratch, so a server can share one sketch across concurrent
 //! query threads with no locking.
 
+use dim_graph::scratch;
+
 use crate::greedy::GreedyResult;
-use crate::scratch;
 use crate::selector::BucketSelector;
 use crate::shard::{CoverageShard, QueryCursor};
 

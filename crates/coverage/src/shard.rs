@@ -1,9 +1,9 @@
 //! Per-machine element shard for element-distributed maximum coverage.
 
 use dim_cluster::{OpExecutor, WorkerOp, WorkerReply, WorkerStats};
+use dim_graph::scratch::EpochFlags;
 
 use crate::pooled::PooledSets;
-use crate::scratch::EpochFlags;
 
 /// One machine's shard of the elements in an element-distributed maximum
 /// coverage instance (the machine's RR sets `R_i` in the paper).

@@ -5,32 +5,32 @@
 //! way; Kempe et al. introduced the estimator).
 
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::model::DiffusionModel;
-use crate::visit::VisitTracker;
 
 /// Reusable scratch buffers for repeated simulations on one graph.
 struct SimScratch {
-    visited: VisitTracker,
+    visited: EpochFlags,
     frontier: Vec<u32>,
     /// LT only: accumulated incoming weight per touched node.
     lt_weight: Vec<f32>,
     /// LT only: lazily drawn threshold per touched node.
     lt_threshold: Vec<f32>,
     /// LT only: epoch stamps validating `lt_weight` / `lt_threshold`.
-    lt_stamp: VisitTracker,
+    lt_stamp: EpochFlags,
 }
 
 impl SimScratch {
     /// Allocates scratch for a graph with `n` nodes.
     fn new(n: usize) -> Self {
         SimScratch {
-            visited: VisitTracker::new(n),
+            visited: EpochFlags::new(n),
             frontier: Vec::new(),
             lt_weight: vec![0.0; n],
             lt_threshold: vec![0.0; n],
-            lt_stamp: VisitTracker::new(n),
+            lt_stamp: EpochFlags::new(n),
         }
     }
 }
@@ -63,7 +63,7 @@ fn simulate_ic(
     visited.clear();
     frontier.clear();
     for &s in seeds {
-        if visited.mark(s) {
+        if visited.set(s as usize) {
             frontier.push(s);
         }
     }
@@ -74,8 +74,8 @@ fn simulate_ic(
         let nbrs = graph.out_neighbors(u);
         let probs = graph.out_probs(u);
         for (&v, &p) in nbrs.iter().zip(probs) {
-            if !visited.is_marked(v) && rng.f32() < p {
-                visited.mark(v);
+            if !visited.is_set(v as usize) && rng.f32() < p {
+                visited.set(v as usize);
                 frontier.push(v);
             }
         }
@@ -102,7 +102,7 @@ fn simulate_lt(
     stamp.clear();
     frontier.clear();
     for &s in seeds {
-        if visited.mark(s) {
+        if visited.set(s as usize) {
             frontier.push(s);
         }
     }
@@ -113,11 +113,11 @@ fn simulate_lt(
         let nbrs = graph.out_neighbors(u);
         let probs = graph.out_probs(u);
         for (&v, &p) in nbrs.iter().zip(probs) {
-            if visited.is_marked(v) {
+            if visited.is_set(v as usize) {
                 continue;
             }
             let vi = v as usize;
-            if stamp.mark(v) {
+            if stamp.set(v as usize) {
                 weight[vi] = 0.0;
                 // λ_v ∈ (0,1]: a node with threshold exactly 0 would
                 // self-activate; drawing in (0,1] matches Pr[λ ≤ w] = w.
@@ -125,7 +125,7 @@ fn simulate_lt(
             }
             weight[vi] += p;
             if weight[vi] >= threshold[vi] {
-                visited.mark(v);
+                visited.set(v as usize);
                 frontier.push(v);
             }
         }

@@ -11,8 +11,11 @@
 //! * [`rr`] — random reverse-reachable (RR) set generation (Definition 1):
 //!   stochastic reverse BFS for IC, reverse random walk for LT, and the
 //!   SUBSIM geometric-jump sampler of Guo et al. (SIGMOD'20).
-//! * [`rrstore`] — pooled storage for millions of RR sets plus the inverted
-//!   node→RR-set index that seed selection consumes.
+//!
+//! The crate owns no storage: samplers hand each RR set to their caller,
+//! which keeps the machine's collection `R_i` and its transpose `I_i(v)` in
+//! one `dim_coverage::PooledSets`, and the visited set is the shared
+//! `dim_graph::scratch::EpochFlags`.
 //!
 //! # Example: estimating influence spread
 //!
@@ -34,9 +37,6 @@ pub mod exact;
 pub mod forward;
 pub mod model;
 pub mod rr;
-pub mod rrstore;
-pub mod visit;
 
 pub use model::DiffusionModel;
 pub use rr::{IcRrSampler, LtRrSampler, RrSampler, SubsimRrSampler};
-pub use rrstore::{InvertedIndex, RrStore};

@@ -1,10 +1,10 @@
 //! IC RR sets via stochastic reverse BFS (§III-A of the paper).
 
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::rr::RrSampler;
-use crate::visit::VisitTracker;
 
 /// The standard IC sampler: breadth-first search from the root following
 /// *incoming* edges, traversing each edge `⟨u', u⟩` with probability
@@ -23,16 +23,9 @@ impl<'g> IcRrSampler<'g> {
     /// only observable when `w` is not yet in R, so only those are flipped.
     /// A node that joins R is dequeued later: its in-list starts loading now.
     #[inline(always)]
-    fn flip(
-        &self,
-        w: u32,
-        p: f32,
-        rng: &mut Rng,
-        out: &mut Vec<u32>,
-        visited: &mut VisitTracker,
-    ) {
-        if !visited.is_marked(w) && rng.f32() < p {
-            visited.mark(w);
+    fn flip(&self, w: u32, p: f32, rng: &mut Rng, out: &mut Vec<u32>, visited: &mut EpochFlags) {
+        if !visited.is_set(w as usize) && rng.f32() < p {
+            visited.set(w as usize);
             out.push(w);
             prefetch(self.graph.in_neighbors(w));
         }
@@ -50,11 +43,11 @@ impl RrSampler for IcRrSampler<'_> {
         root: u32,
         rng: &mut Rng,
         out: &mut Vec<u32>,
-        visited: &mut VisitTracker,
+        visited: &mut EpochFlags,
     ) -> u64 {
         out.clear();
         visited.clear();
-        visited.mark(root);
+        visited.set(root as usize);
         out.push(root);
         let mut edges = 0u64;
         // `out` doubles as the BFS queue: every traversed node is in R.
@@ -119,7 +112,7 @@ mod tests {
         let s = IcRrSampler::new(&g);
         let mut rng = Rng::new(1);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         for root in 0..4 {
             s.sample_rooted(root, &mut rng, &mut out, &mut visited);
             assert!(out.contains(&root));
@@ -132,7 +125,7 @@ mod tests {
         let s = IcRrSampler::new(&g);
         let mut rng = Rng::new(2);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         for _ in 0..500 {
             s.sample(&mut rng, &mut out, &mut visited);
             let mut sorted = out.clone();
@@ -149,7 +142,7 @@ mod tests {
         let s = IcRrSampler::new(&g);
         let mut rng = Rng::new(3);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         for _ in 0..50 {
             s.sample_rooted(1, &mut rng, &mut out, &mut visited);
             let mut sorted = out.clone();
@@ -170,7 +163,7 @@ mod tests {
         let s = IcRrSampler::new(&g);
         let mut rng = Rng::new(4);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         let trials = 400_000;
         let mut hits = 0usize;
         for _ in 0..trials {
@@ -192,7 +185,7 @@ mod tests {
         let s = IcRrSampler::new(&g);
         let mut rng = Rng::new(5);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         let trials = 300_000;
         let mut hits = 0usize;
         for _ in 0..trials {
@@ -246,7 +239,7 @@ mod tests {
         let g = mixed_rows();
         let s = IcRrSampler::new(&g);
         let (mut out, mut expected) = (Vec::new(), Vec::new());
-        let mut visited = VisitTracker::new(g.num_nodes());
+        let mut visited = EpochFlags::new(g.num_nodes());
         for stream in 0..10_000u64 {
             let mut rng = Rng::new(stream);
             let edges = s.sample(&mut rng, &mut out, &mut visited);
@@ -256,7 +249,7 @@ mod tests {
             expected.clear();
             expected.push(root);
             visited.clear();
-            visited.mark(root);
+            visited.set(root as usize);
             let mut examined = 0u64;
             let mut head = 0;
             while head < expected.len() {
@@ -265,8 +258,8 @@ mod tests {
                 for i in 0..g.in_degree(u) {
                     examined += 1;
                     let w = g.in_neighbors(u)[i];
-                    if !visited.is_marked(w) && reference.f32() < g.in_probs(u)[i] {
-                        visited.mark(w);
+                    if !visited.is_set(w as usize) && reference.f32() < g.in_probs(u)[i] {
+                        visited.set(w as usize);
                         expected.push(w);
                     }
                 }
@@ -283,7 +276,7 @@ mod tests {
         let s = IcRrSampler::new(&g);
         let mut rng = Rng::new(6);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         // Root v4 examines its three in-edges at minimum.
         let w = s.sample_rooted(3, &mut rng, &mut out, &mut visited);
         assert!(w >= 3);

@@ -1,10 +1,10 @@
 //! LT RR sets via reverse random walk (§III-A of the paper).
 
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::rr::RrSampler;
-use crate::visit::VisitTracker;
 
 /// The LT sampler: a random walk from the root following incoming edges.
 /// At node `u` the walk stops with probability `1 − Σ_{u'∈N_u^in} p(u',u)`;
@@ -53,11 +53,11 @@ impl RrSampler for LtRrSampler<'_> {
         root: u32,
         rng: &mut Rng,
         out: &mut Vec<u32>,
-        visited: &mut VisitTracker,
+        visited: &mut EpochFlags,
     ) -> u64 {
         out.clear();
         visited.clear();
-        visited.mark(root);
+        visited.set(root as usize);
         out.push(root);
         let mut work = 0u64;
         let mut u = root;
@@ -96,7 +96,7 @@ impl RrSampler for LtRrSampler<'_> {
                     chosen
                 }
             };
-            if !visited.mark(next) {
+            if !visited.set(next as usize) {
                 break; // walk closed a cycle
             }
             out.push(next);
@@ -128,7 +128,7 @@ mod tests {
         let s = LtRrSampler::new(&g);
         let mut rng = Rng::new(1);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         for _ in 0..500 {
             s.sample(&mut rng, &mut out, &mut visited);
             // Path property: consecutive nodes are connected by an edge
@@ -151,7 +151,7 @@ mod tests {
         let s = LtRrSampler::new(&g);
         let mut rng = Rng::new(2);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         let trials = 200_000;
         let mut hits = 0usize;
         for _ in 0..trials {
@@ -171,7 +171,7 @@ mod tests {
         let s = LtRrSampler::new(&g);
         let mut rng = Rng::new(3);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         let trials = 300_000;
         let mut hits = 0usize;
         for _ in 0..trials {
@@ -192,7 +192,7 @@ mod tests {
         let s = LtRrSampler::new(&g);
         let mut rng = Rng::new(4);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         let trials = 200_000;
         let singletons = (0..trials)
             .filter(|_| {
@@ -213,7 +213,7 @@ mod tests {
         assert!(s.uniform[3].is_none());
         let mut rng = Rng::new(5);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         let trials = 200_000;
         let mut to_v1 = 0usize;
         for _ in 0..trials {

@@ -18,10 +18,10 @@
 //! graphs (`p = 1/d`) that is every node with in-degree above ≈`JUMP_ALPHA`.
 
 use dim_graph::rng::Rng;
+use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::rr::RrSampler;
-use crate::visit::VisitTracker;
 
 /// Cost ratio of a geometric draw to a coin flip: a node uses jumps only
 /// when `indeg ≥ JUMP_ALPHA / (1 − p)`, so the expected number of jumps
@@ -70,13 +70,13 @@ impl<'g> SubsimRrSampler<'g> {
         ln_q: f64,
         rng: &mut Rng,
         out: &mut Vec<u32>,
-        visited: &mut VisitTracker,
+        visited: &mut EpochFlags,
     ) -> u64 {
         let d = sources.len();
         if ln_q == 0.0 {
             // p = 1: every in-edge is live.
             for &w in sources {
-                if visited.mark(w) {
+                if visited.set(w as usize) {
                     out.push(w);
                 }
             }
@@ -88,7 +88,7 @@ impl<'g> SubsimRrSampler<'g> {
         while i < d {
             work += 1;
             let w = sources[i];
-            if visited.mark(w) {
+            if visited.set(w as usize) {
                 out.push(w);
             }
             i += 1 + geometric_skip(rng, ln_q);
@@ -122,11 +122,11 @@ impl RrSampler for SubsimRrSampler<'_> {
         root: u32,
         rng: &mut Rng,
         out: &mut Vec<u32>,
-        visited: &mut VisitTracker,
+        visited: &mut EpochFlags,
     ) -> u64 {
         out.clear();
         visited.clear();
-        visited.mark(root);
+        visited.set(root as usize);
         out.push(root);
         let mut work = 0u64;
         let mut head = 0;
@@ -149,8 +149,8 @@ impl RrSampler for SubsimRrSampler<'_> {
                     let probs = self.graph.in_probs(u);
                     work += sources.len() as u64;
                     for (&w, &p) in sources.iter().zip(probs) {
-                        if !visited.is_marked(w) && rng.f32() < p {
-                            visited.mark(w);
+                        if !visited.is_set(w as usize) && rng.f32() < p {
+                            visited.set(w as usize);
                             out.push(w);
                         }
                     }
@@ -187,7 +187,7 @@ mod tests {
         let mut rng_a = Rng::new(1);
         let mut rng_b = Rng::new(2);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(21);
+        let mut visited = EpochFlags::new(21);
         let trials = 100_000;
         let mut mean_sub = 0f64;
         let mut mean_bfs = 0f64;
@@ -211,7 +211,7 @@ mod tests {
         let bfs = IcRrSampler::new(&g);
         let mut rng = Rng::new(3);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(1001);
+        let mut visited = EpochFlags::new(1001);
         let mut w_sub = 0u64;
         let mut w_bfs = 0u64;
         for _ in 0..200 {
@@ -233,7 +233,7 @@ mod tests {
         let sub = SubsimRrSampler::new(&g);
         let mut rng = Rng::new(4);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(3);
+        let mut visited = EpochFlags::new(3);
         sub.sample_rooted(2, &mut rng, &mut out, &mut visited);
         let mut sorted = out.clone();
         sorted.sort_unstable();
@@ -255,7 +255,7 @@ mod tests {
         assert!(sub.jump_ln_q[3].is_none());
         let mut rng = Rng::new(5);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(4);
+        let mut visited = EpochFlags::new(4);
         let trials = 300_000;
         let mut hits = 0usize;
         for _ in 0..trials {
@@ -327,7 +327,7 @@ mod tests {
         let mut rng_a = Rng::new(11);
         let mut rng_b = Rng::new(12);
         let mut out = Vec::new();
-        let mut visited = VisitTracker::new(200);
+        let mut visited = EpochFlags::new(200);
         let max_size = 200usize;
         let mut hist_a = vec![0u32; max_size + 1];
         let mut hist_b = vec![0u32; max_size + 1];

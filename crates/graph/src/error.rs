@@ -14,8 +14,6 @@ pub enum GraphError {
         /// Description of what failed.
         message: String,
     },
-    /// A parameter was outside its valid domain.
-    InvalidParameter(String),
 }
 
 impl fmt::Display for GraphError {
@@ -25,7 +23,6 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
-            GraphError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }
 }
@@ -56,8 +53,6 @@ mod tests {
             message: "bad".into(),
         };
         assert!(e.to_string().contains("line 3"));
-        let e = GraphError::InvalidParameter("n must be > 0".into());
-        assert!(e.to_string().contains("n must be"));
     }
 
     #[test]

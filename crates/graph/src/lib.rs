@@ -19,6 +19,8 @@
 //! * [`io`] — plain-text edge-list reading and writing.
 //! * [`rng`] — the workspace's one generator ([`Rng`], SplitMix64) and the
 //!   `splitmix64` finalizer every seed derivation calls.
+//! * [`scratch`] — the workspace's one visited set ([`scratch::EpochFlags`],
+//!   O(1) clear), shared by the RR samplers and the coverage hot paths.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ pub mod error;
 pub mod generators;
 pub mod io;
 pub mod rng;
+pub mod scratch;
 pub mod weights;
 
 pub use analysis::GraphStats;

@@ -29,23 +29,15 @@ pub struct TopKResult {
 
 /// Retry policy for [`QueryClient::connect_with`]: keep attempting until
 /// `deadline` elapses, sleeping a jittered exponential backoff between
-/// attempts — the same shape as the cluster rendezvous join path, so a
-/// client riding out a server restart behaves like a (re)joining worker.
-/// With `credentials` set, every successful connect authenticates before
-/// the client is handed back, so callers never see a half-open tenant
-/// connection.
+/// attempts (50 ms doubling to a 2 s cap) — the same shape as the cluster
+/// rendezvous join path, so a client riding out a server restart behaves
+/// like a (re)joining worker. With `credentials` set, every successful
+/// connect authenticates before the client is handed back, so callers
+/// never see a half-open tenant connection.
 #[derive(Clone, Debug)]
 pub struct ConnectOptions {
     /// Total time to keep retrying before giving up.
     pub deadline: Duration,
-    /// First backoff delay; doubles per failed attempt up to
-    /// [`ConnectOptions::max_delay`].
-    pub base_delay: Duration,
-    /// Backoff cap.
-    pub max_delay: Duration,
-    /// Seed for the jitter stream (vary per client to avoid thundering
-    /// herds).
-    pub jitter_seed: u64,
     /// Tenant credentials for a multi-tenant server; `None` for
     /// single-tenant servers (no AUTH handshake).
     pub credentials: Option<Credentials>,
@@ -55,13 +47,18 @@ impl Default for ConnectOptions {
     fn default() -> Self {
         ConnectOptions {
             deadline: Duration::from_secs(10),
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-            jitter_seed: 0x51ce_5eed,
             credentials: None,
         }
     }
 }
+
+/// First backoff delay of [`QueryClient::connect_with`]; doubles per failed
+/// attempt up to [`MAX_DELAY`].
+const BASE_DELAY: Duration = Duration::from_millis(50);
+/// Backoff cap.
+const MAX_DELAY: Duration = Duration::from_secs(2);
+/// Seed for the jitter stream.
+const JITTER_SEED: u64 = 0x51ce_5eed;
 
 /// One connection to a [`crate::Server`]. Requests are answered in order
 /// over a single stream; open one client per thread for parallel load.
@@ -97,7 +94,7 @@ impl QueryClient {
             ));
         }
         let deadline = Instant::now() + options.deadline;
-        let mut backoff = Backoff::new(options.base_delay, options.max_delay, options.jitter_seed);
+        let mut backoff = Backoff::new(BASE_DELAY, MAX_DELAY, JITTER_SEED);
         loop {
             let attempt = QueryClient::connect(&addrs[..]).and_then(|mut client| {
                 if let Some(creds) = &options.credentials {
@@ -195,30 +192,6 @@ impl QueryClient {
         Ok(replies)
     }
 
-    /// Coverage and estimated spread for many seed sets in one frame.
-    pub fn spread_batch(&mut self, seed_sets: &[Vec<u32>]) -> io::Result<Vec<(u64, f64)>> {
-        let requests: Vec<QueryRequest> = seed_sets
-            .iter()
-            .map(|seeds| QueryRequest::Spread {
-                seeds: seeds.clone(),
-            })
-            .collect();
-        self.batch(&requests)?
-            .into_iter()
-            .map(|resp| match resp {
-                QueryResponse::Spread {
-                    covered,
-                    theta,
-                    num_nodes,
-                } => Ok((covered, spread_estimate(covered, theta, num_nodes))),
-                QueryResponse::Error { code, message } => {
-                    Err(protocol_err(&format!("server error {code}: {message}")))
-                }
-                other => Err(protocol_err(&format!("unexpected reply {other:?}"))),
-            })
-            .collect()
-    }
-
     /// Coverage and estimated spread of an arbitrary seed set.
     pub fn spread(&mut self, seeds: &[u32]) -> io::Result<(u64, f64)> {
         match self.expect(&QueryRequest::Spread {
@@ -292,9 +265,6 @@ mod tests {
         let start = Instant::now();
         let options = ConnectOptions {
             deadline: Duration::from_millis(300),
-            base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_millis(50),
-            jitter_seed: 3,
             credentials: None,
         };
         assert!(QueryClient::connect_with(addr, &options).is_err());

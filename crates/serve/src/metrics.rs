@@ -1,5 +1,5 @@
 //! Serving-side observability: a lock-free latency histogram and the
-//! serializable [`ServeMetrics`] summary.
+//! [`ServeMetrics`] summary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -116,8 +116,8 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// A point-in-time summary of a running server, serializable to JSON and
-/// exposed (in part) through `REQ_STATS`.
+/// A point-in-time summary of a running server, exposed (in part) through
+/// `REQ_STATS`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeMetrics {
     /// Store generation currently serving.
@@ -140,32 +140,6 @@ pub struct ServeMetrics {
     pub p95_us: u64,
     pub p99_us: u64,
     pub max_us: u64,
-}
-
-impl ServeMetrics {
-    /// Serializes to a JSON object. Hand-rolled: every field is an
-    /// integer.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"active_generation\":{},\"queries_answered\":{},",
-                "\"batches_answered\":{},\"reloads\":{},\"shed\":{},",
-                "\"quota_shed\":{},\"live_connections\":{},\"p50_us\":{},",
-                "\"p95_us\":{},\"p99_us\":{},\"max_us\":{}}}"
-            ),
-            self.active_generation,
-            self.queries_answered,
-            self.batches_answered,
-            self.reloads,
-            self.shed,
-            self.quota_shed,
-            self.live_connections,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -234,39 +208,5 @@ mod tests {
         }
         assert_eq!(h.quantile(0.5), 3);
         assert_eq!(h.quantile(1.0), 9);
-    }
-
-    #[test]
-    fn metrics_json_is_valid_and_complete() {
-        let m = ServeMetrics {
-            active_generation: 2,
-            queries_answered: 100,
-            batches_answered: 10,
-            reloads: 1,
-            shed: 3,
-            quota_shed: 4,
-            live_connections: 8,
-            p50_us: 40,
-            p95_us: 90,
-            p99_us: 120,
-            max_us: 500,
-        };
-        let json = m.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"active_generation\":2",
-            "\"queries_answered\":100",
-            "\"batches_answered\":10",
-            "\"reloads\":1",
-            "\"shed\":3",
-            "\"quota_shed\":4",
-            "\"live_connections\":8",
-            "\"p50_us\":40",
-            "\"p95_us\":90",
-            "\"p99_us\":120",
-            "\"max_us\":500",
-        ] {
-            assert!(json.contains(key), "{json} missing {key}");
-        }
     }
 }

@@ -44,7 +44,8 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use dim::prelude::*;
-use dim_cluster::SimCluster;
+use dim_cluster::json::Json;
+use dim_cluster::{Backend, SimCluster};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -243,35 +244,15 @@ fn model_of(flags: &Flags) -> Result<DiffusionModel, String> {
     DiffusionModel::parse(name).ok_or_else(|| format!("unknown model {name:?}"))
 }
 
-/// Which cluster execution layer to run on.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// In-process simulated cluster ([`SimCluster`]) in one of its modes.
-    Sim(ExecMode),
-    /// [`ProcCluster`] whose `dim-worker` processes this master spawns,
-    /// one per machine.
-    Proc,
-    /// [`ProcCluster`] of pre-started `dim-worker --join` processes that
-    /// register with this master (multi-host capable; bind via
-    /// `DIM_MASTER_BIND`).
-    Join,
-}
-
 fn backend_of(flags: &Flags) -> Result<Backend, String> {
-    match flags.get("backend").unwrap_or("sequential") {
-        "sequential" => Ok(Backend::Sim(ExecMode::Sequential)),
-        "threads" => Ok(Backend::Sim(ExecMode::Threads)),
-        "proc" => Ok(Backend::Proc),
-        "join" => Ok(Backend::Join),
-        other => Err(format!("unknown backend {other:?}")),
-    }
+    Backend::parse(flags.get("backend").unwrap_or("sequential"))
 }
 
 /// The TCP cluster for `--backend proc|join` ([`dim_cluster::tcp_cluster`]),
 /// its rendezvous bounded by `--join-timeout` / `DIM_JOIN_TIMEOUT_SECS`; the
 /// run's `--breakdown` shows the assembly latency under `rendezvous`.
 fn tcp_cluster(
-    backend: Backend,
+    spawn: bool,
     machines: usize,
     net: NetworkModel,
     seed: u64,
@@ -282,7 +263,7 @@ fn tcp_cluster(
     if timeout_secs > 0 {
         config.join_timeout = std::time::Duration::from_secs(timeout_secs);
     }
-    dim_cluster::tcp_cluster(backend == Backend::Proc, config, net, seed)
+    dim_cluster::tcp_cluster(spawn, config, net, seed)
         .map_err(|e| format!("cannot assemble the worker cluster: {e}"))
 }
 
@@ -347,15 +328,15 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
             ("diimm" | "subsim", Backend::Sim(mode)) => {
                 diimm(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
-            ("diimm" | "subsim", Backend::Proc | Backend::Join) => {
-                let mut cluster = tcp_cluster(backend, machines, net, config.seed, flags)?;
+            ("diimm" | "subsim", Backend::Tcp { spawn }) => {
+                let mut cluster = tcp_cluster(spawn, machines, net, config.seed, flags)?;
                 setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
                 diimm_on(&mut cluster, &g, &config, true).map_err(|e| e.to_string())?
             }
             ("opim", Backend::Sim(mode)) => {
                 dopim_c(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
-            ("opim", Backend::Proc | Backend::Join) => {
+            ("opim", Backend::Tcp { .. }) => {
                 return Err("--backend proc/join supports diimm/subsim (opim keeps two \
                             resident collections; use a simulated backend)"
                     .into())
@@ -406,8 +387,8 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
     let r = match backend_of(flags)? {
         Backend::Sim(mode) => diimm_sample(&g, &config, machines, net, mode, &dir)
             .map_err(|e| e.to_string())?,
-        backend @ (Backend::Proc | Backend::Join) => {
-            let mut cluster = tcp_cluster(backend, machines, net, config.seed, flags)?;
+        Backend::Tcp { spawn } => {
+            let mut cluster = tcp_cluster(spawn, machines, net, config.seed, flags)?;
             setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
             diimm_sample_on(&mut cluster, &g, &config, &dir).map_err(|e| e.to_string())?
         }
@@ -434,33 +415,19 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Pulls one JSON field value out of a single-line object without a JSON
-/// dependency: finds `"key"`, skips `:` and whitespace, and returns the
-/// raw token up to the next `,`/`}` (or the quoted string contents).
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    if let Some(quoted) = rest.strip_prefix('"') {
-        quoted.split('"').next()
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-/// One edit line: `{"op":"insert","u":1,"v":2,"p":0.5}` (or `delete` /
-/// `reweight`; `delete` needs no `p`).
+/// One edit line, a whole JSON object: `{"op":"insert","u":1,"v":2,"p":0.5}`
+/// (or `delete` / `reweight`; `delete` needs no `p`).
 fn parse_edit(line: &str) -> Result<EdgeOp, String> {
-    let op = json_field(line, "op").ok_or("missing \"op\"")?;
+    let edit = Json::parse(line)?;
+    let field = |key: &str| edit.get(key).ok_or(format!("missing \"{key}\""));
+    let op = field("op")?.as_str("op")?;
     let node = |key: &str| -> Result<u32, String> {
-        let raw = json_field(line, key).ok_or(format!("missing \"{key}\""))?;
-        raw.parse().map_err(|_| format!("bad \"{key}\" value {raw:?}"))
+        let v = field(key)?.as_u64(key)?;
+        u32::try_from(v).map_err(|_| format!("{key}: {v} does not fit in u32"))
     };
-    let prob = || -> Result<f32, String> {
-        let raw = json_field(line, "p").ok_or("missing \"p\"")?;
-        raw.parse().map_err(|_| format!("bad \"p\" value {raw:?}"))
+    let prob = || match field("p")? {
+        Json::Num(p) => Ok(*p as f32),
+        other => Err(format!("p: expected a number, got {other:?}")),
     };
     let (u, v) = (node("u")?, node("v")?);
     match op {
@@ -581,6 +548,27 @@ mod sighup {
     }
 }
 
+/// The serve loop shared by `dim serve` and `dim serve --tenants`: polls
+/// until `--max-queries` answers (forever when 0), calling `reload` on
+/// every SIGHUP; `reload` prints its own outcome lines.
+fn serve_until_done(server: &Server, max_queries: u64, reload: impl Fn(&Server)) {
+    use std::io::Write as _;
+    let _ = std::io::stdout().flush();
+    #[cfg(unix)]
+    sighup::install();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        #[cfg(unix)]
+        if sighup::take() {
+            reload(server);
+            let _ = std::io::stdout().flush();
+        }
+        if max_queries > 0 && server.queries_answered() >= max_queries {
+            break;
+        }
+    }
+}
+
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(path) = flags.get("tenants") {
         return cmd_serve_multi(flags, path);
@@ -612,25 +600,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         server.local_addr(),
         g.num_nodes()
     );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    #[cfg(unix)]
-    sighup::install();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        #[cfg(unix)]
-        if sighup::take() {
-            match server.reload() {
-                Ok((id, true)) => println!("dim-serve: reloaded, now at generation {id}"),
-                Ok((id, false)) => println!("dim-serve: already at generation {id}"),
-                Err(e) => eprintln!("dim-serve: reload failed: {e}"),
-            }
-            let _ = std::io::stdout().flush();
-        }
-        if max_queries > 0 && server.queries_answered() >= max_queries {
-            break;
-        }
-    }
+    serve_until_done(&server, max_queries, |server| match server.reload() {
+        Ok((id, true)) => println!("dim-serve: reloaded, now at generation {id}"),
+        Ok((id, false)) => println!("dim-serve: already at generation {id}"),
+        Err(e) => eprintln!("dim-serve: reload failed: {e}"),
+    });
     let answered = server.queries_answered();
     let m = server.metrics();
     server.shutdown();
@@ -711,31 +685,17 @@ fn cmd_serve_multi(flags: &Flags, path: &str) -> Result<(), String> {
         "dim-serve: listening on {} ({tenant_count} tenant(s), auth required)",
         server.local_addr()
     );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    #[cfg(unix)]
-    sighup::install();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        #[cfg(unix)]
-        if sighup::take() {
-            for (id, outcome) in server.reload_all() {
-                match outcome {
-                    Ok((gen, true)) => {
-                        println!("dim-serve: tenant {id:?} reloaded, now at generation {gen}")
-                    }
-                    Ok((gen, false)) => {
-                        println!("dim-serve: tenant {id:?} already at generation {gen}")
-                    }
-                    Err(e) => eprintln!("dim-serve: tenant {id:?} reload failed: {e}"),
+    serve_until_done(&server, max_queries, |server| {
+        for (id, outcome) in server.reload_all() {
+            match outcome {
+                Ok((gen, true)) => {
+                    println!("dim-serve: tenant {id:?} reloaded, now at generation {gen}")
                 }
+                Ok((gen, false)) => println!("dim-serve: tenant {id:?} already at generation {gen}"),
+                Err(e) => eprintln!("dim-serve: tenant {id:?} reload failed: {e}"),
             }
-            let _ = std::io::stdout().flush();
         }
-        if max_queries > 0 && server.queries_answered() >= max_queries {
-            break;
-        }
-    }
+    });
     let answered = server.queries_answered();
     let per_tenant = server.tenant_metrics();
     let m = server.metrics();
@@ -781,7 +741,6 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         let options = ConnectOptions {
             deadline: std::time::Duration::from_secs(timeout),
             credentials,
-            ..ConnectOptions::default()
         };
         QueryClient::connect_with(addr, &options)
     } else {
@@ -897,9 +856,9 @@ fn cmd_coverage(flags: &Flags) -> Result<(), String> {
             let r = newgreedi(&mut cluster, k).map_err(|e| e.to_string())?;
             (r, cluster.metrics(), cluster.timeline().clone())
         }
-        backend @ (Backend::Proc | Backend::Join) => {
+        Backend::Tcp { spawn } => {
             let seed = flags.num("seed", 42u64)?;
-            let mut cluster = tcp_cluster(backend, machines, net, seed, flags)?;
+            let mut cluster = tcp_cluster(spawn, machines, net, seed, flags)?;
             coverage_on_ops(&mut cluster, &problem, &shards, k)?
         }
     };
@@ -963,15 +922,15 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
             let cluster = SimCluster::new(workers, net, mode).with_faults(injector);
             diimm_on_recovering(cluster, &g, &config, true, policy).map_err(|e| e.to_string())?
         }
-        Backend::Proc => {
-            let mut cluster = tcp_cluster(Backend::Proc, machines, net, config.seed, flags)?;
+        Backend::Tcp { spawn: true } => {
+            let mut cluster = tcp_cluster(true, machines, net, config.seed, flags)?;
             setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
             // Armed after setup, so plan rounds count op rounds from
             // the first algorithm phase — same clock as the simulator.
             cluster.set_chaos(Some(injector));
             diimm_on_recovering(cluster, &g, &config, true, policy).map_err(|e| e.to_string())?
         }
-        Backend::Join => {
+        Backend::Tcp { spawn: false } => {
             return Err("chaos replay drives sequential|threads|proc backends".into())
         }
     };

@@ -88,7 +88,6 @@ fn main() -> ExitCode {
     loop {
         let opts = JoinOptions {
             requested,
-            caps: rendezvous::caps::ALL,
             // After the first session the master may legitimately be gone;
             // bound the re-join so the worker can notice and exit clean.
             deadline: deadline.or((sessions_served > 0).then_some(REJOIN_GRACE)),

@@ -9,7 +9,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dim_coverage::{constrained_greedy, scratch, seed_set_coverage, CoverageShard, SketchCursors};
+use dim_coverage::{constrained_greedy, seed_set_coverage, CoverageShard, SketchCursors};
+use dim_graph::scratch;
 
 struct CountingAlloc;
 

@@ -646,7 +646,6 @@ mod join_backend {
                 thread::spawn(move || {
                     let opts = JoinOptions {
                         requested: Some(id as u32),
-                        caps: rendezvous::caps::ALL,
                         deadline: Some(Duration::from_secs(30)),
                     };
                     let mut host: Option<WorkerHost> = None;

@@ -281,3 +281,36 @@ fn serve_and_query_roundtrip() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Each `dim stream --apply` line is parsed as one whole JSON object: a
+/// key name appearing as a value does not shadow the key, and an
+/// unterminated object or trailing bytes exit 1 naming `EDITS:line`.
+#[test]
+fn stream_parses_each_edit_line_as_one_json_object() {
+    let dir = temp_path("stream-json");
+    let dir_s = dir.to_str().unwrap();
+    let edits = temp_path("stream-json-edits.jsonl");
+    let edits_s = edits.to_str().unwrap();
+    let common = [
+        "--graph", "profile:facebook:0.05", "--k", "2", "--machines", "2", "--epsilon", "0.5",
+        "--seed", "31",
+    ];
+    let (ok, _, err) = run(&[&["sample"], &common[..], &["--out", dir_s, "--generations"]].concat());
+    assert!(ok, "sample failed: {err}");
+
+    let stream = |line: &str| {
+        std::fs::write(&edits, format!("{line}\n")).unwrap();
+        let args = [&["stream"], &common[..], &["--store", dir_s, "--apply", edits_s]].concat();
+        let out = dim().args(args).output().expect("binary runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (code, err) = stream(r#"{"note":"u","op":"delete","u":1,"v":2}"#);
+    assert_eq!(code, Some(0), "{err}");
+    for bad in [r#"{"op":"delete","u":1,"v":2"#, r#"{"op":"delete","u":1,"v":2} junk"#] {
+        let (code, err) = stream(bad);
+        assert_eq!(code, Some(1), "{bad} accepted: {err}");
+        assert!(err.contains(&format!("{edits_s}:1: ")), "{bad}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&edits).ok();
+}

@@ -253,7 +253,7 @@ fn batchable_request() -> impl Fn(&mut Rng) -> QueryRequest {
     batchable(any_request, |r| !matches!(r, QueryRequest::Reload | QueryRequest::Auth { .. }))
 }
 
-/// Probabilities stay within the ppm scale both plan codecs enforce.
+/// Probabilities stay within the ppm scale the plan codec enforces.
 fn any_fault_plan(rng: &mut Rng) -> FaultPlan {
     let ppm = |r: &mut Rng| in_range(r, 0..u64::from(PPM) + 1) as u32;
     FaultPlan {
@@ -482,11 +482,6 @@ fn wire_frame_layout_survives_write_coalescing() {
 }
 
 // Chaos plans and edge batches.
-
-#[test]
-fn fault_plan_binary_is_strict() {
-    strict(Canonical, "plan_binary", CASES, any_fault_plan, FaultPlan::encode, FaultPlan::decode);
-}
 
 /// The text form pays a full parse per truncation point, so strictness
 /// runs on fewer cases; the roundtrip (every `u64` exact) runs on all.

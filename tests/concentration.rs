@@ -1,8 +1,8 @@
 //! Statistical integration tests for the paper's concentration results.
 
 use dim::prelude::*;
+use dim_coverage::PooledSets;
 use dim_diffusion::rr::{sample_batch, AnySampler};
-use dim_diffusion::RrStore;
 use dim_graph::rng::Rng;
 
 /// Corollary 1: the total size of T RR sets concentrates around T·EPS —
@@ -16,10 +16,10 @@ fn corollary1_rr_size_concentration() {
     let batches = 24;
     let totals: Vec<usize> = (0..batches)
         .map(|i| {
-            let mut store = RrStore::new();
+            let mut total = 0;
             let mut rng = Rng::new(1000 + i);
-            sample_batch(&sampler, batch, &mut rng, &mut store);
-            store.total_size()
+            sample_batch(&sampler, batch, &mut rng, |rr| total += rr.len());
+            total
         })
         .collect();
     let mean = totals.iter().sum::<usize>() as f64 / batches as f64;
@@ -40,10 +40,10 @@ fn workload_balanced_across_machines() {
     let per_machine = 3_000;
     let sizes: Vec<usize> = (0..machines)
         .map(|i| {
-            let mut store = RrStore::new();
+            let mut total = 0;
             let mut rng = Rng::new(stream_seed(9, i));
-            sample_batch(&sampler, per_machine, &mut rng, &mut store);
-            store.total_size()
+            sample_batch(&sampler, per_machine, &mut rng, |rr| total += rr.len());
+            total
         })
         .collect();
     let avg = sizes.iter().sum::<usize>() as f64 / machines as f64;
@@ -65,9 +65,11 @@ fn lemma1_multi_node_unbiasedness() {
     let seeds: Vec<u32> = vec![0, 5, 11];
     let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
     let mut rng = Rng::new(2);
-    let mut store = RrStore::new();
+    let mut store = PooledSets::new();
     let count = 60_000;
-    sample_batch(&sampler, count, &mut rng, &mut store);
+    sample_batch(&sampler, count, &mut rng, |rr| {
+        store.push(rr);
+    });
     let covered = store
         .iter()
         .filter(|rr| rr.iter().any(|v| seeds.contains(v)))
@@ -91,10 +93,10 @@ fn samplers_agree_on_eps() {
     let g = DatasetProfile::LiveJournal.generate(0.001, 3);
     let count = 40_000;
     let eps_of = |sampler: AnySampler| {
-        let mut store = RrStore::new();
+        let mut total = 0;
         let mut rng = Rng::new(5);
-        sample_batch(&sampler, count, &mut rng, &mut store);
-        store.total_size() as f64 / count as f64
+        sample_batch(&sampler, count, &mut rng, |rr| total += rr.len());
+        total as f64 / count as f64
     };
     let bfs = eps_of(AnySampler::for_model(
         &g,

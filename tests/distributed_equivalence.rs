@@ -74,16 +74,17 @@ fn incremental_reporting_preserves_output() {
 fn newgreedi_exact_on_ris_instances() {
     use dim_cluster::SimCluster;
     use dim_coverage::greedy::bucket_greedy;
-    use dim_coverage::CoverageShard;
+    use dim_coverage::{CoverageShard, PooledSets};
     use dim_diffusion::rr::{sample_batch, AnySampler};
-    use dim_diffusion::RrStore;
     use dim_graph::rng::Rng;
 
     let g = DatasetProfile::Facebook.generate(0.1, 8);
     let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
-    let mut store = RrStore::new();
+    let mut store = PooledSets::new();
     let mut rng = Rng::new(3);
-    sample_batch(&sampler, 4000, &mut rng, &mut store);
+    sample_batch(&sampler, 4000, &mut rng, |rr| {
+        store.push(rr);
+    });
 
     let mut central = CoverageShard::from_records(g.num_nodes(), store.iter());
     let reference = bucket_greedy(&mut central, 12);

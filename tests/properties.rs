@@ -14,11 +14,10 @@ use std::time::Duration;
 use common::{any_u64, forall, in_range, vec_of};
 use dim::dim_core::params::log_choose;
 use dim::dim_coverage::greedy::naive_greedy;
-use dim::dim_coverage::{constrained_greedy, seed_set_coverage, SketchCursors};
+use dim::dim_coverage::{constrained_greedy, seed_set_coverage, PooledSets, SketchCursors};
 use dim::dim_diffusion::exact::LiveEdgeEnsemble;
 use dim::dim_diffusion::rr::{sample_batch, AnySampler};
-use dim::dim_diffusion::visit::VisitTracker;
-use dim::dim_diffusion::RrStore;
+use dim::dim_graph::scratch::EpochFlags;
 use dim::prelude::*;
 
 const IC: DiffusionModel = DiffusionModel::IndependentCascade;
@@ -214,7 +213,7 @@ fn ris_and_forward_estimates_match_exact_spread() {
         for model in [IC, LT] {
             let within = |est: f64, exact: f64| (est - exact).abs() < 0.15 + 0.05 * exact;
             let sampler = AnySampler::for_model(g, model);
-            let (mut rng, mut rr, mut visited) = (Rng::new(*seed), Vec::new(), VisitTracker::new(6));
+            let (mut rng, mut rr, mut visited) = (Rng::new(*seed), Vec::new(), EpochFlags::new(6));
             let trials = 30_000;
             let hits = (0..trials)
                 .filter(|_| {
@@ -256,7 +255,7 @@ fn exact_spread_is_monotone_and_submodular() {
 }
 
 /// Every RR set is non-empty, duplicate-free and within node-id bounds for
-/// all three samplers, and the inverted index agrees with a direct scan.
+/// all three samplers, and the transpose agrees with a direct scan.
 #[test]
 fn rr_sets_are_well_formed_and_indexed() {
     let gen = |r: &mut Rng| (tiny_graph(r), in_range(r, 0..1000));
@@ -264,8 +263,10 @@ fn rr_sets_are_well_formed_and_indexed() {
         let samplers =
             [AnySampler::for_model(g, IC), AnySampler::for_model(g, LT), AnySampler::subsim(g)];
         for sampler in &samplers {
-            let mut store = RrStore::new();
-            sample_batch(sampler, 300, &mut Rng::new(*seed), &mut store);
+            let mut store = PooledSets::new();
+            sample_batch(sampler, 300, &mut Rng::new(*seed), |rr| {
+                store.push(rr);
+            });
             for rr in store.iter() {
                 assert!(!rr.is_empty() && rr.iter().all(|&v| v < 6));
                 let mut distinct = rr.to_vec();
@@ -273,12 +274,12 @@ fn rr_sets_are_well_formed_and_indexed() {
                 distinct.dedup();
                 assert_eq!(distinct.len(), rr.len());
             }
-            let index = store.invert(6);
+            let index = store.transpose(6);
             for v in 0..6 {
-                let direct: Vec<u32> = (0..store.num_sets() as u32)
+                let direct: Vec<u32> = (0..store.len() as u32)
                     .filter(|&i| store.get(i as usize).contains(&v))
                     .collect();
-                assert_eq!(index.sets_covering(v), direct);
+                assert_eq!(index.get(v as usize), direct);
             }
         }
     });
