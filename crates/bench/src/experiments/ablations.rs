@@ -7,8 +7,7 @@ use dim_core::diimm::diimm_with_options;
 use dim_core::{ImConfig, SamplerKind};
 use dim_coverage::greedy::{bucket_greedy, celf_greedy, naive_greedy};
 use dim_coverage::{newgreedi, CoverageProblem, PooledSets};
-use dim_diffusion::rr::{sample_batch, AnySampler};
-use dim_diffusion::DiffusionModel;
+use dim_diffusion::rr::{sample_batch, AnySampler, IcRrSampler, SubsimRrSampler};
 use dim_graph::rng::Rng;
 
 use crate::context::Context;
@@ -153,11 +152,8 @@ pub fn sampler(ctx: &Context) {
             });
             (start.elapsed().as_secs_f64(), edges)
         };
-        let (bfs_s, bfs_edges) = run(AnySampler::for_model(
-            &graph,
-            DiffusionModel::IndependentCascade,
-        ));
-        let (subsim_s, subsim_edges) = run(AnySampler::subsim(&graph));
+        let (bfs_s, bfs_edges) = run(AnySampler::ReverseBfs(IcRrSampler::new(&graph)));
+        let (subsim_s, subsim_edges) = run(AnySampler::Subsim(SubsimRrSampler::new(&graph)));
         let row = SamplerRow {
             dataset: profile.name(),
             rr_sets: count,
@@ -206,7 +202,7 @@ pub fn incremental(ctx: &Context) {
             epsilon: ctx.epsilon,
             delta: 1.0 / graph.num_nodes() as f64,
             seed: ctx.seed,
-            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
+            sampler: SamplerKind::ReverseBfs,
         };
         let full = diimm_with_options(
             &graph,

@@ -101,9 +101,13 @@ fn run_setup(ctx: &Context, setup: Setup) {
     } else {
         &ctx.cluster_machines
     };
+    // Rows name the law: the paper's standard samplers (reverse BFS, LT
+    // walk), or SUBSIM for Fig. 7.
     let sampler_label = match setup.sampler {
-        SamplerKind::Standard(_) => "standard",
-        SamplerKind::Subsim => "subsim",
+        SamplerKind::Standard(DiffusionModel::IndependentCascade) => "subsim",
+        SamplerKind::Standard(DiffusionModel::LinearThreshold) | SamplerKind::ReverseBfs => {
+            "standard"
+        }
     };
     println!(
         "model = {}, sampler = {sampler_label}, network = {}, ε = {}, k = {}\n",
@@ -193,7 +197,7 @@ pub fn fig5(ctx: &Context) {
         ctx,
         Setup {
             figure: "fig5",
-            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
+            sampler: SamplerKind::ReverseBfs,
             network: NetworkModel::cluster_1gbps(),
             network_label: "1 Gbps cluster",
             multicore: false,
@@ -207,7 +211,7 @@ pub fn fig6(ctx: &Context) {
         ctx,
         Setup {
             figure: "fig6",
-            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
+            sampler: SamplerKind::ReverseBfs,
             network: NetworkModel::shared_memory(),
             network_label: "shared memory",
             multicore: true,
@@ -221,7 +225,7 @@ pub fn fig7(ctx: &Context) {
         ctx,
         Setup {
             figure: "fig7",
-            sampler: SamplerKind::Subsim,
+            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
             network: NetworkModel::shared_memory(),
             network_label: "shared memory",
             multicore: true,

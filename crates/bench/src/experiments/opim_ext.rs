@@ -6,7 +6,6 @@ use dim_cluster::NetworkModel;
 use dim_core::diimm::diimm;
 use dim_core::opim::dopim_c;
 use dim_core::{ImConfig, SamplerKind};
-use dim_diffusion::DiffusionModel;
 
 use crate::context::Context;
 use crate::report::{self, ToJson};
@@ -44,7 +43,7 @@ pub fn run(ctx: &Context) {
             epsilon: ctx.epsilon,
             delta: 1.0 / graph.num_nodes() as f64,
             seed: ctx.seed,
-            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
+            sampler: SamplerKind::ReverseBfs,
         };
         let net = NetworkModel::shared_memory();
         let imm_r = diimm(&graph, &config, machines, net, ctx.exec_mode()).expect("well-formed wire");

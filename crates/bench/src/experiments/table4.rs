@@ -1,7 +1,6 @@
 //! Table IV — number and total size of RR sets under the IC model.
 
 use dim_core::{imm, ImConfig, SamplerKind};
-use dim_diffusion::DiffusionModel;
 
 use crate::context::Context;
 use crate::report::{self, ToJson};
@@ -35,7 +34,7 @@ pub fn run(ctx: &Context) {
             epsilon: ctx.epsilon,
             delta: 1.0 / graph.num_nodes() as f64,
             seed: ctx.seed,
-            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
+            sampler: SamplerKind::ReverseBfs,
         };
         let r = imm(&graph, &config);
         let row = Row {

@@ -39,14 +39,18 @@ pub use dim_graph::codec::{put_u32, put_u64, Reader};
 ///
 /// Mirrors `dim-core`'s `SamplerKind` without depending on it (this crate
 /// sits below the algorithms in the dependency order); `dim-core` provides
-/// the conversions.
+/// the conversions. Each variant names one RR-set law, and its tag is
+/// bound to that law in every file ever written: the default IC sampler is
+/// `Subsim` (tag 2), so a tag-0 sketch can only be extended or repaired by
+/// the reverse BFS that drew it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplerSpec {
-    /// Reverse BFS under independent cascade.
-    StandardIc,
+    /// The paper's per-edge reverse BFS under independent cascade.
+    ReverseBfs,
     /// Reverse walk under linear threshold.
     StandardLt,
-    /// SUBSIM's geometric-jump sampler (IC distribution).
+    /// SUBSIM's geometric-jump sampler under independent cascade, the IC
+    /// default.
     Subsim,
 }
 
@@ -55,7 +59,7 @@ impl SamplerSpec {
     /// `dim-store` snapshot headers).
     pub fn tag(self) -> u8 {
         match self {
-            SamplerSpec::StandardIc => 0,
+            SamplerSpec::ReverseBfs => 0,
             SamplerSpec::StandardLt => 1,
             SamplerSpec::Subsim => 2,
         }
@@ -64,7 +68,7 @@ impl SamplerSpec {
     /// Inverse of [`SamplerSpec::tag`].
     pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
-            0 => Some(SamplerSpec::StandardIc),
+            0 => Some(SamplerSpec::ReverseBfs),
             1 => Some(SamplerSpec::StandardLt),
             2 => Some(SamplerSpec::Subsim),
             _ => None,
@@ -79,7 +83,9 @@ pub struct WorkerStats {
     pub num_elements: u64,
     /// Σ over resident elements of their size.
     pub total_size: u64,
-    /// Edges examined while sampling (the EPT mass), if the worker samples.
+    /// Sampler work units spent while sampling (Σ w(R), the EPT mass: one
+    /// per in-edge examined, one per jump on a SUBSIM jump row), if the
+    /// worker samples.
     pub edges_examined: u64,
 }
 
@@ -750,7 +756,7 @@ mod tests {
             },
             WorkerOp::LoadGraph { blob: vec![] },
             WorkerOp::InitSampler {
-                spec: SamplerSpec::StandardIc,
+                spec: SamplerSpec::ReverseBfs,
             },
             WorkerOp::InitSampler {
                 spec: SamplerSpec::StandardLt,
@@ -787,7 +793,7 @@ mod tests {
                 theta: 0,
                 shard_id: 0,
                 shard_count: 0,
-                spec: SamplerSpec::StandardIc,
+                spec: SamplerSpec::ReverseBfs,
             },
             WorkerOp::ApplyDelta {
                 batch: vec![7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -809,7 +815,7 @@ mod tests {
                 seed: 0,
                 theta: 0,
                 shard_count: 0,
-                spec: SamplerSpec::StandardIc,
+                spec: SamplerSpec::ReverseBfs,
             },
             WorkerOp::Shutdown,
         ]

@@ -7,15 +7,18 @@ use dim_diffusion::rr::AnySampler;
 use dim_diffusion::DiffusionModel;
 use dim_graph::Graph;
 
-/// Which RR-set sampler the run uses.
+/// Which RR-set sampler the run uses. Each kind draws one RR-set law and
+/// persists under that law's tag (`dim_cluster::SamplerSpec`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplerKind {
-    /// The model's standard sampler: reverse BFS (IC) or reverse walk (LT).
-    /// This is what IMM/DiIMM use.
+    /// The model's default sampler ([`AnySampler::for_model`]): SUBSIM's
+    /// geometric jumps for IC (the Fig. 7 sampler, tag 2) and the reverse
+    /// walk for LT (tag 1). What IMM/DiIMM, `dim` and the benchmark use.
     Standard(DiffusionModel),
-    /// SUBSIM's geometric-jump sampler (IC distribution, faster generation)
-    /// — the Fig. 7 configuration.
-    Subsim,
+    /// The paper's §III-A per-edge reverse BFS for IC (tag 0): the same
+    /// law as `Standard(IC)` drawn coin by coin, kept as the baseline that
+    /// Figs. 5/6 and Table IV measure.
+    ReverseBfs,
 }
 
 impl SamplerKind {
@@ -23,7 +26,7 @@ impl SamplerKind {
     pub(crate) fn make<'g>(&self, graph: &'g Graph) -> AnySampler<'g> {
         match self {
             SamplerKind::Standard(model) => AnySampler::for_model(graph, *model),
-            SamplerKind::Subsim => AnySampler::subsim(graph),
+            SamplerKind::ReverseBfs => AnySampler::reverse_bfs(graph),
         }
     }
 
@@ -31,7 +34,7 @@ impl SamplerKind {
     pub fn model(&self) -> DiffusionModel {
         match self {
             SamplerKind::Standard(m) => *m,
-            SamplerKind::Subsim => DiffusionModel::IndependentCascade,
+            SamplerKind::ReverseBfs => DiffusionModel::IndependentCascade,
         }
     }
 }
@@ -115,7 +118,8 @@ pub struct ImResult {
     pub num_rr_sets: usize,
     /// Σ over RR sets of their size (Table IV column 2).
     pub total_rr_size: usize,
-    /// Total edges examined while sampling (Σ w(R), the EPT mass).
+    /// Total sampler work units spent (Σ w(R), the EPT mass): one per
+    /// in-edge examined, one per jump on a SUBSIM jump row.
     pub edges_examined: u64,
     /// Estimated influence spread `n · F_R(S*)`.
     pub est_spread: f64,
@@ -135,6 +139,10 @@ pub struct ImResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dim_cluster::rr_set_seed;
+    use dim_diffusion::rr::RrSampler;
+    use dim_graph::rng::Rng;
+    use dim_graph::scratch::EpochFlags;
     use dim_graph::{GraphBuilder, WeightModel};
 
     #[test]
@@ -200,9 +208,58 @@ mod tests {
 
     #[test]
     fn subsim_kind_is_ic() {
-        assert_eq!(
-            SamplerKind::Subsim.model(),
-            DiffusionModel::IndependentCascade
-        );
+        let ic = DiffusionModel::IndependentCascade;
+        assert_eq!(SamplerKind::ReverseBfs.model(), ic);
+        let g = mixed_fixture();
+        assert!(matches!(SamplerKind::Standard(ic).make(&g), AnySampler::Subsim(_)));
+        assert!(matches!(SamplerKind::ReverseBfs.make(&g), AnySampler::ReverseBfs(_)));
+    }
+
+    /// `dim_diffusion`'s SUBSIM test fixture: a 200-node double ring (coin
+    /// rows) whose nodes also point at hub 0 (a jump row).
+    fn mixed_fixture() -> Graph {
+        let n = 200u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for i in 0..n {
+            b.add_edge(i, (i + 1) % n);
+            b.add_edge(i, (i + 2) % n);
+            if (1..=197).contains(&i) {
+                b.add_edge(i, 0);
+            }
+        }
+        b.build(WeightModel::WeightedCascade)
+    }
+
+    /// FNV-1a over 10 000 RR sets drawn by `kind` on the mixed fixture, set
+    /// `j` from its own stream `rr_set_seed(7, j)` as a DiIMM worker draws
+    /// it: each set's size, members and work units.
+    fn law_digest(kind: SamplerKind) -> u64 {
+        let g = mixed_fixture();
+        let sampler = kind.make(&g);
+        let (mut out, mut visited) = (Vec::new(), EpochFlags::new(g.num_nodes()));
+        let mut bytes = Vec::new();
+        for j in 0..10_000 {
+            let mut rng = Rng::new(rr_set_seed(7, j));
+            let work = sampler.sample(&mut rng, &mut out, &mut visited);
+            bytes.extend((out.len() as u32).to_le_bytes());
+            for &v in &out {
+                bytes.extend(v.to_le_bytes());
+            }
+            bytes.extend(work.to_le_bytes());
+        }
+        dim_store::fnv1a(&bytes)
+    }
+
+    /// The two IC laws, pinned draw for draw to the digests they printed
+    /// before the default moved: `Standard(IC)` under the old name
+    /// `Subsim`, `ReverseBfs` under the old `Standard(IC)`. A sketch on
+    /// disk stays reproducible under the tag it was written with.
+    #[test]
+    fn ic_laws_reproduce_their_pinned_draws() {
+        const SUBSIM: u64 = 0xcb90_df32_694e_65b9;
+        const REVERSE_BFS: u64 = 0x80b1_78dc_8e6e_2d3a;
+        let ic = SamplerKind::Standard(DiffusionModel::IndependentCascade);
+        assert_eq!(law_digest(ic), SUBSIM);
+        assert_eq!(law_digest(SamplerKind::ReverseBfs), REVERSE_BFS);
     }
 }

@@ -534,8 +534,8 @@ mod tests {
     #[test]
     fn subsim_sampler_works_distributed() {
         let g = barabasi_albert(200, 3, WeightModel::WeightedCascade, 4);
-        let mut cfg = config(4, 6);
-        cfg.sampler = SamplerKind::Subsim;
+        // `Standard(IC)` is the SUBSIM sampler.
+        let cfg = config(4, 6);
         let r = diimm(
             &g,
             &cfg,
@@ -554,7 +554,7 @@ mod tests {
         let g = erdos_renyi(120, 600, WeightModel::WeightedCascade, 21);
         for sampler in [
             SamplerKind::Standard(DiffusionModel::IndependentCascade),
-            SamplerKind::Subsim,
+            SamplerKind::ReverseBfs,
         ] {
             let mut cfg = config(3, 5);
             cfg.sampler = sampler;

@@ -222,10 +222,12 @@ mod tests {
     #[test]
     fn subsim_matches_standard_quality() {
         let g = barabasi_albert(300, 4, WeightModel::WeightedCascade, 10);
-        let std_r = imm(&g, &config(5, 0.4, 21));
+        // The default IC sampler is SUBSIM; the paper's standard one is
+        // the per-edge reverse BFS.
+        let sub_r = imm(&g, &config(5, 0.4, 21));
         let mut cfg = config(5, 0.4, 21);
-        cfg.sampler = SamplerKind::Subsim;
-        let sub_r = imm(&g, &cfg);
+        cfg.sampler = SamplerKind::ReverseBfs;
+        let std_r = imm(&g, &cfg);
         let rel = (std_r.est_spread - sub_r.est_spread).abs() / std_r.est_spread;
         assert!(rel < 0.2, "std {} vs subsim {}", std_r.est_spread, sub_r.est_spread);
         // SUBSIM examines fewer edges for the same sample counts on

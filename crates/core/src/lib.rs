@@ -19,8 +19,9 @@
 //!   machine's RR shard through `dim-store`, and [`diimm_load_rr`] reruns seed
 //!   selection from the snapshot with byte-identical seeds and marginals.
 //!
-//! SUBSIM variants (Fig. 7) are obtained by selecting
-//! [`SamplerKind::Subsim`] in the configuration. The [`opim`] module adds
+//! IC runs sample with SUBSIM's geometric jumps by default (the Fig. 7
+//! configuration); [`SamplerKind::ReverseBfs`] selects the paper's
+//! per-edge reverse BFS, which draws the same law. The [`opim`] module adds
 //! OPIM-C and its distributed variant — the adaptive-stopping framework
 //! the paper names as equally compatible with its building blocks.
 //!

@@ -607,7 +607,7 @@ mod tests {
         }
         // Different sampler kind.
         let mut cfg2 = cfg;
-        cfg2.sampler = SamplerKind::Subsim;
+        cfg2.sampler = SamplerKind::ReverseBfs;
         match diimm_load_rr(&g, &cfg2, &dir, net, ExecMode::Sequential) {
             Err(SnapshotError::Store(StoreError::Mismatch { field, .. })) => {
                 assert_eq!(field, "sampler")
@@ -615,6 +615,33 @@ mod tests {
             other => panic!("expected sampler mismatch, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sketch written when the reverse BFS was the IC default carries
+    /// tag 0. Requested as today's default `Standard(IC)` (tag 2) it is
+    /// refused, for selection and for streaming alike: it must be
+    /// re-sampled, never repaired under the other law.
+    #[test]
+    fn tag0_snapshot_is_refused_as_default_ic() {
+        let g = erdos_renyi(150, 700, WeightModel::WeightedCascade, 3);
+        let old = ImConfig { sampler: SamplerKind::ReverseBfs, ..config(3, 5) };
+        let root = temp_dir("tag0");
+        let net = NetworkModel::zero();
+        diimm_sample_generation(&g, &old, 2, net, ExecMode::Sequential, &root, 4).unwrap();
+        let dir = root.join(dim_store::generation_dir_name(1));
+        assert_eq!(load_rr_snapshot(&g, &old, &dir).unwrap().sampler.tag(), 0);
+
+        let default_ic = config(3, 5);
+        let refused = |e: &SnapshotError| {
+            matches!(e, SnapshotError::Store(StoreError::Mismatch { field: "sampler", .. }))
+        };
+        let err = diimm_load_rr(&g, &default_ic, &dir, net, ExecMode::Sequential).unwrap_err();
+        assert!(refused(&err), "load: {err:?}");
+        let err = StreamSession::open(&g, &default_ic, &root, net, ExecMode::Sequential)
+            .err()
+            .expect("a tag-0 chain must not open as Standard(IC)");
+        assert!(refused(&err), "stream: {err:?}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -26,14 +26,15 @@ use dim_store::fnv1a;
 use crate::config::{ImConfig, SamplerKind};
 use crate::diimm::DiimmWorker;
 
+/// A spec names the law its tag was written with: the IC default is
+/// SUBSIM (tag 2), and tag 0 is the reverse BFS, whatever was the default
+/// when the sketch was drawn.
 impl From<SamplerSpec> for SamplerKind {
     fn from(spec: SamplerSpec) -> Self {
         match spec {
-            SamplerSpec::StandardIc => {
-                SamplerKind::Standard(DiffusionModel::IndependentCascade)
-            }
+            SamplerSpec::Subsim => SamplerKind::Standard(DiffusionModel::IndependentCascade),
             SamplerSpec::StandardLt => SamplerKind::Standard(DiffusionModel::LinearThreshold),
-            SamplerSpec::Subsim => SamplerKind::Subsim,
+            SamplerSpec::ReverseBfs => SamplerKind::ReverseBfs,
         }
     }
 }
@@ -41,9 +42,9 @@ impl From<SamplerSpec> for SamplerKind {
 impl From<SamplerKind> for SamplerSpec {
     fn from(kind: SamplerKind) -> Self {
         match kind {
-            SamplerKind::Standard(DiffusionModel::IndependentCascade) => SamplerSpec::StandardIc,
+            SamplerKind::Standard(DiffusionModel::IndependentCascade) => SamplerSpec::Subsim,
             SamplerKind::Standard(DiffusionModel::LinearThreshold) => SamplerSpec::StandardLt,
-            SamplerKind::Subsim => SamplerSpec::Subsim,
+            SamplerKind::ReverseBfs => SamplerSpec::ReverseBfs,
         }
     }
 }
@@ -205,7 +206,7 @@ mod tests {
     #[test]
     fn sampler_spec_round_trips_through_kind() {
         for spec in [
-            SamplerSpec::StandardIc,
+            SamplerSpec::ReverseBfs,
             SamplerSpec::StandardLt,
             SamplerSpec::Subsim,
         ] {
@@ -233,7 +234,7 @@ mod tests {
             WorkerReply::Ok
         );
         assert_eq!(
-            host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::StandardIc }),
+            host.execute(&WorkerOp::InitSampler { spec: config.sampler.into() }),
             WorkerReply::Ok
         );
         for op in [
@@ -282,12 +283,12 @@ mod tests {
         assert!(std::ptr::eq(first, host.graph.unwrap()));
         // The rebound host behaves exactly like a fresh one for that slot.
         assert_eq!(
-            host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::StandardIc }),
+            host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::ReverseBfs }),
             WorkerReply::Ok
         );
         let mut fresh = WorkerHost::new(1, 8);
         fresh.execute(&WorkerOp::LoadGraph { blob: blob.clone() });
-        fresh.execute(&WorkerOp::InitSampler { spec: SamplerSpec::StandardIc });
+        fresh.execute(&WorkerOp::InitSampler { spec: SamplerSpec::ReverseBfs });
         for op in [
             WorkerOp::SampleRr { count: 150 },
             WorkerOp::InitialCoverage,
@@ -326,7 +327,7 @@ mod tests {
                 other => panic!("hostile blob answered {other:?}"),
             }
             // Still serving: the next op gets its ordinary answer.
-            let next = host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::StandardIc });
+            let next = host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::ReverseBfs });
             assert_eq!(next, WorkerReply::Err("InitSampler before LoadGraph".into()));
         }
         assert_eq!(host.execute(&WorkerOp::LoadGraph { blob: good }), WorkerReply::Ok);

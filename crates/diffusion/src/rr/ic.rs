@@ -4,11 +4,12 @@ use dim_graph::rng::Rng;
 use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
-use crate::rr::RrSampler;
+use crate::rr::{enqueue, RrSampler};
 
-/// The standard IC sampler: breadth-first search from the root following
+/// The paper's IC sampler: breadth-first search from the root following
 /// *incoming* edges, traversing each edge `⟨u', u⟩` with probability
-/// `p(u', u)`.
+/// `p(u', u)`. It is the named `ReverseBfs` baseline; the IC default is
+/// [`crate::rr::SubsimRrSampler`], which draws the same law.
 pub struct IcRrSampler<'g> {
     graph: &'g Graph,
 }
@@ -18,17 +19,51 @@ impl<'g> IcRrSampler<'g> {
     pub fn new(graph: &'g Graph) -> Self {
         IcRrSampler { graph }
     }
+}
 
-    /// The live-edge coin of `⟨w, u⟩`. Coins are independent, and one is
-    /// only observable when `w` is not yet in R, so only those are flipped.
-    /// A node that joins R is dequeued later: its in-list starts loading now.
-    #[inline(always)]
-    fn flip(&self, w: u32, p: f32, rng: &mut Rng, out: &mut Vec<u32>, visited: &mut EpochFlags) {
-        if !visited.is_set(w as usize) && rng.f32() < p {
-            visited.set(w as usize);
-            out.push(w);
-            prefetch(self.graph.in_neighbors(w));
+/// Flips the live-edge coin of every in-edge of `u` and adds the sources
+/// that succeed to R; returns the number of in-edges examined. A uniform
+/// row (every weighted-cascade in-list) flips the same coins in the same
+/// order without reading `in_probs` at all. SUBSIM's coin rows run this
+/// too.
+#[inline(always)]
+pub(super) fn coin_row(
+    graph: &Graph,
+    u: u32,
+    rng: &mut Rng,
+    out: &mut Vec<u32>,
+    visited: &mut EpochFlags,
+) -> u64 {
+    let sources = graph.in_neighbors(u);
+    match graph.in_uniform_prob(u) {
+        Some(p) => {
+            for &w in sources {
+                flip(graph, w, p, rng, out, visited);
+            }
         }
+        None => {
+            for (&w, &p) in sources.iter().zip(graph.in_probs(u)) {
+                flip(graph, w, p, rng, out, visited);
+            }
+        }
+    }
+    sources.len() as u64
+}
+
+/// The live-edge coin of `⟨w, u⟩`. Coins are independent, and one is only
+/// observable when `w` is not yet in R, so only those are flipped.
+#[inline(always)]
+fn flip(
+    graph: &Graph,
+    w: u32,
+    p: f32,
+    rng: &mut Rng,
+    out: &mut Vec<u32>,
+    visited: &mut EpochFlags,
+) {
+    if !visited.is_set(w as usize) && rng.f32() < p {
+        visited.set(w as usize);
+        enqueue(graph, w, out);
     }
 }
 
@@ -55,39 +90,10 @@ impl RrSampler for IcRrSampler<'_> {
         while head < out.len() {
             let u = out[head];
             head += 1;
-            let sources = self.graph.in_neighbors(u);
-            edges += sources.len() as u64;
-            // A uniform row (every weighted-cascade in-list) flips the same
-            // coins in the same order without reading `in_probs` at all.
-            match self.graph.in_uniform_prob(u) {
-                Some(p) => {
-                    for &w in sources {
-                        self.flip(w, p, rng, out, visited);
-                    }
-                }
-                None => {
-                    for (&w, &p) in sources.iter().zip(self.graph.in_probs(u)) {
-                        self.flip(w, p, rng, out, visited);
-                    }
-                }
-            }
+            edges += coin_row(self.graph, u, rng, out, visited);
         }
         edges
     }
-}
-
-/// Hints the first cache line of `row` into L1; a no-op off x86-64.
-#[inline(always)]
-fn prefetch(row: &[u32]) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch of any address is architecturally a hint and
-    // never faults; SSE is part of the x86-64 baseline.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(row.as_ptr().cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
 }
 
 #[cfg(test)]

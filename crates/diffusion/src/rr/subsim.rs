@@ -7,6 +7,7 @@
 //! between consecutive successful edges is geometric with parameter `p`, so
 //! the expected work per node drops from `O(indeg)` to `O(p · indeg + 1)`.
 //! Nodes with non-uniform in-probabilities fall back to per-edge coin flips.
+//! It is the IC default of [`crate::rr::AnySampler::for_model`].
 //!
 //! Jumps are the *default* on high-degree nodes, but they are not free: a
 //! geometric draw costs two transcendental ops (`ln`, division) versus one
@@ -21,44 +22,65 @@ use dim_graph::rng::Rng;
 use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
-use crate::rr::RrSampler;
+use crate::rr::ic::coin_row;
+use crate::rr::{enqueue, RrSampler};
 
 /// Cost ratio of a geometric draw to a coin flip: a node uses jumps only
 /// when `indeg ≥ JUMP_ALPHA / (1 − p)`, so the expected number of jumps
 /// (`≈ p·d + 1`) is at least `JUMP_ALPHA` times cheaper than `d` coins.
 const JUMP_ALPHA: f64 = 4.0;
 
+/// How one node's in-edges are sampled, fixed when the sampler is built.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum RowPath {
+    /// Every in-probability is 1: every in-edge is live, no RNG at all.
+    AllLive,
+    /// Geometric jumps over a uniform row; holds `ln(1 − p)`, which is
+    /// negative.
+    Jump(f64),
+    /// Per-edge coin flips: an empty or mixed row, a degree too low for
+    /// jumps to pay, or a `p` (0, or below 2⁻⁵³) whose `ln(1 − p)` is 0.
+    Coins,
+}
+
+impl RowPath {
+    fn of(graph: &Graph, v: u32) -> RowPath {
+        let Some(p) = graph.in_uniform_prob(v) else {
+            return RowPath::Coins;
+        };
+        let p = p as f64;
+        if p >= 1.0 {
+            return RowPath::AllLive;
+        }
+        let ln_q = (1.0 - p).ln();
+        if ln_q < 0.0 && graph.in_degree(v) as f64 >= JUMP_ALPHA / (1.0 - p) {
+            RowPath::Jump(ln_q)
+        } else {
+            RowPath::Coins
+        }
+    }
+}
+
 /// Geometric-jump IC RR-set sampler.
 pub struct SubsimRrSampler<'g> {
     graph: &'g Graph,
-    /// Per node: `Some(ln(1 − p))` when all in-probabilities equal `p < 1`
-    /// *and* the degree clears the [`JUMP_ALPHA`] cutover; `Some(0.0)`
-    /// encodes `p = 1` (every edge succeeds, no RNG at all); `None` means
-    /// per-edge coin flips (non-uniform probabilities, or a degree too low
-    /// for jumps to pay).
-    jump_ln_q: Vec<Option<f64>>,
+    paths: Vec<RowPath>,
 }
 
 impl<'g> SubsimRrSampler<'g> {
     /// Creates a sampler over `graph`, precomputing the per-node path
     /// choice (jump / all-live / coins).
     pub fn new(graph: &'g Graph) -> Self {
-        let jump_ln_q = graph
-            .nodes()
-            .map(|v| {
-                // Empty and mixed in-lists have no uniform probability.
-                let p = graph.in_uniform_prob(v)? as f64;
-                if p >= 1.0 {
-                    Some(0.0)
-                } else if graph.in_degree(v) as f64 >= JUMP_ALPHA / (1.0 - p) {
-                    Some((1.0 - p).ln())
-                } else {
-                    // Uniform but low-degree: coins are cheaper.
-                    None
-                }
-            })
-            .collect();
-        SubsimRrSampler { graph, jump_ln_q }
+        let paths = graph.nodes().map(|v| RowPath::of(graph, v)).collect();
+        SubsimRrSampler { graph, paths }
+    }
+
+    /// Adds `w` to R unless it is already there.
+    #[inline(always)]
+    fn reach(&self, w: u32, out: &mut Vec<u32>, visited: &mut EpochFlags) {
+        if visited.set(w as usize) {
+            enqueue(self.graph, w, out);
+        }
     }
 
     /// Processes `u`'s in-edges via geometric jumps; pushes newly reached
@@ -66,31 +88,19 @@ impl<'g> SubsimRrSampler<'g> {
     #[inline]
     fn jump_scan(
         &self,
-        sources: &[u32],
+        u: u32,
         ln_q: f64,
         rng: &mut Rng,
         out: &mut Vec<u32>,
         visited: &mut EpochFlags,
     ) -> u64 {
-        let d = sources.len();
-        if ln_q == 0.0 {
-            // p = 1: every in-edge is live.
-            for &w in sources {
-                if visited.set(w as usize) {
-                    out.push(w);
-                }
-            }
-            return d as u64;
-        }
+        let sources = self.graph.in_neighbors(u);
         let mut work = 0u64;
         // First success index ~ floor(ln U / ln(1−p)); subsequent gaps i.i.d.
         let mut i = geometric_skip(rng, ln_q);
-        while i < d {
+        while i < sources.len() {
             work += 1;
-            let w = sources[i];
-            if visited.set(w as usize) {
-                out.push(w);
-            }
+            self.reach(sources[i], out, visited);
             i += 1 + geometric_skip(rng, ln_q);
         }
         work.max(1)
@@ -98,17 +108,13 @@ impl<'g> SubsimRrSampler<'g> {
 }
 
 /// Number of failures before the next success: `floor(ln U / ln(1−p))` with
-/// `U` uniform in `(0,1]`.
+/// `U` uniform in `(0,1]`. `ln_q < 0` bounds it by `ln 2⁻⁵³ / ln(1 − 2⁻⁵³)`
+/// ≈ 3.3·10¹⁷, so the cast cannot saturate.
 #[inline]
 fn geometric_skip(rng: &mut Rng, ln_q: f64) -> usize {
     // 1 − gen::<f64>() ∈ (0, 1] avoids ln(0).
     let u = 1.0 - rng.f64();
-    let skip = (u.ln() / ln_q).floor();
-    if skip >= usize::MAX as f64 {
-        usize::MAX
-    } else {
-        skip as usize
-    }
+    (u.ln() / ln_q).floor() as usize
 }
 
 impl RrSampler for SubsimRrSampler<'_> {
@@ -133,29 +139,17 @@ impl RrSampler for SubsimRrSampler<'_> {
         while head < out.len() {
             let u = out[head];
             head += 1;
-            let sources = self.graph.in_neighbors(u);
-            if sources.is_empty() {
-                continue;
-            }
-            match self.jump_ln_q[u as usize] {
-                Some(ln_q) => {
-                    work += self.jump_scan(sources, ln_q, rng, out, visited);
-                }
-                None => {
-                    // Coin path: ordinary per-edge flips. Already-visited
-                    // sources skip the draw entirely — their coin is
-                    // unobservable, so dropping it leaves the joint law of
-                    // observables unchanged.
-                    let probs = self.graph.in_probs(u);
-                    work += sources.len() as u64;
-                    for (&w, &p) in sources.iter().zip(probs) {
-                        if !visited.is_set(w as usize) && rng.f32() < p {
-                            visited.set(w as usize);
-                            out.push(w);
-                        }
+            work += match self.paths[u as usize] {
+                RowPath::Coins => coin_row(self.graph, u, rng, out, visited),
+                RowPath::Jump(ln_q) => self.jump_scan(u, ln_q, rng, out, visited),
+                RowPath::AllLive => {
+                    let sources = self.graph.in_neighbors(u);
+                    for &w in sources {
+                        self.reach(w, out, visited);
                     }
+                    sources.len() as u64
                 }
-            }
+            };
         }
         work
     }
@@ -252,7 +246,7 @@ mod tests {
         b.add_weighted_edge(2, 3, 0.2);
         let g = b.build(WeightModel::WeightedCascade);
         let sub = SubsimRrSampler::new(&g);
-        assert!(sub.jump_ln_q[3].is_none());
+        assert_eq!(sub.paths[3], RowPath::Coins);
         let mut rng = Rng::new(5);
         let mut out = Vec::new();
         let mut visited = EpochFlags::new(4);
@@ -273,14 +267,14 @@ mod tests {
         // Hub in-degree 20, p = 0.05: 20 ≥ 4/(0.95) → jumps.
         let g = star(20);
         let sub = SubsimRrSampler::new(&g);
-        assert!(sub.jump_ln_q[20].is_some());
+        assert!(matches!(sub.paths[20], RowPath::Jump(_)));
         // Hub in-degree 3, p = 1/3: 3 < 4/(2/3) = 6 → coins, even though
         // the in-probabilities are perfectly uniform.
         let g = star(3);
         let sub = SubsimRrSampler::new(&g);
-        assert!(sub.jump_ln_q[3].is_none());
-        // Spokes have no in-edges at all: `None` via the empty-probs path.
-        assert!(sub.jump_ln_q[0].is_none());
+        assert_eq!(sub.paths[3], RowPath::Coins);
+        // Spokes have no in-edges at all: no uniform probability.
+        assert_eq!(sub.paths[0], RowPath::Coins);
     }
 
     #[test]
@@ -291,7 +285,31 @@ mod tests {
         b.add_weighted_edge(1, 2, 1.0);
         let g = b.build(WeightModel::WeightedCascade);
         let sub = SubsimRrSampler::new(&g);
-        assert_eq!(sub.jump_ln_q[2], Some(0.0));
+        assert_eq!(sub.paths[2], RowPath::AllLive);
+    }
+
+    /// A uniform row whose `ln(1 − p)` is 0 — `p = 0`, or `p` below 2⁻⁵³ —
+    /// is not all-live: it takes coins, and a coin with `p = 0` never
+    /// succeeds. With five spokes (past the degree cutover) the hub's RR
+    /// set is the hub alone.
+    #[test]
+    fn zero_probability_row_takes_coins_not_all_live() {
+        for p in [0.0, 1e-20] {
+            let mut b = GraphBuilder::new(6);
+            for spoke in 0..5 {
+                b.add_weighted_edge(spoke, 5, p);
+            }
+            let g = b.build(WeightModel::WeightedCascade);
+            let sub = SubsimRrSampler::new(&g);
+            assert_eq!(sub.paths[5], RowPath::Coins, "p = {p}");
+            let mut rng = Rng::new(7);
+            let mut out = Vec::new();
+            let mut visited = EpochFlags::new(6);
+            for _ in 0..100 {
+                assert_eq!(sub.sample_rooted(5, &mut rng, &mut out, &mut visited), 5);
+                assert_eq!(out, vec![5], "p = {p}");
+            }
+        }
     }
 
     /// Mixed-degree fixture: a 200-node double ring (in-degree 2, p = 1/2
@@ -321,8 +339,8 @@ mod tests {
         let g = mixed_fixture();
         let sub = SubsimRrSampler::new(&g);
         let bfs = IcRrSampler::new(&g);
-        assert!(sub.jump_ln_q[0].is_some(), "hub must take the jump path");
-        assert!(sub.jump_ln_q[1].is_none(), "ring nodes take the coin path");
+        assert!(matches!(sub.paths[0], RowPath::Jump(_)), "hub must take the jump path");
+        assert_eq!(sub.paths[1], RowPath::Coins, "ring nodes take the coin path");
         let trials = 8000usize;
         let mut rng_a = Rng::new(11);
         let mut rng_b = Rng::new(12);

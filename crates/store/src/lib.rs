@@ -21,7 +21,12 @@
 //!
 //! Header block: `fingerprint u64 · sampler u8 · seed u64 · theta u64 ·
 //! shard_id u32 · shard_count u32 · num_sets u64 · num_elements u64 ·
-//! edges_examined u64`. Each body section is `count u64 ·
+//! edges_examined u64`. `sampler` is the `SamplerSpec` tag of the RR-set
+//! law that drew the sets (0 reverse BFS, 1 LT walk, 2 SUBSIM, today's IC
+//! default); a tag keeps its law forever, so a sketch is only extended or
+//! repaired by the sampler that wrote it. `edges_examined` counts sampler
+//! work units (Σ w(R): one per in-edge examined, one per jump on a SUBSIM
+//! jump row). Each body section is `count u64 ·
 //! offsets[count+1] u64 · pool u32[offsets[count]]` — the flat
 //! [`PooledSets`] representation. The index section is the transpose of
 //! the elements section over the set universe and is verified at load.
@@ -233,7 +238,8 @@ pub struct ShardHeader {
     pub num_sets: u64,
     /// RR sets stored locally in this shard.
     pub num_elements: u64,
-    /// Edges examined by this shard's sampler (for restored stats).
+    /// Sampler work units this shard's sampler spent (Σ w(R), for
+    /// restored stats).
     pub edges_examined: u64,
 }
 
@@ -554,7 +560,7 @@ pub struct Snapshot {
     pub shard_count: u32,
     /// Shards in `shard_id` order.
     pub shards: Vec<ShardSnapshot>,
-    /// Σ edges examined across shards during the original sampling.
+    /// Σ sampler work units across shards during the original sampling.
     pub edges_examined: u64,
 }
 
@@ -911,7 +917,7 @@ mod tests {
         let dir = temp_dir("sampler");
         write_pair(&dir);
         let mut req = request();
-        req.sampler = SamplerSpec::StandardIc;
+        req.sampler = SamplerSpec::ReverseBfs;
         match load_snapshot(&dir, &req) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "sampler"),
             other => panic!("expected mismatch, got {other:?}"),

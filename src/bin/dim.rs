@@ -136,6 +136,9 @@ common flags: --model ic|lt  --epsilon E  --delta D  --k K  --seed S
   --backend sequential|threads|proc|join
   --weights wc|uniform:P|trivalency  --sims N  --evaluate  --breakdown
 
+samplers: IC RR sets always use SUBSIM's geometric jumps; --algorithm
+  subsim is diimm under its Fig. 7 name (IC only, same seeds)
+
 join backend: workers are pre-started (dim-worker --connect ADDR --join)
   and register with this master; bind via DIM_MASTER_BIND (e.g.
   0.0.0.0:7070), bound by --join-timeout SECS (or DIM_JOIN_TIMEOUT_SECS)"
@@ -280,27 +283,23 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
 }
 
 /// Builds the run configuration shared by `im`, `sample`, and `serve`
-/// from the common flags (the sampler kind follows `--algorithm` /
-/// `--model`, so a snapshot written by `sample` validates under the same
-/// flags on load).
+/// from the common flags. The sampler kind follows `--model` alone, so a
+/// snapshot written by `sample` validates on load under either
+/// `--algorithm diimm` or `subsim`.
 fn im_config(flags: &Flags, g: &Graph) -> Result<(ImConfig, DiffusionModel), String> {
     let model = model_of(flags)?;
     let k = flags.num("k", 50usize)?.min(g.num_nodes());
-    let algorithm = flags.get("algorithm").unwrap_or("diimm");
-    let sampler = if algorithm == "subsim" {
-        if model != DiffusionModel::IndependentCascade {
-            return Err("subsim supports the IC model only".into());
-        }
-        SamplerKind::Subsim
-    } else {
-        SamplerKind::Standard(model)
-    };
+    // IC already samples with SUBSIM's jumps: `subsim` is DiIMM under its
+    // Fig. 7 name, and only says the model must be IC.
+    if flags.get("algorithm") == Some("subsim") && model != DiffusionModel::IndependentCascade {
+        return Err("subsim supports the IC model only".into());
+    }
     let config = ImConfig {
         k,
         epsilon: flags.num("epsilon", 0.1f64)?,
         delta: flags.num("delta", 1.0 / g.num_nodes() as f64)?,
         seed: flags.num("seed", 42u64)?,
-        sampler,
+        sampler: SamplerKind::Standard(model),
     };
     Ok((config, model))
 }

@@ -66,18 +66,18 @@ fn diimm_identical_across_backends() {
     }
 }
 
-/// The SUBSIM sampler — including its degree-based geometric-jump cutover,
-/// which routes high-in-degree nodes through the jump path and everything
-/// else through per-edge coins — is held to the same contract: the cutover
-/// is a per-node *speed* decision inside one machine's sampler, so seeds,
-/// marginals, and RR-set mass must be byte-identical across every backend
-/// and machine count.
+/// The default IC sampler is SUBSIM, whose degree cutover (jumps on
+/// high-in-degree rows, coins elsewhere) is a per-node *speed* decision
+/// inside one machine's sampler: the tests above hold it to the contract.
+/// The paper's per-edge reverse BFS, which `repro` still runs, is held to
+/// the same one: seeds, marginals, and RR-set mass byte-identical across
+/// every backend and machine count.
 #[test]
-fn diimm_subsim_cutover_identical_across_backends() {
+fn diimm_reverse_bfs_identical_across_backends() {
     let g = DatasetProfile::Facebook.generate(0.1, 11);
     let config = ImConfig {
         k: 6,
-        sampler: SamplerKind::Subsim,
+        sampler: SamplerKind::ReverseBfs,
         ..ImConfig::paper_defaults(&g, 0.4, 29)
     };
     for machines in MACHINE_COUNTS {
@@ -461,15 +461,15 @@ mod proc_backend {
         }
     }
 
-    /// The SUBSIM cutover on the process backend: worker-resident samplers
-    /// (initialized over the wire via `InitSampler`) make the same per-node
-    /// jump/coin decisions as the simulator's, so the answer is identical.
+    /// The reverse-BFS baseline on the process backend: worker-resident
+    /// samplers (initialized over the wire via `InitSampler`, tag 0) draw
+    /// the same coins as the simulator's, so the answer is identical.
     #[test]
-    fn diimm_subsim_proc_matches_sequential() {
+    fn diimm_reverse_bfs_proc_matches_sequential() {
         let g = DatasetProfile::Facebook.generate(0.1, 11);
         let config = ImConfig {
             k: 6,
-            sampler: SamplerKind::Subsim,
+            sampler: SamplerKind::ReverseBfs,
             ..ImConfig::paper_defaults(&g, 0.4, 29)
         };
         for machines in [1usize, 2] {
@@ -485,7 +485,7 @@ mod proc_backend {
             let mut cluster = proc_cluster(machines, config.seed);
             setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
             let r = diimm_on(&mut cluster, &g, &config, true).unwrap();
-            let ctx = format!("subsim ℓ = {machines}");
+            let ctx = format!("reverse BFS ℓ = {machines}");
             assert_eq!(r.seeds, reference.seeds, "{ctx}");
             assert_eq!(r.marginals, reference.marginals, "{ctx}");
             assert_eq!(r.coverage, reference.coverage, "{ctx}");
@@ -742,15 +742,15 @@ mod join_backend {
         }
     }
 
-    /// The SUBSIM cutover on the join backend: registered (not spawned)
-    /// workers running the jump/coin sampler reproduce the sequential
-    /// simulator bit for bit.
+    /// The reverse-BFS baseline on the join backend: registered (not
+    /// spawned) workers running the per-edge sampler reproduce the
+    /// sequential simulator bit for bit.
     #[test]
-    fn diimm_subsim_join_matches_sequential() {
+    fn diimm_reverse_bfs_join_matches_sequential() {
         let g = DatasetProfile::Facebook.generate(0.1, 11);
         let config = ImConfig {
             k: 6,
-            sampler: SamplerKind::Subsim,
+            sampler: SamplerKind::ReverseBfs,
             ..ImConfig::paper_defaults(&g, 0.4, 29)
         };
         let machines = 2;

@@ -125,9 +125,9 @@ fn ids(rng: &mut Rng) -> Vec<u32> {
 
 fn any_sampler(rng: &mut Rng) -> SamplerSpec {
     use SamplerSpec::*;
-    let all: [SamplerSpec; 3] = [StandardIc, StandardLt, Subsim];
+    let all: [SamplerSpec; 3] = [ReverseBfs, StandardLt, Subsim];
     match pick(rng, all) {
-        spec @ (StandardIc | StandardLt | Subsim) => spec,
+        spec @ (ReverseBfs | StandardLt | Subsim) => spec,
     }
 }
 
@@ -381,6 +381,18 @@ fn sized<T>(len: usize, encode: impl Fn(&T) -> Vec<u8>) -> impl Fn(&T) -> Vec<u8
 }
 
 // Cluster: ops, replies, the rendezvous handshake, the frame they ride in.
+
+/// A sampler tag names the RR-set law that drew a sketch, in every DIMR and
+/// DIMD file ever written: the IC default moved to SUBSIM, the tags did not.
+#[test]
+fn sampler_tags_are_pinned() {
+    use SamplerSpec::*;
+    for (spec, tag) in [(ReverseBfs, 0), (StandardLt, 1), (Subsim, 2)] {
+        assert_eq!(spec.tag(), tag, "{spec:?}");
+        assert_eq!(SamplerSpec::from_tag(tag), Some(spec), "tag {tag}");
+    }
+    assert_eq!(SamplerSpec::from_tag(3), None);
+}
 
 #[test]
 fn worker_op_is_strict() {

@@ -86,8 +86,8 @@ fn lemma1_multi_node_unbiasedness() {
     assert!(rel < 0.05, "RIS {ris} vs MC {mc} (rel {rel})");
 }
 
-/// EPS (Lemma 3) via the sampler agrees between the standard BFS sampler
-/// and SUBSIM — they draw the same distribution.
+/// EPS (Lemma 3) via the sampler agrees between the paper's per-edge BFS
+/// sampler and SUBSIM, the IC default — they draw the same distribution.
 #[test]
 fn samplers_agree_on_eps() {
     let g = DatasetProfile::LiveJournal.generate(0.001, 3);
@@ -98,11 +98,8 @@ fn samplers_agree_on_eps() {
         sample_batch(&sampler, count, &mut rng, |rr| total += rr.len());
         total as f64 / count as f64
     };
-    let bfs = eps_of(AnySampler::for_model(
-        &g,
-        DiffusionModel::IndependentCascade,
-    ));
-    let subsim = eps_of(AnySampler::subsim(&g));
+    let bfs = eps_of(AnySampler::reverse_bfs(&g));
+    let subsim = eps_of(AnySampler::for_model(&g, DiffusionModel::IndependentCascade));
     let rel = (bfs - subsim).abs() / bfs;
     assert!(rel < 0.05, "BFS EPS {bfs} vs SUBSIM EPS {subsim}");
 }

@@ -261,7 +261,7 @@ fn rr_sets_are_well_formed_and_indexed() {
     let gen = |r: &mut Rng| (tiny_graph(r), in_range(r, 0..1000));
     forall("rr_sets_well_formed", DIFFUSION_CASES, gen, |(g, seed), _| {
         let samplers =
-            [AnySampler::for_model(g, IC), AnySampler::for_model(g, LT), AnySampler::subsim(g)];
+            [AnySampler::for_model(g, IC), AnySampler::for_model(g, LT), AnySampler::reverse_bfs(g)];
         for sampler in &samplers {
             let mut store = PooledSets::new();
             sample_batch(sampler, 300, &mut Rng::new(*seed), |rr| {
