@@ -59,7 +59,9 @@ impl Default for Context {
 
 impl Context {
     /// Parses CLI flags (everything after the experiment name). Returns an
-    /// error message on unknown or malformed flags.
+    /// error message on unknown or malformed flags, and on values no
+    /// framework is analysed for: `k = 0`, `ε` outside (0, 1), a machine
+    /// count of 0.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut ctx = Context::default();
         let mut it = args.iter().peekable();
@@ -110,6 +112,15 @@ impl Context {
         }
         if ctx.datasets.is_empty() {
             return Err("no datasets selected".into());
+        }
+        if ctx.k == 0 {
+            return Err("--k must be at least 1".into());
+        }
+        if !(ctx.epsilon > 0.0 && ctx.epsilon < 1.0) {
+            return Err(format!("--epsilon {} out of (0, 1)", ctx.epsilon));
+        }
+        if ctx.cluster_machines.contains(&0) {
+            return Err("--machines counts must be at least 1".into());
         }
         Ok(ctx)
     }
@@ -216,6 +227,19 @@ mod tests {
         assert!(Context::parse(&args(&["--nope"])).is_err());
         assert!(Context::parse(&args(&["--datasets", "mars"])).is_err());
         assert!(Context::parse(&args(&["--epsilon"])).is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_values() {
+        for bad in [
+            ["--k", "0"],
+            ["--epsilon", "2"],
+            ["--epsilon", "0"],
+            ["--machines", "0,2"],
+        ] {
+            let err = Context::parse(&args(&bad)).unwrap_err();
+            assert!(err.contains(bad[0]), "{bad:?}: {err}");
+        }
     }
 
     #[test]

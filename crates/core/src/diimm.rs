@@ -23,6 +23,7 @@ use dim_graph::scratch::EpochFlags;
 use dim_graph::{DeltaBatch, Graph};
 
 use crate::config::{ImConfig, ImResult, SamplerKind, Timings};
+use crate::imm::lower_bound_search;
 use crate::params::ImParams;
 
 /// One machine's state: its graph view, RNG discipline, and element shard.
@@ -49,7 +50,7 @@ pub struct DiimmWorker<'g> {
     pub shard: CoverageShard,
     buf: Vec<u32>,
     visited: EpochFlags,
-    edges_examined: u64,
+    pub(crate) edges_examined: u64,
     /// RR sets generated so far — the next set's stream index.
     sets: u64,
 }
@@ -271,15 +272,43 @@ pub(crate) fn split_counts(total: usize, machines: usize) -> Vec<usize> {
         .collect()
 }
 
-fn generate_up_to<B: OpCluster>(cluster: &mut B, from: usize, to: usize) -> Result<(), WireError> {
-    if to <= from {
-        return Ok(());
-    }
-    let counts = split_counts(to - from, cluster.num_machines());
+/// One distributed-RIS round: `count` new RR sets (or pairs, on a
+/// paired-collection machine) split across the machines.
+pub(crate) fn sample_rr<B: OpCluster>(cluster: &mut B, count: usize) -> Result<(), WireError> {
+    let counts = split_counts(count, cluster.num_machines());
     let replies = cluster.control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
         count: counts[i] as u64,
     })?;
     expect_ok(&replies, phase::RR_SAMPLING)
+}
+
+/// Closes a run on `cluster`: the resident shards' sizes and sampler work
+/// come back through one `Stats` round, the rest from the master's state.
+pub(crate) fn finish<B: OpCluster>(
+    cluster: &mut B,
+    selection: NewGreediResult,
+    num_rr_sets: usize,
+    est_spread: f64,
+    lower_bound: f64,
+    rounds: u32,
+) -> Result<ImResult, WireError> {
+    let replies = cluster.control(phase::SETUP, |_| WorkerOp::Stats)?;
+    let stats = expect_stats(&replies, phase::SETUP)?;
+    let timeline = cluster.timeline().clone();
+    Ok(ImResult {
+        seeds: selection.seeds,
+        marginals: selection.marginals,
+        coverage: selection.covered,
+        num_rr_sets,
+        total_rr_size: stats.iter().map(|s| s.total_size as usize).sum(),
+        edges_examined: stats.iter().map(|s| s.edges_examined).sum(),
+        est_spread,
+        lower_bound,
+        rounds,
+        timings: Timings::from_timeline(&timeline),
+        metrics: timeline.total(),
+        timeline,
+    })
 }
 
 fn select<B: OpCluster>(
@@ -348,64 +377,14 @@ pub fn diimm_on<B: OpCluster>(
     let n = graph.num_nodes();
     let params = ImParams::derive(n, config.k, config.epsilon, config.delta);
     let mut base_coverage = incremental.then(|| vec![0u64; n]);
-
-    // Lines 3–10: lower-bound search.
-    let mut theta_cur = 0usize;
-    let mut lower_bound = 1.0f64;
-    let mut rounds = 0u32;
-    let mut last: Option<NewGreediResult> = None;
-    for t in 1..=params.max_rounds() {
-        rounds = t;
-        let x = n as f64 / 2f64.powi(t as i32);
-        let theta_t = params.theta_at(t);
-        generate_up_to(cluster, theta_cur, theta_t)?;
-        theta_cur = theta_cur.max(theta_t);
-        let r = select(cluster, n, config.k, &mut base_coverage)?;
-        let est = n as f64 * r.covered as f64 / theta_cur as f64;
-        last = Some(r);
-        if est >= (1.0 + params.epsilon_prime) * x {
-            lower_bound = est / (1.0 + params.epsilon_prime);
-            break;
-        }
-    }
-
-    // Lines 11–13: final sampling top-up and selection.
-    let theta = params.theta_final(lower_bound);
-    let final_result = if theta > theta_cur || last.is_none() {
-        generate_up_to(cluster, theta_cur, theta)?;
-        theta_cur = theta_cur.max(theta);
-        select(cluster, n, config.k, &mut base_coverage)?
-    } else if let Some(last) = last {
-        // θ ≤ θ_cur: the last S_t was computed over this exact collection.
-        last
-    } else {
-        unreachable!("guarded by last.is_none() above")
-    };
-
-    let coverage = final_result.covered;
-    let est_spread = n as f64 * coverage as f64 / theta_cur as f64;
-    // Worker state is resident on the machines; collect the run's shard
-    // statistics through the same op seam as every other phase.
-    let replies = cluster.control(phase::SETUP, |_| WorkerOp::Stats)?;
-    let stats = expect_stats(&replies, phase::SETUP)?;
-    let total_rr_size: usize = stats.iter().map(|s| s.total_size as usize).sum();
-    let edges_examined: u64 = stats.iter().map(|s| s.edges_examined).sum();
-    let timeline = cluster.timeline().clone();
-
-    Ok(ImResult {
-        seeds: final_result.seeds,
-        marginals: final_result.marginals,
-        coverage,
-        num_rr_sets: theta_cur,
-        total_rr_size,
-        edges_examined,
-        est_spread,
-        lower_bound,
-        rounds,
-        timings: Timings::from_timeline(&timeline),
-        metrics: timeline.total(),
-        timeline,
-    })
+    let (selection, theta, lower_bound, rounds) = lower_bound_search(
+        &params,
+        cluster,
+        sample_rr,
+        |cluster| select(cluster, n, config.k, &mut base_coverage),
+    )?;
+    let est_spread = n as f64 * selection.covered as f64 / theta as f64;
+    finish(cluster, selection, theta, est_spread, lower_bound, rounds)
 }
 
 #[cfg(test)]

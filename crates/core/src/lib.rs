@@ -21,9 +21,12 @@
 //!
 //! IC runs sample with SUBSIM's geometric jumps by default (the Fig. 7
 //! configuration); [`SamplerKind::ReverseBfs`] selects the paper's
-//! per-edge reverse BFS, which draws the same law. The [`opim`] module adds
-//! OPIM-C and its distributed variant — the adaptive-stopping framework
-//! the paper names as equally compatible with its building blocks.
+//! per-edge reverse BFS, which draws the same law. [`opim`] and [`ssa`] add
+//! OPIM-C and SSA — the adaptive-stopping frameworks the paper names as
+//! equally compatible with its building blocks — as one paired-collection
+//! loop with two stop rules. Each framework has one implementation, the
+//! distributed one; ℓ = 1 is its sequential run ([`imm()`] stays the plain
+//! single-thread baseline the speedups are measured against).
 //!
 //! # Example
 //!
@@ -71,6 +74,6 @@ pub use snapshot::{
 pub use worker::{setup_im_cluster, WorkerHost};
 pub use diimm::diimm;
 pub use imm::imm;
-pub use opim::{dopim_c, opim_c};
-pub use ssa::{dssa, ssa};
+pub use opim::dopim_c;
+pub use ssa::dssa;
 pub use params::ImParams;

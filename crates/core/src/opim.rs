@@ -1,5 +1,6 @@
 //! OPIM-C — Online Processing of Influence Maximization (Tang, Tang, Xiao,
-//! Yuan; SIGMOD'18) — sequential and distributed.
+//! Yuan; SIGMOD'18) — and the paired-collection loop it shares with SSA
+//! ([`crate::ssa`]). Both run distributed; ℓ = 1 is the sequential run.
 //!
 //! The paper states its two building blocks apply to OPIM-C as well as IMM
 //! ("our distributed RIS and NewGreeDi approaches are compatible with all
@@ -19,37 +20,27 @@
 //!   greedy certificate `Λ₁(S°) ≤ Λ₁(S_k)/(1 − 1/e)`:
 //!   `σ_u = (√(Λ₁(S_k)/(1−1/e) + a/2) + √(a/2))² · n/θ₁`.
 //!
-//! The distributed variant keeps both collections sharded: selection runs
-//! through NewGreeDi on the `R₁` shards; validation gathers one coverage
-//! count per machine over the `R₂` shards.
+//! Both collections stay sharded: each machine samples its share of
+//! `(R₁, R₂)` pairs, selection runs through NewGreeDi on the `R₁` shards,
+//! and validation gathers one coverage count per machine over the `R₂`
+//! shards. OPIM-C and SSA differ only in their stop test (`PairedRule`);
+//! the doubling schedule, the rounds and the traffic are one loop.
 
-use dim_cluster::ops::{expect_counts, expect_ok};
+use dim_cluster::ops::expect_counts;
 use dim_cluster::{
-    phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, NetworkModel, OpCluster,
-    OpExecutor, PhaseTimeline, SimCluster, WireError, WorkerOp, WorkerReply, WorkerStats,
+    phase, stream_seed, ExecMode, NetworkModel, OpCluster, OpExecutor, SimCluster, WireError,
+    WorkerOp, WorkerReply, WorkerStats,
 };
-use dim_coverage::greedy::bucket_greedy;
 use dim_coverage::newgreedi::newgreedi_incremental;
-use dim_coverage::{execute_coverage_op, CoverageShard};
+use dim_coverage::{execute_coverage_op, seed_set_coverage, CoverageShard};
 use dim_diffusion::rr::{AnySampler, RrSampler};
 use dim_graph::rng::Rng;
 use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
-use crate::config::{ImConfig, ImResult, Timings};
-use crate::params::log_choose;
-
-/// θ_max: the IMM-style worst-case budget with the trivial `OPT ≥ k`
-/// bound, so OPIM-C never exceeds IMM's asymptotic sample count.
-fn theta_max(n: usize, k: usize, epsilon: f64, delta: f64) -> usize {
-    let nf = n as f64;
-    let one_minus_inv_e = 1.0 - (-1.0f64).exp();
-    let ln2 = std::f64::consts::LN_2;
-    let alpha = ((2.0 / delta).ln() + ln2).sqrt();
-    let beta = (one_minus_inv_e * (log_choose(n, k) + (2.0 / delta).ln() + ln2)).sqrt();
-    let lambda = 2.0 * nf * (one_minus_inv_e * alpha + beta).powi(2) / (epsilon * epsilon);
-    ((lambda / k as f64).ceil() as usize).max(64)
-}
+use crate::config::{ImConfig, ImResult};
+use crate::diimm::{finish, sample_rr};
+use crate::params::{assert_domain, lambda_star_of};
 
 /// OPIM-C's lower bound on `σ(S)` given validation coverage `cov` over
 /// `theta` RR sets.
@@ -68,93 +59,6 @@ fn sigma_upper(cov: u64, theta: usize, n: usize, a: f64) -> f64 {
     inner * inner * n as f64 / theta as f64
 }
 
-/// Coverage of `seeds` over one RR-set shard (validation side): number of
-/// local elements intersecting the seed set.
-pub(crate) fn shard_coverage(
-    shard: &CoverageShard,
-    seeds: &[u32],
-    marked: &mut EpochFlags,
-) -> u64 {
-    marked.clear();
-    for &s in seeds {
-        marked.set(s as usize);
-    }
-    shard
-        .elements()
-        .iter()
-        .filter(|rr| rr.iter().any(|&v| marked.is_set(v as usize)))
-        .count() as u64
-}
-
-/// Sequential OPIM-C. Interface-compatible with [`crate::imm::imm`]; the
-/// returned [`ImResult`] counts both collections in `num_rr_sets`.
-pub fn opim_c(graph: &Graph, config: &ImConfig) -> ImResult {
-    let n = graph.num_nodes();
-    let sampler = config.sampler.make(graph);
-    let mut rng = Rng::new(stream_seed(config.seed, 0));
-    let t_max = theta_max(n, config.k, config.epsilon, config.delta);
-    let theta_0 = ((t_max as f64 * config.epsilon * config.epsilon * config.k as f64
-        / n as f64)
-        .ceil() as usize)
-        .max(32);
-    let i_max = ((t_max as f64 / theta_0 as f64).log2().ceil() as u32).max(1);
-    let a = (3.0 * i_max as f64 / config.delta).ln();
-
-    let mut r1 = CoverageShard::new(n);
-    let mut r2 = CoverageShard::new(n);
-    let mut buf = Vec::new();
-    let mut visited = EpochFlags::new(n);
-    let mut marked = EpochFlags::new(n);
-    let mut edges = 0u64;
-    let mut timings = Timings::default();
-    let mut theta = theta_0;
-    let target = 1.0 - (-1.0f64).exp() - config.epsilon;
-
-    let mut best = None;
-    for round in 1..=i_max {
-        let start = std::time::Instant::now();
-        while r1.num_elements() < theta {
-            edges += sampler.sample(&mut rng, &mut buf, &mut visited);
-            r1.push_element(&buf);
-            edges += sampler.sample(&mut rng, &mut buf, &mut visited);
-            r2.push_element(&buf);
-        }
-        timings.sampling += start.elapsed();
-
-        let start = std::time::Instant::now();
-        let sel = bucket_greedy(&mut r1, config.k);
-        r2.prepare();
-        let cov2 = shard_coverage(&r2, &sel.seeds, &mut marked);
-        timings.selection += start.elapsed();
-
-        let lower = sigma_lower(cov2, r2.num_elements(), n, a);
-        let upper = sigma_upper(sel.covered, r1.num_elements(), n, a);
-        let est = n as f64 * sel.covered as f64 / r1.num_elements() as f64;
-        let ratio = lower / upper;
-        best = Some((sel, est, round));
-        if ratio >= target || round == i_max {
-            break;
-        }
-        theta *= 2;
-    }
-
-    let (sel, est_spread, rounds) = best.expect("at least one round");
-    ImResult {
-        seeds: sel.seeds,
-        marginals: sel.marginals,
-        coverage: sel.covered,
-        num_rr_sets: r1.num_elements() + r2.num_elements(),
-        total_rr_size: r1.total_size() + r2.total_size(),
-        edges_examined: edges,
-        est_spread,
-        lower_bound: 0.0,
-        rounds,
-        timings,
-        metrics: ClusterMetrics::default(),
-        timeline: PhaseTimeline::default(),
-    }
-}
-
 /// One machine's state for the paired-collection frameworks (distributed
 /// OPIM-C and distributed SSA): its shards of both collections plus its
 /// sampler/RNG.
@@ -162,13 +66,12 @@ pub(crate) struct PairedRisWorker<'g> {
     sampler: AnySampler<'g>,
     rng: Rng,
     /// Selection collection shard (`R₁,ᵢ`).
-    pub r1: CoverageShard,
+    r1: CoverageShard,
     /// Validation collection shard (`R₂,ᵢ`).
-    pub r2: CoverageShard,
+    r2: CoverageShard,
     buf: Vec<u32>,
     visited: EpochFlags,
-    marked: EpochFlags,
-    pub(crate) edges_examined: u64,
+    edges_examined: u64,
 }
 
 impl<'g> PairedRisWorker<'g> {
@@ -180,21 +83,18 @@ impl<'g> PairedRisWorker<'g> {
             r2: CoverageShard::new(graph.num_nodes()),
             buf: Vec::new(),
             visited: EpochFlags::new(graph.num_nodes()),
-            marked: EpochFlags::new(graph.num_nodes()),
             edges_examined: 0,
         }
     }
 
     fn generate_pairs(&mut self, count: usize) {
         for _ in 0..count {
-            self.edges_examined +=
-                self.sampler
-                    .sample(&mut self.rng, &mut self.buf, &mut self.visited);
-            self.r1.push_element(&self.buf);
-            self.edges_examined +=
-                self.sampler
-                    .sample(&mut self.rng, &mut self.buf, &mut self.visited);
-            self.r2.push_element(&self.buf);
+            for shard in [&mut self.r1, &mut self.r2] {
+                self.edges_examined +=
+                    self.sampler
+                        .sample(&mut self.rng, &mut self.buf, &mut self.visited);
+                shard.push_element(&self.buf);
+            }
         }
     }
 }
@@ -212,7 +112,7 @@ impl OpExecutor for PairedRisWorker<'_> {
             }
             WorkerOp::Validate { seeds } => {
                 self.r2.prepare();
-                WorkerReply::Count(shard_coverage(&self.r2, seeds, &mut self.marked))
+                WorkerReply::Count(seed_set_coverage(std::slice::from_ref(&self.r2), seeds))
             }
             WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
                 num_elements: (self.r1.num_elements() + self.r2.num_elements()) as u64,
@@ -225,44 +125,70 @@ impl OpExecutor for PairedRisWorker<'_> {
     }
 }
 
-/// Distributed OPIM-C: distributed RIS for both collections, NewGreeDi for
-/// selection, a one-count-per-machine gather for validation.
-pub fn dopim_c(
+/// The stop test that tells the paired-collection frameworks apart.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PairedRule {
+    /// OPIM-C: reports `n·cov₁/θ`; stops once `σₗ/σᵤ ≥ 1 − 1/e − ε`.
+    OpimC,
+    /// SSA: reports the unbiased `n·cov₂/θ`; stops once `cov₂ ≥ Λ_min` and
+    /// `f₁ ≤ (1 + ε/2)·f₂` (see [`crate::ssa`]).
+    Ssa,
+}
+
+impl PairedRule {
+    /// `(θ₀, i_max)`: θ doubles from `θ₀` towards IMM's worst-case budget
+    /// with the trivial `OPT ≥ k` bound, `⌈λ*(n, k, ε, δ)/k⌉` (at least 64
+    /// for OPIM-C), so neither framework exceeds IMM's asymptotic sample
+    /// count; `i_max` rounds reach it. Panics outside the domain
+    /// [`crate::ImParams::derive`] accepts.
+    pub(crate) fn schedule(self, n: usize, k: usize, epsilon: f64, delta: f64) -> (usize, u32) {
+        assert_domain(n, k, epsilon, delta);
+        let floor = if self == PairedRule::OpimC { 64 } else { 0 };
+        let t_max = ((lambda_star_of(n, k, epsilon, delta) / k as f64).ceil() as usize).max(floor);
+        let theta_0 =
+            ((t_max as f64 * epsilon * epsilon * k as f64 / n as f64).ceil() as usize).max(32);
+        let i_max = ((t_max as f64 / theta_0 as f64).log2().ceil() as u32).max(1);
+        (theta_0, i_max)
+    }
+}
+
+/// Runs a paired-collection framework on `machines` simulated machines.
+pub(crate) fn paired(
     graph: &Graph,
     config: &ImConfig,
     machines: usize,
     network: NetworkModel,
     mode: ExecMode,
+    rule: PairedRule,
 ) -> Result<ImResult, WireError> {
-    assert!(machines >= 1);
-    let n = graph.num_nodes();
-    let t_max = theta_max(n, config.k, config.epsilon, config.delta);
-    let theta_0 = ((t_max as f64 * config.epsilon * config.epsilon * config.k as f64
-        / n as f64)
-        .ceil() as usize)
-        .max(32);
-    let i_max = ((t_max as f64 / theta_0 as f64).log2().ceil() as u32).max(1);
-    let a = (3.0 * i_max as f64 / config.delta).ln();
-    let target = 1.0 - (-1.0f64).exp() - config.epsilon;
-
-    let workers: Vec<PairedRisWorker> = (0..machines)
+    assert!(machines >= 1, "need at least one machine");
+    let workers = (0..machines)
         .map(|i| PairedRisWorker::new(graph, config, i))
         .collect();
     let mut cluster = SimCluster::new(workers, network, mode);
-    let mut base_coverage = vec![0u64; n];
+    paired_on(&mut cluster, graph.num_nodes(), config, rule)
+}
 
+/// The paired-collection loop over any [`OpCluster`] whose machines hold
+/// `PairedRisWorker`s: sample `θ − generated` pairs, select on `R₁` with
+/// NewGreeDi, validate on `R₂` by broadcast, apply `rule`, double `θ`.
+fn paired_on<B: OpCluster>(
+    cluster: &mut B,
+    n: usize,
+    config: &ImConfig,
+    rule: PairedRule,
+) -> Result<ImResult, WireError> {
+    let (k, epsilon, delta) = (config.k, config.epsilon, config.delta);
+    let (theta_0, i_max) = rule.schedule(n, k, epsilon, delta);
+    let mut base_coverage = vec![0u64; n];
     let mut theta = theta_0;
     let mut generated = 0usize;
     let mut best = None;
     for round in 1..=i_max {
-        let counts = crate::diimm::split_counts(theta.saturating_sub(generated), machines);
-        let replies = cluster.control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
-            count: counts[i] as u64,
-        })?;
-        expect_ok(&replies, phase::RR_SAMPLING)?;
+        sample_rr(cluster, theta - generated)?;
         generated = theta;
 
-        let sel = newgreedi_incremental(&mut cluster, config.k, &mut base_coverage)?;
+        let sel = newgreedi_incremental(cluster, k, &mut base_coverage)?;
         // Validation: broadcast S_k, gather one covered-count per machine.
         let replies = cluster.op_broadcast_gather(
             phase::SEED_BROADCAST,
@@ -274,66 +200,125 @@ pub fn dopim_c(
         )?;
         let cov2: u64 = expect_counts(&replies, phase::VALIDATION)?.iter().sum();
 
-        let theta1: usize = cluster.workers().iter().map(|w| w.r1.num_elements()).sum();
-        let theta2: usize = cluster.workers().iter().map(|w| w.r2.num_elements()).sum();
-        let lower = sigma_lower(cov2, theta2, n, a);
-        let upper = sigma_upper(sel.covered, theta1, n, a);
-        let est = n as f64 * sel.covered as f64 / theta1 as f64;
-        let ratio = lower / upper;
+        let (nf, thetaf) = (n as f64, theta as f64);
+        let (est, stop) = match rule {
+            PairedRule::OpimC => {
+                let a = (3.0 * i_max as f64 / delta).ln();
+                let ratio = sigma_lower(cov2, theta, n, a) / sigma_upper(sel.covered, theta, n, a);
+                let est = nf * sel.covered as f64 / thetaf;
+                (est, ratio >= 1.0 - (-1.0f64).exp() - epsilon)
+            }
+            PairedRule::Ssa => {
+                let lambda_min =
+                    (2.0 + 2.0 * epsilon / 3.0) * (i_max as f64 / delta).ln() / (epsilon * epsilon);
+                let f1 = sel.covered as f64 / thetaf;
+                let f2 = cov2 as f64 / thetaf;
+                let stare = cov2 as f64 >= lambda_min
+                    && f1 <= (1.0 + epsilon / 2.0) * f2.max(f64::MIN_POSITIVE);
+                (nf * f2, stare)
+            }
+        };
         best = Some((sel, est, round));
-        if ratio >= target || round == i_max {
+        if stop || round == i_max {
             break;
         }
         theta *= 2;
     }
 
     let (sel, est_spread, rounds) = best.expect("at least one round");
-    let theta_total: usize = cluster
-        .workers()
-        .iter()
-        .map(|w| w.r1.num_elements() + w.r2.num_elements())
-        .sum();
-    let total_rr_size: usize = cluster
-        .workers()
-        .iter()
-        .map(|w| w.r1.total_size() + w.r2.total_size())
-        .sum();
-    let edges_examined: u64 = cluster.workers().iter().map(|w| w.edges_examined).sum();
-    let timeline = cluster.timeline().clone();
-    Ok(ImResult {
-        seeds: sel.seeds,
-        marginals: sel.marginals,
-        coverage: sel.covered,
-        num_rr_sets: theta_total,
-        total_rr_size,
-        edges_examined,
-        est_spread,
-        lower_bound: 0.0,
-        rounds,
-        timings: Timings::from_timeline(&timeline),
-        metrics: timeline.total(),
-        timeline,
-    })
+    finish(cluster, sel, 2 * generated, est_spread, 0.0, rounds)
+}
+
+/// Distributed OPIM-C: distributed RIS for both collections, NewGreeDi for
+/// selection, a one-count-per-machine gather for validation. The returned
+/// [`ImResult`] counts both collections in `num_rr_sets`.
+pub fn dopim_c(
+    graph: &Graph,
+    config: &ImConfig,
+    machines: usize,
+    network: NetworkModel,
+    mode: ExecMode,
+) -> Result<ImResult, WireError> {
+    paired(graph, config, machines, network, mode, PairedRule::OpimC)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dim_diffusion::exact::{exact_opt, exact_spread};
     use dim_diffusion::DiffusionModel;
     use dim_graph::generators::barabasi_albert;
-    use dim_graph::{GraphBuilder, WeightModel};
+    use dim_graph::WeightModel;
 
     use crate::config::SamplerKind;
     use crate::imm::imm;
+    use crate::imm::tests::{assert_guarantee, config, two_stars_and_a_chain};
+    use crate::ssa::dssa;
 
-    fn config(k: usize, epsilon: f64, seed: u64) -> ImConfig {
-        ImConfig {
-            k,
-            epsilon,
-            delta: 0.1,
-            seed,
-            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
+    /// The sequential run: one machine, free network.
+    fn sequential(g: &Graph, cfg: &ImConfig) -> ImResult {
+        dopim_c(g, cfg, 1, NetworkModel::zero(), ExecMode::Sequential).unwrap()
+    }
+
+    /// FNV-1a over every outward field of DOPIM-C and D-SSA at ℓ ∈ {1, 3}
+    /// under IC and LT on one BA(400, 4) fixture, pinned to the digest the
+    /// two separate loops printed before they were merged: the shared one,
+    /// its schedule and its index-based validation count reproduce them bit
+    /// for bit, traffic included.
+    #[test]
+    fn paired_frameworks_reproduce_their_pinned_runs() {
+        const PINNED: u64 = 0x5f18_5b18_f71b_698e;
+        let g = barabasi_albert(400, 4, WeightModel::WeightedCascade, 9);
+        let mut bytes = Vec::new();
+        for model in [
+            DiffusionModel::IndependentCascade,
+            DiffusionModel::LinearThreshold,
+        ] {
+            let cfg = ImConfig {
+                sampler: SamplerKind::Standard(model),
+                ..config(10, 0.2, 7)
+            };
+            for machines in [1, 3] {
+                for run in [dopim_c, dssa] {
+                    let net = NetworkModel::cluster_1gbps();
+                    let r = run(&g, &cfg, machines, net, ExecMode::Sequential).unwrap();
+                    let m = &r.metrics;
+                    bytes.extend(r.seeds.iter().flat_map(|s| s.to_le_bytes()));
+                    let words = r.marginals.iter().copied().chain([
+                        r.num_rr_sets as u64,
+                        r.total_rr_size as u64,
+                        r.edges_examined,
+                        u64::from(r.rounds),
+                        r.est_spread.to_bits(),
+                        m.bytes_to_master,
+                        m.bytes_from_master,
+                        m.messages,
+                    ]);
+                    bytes.extend(words.flat_map(u64::to_le_bytes));
+                }
+            }
+        }
+        assert_eq!(dim_store::fnv1a(&bytes), PINNED);
+    }
+
+    /// Library callers get `ImParams::derive`'s contract: out of its domain
+    /// both paired frameworks panic instead of stopping after round 1 with
+    /// no guarantee (OPIM-C's target `1 − 1/e − ε` is ≤ 0 once ε ≥ 1 − 1/e).
+    #[test]
+    fn paired_frameworks_assert_the_imm_domain() {
+        let g = barabasi_albert(50, 2, WeightModel::WeightedCascade, 1);
+        for (k, epsilon, delta) in [(0, 0.2, 0.1), (3, 1.5, 0.1), (3, 0.0, 0.1), (3, 0.2, 2.0)] {
+            let cfg = ImConfig {
+                k,
+                epsilon,
+                delta,
+                ..config(3, 0.2, 1)
+            };
+            for run in [dopim_c, dssa] {
+                let r = std::panic::catch_unwind(|| {
+                    run(&g, &cfg, 1, NetworkModel::zero(), ExecMode::Sequential)
+                });
+                assert!(r.is_err(), "k = {k}, ε = {epsilon}, δ = {delta} accepted");
+            }
         }
     }
 
@@ -359,25 +344,9 @@ mod tests {
 
     #[test]
     fn guarantee_on_small_graph() {
-        let mut b = GraphBuilder::new(8);
-        for (u, v, p) in [
-            (0u32, 1u32, 0.8f32),
-            (0, 2, 0.8),
-            (0, 3, 0.6),
-            (4, 5, 0.7),
-            (4, 6, 0.4),
-            (6, 7, 0.5),
-        ] {
-            b.add_weighted_edge(u, v, p);
-        }
-        let g = b.build(WeightModel::WeightedCascade);
+        let g = two_stars_and_a_chain();
         let cfg = config(2, 0.3, 5);
-        let r = opim_c(&g, &cfg);
-        let model = DiffusionModel::IndependentCascade;
-        let achieved = exact_spread(&g, model, &r.seeds);
-        let (_, opt) = exact_opt(&g, model, 2);
-        let bound = (1.0 - (-1.0f64).exp() - cfg.epsilon) * opt;
-        assert!(achieved >= bound, "σ(S) = {achieved} < {bound}");
+        assert_guarantee(&g, &cfg, &sequential(&g, &cfg).seeds);
     }
 
     #[test]
@@ -385,7 +354,7 @@ mod tests {
         // OPIM-C's whole point: early stopping on easy instances.
         let g = barabasi_albert(400, 4, WeightModel::WeightedCascade, 9);
         let cfg = config(10, 0.2, 7);
-        let o = opim_c(&g, &cfg);
+        let o = sequential(&g, &cfg);
         let i = imm(&g, &cfg);
         assert!(
             o.num_rr_sets < i.num_rr_sets,
@@ -394,17 +363,6 @@ mod tests {
             i.num_rr_sets
         );
         assert_eq!(o.seeds.len(), 10);
-    }
-
-    #[test]
-    fn distributed_matches_sequential_with_one_machine() {
-        let g = barabasi_albert(300, 3, WeightModel::WeightedCascade, 4);
-        let cfg = config(5, 0.3, 11);
-        let a = opim_c(&g, &cfg);
-        let b = dopim_c(&g, &cfg, 1, NetworkModel::zero(), ExecMode::Sequential).unwrap();
-        assert_eq!(a.seeds, b.seeds);
-        assert_eq!(a.num_rr_sets, b.num_rr_sets);
-        assert_eq!(a.coverage, b.coverage);
     }
 
     #[test]

@@ -33,10 +33,7 @@ impl ImParams {
     /// # Panics
     /// Panics unless `n ≥ 2`, `1 ≤ k ≤ n`, `ε ∈ (0, 1)`, and `δ ∈ (0, 1)`.
     pub fn derive(n: usize, k: usize, epsilon: f64, delta: f64) -> Self {
-        assert!(n >= 2, "need at least two nodes");
-        assert!(k >= 1 && k <= n, "k = {k} out of [1, {n}]");
-        assert!(epsilon > 0.0 && epsilon < 1.0, "ε = {epsilon} out of (0,1)");
-        assert!(delta > 0.0 && delta < 1.0, "δ = {delta} out of (0,1)");
+        assert_domain(n, k, epsilon, delta);
         let epsilon_prime = std::f64::consts::SQRT_2 * epsilon;
 
         // Fixed point: δ′ → λ*(δ′) → δ′ = δ / ⌈λ*⌉. λ* grows only
@@ -86,6 +83,16 @@ impl ImParams {
     }
 }
 
+/// The domain every framework here is analysed on: `n ≥ 2`, `1 ≤ k ≤ n`,
+/// `ε ∈ (0, 1)` and `δ ∈ (0, 1)`. Outside it the bounds are vacuous (OPIM-C's
+/// target `1 − 1/e − ε` drops to 0 or below) or the budgets are undefined.
+pub(crate) fn assert_domain(n: usize, k: usize, epsilon: f64, delta: f64) {
+    assert!(n >= 2, "need at least two nodes");
+    assert!(k >= 1 && k <= n, "k = {k} out of [1, {n}]");
+    assert!(epsilon > 0.0 && epsilon < 1.0, "ε = {epsilon} out of (0,1)");
+    assert!(delta > 0.0 && delta < 1.0, "δ = {delta} out of (0,1)");
+}
+
 /// `ln C(n, k)` without overflow: `Σ_{i=1..k} ln((n − k + i) / i)`.
 pub fn log_choose(n: usize, k: usize) -> f64 {
     assert!(k <= n);
@@ -104,8 +111,9 @@ fn lambda_prime_of(n: usize, k: usize, eps_prime: f64, delta_prime: f64) -> f64 
         / (eps_prime * eps_prime)
 }
 
-/// Eqs. (4)–(6): `λ* = 2n((1 − 1/e)·α + β)² / ε²`.
-fn lambda_star_of(n: usize, k: usize, epsilon: f64, delta_prime: f64) -> f64 {
+/// Eqs. (4)–(6): `λ* = 2n((1 − 1/e)·α + β)² / ε²`. IMM/DiIMM pass Chen's
+/// `δ′`; the paired frameworks take `δ` itself for their worst-case budget.
+pub(crate) fn lambda_star_of(n: usize, k: usize, epsilon: f64, delta_prime: f64) -> f64 {
     let nf = n as f64;
     let one_minus_inv_e = 1.0 - (-1.0f64).exp();
     let ln2 = std::f64::consts::LN_2;

@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use dim_cluster::ops::{expect_counts, expect_ok, expect_stats};
+use dim_cluster::ops::{expect_counts, expect_ok};
 use dim_cluster::{
     phase, ClusterBackend, ClusterMetrics, ExecMode, FaultInjector, NetworkModel, OpCluster,
     SimCluster, WireError, WorkerOp,
@@ -26,7 +26,7 @@ use dim_store::{
 };
 
 use crate::config::{ImConfig, ImResult, Timings};
-use crate::diimm::{diimm_on, DiimmWorker};
+use crate::diimm::{diimm_on, finish, DiimmWorker};
 
 /// Failures of the persisted-sketch entry points: the snapshot layer
 /// (I/O, corruption, provenance mismatch), the cluster layer, or a
@@ -440,27 +440,9 @@ impl<'g> StreamSession<'g> {
     pub fn select(&mut self) -> Result<ImResult, SnapshotError> {
         let n = self.current.num_nodes();
         let sel = newgreedi_with(&mut self.cluster, n, self.config.k)?;
-        let replies = self.cluster.control(phase::SETUP, |_| WorkerOp::Stats)?;
-        let stats = expect_stats(&replies, phase::SETUP)?;
-        let total_rr_size: usize = stats.iter().map(|s| s.total_size as usize).sum();
-        let edges_examined: u64 = stats.iter().map(|s| s.edges_examined).sum();
         let theta = self.theta as usize;
         let est_spread = n as f64 * sel.covered as f64 / theta as f64;
-        let timeline = self.cluster.timeline().clone();
-        Ok(ImResult {
-            seeds: sel.seeds,
-            marginals: sel.marginals,
-            coverage: sel.covered,
-            num_rr_sets: theta,
-            total_rr_size,
-            edges_examined,
-            est_spread,
-            lower_bound: 0.0,
-            rounds: 0,
-            timings: Timings::from_timeline(&timeline),
-            metrics: timeline.total(),
-            timeline,
-        })
+        Ok(finish(&mut self.cluster, sel, theta, est_spread, 0.0, 0)?)
     }
 }
 

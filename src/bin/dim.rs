@@ -189,6 +189,24 @@ impl Flags {
     fn required(&self, name: &str) -> Result<&str, String> {
         self.get(name).ok_or_else(|| format!("missing --{name}"))
     }
+
+    /// `--machines`, which must be at least 1.
+    fn machines(&self, default: usize) -> Result<usize, String> {
+        match self.num("machines", default)? {
+            0 => Err("--machines must be at least 1".into()),
+            machines => Ok(machines),
+        }
+    }
+
+    /// A parameter that must lie strictly inside (0, 1): `--epsilon`, `--delta`.
+    fn open_unit(&self, name: &str, default: f64) -> Result<f64, String> {
+        let value = self.num(name, default)?;
+        if value > 0.0 && value < 1.0 {
+            Ok(value)
+        } else {
+            Err(format!("--{name} {value} out of (0, 1)"))
+        }
+    }
 }
 
 fn weight_model(flags: &Flags) -> Result<WeightModel, String> {
@@ -285,10 +303,14 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
 /// Builds the run configuration shared by `im`, `sample`, and `serve`
 /// from the common flags. The sampler kind follows `--model` alone, so a
 /// snapshot written by `sample` validates on load under either
-/// `--algorithm diimm` or `subsim`.
+/// `--algorithm diimm` or `subsim`. Refuses the values no framework is
+/// analysed for: `k = 0`, and `ε` or `δ` outside (0, 1).
 fn im_config(flags: &Flags, g: &Graph) -> Result<(ImConfig, DiffusionModel), String> {
     let model = model_of(flags)?;
     let k = flags.num("k", 50usize)?.min(g.num_nodes());
+    if k == 0 {
+        return Err("--k must be at least 1".into());
+    }
     // IC already samples with SUBSIM's jumps: `subsim` is DiIMM under its
     // Fig. 7 name, and only says the model must be IC.
     if flags.get("algorithm") == Some("subsim") && model != DiffusionModel::IndependentCascade {
@@ -296,8 +318,8 @@ fn im_config(flags: &Flags, g: &Graph) -> Result<(ImConfig, DiffusionModel), Str
     }
     let config = ImConfig {
         k,
-        epsilon: flags.num("epsilon", 0.1f64)?,
-        delta: flags.num("delta", 1.0 / g.num_nodes() as f64)?,
+        epsilon: flags.open_unit("epsilon", 0.1)?,
+        delta: flags.open_unit("delta", 1.0 / g.num_nodes() as f64)?,
         seed: flags.num("seed", 42u64)?,
         sampler: SamplerKind::Standard(model),
     };
@@ -307,7 +329,7 @@ fn im_config(flags: &Flags, g: &Graph) -> Result<(ImConfig, DiffusionModel), Str
 fn cmd_im(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let (config, model) = im_config(flags, &g)?;
-    let machines = flags.num("machines", 1usize)?;
+    let machines = flags.machines(1)?;
     let algorithm = flags.get("algorithm").unwrap_or("diimm");
     let net = NetworkModel::shared_memory();
     let backend = backend_of(flags)?;
@@ -369,7 +391,7 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
     if !matches!(algorithm, "diimm" | "subsim") {
         return Err("sample persists a DiIMM sketch; use --algorithm diimm|subsim".into());
     }
-    let machines = flags.num("machines", 1usize)?;
+    let machines = flags.machines(1)?;
     let out = std::path::PathBuf::from(flags.required("out")?);
     let keep = flags.num("keep", 3usize)?;
     let net = NetworkModel::shared_memory();
@@ -845,7 +867,7 @@ fn coverage_on_ops<B: OpCluster>(
 fn cmd_coverage(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let k = flags.num("k", 50usize)?.min(g.num_nodes());
-    let machines = flags.num("machines", 1usize)?;
+    let machines = flags.machines(1)?;
     let net = NetworkModel::shared_memory();
     let problem = CoverageProblem::from_graph_neighborhoods(&g);
     let shards = problem.shard_elements(machines);
@@ -888,7 +910,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     if !matches!(algorithm, "diimm" | "subsim") {
         return Err("chaos replays a DiIMM run; use --algorithm diimm|subsim".into());
     }
-    let machines = flags.num("machines", 2usize)?;
+    let machines = flags.machines(2)?;
     let plan_path = flags.required("plan")?;
     let text = std::fs::read_to_string(plan_path)
         .map_err(|e| format!("cannot read {plan_path}: {e}"))?;

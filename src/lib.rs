@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use dim_core::diimm::{diimm, diimm_on, diimm_with_options};
     pub use dim_core::imm::imm;
-    pub use dim_core::opim::{dopim_c, opim_c};
+    pub use dim_core::opim::dopim_c;
     pub use dim_core::recover::{
         diimm_on_recovering, RecoveringCluster, RecoveryPolicy, RecoverySource,
     };
@@ -70,7 +70,7 @@ pub mod prelude {
         load_latest_rr_snapshot, load_rr_snapshot, persist_rr_shards, rr_snapshot_request,
         snapshot_shards, StreamSession,
     };
-    pub use dim_core::ssa::{dssa, ssa};
+    pub use dim_core::ssa::dssa;
     pub use dim_core::{setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, WorkerHost};
     pub use dim_coverage::greedi::greedi;
     pub use dim_coverage::greedy::{bucket_greedy, celf_greedy};

@@ -152,6 +152,33 @@ fn bad_flag_value_reported() {
     assert!(err.contains("bad --epsilon"));
 }
 
+/// Run parameters outside the frameworks' domain exit 1 naming the flag,
+/// before any work: not a panic (exit 101), and not an OPIM-C run whose
+/// target 1 − 1/e − ε ≤ 0 stops it after round 1 with no guarantee.
+#[test]
+fn out_of_range_parameters_exit_1_naming_the_flag() {
+    for (cmd, bad, flag) in [
+        ("im", &["--machines", "0"][..], "--machines"),
+        ("im", &["--k", "0"], "--k"),
+        ("im", &["--epsilon", "1.5"], "--epsilon"),
+        ("im", &["--epsilon", "0"], "--epsilon"),
+        ("im", &["--delta", "2"], "--delta"),
+        ("im", &["--algorithm", "opim", "--epsilon", "1.5"], "--epsilon"),
+        ("im", &["--algorithm", "opim", "--epsilon", "-1"], "--epsilon"),
+        ("sample", &["--machines", "0", "--out", "never-written"], "--machines"),
+        ("coverage", &["--machines", "0"], "--machines"),
+    ] {
+        let out = dim()
+            .args([cmd, "--graph", "profile:facebook:0.05", "--k", "2"])
+            .args(bad)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {bad:?}: {err}");
+        assert!(err.contains(flag), "{cmd} {bad:?}: {err}");
+    }
+}
+
 #[test]
 fn uniform_weight_model_flag() {
     let (ok, out, _) = run(&[

@@ -7,23 +7,6 @@ use dim::prelude::*;
 use dim_core::diimm::diimm_with_options;
 use dim_coverage::greedi::greedi;
 
-/// IMM and DiIMM(ℓ=1) are the same algorithm — identical seeds, θ, sizes.
-#[test]
-fn imm_is_diimm_with_one_machine() {
-    for seed in [1u64, 7, 99] {
-        let g = DatasetProfile::Facebook.generate(0.2, seed);
-        let config = ImConfig {
-            k: 6,
-            ..ImConfig::paper_defaults(&g, 0.3, seed)
-        };
-        let a = imm(&g, &config);
-        let b = diimm(&g, &config, 1, NetworkModel::zero(), ExecMode::Sequential).unwrap();
-        assert_eq!(a.seeds, b.seeds, "seed {seed}");
-        assert_eq!(a.num_rr_sets, b.num_rr_sets, "seed {seed}");
-        assert_eq!(a.coverage, b.coverage, "seed {seed}");
-    }
-}
-
 /// The §III-C incremental coverage reporting changes traffic only: seeds,
 /// coverage, θ, and spread are bit-identical with and without it.
 #[test]

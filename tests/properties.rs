@@ -475,16 +475,27 @@ fn diimm_is_structurally_sound() {
     });
 }
 
-/// imm ≡ diimm(ℓ = 1) across random graphs and seeds.
+/// imm ≡ diimm(ℓ = 1) in every field but the timings and the cluster
+/// accounting, under both models, on random graphs and seeds and on one
+/// Facebook-profile graph.
 #[test]
 fn imm_equals_diimm_on_one_machine() {
+    let outward = |r: ImResult| {
+        let bits = (r.est_spread.to_bits(), r.lower_bound.to_bits(), r.rounds);
+        (r.seeds, r.marginals, r.coverage, r.num_rr_sets, r.total_rr_size, r.edges_examined, bits)
+    };
+    let check = |g: &Graph, config: &ImConfig| {
+        let b = diimm(g, config, 1, NetworkModel::zero(), ExecMode::Sequential).unwrap();
+        assert_eq!(outward(imm(g, config)), outward(b));
+    };
     forall("imm_diimm_equivalence", CORE_CASES, |r| in_range(r, 0..500), |&seed, _| {
         let g = erdos_renyi(100, 500, WeightModel::WeightedCascade, seed);
-        let config = im_config(3, seed, LT);
-        let a = imm(&g, &config);
-        let b = diimm(&g, &config, 1, NetworkModel::zero(), ExecMode::Sequential).unwrap();
-        assert_eq!((a.seeds, a.num_rr_sets, a.coverage), (b.seeds, b.num_rr_sets, b.coverage));
+        for model in [IC, LT] {
+            check(&g, &im_config(3, seed, model));
+        }
     });
+    let g = DatasetProfile::Facebook.generate(0.2, 7);
+    check(&g, &ImConfig { k: 6, ..ImConfig::paper_defaults(&g, 0.3, 7) });
 }
 
 // Cluster substrate.
