@@ -76,19 +76,20 @@ impl From<DeltaError> for SnapshotError {
     }
 }
 
-/// Has every machine of a finished run persist its resident RR shard
-/// into `dir` (one file per machine, written by the machine that owns
-/// the shard — the shard itself never crosses the wire). Works on any
-/// [`OpCluster`] whose workers answer [`WorkerOp::PersistShard`]; wall
-/// time accrues under [`phase::STORE_SAVE`].
+/// Has every machine persist its resident RR shard into `dir` (one file
+/// per machine, written by the machine that owns the shard — the shard
+/// itself never crosses the wire), with `fingerprint` as the headers'
+/// graph fingerprint. Works on any [`OpCluster`] whose workers answer
+/// [`WorkerOp::PersistShard`]; wall time accrues under
+/// [`phase::STORE_SAVE`]. Both a finished sampling run and a stream
+/// compaction persist through here.
 pub fn persist_rr_shards<B: OpCluster>(
     cluster: &mut B,
     dir: &Path,
-    graph: &Graph,
+    fingerprint: u64,
     config: &ImConfig,
     theta: u64,
 ) -> Result<(), WireError> {
-    let fingerprint = graph_fingerprint(graph);
     let dir = dir.display().to_string();
     let shard_count = cluster.num_machines() as u32;
     let spec = config.sampler.into();
@@ -135,7 +136,8 @@ pub fn diimm_sample_on<B: OpCluster>(
     dir: &Path,
 ) -> Result<ImResult, WireError> {
     let mut result = diimm_on(cluster, graph, config, true)?;
-    persist_rr_shards(cluster, dir, graph, config, result.num_rr_sets as u64)?;
+    let fingerprint = graph_fingerprint(graph);
+    persist_rr_shards(cluster, dir, fingerprint, config, result.num_rr_sets as u64)?;
     // Re-derive the result's metric views so they include the save phase.
     let timeline = cluster.timeline().clone();
     result.timings = Timings::from_timeline(&timeline);
@@ -233,15 +235,17 @@ pub struct StreamApplied {
 /// delta shard into a fresh generation that commits atomically.
 ///
 /// The store is single-writer: run one streaming session per root at a
-/// time. Mixing in-memory applies (`persist = false`) with persisted
-/// ones breaks the on-disk chain (a missing link fails fingerprint
-/// validation at the next load), so a persistent session should persist
-/// every batch.
+/// time. An in-memory apply (`persist = false`) leaves a gap in the
+/// on-disk chain — a later persisted delta fails fingerprint validation
+/// at the next load — until [`compact`](Self::compact) writes the
+/// resident state as a fresh base, which heals the chain.
 pub struct StreamSession<'g> {
     cluster: SimCluster<DiimmWorker<'g>>,
     config: ImConfig,
     root: PathBuf,
-    request: SnapshotRequest,
+    /// Fingerprint of the graph the chain's first base was sampled from:
+    /// what every base's shard headers name, compacted ones included.
+    root_fingerprint: u64,
     theta: u64,
     generation: u64,
     base_generation: u64,
@@ -272,18 +276,21 @@ impl<'g> StreamSession<'g> {
             Some(g) => g,
             None => base.clone(),
         };
-        let mutated = chain.next_seq > 0 || graph_fingerprint(&current) != request.fingerprint;
         for batch in &chain.batches {
             current = apply_batch(&current, batch)?;
         }
-        if graph_fingerprint(&current) != chain.tip_fingerprint {
+        let found = graph_fingerprint(&current);
+        if found != chain.tip_fingerprint {
             return Err(SnapshotError::Store(StoreError::Mismatch {
                 path: chain.base_dir.clone(),
                 field: "tip fingerprint",
                 expected: chain.tip_fingerprint,
-                found: graph_fingerprint(&current),
+                found,
             }));
         }
+        // Equal fingerprints are equal DIMG images: the workers may sample
+        // from `base` itself.
+        let mutated = found != request.fingerprint;
         let theta = snapshot.theta;
         let n = snapshot.num_sets as usize;
         let workers: Vec<DiimmWorker<'g>> = snapshot
@@ -307,7 +314,7 @@ impl<'g> StreamSession<'g> {
             cluster: SimCluster::new(workers, network, mode),
             config: *config,
             root: root.to_path_buf(),
-            request,
+            root_fingerprint: request.fingerprint,
             theta,
             generation,
             base_generation: chain.base_generation,
@@ -415,24 +422,46 @@ impl<'g> StreamSession<'g> {
         })
     }
 
-    /// Folds the resident chain into a fresh standalone base generation
-    /// (shards carry the chain's root fingerprint; the tip graph rides
-    /// along as [`dim_store::GRAPH_FILE`]), then GCs down to `keep`.
+    /// Persists the resident state as a fresh standalone base generation,
+    /// then GCs down to `keep`. The resident shards already equal the
+    /// chain's fold (and a full re-sample of the tip graph), so nothing is
+    /// read back: every worker writes its own shard
+    /// ([`persist_rr_shards`], headers carrying the chain's root
+    /// fingerprint) and the master adds the tip graph as
+    /// [`dim_store::GRAPH_FILE`], under the same begin → commit protocol
+    /// as a batch.
+    ///
     /// Returns the new base's id, or `None` when there is nothing to
-    /// fold (no batches applied since the last base). Subsequent applies
-    /// chain from the new base at sequence 0 — also when the trailing GC
-    /// fails, which leaves the new base committed.
+    /// compact (no batches applied since the last base). Refuses with
+    /// [`StoreError::Mismatch`], writing nothing, when another writer
+    /// committed a generation since this session's last. A failure before
+    /// the commit leaves the session on its chain and an uncommitted
+    /// directory for GC. Subsequent applies chain from the new base at
+    /// sequence 0 — also when the trailing GC fails, which leaves the new
+    /// base committed.
     pub fn compact(&mut self, keep: usize) -> Result<Option<u64>, SnapshotError> {
-        match dim_store::compact_generation(&self.root, &self.request, &self.current)? {
-            Some((id, _dir)) => {
-                self.generation = id;
-                self.base_generation = id;
-                self.next_seq = 0;
-                dim_store::gc_generations(&self.root, keep)?;
-                Ok(Some(id))
-            }
-            None => Ok(None),
+        if self.next_seq == 0 {
+            return Ok(None);
         }
+        let newest = dim_store::latest_generation(&self.root)?.unwrap_or(0);
+        if newest != self.generation {
+            return Err(SnapshotError::Store(StoreError::Mismatch {
+                path: self.root.clone(),
+                field: "generation",
+                expected: self.generation,
+                found: newest,
+            }));
+        }
+        let (id, dir) = dim_store::begin_generation(&self.root)?;
+        let fingerprint = self.root_fingerprint;
+        persist_rr_shards(&mut self.cluster, &dir, fingerprint, &self.config, self.theta)?;
+        dim_store::write_graph_file(&dir, &self.current)?;
+        dim_store::commit_generation(&dir, id)?;
+        self.generation = id;
+        self.base_generation = id;
+        self.next_seq = 0;
+        dim_store::gc_generations(&self.root, keep)?;
+        Ok(Some(id))
     }
 
     /// Reruns seed selection over the resident (repaired) shards —
@@ -737,7 +766,7 @@ mod tests {
         assert_eq!(sel2.seeds, sel.seeds);
         assert_eq!(sel2.marginals, sel.marginals);
 
-        // Compaction folds the chain into a standalone base; the next
+        // Compaction writes the resident state as a standalone base; the next
         // session resumes from it (sequence restarts) and still selects
         // the same seeds.
         let compacted = reloaded.compact(1).unwrap();
@@ -833,6 +862,185 @@ mod tests {
         assert_eq!(reopened.generation(), 4);
         assert_eq!(reopened.next_seq(), 3);
         assert_eq!(reopened.select().unwrap().seeds, selected.seeds);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Three batches over real edges of `g`, each invalidating sets: a
+    /// delete plus a low-probability insert, a reweight, a delete. Small
+    /// probabilities keep every in-row a valid LT distribution.
+    fn three_batches(g: &Graph) -> [Vec<EdgeOp>; 3] {
+        let n = g.num_nodes() as u32;
+        let mut edges = g.edges();
+        let (u1, v1, _) = edges.next().unwrap();
+        let (u2, v2, _) = edges.next().unwrap();
+        let (u3, v3, _) = edges.next().unwrap();
+        [
+            vec![
+                EdgeOp::Delete { u: u1, v: v1 },
+                EdgeOp::Insert { u: (u1 + 1) % n, v: (u1 + 3) % n, p: 0.01 },
+            ],
+            vec![EdgeOp::Reweight { u: u2, v: v2, p: 0.001 }],
+            vec![EdgeOp::Delete { u: u3, v: v3 }],
+        ]
+    }
+
+    fn generation_ids(root: &Path) -> Vec<u64> {
+        dim_store::list_generations(root).unwrap().into_iter().map(|(id, _)| id).collect()
+    }
+
+    /// Resident compaction writes exactly the base the old on-disk fold
+    /// produced: same sets, same index, same header but for
+    /// `edges_examined`, which now carries the repairs too; the graph file
+    /// hashes to the chain's tip, and a reopened session selects and
+    /// counts what the compacting one did.
+    #[test]
+    fn resident_compaction_equals_the_fold() {
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 23);
+        let net = NetworkModel::zero();
+        for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
+            for machines in [1, 2, 4] {
+                let cfg = ImConfig { sampler: SamplerKind::Standard(model), ..config(4, 51) };
+                let case = format!("{model} ℓ = {machines}");
+                let root = temp_dir("fold");
+                diimm_sample_generation(&g, &cfg, machines, net, ExecMode::Sequential, &root, 8)
+                    .unwrap();
+                let mut session =
+                    StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+                let mut repaired = 0;
+                for ops in three_batches(&g) {
+                    repaired += session.apply(ops, true, 8).unwrap().sets_repaired;
+                }
+                assert!(repaired > 0, "{case}: nothing repaired");
+                let before = session.select().unwrap();
+                let request = rr_snapshot_request(&g, &cfg);
+                let (_, fold, chain) = dim_store::load_latest_chain(&root, &request).unwrap();
+                assert_eq!(chain.next_seq, 3, "{case}");
+
+                let id = session.compact(8).unwrap().expect("batches to compact");
+                let dir = root.join(dim_store::generation_dir_name(id));
+                let compacted = dim_store::load_snapshot(&dir, &request).unwrap();
+                assert_eq!(compacted.shards.len(), fold.shards.len(), "{case}");
+                for (c, f) in compacted.shards.iter().zip(&fold.shards) {
+                    assert!(c.elements.iter().eq(f.elements.iter()), "{case}: elements");
+                    assert!(c.index.iter().eq(f.index.iter()), "{case}: index");
+                    let header = dim_store::ShardHeader {
+                        edges_examined: f.header.edges_examined,
+                        ..c.header
+                    };
+                    assert_eq!(header, f.header, "{case}: header");
+                }
+                assert_eq!(compacted.edges_examined, before.edges_examined, "{case}");
+                let image = std::fs::read(dir.join(dim_store::GRAPH_FILE)).unwrap();
+                assert_eq!(dim_store::fnv1a(&image), chain.tip_fingerprint, "{case}");
+
+                let mut reopened =
+                    StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+                assert_eq!((reopened.generation(), reopened.next_seq()), (id, 0), "{case}");
+                let after = reopened.select().unwrap();
+                assert_eq!(after.seeds, before.seeds, "{case}");
+                assert_eq!(after.marginals, before.marginals, "{case}");
+                assert_eq!(after.edges_examined, before.edges_examined, "{case}");
+                std::fs::remove_dir_all(&root).unwrap();
+            }
+        }
+    }
+
+    /// An in-memory apply leaves the on-disk chain a link short; the
+    /// compaction writes the resident state, so a fresh session opens it
+    /// and selects what the resident one selects.
+    #[test]
+    fn compact_after_in_memory_apply_heals_the_chain() {
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 7);
+        let cfg = config(4, 33);
+        let root = temp_dir("heal");
+        let net = NetworkModel::zero();
+        diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 4).unwrap();
+        let mut session = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        let [first, second, _] = three_batches(&g);
+        assert_eq!(session.apply(first, true, 4).unwrap().generation, Some(2));
+        assert_eq!(session.apply(second, false, 4).unwrap().generation, None);
+        let resident = session.select().unwrap();
+
+        assert_eq!(session.compact(4).unwrap(), Some(3));
+        let mut reopened = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        assert_eq!((reopened.generation(), reopened.next_seq()), (3, 0));
+        assert_eq!(
+            graph_fingerprint(reopened.current_graph()),
+            graph_fingerprint(session.current_graph())
+        );
+        let selected = reopened.select().unwrap();
+        assert_eq!(selected.seeds, resident.seeds);
+        assert_eq!(selected.marginals, resident.marginals);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A machine lost during the compaction's persist round: a typed
+    /// error, nothing committed, the session still on its chain — which
+    /// it keeps extending once the link is back — and the half-written
+    /// directory collected by a later GC.
+    #[test]
+    fn compact_killed_mid_persist_commits_nothing() {
+        use dim_cluster::{FaultPlan, WireErrorKind};
+
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 7);
+        let cfg = config(4, 33);
+        let root = temp_dir("compact-kill");
+        let net = NetworkModel::zero();
+        diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 8).unwrap();
+        let mut session = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        let [first, second, third] = three_batches(&g);
+        session.apply(first, true, 8).unwrap();
+        session.apply(second, true, 8).unwrap();
+
+        // Round 0 after arming is the compaction's PersistShard round.
+        session.set_faults(Some(FaultInjector::new(FaultPlan::kill_machine(1, 0), 2)));
+        match session.compact(8) {
+            Err(SnapshotError::Wire(e)) => assert_eq!(e.kind, WireErrorKind::Link),
+            other => panic!("expected a link error, got {other:?}"),
+        }
+        assert_eq!((session.generation(), session.next_seq()), (3, 2));
+        assert_eq!(generation_ids(&root), [1, 2, 3, 4]);
+        assert_eq!(dim_store::latest_generation(&root).unwrap(), Some(3));
+
+        session.set_faults(None);
+        assert_eq!(session.apply(third, true, 8).unwrap().generation, Some(5));
+        let selected = session.select().unwrap();
+        let mut reopened = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        assert_eq!((reopened.generation(), reopened.next_seq()), (5, 3));
+        for (r, s) in reopened.cluster.workers().iter().zip(session.cluster.workers()) {
+            assert!(r.shard.elements().iter().eq(s.shard.elements().iter()));
+        }
+        let replayed = reopened.select().unwrap();
+        assert_eq!(replayed.seeds, selected.seeds);
+        assert_eq!(replayed.marginals, selected.marginals);
+
+        assert_eq!(session.compact(1).unwrap(), Some(6));
+        assert_eq!(generation_ids(&root), [6], "the uncommitted attempt is collected");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A generation another writer committed after `open` makes
+    /// `compact` refuse before it writes anything.
+    #[test]
+    fn compact_refuses_when_another_writer_committed() {
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 7);
+        let cfg = config(4, 33);
+        let root = temp_dir("compact-race");
+        let net = NetworkModel::zero();
+        diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 8).unwrap();
+        let mut session = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        let [first, ..] = three_batches(&g);
+        session.apply(first, true, 8).unwrap();
+        diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 8).unwrap();
+
+        match session.compact(8) {
+            Err(SnapshotError::Store(StoreError::Mismatch { field, expected, found, .. })) => {
+                assert_eq!((field, expected, found), ("generation", 2, 3))
+            }
+            other => panic!("expected a generation mismatch, got {other:?}"),
+        }
+        assert_eq!(generation_ids(&root), [1, 2, 3], "nothing written");
+        assert_eq!((session.generation(), session.next_seq()), (2, 1));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

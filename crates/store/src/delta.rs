@@ -6,9 +6,9 @@
 //! applied and (b) only the RR sets the batch invalidated, re-sampled on
 //! the mutated graph. A committed generation is then *base shards + an
 //! ordered delta chain*; [`crate::generation::load_latest_chain`] folds
-//! the chain back into a full snapshot at load time, and
-//! [`crate::generation::compact_generation`] folds it on disk into a new
-//! base.
+//! the chain back into a full snapshot at load time. A chain is never
+//! folded on disk: compaction has the workers persist the shards they hold
+//! resident — already the fold — as a new base.
 //!
 //! # Delta file layout (all integers little-endian)
 //!

@@ -33,14 +33,18 @@
 //! base generation followed by contiguous delta generations, each linked
 //! to its predecessor by graph fingerprint. [`load_latest_chain`] resolves
 //! and folds a chain into an ordinary [`Snapshot`] (so readers like
-//! `dim serve` need no delta awareness), [`compact_generation`] folds it
-//! on disk into a fresh base, and [`gc_generations`] keeps every
-//! generation a live chain still references. A compacted base carries the
-//! chain's *root* fingerprint in its shard headers (what requests match)
-//! and persists the mutated graph alongside as [`GRAPH_FILE`], which is
-//! where later deltas and resumed streams pick the true tip graph up
-//! from. The store is single-writer: compaction and GC must not run
-//! concurrently with another writer on the same root.
+//! `dim serve` need no delta awareness), and [`gc_generations`] keeps every
+//! generation a live chain still references.
+//!
+//! A chain ends when its writer compacts it: the workers persist the
+//! shards they hold resident — which equal the fold — as a fresh base
+//! through the same [`begin_generation`] → [`commit_generation`] protocol,
+//! and the writer adds the tip graph with [`write_graph_file`]. A
+//! compacted base carries the chain's *root* fingerprint in its shard
+//! headers (what requests match) and the mutated graph alongside as
+//! [`GRAPH_FILE`], which is where later deltas and resumed streams pick
+//! the true tip graph up from. The store is single-writer: compaction and
+//! GC must not run concurrently with another writer on the same root.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -50,7 +54,7 @@ use dim_coverage::PooledSets;
 use dim_graph::{DeltaBatch, Graph};
 
 use crate::delta::{delta_base_of, delta_paths, read_delta_shard, DeltaShard};
-use crate::{fnv1a, load_snapshot, write_shard, Snapshot, SnapshotRequest, StoreError};
+use crate::{fnv1a, load_snapshot, Snapshot, SnapshotRequest, StoreError};
 
 /// Prefix of generation directory names inside a store root.
 pub const GENERATION_PREFIX: &str = "gen-";
@@ -159,6 +163,19 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Option<u64>, StoreError> {
     Ok(Some(id))
 }
 
+/// Id of the newest *committed* generation under `root` (directory id
+/// and manifest agree), or `None` when the root has none. Reads manifests
+/// only — what a writer checks to tell whether another one committed
+/// since it last looked.
+pub fn latest_generation(root: &Path) -> Result<Option<u64>, StoreError> {
+    for (id, dir) in list_generations(root)?.into_iter().rev() {
+        if read_manifest(&dir)? == Some(id) {
+            return Ok(Some(id));
+        }
+    }
+    Ok(None)
+}
+
 /// How a loaded generation relates to its delta chain: which base it
 /// folds over, the edge batches applied on top (empty for a plain base),
 /// and where a resumed stream continues.
@@ -189,6 +206,17 @@ fn base_graph_fingerprint(dir: &Path, fallback: u64) -> Result<u64, StoreError> 
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(fallback),
         Err(e) => Err(io_err(&path, e)),
     }
+}
+
+/// Writes `graph` into a compacted generation's directory as
+/// [`GRAPH_FILE`]: its canonical DIMG image, the bytes whose hash is the
+/// chain's tip fingerprint. The generation is not committed yet, so a
+/// plain write suffices — a crash leaves an uncommitted directory.
+pub fn write_graph_file(dir: &Path, graph: &Graph) -> Result<(), StoreError> {
+    let mut buf = Vec::new();
+    dim_graph::binary::write_binary(graph, &mut buf).expect("in-memory serialization cannot fail");
+    let path = dir.join(GRAPH_FILE);
+    fs::write(&path, &buf).map_err(|e| io_err(&path, e))
 }
 
 /// Loads the mutated graph a compacted generation persisted alongside its
@@ -473,78 +501,22 @@ pub fn load_latest_chain(
     }
 }
 
-/// Folds the newest committed chain into a fresh full base generation:
-/// base + deltas become one new `DIMR` generation carrying the chain's
-/// root fingerprint in its shard headers and the mutated tip graph as
-/// [`GRAPH_FILE`].
-///
-/// `graph` must be the chain's tip graph (base graph with every batch
-/// applied) — its fingerprint is checked against the chain before
-/// anything is written. Shards are staged in a `gen-<id>.tmp` directory
-/// and renamed into place, so a crashed compaction leaves only a staging
-/// directory for [`gc_generations`] to sweep, never a half-visible
-/// generation. Returns `Ok(None)` when the newest generation has no
-/// deltas to fold.
-pub fn compact_generation(
-    root: &Path,
-    request: &SnapshotRequest,
-    graph: &Graph,
-) -> Result<Option<(u64, PathBuf)>, StoreError> {
-    let (_tip, snapshot, chain) = load_latest_chain(root, request)?;
-    if chain.batches.is_empty() {
-        return Ok(None);
-    }
-    let found = crate::graph_fingerprint(graph);
-    if found != chain.tip_fingerprint {
-        return Err(StoreError::Mismatch {
-            path: root.to_path_buf(),
-            field: "tip fingerprint",
-            expected: chain.tip_fingerprint,
-            found,
-        });
-    }
-    let next = list_generations(root)?
-        .last()
-        .map(|&(id, _)| id + 1)
-        .unwrap_or(1);
-    let dir = root.join(generation_dir_name(next));
-    let stage = root.join(format!("{}.tmp", generation_dir_name(next)));
-    if stage.exists() {
-        fs::remove_dir_all(&stage).map_err(|e| io_err(&stage, e))?;
-    }
-    fs::create_dir_all(&stage).map_err(|e| io_err(&stage, e))?;
-    for shard in &snapshot.shards {
-        write_shard(&stage, &shard.header, &shard.elements)?;
-    }
-    let mut buf = Vec::new();
-    dim_graph::binary::write_binary(graph, &mut buf)
-        .expect("in-memory serialization cannot fail");
-    let graph_path = stage.join(GRAPH_FILE);
-    fs::write(&graph_path, &buf).map_err(|e| io_err(&graph_path, e))?;
-    fs::rename(&stage, &dir).map_err(|e| io_err(&dir, e))?;
-    commit_generation(&dir, next)?;
-    Ok(Some((next, dir)))
-}
-
 /// Deletes old generation directories, keeping the newest `keep` (by id,
 /// committed or not — an uncommitted newest generation is a write in
 /// progress and must survive) *plus* every generation a kept delta chain
 /// still references: a kept delta generation pins its base and all
 /// intermediate links, so a served chain never loses its foundation.
-/// `keep` is clamped to at least 1. Also sweeps `gen-<id>.tmp` staging
-/// directories left behind by crashed compactions (the store is
-/// single-writer, so none can belong to a live one). Returns the removed
-/// generation ids in ascending order.
+/// `keep` is clamped to at least 1. An uncommitted directory older than
+/// that (a crashed sample, apply or compaction) is collected like any
+/// other. Returns the removed generation ids in ascending order.
 ///
 /// A kept generation's link is read once, from the checksummed header of
 /// its first delta shard; shard bodies are never opened. If any kept link
 /// is unreadable (truncated prefix, bad magic or version, header checksum
 /// mismatch) the error is returned and nothing is deleted. A kept delta
-/// shard whose *body* is corrupt does not fail GC — [`load_latest_chain`]
-/// and [`compact_generation`], which consume the body, still report it as
-/// [`StoreError::Corrupt`].
+/// shard whose *body* is corrupt does not fail GC — [`load_latest_chain`],
+/// which consumes the body, still reports it as [`StoreError::Corrupt`].
 pub fn gc_generations(root: &Path, keep: usize) -> Result<Vec<u64>, StoreError> {
-    sweep_staging(root)?;
     let keep = keep.max(1);
     let gens = list_generations(root)?;
     if gens.len() <= keep {
@@ -574,32 +546,6 @@ pub fn gc_generations(root: &Path, keep: usize) -> Result<Vec<u64>, StoreError> 
     Ok(removed)
 }
 
-/// Removes `gen-<id>.tmp` staging directories (crashed compactions).
-fn sweep_staging(root: &Path) -> Result<(), StoreError> {
-    let entries = match fs::read_dir(root) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(io_err(root, e)),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(root, e))?;
-        let path = entry.path();
-        if !path.is_dir() {
-            continue;
-        }
-        let name = entry.file_name();
-        let is_staging = name
-            .to_str()
-            .and_then(|n| n.strip_suffix(".tmp"))
-            .and_then(parse_generation_dir)
-            .is_some();
-        if is_staging {
-            fs::remove_dir_all(&path).map_err(|e| io_err(&path, e))?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,17 +553,6 @@ mod tests {
     use dim_cluster::SamplerSpec;
     use dim_coverage::PooledSets;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// The newest *committed* generation under `root` (directory id and
-    /// manifest agree), or `None` when the root has no committed generation.
-    fn latest_generation(root: &Path) -> Result<Option<(u64, PathBuf)>, StoreError> {
-        for (id, dir) in list_generations(root)?.into_iter().rev() {
-            if read_manifest(&dir)? == Some(id) {
-                return Ok(Some((id, dir)));
-            }
-        }
-        Ok(None)
-    }
 
     fn temp_root(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -682,7 +617,7 @@ mod tests {
         assert!(latest_generation(&root).unwrap().is_none());
         write_snapshot(&dir1, 0);
         commit_generation(&dir1, id1).unwrap();
-        assert_eq!(latest_generation(&root).unwrap().unwrap().0, 1);
+        assert_eq!(latest_generation(&root).unwrap(), Some(1));
 
         // The next id is reserved past any existing directory, even an
         // uncommitted one.
@@ -692,7 +627,7 @@ mod tests {
         assert_eq!(id3, 3);
         write_snapshot(&dir3, 1);
         commit_generation(&dir3, id3).unwrap();
-        assert_eq!(latest_generation(&root).unwrap().unwrap().0, 3);
+        assert_eq!(latest_generation(&root).unwrap(), Some(3));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -813,7 +748,7 @@ mod tests {
         // keep is clamped to 1: the latest always survives.
         let removed = gc_generations(&root, 0).unwrap();
         assert_eq!(removed, vec![4]);
-        assert_eq!(latest_generation(&root).unwrap().unwrap().0, 5);
+        assert_eq!(latest_generation(&root).unwrap(), Some(5));
         // Ids keep increasing after GC (no reuse).
         let (id, _) = begin_generation(&root).unwrap();
         assert_eq!(id, 6);
@@ -901,41 +836,41 @@ mod tests {
     }
 
     #[test]
-    fn gc_keeps_chain_base_and_sweeps_staging() {
+    fn gc_keeps_chain_base_and_collects_crashed_attempts() {
         let root = temp_root("gcchain");
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0);
         commit_generation(&dir1, id1).unwrap();
         write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![(0, vec![1])]);
+        // A compaction that crashed before its commit: an uncommitted
+        // directory inside the live chain's id range.
+        let (crashed, crashed_dir) = begin_generation(&root).unwrap();
+        write_snapshot(&crashed_dir, 9);
         write_delta_generation(&root, id1, 1, 0xaaaa, 0xbbbb, vec![(1, vec![2])]);
-        // Keeping only the tip must pin the whole chain down to its base.
+        // Keeping only the tip must pin the whole chain down to its base,
+        // and the chain loads past the crashed attempt.
         assert!(gc_generations(&root, 1).unwrap().is_empty());
-        assert_eq!(list_generations(&root).unwrap().len(), 3);
+        assert_eq!(list_generations(&root).unwrap().len(), 4);
+        assert_eq!(load_latest_chain(&root, &request()).unwrap().2.next_seq, 2);
 
-        // A fresh base makes the old chain collectable.
-        let (id4, dir4) = begin_generation(&root).unwrap();
-        write_snapshot(&dir4, 1);
-        commit_generation(&dir4, id4).unwrap();
-        let (id5, _) = write_delta_generation(&root, id4, 0, 0xfeed_f00d, 0xcccc, vec![]);
-
-        // A crashed compaction's staging dir gets swept; non-staging names
-        // survive.
-        let staging = root.join("gen-00000009.tmp");
-        fs::create_dir_all(&staging).unwrap();
-        fs::write(staging.join("shard-0-of-1.rrs"), b"junk").unwrap();
-        let unrelated = root.join("scratch.tmp");
+        // A fresh base makes the old chain, crashed attempt included,
+        // collectable. Other names under the root are never touched.
+        let (id5, dir5) = begin_generation(&root).unwrap();
+        write_snapshot(&dir5, 1);
+        commit_generation(&dir5, id5).unwrap();
+        let (id6, _) = write_delta_generation(&root, id5, 0, 0xfeed_f00d, 0xcccc, vec![]);
+        let unrelated = root.join("gen-00000009.tmp");
         fs::create_dir_all(&unrelated).unwrap();
 
         let removed = gc_generations(&root, 1).unwrap();
-        assert_eq!(removed, vec![1, 2, 3]);
+        assert_eq!(removed, vec![1, 2, crashed, 4]);
         let left: Vec<u64> = list_generations(&root)
             .unwrap()
             .into_iter()
             .map(|(id, _)| id)
             .collect();
-        assert_eq!(left, vec![id4, id5]);
-        assert!(!staging.exists(), "staging dir swept");
-        assert!(unrelated.exists(), "non-generation tmp dir untouched");
+        assert_eq!(left, vec![id5, id6]);
+        assert!(unrelated.exists(), "a non-generation name is not GC's to delete");
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -985,7 +920,7 @@ mod tests {
         fs::write(&victim, &intact).unwrap();
 
         // A corrupt body: GC walks the chain through the header and
-        // collects generation 1; loading and compacting still fail.
+        // collects generation 1; loading still fails.
         flip_byte(&victim, -9);
         assert_eq!(gc_generations(&root, 1).unwrap(), [1]);
         assert_eq!(ids(&root), [2, 3, 4]);
@@ -993,67 +928,51 @@ mod tests {
             load_latest_chain(&root, &request()),
             Err(StoreError::Corrupt { .. })
         ));
-        let graph = GraphBuilder::new(5).build(WeightModel::WeightedCascade);
-        assert!(matches!(
-            compact_generation(&root, &request(), &graph),
-            Err(StoreError::Corrupt { .. })
-        ));
         fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A base carrying [`GRAPH_FILE`] (a compacted one) names its graph by
+    /// the file's hash, answers the root request, and anchors the deltas
+    /// chained on it; a hostile graph file is a typed error.
     #[test]
-    fn compact_folds_chain_and_resumes_from_graph_file() {
-        let root = temp_root("compact");
-        let (id1, dir1) = begin_generation(&root).unwrap();
-        write_snapshot(&dir1, 0);
-        commit_generation(&dir1, id1).unwrap();
-        // The "mutated" graph the chain supposedly produced.
+    fn graph_file_anchors_chain_and_rejects_hostile_bytes() {
+        let root = temp_root("graphfile");
         let mut b = GraphBuilder::new(5);
         b.add_weighted_edge(0, 1, 0.5);
         b.add_weighted_edge(1, 2, 0.25);
         let graph = b.build(WeightModel::WeightedCascade);
         let tip_fp = crate::graph_fingerprint(&graph);
-        write_delta_generation(&root, id1, 0, 0xfeed_f00d, tip_fp, vec![(0, vec![3])]);
+        let (id1, dir1) = begin_generation(&root).unwrap();
+        write_snapshot(&dir1, 0);
+        write_graph_file(&dir1, &graph).unwrap();
+        commit_generation(&dir1, id1).unwrap();
 
-        // Compacting with the wrong graph is refused before any write.
-        let wrong = GraphBuilder::new(5).build(WeightModel::WeightedCascade);
-        assert!(matches!(
-            compact_generation(&root, &request(), &wrong),
-            Err(StoreError::Mismatch { field: "tip fingerprint", .. })
-        ));
-
-        let (id3, dir3) = compact_generation(&root, &request(), &graph)
-            .unwrap()
-            .expect("chain had deltas to fold");
-        assert_eq!(id3, 3);
-        // The compacted base answers the ROOT request, serves the folded
-        // sets, and exposes the tip graph for resumed streams.
-        let (id, snap, chain) = load_latest_chain(&root, &request()).unwrap();
-        assert_eq!(id, id3);
-        assert_eq!(snap.shards[0].elements.get(0), &[3][..]);
-        assert!(chain.batches.is_empty());
-        assert_eq!(chain.next_seq, 0);
-        assert_eq!(chain.tip_fingerprint, tip_fp);
-        let restored = read_graph_file(&dir3).unwrap().expect("graph persisted");
+        let image = fs::read(dir1.join(GRAPH_FILE)).unwrap();
+        assert_eq!(fnv1a(&image), tip_fp, "the file is the fingerprinted image");
+        let restored = read_graph_file(&dir1).unwrap().expect("graph persisted");
         assert_eq!(crate::graph_fingerprint(&restored), tip_fp);
+        let (id, _, chain) = load_latest_chain(&root, &request()).unwrap();
+        assert_eq!(id, id1);
+        assert!(chain.batches.is_empty());
+        assert_eq!(chain.tip_fingerprint, tip_fp);
+
         // A corrupted graph file (n = 2⁶⁰; a trailing byte) is a typed
         // error, never a panic.
-        let graph_path = dir3.join(GRAPH_FILE);
-        let image = fs::read(&graph_path).unwrap();
+        let graph_path = dir1.join(GRAPH_FILE);
         let huge_n = [&image[..8], &(1u64 << 60).to_le_bytes(), &image[16..]].concat();
         for hostile in [huge_n, [&image[..], &[0]].concat()] {
             fs::write(&graph_path, hostile).unwrap();
-            assert!(matches!(read_graph_file(&dir3), Err(StoreError::Corrupt { .. })));
+            assert!(matches!(read_graph_file(&dir1), Err(StoreError::Corrupt { .. })));
         }
-        fs::write(&graph_path, image).unwrap();
-        // No deltas left: compaction is idempotent.
-        assert!(compact_generation(&root, &request(), &graph).unwrap().is_none());
-        // A post-compaction delta chains off the persisted tip graph.
-        write_delta_generation(&root, id3, 0, tip_fp, 0x1234, vec![(1, vec![0])]);
+        fs::write(&graph_path, &image).unwrap();
+
+        // A delta chains off the persisted graph, not the shards' root
+        // fingerprint.
+        write_delta_generation(&root, id1, 0, tip_fp, 0x1234, vec![(1, vec![0])]);
         let (id, snap, chain) = load_latest_chain(&root, &request()).unwrap();
-        assert_eq!(id, id3 + 1);
+        assert_eq!(id, id1 + 1);
         assert_eq!(snap.shards[0].elements.get(1), &[0][..]);
-        assert_eq!(chain.base_generation, id3);
+        assert_eq!(chain.base_generation, id1);
         assert_eq!(chain.tip_fingerprint, 0x1234);
         fs::remove_dir_all(&root).unwrap();
     }

@@ -44,9 +44,9 @@ pub use delta::{
     DeltaShardHeader, DELTA_EXTENSION, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use generation::{
-    begin_generation, commit_generation, compact_generation, gc_generations, generation_dir_name,
-    list_generations, load_latest_chain, load_latest_snapshot, read_graph_file, ChainInfo,
-    GENERATION_PREFIX, GRAPH_FILE, MANIFEST_FILE,
+    begin_generation, commit_generation, gc_generations, generation_dir_name, latest_generation,
+    list_generations, load_latest_chain, load_latest_snapshot, read_graph_file, write_graph_file,
+    ChainInfo, GENERATION_PREFIX, GRAPH_FILE, MANIFEST_FILE,
 };
 
 use std::fmt;

@@ -102,7 +102,7 @@ commands:
             --apply EDITS.jsonl             each batch repairs the resident RR sets
                                             incrementally and commits a delta
                                             generation (--batch-size N ops/batch,
-                                            --keep N, --compact folds the chain,
+                                            --keep N, --compact writes a new base,
                                             --select reruns seed selection)
   serve     --graph <src> --store DIR       answer influence queries over a sketch
                                             (--addr A, --max-queries N,

@@ -556,7 +556,8 @@ mod proc_backend {
         let mut cluster = proc_cluster(machines, config.seed);
         setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
         let r = diimm_on(&mut cluster, &g, &config, true).unwrap();
-        persist_rr_shards(&mut cluster, &proc_dir, &g, &config, r.num_rr_sets as u64)
+        let fingerprint = graph_fingerprint(&g);
+        persist_rr_shards(&mut cluster, &proc_dir, fingerprint, &config, r.num_rr_sets as u64)
             .unwrap();
         // The save phase is a control round: it models no shard traffic.
         let save = cluster.timeline().get(phase::STORE_SAVE);

@@ -905,7 +905,8 @@ fn reload_and_gc_survive_fault_schedule() {
     assert!(degraded.rebuilt_sets > 0);
     let (id, dir) = begin_generation(&root).unwrap();
     assert_eq!(id, 5);
-    persist_rr_shards(&mut recovering, &dir, &g, &cfg5, result.num_rr_sets as u64)
+    let fingerprint = graph_fingerprint(&g);
+    persist_rr_shards(&mut recovering, &dir, fingerprint, &cfg5, result.num_rr_sets as u64)
         .expect("persist recovered shards");
     commit_generation(&dir, id).unwrap();
     references.write().unwrap().insert(5, load_latest_reference(5));
