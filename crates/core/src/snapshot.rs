@@ -147,14 +147,15 @@ pub fn diimm_sample_on<B: OpCluster>(
 }
 
 /// The provenance a snapshot must match to serve `graph` under `config`:
-/// graph fingerprint and sampler kind, any shard count. This is what
-/// `dim serve` hands to the hot-reload path, so reloads validate exactly
-/// like the initial load.
+/// graph fingerprint, sampler kind and node count, any shard count. This
+/// is what `dim serve` hands to the hot-reload path, so reloads validate
+/// exactly like the initial load.
 pub fn rr_snapshot_request(graph: &Graph, config: &ImConfig) -> SnapshotRequest {
     SnapshotRequest {
         fingerprint: graph_fingerprint(graph),
         sampler: config.sampler.into(),
         shard_count: None,
+        num_sets: graph.num_nodes() as u64,
     }
 }
 
@@ -476,8 +477,8 @@ impl<'g> StreamSession<'g> {
 }
 
 /// Restores a validated snapshot into per-machine coverage shards, in
-/// shard order. The shards come out prepared (the persisted transpose
-/// index is reused, not recomputed).
+/// shard order. The shards come out prepared (the index dim-store derived
+/// while loading is reused, not recomputed).
 pub fn snapshot_shards(snapshot: Snapshot) -> Vec<CoverageShard> {
     let num_sets = snapshot.num_sets as usize;
     snapshot

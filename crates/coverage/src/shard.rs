@@ -54,9 +54,9 @@ impl CoverageShard {
     }
 
     /// Rebuilds a prepared shard from a snapshot's parts: element records
-    /// plus their already-verified transpose index (dim-store validates
-    /// `index == elements.transpose(num_sets)` while decoding, so no
-    /// re-transpose happens here). The shard comes out exactly as if the
+    /// plus their transpose index, which dim-store derives as
+    /// `elements.transpose(num_sets)` while loading: it is neither
+    /// re-derived nor verified here. The shard comes out exactly as if the
     /// records had been pushed and [`CoverageShard::prepare`]d: everything
     /// uncovered, nothing yet reported through
     /// `CoverageShard::take_new_coverage`.

@@ -1233,6 +1233,7 @@ mod tests {
             fingerprint: 0xabcd,
             sampler: SamplerSpec::Subsim,
             shard_count: None,
+            num_sets: 5,
         };
         let gen1 = write_generation(&root, 0);
         let (id, snapshot) = dim_store::load_latest_snapshot(&root, &request).unwrap();

@@ -46,7 +46,10 @@ use dim_cluster::ops::{put_u32, put_u64, Reader};
 use dim_cluster::SamplerSpec;
 use dim_graph::DeltaBatch;
 
-use crate::{seal, unseal, unseal_header, StoreError, MAX_PREFIX_LEN};
+use crate::{
+    files_with_extension, io_err, seal, unseal, unseal_header, write_atomic, StoreError,
+    MAX_PREFIX_LEN,
+};
 
 /// File magic for delta shard files.
 pub const DELTA_MAGIC: [u8; 4] = *b"DIMD";
@@ -186,18 +189,30 @@ pub fn encode_delta_shard(
         repaired.windows(2).all(|w| w[0].0 < w[1].0),
         "repaired records must be sorted by strictly increasing set index"
     );
-    let mut body = Vec::new();
     let batch_bytes = batch.encode();
-    put_u32(&mut body, batch_bytes.len() as u32);
-    body.extend_from_slice(&batch_bytes);
+    let body_len = 4 + batch_bytes.len() + records_len(repaired);
+    seal(DELTA_MAGIC, DELTA_VERSION, &header.encode(), body_len, |body| {
+        put_u32(body, batch_bytes.len() as u32);
+        body.extend_from_slice(&batch_bytes);
+        put_records(body, repaired);
+    })
+}
+
+/// Bytes [`put_records`] appends for `repaired`.
+fn records_len(repaired: &[(u32, Vec<u32>)]) -> usize {
+    repaired.iter().map(|(_, nodes)| 8 + 4 * nodes.len()).sum()
+}
+
+/// Appends the repaired records, each `set_index u32 · len u32 ·
+/// nodes u32[len]`.
+fn put_records(out: &mut Vec<u8>, repaired: &[(u32, Vec<u32>)]) {
     for (set_index, nodes) in repaired {
-        put_u32(&mut body, *set_index);
-        put_u32(&mut body, nodes.len() as u32);
+        put_u32(out, *set_index);
+        put_u32(out, nodes.len() as u32);
         for &v in nodes {
-            put_u32(&mut body, v);
+            put_u32(out, v);
         }
     }
-    seal(DELTA_MAGIC, DELTA_VERSION, &header.encode(), &body)
 }
 
 /// Decodes and fully validates a delta shard file from untrusted bytes.
@@ -273,58 +288,20 @@ pub fn write_delta_shard(
     batch: &DeltaBatch,
     repaired: &[(u32, Vec<u32>)],
 ) -> Result<PathBuf, StoreError> {
-    fs::create_dir_all(dir).map_err(|source| StoreError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let bytes = encode_delta_shard(header, batch, repaired);
     let name = delta_file_name(header.shard_id, header.shard_count);
-    let path = dir.join(&name);
-    let tmp = dir.join(format!(".{name}.tmp"));
-    fs::write(&tmp, &bytes).map_err(|source| StoreError::Io {
-        path: tmp.clone(),
-        source,
-    })?;
-    fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-        path: path.clone(),
-        source,
-    })?;
-    Ok(path)
+    write_atomic(dir, &name, &encode_delta_shard(header, batch, repaired))
 }
 
 /// Reads and validates one delta shard file.
 pub(crate) fn read_delta_shard(path: &Path) -> Result<DeltaShard, StoreError> {
-    let bytes = fs::read(path).map_err(|source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
+    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
     decode_delta_shard(&bytes).map_err(|e| e.with_path(path))
 }
 
 /// All `*.rrd` files in a generation directory, sorted by name. Empty for
 /// a base (`DIMR`) generation.
 pub(crate) fn delta_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
-    let entries = fs::read_dir(dir).map_err(|source| StoreError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let mut paths = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|source| StoreError::Io {
-            path: dir.to_path_buf(),
-            source,
-        })?;
-        let path = entry.path();
-        if path
-            .extension()
-            .map(|e| e == DELTA_EXTENSION)
-            .unwrap_or(false)
-        {
-            paths.push(path);
-        }
-    }
-    paths.sort();
-    Ok(paths)
+    files_with_extension(dir, DELTA_EXTENSION)
 }
 
 /// Decodes the header of a delta shard from the start of its file — the
@@ -341,10 +318,7 @@ pub fn decode_delta_header(bytes: &[u8]) -> Result<DeltaShardHeader, StoreError>
 /// bytes come off the disk. The body — batch and repaired records,
 /// megabytes on a live chain — is neither read nor checked.
 fn read_delta_header(path: &Path) -> Result<DeltaShardHeader, StoreError> {
-    let io = |source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    };
+    let io = |e| io_err(path, e);
     let mut prefix = Vec::with_capacity(MAX_PREFIX_LEN);
     fs::File::open(path)
         .map_err(io)?

@@ -33,7 +33,8 @@
 //! base generation followed by contiguous delta generations, each linked
 //! to its predecessor by graph fingerprint. [`load_latest_chain`] resolves
 //! and folds a chain into an ordinary [`Snapshot`] (so readers like
-//! `dim serve` need no delta awareness), and [`gc_generations`] keeps every
+//! `dim serve` need no delta awareness), deriving each shard's index once,
+//! from the folded elements, and [`gc_generations`] keeps every
 //! generation a live chain still references.
 //!
 //! A chain ends when its writer compacts it: the workers persist the
@@ -54,7 +55,10 @@ use dim_coverage::PooledSets;
 use dim_graph::{DeltaBatch, Graph};
 
 use crate::delta::{delta_base_of, delta_paths, read_delta_shard, DeltaShard};
-use crate::{fnv1a, load_snapshot, Snapshot, SnapshotRequest, StoreError};
+use crate::{
+    check_shard_ids, fnv1a, io_err, load_shards, load_snapshot, Snapshot, SnapshotRequest,
+    StoreError,
+};
 
 /// Prefix of generation directory names inside a store root.
 pub const GENERATION_PREFIX: &str = "gen-";
@@ -80,13 +84,6 @@ pub(crate) fn parse_generation_dir(name: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
-}
-
-fn io_err(path: &Path, source: std::io::Error) -> StoreError {
-    StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    }
 }
 
 /// Every generation directory under `root` (committed or not), sorted by
@@ -277,24 +274,8 @@ fn read_delta_generation(dir: &Path) -> Result<Vec<DeltaShard>, StoreError> {
         shards.push(shard);
     }
     let shard_count = shards[0].header.shard_count;
-    let mut seen = vec![false; shard_count as usize];
-    for (shard, path) in shards.iter().zip(&paths) {
-        let id = shard.header.shard_id as usize;
-        if seen[id] {
-            return Err(StoreError::Corrupt {
-                path: Some(path.clone()),
-                detail: "duplicate delta shard id",
-            });
-        }
-        seen[id] = true;
-    }
-    if let Some(missing) = seen.iter().position(|&s| !s) {
-        return Err(StoreError::MissingShard {
-            dir: dir.to_path_buf(),
-            shard_id: missing as u32,
-            shard_count,
-        });
-    }
+    let ids = shards.iter().map(|s| s.header.shard_id);
+    check_shard_ids(dir, &paths, ids, shard_count, "duplicate delta shard id")?;
     shards.sort_by_key(|s| s.header.shard_id);
     Ok(shards)
 }
@@ -332,7 +313,9 @@ fn load_chain(
         }
     }
     let base_dir = base_dir.ok_or_else(|| corrupt("delta chain base generation missing"))?;
-    let snapshot = load_snapshot(base_dir, request)?;
+    // The base is checked against the request, `num_sets` included, before
+    // the fold below derives its index, once, from the folded elements.
+    let snapshot = load_shards(base_dir, request, false)?;
     let base_fp = base_graph_fingerprint(base_dir, snapshot.fingerprint)?;
     let mut tip_fp = base_fp;
     let mut batches: Vec<DeltaBatch> = Vec::with_capacity(link_dirs.len());
@@ -373,29 +356,27 @@ fn load_chain(
         links.push(shards);
     }
     // Fold: for each shard, the last repair of a set wins; untouched sets
-    // keep their base bytes.
+    // keep their base bytes. Then derive the index.
     let num_sets = snapshot.num_sets as usize;
     let mut folded = snapshot;
-    for s in 0..folded.shards.len() {
+    for (s, shard) in folded.shards.iter_mut().enumerate() {
         let mut overrides: BTreeMap<u32, &[u32]> = BTreeMap::new();
         for link in &links {
             for (idx, nodes) in &link[s].repaired {
                 overrides.insert(*idx, nodes.as_slice());
             }
         }
-        if overrides.is_empty() {
-            continue;
+        if !overrides.is_empty() {
+            let mut rebuilt = PooledSets::new();
+            for i in 0..shard.elements.len() {
+                match overrides.get(&(i as u32)) {
+                    Some(nodes) => rebuilt.push(nodes),
+                    None => rebuilt.push(shard.elements.get(i)),
+                };
+            }
+            shard.elements = rebuilt;
         }
-        let shard = &mut folded.shards[s];
-        let mut rebuilt = PooledSets::new();
-        for i in 0..shard.elements.len() {
-            match overrides.get(&(i as u32)) {
-                Some(nodes) => rebuilt.push(nodes),
-                None => rebuilt.push(shard.elements.get(i)),
-            };
-        }
-        shard.index = rebuilt.transpose(num_sets);
-        shard.elements = rebuilt;
+        shard.index = shard.elements.transpose(num_sets);
     }
     let base_generation = base_id;
     let next_seq = batches.len() as u64;
@@ -441,21 +422,22 @@ pub fn load_latest_chain(
     root: &Path,
     request: &SnapshotRequest,
 ) -> Result<(u64, Snapshot, ChainInfo), StoreError> {
+    // A base generation is a chain of no batches.
+    let load_base = |id: u64, dir: &Path| -> Result<(Snapshot, ChainInfo), StoreError> {
+        let snapshot = load_snapshot(dir, request)?;
+        let tip_fingerprint = base_graph_fingerprint(dir, snapshot.fingerprint)?;
+        let chain = ChainInfo {
+            base_generation: id,
+            base_dir: dir.to_path_buf(),
+            batches: Vec::new(),
+            tip_fingerprint,
+            next_seq: 0,
+        };
+        Ok((snapshot, chain))
+    };
     let gens = list_generations(root)?;
     if gens.is_empty() {
-        let snapshot = load_snapshot(root, request)?;
-        let tip_fingerprint = base_graph_fingerprint(root, snapshot.fingerprint)?;
-        return Ok((
-            0,
-            snapshot,
-            ChainInfo {
-                base_generation: 0,
-                base_dir: root.to_path_buf(),
-                batches: Vec::new(),
-                tip_fingerprint,
-                next_seq: 0,
-            },
-        ));
+        return load_base(0, root).map(|(snapshot, chain)| (0, snapshot, chain));
     }
     let mut any_committed = false;
     let mut newest_uncommitted: Option<u64> = None;
@@ -467,19 +449,7 @@ pub fn load_latest_chain(
         }
         any_committed = true;
         let result = if delta_paths(dir)?.is_empty() {
-            load_snapshot(dir, request).and_then(|snapshot| {
-                let tip_fingerprint = base_graph_fingerprint(dir, snapshot.fingerprint)?;
-                Ok((
-                    snapshot,
-                    ChainInfo {
-                        base_generation: *id,
-                        base_dir: dir.clone(),
-                        batches: Vec::new(),
-                        tip_fingerprint,
-                        next_seq: 0,
-                    },
-                ))
-            })
+            load_base(*id, dir)
         } else {
             load_chain(&gens, tip_idx, request)
         };
@@ -570,6 +540,7 @@ mod tests {
             fingerprint: 0xfeed_f00d,
             sampler: SamplerSpec::Subsim,
             shard_count: None,
+            num_sets: 5,
         }
     }
 
@@ -831,6 +802,39 @@ mod tests {
                 assert_eq!(detail, "delta chain fingerprint mismatch")
             }
             other => panic!("expected corrupt chain, got {other:?}"),
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A base shard over another set universe is refused before the fold
+    /// derives its index: nothing in a small file may make the loader
+    /// allocate an index of 2³² lists.
+    #[test]
+    fn chain_refuses_a_base_over_another_universe() {
+        let root = temp_root("chainuniverse");
+        let (id1, dir1) = begin_generation(&root).unwrap();
+        let header = ShardHeader {
+            fingerprint: 0xfeed_f00d,
+            sampler: SamplerSpec::Subsim,
+            seed: 0,
+            theta: 0,
+            shard_id: 0,
+            shard_count: 1,
+            num_sets: u32::MAX as u64,
+            num_elements: 0,
+            edges_examined: 0,
+        };
+        write_shard(&dir1, &header, &PooledSets::new()).unwrap();
+        commit_generation(&dir1, id1).unwrap();
+        write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![]);
+        match load_latest_chain(&root, &request()) {
+            Err(StoreError::Mismatch {
+                field,
+                expected,
+                found,
+                ..
+            }) => assert_eq!((field, expected, found), ("num_sets", 5, u32::MAX as u64)),
+            other => panic!("expected num_sets mismatch, got {other:?}"),
         }
         fs::remove_dir_all(&root).unwrap();
     }

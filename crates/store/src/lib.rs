@@ -11,11 +11,11 @@
 //!
 //! ```text
 //! magic           b"DIMR"
-//! version         u32        (currently 1)
+//! version         u32        (currently 2)
 //! header_len      u32        (bytes in the header block)
 //! header          header_len bytes — see [`ShardHeader`]
 //! header_checksum u64        FNV-1a over the header block
-//! body            elements section, then index section
+//! body            elements section
 //! body_checksum   u64        FNV-1a over the body
 //! ```
 //!
@@ -26,15 +26,21 @@
 //! default); a tag keeps its law forever, so a sketch is only extended or
 //! repaired by the sampler that wrote it. `edges_examined` counts sampler
 //! work units (Σ w(R): one per in-edge examined, one per jump on a SUBSIM
-//! jump row). Each body section is `count u64 ·
-//! offsets[count+1] u64 · pool u32[offsets[count]]` — the flat
-//! [`PooledSets`] representation. The index section is the transpose of
-//! the elements section over the set universe and is verified at load.
+//! jump row). The elements section is `count u64 · offsets[count+1] u64 ·
+//! pool u32[offsets[count]]` — the flat [`PooledSets`] representation of
+//! the shard's RR sets. The inverted index (node → RR sets) is not stored:
+//! the loader derives it by transposing the elements, once per shard, and
+//! [`load_snapshot`] decodes a snapshot's shard files in parallel. Version
+//! 1 files, which also stored the index, are refused as
+//! [`StoreError::Corrupt`] and must be re-sampled.
 //!
 //! Decoding untrusted bytes never panics: every length is bounds-checked
 //! before allocation, both checksums must match, readers are strict
-//! (trailing bytes are an error), and the rebuilt index is cross-checked
-//! against the elements. Failures surface as typed [`StoreError`]s.
+//! (trailing bytes are an error), and every node id must lie in the set
+//! universe. The universe size `num_sets` sizes the derived index and the
+//! file's length does not bound it, so it must equal the caller's (the
+//! graph's node count, [`SnapshotRequest::num_sets`]) before the index is
+//! allocated. Failures surface as typed [`StoreError`]s.
 
 pub mod delta;
 pub mod generation;
@@ -62,11 +68,11 @@ use dim_graph::Graph;
 /// File magic for RR-sketch shard files.
 pub const MAGIC: [u8; 4] = *b"DIMR";
 /// Current snapshot format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Extension used by shard files inside a snapshot directory.
 pub const SHARD_EXTENSION: &str = "rrs";
-/// Upper bound on `header_len` accepted while decoding (the v1 header is
-/// 49 bytes; the slack leaves room for forward-compatible extensions
+/// Upper bound on `header_len` accepted while decoding (the header block
+/// is 49 bytes; the slack leaves room for forward-compatible extensions
 /// without letting a corrupt length trigger a huge allocation).
 const MAX_HEADER_LEN: usize = 4096;
 
@@ -297,12 +303,18 @@ impl ShardHeader {
 }
 
 /// One decoded shard: its header, the element records (RR set → node
-/// ids), and the verified transpose index (node id → local RR-set ids).
+/// ids), and the index derived from them (node id → local RR-set ids,
+/// `elements.transpose(num_sets)`).
 #[derive(Clone, Debug)]
 pub struct ShardSnapshot {
     pub header: ShardHeader,
     pub elements: PooledSets,
     pub index: PooledSets,
+}
+
+/// Bytes [`put_sets`] appends for `sets`.
+fn sets_len(sets: &PooledSets) -> usize {
+    8 + 8 * (sets.len() + 1) + 4 * sets.total_size()
 }
 
 /// Appends one `PooledSets` section: `count u64 · offsets[count+1] u64 ·
@@ -322,24 +334,24 @@ fn put_sets(out: &mut Vec<u8>, sets: &PooledSets) {
     }
 }
 
-/// Strictly parses one `PooledSets` section. `bound` is the length of the
-/// buffer the reader was built over, used to reject absurd counts before
-/// any allocation; `max_value` bounds the pool entries.
-fn take_sets(r: &mut Reader<'_>, bound: usize, max_value: u64) -> Result<PooledSets, StoreError> {
-    let count = r
-        .u64()
-        .ok_or_else(|| StoreError::corrupt("truncated section count"))? as usize;
+/// Strictly parses a `PooledSets` section that fills `body` exactly. Every
+/// count is checked against `body.len()` before any allocation;
+/// `max_value` bounds the pool entries.
+fn take_sets(body: &[u8], max_value: u64) -> Result<PooledSets, StoreError> {
+    let (count, rest) = body
+        .split_first_chunk::<8>()
+        .ok_or_else(|| StoreError::corrupt("truncated section count"))?;
+    let count = u64::from_le_bytes(*count) as usize;
     // `count + 1` offsets of 8 bytes each must fit in the buffer.
-    if count >= bound / 8 {
+    if count >= body.len() / 8 {
         return Err(StoreError::corrupt("section count exceeds buffer"));
     }
+    let (offset_bytes, rest) = rest.split_at(rest.len().min((count + 1) * 8));
     let mut offsets = Vec::with_capacity(count + 1);
     let mut prev = 0u64;
-    for i in 0..=count {
-        let o = r
-            .u64()
-            .ok_or_else(|| StoreError::corrupt("truncated section offsets"))?;
-        if i == 0 && o != 0 {
+    for chunk in offset_bytes.as_chunks::<8>().0 {
+        let o = u64::from_le_bytes(*chunk);
+        if offsets.is_empty() && o != 0 {
             return Err(StoreError::corrupt("section offsets must start at zero"));
         }
         if o < prev {
@@ -348,53 +360,64 @@ fn take_sets(r: &mut Reader<'_>, bound: usize, max_value: u64) -> Result<PooledS
         prev = o;
         offsets.push(o as usize);
     }
+    if offsets.len() <= count {
+        return Err(StoreError::corrupt("truncated section offsets"));
+    }
     let pool_len = prev as usize;
-    if pool_len
-        .checked_mul(4)
-        .map(|b| b > bound)
-        .unwrap_or(true)
-    {
+    if pool_len.checked_mul(4).is_none_or(|b| b > body.len()) {
         return Err(StoreError::corrupt("section pool exceeds buffer"));
     }
-    let mut pool = Vec::with_capacity(pool_len);
-    for _ in 0..pool_len {
-        let v = r
-            .u32()
-            .ok_or_else(|| StoreError::corrupt("truncated section pool"))?;
-        if (v as u64) >= max_value {
-            return Err(StoreError::corrupt("section pool value out of range"));
-        }
-        pool.push(v);
+    let (pool_bytes, trailing) = rest.split_at(rest.len().min(pool_len * 4));
+    let (pool_chunks, _) = pool_bytes.as_chunks::<4>();
+    let pool: Vec<u32> = pool_chunks.iter().map(|c| u32::from_le_bytes(*c)).collect();
+    if pool.iter().any(|&v| v as u64 >= max_value) {
+        return Err(StoreError::corrupt("section pool value out of range"));
+    }
+    if pool.len() < pool_len {
+        return Err(StoreError::corrupt("truncated section pool"));
     }
     // The checks above should make reassembly infallible, but these are
     // hostile bytes: route through the validating constructor so any gap
     // (e.g. a u64 offset overflowing the u32 arena bound) surfaces as
     // `Corrupt` instead of a panic.
-    PooledSets::try_from_parts(offsets, pool)
-        .map_err(|_| StoreError::corrupt("section offsets malformed"))
+    let sets = PooledSets::try_from_parts(offsets, pool)
+        .map_err(|_| StoreError::corrupt("section offsets malformed"))?;
+    if !trailing.is_empty() {
+        return Err(StoreError::corrupt("trailing bytes in body"));
+    }
+    Ok(sets)
 }
 
-/// Serializes a shard file: header + elements + transpose index, both
-/// blocks checksummed.
-pub fn encode_shard(header: &ShardHeader, elements: &PooledSets, index: &PooledSets) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_sets(&mut body, elements);
-    put_sets(&mut body, index);
-    seal(MAGIC, VERSION, &header.encode(), &body)
+/// Serializes a shard file: header + elements, both blocks checksummed.
+pub fn encode_shard(header: &ShardHeader, elements: &PooledSets) -> Vec<u8> {
+    seal(MAGIC, VERSION, &header.encode(), sets_len(elements), |body| {
+        put_sets(body, elements)
+    })
 }
 
-/// Wraps a header block and a body in the envelope `DIMR` and `DIMD` files
-/// share: `magic · version · header_len · header · fnv(header) · body ·
-/// fnv(body)`.
-pub(crate) fn seal(magic: [u8; 4], version: u32, hdr: &[u8], body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 + 4 + hdr.len() + 8 + body.len() + 8);
+/// Builds the envelope `DIMR` and `DIMD` files share — `magic · version ·
+/// header_len · header · fnv(header) · body · fnv(body)` — in one buffer:
+/// `write_body` appends the body in place and it is checksummed where it
+/// lies. `body_len` only sizes the buffer (each writer's length function
+/// sits beside it); the bytes are whatever `write_body` appends.
+pub(crate) fn seal(
+    magic: [u8; 4],
+    version: u32,
+    hdr: &[u8],
+    body_len: usize,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 4 + 4 + hdr.len() + 8 + body_len + 8);
     out.extend_from_slice(&magic);
     put_u32(&mut out, version);
     put_u32(&mut out, hdr.len() as u32);
     out.extend_from_slice(hdr);
     put_u64(&mut out, fnv1a(hdr));
-    out.extend_from_slice(body);
-    put_u64(&mut out, fnv1a(body));
+    let body_start = out.len();
+    write_body(&mut out);
+    debug_assert_eq!(out.len() - body_start, body_len, "body length");
+    let body_checksum = fnv1a(&out[body_start..]);
+    put_u64(&mut out, body_checksum);
     out
 }
 
@@ -458,32 +481,33 @@ pub(crate) fn unseal(
     Ok((hdr, body))
 }
 
-/// Decodes and fully validates a shard file from untrusted bytes.
-pub fn decode_shard(bytes: &[u8]) -> Result<ShardSnapshot, StoreError> {
+/// Decodes and fully validates a shard file from untrusted bytes, and
+/// derives its index over `num_sets` sets: the node count of the graph the
+/// caller expects. The index holds one list per set and nothing in the
+/// file bounds how many, so a header naming another universe is refused
+/// before the index is allocated.
+pub fn decode_shard(bytes: &[u8], num_sets: u64) -> Result<ShardSnapshot, StoreError> {
+    let mut shard = decode(bytes)?;
+    if shard.header.num_sets != num_sets {
+        return Err(StoreError::corrupt("num_sets disagrees with the caller"));
+    }
+    shard.index = shard.elements.transpose(num_sets as usize);
+    Ok(shard)
+}
+
+/// Decodes and validates a shard file's header and elements, leaving
+/// `index` empty: it is derived once `num_sets` has been checked.
+fn decode(bytes: &[u8]) -> Result<ShardSnapshot, StoreError> {
     let (hdr, body) = unseal(bytes, MAGIC, VERSION)?;
     let header = ShardHeader::decode(hdr)?;
-    let mut r = Reader::new(body);
-    let elements = take_sets(&mut r, body.len(), header.num_sets)?;
-    let index = take_sets(&mut r, body.len(), header.num_elements)?;
-    r.finish()
-        .ok_or_else(|| StoreError::corrupt("trailing bytes in body"))?;
+    let elements = take_sets(body, header.num_sets)?;
     if elements.len() as u64 != header.num_elements {
         return Err(StoreError::corrupt("element count disagrees with header"));
-    }
-    if index.len() as u64 != header.num_sets {
-        return Err(StoreError::corrupt("index count disagrees with header"));
-    }
-    // The index must be exactly the transpose of the elements — a cheap
-    // full-integrity check beyond the checksums, and the guarantee the
-    // serving layer relies on.
-    let expected = elements.transpose(header.num_sets as usize);
-    if (0..index.len()).any(|i| index.get(i) != expected.get(i)) {
-        return Err(StoreError::corrupt("index is not the transpose of elements"));
     }
     Ok(ShardSnapshot {
         header,
         elements,
-        index,
+        index: PooledSets::new(),
     })
 }
 
@@ -493,44 +517,126 @@ pub fn shard_file_name(id: u32, count: u32) -> String {
     format!("shard-{id}-of-{count}.{SHARD_EXTENSION}")
 }
 
+/// A [`StoreError::Io`] at `path`.
+pub(crate) fn io_err(path: &Path, source: io::Error) -> StoreError {
+    StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
+}
+
+/// A [`StoreError::Mismatch`] at `path`.
+fn mismatch(path: &Path, field: &'static str, expected: u64, found: u64) -> StoreError {
+    StoreError::Mismatch {
+        path: path.to_path_buf(),
+        field,
+        expected,
+        found,
+    }
+}
+
+/// Writes `bytes` into `dir` (created if needed) as `name`, atomically:
+/// they land in a temporary file first, then rename into place, so a
+/// crashed writer leaves no half-written file behind.
+pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, StoreError> {
+    fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    let path = dir.join(name);
+    let tmp = dir.join(format!(".{name}.tmp"));
+    fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
+    fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+    Ok(path)
+}
+
 /// Writes one shard into `dir` (created if needed) under its canonical
-/// name, building the transpose index from `elements`. The write is
-/// atomic: bytes land in a temporary file first, then rename into place,
-/// so a crashed writer leaves no half-written `.rrs` behind.
+/// name, atomically: the bytes land in a temporary file first, then
+/// rename into place, so a crashed writer leaves no half-written `.rrs`
+/// behind.
 pub fn write_shard(
     dir: &Path,
     header: &ShardHeader,
     elements: &PooledSets,
 ) -> Result<PathBuf, StoreError> {
-    fs::create_dir_all(dir).map_err(|source| StoreError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let index = elements.transpose(header.num_sets as usize);
-    let bytes = encode_shard(header, elements, &index);
-    let path = dir.join(shard_file_name(header.shard_id, header.shard_count));
-    let tmp = dir.join(format!(
-        ".{}.tmp",
-        shard_file_name(header.shard_id, header.shard_count)
-    ));
-    fs::write(&tmp, &bytes).map_err(|source| StoreError::Io {
-        path: tmp.clone(),
-        source,
-    })?;
-    fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-        path: path.clone(),
-        source,
-    })?;
-    Ok(path)
+    let name = shard_file_name(header.shard_id, header.shard_count);
+    write_atomic(dir, &name, &encode_shard(header, elements))
 }
 
-/// Reads and validates one shard file.
-pub(crate) fn read_shard(path: &Path) -> Result<ShardSnapshot, StoreError> {
-    let bytes = fs::read(path).map_err(|source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    decode_shard(&bytes).map_err(|e| e.with_path(path))
+/// Reads and validates one shard file, checks its header against
+/// `request` and, if `with_index`, derives its index. The request names
+/// the set universe, so the index is never allocated for a `num_sets` the
+/// caller did not ask for.
+fn read_shard(
+    path: &Path,
+    request: &SnapshotRequest,
+    with_index: bool,
+) -> Result<ShardSnapshot, StoreError> {
+    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
+    let mut shard = decode(&bytes).map_err(|e| e.with_path(path))?;
+    let h = &shard.header;
+    if h.fingerprint != request.fingerprint {
+        return Err(mismatch(path, "fingerprint", request.fingerprint, h.fingerprint));
+    }
+    if h.sampler != request.sampler {
+        return Err(mismatch(
+            path,
+            "sampler",
+            request.sampler.tag() as u64,
+            h.sampler.tag() as u64,
+        ));
+    }
+    if let Some(expect) = request.shard_count {
+        if h.shard_count != expect {
+            return Err(mismatch(path, "shard_count", expect as u64, h.shard_count as u64));
+        }
+    }
+    if h.num_sets != request.num_sets {
+        return Err(mismatch(path, "num_sets", request.num_sets, h.num_sets));
+    }
+    if with_index {
+        shard.index = shard.elements.transpose(request.num_sets as usize);
+    }
+    Ok(shard)
+}
+
+/// Every `*.extension` file in `dir`, sorted by name.
+pub(crate) fn files_with_extension(dir: &Path, extension: &str) -> Result<Vec<PathBuf>, StoreError> {
+    let mut paths = Vec::new();
+    for entry in fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
+        let path = entry.map_err(|e| io_err(dir, e))?.path();
+        if path.extension().is_some_and(|e| e == extension) {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    Ok(paths)
+}
+
+/// Checks that the shard ids read from `paths` (in the same order) are
+/// `0..shard_count`, each once: a repeat is `Corrupt { detail: duplicate }`
+/// naming its file, a gap is [`StoreError::MissingShard`].
+pub(crate) fn check_shard_ids(
+    dir: &Path,
+    paths: &[PathBuf],
+    ids: impl Iterator<Item = u32>,
+    shard_count: u32,
+    duplicate: &'static str,
+) -> Result<(), StoreError> {
+    let mut seen = vec![false; shard_count as usize];
+    for (id, path) in ids.zip(paths) {
+        if std::mem::replace(&mut seen[id as usize], true) {
+            return Err(StoreError::Corrupt {
+                path: Some(path.clone()),
+                detail: duplicate,
+            });
+        }
+    }
+    match seen.iter().position(|&s| !s) {
+        Some(missing) => Err(StoreError::MissingShard {
+            dir: dir.to_path_buf(),
+            shard_id: missing as u32,
+            shard_count,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// What a loader requires of a snapshot. Mismatches become typed
@@ -545,6 +651,10 @@ pub struct SnapshotRequest {
     /// Required shard count, if the caller cares (e.g. resuming onto a
     /// cluster of a fixed size). `None` accepts whatever the snapshot has.
     pub shard_count: Option<u32>,
+    /// Required set-universe size: the graph's node count `n`. Each
+    /// shard's derived index holds `n` lists, so a shard is checked
+    /// against this before its index is allocated.
+    pub num_sets: u64,
 }
 
 /// A complete, validated snapshot: every shard present, mutually
@@ -576,93 +686,66 @@ impl Snapshot {
 
 /// Loads every `*.rrs` shard in `dir`, validates mutual consistency and
 /// the request, and returns the assembled snapshot.
+///
+/// Each shard file is read, decoded, checked against the request and
+/// transposed on its own thread; the results are then taken, and the
+/// siblings compared, in path order, so the error returned is the one a
+/// one-file-at-a-time loader would return: that of the first bad path in
+/// sorted order.
 pub fn load_snapshot(dir: &Path, request: &SnapshotRequest) -> Result<Snapshot, StoreError> {
-    let entries = fs::read_dir(dir).map_err(|source| StoreError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|source| StoreError::Io {
-            path: dir.to_path_buf(),
-            source,
-        })?;
-        let path = entry.path();
-        if path.extension().map(|e| e == SHARD_EXTENSION).unwrap_or(false) {
-            paths.push(path);
-        }
-    }
+    load_shards(dir, request, true)
+}
+
+/// [`load_snapshot`], leaving every shard's `index` empty unless
+/// `with_index`: for a caller that rewrites the elements before deriving
+/// it.
+pub(crate) fn load_shards(
+    dir: &Path,
+    request: &SnapshotRequest,
+    with_index: bool,
+) -> Result<Snapshot, StoreError> {
+    let paths = files_with_extension(dir, SHARD_EXTENSION)?;
     if paths.is_empty() {
         return Err(StoreError::Empty {
             dir: dir.to_path_buf(),
         });
     }
-    paths.sort();
+    let decoded: Vec<Result<ShardSnapshot, StoreError>> = std::thread::scope(|scope| {
+        let readers: Vec<_> = paths
+            .iter()
+            .map(|path| scope.spawn(move || read_shard(path, request, with_index)))
+            .collect();
+        readers
+            .into_iter()
+            .map(|reader| reader.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
     let mut shards: Vec<ShardSnapshot> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let shard = read_shard(path)?;
-        let h = &shard.header;
-        let mismatch = |field, expected, found| StoreError::Mismatch {
-            path: path.clone(),
-            field,
-            expected,
-            found,
-        };
-        if h.fingerprint != request.fingerprint {
-            return Err(mismatch("fingerprint", request.fingerprint, h.fingerprint));
-        }
-        if h.sampler != request.sampler {
-            return Err(mismatch(
-                "sampler",
-                request.sampler.tag() as u64,
-                h.sampler.tag() as u64,
-            ));
-        }
-        if let Some(expect) = request.shard_count {
-            if h.shard_count != expect {
-                return Err(mismatch("shard_count", expect as u64, h.shard_count as u64));
-            }
-        }
+    for (path, shard) in paths.iter().zip(decoded) {
+        let shard = shard?;
+        // The request (`num_sets` included) was checked by `read_shard`.
         if let Some(first) = shards.first() {
-            let f = &first.header;
+            let (h, f) = (&shard.header, &first.header);
             if h.shard_count != f.shard_count {
                 return Err(mismatch(
+                    path,
                     "shard_count",
                     f.shard_count as u64,
                     h.shard_count as u64,
                 ));
             }
             if h.seed != f.seed {
-                return Err(mismatch("seed", f.seed, h.seed));
+                return Err(mismatch(path, "seed", f.seed, h.seed));
             }
             if h.theta != f.theta {
-                return Err(mismatch("theta", f.theta, h.theta));
-            }
-            if h.num_sets != f.num_sets {
-                return Err(mismatch("num_sets", f.num_sets, h.num_sets));
+                return Err(mismatch(path, "theta", f.theta, h.theta));
             }
         }
         shards.push(shard);
     }
     let shard_count = shards[0].header.shard_count;
-    let mut seen = vec![false; shard_count as usize];
-    for (shard, path) in shards.iter().zip(&paths) {
-        let id = shard.header.shard_id as usize;
-        if seen[id] {
-            return Err(StoreError::Corrupt {
-                path: Some(path.clone()),
-                detail: "duplicate shard id",
-            });
-        }
-        seen[id] = true;
-    }
-    if let Some(missing) = seen.iter().position(|&s| !s) {
-        return Err(StoreError::MissingShard {
-            dir: dir.to_path_buf(),
-            shard_id: missing as u32,
-            shard_count,
-        });
-    }
+    let ids = shards.iter().map(|s| s.header.shard_id);
+    check_shard_ids(dir, &paths, ids, shard_count, "duplicate shard id")?;
     shards.sort_by_key(|s| s.header.shard_id);
     let first = shards[0].header;
     let edges_examined: u64 = shards.iter().map(|s| s.header.edges_examined).sum();
@@ -717,8 +800,27 @@ mod tests {
 
     fn encode_sample() -> Vec<u8> {
         let elements = sample_sets();
-        let index = elements.transpose(5);
-        encode_shard(&sample_header(elements.len() as u64), &elements, &index)
+        encode_shard(&sample_header(elements.len() as u64), &elements)
+    }
+
+    /// Shards over small universes, drawn from a fixed seed, each under a
+    /// header that agrees with it.
+    fn random_shards() -> impl Iterator<Item = (ShardHeader, PooledSets)> {
+        let mut rng = dim_graph::Rng::new(0x5eed);
+        (0..64).map(move |_| {
+            let num_sets = 1 + rng.below(40);
+            let mut elements = PooledSets::new();
+            for _ in 0..rng.below(30) {
+                let set: Vec<u32> = (0..rng.below(8)).map(|_| rng.below(num_sets) as u32).collect();
+                elements.push(&set);
+            }
+            let header = ShardHeader {
+                theta: elements.len() as u64,
+                num_sets: num_sets as u64,
+                ..sample_header(elements.len() as u64)
+            };
+            (header, elements)
+        })
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -758,7 +860,7 @@ mod tests {
     #[test]
     fn shard_roundtrip() {
         let bytes = encode_sample();
-        let snap = decode_shard(&bytes).unwrap();
+        let snap = decode_shard(&bytes, 5).unwrap();
         assert_eq!(snap.header, sample_header(4));
         let elements = sample_sets();
         for i in 0..elements.len() {
@@ -775,7 +877,7 @@ mod tests {
         let bytes = encode_sample();
         for len in 0..bytes.len() {
             assert!(
-                decode_shard(&bytes[..len]).is_err(),
+                decode_shard(&bytes[..len], 5).is_err(),
                 "truncation to {len} bytes decoded"
             );
         }
@@ -788,7 +890,7 @@ mod tests {
             let mut mutated = bytes.clone();
             mutated[i] ^= 0xff;
             assert!(
-                decode_shard(&mutated).is_err(),
+                decode_shard(&mutated, 5).is_err(),
                 "flip at byte {i} decoded"
             );
         }
@@ -798,25 +900,87 @@ mod tests {
     fn trailing_bytes_error() {
         let mut bytes = encode_sample();
         bytes.push(0);
-        assert!(decode_shard(&bytes).is_err());
+        assert!(decode_shard(&bytes, 5).is_err());
     }
 
     #[test]
-    fn mismatched_index_errors() {
-        let elements = sample_sets();
-        // Wrong index: transpose of something else entirely.
-        let mut other = PooledSets::new();
-        for _ in 0..elements.len() {
-            other.push(&[0]);
+    fn decoded_index_is_the_transpose_of_the_elements() {
+        for (header, elements) in random_shards() {
+            let bytes = encode_shard(&header, &elements);
+            let snap = decode_shard(&bytes, header.num_sets).unwrap();
+            let expected = elements.transpose(header.num_sets as usize);
+            assert!(snap.elements.iter().eq(elements.iter()), "{header:?}");
+            assert!(snap.index.iter().eq(expected.iter()), "{header:?}");
         }
-        let index = other.transpose(5);
-        let bytes = encode_shard(&sample_header(elements.len() as u64), &elements, &index);
-        match decode_shard(&bytes) {
-            Err(StoreError::Corrupt { detail, .. }) => {
-                assert_eq!(detail, "index is not the transpose of elements")
+    }
+
+    /// The body is the elements section and nothing else.
+    #[test]
+    fn file_holds_the_elements_section_only() {
+        for (header, elements) in random_shards() {
+            let len = 12 + header.encode().len() + 8 + sets_len(&elements) + 8;
+            assert_eq!(encode_shard(&header, &elements).len(), len, "{header:?}");
+        }
+    }
+
+    /// A version-1 file (elements, then their transpose, in the same
+    /// layout) is refused by its version, never parsed, and the error
+    /// names the file.
+    #[test]
+    fn version_1_files_are_refused_with_their_path() {
+        let (elements, index) = (sample_sets(), sample_sets().transpose(5));
+        let body_len = sets_len(&elements) + sets_len(&index);
+        let v1 = seal(MAGIC, 1, &sample_header(4).encode(), body_len, |body| {
+            put_sets(body, &elements);
+            put_sets(body, &index);
+        });
+        let dir = temp_dir("v1");
+        let path = dir.join(shard_file_name(0, 1));
+        fs::write(&path, &v1).unwrap();
+        match load_snapshot(&dir, &request()) {
+            Err(StoreError::Corrupt {
+                path: Some(p),
+                detail,
+            }) => {
+                assert_eq!(p, path);
+                assert_eq!(detail, "unsupported format version");
             }
-            other => panic!("expected corrupt index, got {other:?}"),
+            other => panic!("expected corrupt with path, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard of ~100 bytes naming a universe of 2³² − 1 sets is refused,
+    /// typed, before the index (one list per set) is allocated.
+    #[test]
+    fn universe_other_than_the_request_is_refused_before_the_index() {
+        let header = ShardHeader {
+            theta: 0,
+            num_sets: u32::MAX as u64,
+            ..sample_header(0)
+        };
+        let dir = temp_dir("universe");
+        let path = write_shard(&dir, &header, &PooledSets::new()).unwrap();
+        match load_snapshot(&dir, &request()) {
+            Err(StoreError::Mismatch {
+                path: p,
+                field,
+                expected,
+                found,
+            }) => {
+                assert_eq!(p, path);
+                assert_eq!((field, expected, found), ("num_sets", 5, u32::MAX as u64));
+            }
+            other => panic!("expected num_sets mismatch, got {other:?}"),
+        }
+        let bytes = fs::read(&path).unwrap();
+        match decode_shard(&bytes, 5) {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert_eq!(detail, "num_sets disagrees with the caller")
+            }
+            other => panic!("expected corrupt, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -830,7 +994,7 @@ mod tests {
         let body_end = mutated.len() - 8;
         let sum = fnv1a(&mutated[hdr_end..body_end]);
         mutated[body_end..].copy_from_slice(&sum.to_le_bytes());
-        match decode_shard(&mutated) {
+        match decode_shard(&mutated, 5) {
             Err(StoreError::Corrupt { detail, .. }) => {
                 assert_eq!(detail, "section count exceeds buffer")
             }
@@ -847,7 +1011,7 @@ mod tests {
             path.file_name().unwrap().to_str().unwrap(),
             "shard-0-of-1.rrs"
         );
-        let snap = read_shard(&path).unwrap();
+        let snap = read_shard(&path, &request(), true).unwrap();
         assert_eq!(snap.header.num_elements, 4);
         // No temp files left behind.
         let leftovers: Vec<_> = fs::read_dir(&dir)
@@ -865,15 +1029,19 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn write_pair(dir: &Path) {
-        for id in 0..2u32 {
-            let mut h = sample_header(2);
-            h.shard_id = id;
-            h.shard_count = 2;
-            let mut elements = PooledSets::new();
-            elements.push(&[id, 4]);
-            elements.push(&[2]);
-            write_shard(dir, &h, &elements).unwrap();
+    /// Shard `id` of `count`: the RR sets `[id, 4]` and `[2]`.
+    fn shard(id: u32, count: u32) -> (ShardHeader, PooledSets) {
+        let mut elements = PooledSets::new();
+        elements.push(&[id, 4]);
+        elements.push(&[2]);
+        let theta = 2 * count as u64;
+        (ShardHeader { shard_id: id, shard_count: count, theta, ..sample_header(2) }, elements)
+    }
+
+    fn write_shards(dir: &Path, count: u32) {
+        for id in 0..count {
+            let (header, elements) = shard(id, count);
+            write_shard(dir, &header, &elements).unwrap();
         }
     }
 
@@ -882,13 +1050,14 @@ mod tests {
             fingerprint: 0xdead_beef_cafe_f00d,
             sampler: SamplerSpec::Subsim,
             shard_count: None,
+            num_sets: 5,
         }
     }
 
     #[test]
     fn load_snapshot_assembles_all_shards() {
         let dir = temp_dir("load");
-        write_pair(&dir);
+        write_shards(&dir, 2);
         let snap = load_snapshot(&dir, &request()).unwrap();
         assert_eq!(snap.shard_count, 2);
         assert_eq!(snap.shards.len(), 2);
@@ -902,7 +1071,7 @@ mod tests {
     #[test]
     fn load_snapshot_rejects_fingerprint_mismatch() {
         let dir = temp_dir("fp");
-        write_pair(&dir);
+        write_shards(&dir, 2);
         let mut req = request();
         req.fingerprint = 1;
         match load_snapshot(&dir, &req) {
@@ -915,7 +1084,7 @@ mod tests {
     #[test]
     fn load_snapshot_rejects_sampler_and_shard_count_mismatch() {
         let dir = temp_dir("sampler");
-        write_pair(&dir);
+        write_shards(&dir, 2);
         let mut req = request();
         req.sampler = SamplerSpec::ReverseBfs;
         match load_snapshot(&dir, &req) {
@@ -934,7 +1103,7 @@ mod tests {
     #[test]
     fn load_snapshot_reports_missing_shard() {
         let dir = temp_dir("missing");
-        write_pair(&dir);
+        write_shards(&dir, 2);
         fs::remove_file(dir.join(shard_file_name(1, 2))).unwrap();
         match load_snapshot(&dir, &request()) {
             Err(StoreError::MissingShard {
@@ -960,19 +1129,37 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Shards decode in parallel, yet the error is always that of the
+    /// first bad file in path order, with its path: here a flipped body,
+    /// then a truncation, then a sibling with another seed.
     #[test]
     fn load_snapshot_surfaces_on_disk_corruption() {
         let dir = temp_dir("corrupt");
-        write_pair(&dir);
-        let victim = dir.join(shard_file_name(0, 2));
-        let mut bytes = fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        fs::write(&victim, &bytes).unwrap();
-        match load_snapshot(&dir, &request()) {
-            Err(StoreError::Corrupt { path: Some(p), .. }) => assert_eq!(p, victim),
-            other => panic!("expected corrupt with path, got {other:?}"),
+        write_shards(&dir, 4);
+        let (header, elements) = shard(3, 4);
+        write_shard(&dir, &ShardHeader { seed: 43, ..header }, &elements).unwrap();
+        let path = |id| dir.join(shard_file_name(id, 4));
+        let intact: Vec<Vec<u8>> = (0..4).map(|id| fs::read(path(id)).unwrap()).collect();
+        let mut flipped = intact[1].clone();
+        let last_body_byte = flipped.len() - 9;
+        flipped[last_body_byte] ^= 0xff;
+        fs::write(path(1), &flipped).unwrap();
+        let prefix = 12 + header.encode().len() + 8;
+        fs::write(path(2), &intact[2][..prefix + 4]).unwrap();
+
+        // Display names the variant, the file and every field.
+        let error = || load_snapshot(&dir, &request()).unwrap_err().to_string();
+        let corrupt = |id, detail| {
+            format!("corrupt snapshot shard {}: {detail}", path(id).display())
+        };
+        for _ in 0..16 {
+            assert_eq!(error(), corrupt(1, "body checksum mismatch"));
         }
+        fs::write(path(1), &intact[1]).unwrap();
+        assert_eq!(error(), corrupt(2, "truncated body"));
+        fs::write(path(2), &intact[2]).unwrap();
+        let seed = format!("snapshot shard {} seed mismatch: expected 42, found 43", path(3).display());
+        assert_eq!(error(), seed);
         fs::remove_dir_all(&dir).unwrap();
     }
 

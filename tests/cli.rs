@@ -254,6 +254,58 @@ fn load_rr_mismatch_and_corruption_are_typed_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Rewrites a shard file in the version-1 layout: the same header, and a
+/// body of the elements followed by their transpose, each as `count u64 ·
+/// offsets[count+1] u64 · pool u32[...]`.
+fn as_version_1(v2: &[u8]) -> Vec<u8> {
+    let header_end = 12 + u32::from_le_bytes(v2[8..12].try_into().unwrap()) as usize;
+    let header = dim::dim_store::ShardHeader::decode(&v2[12..header_end]).expect("a header");
+    let index = dim::dim_store::decode_shard(v2, header.num_sets).expect("a valid shard").index;
+    let body_start = header_end + 8;
+    let mut body = v2[body_start..v2.len() - 8].to_vec();
+    body.extend_from_slice(&(index.len() as u64).to_le_bytes());
+    let mut offset = 0u64;
+    body.extend_from_slice(&offset.to_le_bytes());
+    for list in index.iter() {
+        offset += list.len() as u64;
+        body.extend_from_slice(&offset.to_le_bytes());
+    }
+    for &v in index.iter().flatten() {
+        body.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut v1 = v2[..body_start].to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&body);
+    v1.extend_from_slice(&dim::dim_store::fnv1a(&body).to_le_bytes());
+    v1
+}
+
+/// A store written in the version-1 format (which also stored the index)
+/// is refused with a nonzero exit naming the file, never misread.
+#[test]
+fn load_rr_refuses_a_version_1_store() {
+    let dir = temp_path("sketch-v1");
+    let dir_s = dir.to_str().unwrap();
+    let (ok, _, err) = run(&[
+        "sample", "--graph", "profile:facebook:0.05", "--k", "2", "--machines", "2",
+        "--seed", "31", "--out", dir_s,
+    ]);
+    assert!(ok, "sample failed: {err}");
+    for id in 0..2 {
+        let path = dir.join(format!("shard-{id}-of-2.rrs"));
+        let v2 = std::fs::read(&path).unwrap();
+        std::fs::write(&path, as_version_1(&v2)).unwrap();
+    }
+    let (ok, _, err) = run(&[
+        "im", "--graph", "profile:facebook:0.05", "--k", "2", "--seed", "31",
+        "--load-rr", dir_s,
+    ]);
+    assert!(!ok, "a version-1 store was loaded");
+    assert!(err.contains("shard-0-of-2.rrs"), "{err}");
+    assert!(err.contains("unsupported format version"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_and_query_roundtrip() {
     use std::io::BufRead;
