@@ -15,9 +15,10 @@
 //!   ([`ImResult`]) with per-phase timing breakdowns matching the paper's
 //!   stacked bars (RR generation / computation / communication).
 //!
-//! * [`snapshot`] — sample-once / select-many: [`diimm_sample`] persists every
-//!   machine's RR shard through `dim-store`, and [`diimm_load_rr`] reruns seed
-//!   selection from the snapshot with byte-identical seeds and marginals.
+//! * [`snapshot`] — sample-once / select-many: [`diimm_sample_on`] persists
+//!   every machine's RR shard as a committed `dim-store` generation, and a
+//!   [`StreamSession`] restores the newest one and reruns seed selection with
+//!   byte-identical seeds and marginals.
 //!
 //! IC runs sample with SUBSIM's geometric jumps by default (the Fig. 7
 //! configuration); [`SamplerKind::ReverseBfs`] selects the paper's
@@ -64,12 +65,11 @@ pub mod worker;
 pub use config::{ImConfig, ImResult, SamplerKind, Timings};
 pub use recover::{
     diimm_on_recovering, DegradedOutcome, RecoveredRun, RecoveringCluster, RecoveryPolicy,
-    RecoverySource, StragglerEvent,
+    StragglerEvent,
 };
 pub use snapshot::{
-    diimm_load_rr, diimm_sample, diimm_sample_generation, diimm_sample_on,
-    load_latest_rr_snapshot, load_rr_snapshot, persist_rr_shards, rr_snapshot_request,
-    snapshot_shards, SnapshotError, StreamApplied, StreamSession,
+    diimm_sample_generation, diimm_sample_on, load_latest_rr_snapshot, persist_rr_shards,
+    rr_snapshot_request, SnapshotError, StreamApplied, StreamSession,
 };
 pub use worker::{setup_im_cluster, WorkerHost};
 pub use diimm::diimm;

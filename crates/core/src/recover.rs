@@ -10,8 +10,8 @@
 //!   ([`OpCluster::exec_ops_each`]), so one dead link never discards the
 //!   survivors' replies;
 //! * the lost machine's worker is **speculatively re-executed** on the
-//!   master: its `DiimmWorker` is rebuilt from the configured
-//!   [`RecoverySource`] and the full op log is replayed against it.
+//!   master: a fresh `DiimmWorker` is built for it and the full op log is
+//!   replayed against it.
 //!   Because RR set `j` of machine `i` is always drawn from the dedicated
 //!   stream `rr_set_seed(stream_seed(seed, i), j)` (see
 //!   [`DiimmWorker::generate`]), the replayed shard is *byte-identical*
@@ -29,34 +29,16 @@
 //! events surface in the typed [`DegradedOutcome`] so harnesses can see
 //! which phases blew their deadline.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use dim_cluster::{
     ClusterBackend, ClusterMetrics, NetworkModel, OpCluster, OpExecutor, PhaseTimeline, WireError,
     WireErrorKind, WorkerOp, WorkerReply,
 };
-use dim_coverage::CoverageShard;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult};
 use crate::diimm::{diimm_on, DiimmWorker};
-use crate::snapshot::load_rr_snapshot;
-
-/// Where a lost machine's worker state is rebuilt from.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecoverySource {
-    /// The machines started empty (a fresh DiIMM run): rebuild = a fresh
-    /// [`DiimmWorker`] plus a replay of every logged op. Per-set RNG
-    /// streams make the replayed shard byte-identical to the lost one.
-    Resample,
-    /// The machines started from the persisted `dim-store` generation in
-    /// this directory: rebuild = the lost machine's snapshot shard
-    /// restored via `DiimmWorker::restore`, then the same full replay.
-    /// Much cheaper than [`RecoverySource::Resample`] when the snapshot
-    /// carries most of θ (see EXPERIMENTS.md §fault_recover).
-    Store(PathBuf),
-}
 
 /// When recovery may proceed and when a round counts as straggling.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,17 +50,14 @@ pub struct RecoveryPolicy {
     /// An op round observed to take longer than this is logged as a
     /// [`StragglerEvent`]. `Duration::MAX` disables detection.
     pub straggler_deadline: Duration,
-    /// Where rebuilt workers start from.
-    pub source: RecoverySource,
 }
 
 impl RecoveryPolicy {
-    /// Majority quorum, no straggler deadline, resample-from-scratch.
+    /// Majority quorum, no straggler deadline; lost shards are re-sampled.
     pub fn resample() -> Self {
         RecoveryPolicy {
             min_survivors: 0,
             straggler_deadline: Duration::MAX,
-            source: RecoverySource::Resample,
         }
     }
 
@@ -130,10 +109,8 @@ pub struct RecoveredRun {
 /// speculative shard re-execution (see the module docs).
 ///
 /// The wrapper logs every op it issues, so it must own the cluster from
-/// the first post-setup op round onward: ops executed before wrapping
-/// must be covered by the [`RecoverySource`] instead (fresh workers for
-/// [`RecoverySource::Resample`], a persisted generation for
-/// [`RecoverySource::Store`]).
+/// the first post-setup op round onward: a rebuilt worker starts fresh,
+/// so no op may have run before wrapping.
 pub struct RecoveringCluster<'g, C: OpCluster> {
     inner: C,
     graph: &'g Graph,
@@ -141,7 +118,7 @@ pub struct RecoveringCluster<'g, C: OpCluster> {
     policy: RecoveryPolicy,
     /// Every op round issued through this wrapper: `log[r][i]` is the op
     /// machine `i` ran in round `r`. Replaying a machine's column over a
-    /// source-fresh worker reproduces its resident state exactly.
+    /// fresh worker reproduces its resident state exactly.
     log: Vec<Vec<WorkerOp>>,
     /// Rebuilt workers serving lost machines, in machine order.
     adopted: Vec<Option<DiimmWorker<'g>>>,
@@ -152,8 +129,8 @@ pub struct RecoveringCluster<'g, C: OpCluster> {
 }
 
 impl<'g, C: OpCluster> RecoveringCluster<'g, C> {
-    /// Wraps `inner`, whose machines must currently hold the state the
-    /// policy's [`RecoverySource`] describes.
+    /// Wraps `inner`, whose machines must be fresh workers in machine
+    /// order.
     pub fn new(inner: C, graph: &'g Graph, config: &ImConfig, policy: RecoveryPolicy) -> Self {
         let machines = inner.num_machines();
         let last_elapsed = inner.timeline().total().elapsed();
@@ -198,30 +175,16 @@ impl<'g, C: OpCluster> RecoveringCluster<'g, C> {
         })
     }
 
-    /// Rebuilds machine `i`'s worker from the recovery source and replays
-    /// every logged round *before* the current one (the caller then
-    /// executes the current op to produce the round's reply).
-    fn rebuild(&mut self, phase: &'static str, i: usize) -> Result<DiimmWorker<'g>, WireError> {
-        let mut worker = match &self.policy.source {
-            RecoverySource::Resample => DiimmWorker::new(self.graph, &self.config, i),
-            RecoverySource::Store(dir) => {
-                let snapshot = load_rr_snapshot(self.graph, &self.config, dir)
-                    .map_err(|_| WireError::link(phase, i))?;
-                let num_sets = snapshot.num_sets as usize;
-                let shard = snapshot
-                    .shards
-                    .into_iter()
-                    .find(|s| s.header.shard_id as usize == i)
-                    .ok_or_else(|| WireError::link(phase, i))?;
-                let edges = shard.header.edges_examined;
-                let restored = CoverageShard::from_pooled(num_sets, shard.elements, shard.index);
-                DiimmWorker::restore(self.graph, None, &self.config, i, restored, edges)
-            }
-        };
+    /// Rebuilds machine `i`'s worker fresh and replays every logged round
+    /// *before* the current one (the caller then executes the current op
+    /// to produce the round's reply). Per-set RNG streams make the
+    /// replayed shard byte-identical to the lost one.
+    fn rebuild(&self, i: usize) -> DiimmWorker<'g> {
+        let mut worker = DiimmWorker::new(self.graph, &self.config, i);
         for round in &self.log[..self.log.len() - 1] {
             worker.execute(&round[i]);
         }
-        Ok(worker)
+        worker
     }
 
     /// One op round with recovery: issue to the inner backend, adopt any
@@ -249,7 +212,7 @@ impl<'g, C: OpCluster> RecoveringCluster<'g, C> {
                         if survivors < quorum {
                             return Err(e);
                         }
-                        let worker = self.rebuild(up_label, i)?;
+                        let worker = self.rebuild(i);
                         self.rebuilt_sets += worker.shard.num_elements() as u64;
                         self.adopted[i] = Some(worker);
                         self.lost.push(i);
@@ -317,9 +280,8 @@ impl<'g, C: OpCluster> OpCluster for RecoveringCluster<'g, C> {
 
 /// Runs DiIMM on `cluster` under `policy`: [`crate::diimm::diimm_on`]
 /// wrapped in a [`RecoveringCluster`], returning the result with its
-/// typed degradation record. Every machine must already hold the state
-/// the policy's [`RecoverySource`] describes (fresh workers in machine
-/// order for [`RecoverySource::Resample`]).
+/// typed degradation record. Every machine must be a fresh worker, in
+/// machine order.
 pub fn diimm_on_recovering<C: OpCluster>(
     cluster: C,
     graph: &Graph,
@@ -338,7 +300,6 @@ pub fn diimm_on_recovering<C: OpCluster>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use dim_cluster::{ExecMode, FaultInjector, FaultPlan, LinkFault, SimCluster};
     use dim_diffusion::DiffusionModel;
@@ -464,89 +425,6 @@ mod tests {
         let degraded = cluster.degraded_outcome().expect("machine 1 was lost");
         assert_eq!(degraded.lost, vec![1]);
         assert_eq!(degraded.rebuilt_sets, 300, "replay rebuilds the whole shard");
-    }
-
-    #[test]
-    fn store_source_rebuilds_from_generation() {
-        use dim_cluster::phase;
-        use dim_cluster::ops::expect_counts;
-
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "dim-core-recover-store-{}-{n}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let g = erdos_renyi(180, 900, WeightModel::WeightedCascade, 15);
-        let cfg = config(3, 31);
-        // Persist a sampled run, then restore it twice: a healthy control
-        // cluster and a chaos cluster that loses machine 1 on round 0.
-        crate::snapshot::diimm_sample(
-            &g,
-            &cfg,
-            3,
-            NetworkModel::zero(),
-            ExecMode::Sequential,
-            &dir,
-        )
-        .unwrap();
-        let restore_all = || -> Vec<DiimmWorker> {
-            let snapshot = load_rr_snapshot(&g, &cfg, &dir).unwrap();
-            let num_sets = snapshot.num_sets as usize;
-            snapshot
-                .shards
-                .into_iter()
-                .map(|s| {
-                    let id = s.header.shard_id as usize;
-                    let edges = s.header.edges_examined;
-                    let shard = CoverageShard::from_pooled(num_sets, s.elements, s.index);
-                    DiimmWorker::restore(&g, None, &cfg, id, shard, edges)
-                })
-                .collect()
-        };
-        let mut control = SimCluster::new(
-            restore_all(),
-            NetworkModel::zero(),
-            ExecMode::Sequential,
-        );
-        let chaos = SimCluster::new(restore_all(), NetworkModel::zero(), ExecMode::Sequential)
-            .with_faults(FaultInjector::new(FaultPlan::kill_machine(1, 0), 3));
-        let policy = RecoveryPolicy {
-            source: RecoverySource::Store(dir.clone()),
-            ..RecoveryPolicy::resample()
-        };
-        let mut recovering = RecoveringCluster::new(chaos, &g, &cfg, policy);
-
-        // Drive identical post-restore rounds on both: top-up sampling,
-        // then a covered-count gather.
-        control
-            .control(phase::RR_SAMPLING, |_| WorkerOp::SampleRr { count: 40 })
-            .unwrap();
-        recovering
-            .control(phase::RR_SAMPLING, |_| WorkerOp::SampleRr { count: 40 })
-            .unwrap();
-        let want = expect_counts(
-            &control
-                .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
-                .unwrap(),
-            phase::COUNT_UPLOAD,
-        )
-        .unwrap();
-        let got = expect_counts(
-            &recovering
-                .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
-                .unwrap(),
-            phase::COUNT_UPLOAD,
-        )
-        .unwrap();
-        assert_eq!(got, want);
-        assert_eq!(recovering.lost(), &[1]);
-        let degraded = recovering.degraded_outcome().unwrap();
-        // The rebuilt shard held the snapshot's shard-1 sets at adoption.
-        assert!(degraded.rebuilt_sets > 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! OPIM-C's online/offline split observes that RR sampling dominates end
 //! to end cost, while selection is cheap — so a sampled sketch is worth
-//! keeping. [`diimm_sample`] runs DiIMM and then has every machine
+//! keeping. [`diimm_sample_on`] runs DiIMM and then has every machine
 //! persist its resident shard ([`WorkerOp::PersistShard`], under the
-//! [`phase::STORE_SAVE`] label); [`diimm_load_rr`] restores the shards
-//! into an in-process cluster and reruns seed selection without any
-//! sampling, producing byte-identical seeds and marginals — selection is
-//! a deterministic function of the per-machine RR collections, which the
-//! snapshot preserves exactly (including machine order).
+//! [`phase::STORE_SAVE`] label) into a new committed generation of a store
+//! root. [`StreamSession::open`] is the one restore path: it loads the
+//! newest committed generation (delta chains included) into resident
+//! workers, and [`StreamSession::select`] reruns seed selection without
+//! any sampling, producing byte-identical seeds and marginals — selection
+//! is a deterministic function of the per-machine RR collections, which
+//! the store preserves exactly (including machine order).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -21,9 +23,7 @@ use dim_cluster::{
 use dim_coverage::newgreedi::newgreedi_with;
 use dim_coverage::CoverageShard;
 use dim_graph::{apply_batch, DeltaBatch, DeltaError, EdgeOp, Graph};
-use dim_store::{
-    graph_fingerprint, load_snapshot, Snapshot, SnapshotRequest, StoreError,
-};
+use dim_store::{graph_fingerprint, Snapshot, SnapshotRequest, StoreError};
 
 use crate::config::{ImConfig, ImResult, Timings};
 use crate::diimm::{diimm_on, finish, DiimmWorker};
@@ -105,45 +105,54 @@ pub fn persist_rr_shards<B: OpCluster>(
     expect_ok(&replies, phase::STORE_SAVE)
 }
 
-/// Runs DiIMM on `machines` simulated machines, then persists every
-/// machine's RR shard into `dir` — the `dim sample` entry point. The
-/// returned result is the full DiIMM outcome; its timeline additionally
+/// Runs DiIMM on `cluster`, whose workers already hold the graph and a
+/// sampler (built in process by [`diimm_sample_generation`], or installed
+/// by [`crate::setup_im_cluster`] on a TCP backend), and persists the
+/// shards as a *new committed generation* under `root` — the `dim sample`
+/// entry point, and the producer half of zero-downtime reload: every
+/// machine writes its own shard into a fresh `gen-N/` directory that only
+/// becomes visible to loaders once its manifest commits, so a concurrently
+/// serving `dim serve` never observes a half-written sketch. After the
+/// commit, old generations beyond the newest `keep` are garbage-collected.
+/// Returns the new generation id with the run result, whose timeline also
 /// carries the [`phase::STORE_SAVE`] cost.
-pub fn diimm_sample(
-    graph: &Graph,
-    config: &ImConfig,
-    machines: usize,
-    network: NetworkModel,
-    mode: ExecMode,
-    dir: &Path,
-) -> Result<ImResult, SnapshotError> {
-    assert!(machines >= 1, "need at least one machine");
-    let workers: Vec<DiimmWorker> = (0..machines)
-        .map(|i| DiimmWorker::new(graph, config, i))
-        .collect();
-    let mut cluster = SimCluster::new(workers, network, mode);
-    Ok(diimm_sample_on(&mut cluster, graph, config, dir)?)
-}
-
-/// [`diimm_sample`] on a cluster whose workers already hold the graph and
-/// a sampler (built in process as above, or installed by
-/// [`crate::setup_im_cluster`] on a TCP backend): DiIMM, then every
-/// machine persists its own shard into `dir`.
 pub fn diimm_sample_on<B: OpCluster>(
     cluster: &mut B,
     graph: &Graph,
     config: &ImConfig,
-    dir: &Path,
-) -> Result<ImResult, WireError> {
+    root: &Path,
+    keep: usize,
+) -> Result<(u64, ImResult), SnapshotError> {
+    let (id, dir) = dim_store::begin_generation(root)?;
     let mut result = diimm_on(cluster, graph, config, true)?;
     let fingerprint = graph_fingerprint(graph);
-    persist_rr_shards(cluster, dir, fingerprint, config, result.num_rr_sets as u64)?;
+    persist_rr_shards(cluster, &dir, fingerprint, config, result.num_rr_sets as u64)?;
+    dim_store::commit_generation(&dir, id)?;
+    dim_store::gc_generations(root, keep)?;
     // Re-derive the result's metric views so they include the save phase.
     let timeline = cluster.timeline().clone();
     result.timings = Timings::from_timeline(&timeline);
     result.metrics = timeline.total();
     result.timeline = timeline;
-    Ok(result)
+    Ok((id, result))
+}
+
+/// [`diimm_sample_on`] on `machines` simulated machines.
+pub fn diimm_sample_generation(
+    graph: &Graph,
+    config: &ImConfig,
+    machines: usize,
+    network: NetworkModel,
+    mode: ExecMode,
+    root: &Path,
+    keep: usize,
+) -> Result<(u64, ImResult), SnapshotError> {
+    assert!(machines >= 1, "need at least one machine");
+    let workers: Vec<DiimmWorker> = (0..machines)
+        .map(|i| DiimmWorker::new(graph, config, i))
+        .collect();
+    let mut cluster = SimCluster::new(workers, network, mode);
+    diimm_sample_on(&mut cluster, graph, config, root, keep)
 }
 
 /// The provenance a snapshot must match to serve `graph` under `config`:
@@ -159,52 +168,15 @@ pub fn rr_snapshot_request(graph: &Graph, config: &ImConfig) -> SnapshotRequest 
     }
 }
 
-/// Loads and validates the snapshot in `dir` against `graph` and
-/// `config` (graph fingerprint and sampler kind must match; any shard
-/// count is accepted). A thin wrapper for callers that want the raw
-/// [`Snapshot`] — `dim serve` loads through this.
-pub fn load_rr_snapshot(
-    graph: &Graph,
-    config: &ImConfig,
-    dir: &Path,
-) -> Result<Snapshot, StoreError> {
-    load_snapshot(dir, &rr_snapshot_request(graph, config))
-}
-
 /// Loads the newest committed generation under `root` that validates
-/// against `graph`/`config`, returning its id with the snapshot. A root
-/// with no generation directories falls back to the flat layout as
-/// generation 0, so pre-generation stores keep loading.
+/// against `graph`/`config` — its delta chain folded in — returning its id
+/// with the snapshot: what `dim serve` serves.
 pub fn load_latest_rr_snapshot(
     graph: &Graph,
     config: &ImConfig,
     root: &Path,
 ) -> Result<(u64, Snapshot), StoreError> {
     dim_store::load_latest_snapshot(root, &rr_snapshot_request(graph, config))
-}
-
-/// Runs DiIMM and persists the shards as a *new committed generation*
-/// under `root` — the `dim sample --generations` entry point, and the
-/// producer half of zero-downtime reload: shards land in a fresh
-/// `gen-N/` directory that only becomes visible to loaders once its
-/// manifest commits, so a concurrently serving `dim serve` never
-/// observes a half-written snapshot. After the commit, old generations
-/// beyond the newest `keep` are garbage-collected. Returns the new
-/// generation id with the run result.
-pub fn diimm_sample_generation(
-    graph: &Graph,
-    config: &ImConfig,
-    machines: usize,
-    network: NetworkModel,
-    mode: ExecMode,
-    root: &Path,
-    keep: usize,
-) -> Result<(u64, ImResult), SnapshotError> {
-    let (id, dir) = dim_store::begin_generation(root)?;
-    let result = diimm_sample(graph, config, machines, network, mode, &dir)?;
-    dim_store::commit_generation(&dir, id)?;
-    dim_store::gc_generations(root, keep)?;
-    Ok((id, result))
 }
 
 /// What one streamed batch did to the session: the generation it
@@ -220,20 +192,23 @@ pub struct StreamApplied {
     pub sets_repaired: u64,
 }
 
-/// A resident edge-stream session: the restored cluster plus the chain
-/// bookkeeping needed to extend it — the `dim stream` entry point.
+/// A resident sketch session: the restored cluster plus the chain
+/// bookkeeping needed to extend it — the `dim stream` and `dim im
+/// --load-rr` entry point.
 ///
 /// Opening a session restores the newest committed chain under `root`
 /// (base shards + any stacked delta generations, folded by the store)
 /// into per-machine [`DiimmWorker`]s, and replays the chain's batches
 /// over the base graph so the resident graph matches the resident
-/// shards. Each [`apply`](Self::apply) then broadcasts one batch to
-/// every machine ([`WorkerOp::ApplyDelta`], under
-/// [`phase::STREAM_APPLY`]): workers repair exactly the RR sets whose
-/// traversal touched a mutated in-list — on their original per-set RNG
-/// streams, so the repaired state is byte-identical to a full re-sample
-/// of the mutated graph — and, when persisting, each writes its own
-/// delta shard into a fresh generation that commits atomically.
+/// shards. [`select`](Self::select) on a freshly opened session selects
+/// the seeds and marginals of the run (and batches) that wrote the chain.
+/// Each [`apply`](Self::apply) then broadcasts one batch to every machine
+/// ([`WorkerOp::ApplyDelta`], under [`phase::STREAM_APPLY`]): workers
+/// repair exactly the RR sets whose traversal touched a mutated in-list —
+/// on their original per-set RNG streams, so the repaired state is
+/// byte-identical to a full re-sample of the mutated graph — and, when
+/// persisting, each writes its own delta shard into a fresh generation
+/// that commits atomically.
 ///
 /// The store is single-writer: run one streaming session per root at a
 /// time. An in-memory apply (`persist = false`) leaves a gap in the
@@ -260,7 +235,8 @@ impl<'g> StreamSession<'g> {
     /// against `base`/`config`) into a resident cluster. `base` is the
     /// graph the *base snapshot* was sampled from; if the chain carries
     /// batches (or a compacted base), the session's resident graph is
-    /// the replayed tip, not `base`.
+    /// the replayed tip, not `base`. The restore's wall time is recorded
+    /// under [`phase::STORE_LOAD`].
     pub fn open(
         base: &'g Graph,
         config: &ImConfig,
@@ -268,6 +244,7 @@ impl<'g> StreamSession<'g> {
         network: NetworkModel,
         mode: ExecMode,
     ) -> Result<Self, SnapshotError> {
+        let start = Instant::now();
         let request = rr_snapshot_request(base, config);
         let (generation, snapshot, chain) = dim_store::load_latest_chain(root, &request)?;
         // Graph lineage: a compacted base persists its mutated graph
@@ -311,8 +288,17 @@ impl<'g> StreamSession<'g> {
                 )
             })
             .collect();
+        let mut cluster = SimCluster::new(workers, network, mode);
+        cluster.record(
+            phase::STORE_LOAD,
+            ClusterMetrics {
+                master_compute: start.elapsed(),
+                phases: 1,
+                ..Default::default()
+            },
+        );
         Ok(StreamSession {
-            cluster: SimCluster::new(workers, network, mode),
+            cluster,
             config: *config,
             root: root.to_path_buf(),
             root_fingerprint: request.fingerprint,
@@ -467,6 +453,7 @@ impl<'g> StreamSession<'g> {
 
     /// Reruns seed selection over the resident (repaired) shards —
     /// byte-identical to a full re-sample + select on the tip graph.
+    /// `rounds` and `lower_bound` are not persisted and read 0.
     pub fn select(&mut self) -> Result<ImResult, SnapshotError> {
         let n = self.current.num_nodes();
         let sel = newgreedi_with(&mut self.cluster, n, self.config.k)?;
@@ -474,68 +461,6 @@ impl<'g> StreamSession<'g> {
         let est_spread = n as f64 * sel.covered as f64 / theta as f64;
         Ok(finish(&mut self.cluster, sel, theta, est_spread, 0.0, 0)?)
     }
-}
-
-/// Restores a validated snapshot into per-machine coverage shards, in
-/// shard order. The shards come out prepared (the index dim-store derived
-/// while loading is reused, not recomputed).
-pub fn snapshot_shards(snapshot: Snapshot) -> Vec<CoverageShard> {
-    let num_sets = snapshot.num_sets as usize;
-    snapshot
-        .shards
-        .into_iter()
-        .map(|s| CoverageShard::from_pooled(num_sets, s.elements, s.index))
-        .collect()
-}
-
-/// The `dim im --load-rr` entry point: loads the snapshot in `dir`
-/// (validated against `graph`/`config`), rebuilds the per-machine
-/// coverage shards, and reruns seed selection only. Seeds and marginals
-/// are byte-identical to the run that wrote the snapshot; load wall time
-/// is recorded under [`phase::STORE_LOAD`]. Sampling-phase statistics
-/// (`total_rr_size`, `edges_examined`) are restored from the snapshot
-/// headers; `rounds` and `lower_bound` are not persisted and read 0.
-pub fn diimm_load_rr(
-    graph: &Graph,
-    config: &ImConfig,
-    dir: &Path,
-    network: NetworkModel,
-    mode: ExecMode,
-) -> Result<ImResult, SnapshotError> {
-    let n = graph.num_nodes();
-    let start = Instant::now();
-    let snapshot = load_rr_snapshot(graph, config, dir)?;
-    let theta = snapshot.theta as usize;
-    let total_rr_size = snapshot.total_size() as usize;
-    let edges_examined = snapshot.edges_examined;
-    let shards = snapshot_shards(snapshot);
-    let load_time = start.elapsed();
-    let mut cluster = SimCluster::new(shards, network, mode);
-    cluster.record(
-        phase::STORE_LOAD,
-        ClusterMetrics {
-            master_compute: load_time,
-            phases: 1,
-            ..Default::default()
-        },
-    );
-    let sel = newgreedi_with(&mut cluster, n, config.k)?;
-    let est_spread = n as f64 * sel.covered as f64 / theta as f64;
-    let timeline = cluster.timeline().clone();
-    Ok(ImResult {
-        seeds: sel.seeds,
-        marginals: sel.marginals,
-        coverage: sel.covered,
-        num_rr_sets: theta,
-        total_rr_size,
-        edges_examined,
-        est_spread,
-        lower_bound: 0.0,
-        rounds: 0,
-        timings: Timings::from_timeline(&timeline),
-        metrics: timeline.total(),
-        timeline,
-    })
 }
 
 #[cfg(test)]
@@ -571,21 +496,33 @@ mod tests {
         dir
     }
 
+    /// Opens the newest chain under `root` and selects on it: the `dim im
+    /// --load-rr` path.
+    fn load_and_select(
+        g: &Graph,
+        cfg: &ImConfig,
+        root: &Path,
+        net: NetworkModel,
+    ) -> Result<ImResult, SnapshotError> {
+        StreamSession::open(g, cfg, root, net, ExecMode::Sequential)?.select()
+    }
+
     #[test]
     fn sample_then_load_is_byte_identical() {
         let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 2);
         let cfg = config(4, 17);
-        let dir = temp_dir("roundtrip");
+        let root = temp_dir("roundtrip");
         let net = NetworkModel::cluster_1gbps();
-        let sampled =
-            diimm_sample(&g, &cfg, 3, net, ExecMode::Sequential, &dir).unwrap();
+        let (id, sampled) =
+            diimm_sample_generation(&g, &cfg, 3, net, ExecMode::Sequential, &root, 4).unwrap();
+        assert_eq!(id, 1);
         let direct = diimm(&g, &cfg, 3, net, ExecMode::Sequential).unwrap();
         assert_eq!(sampled.seeds, direct.seeds);
         assert_eq!(sampled.marginals, direct.marginals);
         // Save-phase accounting is present and traffic-free.
         let save = sampled.timeline.get(phase::STORE_SAVE);
         assert_eq!(save.bytes_to_master + save.bytes_from_master, 0);
-        let loaded = diimm_load_rr(&g, &cfg, &dir, net, ExecMode::Sequential).unwrap();
+        let loaded = load_and_select(&g, &cfg, &root, net).unwrap();
         assert_eq!(loaded.seeds, direct.seeds);
         assert_eq!(loaded.marginals, direct.marginals);
         assert_eq!(loaded.coverage, direct.coverage);
@@ -599,19 +536,19 @@ mod tests {
             loaded.timeline.get(phase::RR_SAMPLING),
             ClusterMetrics::default()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn load_rejects_wrong_graph_and_wrong_sampler() {
         let g = erdos_renyi(150, 700, WeightModel::WeightedCascade, 3);
         let cfg = config(3, 5);
-        let dir = temp_dir("mismatch");
+        let root = temp_dir("mismatch");
         let net = NetworkModel::zero();
-        diimm_sample(&g, &cfg, 2, net, ExecMode::Sequential, &dir).unwrap();
+        diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 4).unwrap();
         // Different graph: fingerprint mismatch, typed — not a panic.
         let other = erdos_renyi(150, 700, WeightModel::WeightedCascade, 4);
-        match diimm_load_rr(&other, &cfg, &dir, net, ExecMode::Sequential) {
+        match load_and_select(&other, &cfg, &root, net) {
             Err(SnapshotError::Store(StoreError::Mismatch { field, .. })) => {
                 assert_eq!(field, "fingerprint")
             }
@@ -620,19 +557,20 @@ mod tests {
         // Different sampler kind.
         let mut cfg2 = cfg;
         cfg2.sampler = SamplerKind::ReverseBfs;
-        match diimm_load_rr(&g, &cfg2, &dir, net, ExecMode::Sequential) {
+        match load_and_select(&g, &cfg2, &root, net) {
             Err(SnapshotError::Store(StoreError::Mismatch { field, .. })) => {
                 assert_eq!(field, "sampler")
             }
             other => panic!("expected sampler mismatch, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A sketch written when the reverse BFS was the IC default carries
     /// tag 0. Requested as today's default `Standard(IC)` (tag 2) it is
-    /// refused, for selection and for streaming alike: it must be
-    /// re-sampled, never repaired under the other law.
+    /// refused, for selection and for streaming alike — both open the
+    /// same session: it must be re-sampled, never repaired under the other
+    /// law.
     #[test]
     fn tag0_snapshot_is_refused_as_default_ic() {
         let g = erdos_renyi(150, 700, WeightModel::WeightedCascade, 3);
@@ -640,19 +578,16 @@ mod tests {
         let root = temp_dir("tag0");
         let net = NetworkModel::zero();
         diimm_sample_generation(&g, &old, 2, net, ExecMode::Sequential, &root, 4).unwrap();
-        let dir = root.join(dim_store::generation_dir_name(1));
-        assert_eq!(load_rr_snapshot(&g, &old, &dir).unwrap().sampler.tag(), 0);
+        assert_eq!(load_latest_rr_snapshot(&g, &old, &root).unwrap().1.sampler.tag(), 0);
 
         let default_ic = config(3, 5);
-        let refused = |e: &SnapshotError| {
-            matches!(e, SnapshotError::Store(StoreError::Mismatch { field: "sampler", .. }))
-        };
-        let err = diimm_load_rr(&g, &default_ic, &dir, net, ExecMode::Sequential).unwrap_err();
-        assert!(refused(&err), "load: {err:?}");
         let err = StreamSession::open(&g, &default_ic, &root, net, ExecMode::Sequential)
             .err()
             .expect("a tag-0 chain must not open as Standard(IC)");
-        assert!(refused(&err), "stream: {err:?}");
+        assert!(
+            matches!(err, SnapshotError::Store(StoreError::Mismatch { field: "sampler", .. })),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -660,32 +595,38 @@ mod tests {
     fn load_surfaces_truncated_file_as_typed_error() {
         let g = erdos_renyi(120, 500, WeightModel::WeightedCascade, 9);
         let cfg = config(3, 8);
-        let dir = temp_dir("truncated");
-        diimm_sample(&g, &cfg, 2, NetworkModel::zero(), ExecMode::Sequential, &dir).unwrap();
-        let victim = dir.join(dim_store::shard_file_name(1, 2));
+        let root = temp_dir("truncated");
+        let net = NetworkModel::zero();
+        diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 4).unwrap();
+        let victim = root
+            .join(dim_store::generation_dir_name(1))
+            .join(dim_store::shard_file_name(1, 2));
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-        match diimm_load_rr(&g, &cfg, &dir, NetworkModel::zero(), ExecMode::Sequential) {
+        match load_and_select(&g, &cfg, &root, net) {
             Err(SnapshotError::Store(StoreError::Corrupt { .. })) => {}
             other => panic!("expected corrupt, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn generation_sample_commits_loads_latest_and_gcs() {
         let g = erdos_renyi(150, 700, WeightModel::WeightedCascade, 11);
         let root = temp_dir("generations");
+        let net = NetworkModel::zero();
+        let sample = |cfg: &ImConfig, keep| {
+            diimm_sample_generation(&g, cfg, 2, net, ExecMode::Sequential, &root, keep).unwrap()
+        };
         // Two runs with different seeds: two committed generations.
         let cfg1 = config(3, 21);
-        let (id1, r1) =
-            diimm_sample_generation(&g, &cfg1, 2, NetworkModel::zero(), ExecMode::Sequential, &root, 4)
-                .unwrap();
+        let (id1, r1) = sample(&cfg1, 4);
         assert_eq!(id1, 1);
+        // While it is the newest, generation 1 loads with its own θ.
+        let (id, old) = load_latest_rr_snapshot(&g, &cfg1, &root).unwrap();
+        assert_eq!((id, old.theta as usize), (id1, r1.num_rr_sets));
         let cfg2 = config(3, 22);
-        let (id2, r2) =
-            diimm_sample_generation(&g, &cfg2, 2, NetworkModel::zero(), ExecMode::Sequential, &root, 4)
-                .unwrap();
+        let (id2, r2) = sample(&cfg2, 4);
         assert_eq!(id2, 2);
         // The latest load sees generation 2 and reproduces its run
         // byte-identically (selection is deterministic in the shards).
@@ -693,34 +634,13 @@ mod tests {
         assert_eq!(id, id2);
         assert_eq!(snapshot.seed, 22);
         assert_eq!(snapshot.theta as usize, r2.num_rr_sets);
-        // Generation 1 is still on disk (keep = 4) and loads directly.
-        let dir1 = root.join(dim_store::generation_dir_name(id1));
-        let old = load_rr_snapshot(&g, &cfg1, &dir1).unwrap();
-        assert_eq!(old.theta as usize, r1.num_rr_sets);
+        // Generation 1 is still on disk (keep = 4).
+        assert_eq!(generation_ids(&root), [1, 2]);
         // keep = 1 GCs everything but the newest.
-        let (id3, _) =
-            diimm_sample_generation(&g, &cfg2, 2, NetworkModel::zero(), ExecMode::Sequential, &root, 1)
-                .unwrap();
+        let (id3, _) = sample(&cfg2, 1);
         assert_eq!(id3, 3);
-        let left: Vec<u64> = dim_store::list_generations(&root)
-            .unwrap()
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
-        assert_eq!(left, vec![3]);
+        assert_eq!(generation_ids(&root), [3]);
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn flat_store_loads_as_generation_zero() {
-        let g = erdos_renyi(120, 500, WeightModel::WeightedCascade, 13);
-        let cfg = config(3, 9);
-        let dir = temp_dir("flat");
-        diimm_sample(&g, &cfg, 2, NetworkModel::zero(), ExecMode::Sequential, &dir).unwrap();
-        let (id, snapshot) = load_latest_rr_snapshot(&g, &cfg, &dir).unwrap();
-        assert_eq!(id, 0);
-        assert_eq!(snapshot.seed, 9);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -919,7 +839,8 @@ mod tests {
 
                 let id = session.compact(8).unwrap().expect("batches to compact");
                 let dir = root.join(dim_store::generation_dir_name(id));
-                let compacted = dim_store::load_snapshot(&dir, &request).unwrap();
+                let (newest, compacted) = dim_store::load_latest_snapshot(&root, &request).unwrap();
+                assert_eq!(newest, id, "{case}");
                 assert_eq!(compacted.shards.len(), fold.shards.len(), "{case}");
                 for (c, f) in compacted.shards.iter().zip(&fold.shards) {
                     assert!(c.elements.iter().eq(f.elements.iter()), "{case}: elements");
@@ -930,7 +851,8 @@ mod tests {
                     };
                     assert_eq!(header, f.header, "{case}: header");
                 }
-                assert_eq!(compacted.edges_examined, before.edges_examined, "{case}");
+                let edges: u64 = compacted.shards.iter().map(|s| s.header.edges_examined).sum();
+                assert_eq!(edges, before.edges_examined, "{case}");
                 let image = std::fs::read(dir.join(dim_store::GRAPH_FILE)).unwrap();
                 assert_eq!(dim_store::fnv1a(&image), chain.tip_fingerprint, "{case}");
 

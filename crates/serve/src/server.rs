@@ -177,16 +177,17 @@ pub struct ReloadSource {
     pub num_nodes: usize,
 }
 
-/// Server tuning knobs; `Default` is an unversioned sketch (generation 0)
-/// with no reload source, 8 workers and 1024 admitted connections.
+/// Server tuning knobs; `Default` is a sketch built in process (generation
+/// 0) with no reload source, 8 workers and 1024 admitted connections.
 pub struct ServeOptions {
     /// Worker threads — connections served concurrently.
     pub workers: usize,
     /// Admission limit: connections past this are shed with
     /// [`ERR_OVERLOADED`].
     pub max_conns: usize,
-    /// Generation id of the initial sketch (0 for a flat/unversioned
-    /// store).
+    /// Committed generation id the initial sketch was loaded from; 0 for
+    /// a sketch built in process, which no store generation carries (ids
+    /// start at 1).
     pub generation: u64,
     /// Store to re-scan on reload; `None` makes reload a typed error.
     pub reload: Option<ReloadSource>,

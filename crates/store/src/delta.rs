@@ -190,22 +190,17 @@ pub fn encode_delta_shard(
         "repaired records must be sorted by strictly increasing set index"
     );
     let batch_bytes = batch.encode();
-    let body_len = 4 + batch_bytes.len() + records_len(repaired);
-    seal(DELTA_MAGIC, DELTA_VERSION, &header.encode(), body_len, |body| {
+    seal(DELTA_MAGIC, DELTA_VERSION, &header.encode(), |body| {
         put_u32(body, batch_bytes.len() as u32);
         body.extend_from_slice(&batch_bytes);
         put_records(body, repaired);
     })
 }
 
-/// Bytes [`put_records`] appends for `repaired`.
-fn records_len(repaired: &[(u32, Vec<u32>)]) -> usize {
-    repaired.iter().map(|(_, nodes)| 8 + 4 * nodes.len()).sum()
-}
-
 /// Appends the repaired records, each `set_index u32 · len u32 ·
-/// nodes u32[len]`.
+/// nodes u32[len]`, reserving exactly their length first.
 fn put_records(out: &mut Vec<u8>, repaired: &[(u32, Vec<u32>)]) {
+    out.reserve(repaired.iter().map(|(_, nodes)| 8 + 4 * nodes.len()).sum());
     for (set_index, nodes) in repaired {
         put_u32(out, *set_index);
         put_u32(out, nodes.len() as u32);

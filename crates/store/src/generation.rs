@@ -10,20 +10,21 @@
 //!   gen-00000002/   shard-0-of-2.rrs  shard-1-of-2.rrs  MANIFEST
 //! ```
 //!
-//! Each generation directory is an ordinary snapshot directory (the flat
-//! layout [`crate::load_snapshot`] reads), plus a one-line `MANIFEST`
-//! sidecar written *after* every shard landed. The manifest is the commit
-//! record: a generation without one is in progress (or abandoned) and is
-//! never served. Shard files and the manifest are both written through
+//! Every persisted sketch is a committed generation: its directory holds
+//! one shard file per machine plus a one-line `MANIFEST` sidecar written
+//! *after* every shard landed. The manifest is the commit record: a
+//! generation without one is in progress (or abandoned) and is never
+//! served. Shard files and the manifest are both written through
 //! atomic tmp-file renames, so a reader scanning the root concurrently
 //! with a writer sees either a committed generation or nothing — the
 //! property `dim serve`'s zero-downtime hot-reload rests on.
 //!
 //! The write protocol is [`begin_generation`] (reserve the next id, even
 //! over uncommitted attempts) → write shards → [`commit_generation`];
-//! [`load_latest_snapshot`] serves readers and [`gc_generations`] bounds
-//! disk use. A root with shard files directly inside it (the pre-
-//! generation flat layout) is still readable: it loads as generation 0.
+//! [`load_latest_chain`] is the one reader and [`gc_generations`] bounds
+//! disk use. A root with shard files directly inside it and no generation
+//! (the flat layout of older builds) is refused as
+//! [`StoreError::Unversioned`]: it must be re-sampled.
 //!
 //! # Delta chains
 //!
@@ -56,8 +57,8 @@ use dim_graph::{DeltaBatch, Graph};
 
 use crate::delta::{delta_base_of, delta_paths, read_delta_shard, DeltaShard};
 use crate::{
-    check_shard_ids, fnv1a, io_err, load_shards, load_snapshot, Snapshot, SnapshotRequest,
-    StoreError,
+    check_shard_ids, files_with_extension, fnv1a, io_err, load_snapshot, Snapshot, SnapshotRequest,
+    StoreError, SHARD_EXTENSION,
 };
 
 /// Prefix of generation directory names inside a store root.
@@ -280,9 +281,10 @@ fn read_delta_generation(dir: &Path) -> Result<Vec<DeltaShard>, StoreError> {
     Ok(shards)
 }
 
-/// Resolves and folds the delta chain whose tip is `gens[tip_idx]`: loads
-/// the base snapshot, validates every link (base id, sequence, graph
-/// fingerprints, provenance), and applies the repaired RR sets in order.
+/// Resolves and folds the chain whose tip is `gens[tip_idx]` — a base
+/// generation is a chain of no links: loads the base snapshot, validates
+/// every link (base id, sequence, graph fingerprints, provenance), and
+/// applies the repaired RR sets in order.
 fn load_chain(
     gens: &[(u64, PathBuf)],
     tip_idx: usize,
@@ -293,10 +295,13 @@ fn load_chain(
         path: Some(tip_dir.clone()),
         detail,
     };
-    let base_id = read_delta_generation(tip_dir)?[0].header.base_generation;
-    if base_id >= *tip_id {
-        return Err(corrupt("delta chain base not older than tip"));
-    }
+    let base_id = match delta_base_of(tip_dir)? {
+        Some(base) if base >= *tip_id => {
+            return Err(corrupt("delta chain base not older than tip"))
+        }
+        Some(base) => base,
+        None => *tip_id,
+    };
     // The chain is the committed generations in [base, tip]; uncommitted
     // ids in between are crashed or in-progress attempts and do not
     // participate.
@@ -314,8 +319,10 @@ fn load_chain(
     }
     let base_dir = base_dir.ok_or_else(|| corrupt("delta chain base generation missing"))?;
     // The base is checked against the request, `num_sets` included, before
-    // the fold below derives its index, once, from the folded elements.
-    let snapshot = load_shards(base_dir, request, false)?;
+    // any index is derived: by the parallel shard loads for a plain base,
+    // once from the folded elements below for a chain.
+    let plain = link_dirs.is_empty();
+    let snapshot = load_snapshot(base_dir, request, plain)?;
     let base_fp = base_graph_fingerprint(base_dir, snapshot.fingerprint)?;
     let mut tip_fp = base_fp;
     let mut batches: Vec<DeltaBatch> = Vec::with_capacity(link_dirs.len());
@@ -376,7 +383,9 @@ fn load_chain(
             }
             shard.elements = rebuilt;
         }
-        shard.index = shard.elements.transpose(num_sets);
+        if !plain {
+            shard.index = shard.elements.transpose(num_sets);
+        }
     }
     let base_generation = base_id;
     let next_seq = batches.len() as u64;
@@ -407,8 +416,9 @@ fn load_chain(
 ///
 /// A generation holding delta shards loads as its whole chain (base +
 /// deltas folded in order), so serving layers stay delta-oblivious. A
-/// root with no generation directories at all falls back to the flat
-/// pre-generation layout: the root itself is loaded as generation 0.
+/// root with no generation directory is [`StoreError::Empty`], or
+/// [`StoreError::Unversioned`] when it holds shard files of the flat
+/// layout older builds wrote.
 pub fn load_latest_snapshot(
     root: &Path,
     request: &SnapshotRequest,
@@ -422,22 +432,14 @@ pub fn load_latest_chain(
     root: &Path,
     request: &SnapshotRequest,
 ) -> Result<(u64, Snapshot, ChainInfo), StoreError> {
-    // A base generation is a chain of no batches.
-    let load_base = |id: u64, dir: &Path| -> Result<(Snapshot, ChainInfo), StoreError> {
-        let snapshot = load_snapshot(dir, request)?;
-        let tip_fingerprint = base_graph_fingerprint(dir, snapshot.fingerprint)?;
-        let chain = ChainInfo {
-            base_generation: id,
-            base_dir: dir.to_path_buf(),
-            batches: Vec::new(),
-            tip_fingerprint,
-            next_seq: 0,
-        };
-        Ok((snapshot, chain))
-    };
     let gens = list_generations(root)?;
     if gens.is_empty() {
-        return load_base(0, root).map(|(snapshot, chain)| (0, snapshot, chain));
+        let dir = root.to_path_buf();
+        return Err(if files_with_extension(root, SHARD_EXTENSION)?.is_empty() {
+            StoreError::Empty { dir }
+        } else {
+            StoreError::Unversioned { dir }
+        });
     }
     let mut any_committed = false;
     let mut newest_uncommitted: Option<u64> = None;
@@ -448,12 +450,7 @@ pub fn load_latest_chain(
             continue;
         }
         any_committed = true;
-        let result = if delta_paths(dir)?.is_empty() {
-            load_base(*id, dir)
-        } else {
-            load_chain(&gens, tip_idx, request)
-        };
-        match result {
+        match load_chain(&gens, tip_idx, request) {
             Ok((snapshot, chain)) => return Ok((*id, snapshot, chain)),
             Err(StoreError::MissingShard { .. }) | Err(StoreError::Empty { .. }) => continue,
             Err(e) => return Err(e),
@@ -622,13 +619,21 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A root with shard files directly inside and no generation — the
+    /// flat layout older builds wrote — is refused, typed, and the message
+    /// says it holds no committed generation and must be re-sampled.
     #[test]
-    fn load_latest_falls_back_to_flat_layout() {
+    fn load_latest_refuses_a_flat_root() {
         let root = temp_root("flat");
         write_snapshot(&root, 3);
-        let (id, snap) = load_latest_snapshot(&root, &request()).unwrap();
-        assert_eq!(id, 0);
-        assert_eq!(snap.seed, 3);
+        match load_latest_chain(&root, &request()) {
+            Err(e @ StoreError::Unversioned { .. }) => {
+                let text = e.to_string();
+                assert!(text.starts_with("no committed generation in "), "{text}");
+                assert!(text.contains("must be re-sampled"), "{text}");
+            }
+            other => panic!("expected Unversioned, got {other:?}"),
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

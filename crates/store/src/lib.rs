@@ -30,9 +30,12 @@
 //! pool u32[offsets[count]]` — the flat [`PooledSets`] representation of
 //! the shard's RR sets. The inverted index (node → RR sets) is not stored:
 //! the loader derives it by transposing the elements, once per shard, and
-//! [`load_snapshot`] decodes a snapshot's shard files in parallel. Version
-//! 1 files, which also stored the index, are refused as
-//! [`StoreError::Corrupt`] and must be re-sampled.
+//! decodes a generation's shard files in parallel. Version 1 files, which
+//! also stored the index, are refused as [`StoreError::Corrupt`] and must
+//! be re-sampled.
+//!
+//! Shard files live in committed generation directories under a store
+//! root ([`generation`]), and [`load_latest_chain`] is the one reader.
 //!
 //! Decoding untrusted bytes never panics: every length is bounds-checked
 //! before allocation, both checksums must match, readers are strict
@@ -104,6 +107,10 @@ pub enum StoreError {
     },
     /// The directory contains no shard files at all.
     Empty { dir: PathBuf },
+    /// The store root holds shard files directly inside and no generation
+    /// directory: the flat layout of an older build, which no loader
+    /// reads. It must be re-sampled.
+    Unversioned { dir: PathBuf },
     /// The store root holds generation directories but none is committed
     /// — every attempt is still being written or crashed before its
     /// manifest landed. `newest` names the newest uncommitted id so the
@@ -162,6 +169,13 @@ impl fmt::Display for StoreError {
             StoreError::Empty { dir } => {
                 write!(f, "no snapshot shards (*.{SHARD_EXTENSION}) in {}", dir.display())
             }
+            StoreError::Unversioned { dir } => write!(
+                f,
+                "no committed generation in {}: its shard files (*.{SHARD_EXTENSION}) lie \
+                 directly inside, in the flat layout of an older build, and must be re-sampled \
+                 (a store root holds gen-* directories; pass the root, not one of them)",
+                dir.display()
+            ),
             StoreError::Uncommitted { dir, newest } => write!(
                 f,
                 "no committed generation in {}: newest generation {newest} has no \
@@ -312,14 +326,10 @@ pub struct ShardSnapshot {
     pub index: PooledSets,
 }
 
-/// Bytes [`put_sets`] appends for `sets`.
-fn sets_len(sets: &PooledSets) -> usize {
-    8 + 8 * (sets.len() + 1) + 4 * sets.total_size()
-}
-
 /// Appends one `PooledSets` section: `count u64 · offsets[count+1] u64 ·
-/// pool u32[...]`.
+/// pool u32[...]`, reserving exactly its length first.
 fn put_sets(out: &mut Vec<u8>, sets: &PooledSets) {
+    out.reserve(8 + 8 * (sets.len() + 1) + 4 * sets.total_size());
     put_u64(out, sets.len() as u64);
     let mut offset = 0u64;
     put_u64(out, 0);
@@ -390,24 +400,22 @@ fn take_sets(body: &[u8], max_value: u64) -> Result<PooledSets, StoreError> {
 
 /// Serializes a shard file: header + elements, both blocks checksummed.
 pub fn encode_shard(header: &ShardHeader, elements: &PooledSets) -> Vec<u8> {
-    seal(MAGIC, VERSION, &header.encode(), sets_len(elements), |body| {
+    seal(MAGIC, VERSION, &header.encode(), |body| {
         put_sets(body, elements)
     })
 }
 
 /// Builds the envelope `DIMR` and `DIMD` files share — `magic · version ·
 /// header_len · header · fnv(header) · body · fnv(body)` — in one buffer:
-/// `write_body` appends the body in place and it is checksummed where it
-/// lies. `body_len` only sizes the buffer (each writer's length function
-/// sits beside it); the bytes are whatever `write_body` appends.
+/// `write_body` appends the body in place, reserving what each section
+/// appends, and it is checksummed where it lies.
 pub(crate) fn seal(
     magic: [u8; 4],
     version: u32,
     hdr: &[u8],
-    body_len: usize,
     write_body: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 + 4 + hdr.len() + 8 + body_len + 8);
+    let mut out = Vec::with_capacity(4 + 4 + 4 + hdr.len() + 8);
     out.extend_from_slice(&magic);
     put_u32(&mut out, version);
     put_u32(&mut out, hdr.len() as u32);
@@ -415,8 +423,9 @@ pub(crate) fn seal(
     put_u64(&mut out, fnv1a(hdr));
     let body_start = out.len();
     write_body(&mut out);
-    debug_assert_eq!(out.len() - body_start, body_len, "body length");
     let body_checksum = fnv1a(&out[body_start..]);
+    // Exact, so the trailer does not double a body-sized buffer.
+    out.reserve_exact(8);
     put_u64(&mut out, body_checksum);
     out
 }
@@ -670,8 +679,6 @@ pub struct Snapshot {
     pub shard_count: u32,
     /// Shards in `shard_id` order.
     pub shards: Vec<ShardSnapshot>,
-    /// Σ sampler work units across shards during the original sampling.
-    pub edges_examined: u64,
 }
 
 impl Snapshot {
@@ -685,21 +692,16 @@ impl Snapshot {
 }
 
 /// Loads every `*.rrs` shard in `dir`, validates mutual consistency and
-/// the request, and returns the assembled snapshot.
+/// the request, and returns the assembled snapshot — with every shard's
+/// `index` left empty unless `with_index`, for a caller that rewrites the
+/// elements before deriving it.
 ///
 /// Each shard file is read, decoded, checked against the request and
 /// transposed on its own thread; the results are then taken, and the
 /// siblings compared, in path order, so the error returned is the one a
 /// one-file-at-a-time loader would return: that of the first bad path in
 /// sorted order.
-pub fn load_snapshot(dir: &Path, request: &SnapshotRequest) -> Result<Snapshot, StoreError> {
-    load_shards(dir, request, true)
-}
-
-/// [`load_snapshot`], leaving every shard's `index` empty unless
-/// `with_index`: for a caller that rewrites the elements before deriving
-/// it.
-pub(crate) fn load_shards(
+pub(crate) fn load_snapshot(
     dir: &Path,
     request: &SnapshotRequest,
     with_index: bool,
@@ -748,7 +750,6 @@ pub(crate) fn load_shards(
     check_shard_ids(dir, &paths, ids, shard_count, "duplicate shard id")?;
     shards.sort_by_key(|s| s.header.shard_id);
     let first = shards[0].header;
-    let edges_examined: u64 = shards.iter().map(|s| s.header.edges_examined).sum();
     let total: u64 = shards.iter().map(|s| s.header.num_elements).sum();
     if total != first.theta {
         return Err(StoreError::Mismatch {
@@ -766,7 +767,6 @@ pub(crate) fn load_shards(
         num_sets: first.num_sets,
         shard_count,
         shards,
-        edges_examined,
     })
 }
 
@@ -918,7 +918,8 @@ mod tests {
     #[test]
     fn file_holds_the_elements_section_only() {
         for (header, elements) in random_shards() {
-            let len = 12 + header.encode().len() + 8 + sets_len(&elements) + 8;
+            let section = 8 + 8 * (elements.len() + 1) + 4 * elements.total_size();
+            let len = 12 + header.encode().len() + 8 + section + 8;
             assert_eq!(encode_shard(&header, &elements).len(), len, "{header:?}");
         }
     }
@@ -929,15 +930,14 @@ mod tests {
     #[test]
     fn version_1_files_are_refused_with_their_path() {
         let (elements, index) = (sample_sets(), sample_sets().transpose(5));
-        let body_len = sets_len(&elements) + sets_len(&index);
-        let v1 = seal(MAGIC, 1, &sample_header(4).encode(), body_len, |body| {
+        let v1 = seal(MAGIC, 1, &sample_header(4).encode(), |body| {
             put_sets(body, &elements);
             put_sets(body, &index);
         });
         let dir = temp_dir("v1");
         let path = dir.join(shard_file_name(0, 1));
         fs::write(&path, &v1).unwrap();
-        match load_snapshot(&dir, &request()) {
+        match load_snapshot(&dir, &request(), true) {
             Err(StoreError::Corrupt {
                 path: Some(p),
                 detail,
@@ -961,7 +961,7 @@ mod tests {
         };
         let dir = temp_dir("universe");
         let path = write_shard(&dir, &header, &PooledSets::new()).unwrap();
-        match load_snapshot(&dir, &request()) {
+        match load_snapshot(&dir, &request(), true) {
             Err(StoreError::Mismatch {
                 path: p,
                 field,
@@ -1058,11 +1058,11 @@ mod tests {
     fn load_snapshot_assembles_all_shards() {
         let dir = temp_dir("load");
         write_shards(&dir, 2);
-        let snap = load_snapshot(&dir, &request()).unwrap();
+        let snap = load_snapshot(&dir, &request(), true).unwrap();
         assert_eq!(snap.shard_count, 2);
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.theta, 4);
-        assert_eq!(snap.edges_examined, 34);
+        assert_eq!(snap.shards.iter().map(|s| s.header.edges_examined).sum::<u64>(), 34);
         assert_eq!(snap.shards[0].header.shard_id, 0);
         assert_eq!(snap.shards[1].header.shard_id, 1);
         fs::remove_dir_all(&dir).unwrap();
@@ -1074,7 +1074,7 @@ mod tests {
         write_shards(&dir, 2);
         let mut req = request();
         req.fingerprint = 1;
-        match load_snapshot(&dir, &req) {
+        match load_snapshot(&dir, &req, true) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "fingerprint"),
             other => panic!("expected mismatch, got {other:?}"),
         }
@@ -1087,13 +1087,13 @@ mod tests {
         write_shards(&dir, 2);
         let mut req = request();
         req.sampler = SamplerSpec::ReverseBfs;
-        match load_snapshot(&dir, &req) {
+        match load_snapshot(&dir, &req, true) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "sampler"),
             other => panic!("expected mismatch, got {other:?}"),
         }
         let mut req = request();
         req.shard_count = Some(4);
-        match load_snapshot(&dir, &req) {
+        match load_snapshot(&dir, &req, true) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "shard_count"),
             other => panic!("expected mismatch, got {other:?}"),
         }
@@ -1105,7 +1105,7 @@ mod tests {
         let dir = temp_dir("missing");
         write_shards(&dir, 2);
         fs::remove_file(dir.join(shard_file_name(1, 2))).unwrap();
-        match load_snapshot(&dir, &request()) {
+        match load_snapshot(&dir, &request(), true) {
             Err(StoreError::MissingShard {
                 shard_id,
                 shard_count,
@@ -1123,7 +1123,7 @@ mod tests {
     fn load_snapshot_reports_empty_dir() {
         let dir = temp_dir("empty");
         assert!(matches!(
-            load_snapshot(&dir, &request()),
+            load_snapshot(&dir, &request(), true),
             Err(StoreError::Empty { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
@@ -1148,7 +1148,7 @@ mod tests {
         fs::write(path(2), &intact[2][..prefix + 4]).unwrap();
 
         // Display names the variant, the file and every field.
-        let error = || load_snapshot(&dir, &request()).unwrap_err().to_string();
+        let error = || load_snapshot(&dir, &request(), true).unwrap_err().to_string();
         let corrupt = |id, detail| {
             format!("corrupt snapshot shard {}: {detail}", path(id).display())
         };

@@ -5,8 +5,9 @@
 //! dim im       --graph … --k 50 [--model ic|lt] [--epsilon 0.1] [--machines 8]
 //!              [--algorithm imm|diimm|opim|subsim] [--backend B] [--evaluate]
 //!              [--load-rr DIR]
-//! dim sample   --graph … --k 50 --out DIR [--machines 8] [--backend B]
-//!              [--generations [--keep N]]
+//! dim sample   --graph … --k 50 --out DIR [--machines 8] [--backend B] [--keep N]
+//! dim stream   --graph … --k 50 --store DIR --apply EDITS.jsonl [--batch-size N]
+//!              [--keep N] [--compact] [--select]
 //! dim serve    --graph … --store DIR [--addr 127.0.0.1:7117] [--max-queries N]
 //!              [--workers N] [--max-conns N] [--tenants TENANTS.json]
 //! dim query    --addr HOST:PORT (--stats | --reload | --seeds 1,2,3 |
@@ -15,19 +16,21 @@
 //! dim coverage --graph … --k 50 [--machines 8] [--backend B]
 //! dim simulate --graph … --seeds 1,2,3 [--model ic|lt] [--sims 10000]
 //! dim generate --profile NAME[:SCALE] --out edges.txt
+//! dim chaos    --graph … --plan PLAN.json [--machines 2] [--backend B]
+//!              [--min-survivors N] [--straggler-ms M]
 //! ```
 //!
-//! `sample` runs DiIMM and persists every machine's RR shard as a
-//! versioned dim-store snapshot; `im --load-rr DIR` reruns seed selection
-//! from such a snapshot (byte-identical seeds, no sampling), and `serve`
-//! answers spread / constrained-top-k queries over it until stopped
-//! (`--max-queries` bounds the lifetime for scripted runs).
-//!
-//! With `--generations`, `sample` appends a new *committed generation*
-//! (`gen-N/` + manifest) under `--out` instead of overwriting it, GC'ing
-//! generations beyond `--keep`; `serve` auto-detects the newest committed
-//! generation and hot-swaps to later ones on SIGHUP or `query --reload`
-//! without dropping in-flight queries.
+//! A store is a root directory of committed generations. `sample` runs
+//! DiIMM and commits every machine's RR shard as a new generation (a
+//! `gen-N/` directory with its manifest) under `--out`, GC'ing generations
+//! beyond `--keep`; `stream` repairs the newest one under streamed edge
+//! edits, each batch committing a delta generation. `im --load-rr DIR`,
+//! `stream` and `serve` all read the newest committed generation, delta
+//! chain included: `im --load-rr` reruns seed selection on it
+//! (byte-identical seeds, no sampling), and `serve` answers spread /
+//! constrained-top-k queries over it until stopped (`--max-queries` bounds
+//! the lifetime for scripted runs), hot-swapping to later generations on
+//! SIGHUP or `query --reload` without dropping in-flight queries.
 //!
 //! `--backend` selects the cluster execution layer: `sequential` (default)
 //! and `threads` run the simulated cluster in-process; `proc` spawns one
@@ -94,10 +97,11 @@ fn usage() {
 commands:
   stats     --graph <src>                   graph statistics
   im        --graph <src> --k <k>           seed selection with (1-1/e-ε) guarantee
-                                            (--load-rr DIR selects from a snapshot)
-  sample    --graph <src> --k <k> --out DIR run DiIMM and persist the RR sketch
-                                            (--generations appends a committed
-                                            gen-N/, GC'd down to --keep N)
+                                            (--load-rr DIR selects from the newest
+                                            generation of a sketch store)
+  sample    --graph <src> --k <k> --out DIR run DiIMM and commit the RR sketch as
+                                            generation gen-N/ of the store DIR,
+                                            GC'd down to --keep N (default 3)
   stream    --graph <src> --store DIR       apply streamed edge edits to a sketch:
             --apply EDITS.jsonl             each batch repairs the resident RR sets
                                             incrementally and commits a delta
@@ -124,9 +128,8 @@ commands:
   chaos     --graph <src> --plan PLAN.json  replay a fault schedule against a
                                             backend and assert seeds/marginals
                                             match a fault-free reference run
-                                            (--min-survivors N, --straggler-ms M,
-                                            --recover-from DIR rebuilds lost
-                                            shards from that snapshot)
+                                            (--min-survivors N, --straggler-ms M;
+                                            lost shards are re-sampled)
 
 graph sources: a SNAP edge-list path, or profile:NAME[:SCALE]
   (facebook, googleplus, livejournal, twitter)
@@ -159,7 +162,6 @@ impl Flags {
                 || name == "evaluate"
                 || name == "breakdown"
                 || name == "stats"
-                || name == "generations"
                 || name == "reload"
                 || name == "compact"
                 || name == "select"
@@ -195,6 +197,17 @@ impl Flags {
         match self.num("machines", default)? {
             0 => Err("--machines must be at least 1".into()),
             machines => Ok(machines),
+        }
+    }
+
+    /// Refuses a given `--machines` that differs from the `shards` of the
+    /// store a command restored; an omitted flag takes the store's count.
+    fn store_machines(&self, shards: usize) -> Result<(), String> {
+        match self.machines(shards)? {
+            machines if machines == shards => Ok(()),
+            machines => Err(format!(
+                "--machines {machines} disagrees with the store, which holds {shards} shard(s)"
+            )),
         }
     }
 
@@ -333,7 +346,7 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
     let algorithm = flags.get("algorithm").unwrap_or("diimm");
     let net = NetworkModel::shared_memory();
     let backend = backend_of(flags)?;
-    let r = if let Some(dir) = flags.get("load-rr") {
+    let r = if let Some(root) = flags.get("load-rr") {
         if !matches!(algorithm, "diimm" | "subsim") {
             return Err("--load-rr replays a DiIMM sketch; use --algorithm diimm|subsim".into());
         }
@@ -341,8 +354,10 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
             Backend::Sim(mode) => mode,
             _ => return Err("--load-rr selects locally; use a simulated backend".into()),
         };
-        diimm_load_rr(&g, &config, std::path::Path::new(dir), net, mode)
-            .map_err(|e| e.to_string())?
+        let mut session = StreamSession::open(&g, &config, std::path::Path::new(root), net, mode)
+            .map_err(|e| e.to_string())?;
+        flags.store_machines(session.num_machines())?;
+        session.select().map_err(|e| e.to_string())?
     } else {
         match (algorithm, backend) {
             ("imm", _) => imm(&g, &config),
@@ -395,41 +410,27 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
     let out = std::path::PathBuf::from(flags.required("out")?);
     let keep = flags.num("keep", 3usize)?;
     let net = NetworkModel::shared_memory();
-    // With --generations the shards land in a fresh gen-N/ directory that
-    // becomes visible to loaders only once the manifest commits below, so
-    // a concurrently running `dim serve --store OUT` never sees a
-    // half-written snapshot.
-    let (gen_id, dir) = if flags.get("generations").is_some() {
-        let (id, dir) = begin_generation(&out).map_err(|e| e.to_string())?;
-        (Some(id), dir)
-    } else {
-        (None, out.clone())
-    };
-    let r = match backend_of(flags)? {
-        Backend::Sim(mode) => diimm_sample(&g, &config, machines, net, mode, &dir)
+    // The shards land in a fresh gen-N/ directory that becomes visible to
+    // loaders only once its manifest commits, so a concurrently running
+    // `dim serve --store OUT` never sees a half-written sketch.
+    let (id, r) = match backend_of(flags)? {
+        Backend::Sim(mode) => diimm_sample_generation(&g, &config, machines, net, mode, &out, keep)
             .map_err(|e| e.to_string())?,
         Backend::Tcp { spawn } => {
             let mut cluster = tcp_cluster(spawn, machines, net, config.seed, flags)?;
             setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
-            diimm_sample_on(&mut cluster, &g, &config, &dir).map_err(|e| e.to_string())?
+            diimm_sample_on(&mut cluster, &g, &config, &out, keep).map_err(|e| e.to_string())?
         }
     };
-    if let Some(id) = gen_id {
-        commit_generation(&dir, id).map_err(|e| e.to_string())?;
-        gc_generations(&out, keep).map_err(|e| e.to_string())?;
-    }
     println!("seeds: {:?}", r.seeds);
     println!(
         "estimated spread: {:.1} ({} RR sets)",
         r.est_spread, r.num_rr_sets
     );
-    match gen_id {
-        Some(id) => println!(
-            "sketch: generation {id}, {machines} shard(s) in {}",
-            dir.display()
-        ),
-        None => println!("sketch: {machines} shard(s) in {}", out.display()),
-    }
+    println!(
+        "sketch: generation {id}, {machines} shard(s) in {}",
+        out.join(generation_dir_name(id)).display()
+    );
     if flags.get("breakdown").is_some() {
         print_breakdown(&r.timeline);
     }
@@ -492,6 +493,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let net = NetworkModel::shared_memory();
     let mut session = StreamSession::open(&g, &config, &root, net, mode)
         .map_err(|e| e.to_string())?;
+    flags.store_machines(session.num_machines())?;
     println!(
         "stream: resumed at generation {} (seq {}, {} machine(s))",
         session.generation(),
@@ -920,10 +922,6 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         straggler_deadline: match flags.num("straggler-ms", 0u64)? {
             0 => std::time::Duration::MAX,
             ms => std::time::Duration::from_millis(ms),
-        },
-        source: match flags.get("recover-from") {
-            Some(dir) => RecoverySource::Store(dir.into()),
-            None => RecoverySource::Resample,
         },
     };
     let net = NetworkModel::shared_memory();

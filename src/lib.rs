@@ -62,13 +62,10 @@ pub mod prelude {
     pub use dim_core::diimm::{diimm, diimm_on, diimm_with_options};
     pub use dim_core::imm::imm;
     pub use dim_core::opim::dopim_c;
-    pub use dim_core::recover::{
-        diimm_on_recovering, RecoveringCluster, RecoveryPolicy, RecoverySource,
-    };
+    pub use dim_core::recover::{diimm_on_recovering, RecoveringCluster, RecoveryPolicy};
     pub use dim_core::snapshot::{
-        diimm_load_rr, diimm_sample, diimm_sample_generation, diimm_sample_on,
-        load_latest_rr_snapshot, load_rr_snapshot, persist_rr_shards, rr_snapshot_request,
-        snapshot_shards, StreamSession,
+        diimm_sample_generation, diimm_sample_on, load_latest_rr_snapshot, persist_rr_shards,
+        rr_snapshot_request, StreamSession,
     };
     pub use dim_core::ssa::dssa;
     pub use dim_core::{setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, WorkerHost};
@@ -90,6 +87,6 @@ pub mod prelude {
     };
     pub use dim_store::{
         begin_generation, commit_generation, gc_generations, generation_dir_name,
-        graph_fingerprint, list_generations, load_latest_snapshot, load_snapshot, StoreError,
+        graph_fingerprint, list_generations, load_latest_snapshot, StoreError,
     };
 }

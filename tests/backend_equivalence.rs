@@ -138,11 +138,13 @@ fn newgreedi_identical_across_backends() {
     }
 }
 
-/// Persisted sketches are an execution path of their own: `diimm_sample`
-/// (run + persist every machine's shard) followed by `diimm_load_rr`
-/// (restore + reselect, no sampling) must reproduce the direct run bit
-/// for bit — seeds, marginals, coverage, θ — at every machine count, and
-/// the restored selection must itself be mode-independent.
+/// Persisted sketches are an execution path of their own:
+/// `diimm_sample_generation` (run + commit every machine's shard as a
+/// generation) followed by `StreamSession::open` + `select` (restore +
+/// reselect, no sampling — what `dim im --load-rr` runs) must reproduce
+/// the direct run bit for bit — seeds, marginals, coverage, θ — at every
+/// machine count, and the restored selection must itself be
+/// mode-independent.
 #[test]
 fn snapshot_roundtrip_matches_direct_run() {
     let g = DatasetProfile::Facebook.generate(0.1, 11);
@@ -150,33 +152,22 @@ fn snapshot_roundtrip_matches_direct_run() {
         k: 6,
         ..ImConfig::paper_defaults(&g, 0.4, 29)
     };
+    let net = NetworkModel::cluster_1gbps();
     for machines in [1usize, 2, 4] {
-        let dir = std::env::temp_dir().join(format!(
+        let root = std::env::temp_dir().join(format!(
             "dim-equiv-snapshot-{}-{machines}",
             std::process::id()
         ));
-        let reference = diimm(
-            &g,
-            &config,
-            machines,
-            NetworkModel::cluster_1gbps(),
-            ExecMode::Sequential,
-        )
-        .unwrap();
-        let sampled = diimm_sample(
-            &g,
-            &config,
-            machines,
-            NetworkModel::cluster_1gbps(),
-            ExecMode::Sequential,
-            &dir,
-        )
-        .unwrap();
+        std::fs::remove_dir_all(&root).ok();
+        let reference = diimm(&g, &config, machines, net, ExecMode::Sequential).unwrap();
+        let (_, sampled) =
+            diimm_sample_generation(&g, &config, machines, net, ExecMode::Sequential, &root, 1)
+                .unwrap();
         assert_eq!(sampled.seeds, reference.seeds, "ℓ = {machines}");
         assert_eq!(sampled.marginals, reference.marginals, "ℓ = {machines}");
         for mode in MODES {
-            let r = diimm_load_rr(&g, &config, &dir, NetworkModel::cluster_1gbps(), mode)
-                .unwrap();
+            let mut session = StreamSession::open(&g, &config, &root, net, mode).unwrap();
+            let r = session.select().unwrap();
             let ctx = format!("ℓ = {machines}, {mode:?}");
             assert_eq!(r.seeds, reference.seeds, "{ctx}");
             assert_eq!(r.marginals, reference.marginals, "{ctx}");
@@ -186,7 +177,7 @@ fn snapshot_roundtrip_matches_direct_run() {
             assert_eq!(r.edges_examined, reference.edges_examined, "{ctx}");
             assert_eq!(r.est_spread, reference.est_spread, "{ctx}");
         }
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&root).ok();
     }
 }
 
@@ -544,38 +535,39 @@ mod proc_backend {
         };
         let machines = 2;
         let net = NetworkModel::cluster_1gbps();
-        let proc_dir = std::env::temp_dir().join(format!(
+        let proc_root = std::env::temp_dir().join(format!(
             "dim-equiv-proc-snapshot-{}",
             std::process::id()
         ));
-        let sim_dir = std::env::temp_dir().join(format!(
+        let sim_root = std::env::temp_dir().join(format!(
             "dim-equiv-sim-snapshot-{}",
             std::process::id()
         ));
 
         let mut cluster = proc_cluster(machines, config.seed);
         setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
-        let r = diimm_on(&mut cluster, &g, &config, true).unwrap();
-        let fingerprint = graph_fingerprint(&g);
-        persist_rr_shards(&mut cluster, &proc_dir, fingerprint, &config, r.num_rr_sets as u64)
-            .unwrap();
+        let (_, r) = diimm_sample_on(&mut cluster, &g, &config, &proc_root, 1).unwrap();
         // The save phase is a control round: it models no shard traffic.
         let save = cluster.timeline().get(phase::STORE_SAVE);
         assert_eq!(save.total_bytes(), 0, "PersistShard ships no shard bytes");
         drop(cluster);
 
-        diimm_sample(&g, &config, machines, net, ExecMode::Sequential, &sim_dir).unwrap();
-        let from_proc =
-            diimm_load_rr(&g, &config, &proc_dir, net, ExecMode::Sequential).unwrap();
-        let from_sim =
-            diimm_load_rr(&g, &config, &sim_dir, net, ExecMode::Sequential).unwrap();
+        diimm_sample_generation(&g, &config, machines, net, ExecMode::Sequential, &sim_root, 1)
+            .unwrap();
+        let select = |root: &std::path::Path| {
+            StreamSession::open(&g, &config, root, net, ExecMode::Sequential)
+                .unwrap()
+                .select()
+                .unwrap()
+        };
+        let (from_proc, from_sim) = (select(&proc_root), select(&sim_root));
         assert_eq!(from_proc.seeds, r.seeds);
         assert_eq!(from_proc.marginals, r.marginals);
         assert_eq!(from_proc.seeds, from_sim.seeds);
         assert_eq!(from_proc.coverage, from_sim.coverage);
         assert_eq!(from_proc.num_rr_sets, from_sim.num_rr_sets);
-        std::fs::remove_dir_all(&proc_dir).ok();
-        std::fs::remove_dir_all(&sim_dir).ok();
+        std::fs::remove_dir_all(&proc_root).ok();
+        std::fs::remove_dir_all(&sim_root).ok();
     }
 
     /// The incremental DiIMM traffic optimization must never change the

@@ -1,6 +1,8 @@
 //! End-to-end tests of the `dim` CLI binary.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Lines};
+use std::path::Path;
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 fn dim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dim"))
@@ -190,35 +192,49 @@ fn uniform_weight_model_flag() {
     assert!(out.contains("LT-compatible: no"), "{out}");
 }
 
+/// Runs `dim sample --out DIR` with `args`, asserting it succeeds, and
+/// returns its stdout.
+fn sample(dir: &Path, args: &[&str]) -> String {
+    let (ok, out, err) = run(&[&["sample", "--out", dir.to_str().unwrap()], args].concat());
+    assert!(ok, "sample failed: {err}");
+    out
+}
+
+/// The `seeds:` line of a command's output.
+fn seeds_line(out: &str) -> String {
+    out.lines().find(|l| l.starts_with("seeds:")).expect("prints seeds").to_owned()
+}
+
+/// Starts `dim serve` with `args` on an ephemeral port: the daemon, its
+/// banner line, the rest of its stdout, and the address it listens on.
+fn serve(args: &[&str]) -> (Child, String, Lines<BufReader<ChildStdout>>, String) {
+    let mut server = dim()
+        .args([&["serve"], args, &["--addr", "127.0.0.1:0"]].concat())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    let mut lines = BufReader::new(server.stdout.take().unwrap()).lines();
+    let banner = lines.next().expect("banner line").unwrap();
+    let addr = banner.strip_prefix("dim-serve: listening on ").expect(&banner);
+    let addr = addr.split_whitespace().next().unwrap().to_owned();
+    (server, banner, lines, addr)
+}
+
 #[test]
 fn sample_then_load_rr_is_byte_identical_across_processes() {
     let dir = temp_path("sketch-roundtrip");
-    let dir_s = dir.to_str().unwrap();
-    let (ok, out, err) = run(&[
-        "sample", "--graph", "profile:facebook:0.05", "--k", "3", "--machines", "2",
-        "--epsilon", "0.5", "--seed", "19", "--out", dir_s,
-    ]);
-    assert!(ok, "sample failed: {err}");
-    let sampled_seeds = out
-        .lines()
-        .find(|l| l.starts_with("seeds:"))
-        .expect("sample prints seeds")
-        .to_owned();
-    assert!(out.contains("sketch: 2 shard(s)"), "{out}");
+    let common = [
+        "--graph", "profile:facebook:0.05", "--k", "3", "--epsilon", "0.5", "--seed", "19",
+    ];
+    let out = sample(&dir, &[&common[..], &["--machines", "2"]].concat());
+    assert!(out.contains("sketch: generation 1, 2 shard(s)"), "{out}");
 
     // A *separate process* reloads the sketch and must re-derive the very
     // same seed set — the snapshot carries everything the selection needs.
-    let (ok, out, err) = run(&[
-        "im", "--graph", "profile:facebook:0.05", "--k", "3", "--epsilon", "0.5",
-        "--seed", "19", "--load-rr", dir_s,
-    ]);
+    let load = ["im", "--load-rr", dir.to_str().unwrap()];
+    let (ok, loaded, err) = run(&[&load[..], &common[..]].concat());
     assert!(ok, "im --load-rr failed: {err}");
-    let loaded_seeds = out
-        .lines()
-        .find(|l| l.starts_with("seeds:"))
-        .expect("im prints seeds")
-        .to_owned();
-    assert_eq!(sampled_seeds, loaded_seeds);
+    assert_eq!(seeds_line(&out), seeds_line(&loaded));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -226,29 +242,22 @@ fn sample_then_load_rr_is_byte_identical_across_processes() {
 fn load_rr_mismatch_and_corruption_are_typed_errors() {
     let dir = temp_path("sketch-negative");
     let dir_s = dir.to_str().unwrap();
-    let (ok, _, err) = run(&[
-        "sample", "--graph", "profile:facebook:0.05", "--k", "2", "--machines", "2",
-        "--seed", "23", "--out", dir_s,
+    let common = ["--k", "2", "--seed", "23", "--load-rr", dir_s];
+    sample(&dir, &[
+        "--graph", "profile:facebook:0.05", "--k", "2", "--machines", "2", "--seed", "23",
     ]);
-    assert!(ok, "sample failed: {err}");
 
     // Wrong graph: the fingerprint check refuses to select on someone
     // else's RR sets.
-    let (ok, _, err) = run(&[
-        "im", "--graph", "profile:facebook:0.08", "--k", "2", "--seed", "23",
-        "--load-rr", dir_s,
-    ]);
+    let (ok, _, err) = run(&[&["im", "--graph", "profile:facebook:0.08"], &common[..]].concat());
     assert!(!ok);
     assert!(err.contains("fingerprint mismatch"), "{err}");
 
     // Truncated shard: a typed corruption error, not a panic.
-    let victim = dir.join("shard-1-of-2.rrs");
+    let victim = dir.join("gen-00000001").join("shard-1-of-2.rrs");
     let bytes = std::fs::read(&victim).unwrap();
     std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-    let (ok, _, err) = run(&[
-        "im", "--graph", "profile:facebook:0.05", "--k", "2", "--seed", "23",
-        "--load-rr", dir_s,
-    ]);
+    let (ok, _, err) = run(&[&["im", "--graph", "profile:facebook:0.05"], &common[..]].concat());
     assert!(!ok);
     assert!(err.contains("corrupt snapshot shard"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
@@ -285,21 +294,14 @@ fn as_version_1(v2: &[u8]) -> Vec<u8> {
 #[test]
 fn load_rr_refuses_a_version_1_store() {
     let dir = temp_path("sketch-v1");
-    let dir_s = dir.to_str().unwrap();
-    let (ok, _, err) = run(&[
-        "sample", "--graph", "profile:facebook:0.05", "--k", "2", "--machines", "2",
-        "--seed", "31", "--out", dir_s,
-    ]);
-    assert!(ok, "sample failed: {err}");
+    let common = ["--graph", "profile:facebook:0.05", "--k", "2", "--seed", "31"];
+    sample(&dir, &[&common[..], &["--machines", "2"]].concat());
     for id in 0..2 {
-        let path = dir.join(format!("shard-{id}-of-2.rrs"));
+        let path = dir.join("gen-00000001").join(format!("shard-{id}-of-2.rrs"));
         let v2 = std::fs::read(&path).unwrap();
         std::fs::write(&path, as_version_1(&v2)).unwrap();
     }
-    let (ok, _, err) = run(&[
-        "im", "--graph", "profile:facebook:0.05", "--k", "2", "--seed", "31",
-        "--load-rr", dir_s,
-    ]);
+    let (ok, _, err) = run(&[&["im", "--load-rr", dir.to_str().unwrap()], &common[..]].concat());
     assert!(!ok, "a version-1 store was loaded");
     assert!(err.contains("shard-0-of-2.rrs"), "{err}");
     assert!(err.contains("unsupported format version"), "{err}");
@@ -308,35 +310,14 @@ fn load_rr_refuses_a_version_1_store() {
 
 #[test]
 fn serve_and_query_roundtrip() {
-    use std::io::BufRead;
-
     let dir = temp_path("sketch-serve");
-    let dir_s = dir.to_str().unwrap();
-    let (ok, _, err) = run(&[
-        "sample", "--graph", "profile:facebook:0.05", "--k", "3", "--machines", "2",
-        "--seed", "29", "--out", dir_s,
-    ]);
-    assert!(ok, "sample failed: {err}");
+    let common = ["--graph", "profile:facebook:0.05", "--k", "3", "--seed", "29"];
+    sample(&dir, &[&common[..], &["--machines", "2"]].concat());
 
     // Serve on an ephemeral port; the daemon prints its bound address and
     // exits cleanly after --max-queries.
-    let mut server = dim()
-        .args([
-            "serve", "--graph", "profile:facebook:0.05", "--seed", "29", "--store", dir_s,
-            "--addr", "127.0.0.1:0", "--max-queries", "3",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve starts");
-    let stdout = server.stdout.take().unwrap();
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    let banner = lines.next().expect("banner line").unwrap();
-    assert!(banner.starts_with("dim-serve: listening on "), "{banner}");
-    let addr = banner["dim-serve: listening on ".len()..]
-        .split_whitespace()
-        .next()
-        .unwrap()
-        .to_owned();
+    let store = ["--store", dir.to_str().unwrap(), "--max-queries", "3"];
+    let (mut server, _, lines, addr) = serve(&[&common[..], &store[..]].concat());
 
     let (ok, out, err) = run(&["query", "--addr", &addr, "--stats"]);
     assert!(ok, "query --stats failed: {err}");
@@ -367,19 +348,18 @@ fn serve_and_query_roundtrip() {
 #[test]
 fn stream_parses_each_edit_line_as_one_json_object() {
     let dir = temp_path("stream-json");
-    let dir_s = dir.to_str().unwrap();
     let edits = temp_path("stream-json-edits.jsonl");
     let edits_s = edits.to_str().unwrap();
     let common = [
         "--graph", "profile:facebook:0.05", "--k", "2", "--machines", "2", "--epsilon", "0.5",
         "--seed", "31",
     ];
-    let (ok, _, err) = run(&[&["sample"], &common[..], &["--out", dir_s, "--generations"]].concat());
-    assert!(ok, "sample failed: {err}");
+    sample(&dir, &common);
 
     let stream = |line: &str| {
         std::fs::write(&edits, format!("{line}\n")).unwrap();
-        let args = [&["stream"], &common[..], &["--store", dir_s, "--apply", edits_s]].concat();
+        let store = ["--store", dir.to_str().unwrap(), "--apply", edits_s];
+        let args = [&["stream"], &common[..], &store[..]].concat();
         let out = dim().args(args).output().expect("binary runs");
         (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
     };
@@ -389,6 +369,95 @@ fn stream_parses_each_edit_line_as_one_json_object() {
         let (code, err) = stream(bad);
         assert_eq!(code, Some(1), "{bad} accepted: {err}");
         assert!(err.contains(&format!("{edits_s}:1: ")), "{bad}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&edits).ok();
+}
+
+/// A default `dim sample` store keeps streaming: two `dim stream` runs
+/// chain delta generations onto the sampled base, and `dim im --load-rr`
+/// and `dim serve` both read the whole chain. A flat store made the
+/// second stream exit 1 with "delta chain base generation missing", and a
+/// `--machines` the store disagreed with was silently ignored.
+#[test]
+fn streams_chain_onto_a_default_sample_and_every_reader_follows() {
+    let dir = temp_path("stream-chain");
+    let store = ["--store", dir.to_str().unwrap()];
+    let edits = temp_path("stream-chain-edits.jsonl");
+    let common = [
+        "--graph", "profile:facebook:0.05", "--k", "3", "--epsilon", "0.5", "--seed", "37",
+    ];
+    sample(&dir, &[&common[..], &["--machines", "2"]].concat());
+
+    let stream = |edit: &str| {
+        std::fs::write(&edits, format!("{edit}\n")).unwrap();
+        let apply = ["--apply", edits.to_str().unwrap(), "--select"];
+        let (ok, out, err) = run(&[&["stream"], &common[..], &store[..], &apply[..]].concat());
+        assert!(ok, "stream {edit} failed: {err}");
+        out
+    };
+    let first = stream(r#"{"op": "insert", "u": 1, "v": 2, "p": 0.9}"#);
+    assert!(first.contains("-> generation 2,"), "{first}");
+    let second = stream(r#"{"op": "insert", "u": 3, "v": 2, "p": 0.9}"#);
+    assert!(second.contains("resumed at generation 2 (seq 1, 2 machine(s))"), "{second}");
+    assert!(second.contains("-> generation 3,"), "{second}");
+
+    // A `--machines` other than the store's shard count exits 1 naming the
+    // flag, before anything is applied; omitted, as above, it takes the
+    // store's count.
+    let restream = [&["stream"], &store[..], &["--apply", edits.to_str().unwrap()]].concat();
+    for cmd in [&["im", "--load-rr", store[1]][..], &restream] {
+        let out = dim().args([cmd, &common[..], &["--machines", "3"]].concat()).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}: {err}");
+        assert!(err.contains("--machines 3 disagrees with the store"), "{cmd:?}: {err}");
+    }
+
+    let (ok, out, err) = run(&[&["im", "--load-rr", store[1]], &common[..]].concat());
+    assert!(ok, "im --load-rr failed: {err}");
+    assert_eq!(seeds_line(&out), seeds_line(&second));
+
+    let args = [&common[..], &store[..], &["--max-queries", "1"]].concat();
+    let (mut server, banner, _rest, addr) = serve(&args);
+    assert!(banner.ends_with("generation 3)"), "{banner}");
+    let (ok, out, err) = run(&["query", "--addr", &addr, "--stats"]);
+    assert!(ok, "query --stats failed: {err}");
+    assert!(out.contains("generation: 3"), "{out}");
+    assert!(server.wait().expect("serve exits").success());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&edits).ok();
+}
+
+/// A store an older build wrote — shard files directly in the root, no
+/// `gen-*` directory — is refused by every reader with an error saying it
+/// holds no committed generation and must be re-sampled.
+#[test]
+fn a_flat_store_is_refused_as_needing_a_resample() {
+    let dir = temp_path("flat-store");
+    let dir_s = dir.to_str().unwrap();
+    let common = [
+        "--graph", "profile:facebook:0.05", "--k", "2", "--machines", "2", "--seed", "41",
+    ];
+    sample(&dir, &common);
+    // Flatten the store the way older builds laid it out.
+    let generation = dir.join("gen-00000001");
+    for name in ["shard-0-of-2.rrs", "shard-1-of-2.rrs"] {
+        std::fs::rename(generation.join(name), dir.join(name)).unwrap();
+    }
+    std::fs::remove_dir_all(&generation).unwrap();
+
+    let edits = temp_path("flat-store-edits.jsonl");
+    std::fs::write(&edits, "{\"op\": \"delete\", \"u\": 1, \"v\": 2}\n").unwrap();
+    for reader in [
+        &["im", "--load-rr", dir_s][..],
+        &["stream", "--store", dir_s, "--apply", edits.to_str().unwrap()],
+        &["serve", "--store", dir_s, "--addr", "127.0.0.1:0", "--max-queries", "1"],
+    ] {
+        let (ok, _, err) = run(&[reader, &common[..]].concat());
+        assert!(!ok, "{reader:?} read a flat store");
+        let expected = format!("error: no committed generation in {dir_s}: ");
+        assert!(err.starts_with(&expected), "{reader:?}: {err}");
+        assert!(err.contains("must be re-sampled"), "{reader:?}: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&edits).ok();

@@ -18,6 +18,22 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dim-serve-itest-{}-{tag}-{n}", std::process::id()))
 }
 
+/// θ and the coverage shards of the newest committed generation under
+/// `root`, which must be `expected`: the reference every served reply is
+/// checked against.
+fn latest_reference(
+    root: &std::path::Path,
+    request: &dim::dim_store::SnapshotRequest,
+    expected: u64,
+) -> Arc<(u64, Vec<CoverageShard>)> {
+    let (id, snapshot) = load_latest_snapshot(root, request).expect("load committed generation");
+    assert_eq!(id, expected, "newest committed generation");
+    let n = snapshot.num_sets as usize;
+    let shards = snapshot.shards.into_iter();
+    let shards = shards.map(|s| CoverageShard::from_pooled(n, s.elements, s.index));
+    Arc::new((snapshot.theta, shards.collect()))
+}
+
 /// A tiny deterministic id stream so every thread queries different seed
 /// sets without sharing state.
 fn pseudo_ids(stream: u64, round: u64, n: u32, len: usize) -> Vec<u32> {
@@ -35,23 +51,16 @@ fn concurrent_queries_match_direct_computation() {
         ..ImConfig::paper_defaults(&g, 0.5, 21)
     };
     let dir = temp_dir("concurrent");
-    diimm_sample(
-        &g,
-        &config,
-        3,
-        NetworkModel::shared_memory(),
-        ExecMode::Sequential,
-        &dir,
-    )
-    .unwrap();
+    let net = NetworkModel::shared_memory();
+    diimm_sample_generation(&g, &config, 3, net, ExecMode::Sequential, &dir, 1).unwrap();
 
     // Two independent loads: one becomes the served sketch, the other the
     // reference the clients check every reply against.
     let served = Sketch::from_snapshot(
         g.num_nodes(),
-        load_rr_snapshot(&g, &config, &dir).unwrap(),
+        load_latest_rr_snapshot(&g, &config, &dir).unwrap().1,
     );
-    let reference = Arc::new(snapshot_shards(load_rr_snapshot(&g, &config, &dir).unwrap()));
+    let reference = latest_reference(&dir, &rr_snapshot_request(&g, &config), 1);
     let theta = served.theta();
     let n = g.num_nodes();
 
@@ -68,7 +77,7 @@ fn concurrent_queries_match_direct_computation() {
                 for round in 0..ROUNDS {
                     let seeds = pseudo_ids(t, round, n as u32, (round % 7) as usize);
                     let (covered, spread) = client.spread(&seeds).expect("spread query");
-                    let expected = dim_coverage::seed_set_coverage(&reference, &seeds);
+                    let expected = dim_coverage::seed_set_coverage(&reference.1, &seeds);
                     assert_eq!(covered, expected, "thread {t} round {round}: {seeds:?}");
                     let direct = n as f64 * expected as f64 / theta as f64;
                     assert!((spread - direct).abs() < 1e-9);
@@ -76,7 +85,7 @@ fn concurrent_queries_match_direct_computation() {
                         let exclude = pseudo_ids(t ^ 0xFF, round, n as u32, 2);
                         let top = client.top_k(3, &[], &exclude).expect("top-k query");
                         let direct =
-                            dim_coverage::constrained_greedy(&reference, 3, &[], &exclude);
+                            dim_coverage::constrained_greedy(&reference.1, 3, &[], &exclude);
                         assert_eq!(top.seeds, direct.seeds, "thread {t} round {round}");
                         assert_eq!(top.marginals, direct.marginals);
                         assert_eq!(top.covered, direct.covered);
@@ -126,14 +135,8 @@ fn hot_reload_under_fire() {
     type References =
         std::sync::RwLock<std::collections::HashMap<u64, Arc<(u64, Vec<CoverageShard>)>>>;
     let references: Arc<References> = Arc::default();
-    let load_reference = |id: u64| {
-        let snap = load_snapshot(
-            &root.join(generation_dir_name(id)),
-            &rr_snapshot_request(&g, &base),
-        )
-        .expect("load committed generation");
-        Arc::new((snap.theta, snapshot_shards(snap)))
-    };
+    let request = rr_snapshot_request(&g, &base);
+    let load_reference = |expected: u64| latest_reference(&root, &request, expected);
 
     let (first, _) = diimm_sample_generation(&g, &base, 2, net, ExecMode::Sequential, &root, 10)
         .expect("sample generation 1");
@@ -152,7 +155,7 @@ fn hot_reload_under_fire() {
             generation,
             reload: Some(ReloadSource {
                 root: root.clone(),
-                request: rr_snapshot_request(&g, &base),
+                request,
                 num_nodes: g.num_nodes(),
             }),
             ..ServeOptions::default()
@@ -282,11 +285,7 @@ fn stream_generations_hot_reload_under_fire() {
     type References =
         std::sync::RwLock<std::collections::HashMap<u64, Arc<(u64, Vec<CoverageShard>)>>>;
     let references: Arc<References> = Arc::default();
-    let load_latest_reference = |expected: u64| {
-        let (id, snap) = load_latest_snapshot(&root, &request).expect("load folded chain");
-        assert_eq!(id, expected, "newest committed generation");
-        Arc::new((snap.theta, snapshot_shards(snap)))
-    };
+    let load_latest_reference = |expected: u64| latest_reference(&root, &request, expected);
 
     let (first, _) = diimm_sample_generation(&g, &base, 2, net, ExecMode::Sequential, &root, 10)
         .expect("sample generation 1");
@@ -714,11 +713,7 @@ fn reload_and_gc_survive_fault_schedule() {
     type References =
         std::sync::RwLock<std::collections::HashMap<u64, Arc<(u64, Vec<CoverageShard>)>>>;
     let references: Arc<References> = Arc::default();
-    let load_latest_reference = |expected: u64| {
-        let (id, snap) = load_latest_snapshot(&root, &request).expect("load folded chain");
-        assert_eq!(id, expected, "newest committed generation");
-        Arc::new((snap.theta, snapshot_shards(snap)))
-    };
+    let load_latest_reference = |expected: u64| latest_reference(&root, &request, expected);
 
     let (first, _) = diimm_sample_generation(&g, &base, 2, net, ExecMode::Sequential, &root, 10)
         .expect("sample generation 1");
@@ -946,18 +941,12 @@ fn served_topk_equals_sampled_run() {
         ..ImConfig::paper_defaults(&g, 0.5, 33)
     };
     let dir = temp_dir("topk");
-    let sampled = diimm_sample(
-        &g,
-        &config,
-        2,
-        NetworkModel::shared_memory(),
-        ExecMode::Sequential,
-        &dir,
-    )
-    .unwrap();
+    let net = NetworkModel::shared_memory();
+    let (_, sampled) =
+        diimm_sample_generation(&g, &config, 2, net, ExecMode::Sequential, &dir, 1).unwrap();
     let sketch = Sketch::from_snapshot(
         g.num_nodes(),
-        load_rr_snapshot(&g, &config, &dir).unwrap(),
+        load_latest_rr_snapshot(&g, &config, &dir).unwrap().1,
     );
     let server = dim_serve::Server::start("127.0.0.1:0", sketch).unwrap();
     let mut client = QueryClient::connect(server.local_addr()).unwrap();
