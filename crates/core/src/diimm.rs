@@ -129,6 +129,12 @@ impl<'g> DiimmWorker<'g> {
     /// regenerated exactly as a fresh run would. The repaired shard is
     /// therefore byte-identical to a full re-sample of the mutated graph.
     ///
+    /// The repair builds no index: the invalid sets are found by one scan
+    /// of the shard's records, the re-sampled ones are spliced in, and the
+    /// shard is left stale ([`CoverageShard::needs_prepare`]), so the
+    /// transpose is rebuilt once by the next selection round rather than
+    /// once per batch.
+    ///
     /// Returns the repaired records `(set index, new member nodes)` in
     /// increasing index order.
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<Vec<(u32, Vec<u32>)>, String> {
@@ -137,9 +143,6 @@ impl<'g> DiimmWorker<'g> {
             .validate(graph.num_nodes())
             .map_err(|e| e.to_string())?;
         let mutated = dim_graph::apply_batch(graph, batch).map_err(|e| e.to_string())?;
-        if self.shard.needs_prepare() {
-            self.shard.prepare();
-        }
         let invalid = self.shard.elements_containing(&batch.touched_nodes());
         let sampler = self.sampler_kind.make(&mutated);
         let mut repaired = Vec::with_capacity(invalid.len());

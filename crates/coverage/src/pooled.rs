@@ -1,6 +1,9 @@
 //! Flat pooled storage of `u32` lists.
 
-/// Append-only storage of variable-length `u32` lists, stored back-to-back
+use std::ops::Range;
+
+/// Append-only storage of variable-length `u32` lists (until
+/// [`PooledSets::clear`] empties it for reuse), stored back-to-back
 /// in one pool: a machine's RR sets `R_i` and, through
 /// [`PooledSets::transpose`], their node→RR-set index `I_i(v)` (§III). The
 /// lists are plain `u32`s, so the coverage layer has no dependency on
@@ -10,9 +13,10 @@
 /// The offset array is `u32` (struct-of-arrays over one arena), halving
 /// the index footprint versus `usize` offsets so more of the hot transpose
 /// index stays cache-resident; the pool is therefore capped at `u32::MAX`
-/// entries and `u32::MAX` lists, enforced by [`PooledSets::push`].
+/// entries and `u32::MAX` lists, enforced by [`PooledSets::push`] and
+/// [`PooledSets::extend_from`].
 ///
-/// **Invariant** (maintained by every constructor and relied on by the
+/// **Invariant** (maintained by every constructor and mutator and relied on by the
 /// unchecked hot-path accessors): `offsets` is non-empty, starts at 0, is
 /// monotone non-decreasing, and ends at `pool.len()`.
 #[derive(Clone, Debug)]
@@ -92,6 +96,47 @@ impl PooledSets {
         id as u32
     }
 
+    /// Removes every list and keeps both allocations, so refilling the
+    /// storage up to its old size allocates nothing.
+    pub fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.pool.clear();
+    }
+
+    /// Reserves room for exactly `lists` more lists totalling `entries`
+    /// more entries (no growth slack, unlike pushing into a full pool).
+    pub fn reserve_exact(&mut self, lists: usize, entries: usize) {
+        self.offsets.reserve_exact(lists);
+        self.pool.reserve_exact(entries);
+    }
+
+    /// Appends lists `range` of `src`, in order, with one copy of their
+    /// entries: the bulk form of pushing them one at a time.
+    ///
+    /// # Panics
+    /// Panics if `range` is not within `src`, or under the same bounds as
+    /// [`PooledSets::push`].
+    pub fn extend_from(&mut self, src: &PooledSets, range: Range<usize>) {
+        let (lo, hi) = (src.offsets[range.start], src.offsets[range.end]);
+        let base = self.pool.len();
+        let end = base + (hi - lo) as usize;
+        assert!(
+            self.len() + range.len() <= u32::MAX as usize + 1,
+            "PooledSets: list id would exceed u32::MAX (2^32 lists stored)"
+        );
+        assert!(
+            end <= u32::MAX as usize,
+            "PooledSets: pool length {end} exceeds the u32 offset range"
+        );
+        self.pool.extend_from_slice(&src.pool[lo as usize..hi as usize]);
+        let shift = base as u32;
+        self.offsets.extend(
+            src.offsets[range.start + 1..=range.end]
+                .iter()
+                .map(|&o| o - lo + shift),
+        );
+    }
+
     /// Number of lists.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -128,26 +173,40 @@ impl PooledSets {
     /// `v`, the ids of lists containing `v`. Returned in the same
     /// `PooledSets` representation (list `v` = ids containing `v`).
     pub fn transpose(&self, domain: usize) -> PooledSets {
+        let mut index = PooledSets::new();
+        self.transpose_into(domain, &mut index);
+        index
+    }
+
+    /// [`PooledSets::transpose`] into `out`, overwriting it and reusing its
+    /// allocations: rebuilding an index of the same size allocates only
+    /// the per-value cursors.
+    pub fn transpose_into(&self, domain: usize, out: &mut PooledSets) {
         // Counting sort; the pool invariant bounds every count by u32.
-        let mut counts = vec![0u32; domain + 1];
+        let offsets = &mut out.offsets;
+        offsets.clear();
+        offsets.resize(domain + 1, 0);
         for &v in &self.pool {
-            counts[v as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
         for i in 0..domain {
-            counts[i + 1] += counts[i];
+            offsets[i + 1] += offsets[i];
         }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut ids = vec![0u32; self.pool.len()];
+        let mut cursor = offsets[..domain].to_vec();
+        let len = self.pool.len();
+        if out.pool.capacity() < len {
+            // Too small: a fresh zeroed allocation copies none of the stale
+            // ids that growing the old one would.
+            out.pool = vec![0; len];
+        } else {
+            // Every slot is overwritten below; only a grown tail is zeroed.
+            out.pool.resize(len, 0);
+        }
         for id in 0..self.len() {
             for &v in self.get(id) {
-                ids[cursor[v as usize] as usize] = id as u32;
+                out.pool[cursor[v as usize] as usize] = id as u32;
                 cursor[v as usize] += 1;
             }
-        }
-        PooledSets {
-            offsets,
-            pool: ids,
         }
     }
 }
@@ -211,6 +270,60 @@ mod tests {
             let back = p.transpose(6).transpose(p.len());
             assert!(back.iter().eq(p.iter()));
         }
+    }
+
+    #[test]
+    fn transpose_into_overwrites_any_previous_contents() {
+        let small = pooled(&[&[0, 1], &[1]]);
+        let large = pooled(&[&[0, 1], &[1, 2, 3], &[0, 2], &[3, 4], &[]]);
+        let mut out = PooledSets::new();
+        // Growing, shrinking and regrowing the same buffers.
+        for (p, domain) in [(&small, 2), (&large, 6), (&small, 3), (&large, 5)] {
+            p.transpose_into(domain, &mut out);
+            let fresh = p.transpose(domain);
+            assert_eq!((out.offsets.clone(), out.pool.clone()), (fresh.offsets, fresh.pool));
+        }
+    }
+
+    #[test]
+    fn clear_keeps_allocations_and_leaves_valid_storage() {
+        let mut p = pooled(&[&[0, 1], &[1, 2, 3], &[0, 2]]);
+        let (offsets_cap, pool_cap) = (p.offsets.capacity(), p.pool.capacity());
+        let (offsets_ptr, pool_ptr) = (p.offsets.as_ptr(), p.pool.as_ptr());
+        p.clear();
+        assert!(p.is_empty());
+        assert_eq!((p.len(), p.total_size(), p.iter().count()), (0, 0, 0));
+        assert_eq!(p.offsets, vec![0]);
+        assert_eq!((p.offsets.capacity(), p.pool.capacity()), (offsets_cap, pool_cap));
+        // Refilling within the old size reuses the same buffers.
+        assert_eq!(p.push(&[4, 5]), 0);
+        assert_eq!(p.push(&[6]), 1);
+        assert_eq!((p.offsets.as_ptr(), p.pool.as_ptr()), (offsets_ptr, pool_ptr));
+        assert_eq!(p.get(0), &[4, 5]);
+        assert_eq!(p.get(1), &[6]);
+        assert_eq!(p.transpose(7).get(6), &[1]);
+    }
+
+    #[test]
+    fn extend_from_equals_pushing_each_list() {
+        let src = pooled(&[&[0, 1], &[], &[1, 2, 3], &[0, 2], &[4]]);
+        for (start, end) in [(0, 0), (0, 5), (1, 3), (2, 5), (5, 5)] {
+            let mut bulk = pooled(&[&[9]]);
+            bulk.extend_from(&src, start..end);
+            let mut one_by_one = pooled(&[&[9]]);
+            for id in start..end {
+                one_by_one.push(src.get(id));
+            }
+            assert_eq!(bulk.offsets, one_by_one.offsets, "{start}..{end}");
+            assert_eq!(bulk.pool, one_by_one.pool, "{start}..{end}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn extend_from_rejects_a_range_past_the_source() {
+        let src = pooled(&[&[0, 1]]);
+        PooledSets::new().extend_from(&src, 0..2);
     }
 
     #[test]

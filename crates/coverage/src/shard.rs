@@ -15,17 +15,24 @@ use crate::pooled::PooledSets;
 ///   stage (Algorithm 1, line 16),
 /// * per-element `covered` labels (lines 2, 17, 21).
 ///
-/// Elements may keep being appended (DiIMM adds RR sets across iterations);
-/// call [`CoverageShard::prepare`] before each selection round to rebuild
-/// the index and relabel everything uncovered.
+/// The index exists for selection only. Appending elements (DiIMM adds RR
+/// sets across iterations) or repairing them
+/// ([`CoverageShard::replace_elements`]) leaves it stale, and
+/// [`CoverageShard::prepare`] rebuilds it at the start of each selection
+/// round. Repair itself never reads it: [`CoverageShard::elements_containing`]
+/// scans the records.
 #[derive(Clone, Debug)]
 pub struct CoverageShard {
     num_sets: usize,
     elements: PooledSets,
-    /// Transpose: set id → local element ids. Rebuilt by `prepare`.
+    /// Transpose: set id → local element ids, rebuilt in place by
+    /// `prepare`. While `stale`, nothing reads it, and `replace_elements`
+    /// uses its buffers as the second arena it splices into. Either way the
+    /// shard keeps the same two allocations: a repair or a re-index of an
+    /// unchanged size allocates no arena.
     index: PooledSets,
-    /// Number of elements the index was built over (staleness detector).
-    indexed_elements: usize,
+    /// True when `index` does not describe `elements`.
+    stale: bool,
     covered: Vec<bool>,
     covered_count: usize,
     /// Elements already reported through [`Self::take_new_coverage`].
@@ -44,7 +51,7 @@ impl CoverageShard {
             num_sets,
             elements: PooledSets::new(),
             index: PooledSets::new(),
-            indexed_elements: 0,
+            stale: true,
             covered: Vec::new(),
             covered_count: 0,
             reported_elements: 0,
@@ -69,7 +76,7 @@ impl CoverageShard {
         CoverageShard {
             num_sets,
             index,
-            indexed_elements: n,
+            stale: false,
             covered: vec![false; n],
             covered_count: 0,
             reported_elements: 0,
@@ -99,6 +106,7 @@ impl CoverageShard {
             .iter()
             .all(|&s| (s as usize) < self.num_sets));
         self.elements.push(covering_sets);
+        self.stale = true;
     }
 
     /// Number of local elements (`|R_i|`).
@@ -118,18 +126,28 @@ impl CoverageShard {
 
     /// Rebuilds the transpose index and labels every element *uncovered*
     /// (Algorithm 1, lines 1–3). Must be called before a selection round
-    /// and after any `push_element`.
+    /// and after any `push_element` or `replace_elements`.
     pub fn prepare(&mut self) {
-        self.index = self.elements.transpose(self.num_sets);
-        self.indexed_elements = self.elements.len();
+        self.elements.transpose_into(self.num_sets, &mut self.index);
+        self.stale = false;
+        self.uncover_all();
+    }
+
+    /// Labels every element uncovered.
+    fn uncover_all(&mut self) {
         self.covered.clear();
         self.covered.resize(self.elements.len(), false);
         self.covered_count = 0;
     }
 
-    /// True when the index is stale (elements were added since `prepare`).
+    /// True when the index is stale: a shard created empty, or elements
+    /// appended ([`Self::push_element`]) or repaired
+    /// ([`Self::replace_elements`]) since the last [`Self::prepare`]. The
+    /// selection calls (`initial_coverage`, `apply_seed`, `marginal`,
+    /// `coverage_of`) refuse a stale shard; the record readers
+    /// (`elements`, `elements_containing`) do not need the index.
     pub fn needs_prepare(&self) -> bool {
-        self.indexed_elements != self.elements.len()
+        self.stale
     }
 
     /// This machine's coverage contribution from elements appended since
@@ -234,6 +252,7 @@ impl CoverageShard {
 
     /// Local coverage a set would add right now (diagnostics/tests).
     pub fn marginal(&self, u: u32) -> usize {
+        assert!(!self.needs_prepare(), "call prepare() first");
         self.index
             .get(u as usize)
             .iter()
@@ -272,55 +291,69 @@ impl CoverageShard {
     }
 
     /// Local element ids whose record contains any of the `touched` sets,
-    /// sorted and deduped — the RR-set invalidation lookup for incremental
-    /// repair: an edge mutation on `(·, v)` can only change the traversal
-    /// of RR sets that visited `v`, and those are exactly the elements the
-    /// transpose index lists under `v`.
+    /// in increasing order — the RR-set invalidation lookup for
+    /// incremental repair: an edge mutation on `(·, v)` can only change the
+    /// traversal of RR sets that visited `v`. One pass over the records
+    /// against a per-set mark answers it, so the shard may be stale: repair
+    /// never needs the transpose index, which only selection reads. Repeated
+    /// touched ids count once.
     ///
     /// # Panics
-    /// Panics if the index is stale (`needs_prepare`) or a touched id is
-    /// outside the set universe.
+    /// Panics if a touched id is outside the set universe.
     pub fn elements_containing(&self, touched: &[u32]) -> Vec<u32> {
-        assert!(!self.needs_prepare(), "call prepare() first");
-        let mut ids: Vec<u32> = touched
-            .iter()
-            .flat_map(|&v| self.index.get(v as usize).iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        let mut hit = vec![false; self.num_sets];
+        for &v in touched {
+            assert!((v as usize) < self.num_sets, "touched set {v} outside the universe");
+            hit[v as usize] = true;
+        }
+        (0..self.elements.len() as u32)
+            .filter(|&e| self.elements.get(e as usize).iter().any(|&v| hit[v as usize]))
+            .collect()
     }
 
     /// Replaces the records named in `replacements` (sorted by strictly
-    /// increasing element id) and rebuilds the shard: new arena, fresh
-    /// transpose index, everything uncovered and unreported — exactly the
-    /// state [`CoverageShard::from_records`] would produce for the repaired
-    /// record set. The incremental-repair path calls this with the
-    /// re-sampled RR sets after an edge batch.
+    /// increasing element id), leaving every other record as it was. The
+    /// incremental-repair path calls this with the re-sampled RR sets after
+    /// an edge batch.
+    ///
+    /// The repaired arena is spliced — runs of kept records copied in
+    /// bulk, replacements pushed between them — into the stale index's
+    /// buffers, which then swap places with the previous arena. Once both
+    /// buffers have held an arena of the new size, a repair allocates
+    /// nothing. The index is not rebuilt: the shard is left stale
+    /// ([`Self::needs_prepare`] is true) exactly as after
+    /// [`Self::push_element`], with every element uncovered and
+    /// unreported, and the next [`Self::prepare`] yields exactly the state
+    /// [`CoverageShard::from_records`] would produce for the repaired
+    /// record set.
     ///
     /// # Panics
     /// Panics if ids are out of range or not strictly increasing.
     pub fn replace_elements(&mut self, replacements: &[(u32, Vec<u32>)]) {
         let n = self.elements.len();
-        let mut rebuilt = PooledSets::with_capacity(n, self.elements.total_size());
-        let mut next = replacements.iter().peekable();
+        // Validate and size the result before touching either buffer.
+        let mut total = self.elements.total_size();
         let mut prev: Option<u32> = None;
-        for e in 0..n {
-            let record = match next.peek() {
-                Some(&&(id, ref rec)) if id as usize == e => {
-                    assert!(prev.is_none_or(|p| p < id), "replacement ids must increase");
-                    prev = Some(id);
-                    next.next();
-                    rec.as_slice()
-                }
-                _ => self.elements.get(e),
-            };
-            rebuilt.push(record);
+        for &(id, ref record) in replacements {
+            assert!(prev.is_none_or(|p| p < id), "replacement ids must increase");
+            assert!((id as usize) < n, "replacement id out of range");
+            total = total + record.len() - self.elements.get(id as usize).len();
+            prev = Some(id);
         }
-        assert!(next.peek().is_none(), "replacement id out of range");
-        self.elements = rebuilt;
+        self.stale = true;
+        let spliced = &mut self.index;
+        spliced.clear();
+        spliced.reserve_exact(n, total);
+        let mut kept = 0;
+        for &(id, ref record) in replacements {
+            spliced.extend_from(&self.elements, kept..id as usize);
+            spliced.push(record);
+            kept = id as usize + 1;
+        }
+        spliced.extend_from(&self.elements, kept..n);
+        std::mem::swap(&mut self.elements, &mut self.index);
+        self.uncover_all();
         self.reported_elements = 0;
-        self.prepare();
     }
 }
 
@@ -596,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn elements_containing_uses_transpose() {
+    fn elements_containing_scans_records() {
         let shard = example3();
         // Set 0 appears in elements 0, 2, 4; set 2 in elements 1, 2.
         assert_eq!(shard.elements_containing(&[0]), vec![0, 2, 4]);
@@ -604,12 +637,21 @@ mod tests {
         // Union is deduped and sorted.
         assert_eq!(shard.elements_containing(&[0, 2]), vec![0, 1, 2, 4]);
         assert_eq!(shard.elements_containing(&[]), Vec::<u32>::new());
+        // A stale shard answers from its records, appended ones included.
+        let mut stale = example3();
+        stale.push_element(&[2, 3]);
+        assert!(stale.needs_prepare());
+        assert_eq!(stale.elements_containing(&[2]), vec![1, 2, 6]);
+        assert_eq!(stale.elements_containing(&[3, 3]), vec![5, 6]);
     }
 
     #[test]
     fn replace_elements_matches_fresh_build() {
         let mut repaired = example3();
         repaired.replace_elements(&[(1, vec![3, 4]), (4, vec![2])]);
+        // A repair leaves the index stale, like an append.
+        assert!(repaired.needs_prepare());
+        repaired.prepare();
         let fresh = CoverageShard::from_records(
             5,
             [&[0u32][..], &[3, 4], &[0, 2], &[1, 4], &[2], &[1, 3]],
@@ -625,6 +667,7 @@ mod tests {
         // Empty replacement list is an identity rebuild.
         let mut id = example3();
         id.replace_elements(&[]);
+        id.prepare();
         assert_eq!(id.initial_coverage(), example3().initial_coverage());
     }
 

@@ -7,7 +7,7 @@
 //!              [--load-rr DIR]
 //! dim sample   --graph … --k 50 --out DIR [--machines 8] [--backend B] [--keep N]
 //! dim stream   --graph … --k 50 --store DIR --apply EDITS.jsonl [--batch-size N]
-//!              [--keep N] [--compact] [--select]
+//!              [--keep N] [--compact] [--select] [--backend B]
 //! dim serve    --graph … --store DIR [--addr 127.0.0.1:7117] [--max-queries N]
 //!              [--workers N] [--max-conns N] [--tenants TENANTS.json]
 //! dim query    --addr HOST:PORT (--stats | --reload | --seeds 1,2,3 |

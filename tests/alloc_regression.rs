@@ -1,5 +1,6 @@
 //! Regression guard for per-call scratch allocations on the query hot
-//! paths: repeated queries against a frozen sketch must reuse their
+//! paths and the stream-repair splice: repeated queries against a frozen
+//! sketch, and repeated repairs of a resident shard, must reuse their
 //! buffers, not re-allocate them.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. The whole
@@ -145,4 +146,29 @@ fn hot_query_paths_do_not_allocate_in_steady_state() {
     assert_eq!(first.seeds, second.seeds);
     assert_eq!(second.seeds, third.seeds);
     assert!(!first.seeds.contains(&2) && !first.seeds.contains(&17));
+
+    // Stream repair builds no index and splices into the arena the
+    // previous repair retired: after one warm-up repair, a second whose
+    // records total no more entries allocates nothing.
+    let mut shard = fixture(200).swap_remove(0);
+    let rewritten = |shard: &CoverageShard, ids: &[u32], keep: usize| -> Vec<(u32, Vec<u32>)> {
+        ids.iter()
+            .map(|&id| {
+                let record = shard.elements().get(id as usize);
+                (id, record.iter().take(keep).map(|v| (v + 1) % 100).collect())
+            })
+            .collect()
+    };
+    let warm_up = rewritten(&shard, &[3, 50, 120, 199], usize::MAX);
+    let second = rewritten(&shard, &[0, 7, 60], 1);
+    let total = shard.total_size();
+    shard.replace_elements(&warm_up);
+    assert_eq!(shard.total_size(), total, "warm-up repair keeps record lengths");
+    let baseline = allocs();
+    shard.replace_elements(&second);
+    assert_eq!(allocs(), baseline, "a repair into the retired arena allocated");
+    assert!(shard.needs_prepare(), "a repair must leave the index to selection");
+    for (id, record) in warm_up.iter().chain(&second) {
+        assert_eq!(shard.elements().get(*id as usize), record.as_slice());
+    }
 }

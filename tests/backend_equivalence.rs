@@ -295,6 +295,60 @@ mod stream {
         }
     }
 
+    /// Selection and repair interleaved on one resident session:
+    /// `apply → select → apply → select → compact → apply → select`. Each
+    /// `select` rebuilds the shards' index and the next repair leaves it
+    /// stale again, so every selection after the first runs on an index
+    /// rebuilt from repaired records. Each one must equal a full re-sample
+    /// of the tip graph, on both execution modes.
+    #[test]
+    fn interleaved_stream_cycle_matches_full_resample() {
+        let g = DatasetProfile::Facebook.generate(0.1, 11);
+        let config = stream_config(&g);
+        let [first, second] = chained_batches(&g);
+        let (u3, v3, _) = g.edges().nth(2).expect("graph has three edges");
+        let third = vec![EdgeOp::Delete { u: u3, v: v3 }];
+        let net = NetworkModel::cluster_1gbps();
+        for machines in STREAM_MACHINE_COUNTS {
+            for mode in MODES {
+                let context = format!("ℓ = {machines}, {mode:?}");
+                let root = std::env::temp_dir().join(format!(
+                    "dim-equiv-stream-cycle-{}-{machines}-{mode:?}",
+                    std::process::id()
+                ));
+                std::fs::remove_dir_all(&root).ok();
+                diimm_sample_generation(&g, &config, machines, net, mode, &root, 8).unwrap();
+                let (_, snapshot) = load_latest_rr_snapshot(&g, &config, &root).unwrap();
+                let counts: Vec<u64> = snapshot
+                    .shards
+                    .iter()
+                    .map(|s| s.header.num_elements)
+                    .collect();
+
+                let mut session = StreamSession::open(&g, &config, &root, net, mode).unwrap();
+                let mut tip = g.clone();
+                let mut apply_then_select = |session: &mut StreamSession, ops: &[EdgeOp], step| {
+                    let applied = session.apply(ops.to_vec(), true, 8).unwrap();
+                    assert!(applied.sets_repaired > 0, "{context}, {step}: repaired nothing");
+                    let batch = DeltaBatch {
+                        seq: 0,
+                        ops: ops.to_vec(),
+                    };
+                    tip = apply_batch(&tip, &batch).unwrap();
+                    let selected = session.select().unwrap();
+                    let (seeds, marginals) = select_from_scratch(&tip, &config, &counts);
+                    assert_eq!(selected.seeds, seeds, "{context}, {step}");
+                    assert_eq!(selected.marginals, marginals, "{context}, {step}");
+                };
+                apply_then_select(&mut session, &first, "first batch");
+                apply_then_select(&mut session, &second, "second batch");
+                assert!(session.compact(8).unwrap().is_some(), "{context}: nothing compacted");
+                apply_then_select(&mut session, &third, "batch after compact");
+                std::fs::remove_dir_all(&root).ok();
+            }
+        }
+    }
+
     /// The same contract on the TCP process backend: workers sample a
     /// fixed θ, the master broadcasts `ApplyDelta`, every worker repairs
     /// its resident shard locally, and selection over the repaired

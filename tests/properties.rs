@@ -390,6 +390,67 @@ fn seed_set_coverage_equals_cursors_equals_brute_force() {
     });
 }
 
+/// The repair path's invalidation scan finds exactly what the transpose
+/// index lists — the sorted, deduped union of `elements().transpose(n)`
+/// lists — on a prepared shard, on one left stale by `push_element`, and
+/// on one left stale by `replace_elements`, for empty touched lists and
+/// touched lists with repeated ids.
+#[test]
+fn elements_containing_equals_the_transpose() {
+    let gen = |r: &mut Rng| {
+        let p = any_problem(r);
+        let n = p.num_sets() as u64;
+        let record = |r: &mut Rng| {
+            let mut record = vec_of(r, 0..6, |r| in_range(r, 0..n) as u32);
+            record.sort_unstable();
+            record.dedup();
+            record
+        };
+        let appended = vec_of(r, 1..4, record);
+        let mut replacements = Vec::new();
+        for id in 0..(p.num_elements() + appended.len()) as u32 {
+            if r.below(3) == 0 {
+                replacements.push((id, record(r)));
+            }
+        }
+        let touched = vec_of(r, 1..6, |r| in_range(r, 0..n) as u32);
+        (p, appended, replacements, touched)
+    };
+    forall("scan_equals_transpose", COVERAGE_CASES, gen, |(p, appended, replacements, touched), _| {
+        let check = |shard: &CoverageShard, state: &str| {
+            let index = shard.elements().transpose(shard.num_sets());
+            let mut expected: Vec<u32> =
+                touched.iter().flat_map(|&v| index.get(v as usize).iter().copied()).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(shard.elements_containing(touched), expected, "{state}");
+            let repeated: Vec<u32> = touched.iter().chain(touched).copied().collect();
+            assert_eq!(shard.elements_containing(&repeated), expected, "{state}, repeated ids");
+            assert_eq!(shard.elements_containing(&[]), Vec::<u32>::new(), "{state}, none touched");
+        };
+        let mut shard = p.single_shard();
+        check(&shard, "prepared");
+        for record in appended {
+            shard.push_element(record);
+        }
+        assert!(shard.needs_prepare());
+        check(&shard, "stale after push_element");
+        shard.prepare();
+        shard.replace_elements(replacements);
+        assert!(shard.needs_prepare());
+        check(&shard, "stale after replace_elements");
+    });
+}
+
+/// A touched id outside the set universe is a caller bug, and the scan
+/// refuses it rather than ignoring it.
+#[test]
+#[should_panic(expected = "outside the universe")]
+fn elements_containing_rejects_an_out_of_range_id() {
+    let p = any_problem(&mut Rng::new(1));
+    p.single_shard().elements_containing(&[0, p.num_sets() as u32]);
+}
+
 /// Greedy is prefix-consistent: the first `k` picks of a longer
 /// unconstrained run are the run for `k`, ties and early stops (fewer
 /// useful sets than asked for) included, and the coverage of a prefix is
