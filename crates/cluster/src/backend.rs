@@ -99,10 +99,6 @@ pub mod phase {
     /// wall-clock cost of assembling the cluster before the algorithms
     /// start.
     pub const RENDEZVOUS: &str = "rendezvous";
-    /// Liveness probes on idle links (`ProcCluster::heartbeat`). Real traffic
-    /// only — heartbeats are not part of the paper's modeled algorithm
-    /// cost.
-    pub const HEARTBEAT: &str = "heartbeat";
     /// Persisting RR-sketch snapshot shards to disk (`dim sample` /
     /// `WorkerOp::PersistShard`). Like [`SETUP`], charges no modeled
     /// traffic — the shard never crosses the wire, each worker writes its

@@ -8,8 +8,8 @@
 //! [`Rendezvous`], registers, and serves the session it was welcomed into.
 //! This module provides that front door:
 //!
-//! * **Codecs** for the v2 handshake and liveness frames ([`JoinHello`],
-//!   [`Welcome`], [`Hello`], [`Heartbeat`], [`Reject`]) — fixed-size,
+//! * **Codecs** for the v2 handshake frames ([`JoinHello`], [`Welcome`],
+//!   [`Hello`], [`Reject`]) — fixed-size,
 //!   little-endian, strict (trailing bytes are rejected), carrying a
 //!   protocol-version byte and capability flags ([`caps`]) so future
 //!   workers can be refused with a typed reason instead of desyncing.
@@ -41,8 +41,8 @@
 //! A session is one cluster lifetime: one `accept_session` call on the
 //! master, one served op loop per worker. Session ids are
 //! per-[`Rendezvous`] counters starting at 1 and ride in every
-//! WELCOME and HEARTBEAT, so a worker that lags a session behind cannot
-//! be confused for a current member. Machine ids are *per session* — a
+//! WELCOME, so a worker that lags a session behind cannot be confused for
+//! a current member. Machine ids are *per session* — a
 //! worker that requested "any slot" may get a different id next session,
 //! and its WELCOME tells it which RNG stream to derive.
 
@@ -233,38 +233,6 @@ impl Hello {
         };
         r.finish()?;
         Some(hello)
-    }
-}
-
-/// Liveness probe, master → worker, echoed back verbatim (opcode
-/// HEARTBEAT). The session/seq pair makes every probe distinguishable, so
-/// a stale echo (from a previous probe or session) fails the comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Heartbeat {
-    /// Session the probe belongs to.
-    pub session: u64,
-    /// Monotone per-cluster probe counter.
-    pub seq: u64,
-}
-
-impl Heartbeat {
-    /// Serializes to the 16-byte wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        put_u64(&mut out, self.session);
-        put_u64(&mut out, self.seq);
-        out
-    }
-
-    /// Strict decode; `None` on truncation, trailing bytes, or garbage.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(buf);
-        let hb = Heartbeat {
-            session: r.u64()?,
-            seq: r.u64()?,
-        };
-        r.finish()?;
-        Some(hb)
     }
 }
 
@@ -720,20 +688,15 @@ pub struct JoinConfig {
     /// How long [`Rendezvous::accept_session`] waits for full membership
     /// before giving up.
     pub join_timeout: Duration,
-    /// How long a [`ProcCluster::heartbeat`] echo may take before the
-    /// link fail-stops.
-    pub heartbeat_timeout: Duration,
 }
 
 impl JoinConfig {
-    /// A config for `expected` machines with env-derived timeouts:
-    /// `DIM_JOIN_TIMEOUT_SECS` (default 30 s) and
-    /// `DIM_HEARTBEAT_TIMEOUT_SECS` (default 5 s).
+    /// A config for `expected` machines whose join deadline is
+    /// `DIM_JOIN_TIMEOUT_SECS` (default 30 s).
     pub fn new(expected: usize) -> Self {
         JoinConfig {
             expected,
             join_timeout: default_join_timeout(),
-            heartbeat_timeout: tcp::default_heartbeat_timeout(),
         }
     }
 }
@@ -867,7 +830,7 @@ impl Rendezvous {
             .into_iter()
             .map(|s| s.expect("full membership table implies a stream per slot"))
             .collect();
-        ProcCluster::from_streams(streams, network, session, self.config.heartbeat_timeout)
+        ProcCluster::from_streams(streams, network, session)
     }
 }
 
@@ -1046,9 +1009,6 @@ mod tests {
         };
         assert_eq!(hello.encode().len(), 14);
         assert_eq!(Hello::decode(&hello.encode()), Some(hello));
-        let hb = Heartbeat { session: 1, seq: 42 };
-        assert_eq!(hb.encode().len(), 16);
-        assert_eq!(Heartbeat::decode(&hb.encode()), Some(hb));
         for reason in [
             RejectReason::Version,
             RejectReason::OutOfRange,
@@ -1078,7 +1038,6 @@ mod tests {
         .encode();
         assert!(Welcome::decode(&welcome[..23]).is_none());
         assert!(Hello::decode(&[]).is_none());
-        assert!(Heartbeat::decode(&[0u8; 15]).is_none());
         // Unknown reject reason codes are refused, not mapped arbitrarily.
         assert!(Reject::decode(&[0]).is_none());
         assert!(Reject::decode(&[7]).is_none());
@@ -1228,7 +1187,6 @@ mod tests {
         JoinConfig {
             expected,
             join_timeout: Duration::from_secs(10),
-            heartbeat_timeout: Duration::from_secs(5),
         }
     }
 
@@ -1276,7 +1234,6 @@ mod tests {
             assert_eq!(m.bytes_to_master + m.bytes_from_master, 0);
             assert!(m.master_compute > Duration::ZERO);
             assert_eq!(m, cluster.metrics(), "nothing else is recorded at assembly");
-            cluster.heartbeat().unwrap();
             cluster
                 .control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
                     count: i as u64 + 1,
@@ -1290,6 +1247,7 @@ mod tests {
             // session 1 persist, so totals double.
             let scale = expected_session;
             assert_eq!(counts, vec![scale, 2 * scale]);
+            assert_eq!(cluster.link_errors(), 0);
             // Drop ends the session; workers loop back to joining.
         }
         for handle in handles {
@@ -1345,10 +1303,8 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_fails_heartbeat_with_typed_error_naming_machine() {
-        let mut config = test_config(1);
-        config.heartbeat_timeout = Duration::from_millis(200);
-        let mut rdv = Rendezvous::bind("127.0.0.1:0", config).unwrap();
+    fn dead_worker_fails_the_next_op_round_with_typed_error_naming_machine() {
+        let mut rdv = Rendezvous::bind("127.0.0.1:0", test_config(1)).unwrap();
         let addr = rdv.local_addr().unwrap().to_string();
         // A worker that registers, then dies without serving anything.
         let vanish = std::thread::spawn(move || {
@@ -1364,16 +1320,14 @@ mod tests {
             .accept_session(NetworkModel::cluster_1gbps(), 5)
             .unwrap();
         assert_eq!(vanish.join().unwrap(), 0);
-        let err = loop {
-            // The first probe can still see buffered bytes race the FIN;
-            // a dead socket fails within a couple of probes.
-            match cluster.heartbeat() {
-                Ok(()) => continue,
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.phase, phase::HEARTBEAT);
+        // The op round is the failure detector: the dead worker's link
+        // fails the first round that needs it.
+        let err = cluster
+            .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
+            .unwrap_err();
+        assert_eq!(err.phase, phase::COUNT_UPLOAD);
         assert_eq!(err.machine, Some(0));
+        assert_eq!(err.kind, WireErrorKind::Link);
         assert!(err.to_string().contains("machine 0"), "{err}");
         assert_eq!(cluster.live_links(), 0);
         assert_eq!(cluster.link_errors(), 1);

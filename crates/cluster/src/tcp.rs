@@ -22,7 +22,6 @@
 //! | 2      | REPLY     | w → m     | `[u64 elapsed_ns]` + encoded [`WorkerReply`] |
 //! | 3      | JOIN      | w → m     | [`rendezvous::JoinHello`] (version, caps, requested id) |
 //! | 4      | WELCOME   | m → w     | [`rendezvous::Welcome`] (session, id, ℓ, master seed) |
-//! | 5      | HEARTBEAT | m ⇄ w     | [`rendezvous::Heartbeat`] (session, seq) — worker echoes |
 //! | 6      | REJECT    | m → w     | [`rendezvous::Reject`] (reason)          |
 //!
 //! Every connection — from a spawned process, an in-process thread or an
@@ -43,10 +42,7 @@
 //! prefix lets the master separate worker compute from transfer time: the
 //! wall clock of the send and of the receive-minus-compute land in
 //! [`ClusterMetrics::measured_comm`] under the phase's labels, next to the
-//! modeled [`ClusterMetrics::comm_time`]. Between rounds the master may
-//! probe idle links with [`ProcCluster::heartbeat`]; workers echo the
-//! frame, and a missed echo fail-stops the link with the same typed
-//! [`WireError`] an op-round failure produces.
+//! modeled [`ClusterMetrics::comm_time`].
 //!
 //! There is no dedicated shutdown frame: [`WorkerOp::Shutdown`] rides the
 //! normal OP path (sent by `Drop`), and a master disconnect (EOF) is an
@@ -54,15 +50,15 @@
 //!
 //! # Failure semantics
 //!
-//! Worker state is resident in the worker processes, so a dead link is
-//! *fatal to the round*, not a degraded-measurement detail: an I/O error
-//! or malformed frame marks the link dead, increments
+//! The op round is the only failure detector: a worker that dies shows up
+//! in the first round that needs it. Worker state is resident in the
+//! worker processes, so a dead link is *fatal to the round*, not a
+//! degraded-measurement detail: an I/O error, a malformed or torn frame,
+//! or no REPLY within the 60 s reply timeout marks the link dead, increments
 //! [`ProcCluster::link_errors`], and surfaces as a typed
 //! [`WireError`] (kind [`crate::WireErrorKind::Link`] for transport
 //! failures, `Malformed` for protocol violations) which the algorithms
-//! propagate to their callers. This mirrors MPI's fail-stop model rather
-//! than the earlier pattern-verified placeholder path, which could shrug
-//! links off because no state lived behind them.
+//! propagate to their callers — MPI's fail-stop model.
 //!
 //! # Addresses
 //!
@@ -76,12 +72,12 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::backend::{phase, ClusterBackend};
+use crate::backend::ClusterBackend;
 use crate::faults::{FaultInjector, LinkDecision};
 use crate::metrics::{ClusterMetrics, PhaseTimeline};
 use crate::network::NetworkModel;
 use crate::ops::{OpCluster, OpExecutor, WorkerOp, WorkerReply};
-use crate::rendezvous::{self, Heartbeat, JoinConfig, JoinOptions, Reject, Rendezvous};
+use crate::rendezvous::{self, JoinConfig, JoinOptions, Reject, Rendezvous};
 use crate::wire::{WireError, WireErrorKind};
 
 pub use crate::wire::MAX_FRAME;
@@ -123,7 +119,6 @@ pub(crate) mod frame {
     pub const REPLY: u8 = 2;
     pub const JOIN: u8 = 3;
     pub const WELCOME: u8 = 4;
-    pub const HEARTBEAT: u8 = 5;
     pub const REJECT: u8 = 6;
 }
 
@@ -151,9 +146,10 @@ pub enum SessionEnd {
 }
 
 /// Serves one session's op loop after a completed handshake: answers OP
-/// frames, echoes HEARTBEAT frames, and returns how the session ended —
-/// `Ok` on both clean ends (shutdown op, master hang-up). The op loop of
-/// every worker, reached through [`rendezvous::run_join_worker`].
+/// frames and returns how the session ended — `Ok` on both clean ends
+/// (shutdown op, master hang-up); any other opcode is an `InvalidData`
+/// protocol error naming it. The op loop of every worker, reached through
+/// [`rendezvous::run_join_worker`].
 pub(crate) fn serve_session<E: OpExecutor>(
     mut stream: TcpStream,
     machine_id: u32,
@@ -162,12 +158,11 @@ pub(crate) fn serve_session<E: OpExecutor>(
 ) -> io::Result<SessionEnd> {
     // A master that hangs up mid-session is a *session end*, not a worker
     // fault — and it does not always look like a clean EOF. If the master
-    // fail-stops on another machine's dead link and drops the cluster, our
-    // last heartbeat echo may still sit unread in its receive buffer, so
-    // the close arrives as an RST: the next read or write here fails with
-    // ConnectionReset/BrokenPipe rather than UnexpectedEof. All of those
-    // mean the same thing to a worker (especially a `--join` one, which
-    // re-registers for the next session), so map the whole family to
+    // drops the cluster with bytes of ours still unread in its receive
+    // buffer, the close arrives as an RST: the next read or write here
+    // fails with ConnectionReset/BrokenPipe rather than UnexpectedEof. All
+    // of those mean the same thing to a worker (especially a `--join` one,
+    // which re-registers for the next session), so map the whole family to
     // `SessionEnd::Disconnected` and pass every other error through.
     let disconnected = |e: io::Error| match e.kind() {
         io::ErrorKind::UnexpectedEof
@@ -187,16 +182,6 @@ pub(crate) fn serve_session<E: OpExecutor>(
         };
         match opcode {
             frame::OP => {}
-            frame::HEARTBEAT => {
-                // Liveness probe: echo the exact body back.
-                if Heartbeat::decode(&body).is_none() {
-                    return Err(protocol_err("malformed heartbeat"));
-                }
-                if let Err(e) = write_frame(&mut stream, frame::HEARTBEAT, &body) {
-                    return disconnected(e);
-                }
-                continue;
-            }
             frame::REJECT => {
                 let reason = Reject::decode(&body)
                     .map(|r| r.reason.describe())
@@ -297,12 +282,6 @@ pub struct ProcCluster {
     /// Workers this master launched (empty for operator-started ones).
     served: Vec<Served>,
     link_errors: u64,
-    /// How long a heartbeat echo may take before the link fail-stops.
-    heartbeat_timeout: Duration,
-    /// Probe idle links this often *during* op rounds (`None` = only
-    /// between rounds). See [`default_heartbeat_interval`].
-    heartbeat_interval: Option<Duration>,
-    heartbeat_seq: u64,
     /// Socket-level fault injector (see [`crate::faults`]): the same
     /// [`FaultInjector`] schedule `SimCluster` interprets in virtual time,
     /// applied here for real — stalls become socket sleeps, kills become
@@ -403,7 +382,6 @@ impl ProcCluster {
         let config = JoinConfig {
             expected: count,
             join_timeout: handshake_timeout(),
-            heartbeat_timeout: default_heartbeat_timeout(),
         };
         let mut rendezvous = Rendezvous::bind(bind, config)?;
         let addr = rendezvous.local_addr()?;
@@ -431,7 +409,6 @@ impl ProcCluster {
         streams: Vec<TcpStream>,
         network: NetworkModel,
         session: u64,
-        heartbeat_timeout: Duration,
     ) -> io::Result<Self> {
         let count = streams.len();
         let mut links = Vec::with_capacity(count);
@@ -449,9 +426,6 @@ impl ProcCluster {
             links,
             served: Vec::new(),
             link_errors: 0,
-            heartbeat_timeout,
-            heartbeat_interval: default_heartbeat_interval(),
-            heartbeat_seq: 0,
             chaos: None,
         })
     }
@@ -511,62 +485,6 @@ impl ProcCluster {
         self.session
     }
 
-    /// Probes every live link with a HEARTBEAT frame and waits for the
-    /// echoes, each bounded by the cluster's heartbeat timeout. A missing,
-    /// late, or wrong echo fail-stops that link exactly like an op-round
-    /// failure: the link is marked dead and the typed [`WireError`] names
-    /// the machine. Intended for idle gaps — between runs, while the
-    /// master does long local work — where no op round would notice a
-    /// vanished worker.
-    pub fn heartbeat(&mut self) -> Result<(), WireError> {
-        self.heartbeat_seq += 1;
-        let probe = Heartbeat {
-            session: self.session,
-            seq: self.heartbeat_seq,
-        };
-        let body = probe.encode();
-        let l = self.links.len();
-        let mut messages = 0u64;
-        let start = Instant::now();
-        for i in 0..l {
-            if !self.links[i].alive {
-                return Err(WireError::link(phase::HEARTBEAT, i));
-            }
-            if write_frame(&mut self.links[i].stream, frame::HEARTBEAT, &body).is_err() {
-                return Err(self.fail_link(phase::HEARTBEAT, i, WireErrorKind::Link));
-            }
-        }
-        for i in 0..l {
-            if self.links[i].stream.set_read_timeout(Some(self.heartbeat_timeout)).is_err() {
-                return Err(self.fail_link(phase::HEARTBEAT, i, WireErrorKind::Link));
-            }
-            let echo = read_frame(&mut self.links[i].stream);
-            let _ = self.links[i].stream.set_read_timeout(Some(REPLY_TIMEOUT));
-            match echo {
-                Ok((frame::HEARTBEAT, echo_body)) if echo_body == body => messages += 2,
-                // A short echo body is a truncation, typed as such; any
-                // other wrong echo is a protocol violation.
-                Ok((frame::HEARTBEAT, echo_body)) if echo_body.len() < body.len() => {
-                    return Err(self.fail_link(phase::HEARTBEAT, i, WireErrorKind::Truncated))
-                }
-                Ok(_) => {
-                    return Err(self.fail_link(phase::HEARTBEAT, i, WireErrorKind::Malformed))
-                }
-                Err(_) => return Err(self.fail_link(phase::HEARTBEAT, i, WireErrorKind::Link)),
-            }
-        }
-        self.record(
-            phase::HEARTBEAT,
-            ClusterMetrics {
-                measured_comm: start.elapsed(),
-                messages,
-                phases: 1,
-                ..Default::default()
-            },
-        );
-        Ok(())
-    }
-
     /// Marks link `i` dead and returns the typed error for `phase`.
     fn fail_link(&mut self, phase: &'static str, i: usize, kind: WireErrorKind) -> WireError {
         self.links[i].alive = false;
@@ -577,114 +495,6 @@ impl ProcCluster {
             kind,
         }
     }
-
-    /// Probes one idle link with a HEARTBEAT and waits for the echo under
-    /// the heartbeat timeout. Returns `false` (link unhealthy) on any
-    /// failure; the caller decides whether to fail-stop the link.
-    fn probe_link(&mut self, j: usize) -> bool {
-        self.heartbeat_seq += 1;
-        let body = Heartbeat {
-            session: self.session,
-            seq: self.heartbeat_seq,
-        }
-        .encode();
-        if write_frame(&mut self.links[j].stream, frame::HEARTBEAT, &body).is_err() {
-            return false;
-        }
-        if self.links[j].stream.set_read_timeout(Some(self.heartbeat_timeout)).is_err() {
-            return false;
-        }
-        let echo = read_frame(&mut self.links[j].stream);
-        let _ = self.links[j].stream.set_read_timeout(Some(REPLY_TIMEOUT));
-        matches!(echo, Ok((frame::HEARTBEAT, b)) if b == body)
-    }
-
-    /// Waits for link `i`'s next frame. With no probe interval configured
-    /// this is one blocking read under [`REPLY_TIMEOUT`]. With
-    /// [`default_heartbeat_interval`] set, the wait is chopped into
-    /// interval-sized slices: each tick with no reply yet, every *idle*
-    /// link in `replied` (machines whose reply this round already arrived
-    /// — their next inbound frame can only be an echo, so probing cannot
-    /// interleave with a pending REPLY) is heartbeat-probed, detecting a
-    /// mid-phase death within one interval instead of at phase end. The
-    /// straggler link itself is never probed — its REPLY is in flight —
-    /// but it stays bounded by [`REPLY_TIMEOUT`]. Uses `peek` so a tick
-    /// never consumes partial frame bytes.
-    fn read_reply(
-        &mut self,
-        up_label: &'static str,
-        i: usize,
-        replied: &[usize],
-    ) -> Result<(u8, Vec<u8>), WireError> {
-        let Some(interval) = self.heartbeat_interval else {
-            return match read_frame(&mut self.links[i].stream) {
-                Ok(f) => Ok(f),
-                Err(_) => Err(self.fail_link(up_label, i, WireErrorKind::Link)),
-            };
-        };
-        let deadline = Instant::now() + REPLY_TIMEOUT;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self.fail_link(up_label, i, WireErrorKind::Link));
-            }
-            let wait = interval.min(deadline - now);
-            if self.links[i].stream.set_read_timeout(Some(wait)).is_err() {
-                return Err(self.fail_link(up_label, i, WireErrorKind::Link));
-            }
-            let mut first = [0u8; 1];
-            match self.links[i].stream.peek(&mut first) {
-                // EOF before any reply byte: the worker is gone.
-                Ok(0) => return Err(self.fail_link(up_label, i, WireErrorKind::Link)),
-                Ok(_) => {
-                    // The reply has started arriving; switch back to the
-                    // full deadline and read the frame normally.
-                    let _ = self.links[i].stream.set_read_timeout(Some(REPLY_TIMEOUT));
-                    return match read_frame(&mut self.links[i].stream) {
-                        Ok(f) => Ok(f),
-                        Err(_) => Err(self.fail_link(up_label, i, WireErrorKind::Link)),
-                    };
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Interval tick: probe the idle links. A failed probe
-                    // fail-stops that link for subsequent rounds (its
-                    // reply this round already landed and stands).
-                    for &j in replied {
-                        if self.links[j].alive && !self.probe_link(j) {
-                            let _ = self.fail_link(phase::HEARTBEAT, j, WireErrorKind::Link);
-                        }
-                    }
-                }
-                Err(_) => return Err(self.fail_link(up_label, i, WireErrorKind::Link)),
-            }
-        }
-    }
-}
-
-/// The heartbeat-echo deadline: `DIM_HEARTBEAT_TIMEOUT_SECS` (whole
-/// seconds) or 5 s.
-pub(crate) fn default_heartbeat_timeout() -> Duration {
-    env_secs("DIM_HEARTBEAT_TIMEOUT_SECS").unwrap_or(Duration::from_secs(5))
-}
-
-/// The *mid-phase* idle-link probe interval: `DIM_HEARTBEAT_INTERVAL_SECS`
-/// (whole seconds); unset or 0 disables mid-phase probing (the default).
-///
-/// [`ProcCluster::heartbeat`] only runs *between* rounds, so a worker that
-/// dies while the master waits on a long-running straggler goes unnoticed
-/// until the phase ends. With this knob set, the master slices its reply
-/// wait into interval-sized ticks and heartbeat-probes every idle link
-/// (machines whose reply already arrived this round) on each tick,
-/// fail-stopping dead links within one interval. Each probe's echo is
-/// bounded by the companion knob `DIM_HEARTBEAT_TIMEOUT_SECS` (see
-/// [`default_heartbeat_timeout`] above).
-pub(crate) fn default_heartbeat_interval() -> Option<Duration> {
-    env_secs("DIM_HEARTBEAT_INTERVAL_SECS")
 }
 
 /// Locates the `dim-worker` binary (see [`ProcCluster::spawn`]).
@@ -770,9 +580,8 @@ impl OpCluster for ProcCluster {
         F: Fn(usize) -> WorkerOp + Sync,
     {
         // Fail-stop view over the partial-failure primitive: the first
-        // per-machine error aborts the round. Unlike the pre-recovery
-        // implementation this still *drains* every live link's reply
-        // first (inside `exec_ops_each`), so a failed round leaves no
+        // per-machine error aborts the round, after `exec_ops_each` has
+        // drained every live link's reply, so a failed round leaves no
         // stale REPLY frames buffered on surviving links.
         let mut out = Vec::with_capacity(self.links.len());
         for reply in self.exec_ops_each(down_label, up_label, op) {
@@ -838,26 +647,22 @@ impl OpCluster for ProcCluster {
         let recv_start = Instant::now();
         let mut max_elapsed = Duration::ZERO;
         let mut sum_elapsed = Duration::ZERO;
-        let mut replied: Vec<usize> = Vec::with_capacity(l);
         for (i, slot) in out.iter_mut().enumerate() {
             if slot.is_some() {
                 continue;
             }
-            let (opcode, body) = match self.read_reply(up_label, i, &replied) {
-                Ok(f) => f,
-                Err(e) => {
-                    *slot = Some(Err(e));
-                    continue;
-                }
+            // One read under the link's REPLY_TIMEOUT: an I/O error, EOF or
+            // timeout is the dead worker's fail-stop.
+            let Ok((opcode, body)) = read_frame(&mut self.links[i].stream) else {
+                *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Link)));
+                continue;
             };
             if opcode != frame::REPLY {
                 *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Malformed)));
                 continue;
             }
             // A REPLY body shorter than its 8-byte elapsed-time prefix is
-            // a *truncation*, typed as such (it used to fold into the
-            // generic malformed path; the `[..8].try_into()` below is
-            // guarded by this check).
+            // a *truncation*, typed as such; this guards the `[..8]` below.
             if body.len() < 8 {
                 *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Truncated)));
                 continue;
@@ -876,7 +681,6 @@ impl OpCluster for ProcCluster {
             let elapsed = Duration::from_nanos(nanos);
             max_elapsed = max_elapsed.max(elapsed);
             sum_elapsed += elapsed;
-            replied.push(i);
             *slot = Some(Ok(reply));
         }
         let recv_wall = recv_start.elapsed();
@@ -1253,22 +1057,27 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_echoes_on_live_links_and_records_metrics() {
-        let mut cluster =
-            ProcCluster::local_with(2, NetworkModel::zero(), 8, |_| Tally(0)).unwrap();
-        cluster.heartbeat().unwrap();
-        cluster.heartbeat().unwrap();
-        let m = cluster.timeline().get(phase::HEARTBEAT);
-        assert_eq!(m.phases, 2);
-        assert_eq!(m.messages, 8); // 2 probes × 2 machines × (send + echo)
-        assert_eq!(m.bytes_to_master + m.bytes_from_master, 0); // not modeled traffic
-        // Heartbeats interleave cleanly with op rounds on the same links.
-        let counts = cluster
-            .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
-            .unwrap();
-        assert_eq!(counts.len(), 2);
-        cluster.heartbeat().unwrap();
-        assert_eq!(cluster.link_errors(), 0);
+    fn unassigned_opcode_ends_the_session_with_a_typed_error() {
+        // Opcode 5 (retired, once a liveness probe) and 0xFF are assigned
+        // to nothing: the worker ends the session with `InvalidData`
+        // naming the opcode, and never runs the valid op in the body.
+        for opcode in [5u8, 0xFF] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut master = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (worker, _) = listener.accept().unwrap();
+            let session = std::thread::spawn(move || {
+                let mut tally = Tally(0);
+                (serve_session(worker, 0, &mut tally, None), tally.0)
+            });
+            let op = WorkerOp::SampleRr { count: 1 }.encode();
+            write_frame(&mut master, opcode, &op).unwrap();
+            let (result, sampled) = session.join().unwrap();
+            assert_eq!(sampled, 0, "opcode {opcode}: the executor ran");
+            let err = result.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "opcode {opcode}");
+            let expected = format!("unexpected opcode {opcode}");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! dim-worker --connect HOST:PORT [--machine-id N] [--join [--join-deadline SECS]]
 //! ```
 //!
+//! An unknown flag, or a flag whose value is missing or does not parse,
+//! exits 2 with the usage line before any connect.
+//!
 //! Without `--join` the worker serves exactly one session and exits 0
 //! when the master ends it — this is what `ProcCluster::spawn` launches
 //! (pinned with `--machine-id`), and its registration gives up after the
@@ -28,6 +31,7 @@
 //! come from the `DIM_WORKER_ADDR` environment variable (the flag wins).
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use dim::dim_core::WorkerHost;
@@ -43,6 +47,15 @@ const USAGE: &str =
 /// no explicit deadline is configured).
 const REJOIN_GRACE: Duration = Duration::from_secs(10);
 
+/// `flag`'s value parsed as `T`; a missing or unparsable value is an
+/// error naming the flag.
+fn parse_flag<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: invalid value `{value}`"))
+}
+
 fn main() -> ExitCode {
     let mut addr = None;
     let mut requested: Option<u32> = None;
@@ -50,26 +63,20 @@ fn main() -> ExitCode {
     let mut join_deadline: Option<Duration> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut take = |name: &str| match args.next() {
-            Some(v) => Some(v),
-            None => {
-                eprintln!("dim-worker: {name} requires a value");
-                None
+        let parsed = match arg.as_str() {
+            "--connect" => parse_flag(&arg, args.next()).map(|v| addr = Some(v)),
+            "--machine-id" => parse_flag(&arg, args.next()).map(|id| requested = Some(id)),
+            "--join" => {
+                rejoin = true;
+                Ok(())
             }
+            "--join-deadline" => parse_flag(&arg, args.next())
+                .map(|secs| join_deadline = Some(Duration::from_secs(secs))),
+            other => Err(format!("unknown argument `{other}`")),
         };
-        match arg.as_str() {
-            "--connect" => addr = take("--connect"),
-            "--machine-id" => requested = take("--machine-id").and_then(|v| v.parse().ok()),
-            "--join" => rejoin = true,
-            "--join-deadline" => {
-                join_deadline = take("--join-deadline")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .map(Duration::from_secs)
-            }
-            other => {
-                eprintln!("dim-worker: unknown argument `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
+        if let Err(msg) = parsed {
+            eprintln!("dim-worker: {msg}\n{USAGE}");
+            return ExitCode::from(2);
         }
     }
     let Some(addr) = addr.or_else(|| std::env::var("DIM_WORKER_ADDR").ok()) else {

@@ -1,8 +1,9 @@
-//! End-to-end tests of the `dim` CLI binary.
+//! End-to-end tests of the `dim` and `dim-worker` CLI binaries.
 
 use std::io::{BufRead, BufReader, Lines};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn dim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dim"))
@@ -152,6 +153,39 @@ fn bad_flag_value_reported() {
     let (ok, _, err) = run(&["im", "--graph", "profile:facebook:0.05", "--epsilon", "huge"]);
     assert!(!ok);
     assert!(err.contains("bad --epsilon"));
+}
+
+/// A `dim-worker` flag value that is missing or does not parse exits 2
+/// with the usage line naming the flag, before any connect: never a join
+/// as "any slot" or a retry loop with no deadline.
+#[test]
+fn worker_bad_flag_values_exit_2_naming_the_flag() {
+    for (bad, flag) in [
+        (&["--machine-id", "abc"][..], "--machine-id"),
+        (&["--machine-id"], "--machine-id"),
+        (&["--join", "--join-deadline", "soon"], "--join-deadline"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dim-worker"))
+            .args(["--connect", "127.0.0.1:1"])
+            .args(bad)
+            .env_remove("DIM_JOIN_DEADLINE_SECS")
+            .stdin(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("dim-worker runs");
+        // A worker still running after 1 s is killed, and fails the
+        // exit-code check below.
+        let start = Instant::now();
+        while child.try_wait().unwrap().is_none() && start.elapsed() < Duration::from_secs(1) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let _ = child.kill();
+        let out = child.wait_with_output().expect("wait on dim-worker");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {err}");
+        assert!(err.contains(flag), "{bad:?}: {err}");
+        assert!(err.contains("usage: dim-worker"), "{bad:?}: {err}");
+    }
 }
 
 /// Run parameters outside the frameworks' domain exit 1 naming the flag,

@@ -21,7 +21,7 @@ use std::ops::Range;
 use common::{any_u64, forall, in_range, vec_of};
 use dim::dim_cluster::faults::PPM;
 use dim::dim_cluster::ops::put_u32;
-use dim::dim_cluster::rendezvous::{Heartbeat, Hello, JoinHello, Reject, RejectReason, Welcome};
+use dim::dim_cluster::rendezvous::{Hello, JoinHello, Reject, RejectReason, Welcome};
 use dim::dim_cluster::wire::{delta_wire_size, read_frame, u64_wire_size, write_frame};
 use dim::dim_coverage::PooledSets;
 use dim::dim_graph::binary::{decode_binary, write_binary};
@@ -429,11 +429,9 @@ fn rendezvous_frames_are_strict() {
     let hello = |r: &mut Rng| Hello {
         version: any_u8(r), caps: any_u8(r), machine_id: any_u32(r), stream_seed: any_u64(r),
     };
-    let heartbeat = |r: &mut Rng| Heartbeat { session: any_u64(r), seq: any_u64(r) };
     strict(Canonical, "join", CASES, any_join_hello, sized(38, JoinHello::encode), JoinHello::decode);
     strict(Canonical, "welcome", CASES, welcome, sized(24, Welcome::encode), Welcome::decode);
     strict(Canonical, "hello", CASES, hello, sized(14, Hello::encode), Hello::decode);
-    strict(Canonical, "heartbeat", CASES, heartbeat, sized(16, Heartbeat::encode), Heartbeat::decode);
     strict(Canonical, "reject", CASES, any_reject, sized(1, Reject::encode), Reject::decode);
 }
 

@@ -81,7 +81,6 @@ fn start_join_worker(addr: std::net::SocketAddr, id: u32) -> std::process::Child
 fn join_rendezvous(machines: usize) -> dim_cluster::rendezvous::Rendezvous {
     let mut config = dim_cluster::JoinConfig::new(machines);
     config.join_timeout = Duration::from_secs(20);
-    config.heartbeat_timeout = Duration::from_secs(2);
     dim_cluster::Rendezvous::bind("127.0.0.1:0", config).expect("bind loopback rendezvous")
 }
 
@@ -104,7 +103,6 @@ fn run_coverage_session(cluster: &mut ProcCluster, session: u64) {
         let local = CoverageShard::from_records(5, shard_records(i).iter().map(Vec::as_slice));
         assert_eq!(deltas, &local.initial_coverage(), "machine {i}, session {session}");
     }
-    cluster.heartbeat().expect("all join workers alive");
     assert_eq!(cluster.link_errors(), 0, "session {session}");
 }
 
@@ -159,9 +157,11 @@ fn killed_join_worker_fail_stops_and_a_restart_rejoins() {
     // Kill machine 1's process outright — the MPI-style fail-stop case.
     children[1].kill().unwrap();
     children[1].wait().unwrap();
+    // The next op round is the failure detector.
     let err = cluster
-        .heartbeat()
-        .expect_err("dead worker must fail the liveness probe");
+        .op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)
+        .expect_err("dead worker must fail the next op round");
+    assert_eq!(err.phase, phase::COUNT_UPLOAD);
     assert_eq!(err.machine, Some(1), "error names the dead machine");
     assert_eq!(err.kind, WireErrorKind::Link);
     assert!(
