@@ -540,8 +540,15 @@ impl<T: OpExecutor + ?Sized> OpExecutor for &mut T {
 /// [`crate::ProcCluster`] serializes the identical values to worker
 /// processes — so both backends run the same op sequence by construction.
 pub trait OpCluster: ClusterBackend {
-    /// Executes `op(i)` on every machine `i` and returns the replies in
-    /// machine order, charging worker compute under `up_label`.
+    /// Executes `op(i)` on every machine `i` and returns one result per
+    /// machine, in machine order, charging worker compute under
+    /// `up_label` — the one round primitive every backend provides.
+    ///
+    /// It is *partial-failure aware*: one dead link does not discard the
+    /// replies of the survivors. The recovery layer (`dim_core::recover`)
+    /// drives it directly — on a single-machine loss it needs every
+    /// surviving machine's reply to keep the round going. A
+    /// [`WorkerReply::Err`] is the `Malformed` error of its machine.
     ///
     /// No *modeled* traffic is charged here — callers decide whether a
     /// round is free control flow ([`OpCluster::control`]), an upload
@@ -549,28 +556,6 @@ pub trait OpCluster: ClusterBackend {
     /// ([`OpCluster::op_broadcast_gather`]). Backends that physically move
     /// bytes attribute the *measured* send time to `down_label` when given
     /// (the op carries broadcast payload) and receive time to `up_label`.
-    ///
-    /// A [`WorkerReply::Err`] from any machine aborts the round with a
-    /// [`WireError`] naming that machine.
-    fn exec_ops<F>(
-        &mut self,
-        down_label: Option<&'static str>,
-        up_label: &'static str,
-        op: F,
-    ) -> Result<Vec<WorkerReply>, WireError>
-    where
-        F: Fn(usize) -> WorkerOp + Sync;
-
-    /// Like [`OpCluster::exec_ops`] but *partial-failure aware*: returns a
-    /// per-machine `Result` so one dead link does not discard the replies
-    /// of the survivors. This is the seam the recovery layer
-    /// (`dim_core::recover`) drives — on a single-machine loss it needs
-    /// every surviving machine's reply to keep the round going.
-    ///
-    /// The default delegates to [`OpCluster::exec_ops`] and, on failure,
-    /// reports the failing error for every machine (conservative: no
-    /// survivor replies are available). Backends that can distinguish
-    /// per-link outcomes override this.
     fn exec_ops_each<F>(
         &mut self,
         down_label: Option<&'static str>,
@@ -578,13 +563,22 @@ pub trait OpCluster: ClusterBackend {
         op: F,
     ) -> Vec<Result<WorkerReply, WireError>>
     where
+        F: Fn(usize) -> WorkerOp + Sync;
+
+    /// The fail-stop view of [`OpCluster::exec_ops_each`]: the replies in
+    /// machine order, or the error of the first machine that failed. The
+    /// whole round runs either way, so a failed round leaves no reply
+    /// unread on a surviving link.
+    fn exec_ops<F>(
+        &mut self,
+        down_label: Option<&'static str>,
+        up_label: &'static str,
+        op: F,
+    ) -> Result<Vec<WorkerReply>, WireError>
+    where
         F: Fn(usize) -> WorkerOp + Sync,
     {
-        let l = self.num_machines();
-        match self.exec_ops(down_label, up_label, op) {
-            Ok(replies) => replies.into_iter().map(Ok).collect(),
-            Err(e) => (0..l).map(|_| Err(e.clone())).collect(),
-        }
+        self.exec_ops_each(down_label, up_label, op).into_iter().collect()
     }
 
     /// An op round with no modeled traffic: setup, sampling commands,
@@ -638,24 +632,6 @@ pub trait OpCluster: ClusterBackend {
 /// [`OpExecutor::execute`], under the same virtual-time accounting as any
 /// closure phase.
 impl<W: Send + OpExecutor> OpCluster for SimCluster<W> {
-    fn exec_ops<F>(
-        &mut self,
-        down_label: Option<&'static str>,
-        up_label: &'static str,
-        op: F,
-    ) -> Result<Vec<WorkerReply>, WireError>
-    where
-        F: Fn(usize) -> WorkerOp + Sync,
-    {
-        // Fail-stop view over the partial-failure primitive: the first
-        // per-machine error aborts the round.
-        let mut out = Vec::with_capacity(self.num_machines());
-        for reply in self.exec_ops_each(down_label, up_label, op) {
-            out.push(reply?);
-        }
-        Ok(out)
-    }
-
     fn exec_ops_each<F>(
         &mut self,
         _down_label: Option<&'static str>,

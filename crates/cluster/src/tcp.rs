@@ -570,31 +570,12 @@ impl OpCluster for ProcCluster {
     /// `measured_comm` records the send wall clock under `down_label`
     /// (falling back to `up_label`) and the receive wall clock minus the
     /// compute window under `up_label`.
-    fn exec_ops<F>(
-        &mut self,
-        down_label: Option<&'static str>,
-        up_label: &'static str,
-        op: F,
-    ) -> Result<Vec<WorkerReply>, WireError>
-    where
-        F: Fn(usize) -> WorkerOp + Sync,
-    {
-        // Fail-stop view over the partial-failure primitive: the first
-        // per-machine error aborts the round, after `exec_ops_each` has
-        // drained every live link's reply, so a failed round leaves no
-        // stale REPLY frames buffered on surviving links.
-        let mut out = Vec::with_capacity(self.links.len());
-        for reply in self.exec_ops_each(down_label, up_label, op) {
-            out.push(reply?);
-        }
-        Ok(out)
-    }
-
-    /// The partial-failure round primitive: every live link gets its OP
-    /// and is read back even when another link fails mid-round — the seam
-    /// speculative recovery needs (one dead machine must not discard the
-    /// survivors' replies, which would leave their sockets desynchronized
-    /// for the rebuild rounds that follow).
+    ///
+    /// Every live link gets its OP and is read back even when another
+    /// link fails mid-round — the seam speculative recovery needs (one
+    /// dead machine must not discard the survivors' replies, which would
+    /// leave their sockets desynchronized for the rebuild rounds that
+    /// follow).
     fn exec_ops_each<F>(
         &mut self,
         down_label: Option<&'static str>,

@@ -264,17 +264,22 @@ impl<'g, C: OpCluster> ClusterBackend for RecoveringCluster<'g, C> {
 }
 
 impl<'g, C: OpCluster> OpCluster for RecoveringCluster<'g, C> {
-    fn exec_ops<F>(
+    /// A recovered round either serves every machine or fails as a whole,
+    /// so a failure is reported for every machine.
+    fn exec_ops_each<F>(
         &mut self,
         down_label: Option<&'static str>,
         up_label: &'static str,
         op: F,
-    ) -> Result<Vec<WorkerReply>, WireError>
+    ) -> Vec<Result<WorkerReply, WireError>>
     where
         F: Fn(usize) -> WorkerOp + Sync,
     {
-        let ops: Vec<WorkerOp> = (0..self.inner.num_machines()).map(op).collect();
-        self.exec_round(down_label, up_label, ops)
+        let l = self.inner.num_machines();
+        match self.exec_round(down_label, up_label, (0..l).map(op).collect()) {
+            Ok(replies) => replies.into_iter().map(Ok).collect(),
+            Err(e) => vec![Err(e); l],
+        }
     }
 }
 

@@ -235,8 +235,10 @@ impl<'g> StreamSession<'g> {
     /// against `base`/`config`) into a resident cluster. `base` is the
     /// graph the *base snapshot* was sampled from; if the chain carries
     /// batches (or a compacted base), the session's resident graph is
-    /// the replayed tip, not `base`. The restore's wall time is recorded
-    /// under [`phase::STORE_LOAD`].
+    /// the replayed tip, not `base`. The resident shards hold the RR sets
+    /// only: each builds its index in the first round of the next
+    /// selection, and an `apply` never needs it. The restore's wall time is
+    /// recorded under [`phase::STORE_LOAD`].
     pub fn open(
         base: &'g Graph,
         config: &ImConfig,
@@ -277,7 +279,7 @@ impl<'g> StreamSession<'g> {
             .map(|s| {
                 let machine_id = s.header.shard_id as usize;
                 let edges = s.header.edges_examined;
-                let shard = CoverageShard::from_pooled(n, s.elements, s.index);
+                let shard = CoverageShard::from_pooled(n, s.elements);
                 DiimmWorker::restore(
                     base,
                     mutated.then(|| current.clone()),
@@ -536,6 +538,29 @@ mod tests {
             loaded.timeline.get(phase::RR_SAMPLING),
             ClusterMetrics::default()
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A restored session holds records only: every resident shard waits
+    /// for the selection round to build its index, and that round selects
+    /// what the run that wrote the store selected.
+    #[test]
+    fn open_leaves_every_shard_stale_until_select() {
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 5);
+        let cfg = config(4, 29);
+        let root = temp_dir("stale");
+        let net = NetworkModel::zero();
+        let (_, sampled) =
+            diimm_sample_generation(&g, &cfg, 3, net, ExecMode::Sequential, &root, 4).unwrap();
+        let mut session = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        let workers = session.cluster.workers();
+        assert_eq!(workers.len(), 3);
+        assert!(workers.iter().all(|w| w.shard.needs_prepare()));
+        let selected = session.select().unwrap();
+        assert_eq!(selected.seeds, sampled.seeds);
+        assert_eq!(selected.marginals, sampled.marginals);
+        assert_eq!(selected.coverage, sampled.coverage);
+        assert!(session.cluster.workers().iter().all(|w| !w.shard.needs_prepare()));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -810,7 +835,7 @@ mod tests {
     }
 
     /// Resident compaction writes exactly the base the old on-disk fold
-    /// produced: same sets, same index, same header but for
+    /// produced: same sets, same header but for
     /// `edges_examined`, which now carries the repairs too; the graph file
     /// hashes to the chain's tip, and a reopened session selects and
     /// counts what the compacting one did.
@@ -844,7 +869,6 @@ mod tests {
                 assert_eq!(compacted.shards.len(), fold.shards.len(), "{case}");
                 for (c, f) in compacted.shards.iter().zip(&fold.shards) {
                     assert!(c.elements.iter().eq(f.elements.iter()), "{case}: elements");
-                    assert!(c.index.iter().eq(f.index.iter()), "{case}: index");
                     let header = dim_store::ShardHeader {
                         edges_examined: f.header.edges_examined,
                         ..c.header

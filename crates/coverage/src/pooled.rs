@@ -3,9 +3,10 @@
 use std::ops::Range;
 
 /// Append-only storage of variable-length `u32` lists (until
-/// [`PooledSets::clear`] empties it for reuse), stored back-to-back
-/// in one pool: a machine's RR sets `R_i` and, through
-/// [`PooledSets::transpose`], their node→RR-set index `I_i(v)` (§III). The
+/// [`PooledSets::splice_into`] or [`PooledSets::transpose_into`]
+/// overwrites it for reuse), stored back-to-back in one pool: a machine's
+/// RR sets `R_i` and, through [`PooledSets::transpose`], their
+/// node→RR-set index `I_i(v)` (§III). The
 /// lists are plain `u32`s, so the coverage layer has no dependency on
 /// diffusion (maximum coverage is a standalone problem — Fig. 10 runs it on
 /// graph neighborhoods).
@@ -14,7 +15,7 @@ use std::ops::Range;
 /// the index footprint versus `usize` offsets so more of the hot transpose
 /// index stays cache-resident; the pool is therefore capped at `u32::MAX`
 /// entries and `u32::MAX` lists, enforced by [`PooledSets::push`] and
-/// [`PooledSets::extend_from`].
+/// [`PooledSets::splice_into`].
 ///
 /// **Invariant** (maintained by every constructor and mutator and relied on by the
 /// unchecked hot-path accessors): `offsets` is non-empty, starts at 0, is
@@ -98,16 +99,9 @@ impl PooledSets {
 
     /// Removes every list and keeps both allocations, so refilling the
     /// storage up to its old size allocates nothing.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.offsets.truncate(1);
         self.pool.clear();
-    }
-
-    /// Reserves room for exactly `lists` more lists totalling `entries`
-    /// more entries (no growth slack, unlike pushing into a full pool).
-    pub fn reserve_exact(&mut self, lists: usize, entries: usize) {
-        self.offsets.reserve_exact(lists);
-        self.pool.reserve_exact(entries);
     }
 
     /// Appends lists `range` of `src`, in order, with one copy of their
@@ -116,7 +110,7 @@ impl PooledSets {
     /// # Panics
     /// Panics if `range` is not within `src`, or under the same bounds as
     /// [`PooledSets::push`].
-    pub fn extend_from(&mut self, src: &PooledSets, range: Range<usize>) {
+    fn extend_from(&mut self, src: &PooledSets, range: Range<usize>) {
         let (lo, hi) = (src.offsets[range.start], src.offsets[range.end]);
         let base = self.pool.len();
         let end = base + (hi - lo) as usize;
@@ -135,6 +129,43 @@ impl PooledSets {
                 .iter()
                 .map(|&o| o - lo + shift),
         );
+    }
+
+    /// Writes these lists into `out` with each `(id, list)` of
+    /// `sorted_replacements` (strictly increasing ids) in place of list
+    /// `id`: runs of kept lists are copied in bulk, the replacements pushed
+    /// between them. `out` is overwritten and sized exactly (no growth
+    /// slack), keeping its allocations: splicing into a buffer that has
+    /// held a collection of the result's size allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range or the ids do not strictly
+    /// increase (before `out` is touched), or under the bounds of
+    /// [`PooledSets::push`].
+    pub fn splice_into<R: AsRef<[u32]>>(
+        &self,
+        sorted_replacements: &[(u32, R)],
+        out: &mut PooledSets,
+    ) {
+        let n = self.len();
+        let mut total = self.total_size();
+        let mut prev: Option<u32> = None;
+        for (id, list) in sorted_replacements {
+            assert!(prev.is_none_or(|p| p < *id), "replacement ids must increase");
+            assert!((*id as usize) < n, "replacement id out of range");
+            total = total + list.as_ref().len() - self.get(*id as usize).len();
+            prev = Some(*id);
+        }
+        out.clear();
+        out.offsets.reserve_exact(n);
+        out.pool.reserve_exact(total);
+        let mut kept = 0;
+        for (id, list) in sorted_replacements {
+            out.extend_from(self, kept..*id as usize);
+            out.push(list.as_ref());
+            kept = *id as usize + 1;
+        }
+        out.extend_from(self, kept..n);
     }
 
     /// Number of lists.
@@ -317,6 +348,50 @@ mod tests {
             assert_eq!(bulk.offsets, one_by_one.offsets, "{start}..{end}");
             assert_eq!(bulk.pool, one_by_one.pool, "{start}..{end}");
         }
+    }
+
+    /// For random collections and random sorted replacements, splicing
+    /// into a reused buffer equals pushing the result one list at a time.
+    #[test]
+    fn splice_into_equals_a_push_by_push_rebuild() {
+        let mut rng = dim_graph::Rng::new(0x5911ce);
+        let mut out = pooled(&[&[7, 7, 7]]);
+        for case in 0..200 {
+            let list = |rng: &mut dim_graph::Rng| -> Vec<u32> {
+                (0..rng.below(6)).map(|_| rng.below(50) as u32).collect()
+            };
+            let src = {
+                let mut p = PooledSets::new();
+                for _ in 0..rng.below(12) {
+                    p.push(&list(&mut rng));
+                }
+                p
+            };
+            let mut replacements: Vec<(u32, Vec<u32>)> = Vec::new();
+            for id in 0..src.len() as u32 {
+                if rng.below(3) == 0 {
+                    replacements.push((id, list(&mut rng)));
+                }
+            }
+            src.splice_into(&replacements, &mut out);
+            let mut expected = PooledSets::new();
+            let mut next = replacements.iter().peekable();
+            for id in 0..src.len() {
+                match next.next_if(|(r, _)| *r as usize == id) {
+                    Some((_, record)) => expected.push(record),
+                    None => expected.push(src.get(id)),
+                };
+            }
+            assert_eq!(out.offsets, expected.offsets, "case {case}: {replacements:?}");
+            assert_eq!(out.pool, expected.pool, "case {case}: {replacements:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "replacement ids must increase")]
+    fn splice_into_rejects_unsorted_ids() {
+        let src = pooled(&[&[0], &[1], &[2]]);
+        src.splice_into(&[(2, vec![5]), (1, vec![6])], &mut PooledSets::new());
     }
 
     #[test]

@@ -15,12 +15,13 @@ use crate::pooled::PooledSets;
 ///   stage (Algorithm 1, line 16),
 /// * per-element `covered` labels (lines 2, 17, 21).
 ///
-/// The index exists for selection only. Appending elements (DiIMM adds RR
-/// sets across iterations) or repairing them
-/// ([`CoverageShard::replace_elements`]) leaves it stale, and
-/// [`CoverageShard::prepare`] rebuilds it at the start of each selection
-/// round. Repair itself never reads it: [`CoverageShard::elements_containing`]
-/// scans the records.
+/// The index exists for selection only, and [`CoverageShard::prepare`] is
+/// the one thing that builds it, at the start of each selection round.
+/// Installing records ([`CoverageShard::from_pooled`], the `BuildShard`
+/// op), appending them (DiIMM adds RR sets across iterations) or repairing
+/// them ([`CoverageShard::replace_elements`]) leaves it stale. Repair itself
+/// never reads it: [`CoverageShard::elements_containing`] scans the
+/// records.
 #[derive(Clone, Debug)]
 pub struct CoverageShard {
     num_sets: usize,
@@ -60,29 +61,15 @@ impl CoverageShard {
         }
     }
 
-    /// Rebuilds a prepared shard from a snapshot's parts: element records
-    /// plus their transpose index, which dim-store derives as
-    /// `elements.transpose(num_sets)` while loading: it is neither
-    /// re-derived nor verified here. The shard comes out exactly as if the
-    /// records had been pushed and [`CoverageShard::prepare`]d: everything
-    /// uncovered, nothing yet reported through
-    /// `CoverageShard::take_new_coverage`.
-    ///
-    /// # Panics
-    /// Panics if `index` does not have one list per set.
-    pub fn from_pooled(num_sets: usize, elements: PooledSets, index: PooledSets) -> Self {
-        assert_eq!(index.len(), num_sets, "index must have one list per set");
-        let n = elements.len();
+    /// A shard holding `elements`, as if each record had been pushed: the
+    /// index is stale until the next [`CoverageShard::prepare`], which the
+    /// first selection round runs, and nothing is yet reported through
+    /// `CoverageShard::take_new_coverage`. Loaders hand over the records
+    /// they read and leave the index to whoever reads it.
+    pub fn from_pooled(num_sets: usize, elements: PooledSets) -> Self {
         CoverageShard {
-            num_sets,
-            index,
-            stale: false,
-            covered: vec![false; n],
-            covered_count: 0,
-            reported_elements: 0,
-            scratch_counts: vec![0; num_sets],
-            scratch_touched: Vec::new(),
             elements,
+            ..CoverageShard::new(num_sets)
         }
     }
 
@@ -316,12 +303,11 @@ impl CoverageShard {
     /// incremental-repair path calls this with the re-sampled RR sets after
     /// an edge batch.
     ///
-    /// The repaired arena is spliced — runs of kept records copied in
-    /// bulk, replacements pushed between them — into the stale index's
-    /// buffers, which then swap places with the previous arena. Once both
-    /// buffers have held an arena of the new size, a repair allocates
-    /// nothing. The index is not rebuilt: the shard is left stale
-    /// ([`Self::needs_prepare`] is true) exactly as after
+    /// The repaired arena is spliced ([`PooledSets::splice_into`]) into
+    /// the stale index's buffers, which then swap places with the previous
+    /// arena. Once both buffers have held an arena of the new size, a
+    /// repair allocates nothing. The index is not rebuilt: the shard is
+    /// left stale ([`Self::needs_prepare`] is true) exactly as after
     /// [`Self::push_element`], with every element uncovered and
     /// unreported, and the next [`Self::prepare`] yields exactly the state
     /// [`CoverageShard::from_records`] would produce for the repaired
@@ -330,28 +316,9 @@ impl CoverageShard {
     /// # Panics
     /// Panics if ids are out of range or not strictly increasing.
     pub fn replace_elements(&mut self, replacements: &[(u32, Vec<u32>)]) {
-        let n = self.elements.len();
-        // Validate and size the result before touching either buffer.
-        let mut total = self.elements.total_size();
-        let mut prev: Option<u32> = None;
-        for &(id, ref record) in replacements {
-            assert!(prev.is_none_or(|p| p < id), "replacement ids must increase");
-            assert!((id as usize) < n, "replacement id out of range");
-            total = total + record.len() - self.elements.get(id as usize).len();
-            prev = Some(id);
-        }
-        self.stale = true;
-        let spliced = &mut self.index;
-        spliced.clear();
-        spliced.reserve_exact(n, total);
-        let mut kept = 0;
-        for &(id, ref record) in replacements {
-            spliced.extend_from(&self.elements, kept..id as usize);
-            spliced.push(record);
-            kept = id as usize + 1;
-        }
-        spliced.extend_from(&self.elements, kept..n);
+        self.elements.splice_into(replacements, &mut self.index);
         std::mem::swap(&mut self.elements, &mut self.index);
+        self.stale = true;
         self.uncover_all();
         self.reported_elements = 0;
     }
@@ -427,15 +394,28 @@ impl<'a> QueryCursor<'a> {
 /// simulator and the `dim-worker` process both funnel through it, which is
 /// what makes backend equivalence hold by construction. Each handler
 /// mirrors the pre-op closure the master used to run against the shard —
-/// in particular [`WorkerOp::InitialCoverage`] and [`WorkerOp::NewCoverage`]
-/// call [`CoverageShard::prepare`] first, starting a fresh selection round.
+/// in particular [`WorkerOp::BuildShard`] installs the records and leaves
+/// the index stale, and [`WorkerOp::InitialCoverage`] and
+/// [`WorkerOp::NewCoverage`] call [`CoverageShard::prepare`] first,
+/// starting a fresh selection round.
+///
+/// An op the shard cannot serve — a record or seed naming a set outside
+/// the universe, a seed before the round's first op — is answered with a
+/// [`WorkerReply::Err`] naming the op, never a panic: the worker keeps
+/// serving.
 pub fn execute_coverage_op(shard: &mut CoverageShard, op: &WorkerOp) -> Option<WorkerReply> {
     Some(match op {
         WorkerOp::BuildShard { num_sets, elements } => {
-            *shard = CoverageShard::from_records(
-                *num_sets as usize,
-                elements.iter().map(|e| e.as_slice()),
-            );
+            let num_sets = *num_sets as usize;
+            if let Some(set) = elements.iter().flatten().find(|&&s| s as usize >= num_sets) {
+                return Some(WorkerReply::Err(format!(
+                    "BuildShard: record names set {set} outside the universe of {num_sets}"
+                )));
+            }
+            *shard = CoverageShard::new(num_sets);
+            for element in elements {
+                shard.push_element(element);
+            }
             WorkerReply::Ok
         }
         WorkerOp::InitialCoverage => {
@@ -446,6 +426,12 @@ pub fn execute_coverage_op(shard: &mut CoverageShard, op: &WorkerOp) -> Option<W
             shard.prepare();
             WorkerReply::Deltas(shard.take_new_coverage())
         }
+        WorkerOp::ApplySeed { .. } if shard.needs_prepare() => WorkerReply::Err(
+            "ApplySeed: no InitialCoverage or NewCoverage since the shard changed".into(),
+        ),
+        WorkerOp::ApplySeed { set } if *set as usize >= shard.num_sets => WorkerReply::Err(
+            format!("ApplySeed: set {set} outside the universe of {}", shard.num_sets),
+        ),
         WorkerOp::ApplySeed { set } => WorkerReply::Deltas(shard.apply_seed(*set)),
         WorkerOp::CoveredCount => WorkerReply::Count(shard.covered_count() as u64),
         WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
@@ -559,27 +545,112 @@ mod tests {
     #[test]
     fn from_pooled_matches_from_records() {
         let fresh = example3();
-        let rebuilt = CoverageShard::from_pooled(
-            5,
-            fresh.elements().clone(),
-            fresh.elements().transpose(5),
-        );
-        assert!(!rebuilt.needs_prepare());
+        let mut rebuilt = CoverageShard::from_pooled(5, fresh.elements().clone());
+        // Records only: the index waits for the first selection round.
+        assert!(rebuilt.needs_prepare());
+        // Snapshot contents count as unreported, like fresh pushes.
+        assert_eq!(rebuilt.clone().take_new_coverage(), fresh.initial_coverage());
+        rebuilt.prepare();
         assert_eq!(rebuilt.initial_coverage(), fresh.initial_coverage());
         let mut a = fresh.clone();
         let mut b = rebuilt.clone();
         assert_eq!(a.apply_seed(0), b.apply_seed(0));
         assert_eq!(a.covered_count(), b.covered_count());
-        // Snapshot contents count as unreported, like fresh pushes.
-        let mut c = rebuilt.clone();
-        assert_eq!(c.take_new_coverage(), fresh.initial_coverage());
+    }
+
+    fn example3_records() -> Vec<Vec<u32>> {
+        example3().elements().iter().map(<[u32]>::to_vec).collect()
+    }
+
+    /// `BuildShard` installs the records and leaves the index to the
+    /// round's first op, which answers what a prepared build answers.
+    #[test]
+    fn build_shard_leaves_the_shard_stale_for_initial_coverage() {
+        let mut shard = CoverageShard::new(0);
+        let build = WorkerOp::BuildShard { num_sets: 5, elements: example3_records() };
+        assert_eq!(execute_coverage_op(&mut shard, &build), Some(WorkerReply::Ok));
+        assert!(shard.needs_prepare());
+        assert_eq!((shard.num_sets(), shard.num_elements()), (5, 6));
+        let expected = CoverageShard::from_records(5, example3().elements().iter());
+        assert_eq!(
+            execute_coverage_op(&mut shard, &WorkerOp::InitialCoverage),
+            Some(WorkerReply::Deltas(expected.initial_coverage()))
+        );
+        assert!(!shard.needs_prepare());
+    }
+
+    fn expect_err(reply: Option<WorkerReply>, op_name: &str) {
+        match reply {
+            Some(WorkerReply::Err(msg)) => assert!(msg.starts_with(op_name), "{msg}"),
+            other => panic!("expected an error naming {op_name}, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic]
-    fn from_pooled_rejects_wrong_index_arity() {
-        let fresh = example3();
-        CoverageShard::from_pooled(5, fresh.elements().clone(), fresh.elements().transpose(4));
+    fn apply_seed_outside_the_universe_is_an_error_reply() {
+        let mut shard = example3();
+        expect_err(execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 5 }), "ApplySeed");
+        // Still serving: the next op gets its ordinary answer.
+        let reply = execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 0 });
+        assert_eq!(reply, Some(WorkerReply::Deltas(vec![(0, 3), (2, 1)])));
+    }
+
+    #[test]
+    fn build_shard_naming_a_set_outside_the_universe_is_an_error_reply() {
+        let mut shard = example3();
+        let build = WorkerOp::BuildShard { num_sets: 3, elements: vec![vec![0], vec![2, 3]] };
+        expect_err(execute_coverage_op(&mut shard, &build), "BuildShard");
+        // Refused whole: the previous shard is untouched.
+        assert_eq!((shard.num_sets(), shard.num_elements()), (5, 6));
+        assert!(!shard.needs_prepare());
+    }
+
+    #[test]
+    fn apply_seed_on_a_stale_shard_is_an_error_reply() {
+        let mut shard = CoverageShard::new(0);
+        let build = WorkerOp::BuildShard { num_sets: 5, elements: example3_records() };
+        execute_coverage_op(&mut shard, &build);
+        expect_err(execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 0 }), "ApplySeed");
+        execute_coverage_op(&mut shard, &WorkerOp::InitialCoverage);
+        let reply = execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 0 });
+        assert_eq!(reply, Some(WorkerReply::Deltas(vec![(0, 3), (2, 1)])));
+    }
+
+    /// Over TCP, a bad coverage op fails its round as `Malformed` naming
+    /// the machine, and the link survives to serve the next round.
+    #[test]
+    fn bad_coverage_ops_fail_the_round_not_the_link() {
+        use dim_cluster::{phase, NetworkModel, OpCluster, ProcCluster, WireErrorKind};
+        fn fails_on(
+            cluster: &mut ProcCluster,
+            label: &'static str,
+            op: impl Fn(usize) -> WorkerOp + Sync,
+            machine: usize,
+        ) {
+            let err = cluster.control(label, op).unwrap_err();
+            assert_eq!((err.phase, err.machine), (label, Some(machine)));
+            assert_eq!(err.kind, WireErrorKind::Malformed);
+            let counts = cluster.control(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount);
+            assert_eq!(counts.unwrap().len(), 2, "every link still answers");
+        }
+        let mut cluster =
+            ProcCluster::local_with(2, NetworkModel::zero(), 4, |_| CoverageShard::new(0)).unwrap();
+        // Machine i holds the records {0} and {i + 1}.
+        let build = |num_sets| {
+            move |i: usize| WorkerOp::BuildShard {
+                num_sets,
+                elements: vec![vec![0], vec![i as u32 + 1]],
+            }
+        };
+        // Machine 1's second record names set 2 of a 2-set universe.
+        fails_on(&mut cluster, phase::SETUP, build(2), 1);
+        // Built but not prepared: a seed before the round's first op.
+        cluster.control(phase::SETUP, build(3)).unwrap();
+        fails_on(&mut cluster, phase::SEED_BROADCAST, |_| WorkerOp::ApplySeed { set: 0 }, 0);
+        // Prepared; machine 1's seed lies past the universe.
+        cluster.control(phase::COVERAGE_UPLOAD, |_| WorkerOp::InitialCoverage).unwrap();
+        let seed = |i: usize| WorkerOp::ApplySeed { set: 2 + i as u32 };
+        fails_on(&mut cluster, phase::SEED_BROADCAST, seed, 1);
     }
 
     #[test]

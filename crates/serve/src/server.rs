@@ -95,16 +95,30 @@ impl Sketch {
     }
 
     /// Builds the sketch from a validated dim-store snapshot; `num_nodes`
-    /// comes from the graph the snapshot was checked against.
+    /// comes from the graph the snapshot was checked against. The store
+    /// hands back RR sets only, so each shard's index is built here, once,
+    /// with one scoped thread per shard.
     pub fn from_snapshot(num_nodes: usize, snapshot: Snapshot) -> Self {
         let theta = snapshot.theta;
         let total_rr_size = snapshot.total_size();
         let num_sets = snapshot.num_sets as usize;
-        let shards: Vec<CoverageShard> = snapshot
-            .shards
-            .into_iter()
-            .map(|s| CoverageShard::from_pooled(num_sets, s.elements, s.index))
-            .collect();
+        let shards: Vec<CoverageShard> = std::thread::scope(|scope| {
+            let builders: Vec<_> = snapshot
+                .shards
+                .into_iter()
+                .map(|s| {
+                    scope.spawn(move || {
+                        let mut shard = CoverageShard::from_pooled(num_sets, s.elements);
+                        shard.prepare();
+                        shard
+                    })
+                })
+                .collect();
+            builders
+                .into_iter()
+                .map(|b| b.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        });
         Sketch::new(num_nodes, theta, total_rr_size, shards)
     }
 

@@ -34,9 +34,9 @@
 //! base generation followed by contiguous delta generations, each linked
 //! to its predecessor by graph fingerprint. [`load_latest_chain`] resolves
 //! and folds a chain into an ordinary [`Snapshot`] (so readers like
-//! `dim serve` need no delta awareness), deriving each shard's index once,
-//! from the folded elements, and [`gc_generations`] keeps every
-//! generation a live chain still references.
+//! `dim serve` need no delta awareness), splicing each shard's repairs
+//! into its base elements, and [`gc_generations`] keeps every generation
+//! a live chain still references.
 //!
 //! A chain ends when its writer compacts it: the workers persist the
 //! shards they hold resident — which equal the fold — as a fresh base
@@ -318,11 +318,7 @@ fn load_chain(
         }
     }
     let base_dir = base_dir.ok_or_else(|| corrupt("delta chain base generation missing"))?;
-    // The base is checked against the request, `num_sets` included, before
-    // any index is derived: by the parallel shard loads for a plain base,
-    // once from the folded elements below for a chain.
-    let plain = link_dirs.is_empty();
-    let snapshot = load_snapshot(base_dir, request, plain)?;
+    let snapshot = load_snapshot(base_dir, request)?;
     let base_fp = base_graph_fingerprint(base_dir, snapshot.fingerprint)?;
     let mut tip_fp = base_fp;
     let mut batches: Vec<DeltaBatch> = Vec::with_capacity(link_dirs.len());
@@ -363,8 +359,8 @@ fn load_chain(
         links.push(shards);
     }
     // Fold: for each shard, the last repair of a set wins; untouched sets
-    // keep their base bytes. Then derive the index.
-    let num_sets = snapshot.num_sets as usize;
+    // keep their base bytes. The merged repairs are spliced in as one
+    // repair.
     let mut folded = snapshot;
     for (s, shard) in folded.shards.iter_mut().enumerate() {
         let mut overrides: BTreeMap<u32, &[u32]> = BTreeMap::new();
@@ -374,17 +370,10 @@ fn load_chain(
             }
         }
         if !overrides.is_empty() {
-            let mut rebuilt = PooledSets::new();
-            for i in 0..shard.elements.len() {
-                match overrides.get(&(i as u32)) {
-                    Some(nodes) => rebuilt.push(nodes),
-                    None => rebuilt.push(shard.elements.get(i)),
-                };
-            }
-            shard.elements = rebuilt;
-        }
-        if !plain {
-            shard.index = shard.elements.transpose(num_sets);
+            let merged: Vec<(u32, &[u32])> = overrides.into_iter().collect();
+            let mut spliced = PooledSets::new();
+            shard.elements.splice_into(&merged, &mut spliced);
+            shard.elements = spliced;
         }
     }
     let base_generation = base_id;
@@ -773,24 +762,22 @@ mod tests {
         commit_generation(&dir1, id1).unwrap();
         write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![(1, vec![2, 3])]);
         write_delta_generation(&root, id1, 1, 0xaaaa, 0xbbbb, vec![(0, vec![1])]);
+        // Set 1 again, already repaired by the first link: the last wins.
+        write_delta_generation(&root, id1, 2, 0xbbbb, 0xcccc, vec![(1, vec![0, 2, 4])]);
 
         let (id, snap, chain) = load_latest_chain(&root, &request()).unwrap();
-        assert_eq!(id, 3);
+        assert_eq!(id, 4);
         assert_eq!(chain.base_generation, id1);
-        assert_eq!(chain.batches.len(), 2);
-        assert_eq!(chain.tip_fingerprint, 0xbbbb);
-        assert_eq!(chain.next_seq, 2);
+        assert_eq!(chain.batches.len(), 3);
+        assert_eq!(chain.tip_fingerprint, 0xcccc);
+        assert_eq!(chain.next_seq, 3);
         let shard = &snap.shards[0];
-        assert_eq!(shard.elements.get(0), &[1][..]);
-        assert_eq!(shard.elements.get(1), &[2, 3][..]);
-        // The folded index is the transpose of the folded elements.
-        assert_eq!(shard.index.get(1), &[0][..]);
-        assert_eq!(shard.index.get(2), &[1][..]);
-        assert_eq!(shard.index.get(4), &[] as &[u32]);
+        let folded: Vec<&[u32]> = shard.elements.iter().collect();
+        assert_eq!(folded, [&[1][..], &[0, 2, 4][..]]);
         // The request still names the ROOT graph; the plain loader agrees.
         let (id, snap2) = load_latest_snapshot(&root, &request()).unwrap();
-        assert_eq!(id, 3);
-        assert_eq!(snap2.shards[0].elements.get(0), &[1][..]);
+        assert_eq!(id, 4);
+        assert!(snap2.shards[0].elements.iter().eq(shard.elements.iter()));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -811,9 +798,9 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    /// A base shard over another set universe is refused before the fold
-    /// derives its index: nothing in a small file may make the loader
-    /// allocate an index of 2³² lists.
+    /// A base shard over another set universe is refused before the fold:
+    /// nothing in a small file may make a reader size per-node state for
+    /// 2³² nodes.
     #[test]
     fn chain_refuses_a_base_over_another_universe() {
         let root = temp_root("chainuniverse");

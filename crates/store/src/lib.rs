@@ -28,11 +28,12 @@
 //! work units (Σ w(R): one per in-edge examined, one per jump on a SUBSIM
 //! jump row). The elements section is `count u64 · offsets[count+1] u64 ·
 //! pool u32[offsets[count]]` — the flat [`PooledSets`] representation of
-//! the shard's RR sets. The inverted index (node → RR sets) is not stored:
-//! the loader derives it by transposing the elements, once per shard, and
-//! decodes a generation's shard files in parallel. Version 1 files, which
-//! also stored the index, are refused as [`StoreError::Corrupt`] and must
-//! be re-sampled.
+//! the shard's RR sets. The inverted index (node → RR sets) is neither
+//! stored nor derived here: a loader hands back the RR sets, decoding a
+//! generation's shard files in parallel, and the coverage shard that
+//! reads the index builds it (`CoverageShard::prepare`). Version 1 files,
+//! which also stored the index, are refused as [`StoreError::Corrupt`] and
+//! must be re-sampled.
 //!
 //! Shard files live in committed generation directories under a store
 //! root ([`generation`]), and [`load_latest_chain`] is the one reader.
@@ -40,10 +41,10 @@
 //! Decoding untrusted bytes never panics: every length is bounds-checked
 //! before allocation, both checksums must match, readers are strict
 //! (trailing bytes are an error), and every node id must lie in the set
-//! universe. The universe size `num_sets` sizes the derived index and the
-//! file's length does not bound it, so it must equal the caller's (the
-//! graph's node count, [`SnapshotRequest::num_sets`]) before the index is
-//! allocated. Failures surface as typed [`StoreError`]s.
+//! universe. The universe size `num_sets` bounds those ids and the file's
+//! length does not bound it, so it must equal the caller's (the graph's
+//! node count, [`SnapshotRequest::num_sets`]): a reader sizes per-node
+//! state by it. Failures surface as typed [`StoreError`]s.
 
 pub mod delta;
 pub mod generation;
@@ -316,14 +317,12 @@ impl ShardHeader {
     }
 }
 
-/// One decoded shard: its header, the element records (RR set → node
-/// ids), and the index derived from them (node id → local RR-set ids,
-/// `elements.transpose(num_sets)`).
+/// One decoded shard: its header and its element records (RR set → node
+/// ids).
 #[derive(Clone, Debug)]
 pub struct ShardSnapshot {
     pub header: ShardHeader,
     pub elements: PooledSets,
-    pub index: PooledSets,
 }
 
 /// Appends one `PooledSets` section: `count u64 · offsets[count+1] u64 ·
@@ -490,22 +489,19 @@ pub(crate) fn unseal(
     Ok((hdr, body))
 }
 
-/// Decodes and fully validates a shard file from untrusted bytes, and
-/// derives its index over `num_sets` sets: the node count of the graph the
-/// caller expects. The index holds one list per set and nothing in the
-/// file bounds how many, so a header naming another universe is refused
-/// before the index is allocated.
+/// Decodes and fully validates a shard file from untrusted bytes over
+/// `num_sets` sets: the node count of the graph the caller expects. The
+/// node ids are checked against the header's universe and nothing in the
+/// file bounds its size, so a header naming another universe is refused.
 pub fn decode_shard(bytes: &[u8], num_sets: u64) -> Result<ShardSnapshot, StoreError> {
-    let mut shard = decode(bytes)?;
+    let shard = decode(bytes)?;
     if shard.header.num_sets != num_sets {
         return Err(StoreError::corrupt("num_sets disagrees with the caller"));
     }
-    shard.index = shard.elements.transpose(num_sets as usize);
     Ok(shard)
 }
 
-/// Decodes and validates a shard file's header and elements, leaving
-/// `index` empty: it is derived once `num_sets` has been checked.
+/// Decodes and validates a shard file's header and elements.
 fn decode(bytes: &[u8]) -> Result<ShardSnapshot, StoreError> {
     let (hdr, body) = unseal(bytes, MAGIC, VERSION)?;
     let header = ShardHeader::decode(hdr)?;
@@ -513,11 +509,7 @@ fn decode(bytes: &[u8]) -> Result<ShardSnapshot, StoreError> {
     if elements.len() as u64 != header.num_elements {
         return Err(StoreError::corrupt("element count disagrees with header"));
     }
-    Ok(ShardSnapshot {
-        header,
-        elements,
-        index: PooledSets::new(),
-    })
+    Ok(ShardSnapshot { header, elements })
 }
 
 /// Canonical file name for shard `id` of `count` (e.g.
@@ -569,17 +561,11 @@ pub fn write_shard(
     write_atomic(dir, &name, &encode_shard(header, elements))
 }
 
-/// Reads and validates one shard file, checks its header against
-/// `request` and, if `with_index`, derives its index. The request names
-/// the set universe, so the index is never allocated for a `num_sets` the
-/// caller did not ask for.
-fn read_shard(
-    path: &Path,
-    request: &SnapshotRequest,
-    with_index: bool,
-) -> Result<ShardSnapshot, StoreError> {
+/// Reads and validates one shard file and checks its header against
+/// `request`, the set universe included.
+fn read_shard(path: &Path, request: &SnapshotRequest) -> Result<ShardSnapshot, StoreError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
-    let mut shard = decode(&bytes).map_err(|e| e.with_path(path))?;
+    let shard = decode(&bytes).map_err(|e| e.with_path(path))?;
     let h = &shard.header;
     if h.fingerprint != request.fingerprint {
         return Err(mismatch(path, "fingerprint", request.fingerprint, h.fingerprint));
@@ -599,9 +585,6 @@ fn read_shard(
     }
     if h.num_sets != request.num_sets {
         return Err(mismatch(path, "num_sets", request.num_sets, h.num_sets));
-    }
-    if with_index {
-        shard.index = shard.elements.transpose(request.num_sets as usize);
     }
     Ok(shard)
 }
@@ -660,9 +643,9 @@ pub struct SnapshotRequest {
     /// Required shard count, if the caller cares (e.g. resuming onto a
     /// cluster of a fixed size). `None` accepts whatever the snapshot has.
     pub shard_count: Option<u32>,
-    /// Required set-universe size: the graph's node count `n`. Each
-    /// shard's derived index holds `n` lists, so a shard is checked
-    /// against this before its index is allocated.
+    /// Required set-universe size: the graph's node count `n`. It bounds
+    /// every node id, readers size per-node state by it (an index holds
+    /// `n` lists) and no file bounds it, so every shard must name it.
     pub num_sets: u64,
 }
 
@@ -692,20 +675,13 @@ impl Snapshot {
 }
 
 /// Loads every `*.rrs` shard in `dir`, validates mutual consistency and
-/// the request, and returns the assembled snapshot — with every shard's
-/// `index` left empty unless `with_index`, for a caller that rewrites the
-/// elements before deriving it.
+/// the request, and returns the assembled snapshot.
 ///
-/// Each shard file is read, decoded, checked against the request and
-/// transposed on its own thread; the results are then taken, and the
-/// siblings compared, in path order, so the error returned is the one a
-/// one-file-at-a-time loader would return: that of the first bad path in
-/// sorted order.
-pub(crate) fn load_snapshot(
-    dir: &Path,
-    request: &SnapshotRequest,
-    with_index: bool,
-) -> Result<Snapshot, StoreError> {
+/// Each shard file is read, decoded and checked against the request on
+/// its own thread; the results are then taken, and the siblings compared,
+/// in path order, so the error returned is the one a one-file-at-a-time
+/// loader would return: that of the first bad path in sorted order.
+pub(crate) fn load_snapshot(dir: &Path, request: &SnapshotRequest) -> Result<Snapshot, StoreError> {
     let paths = files_with_extension(dir, SHARD_EXTENSION)?;
     if paths.is_empty() {
         return Err(StoreError::Empty {
@@ -715,7 +691,7 @@ pub(crate) fn load_snapshot(
     let decoded: Vec<Result<ShardSnapshot, StoreError>> = std::thread::scope(|scope| {
         let readers: Vec<_> = paths
             .iter()
-            .map(|path| scope.spawn(move || read_shard(path, request, with_index)))
+            .map(|path| scope.spawn(move || read_shard(path, request)))
             .collect();
         readers
             .into_iter()
@@ -862,14 +838,7 @@ mod tests {
         let bytes = encode_sample();
         let snap = decode_shard(&bytes, 5).unwrap();
         assert_eq!(snap.header, sample_header(4));
-        let elements = sample_sets();
-        for i in 0..elements.len() {
-            assert_eq!(snap.elements.get(i), elements.get(i));
-        }
-        let index = elements.transpose(5);
-        for i in 0..5 {
-            assert_eq!(snap.index.get(i), index.get(i));
-        }
+        assert!(snap.elements.iter().eq(sample_sets().iter()));
     }
 
     #[test]
@@ -903,14 +872,14 @@ mod tests {
         assert!(decode_shard(&bytes, 5).is_err());
     }
 
+    /// Decoding hands back exactly the encoded header and elements and
+    /// derives nothing: the index is built by whoever reads it.
     #[test]
     fn decoded_index_is_the_transpose_of_the_elements() {
         for (header, elements) in random_shards() {
             let bytes = encode_shard(&header, &elements);
             let snap = decode_shard(&bytes, header.num_sets).unwrap();
-            let expected = elements.transpose(header.num_sets as usize);
             assert!(snap.elements.iter().eq(elements.iter()), "{header:?}");
-            assert!(snap.index.iter().eq(expected.iter()), "{header:?}");
         }
     }
 
@@ -937,7 +906,7 @@ mod tests {
         let dir = temp_dir("v1");
         let path = dir.join(shard_file_name(0, 1));
         fs::write(&path, &v1).unwrap();
-        match load_snapshot(&dir, &request(), true) {
+        match load_snapshot(&dir, &request()) {
             Err(StoreError::Corrupt {
                 path: Some(p),
                 detail,
@@ -951,7 +920,8 @@ mod tests {
     }
 
     /// A shard of ~100 bytes naming a universe of 2³² − 1 sets is refused,
-    /// typed, before the index (one list per set) is allocated.
+    /// typed: no reader sizes per-node state by a universe it did not ask
+    /// for.
     #[test]
     fn universe_other_than_the_request_is_refused_before_the_index() {
         let header = ShardHeader {
@@ -961,7 +931,7 @@ mod tests {
         };
         let dir = temp_dir("universe");
         let path = write_shard(&dir, &header, &PooledSets::new()).unwrap();
-        match load_snapshot(&dir, &request(), true) {
+        match load_snapshot(&dir, &request()) {
             Err(StoreError::Mismatch {
                 path: p,
                 field,
@@ -1011,7 +981,7 @@ mod tests {
             path.file_name().unwrap().to_str().unwrap(),
             "shard-0-of-1.rrs"
         );
-        let snap = read_shard(&path, &request(), true).unwrap();
+        let snap = read_shard(&path, &request()).unwrap();
         assert_eq!(snap.header.num_elements, 4);
         // No temp files left behind.
         let leftovers: Vec<_> = fs::read_dir(&dir)
@@ -1058,7 +1028,7 @@ mod tests {
     fn load_snapshot_assembles_all_shards() {
         let dir = temp_dir("load");
         write_shards(&dir, 2);
-        let snap = load_snapshot(&dir, &request(), true).unwrap();
+        let snap = load_snapshot(&dir, &request()).unwrap();
         assert_eq!(snap.shard_count, 2);
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.theta, 4);
@@ -1074,7 +1044,7 @@ mod tests {
         write_shards(&dir, 2);
         let mut req = request();
         req.fingerprint = 1;
-        match load_snapshot(&dir, &req, true) {
+        match load_snapshot(&dir, &req) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "fingerprint"),
             other => panic!("expected mismatch, got {other:?}"),
         }
@@ -1087,13 +1057,13 @@ mod tests {
         write_shards(&dir, 2);
         let mut req = request();
         req.sampler = SamplerSpec::ReverseBfs;
-        match load_snapshot(&dir, &req, true) {
+        match load_snapshot(&dir, &req) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "sampler"),
             other => panic!("expected mismatch, got {other:?}"),
         }
         let mut req = request();
         req.shard_count = Some(4);
-        match load_snapshot(&dir, &req, true) {
+        match load_snapshot(&dir, &req) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "shard_count"),
             other => panic!("expected mismatch, got {other:?}"),
         }
@@ -1105,7 +1075,7 @@ mod tests {
         let dir = temp_dir("missing");
         write_shards(&dir, 2);
         fs::remove_file(dir.join(shard_file_name(1, 2))).unwrap();
-        match load_snapshot(&dir, &request(), true) {
+        match load_snapshot(&dir, &request()) {
             Err(StoreError::MissingShard {
                 shard_id,
                 shard_count,
@@ -1123,7 +1093,7 @@ mod tests {
     fn load_snapshot_reports_empty_dir() {
         let dir = temp_dir("empty");
         assert!(matches!(
-            load_snapshot(&dir, &request(), true),
+            load_snapshot(&dir, &request()),
             Err(StoreError::Empty { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
@@ -1148,7 +1118,7 @@ mod tests {
         fs::write(path(2), &intact[2][..prefix + 4]).unwrap();
 
         // Display names the variant, the file and every field.
-        let error = || load_snapshot(&dir, &request(), true).unwrap_err().to_string();
+        let error = || load_snapshot(&dir, &request()).unwrap_err().to_string();
         let corrupt = |id, detail| {
             format!("corrupt snapshot shard {}: {detail}", path(id).display())
         };

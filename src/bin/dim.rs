@@ -148,9 +148,55 @@ join backend: workers are pre-started (dim-worker --connect ADDR --join)
     );
 }
 
+/// Every flag `dim` knows, and whether it takes a value (`false`: a switch).
+const FLAGS: &[(&str, bool)] = &[
+    ("addr", true),
+    ("algorithm", true),
+    ("apply", true),
+    ("backend", true),
+    ("batch-size", true),
+    ("breakdown", false),
+    ("compact", false),
+    ("delta", true),
+    ("epsilon", true),
+    ("evaluate", false),
+    ("exclude", true),
+    ("graph", true),
+    ("include", true),
+    ("join-timeout", true),
+    ("k", true),
+    ("keep", true),
+    ("load-rr", true),
+    ("machines", true),
+    ("max-conns", true),
+    ("max-queries", true),
+    ("min-survivors", true),
+    ("model", true),
+    ("out", true),
+    ("plan", true),
+    ("profile", true),
+    ("reload", false),
+    ("seed", true),
+    ("seeds", true),
+    ("select", false),
+    ("sims", true),
+    ("stats", false),
+    ("store", true),
+    ("straggler-ms", true),
+    ("tenant", true),
+    ("tenants", true),
+    ("timeout", true),
+    ("token", true),
+    ("undirected", false),
+    ("weights", true),
+    ("workers", true),
+];
+
 struct Flags(HashMap<String, String>);
 
 impl Flags {
+    /// Parses `--flag [value]` pairs against [`FLAGS`]: an unknown or
+    /// repeated flag, or a missing value, is an error naming the flag.
     fn parse(args: &[String]) -> Result<Flags, String> {
         let mut map = HashMap::new();
         let mut it = args.iter();
@@ -158,20 +204,17 @@ impl Flags {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {flag:?}"))?;
-            if name == "undirected"
-                || name == "evaluate"
-                || name == "breakdown"
-                || name == "stats"
-                || name == "reload"
-                || name == "compact"
-                || name == "select"
-            {
-                map.insert(name.to_string(), "true".to_string());
+            let &(name, takes_value) = FLAGS
+                .iter()
+                .find(|(known, _)| *known == name)
+                .ok_or_else(|| format!("unknown flag --{name}"))?;
+            let value = if takes_value {
+                it.next().ok_or_else(|| format!("flag --{name} needs a value"))?.clone()
             } else {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                map.insert(name.to_string(), value.clone());
+                "true".to_string()
+            };
+            if map.insert(name.to_string(), value).is_some() {
+                return Err(format!("flag --{name} given more than once"));
             }
         }
         Ok(Flags(map))

@@ -194,24 +194,43 @@ fn worker_bad_flag_values_exit_2_naming_the_flag() {
 #[test]
 fn out_of_range_parameters_exit_1_naming_the_flag() {
     for (cmd, bad, flag) in [
-        ("im", &["--machines", "0"][..], "--machines"),
+        ("im", &["--k", "2", "--machines", "0"][..], "--machines"),
         ("im", &["--k", "0"], "--k"),
-        ("im", &["--epsilon", "1.5"], "--epsilon"),
-        ("im", &["--epsilon", "0"], "--epsilon"),
-        ("im", &["--delta", "2"], "--delta"),
-        ("im", &["--algorithm", "opim", "--epsilon", "1.5"], "--epsilon"),
-        ("im", &["--algorithm", "opim", "--epsilon", "-1"], "--epsilon"),
-        ("sample", &["--machines", "0", "--out", "never-written"], "--machines"),
-        ("coverage", &["--machines", "0"], "--machines"),
+        ("im", &["--k", "2", "--epsilon", "1.5"], "--epsilon"),
+        ("im", &["--k", "2", "--epsilon", "0"], "--epsilon"),
+        ("im", &["--k", "2", "--delta", "2"], "--delta"),
+        ("im", &["--k", "2", "--algorithm", "opim", "--epsilon", "1.5"], "--epsilon"),
+        ("im", &["--k", "2", "--algorithm", "opim", "--epsilon", "-1"], "--epsilon"),
+        ("sample", &["--k", "2", "--machines", "0", "--out", "never-written"], "--machines"),
+        ("coverage", &["--k", "2", "--machines", "0"], "--machines"),
     ] {
         let out = dim()
-            .args([cmd, "--graph", "profile:facebook:0.05", "--k", "2"])
+            .args([cmd, "--graph", "profile:facebook:0.05"])
             .args(bad)
             .output()
             .expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{cmd} {bad:?}: {err}");
         assert!(err.contains(flag), "{cmd} {bad:?}: {err}");
+    }
+}
+
+/// Unknown, misspelled and repeated flags exit 2 with the usage text,
+/// naming the flag, before any work: a typo must not run at a default.
+#[test]
+fn unknown_and_repeated_flags_exit_2_naming_the_flag() {
+    let graph = ["--graph", "profile:facebook:0.02"];
+    for (cmd, rest, flag) in [
+        ("im", &["--k", "5", "--epsilion", "0.5", "--seed", "3"][..], "--epsilion"),
+        ("stats", &["--bogus", "1"], "--bogus"),
+        ("im", &["--k", "5", "--k", "3"], "--k"),
+    ] {
+        let out = dim().arg(cmd).args(graph).args(rest).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} {rest:?}: {err}");
+        assert!(err.contains(flag), "{cmd} {rest:?}: {err}");
+        assert!(err.contains("commands:"), "{cmd} {rest:?}: no usage in {err}");
+        assert!(out.stdout.is_empty(), "{cmd} {rest:?}: did work");
     }
 }
 
@@ -303,7 +322,8 @@ fn load_rr_mismatch_and_corruption_are_typed_errors() {
 fn as_version_1(v2: &[u8]) -> Vec<u8> {
     let header_end = 12 + u32::from_le_bytes(v2[8..12].try_into().unwrap()) as usize;
     let header = dim::dim_store::ShardHeader::decode(&v2[12..header_end]).expect("a header");
-    let index = dim::dim_store::decode_shard(v2, header.num_sets).expect("a valid shard").index;
+    let shard = dim::dim_store::decode_shard(v2, header.num_sets).expect("a valid shard");
+    let index = shard.elements.transpose(header.num_sets as usize);
     let body_start = header_end + 8;
     let mut body = v2[body_start..v2.len() - 8].to_vec();
     body.extend_from_slice(&(index.len() as u64).to_le_bytes());

@@ -312,15 +312,12 @@ fn encode_dimr((header, records): &ShardFile) -> Vec<u8> {
     encode_shard(header, &elements)
 }
 
-/// Whatever decodes carries the exact transpose index of its elements.
 /// The universe passed is the one the header names (bytes 45..53: the
 /// 12-byte envelope prefix, then 33 header bytes before `num_sets`), as a
 /// caller whose graph matches would pass it.
 fn decode_dimr(bytes: &[u8]) -> Result<ShardFile, StoreError> {
     let num_sets = bytes.get(45..53).map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
     let snap = decode_shard(bytes, num_sets)?;
-    let transpose = snap.elements.transpose(snap.header.num_sets as usize);
-    assert_eq!(lists(&snap.index), lists(&transpose));
     Ok((snap.header, lists(&snap.elements)))
 }
 

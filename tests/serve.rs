@@ -29,8 +29,8 @@ fn latest_reference(
     let (id, snapshot) = load_latest_snapshot(root, request).expect("load committed generation");
     assert_eq!(id, expected, "newest committed generation");
     let n = snapshot.num_sets as usize;
-    let shards = snapshot.shards.into_iter();
-    let shards = shards.map(|s| CoverageShard::from_pooled(n, s.elements, s.index));
+    let shards = snapshot.shards.iter();
+    let shards = shards.map(|s| CoverageShard::from_records(n, s.elements.iter()));
     Arc::new((snapshot.theta, shards.collect()))
 }
 
