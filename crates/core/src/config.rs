@@ -247,7 +247,7 @@ mod tests {
             }
             bytes.extend(work.to_le_bytes());
         }
-        dim_store::fnv1a(&bytes)
+        crate::fnv::fnv1a(&bytes)
     }
 
     /// The two IC laws, pinned draw for draw to the digests they printed

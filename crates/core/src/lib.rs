@@ -62,6 +62,10 @@ pub mod snapshot;
 pub mod ssa;
 pub mod worker;
 
+#[cfg(test)]
+#[path = "../../store/src/fnv.rs"]
+mod fnv;
+
 pub use config::{ImConfig, ImResult, SamplerKind, Timings};
 pub use recover::{
     diimm_on_recovering, DegradedOutcome, RecoveredRun, RecoveringCluster, RecoveryPolicy,

@@ -297,7 +297,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(dim_store::fnv1a(&bytes), PINNED);
+        assert_eq!(crate::fnv::fnv1a(&bytes), PINNED);
     }
 
     /// Library callers get `ImParams::derive`'s contract: out of its domain

@@ -878,7 +878,7 @@ mod tests {
                 let edges: u64 = compacted.shards.iter().map(|s| s.header.edges_examined).sum();
                 assert_eq!(edges, before.edges_examined, "{case}");
                 let image = std::fs::read(dir.join(dim_store::GRAPH_FILE)).unwrap();
-                assert_eq!(dim_store::fnv1a(&image), chain.tip_fingerprint, "{case}");
+                assert_eq!(dim_store::checksum(&image), chain.tip_fingerprint, "{case}");
 
                 let mut reopened =
                     StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();

@@ -21,7 +21,7 @@ use dim_cluster::{
 use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_diffusion::DiffusionModel;
 use dim_graph::{binary, Graph};
-use dim_store::fnv1a;
+use dim_store::checksum;
 
 use crate::config::{ImConfig, SamplerKind};
 use crate::diimm::DiimmWorker;
@@ -61,7 +61,7 @@ pub struct WorkerHost {
     machine_id: usize,
     master_seed: u64,
     graph: Option<&'static Graph>,
-    /// FNV-1a digest of the blob the resident graph was decoded from, so a
+    /// [`checksum`] of the blob the resident graph was decoded from, so a
     /// re-sent identical `LoadGraph` (the normal case for a join-mode
     /// worker serving run after run) reuses the leaked graph instead of
     /// leaking another copy per session.
@@ -103,7 +103,7 @@ impl WorkerHost {
     }
 
     fn load_graph(&mut self, blob: &[u8]) -> WorkerReply {
-        let digest = fnv1a(blob);
+        let digest = checksum(blob);
         if self.graph.is_some() && self.graph_digest == Some(digest) {
             // Same graph already resident (a join-mode worker's next
             // session): keep it, just reset the sampler built over it.

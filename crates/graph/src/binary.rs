@@ -19,7 +19,7 @@
 //! (targets strictly increasing, no self-loops, probabilities in `[0, 1]`),
 //! so an image that decodes re-encodes to exactly the bytes it came from.
 
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 
 use crate::builder::GraphBuilder;
@@ -31,33 +31,69 @@ use crate::weights::WeightModel;
 const MAGIC: &[u8; 4] = b"DIMG";
 const VERSION: u32 = 1;
 
-/// Writes the graph in binary CSR form.
+/// Bytes the writer gathers before each `write_all`.
+const BATCH_BYTES: usize = 1 << 16;
+
+/// Writes the graph in binary CSR form. Values are encoded into a buffer a
+/// row at a time, and `writer` gets them in batches of about 64 KiB, not
+/// one call per value.
 pub fn write_binary<W: Write>(graph: &Graph, writer: W) -> Result<(), GraphError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(graph.num_nodes() as u64).to_le_bytes())?;
-    w.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
+    let mut w = Batches {
+        writer,
+        buf: Vec::with_capacity(2 * BATCH_BYTES),
+    };
+    w.buf.extend_from_slice(MAGIC);
+    w.put(&[VERSION], u32::to_le_bytes)?;
+    let (n, m) = (graph.num_nodes() as u64, graph.num_edges() as u64);
+    w.put(&[n, m], u64::to_le_bytes)?;
     // Offsets derived from per-node degrees (the CSR arrays themselves are
     // private to the graph; degrees reconstruct them exactly).
     let mut offset = 0u64;
-    w.write_all(&offset.to_le_bytes())?;
+    w.put(&[offset], u64::to_le_bytes)?;
     for u in graph.nodes() {
         offset += graph.out_degree(u) as u64;
-        w.write_all(&offset.to_le_bytes())?;
+        w.put(&[offset], u64::to_le_bytes)?;
     }
     for u in graph.nodes() {
-        for &v in graph.out_neighbors(u) {
-            w.write_all(&v.to_le_bytes())?;
-        }
+        w.put(graph.out_neighbors(u), u32::to_le_bytes)?;
     }
     for u in graph.nodes() {
-        for &p in graph.out_probs(u) {
-            w.write_all(&p.to_le_bytes())?;
-        }
+        w.put(graph.out_probs(u), f32::to_le_bytes)?;
     }
-    w.flush()?;
+    w.writer.write_all(&w.buf)?;
+    w.writer.flush()?;
     Ok(())
+}
+
+/// A writer behind a buffer that is handed on in batches.
+struct Batches<W> {
+    writer: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> Batches<W> {
+    /// Appends `values` as `N`-byte little-endian words, at most a batch
+    /// of them at a time, and hands the buffer on whenever it holds a
+    /// batch, so it never holds two.
+    fn put<T: Copy, const N: usize>(
+        &mut self,
+        values: &[T],
+        to_le_bytes: fn(T) -> [u8; N],
+    ) -> std::io::Result<()> {
+        for part in values.chunks(BATCH_BYTES / N) {
+            let start = self.buf.len();
+            self.buf.resize(start + N * part.len(), 0);
+            let (words, _) = self.buf[start..].as_chunks_mut::<N>();
+            for (word, &v) in words.iter_mut().zip(part) {
+                *word = to_le_bytes(v);
+            }
+            if self.buf.len() >= BATCH_BYTES {
+                self.writer.write_all(&self.buf)?;
+                self.buf.clear();
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A typed "this is not a DIMG image" error (`line` is 0: no line numbers

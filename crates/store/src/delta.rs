@@ -14,12 +14,12 @@
 //!
 //! ```text
 //! magic           b"DIMD"
-//! version         u32        (currently 1)
+//! version         u32        (currently 2)
 //! header_len      u32
 //! header          header_len bytes — see [`DeltaShardHeader`]
-//! header_checksum u64        FNV-1a over the header block
+//! header_checksum u64        XXH64 over the header block
 //! body            batch section, then repaired-record section
-//! body_checksum   u64        FNV-1a over the body
+//! body_checksum   u64        XXH64 over the body
 //! ```
 //!
 //! Header block: `base_generation u64 · parent_fingerprint u64 ·
@@ -29,6 +29,10 @@
 //! canonical [`DeltaBatch`] encoding, whose `seq` must equal `batch_seq`)
 //! followed by `repaired_count` records of `set_index u32 · len u32 ·
 //! nodes u32[len]` with strictly increasing `set_index`.
+//!
+//! Version 1 files, the same layout sealed with FNV-1a, are refused as
+//! [`StoreError::Corrupt`] ("unsupported format version"); a chain holding
+//! one must be re-sampled.
 //!
 //! The fingerprint pair is the chain linkage: `parent_fingerprint` is the
 //! graph the batch applied to, `fingerprint` the graph it produced. A
@@ -54,7 +58,7 @@ use crate::{
 /// File magic for delta shard files.
 pub const DELTA_MAGIC: [u8; 4] = *b"DIMD";
 /// Current delta format version.
-pub const DELTA_VERSION: u32 = 1;
+pub const DELTA_VERSION: u32 = 2;
 /// Extension used by delta shard files inside a generation directory.
 pub const DELTA_EXTENSION: &str = "rrd";
 
@@ -301,7 +305,7 @@ pub(crate) fn delta_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
 
 /// Decodes the header of a delta shard from the start of its file — the
 /// whole file or just its first bytes — without looking at the body: the
-/// envelope prefix (`magic · version · header_len · header · fnv(header)`)
+/// envelope prefix (`magic · version · header_len · header · checksum(header)`)
 /// is verified exactly as [`decode_delta_shard`] verifies it, and whatever
 /// follows is ignored.
 pub fn decode_delta_header(bytes: &[u8]) -> Result<DeltaShardHeader, StoreError> {
@@ -337,7 +341,7 @@ pub(crate) fn delta_base_of(dir: &Path) -> Result<Option<u64>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fnv1a;
+    use crate::checksum;
     use dim_graph::EdgeOp;
 
     fn sample_batch() -> DeltaBatch {
@@ -424,7 +428,7 @@ mod tests {
         let hdr_len = sample_header().encode().len();
         let body_start = 4 + 4 + 4 + hdr_len + 8;
         let body_end = bytes.len() - 8;
-        let sum = fnv1a(&bytes[body_start..body_end]);
+        let sum = checksum(&bytes[body_start..body_end]);
         let len = bytes.len();
         bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
     }
@@ -489,7 +493,7 @@ mod tests {
         // Splice the original (seq 3) header back in with its checksum.
         let hdr = h.encode();
         forged[12..12 + hdr.len()].copy_from_slice(&hdr);
-        let sum = fnv1a(&hdr);
+        let sum = checksum(&hdr);
         forged[12 + hdr.len()..12 + hdr.len() + 8].copy_from_slice(&sum.to_le_bytes());
         match decode_delta_shard(&forged) {
             Err(StoreError::Corrupt { detail, .. }) => {

@@ -57,8 +57,8 @@ use dim_graph::{DeltaBatch, Graph};
 
 use crate::delta::{delta_base_of, delta_paths, read_delta_shard, DeltaShard};
 use crate::{
-    check_shard_ids, files_with_extension, fnv1a, io_err, load_snapshot, Snapshot, SnapshotRequest,
-    StoreError, SHARD_EXTENSION,
+    check_shard_ids, checksum, files_with_extension, io_err, load_snapshot, Snapshot,
+    SnapshotRequest, StoreError, SHARD_EXTENSION,
 };
 
 /// Prefix of generation directory names inside a store root.
@@ -200,7 +200,7 @@ pub struct ChainInfo {
 fn base_graph_fingerprint(dir: &Path, fallback: u64) -> Result<u64, StoreError> {
     let path = dir.join(GRAPH_FILE);
     match fs::read(&path) {
-        Ok(bytes) => Ok(fnv1a(&bytes)),
+        Ok(bytes) => Ok(checksum(&bytes)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(fallback),
         Err(e) => Err(io_err(&path, e)),
     }
@@ -720,7 +720,7 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    use crate::delta::{write_delta_shard, DeltaShardHeader};
+    use crate::delta::{write_delta_shard, DeltaShardHeader, DELTA_MAGIC, DELTA_VERSION};
     use dim_graph::{DeltaBatch, EdgeOp, GraphBuilder, WeightModel};
 
     /// Writes a committed single-shard delta generation chained onto
@@ -794,6 +794,31 @@ mod tests {
                 assert_eq!(detail, "delta chain fingerprint mismatch")
             }
             other => panic!("expected corrupt chain, got {other:?}"),
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A chain holding a DIMD version-1 delta — sealed with FNV-1a, as
+    /// that version was — is refused by its version, not by a checksum,
+    /// and the error names the delta file.
+    #[test]
+    fn chain_refuses_a_version_1_delta_naming_its_path() {
+        let root = temp_root("chainv1");
+        let (id1, dir1) = begin_generation(&root).unwrap();
+        write_snapshot(&dir1, 0);
+        commit_generation(&dir1, id1).unwrap();
+        let (_, dir2) =
+            write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![(0, vec![1])]);
+        let victim = dir2.join(crate::delta::delta_file_name(0, 1));
+        let current = fs::read(&victim).unwrap();
+        let (hdr, body) = crate::unseal(&current, DELTA_MAGIC, DELTA_VERSION).unwrap();
+        fs::write(&victim, crate::fnv::fnv_seal(DELTA_MAGIC, 1, hdr, body)).unwrap();
+        match load_latest_chain(&root, &request()) {
+            Err(StoreError::Corrupt {
+                path: Some(path),
+                detail,
+            }) => assert_eq!((path, detail), (victim, "unsupported format version")),
+            other => panic!("expected a refused version, got {other:?}"),
         }
         fs::remove_dir_all(&root).unwrap();
     }
@@ -944,7 +969,7 @@ mod tests {
         commit_generation(&dir1, id1).unwrap();
 
         let image = fs::read(dir1.join(GRAPH_FILE)).unwrap();
-        assert_eq!(fnv1a(&image), tip_fp, "the file is the fingerprinted image");
+        assert_eq!(checksum(&image), tip_fp, "the file is the fingerprinted image");
         let restored = read_graph_file(&dir1).unwrap().expect("graph persisted");
         assert_eq!(crate::graph_fingerprint(&restored), tip_fp);
         let (id, _, chain) = load_latest_chain(&root, &request()).unwrap();

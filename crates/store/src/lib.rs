@@ -11,12 +11,12 @@
 //!
 //! ```text
 //! magic           b"DIMR"
-//! version         u32        (currently 2)
+//! version         u32        (currently 3)
 //! header_len      u32        (bytes in the header block)
 //! header          header_len bytes — see [`ShardHeader`]
-//! header_checksum u64        FNV-1a over the header block
+//! header_checksum u64        XXH64 over the header block
 //! body            elements section
-//! body_checksum   u64        FNV-1a over the body
+//! body_checksum   u64        XXH64 over the body
 //! ```
 //!
 //! Header block: `fingerprint u64 · sampler u8 · seed u64 · theta u64 ·
@@ -31,9 +31,11 @@
 //! the shard's RR sets. The inverted index (node → RR sets) is neither
 //! stored nor derived here: a loader hands back the RR sets, decoding a
 //! generation's shard files in parallel, and the coverage shard that
-//! reads the index builds it (`CoverageShard::prepare`). Version 1 files,
-//! which also stored the index, are refused as [`StoreError::Corrupt`] and
-//! must be re-sampled.
+//! reads the index builds it (`CoverageShard::prepare`). Files of an older
+//! version are refused as [`StoreError::Corrupt`] ("unsupported format
+//! version") and must be re-sampled: version 1 also stored the index, and
+//! versions 1 and 2 were sealed with FNV-1a instead of XXH64
+//! ([`checksum`]).
 //!
 //! Shard files live in committed generation directories under a store
 //! root ([`generation`]), and [`load_latest_chain`] is the one reader.
@@ -46,8 +48,13 @@
 //! node count, [`SnapshotRequest::num_sets`]): a reader sizes per-node
 //! state by it. Failures surface as typed [`StoreError`]s.
 
+mod checksum;
 pub mod delta;
+#[cfg(test)]
+mod fnv;
 pub mod generation;
+
+pub use checksum::{checksum, Xxh64};
 
 pub use delta::{
     decode_delta_header, decode_delta_shard, encode_delta_shard, write_delta_shard, DeltaShard,
@@ -61,7 +68,7 @@ pub use generation::{
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use dim_cluster::ops::{put_u32, put_u64, Reader};
@@ -72,7 +79,7 @@ use dim_graph::Graph;
 /// File magic for RR-sketch shard files.
 pub const MAGIC: [u8; 4] = *b"DIMR";
 /// Current snapshot format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Extension used by shard files inside a snapshot directory.
 pub const SHARD_EXTENSION: &str = "rrs";
 /// Upper bound on `header_len` accepted while decoding (the header block
@@ -196,46 +203,14 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// FNV-1a 64-bit hash — the format's checksum. Not cryptographic; it
-/// guards against truncation and bit rot, not adversaries.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Hashes a writer's byte stream instead of storing it.
-struct FnvWriter {
-    hash: u64,
-}
-
-impl Write for FnvWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for &b in buf {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Fingerprint of a graph: FNV-1a over its canonical "DIMG" binary
-/// serialization. Ties a snapshot to the exact CSR it was sampled from —
-/// same topology *and* same edge probabilities.
+/// Fingerprint of a graph: [`checksum`] of its canonical "DIMG" binary
+/// serialization, streamed through the hasher (the image is never built
+/// in memory). Ties a snapshot to the exact CSR it was sampled from — same
+/// topology *and* same edge probabilities.
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
-    let mut w = FnvWriter {
-        hash: 0xcbf2_9ce4_8422_2325,
-    };
-    dim_graph::binary::write_binary(graph, &mut w)
-        .expect("in-memory serialization cannot fail");
-    w.hash
+    let mut h = Xxh64::new();
+    dim_graph::binary::write_binary(graph, &mut h).expect("hashing cannot fail");
+    h.finish()
 }
 
 /// Everything needed to decide whether a shard belongs to a given run:
@@ -405,9 +380,9 @@ pub fn encode_shard(header: &ShardHeader, elements: &PooledSets) -> Vec<u8> {
 }
 
 /// Builds the envelope `DIMR` and `DIMD` files share — `magic · version ·
-/// header_len · header · fnv(header) · body · fnv(body)` — in one buffer:
-/// `write_body` appends the body in place, reserving what each section
-/// appends, and it is checksummed where it lies.
+/// header_len · header · checksum(header) · body · checksum(body)` — in
+/// one buffer: `write_body` appends the body in place, reserving what each
+/// section appends, and it is checksummed where it lies.
 pub(crate) fn seal(
     magic: [u8; 4],
     version: u32,
@@ -419,10 +394,10 @@ pub(crate) fn seal(
     put_u32(&mut out, version);
     put_u32(&mut out, hdr.len() as u32);
     out.extend_from_slice(hdr);
-    put_u64(&mut out, fnv1a(hdr));
+    put_u64(&mut out, checksum(hdr));
     let body_start = out.len();
     write_body(&mut out);
-    let body_checksum = fnv1a(&out[body_start..]);
+    let body_checksum = checksum(&out[body_start..]);
     // Exact, so the trailer does not double a body-sized buffer.
     out.reserve_exact(8);
     put_u64(&mut out, body_checksum);
@@ -434,8 +409,10 @@ pub(crate) fn seal(
 pub(crate) const MAX_PREFIX_LEN: usize = 12 + MAX_HEADER_LEN + 8;
 
 /// Opens the prefix of an envelope written by [`seal`] — `magic · version
-/// · header_len · header · fnv(header)` — and nothing after it: magic,
-/// version and the header checksum must match. Returns the header block
+/// · header_len · header · checksum(header)` — and nothing after it:
+/// magic, version and the header checksum must match, in that order, so a
+/// file of another version is refused by its version, never by a checksum
+/// its writer computed with another hash. Returns the header block
 /// and the cursor left after its checksum, so a caller that only wants the
 /// header may pass the first [`MAX_PREFIX_LEN`] bytes of a file.
 pub(crate) fn unseal_header(
@@ -462,7 +439,7 @@ pub(crate) fn unseal_header(
     let header_checksum = r
         .u64()
         .ok_or_else(|| StoreError::corrupt("truncated header checksum"))?;
-    if header_checksum != fnv1a(hdr) {
+    if header_checksum != checksum(hdr) {
         return Err(StoreError::corrupt("header checksum mismatch"));
     }
     Ok((hdr, r))
@@ -483,7 +460,7 @@ pub(crate) fn unseal(
         .checked_sub(8)
         .and_then(|len| r.take(len))
         .ok_or_else(|| StoreError::corrupt("truncated body"))?;
-    if r.u64() != Some(fnv1a(body)) {
+    if r.u64() != Some(checksum(body)) {
         return Err(StoreError::corrupt("body checksum mismatch"));
     }
     Ok((hdr, body))
@@ -894,15 +871,14 @@ mod tests {
     }
 
     /// A version-1 file (elements, then their transpose, in the same
-    /// layout) is refused by its version, never parsed, and the error
-    /// names the file.
+    /// layout, sealed with FNV-1a) is refused by its version, never parsed
+    /// or checksummed, and the error names the file.
     #[test]
     fn version_1_files_are_refused_with_their_path() {
-        let (elements, index) = (sample_sets(), sample_sets().transpose(5));
-        let v1 = seal(MAGIC, 1, &sample_header(4).encode(), |body| {
-            put_sets(body, &elements);
-            put_sets(body, &index);
-        });
+        let mut body = Vec::new();
+        put_sets(&mut body, &sample_sets());
+        put_sets(&mut body, &sample_sets().transpose(5));
+        let v1 = crate::fnv::fnv_seal(MAGIC, 1, &sample_header(4).encode(), &body);
         let dir = temp_dir("v1");
         let path = dir.join(shard_file_name(0, 1));
         fs::write(&path, &v1).unwrap();
@@ -962,7 +938,7 @@ mod tests {
         // body checksum so the count check itself is what trips.
         mutated[hdr_end..hdr_end + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let body_end = mutated.len() - 8;
-        let sum = fnv1a(&mutated[hdr_end..body_end]);
+        let sum = checksum(&mutated[hdr_end..body_end]);
         mutated[body_end..].copy_from_slice(&sum.to_le_bytes());
         match decode_shard(&mutated, 5) {
             Err(StoreError::Corrupt { detail, .. }) => {

@@ -5,6 +5,9 @@ use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
+#[path = "../crates/store/src/fnv.rs"]
+mod fnv;
+
 fn dim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dim"))
 }
@@ -316,16 +319,22 @@ fn load_rr_mismatch_and_corruption_are_typed_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrites a shard file in the version-1 layout: the same header, and a
-/// body of the elements followed by their transpose, each as `count u64 ·
-/// offsets[count+1] u64 · pool u32[...]`.
-fn as_version_1(v2: &[u8]) -> Vec<u8> {
-    let header_end = 12 + u32::from_le_bytes(v2[8..12].try_into().unwrap()) as usize;
-    let header = dim::dim_store::ShardHeader::decode(&v2[12..header_end]).expect("a header");
-    let shard = dim::dim_store::decode_shard(v2, header.num_sets).expect("a valid shard");
+/// The header block and body of a current shard file.
+fn header_and_body(file: &[u8]) -> (&[u8], &[u8]) {
+    let header_end = 12 + u32::from_le_bytes(file[8..12].try_into().unwrap()) as usize;
+    (&file[12..header_end], &file[header_end + 8..file.len() - 8])
+}
+
+/// Rewrites a shard file in the version-1 layout, sealed with FNV-1a as
+/// that version was: the same header, and a body of the elements followed
+/// by their transpose, each as `count u64 · offsets[count+1] u64 · pool
+/// u32[...]`.
+fn as_version_1(current: &[u8]) -> Vec<u8> {
+    let (header_block, elements) = header_and_body(current);
+    let header = dim::dim_store::ShardHeader::decode(header_block).expect("a header");
+    let shard = dim::dim_store::decode_shard(current, header.num_sets).expect("a valid shard");
     let index = shard.elements.transpose(header.num_sets as usize);
-    let body_start = header_end + 8;
-    let mut body = v2[body_start..v2.len() - 8].to_vec();
+    let mut body = elements.to_vec();
     body.extend_from_slice(&(index.len() as u64).to_le_bytes());
     let mut offset = 0u64;
     body.extend_from_slice(&offset.to_le_bytes());
@@ -336,11 +345,14 @@ fn as_version_1(v2: &[u8]) -> Vec<u8> {
     for &v in index.iter().flatten() {
         body.extend_from_slice(&v.to_le_bytes());
     }
-    let mut v1 = v2[..body_start].to_vec();
-    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&body);
-    v1.extend_from_slice(&dim::dim_store::fnv1a(&body).to_le_bytes());
-    v1
+    fnv::fnv_seal(*b"DIMR", 1, header_block, &body)
+}
+
+/// Rewrites a shard file as version 2 wrote it: the same header and body,
+/// sealed with FNV-1a.
+fn as_version_2(current: &[u8]) -> Vec<u8> {
+    let (header_block, body) = header_and_body(current);
+    fnv::fnv_seal(*b"DIMR", 2, header_block, body)
 }
 
 /// A store written in the version-1 format (which also stored the index)
@@ -359,6 +371,31 @@ fn load_rr_refuses_a_version_1_store() {
     assert!(!ok, "a version-1 store was loaded");
     assert!(err.contains("shard-0-of-2.rrs"), "{err}");
     assert!(err.contains("unsupported format version"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store written in the version-2 format (FNV-1a checksums) is refused
+/// by its version — exit 1, naming the file — and never reported as a
+/// checksum mismatch.
+#[test]
+fn load_rr_refuses_a_version_2_store() {
+    let dir = temp_path("sketch-v2");
+    let common = ["--graph", "profile:facebook:0.05", "--k", "2", "--seed", "31"];
+    sample(&dir, &[&common[..], &["--machines", "2"]].concat());
+    for id in 0..2 {
+        let path = dir.join("gen-00000001").join(format!("shard-{id}-of-2.rrs"));
+        let current = std::fs::read(&path).unwrap();
+        std::fs::write(&path, as_version_2(&current)).unwrap();
+    }
+    let out = dim()
+        .args([&["im", "--load-rr", dir.to_str().unwrap()], &common[..]].concat())
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("shard-0-of-2.rrs"), "{err}");
+    assert!(err.contains("unsupported format version"), "{err}");
+    assert!(!err.contains("checksum"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

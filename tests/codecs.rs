@@ -27,8 +27,8 @@ use dim::dim_coverage::PooledSets;
 use dim::dim_graph::binary::{decode_binary, write_binary};
 use dim::dim_serve::proto::*;
 use dim::dim_store::{
-    decode_delta_header, decode_delta_shard, decode_shard, encode_delta_shard, encode_shard, fnv1a,
-    DeltaShardHeader, ShardHeader,
+    checksum, decode_delta_header, decode_delta_shard, decode_shard, encode_delta_shard,
+    encode_shard, DeltaShardHeader, ShardHeader, Xxh64, DELTA_VERSION,
 };
 use dim::prelude::*;
 
@@ -610,7 +610,7 @@ fn dimr_offset_corruption_surfaces_corrupt() {
         }
         file[at..at + 8].copy_from_slice(&value.to_le_bytes());
         let body_end = file.len() - 8;
-        let sum = fnv1a(&file[body_start..body_end]);
+        let sum = checksum(&file[body_start..body_end]);
         file[body_end..].copy_from_slice(&sum.to_le_bytes());
         assert!(
             matches!(decode_dimr(&file), Err(StoreError::Corrupt { .. })),
@@ -619,12 +619,32 @@ fn dimr_offset_corruption_surfaces_corrupt() {
     });
 }
 
-/// FNV-1a: the offset basis on empty input; order-sensitive.
+/// XXH64: the published digest of the empty input; order-sensitive.
 #[test]
-fn fnv_is_order_sensitive() {
-    assert_eq!(fnv1a(&[]), 0xcbf2_9ce4_8422_2325);
-    forall("fnv_order_sensitive", CASES, |r| (any_u8(r), any_u8(r)), |&(a, b), _| {
-        assert!(a == b || fnv1a(&[a, b]) != fnv1a(&[b, a]));
+fn checksum_is_order_sensitive() {
+    assert_eq!(checksum(&[]), 0xEF46_DB37_51D8_E999);
+    forall("checksum_order_sensitive", CASES, |r| (any_u8(r), any_u8(r)), |&(a, b), _| {
+        assert!(a == b || checksum(&[a, b]) != checksum(&[b, a]));
+    });
+}
+
+/// The streaming hasher equals the one-shot [`checksum`] of everything
+/// written so far, however the input is cut: pieces of 0, 1, 31, 32 and 33
+/// bytes (around the 32-byte stripe) mixed with random ones.
+#[test]
+fn streamed_checksum_equals_one_shot() {
+    let gen = |r: &mut Rng| random_bytes(r, 0..300);
+    forall("streamed_checksum", CASES, gen, |bytes, rng| {
+        let mut hasher = Xxh64::new();
+        let mut done = 0;
+        while done < bytes.len() {
+            let random = rng.below(100);
+            let len = pick(rng, [0, 1, 31, 32, 33, random]).min(bytes.len() - done);
+            std::io::Write::write_all(&mut hasher, &bytes[done..done + len]).unwrap();
+            done += len;
+            assert_eq!(hasher.finish(), checksum(&bytes[..done]), "after {done} bytes");
+        }
+        assert_eq!(hasher.finish(), checksum(bytes));
     });
 }
 
@@ -662,7 +682,8 @@ fn dimd_header_only_reader_is_strict() {
         }
         for (what, at, value) in [
             ("bad magic", 0, *b"DIMR"),
-            ("bad version", 4, 2u32.to_le_bytes()),
+            ("version 1", 4, 1u32.to_le_bytes()),
+            ("next version", 4, (DELTA_VERSION + 1).to_le_bytes()),
             ("header_len = MAX + 1", 8, 4097u32.to_le_bytes()),
             ("header_len = u32::MAX", 8, u32::MAX.to_le_bytes()),
         ] {

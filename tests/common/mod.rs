@@ -3,7 +3,8 @@
 //!
 //! Case `i` of property `name` draws from
 //! `Rng::new(splitmix64(PROPERTY_SEED ^ i))`, where `PROPERTY_SEED` is the
-//! FNV-1a hash of the name. Seeds and case counts are fixed, so a failure —
+//! FNV-1a hash of the name (the test-only helper `dim-store` keeps for
+//! pinned values). Seeds and case counts are fixed, so a failure —
 //! reported with the property, the case index and the generated value —
 //! reproduces by running the same test again: there is no shrinker, no
 //! environment variable and no flag.
@@ -14,6 +15,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use dim::dim_graph::rng::{splitmix64, Rng};
 
+#[path = "../../crates/store/src/fnv.rs"]
+mod fnv;
+
 /// Runs `check` on `cases` values drawn from `gen`. `check` gets the
 /// case's generator too, for draws of its own (cut points, bit flips).
 pub fn forall<T: Debug>(
@@ -22,7 +26,7 @@ pub fn forall<T: Debug>(
     gen: impl Fn(&mut Rng) -> T,
     check: impl Fn(&T, &mut Rng),
 ) {
-    let property_seed = dim::dim_store::fnv1a(property.as_bytes());
+    let property_seed = fnv::fnv1a(property.as_bytes());
     for case in 0..cases {
         let mut rng = Rng::new(splitmix64(property_seed ^ case));
         let value = gen(&mut rng);

@@ -183,7 +183,63 @@ fn spliced_apply_batch_equals_rebuild() {
         let decoded = dim::dim_graph::binary::decode_binary(&image).unwrap();
         assert_same_csr(&decoded, &chained);
         assert_eq!(graph_fingerprint(&decoded), graph_fingerprint(&chained));
-        assert_eq!(graph_fingerprint(&chained), dim::dim_store::fnv1a(&image));
+        assert_eq!(graph_fingerprint(&chained), dim::dim_store::checksum(&image));
+    });
+}
+
+/// Graphs of up to 2 000 nodes whose rows are often empty: a node other
+/// than the last has out-edges with probability ½ (up to 60), the last
+/// node none. The largest images run to hundreds of kilobytes, many times
+/// the writer's batch.
+fn sparse_rows_graph(rng: &mut Rng) -> Graph {
+    let n = in_range(rng, 1..2_000) as u32;
+    let mut b = GraphBuilder::new(n as usize);
+    for u in 0..n - 1 {
+        if rng.below(2) == 0 {
+            for v in vec_of(rng, 0..60, |r| r.below(n as usize) as u32) {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    b.build(WeightModel::Trivalency)
+}
+
+/// The DIMG image one value at a time: header, offsets, targets, probs.
+fn dimg_one_value_at_a_time(g: &Graph) -> Vec<u8> {
+    let mut out = b"DIMG".to_vec();
+    out.extend(1u32.to_le_bytes());
+    out.extend((g.num_nodes() as u64).to_le_bytes());
+    out.extend((g.num_edges() as u64).to_le_bytes());
+    let mut offset = 0u64;
+    out.extend(offset.to_le_bytes());
+    for u in g.nodes() {
+        offset += g.out_degree(u) as u64;
+        out.extend(offset.to_le_bytes());
+    }
+    for u in g.nodes() {
+        for &v in g.out_neighbors(u) {
+            out.extend(v.to_le_bytes());
+        }
+    }
+    for u in g.nodes() {
+        for &p in g.out_probs(u) {
+            out.extend(p.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// The batched `write_binary` writes byte for byte the image a writer of
+/// one value at a time writes, and the fingerprint is its checksum.
+#[test]
+fn batched_dimg_writer_equals_one_value_at_a_time() {
+    forall("batched_dimg_writer", GRAPH_CASES, sparse_rows_graph, |g, _| {
+        assert_eq!(g.out_degree(g.num_nodes() as u32 - 1), 0);
+        let mut image = Vec::new();
+        dim::dim_graph::binary::write_binary(g, &mut image).unwrap();
+        let reference = dimg_one_value_at_a_time(g);
+        assert!(image == reference, "images of {} bytes differ", reference.len());
+        assert_eq!(graph_fingerprint(g), dim::dim_store::checksum(&reference));
     });
 }
 

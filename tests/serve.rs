@@ -752,7 +752,10 @@ fn reload_and_gc_survive_fault_schedule() {
                 let mut client = QueryClient::connect(addr).expect("connect");
                 let mut seen = std::collections::BTreeSet::new();
                 let mut round = 0u64;
-                while !stop.load(Ordering::Relaxed) || round < 20 {
+                loop {
+                    // `stop` is set once the last reload has returned, so the round
+                    // that sees it queries the last generation.
+                    let last = stop.load(Ordering::Relaxed) && round >= 20;
                     let seeds = pseudo_ids(t ^ 0xC4A0, round, n, (round % 7) as usize);
                     let replies = client
                         .batch(&[
@@ -784,6 +787,9 @@ fn reload_and_gc_survive_fault_schedule() {
                         stats.generation
                     );
                     round += 1;
+                    if last {
+                        break;
+                    }
                 }
                 seen
             })
