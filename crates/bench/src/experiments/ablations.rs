@@ -5,7 +5,7 @@ use std::time::Instant;
 use dim_cluster::{ClusterBackend, NetworkModel, SimCluster};
 use dim_core::diimm::diimm_with_options;
 use dim_core::{ImConfig, SamplerKind};
-use dim_coverage::greedy::{bucket_greedy, celf_greedy, naive_greedy};
+use dim_coverage::greedy::{bucket_greedy, naive_greedy};
 use dim_coverage::{newgreedi, CoverageProblem, PooledSets};
 use dim_diffusion::rr::{sample_batch, AnySampler, IcRrSampler, SubsimRrSampler};
 use dim_graph::rng::Rng;
@@ -17,21 +17,22 @@ report::json_row! {
     struct TrafficRow {
         dataset: &'static str,
         machines: usize,
-        sparse_bytes: u64,
+        pulled_bytes: u64,
         dense_bytes: u64,
         saving_factor: f64,
     }
 }
 
-/// Sparse `⟨v, Δ⟩` delta messages (what NewGreeDi sends) vs the naive
-/// alternative of re-uploading every node's coverage each round
-/// (§III-B2's "dramatically save the traffic" claim).
+/// What NewGreeDi uploads — the sparse initial `⟨v, Δ⟩` coverage, then one
+/// marginal per pulled candidate — vs the naive alternative of
+/// re-uploading every node's coverage each round (§III-B2's "dramatically
+/// save the traffic" claim).
 pub fn traffic(ctx: &Context) {
     let machines = 8;
     println!("ℓ = {machines}, k = {}\n", ctx.k);
     report::header(&[
         ("dataset", 12),
-        ("sparse (KiB)", 13),
+        ("pulled (KiB)", 13),
         ("dense (KiB)", 12),
         ("saving", 9),
     ]);
@@ -44,7 +45,7 @@ pub fn traffic(ctx: &Context) {
             ctx.exec_mode(),
         );
         let r = newgreedi(&mut cluster, ctx.k).expect("well-formed wire");
-        let sparse = cluster.metrics().bytes_to_master;
+        let pulled = cluster.metrics().bytes_to_master;
         // Dense alternative: every machine uploads all n coverages once for
         // initialization and once per selected seed (8 bytes per tuple).
         let n = problem.num_sets() as u64;
@@ -53,14 +54,14 @@ pub fn traffic(ctx: &Context) {
         let row = TrafficRow {
             dataset: profile.name(),
             machines,
-            sparse_bytes: sparse,
+            pulled_bytes: pulled,
             dense_bytes: dense,
-            saving_factor: dense as f64 / sparse as f64,
+            saving_factor: dense as f64 / pulled as f64,
         };
         println!(
             "{:>12} {:>13.1} {:>12.1} {:>8.1}x",
             row.dataset,
-            row.sparse_bytes as f64 / 1024.0,
+            row.pulled_bytes as f64 / 1024.0,
             row.dense_bytes as f64 / 1024.0,
             row.saving_factor,
         );
@@ -71,20 +72,19 @@ pub fn traffic(ctx: &Context) {
 report::json_row! {
     struct GreedyRow {
         dataset: &'static str,
-        bucket_s: f64,
-        celf_s: f64,
+        lazy_s: f64,
         naive_s: f64,
         coverage: u64,
     }
 }
 
-/// The paper's bucket vector `D` with lazy updates vs CELF vs naive rescan.
+/// The lazy selector every greedy runs vs a naive per-round rescan. The
+/// two select the same seeds.
 pub fn greedy(ctx: &Context) {
     println!("k = {}\n", ctx.k);
     report::header(&[
         ("dataset", 12),
-        ("bucket(s)", 10),
-        ("CELF(s)", 10),
+        ("lazy(s)", 10),
         ("naive(s)", 10),
         ("coverage", 10),
     ]);
@@ -98,19 +98,17 @@ pub fn greedy(ctx: &Context) {
             let r = f(&mut shard, ctx.k);
             (start.elapsed().as_secs_f64(), r.covered)
         };
-        let (bucket_s, cov_b) = time_of(bucket_greedy);
-        let (celf_s, _cov_c) = time_of(celf_greedy);
-        let (naive_s, _cov_n) = time_of(naive_greedy);
+        let (lazy_s, coverage) = time_of(bucket_greedy);
+        let (naive_s, _) = time_of(naive_greedy);
         let row = GreedyRow {
             dataset: profile.name(),
-            bucket_s,
-            celf_s,
+            lazy_s,
             naive_s,
-            coverage: cov_b,
+            coverage,
         };
         println!(
-            "{:>12} {:>10.3} {:>10.3} {:>10.3} {:>10}",
-            row.dataset, row.bucket_s, row.celf_s, row.naive_s, row.coverage,
+            "{:>12} {:>10.3} {:>10.3} {:>10}",
+            row.dataset, row.lazy_s, row.naive_s, row.coverage,
         );
         report::dump_json(&ctx.out_dir, "ablation_greedy", &row.to_json());
     }

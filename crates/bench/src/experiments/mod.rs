@@ -26,8 +26,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("fig8", "DiIMM running time, LT model, cluster network (1 Gbps)", im_scaling::fig8),
     ("fig9", "DiIMM running time, LT model, multi-core server", im_scaling::fig9),
     ("fig10", "maximum coverage: NewGreeDi vs GreeDi vs sequential greedy", fig10::run),
-    ("ablation-traffic", "sparse-delta vs full-vector reduce traffic", ablations::traffic),
-    ("ablation-greedy", "bucket selector vs CELF vs naive rescan", ablations::greedy),
+    ("ablation-traffic", "pulled marginals vs full-vector reduce traffic", ablations::traffic),
+    ("ablation-greedy", "lazy selector vs naive rescan", ablations::greedy),
     ("ablation-sampler", "SUBSIM geometric jumps vs per-edge BFS work", ablations::sampler),
     ("ablation-incremental", "incremental vs full coverage reporting in DiIMM", ablations::incremental),
     ("ext-opim", "extension: OPIM-C adaptive stopping vs IMM sample counts", opim_ext::run),

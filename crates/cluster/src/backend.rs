@@ -75,11 +75,11 @@ pub mod phase {
     pub const RR_SAMPLING: &str = "rr-sampling";
     /// Initial upload of per-shard coverage counts to the master.
     pub const COVERAGE_UPLOAD: &str = "coverage-upload";
-    /// Master-side greedy seed selection (bucket selector work).
+    /// Master-side greedy seed selection (the lazy selector's work).
     pub const SEED_SELECT: &str = "seed-select";
-    /// Broadcast of a chosen seed (or seed set) to the workers.
+    /// Broadcast of a chosen seed (or seed set, or pull round) to workers.
     pub const SEED_BROADCAST: &str = "seed-broadcast";
-    /// Sparse ⟨set, Δ⟩ coverage-delta upload after applying a seed.
+    /// NewGreeDi's pull-round replies: the candidates' local marginals.
     pub const DELTA_UPLOAD: &str = "delta-upload";
     /// Final per-shard covered-count upload.
     pub const COUNT_UPLOAD: &str = "count-upload";

@@ -2,8 +2,9 @@
 //!
 //! The paper's architecture keeps every machine's RR-set shard and
 //! coverage labels *resident on that machine*; only thin typed messages —
-//! "apply seed v", "report your sparse ⟨set, Δ⟩ deltas" — cross the wire
-//! (Algorithm 1, §III-C). This module is that message vocabulary:
+//! "report your sparse ⟨set, Δ⟩ coverage", "apply seed v and tell me the
+//! marginals of these candidates" — cross the wire (Algorithm 1, §III-C).
+//! This module is that message vocabulary:
 //!
 //! * [`WorkerOp`] — everything a master ever asks a worker to do, from
 //!   one-time setup ([`WorkerOp::LoadGraph`], [`WorkerOp::BuildShard`])
@@ -12,7 +13,7 @@
 //!   [`WorkerOp::Shutdown`].
 //! * [`WorkerReply`] — the typed responses, with [`WorkerReply::wire_size`]
 //!   defining each reply's *modeled* payload size (the quantity the paper
-//!   measures: delta tuples and counts, not framing).
+//!   measures: delta tuples, marginals and counts, not framing).
 //! * [`OpExecutor`] — a worker that can answer ops against its resident
 //!   state. `CoverageShard` and the algorithm workers in `dim-core`
 //!   implement this.
@@ -28,7 +29,7 @@
 
 use crate::backend::ClusterBackend;
 use crate::runtime::SimCluster;
-use crate::wire::{delta_wire_size, u64_wire_size, DeltaVec, WireError};
+use crate::wire::{delta_wire_size, ids_wire_size, u64_wire_size, DeltaVec, WireError};
 
 /// The workspace's one strict little-endian cursor lives in `dim-graph`;
 /// re-exported here because the rendezvous, `dim-store` and `dim-serve`
@@ -123,11 +124,14 @@ pub enum WorkerOp {
     /// Report coverage of only elements added since the last report
     /// (§III-C incremental reporting). → `Deltas`.
     NewCoverage,
-    /// Mark a chosen seed's elements covered. → `Deltas` (the sparse
-    /// marginal decreases).
+    /// One pull round of NewGreeDi's selection: mark `seed`'s elements
+    /// covered, then answer the local marginal of every candidate. →
+    /// `Marginals`, one per candidate, in request order.
     ApplySeed {
-        /// The selected set (node) id.
-        set: u32,
+        /// The seed selected since the previous round, if any.
+        seed: Option<u32>,
+        /// The sets whose current local marginals the master needs.
+        candidates: Vec<u32>,
     },
     /// Report how many resident elements are covered. → `Count`.
     CoveredCount,
@@ -205,6 +209,8 @@ pub enum WorkerReply {
     Ok,
     /// Sparse ⟨set, Δ⟩ coverage tuples.
     Deltas(DeltaVec),
+    /// Local marginals of an `ApplySeed` round's candidates, in its order.
+    Marginals(Vec<u32>),
     /// A single counter.
     Count(u64),
     /// Shard statistics.
@@ -233,6 +239,32 @@ const REPLY_DELTAS: u8 = 1;
 const REPLY_COUNT: u8 = 2;
 const REPLY_STATS: u8 = 3;
 const REPLY_ERR: u8 = 4;
+const REPLY_MARGINALS: u8 = 5;
+
+/// Writes `[u32 count] ([u32 id])*`.
+fn put_ids(out: &mut Vec<u8>, ids: &[u32]) {
+    put_u32(out, ids.len() as u32);
+    for &id in ids {
+        put_u32(out, id);
+    }
+}
+
+/// The body of `[u32 count]` records of `width` bytes each. It must be
+/// present before anything is allocated, so a count the frame cannot hold
+/// costs nothing.
+fn read_body<'a>(r: &mut Reader<'a>, width: usize) -> Option<&'a [u8]> {
+    let count = r.u32()? as usize;
+    r.take(count.checked_mul(width)?)
+}
+
+fn le_u32(w: &[u8]) -> u32 {
+    u32::from_le_bytes([w[0], w[1], w[2], w[3]])
+}
+
+/// Reads what [`put_ids`] writes.
+fn read_ids(r: &mut Reader) -> Option<Vec<u32>> {
+    Some(read_body(r, 4)?.chunks_exact(4).map(le_u32).collect())
+}
 
 impl WorkerOp {
     /// Serializes the op to its canonical byte encoding.
@@ -253,10 +285,7 @@ impl WorkerOp {
                 put_u32(&mut out, *num_sets);
                 put_u32(&mut out, elements.len() as u32);
                 for element in elements {
-                    put_u32(&mut out, element.len() as u32);
-                    for &id in element {
-                        put_u32(&mut out, id);
-                    }
+                    put_ids(&mut out, element);
                 }
             }
             WorkerOp::SampleRr { count } => {
@@ -265,18 +294,22 @@ impl WorkerOp {
             }
             WorkerOp::InitialCoverage => out.push(OP_INITIAL_COVERAGE),
             WorkerOp::NewCoverage => out.push(OP_NEW_COVERAGE),
-            WorkerOp::ApplySeed { set } => {
+            WorkerOp::ApplySeed { seed, candidates } => {
                 out.push(OP_APPLY_SEED);
-                put_u32(&mut out, *set);
+                match seed {
+                    Some(seed) => {
+                        out.push(1);
+                        put_u32(&mut out, *seed);
+                    }
+                    None => out.push(0),
+                }
+                put_ids(&mut out, candidates);
             }
             WorkerOp::CoveredCount => out.push(OP_COVERED_COUNT),
             WorkerOp::Stats => out.push(OP_STATS),
             WorkerOp::Validate { seeds } => {
                 out.push(OP_VALIDATE);
-                put_u32(&mut out, seeds.len() as u32);
-                for &v in seeds {
-                    put_u32(&mut out, v);
-                }
+                put_ids(&mut out, seeds);
             }
             WorkerOp::PersistShard {
                 dir,
@@ -350,31 +383,31 @@ impl WorkerOp {
             OP_BUILD_SHARD => {
                 let num_sets = r.u32()?;
                 let count = r.u32()? as usize;
-                let mut elements = Vec::with_capacity(count.min(1 << 20));
+                let mut elements = Vec::with_capacity(count.min(r.remaining() / 4));
                 for _ in 0..count {
-                    let len = r.u32()? as usize;
-                    let mut element = Vec::with_capacity(len.min(1 << 20));
-                    for _ in 0..len {
-                        element.push(r.u32()?);
-                    }
-                    elements.push(element);
+                    elements.push(read_ids(&mut r)?);
                 }
                 WorkerOp::BuildShard { num_sets, elements }
             }
             OP_SAMPLE_RR => WorkerOp::SampleRr { count: r.u64()? },
             OP_INITIAL_COVERAGE => WorkerOp::InitialCoverage,
             OP_NEW_COVERAGE => WorkerOp::NewCoverage,
-            OP_APPLY_SEED => WorkerOp::ApplySeed { set: r.u32()? },
+            OP_APPLY_SEED => {
+                let seed = match r.u8()? {
+                    0 => None,
+                    1 => Some(r.u32()?),
+                    _ => return None,
+                };
+                WorkerOp::ApplySeed {
+                    seed,
+                    candidates: read_ids(&mut r)?,
+                }
+            }
             OP_COVERED_COUNT => WorkerOp::CoveredCount,
             OP_STATS => WorkerOp::Stats,
-            OP_VALIDATE => {
-                let count = r.u32()? as usize;
-                let mut seeds = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    seeds.push(r.u32()?);
-                }
-                WorkerOp::Validate { seeds }
-            }
+            OP_VALIDATE => WorkerOp::Validate {
+                seeds: read_ids(&mut r)?,
+            },
             OP_PERSIST_SHARD => {
                 let fingerprint = r.u64()?;
                 let seed = r.u64()?;
@@ -446,6 +479,10 @@ impl WorkerReply {
                     put_u32(&mut out, d);
                 }
             }
+            WorkerReply::Marginals(marginals) => {
+                out.push(REPLY_MARGINALS);
+                put_ids(&mut out, marginals);
+            }
             WorkerReply::Count(c) => {
                 out.push(REPLY_COUNT);
                 put_u64(&mut out, *c);
@@ -471,15 +508,10 @@ impl WorkerReply {
         let reply = match r.u8()? {
             REPLY_OK => WorkerReply::Ok,
             REPLY_DELTAS => {
-                let count = r.u32()? as usize;
-                let mut deltas = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let v = r.u32()?;
-                    let d = r.u32()?;
-                    deltas.push((v, d));
-                }
-                WorkerReply::Deltas(deltas)
+                let tuples = read_body(&mut r, 8)?.chunks_exact(8);
+                WorkerReply::Deltas(tuples.map(|w| (le_u32(w), le_u32(&w[4..]))).collect())
             }
+            REPLY_MARGINALS => WorkerReply::Marginals(read_ids(&mut r)?),
             REPLY_COUNT => WorkerReply::Count(r.u64()?),
             REPLY_STATS => WorkerReply::Stats(WorkerStats {
                 num_elements: r.u64()?,
@@ -500,12 +532,14 @@ impl WorkerReply {
     /// The *modeled* payload size of this reply — the byte count the
     /// paper's traffic accounting charges. Matches the sizes the
     /// closure-based gathers used: sparse deltas cost
-    /// [`delta_wire_size`], counts cost one u64; acknowledgements and
-    /// control metadata (stats, errors) are free, like MPI envelopes.
+    /// [`delta_wire_size`], marginals [`ids_wire_size`], counts one u64;
+    /// acknowledgements and control metadata (stats, errors) are free,
+    /// like MPI envelopes.
     pub fn wire_size(&self) -> u64 {
         match self {
             WorkerReply::Ok | WorkerReply::Err(_) => 0,
             WorkerReply::Deltas(d) => delta_wire_size(d.len()),
+            WorkerReply::Marginals(m) => ids_wire_size(m.len()),
             WorkerReply::Count(_) => u64_wire_size(),
             WorkerReply::Stats(_) => 3 * u64_wire_size(),
         }
@@ -747,7 +781,14 @@ mod tests {
             WorkerOp::SampleRr { count: u64::MAX },
             WorkerOp::InitialCoverage,
             WorkerOp::NewCoverage,
-            WorkerOp::ApplySeed { set: 7 },
+            WorkerOp::ApplySeed {
+                seed: Some(7),
+                candidates: vec![0, u32::MAX],
+            },
+            WorkerOp::ApplySeed {
+                seed: None,
+                candidates: vec![],
+            },
             WorkerOp::CoveredCount,
             WorkerOp::Stats,
             WorkerOp::Validate {
@@ -802,6 +843,7 @@ mod tests {
             WorkerReply::Ok,
             WorkerReply::Deltas(vec![(0, 1), (u32::MAX, 42)]),
             WorkerReply::Deltas(vec![]),
+            WorkerReply::Marginals(vec![3, 0, u32::MAX]),
             WorkerReply::Count(u64::MAX),
             WorkerReply::Stats(WorkerStats {
                 num_elements: 3,
@@ -888,10 +930,13 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 8]);
         assert!(WorkerOp::decode(&bytes).is_none());
 
-        let mut reply = vec![1u8]; // REPLY_DELTAS
-        reply.extend_from_slice(&u32::MAX.to_le_bytes());
-        reply.extend_from_slice(&[0u8; 8]);
-        assert!(WorkerReply::decode(&reply).is_none());
+        for tag in [1u8, 5] {
+            // REPLY_DELTAS, REPLY_MARGINALS
+            let mut reply = vec![tag];
+            reply.extend_from_slice(&u32::MAX.to_le_bytes());
+            reply.extend_from_slice(&[0u8; 8]);
+            assert!(WorkerReply::decode(&reply).is_none());
+        }
     }
 
     #[test]

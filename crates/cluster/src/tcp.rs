@@ -705,7 +705,7 @@ mod tests {
     use crate::wire::WireErrorKind;
 
     /// Toy resident state: `SampleRr` accumulates, `CoveredCount` reports,
-    /// `ApplySeed` subtracts, `InitialCoverage` reports one delta tuple.
+    /// `ApplySeed` subtracts its seed, `InitialCoverage` reports one tuple.
     struct Tally(u64);
 
     impl OpExecutor for Tally {
@@ -715,9 +715,9 @@ mod tests {
                     self.0 += count;
                     WorkerReply::Ok
                 }
-                WorkerOp::ApplySeed { set } => {
-                    self.0 = self.0.saturating_sub(u64::from(*set));
-                    WorkerReply::Deltas(vec![(*set, self.0 as u32)])
+                WorkerOp::ApplySeed { seed, candidates } => {
+                    self.0 = self.0.saturating_sub(u64::from(seed.unwrap_or(0)));
+                    WorkerReply::Marginals(vec![self.0 as u32; candidates.len()])
                 }
                 WorkerOp::InitialCoverage => WorkerReply::Deltas(vec![(1, self.0 as u32)]),
                 WorkerOp::CoveredCount => WorkerReply::Count(self.0),
@@ -759,7 +759,10 @@ mod tests {
             ProcCluster::local_with(2, NetworkModel::cluster_1gbps(), 1, |_| Tally(50)).unwrap();
         let replies = cluster
             .op_broadcast_gather(phase::SEED_BROADCAST, 8, phase::DELTA_UPLOAD, |_| {
-                WorkerOp::ApplySeed { set: 5 }
+                WorkerOp::ApplySeed {
+                    seed: Some(5),
+                    candidates: vec![1],
+                }
             })
             .unwrap();
         assert_eq!(replies.len(), 2);
@@ -768,7 +771,8 @@ mod tests {
         assert_eq!(down.bytes_from_master, 16);
         assert!(down.comm_time > Duration::ZERO);
         assert!(down.measured_comm > Duration::ZERO);
-        assert_eq!(up.bytes_to_master, 2 * crate::wire::delta_wire_size(1));
+        assert_eq!(replies[0], WorkerReply::Marginals(vec![45]));
+        assert_eq!(up.bytes_to_master, 2 * crate::wire::ids_wire_size(1));
         assert!(up.measured_comm > Duration::ZERO);
         // Label order mirrors the algorithm: broadcast before upload.
         let labels: Vec<_> = cluster.timeline().labels().collect();

@@ -1,9 +1,9 @@
 //! Framing, size accounting and typed errors for the messages exchanged by
 //! the distributed algorithms.
 //!
-//! NewGreeDi's reduce stage has workers upload sparse vectors of
-//! `⟨node, Δ⟩` tuples (§III-B2 of the paper). They are serialized for real
-//! as [`crate::ops::WorkerReply::Deltas`]; this module holds the
+//! NewGreeDi's workers upload sparse `⟨node, Δ⟩` tuples (§III-B2 of the
+//! paper) and pulled marginals, serialized for real as
+//! [`crate::ops::WorkerReply::Deltas`] and `Marginals`; this module holds the
 //! length-prefixed frame every op and reply travels in, and the size
 //! formulas the simulated backends charge so their traffic accounting is
 //! byte-accurate:

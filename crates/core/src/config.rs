@@ -90,7 +90,7 @@ impl Timings {
 
     /// Derives the paper's three stacked bars from a phase-labeled
     /// timeline: sampling is the [`phase::RR_SAMPLING`] compute, selection
-    /// is every other phase's compute (worker map stages + master
+    /// is every other phase's compute (worker pull rounds + master
     /// reduce/select), and communication is the modeled transfer time of
     /// the whole run.
     pub(crate) fn from_timeline(timeline: &PhaseTimeline) -> Self {

@@ -240,7 +240,10 @@ mod tests {
         for op in [
             WorkerOp::SampleRr { count: 200 },
             WorkerOp::InitialCoverage,
-            WorkerOp::ApplySeed { set: 7 },
+            WorkerOp::ApplySeed {
+                seed: Some(7),
+                candidates: vec![0, 3, 7],
+            },
             WorkerOp::CoveredCount,
             WorkerOp::Stats,
         ] {

@@ -18,8 +18,7 @@
 //! here by building the shards with a shuffle seed
 //! ([`crate::CoverageProblem::shard_sets`]).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::convert::Infallible;
 
 use dim_cluster::{phase, wire, ClusterBackend, SimCluster};
 use dim_graph::scratch;
@@ -27,6 +26,7 @@ use dim_graph::scratch;
 use crate::greedy::bucket_greedy;
 use crate::pooled::PooledSets;
 use crate::problem::{CoverageProblem, SetShard};
+use crate::selector::LazySelector;
 
 /// Result of a GreeDi run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,47 +55,32 @@ impl Candidates {
     }
 }
 
-/// Local greedy on a set shard: CELF over the machine's sets, covering the
-/// *global* element domain. The covered flags come from the pooled
-/// epoch-stamped scratch, so repeated invocations (every machine, every
-/// round) reuse one thread-local buffer instead of allocating an
-/// `O(num_elements)` bitmap each time.
+/// Local greedy on a set shard: the crate's [`LazySelector`] over the
+/// machine's sets, covering the *global* element domain. The covered flags
+/// come from the pooled epoch-stamped scratch, so repeated invocations
+/// (every machine, every round) reuse one thread-local buffer instead of
+/// allocating an `O(num_elements)` bitmap each time.
 fn local_greedy(shard: &SetShard, kappa: usize) -> Candidates {
+    let sets = &shard.set_elements;
     scratch::with_flags(shard.num_elements, |covered| {
-        let mut heap: BinaryHeap<(u64, Reverse<usize>)> = shard
-            .set_ids
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (shard.set_elements.get(i).len() as u64, Reverse(i)))
-            .filter(|&(c, _)| c > 0)
-            .collect();
-        let mut ids = Vec::with_capacity(kappa);
-        let mut element_lists = PooledSets::new();
-        while ids.len() < kappa {
-            let Some((stale, Reverse(i))) = heap.pop() else {
-                break;
+        let selector = LazySelector::new((0..).zip(sets.iter().map(|l| l.len() as u64)));
+        let (mut picks, mut marginals) = (Vec::with_capacity(kappa), Vec::new());
+        let eval = |seed: Option<u32>, candidates: &[u32]| {
+            for &e in seed.map_or(&[][..], |i| sets.get(i as usize)) {
+                covered.set(e as usize);
+            }
+            let fresh = |&i: &u32| {
+                let set = sets.get(i as usize);
+                set.iter().filter(|&&e| !covered.is_set(e as usize)).count() as u64
             };
-            let fresh = shard
-                .set_elements
-                .get(i)
-                .iter()
-                .filter(|&&e| !covered.is_set(e as usize))
-                .count() as u64;
-            debug_assert!(fresh <= stale);
-            if fresh == 0 {
-                continue;
-            }
-            let next_best = heap.peek().map(|&(c, _)| c).unwrap_or(0);
-            if fresh >= next_best {
-                for &e in shard.set_elements.get(i) {
-                    covered.set(e as usize);
-                }
-                ids.push(shard.set_ids[i]);
-                element_lists.push(shard.set_elements.get(i));
-            } else {
-                heap.push((fresh, Reverse(i)));
-            }
+            Ok::<_, Infallible>(candidates.iter().map(fresh).collect())
+        };
+        let Ok(()) = selector.run(kappa, &mut picks, &mut marginals, eval);
+        let mut element_lists = PooledSets::new();
+        for &i in &picks {
+            element_lists.push(sets.get(i as usize));
         }
+        let ids = picks.iter().map(|&i| shard.set_ids[i as usize]).collect();
         Candidates { ids, element_lists }
     })
 }

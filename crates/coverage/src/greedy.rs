@@ -1,19 +1,17 @@
 //! Centralized greedy maximum-coverage algorithms.
 //!
-//! Three implementations with identical approximation behaviour but
-//! different engineering (the paper's ablation dimension):
+//! Two implementations of one rule — the largest marginal, then the
+//! smallest id — that select the same seeds:
 //!
-//! * [`bucket_greedy`] — the paper's bucketed lazy selector (Algorithm 1
-//!   restricted to one machine). Amortized linear in Σ|R|.
-//! * [`celf_greedy`] — CELF lazy evaluation on a max-heap (Leskovec et al.),
-//!   the classic alternative.
+//! * [`bucket_greedy`] — the centralized greedy: the
+//!   [`crate::selector::LazySelector`] every greedy in this crate runs,
+//!   evaluating on one shard.
 //! * [`naive_greedy`] — per-round full rescan; quadratic but obviously
 //!   correct, used as an oracle in tests.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::convert::Infallible;
 
-use crate::selector::BucketSelector;
+use crate::selector::LazySelector;
 use crate::shard::CoverageShard;
 
 /// Outcome of a greedy run.
@@ -38,73 +36,23 @@ impl GreedyResult {
     }
 }
 
-/// Dense initial coverage vector of a prepared shard.
-fn dense_initial(shard: &CoverageShard) -> Vec<u64> {
-    let mut init = vec![0u64; shard.num_sets()];
-    for (v, c) in shard.initial_coverage() {
-        init[v as usize] = c as u64;
-    }
-    init
-}
-
-/// The paper's bucketed greedy (Algorithm 1 on one machine): selects up to
-/// `k` sets maximizing covered elements. The shard is re-prepared, so any
-/// prior coverage state is discarded.
+/// The centralized greedy: selects up to `k` sets maximizing covered
+/// elements, by lazy evaluation on the shard itself. The shard is
+/// re-prepared, so any prior coverage state is discarded. (The name is the
+/// paper's: Algorithm 1 on one machine, whose bucket vector `D` this
+/// selector replaces.)
 pub fn bucket_greedy(shard: &mut CoverageShard, k: usize) -> GreedyResult {
     shard.prepare();
-    let mut selector = BucketSelector::new(&dense_initial(shard));
-    let mut seeds = Vec::with_capacity(k);
-    let mut marginals = Vec::with_capacity(k);
-    while seeds.len() < k {
-        let Some((u, cov)) = selector.select_next() else {
-            break;
-        };
-        seeds.push(u);
-        marginals.push(cov);
-        // Per-occurrence decrements: `decrease` is commutative, so skipping
-        // the aggregation/sort of `apply_seed` leaves identical state.
-        shard.apply_seed_each(u, |v| selector.decrease(v, 1));
-    }
-    GreedyResult {
-        seeds,
-        covered: shard.covered_count() as u64,
-        marginals,
-    }
-}
-
-/// CELF lazy greedy: a max-heap of stale marginals; the top is re-evaluated
-/// and either confirmed (submodularity guarantees optimality if it stays on
-/// top) or reinserted. Ties break toward the smaller set id.
-pub fn celf_greedy(shard: &mut CoverageShard, k: usize) -> GreedyResult {
-    shard.prepare();
-    let mut heap: BinaryHeap<(u64, Reverse<u32>)> = dense_initial(shard)
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(v, &c)| (c, Reverse(v as u32)))
-        .collect();
-    let mut seeds = Vec::with_capacity(k);
-    let mut marginals = Vec::with_capacity(k);
-    while seeds.len() < k {
-        let Some((stale, Reverse(u))) = heap.pop() else {
-            break;
-        };
-        let fresh = shard.marginal(u) as u64;
-        debug_assert!(fresh <= stale, "marginals never increase");
-        if fresh == 0 {
-            continue;
-        }
-        // Fresh value still at least the next candidate's stale value
-        // (stale values upper-bound fresh ones) → safe to select.
-        let next_best = heap.peek().map(|&(c, _)| c).unwrap_or(0);
-        if fresh >= next_best {
+    let initial = shard.initial_coverage().into_iter();
+    let selector = LazySelector::new(initial.map(|(v, c)| (v, u64::from(c))));
+    let (mut seeds, mut marginals) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    let Ok(()) = selector.run(k, &mut seeds, &mut marginals, |seed, candidates: &[u32]| {
+        if let Some(u) = seed {
             shard.apply_seed(u);
-            seeds.push(u);
-            marginals.push(fresh);
-        } else {
-            heap.push((fresh, Reverse(u)));
         }
-    }
+        let marginal = |&v: &u32| shard.marginal(v) as u64;
+        Ok::<_, Infallible>(candidates.iter().map(marginal).collect())
+    });
     GreedyResult {
         seeds,
         covered: shard.covered_count() as u64,
@@ -177,7 +125,7 @@ mod tests {
     #[test]
     fn example3_all_algorithms_cover_everything() {
         // Paper Example 3: {v1, v2} covers all 6 RR sets.
-        for algo in [bucket_greedy, celf_greedy, naive_greedy] {
+        for algo in [bucket_greedy, naive_greedy] {
             let mut shard = example3();
             let r = algo(&mut shard, 2);
             assert_eq!(r.covered, 6, "full coverage with k = 2");
@@ -190,7 +138,7 @@ mod tests {
 
     #[test]
     fn greedy_invariant_holds() {
-        for algo in [bucket_greedy, celf_greedy, naive_greedy] {
+        for algo in [bucket_greedy, naive_greedy] {
             let mut shard = example3();
             let r = algo(&mut shard, 4);
             assert_greedy_invariant(example3(), &r.seeds, &r.marginals);
@@ -199,7 +147,7 @@ mod tests {
 
     #[test]
     fn marginals_non_increasing() {
-        for algo in [bucket_greedy, celf_greedy, naive_greedy] {
+        for algo in [bucket_greedy, naive_greedy] {
             let mut shard = example3();
             let r = algo(&mut shard, 5);
             assert!(r.marginals.windows(2).all(|w| w[0] >= w[1]), "{:?}", r.marginals);
@@ -232,10 +180,13 @@ mod tests {
         assert_eq!(r.fraction(0), 0.0);
     }
 
+    /// One tie rule: on Example 3, v1 and v2 tie at 3, and v3, v4, v5
+    /// tie at 1 once both are taken.
     #[test]
-    fn celf_matches_bucket_coverage_on_example() {
-        let mut a = example3();
-        let mut b = example3();
-        assert_eq!(bucket_greedy(&mut a, 3).covered, celf_greedy(&mut b, 3).covered);
+    fn ties_break_toward_the_smaller_id() {
+        let mut shard = example3();
+        let r = bucket_greedy(&mut shard, 5);
+        assert_eq!(r.seeds, vec![0, 1]);
+        assert_eq!(r, naive_greedy(&mut example3(), 5));
     }
 }

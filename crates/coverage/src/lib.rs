@@ -9,21 +9,23 @@
 //! * [`CoverageProblem`] — a global set-element instance, with builders from
 //!   arbitrary set lists or a graph's neighborhoods (the paper's §IV-C
 //!   workload), and exact brute-force optimum for tiny instances.
-//! * [`BucketSelector`] — the paper's coverage-bucketed vector `D` with lazy
-//!   updates (Algorithm 1, lines 5–13): amortized-linear greedy selection.
-//! * [`greedy`] — centralized algorithms: bucket greedy, CELF lazy greedy,
-//!   and a naive per-round rescan oracle.
+//! * [`LazySelector`] — the one greedy selector: lazy evaluation (CELF)
+//!   over a heap of stale marginals, under one tie rule (the largest
+//!   marginal, then the smallest id). It asks a callback for exact
+//!   marginals and knows nothing of where they come from.
+//! * [`greedy`] — the centralized greedy (the selector on one shard) and a
+//!   naive per-round rescan oracle.
 //! * [`mod@newgreedi`] — **NewGreeDi** (Algorithm 1): element-distributed greedy
 //!   generic over any [`dim_cluster::OpCluster`], returning *exactly* the
-//!   centralized greedy solution (Lemma 2), with sparse-delta map/reduce
-//!   updates.
+//!   centralized greedy solution (Lemma 2). The selector pulls the exact
+//!   marginals it needs from the machines, one round per seed.
 //! * [`greedi`] — the set-distributed composable core-sets baselines GreeDi
 //!   (Mirzasoleiman et al.) and RandGreeDi (Barbosa et al.), used by
 //!   Fig. 10's comparison.
 //! * [`query`] — read-only influence queries over frozen shards: seed-set
 //!   spread ([`seed_set_coverage`], over the pooled [`dim_graph::scratch`]
-//!   flags) and constrained top-k ([`constrained_greedy`]), the substrate of
-//!   `dim serve`.
+//!   flags) and constrained top-k ([`constrained_greedy`], the selector
+//!   again), the substrate of `dim serve`.
 //!
 //! # Example
 //!
@@ -36,9 +38,8 @@
 //! ]);
 //! let mut shard = problem.single_shard();
 //! let result = greedy::bucket_greedy(&mut shard, 2);
-//! let mut seeds = result.seeds.clone();
-//! seeds.sort_unstable();
-//! assert_eq!(seeds, vec![0, 1]);
+//! // v1 and v2 tie at 3: the smaller id goes first.
+//! assert_eq!(result.seeds, vec![0, 1]);
 //! assert_eq!(result.covered, 6);
 //! ```
 
@@ -56,5 +57,5 @@ pub use newgreedi::{newgreedi, newgreedi_incremental, newgreedi_with, NewGreediR
 pub use pooled::PooledSets;
 pub use problem::CoverageProblem;
 pub use query::{constrained_greedy, seed_set_coverage, SketchCursors};
-pub use selector::BucketSelector;
+pub use selector::LazySelector;
 pub use shard::{execute_coverage_op, CoverageShard};

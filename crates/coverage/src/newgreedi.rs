@@ -1,13 +1,16 @@
-//! NewGreeDi — element-distributed maximum coverage (Algorithm 1).
+//! NewGreeDi — element-distributed maximum coverage (Algorithm 1), with
+//! the marginals pulled rather than pushed.
 //!
-//! Each machine holds a [`CoverageShard`] of the elements. The master holds
-//! one global marginal-coverage counter per set inside a
-//! [`crate::BucketSelector`]. Per selected seed, the map stage labels newly
-//! covered local elements and produces sparse `⟨set, Δ⟩` decrements; the
-//! reduce stage aggregates them into the selector. Because the selector is
-//! byte-for-byte the centralized greedy's selector fed with identical
-//! aggregated coverage values, NewGreeDi returns exactly the centralized
-//! greedy solution — Lemma 2's (1 − 1/e) guarantee.
+//! Each machine holds a [`CoverageShard`] of the elements and first uploads
+//! its sparse `⟨v, Δᵢ(v)⟩` coverage: the master starts from every set's
+//! exact marginal. The crate's one [`LazySelector`] then asks only for the
+//! marginals that can reach the top. Each **pull round** is one
+//! [`WorkerOp::ApplySeed`]: every machine marks the seed selected since the
+//! last round covered and answers the local marginals of the master's top
+//! [`crate::selector::PULL_BATCH`] stale candidates. No machine computes a
+//! per-seed delta, and one round per seed usually suffices. The selector is
+//! the centralized greedy's, so NewGreeDi selects exactly its seeds (the
+//! largest marginal, then the smallest id): Lemma 2's (1 − 1/e) guarantee.
 //!
 //! Every distributed phase is expressed as a serializable
 //! [`WorkerOp`] executed through the [`OpCluster`] seam: the in-process
@@ -17,11 +20,15 @@
 //! `dim-worker` processes holding the shards. Both backends therefore run
 //! the same algorithm by construction.
 
+use std::time::{Duration, Instant};
+
 use dim_cluster::ops::{expect_counts, expect_deltas};
 use dim_cluster::wire::DeltaVec;
-use dim_cluster::{phase, wire, OpCluster, SimCluster, WireError, WorkerOp};
+use dim_cluster::{
+    phase, wire, ClusterMetrics, OpCluster, SimCluster, WireError, WorkerOp, WorkerReply,
+};
 
-use crate::selector::BucketSelector;
+use crate::selector::LazySelector;
 use crate::shard::CoverageShard;
 
 /// Applies every `⟨set, Δ⟩` tuple of the per-machine delta vectors in
@@ -50,6 +57,24 @@ fn reduce_deltas(
     Ok(())
 }
 
+/// Sums one pull round's replies into the global marginals of its
+/// `count` candidates. A reply that is not `count` marginals is
+/// `Malformed`, naming its machine.
+fn sum_marginals(replies: Vec<WorkerReply>, count: usize) -> Result<Vec<u64>, WireError> {
+    let mut sums = vec![0u64; count];
+    for (machine, reply) in replies.into_iter().enumerate() {
+        match reply {
+            WorkerReply::Marginals(local) if local.len() == count => {
+                for (sum, m) in sums.iter_mut().zip(local) {
+                    *sum += u64::from(m);
+                }
+            }
+            _ => return Err(WireError::malformed(phase::DELTA_UPLOAD, machine)),
+        }
+    }
+    Ok(sums)
+}
+
 /// Result of a NewGreeDi run — field for field the centralized greedy's
 /// (Lemma 2: the two select the same seeds), so it *is* that type.
 pub type NewGreediResult = crate::greedy::GreedyResult;
@@ -68,20 +93,8 @@ pub fn newgreedi_with<B: OpCluster>(
     num_sets: usize,
     k: usize,
 ) -> Result<NewGreediResult, WireError> {
-    // Lines 1–3: label everything uncovered, compute local coverages, and
-    // upload them as sparse ⟨v, Δ_i(v)⟩ tuples.
-    let replies = cluster.op_gather(phase::COVERAGE_UPLOAD, |_| WorkerOp::InitialCoverage)?;
-    let initial = expect_deltas(replies, phase::COVERAGE_UPLOAD)?;
-
-    // Lines 4–6: the master aggregates Δ(v) = Σ_i Δ_i(v) and builds D.
-    let mut selector = cluster.master(phase::SEED_SELECT, || {
-        let mut coverage = vec![0u64; num_sets];
-        reduce_deltas(phase::COVERAGE_UPLOAD, &initial, num_sets, |v, d| {
-            coverage[v as usize] += d as u64
-        })
-        .map(|()| BucketSelector::new(&coverage))
-    })?;
-    select_seeds(cluster, num_sets, k, &mut selector)
+    let mut coverage = vec![0; num_sets];
+    upload_then_select(cluster, WorkerOp::InitialCoverage, &mut coverage, k)
 }
 
 /// [`newgreedi_with`] with the paper's §III-C traffic optimization for
@@ -95,52 +108,60 @@ pub fn newgreedi_incremental<B: OpCluster>(
     k: usize,
     base_coverage: &mut [u64],
 ) -> Result<NewGreediResult, WireError> {
-    let replies = cluster.op_gather(phase::COVERAGE_UPLOAD, |_| WorkerOp::NewCoverage)?;
-    let fresh = expect_deltas(replies, phase::COVERAGE_UPLOAD)?;
-    let num_sets = base_coverage.len();
-    let mut selector = cluster.master(phase::SEED_SELECT, || {
-        reduce_deltas(phase::COVERAGE_UPLOAD, &fresh, num_sets, |v, d| {
-            base_coverage[v as usize] += d as u64
-        })
-        .map(|()| BucketSelector::new(base_coverage))
-    })?;
-    select_seeds(cluster, num_sets, k, &mut selector)
+    upload_then_select(cluster, WorkerOp::NewCoverage, base_coverage, k)
 }
 
-/// The shared selection loop (Algorithm 1, lines 7–22): greedy picks with
-/// lazy bucket updates, one broadcast + sparse-delta map/reduce per seed.
-fn select_seeds<B: OpCluster>(
+/// Both entry points: `upload` (`InitialCoverage` or `NewCoverage`) adds
+/// each machine's coverage into `coverage`, then the pulled selection
+/// (Algorithm 1, lines 7–22) runs from those exact marginals.
+fn upload_then_select<B: OpCluster>(
     cluster: &mut B,
-    num_sets: usize,
+    upload: WorkerOp,
+    coverage: &mut [u64],
     k: usize,
-    selector: &mut BucketSelector,
 ) -> Result<NewGreediResult, WireError> {
+    // Lines 1–3: label everything uncovered, compute local coverages, and
+    // upload them as sparse ⟨v, Δ_i(v)⟩ tuples.
+    let replies = cluster.op_gather(phase::COVERAGE_UPLOAD, |_| upload.clone())?;
+    let fresh = expect_deltas(replies, phase::COVERAGE_UPLOAD)?;
+    // Lines 4–6: the master aggregates Δ(v) = Σ_i Δ_i(v).
+    let num_sets = coverage.len();
+    let selector = cluster.master(phase::SEED_SELECT, || {
+        reduce_deltas(phase::COVERAGE_UPLOAD, &fresh, num_sets, |v, d| {
+            coverage[v as usize] += d as u64
+        })
+        .map(|()| LazySelector::new((0..).zip(coverage.iter().copied())))
+    })?;
+
+    // One pull round per request of the selector, the last one applying
+    // the final seed so the covered counts below are complete.
+    let start = Instant::now();
+    let mut in_rounds = Duration::ZERO;
     let mut seeds = Vec::with_capacity(k);
     let mut marginals = Vec::with_capacity(k);
-    while seeds.len() < k {
-        // Lines 7–13: pick the maximum-coverage set with lazy updates.
-        let Some((u, cov)) = cluster.master(phase::SEED_SELECT, || selector.select_next()) else {
-            break;
-        };
-        seeds.push(u);
-        marginals.push(cov);
-        // Broadcast the new seed, then the map stage (lines 14–21):
-        // per-machine sparse deltas. We run it for the final seed too so
-        // covered counts below are complete.
+    selector.run(k, &mut seeds, &mut marginals, |seed, candidates: &[u32]| {
+        let round = Instant::now();
         let replies = cluster.op_broadcast_gather(
             phase::SEED_BROADCAST,
-            wire::ids_wire_size(1),
+            wire::ids_wire_size(usize::from(seed.is_some()) + candidates.len()),
             phase::DELTA_UPLOAD,
-            |_| WorkerOp::ApplySeed { set: u },
-        )?;
-        let deltas = expect_deltas(replies, phase::DELTA_UPLOAD)?;
-        // Reduce stage (line 22).
-        cluster.master(phase::SEED_SELECT, || {
-            reduce_deltas(phase::DELTA_UPLOAD, &deltas, num_sets, |v, d| {
-                selector.decrease(v, d as u64)
-            })
-        })?;
-    }
+            |_| WorkerOp::ApplySeed {
+                seed,
+                candidates: candidates.to_vec(),
+            },
+        );
+        in_rounds += round.elapsed();
+        sum_marginals(replies?, candidates.len())
+    })?;
+    // The selector's heap and the sums are the master's work.
+    let master_compute = start.elapsed().saturating_sub(in_rounds);
+    cluster.record(
+        phase::SEED_SELECT,
+        ClusterMetrics {
+            master_compute,
+            ..Default::default()
+        },
+    );
 
     let replies = cluster.op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)?;
     let counts = expect_counts(&replies, phase::COUNT_UPLOAD)?;
@@ -255,10 +276,13 @@ mod tests {
                 phase::COUNT_UPLOAD,
             ]
         );
-        // 2 seeds → 2 broadcasts of one id each, to 3 machines.
+        // 2 seeds → 2 pull rounds to 3 machines: seed 0 with the four
+        // other sets as candidates, then seed 1 alone.
         let bcast = tl.get(phase::SEED_BROADCAST);
         assert_eq!(bcast.messages, 6);
-        assert_eq!(bcast.bytes_from_master, 2 * 3 * wire::ids_wire_size(1));
+        let (ids, up) = (wire::ids_wire_size, tl.get(phase::DELTA_UPLOAD));
+        assert_eq!(bcast.bytes_from_master, 3 * (ids(5) + ids(1)));
+        assert_eq!(up.bytes_to_master, 3 * (ids(4) + ids(0)));
         // Final counts: one u64 per machine.
         let counts = tl.get(phase::COUNT_UPLOAD);
         assert_eq!(counts.bytes_to_master, 3 * wire::u64_wire_size());
@@ -273,6 +297,25 @@ mod tests {
         let r = newgreedi(&mut c, 50).unwrap();
         assert_eq!(r.covered, 6);
         assert!(r.seeds.len() <= 5);
+    }
+
+    /// A pull reply that is not one marginal per candidate fails the
+    /// round naming its machine, whether short, long or of another kind.
+    #[test]
+    fn pull_reply_of_the_wrong_length_is_a_wire_error() {
+        use dim_cluster::wire::WireErrorKind;
+        let ok = WorkerReply::Marginals(vec![1, 2]);
+        let sum = sum_marginals(vec![ok.clone(), ok.clone()], 2);
+        assert_eq!(sum, Ok(vec![2, 4]));
+        for bad in [
+            WorkerReply::Marginals(vec![1]),
+            WorkerReply::Marginals(vec![1, 2, 3]),
+            WorkerReply::Deltas(vec![(0, 1), (1, 2)]),
+        ] {
+            let err = sum_marginals(vec![ok.clone(), bad], 2).unwrap_err();
+            assert_eq!((err.phase, err.machine), (phase::DELTA_UPLOAD, Some(1)));
+            assert_eq!(err.kind, WireErrorKind::Malformed);
+        }
     }
 
     #[test]

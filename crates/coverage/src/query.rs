@@ -7,10 +7,12 @@
 //! per-thread scratch, so a server can share one sketch across concurrent
 //! query threads with no locking.
 
+use std::convert::Infallible;
+
 use dim_graph::scratch;
 
 use crate::greedy::GreedyResult;
-use crate::selector::BucketSelector;
+use crate::selector::LazySelector;
 use crate::shard::{CoverageShard, QueryCursor};
 
 /// Elements of the sketch covered by an arbitrary seed set, summed across
@@ -74,9 +76,9 @@ impl<'a> SketchCursors<'a> {
 /// node in `include` is forced into the seed set first (in the given
 /// order), nodes in `exclude` are never selected, and greedy selection
 /// tops the set up to `k` seeds total (if `include` already has `k` or
-/// more, nothing is added). Runs the same bucketed lazy selector as
-/// [`crate::greedy::bucket_greedy`], so with no constraints it selects
-/// the identical seed sequence.
+/// more, nothing is added). Runs the [`LazySelector`] every greedy in this
+/// crate runs, evaluating over read-only cursors, so with no constraints
+/// it selects the seed sequence of [`crate::greedy::bucket_greedy`].
 ///
 /// Duplicate and out-of-range include ids are skipped. The recorded
 /// marginal of each seed — forced or selected — is its coverage gain at
@@ -91,54 +93,35 @@ pub fn constrained_greedy(
     let num_sets = shards.first().map(|s| s.num_sets()).unwrap_or(0);
     debug_assert!(shards.iter().all(|s| s.num_sets() == num_sets));
     let mut cursors: Vec<QueryCursor<'_>> = shards.iter().map(QueryCursor::new).collect();
-    let mut counts = vec![0u64; num_sets];
+    let mut counts = vec![0u64; shards.iter().map(|s| s.domain()).max().unwrap_or(0)];
     for shard in shards {
         for (v, c) in shard.initial_coverage() {
-            counts[v as usize] += c as u64;
+            counts[v as usize] += u64::from(c);
         }
     }
-    let mut seeds: Vec<u32> = Vec::new();
-    let mut marginals: Vec<u64> = Vec::new();
+    // An excluded set is never filed, so never selected.
+    for &u in exclude {
+        if let Some(c) = counts.get_mut(u as usize) {
+            *c = 0;
+        }
+    }
+    let mut selector = LazySelector::new((0..).zip(counts));
+    let mut eval = |seed: Option<u32>, candidates: &[u32]| {
+        if let Some(u) = seed {
+            cursors.iter_mut().for_each(|cursor| cursor.apply_seed(u));
+        }
+        let marginal = |v| cursors.iter().map(|cursor| cursor.marginal(v) as u64).sum();
+        Ok::<_, Infallible>(candidates.iter().map(|&v| marginal(v)).collect())
+    };
+    let (mut seeds, mut marginals) = (Vec::new(), Vec::new());
     for &u in include {
-        if (u as usize) >= num_sets || seeds.contains(&u) {
-            continue;
-        }
-        seeds.push(u);
-        marginals.push(counts[u as usize]);
-        for cursor in &mut cursors {
-            cursor.apply_seed_each(u, |v| counts[v as usize] -= 1);
+        if (u as usize) < num_sets && !seeds.contains(&u) {
+            let Ok(m) = selector.force(u, &mut eval);
+            seeds.push(u);
+            marginals.push(m);
         }
     }
-    // The exclusion flags come from the pooled epoch-stamped scratch, so
-    // repeated queries (dim-serve) stop allocating them once warm.
-    scratch::with_flags(num_sets, |excluded| {
-        for &u in exclude {
-            if (u as usize) < num_sets {
-                counts[u as usize] = 0;
-                excluded.set(u as usize);
-            }
-        }
-        // Forced seeds end at zero count (all their elements are covered),
-        // and excluded nodes were just zeroed, so neither enters the
-        // selector.
-        let mut selector = BucketSelector::new(&counts);
-        while seeds.len() < k {
-            let Some((u, cov)) = selector.select_next() else {
-                break;
-            };
-            seeds.push(u);
-            marginals.push(cov);
-            for cursor in &mut cursors {
-                // Excluded nodes sit at a forced zero; their true coverage
-                // may still shrink, but the selector never revisits them.
-                cursor.apply_seed_each(u, |v| {
-                    if !excluded.is_set(v as usize) {
-                        selector.decrease(v, 1);
-                    }
-                });
-            }
-        }
-    });
+    let Ok(()) = selector.run(k, &mut seeds, &mut marginals, &mut eval);
     GreedyResult {
         seeds,
         covered: cursors.iter().map(|c| c.covered_count() as u64).sum(),

@@ -1,304 +1,262 @@
-//! The paper's coverage-bucketed greedy selector (Algorithm 1, lines 5–13).
+//! The one greedy selector: lazy evaluation under one tie rule.
 
-/// Number of consecutive coverage levels materialized together. One block
-/// of level lists stays cache-resident while the scan walks through it;
-/// everything below lives in per-block piles until the scan arrives.
-const BLOCK: usize = 64;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Master-side greedy selection state: a vector `D` of node lists bucketed
-/// by (possibly stale) marginal coverage, scanned from the maximum bucket
-/// downward with **lazy updates** — a node found with an outdated coverage
-/// is dropped into its true bucket instead of being selected (lines 9–11).
+/// Stale candidates re-evaluated per request. On graph-neighbourhood
+/// instances one request of this size almost always confirms the next
+/// seed, so a distributed selection takes one round per seed.
+pub const PULL_BATCH: usize = 64;
+
+/// Master-side state of greedy maximum coverage with lazy evaluation
+/// (CELF, Leskovec et al., KDD 2007), under one tie rule: **largest
+/// marginal, then smallest id**.
 ///
-/// Total scan work across all `k` selections is O(d* + #moves), and each
-/// node moves at most once per coverage decrement, so selection is linear
-/// in the total coverage mass — the amortized bound of §III-D.
+/// Coverage is submodular, so a set's last exact marginal bounds its
+/// current one from above. The selector keeps a max-heap of
+/// `(bound, Reverse(id), epoch)`, where the epoch is the number of seeds
+/// applied when the bound was exact. A top entry whose epoch is current is
+/// the exact greedy choice: nothing below it can do better or tie it with a
+/// smaller id. Otherwise the top [`PULL_BATCH`] stale entries are
+/// re-evaluated and re-filed as exact.
 ///
-/// Storage is cache-blocked: instead of `d*` separate `Vec`s (one heap
-/// allocation per level, most holding a handful of nodes), levels are
-/// grouped into blocks of `BLOCK`. Only the block under the scan head
-/// keeps per-level lists; every other block is a single pile of
-/// `(level-in-block, node)` pairs, distributed into level lists in one
-/// pass when the scan reaches it. Filing records the level a node was
-/// *moved at* (not its final coverage), so the lazy re-check still happens
-/// at scan time and the selection order is exactly the per-level-`Vec`
-/// order: each list holds its initial-id-order entries first, then moved
-/// entries in move order.
-///
-/// The selector is deliberately independent of where coverage *updates*
-/// come from: the centralized greedy feeds it deltas from a local shard,
-/// NewGreeDi feeds it aggregated deltas gathered from `ℓ` machines. Both
-/// therefore select the *same* sequence of seeds, which is the mechanism
-/// behind Lemma 2's exact (1 − 1/e) guarantee.
+/// The selector knows nothing of where marginals come from. It asks an
+/// evaluation callback `eval(seed, candidates)` to apply `seed` (the pick
+/// since the previous call, if any) and answer the exact marginal of each
+/// candidate, in order. The centralized greedy evaluates on a local shard,
+/// NewGreeDi by one pull round over the cluster, `constrained_greedy` over
+/// read-only cursors, GreeDi over a machine's sets: the same state and the
+/// same rule, so all of them select the same seeds as `naive_greedy` —
+/// the mechanism behind Lemma 2's exact (1 − 1/e) guarantee.
 #[derive(Clone, Debug)]
-pub struct BucketSelector {
-    /// `piles[b]` = nodes filed into levels `[b·BLOCK, (b+1)·BLOCK)`, as
-    /// `(level − b·BLOCK, node)` in filing order.
-    piles: Vec<Vec<(u8, u32)>>,
-    /// Per-level lists for the block currently under the scan head.
-    levels: Vec<Vec<u32>>,
-    /// Which block `levels` holds.
-    block: usize,
-    /// Current true coverage per node.
-    coverage: Vec<u64>,
-    selected: Vec<bool>,
-    /// Scan position: current bucket level.
-    cur_d: usize,
-    /// Scan position within the current level's list.
-    cur_i: usize,
+pub struct LazySelector {
+    heap: BinaryHeap<(u64, Reverse<u32>, u32)>,
+    /// Seeds applied so far, counting `pending`.
+    epoch: u32,
+    /// The last pick, not yet handed to the evaluator.
+    pending: Option<u32>,
 }
 
-impl BucketSelector {
-    /// Builds the selector from every node's initial coverage
-    /// (Algorithm 1, lines 4–6). Nodes appear in their bucket in increasing
-    /// id order, making tie-breaking deterministic.
-    pub fn new(initial_coverage: &[u64]) -> Self {
-        let d_star = initial_coverage.iter().copied().max().unwrap_or(0) as usize;
-        let mut piles = vec![Vec::new(); d_star / BLOCK + 1];
-        for (v, &c) in initial_coverage.iter().enumerate() {
-            if c > 0 {
-                let c = c as usize;
-                piles[c / BLOCK].push(((c % BLOCK) as u8, v as u32));
-            }
-        }
-        let mut s = BucketSelector {
-            piles,
-            levels: vec![Vec::new(); BLOCK],
-            block: usize::MAX,
-            coverage: initial_coverage.to_vec(),
-            selected: vec![false; initial_coverage.len()],
-            cur_d: d_star,
-            cur_i: 0,
-        };
-        s.materialize(d_star / BLOCK);
-        s
-    }
-
-    /// Distributes block `b`'s pile into the per-level lists. Draining in
-    /// pile order keeps each level's list in exact push order (initial
-    /// id-order entries, then moves in move order).
-    fn materialize(&mut self, b: usize) {
-        for l in &mut self.levels {
-            l.clear();
-        }
-        let mut pile = std::mem::take(&mut self.piles[b]);
-        for (lvl, v) in pile.drain(..) {
-            self.levels[lvl as usize].push(v);
-        }
-        // Hand the emptied allocation back for reuse by later filings.
-        self.piles[b] = pile;
-        self.block = b;
-    }
-
-    /// Files node `v` under `level`: straight into the materialized lists
-    /// when the level is in the current block, into the block's pile
-    /// otherwise.
-    fn file(&mut self, v: u32, level: usize) {
-        let b = level / BLOCK;
-        if b == self.block {
-            self.levels[level % BLOCK].push(v);
-        } else {
-            self.piles[b].push(((level % BLOCK) as u8, v));
+impl LazySelector {
+    /// A selector over the exact marginals `(id, marginal)` of the empty
+    /// seed set. Sets with marginal 0 are never filed.
+    pub fn new(marginals: impl IntoIterator<Item = (u32, u64)>) -> Self {
+        let heap = marginals
+            .into_iter()
+            .filter(|&(_, m)| m > 0)
+            .map(|(v, m)| (m, Reverse(v), 0))
+            .collect();
+        LazySelector {
+            heap,
+            epoch: 0,
+            pending: None,
         }
     }
 
-    /// Selects the node with the maximum current coverage, marks it
-    /// selected, and returns `(node, its coverage)`. Returns `None` when
-    /// every remaining node has zero coverage.
+    /// Makes `u` the next seed whatever its marginal (an include
+    /// constraint), returning that marginal.
     ///
-    /// The caller must afterwards apply the seed's effect on other nodes'
-    /// coverages via [`Self::decrease`] before the next `select_next` (the
-    /// reduce stage, line 22).
-    pub fn select_next(&mut self) -> Option<(u32, u64)> {
-        while self.cur_d >= 1 {
-            if self.cur_d / BLOCK != self.block {
-                self.materialize(self.cur_d / BLOCK);
-            }
-            let lvl = self.cur_d % BLOCK;
-            while self.cur_i < self.levels[lvl].len() {
-                let u = self.levels[lvl][self.cur_i];
-                self.cur_i += 1;
-                if self.selected[u as usize] {
-                    continue;
-                }
-                let true_cov = self.coverage[u as usize] as usize;
-                if true_cov < self.cur_d {
-                    // Outdated coverage: lazily move to the true bucket.
-                    if true_cov > 0 {
-                        self.file(u, true_cov);
-                    }
-                    continue;
-                }
-                debug_assert_eq!(true_cov, self.cur_d, "coverage never increases");
-                self.selected[u as usize] = true;
-                return Some((u, true_cov as u64));
-            }
-            self.cur_d -= 1;
-            self.cur_i = 0;
+    /// # Errors
+    /// Whatever `eval` returns.
+    pub fn force<X>(
+        &mut self,
+        u: u32,
+        mut eval: impl FnMut(Option<u32>, &[u32]) -> Result<Vec<u64>, X>,
+    ) -> Result<u64, X> {
+        let m = eval(self.pending.take(), &[u])?;
+        self.stage(u);
+        Ok(m[0])
+    }
+
+    /// Selects greedily until `seeds` holds `k` or no set adds coverage,
+    /// appending each pick and its exact marginal, then hands the last
+    /// pick to `eval`, so the evaluator's state covers every seed.
+    ///
+    /// # Errors
+    /// Whatever `eval` returns; the selection stops there.
+    pub fn run<X>(
+        mut self,
+        k: usize,
+        seeds: &mut Vec<u32>,
+        marginals: &mut Vec<u64>,
+        mut eval: impl FnMut(Option<u32>, &[u32]) -> Result<Vec<u64>, X>,
+    ) -> Result<(), X> {
+        while seeds.len() < k {
+            let Some((u, m)) = self.next(&mut eval)? else {
+                break;
+            };
+            seeds.push(u);
+            marginals.push(m);
         }
-        None
+        match self.pending {
+            Some(u) => eval(Some(u), &[]).map(drop),
+            None => Ok(()),
+        }
     }
 
-    /// Applies a marginal-coverage decrement to node `v` (reduce stage).
-    /// The bucket move is deferred to the lazy check during scanning.
-    pub fn decrease(&mut self, v: u32, by: u64) {
-        let c = &mut self.coverage[v as usize];
-        debug_assert!(*c >= by, "coverage of {v} would go negative");
-        *c = c.saturating_sub(by);
+    fn stage(&mut self, u: u32) {
+        self.pending = Some(u);
+        self.epoch += 1;
     }
 
-    /// Current recorded coverage of `v`.
-    pub fn coverage_of(&self, v: u32) -> u64 {
-        self.coverage[v as usize]
+    /// The next pick and its exact marginal, `None` when no set adds
+    /// coverage.
+    fn next<X>(
+        &mut self,
+        eval: &mut impl FnMut(Option<u32>, &[u32]) -> Result<Vec<u64>, X>,
+    ) -> Result<Option<(u32, u64)>, X> {
+        let mut batch = Vec::with_capacity(PULL_BATCH);
+        let mut exact = Vec::new();
+        loop {
+            match self.heap.peek() {
+                None => return Ok(None),
+                Some(&(m, Reverse(u), epoch)) if epoch == self.epoch => {
+                    self.heap.pop();
+                    self.stage(u);
+                    return Ok(Some((u, m)));
+                }
+                Some(_) => {}
+            }
+            while batch.len() < PULL_BATCH {
+                match self.heap.pop() {
+                    Some(entry) if entry.2 == self.epoch => exact.push(entry),
+                    Some((_, Reverse(v), _)) => batch.push(v),
+                    None => break,
+                }
+            }
+            self.heap.extend(exact.drain(..));
+            let fresh = eval(self.pending.take(), &batch)?;
+            assert_eq!(fresh.len(), batch.len(), "one marginal per candidate");
+            let epoch = self.epoch;
+            self.heap.extend(
+                batch
+                    .drain(..)
+                    .zip(fresh)
+                    .filter(|&(_, m)| m > 0)
+                    .map(|(v, m)| (m, Reverse(v), epoch)),
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    type Requests = Vec<(Option<u32>, Vec<u32>)>;
+
+    /// The pick a per-round rescan of `truth` makes: the largest marginal,
+    /// then the smallest id.
+    fn flat_pick(truth: &[u64]) -> Option<(u32, u64)> {
+        let (v, &m) = truth.iter().enumerate().rev().max_by_key(|&(_, &m)| m)?;
+        (m > 0).then_some((v as u32, m))
+    }
+
+    /// Runs the selector up to `k` seeds against true marginals that start
+    /// at `initial` and that `lower(truth)` lowers as each seed is applied. Asserts every pick is the flat pick of the truth it was
+    /// made in, and returns the picks and every request.
+    fn run_against(
+        initial: &[u64],
+        k: usize,
+        mut lower: impl FnMut(&mut [u64]),
+    ) -> (Vec<(u32, u64)>, Requests) {
+        let mut truth = initial.to_vec();
+        let (mut expected, mut asked) = (Vec::new(), Vec::new());
+        let selector = LazySelector::new(initial.iter().enumerate().map(|(v, &m)| (v as u32, m)));
+        let (mut seeds, mut marginals) = (Vec::new(), Vec::new());
+        let eval = |seed: Option<u32>, candidates: &[u32]| {
+            if let Some(u) = seed {
+                expected.extend(flat_pick(&truth));
+                truth[u as usize] = 0;
+                lower(&mut truth);
+            }
+            asked.push((seed, candidates.to_vec()));
+            Ok::<_, Infallible>(candidates.iter().map(|&v| truth[v as usize]).collect())
+        };
+        let Ok(()) = selector.run(k, &mut seeds, &mut marginals, eval);
+        let picks: Vec<(u32, u64)> = seeds.into_iter().zip(marginals).collect();
+        assert_eq!(picks, expected, "the lazy picks are the flat picks");
+        (picks, asked)
+    }
 
     #[test]
     fn selects_in_decreasing_coverage_order_without_updates() {
-        let mut s = BucketSelector::new(&[3, 5, 1, 5, 0]);
-        // Ties broken by insertion (id) order: node 1 before node 3.
-        assert_eq!(s.select_next(), Some((1, 5)));
-        assert_eq!(s.select_next(), Some((3, 5)));
-        assert_eq!(s.select_next(), Some((0, 3)));
-        assert_eq!(s.select_next(), Some((2, 1)));
-        assert_eq!(s.select_next(), None, "zero-coverage node never selected");
+        // Ties break toward the smaller id: node 1 before node 3.
+        let (picks, _) = run_against(&[3, 5, 1, 5, 0], 9, |_| {});
+        assert_eq!(picks, vec![(1, 5), (3, 5), (0, 3), (2, 1)]);
     }
 
     #[test]
     fn lazy_update_moves_node_down() {
-        let mut s = BucketSelector::new(&[4, 3]);
-        assert_eq!(s.select_next(), Some((0, 4)));
-        // Node 1's coverage drops to 1 before the next selection.
-        s.decrease(1, 2);
-        assert_eq!(s.select_next(), Some((1, 1)));
-        assert_eq!(s.select_next(), None);
+        // Node 1's coverage drops to 1 once node 0 is applied.
+        let (picks, _) = run_against(&[4, 3], 9, |truth| truth[1] = 1);
+        assert_eq!(picks, vec![(0, 4), (1, 1)]);
     }
 
     #[test]
     fn decrease_to_zero_drops_node() {
-        let mut s = BucketSelector::new(&[2, 2]);
-        assert_eq!(s.select_next(), Some((0, 2)));
-        s.decrease(1, 2);
-        assert_eq!(s.select_next(), None);
+        let (picks, asked) = run_against(&[2, 2], 9, |truth| truth[1] = 0);
+        assert_eq!(picks, vec![(0, 2)]);
+        assert_eq!(
+            asked,
+            vec![(Some(0), vec![1])],
+            "a zero is never asked again"
+        );
     }
 
+    /// Node 0's initial entry is gone once it is picked: it is never a
+    /// candidate again, even when the evaluator would still credit it.
     #[test]
-    fn selected_nodes_skipped_in_lower_buckets() {
-        // Node 0 sits in bucket 3; after selection its stale entry must not
-        // resurface even if scanning reaches lower buckets.
-        let mut s = BucketSelector::new(&[3, 3, 1]);
-        assert_eq!(s.select_next(), Some((0, 3)));
-        s.decrease(1, 2);
-        // Node 1's stale entry moves to bucket 1 behind node 2, so node 2
-        // (equal coverage, already in place) is selected first.
-        assert_eq!(s.select_next(), Some((2, 1)));
-        assert_eq!(s.select_next(), Some((1, 1)));
-        assert_eq!(s.select_next(), None);
+    fn selected_sets_are_never_offered_again() {
+        let selector = LazySelector::new([(0, 3), (1, 3), (2, 1)]);
+        let (mut seeds, mut marginals, mut asked) = (Vec::new(), Vec::new(), Vec::new());
+        let eval = |_: Option<u32>, candidates: &[u32]| {
+            asked.extend_from_slice(candidates);
+            Ok::<_, Infallible>(candidates.iter().map(|&v| [3, 1, 1][v as usize]).collect())
+        };
+        let Ok(()) = selector.run(9, &mut seeds, &mut marginals, eval);
+        // After node 0, nodes 1 and 2 tie at 1: the smaller id goes first.
+        assert_eq!((seeds, marginals), (vec![0, 1, 2], vec![3, 1, 1]));
+        assert!(!asked.contains(&0));
     }
 
     #[test]
     fn all_zero_initial() {
-        let mut s = BucketSelector::new(&[0, 0, 0]);
-        assert_eq!(s.select_next(), None);
+        let (picks, asked) = run_against(&[0, 0, 0], 3, |_| {});
+        assert!(picks.is_empty() && asked.is_empty());
     }
 
     #[test]
     fn empty_universe() {
-        let mut s = BucketSelector::new(&[]);
-        assert_eq!(s.select_next(), None);
+        let (picks, asked) = run_against(&[], 3, |_| {});
+        assert!(picks.is_empty() && asked.is_empty());
+    }
+
+    /// Exact initial marginals confirm the first pick with no request, and
+    /// the last request only applies the last pick.
+    #[test]
+    fn each_request_carries_the_previous_pick() {
+        let (_, asked) = run_against(&[4, 3, 2], 3, |_| {});
+        let expected: Requests = vec![(Some(0), vec![1, 2]), (Some(1), vec![2]), (Some(2), vec![])];
+        assert_eq!(asked, expected);
     }
 
     #[test]
-    fn query_helpers() {
-        let mut s = BucketSelector::new(&[2, 1]);
-        assert_eq!(s.coverage_of(0), 2);
-        assert!(!s.selected[0]);
-        s.select_next();
-        assert!(s.selected[0]);
-    }
-
-    #[test]
-    fn cross_block_moves_preserve_scan_order() {
-        // Coverages spanning three 64-level blocks, with lazy moves that
-        // cross block boundaries in both directions relative to the scan.
-        let mut s = BucketSelector::new(&[150, 140, 100, 70, 70, 5, 3]);
-        assert_eq!(s.select_next(), Some((0, 150)));
-        // Node 1 drops two blocks (140 → 4): filed into block 0's pile.
-        s.decrease(1, 136);
-        // Node 2 drops within reach of the block-1 scan (100 → 68).
-        s.decrease(2, 32);
-        assert_eq!(s.select_next(), Some((3, 70)));
-        // Node 4 goes stale between blocks too (70 → 6).
-        s.decrease(4, 64);
-        assert_eq!(s.select_next(), Some((2, 68)));
-        // Block 0: node 5 holds level 5, then node 4's move lands at 6,
-        // above it; node 1's move landed at 4.
-        assert_eq!(s.select_next(), Some((4, 6)));
-        assert_eq!(s.select_next(), Some((5, 5)));
-        assert_eq!(s.select_next(), Some((1, 4)));
-        assert_eq!(s.select_next(), Some((6, 3)));
-        assert_eq!(s.select_next(), None);
-    }
-
-    /// Reference implementation: the straightforward per-level-`Vec`
-    /// selector the blocked layout must match move for move.
-    struct FlatSelector {
-        buckets: Vec<Vec<u32>>,
-        coverage: Vec<u64>,
-        selected: Vec<bool>,
-        cur_d: usize,
-        cur_i: usize,
-    }
-
-    impl FlatSelector {
-        fn new(initial: &[u64]) -> Self {
-            let d_star = initial.iter().copied().max().unwrap_or(0) as usize;
-            let mut buckets = vec![Vec::new(); d_star + 1];
-            for (v, &c) in initial.iter().enumerate() {
-                if c > 0 {
-                    buckets[c as usize].push(v as u32);
-                }
-            }
-            FlatSelector {
-                buckets,
-                coverage: initial.to_vec(),
-                selected: vec![false; initial.len()],
-                cur_d: d_star,
-                cur_i: 0,
-            }
-        }
-
-        fn select_next(&mut self) -> Option<(u32, u64)> {
-            while self.cur_d >= 1 {
-                while self.cur_i < self.buckets[self.cur_d].len() {
-                    let u = self.buckets[self.cur_d][self.cur_i];
-                    self.cur_i += 1;
-                    if self.selected[u as usize] {
-                        continue;
-                    }
-                    let true_cov = self.coverage[u as usize] as usize;
-                    if true_cov < self.cur_d {
-                        if true_cov > 0 {
-                            self.buckets[true_cov].push(u);
-                        }
-                        continue;
-                    }
-                    self.selected[u as usize] = true;
-                    return Some((u, true_cov as u64));
-                }
-                self.cur_d -= 1;
-                self.cur_i = 0;
-            }
-            None
-        }
-
-        fn decrease(&mut self, v: u32, by: u64) {
-            self.coverage[v as usize] -= by;
-        }
+    fn forced_seeds_go_first_and_make_every_bound_stale() {
+        let mut selector = LazySelector::new([(0, 5), (1, 4)]);
+        let mut asked = Vec::new();
+        let mut eval = |seed, candidates: &[u32]| {
+            asked.push((seed, candidates.to_vec()));
+            Ok::<_, Infallible>(candidates.iter().map(|&v| [0, 4, 1][v as usize]).collect())
+        };
+        let Ok(m) = selector.force(2, &mut eval);
+        assert_eq!(m, 1);
+        let (mut seeds, mut marginals) = (vec![2], vec![m]);
+        let Ok(()) = selector.run(2, &mut seeds, &mut marginals, &mut eval);
+        assert_eq!((seeds, marginals), (vec![2, 1], vec![1, 4]));
+        let expected: Requests = vec![(None, vec![2]), (Some(2), vec![0, 1]), (Some(1), vec![])];
+        assert_eq!(asked, expected);
     }
 
     #[test]
@@ -306,27 +264,20 @@ mod tests {
         // Deterministic LCG so the scenario is reproducible.
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = move |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) % m
         };
-        let initial: Vec<u64> = (0..300).map(|_| next(500)).collect();
-        let mut blocked = BucketSelector::new(&initial);
-        let mut flat = FlatSelector::new(&initial);
-        loop {
-            let a = blocked.select_next();
-            let b = flat.select_next();
-            assert_eq!(a, b, "blocked and flat selectors diverged");
-            let Some((u, _)) = a else { break };
-            // Random sparse decrements, identical on both selectors.
+        // Few distinct values, so ties are common.
+        let initial: Vec<u64> = (0..300).map(|_| next(40)).collect();
+        let (picks, asked) = run_against(&initial, 300, |truth| {
             for _ in 0..next(20) {
-                let v = next(300) as u32;
-                if v == u || blocked.selected[v as usize] {
-                    continue;
-                }
-                let by = next(blocked.coverage_of(v) + 1);
-                blocked.decrease(v, by);
-                flat.decrease(v, by);
+                let v = next(300) as usize;
+                truth[v] -= next(truth[v] + 1);
             }
-        }
+        });
+        assert!(picks.len() > 100);
+        assert!(asked.iter().all(|(_, c)| c.len() <= PULL_BATCH));
     }
 }

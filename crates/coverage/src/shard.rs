@@ -11,9 +11,17 @@ use crate::pooled::PooledSets;
 /// Each stored *element record* lists the ids of the sets covering that
 /// element (for an RR set, the nodes it contains). The shard maintains:
 ///
-/// * the transpose index `I_i(set) → local element ids` used by the map
-///   stage (Algorithm 1, line 16),
+/// * the transpose index `I_i(set) → local element ids`, from which a
+///   set's local marginal is counted (Algorithm 1, line 16),
 /// * per-element `covered` labels (lines 2, 17, 21).
+///
+/// Every per-set array is sized by the *domain*, which bounds the set ids
+/// the records name: 1 + the largest of them for records pushed one by one
+/// (the `BuildShard` op, sampling), the universe for records a loader has
+/// already checked against it ([`CoverageShard::from_pooled`]). The
+/// universe size `num_sets` is otherwise only the bound ids are checked
+/// against, so a shard built by an op costs what the op shipped, whatever
+/// universe it names. A set past the domain covers nothing here.
 ///
 /// The index exists for selection only, and [`CoverageShard::prepare`] is
 /// the one thing that builds it, at the start of each selection round.
@@ -25,6 +33,8 @@ use crate::pooled::PooledSets;
 #[derive(Clone, Debug)]
 pub struct CoverageShard {
     num_sets: usize,
+    /// 1 + the largest set id any record has named (0 when none has).
+    domain: usize,
     elements: PooledSets,
     /// Transpose: set id → local element ids, rebuilt in place by
     /// `prepare`. While `stale`, nothing reads it, and `replace_elements`
@@ -38,26 +48,21 @@ pub struct CoverageShard {
     covered_count: usize,
     /// Elements already reported through [`Self::take_new_coverage`].
     reported_elements: usize,
-    /// Dense per-set counter reused by the delta-aggregation hot paths
-    /// (always all-zero between calls).
-    scratch_counts: Vec<u32>,
-    /// Sets touched in `scratch_counts` during the current aggregation.
-    scratch_touched: Vec<u32>,
 }
 
 impl CoverageShard {
-    /// Creates an empty shard over a universe of `num_sets` sets.
+    /// Creates an empty shard over a universe of `num_sets` sets. Nothing
+    /// is sized by `num_sets`.
     pub fn new(num_sets: usize) -> Self {
         CoverageShard {
             num_sets,
+            domain: 0,
             elements: PooledSets::new(),
             index: PooledSets::new(),
             stale: true,
             covered: Vec::new(),
             covered_count: 0,
             reported_elements: 0,
-            scratch_counts: vec![0; num_sets],
-            scratch_touched: Vec::new(),
         }
     }
 
@@ -65,9 +70,11 @@ impl CoverageShard {
     /// index is stale until the next [`CoverageShard::prepare`], which the
     /// first selection round runs, and nothing is yet reported through
     /// `CoverageShard::take_new_coverage`. Loaders hand over the records
-    /// they read and leave the index to whoever reads it.
+    /// they read, every id already checked against `num_sets`, and leave
+    /// the index to whoever reads it.
     pub fn from_pooled(num_sets: usize, elements: PooledSets) -> Self {
         CoverageShard {
+            domain: num_sets,
             elements,
             ..CoverageShard::new(num_sets)
         }
@@ -92,8 +99,16 @@ impl CoverageShard {
         debug_assert!(covering_sets
             .iter()
             .all(|&s| (s as usize) < self.num_sets));
+        self.widen(covering_sets.iter().copied().max());
         self.elements.push(covering_sets);
         self.stale = true;
+    }
+
+    /// Grows the domain to cover set `max`, the largest id a record names.
+    fn widen(&mut self, max: Option<u32>) {
+        if let Some(max) = max {
+            self.domain = self.domain.max(max as usize + 1);
+        }
     }
 
     /// Number of local elements (`|R_i|`).
@@ -106,6 +121,12 @@ impl CoverageShard {
         self.num_sets
     }
 
+    /// 1 + the largest set id the records name: every set at or past it
+    /// covers nothing here.
+    pub(crate) fn domain(&self) -> usize {
+        self.domain
+    }
+
     /// Σ over local elements of record length (`Σ_{R∈R_i} |R|`).
     pub fn total_size(&self) -> usize {
         self.elements.total_size()
@@ -115,7 +136,7 @@ impl CoverageShard {
     /// (Algorithm 1, lines 1–3). Must be called before a selection round
     /// and after any `push_element` or `replace_elements`.
     pub fn prepare(&mut self) {
-        self.elements.transpose_into(self.num_sets, &mut self.index);
+        self.elements.transpose_into(self.domain, &mut self.index);
         self.stale = false;
         self.uncover_all();
     }
@@ -144,32 +165,14 @@ impl CoverageShard {
     /// need only report the marginals over its *newly generated* elements
     /// and let the master accumulate.
     pub(crate) fn take_new_coverage(&mut self) -> Vec<(u32, u32)> {
+        let mut counts = vec![0u32; self.domain];
         for e in self.reported_elements..self.elements.len() {
             for &v in self.elements.get(e) {
-                if self.scratch_counts[v as usize] == 0 {
-                    self.scratch_touched.push(v);
-                }
-                self.scratch_counts[v as usize] += 1;
+                counts[v as usize] += 1;
             }
         }
         self.reported_elements = self.elements.len();
-        self.drain_scratch()
-    }
-
-    /// Converts the dense scratch counters into sorted sparse tuples and
-    /// zeroes them for the next aggregation.
-    fn drain_scratch(&mut self) -> Vec<(u32, u32)> {
-        self.scratch_touched.sort_unstable();
-        let out: Vec<(u32, u32)> = self
-            .scratch_touched
-            .iter()
-            .map(|&v| (v, self.scratch_counts[v as usize]))
-            .collect();
-        for &v in &self.scratch_touched {
-            self.scratch_counts[v as usize] = 0;
-        }
-        self.scratch_touched.clear();
-        out
+        sparse(counts)
     }
 
     /// This machine's initial coverage of every set: `Δ_i(v)` for all `v`
@@ -177,57 +180,28 @@ impl CoverageShard {
     /// increasing set order (Algorithm 1, line 3).
     pub fn initial_coverage(&self) -> Vec<(u32, u32)> {
         assert!(!self.needs_prepare(), "call prepare() first");
-        (0..self.num_sets as u32)
-            .filter_map(|s| {
-                let c = self.index.get(s as usize).len();
-                (c > 0).then_some((s, c as u32))
-            })
-            .collect()
+        sparse((0..self.domain).map(|s| self.index.get(s).len() as u32))
     }
 
-    /// The map stage for a newly selected seed `u` (Algorithm 1,
-    /// lines 14–21): labels every uncovered local element containing `u` as
-    /// covered, and returns the sparse marginal decrements
-    /// `⟨v, Δ_i(v)⟩` for every affected set `v`, in increasing set order.
-    pub fn apply_seed(&mut self, u: u32) -> Vec<(u32, u32)> {
-        assert!(!self.needs_prepare(), "call prepare() first");
-        // The pseudo-code uses a hash map Δ_i; a dense counter plus a
-        // touched-list does the same aggregation with no hashing on the
-        // hot path, and sorting the touched sets keeps output
-        // deterministic.
-        for &e in self.index.get(u as usize) {
-            let e = e as usize;
-            if !self.covered[e] {
-                for &v in self.elements.get(e) {
-                    if self.scratch_counts[v as usize] == 0 {
-                        self.scratch_touched.push(v);
-                    }
-                    self.scratch_counts[v as usize] += 1;
-                }
-                self.covered[e] = true;
-                self.covered_count += 1;
-            }
+    /// Local elements of set `u`, none for a set past the domain.
+    fn elements_of(&self, u: u32) -> &[u32] {
+        if (u as usize) < self.domain {
+            self.index.get(u as usize)
+        } else {
+            &[]
         }
-        self.drain_scratch()
     }
 
-    /// The map stage for seed `u` with a per-occurrence callback instead of
-    /// aggregated deltas: invokes `f(v)` once per occurrence of set `v` in
-    /// a newly covered element. Local selection loops feed these straight
-    /// into `BucketSelector::decrease` — which is commutative, so the
-    /// unaggregated, unsorted order yields identical selector state — and
-    /// skip the dense-counter aggregation, sort, and `Vec` that
-    /// [`Self::apply_seed`] pays for the deterministic wire format.
-    pub(crate) fn apply_seed_each(&mut self, u: u32, mut f: impl FnMut(u32)) {
+    /// Applies a newly selected seed `u` (Algorithm 1, lines 17 and 21):
+    /// labels every local element containing `u` covered. Nothing is
+    /// reported: the master asks for the marginals it needs.
+    pub fn apply_seed(&mut self, u: u32) {
         assert!(!self.needs_prepare(), "call prepare() first");
-        for &e in self.index.get(u as usize) {
-            let e = e as usize;
-            if !self.covered[e] {
-                for &v in self.elements.get(e) {
-                    f(v);
-                }
-                self.covered[e] = true;
-                self.covered_count += 1;
+        if (u as usize) < self.domain {
+            for &e in self.index.get(u as usize) {
+                let covered = &mut self.covered[e as usize];
+                self.covered_count += usize::from(!*covered);
+                *covered = true;
             }
         }
     }
@@ -237,11 +211,10 @@ impl CoverageShard {
         self.covered_count
     }
 
-    /// Local coverage a set would add right now (diagnostics/tests).
+    /// Local coverage set `u` would add right now.
     pub fn marginal(&self, u: u32) -> usize {
         assert!(!self.needs_prepare(), "call prepare() first");
-        self.index
-            .get(u as usize)
+        self.elements_of(u)
             .iter()
             .filter(|&&e| !self.covered[e as usize])
             .count()
@@ -262,11 +235,9 @@ impl CoverageShard {
         assert!(seen.len() >= self.num_elements(), "flags shorter than shard");
         let mut covered = 0u64;
         for &u in seeds {
-            if (u as usize) < self.num_sets {
-                // Stamp and add: no branch on whether the element was new.
-                for &e in self.index.get(u as usize) {
-                    covered += seen.set(e as usize) as u64;
-                }
+            // Stamp and add: no branch on whether the element was new.
+            for &e in self.elements_of(u) {
+                covered += seen.set(e as usize) as u64;
             }
         }
         covered
@@ -288,10 +259,12 @@ impl CoverageShard {
     /// # Panics
     /// Panics if a touched id is outside the set universe.
     pub fn elements_containing(&self, touched: &[u32]) -> Vec<u32> {
-        let mut hit = vec![false; self.num_sets];
+        let mut hit = vec![false; self.domain];
         for &v in touched {
             assert!((v as usize) < self.num_sets, "touched set {v} outside the universe");
-            hit[v as usize] = true;
+            if let Some(h) = hit.get_mut(v as usize) {
+                *h = true;
+            }
         }
         (0..self.elements.len() as u32)
             .filter(|&e| self.elements.get(e as usize).iter().any(|&v| hit[v as usize]))
@@ -317,11 +290,17 @@ impl CoverageShard {
     /// Panics if ids are out of range or not strictly increasing.
     pub fn replace_elements(&mut self, replacements: &[(u32, Vec<u32>)]) {
         self.elements.splice_into(replacements, &mut self.index);
+        self.widen(replacements.iter().flat_map(|(_, r)| r).copied().max());
         std::mem::swap(&mut self.elements, &mut self.index);
         self.stale = true;
         self.uncover_all();
         self.reported_elements = 0;
     }
+}
+
+/// The nonzero entries of a dense per-set count, as `(set, count)`.
+fn sparse(counts: impl IntoIterator<Item = u32>) -> Vec<(u32, u32)> {
+    (0..).zip(counts).filter(|&(_, c)| c > 0).collect()
 }
 
 /// dim-serve shares one sketch across worker threads as
@@ -338,9 +317,8 @@ const _: () = {
 /// Owns its covered labels, so any number of cursors can query one
 /// `&CoverageShard` concurrently — what constrained top-k selection
 /// ([`crate::constrained_greedy`]) runs on in `dim serve`'s worker pool.
-/// For the same sequence of seeds, [`QueryCursor::apply_seed_each`] visits
-/// exactly what [`CoverageShard::apply_seed_each`] would on a freshly
-/// prepared shard.
+/// For the same sequence of seeds, [`QueryCursor::marginal`] answers what
+/// [`CoverageShard::marginal`] would on a freshly prepared shard.
 pub(crate) struct QueryCursor<'a> {
     shard: &'a CoverageShard,
     covered: EpochFlags,
@@ -361,22 +339,20 @@ impl<'a> QueryCursor<'a> {
         }
     }
 
-    /// The map stage for seed `u` with a per-occurrence callback: same
-    /// contract as [`CoverageShard::apply_seed_each`], against this
-    /// cursor's private labels. No aggregation, sort, or allocation.
-    ///
-    /// # Panics
-    /// Panics if `u` is outside the set universe.
-    pub fn apply_seed_each(&mut self, u: u32, mut f: impl FnMut(u32)) {
-        for &e in self.shard.index.get(u as usize) {
-            let e = e as usize;
-            if self.covered.set(e) {
-                for &v in self.shard.elements.get(e) {
-                    f(v);
-                }
-                self.covered_count += 1;
-            }
+    /// [`CoverageShard::apply_seed`] against this cursor's own labels.
+    pub fn apply_seed(&mut self, u: u32) {
+        for &e in self.shard.elements_of(u) {
+            self.covered_count += usize::from(self.covered.set(e as usize));
         }
+    }
+
+    /// [`CoverageShard::marginal`] against this cursor's own labels.
+    pub fn marginal(&self, u: u32) -> usize {
+        let elements = self.shard.elements_of(u);
+        elements
+            .iter()
+            .filter(|&&e| !self.covered.is_set(e as usize))
+            .count()
     }
 
     /// Elements covered by the seeds applied so far.
@@ -399,10 +375,14 @@ impl<'a> QueryCursor<'a> {
 /// [`WorkerOp::NewCoverage`] call [`CoverageShard::prepare`] first,
 /// starting a fresh selection round.
 ///
-/// An op the shard cannot serve — a record or seed naming a set outside
-/// the universe, a seed before the round's first op — is answered with a
-/// [`WorkerReply::Err`] naming the op, never a panic: the worker keeps
-/// serving.
+/// [`WorkerOp::ApplySeed`] is NewGreeDi's pull round: it labels the seed's
+/// elements covered and answers one local marginal per candidate. No delta
+/// is computed.
+///
+/// An op the shard cannot serve — a record, seed or candidate naming a set
+/// outside the universe, a pull before the round's first op — is answered
+/// with a [`WorkerReply::Err`] naming the op, never a panic: the worker
+/// keeps serving, and a refused pull leaves the shard as it was.
 pub fn execute_coverage_op(shard: &mut CoverageShard, op: &WorkerOp) -> Option<WorkerReply> {
     Some(match op {
         WorkerOp::BuildShard { num_sets, elements } => {
@@ -429,10 +409,19 @@ pub fn execute_coverage_op(shard: &mut CoverageShard, op: &WorkerOp) -> Option<W
         WorkerOp::ApplySeed { .. } if shard.needs_prepare() => WorkerReply::Err(
             "ApplySeed: no InitialCoverage or NewCoverage since the shard changed".into(),
         ),
-        WorkerOp::ApplySeed { set } if *set as usize >= shard.num_sets => WorkerReply::Err(
-            format!("ApplySeed: set {set} outside the universe of {}", shard.num_sets),
-        ),
-        WorkerOp::ApplySeed { set } => WorkerReply::Deltas(shard.apply_seed(*set)),
+        WorkerOp::ApplySeed { seed, candidates } => {
+            let universe = shard.num_sets;
+            let mut ids = seed.iter().chain(candidates);
+            if let Some(set) = ids.find(|&&s| s as usize >= universe) {
+                let msg = format!("ApplySeed: set {set} outside the universe of {universe}");
+                return Some(WorkerReply::Err(msg));
+            }
+            if let Some(u) = *seed {
+                shard.apply_seed(u);
+            }
+            let marginals = candidates.iter().map(|&v| shard.marginal(v) as u32);
+            WorkerReply::Marginals(marginals.collect())
+        }
         WorkerOp::CoveredCount => WorkerReply::Count(shard.covered_count() as u64),
         WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
             num_elements: shard.num_elements() as u64,
@@ -480,16 +469,21 @@ mod tests {
         );
     }
 
+    /// Marginals of every set of `shard`'s universe.
+    fn marginals(shard: &CoverageShard) -> Vec<usize> {
+        (0..shard.num_sets() as u32).map(|v| shard.marginal(v)).collect()
+    }
+
     #[test]
-    fn apply_seed_marks_and_reports_deltas() {
+    fn apply_seed_marks_its_elements_covered() {
         let mut shard = example3();
-        // Selecting v1 covers R1, R3, R5. Delta: every node in those sets.
-        let deltas = shard.apply_seed(0);
-        // R1={v1}, R3={v1,v3}, R5={v1}: v1 loses 3, v3 loses 1.
-        assert_eq!(deltas, vec![(0, 3), (2, 1)]);
+        // Selecting v1 covers R1, R3, R5 = {v1}, {v1, v3}, {v1}: v1 loses
+        // 3, v3 loses 1.
+        shard.apply_seed(0);
         assert_eq!(shard.covered_count(), 3);
+        assert_eq!(marginals(&shard), vec![0, 3, 1, 1, 1]);
         // Second application is a no-op: sets already covered.
-        assert_eq!(shard.apply_seed(0), vec![]);
+        shard.apply_seed(0);
         assert_eq!(shard.covered_count(), 3);
     }
 
@@ -554,7 +548,9 @@ mod tests {
         assert_eq!(rebuilt.initial_coverage(), fresh.initial_coverage());
         let mut a = fresh.clone();
         let mut b = rebuilt.clone();
-        assert_eq!(a.apply_seed(0), b.apply_seed(0));
+        a.apply_seed(0);
+        b.apply_seed(0);
+        assert_eq!(marginals(&a), marginals(&b));
         assert_eq!(a.covered_count(), b.covered_count());
     }
 
@@ -586,13 +582,35 @@ mod tests {
         }
     }
 
+    fn pull(seed: Option<u32>, candidates: &[u32]) -> WorkerOp {
+        WorkerOp::ApplySeed { seed, candidates: candidates.to_vec() }
+    }
+
     #[test]
     fn apply_seed_outside_the_universe_is_an_error_reply() {
         let mut shard = example3();
-        expect_err(execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 5 }), "ApplySeed");
+        expect_err(execute_coverage_op(&mut shard, &pull(Some(5), &[])), "ApplySeed");
+        // A bad candidate refuses the whole round: seed 0 is not applied.
+        expect_err(execute_coverage_op(&mut shard, &pull(Some(0), &[1, 5])), "ApplySeed");
+        assert_eq!(shard.covered_count(), 0);
         // Still serving: the next op gets its ordinary answer.
-        let reply = execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 0 });
-        assert_eq!(reply, Some(WorkerReply::Deltas(vec![(0, 3), (2, 1)])));
+        let reply = execute_coverage_op(&mut shard, &pull(Some(0), &[0, 2, 1]));
+        assert_eq!(reply, Some(WorkerReply::Marginals(vec![0, 1, 3])));
+    }
+
+    /// The records name the domain: set 7 is the largest of a 10-set
+    /// universe, and the sets past it answer like sets nothing covers.
+    /// (`tests/alloc_regression.rs` builds over a `u32::MAX` universe.)
+    #[test]
+    fn a_shard_is_sized_by_its_records_not_its_universe() {
+        let mut shard = CoverageShard::new(0);
+        let build = WorkerOp::BuildShard { num_sets: 10, elements: vec![vec![7, 2], vec![3]] };
+        execute_coverage_op(&mut shard, &build);
+        execute_coverage_op(&mut shard, &WorkerOp::InitialCoverage);
+        assert_eq!(shard.domain(), 8);
+        assert_eq!(shard.initial_coverage(), vec![(2, 1), (3, 1), (7, 1)]);
+        assert_eq!(marginals(&shard), vec![0, 0, 1, 1, 0, 0, 0, 1, 0, 0]);
+        assert_eq!(shard.elements_containing(&[9]), Vec::<u32>::new());
     }
 
     #[test]
@@ -610,10 +628,10 @@ mod tests {
         let mut shard = CoverageShard::new(0);
         let build = WorkerOp::BuildShard { num_sets: 5, elements: example3_records() };
         execute_coverage_op(&mut shard, &build);
-        expect_err(execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 0 }), "ApplySeed");
+        expect_err(execute_coverage_op(&mut shard, &pull(Some(0), &[])), "ApplySeed");
         execute_coverage_op(&mut shard, &WorkerOp::InitialCoverage);
-        let reply = execute_coverage_op(&mut shard, &WorkerOp::ApplySeed { set: 0 });
-        assert_eq!(reply, Some(WorkerReply::Deltas(vec![(0, 3), (2, 1)])));
+        let reply = execute_coverage_op(&mut shard, &pull(Some(0), &[2]));
+        assert_eq!(reply, Some(WorkerReply::Marginals(vec![1])));
     }
 
     /// Over TCP, a bad coverage op fails its round as `Malformed` naming
@@ -644,13 +662,19 @@ mod tests {
         };
         // Machine 1's second record names set 2 of a 2-set universe.
         fails_on(&mut cluster, phase::SETUP, build(2), 1);
-        // Built but not prepared: a seed before the round's first op.
+        // Built but not prepared: a pull before the round's first op.
         cluster.control(phase::SETUP, build(3)).unwrap();
-        fails_on(&mut cluster, phase::SEED_BROADCAST, |_| WorkerOp::ApplySeed { set: 0 }, 0);
+        fails_on(&mut cluster, phase::SEED_BROADCAST, |_| pull(None, &[0]), 0);
         // Prepared; machine 1's seed lies past the universe.
         cluster.control(phase::COVERAGE_UPLOAD, |_| WorkerOp::InitialCoverage).unwrap();
-        let seed = |i: usize| WorkerOp::ApplySeed { set: 2 + i as u32 };
+        let seed = |i: usize| pull(Some(2 + i as u32), &[]);
         fails_on(&mut cluster, phase::SEED_BROADCAST, seed, 1);
+        // Machine 1's candidate lies past the universe.
+        let candidate = |i: usize| pull(None, &[0, 2 + i as u32]);
+        fails_on(&mut cluster, phase::SEED_BROADCAST, candidate, 1);
+        // Every machine answers a good pull: set 0's one element each.
+        let answers = cluster.control(phase::SEED_BROADCAST, |_| pull(None, &[0])).unwrap();
+        assert_eq!(answers, vec![WorkerReply::Marginals(vec![1]); 2]);
     }
 
     #[test]
@@ -658,10 +682,11 @@ mod tests {
         let shard = example3();
         let mut mutable = example3();
         let mut cursor = QueryCursor::new(&shard);
-        for u in [0u32, 1, 0, 3] {
-            let mut counts = std::collections::BTreeMap::new();
-            cursor.apply_seed_each(u, |v| *counts.entry(v).or_insert(0u32) += 1);
-            assert_eq!(counts.into_iter().collect::<Vec<_>>(), mutable.apply_seed(u));
+        for u in [0u32, 1, 0, 3, 99] {
+            cursor.apply_seed(u);
+            mutable.apply_seed(u);
+            let via_cursor: Vec<usize> = (0..5).map(|v| cursor.marginal(v)).collect();
+            assert_eq!(via_cursor, marginals(&mutable));
             assert_eq!(cursor.covered_count(), mutable.covered_count());
         }
     }
@@ -671,11 +696,12 @@ mod tests {
         let shard = example3();
         let mut a = QueryCursor::new(&shard);
         let mut b = QueryCursor::new(&shard);
-        a.apply_seed_each(0, |_| {});
+        a.apply_seed(0);
         assert_eq!(a.covered_count(), 3);
         // b is unaffected by a's progress, and the shard itself never
         // changed.
-        b.apply_seed_each(0, |_| {});
+        assert_eq!(b.marginal(0), 3);
+        b.apply_seed(0);
         assert_eq!(b.covered_count(), 3);
         assert_eq!(shard.covered_count(), 0);
     }
@@ -688,7 +714,7 @@ mod tests {
         let seeds = [1u32, 4, 2, 4, 99];
         for upto in 1..=seeds.len() {
             if let Some(&u) = seeds[..upto].last().filter(|&&u| u < 5) {
-                via_deltas.apply_seed_each(u, |_| {});
+                via_deltas.apply_seed(u);
             }
             seen.clear();
             assert_eq!(
@@ -732,7 +758,9 @@ mod tests {
         assert_eq!(repaired.total_size(), fresh.total_size());
         let mut a = repaired.clone();
         let mut b = fresh.clone();
-        assert_eq!(a.apply_seed(4), b.apply_seed(4));
+        a.apply_seed(4);
+        b.apply_seed(4);
+        assert_eq!(marginals(&a), marginals(&b));
         // Everything counts as unreported again after a repair.
         assert_eq!(repaired.clone().take_new_coverage(), fresh.initial_coverage());
         // Empty replacement list is an identity rebuild.
@@ -754,7 +782,8 @@ mod tests {
         let mut shard = CoverageShard::new(3);
         shard.prepare();
         assert_eq!(shard.initial_coverage(), vec![]);
-        assert_eq!(shard.apply_seed(1), vec![]);
+        shard.apply_seed(1);
+        assert_eq!(shard.marginal(1), 0);
         assert_eq!(shard.covered_count(), 0);
     }
 }

@@ -9,9 +9,8 @@
 //! * **Spread estimation** for arbitrary seed sets — coverage fraction
 //!   times `n` (Eq. 2), the paper's own quality metric.
 //! * **Constrained top-k** — greedy maximum coverage re-run with forced
-//!   includes and excludes, reusing the bucketed lazy selector
-//!   (Algorithm 1's vector `D`), so the unconstrained answer is exactly
-//!   the persisted run's seed set.
+//!   includes and excludes, reusing the lazy selector every greedy runs,
+//!   so the unconstrained answer is exactly the persisted run's seed set.
 //! * **Stats/health** — sketch shape plus a query counter.
 //!
 //! The wire protocol rides the cluster crate's length-prefixed frames

@@ -20,7 +20,7 @@
 //! | [`dim_graph`] | CSR graphs, edge-list IO, synthetic social-network generators, dataset profiles |
 //! | [`dim_diffusion`] | IC/LT diffusion, Monte-Carlo + exact spread, RR-set samplers (BFS / walk / SUBSIM) |
 //! | [`dim_cluster`] | the cluster contract (`ClusterBackend` accounting + `OpCluster` ops) and its sim / TCP backends |
-//! | [`dim_coverage`] | maximum coverage: bucket/CELF greedy, NewGreeDi, GreeDi/RandGreeDi baselines |
+//! | [`dim_coverage`] | maximum coverage: lazy greedy, NewGreeDi, GreeDi/RandGreeDi baselines |
 //! | [`dim_core`] | IMM, DiIMM, and SUBSIM with the `(1 − 1/e − ε)` guarantee |
 //! | [`dim_store`] | versioned on-disk RR-sketch snapshots (`dim sample` / `--load-rr`) |
 //! | [`dim_serve`] | concurrent influence-query service over a persisted sketch (`dim serve`) |
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use dim_core::ssa::dssa;
     pub use dim_core::{setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, WorkerHost};
     pub use dim_coverage::greedi::greedi;
-    pub use dim_coverage::greedy::{bucket_greedy, celf_greedy};
+    pub use dim_coverage::greedy::bucket_greedy;
     pub use dim_coverage::{newgreedi, CoverageProblem, CoverageShard};
     pub use dim_diffusion::exact::{exact_opt, exact_spread};
     pub use dim_diffusion::forward::estimate_spread;

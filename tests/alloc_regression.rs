@@ -1,25 +1,32 @@
 //! Regression guard for per-call scratch allocations on the query hot
 //! paths and the stream-repair splice: repeated queries against a frozen
 //! sketch, and repeated repairs of a resident shard, must reuse their
-//! buffers, not re-allocate them.
+//! buffers, not re-allocate them. And a worker's memory is bounded by
+//! what it was shipped, whatever universe an op names.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator. The whole
-//! guard lives in ONE test function — the counter is process-global, so a
-//! second concurrently running test would make the deltas meaningless.
+//! A counting `#[global_allocator]` wraps the system allocator, counting
+//! calls and bytes. The whole guard lives in ONE test function — the
+//! counters are process-global, so a second concurrently running test
+//! would make the deltas meaningless.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dim_coverage::{constrained_greedy, seed_set_coverage, CoverageShard, SketchCursors};
+use dim_cluster::{WorkerOp, WorkerReply};
+use dim_coverage::{
+    constrained_greedy, execute_coverage_op, seed_set_coverage, CoverageShard, SketchCursors,
+};
 use dim_graph::scratch;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -29,6 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,6 +46,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested from the allocator so far (a total, never decreased).
+fn bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }
 
 /// Deterministic little sketch: 3 shards of `elements` records each over a
@@ -171,4 +184,55 @@ fn hot_query_paths_do_not_allocate_in_steady_state() {
     for (id, record) in warm_up.iter().chain(&second) {
         assert_eq!(shard.elements().get(*id as usize), record.as_slice());
     }
+
+    // A 9-byte `BuildShard` naming the largest universe, its round's first
+    // op and a pull round naming a set near the top of that universe all
+    // answer, and allocate nothing sized by the universe: the shard's
+    // per-set arrays follow the records it was shipped (none here).
+    let ops = [
+        WorkerOp::BuildShard {
+            num_sets: u32::MAX,
+            elements: vec![],
+        },
+        WorkerOp::InitialCoverage,
+        WorkerOp::ApplySeed {
+            seed: Some(u32::MAX - 1),
+            candidates: vec![u32::MAX - 1],
+        },
+    ];
+    let mut worker = CoverageShard::new(0);
+    let before = bytes();
+    let replies: Vec<_> = ops
+        .iter()
+        .map(|op| execute_coverage_op(&mut worker, op))
+        .collect();
+    let spent = bytes() - before;
+    assert_eq!(
+        replies,
+        [
+            Some(WorkerReply::Ok),
+            Some(WorkerReply::Deltas(vec![])),
+            Some(WorkerReply::Marginals(vec![0])),
+        ]
+    );
+    assert!(
+        spent < 4096,
+        "an empty shard naming 2^32 sets allocated {spent} bytes"
+    );
+
+    // A pull frame claiming 2^32 - 1 candidates is refused before its
+    // body is allocated.
+    let mut frame = WorkerOp::ApplySeed {
+        seed: None,
+        candidates: vec![],
+    }
+    .encode();
+    frame[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+    frame.extend_from_slice(&[0; 64]);
+    let before = bytes();
+    assert_eq!(WorkerOp::decode(&frame), None);
+    assert!(
+        bytes() - before < 4096,
+        "a hostile candidate count was allocated"
+    );
 }

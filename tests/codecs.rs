@@ -22,7 +22,9 @@ use common::{any_u64, forall, in_range, vec_of};
 use dim::dim_cluster::faults::PPM;
 use dim::dim_cluster::ops::put_u32;
 use dim::dim_cluster::rendezvous::{Hello, JoinHello, Reject, RejectReason, Welcome};
-use dim::dim_cluster::wire::{delta_wire_size, read_frame, u64_wire_size, write_frame};
+use dim::dim_cluster::wire::{
+    delta_wire_size, ids_wire_size, read_frame, u64_wire_size, write_frame,
+};
 use dim::dim_coverage::PooledSets;
 use dim::dim_graph::binary::{decode_binary, write_binary};
 use dim::dim_serve::proto::*;
@@ -141,7 +143,10 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
         SampleRr { count: any_u64(rng) },
         InitialCoverage,
         NewCoverage,
-        ApplySeed { set: any_u32(rng) },
+        ApplySeed {
+            seed: (rng.below(2) == 0).then(|| any_u32(rng)),
+            candidates: ids(rng),
+        },
         CoveredCount,
         Stats,
         Validate { seeds: ids(rng) },
@@ -168,15 +173,16 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
 fn any_worker_reply(rng: &mut Rng) -> WorkerReply {
     use WorkerReply::*;
     let (num_elements, total_size, edges_examined) = (any_u64(rng), any_u64(rng), any_u64(rng));
-    let all: [WorkerReply; 5] = [
+    let all: [WorkerReply; 6] = [
         Ok,
         Deltas(vec_of(rng, 0..60, |r| (any_u32(r), any_u32(r)))),
+        Marginals(ids(rng)),
         Count(any_u64(rng)),
         Stats(WorkerStats { num_elements, total_size, edges_examined }),
         Err(ascii(rng, 0..41)),
     ];
     match pick(rng, all) {
-        reply @ (Ok | Deltas(_) | Count(_) | Stats(_) | Err(_)) => reply,
+        reply @ (Ok | Deltas(_) | Marginals(_) | Count(_) | Stats(_) | Err(_)) => reply,
     }
 }
 
@@ -401,13 +407,15 @@ fn worker_op_is_strict() {
 }
 
 /// Replies are strict, and the advertised wire size follows the payload
-/// accounting rules: deltas and counts cost bytes, envelopes are free.
+/// accounting rules: deltas, marginals and counts cost bytes, envelopes
+/// are free.
 #[test]
 fn worker_reply_is_strict() {
     let encode = |reply: &WorkerReply| {
         let expected = match reply {
             WorkerReply::Ok | WorkerReply::Err(_) => 0,
             WorkerReply::Deltas(d) => delta_wire_size(d.len()),
+            WorkerReply::Marginals(m) => ids_wire_size(m.len()),
             WorkerReply::Count(_) => u64_wire_size(),
             WorkerReply::Stats(_) => 24,
         };

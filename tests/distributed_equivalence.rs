@@ -90,11 +90,16 @@ fn newgreedi_exact_on_ris_instances() {
     }
 }
 
-/// GreeDi never exceeds NewGreeDi's coverage (NewGreeDi is the exact
-/// greedy; GreeDi is its core-set approximation) on the Fig. 10 workload.
+/// GreeDi is bounded by NewGreeDi on the Fig. 10 workload. NewGreeDi is
+/// the exact greedy (here: equal to the naive rescan), which covers at
+/// least (1 − 1/e) of the optimum, and GreeDi covers at most the optimum:
+/// GreeDi ≤ NewGreeDi / (1 − 1/e). Neither dominates the other instance by
+/// instance — greedy is not optimal, and its tie rule decides which of
+/// several greedy runs is made — so the bound is the theorem's.
 #[test]
 fn greedi_bounded_by_newgreedi_on_neighborhoods() {
     use dim_cluster::SimCluster;
+    use dim_coverage::greedy::naive_greedy;
 
     let g = DatasetProfile::Facebook.generate(0.2, 4);
     let problem = CoverageProblem::from_graph_neighborhoods(&g);
@@ -105,6 +110,11 @@ fn greedi_bounded_by_newgreedi_on_neighborhoods() {
             ExecMode::Sequential,
         );
         let ng = newgreedi(&mut ng_cluster, 20).unwrap();
+        assert_eq!(
+            ng,
+            naive_greedy(&mut problem.single_shard(), 20),
+            "ℓ = {machines}"
+        );
         let mut gd_cluster = SimCluster::new(
             problem.shard_sets(machines, Some(7)),
             NetworkModel::zero(),
@@ -112,8 +122,8 @@ fn greedi_bounded_by_newgreedi_on_neighborhoods() {
         );
         let gd = greedi(&mut gd_cluster, 20, 20);
         assert!(
-            gd.covered <= ng.covered,
-            "ℓ = {machines}: GreeDi {} > NewGreeDi {}",
+            gd.covered as f64 * (1.0 - (-1.0f64).exp()) <= ng.covered as f64,
+            "ℓ = {machines}: GreeDi {} > NewGreeDi {} / (1 − 1/e)",
             gd.covered,
             ng.covered
         );
