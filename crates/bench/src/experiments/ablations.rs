@@ -126,8 +126,8 @@ report::json_row! {
     }
 }
 
-/// SUBSIM's geometric jumps vs the standard per-edge reverse BFS, on the
-/// same number of RR sets.
+/// SUBSIM's count-first subset sampling vs the standard per-edge reverse
+/// BFS, on the same number of RR sets.
 pub fn sampler(ctx: &Context) {
     let count = 20_000;
     println!("RR sets per run: {count}\n");

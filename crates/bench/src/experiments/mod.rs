@@ -28,7 +28,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("fig10", "maximum coverage: NewGreeDi vs GreeDi vs sequential greedy", fig10::run),
     ("ablation-traffic", "pulled marginals vs full-vector reduce traffic", ablations::traffic),
     ("ablation-greedy", "lazy selector vs naive rescan", ablations::greedy),
-    ("ablation-sampler", "SUBSIM geometric jumps vs per-edge BFS work", ablations::sampler),
+    ("ablation-sampler", "SUBSIM count-first vs per-edge BFS work", ablations::sampler),
     ("ablation-incremental", "incremental vs full coverage reporting in DiIMM", ablations::incremental),
     ("ext-opim", "extension: OPIM-C adaptive stopping vs IMM sample counts", opim_ext::run),
 ];

@@ -42,16 +42,17 @@ pub use dim_graph::codec::{put_u32, put_u64, Reader};
 /// sits below the algorithms in the dependency order); `dim-core` provides
 /// the conversions. Each variant names one RR-set law, and its tag is
 /// bound to that law in every file ever written: the default IC sampler is
-/// `Subsim` (tag 2), so a tag-0 sketch can only be extended or repaired by
-/// the reverse BFS that drew it.
+/// `Subsim` (tag 3), so a tag-0 sketch can only be extended or repaired by
+/// the reverse BFS that drew it. Tag 2 named the jump sampler SUBSIM used
+/// before, which no build runs any more ([`SamplerSpec::is_retired`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplerSpec {
     /// The paper's per-edge reverse BFS under independent cascade.
     ReverseBfs,
     /// Reverse walk under linear threshold.
     StandardLt,
-    /// SUBSIM's geometric-jump sampler under independent cascade, the IC
-    /// default.
+    /// SUBSIM's count-first subset sampler under independent cascade, the
+    /// IC default.
     Subsim,
 }
 
@@ -62,18 +63,26 @@ impl SamplerSpec {
         match self {
             SamplerSpec::ReverseBfs => 0,
             SamplerSpec::StandardLt => 1,
-            SamplerSpec::Subsim => 2,
+            SamplerSpec::Subsim => 3,
         }
     }
 
-    /// Inverse of [`SamplerSpec::tag`].
+    /// Inverse of [`SamplerSpec::tag`]: `None` for a retired tag too.
     pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(SamplerSpec::ReverseBfs),
             1 => Some(SamplerSpec::StandardLt),
-            2 => Some(SamplerSpec::Subsim),
+            3 => Some(SamplerSpec::Subsim),
             _ => None,
         }
+    }
+
+    /// Whether `tag` names a law no build draws any more: 2, SUBSIM's
+    /// jump sampler (one geometric skip per live edge), replaced as the IC
+    /// default by the count-first law (tag 3). A sketch drawn under it can
+    /// be neither extended nor repaired, and must be re-sampled.
+    pub fn is_retired(tag: u8) -> bool {
+        tag == 2
     }
 }
 
@@ -85,8 +94,8 @@ pub struct WorkerStats {
     /// Σ over resident elements of their size.
     pub total_size: u64,
     /// Sampler work units spent while sampling (Σ w(R), the EPT mass: one
-    /// per in-edge examined, one per jump on a SUBSIM jump row), if the
-    /// worker samples.
+    /// per in-edge examined on a coin row, `1 + L` on a SUBSIM count row
+    /// with `L` live edges), if the worker samples.
     pub edges_examined: u64,
 }
 

@@ -12,8 +12,9 @@ use dim_graph::Graph;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplerKind {
     /// The model's default sampler ([`AnySampler::for_model`]): SUBSIM's
-    /// geometric jumps for IC (the Fig. 7 sampler, tag 2) and the reverse
-    /// walk for LT (tag 1). What IMM/DiIMM, `dim` and the benchmark use.
+    /// count-first subset sampler for IC (the Fig. 7 sampler, tag 3) and
+    /// the reverse walk for LT (tag 1). What IMM/DiIMM, `dim` and the
+    /// benchmark use.
     Standard(DiffusionModel),
     /// The paper's §III-A per-edge reverse BFS for IC (tag 0): the same
     /// law as `Standard(IC)` drawn coin by coin, kept as the baseline that
@@ -119,7 +120,8 @@ pub struct ImResult {
     /// Σ over RR sets of their size (Table IV column 2).
     pub total_rr_size: usize,
     /// Total sampler work units spent (Σ w(R), the EPT mass): one per
-    /// in-edge examined, one per jump on a SUBSIM jump row.
+    /// in-edge examined on a coin row, `1 + L` on a SUBSIM count row with
+    /// `L` live edges.
     pub edges_examined: u64,
     /// Estimated influence spread `n · F_R(S*)`.
     pub est_spread: f64,
@@ -215,8 +217,8 @@ mod tests {
         assert!(matches!(SamplerKind::ReverseBfs.make(&g), AnySampler::ReverseBfs(_)));
     }
 
-    /// `dim_diffusion`'s SUBSIM test fixture: a 200-node double ring (coin
-    /// rows) whose nodes also point at hub 0 (a jump row).
+    /// `dim_diffusion`'s SUBSIM test fixture: a 200-node double ring whose
+    /// nodes also point at hub 0, every row a count row of its own degree.
     fn mixed_fixture() -> Graph {
         let n = 200u32;
         let mut b = GraphBuilder::new(n as usize);
@@ -250,13 +252,14 @@ mod tests {
         crate::fnv::fnv1a(&bytes)
     }
 
-    /// The two IC laws, pinned draw for draw to the digests they printed
-    /// before the default moved: `Standard(IC)` under the old name
-    /// `Subsim`, `ReverseBfs` under the old `Standard(IC)`. A sketch on
-    /// disk stays reproducible under the tag it was written with.
+    /// The two IC laws, pinned draw for draw: `ReverseBfs` to the digest it
+    /// has printed since it was the default, `Standard(IC)` to the digest
+    /// of the count-first law (tag 3), re-pinned once when it replaced the
+    /// jump sampler (tag 2, `0xcb90_df32_694e_65b9`). A sketch on disk
+    /// stays reproducible under the tag it was written with.
     #[test]
     fn ic_laws_reproduce_their_pinned_draws() {
-        const SUBSIM: u64 = 0xcb90_df32_694e_65b9;
+        const SUBSIM: u64 = 0x2fcb_3000_ab47_d6b9;
         const REVERSE_BFS: u64 = 0x80b1_78dc_8e6e_2d3a;
         let ic = SamplerKind::Standard(DiffusionModel::IndependentCascade);
         assert_eq!(law_digest(ic), SUBSIM);

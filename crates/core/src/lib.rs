@@ -20,8 +20,8 @@
 //!   [`StreamSession`] restores the newest one and reruns seed selection with
 //!   byte-identical seeds and marginals.
 //!
-//! IC runs sample with SUBSIM's geometric jumps by default (the Fig. 7
-//! configuration); [`SamplerKind::ReverseBfs`] selects the paper's
+//! IC runs sample with SUBSIM's count-first subset sampler by default (the
+//! Fig. 7 configuration); [`SamplerKind::ReverseBfs`] selects the paper's
 //! per-edge reverse BFS, which draws the same law. [`opim`] and [`ssa`] add
 //! OPIM-C and SSA — the adaptive-stopping frameworks the paper names as
 //! equally compatible with its building blocks — as one paired-collection

@@ -23,19 +23,32 @@ use dim_cluster::{
 use dim_coverage::newgreedi::newgreedi_with;
 use dim_coverage::CoverageShard;
 use dim_graph::{apply_batch, DeltaBatch, DeltaError, EdgeOp, Graph};
-use dim_store::{graph_fingerprint, Snapshot, SnapshotRequest, StoreError};
+use dim_store::{graph_fingerprint, RunParams, Snapshot, SnapshotRequest, StoreError};
 
 use crate::config::{ImConfig, ImResult, Timings};
 use crate::diimm::{diimm_on, finish, DiimmWorker};
 
 /// Failures of the persisted-sketch entry points: the snapshot layer
-/// (I/O, corruption, provenance mismatch), the cluster layer, or a
-/// streamed edge batch that does not apply to the resident graph.
+/// (I/O, corruption, provenance mismatch), the cluster layer, a streamed
+/// edge batch that does not apply to the resident graph, or a sketch
+/// sampled for another run than the one asked of it.
 #[derive(Debug)]
 pub enum SnapshotError {
     Store(StoreError),
     Wire(WireError),
     Delta(DeltaError),
+    /// The chain's manifests do not record the `(k, ε, δ)` it was sampled
+    /// for (an older build wrote them), so no run can be matched to it.
+    UnknownRun {
+        dir: PathBuf,
+    },
+    /// The sketch was sampled for another `(k, ε, δ)`: its θ certifies
+    /// only that run. `flag` names the first differing one.
+    OtherRun {
+        flag: &'static str,
+        stored: f64,
+        requested: f64,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -44,6 +57,22 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Store(e) => write!(f, "{e}"),
             SnapshotError::Wire(e) => write!(f, "{e}"),
             SnapshotError::Delta(e) => write!(f, "{e}"),
+            SnapshotError::UnknownRun { dir } => write!(
+                f,
+                "stored sketch {} does not record the --k, --epsilon and --delta it was \
+                 sampled for (an older build wrote it): re-sample it (`dim sample`)",
+                dir.display()
+            ),
+            SnapshotError::OtherRun {
+                flag,
+                stored,
+                requested,
+            } => write!(
+                f,
+                "the stored sketch was sampled for {flag} {stored}, not {flag} {requested}: \
+                 its RR-set count certifies only the run it was sampled for; pass {flag} \
+                 {stored} or re-sample (`dim sample`)"
+            ),
         }
     }
 }
@@ -54,6 +83,7 @@ impl std::error::Error for SnapshotError {
             SnapshotError::Store(e) => Some(e),
             SnapshotError::Wire(e) => Some(e),
             SnapshotError::Delta(e) => Some(e),
+            SnapshotError::UnknownRun { .. } | SnapshotError::OtherRun { .. } => None,
         }
     }
 }
@@ -105,6 +135,42 @@ pub fn persist_rr_shards<B: OpCluster>(
     expect_ok(&replies, phase::STORE_SAVE)
 }
 
+/// The run `config` asks for, as a generation's manifest records it.
+fn run_params(config: &ImConfig) -> RunParams {
+    RunParams {
+        k: config.k as u64,
+        epsilon: config.epsilon,
+        delta: config.delta,
+    }
+}
+
+/// Refuses a chain sampled for another run than `config`'s, naming the
+/// first flag that differs, and a chain that does not say.
+fn check_run(
+    stored: Option<RunParams>,
+    config: &ImConfig,
+    dir: &Path,
+) -> Result<(), SnapshotError> {
+    let stored = stored.ok_or_else(|| SnapshotError::UnknownRun {
+        dir: dir.to_path_buf(),
+    })?;
+    let requested = run_params(config);
+    // `k` is far below 2⁵³, so as an f64 it compares and prints exactly.
+    let flags = [
+        ("--k", stored.k as f64, requested.k as f64),
+        ("--epsilon", stored.epsilon, requested.epsilon),
+        ("--delta", stored.delta, requested.delta),
+    ];
+    match flags.into_iter().find(|(_, stored, requested)| stored != requested) {
+        None => Ok(()),
+        Some((flag, stored, requested)) => Err(SnapshotError::OtherRun {
+            flag,
+            stored,
+            requested,
+        }),
+    }
+}
+
 /// Runs DiIMM on `cluster`, whose workers already hold the graph and a
 /// sampler (built in process by [`diimm_sample_generation`], or installed
 /// by [`crate::setup_im_cluster`] on a TCP backend), and persists the
@@ -127,7 +193,7 @@ pub fn diimm_sample_on<B: OpCluster>(
     let mut result = diimm_on(cluster, graph, config, true)?;
     let fingerprint = graph_fingerprint(graph);
     persist_rr_shards(cluster, &dir, fingerprint, config, result.num_rr_sets as u64)?;
-    dim_store::commit_generation(&dir, id)?;
+    dim_store::commit_generation(&dir, id, &run_params(config))?;
     dim_store::gc_generations(root, keep)?;
     // Re-derive the result's metric views so they include the save phase.
     let timeline = cluster.timeline().clone();
@@ -239,6 +305,11 @@ impl<'g> StreamSession<'g> {
     /// only: each builds its index in the first round of the next
     /// selection, and an `apply` never needs it. The restore's wall time is
     /// recorded under [`phase::STORE_LOAD`].
+    ///
+    /// A chain sampled for another `(k, ε, δ)` than `config`'s is refused
+    /// ([`SnapshotError::OtherRun`]): its θ certifies only the run it was
+    /// sampled for. So is one whose manifests do not record the run
+    /// ([`SnapshotError::UnknownRun`]).
     pub fn open(
         base: &'g Graph,
         config: &ImConfig,
@@ -249,6 +320,7 @@ impl<'g> StreamSession<'g> {
         let start = Instant::now();
         let request = rr_snapshot_request(base, config);
         let (generation, snapshot, chain) = dim_store::load_latest_chain(root, &request)?;
+        check_run(chain.params, config, &chain.base_dir)?;
         // Graph lineage: a compacted base persists its mutated graph
         // next to its shards; an uncompacted one was sampled from the
         // boot graph itself.
@@ -393,7 +465,7 @@ impl<'g> StreamSession<'g> {
         })?;
         let counts = expect_counts(&replies, phase::STREAM_APPLY)?;
         if let Some((id, dir)) = &staged {
-            dim_store::commit_generation(dir, *id)?;
+            dim_store::commit_generation(dir, *id, &run_params(&self.config))?;
             self.generation = *id;
         }
         // The workers and (when persisting) the disk now hold the batch:
@@ -445,7 +517,7 @@ impl<'g> StreamSession<'g> {
         let fingerprint = self.root_fingerprint;
         persist_rr_shards(&mut self.cluster, &dir, fingerprint, &self.config, self.theta)?;
         dim_store::write_graph_file(&dir, &self.current)?;
-        dim_store::commit_generation(&dir, id)?;
+        dim_store::commit_generation(&dir, id, &run_params(&self.config))?;
         self.generation = id;
         self.base_generation = id;
         self.next_seq = 0;
@@ -588,11 +660,22 @@ mod tests {
             }
             other => panic!("expected sampler mismatch, got {other:?}"),
         }
+        // Another run: the first differing flag is named.
+        for (run, flag) in [
+            (ImConfig { k: 4, ..cfg }, "--k"),
+            (ImConfig { epsilon: 0.3, ..cfg }, "--epsilon"),
+            (ImConfig { delta: 0.2, ..cfg }, "--delta"),
+        ] {
+            match load_and_select(&g, &run, &root, net) {
+                Err(SnapshotError::OtherRun { flag: named, .. }) => assert_eq!(named, flag),
+                other => panic!("expected {flag} refused, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A sketch written when the reverse BFS was the IC default carries
-    /// tag 0. Requested as today's default `Standard(IC)` (tag 2) it is
+    /// tag 0. Requested as today's default `Standard(IC)` (tag 3) it is
     /// refused, for selection and for streaming alike — both open the
     /// same session: it must be re-sampled, never repaired under the other
     /// law.

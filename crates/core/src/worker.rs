@@ -27,8 +27,8 @@ use crate::config::{ImConfig, SamplerKind};
 use crate::diimm::DiimmWorker;
 
 /// A spec names the law its tag was written with: the IC default is
-/// SUBSIM (tag 2), and tag 0 is the reverse BFS, whatever was the default
-/// when the sketch was drawn.
+/// SUBSIM's count-first law (tag 3), and tag 0 is the reverse BFS, whatever
+/// was the default when the sketch was drawn.
 impl From<SamplerSpec> for SamplerKind {
     fn from(spec: SamplerSpec) -> Self {
         match spec {

@@ -9,8 +9,8 @@
 //! * [`exact`] — exact influence spread by live-edge enumeration on tiny
 //!   graphs (used to validate Example 1 and the approximation guarantees).
 //! * [`rr`] — random reverse-reachable (RR) set generation (Definition 1):
-//!   the SUBSIM geometric-jump sampler of Guo et al. (SIGMOD'20), the IC
-//!   default; the paper's per-edge reverse BFS for IC, kept as the named
+//!   SUBSIM-style count-first subset sampling (Guo et al., SIGMOD'20), the
+//!   IC default; the paper's per-edge reverse BFS for IC, kept as the named
 //!   baseline; and the reverse random walk for LT.
 //!
 //! The crate owns no storage: samplers hand each RR set to their caller,

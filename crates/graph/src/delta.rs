@@ -10,7 +10,7 @@
 //!
 //! Mutations never add nodes: every op must reference nodes `< n`. This
 //! keeps all per-node state in the samplers and coverage shards (visit
-//! trackers, epoch flags, SUBSIM's per-node jump precompute) valid across a
+//! trackers, epoch flags, SUBSIM's per-node CDF tables) valid across a
 //! batch, which is what makes incremental RR-set repair sound.
 //!
 //! Semantics (documented, deterministic):

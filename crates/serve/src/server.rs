@@ -1232,7 +1232,8 @@ mod tests {
             edges_examined: 0,
         };
         dim_store::write_shard(&dir, &header, &elements).unwrap();
-        dim_store::commit_generation(&dir, id).unwrap();
+        let run = dim_store::RunParams { k: 1, epsilon: 0.5, delta: 0.1 };
+        dim_store::commit_generation(&dir, id, &run).unwrap();
         id
     }
 

@@ -121,8 +121,7 @@ impl DeltaShardHeader {
         let parent_fingerprint = r.u64().ok_or_else(truncated)?;
         let fingerprint = r.u64().ok_or_else(truncated)?;
         let tag = r.u8().ok_or_else(truncated)?;
-        let sampler = SamplerSpec::from_tag(tag)
-            .ok_or_else(|| StoreError::corrupt("unknown sampler tag"))?;
+        let sampler = crate::sampler_of(tag)?;
         let seed = r.u64().ok_or_else(truncated)?;
         let theta = r.u64().ok_or_else(truncated)?;
         let batch_seq = r.u64().ok_or_else(truncated)?;

@@ -126,12 +126,36 @@ pub fn begin_generation(root: &Path) -> Result<(u64, PathBuf), StoreError> {
     Ok((next, dir))
 }
 
+/// The run a sketch was sampled for: the `(k, ε, δ)` its θ certifies.
+/// Every generation's manifest records it, delta and compacted
+/// generations the values of the run their chain began with.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RunParams {
+    /// Seed-set size.
+    pub k: u64,
+    /// Approximation slack ε.
+    pub epsilon: f64,
+    /// Failure probability δ.
+    pub delta: f64,
+}
+
+/// A parsed manifest: the committed id and, unless an older build wrote
+/// it, the run the generation was sampled for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Manifest {
+    pub(crate) id: u64,
+    pub(crate) params: Option<RunParams>,
+}
+
 /// Writes the commit-marker manifest into a generation directory,
-/// atomically (tmp file + rename). Only after this returns does the
-/// generation become visible to [`load_latest_snapshot`].
-pub fn commit_generation(dir: &Path, id: u64) -> Result<(), StoreError> {
+/// atomically (tmp file + rename): one line, `dim-generation-v1 <id>
+/// k=<k> epsilon=<ε> delta=<δ>`, the floats in a form that parses back to
+/// the same bits. Only after this returns does the generation become
+/// visible to [`load_latest_snapshot`].
+pub fn commit_generation(dir: &Path, id: u64, params: &RunParams) -> Result<(), StoreError> {
     let tmp = dir.join(format!(".{MANIFEST_FILE}.tmp"));
-    let content = format!("{MANIFEST_TAG} {id}\n");
+    let RunParams { k, epsilon, delta } = params;
+    let content = format!("{MANIFEST_TAG} {id} k={k} epsilon={epsilon:?} delta={delta:?}\n");
     fs::write(&tmp, content).map_err(|e| io_err(&tmp, e))?;
     let path = dir.join(MANIFEST_FILE);
     fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
@@ -139,26 +163,47 @@ pub fn commit_generation(dir: &Path, id: u64) -> Result<(), StoreError> {
 }
 
 /// Reads a generation directory's manifest: `Ok(None)` when absent
-/// (uncommitted), the committed id when present, `Corrupt` when the file
-/// exists but does not parse or its id disagrees with the expectation.
-pub(crate) fn read_manifest(dir: &Path) -> Result<Option<u64>, StoreError> {
+/// (uncommitted), the manifest when present, `Corrupt` when the file
+/// exists but does not parse. A manifest of an older build names the id
+/// alone: it parses, with no run parameters.
+pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>, StoreError> {
     let path = dir.join(MANIFEST_FILE);
     let content = match fs::read_to_string(&path) {
         Ok(c) => c,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_err(&path, e)),
     };
-    let corrupt = || StoreError::Corrupt {
-        path: Some(path.clone()),
-        detail: "malformed generation manifest",
+    match parse_manifest(&content) {
+        Some(manifest) => Ok(Some(manifest)),
+        None => Err(StoreError::Corrupt {
+            path: Some(path),
+            detail: "malformed generation manifest",
+        }),
+    }
+}
+
+fn parse_manifest(content: &str) -> Option<Manifest> {
+    let mut words = content.lines().next()?.split_whitespace();
+    if words.next()? != MANIFEST_TAG {
+        return None;
+    }
+    let id = words.next()?.parse().ok()?;
+    let rest: Vec<&str> = words.collect();
+    let params = match rest[..] {
+        [] => None,
+        [k, epsilon, delta] => Some(RunParams {
+            k: k.strip_prefix("k=")?.parse().ok()?,
+            epsilon: epsilon.strip_prefix("epsilon=")?.parse().ok()?,
+            delta: delta.strip_prefix("delta=")?.parse().ok()?,
+        }),
+        _ => return None,
     };
-    let line = content.lines().next().ok_or_else(corrupt)?;
-    let id = line
-        .strip_prefix(MANIFEST_TAG)
-        .map(str::trim)
-        .and_then(|d| d.parse::<u64>().ok())
-        .ok_or_else(corrupt)?;
-    Ok(Some(id))
+    Some(Manifest { id, params })
+}
+
+/// Whether `dir` holds a manifest committing generation `id`.
+fn is_committed(dir: &Path, id: u64) -> Result<bool, StoreError> {
+    Ok(read_manifest(dir)?.is_some_and(|m| m.id == id))
 }
 
 /// Id of the newest *committed* generation under `root` (directory id
@@ -167,7 +212,7 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Option<u64>, StoreError> {
 /// since it last looked.
 pub fn latest_generation(root: &Path) -> Result<Option<u64>, StoreError> {
     for (id, dir) in list_generations(root)?.into_iter().rev() {
-        if read_manifest(&dir)? == Some(id) {
+        if is_committed(&dir, id)? {
             return Ok(Some(id));
         }
     }
@@ -191,6 +236,9 @@ pub struct ChainInfo {
     pub tip_fingerprint: u64,
     /// Sequence number the next batch in this chain must carry.
     pub next_seq: u64,
+    /// The run the chain was sampled for; `None` when its manifests
+    /// predate the record.
+    pub params: Option<RunParams>,
 }
 
 /// Fingerprint of the graph a base generation describes: the hash of its
@@ -305,19 +353,23 @@ fn load_chain(
     // The chain is the committed generations in [base, tip]; uncommitted
     // ids in between are crashed or in-progress attempts and do not
     // participate.
-    let mut base_dir: Option<&PathBuf> = None;
+    let mut base: Option<(&PathBuf, Option<RunParams>)> = None;
     let mut link_dirs: Vec<&PathBuf> = Vec::new();
     for (id, dir) in &gens[..=tip_idx] {
-        if *id < base_id || read_manifest(dir)? != Some(*id) {
+        if *id < base_id {
             continue;
         }
-        if *id == base_id {
-            base_dir = Some(dir);
-        } else {
-            link_dirs.push(dir);
+        let Some(manifest) = read_manifest(dir)?.filter(|m| m.id == *id) else {
+            continue;
+        };
+        match base {
+            None if *id == base_id => base = Some((dir, manifest.params)),
+            Some((_, params)) if params == manifest.params => link_dirs.push(dir),
+            Some(_) => return Err(corrupt("delta chain links name another run")),
+            None => {}
         }
     }
-    let base_dir = base_dir.ok_or_else(|| corrupt("delta chain base generation missing"))?;
+    let (base_dir, params) = base.ok_or_else(|| corrupt("delta chain base generation missing"))?;
     let snapshot = load_snapshot(base_dir, request)?;
     let base_fp = base_graph_fingerprint(base_dir, snapshot.fingerprint)?;
     let mut tip_fp = base_fp;
@@ -386,6 +438,7 @@ fn load_chain(
             batches,
             tip_fingerprint: tip_fp,
             next_seq,
+            params,
         },
     ))
 }
@@ -434,7 +487,7 @@ pub fn load_latest_chain(
     let mut newest_uncommitted: Option<u64> = None;
     for tip_idx in (0..gens.len()).rev() {
         let (id, dir) = &gens[tip_idx];
-        if read_manifest(dir)? != Some(*id) {
+        if !is_committed(dir, *id)? {
             newest_uncommitted.get_or_insert(*id);
             continue;
         }
@@ -510,6 +563,13 @@ mod tests {
     use dim_coverage::PooledSets;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The run every test generation is committed for.
+    pub(crate) const PARAMS: RunParams = RunParams {
+        k: 5,
+        epsilon: 0.5,
+        delta: 0.01,
+    };
+
     fn temp_root(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -573,7 +633,7 @@ mod tests {
         assert_eq!(list_generations(&root).unwrap().len(), 1);
         assert!(latest_generation(&root).unwrap().is_none());
         write_snapshot(&dir1, 0);
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         assert_eq!(latest_generation(&root).unwrap(), Some(1));
 
         // The next id is reserved past any existing directory, even an
@@ -583,7 +643,7 @@ mod tests {
         let (id3, dir3) = begin_generation(&root).unwrap();
         assert_eq!(id3, 3);
         write_snapshot(&dir3, 1);
-        commit_generation(&dir3, id3).unwrap();
+        commit_generation(&dir3, id3, &PARAMS).unwrap();
         assert_eq!(latest_generation(&root).unwrap(), Some(3));
         fs::remove_dir_all(&root).unwrap();
     }
@@ -593,7 +653,7 @@ mod tests {
         let root = temp_root("load");
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0);
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         // Generation 2 has shards but no manifest: a write in progress.
         let (_id2, dir2) = begin_generation(&root).unwrap();
         write_snapshot(&dir2, 7);
@@ -601,7 +661,7 @@ mod tests {
         assert_eq!(id, 1);
         assert_eq!(snap.seed, 0);
         // Commit it: now it is the one served.
-        commit_generation(&dir2, 2).unwrap();
+        commit_generation(&dir2, 2, &PARAMS).unwrap();
         let (id, snap) = load_latest_snapshot(&root, &request()).unwrap();
         assert_eq!(id, 2);
         assert_eq!(snap.seed, 7);
@@ -648,7 +708,7 @@ mod tests {
             other => panic!("expected Uncommitted, got {other:?}"),
         }
         // Once anything commits, unloadable leftovers report Empty again.
-        commit_generation(&dir2, id2).unwrap();
+        commit_generation(&dir2, id2, &PARAMS).unwrap();
         fs::remove_file(dir2.join(crate::shard_file_name(0, 1))).unwrap();
         assert!(matches!(
             load_latest_snapshot(&root, &request()),
@@ -662,10 +722,10 @@ mod tests {
         let root = temp_root("corrupt");
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0);
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         let (id2, dir2) = begin_generation(&root).unwrap();
         write_snapshot(&dir2, 1);
-        commit_generation(&dir2, id2).unwrap();
+        commit_generation(&dir2, id2, &PARAMS).unwrap();
         // Corrupt the newest generation's shard.
         let victim = dir2.join(crate::shard_file_name(0, 1));
         let mut bytes = fs::read(&victim).unwrap();
@@ -691,6 +751,33 @@ mod tests {
         // A manifest naming the wrong id does not commit this directory.
         fs::write(dir.join(MANIFEST_FILE), format!("{MANIFEST_TAG} 99\n")).unwrap();
         assert!(latest_generation(&root).unwrap().is_none());
+        // Run parameters are all three or none.
+        fs::write(dir.join(MANIFEST_FILE), format!("{MANIFEST_TAG} 1 k=5\n")).unwrap();
+        assert!(matches!(
+            read_manifest(&dir),
+            Err(StoreError::Corrupt { .. })
+        ));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The manifest records the run exactly, floats bit for bit, and an
+    /// older build's id-only manifest still commits, with no run.
+    #[test]
+    fn manifest_records_the_run() {
+        let root = temp_root("params");
+        let (id, dir) = begin_generation(&root).unwrap();
+        let params = RunParams {
+            k: 40,
+            epsilon: 0.1 + 0.2,
+            delta: 1.0 / 4039.0,
+        };
+        commit_generation(&dir, id, &params).unwrap();
+        let manifest = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!((manifest.id, manifest.params), (id, Some(params)));
+        fs::write(dir.join(MANIFEST_FILE), format!("{MANIFEST_TAG} {id}\n")).unwrap();
+        let older = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!((older.id, older.params), (id, None));
+        assert_eq!(latest_generation(&root).unwrap(), Some(id));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -700,7 +787,7 @@ mod tests {
         for mark in 0..5 {
             let (id, dir) = begin_generation(&root).unwrap();
             write_snapshot(&dir, mark);
-            commit_generation(&dir, id).unwrap();
+            commit_generation(&dir, id, &PARAMS).unwrap();
         }
         let removed = gc_generations(&root, 2).unwrap();
         assert_eq!(removed, vec![1, 2, 3]);
@@ -750,7 +837,7 @@ mod tests {
         };
         let batch = DeltaBatch::new(seq, vec![EdgeOp::Delete { u: 0, v: 1 }]);
         write_delta_shard(&dir, &header, &batch, &repaired).unwrap();
-        commit_generation(&dir, id).unwrap();
+        commit_generation(&dir, id, &PARAMS).unwrap();
         (id, dir)
     }
 
@@ -759,7 +846,7 @@ mod tests {
         let root = temp_root("chain");
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0); // elements [[0], [1, 4]], fp 0xfeed_f00d
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![(1, vec![2, 3])]);
         write_delta_generation(&root, id1, 1, 0xaaaa, 0xbbbb, vec![(0, vec![1])]);
         // Set 1 again, already repaired by the first link: the last wins.
@@ -771,6 +858,7 @@ mod tests {
         assert_eq!(chain.batches.len(), 3);
         assert_eq!(chain.tip_fingerprint, 0xcccc);
         assert_eq!(chain.next_seq, 3);
+        assert_eq!(chain.params, Some(PARAMS));
         let shard = &snap.shards[0];
         let folded: Vec<&[u32]> = shard.elements.iter().collect();
         assert_eq!(folded, [&[1][..], &[0, 2, 4][..]]);
@@ -786,12 +874,32 @@ mod tests {
         let root = temp_root("chainlink");
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0);
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         // parent_fingerprint does not match the base graph.
         write_delta_generation(&root, id1, 0, 0xdead, 0xaaaa, vec![(0, vec![1])]);
         match load_latest_chain(&root, &request()) {
             Err(StoreError::Corrupt { detail, .. }) => {
                 assert_eq!(detail, "delta chain fingerprint mismatch")
+            }
+            other => panic!("expected corrupt chain, got {other:?}"),
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Every link of a chain repeats its base's run: a link naming another
+    /// is corrupt.
+    #[test]
+    fn chain_rejects_a_link_of_another_run() {
+        let root = temp_root("chainrun");
+        let (id1, dir1) = begin_generation(&root).unwrap();
+        write_snapshot(&dir1, 0);
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
+        let (id2, dir2) = write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![]);
+        let other = RunParams { k: 6, ..PARAMS };
+        commit_generation(&dir2, id2, &other).unwrap();
+        match load_latest_chain(&root, &request()) {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert_eq!(detail, "delta chain links name another run")
             }
             other => panic!("expected corrupt chain, got {other:?}"),
         }
@@ -806,7 +914,7 @@ mod tests {
         let root = temp_root("chainv1");
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0);
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         let (_, dir2) =
             write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![(0, vec![1])]);
         let victim = dir2.join(crate::delta::delta_file_name(0, 1));
@@ -842,7 +950,7 @@ mod tests {
             edges_examined: 0,
         };
         write_shard(&dir1, &header, &PooledSets::new()).unwrap();
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![]);
         match load_latest_chain(&root, &request()) {
             Err(StoreError::Mismatch {
@@ -861,7 +969,7 @@ mod tests {
         let root = temp_root("gcchain");
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0);
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
         write_delta_generation(&root, id1, 0, 0xfeed_f00d, 0xaaaa, vec![(0, vec![1])]);
         // A compaction that crashed before its commit: an uncommitted
         // directory inside the live chain's id range.
@@ -878,7 +986,7 @@ mod tests {
         // collectable. Other names under the root are never touched.
         let (id5, dir5) = begin_generation(&root).unwrap();
         write_snapshot(&dir5, 1);
-        commit_generation(&dir5, id5).unwrap();
+        commit_generation(&dir5, id5, &PARAMS).unwrap();
         let (id6, _) = write_delta_generation(&root, id5, 0, 0xfeed_f00d, 0xcccc, vec![]);
         let unrelated = root.join("gen-00000009.tmp");
         fs::create_dir_all(&unrelated).unwrap();
@@ -912,7 +1020,7 @@ mod tests {
         for mark in 0..2 {
             let (id, dir) = begin_generation(&root).unwrap();
             write_snapshot(&dir, mark);
-            commit_generation(&dir, id).unwrap();
+            commit_generation(&dir, id, &PARAMS).unwrap();
         }
         let (_, dir3) =
             write_delta_generation(&root, 2, 0, 0xfeed_f00d, 0xaaaa, vec![(0, vec![1])]);
@@ -966,7 +1074,7 @@ mod tests {
         let (id1, dir1) = begin_generation(&root).unwrap();
         write_snapshot(&dir1, 0);
         write_graph_file(&dir1, &graph).unwrap();
-        commit_generation(&dir1, id1).unwrap();
+        commit_generation(&dir1, id1, &PARAMS).unwrap();
 
         let image = fs::read(dir1.join(GRAPH_FILE)).unwrap();
         assert_eq!(checksum(&image), tip_fp, "the file is the fingerprinted image");

@@ -22,11 +22,14 @@
 //! Header block: `fingerprint u64 · sampler u8 · seed u64 · theta u64 ·
 //! shard_id u32 · shard_count u32 · num_sets u64 · num_elements u64 ·
 //! edges_examined u64`. `sampler` is the `SamplerSpec` tag of the RR-set
-//! law that drew the sets (0 reverse BFS, 1 LT walk, 2 SUBSIM, today's IC
-//! default); a tag keeps its law forever, so a sketch is only extended or
-//! repaired by the sampler that wrote it. `edges_examined` counts sampler
-//! work units (Σ w(R): one per in-edge examined, one per jump on a SUBSIM
-//! jump row). The elements section is `count u64 · offsets[count+1] u64 ·
+//! law that drew the sets (0 reverse BFS, 1 LT walk, 3 SUBSIM's count-first
+//! law, today's IC default); a tag keeps its law forever, so a sketch is
+//! only extended or repaired by the sampler that wrote it. Tag 2, the jump
+//! sampler SUBSIM used before, is retired: such a file is refused as
+//! [`StoreError::RetiredSampler`] and must be re-sampled. `edges_examined`
+//! counts sampler work units (Σ w(R): one per in-edge examined on a coin
+//! row, `1 + L` on a SUBSIM count row with `L` live edges). The elements
+//! section is `count u64 · offsets[count+1] u64 ·
 //! pool u32[offsets[count]]` — the flat [`PooledSets`] representation of
 //! the shard's RR sets. The inverted index (node → RR sets) is neither
 //! stored nor derived here: a loader hands back the RR sets, decoding a
@@ -63,7 +66,7 @@ pub use delta::{
 pub use generation::{
     begin_generation, commit_generation, gc_generations, generation_dir_name, latest_generation,
     list_generations, load_latest_chain, load_latest_snapshot, read_graph_file, write_graph_file,
-    ChainInfo, GENERATION_PREFIX, GRAPH_FILE, MANIFEST_FILE,
+    ChainInfo, RunParams, GENERATION_PREFIX, GRAPH_FILE, MANIFEST_FILE,
 };
 
 use std::fmt;
@@ -115,6 +118,10 @@ pub enum StoreError {
     },
     /// The directory contains no shard files at all.
     Empty { dir: PathBuf },
+    /// The shard was drawn under a sampler tag no build draws any more
+    /// ([`SamplerSpec::is_retired`]): it can be neither extended nor
+    /// repaired, and must be re-sampled.
+    RetiredSampler { path: Option<PathBuf>, tag: u8 },
     /// The store root holds shard files directly inside and no generation
     /// directory: the flat layout of an older build, which no loader
     /// reads. It must be re-sampled.
@@ -137,6 +144,10 @@ impl StoreError {
             StoreError::Corrupt { path: None, detail } => StoreError::Corrupt {
                 path: Some(path.to_path_buf()),
                 detail,
+            },
+            StoreError::RetiredSampler { path: None, tag } => StoreError::RetiredSampler {
+                path: Some(path.to_path_buf()),
+                tag,
             },
             other => other,
         }
@@ -176,6 +187,17 @@ impl fmt::Display for StoreError {
             ),
             StoreError::Empty { dir } => {
                 write!(f, "no snapshot shards (*.{SHARD_EXTENSION}) in {}", dir.display())
+            }
+            StoreError::RetiredSampler { path, tag } => {
+                write!(f, "snapshot shard")?;
+                if let Some(p) = path {
+                    write!(f, " {}", p.display())?;
+                }
+                write!(
+                    f,
+                    " was drawn under retired sampler tag {tag}, a law no build draws any \
+                     more: it can be neither extended nor repaired, so re-sample it (`dim sample`)"
+                )
             }
             StoreError::Unversioned { dir } => write!(
                 f,
@@ -261,8 +283,7 @@ impl ShardHeader {
         let mut r = Reader::new(bytes);
         let fingerprint = r.u64().ok_or_else(|| StoreError::corrupt("truncated header"))?;
         let tag = r.u8().ok_or_else(|| StoreError::corrupt("truncated header"))?;
-        let sampler = SamplerSpec::from_tag(tag)
-            .ok_or_else(|| StoreError::corrupt("unknown sampler tag"))?;
+        let sampler = sampler_of(tag)?;
         let seed = r.u64().ok_or_else(|| StoreError::corrupt("truncated header"))?;
         let theta = r.u64().ok_or_else(|| StoreError::corrupt("truncated header"))?;
         let shard_id = r.u32().ok_or_else(|| StoreError::corrupt("truncated header"))?;
@@ -290,6 +311,18 @@ impl ShardHeader {
             edges_examined,
         })
     }
+}
+
+/// The sampler a header's tag names: a retired tag is refused as
+/// [`StoreError::RetiredSampler`], any other unknown one as corrupt.
+pub(crate) fn sampler_of(tag: u8) -> Result<SamplerSpec, StoreError> {
+    SamplerSpec::from_tag(tag).ok_or_else(|| {
+        if SamplerSpec::is_retired(tag) {
+            StoreError::RetiredSampler { path: None, tag }
+        } else {
+            StoreError::corrupt("unknown sampler tag")
+        }
+    })
 }
 
 /// One decoded shard: its header and its element records (RR set → node
@@ -800,6 +833,12 @@ mod tests {
         assert!(matches!(
             ShardHeader::decode(&bytes),
             Err(StoreError::Corrupt { .. })
+        ));
+        // The retired jump law is refused by name, not called corrupt.
+        bytes[8] = 2;
+        assert!(matches!(
+            ShardHeader::decode(&bytes),
+            Err(StoreError::RetiredSampler { path: None, tag: 2 })
         ));
         let mut h = sample_header(4);
         h.shard_id = 3;

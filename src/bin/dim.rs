@@ -139,8 +139,11 @@ common flags: --model ic|lt  --epsilon E  --delta D  --k K  --seed S
   --backend sequential|threads|proc|join
   --weights wc|uniform:P|trivalency  --sims N  --evaluate  --breakdown
 
-samplers: IC RR sets always use SUBSIM's geometric jumps; --algorithm
-  subsim is diimm under its Fig. 7 name (IC only, same seeds)
+samplers: IC RR sets always use SUBSIM's count-first subset sampling;
+  --algorithm subsim is diimm under its Fig. 7 name (IC only, same seeds)
+
+stored sketches: im --load-rr and stream refuse a store sampled with
+  another --k, --epsilon or --delta
 
 join backend: workers are pre-started (dim-worker --connect ADDR --join)
   and register with this master; bind via DIM_MASTER_BIND (e.g.
@@ -367,8 +370,8 @@ fn im_config(flags: &Flags, g: &Graph) -> Result<(ImConfig, DiffusionModel), Str
     if k == 0 {
         return Err("--k must be at least 1".into());
     }
-    // IC already samples with SUBSIM's jumps: `subsim` is DiIMM under its
-    // Fig. 7 name, and only says the model must be IC.
+    // IC already samples with SUBSIM's count-first law: `subsim` is DiIMM
+    // under its Fig. 7 name, and only says the model must be IC.
     if flags.get("algorithm") == Some("subsim") && model != DiffusionModel::IndependentCascade {
         return Err("subsim supports the IC model only".into());
     }

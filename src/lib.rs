@@ -87,6 +87,6 @@ pub mod prelude {
     };
     pub use dim_store::{
         begin_generation, commit_generation, gc_generations, generation_dir_name,
-        graph_fingerprint, list_generations, load_latest_snapshot, StoreError,
+        graph_fingerprint, list_generations, load_latest_snapshot, RunParams, StoreError,
     };
 }

@@ -66,9 +66,9 @@ fn diimm_identical_across_backends() {
     }
 }
 
-/// The default IC sampler is SUBSIM, whose degree cutover (jumps on
-/// high-in-degree rows, coins elsewhere) is a per-node *speed* decision
-/// inside one machine's sampler: the tests above hold it to the contract.
+/// The default IC sampler is SUBSIM, whose per-row path (count-first on
+/// uniform rows, coins on mixed ones) is fixed by the graph inside one
+/// machine's sampler: the tests above hold it to the contract.
 /// The paper's per-edge reverse BFS, which `repro` still runs, is held to
 /// the same one: seeds, marginals, and RR-set mass byte-identical across
 /// every backend and machine count.

@@ -355,6 +355,82 @@ fn as_version_2(current: &[u8]) -> Vec<u8> {
     fnv::fnv_seal(*b"DIMR", 2, header_block, body)
 }
 
+/// Rewrites a current shard file's sampler tag (header offset 8, file
+/// offset 20), resealing the header checksum.
+fn with_sampler_tag(current: &[u8], tag: u8) -> Vec<u8> {
+    let mut file = current.to_vec();
+    file[20] = tag;
+    let header_end = current.len() - header_and_body(current).1.len() - 16;
+    let sum = dim::dim_store::checksum(&file[12..header_end]);
+    file[header_end..header_end + 8].copy_from_slice(&sum.to_le_bytes());
+    file
+}
+
+/// A store drawn under the retired jump law (tag 2) is refused by its tag,
+/// naming the file and asking for a re-sample: never called corrupt, never
+/// extended with the count-first draws.
+#[test]
+fn load_rr_refuses_a_retired_sampler_tag() {
+    let dir = temp_path("sketch-tag2");
+    let common = ["--graph", "profile:facebook:0.05", "--k", "2", "--seed", "37"];
+    sample(&dir, &[&common[..], &["--machines", "2"]].concat());
+    for id in 0..2 {
+        let path = dir.join("gen-00000001").join(format!("shard-{id}-of-2.rrs"));
+        let current = std::fs::read(&path).unwrap();
+        assert_eq!(current[20], 3, "the IC default writes tag 3");
+        std::fs::write(&path, with_sampler_tag(&current, 2)).unwrap();
+    }
+    let out = dim()
+        .args([&["im", "--load-rr", dir.to_str().unwrap()], &common[..]].concat())
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("shard-0-of-2.rrs"), "{err}");
+    assert!(err.contains("retired sampler tag 2"), "{err}");
+    assert!(err.contains("re-sample"), "{err}");
+    assert!(!err.contains("corrupt"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stored sketch answers only the `(k, ε, δ)` it was sampled for: any
+/// other run exits 1 naming the first flag that differs, and a store whose
+/// manifest does not record the run (an older build's) is refused too.
+#[test]
+fn load_rr_refuses_another_run() {
+    let dir = temp_path("sketch-run");
+    let dir_s = dir.to_str().unwrap();
+    let graph = ["--graph", "profile:facebook:0.05", "--seed", "41"];
+    let sampled = ["--k", "3", "--epsilon", "0.5", "--delta", "0.05"];
+    let out = sample(&dir, &[&graph[..], &sampled[..]].concat());
+    let load = |run: &[&str]| {
+        let out = dim()
+            .args([&["im", "--load-rr", dir_s][..], &graph[..], run].concat())
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (code, loaded, err) = load(&sampled);
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(seeds_line(&out), seeds_line(&loaded));
+    for (run, flag) in [
+        (["--k", "40", "--epsilon", "0.5", "--delta", "0.05"], "--k"),
+        (["--k", "3", "--epsilon", "0.05", "--delta", "0.05"], "--epsilon"),
+        (["--k", "3", "--epsilon", "0.5", "--delta", "0.01"], "--delta"),
+    ] {
+        let (code, _, err) = load(&run);
+        assert_eq!(code, Some(1), "{run:?}: {err}");
+        assert!(err.contains(&format!("sampled for {flag} ")), "{run:?}: {err}");
+    }
+    let manifest = dir.join("gen-00000001").join("MANIFEST");
+    std::fs::write(&manifest, "dim-generation-v1 1\n").unwrap();
+    let (code, _, err) = load(&sampled);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("does not record"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A store written in the version-1 format (which also stored the index)
 /// is refused with a nonzero exit naming the file, never misread.
 #[test]

@@ -390,15 +390,22 @@ fn sized<T>(len: usize, encode: impl Fn(&T) -> Vec<u8>) -> impl Fn(&T) -> Vec<u8
 // Cluster: ops, replies, the rendezvous handshake, the frame they ride in.
 
 /// A sampler tag names the RR-set law that drew a sketch, in every DIMR and
-/// DIMD file ever written: the IC default moved to SUBSIM, the tags did not.
+/// DIMD file ever written: when the IC default changed law it took a new
+/// tag (3, count-first) and retired the old one (2, the jump sampler); the
+/// reverse BFS and the LT walk kept theirs.
 #[test]
 fn sampler_tags_are_pinned() {
     use SamplerSpec::*;
-    for (spec, tag) in [(ReverseBfs, 0), (StandardLt, 1), (Subsim, 2)] {
+    for (spec, tag) in [(ReverseBfs, 0), (StandardLt, 1), (Subsim, 3)] {
         assert_eq!(spec.tag(), tag, "{spec:?}");
         assert_eq!(SamplerSpec::from_tag(tag), Some(spec), "tag {tag}");
+        assert!(!SamplerSpec::is_retired(tag), "tag {tag}");
     }
-    assert_eq!(SamplerSpec::from_tag(3), None);
+    assert_eq!(SamplerKind::Standard(DiffusionModel::IndependentCascade), Subsim.into());
+    assert_eq!(SamplerSpec::from_tag(2), None);
+    assert!(SamplerSpec::is_retired(2), "the jump law's tag is retired");
+    assert_eq!(SamplerSpec::from_tag(4), None);
+    assert!(!SamplerSpec::is_retired(4), "tag 4 is unknown, not retired");
 }
 
 #[test]

@@ -909,7 +909,8 @@ fn reload_and_gc_survive_fault_schedule() {
     let fingerprint = graph_fingerprint(&g);
     persist_rr_shards(&mut recovering, &dir, fingerprint, &cfg5, result.num_rr_sets as u64)
         .expect("persist recovered shards");
-    commit_generation(&dir, id).unwrap();
+    let run = RunParams { k: cfg5.k as u64, epsilon: cfg5.epsilon, delta: cfg5.delta };
+    commit_generation(&dir, id, &run).unwrap();
     references.write().unwrap().insert(5, load_latest_reference(5));
     let (gen, changed) = admin.reload().expect("reload into recovered generation");
     assert_eq!((gen, changed), (5, true));
