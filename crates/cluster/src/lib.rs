@@ -90,7 +90,7 @@ pub use faults::{
 };
 pub use metrics::{ClusterMetrics, PhaseTimeline};
 pub use network::NetworkModel;
-pub use ops::{OpCluster, OpExecutor, SamplerSpec, WorkerOp, WorkerReply, WorkerStats};
+pub use ops::{OpCluster, OpExecutor, WorkerOp, WorkerReply, WorkerStats};
 pub use rendezvous::{
     run_join_worker, tcp_cluster, JoinConfig, JoinOptions, JoinedSession, Rendezvous,
 };

@@ -36,55 +36,7 @@ use crate::wire::{delta_wire_size, ids_wire_size, u64_wire_size, DeltaVec, WireE
 /// codecs import it from this module.
 pub use dim_graph::codec::{put_u32, put_u64, Reader};
 
-/// Which RR-set sampler a worker should instantiate over its graph.
-///
-/// Mirrors `dim-core`'s `SamplerKind` without depending on it (this crate
-/// sits below the algorithms in the dependency order); `dim-core` provides
-/// the conversions. Each variant names one RR-set law, and its tag is
-/// bound to that law in every file ever written: the default IC sampler is
-/// `Subsim` (tag 3), so a tag-0 sketch can only be extended or repaired by
-/// the reverse BFS that drew it. Tag 2 named the jump sampler SUBSIM used
-/// before, which no build runs any more ([`SamplerSpec::is_retired`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SamplerSpec {
-    /// The paper's per-edge reverse BFS under independent cascade.
-    ReverseBfs,
-    /// Reverse walk under linear threshold.
-    StandardLt,
-    /// SUBSIM's count-first subset sampler under independent cascade, the
-    /// IC default.
-    Subsim,
-}
-
-impl SamplerSpec {
-    /// The sampler's canonical wire tag (also the value persisted in
-    /// `dim-store` snapshot headers).
-    pub fn tag(self) -> u8 {
-        match self {
-            SamplerSpec::ReverseBfs => 0,
-            SamplerSpec::StandardLt => 1,
-            SamplerSpec::Subsim => 3,
-        }
-    }
-
-    /// Inverse of [`SamplerSpec::tag`]: `None` for a retired tag too.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(SamplerSpec::ReverseBfs),
-            1 => Some(SamplerSpec::StandardLt),
-            3 => Some(SamplerSpec::Subsim),
-            _ => None,
-        }
-    }
-
-    /// Whether `tag` names a law no build draws any more: 2, SUBSIM's
-    /// jump sampler (one geometric skip per live edge), replaced as the IC
-    /// default by the count-first law (tag 3). A sketch drawn under it can
-    /// be neither extended nor repaired, and must be re-sampled.
-    pub fn is_retired(tag: u8) -> bool {
-        tag == 2
-    }
-}
+use dim_diffusion::SamplerKind;
 
 /// Aggregate shard statistics a worker reports on request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -107,14 +59,18 @@ pub struct WorkerStats {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WorkerOp {
     /// Install the graph from its `dim-graph` binary encoding. → `Ok`.
+    /// A worker holds one graph: a different blob replaces (and frees) the
+    /// previous one, an identical blob keeps it.
     LoadGraph {
         /// The graph's portable binary encoding.
         blob: Vec<u8>,
     },
-    /// Construct an RR sampler + RNG stream over the loaded graph. → `Ok`.
+    /// Build the sampler of `sampler` over the loaded graph, once: every
+    /// later `SampleRr` draws from it, and only an `ApplyDelta`, which
+    /// replaces the graph, builds another. → `Ok`.
     InitSampler {
-        /// Which sampler to instantiate.
-        spec: SamplerSpec,
+        /// Which RR-set law to sample.
+        sampler: SamplerKind,
     },
     /// Install a coverage shard with the given element lists. → `Ok`.
     BuildShard {
@@ -172,7 +128,7 @@ pub enum WorkerOp {
         /// Total number of shards in the snapshot.
         shard_count: u32,
         /// Which sampler generated the RR sets.
-        spec: SamplerSpec,
+        sampler: SamplerKind,
     },
     /// Apply an edge-delta batch to the resident graph and repair the
     /// resident RR shard incrementally: invalidate exactly the RR sets that
@@ -205,7 +161,7 @@ pub enum WorkerOp {
         /// Total number of shards in the snapshot.
         shard_count: u32,
         /// Which sampler generated (and re-generates) the RR sets.
-        spec: SamplerSpec,
+        sampler: SamplerKind,
     },
     /// Exit cleanly. → `Ok` (process workers exit afterwards).
     Shutdown,
@@ -285,9 +241,9 @@ impl WorkerOp {
                 put_u64(&mut out, blob.len() as u64);
                 out.extend_from_slice(blob);
             }
-            WorkerOp::InitSampler { spec } => {
+            WorkerOp::InitSampler { sampler } => {
                 out.push(OP_INIT_SAMPLER);
-                out.push(spec.tag());
+                out.push(sampler.tag());
             }
             WorkerOp::BuildShard { num_sets, elements } => {
                 out.push(OP_BUILD_SHARD);
@@ -327,7 +283,7 @@ impl WorkerOp {
                 theta,
                 shard_id,
                 shard_count,
-                spec,
+                sampler,
             } => {
                 out.push(OP_PERSIST_SHARD);
                 put_u64(&mut out, *fingerprint);
@@ -335,7 +291,7 @@ impl WorkerOp {
                 put_u64(&mut out, *theta);
                 put_u32(&mut out, *shard_id);
                 put_u32(&mut out, *shard_count);
-                out.push(spec.tag());
+                out.push(sampler.tag());
                 put_u32(&mut out, dir.len() as u32);
                 out.extend_from_slice(dir.as_bytes());
             }
@@ -348,7 +304,7 @@ impl WorkerOp {
                 seed,
                 theta,
                 shard_count,
-                spec,
+                sampler,
             } => {
                 out.push(OP_APPLY_DELTA);
                 put_u64(&mut out, *base_generation);
@@ -357,7 +313,7 @@ impl WorkerOp {
                 put_u64(&mut out, *seed);
                 put_u64(&mut out, *theta);
                 put_u32(&mut out, *shard_count);
-                out.push(spec.tag());
+                out.push(sampler.tag());
                 match persist_dir {
                     Some(dir) => {
                         out.push(1);
@@ -387,7 +343,7 @@ impl WorkerOp {
                 }
             }
             OP_INIT_SAMPLER => WorkerOp::InitSampler {
-                spec: SamplerSpec::from_tag(r.u8()?)?,
+                sampler: SamplerKind::from_tag(r.u8()?)?,
             },
             OP_BUILD_SHARD => {
                 let num_sets = r.u32()?;
@@ -423,7 +379,7 @@ impl WorkerOp {
                 let theta = r.u64()?;
                 let shard_id = r.u32()?;
                 let shard_count = r.u32()?;
-                let spec = SamplerSpec::from_tag(r.u8()?)?;
+                let sampler = SamplerKind::from_tag(r.u8()?)?;
                 let len = r.u32()? as usize;
                 let dir = String::from_utf8(r.take(len)?.to_vec()).ok()?;
                 WorkerOp::PersistShard {
@@ -433,7 +389,7 @@ impl WorkerOp {
                     theta,
                     shard_id,
                     shard_count,
-                    spec,
+                    sampler,
                 }
             }
             OP_APPLY_DELTA => {
@@ -443,7 +399,7 @@ impl WorkerOp {
                 let seed = r.u64()?;
                 let theta = r.u64()?;
                 let shard_count = r.u32()?;
-                let spec = SamplerSpec::from_tag(r.u8()?)?;
+                let sampler = SamplerKind::from_tag(r.u8()?)?;
                 let persist_dir = match r.u8()? {
                     0 => None,
                     1 => {
@@ -463,7 +419,7 @@ impl WorkerOp {
                     seed,
                     theta,
                     shard_count,
-                    spec,
+                    sampler,
                 }
             }
             OP_SHUTDOWN => WorkerOp::Shutdown,
@@ -767,6 +723,7 @@ mod tests {
     use crate::backend::phase;
     use crate::network::NetworkModel;
     use crate::runtime::ExecMode;
+    use dim_diffusion::DiffusionModel::{IndependentCascade as IC, LinearThreshold as LT};
 
     fn all_ops() -> Vec<WorkerOp> {
         vec![
@@ -775,13 +732,13 @@ mod tests {
             },
             WorkerOp::LoadGraph { blob: vec![] },
             WorkerOp::InitSampler {
-                spec: SamplerSpec::ReverseBfs,
+                sampler: SamplerKind::ReverseBfs,
             },
             WorkerOp::InitSampler {
-                spec: SamplerSpec::StandardLt,
+                sampler: SamplerKind::Standard(LT),
             },
             WorkerOp::InitSampler {
-                spec: SamplerSpec::Subsim,
+                sampler: SamplerKind::Standard(IC),
             },
             WorkerOp::BuildShard {
                 num_sets: 9,
@@ -810,7 +767,7 @@ mod tests {
                 theta: u64::MAX,
                 shard_id: 3,
                 shard_count: 4,
-                spec: SamplerSpec::Subsim,
+                sampler: SamplerKind::Standard(IC),
             },
             WorkerOp::PersistShard {
                 dir: String::new(),
@@ -819,7 +776,7 @@ mod tests {
                 theta: 0,
                 shard_id: 0,
                 shard_count: 0,
-                spec: SamplerSpec::ReverseBfs,
+                sampler: SamplerKind::ReverseBfs,
             },
             WorkerOp::ApplyDelta {
                 batch: vec![7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -830,7 +787,7 @@ mod tests {
                 seed: 29,
                 theta: 10_000,
                 shard_count: 4,
-                spec: SamplerSpec::Subsim,
+                sampler: SamplerKind::Standard(IC),
             },
             WorkerOp::ApplyDelta {
                 batch: vec![],
@@ -841,7 +798,7 @@ mod tests {
                 seed: 0,
                 theta: 0,
                 shard_count: 0,
-                spec: SamplerSpec::ReverseBfs,
+                sampler: SamplerKind::ReverseBfs,
             },
             WorkerOp::Shutdown,
         ]
@@ -919,7 +876,7 @@ mod tests {
             seed: 4,
             theta: 5,
             shard_count: 6,
-            spec: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
         };
         let mut bytes = op.encode();
         // The Option<persist_dir> flag byte sits right after the sampler

@@ -3,42 +3,9 @@
 use std::time::Duration;
 
 use dim_cluster::{phase, ClusterMetrics, PhaseTimeline};
-use dim_diffusion::rr::AnySampler;
+pub use dim_diffusion::rr::SamplerKind;
 use dim_diffusion::DiffusionModel;
 use dim_graph::Graph;
-
-/// Which RR-set sampler the run uses. Each kind draws one RR-set law and
-/// persists under that law's tag (`dim_cluster::SamplerSpec`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SamplerKind {
-    /// The model's default sampler ([`AnySampler::for_model`]): SUBSIM's
-    /// count-first subset sampler for IC (the Fig. 7 sampler, tag 3) and
-    /// the reverse walk for LT (tag 1). What IMM/DiIMM, `dim` and the
-    /// benchmark use.
-    Standard(DiffusionModel),
-    /// The paper's §III-A per-edge reverse BFS for IC (tag 0): the same
-    /// law as `Standard(IC)` drawn coin by coin, kept as the baseline that
-    /// Figs. 5/6 and Table IV measure.
-    ReverseBfs,
-}
-
-impl SamplerKind {
-    /// Instantiates the sampler over a graph.
-    pub(crate) fn make<'g>(&self, graph: &'g Graph) -> AnySampler<'g> {
-        match self {
-            SamplerKind::Standard(model) => AnySampler::for_model(graph, *model),
-            SamplerKind::ReverseBfs => AnySampler::reverse_bfs(graph),
-        }
-    }
-
-    /// The diffusion model whose RR distribution is sampled.
-    pub fn model(&self) -> DiffusionModel {
-        match self {
-            SamplerKind::Standard(m) => *m,
-            SamplerKind::ReverseBfs => DiffusionModel::IndependentCascade,
-        }
-    }
-}
 
 /// Configuration of one influence-maximization run.
 #[derive(Clone, Copy, Debug)]
@@ -142,7 +109,7 @@ pub struct ImResult {
 mod tests {
     use super::*;
     use dim_cluster::rr_set_seed;
-    use dim_diffusion::rr::RrSampler;
+    use dim_diffusion::rr::{AnySampler, RrSampler};
     use dim_graph::rng::Rng;
     use dim_graph::scratch::EpochFlags;
     use dim_graph::{GraphBuilder, WeightModel};
@@ -213,8 +180,14 @@ mod tests {
         let ic = DiffusionModel::IndependentCascade;
         assert_eq!(SamplerKind::ReverseBfs.model(), ic);
         let g = mixed_fixture();
-        assert!(matches!(SamplerKind::Standard(ic).make(&g), AnySampler::Subsim(_)));
-        assert!(matches!(SamplerKind::ReverseBfs.make(&g), AnySampler::ReverseBfs(_)));
+        assert!(matches!(
+            SamplerKind::Standard(ic).build(&g),
+            AnySampler::Subsim(_)
+        ));
+        assert!(matches!(
+            SamplerKind::ReverseBfs.build(&g),
+            AnySampler::ReverseBfs(_)
+        ));
     }
 
     /// `dim_diffusion`'s SUBSIM test fixture: a 200-node double ring whose
@@ -237,7 +210,7 @@ mod tests {
     /// it: each set's size, members and work units.
     fn law_digest(kind: SamplerKind) -> u64 {
         let g = mixed_fixture();
-        let sampler = kind.make(&g);
+        let sampler = kind.build(&g);
         let (mut out, mut visited) = (Vec::new(), EpochFlags::new(g.num_nodes()));
         let mut bytes = Vec::new();
         for j in 0..10_000 {

@@ -10,6 +10,8 @@
 //!   returning exactly the centralized greedy solution (Lemma 2), hence
 //!   preserving IMM's `(1 − 1/e − ε)` guarantee (Theorem 1).
 
+use std::sync::Arc;
+
 use dim_cluster::ops::{expect_ok, expect_stats};
 use dim_cluster::{
     phase, rr_set_seed, stream_seed, ExecMode, NetworkModel, OpCluster,
@@ -17,16 +19,17 @@ use dim_cluster::{
 };
 use dim_coverage::newgreedi::{newgreedi_incremental, newgreedi_with, NewGreediResult};
 use dim_coverage::{execute_coverage_op, CoverageShard};
-use dim_diffusion::rr::RrSampler;
+use dim_diffusion::rr::{AnySampler, RrSampler};
 use dim_graph::rng::Rng;
 use dim_graph::scratch::EpochFlags;
-use dim_graph::{DeltaBatch, Graph};
+use dim_graph::{DeltaBatch, Graph, GraphRef};
 
 use crate::config::{ImConfig, ImResult, SamplerKind, Timings};
 use crate::imm::lower_bound_search;
 use crate::params::ImParams;
 
-/// One machine's state: its graph view, RNG discipline, and element shard.
+/// One machine's state: the sampler over the graph it holds, its RNG
+/// discipline, and its element shard.
 ///
 /// RR set `j` of a machine is always drawn from the dedicated stream
 /// `rr_set_seed(machine_seed, j)` rather than one sequential per-machine
@@ -36,12 +39,13 @@ use crate::params::ImParams;
 /// reproduces exactly what a from-scratch run on that graph would have
 /// drawn for it, so an applied [`DeltaBatch`] is byte-identical to a full
 /// re-sample (see [`DiimmWorker::apply_delta`]).
+///
+/// The sampler owns the machine's graph (borrowed, or shared with the
+/// other holders of one copy) and is built once per graph: by
+/// [`new`](Self::new)/`restore`, and again only when
+/// [`apply_delta`](Self::apply_delta) installs the mutated graph.
 pub struct DiimmWorker<'g> {
-    /// The graph the worker was installed with.
-    base: &'g Graph,
-    /// The mutated graph after applied edge batches (`None` until the
-    /// first batch: `base` is current).
-    current: Option<Graph>,
+    sampler: AnySampler<'g>,
     sampler_kind: SamplerKind,
     machine_seed: u64,
     machine_id: u32,
@@ -56,62 +60,51 @@ pub struct DiimmWorker<'g> {
 }
 
 impl<'g> DiimmWorker<'g> {
-    /// Creates the worker for `machine_id` with its derived RNG stream.
-    pub fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
-        DiimmWorker {
-            base: graph,
-            current: None,
-            sampler_kind: config.sampler,
-            machine_seed: stream_seed(config.seed, machine_id),
-            machine_id: machine_id as u32,
-            shard: CoverageShard::new(graph.num_nodes()),
-            buf: Vec::new(),
-            visited: EpochFlags::new(graph.num_nodes()),
-            edges_examined: 0,
-            sets: 0,
-        }
+    /// Creates the worker for `machine_id` with its derived RNG stream,
+    /// building its sampler over `graph`.
+    pub fn new(graph: impl Into<GraphRef<'g>>, config: &ImConfig, machine_id: usize) -> Self {
+        let graph = graph.into();
+        let shard = CoverageShard::new(graph.num_nodes());
+        Self::restore(graph, config, machine_id, shard, 0)
     }
 
-    /// Restores a machine's worker from persisted state: its resident RR
-    /// sets (stream position resumes after them), prior sampling stats,
-    /// and — for a streamed chain — the mutated tip graph the sets are
-    /// valid against (`None` when `base` is current).
+    /// Restores a machine's worker from persisted state: the graph its
+    /// resident RR sets are valid against (a streamed chain's tip), the
+    /// sets themselves (stream position resumes after them) and prior
+    /// sampling stats.
     pub(crate) fn restore(
-        base: &'g Graph,
-        current: Option<Graph>,
+        graph: GraphRef<'g>,
         config: &ImConfig,
         machine_id: usize,
         shard: CoverageShard,
         edges_examined: u64,
     ) -> Self {
-        let sets = shard.num_elements() as u64;
         DiimmWorker {
-            base,
-            current,
+            visited: EpochFlags::new(graph.num_nodes()),
+            sampler: config.sampler.build(graph),
             sampler_kind: config.sampler,
             machine_seed: stream_seed(config.seed, machine_id),
             machine_id: machine_id as u32,
+            sets: shard.num_elements() as u64,
             shard,
             buf: Vec::new(),
-            visited: EpochFlags::new(base.num_nodes()),
             edges_examined,
-            sets,
         }
     }
 
     /// The graph RR sets are currently drawn from.
     pub fn current_graph(&self) -> &Graph {
-        self.current.as_ref().unwrap_or(self.base)
+        self.sampler.graph()
     }
 
     /// Samples `count` RR sets into the shard (Algorithm 2, lines 6/12),
     /// each from its own per-set RNG stream.
     pub fn generate(&mut self, count: usize) {
-        let graph = self.current.as_ref().unwrap_or(self.base);
-        let sampler = self.sampler_kind.make(graph);
         for _ in 0..count {
             let mut rng = Rng::new(rr_set_seed(self.machine_seed, self.sets));
-            self.edges_examined += sampler.sample(&mut rng, &mut self.buf, &mut self.visited);
+            self.edges_examined += self
+                .sampler
+                .sample(&mut rng, &mut self.buf, &mut self.visited);
             self.shard.push_element(&self.buf);
             self.sets += 1;
         }
@@ -138,22 +131,22 @@ impl<'g> DiimmWorker<'g> {
     /// Returns the repaired records `(set index, new member nodes)` in
     /// increasing index order.
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<Vec<(u32, Vec<u32>)>, String> {
-        let graph = self.current.as_ref().unwrap_or(self.base);
+        let graph = self.sampler.graph();
         batch
             .validate(graph.num_nodes())
             .map_err(|e| e.to_string())?;
         let mutated = dim_graph::apply_batch(graph, batch).map_err(|e| e.to_string())?;
+        self.sampler = self.sampler_kind.build(Arc::new(mutated));
         let invalid = self.shard.elements_containing(&batch.touched_nodes());
-        let sampler = self.sampler_kind.make(&mutated);
         let mut repaired = Vec::with_capacity(invalid.len());
         for &j in &invalid {
             let mut rng = Rng::new(rr_set_seed(self.machine_seed, j as u64));
-            self.edges_examined += sampler.sample(&mut rng, &mut self.buf, &mut self.visited);
+            self.edges_examined += self
+                .sampler
+                .sample(&mut rng, &mut self.buf, &mut self.visited);
             repaired.push((j, self.buf.clone()));
         }
-        drop(sampler);
         self.shard.replace_elements(&repaired);
-        self.current = Some(mutated);
         Ok(repaired)
     }
 }
@@ -187,11 +180,11 @@ impl OpExecutor for DiimmWorker<'_> {
                 theta,
                 shard_id,
                 shard_count,
-                spec,
+                sampler,
             } => {
                 let header = dim_store::ShardHeader {
                     fingerprint: *fingerprint,
-                    sampler: *spec,
+                    sampler: *sampler,
                     seed: *seed,
                     theta: *theta,
                     shard_id: *shard_id,
@@ -223,7 +216,7 @@ impl OpExecutor for DiimmWorker<'_> {
                 seed,
                 theta,
                 shard_count,
-                spec,
+                sampler,
             } => {
                 let decoded = match DeltaBatch::decode(batch) {
                     Ok(b) => b,
@@ -238,7 +231,7 @@ impl OpExecutor for DiimmWorker<'_> {
                         base_generation: *base_generation,
                         parent_fingerprint: *parent_fingerprint,
                         fingerprint: *fingerprint,
-                        sampler: *spec,
+                        sampler: *sampler,
                         seed: *seed,
                         theta: *theta,
                         batch_seq: decoded.seq,

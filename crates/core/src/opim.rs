@@ -77,7 +77,7 @@ pub(crate) struct PairedRisWorker<'g> {
 impl<'g> PairedRisWorker<'g> {
     pub(crate) fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
         PairedRisWorker {
-            sampler: config.sampler.make(graph),
+            sampler: config.sampler.build(graph),
             rng: Rng::new(stream_seed(config.seed, machine_id)),
             r1: CoverageShard::new(graph.num_nodes()),
             r2: CoverageShard::new(graph.num_nodes()),

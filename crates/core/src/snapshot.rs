@@ -13,6 +13,7 @@
 //! the store preserves exactly (including machine order).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dim_cluster::ops::{expect_counts, expect_ok};
@@ -22,7 +23,7 @@ use dim_cluster::{
 };
 use dim_coverage::newgreedi::newgreedi_with;
 use dim_coverage::CoverageShard;
-use dim_graph::{apply_batch, DeltaBatch, DeltaError, EdgeOp, Graph};
+use dim_graph::{apply_batch, DeltaBatch, DeltaError, EdgeOp, Graph, GraphRef};
 use dim_store::{graph_fingerprint, RunParams, Snapshot, SnapshotRequest, StoreError};
 
 use crate::config::{ImConfig, ImResult, Timings};
@@ -122,7 +123,6 @@ pub fn persist_rr_shards<B: OpCluster>(
 ) -> Result<(), WireError> {
     let dir = dir.display().to_string();
     let shard_count = cluster.num_machines() as u32;
-    let spec = config.sampler.into();
     let replies = cluster.control(phase::STORE_SAVE, |i| WorkerOp::PersistShard {
         dir: dir.clone(),
         fingerprint,
@@ -130,7 +130,7 @@ pub fn persist_rr_shards<B: OpCluster>(
         theta,
         shard_id: i as u32,
         shard_count,
-        spec,
+        sampler: config.sampler,
     })?;
     expect_ok(&replies, phase::STORE_SAVE)
 }
@@ -228,7 +228,7 @@ pub fn diimm_sample_generation(
 pub fn rr_snapshot_request(graph: &Graph, config: &ImConfig) -> SnapshotRequest {
     SnapshotRequest {
         fingerprint: graph_fingerprint(graph),
-        sampler: config.sampler.into(),
+        sampler: config.sampler,
         shard_count: None,
         num_sets: graph.num_nodes() as u64,
     }
@@ -293,7 +293,9 @@ pub struct StreamSession<'g> {
     base_generation: u64,
     tip_fingerprint: u64,
     next_seq: u64,
-    current: Graph,
+    /// The tip graph. `open` restores every worker on this one copy; each
+    /// `apply` leaves every worker holding the mutated graph it built.
+    current: GraphRef<'g>,
 }
 
 impl<'g> StreamSession<'g> {
@@ -301,10 +303,11 @@ impl<'g> StreamSession<'g> {
     /// against `base`/`config`) into a resident cluster. `base` is the
     /// graph the *base snapshot* was sampled from; if the chain carries
     /// batches (or a compacted base), the session's resident graph is
-    /// the replayed tip, not `base`. The resident shards hold the RR sets
-    /// only: each builds its index in the first round of the next
-    /// selection, and an `apply` never needs it. The restore's wall time is
-    /// recorded under [`phase::STORE_LOAD`].
+    /// the replayed tip, not `base`. Every worker samples from that one
+    /// graph: `base` itself, borrowed, or one shared copy of the tip. The
+    /// resident shards hold the RR sets only: each builds its index in the
+    /// first round of the next selection, and an `apply` never needs it.
+    /// The restore's wall time is recorded under [`phase::STORE_LOAD`].
     ///
     /// A chain sampled for another `(k, ε, δ)` than `config`'s is refused
     /// ([`SnapshotError::OtherRun`]): its θ certifies only the run it was
@@ -323,13 +326,13 @@ impl<'g> StreamSession<'g> {
         check_run(chain.params, config, &chain.base_dir)?;
         // Graph lineage: a compacted base persists its mutated graph
         // next to its shards; an uncompacted one was sampled from the
-        // boot graph itself.
+        // boot graph itself, which stays borrowed.
         let mut current = match dim_store::read_graph_file(&chain.base_dir)? {
-            Some(g) => g,
-            None => base.clone(),
+            Some(g) => GraphRef::from(Arc::new(g)),
+            None => GraphRef::from(base),
         };
         for batch in &chain.batches {
-            current = apply_batch(&current, batch)?;
+            current = Arc::new(apply_batch(&current, batch)?).into();
         }
         let found = graph_fingerprint(&current);
         if found != chain.tip_fingerprint {
@@ -340,9 +343,6 @@ impl<'g> StreamSession<'g> {
                 found,
             }));
         }
-        // Equal fingerprints are equal DIMG images: the workers may sample
-        // from `base` itself.
-        let mutated = found != request.fingerprint;
         let theta = snapshot.theta;
         let n = snapshot.num_sets as usize;
         let workers: Vec<DiimmWorker<'g>> = snapshot
@@ -352,14 +352,7 @@ impl<'g> StreamSession<'g> {
                 let machine_id = s.header.shard_id as usize;
                 let edges = s.header.edges_examined;
                 let shard = CoverageShard::from_pooled(n, s.elements);
-                DiimmWorker::restore(
-                    base,
-                    mutated.then(|| current.clone()),
-                    config,
-                    machine_id,
-                    shard,
-                    edges,
-                )
+                DiimmWorker::restore(current.clone(), config, machine_id, shard, edges)
             })
             .collect();
         let mut cluster = SimCluster::new(workers, network, mode);
@@ -451,7 +444,6 @@ impl<'g> StreamSession<'g> {
         let persist_dir = staged.as_ref().map(|(_, dir)| dir.display().to_string());
         let encoded = batch.encode();
         let shard_count = self.cluster.num_machines() as u32;
-        let spec = self.config.sampler.into();
         let replies = self.cluster.control(phase::STREAM_APPLY, |_| WorkerOp::ApplyDelta {
             batch: encoded.clone(),
             persist_dir: persist_dir.clone(),
@@ -461,7 +453,7 @@ impl<'g> StreamSession<'g> {
             seed: self.config.seed,
             theta: self.theta,
             shard_count,
-            spec,
+            sampler: self.config.sampler,
         })?;
         let counts = expect_counts(&replies, phase::STREAM_APPLY)?;
         if let Some((id, dir)) = &staged {
@@ -470,7 +462,7 @@ impl<'g> StreamSession<'g> {
         }
         // The workers and (when persisting) the disk now hold the batch:
         // the session follows before anything else can fail.
-        self.current = mutated;
+        self.current = Arc::new(mutated).into();
         self.tip_fingerprint = fingerprint;
         self.next_seq += 1;
         if persist {
@@ -633,6 +625,35 @@ mod tests {
         assert_eq!(selected.marginals, sampled.marginals);
         assert_eq!(selected.coverage, sampled.coverage);
         assert!(session.cluster.workers().iter().all(|w| !w.shard.needs_prepare()));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Every resident worker samples from the session's one tip graph: the
+    /// boot graph itself on a chain sampled from it, one shared copy on a
+    /// compacted chain with a batch on top.
+    #[test]
+    fn open_restores_every_worker_on_one_tip_graph() {
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 9);
+        let cfg = config(4, 31);
+        let root = temp_dir("one-tip");
+        let net = NetworkModel::zero();
+        diimm_sample_generation(&g, &cfg, 3, net, ExecMode::Sequential, &root, 4).unwrap();
+        let one_tip = |session: &StreamSession| {
+            let tip = session.current_graph();
+            session.cluster.workers().iter().all(|w| std::ptr::eq(w.current_graph(), tip))
+        };
+        let mut session = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        assert!(std::ptr::eq(session.current_graph(), &g) && one_tip(&session));
+        let (u, v, _) = g.edges().next().unwrap();
+        session.apply(vec![EdgeOp::Delete { u, v }], true, 4).unwrap();
+        session.compact(4).unwrap();
+        session.apply(vec![EdgeOp::Insert { u: v, v: u, p: 0.3 }], true, 4).unwrap();
+        let tip = graph_fingerprint(session.current_graph());
+        drop(session);
+        let reopened = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
+        assert_eq!(graph_fingerprint(reopened.current_graph()), tip);
+        assert!(!std::ptr::eq(reopened.current_graph(), &g));
+        assert!(one_tip(&reopened), "a worker holds its own copy of the tip");
         std::fs::remove_dir_all(&root).unwrap();
     }
 

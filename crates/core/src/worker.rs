@@ -14,57 +14,33 @@
 //! construction: equivalence is a property of the dispatch table, not of
 //! two implementations kept in sync by hand.
 
+use std::sync::Arc;
+
 use dim_cluster::ops::expect_ok;
-use dim_cluster::{
-    phase, OpCluster, OpExecutor, SamplerSpec, WireError, WorkerOp, WorkerReply,
-};
+use dim_cluster::{phase, OpCluster, OpExecutor, WireError, WorkerOp, WorkerReply};
 use dim_coverage::{execute_coverage_op, CoverageShard};
-use dim_diffusion::DiffusionModel;
 use dim_graph::{binary, Graph};
 use dim_store::checksum;
 
 use crate::config::{ImConfig, SamplerKind};
 use crate::diimm::DiimmWorker;
 
-/// A spec names the law its tag was written with: the IC default is
-/// SUBSIM's count-first law (tag 3), and tag 0 is the reverse BFS, whatever
-/// was the default when the sketch was drawn.
-impl From<SamplerSpec> for SamplerKind {
-    fn from(spec: SamplerSpec) -> Self {
-        match spec {
-            SamplerSpec::Subsim => SamplerKind::Standard(DiffusionModel::IndependentCascade),
-            SamplerSpec::StandardLt => SamplerKind::Standard(DiffusionModel::LinearThreshold),
-            SamplerSpec::ReverseBfs => SamplerKind::ReverseBfs,
-        }
-    }
-}
-
-impl From<SamplerKind> for SamplerSpec {
-    fn from(kind: SamplerKind) -> Self {
-        match kind {
-            SamplerKind::Standard(DiffusionModel::IndependentCascade) => SamplerSpec::Subsim,
-            SamplerKind::Standard(DiffusionModel::LinearThreshold) => SamplerSpec::StandardLt,
-            SamplerKind::ReverseBfs => SamplerSpec::ReverseBfs,
-        }
-    }
-}
-
 /// One worker process's resident state: the op-dispatching peer of a
 /// [`SimCluster`](dim_cluster::SimCluster) slot.
 ///
 /// Phase ops route to the DiIMM worker when one has been initialized
 /// (IM runs: `LoadGraph` + `InitSampler`), otherwise to the standalone
-/// shard (max-coverage runs: `BuildShard`). The graph is leaked into
-/// `'static` on load — a worker process hosts exactly one graph for its
-/// lifetime, and the sampler borrows it for the rest of the run.
+/// shard (max-coverage runs: `BuildShard`). The host holds one graph at a
+/// time, shared with the DiIMM worker's sampler: loading a different graph
+/// drops both holders, which frees the previous one.
 pub struct WorkerHost {
     machine_id: usize,
     master_seed: u64,
-    graph: Option<&'static Graph>,
+    graph: Option<Arc<Graph>>,
     /// [`checksum`] of the blob the resident graph was decoded from, so a
     /// re-sent identical `LoadGraph` (the normal case for a join-mode
-    /// worker serving run after run) reuses the leaked graph instead of
-    /// leaking another copy per session.
+    /// worker serving run after run) keeps the resident graph instead of
+    /// decoding another copy per session.
     graph_digest: Option<u64>,
     diimm: Option<DiimmWorker<'static>>,
     shard: Option<CoverageShard>,
@@ -112,17 +88,17 @@ impl WorkerHost {
         }
         match binary::decode_binary(blob) {
             Ok(g) => {
-                self.graph = Some(Box::leak(Box::new(g)));
-                self.graph_digest = Some(digest);
                 self.diimm = None;
+                self.graph = Some(Arc::new(g));
+                self.graph_digest = Some(digest);
                 WorkerReply::Ok
             }
             Err(e) => WorkerReply::Err(format!("LoadGraph: {e}")),
         }
     }
 
-    fn init_sampler(&mut self, spec: SamplerSpec) -> WorkerReply {
-        let Some(graph) = self.graph else {
+    fn init_sampler(&mut self, sampler: SamplerKind) -> WorkerReply {
+        let Some(graph) = &self.graph else {
             return WorkerReply::Err("InitSampler before LoadGraph".into());
         };
         // Only `sampler` and `seed` shape worker-side state; the selection
@@ -132,9 +108,13 @@ impl WorkerHost {
             epsilon: 0.5,
             delta: 0.5,
             seed: self.master_seed,
-            sampler: spec.into(),
+            sampler,
         };
-        self.diimm = Some(DiimmWorker::new(graph, &config, self.machine_id));
+        self.diimm = Some(DiimmWorker::new(
+            Arc::clone(graph),
+            &config,
+            self.machine_id,
+        ));
         WorkerReply::Ok
     }
 }
@@ -158,8 +138,7 @@ pub fn setup_im_cluster<B: OpCluster>(
     binary::write_binary(graph, &mut blob).expect("writing to a Vec cannot fail");
     let replies = cluster.control(phase::SETUP, |_| WorkerOp::LoadGraph { blob: blob.clone() })?;
     expect_ok(&replies, phase::SETUP)?;
-    let spec: SamplerSpec = sampler.into();
-    let replies = cluster.control(phase::SETUP, |_| WorkerOp::InitSampler { spec })?;
+    let replies = cluster.control(phase::SETUP, |_| WorkerOp::InitSampler { sampler })?;
     expect_ok(&replies, phase::SETUP)
 }
 
@@ -167,7 +146,7 @@ impl OpExecutor for WorkerHost {
     fn execute(&mut self, op: &WorkerOp) -> WorkerReply {
         match op {
             WorkerOp::LoadGraph { blob } => self.load_graph(blob),
-            WorkerOp::InitSampler { spec } => self.init_sampler(*spec),
+            WorkerOp::InitSampler { sampler } => self.init_sampler(*sampler),
             WorkerOp::BuildShard { .. } => {
                 let shard = self.shard.get_or_insert_with(|| CoverageShard::new(0));
                 execute_coverage_op(shard, op)
@@ -194,6 +173,7 @@ impl OpExecutor for WorkerHost {
 mod tests {
     use super::*;
     use dim_cluster::WorkerStats;
+    use dim_diffusion::DiffusionModel::IndependentCascade as IC;
     use dim_graph::generators::erdos_renyi;
     use dim_graph::WeightModel;
 
@@ -204,18 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn sampler_spec_round_trips_through_kind() {
-        for spec in [
-            SamplerSpec::ReverseBfs,
-            SamplerSpec::StandardLt,
-            SamplerSpec::Subsim,
-        ] {
-            let kind: SamplerKind = spec.into();
-            assert_eq!(SamplerSpec::from(kind), spec);
-        }
-    }
-
-    #[test]
     fn host_matches_sim_worker_after_setup() {
         let g = erdos_renyi(120, 600, WeightModel::WeightedCascade, 3);
         let config = ImConfig {
@@ -223,7 +191,7 @@ mod tests {
             epsilon: 0.5,
             delta: 0.1,
             seed: 99,
-            sampler: SamplerKind::Standard(DiffusionModel::IndependentCascade),
+            sampler: SamplerKind::Standard(IC),
         };
         // The simulator's worker, driven directly.
         let mut sim = DiimmWorker::new(&g, &config, 1);
@@ -234,7 +202,7 @@ mod tests {
             WorkerReply::Ok
         );
         assert_eq!(
-            host.execute(&WorkerOp::InitSampler { spec: config.sampler.into() }),
+            host.execute(&WorkerOp::InitSampler { sampler: config.sampler }),
             WorkerReply::Ok
         );
         for op in [
@@ -259,7 +227,7 @@ mod tests {
             WorkerReply::Err(_)
         ));
         assert!(matches!(
-            host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::Subsim }),
+            host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::Standard(IC) }),
             WorkerReply::Err(_)
         ));
     }
@@ -273,9 +241,9 @@ mod tests {
             host.execute(&WorkerOp::LoadGraph { blob: blob.clone() }),
             WorkerReply::Ok
         );
-        let first: *const Graph = host.graph.unwrap();
+        let first: *const Graph = host.graph.as_deref().unwrap();
         // Next session, different slot and seed, same graph blob: the
-        // resident graph must be reused, not re-leaked.
+        // resident graph must be reused, not decoded again.
         host.reset_session(1, 8);
         assert_eq!(host.machine_id(), 1);
         assert!(host.diimm.is_none() && host.shard.is_none());
@@ -283,15 +251,15 @@ mod tests {
             host.execute(&WorkerOp::LoadGraph { blob: blob.clone() }),
             WorkerReply::Ok
         );
-        assert!(std::ptr::eq(first, host.graph.unwrap()));
+        assert!(std::ptr::eq(first, host.graph.as_deref().unwrap()));
         // The rebound host behaves exactly like a fresh one for that slot.
         assert_eq!(
-            host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::ReverseBfs }),
+            host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs }),
             WorkerReply::Ok
         );
         let mut fresh = WorkerHost::new(1, 8);
         fresh.execute(&WorkerOp::LoadGraph { blob: blob.clone() });
-        fresh.execute(&WorkerOp::InitSampler { spec: SamplerSpec::ReverseBfs });
+        fresh.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs });
         for op in [
             WorkerOp::SampleRr { count: 150 },
             WorkerOp::InitialCoverage,
@@ -299,13 +267,49 @@ mod tests {
         ] {
             assert_eq!(host.execute(&op), fresh.execute(&op), "op {op:?}");
         }
-        // A *different* blob still replaces the graph.
-        let g2 = erdos_renyi(30, 90, WeightModel::Uniform(0.2), 6);
+    }
+
+    #[test]
+    fn a_different_graph_frees_the_previous_one() {
+        let blob = graph_blob(&erdos_renyi(60, 240, WeightModel::WeightedCascade, 5));
+        let init = WorkerOp::InitSampler {
+            sampler: SamplerKind::Standard(IC),
+        };
+        let mut host = WorkerHost::new(0, 7);
         assert_eq!(
-            host.execute(&WorkerOp::LoadGraph { blob: graph_blob(&g2) }),
+            host.execute(&WorkerOp::LoadGraph { blob: blob.clone() }),
             WorkerReply::Ok
         );
-        assert!(!std::ptr::eq(first, host.graph.unwrap()));
+        assert_eq!(host.execute(&init), WorkerReply::Ok);
+        assert_eq!(
+            host.execute(&WorkerOp::SampleRr { count: 20 }),
+            WorkerReply::Ok
+        );
+        let first = Arc::downgrade(host.graph.as_ref().unwrap());
+        // The sampler shares the host's copy: two holders, one graph.
+        assert_eq!(first.strong_count(), 2);
+        // An identical blob keeps it.
+        assert_eq!(host.execute(&WorkerOp::LoadGraph { blob }), WorkerReply::Ok);
+        assert!(Arc::ptr_eq(
+            &first.upgrade().unwrap(),
+            host.graph.as_ref().unwrap()
+        ));
+        assert_eq!(host.execute(&init), WorkerReply::Ok);
+        // A different one frees it, sampler and all.
+        let other = graph_blob(&erdos_renyi(30, 90, WeightModel::WeightedCascade, 6));
+        assert_eq!(
+            host.execute(&WorkerOp::LoadGraph { blob: other }),
+            WorkerReply::Ok
+        );
+        assert!(
+            first.upgrade().is_none(),
+            "the previous graph outlived its replacement"
+        );
+        assert_eq!(host.execute(&init), WorkerReply::Ok);
+        assert_eq!(
+            host.execute(&WorkerOp::SampleRr { count: 20 }),
+            WorkerReply::Ok
+        );
     }
 
     #[test]
@@ -330,7 +334,7 @@ mod tests {
                 other => panic!("hostile blob answered {other:?}"),
             }
             // Still serving: the next op gets its ordinary answer.
-            let next = host.execute(&WorkerOp::InitSampler { spec: SamplerSpec::ReverseBfs });
+            let next = host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs });
             assert_eq!(next, WorkerReply::Err("InitSampler before LoadGraph".into()));
         }
         assert_eq!(host.execute(&WorkerOp::LoadGraph { blob: good }), WorkerReply::Ok);

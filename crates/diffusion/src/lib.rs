@@ -40,4 +40,4 @@ pub mod model;
 pub mod rr;
 
 pub use model::DiffusionModel;
-pub use rr::{IcRrSampler, LtRrSampler, RrSampler, SubsimRrSampler};
+pub use rr::{IcRrSampler, LtRrSampler, RrSampler, SamplerKind, SubsimRrSampler};

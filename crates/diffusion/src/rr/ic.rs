@@ -2,7 +2,7 @@
 
 use dim_graph::rng::Rng;
 use dim_graph::scratch::EpochFlags;
-use dim_graph::Graph;
+use dim_graph::{Graph, GraphRef};
 
 use crate::rr::{enqueue, RrSampler};
 
@@ -11,13 +11,15 @@ use crate::rr::{enqueue, RrSampler};
 /// `p(u', u)`. It is the named `ReverseBfs` baseline; the IC default is
 /// [`crate::rr::SubsimRrSampler`], which draws the same law.
 pub struct IcRrSampler<'g> {
-    graph: &'g Graph,
+    graph: GraphRef<'g>,
 }
 
 impl<'g> IcRrSampler<'g> {
     /// Creates a sampler over `graph`.
-    pub fn new(graph: &'g Graph) -> Self {
-        IcRrSampler { graph }
+    pub fn new(graph: impl Into<GraphRef<'g>>) -> Self {
+        IcRrSampler {
+            graph: graph.into(),
+        }
     }
 }
 
@@ -69,7 +71,7 @@ fn flip(
 
 impl RrSampler for IcRrSampler<'_> {
     fn graph(&self) -> &Graph {
-        self.graph
+        &self.graph
     }
 
     #[inline]
@@ -80,6 +82,7 @@ impl RrSampler for IcRrSampler<'_> {
         out: &mut Vec<u32>,
         visited: &mut EpochFlags,
     ) -> u64 {
+        let graph: &Graph = &self.graph;
         out.clear();
         visited.clear();
         visited.set(root as usize);
@@ -90,7 +93,7 @@ impl RrSampler for IcRrSampler<'_> {
         while head < out.len() {
             let u = out[head];
             head += 1;
-            edges += coin_row(self.graph, u, rng, out, visited);
+            edges += coin_row(graph, u, rng, out, visited);
         }
         edges
     }

@@ -2,7 +2,7 @@
 
 use dim_graph::rng::Rng;
 use dim_graph::scratch::EpochFlags;
-use dim_graph::Graph;
+use dim_graph::{Graph, GraphRef};
 
 use crate::rr::RrSampler;
 
@@ -11,40 +11,21 @@ use crate::rr::RrSampler;
 /// otherwise it moves to in-neighbor `u'` with probability `p(u',u)`.
 /// Revisiting a node ends the walk (the live-edge path has closed a cycle).
 pub struct LtRrSampler<'g> {
-    graph: &'g Graph,
-    /// Per node: `Some(p)` when all in-probabilities equal `p` (the
-    /// weighted-cascade case), enabling O(1) neighbor selection instead of
-    /// an O(indeg) cumulative scan.
-    uniform: Vec<Option<f32>>,
+    graph: GraphRef<'g>,
 }
 
 impl<'g> LtRrSampler<'g> {
-    /// Creates a sampler over `graph`, precomputing the uniform-probability
-    /// fast path per node.
-    pub fn new(graph: &'g Graph) -> Self {
-        let uniform = graph
-            .nodes()
-            .map(|v| {
-                let probs = graph.in_probs(v);
-                match probs.split_first() {
-                    None => None,
-                    Some((&first, rest)) => {
-                        if rest.iter().all(|&p| p == first) {
-                            Some(first)
-                        } else {
-                            None
-                        }
-                    }
-                }
-            })
-            .collect();
-        LtRrSampler { graph, uniform }
+    /// Creates a sampler over `graph`.
+    pub fn new(graph: impl Into<GraphRef<'g>>) -> Self {
+        LtRrSampler {
+            graph: graph.into(),
+        }
     }
 }
 
 impl RrSampler for LtRrSampler<'_> {
     fn graph(&self) -> &Graph {
-        self.graph
+        &self.graph
     }
 
     #[inline]
@@ -55,6 +36,7 @@ impl RrSampler for LtRrSampler<'_> {
         out: &mut Vec<u32>,
         visited: &mut EpochFlags,
     ) -> u64 {
+        let graph: &Graph = &self.graph;
         out.clear();
         visited.clear();
         visited.set(root as usize);
@@ -62,11 +44,11 @@ impl RrSampler for LtRrSampler<'_> {
         let mut work = 0u64;
         let mut u = root;
         loop {
-            let sources = self.graph.in_neighbors(u);
+            let sources = graph.in_neighbors(u);
             if sources.is_empty() {
                 break;
             }
-            let total = self.graph.in_prob_sum(u);
+            let total = graph.in_prob_sum(u);
             // One uniform draw decides both stop-vs-continue and, scaled,
             // which in-neighbor to walk to.
             let x = rng.f32();
@@ -74,15 +56,16 @@ impl RrSampler for LtRrSampler<'_> {
                 break; // stopped at u with probability 1 − Σ p
             }
             work += 1;
-            let next = match self.uniform[u as usize] {
+            let next = match graph.in_uniform_prob(u) {
                 Some(p) => {
-                    // All probabilities equal: x / p indexes the neighbor.
+                    // All probabilities equal (every weighted-cascade
+                    // row): x / p indexes the neighbor in O(1).
                     let idx = ((x / p) as usize).min(sources.len() - 1);
                     sources[idx]
                 }
                 None => {
                     // Cumulative scan over the in-probability vector.
-                    let probs = self.graph.in_probs(u);
+                    let probs = graph.in_probs(u);
                     work += probs.len() as u64;
                     let mut acc = 0f32;
                     let mut chosen = sources[sources.len() - 1];
@@ -210,7 +193,7 @@ mod tests {
         // scan picks neighbors with the right marginal: P[walk to v1] = 0.4.
         let g = fig1();
         let s = LtRrSampler::new(&g);
-        assert!(s.uniform[3].is_none());
+        assert!(g.in_uniform_prob(3).is_none());
         let mut rng = Rng::new(5);
         let mut out = Vec::new();
         let mut visited = EpochFlags::new(4);
@@ -228,13 +211,22 @@ mod tests {
 
     #[test]
     fn uniform_fast_path_detected() {
-        // Weighted cascade makes every node's in-probabilities uniform.
+        // Weighted cascade makes every node's in-probabilities uniform, and
+        // the walk reads that from the graph: one work unit per step, where
+        // the scan would add the row's length.
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 2);
         b.add_edge(1, 2);
         let g = b.build(WeightModel::WeightedCascade);
+        assert_eq!(g.in_uniform_prob(2), Some(0.5));
+        assert_eq!(g.in_uniform_prob(0), None, "no in-edges");
         let s = LtRrSampler::new(&g);
-        assert_eq!(s.uniform[2], Some(0.5));
-        assert_eq!(s.uniform[0], None, "no in-edges");
+        let mut rng = Rng::new(6);
+        let mut out = Vec::new();
+        let mut visited = EpochFlags::new(3);
+        for _ in 0..100 {
+            assert_eq!(s.sample_rooted(2, &mut rng, &mut out, &mut visited), 1);
+            assert_eq!(out.len(), 2);
+        }
     }
 }

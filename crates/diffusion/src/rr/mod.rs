@@ -10,16 +10,21 @@
 //!   whose in-probabilities are uniform (every node under weighted cascade)
 //!   draws its live-edge count from a tabulated Binomial CDF and picks that
 //!   many in-edges, in O(#successes) and with no transcendental function.
-//!   It is the IC default ([`AnySampler::for_model`]);
+//!   It is the IC default (`SamplerKind::Standard(IC)`);
 //! * [`IcRrSampler`] — the paper's stochastic reverse BFS (IC model, §III-A
 //!   step list), one coin per in-edge. It draws the same RR-set law and is
-//!   kept as the named baseline ([`AnySampler::reverse_bfs`]);
+//!   kept as the named baseline ([`SamplerKind::ReverseBfs`]);
 //! * [`LtRrSampler`] — reverse random walk (LT model).
 //!
-//! The two IC samplers consume their RNG streams differently, so the same
-//! stream gives different sets: a persisted sketch records which one drew
-//! it (`dim_cluster::SamplerSpec`), and is only ever extended or repaired
-//! by that one.
+//! [`SamplerKind`] is the one name of each law: runs, worker ops and
+//! persisted sketches all carry it, and [`SamplerKind::build`] makes its
+//! sampler. The two IC samplers consume their RNG streams differently, so
+//! the same stream gives different sets: a persisted sketch records which
+//! one drew it ([`SamplerKind::tag`]), and is only ever extended or
+//! repaired by that one.
+//!
+//! A sampler holds the graph it samples as a [`GraphRef`] and derives all
+//! its tables from it once, so it is built once per graph a machine holds.
 
 pub mod ic;
 pub mod lt;
@@ -31,7 +36,7 @@ pub use subsim::SubsimRrSampler;
 
 use dim_graph::rng::Rng;
 use dim_graph::scratch::EpochFlags;
-use dim_graph::Graph;
+use dim_graph::{Graph, GraphRef};
 
 use crate::model::DiffusionModel;
 
@@ -70,8 +75,74 @@ pub trait RrSampler: Sync {
     }
 }
 
-/// Model-dispatched sampler: SUBSIM for IC and the reverse walk for LT by
-/// default, or the paper's per-edge reverse BFS by name.
+/// Which RR-set sampler a run uses. Each kind draws one RR-set law, and
+/// its [`tag`](Self::tag) is bound to that law in every file ever written:
+/// the IC default is SUBSIM's count-first law (tag 3), so a tag-0 sketch
+/// can only be extended or repaired by the reverse BFS that drew it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SamplerKind {
+    /// The model's default sampler: SUBSIM's count-first subset sampler for
+    /// IC (the Fig. 7 sampler, tag 3) and the reverse walk for LT (tag 1).
+    /// What IMM/DiIMM, `dim` and the benchmark use.
+    Standard(DiffusionModel),
+    /// The paper's §III-A per-edge reverse BFS for IC (tag 0): the same
+    /// law as `Standard(IC)` drawn coin by coin, kept as the baseline that
+    /// Figs. 5/6 and Table IV measure.
+    ReverseBfs,
+}
+
+impl SamplerKind {
+    /// Builds the sampler over `graph`.
+    pub fn build<'g>(self, graph: impl Into<GraphRef<'g>>) -> AnySampler<'g> {
+        match self {
+            SamplerKind::Standard(DiffusionModel::IndependentCascade) => {
+                AnySampler::Subsim(SubsimRrSampler::new(graph))
+            }
+            SamplerKind::Standard(DiffusionModel::LinearThreshold) => {
+                AnySampler::Lt(LtRrSampler::new(graph))
+            }
+            SamplerKind::ReverseBfs => AnySampler::ReverseBfs(IcRrSampler::new(graph)),
+        }
+    }
+
+    /// The diffusion model whose RR distribution is sampled.
+    pub fn model(self) -> DiffusionModel {
+        match self {
+            SamplerKind::Standard(m) => m,
+            SamplerKind::ReverseBfs => DiffusionModel::IndependentCascade,
+        }
+    }
+
+    /// The law's canonical tag: its byte in worker ops and in `dim-store`
+    /// shard headers.
+    pub fn tag(self) -> u8 {
+        match self {
+            SamplerKind::ReverseBfs => 0,
+            SamplerKind::Standard(DiffusionModel::LinearThreshold) => 1,
+            SamplerKind::Standard(DiffusionModel::IndependentCascade) => 3,
+        }
+    }
+
+    /// Inverse of [`SamplerKind::tag`]: `None` for a retired tag too.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(SamplerKind::ReverseBfs),
+            1 => Some(SamplerKind::Standard(DiffusionModel::LinearThreshold)),
+            3 => Some(SamplerKind::Standard(DiffusionModel::IndependentCascade)),
+            _ => None,
+        }
+    }
+
+    /// Whether `tag` names a law no build draws any more: 2, SUBSIM's
+    /// jump sampler (one geometric skip per live edge), replaced as the IC
+    /// default by the count-first law (tag 3). A sketch drawn under it can
+    /// be neither extended nor repaired, and must be re-sampled.
+    pub fn is_retired(tag: u8) -> bool {
+        tag == 2
+    }
+}
+
+/// The sampler of a [`SamplerKind`], as [`SamplerKind::build`] makes it.
 pub enum AnySampler<'g> {
     /// IC per-edge reverse BFS (the §III-A baseline).
     ReverseBfs(IcRrSampler<'g>),
@@ -79,25 +150,6 @@ pub enum AnySampler<'g> {
     Lt(LtRrSampler<'g>),
     /// SUBSIM count-first sampler (IC distribution).
     Subsim(SubsimRrSampler<'g>),
-}
-
-impl<'g> AnySampler<'g> {
-    /// The default sampler for `model`, which IMM/DiIMM and every `dim`
-    /// command use: SUBSIM for IC (the same RR-set law as the reverse BFS,
-    /// drawn with O(#successes) work on uniform rows) and the reverse walk
-    /// for LT.
-    pub fn for_model(graph: &'g Graph, model: DiffusionModel) -> Self {
-        match model {
-            DiffusionModel::IndependentCascade => AnySampler::Subsim(SubsimRrSampler::new(graph)),
-            DiffusionModel::LinearThreshold => AnySampler::Lt(LtRrSampler::new(graph)),
-        }
-    }
-
-    /// The paper's per-edge IC reverse BFS, the baseline its Figs. 5/6 and
-    /// Table IV measure.
-    pub fn reverse_bfs(graph: &'g Graph) -> Self {
-        AnySampler::ReverseBfs(IcRrSampler::new(graph))
-    }
 }
 
 impl RrSampler for AnySampler<'_> {
@@ -195,7 +247,7 @@ mod tests {
     #[test]
     fn batch_fills_store() {
         let g = fig1();
-        let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
+        let sampler = SamplerKind::Standard(DiffusionModel::IndependentCascade).build(&g);
         let mut sets = Vec::new();
         let mut rng = Rng::new(1);
         let edges = sample_batch(&sampler, 100, &mut rng, |rr| sets.push(rr.to_vec()));
@@ -214,7 +266,7 @@ mod tests {
             })
             .sum::<f64>()
             / 4.0;
-        let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
+        let sampler = SamplerKind::Standard(DiffusionModel::IndependentCascade).build(&g);
         let mut rng = Rng::new(2);
         let eps = estimate_eps(&sampler, 200_000, &mut rng);
         assert!(
@@ -231,7 +283,7 @@ mod tests {
             .map(|v| crate::exact::exact_spread(&g, DiffusionModel::LinearThreshold, &[v]))
             .sum::<f64>()
             / 4.0;
-        let sampler = AnySampler::for_model(&g, DiffusionModel::LinearThreshold);
+        let sampler = SamplerKind::Standard(DiffusionModel::LinearThreshold).build(&g);
         let mut rng = Rng::new(3);
         let eps = estimate_eps(&sampler, 200_000, &mut rng);
         assert!(

@@ -14,14 +14,14 @@
 //! about Poisson(1), whatever the degree.
 //!
 //! Rows whose in-probabilities differ (mixed rows) flip per-edge coins, as
-//! the reverse BFS does. It is the IC default of
-//! [`crate::rr::AnySampler::for_model`].
+//! the reverse BFS does. It is the IC default,
+//! [`SamplerKind::Standard`](crate::rr::SamplerKind::Standard)`(IC)`.
 
 use std::collections::HashMap;
 
 use dim_graph::rng::Rng;
 use dim_graph::scratch::{with_flags, EpochFlags};
-use dim_graph::Graph;
+use dim_graph::{Graph, GraphRef};
 
 use crate::rr::ic::coin_row;
 use crate::rr::{enqueue, RrSampler};
@@ -42,7 +42,7 @@ enum RowPath {
 
 /// Count-first IC RR-set sampler.
 pub struct SubsimRrSampler<'g> {
-    graph: &'g Graph,
+    graph: GraphRef<'g>,
     paths: Vec<RowPath>,
     /// Binomial CDF runs, one per distinct `(in-degree, p)` of a `Count`
     /// row: threshold `k` is `P(L ≤ lo + k)·2⁶⁴`, and each run ends with
@@ -53,7 +53,8 @@ pub struct SubsimRrSampler<'g> {
 impl<'g> SubsimRrSampler<'g> {
     /// Creates a sampler over `graph`: fixes each node's path and
     /// tabulates one CDF run per distinct uniform row.
-    pub fn new(graph: &'g Graph) -> Self {
+    pub fn new(graph: impl Into<GraphRef<'g>>) -> Self {
+        let graph = graph.into();
         let mut cdf = Vec::new();
         let mut runs: HashMap<(usize, u32), RowPath> = HashMap::new();
         let paths = graph
@@ -75,14 +76,6 @@ impl<'g> SubsimRrSampler<'g> {
         SubsimRrSampler { graph, paths, cdf }
     }
 
-    /// Adds `w` to R unless it is already there.
-    #[inline(always)]
-    fn reach(&self, w: u32, out: &mut Vec<u32>, visited: &mut EpochFlags) {
-        if visited.set(w as usize) {
-            enqueue(self.graph, w, out);
-        }
-    }
-
     /// The live count of a row: the inversion of one 64-bit draw against
     /// its CDF run (which ends in `u64::MAX`, so the scan always stops).
     #[inline(always)]
@@ -95,48 +88,56 @@ impl<'g> SubsimRrSampler<'g> {
         }
         lo as usize + k
     }
+}
 
-    /// Reaches a uniform `live`-subset of `sources`. Picks positions by
-    /// rejection against per-row flags, each pick hitting an unpicked one
-    /// with probability at least ½: the live ones when `live ≤ d/2`,
-    /// otherwise the `d − live` dead ones, reaching every other position.
-    /// Expected work O(`live`).
-    #[inline]
-    fn reach_subset(
-        &self,
-        sources: &[u32],
-        live: usize,
-        rng: &mut Rng,
-        out: &mut Vec<u32>,
-        visited: &mut EpochFlags,
-    ) {
-        let d = sources.len();
-        match live {
-            0 => {}
-            // One pick cannot repeat: no flags needed.
-            1 => self.reach(sources[position(rng, d)], out, visited),
-            _ => with_flags(d, |picked| {
-                if 2 * live <= d {
-                    let mut left = live;
-                    while left > 0 {
-                        let i = position(rng, d);
-                        if picked.set(i) {
-                            self.reach(sources[i], out, visited);
-                            left -= 1;
-                        }
-                    }
-                } else {
-                    for _ in live..d {
-                        while !picked.set(position(rng, d)) {}
-                    }
-                    for (i, &w) in sources.iter().enumerate() {
-                        if !picked.is_set(i) {
-                            self.reach(w, out, visited);
-                        }
+/// Reaches a uniform `live`-subset of `sources`. Picks positions by
+/// rejection against per-row flags, each pick hitting an unpicked one
+/// with probability at least ½: the live ones when `live ≤ d/2`,
+/// otherwise the `d − live` dead ones, reaching every other position.
+/// Expected work O(`live`).
+#[inline]
+fn reach_subset(
+    graph: &Graph,
+    sources: &[u32],
+    live: usize,
+    rng: &mut Rng,
+    out: &mut Vec<u32>,
+    visited: &mut EpochFlags,
+) {
+    let d = sources.len();
+    match live {
+        0 => {}
+        // One pick cannot repeat: no flags needed.
+        1 => reach(graph, sources[position(rng, d)], out, visited),
+        _ => with_flags(d, |picked| {
+            if 2 * live <= d {
+                let mut left = live;
+                while left > 0 {
+                    let i = position(rng, d);
+                    if picked.set(i) {
+                        reach(graph, sources[i], out, visited);
+                        left -= 1;
                     }
                 }
-            }),
-        }
+            } else {
+                for _ in live..d {
+                    while !picked.set(position(rng, d)) {}
+                }
+                for (i, &w) in sources.iter().enumerate() {
+                    if !picked.is_set(i) {
+                        reach(graph, w, out, visited);
+                    }
+                }
+            }
+        }),
+    }
+}
+
+/// Adds `w` to R unless it is already there.
+#[inline(always)]
+fn reach(graph: &Graph, w: u32, out: &mut Vec<u32>, visited: &mut EpochFlags) {
+    if visited.set(w as usize) {
+        enqueue(graph, w, out);
     }
 }
 
@@ -216,7 +217,7 @@ fn binomial_run(d: usize, p: f64, cdf: &mut Vec<u64>) -> u32 {
 
 impl RrSampler for SubsimRrSampler<'_> {
     fn graph(&self) -> &Graph {
-        self.graph
+        &self.graph
     }
 
     #[inline]
@@ -227,6 +228,7 @@ impl RrSampler for SubsimRrSampler<'_> {
         out: &mut Vec<u32>,
         visited: &mut EpochFlags,
     ) -> u64 {
+        let graph: &Graph = &self.graph;
         out.clear();
         visited.clear();
         visited.set(root as usize);
@@ -237,16 +239,16 @@ impl RrSampler for SubsimRrSampler<'_> {
             let u = out[head];
             head += 1;
             work += match self.paths[u as usize] {
-                RowPath::Coins => coin_row(self.graph, u, rng, out, visited),
+                RowPath::Coins => coin_row(graph, u, rng, out, visited),
                 RowPath::Count { run, lo } => {
                     let live = self.draw_count(run, lo, rng);
-                    self.reach_subset(self.graph.in_neighbors(u), live, rng, out, visited);
+                    reach_subset(graph, graph.in_neighbors(u), live, rng, out, visited);
                     1 + live as u64
                 }
                 RowPath::AllLive => {
-                    let sources = self.graph.in_neighbors(u);
+                    let sources = graph.in_neighbors(u);
                     for &w in sources {
-                        self.reach(w, out, visited);
+                        reach(graph, w, out, visited);
                     }
                     sources.len() as u64
                 }

@@ -1,5 +1,8 @@
 //! Immutable CSR graph with forward and reverse adjacency.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use crate::NodeId;
 
 /// A directed graph in compressed-sparse-row form.
@@ -28,6 +31,41 @@ pub struct Graph {
     /// in-list is empty or mixed. Weighted cascade makes every row uniform,
     /// so the IC samplers read this instead of streaming `in_probs`.
     in_uniform_probs: Vec<f32>,
+}
+
+/// The graph a sampler or worker holds: borrowed from its caller, or one
+/// resident copy shared by every holder. Either way it is never cloned per
+/// holder, and it dereferences to the [`Graph`].
+#[derive(Clone, Debug)]
+pub enum GraphRef<'g> {
+    /// A graph the caller owns for at least `'g`.
+    Borrowed(&'g Graph),
+    /// A graph freed when its last holder drops it.
+    Shared(Arc<Graph>),
+}
+
+impl Deref for GraphRef<'_> {
+    type Target = Graph;
+
+    #[inline]
+    fn deref(&self) -> &Graph {
+        match self {
+            GraphRef::Borrowed(g) => g,
+            GraphRef::Shared(g) => g,
+        }
+    }
+}
+
+impl<'g> From<&'g Graph> for GraphRef<'g> {
+    fn from(g: &'g Graph) -> Self {
+        GraphRef::Borrowed(g)
+    }
+}
+
+impl From<Arc<Graph>> for GraphRef<'_> {
+    fn from(g: Arc<Graph>) -> Self {
+        GraphRef::Shared(g)
+    }
 }
 
 /// One edge's state after a batch, addressed within one CSR direction:

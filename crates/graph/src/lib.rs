@@ -7,6 +7,8 @@
 //!   forward (out-edge) and reverse (in-edge) adjacency together with a
 //!   propagation probability per edge. Reverse adjacency is first-class
 //!   because reverse influence sampling (RIS) traverses incoming edges.
+//!   A sampler or worker holds its graph as a [`GraphRef`]: borrowed, or
+//!   one `Arc` shared by every holder.
 //! * [`GraphBuilder`] — the mutable builder used by parsers and generators.
 //! * [`codec`] — the one strict little-endian byte cursor ([`codec::Reader`])
 //!   every binary format in the workspace decodes through.
@@ -54,7 +56,7 @@ pub mod weights;
 
 pub use analysis::GraphStats;
 pub use builder::GraphBuilder;
-pub use csr::Graph;
+pub use csr::{Graph, GraphRef};
 pub use delta::{apply_batch, DeltaBatch, DeltaError, EdgeOp};
 pub use error::GraphError;
 pub use generators::profiles::DatasetProfile;

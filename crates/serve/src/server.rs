@@ -975,8 +975,9 @@ mod tests {
     use super::*;
     use crate::client::QueryClient;
     use crate::proto::encode_batch;
-    use dim_cluster::SamplerSpec;
     use dim_coverage::PooledSets;
+    use dim_diffusion::DiffusionModel::IndependentCascade as IC;
+    use dim_diffusion::SamplerKind;
     use std::sync::atomic::AtomicUsize;
 
     /// The paper's Fig. 2 instance split over two shards.
@@ -1222,7 +1223,7 @@ mod tests {
         elements.push(&[mark]);
         let header = dim_store::ShardHeader {
             fingerprint: 0xabcd,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             seed: mark as u64,
             theta: 1,
             shard_id: 0,
@@ -1247,7 +1248,7 @@ mod tests {
         ));
         let request = SnapshotRequest {
             fingerprint: 0xabcd,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             shard_count: None,
             num_sets: 5,
         };

@@ -47,7 +47,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use dim_cluster::ops::{put_u32, put_u64, Reader};
-use dim_cluster::SamplerSpec;
+use dim_diffusion::SamplerKind;
 use dim_graph::DeltaBatch;
 
 use crate::{
@@ -73,7 +73,7 @@ pub struct DeltaShardHeader {
     /// Fingerprint of the graph the batch produced.
     pub fingerprint: u64,
     /// Which RR sampler re-generated the repaired sets.
-    pub sampler: SamplerSpec,
+    pub sampler: SamplerKind,
     /// Master seed of the sampling run (per-set streams derive from it).
     pub seed: u64,
     /// Global RR-set count θ across all shards (unchanged by repair).
@@ -341,6 +341,7 @@ pub(crate) fn delta_base_of(dir: &Path) -> Result<Option<u64>, StoreError> {
 mod tests {
     use super::*;
     use crate::checksum;
+    use dim_diffusion::DiffusionModel::IndependentCascade as IC;
     use dim_graph::EdgeOp;
 
     fn sample_batch() -> DeltaBatch {
@@ -358,7 +359,7 @@ mod tests {
             base_generation: 4,
             parent_fingerprint: 0x1111_2222_3333_4444,
             fingerprint: 0x5555_6666_7777_8888,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             seed: 42,
             theta: 10,
             batch_seq: 2,

@@ -559,8 +559,9 @@ pub fn gc_generations(root: &Path, keep: usize) -> Result<Vec<u64>, StoreError> 
 mod tests {
     use super::*;
     use crate::{write_shard, ShardHeader};
-    use dim_cluster::SamplerSpec;
     use dim_coverage::PooledSets;
+    use dim_diffusion::DiffusionModel::IndependentCascade as IC;
+    use dim_diffusion::SamplerKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The run every test generation is committed for.
@@ -584,7 +585,7 @@ mod tests {
     fn request() -> SnapshotRequest {
         SnapshotRequest {
             fingerprint: 0xfeed_f00d,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             shard_count: None,
             num_sets: 5,
         }
@@ -598,7 +599,7 @@ mod tests {
         elements.push(&[(mark + 1) % 5, 4]);
         let header = ShardHeader {
             fingerprint: 0xfeed_f00d,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             seed: mark as u64,
             theta: 2,
             shard_id: 0,
@@ -825,7 +826,7 @@ mod tests {
             base_generation,
             parent_fingerprint,
             fingerprint,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             seed: 0,
             theta: 2,
             batch_seq: seq,
@@ -940,7 +941,7 @@ mod tests {
         let (id1, dir1) = begin_generation(&root).unwrap();
         let header = ShardHeader {
             fingerprint: 0xfeed_f00d,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             seed: 0,
             theta: 0,
             shard_id: 0,

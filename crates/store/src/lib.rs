@@ -21,12 +21,13 @@
 //!
 //! Header block: `fingerprint u64 · sampler u8 · seed u64 · theta u64 ·
 //! shard_id u32 · shard_count u32 · num_sets u64 · num_elements u64 ·
-//! edges_examined u64`. `sampler` is the `SamplerSpec` tag of the RR-set
+//! edges_examined u64`. `sampler` is the [`SamplerKind::tag`] of the RR-set
 //! law that drew the sets (0 reverse BFS, 1 LT walk, 3 SUBSIM's count-first
-//! law, today's IC default); a tag keeps its law forever, so a sketch is
-//! only extended or repaired by the sampler that wrote it. Tag 2, the jump
-//! sampler SUBSIM used before, is retired: such a file is refused as
-//! [`StoreError::RetiredSampler`] and must be re-sampled. `edges_examined`
+//! law, today's IC default; worker ops carry the same byte); a tag keeps
+//! its law forever, so a sketch is only extended or repaired by the
+//! sampler that wrote it. Tag 2, the jump sampler SUBSIM used before, is
+//! retired: such a file is refused as [`StoreError::RetiredSampler`] and
+//! must be re-sampled. `edges_examined`
 //! counts sampler work units (Σ w(R): one per in-edge examined on a coin
 //! row, `1 + L` on a SUBSIM count row with `L` live edges). The elements
 //! section is `count u64 · offsets[count+1] u64 ·
@@ -75,8 +76,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use dim_cluster::ops::{put_u32, put_u64, Reader};
-use dim_cluster::SamplerSpec;
 use dim_coverage::PooledSets;
+use dim_diffusion::SamplerKind;
 use dim_graph::Graph;
 
 /// File magic for RR-sketch shard files.
@@ -119,7 +120,7 @@ pub enum StoreError {
     /// The directory contains no shard files at all.
     Empty { dir: PathBuf },
     /// The shard was drawn under a sampler tag no build draws any more
-    /// ([`SamplerSpec::is_retired`]): it can be neither extended nor
+    /// ([`SamplerKind::is_retired`]): it can be neither extended nor
     /// repaired, and must be re-sampled.
     RetiredSampler { path: Option<PathBuf>, tag: u8 },
     /// The store root holds shard files directly inside and no generation
@@ -243,7 +244,7 @@ pub struct ShardHeader {
     /// [`graph_fingerprint`] of the sampled graph.
     pub fingerprint: u64,
     /// Which RR sampler produced the sets.
-    pub sampler: SamplerSpec,
+    pub sampler: SamplerKind,
     /// Master seed of the sampling run.
     pub seed: u64,
     /// Global RR-set count θ across all shards.
@@ -315,9 +316,9 @@ impl ShardHeader {
 
 /// The sampler a header's tag names: a retired tag is refused as
 /// [`StoreError::RetiredSampler`], any other unknown one as corrupt.
-pub(crate) fn sampler_of(tag: u8) -> Result<SamplerSpec, StoreError> {
-    SamplerSpec::from_tag(tag).ok_or_else(|| {
-        if SamplerSpec::is_retired(tag) {
+pub(crate) fn sampler_of(tag: u8) -> Result<SamplerKind, StoreError> {
+    SamplerKind::from_tag(tag).ok_or_else(|| {
+        if SamplerKind::is_retired(tag) {
             StoreError::RetiredSampler { path: None, tag }
         } else {
             StoreError::corrupt("unknown sampler tag")
@@ -649,7 +650,7 @@ pub struct SnapshotRequest {
     /// Required [`graph_fingerprint`].
     pub fingerprint: u64,
     /// Required sampler.
-    pub sampler: SamplerSpec,
+    pub sampler: SamplerKind,
     /// Required shard count, if the caller cares (e.g. resuming onto a
     /// cluster of a fixed size). `None` accepts whatever the snapshot has.
     pub shard_count: Option<u32>,
@@ -664,7 +665,7 @@ pub struct SnapshotRequest {
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub fingerprint: u64,
-    pub sampler: SamplerSpec,
+    pub sampler: SamplerKind,
     pub seed: u64,
     pub theta: u64,
     /// Set-universe size (graph node count `n`).
@@ -759,6 +760,7 @@ pub(crate) fn load_snapshot(dir: &Path, request: &SnapshotRequest) -> Result<Sna
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dim_diffusion::DiffusionModel::IndependentCascade as IC;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample_sets() -> PooledSets {
@@ -773,7 +775,7 @@ mod tests {
     fn sample_header(num_elements: u64) -> ShardHeader {
         ShardHeader {
             fingerprint: 0xdead_beef_cafe_f00d,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             seed: 42,
             theta: 4,
             shard_id: 0,
@@ -1033,7 +1035,7 @@ mod tests {
     fn request() -> SnapshotRequest {
         SnapshotRequest {
             fingerprint: 0xdead_beef_cafe_f00d,
-            sampler: SamplerSpec::Subsim,
+            sampler: SamplerKind::Standard(IC),
             shard_count: None,
             num_sets: 5,
         }
@@ -1071,7 +1073,7 @@ mod tests {
         let dir = temp_dir("sampler");
         write_shards(&dir, 2);
         let mut req = request();
-        req.sampler = SamplerSpec::ReverseBfs;
+        req.sampler = SamplerKind::ReverseBfs;
         match load_snapshot(&dir, &req) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "sampler"),
             other => panic!("expected mismatch, got {other:?}"),

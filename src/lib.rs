@@ -56,8 +56,8 @@ pub mod prelude {
     pub use dim_cluster::{
         phase, stream_seed, ClusterBackend, ClusterMetrics, ExecMode, FaultInjector, FaultPlan,
         JoinConfig, JoinOptions, LinkFault, NetworkModel, OpCluster, Partition, PhaseTimeline,
-        ProcCluster, Rendezvous, SamplerSpec, SessionEnd, SimCluster, WireErrorKind, WorkerOp,
-        WorkerReply, WorkerStats,
+        ProcCluster, Rendezvous, SessionEnd, SimCluster, WireErrorKind, WorkerOp, WorkerReply,
+        WorkerStats,
     };
     pub use dim_core::diimm::{diimm, diimm_on, diimm_with_options};
     pub use dim_core::imm::imm;

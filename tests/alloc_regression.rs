@@ -1,8 +1,9 @@
 //! Regression guard for per-call scratch allocations on the query hot
-//! paths and the stream-repair splice: repeated queries against a frozen
-//! sketch, and repeated repairs of a resident shard, must reuse their
-//! buffers, not re-allocate them. And a worker's memory is bounded by
-//! what it was shipped, whatever universe an op names.
+//! paths, the stream-repair splice and RR sampling: repeated queries
+//! against a frozen sketch, repeated repairs of a resident shard and
+//! repeated sampling rounds must reuse their buffers and sampler, not
+//! re-allocate them. And a worker's memory is bounded by what it was
+//! shipped, whatever universe an op names.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, counting
 //! calls and bytes. The whole guard lives in ONE test function — the
@@ -12,11 +13,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dim_cluster::{WorkerOp, WorkerReply};
+use dim_cluster::{OpExecutor, WorkerOp, WorkerReply};
+use dim_core::diimm::DiimmWorker;
+use dim_core::{ImConfig, SamplerKind};
 use dim_coverage::{
     constrained_greedy, execute_coverage_op, seed_set_coverage, CoverageShard, SketchCursors,
 };
-use dim_graph::scratch;
+use dim_diffusion::DiffusionModel::{IndependentCascade as IC, LinearThreshold as LT};
+use dim_graph::generators::erdos_renyi;
+use dim_graph::{scratch, WeightModel};
 
 struct CountingAlloc;
 
@@ -183,6 +188,39 @@ fn hot_query_paths_do_not_allocate_in_steady_state() {
     assert!(shard.needs_prepare(), "a repair must leave the index to selection");
     for (id, record) in warm_up.iter().chain(&second) {
         assert_eq!(shard.elements().get(*id as usize), record.as_slice());
+    }
+
+    // A DiIMM worker builds its sampler once per graph it holds: on a warm
+    // worker, a one-set sampling round allocates less than a byte per node,
+    // so it rebuilds no per-node table (SUBSIM's row paths and CDF runs).
+    let graph = erdos_renyi(20_000, 100_000, WeightModel::WeightedCascade, 4);
+    for sampler in [
+        SamplerKind::Standard(IC),
+        SamplerKind::Standard(LT),
+        SamplerKind::ReverseBfs,
+    ] {
+        let config = ImConfig {
+            k: 1,
+            epsilon: 0.5,
+            delta: 0.5,
+            seed: 3,
+            sampler,
+        };
+        let mut worker = DiimmWorker::new(&graph, &config, 0);
+        assert_eq!(
+            worker.execute(&WorkerOp::SampleRr { count: 64 }),
+            WorkerReply::Ok
+        );
+        let before = bytes();
+        assert_eq!(
+            worker.execute(&WorkerOp::SampleRr { count: 1 }),
+            WorkerReply::Ok
+        );
+        let spent = bytes() - before;
+        assert!(
+            spent < graph.num_nodes() as u64,
+            "{sampler:?}: a one-set round on a warm worker allocated {spent} bytes"
+        );
     }
 
     // A 9-byte `BuildShard` naming the largest universe, its round's first

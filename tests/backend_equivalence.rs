@@ -387,7 +387,6 @@ mod stream {
                 let encoded = batch.encode();
                 let parent = graph_fingerprint(&tip);
                 let fingerprint = graph_fingerprint(&mutated);
-                let spec: SamplerSpec = config.sampler.into();
                 let replies = proc
                     .control(phase::STREAM_APPLY, |_| WorkerOp::ApplyDelta {
                         batch: encoded.clone(),
@@ -398,7 +397,7 @@ mod stream {
                         seed: config.seed,
                         theta,
                         shard_count: machines as u32,
-                        spec,
+                        sampler: config.sampler,
                     })
                     .unwrap();
                 let repaired = expect_counts(&replies, phase::STREAM_APPLY).unwrap();

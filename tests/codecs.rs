@@ -125,20 +125,25 @@ fn ids(rng: &mut Rng) -> Vec<u32> {
     vec_of(rng, 0..40, any_u32)
 }
 
-fn any_sampler(rng: &mut Rng) -> SamplerSpec {
-    use SamplerSpec::*;
-    let all: [SamplerSpec; 3] = [ReverseBfs, StandardLt, Subsim];
+fn any_sampler(rng: &mut Rng) -> SamplerKind {
+    use DiffusionModel::*;
+    use SamplerKind::*;
+    let all: [SamplerKind; 3] = [
+        ReverseBfs,
+        Standard(LinearThreshold),
+        Standard(IndependentCascade),
+    ];
     match pick(rng, all) {
-        spec @ (ReverseBfs | StandardLt | Subsim) => spec,
+        kind @ (ReverseBfs | Standard(LinearThreshold | IndependentCascade)) => kind,
     }
 }
 
 fn any_worker_op(rng: &mut Rng) -> WorkerOp {
     use WorkerOp::*;
-    let spec = any_sampler(rng);
+    let sampler = any_sampler(rng);
     let all: [WorkerOp; 13] = [
         LoadGraph { blob: random_bytes(rng, 0..200) },
-        InitSampler { spec },
+        InitSampler { sampler },
         BuildShard { num_sets: any_u32(rng), elements: vec_of(rng, 0..20, ids) },
         SampleRr { count: any_u64(rng) },
         InitialCoverage,
@@ -152,14 +157,14 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
         Validate { seeds: ids(rng) },
         PersistShard {
             dir: ascii(rng, 0..61), fingerprint: any_u64(rng), seed: any_u64(rng),
-            theta: any_u64(rng), shard_id: any_u32(rng), shard_count: any_u32(rng), spec,
+            theta: any_u64(rng), shard_id: any_u32(rng), shard_count: any_u32(rng), sampler,
         },
         ApplyDelta {
             batch: random_bytes(rng, 0..200),
             persist_dir: (rng.below(2) == 0).then(|| ascii(rng, 0..61)),
             base_generation: any_u64(rng), fingerprint: any_u64(rng),
             parent_fingerprint: any_u64(rng), seed: any_u64(rng), theta: any_u64(rng),
-            shard_count: any_u32(rng), spec,
+            shard_count: any_u32(rng), sampler,
         },
         Shutdown,
     ];
@@ -395,17 +400,22 @@ fn sized<T>(len: usize, encode: impl Fn(&T) -> Vec<u8>) -> impl Fn(&T) -> Vec<u8
 /// reverse BFS and the LT walk kept theirs.
 #[test]
 fn sampler_tags_are_pinned() {
-    use SamplerSpec::*;
-    for (spec, tag) in [(ReverseBfs, 0), (StandardLt, 1), (Subsim, 3)] {
-        assert_eq!(spec.tag(), tag, "{spec:?}");
-        assert_eq!(SamplerSpec::from_tag(tag), Some(spec), "tag {tag}");
-        assert!(!SamplerSpec::is_retired(tag), "tag {tag}");
+    use DiffusionModel::*;
+    use SamplerKind::*;
+    let laws = [
+        (ReverseBfs, 0),
+        (Standard(LinearThreshold), 1),
+        (Standard(IndependentCascade), 3),
+    ];
+    for (kind, tag) in laws {
+        assert_eq!(kind.tag(), tag, "{kind:?}");
+        assert_eq!(SamplerKind::from_tag(tag), Some(kind), "tag {tag}");
+        assert!(!SamplerKind::is_retired(tag), "tag {tag}");
     }
-    assert_eq!(SamplerKind::Standard(DiffusionModel::IndependentCascade), Subsim.into());
-    assert_eq!(SamplerSpec::from_tag(2), None);
-    assert!(SamplerSpec::is_retired(2), "the jump law's tag is retired");
-    assert_eq!(SamplerSpec::from_tag(4), None);
-    assert!(!SamplerSpec::is_retired(4), "tag 4 is unknown, not retired");
+    assert_eq!(SamplerKind::from_tag(2), None);
+    assert!(SamplerKind::is_retired(2), "the jump law's tag is retired");
+    assert_eq!(SamplerKind::from_tag(4), None);
+    assert!(!SamplerKind::is_retired(4), "tag 4 is unknown, not retired");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use dim_graph::rng::Rng;
 #[test]
 fn corollary1_rr_size_concentration() {
     let g = DatasetProfile::Facebook.generate(0.2, 12);
-    let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
+    let sampler = SamplerKind::Standard(DiffusionModel::IndependentCascade).build(&g);
     let batch = 2_000;
     let batches = 24;
     let totals: Vec<usize> = (0..batches)
@@ -35,7 +35,7 @@ fn corollary1_rr_size_concentration() {
 #[test]
 fn workload_balanced_across_machines() {
     let g = DatasetProfile::GooglePlus.generate(0.02, 4);
-    let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
+    let sampler = SamplerKind::Standard(DiffusionModel::IndependentCascade).build(&g);
     let machines = 8;
     let per_machine = 3_000;
     let sizes: Vec<usize> = (0..machines)
@@ -63,7 +63,7 @@ fn lemma1_multi_node_unbiasedness() {
     let g = DatasetProfile::Facebook.generate(0.1, 44);
     let n = g.num_nodes();
     let seeds: Vec<u32> = vec![0, 5, 11];
-    let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
+    let sampler = SamplerKind::Standard(DiffusionModel::IndependentCascade).build(&g);
     let mut rng = Rng::new(2);
     let mut store = PooledSets::new();
     let count = 60_000;
@@ -98,8 +98,8 @@ fn samplers_agree_on_eps() {
         sample_batch(&sampler, count, &mut rng, |rr| total += rr.len());
         total as f64 / count as f64
     };
-    let bfs = eps_of(AnySampler::reverse_bfs(&g));
-    let subsim = eps_of(AnySampler::for_model(&g, DiffusionModel::IndependentCascade));
+    let bfs = eps_of(SamplerKind::ReverseBfs.build(&g));
+    let subsim = eps_of(SamplerKind::Standard(DiffusionModel::IndependentCascade).build(&g));
     let rel = (bfs - subsim).abs() / bfs;
     assert!(rel < 0.05, "BFS EPS {bfs} vs SUBSIM EPS {subsim}");
 }

@@ -58,11 +58,11 @@ fn newgreedi_exact_on_ris_instances() {
     use dim_cluster::SimCluster;
     use dim_coverage::greedy::bucket_greedy;
     use dim_coverage::{CoverageShard, PooledSets};
-    use dim_diffusion::rr::{sample_batch, AnySampler};
+    use dim_diffusion::rr::sample_batch;
     use dim_graph::rng::Rng;
 
     let g = DatasetProfile::Facebook.generate(0.1, 8);
-    let sampler = AnySampler::for_model(&g, DiffusionModel::IndependentCascade);
+    let sampler = SamplerKind::Standard(DiffusionModel::IndependentCascade).build(&g);
     let mut store = PooledSets::new();
     let mut rng = Rng::new(3);
     sample_batch(&sampler, 4000, &mut rng, |rr| {

@@ -16,7 +16,7 @@ use dim::dim_core::params::log_choose;
 use dim::dim_coverage::greedy::naive_greedy;
 use dim::dim_coverage::{constrained_greedy, seed_set_coverage, PooledSets, SketchCursors};
 use dim::dim_diffusion::exact::LiveEdgeEnsemble;
-use dim::dim_diffusion::rr::{sample_batch, AnySampler};
+use dim::dim_diffusion::rr::sample_batch;
 use dim::dim_graph::scratch::EpochFlags;
 use dim::prelude::*;
 
@@ -268,7 +268,7 @@ fn ris_and_forward_estimates_match_exact_spread() {
     forall("lemma1_matches_exact", DIFFUSION_CASES, gen, |(g, root, seed), _| {
         for model in [IC, LT] {
             let within = |est: f64, exact: f64| (est - exact).abs() < 0.15 + 0.05 * exact;
-            let sampler = AnySampler::for_model(g, model);
+            let sampler = SamplerKind::Standard(model).build(g);
             let (mut rng, mut rr, mut visited) = (Rng::new(*seed), Vec::new(), EpochFlags::new(6));
             let trials = 30_000;
             let hits = (0..trials)
@@ -316,8 +316,8 @@ fn exact_spread_is_monotone_and_submodular() {
 fn rr_sets_are_well_formed_and_indexed() {
     let gen = |r: &mut Rng| (tiny_graph(r), in_range(r, 0..1000));
     forall("rr_sets_well_formed", DIFFUSION_CASES, gen, |(g, seed), _| {
-        let samplers =
-            [AnySampler::for_model(g, IC), AnySampler::for_model(g, LT), AnySampler::reverse_bfs(g)];
+        let samplers = [SamplerKind::Standard(IC), SamplerKind::Standard(LT), SamplerKind::ReverseBfs]
+            .map(|kind| kind.build(g));
         for sampler in &samplers {
             let mut store = PooledSets::new();
             sample_batch(sampler, 300, &mut Rng::new(*seed), |rr| {
