@@ -131,11 +131,8 @@ impl<'g> DiimmWorker<'g> {
     /// Returns the repaired records `(set index, new member nodes)` in
     /// increasing index order.
     pub fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<Vec<(u32, Vec<u32>)>, String> {
-        let graph = self.sampler.graph();
-        batch
-            .validate(graph.num_nodes())
-            .map_err(|e| e.to_string())?;
-        let mutated = dim_graph::apply_batch(graph, batch).map_err(|e| e.to_string())?;
+        let mutated =
+            dim_graph::apply_batch(self.sampler.graph(), batch).map_err(|e| e.to_string())?;
         self.sampler = self.sampler_kind.build(Arc::new(mutated));
         let invalid = self.shard.elements_containing(&batch.touched_nodes());
         let mut repaired = Vec::with_capacity(invalid.len());

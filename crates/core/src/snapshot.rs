@@ -281,6 +281,11 @@ pub struct StreamApplied {
 /// on-disk chain — a later persisted delta fails fingerprint validation
 /// at the next load — until [`compact`](Self::compact) writes the
 /// resident state as a fresh base, which heals the chain.
+///
+/// The tip graph lives with the workers: `open` restores every worker on
+/// one copy of it, each `apply` leaves every worker holding the mutated
+/// graph it built, and the session reads worker 0's
+/// ([`current_graph`](Self::current_graph)) rather than keep its own.
 pub struct StreamSession<'g> {
     cluster: SimCluster<DiimmWorker<'g>>,
     config: ImConfig,
@@ -293,9 +298,6 @@ pub struct StreamSession<'g> {
     base_generation: u64,
     tip_fingerprint: u64,
     next_seq: u64,
-    /// The tip graph. `open` restores every worker on this one copy; each
-    /// `apply` leaves every worker holding the mutated graph it built.
-    current: GraphRef<'g>,
 }
 
 impl<'g> StreamSession<'g> {
@@ -374,7 +376,6 @@ impl<'g> StreamSession<'g> {
             base_generation: chain.base_generation,
             tip_fingerprint: chain.tip_fingerprint,
             next_seq: chain.next_seq,
-            current,
         })
     }
 
@@ -405,9 +406,11 @@ impl<'g> StreamSession<'g> {
         self.next_seq
     }
 
-    /// The resident (tip) graph — base graph plus every applied batch.
+    /// The resident (tip) graph — base graph plus every applied batch —
+    /// as worker 0 holds it: the session keeps no copy of its own. A
+    /// loaded generation has at least one shard, so worker 0 exists.
     pub fn current_graph(&self) -> &Graph {
-        &self.current
+        self.cluster.workers()[0].current_graph()
     }
 
     /// Number of machines holding shards.
@@ -433,9 +436,9 @@ impl<'g> StreamSession<'g> {
             seq: self.next_seq,
             ops,
         };
-        batch.validate(self.current.num_nodes())?;
-        let mutated = apply_batch(&self.current, &batch)?;
-        let fingerprint = graph_fingerprint(&mutated);
+        // `apply_batch` validates the batch. Its graph lives only to be
+        // fingerprinted: each worker builds its own in the round below.
+        let fingerprint = graph_fingerprint(&apply_batch(self.current_graph(), &batch)?);
         let staged = if persist {
             Some(dim_store::begin_generation(&self.root)?)
         } else {
@@ -462,7 +465,6 @@ impl<'g> StreamSession<'g> {
         }
         // The workers and (when persisting) the disk now hold the batch:
         // the session follows before anything else can fail.
-        self.current = Arc::new(mutated).into();
         self.tip_fingerprint = fingerprint;
         self.next_seq += 1;
         if persist {
@@ -508,7 +510,7 @@ impl<'g> StreamSession<'g> {
         let (id, dir) = dim_store::begin_generation(&self.root)?;
         let fingerprint = self.root_fingerprint;
         persist_rr_shards(&mut self.cluster, &dir, fingerprint, &self.config, self.theta)?;
-        dim_store::write_graph_file(&dir, &self.current)?;
+        dim_store::write_graph_file(&dir, self.current_graph())?;
         dim_store::commit_generation(&dir, id, &run_params(&self.config))?;
         self.generation = id;
         self.base_generation = id;
@@ -521,7 +523,7 @@ impl<'g> StreamSession<'g> {
     /// byte-identical to a full re-sample + select on the tip graph.
     /// `rounds` and `lower_bound` are not persisted and read 0.
     pub fn select(&mut self) -> Result<ImResult, SnapshotError> {
-        let n = self.current.num_nodes();
+        let n = self.current_graph().num_nodes();
         let sel = newgreedi_with(&mut self.cluster, n, self.config.k)?;
         let theta = self.theta as usize;
         let est_spread = n as f64 * sel.covered as f64 / theta as f64;
@@ -630,7 +632,8 @@ mod tests {
 
     /// Every resident worker samples from the session's one tip graph: the
     /// boot graph itself on a chain sampled from it, one shared copy on a
-    /// compacted chain with a batch on top.
+    /// compacted chain with a batch on top. After a committed batch the
+    /// session holds no tip of its own: it reads worker 0's.
     #[test]
     fn open_restores_every_worker_on_one_tip_graph() {
         let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 9);
@@ -645,7 +648,11 @@ mod tests {
         let mut session = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
         assert!(std::ptr::eq(session.current_graph(), &g) && one_tip(&session));
         let (u, v, _) = g.edges().next().unwrap();
-        session.apply(vec![EdgeOp::Delete { u, v }], true, 4).unwrap();
+        session
+            .apply(vec![EdgeOp::Delete { u, v }], true, 4)
+            .unwrap();
+        let worker0 = session.cluster.workers()[0].current_graph();
+        assert!(std::ptr::eq(session.current_graph(), worker0));
         session.compact(4).unwrap();
         session.apply(vec![EdgeOp::Insert { u: v, v: u, p: 0.3 }], true, 4).unwrap();
         let tip = graph_fingerprint(session.current_graph());

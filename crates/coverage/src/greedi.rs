@@ -66,13 +66,10 @@ fn local_greedy(shard: &SetShard, kappa: usize) -> Candidates {
         let selector = LazySelector::new((0..).zip(sets.iter().map(|l| l.len() as u64)));
         let (mut picks, mut marginals) = (Vec::with_capacity(kappa), Vec::new());
         let eval = |seed: Option<u32>, candidates: &[u32]| {
-            for &e in seed.map_or(&[][..], |i| sets.get(i as usize)) {
-                covered.set(e as usize);
+            if let Some(i) = seed {
+                covered.set_all(sets.get(i as usize));
             }
-            let fresh = |&i: &u32| {
-                let set = sets.get(i as usize);
-                set.iter().filter(|&&e| !covered.is_set(e as usize)).count() as u64
-            };
+            let fresh = |&i: &u32| covered.count_unset(sets.get(i as usize)) as u64;
             Ok::<_, Infallible>(candidates.iter().map(fresh).collect())
         };
         let Ok(()) = selector.run(kappa, &mut picks, &mut marginals, eval);
@@ -128,14 +125,8 @@ pub fn greedi(cluster: &mut SimCluster<SetShard>, k: usize, kappa: usize) -> Gre
             for c in &candidates {
                 covered_buf.clear();
                 let take = k.min(c.ids.len());
-                let mut covered = 0u64;
-                for pos in 0..take {
-                    for &e in c.element_lists.get(pos) {
-                        if covered_buf.set(e as usize) {
-                            covered += 1;
-                        }
-                    }
-                }
+                let lists = c.element_lists.iter().take(take);
+                let covered: u64 = lists.map(|l| covered_buf.set_all(l) as u64).sum();
                 if covered > best.covered {
                     best = GreediResult {
                         seeds: c.ids[..take].to_vec(),

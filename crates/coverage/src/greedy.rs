@@ -3,15 +3,13 @@
 //! Two implementations of one rule — the largest marginal, then the
 //! smallest id — that select the same seeds:
 //!
-//! * [`bucket_greedy`] — the centralized greedy: the
-//!   [`crate::selector::LazySelector`] every greedy in this crate runs,
-//!   evaluating on one shard.
+//! * [`bucket_greedy`] — the centralized greedy: [`constrained_greedy`]
+//!   with no constraints on one shard, so the
+//!   [`crate::selector::LazySelector`] every greedy in this crate runs.
 //! * [`naive_greedy`] — per-round full rescan; quadratic but obviously
 //!   correct, used as an oracle in tests.
 
-use std::convert::Infallible;
-
-use crate::selector::LazySelector;
+use crate::query::constrained_greedy;
 use crate::shard::CoverageShard;
 
 /// Outcome of a greedy run.
@@ -37,27 +35,13 @@ impl GreedyResult {
 }
 
 /// The centralized greedy: selects up to `k` sets maximizing covered
-/// elements, by lazy evaluation on the shard itself. The shard is
-/// re-prepared, so any prior coverage state is discarded. (The name is the
+/// elements, by lazy evaluation ([`constrained_greedy`] with no
+/// constraints) over the shard, re-prepared first. (The name is the
 /// paper's: Algorithm 1 on one machine, whose bucket vector `D` this
 /// selector replaces.)
 pub fn bucket_greedy(shard: &mut CoverageShard, k: usize) -> GreedyResult {
     shard.prepare();
-    let initial = shard.initial_coverage().into_iter();
-    let selector = LazySelector::new(initial.map(|(v, c)| (v, u64::from(c))));
-    let (mut seeds, mut marginals) = (Vec::with_capacity(k), Vec::with_capacity(k));
-    let Ok(()) = selector.run(k, &mut seeds, &mut marginals, |seed, candidates: &[u32]| {
-        if let Some(u) = seed {
-            shard.apply_seed(u);
-        }
-        let marginal = |&v: &u32| shard.marginal(v) as u64;
-        Ok::<_, Infallible>(candidates.iter().map(marginal).collect())
-    });
-    GreedyResult {
-        seeds,
-        covered: shard.covered_count() as u64,
-        marginals,
-    }
+    constrained_greedy(std::slice::from_ref(shard), k, &[], &[])
 }
 
 /// Naive greedy: rescans every set's marginal each round. O(k · Σ|I(v)|).

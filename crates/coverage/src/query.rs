@@ -9,11 +9,11 @@
 
 use std::convert::Infallible;
 
-use dim_graph::scratch;
+use dim_graph::scratch::{self, EpochFlags};
 
 use crate::greedy::GreedyResult;
 use crate::selector::LazySelector;
-use crate::shard::{CoverageShard, QueryCursor};
+use crate::shard::CoverageShard;
 
 /// Elements of the sketch covered by an arbitrary seed set, summed across
 /// shards. Divide by the total RR-set count θ for the coverage fraction
@@ -77,8 +77,9 @@ impl<'a> SketchCursors<'a> {
 /// order), nodes in `exclude` are never selected, and greedy selection
 /// tops the set up to `k` seeds total (if `include` already has `k` or
 /// more, nothing is added). Runs the [`LazySelector`] every greedy in this
-/// crate runs, evaluating over read-only cursors, so with no constraints
-/// it selects the seed sequence of [`crate::greedy::bucket_greedy`].
+/// crate runs, evaluating against its own covered labels (one
+/// [`EpochFlags`] per shard, the shards only read), so with no constraints
+/// it selects the seed sequence of [`crate::greedy::naive_greedy`].
 ///
 /// Duplicate and out-of-range include ids are skipped. The recorded
 /// marginal of each seed — forced or selected — is its coverage gain at
@@ -92,7 +93,6 @@ pub fn constrained_greedy(
 ) -> GreedyResult {
     let num_sets = shards.first().map(|s| s.num_sets()).unwrap_or(0);
     debug_assert!(shards.iter().all(|s| s.num_sets() == num_sets));
-    let mut cursors: Vec<QueryCursor<'_>> = shards.iter().map(QueryCursor::new).collect();
     let mut counts = vec![0u64; shards.iter().map(|s| s.domain()).max().unwrap_or(0)];
     for shard in shards {
         for (v, c) in shard.initial_coverage() {
@@ -106,11 +106,23 @@ pub fn constrained_greedy(
         }
     }
     let mut selector = LazySelector::new((0..).zip(counts));
+    let mut labels: Vec<EpochFlags> = shards
+        .iter()
+        .map(|s| EpochFlags::new(s.num_elements()))
+        .collect();
+    let mut covered = 0u64;
     let mut eval = |seed: Option<u32>, candidates: &[u32]| {
         if let Some(u) = seed {
-            cursors.iter_mut().for_each(|cursor| cursor.apply_seed(u));
+            for (shard, flags) in shards.iter().zip(&mut labels) {
+                covered += flags.set_all(shard.elements_of(u)) as u64;
+            }
         }
-        let marginal = |v| cursors.iter().map(|cursor| cursor.marginal(v) as u64).sum();
+        let marginal = |v| {
+            let per_shard = shards.iter().zip(&labels);
+            per_shard
+                .map(|(shard, flags)| flags.count_unset(shard.elements_of(v)) as u64)
+                .sum()
+        };
         Ok::<_, Infallible>(candidates.iter().map(|&v| marginal(v)).collect())
     };
     let (mut seeds, mut marginals) = (Vec::new(), Vec::new());
@@ -124,7 +136,7 @@ pub fn constrained_greedy(
     let Ok(()) = selector.run(k, &mut seeds, &mut marginals, &mut eval);
     GreedyResult {
         seeds,
-        covered: cursors.iter().map(|c| c.covered_count() as u64).sum(),
+        covered,
         marginals,
     }
 }
@@ -132,7 +144,7 @@ pub fn constrained_greedy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::bucket_greedy;
+    use crate::greedy::{bucket_greedy, naive_greedy};
 
     /// Fig. 2 instance split over two shards.
     fn two_shards() -> Vec<CoverageShard> {
@@ -171,6 +183,7 @@ mod tests {
             assert_eq!(sharded.seeds, central.seeds, "k = {k}");
             assert_eq!(sharded.marginals, central.marginals, "k = {k}");
             assert_eq!(sharded.covered, central.covered, "k = {k}");
+            assert_eq!(sharded, naive_greedy(&mut one_shard(), k), "k = {k}");
         }
     }
 

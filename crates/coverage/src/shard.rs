@@ -1,7 +1,7 @@
 //! Per-machine element shard for element-distributed maximum coverage.
 
 use dim_cluster::{OpExecutor, WorkerOp, WorkerReply, WorkerStats};
-use dim_graph::scratch::EpochFlags;
+use dim_graph::scratch::{self, EpochFlags};
 
 use crate::pooled::PooledSets;
 
@@ -13,7 +13,8 @@ use crate::pooled::PooledSets;
 ///
 /// * the transpose index `I_i(set) → local element ids`, from which a
 ///   set's local marginal is counted (Algorithm 1, line 16),
-/// * per-element `covered` labels (lines 2, 17, 21).
+/// * per-element `covered` labels (lines 2, 17, 21), an [`EpochFlags`]
+///   read and written through its kernel (`set_all`, `count_unset`).
 ///
 /// Every per-set array is sized by the *domain*, which bounds the set ids
 /// the records name: 1 + the largest of them for records pushed one by one
@@ -44,7 +45,7 @@ pub struct CoverageShard {
     index: PooledSets,
     /// True when `index` does not describe `elements`.
     stale: bool,
-    covered: Vec<bool>,
+    covered: EpochFlags,
     covered_count: usize,
     /// Elements already reported through [`Self::take_new_coverage`].
     reported_elements: usize,
@@ -60,7 +61,7 @@ impl CoverageShard {
             elements: PooledSets::new(),
             index: PooledSets::new(),
             stale: true,
-            covered: Vec::new(),
+            covered: EpochFlags::default(),
             covered_count: 0,
             reported_elements: 0,
         }
@@ -138,13 +139,7 @@ impl CoverageShard {
     pub fn prepare(&mut self) {
         self.elements.transpose_into(self.domain, &mut self.index);
         self.stale = false;
-        self.uncover_all();
-    }
-
-    /// Labels every element uncovered.
-    fn uncover_all(&mut self) {
-        self.covered.clear();
-        self.covered.resize(self.elements.len(), false);
+        self.covered.reset(self.elements.len());
         self.covered_count = 0;
     }
 
@@ -184,7 +179,7 @@ impl CoverageShard {
     }
 
     /// Local elements of set `u`, none for a set past the domain.
-    fn elements_of(&self, u: u32) -> &[u32] {
+    pub(crate) fn elements_of(&self, u: u32) -> &[u32] {
         if (u as usize) < self.domain {
             self.index.get(u as usize)
         } else {
@@ -198,11 +193,7 @@ impl CoverageShard {
     pub fn apply_seed(&mut self, u: u32) {
         assert!(!self.needs_prepare(), "call prepare() first");
         if (u as usize) < self.domain {
-            for &e in self.index.get(u as usize) {
-                let covered = &mut self.covered[e as usize];
-                self.covered_count += usize::from(!*covered);
-                *covered = true;
-            }
+            self.covered_count += self.covered.set_all(self.index.get(u as usize));
         }
     }
 
@@ -214,10 +205,7 @@ impl CoverageShard {
     /// Local coverage set `u` would add right now.
     pub fn marginal(&self, u: u32) -> usize {
         assert!(!self.needs_prepare(), "call prepare() first");
-        self.elements_of(u)
-            .iter()
-            .filter(|&&e| !self.covered[e as usize])
-            .count()
+        self.covered.count_unset(self.elements_of(u))
     }
 
     /// Local elements covered by `seeds`, read-only: the shard's own labels
@@ -233,14 +221,7 @@ impl CoverageShard {
     pub fn coverage_of(&self, seeds: &[u32], seen: &mut EpochFlags) -> u64 {
         assert!(!self.needs_prepare(), "call prepare() first");
         assert!(seen.len() >= self.num_elements(), "flags shorter than shard");
-        let mut covered = 0u64;
-        for &u in seeds {
-            // Stamp and add: no branch on whether the element was new.
-            for &e in self.elements_of(u) {
-                covered += seen.set(e as usize) as u64;
-            }
-        }
-        covered
+        seeds.iter().map(|&u| seen.set_all(self.elements_of(u)) as u64).sum()
     }
 
     /// Borrow the raw element records.
@@ -259,16 +240,17 @@ impl CoverageShard {
     /// # Panics
     /// Panics if a touched id is outside the set universe.
     pub fn elements_containing(&self, touched: &[u32]) -> Vec<u32> {
-        let mut hit = vec![false; self.domain];
-        for &v in touched {
-            assert!((v as usize) < self.num_sets, "touched set {v} outside the universe");
-            if let Some(h) = hit.get_mut(v as usize) {
-                *h = true;
+        scratch::with_flags(self.domain, |hit| {
+            for &v in touched {
+                assert!((v as usize) < self.num_sets, "touched set {v} outside the universe");
+                if (v as usize) < self.domain {
+                    hit.set(v as usize);
+                }
             }
-        }
-        (0..self.elements.len() as u32)
-            .filter(|&e| self.elements.get(e as usize).iter().any(|&v| hit[v as usize]))
-            .collect()
+            (0..self.elements.len() as u32)
+                .filter(|&e| self.elements.get(e as usize).iter().any(|&v| hit.is_set(v as usize)))
+                .collect()
+        })
     }
 
     /// Replaces the records named in `replacements` (sorted by strictly
@@ -293,7 +275,7 @@ impl CoverageShard {
         self.widen(replacements.iter().flat_map(|(_, r)| r).copied().max());
         std::mem::swap(&mut self.elements, &mut self.index);
         self.stale = true;
-        self.uncover_all();
+        self.covered_count = 0;
         self.reported_elements = 0;
     }
 }
@@ -304,62 +286,11 @@ fn sparse(counts: impl IntoIterator<Item = u32>) -> Vec<(u32, u32)> {
 }
 
 /// dim-serve shares one sketch across worker threads as
-/// `Arc<[CoverageShard]>`; keep the shard (and borrowing cursors)
-/// thread-shareable.
+/// `Arc<[CoverageShard]>`; keep the shard thread-shareable.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CoverageShard>();
-    assert_send_sync::<QueryCursor<'_>>();
 };
-
-/// A read-only coverage evaluator over a prepared shard.
-///
-/// Owns its covered labels, so any number of cursors can query one
-/// `&CoverageShard` concurrently — what constrained top-k selection
-/// ([`crate::constrained_greedy`]) runs on in `dim serve`'s worker pool.
-/// For the same sequence of seeds, [`QueryCursor::marginal`] answers what
-/// [`CoverageShard::marginal`] would on a freshly prepared shard.
-pub(crate) struct QueryCursor<'a> {
-    shard: &'a CoverageShard,
-    covered: EpochFlags,
-    covered_count: usize,
-}
-
-impl<'a> QueryCursor<'a> {
-    /// Creates a cursor with everything uncovered.
-    ///
-    /// # Panics
-    /// Panics if the shard's index is stale (`needs_prepare`).
-    pub fn new(shard: &'a CoverageShard) -> Self {
-        assert!(!shard.needs_prepare(), "call prepare() first");
-        QueryCursor {
-            shard,
-            covered: EpochFlags::new(shard.num_elements()),
-            covered_count: 0,
-        }
-    }
-
-    /// [`CoverageShard::apply_seed`] against this cursor's own labels.
-    pub fn apply_seed(&mut self, u: u32) {
-        for &e in self.shard.elements_of(u) {
-            self.covered_count += usize::from(self.covered.set(e as usize));
-        }
-    }
-
-    /// [`CoverageShard::marginal`] against this cursor's own labels.
-    pub fn marginal(&self, u: u32) -> usize {
-        let elements = self.shard.elements_of(u);
-        elements
-            .iter()
-            .filter(|&&e| !self.covered.is_set(e as usize))
-            .count()
-    }
-
-    /// Elements covered by the seeds applied so far.
-    pub fn covered_count(&self) -> usize {
-        self.covered_count
-    }
-}
 
 /// Executes the coverage-phase subset of the [`WorkerOp`] vocabulary
 /// against a shard, or returns `None` for ops outside it (graph loading,
@@ -677,45 +608,16 @@ mod tests {
         assert_eq!(answers, vec![WorkerReply::Marginals(vec![1]); 2]);
     }
 
-    #[test]
-    fn query_cursor_mirrors_apply_seed() {
-        let shard = example3();
-        let mut mutable = example3();
-        let mut cursor = QueryCursor::new(&shard);
-        for u in [0u32, 1, 0, 3, 99] {
-            cursor.apply_seed(u);
-            mutable.apply_seed(u);
-            let via_cursor: Vec<usize> = (0..5).map(|v| cursor.marginal(v)).collect();
-            assert_eq!(via_cursor, marginals(&mutable));
-            assert_eq!(cursor.covered_count(), mutable.covered_count());
-        }
-    }
-
-    #[test]
-    fn query_cursors_are_independent() {
-        let shard = example3();
-        let mut a = QueryCursor::new(&shard);
-        let mut b = QueryCursor::new(&shard);
-        a.apply_seed(0);
-        assert_eq!(a.covered_count(), 3);
-        // b is unaffected by a's progress, and the shard itself never
-        // changed.
-        assert_eq!(b.marginal(0), 3);
-        b.apply_seed(0);
-        assert_eq!(b.covered_count(), 3);
-        assert_eq!(shard.covered_count(), 0);
-    }
-
+    /// The read-only `coverage_of` counts what applying the same seeds to
+    /// a second shard counts, and leaves its own shard's labels alone.
     #[test]
     fn cover_counts_match_deltas() {
         let shard = example3();
         let mut seen = EpochFlags::new(shard.num_elements());
-        let mut via_deltas = QueryCursor::new(&shard);
+        let mut via_deltas = example3();
         let seeds = [1u32, 4, 2, 4, 99];
         for upto in 1..=seeds.len() {
-            if let Some(&u) = seeds[..upto].last().filter(|&&u| u < 5) {
-                via_deltas.apply_seed(u);
-            }
+            via_deltas.apply_seed(seeds[upto - 1]);
             seen.clear();
             assert_eq!(
                 shard.coverage_of(&seeds[..upto], &mut seen),
@@ -723,6 +625,7 @@ mod tests {
             );
         }
         assert_eq!(shard.covered_count(), 0, "read-only");
+        assert_eq!(marginals(&shard), marginals(&example3()));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Walker alias method for O(1) sampling from a discrete distribution.
 //!
-//! Used by the Chung-Lu generator (sampling edge endpoints proportional to
-//! node weights) and by the LT reverse random walk (sampling an in-neighbor
-//! with probability proportional to the edge weight) when a node is visited
-//! many times.
+//! Used only by the Chung-Lu generator (`generators::chung_lu`), to sample
+//! edge endpoints proportional to node weights. The LT reverse walk builds
+//! no table: it picks an in-neighbor from one scaled draw, by index on a
+//! uniform row and by a cumulative scan otherwise.
 
 use crate::rng::Rng;
 

@@ -1,11 +1,11 @@
 //! Reusable epoch-stamped flags: the workspace's one visited set.
 //!
-//! RR-set samplers and forward simulation mark visited nodes, and several
-//! coverage selection paths need a transient "seen" flag per element or per
-//! set. Clearing a boolean array per sample or per query would cost O(n)
-//! each time; an epoch-stamped array clears in O(1) (bump the epoch), and a
-//! thread-local pool ([`with_flags`]) makes the buffer survive across
-//! invocations, so repeated queries stop allocating entirely once warm.
+//! RR-set samplers and forward simulation mark visited nodes, and every
+//! coverage path labels covered elements ([`EpochFlags::set_all`]). Clearing
+//! a boolean array per sample or per query would cost O(n) each time; an
+//! epoch-stamped array clears in O(1) (bump the epoch), and a thread-local
+//! pool ([`with_flags`]) makes the buffer survive across invocations, so
+//! repeated queries stop allocating entirely once warm.
 
 use std::cell::RefCell;
 
@@ -44,6 +44,13 @@ impl EpochFlags {
         }
     }
 
+    /// Unsets every flag and grows the tracked range to at least `n`.
+    #[inline]
+    pub fn reset(&mut self, n: usize) {
+        self.grow(n);
+        self.clear();
+    }
+
     /// Unsets every flag in amortized O(1) (a full sweep happens once per
     /// `u32::MAX` clears to survive epoch wraparound).
     #[inline]
@@ -71,6 +78,21 @@ impl EpochFlags {
     pub fn is_set(&self, i: usize) -> bool {
         self.stamp[i] == self.epoch
     }
+
+    /// Sets every flag in `ids` and returns how many were unset: a seed's
+    /// newly covered elements (Algorithm 1, lines 17 and 21). Counting adds
+    /// each [`set`](Self::set) result, with no branch on it.
+    #[inline]
+    pub fn set_all(&mut self, ids: &[u32]) -> usize {
+        ids.iter().filter(|&&i| self.set(i as usize)).count()
+    }
+
+    /// How many flags in `ids` are unset, changing none: a seed's marginal
+    /// over its element list (Algorithm 1, line 16).
+    #[inline]
+    pub fn count_unset(&self, ids: &[u32]) -> usize {
+        ids.iter().filter(|&&i| !self.is_set(i as usize)).count()
+    }
 }
 
 thread_local! {
@@ -85,8 +107,7 @@ thread_local! {
 /// scope instead of aliasing the outer one.
 pub fn with_flags<T>(n: usize, f: impl FnOnce(&mut EpochFlags) -> T) -> T {
     let mut flags = POOL.with(|cell| cell.take());
-    flags.grow(n);
-    flags.clear();
+    flags.reset(n);
     let out = f(&mut flags);
     POOL.with(|cell| {
         // Keep the larger buffer if a nested call left one behind.
@@ -168,6 +189,41 @@ mod tests {
         f.clear();
         assert!(!f.is_set(3));
         assert!(f.set(0));
+    }
+
+    #[test]
+    fn set_all_counts_each_index_once() {
+        let mut f = EpochFlags::new(6);
+        assert_eq!(f.set_all(&[1, 3, 1, 5]), 3, "a repeat in one list counts 0");
+        assert_eq!(f.set_all(&[3, 5]), 0, "a repeat across calls counts 0");
+        assert_eq!(f.set_all(&[0, 3]), 1);
+        assert_eq!(f.set_all(&[]), 0);
+        assert!([0, 1, 3, 5].iter().all(|&i| f.is_set(i)));
+        assert!(!f.is_set(2) && !f.is_set(4));
+    }
+
+    #[test]
+    fn count_unset_leaves_the_flags_unchanged() {
+        let mut f = EpochFlags::new(5);
+        f.set_all(&[0, 2]);
+        assert_eq!(f.count_unset(&[0, 1, 2, 3, 1]), 3, "repeats count twice");
+        assert_eq!(f.count_unset(&[0, 1, 2, 3, 1]), 3);
+        assert!(f.is_set(0) && f.is_set(2));
+        assert!(!f.is_set(1) && !f.is_set(3));
+        assert_eq!(f.set_all(&[1, 3]), 2, "counted flags were not set");
+    }
+
+    #[test]
+    fn reset_clears_and_grows() {
+        let mut f = EpochFlags::new(3);
+        f.set_all(&[0, 2]);
+        f.reset(7);
+        assert_eq!(f.len(), 7);
+        assert_eq!(f.count_unset(&[0, 1, 2, 3, 4, 5, 6]), 7);
+        assert_eq!(f.set_all(&[2, 6]), 2);
+        f.reset(2);
+        assert_eq!(f.len(), 7, "never shrinks");
+        assert_eq!(f.count_unset(&[2, 6]), 2);
     }
 
     #[test]
