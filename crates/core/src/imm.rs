@@ -12,9 +12,9 @@
 //! greedy directly, with no op protocol, so the speedups it anchors
 //! (`repro table4`, the benchmark's `cluster.parallel_efficiency`) time
 //! the algorithm and nothing else. On `livejournal:0.02` (k = 20, ε = 0.1,
-//! θ ≈ 232 k; a 2-core Xeon VM) `diimm(ℓ = 1)` takes 0.90–0.97 s against
-//! 0.82–0.93 s here; the whole difference is selection, 0.20–0.22 s →
-//! 0.27–0.29 s.
+//! θ ≈ 232 k; a 2-core VM shared with other jobs) `diimm(ℓ = 1)` takes
+//! 0.62–0.88 s against 0.57–0.88 s here; the difference is selection,
+//! 0.11–0.14 s here against 0.14–0.18 s.
 
 use std::convert::Infallible;
 use std::time::Instant;

@@ -28,23 +28,27 @@ use crate::pooled::PooledSets;
 /// the one thing that builds it, at the start of each selection round.
 /// Installing records ([`CoverageShard::from_pooled`], the `BuildShard`
 /// op), appending them (DiIMM adds RR sets across iterations) or repairing
-/// them ([`CoverageShard::replace_elements`]) leaves it stale. Repair itself
-/// never reads it: [`CoverageShard::elements_containing`] scans the
-/// records.
+/// them ([`CoverageShard::replace_elements`]) leaves it stale. The index
+/// grows with its records: it remembers how many leading records it
+/// describes, and `prepare` transposes only the records appended since
+/// ([`PooledSets::extend_transpose`]), so a DiIMM round pays for the sets
+/// it added, not for every set. Installing or repairing records starts it
+/// over from the first. Repair itself never reads it:
+/// [`CoverageShard::elements_containing`] scans the records.
 #[derive(Clone, Debug)]
 pub struct CoverageShard {
     num_sets: usize,
     /// 1 + the largest set id any record has named (0 when none has).
     domain: usize,
     elements: PooledSets,
-    /// Transpose: set id → local element ids, rebuilt in place by
-    /// `prepare`. While `stale`, nothing reads it, and `replace_elements`
+    /// Transpose: set id → local element ids, extended in place by
+    /// `prepare`. While stale, nothing reads it, and `replace_elements`
     /// uses its buffers as the second arena it splices into. Either way the
     /// shard keeps the same two allocations: a repair or a re-index of an
     /// unchanged size allocates no arena.
     index: PooledSets,
-    /// True when `index` does not describe `elements`.
-    stale: bool,
+    /// The leading records `index` describes, over `index.len()` sets.
+    indexed: usize,
     covered: EpochFlags,
     covered_count: usize,
     /// Elements already reported through [`Self::take_new_coverage`].
@@ -60,7 +64,7 @@ impl CoverageShard {
             domain: 0,
             elements: PooledSets::new(),
             index: PooledSets::new(),
-            stale: true,
+            indexed: 0,
             covered: EpochFlags::default(),
             covered_count: 0,
             reported_elements: 0,
@@ -94,15 +98,15 @@ impl CoverageShard {
         shard
     }
 
-    /// Appends one element record (the sets covering it). Invalidates the
-    /// index until the next [`Self::prepare`].
+    /// Appends one element record (the sets covering it). The index is
+    /// stale until the next [`Self::prepare`] transposes the appended
+    /// records.
     pub fn push_element(&mut self, covering_sets: &[u32]) {
         debug_assert!(covering_sets
             .iter()
             .all(|&s| (s as usize) < self.num_sets));
         self.widen(covering_sets.iter().copied().max());
         self.elements.push(covering_sets);
-        self.stale = true;
     }
 
     /// Grows the domain to cover set `max`, the largest id a record names.
@@ -133,24 +137,31 @@ impl CoverageShard {
         self.elements.total_size()
     }
 
-    /// Rebuilds the transpose index and labels every element *uncovered*
-    /// (Algorithm 1, lines 1–3). Must be called before a selection round
-    /// and after any `push_element` or `replace_elements`.
+    /// Brings the transpose index up to date and labels every element
+    /// *uncovered* (Algorithm 1, lines 1–3). Must be called before a
+    /// selection round and after any `push_element` or `replace_elements`.
+    /// Only the records appended since the index was last brought up to
+    /// date are transposed (all of them after an install or a repair); with
+    /// none, only the labels are reset.
     pub fn prepare(&mut self) {
-        self.elements.transpose_into(self.domain, &mut self.index);
-        self.stale = false;
+        if self.needs_prepare() {
+            self.elements
+                .extend_transpose(self.indexed, self.domain, &mut self.index);
+            self.indexed = self.elements.len();
+        }
         self.covered.reset(self.elements.len());
         self.covered_count = 0;
     }
 
-    /// True when the index is stale: a shard created empty, or elements
-    /// appended ([`Self::push_element`]) or repaired
-    /// ([`Self::replace_elements`]) since the last [`Self::prepare`]. The
-    /// selection calls (`initial_coverage`, `apply_seed`, `marginal`,
-    /// `coverage_of`) refuse a stale shard; the record readers
-    /// (`elements`, `elements_containing`) do not need the index.
+    /// True when the index is stale: records installed
+    /// ([`Self::from_pooled`]), appended ([`Self::push_element`]) or
+    /// repaired ([`Self::replace_elements`]) since the last
+    /// [`Self::prepare`]. The selection calls (`initial_coverage`,
+    /// `apply_seed`, `marginal`, `coverage_of`) refuse a stale shard; the
+    /// record readers (`elements`, `elements_containing`) do not need the
+    /// index.
     pub fn needs_prepare(&self) -> bool {
-        self.stale
+        self.indexed < self.elements.len() || self.index.len() != self.domain
     }
 
     /// This machine's coverage contribution from elements appended since
@@ -274,7 +285,7 @@ impl CoverageShard {
         self.elements.splice_into(replacements, &mut self.index);
         self.widen(replacements.iter().flat_map(|(_, r)| r).copied().max());
         std::mem::swap(&mut self.elements, &mut self.index);
-        self.stale = true;
+        self.indexed = 0;
         self.covered_count = 0;
         self.reported_elements = 0;
     }
@@ -671,6 +682,58 @@ mod tests {
         id.replace_elements(&[]);
         id.prepare();
         assert_eq!(id.initial_coverage(), example3().initial_coverage());
+    }
+
+    /// Random sequences of appended batches (ids past the domain, empty
+    /// batches and empty records included), prepares, repairs and
+    /// reloads: after every prepare the grown index is byte for byte the
+    /// transpose of the records.
+    #[test]
+    fn the_grown_index_is_the_transpose_of_the_records() {
+        let mut rng = dim_graph::Rng::new(0x1d3c5);
+        for case in 0..200 {
+            let num_sets = 1 + rng.below(30);
+            let mut shard = CoverageShard::new(num_sets);
+            let mut log = Vec::new();
+            for _ in 0..16 {
+                let record = |rng: &mut dim_graph::Rng| -> Vec<u32> {
+                    let bound = 1 + rng.below(num_sets);
+                    (0..rng.below(5)).map(|_| rng.below(bound) as u32).collect()
+                };
+                match rng.below(5) {
+                    0 | 1 => {
+                        let batch: Vec<Vec<u32>> =
+                            (0..rng.below(5)).map(|_| record(&mut rng)).collect();
+                        for r in &batch {
+                            shard.push_element(r);
+                        }
+                        log.push(format!("append {batch:?}"));
+                    }
+                    2 => {
+                        let mut repairs = Vec::new();
+                        for id in 0..shard.num_elements() as u32 {
+                            if rng.below(3) == 0 {
+                                repairs.push((id, record(&mut rng)));
+                            }
+                        }
+                        shard.replace_elements(&repairs);
+                        log.push(format!("replace {repairs:?}"));
+                    }
+                    3 => {
+                        shard = CoverageShard::from_pooled(num_sets, shard.elements().clone());
+                        log.push("from_pooled".into());
+                    }
+                    _ => {
+                        shard.prepare();
+                        log.push("prepare".into());
+                        assert!(!shard.needs_prepare());
+                        assert_eq!(shard.indexed, shard.num_elements());
+                        let fresh = shard.elements().transpose(shard.domain());
+                        assert_eq!(shard.index, fresh, "case {case}: {log:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -190,6 +190,39 @@ fn hot_query_paths_do_not_allocate_in_steady_state() {
         assert_eq!(shard.elements().get(*id as usize), record.as_slice());
     }
 
+    // The index grows with its records. A prepare with nothing appended
+    // only resets the labels; one after an append whose arena (and labels)
+    // already have room allocates one per-set cursor array and nothing
+    // sized by the records.
+    let record = |e: u32| (0..e % 7 + 1).map(move |j| (e * 13 + j * 41) % 100);
+    let mut shard = CoverageShard::new(100);
+    for e in 0..100 {
+        shard.push_element(&record(e).collect::<Vec<_>>());
+    }
+    shard.prepare();
+    for e in 100..160 {
+        shard.push_element(&record(e).collect::<Vec<_>>());
+    }
+    // Labels for 160 records, with room for 200.
+    shard.prepare();
+    // A repair emptying 40 records leaves the index the larger arena.
+    let emptied: Vec<(u32, Vec<u32>)> = (0..40).map(|id| (id, vec![])).collect();
+    shard.replace_elements(&emptied);
+    shard.prepare();
+    let before = bytes();
+    shard.prepare();
+    assert_eq!(bytes(), before, "a prepare with nothing appended allocated");
+    for e in 160..200 {
+        shard.push_element(&[e % 100]);
+    }
+    let (before, calls) = (bytes(), allocs());
+    shard.prepare();
+    let (spent, calls) = (bytes() - before, allocs() - calls);
+    assert_eq!((calls, spent), (1, 4 * 100), "an append-only prepare");
+    let records: Vec<Vec<u32>> = shard.elements().iter().map(<[u32]>::to_vec).collect();
+    let rebuilt = CoverageShard::from_records(100, records.iter().map(Vec::as_slice));
+    assert_eq!(shard.initial_coverage(), rebuilt.initial_coverage());
+
     // A DiIMM worker builds its sampler once per graph it holds: on a warm
     // worker, a one-set sampling round allocates less than a byte per node,
     // so it rebuilds no per-node table (SUBSIM's row paths and CDF runs).

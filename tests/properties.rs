@@ -14,7 +14,9 @@ use std::time::Duration;
 use common::{any_u64, forall, in_range, vec_of};
 use dim::dim_core::params::log_choose;
 use dim::dim_coverage::greedy::naive_greedy;
-use dim::dim_coverage::{constrained_greedy, seed_set_coverage, PooledSets, SketchCursors};
+use dim::dim_coverage::{
+    constrained_greedy, execute_coverage_op, seed_set_coverage, PooledSets, SketchCursors,
+};
 use dim::dim_diffusion::exact::LiveEdgeEnsemble;
 use dim::dim_diffusion::rr::sample_batch;
 use dim::dim_graph::scratch::EpochFlags;
@@ -501,6 +503,47 @@ fn elements_containing_equals_the_transpose() {
         shard.replace_elements(replacements);
         assert!(shard.needs_prepare());
         check(&shard, "stale after replace_elements");
+    });
+}
+
+/// A shard whose index grew over several prepares, with batches of
+/// records appended between them (some batches empty), answers as a
+/// `from_records` rebuild of the same records: initial coverage, every
+/// marginal after each random seed and the covered count.
+#[test]
+fn a_grown_index_answers_as_a_rebuild() {
+    let gen = |r: &mut Rng| {
+        let p = any_problem(r);
+        let ends = p.num_elements() as u64 + 1;
+        let cuts = vec_of(r, 0..5, |r| in_range(r, 0..ends) as usize);
+        let seeds = vec_of(r, 1..6, |r| in_range(r, 0..p.num_sets() as u64) as u32);
+        (p, cuts, seeds)
+    };
+    forall("grown_index_equals_rebuild", COVERAGE_CASES, gen, |(p, cuts, seeds), _| {
+        let records = p.single_shard().elements().clone();
+        let mut rebuilt = CoverageShard::from_records(p.num_sets(), records.iter());
+        let mut grown = CoverageShard::new(p.num_sets());
+        let mut cuts = cuts.clone();
+        cuts.push(records.len());
+        cuts.sort_unstable();
+        let mut appended = 0;
+        for cut in cuts {
+            for e in appended..cut {
+                grown.push_element(records.get(e));
+            }
+            appended = appended.max(cut);
+            grown.prepare();
+        }
+        assert_eq!(grown.initial_coverage(), rebuilt.initial_coverage());
+        let sets = 0..p.num_sets() as u32;
+        let marginals = |s: &CoverageShard| sets.clone().map(|v| s.marginal(v)).collect::<Vec<_>>();
+        let covered = |s: &mut CoverageShard| execute_coverage_op(s, &WorkerOp::CoveredCount);
+        for &seed in seeds {
+            grown.apply_seed(seed);
+            rebuilt.apply_seed(seed);
+            assert_eq!(marginals(&grown), marginals(&rebuilt), "after seed {seed}");
+            assert_eq!(covered(&mut grown), covered(&mut rebuilt), "after seed {seed}");
+        }
     });
 }
 
