@@ -205,12 +205,58 @@ mod tests {
         b.build(WeightModel::WeightedCascade)
     }
 
-    /// FNV-1a over 10 000 RR sets drawn by `kind` on the mixed fixture, set
-    /// `j` from its own stream `rr_set_seed(7, j)` as a DiIMM worker draws
-    /// it: each set's size, members and work units.
-    fn law_digest(kind: SamplerKind) -> u64 {
-        let g = mixed_fixture();
-        let sampler = kind.build(&g);
+    /// Every row path of the count-first sampler on one graph of 210 nodes,
+    /// built with weighted cascade where no probability is given:
+    /// - node 0 has no in-edges, and nodes 205 and 206 take `p = 1`
+    ///   in-edges from the hubs: all-live rows;
+    /// - nodes 1..=199 form a double ring, uniform at `d = 2`;
+    /// - hubs 200 and 201 are uniform at `p = 1/2` with `d = 64` and `65`,
+    ///   either side of the 64-position mask, and pick both live and dead
+    ///   positions;
+    /// - hub 202 is a weighted-cascade row of `d = 150`, so multi-picks
+    ///   are past the mask;
+    /// - hub 203 has `d = 80` at `p = 3/4`, so dead picks are past it;
+    /// - node 204 mixes three probabilities: coins.
+    ///
+    /// Each hub also points into the ring, so sets rooted there reach it.
+    fn row_paths_fixture() -> Graph {
+        let mut b = GraphBuilder::new(210);
+        for i in 1..200u32 {
+            b.add_edge(i, i % 199 + 1);
+            b.add_edge(i, (i + 1) % 199 + 1);
+        }
+        for s in 1..=64 {
+            b.add_weighted_edge(s, 200, 0.5);
+        }
+        for s in 10..=74 {
+            b.add_weighted_edge(s, 201, 0.5);
+        }
+        for s in 0..150 {
+            b.add_edge(s, 202);
+        }
+        for s in 100..180 {
+            b.add_weighted_edge(s, 203, 0.75);
+        }
+        for (s, p) in [(1, 0.9), (2, 0.3), (3, 0.5)] {
+            b.add_weighted_edge(s, 204, p);
+        }
+        for (s, t) in [(200, 205), (203, 205), (201, 206), (204, 206)] {
+            b.add_weighted_edge(s, t, 1.0);
+        }
+        for (hub, leaf) in [(200, 7), (201, 70), (202, 120), (203, 150), (204, 9)] {
+            b.add_edge(hub, leaf);
+        }
+        for leaf in [205, 206] {
+            b.add_edge(leaf, 11);
+        }
+        b.build(WeightModel::WeightedCascade)
+    }
+
+    /// FNV-1a over 10 000 RR sets drawn by `kind` on `g`, set `j` from its
+    /// own stream `rr_set_seed(7, j)` as a DiIMM worker draws it: each
+    /// set's size, members and work units.
+    fn law_digest(kind: SamplerKind, g: &Graph) -> u64 {
+        let sampler = kind.build(g);
         let (mut out, mut visited) = (Vec::new(), EpochFlags::new(g.num_nodes()));
         let mut bytes = Vec::new();
         for j in 0..10_000 {
@@ -235,7 +281,18 @@ mod tests {
         const SUBSIM: u64 = 0x2fcb_3000_ab47_d6b9;
         const REVERSE_BFS: u64 = 0x80b1_78dc_8e6e_2d3a;
         let ic = SamplerKind::Standard(DiffusionModel::IndependentCascade);
-        assert_eq!(law_digest(ic), SUBSIM);
-        assert_eq!(law_digest(SamplerKind::ReverseBfs), REVERSE_BFS);
+        let g = mixed_fixture();
+        assert_eq!(law_digest(ic, &g), SUBSIM);
+        assert_eq!(law_digest(SamplerKind::ReverseBfs, &g), REVERSE_BFS);
+    }
+
+    /// The count-first law on every row path at once
+    /// ([`row_paths_fixture`]): all-live, coins, and count rows whose
+    /// picks fall either side of the 64-position mask, live and dead.
+    #[test]
+    fn subsim_row_paths_reproduce_their_pinned_draws() {
+        const SUBSIM_ROW_PATHS: u64 = 0x3ef7_fdd0_ddc2_9146;
+        let ic = SamplerKind::Standard(DiffusionModel::IndependentCascade);
+        assert_eq!(law_digest(ic, &row_paths_fixture()), SUBSIM_ROW_PATHS);
     }
 }

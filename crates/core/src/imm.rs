@@ -12,9 +12,10 @@
 //! greedy directly, with no op protocol, so the speedups it anchors
 //! (`repro table4`, the benchmark's `cluster.parallel_efficiency`) time
 //! the algorithm and nothing else. On `livejournal:0.02` (k = 20, ε = 0.1,
-//! θ ≈ 232 k; a 2-core VM shared with other jobs) `diimm(ℓ = 1)` takes
-//! 0.62–0.88 s against 0.57–0.88 s here; the difference is selection,
-//! 0.11–0.14 s here against 0.14–0.18 s.
+//! θ ≈ 232 k; a 2-core VM shared with other jobs, 15 runs each)
+//! `diimm(ℓ = 1)` takes 0.52–0.76 s (median 0.65 s) against 0.51–0.80 s
+//! (median 0.63 s) here, and selection 0.12–0.17 s against 0.13–0.19 s:
+//! equal within this host's noise.
 
 use std::convert::Infallible;
 use std::time::Instant;

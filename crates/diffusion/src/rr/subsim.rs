@@ -16,6 +16,12 @@
 //! Rows whose in-probabilities differ (mixed rows) flip per-edge coins, as
 //! the reverse BFS does. It is the IC default,
 //! [`SamplerKind::Standard`](crate::rr::SamplerKind::Standard)`(IC)`.
+//!
+//! Each node's part is one 16-byte `Row`: where its in-list lies in the
+//! graph's source array, and its CDF run or path marker. A visited node
+//! costs one row load and then its in-list; the row is prefetched when the
+//! node is pushed, so it is in cache when the node is popped. A row's
+//! picks are marked in a `u64` mask when `d ≤ 64`, in pooled flags above.
 
 use std::collections::HashMap;
 
@@ -24,56 +30,80 @@ use dim_graph::scratch::{with_flags, EpochFlags};
 use dim_graph::{Graph, GraphRef};
 
 use crate::rr::ic::coin_row;
-use crate::rr::{enqueue, RrSampler};
+use crate::rr::{prefetch, RrSampler};
 
-/// How one node's in-edges are sampled, fixed when the sampler is built.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum RowPath {
-    /// Every in-probability is 1, or the row is empty: every in-edge is
-    /// live, no RNG at all.
-    AllLive,
-    /// A uniform row with `0 ≤ p < 1`: draw the live count from the CDF run
-    /// at `run` in [`SubsimRrSampler::cdf`], whose first threshold is that
-    /// of count `lo`, then pick that many sources.
-    Count { run: u32, lo: u32 },
-    /// Per-edge coin flips: a row whose in-probabilities differ.
-    Coins,
+/// One node's in-edges, fixed when the sampler is built: the in-list is
+/// `len` sources from `start` in [`Graph::in_sources`], sampled as `run`
+/// says. A real `run` is an offset into [`SubsimRrSampler::cdf`]; the two
+/// largest values mark the rows that have none.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(16))]
+struct Row {
+    start: u32,
+    len: u32,
+    /// [`ALL_LIVE`], [`COINS`], or a uniform row with `0 ≤ p < 1`: draw
+    /// the live count from the CDF run at `run`, whose first threshold is
+    /// that of count `lo`, then pick that many sources.
+    run: u32,
+    lo: u32,
 }
+
+/// `Row::run` of a row whose every in-probability is 1, or that is empty:
+/// every in-edge is live, no RNG at all.
+const ALL_LIVE: u32 = u32::MAX;
+/// `Row::run` of a row whose in-probabilities differ: per-edge coins.
+const COINS: u32 = u32::MAX - 1;
 
 /// Count-first IC RR-set sampler.
 pub struct SubsimRrSampler<'g> {
     graph: GraphRef<'g>,
-    paths: Vec<RowPath>,
-    /// Binomial CDF runs, one per distinct `(in-degree, p)` of a `Count`
+    rows: Vec<Row>,
+    /// Binomial CDF runs, one per distinct `(in-degree, p)` of a count
     /// row: threshold `k` is `P(L ≤ lo + k)·2⁶⁴`, and each run ends with
     /// `u64::MAX` where the remaining tail falls below 2⁻⁶⁴.
     cdf: Vec<u64>,
 }
 
 impl<'g> SubsimRrSampler<'g> {
-    /// Creates a sampler over `graph`: fixes each node's path and
+    /// Creates a sampler over `graph`: fixes each node's row and
     /// tabulates one CDF run per distinct uniform row.
+    ///
+    /// # Panics
+    /// If the graph has `2³²` edges or more, past the rows' `u32` offsets.
     pub fn new(graph: impl Into<GraphRef<'g>>) -> Self {
         let graph = graph.into();
+        assert!(
+            u32::try_from(graph.num_edges()).is_ok(),
+            "{} edges exceed the sampler's u32 in-list offsets",
+            graph.num_edges()
+        );
         let mut cdf = Vec::new();
-        let mut runs: HashMap<(usize, u32), RowPath> = HashMap::new();
-        let paths = graph
+        let mut runs: HashMap<(usize, u32), (u32, u32)> = HashMap::new();
+        let rows = graph
             .nodes()
             .map(|v| {
                 let d = graph.in_degree(v);
-                match graph.in_uniform_prob(v) {
-                    _ if d == 0 => RowPath::AllLive,
-                    None => RowPath::Coins,
-                    Some(p) if p >= 1.0 => RowPath::AllLive,
+                let (run, lo) = match graph.in_uniform_prob(v) {
+                    _ if d == 0 => (ALL_LIVE, 0),
+                    None => (COINS, 0),
+                    Some(p) if p >= 1.0 => (ALL_LIVE, 0),
                     Some(p) => *runs.entry((d, p.to_bits())).or_insert_with(|| {
-                        let run = u32::try_from(cdf.len()).expect("CDF table exceeds u32 offsets");
-                        let lo = binomial_run(d, p as f64, &mut cdf);
-                        RowPath::Count { run, lo }
+                        let run = u32::try_from(cdf.len())
+                            .ok()
+                            .filter(|&run| run < COINS)
+                            .expect("CDF table exceeds u32 offsets");
+                        (run, binomial_run(d, p as f64, &mut cdf))
                     }),
+                };
+                Row {
+                    start: graph.in_start(v) as u32,
+                    len: d as u32,
+                    run,
+                    lo,
                 }
             })
             .collect();
-        SubsimRrSampler { graph, paths, cdf }
+        SubsimRrSampler { graph, rows, cdf }
     }
 
     /// The live count of a row: the inversion of one 64-bit draw against
@@ -88,56 +118,84 @@ impl<'g> SubsimRrSampler<'g> {
         }
         lo as usize + k
     }
-}
 
-/// Reaches a uniform `live`-subset of `sources`. Picks positions by
-/// rejection against per-row flags, each pick hitting an unpicked one
-/// with probability at least ½: the live ones when `live ≤ d/2`,
-/// otherwise the `d − live` dead ones, reaching every other position.
-/// Expected work O(`live`).
-#[inline]
-fn reach_subset(
-    graph: &Graph,
-    sources: &[u32],
-    live: usize,
-    rng: &mut Rng,
-    out: &mut Vec<u32>,
-    visited: &mut EpochFlags,
-) {
-    let d = sources.len();
-    match live {
-        0 => {}
-        // One pick cannot repeat: no flags needed.
-        1 => reach(graph, sources[position(rng, d)], out, visited),
-        _ => with_flags(d, |picked| {
-            if 2 * live <= d {
-                let mut left = live;
-                while left > 0 {
-                    let i = position(rng, d);
-                    if picked.set(i) {
-                        reach(graph, sources[i], out, visited);
-                        left -= 1;
-                    }
-                }
-            } else {
-                for _ in live..d {
-                    while !picked.set(position(rng, d)) {}
-                }
-                for (i, &w) in sources.iter().enumerate() {
-                    if !picked.is_set(i) {
-                        reach(graph, w, out, visited);
-                    }
+    /// Adds `w` to R unless it is already there. `w` is popped later, and
+    /// its row is the first thing the pop reads, so the row starts loading
+    /// now.
+    #[inline(always)]
+    fn reach(&self, w: u32, out: &mut Vec<u32>, visited: &mut EpochFlags) {
+        if visited.set(w as usize) {
+            out.push(w);
+            prefetch(self.rows.as_ptr().wrapping_add(w as usize));
+        }
+    }
+
+    /// Reaches a uniform `live`-subset of `sources`. One pick cannot
+    /// repeat; more are marked in a `u64` mask when the row has at most 64
+    /// positions, and in pooled flags above that.
+    #[inline]
+    fn reach_subset(
+        &self,
+        sources: &[u32],
+        live: usize,
+        rng: &mut Rng,
+        out: &mut Vec<u32>,
+        visited: &mut EpochFlags,
+    ) {
+        let d = sources.len();
+        match live {
+            0 => {}
+            1 => self.reach(sources[position(rng, d)], out, visited),
+            _ if d <= 64 => {
+                let mut picked = 0u64;
+                self.pick(sources, live, rng, out, visited, |i| {
+                    let bit = 1u64 << i;
+                    let fresh = picked & bit == 0;
+                    picked |= bit;
+                    fresh
+                });
+            }
+            _ => with_flags(d, |picked| {
+                self.pick(sources, live, rng, out, visited, |i| picked.set(i))
+            }),
+        }
+    }
+
+    /// Picks positions by rejection, each pick hitting an unpicked one
+    /// with probability at least ½: the live ones when `live ≤ d/2`,
+    /// otherwise the `d − live` dead ones, reaching every other position.
+    /// `fresh(i)` marks position `i` picked and says whether it was not
+    /// yet. Expected work O(`live`).
+    #[inline(always)]
+    fn pick(
+        &self,
+        sources: &[u32],
+        live: usize,
+        rng: &mut Rng,
+        out: &mut Vec<u32>,
+        visited: &mut EpochFlags,
+        mut fresh: impl FnMut(usize) -> bool,
+    ) {
+        let d = sources.len();
+        if 2 * live <= d {
+            let mut left = live;
+            while left > 0 {
+                let i = position(rng, d);
+                if fresh(i) {
+                    self.reach(sources[i], out, visited);
+                    left -= 1;
                 }
             }
-        }),
-    }
-}
-
-/// Adds `w` to R unless it is already there.
-#[inline(always)]
-fn reach(graph: &Graph, w: u32, out: &mut Vec<u32>, visited: &mut EpochFlags) {
-    if visited.set(w as usize) {
-        enqueue(graph, w, out);
+        } else {
+            for _ in live..d {
+                while !fresh(position(rng, d)) {}
+            }
+            for (i, &w) in sources.iter().enumerate() {
+                if fresh(i) {
+                    self.reach(w, out, visited);
+                }
+            }
+        }
     }
 }
 
@@ -229,6 +287,7 @@ impl RrSampler for SubsimRrSampler<'_> {
         visited: &mut EpochFlags,
     ) -> u64 {
         let graph: &Graph = &self.graph;
+        let in_sources = graph.in_sources();
         out.clear();
         visited.clear();
         visited.set(root as usize);
@@ -238,19 +297,20 @@ impl RrSampler for SubsimRrSampler<'_> {
         while head < out.len() {
             let u = out[head];
             head += 1;
-            work += match self.paths[u as usize] {
-                RowPath::Coins => coin_row(graph, u, rng, out, visited),
-                RowPath::Count { run, lo } => {
-                    let live = self.draw_count(run, lo, rng);
-                    reach_subset(graph, graph.in_neighbors(u), live, rng, out, visited);
-                    1 + live as u64
-                }
-                RowPath::AllLive => {
-                    let sources = graph.in_neighbors(u);
+            let row = self.rows[u as usize];
+            let sources = &in_sources[row.start as usize..][..row.len as usize];
+            work += match row.run {
+                ALL_LIVE => {
                     for &w in sources {
-                        reach(graph, w, out, visited);
+                        self.reach(w, out, visited);
                     }
                     sources.len() as u64
+                }
+                COINS => coin_row(graph, u, rng, out, visited),
+                run => {
+                    let live = self.draw_count(run, row.lo, rng);
+                    self.reach_subset(sources, live, rng, out, visited);
+                    1 + live as u64
                 }
             };
         }
@@ -401,9 +461,8 @@ mod tests {
         ] {
             let g = star_with(d, Some(p));
             let sub = SubsimRrSampler::new(&g);
-            let RowPath::Count { run, lo } = sub.paths[d] else {
-                panic!("hub must take the count path");
-            };
+            let Row { run, lo, .. } = sub.rows[d];
+            assert!(run < COINS, "hub must take the count path");
             let trials = 200_000u64;
             let mut rng = Rng::new(seed);
             let mut observed = vec![0u64; d + 1];
@@ -515,20 +574,14 @@ mod tests {
         let crit = 1.95 * (2.0 / trials as f64).sqrt();
         for d in [20usize, 1000] {
             let g = star(d);
-            assert!(matches!(
-                SubsimRrSampler::new(&g).paths[d],
-                RowPath::Count { .. }
-            ));
+            assert!(SubsimRrSampler::new(&g).rows[d].run < COINS);
             let ks = ks_against_reverse_bfs(&g, Some(d as u32), trials, 11);
             assert!(ks < crit, "star({d}): KS {ks:.4} ≥ critical {crit:.4}");
         }
         let mixed = mixed_fixture();
         let sub = SubsimRrSampler::new(&mixed);
-        assert!(matches!(sub.paths[0], RowPath::Count { .. }), "hub counts");
-        assert!(
-            matches!(sub.paths[5], RowPath::Count { .. }),
-            "ring nodes count"
-        );
+        assert!(sub.rows[0].run < COINS, "hub counts");
+        assert!(sub.rows[5].run < COINS, "ring nodes count");
         let ks = ks_against_reverse_bfs(&mixed, None, trials, 13);
         assert!(ks < crit, "mixed fixture: KS {ks:.4} ≥ critical {crit:.4}");
         let lj = DatasetProfile::LiveJournal.generate(0.002, 3);
@@ -610,10 +663,7 @@ mod tests {
         }
         let g = b.build(WeightModel::Uniform(0.3));
         let sub = SubsimRrSampler::new(&g);
-        assert!(
-            matches!(sub.paths[5], RowPath::Count { .. }),
-            "in-degree 3 at p = 0.3"
-        );
+        assert!(sub.rows[5].run < COINS, "in-degree 3 at p = 0.3");
         let trials = 300_000usize;
         let mut rng = Rng::new(9);
         let (mut out, mut visited) = (Vec::new(), EpochFlags::new(6));
@@ -641,7 +691,7 @@ mod tests {
         b.add_weighted_edge(1, 2, 1.0);
         let g = b.build(WeightModel::WeightedCascade);
         let sub = SubsimRrSampler::new(&g);
-        assert_eq!(sub.paths[2], RowPath::AllLive);
+        assert_eq!(sub.rows[2].run, ALL_LIVE);
         let mut rng = Rng::new(4);
         let mut out = Vec::new();
         let mut visited = EpochFlags::new(3);
@@ -658,7 +708,7 @@ mod tests {
         for deg in [2, 64] {
             let g = star_with(deg, Some(1.0));
             let sub = SubsimRrSampler::new(&g);
-            assert_eq!(sub.paths[deg], RowPath::AllLive, "deg = {deg}");
+            assert_eq!(sub.rows[deg].run, ALL_LIVE, "deg = {deg}");
             assert!(sub.cdf.is_empty(), "deg = {deg}");
             let mut rng = Rng::new(8);
             let (mut out, mut visited) = (Vec::new(), EpochFlags::new(deg + 1));
@@ -680,7 +730,7 @@ mod tests {
         b.add_weighted_edge(2, 3, 0.2);
         let g = b.build(WeightModel::WeightedCascade);
         let sub = SubsimRrSampler::new(&g);
-        assert_eq!(sub.paths[3], RowPath::Coins);
+        assert_eq!(sub.rows[3].run, COINS);
         let mut rng = Rng::new(5);
         let mut out = Vec::new();
         let mut visited = EpochFlags::new(4);
@@ -702,8 +752,8 @@ mod tests {
     fn every_uniform_row_counts() {
         let g = star(3);
         let sub = SubsimRrSampler::new(&g);
-        assert_eq!(sub.paths[3], RowPath::Count { run: 0, lo: 0 });
-        assert_eq!(sub.paths[0], RowPath::AllLive, "spokes have no in-edges");
+        assert_eq!((sub.rows[3].run, sub.rows[3].lo), (0, 0));
+        assert_eq!(sub.rows[0].run, ALL_LIVE, "spokes have no in-edges");
         let mut rng = Rng::new(6);
         let (mut out, mut visited) = (Vec::new(), EpochFlags::new(4));
         assert_eq!(sub.sample_rooted(0, &mut rng, &mut out, &mut visited), 0);
@@ -718,7 +768,7 @@ mod tests {
         for p in [0.0, 1e-20] {
             let g = star_with(5, Some(p));
             let sub = SubsimRrSampler::new(&g);
-            assert_eq!(sub.paths[5], RowPath::Count { run: 0, lo: 0 }, "p = {p}");
+            assert_eq!((sub.rows[5].run, sub.rows[5].lo), (0, 0), "p = {p}");
             assert_eq!(sub.cdf, vec![u64::MAX], "p = {p}");
             let mut rng = Rng::new(7);
             let mut out = Vec::new();
@@ -736,14 +786,30 @@ mod tests {
         let g = mixed_fixture();
         let sub = SubsimRrSampler::new(&g);
         let runs: std::collections::HashSet<_> = sub
-            .paths
+            .rows
             .iter()
-            .filter_map(|path| match path {
-                RowPath::Count { run, .. } => Some(*run),
-                _ => None,
-            })
+            .filter(|row| row.run < COINS)
+            .map(|row| row.run)
             .collect();
         let degrees: std::collections::HashSet<_> = g.nodes().map(|v| g.in_degree(v)).collect();
         assert_eq!(runs.len(), degrees.len());
+    }
+
+    /// Every row is one 16-byte record whose `start` and `len` slice the
+    /// node's own in-list out of the graph's source array.
+    #[test]
+    fn rows_slice_their_in_lists() {
+        assert_eq!(std::mem::size_of::<Row>(), 16);
+        assert_eq!(std::mem::align_of::<Row>(), 16);
+        for g in [mixed_fixture(), star(70), star_with(5, Some(1.0))] {
+            let sub = SubsimRrSampler::new(&g);
+            assert_eq!(sub.rows.len(), g.num_nodes());
+            for v in g.nodes() {
+                let row = sub.rows[v as usize];
+                let start = row.start as usize;
+                let sources = &g.in_sources()[start..start + row.len as usize];
+                assert_eq!(sources, g.in_neighbors(v), "node {v}");
+            }
+        }
     }
 }

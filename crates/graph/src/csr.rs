@@ -182,6 +182,19 @@ impl Graph {
         &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
     }
 
+    /// Every in-list back to back, node by node: `v`'s sources are the
+    /// [`Self::in_degree`]`(v)` entries from [`Self::in_start`]`(v)` on.
+    #[inline]
+    pub fn in_sources(&self) -> &[NodeId] {
+        &self.in_sources
+    }
+
+    /// Where `v`'s in-list starts in [`Self::in_sources`].
+    #[inline]
+    pub fn in_start(&self, v: NodeId) -> usize {
+        self.in_offsets[v as usize]
+    }
+
     /// Propagation probabilities aligned with [`Self::in_neighbors`].
     #[inline]
     pub fn in_probs(&self, v: NodeId) -> &[f32] {

@@ -1,9 +1,9 @@
 //! Regression guard for per-call scratch allocations on the query hot
 //! paths, the stream-repair splice and RR sampling: repeated queries
-//! against a frozen sketch, repeated repairs of a resident shard and
-//! repeated sampling rounds must reuse their buffers and sampler, not
-//! re-allocate them. And a worker's memory is bounded by what it was
-//! shipped, whatever universe an op names.
+//! against a frozen sketch, repeated repairs of a resident shard,
+//! repeated sampling rounds and steady-state sampling itself must reuse
+//! their buffers and sampler, not re-allocate them. And a worker's memory
+//! is bounded by what it was shipped, whatever universe an op names.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, counting
 //! calls and bytes. The whole guard lives in ONE test function — the
@@ -19,9 +19,11 @@ use dim_core::{ImConfig, SamplerKind};
 use dim_coverage::{
     constrained_greedy, execute_coverage_op, seed_set_coverage, CoverageShard, SketchCursors,
 };
+use dim_diffusion::rr::RrSampler;
 use dim_diffusion::DiffusionModel::{IndependentCascade as IC, LinearThreshold as LT};
 use dim_graph::generators::erdos_renyi;
-use dim_graph::{scratch, WeightModel};
+use dim_graph::rng::Rng;
+use dim_graph::{scratch, GraphBuilder, WeightModel};
 
 struct CountingAlloc;
 
@@ -255,6 +257,42 @@ fn hot_query_paths_do_not_allocate_in_steady_state() {
             "{sampler:?}: a one-set round on a warm worker allocated {spent} bytes"
         );
     }
+
+    // Steady-state count-first sampling allocates nothing: after a warm-up
+    // on this thread has grown `out`, `visited` and the pooled flags, 1 000
+    // more sets allocate 0 bytes. Every ring node (uniform, d = 4) also
+    // takes the two hubs as sources, so sets reach hub 300 (d = 100 > 64:
+    // pooled flags) and hub 301 (d = 50: the in-register mask), each at
+    // p = 1/2, so both pick their live and their dead positions.
+    let mut b = GraphBuilder::new(302);
+    for i in 0..300u32 {
+        b.add_edge(i, (i + 1) % 300);
+        b.add_edge(i, (i + 2) % 300);
+        b.add_edge(300, i);
+        b.add_edge(301, i);
+    }
+    for s in 0..100 {
+        b.add_weighted_edge(s, 300, 0.5);
+    }
+    for s in 100..150 {
+        b.add_weighted_edge(s, 301, 0.5);
+    }
+    let graph = b.build(WeightModel::WeightedCascade);
+    let sampler = SamplerKind::Standard(IC).build(&graph);
+    let (mut out, mut visited) = (Vec::new(), scratch::EpochFlags::new(graph.num_nodes()));
+    let mut rng = Rng::new(5);
+    for _ in 0..1_000 {
+        sampler.sample(&mut rng, &mut out, &mut visited);
+    }
+    let mut hubs = [0u32; 2];
+    let before = bytes();
+    for _ in 0..1_000 {
+        sampler.sample(&mut rng, &mut out, &mut visited);
+        hubs[0] += u32::from(out.contains(&300));
+        hubs[1] += u32::from(out.contains(&301));
+    }
+    assert_eq!(bytes(), before, "steady-state sampling allocated");
+    assert!(hubs.iter().all(|&h| h > 100), "hub sets drawn: {hubs:?}");
 
     // A 9-byte `BuildShard` naming the largest universe, its round's first
     // op and a pull round naming a set near the top of that universe all

@@ -1,0 +1,111 @@
+//! The run's fixed points as tier-1 tests: exact counters that a change
+//! must leave equal unless it declares the move. Each counter is asserted
+//! by name, and a test reports every counter that moved, not only the
+//! first, so a failure says what moved and by how much.
+
+use dim_cluster::{ExecMode, NetworkModel, OpExecutor, WorkerOp, WorkerReply};
+use dim_core::diimm::DiimmWorker;
+use dim_core::{diimm, ImConfig};
+use dim_graph::generators::DatasetProfile;
+use dim_graph::{DeltaBatch, EdgeOp};
+
+/// The sampler work units a worker has spent so far.
+fn examined(worker: &mut DiimmWorker) -> u64 {
+    match worker.execute(&WorkerOp::Stats) {
+        WorkerReply::Stats(stats) => stats.edges_examined,
+        other => panic!("Stats answered {other:?}"),
+    }
+}
+
+/// Asserts each `(name, got, want)`, listing every counter that moved.
+fn assert_counters(what: &str, counters: &[(&str, u64, u64)]) {
+    let moved: Vec<String> = counters
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(name, got, want)| format!("{name}: {got} (pinned {want})"))
+        .collect();
+    assert!(moved.is_empty(), "{what} moved: {}", moved.join(", "));
+}
+
+/// The `im-ic` benchmark's solve at `--seed 1`: DiIMM on
+/// `livejournal:0.02`, k = 20, ε = 0.1, δ = 1/n, IC, two machines. θ,
+/// `edges_examined`, `bytes_to_master`, `bytes_from_master` and `messages`
+/// equal the traced benchmark's `diffusion.rr_sets`,
+/// `diffusion.edges_examined`, `cluster.bytes_up`, `cluster.bytes_down` and
+/// `cluster.msgs`. `phases` counts this solve's op rounds, its closing
+/// `Stats` round included; the benchmark's `cluster.rounds` (120) counts
+/// those of its staged replay, which has none.
+#[test]
+fn diimm_im_ic_counters() {
+    let g = DatasetProfile::LiveJournal.generate(0.02, 1);
+    let config = ImConfig {
+        k: 20,
+        ..ImConfig::paper_defaults(&g, 0.1, 1)
+    };
+    let r = diimm(
+        &g,
+        &config,
+        2,
+        NetworkModel::cluster_1gbps(),
+        ExecMode::Sequential,
+    )
+    .expect("a simulated solve has no link to fail");
+    assert_counters(
+        "im-ic (livejournal:0.02, seed 1)",
+        &[
+            ("theta", r.num_rr_sets as u64, 231_266),
+            ("edges_examined", r.edges_examined, 16_693_587),
+            ("bytes_to_master", r.metrics.bytes_to_master, 5_908_208),
+            ("bytes_from_master", r.metrics.bytes_from_master, 54_752),
+            ("messages", r.metrics.messages, 448),
+            ("phases", r.metrics.phases, 121),
+        ],
+    );
+}
+
+/// Stream repair, the sampler's other caller: one machine of a two-machine
+/// DiIMM run on `livejournal:0.002` (seed 1) draws 20 000 RR sets, then
+/// applies one fixed batch of 16 edits (inserts, reweights and deletes;
+/// a hub among the targets). Its own input, not the `stream-apply`
+/// benchmark's: the repaired-set count and the sampler work are pinned.
+#[test]
+fn diimm_repair_counters() {
+    let g = DatasetProfile::LiveJournal.generate(0.002, 1);
+    let config = ImConfig {
+        k: 20,
+        ..ImConfig::paper_defaults(&g, 0.1, 1)
+    };
+    let mut worker = DiimmWorker::new(&g, &config, 1);
+    worker.generate(20_000);
+    let n = g.num_nodes() as u32;
+    let ops = (0..16u32)
+        .map(|i| {
+            let (u, v) = ((i * 7919 + 13) % n, (i * 104_729 + 1) % n);
+            match i % 4 {
+                0 => EdgeOp::Insert { u, v: 0, p: 0.5 },
+                1 => EdgeOp::Insert { u, v, p: 0.25 },
+                2 => {
+                    let w = g.in_neighbors(v).first().copied().unwrap_or(u);
+                    EdgeOp::Reweight { u: w, v, p: 0.75 }
+                }
+                _ => {
+                    let w = g.in_neighbors(v).last().copied().unwrap_or(u);
+                    EdgeOp::Delete { u: w, v }
+                }
+            }
+        })
+        .collect();
+    let before = examined(&mut worker);
+    let repaired = worker
+        .apply_delta(&DeltaBatch::new(0, ops))
+        .expect("every edit names nodes of the graph");
+    let members: u64 = repaired.iter().map(|(_, set)| set.len() as u64).sum();
+    assert_counters(
+        "repair (livejournal:0.002, seed 1)",
+        &[
+            ("sets_resampled", repaired.len() as u64, 3_130),
+            ("repaired_members", members, 386_541),
+            ("edges_examined", examined(&mut worker) - before, 846_326),
+        ],
+    );
+}
