@@ -88,7 +88,7 @@ fn run_one(
             // the timeline (`rendezvous` label) and so in the JSON rows.
             let mut cluster = tcp_cluster(spawn, JoinConfig::new(machines), network, config.seed)
                 .expect("assemble the TCP cluster (DIM_WORKER_BIN / DIM_MASTER_BIND)");
-            setup_im_cluster(&mut cluster, graph, config.sampler).expect("well-formed wire");
+            setup_im_cluster(&mut cluster, graph, config.sampler, false).expect("well-formed wire");
             diimm_on(&mut cluster, graph, config, true)
         }
     }

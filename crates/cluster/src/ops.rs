@@ -15,8 +15,8 @@
 //!   defining each reply's *modeled* payload size (the quantity the paper
 //!   measures: delta tuples, marginals and counts, not framing).
 //! * [`OpExecutor`] — a worker that can answer ops against its resident
-//!   state. `CoverageShard` and the algorithm workers in `dim-core`
-//!   implement this.
+//!   state. `CoverageShard` and `dim-core`'s one IM worker (single or
+//!   paired collection, for every framework) implement this.
 //! * [`OpCluster`] — the backend contract for op execution. Crucially,
 //!   [`crate::SimCluster`] implements it by interpreting the *same*
 //!   [`WorkerOp`] values in process that the TCP backend serializes to
@@ -71,6 +71,9 @@ pub enum WorkerOp {
     InitSampler {
         /// Which RR-set law to sample.
         sampler: SamplerKind,
+        /// Two collections, selection `R₁` and validation `R₂` (OPIM-C,
+        /// SSA), instead of DiIMM's one: one byte, 0 or 1, nothing else.
+        paired: bool,
     },
     /// Install a coverage shard with the given element lists. → `Ok`.
     BuildShard {
@@ -79,9 +82,10 @@ pub enum WorkerOp {
         /// The shard's elements, each a list of set ids covering it.
         elements: Vec<Vec<u32>>,
     },
-    /// Sample `count` RR sets into the resident shard. → `Ok`.
+    /// Sample `count` RR sets into the resident shard — `count` pairs on
+    /// a paired worker, one set into each collection. → `Ok`.
     SampleRr {
-        /// How many RR sets this worker should add.
+        /// How many RR sets (or pairs) this worker should add.
         count: u64,
     },
     /// Report initial per-set coverage of the whole shard. → `Deltas`.
@@ -102,8 +106,9 @@ pub enum WorkerOp {
     CoveredCount,
     /// Report shard statistics. → `Stats`.
     Stats,
-    /// Count resident elements covered by `seeds` without mutating the
-    /// shard (OPIM-C / SSA validation). → `Count`.
+    /// Count the validation collection's elements covered by `seeds`
+    /// without mutating it (OPIM-C / SSA). → `Count`, or `Err` with no
+    /// such collection or for a seed outside the universe.
     Validate {
         /// The candidate seed set.
         seeds: Vec<u32>,
@@ -241,9 +246,10 @@ impl WorkerOp {
                 put_u64(&mut out, blob.len() as u64);
                 out.extend_from_slice(blob);
             }
-            WorkerOp::InitSampler { sampler } => {
+            WorkerOp::InitSampler { sampler, paired } => {
                 out.push(OP_INIT_SAMPLER);
                 out.push(sampler.tag());
+                out.push(u8::from(*paired));
             }
             WorkerOp::BuildShard { num_sets, elements } => {
                 out.push(OP_BUILD_SHARD);
@@ -344,6 +350,7 @@ impl WorkerOp {
             }
             OP_INIT_SAMPLER => WorkerOp::InitSampler {
                 sampler: SamplerKind::from_tag(r.u8()?)?,
+                paired: r.u8().filter(|&mode| mode <= 1)? == 1,
             },
             OP_BUILD_SHARD => {
                 let num_sets = r.u32()?;
@@ -733,12 +740,15 @@ mod tests {
             WorkerOp::LoadGraph { blob: vec![] },
             WorkerOp::InitSampler {
                 sampler: SamplerKind::ReverseBfs,
+                paired: false,
             },
             WorkerOp::InitSampler {
                 sampler: SamplerKind::Standard(LT),
+                paired: true,
             },
             WorkerOp::InitSampler {
                 sampler: SamplerKind::Standard(IC),
+                paired: false,
             },
             WorkerOp::BuildShard {
                 num_sets: 9,

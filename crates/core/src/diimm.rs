@@ -29,7 +29,7 @@ use crate::imm::lower_bound_search;
 use crate::params::ImParams;
 
 /// One machine's state: the sampler over the graph it holds, its RNG
-/// discipline, and its element shard.
+/// discipline, and its element shard — or, in pair mode, its two.
 ///
 /// RR set `j` of a machine is always drawn from the dedicated stream
 /// `rr_set_seed(machine_seed, j)` rather than one sequential per-machine
@@ -39,6 +39,11 @@ use crate::params::ImParams;
 /// reproduces exactly what a from-scratch run on that graph would have
 /// drawn for it, so an applied [`DeltaBatch`] is byte-identical to a full
 /// re-sample (see [`DiimmWorker::apply_delta`]).
+///
+/// Every framework runs on this one worker. In pair mode (OPIM-C, SSA;
+/// [`crate::opim`]) it deals ids `0, 1, 2, …` of the same streams
+/// alternately: even ids to `shard` (`R₁`, selection), odd ids to the
+/// validation collection `R₂`, which answers [`WorkerOp::Validate`].
 ///
 /// The sampler owns the machine's graph (borrowed, or shared with the
 /// other holders of one copy) and is built once per graph: by
@@ -50,26 +55,53 @@ pub struct DiimmWorker<'g> {
     machine_seed: u64,
     machine_id: u32,
     /// The machine's RR sets, stored directly as coverage elements
-    /// (element record = the RR set's member nodes).
+    /// (element record = the RR set's member nodes): in pair mode, the
+    /// selection collection `R₁`.
     pub shard: CoverageShard,
+    /// Pair mode's validation collection `R₂`; `None` on a DiIMM worker.
+    validation: Option<CoverageShard>,
     buf: Vec<u32>,
     visited: EpochFlags,
     pub(crate) edges_examined: u64,
-    /// RR sets generated so far — the next set's stream index.
+    /// Ids drawn so far — the next set's stream index.
     sets: u64,
 }
 
 impl<'g> DiimmWorker<'g> {
-    /// Creates the worker for `machine_id` with its derived RNG stream,
-    /// building its sampler over `graph`.
+    /// Creates the DiIMM worker for `machine_id` with its derived RNG
+    /// stream, building its sampler over `graph`.
     pub fn new(graph: impl Into<GraphRef<'g>>, config: &ImConfig, machine_id: usize) -> Self {
-        let graph = graph.into();
-        let shard = CoverageShard::new(graph.num_nodes());
-        Self::restore(graph, config, machine_id, shard, 0)
+        Self::build(graph, config.sampler, config.seed, machine_id, false)
     }
 
-    /// Restores a machine's worker from persisted state: the graph its
-    /// resident RR sets are valid against (a streamed chain's tip), the
+    /// The one constructor: machine `machine_id`'s worker for master seed
+    /// `seed`, sampling `sampler` over `graph`, with a validation
+    /// collection next to `shard` when `paired`.
+    pub(crate) fn build(
+        graph: impl Into<GraphRef<'g>>,
+        sampler: SamplerKind,
+        seed: u64,
+        machine_id: usize,
+        paired: bool,
+    ) -> Self {
+        let graph = graph.into();
+        let n = graph.num_nodes();
+        DiimmWorker {
+            visited: EpochFlags::new(n),
+            sampler: sampler.build(graph),
+            sampler_kind: sampler,
+            machine_seed: stream_seed(seed, machine_id),
+            machine_id: machine_id as u32,
+            shard: CoverageShard::new(n),
+            validation: paired.then(|| CoverageShard::new(n)),
+            buf: Vec::new(),
+            edges_examined: 0,
+            sets: 0,
+        }
+    }
+
+    /// Restores a machine's DiIMM worker from persisted state: the graph
+    /// its resident RR sets are valid against (a streamed chain's tip), the
     /// sets themselves (stream position resumes after them) and prior
     /// sampling stats.
     pub(crate) fn restore(
@@ -80,15 +112,10 @@ impl<'g> DiimmWorker<'g> {
         edges_examined: u64,
     ) -> Self {
         DiimmWorker {
-            visited: EpochFlags::new(graph.num_nodes()),
-            sampler: config.sampler.build(graph),
-            sampler_kind: config.sampler,
-            machine_seed: stream_seed(config.seed, machine_id),
-            machine_id: machine_id as u32,
             sets: shard.num_elements() as u64,
             shard,
-            buf: Vec::new(),
             edges_examined,
+            ..Self::build(graph, config.sampler, config.seed, machine_id, false)
         }
     }
 
@@ -98,14 +125,14 @@ impl<'g> DiimmWorker<'g> {
     }
 
     /// Samples `count` RR sets into the shard (Algorithm 2, lines 6/12),
-    /// each from its own per-set RNG stream.
+    /// each from its own per-set RNG stream — `count` pairs in pair mode.
     pub fn generate(&mut self, count: usize) {
-        for _ in 0..count {
-            let mut rng = Rng::new(rr_set_seed(self.machine_seed, self.sets));
-            self.edges_examined += self
-                .sampler
-                .sample(&mut rng, &mut self.buf, &mut self.visited);
-            self.shard.push_element(&self.buf);
+        for _ in 0..count * (1 + usize::from(self.validation.is_some())) {
+            self.draw(self.sets);
+            match &mut self.validation {
+                Some(r2) if self.sets % 2 == 1 => r2.push_element(&self.buf),
+                _ => self.shard.push_element(&self.buf),
+            }
             self.sets += 1;
         }
     }
@@ -137,20 +164,26 @@ impl<'g> DiimmWorker<'g> {
         let invalid = self.shard.elements_containing(&batch.touched_nodes());
         let mut repaired = Vec::with_capacity(invalid.len());
         for &j in &invalid {
-            let mut rng = Rng::new(rr_set_seed(self.machine_seed, j as u64));
-            self.edges_examined += self
-                .sampler
-                .sample(&mut rng, &mut self.buf, &mut self.visited);
+            self.draw(j as u64);
             repaired.push((j, self.buf.clone()));
         }
         self.shard.replace_elements(&repaired);
         Ok(repaired)
     }
+
+    /// Draws set `id` of this machine into `buf`, from its own stream.
+    fn draw(&mut self, id: u64) {
+        let mut rng = Rng::new(rr_set_seed(self.machine_seed, id));
+        self.edges_examined += self
+            .sampler
+            .sample(&mut rng, &mut self.buf, &mut self.visited);
+    }
 }
 
-/// The op vocabulary a DiIMM machine answers: RR sampling into its
-/// resident shard, the coverage phases against that shard, and stats.
-/// This single interpretation serves both the in-process simulator and the
+/// The op vocabulary every IM machine answers: RR sampling, the coverage
+/// phases against `shard`, validation against `R₂` (a typed `Err` on a
+/// DiIMM worker), and stats over both collections. This single
+/// interpretation serves both the in-process simulator and the
 /// `dim-worker` process (via `WorkerHost`), so the two backends execute
 /// identical phase logic by construction.
 impl OpExecutor for DiimmWorker<'_> {
@@ -160,11 +193,23 @@ impl OpExecutor for DiimmWorker<'_> {
                 self.generate(*count as usize);
                 WorkerReply::Ok
             }
-            WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
-                num_elements: self.shard.num_elements() as u64,
-                total_size: self.shard.total_size() as u64,
-                edges_examined: self.edges_examined,
-            }),
+            WorkerOp::Validate { .. } => match &mut self.validation {
+                Some(r2) => r2.execute(op),
+                None => WorkerReply::Err("Validate: this worker has no validation sets".into()),
+            },
+            WorkerOp::Stats => {
+                let collections = std::iter::once(&self.shard).chain(&self.validation);
+                WorkerReply::Stats(WorkerStats {
+                    num_elements: collections.clone().map(|c| c.num_elements() as u64).sum(),
+                    total_size: collections.map(|c| c.total_size() as u64).sum(),
+                    edges_examined: self.edges_examined,
+                })
+            }
+            WorkerOp::PersistShard { .. } | WorkerOp::ApplyDelta { .. }
+                if self.validation.is_some() =>
+            {
+                WorkerReply::Err("a paired worker neither persists nor repairs its sets".into())
+            }
             // Persist the resident shard as one dim-store snapshot file.
             // The master supplies the run provenance (it owns θ and the
             // config); the worker contributes only what is resident here —
@@ -265,8 +310,8 @@ pub(crate) fn split_counts(total: usize, machines: usize) -> Vec<usize> {
         .collect()
 }
 
-/// One distributed-RIS round: `count` new RR sets (or pairs, on a
-/// paired-collection machine) split across the machines.
+/// One distributed-RIS round: `count` new RR sets (pairs, on paired
+/// workers) split across the machines.
 pub(crate) fn sample_rr<B: OpCluster>(cluster: &mut B, count: usize) -> Result<(), WireError> {
     let counts = split_counts(count, cluster.num_machines());
     let replies = cluster.control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
@@ -578,6 +623,76 @@ mod tests {
         assert_eq!(w.shard.num_elements(), 10);
         w.generate(5);
         assert_eq!(w.shard.num_elements(), 15);
+    }
+
+    /// Pair mode is DiIMM's stream dealt alternately: a paired worker's
+    /// `R₁` and `R₂` after N pairs are the even and odd sets of a DiIMM
+    /// worker on the same machine after 2N sets, record for record, and
+    /// its stats are that worker's.
+    #[test]
+    fn pair_mode_is_one_diimm_stream_dealt_alternately() {
+        let g = erdos_renyi(150, 700, WeightModel::WeightedCascade, 8);
+        let cfg = config(3, 13);
+        let mut single = DiimmWorker::new(&g, &cfg, 2);
+        let mut paired = DiimmWorker::build(&g, cfg.sampler, cfg.seed, 2, true);
+        single.generate(300);
+        paired.generate(100);
+        paired.generate(50);
+        let (r1, r2) = (&paired.shard, paired.validation.as_ref().unwrap());
+        assert_eq!((r1.num_elements(), r2.num_elements()), (150, 150));
+        for j in 0..300 {
+            let dealt = if j % 2 == 0 { r1 } else { r2 };
+            assert_eq!(
+                dealt.elements().get(j / 2),
+                single.shard.elements().get(j),
+                "set {j}"
+            );
+        }
+        assert_eq!(
+            paired.execute(&WorkerOp::Stats),
+            single.execute(&WorkerOp::Stats)
+        );
+    }
+
+    /// Each mode refuses the ops it cannot serve with a typed `Err`, and
+    /// keeps serving: a DiIMM worker holds no validation collection, and a
+    /// paired worker neither persists nor repairs its sets.
+    #[test]
+    fn each_mode_refuses_what_it_cannot_serve() {
+        let g = erdos_renyi(60, 240, WeightModel::WeightedCascade, 4);
+        let cfg = config(2, 3);
+        let mut single = DiimmWorker::new(&g, &cfg, 0);
+        let mut paired = DiimmWorker::build(&g, cfg.sampler, cfg.seed, 0, true);
+        let validate = WorkerOp::Validate { seeds: vec![1] };
+        assert!(matches!(single.execute(&validate), WorkerReply::Err(_)));
+        let persist = WorkerOp::PersistShard {
+            dir: String::new(),
+            fingerprint: 0,
+            seed: cfg.seed,
+            theta: 0,
+            shard_id: 0,
+            shard_count: 1,
+            sampler: cfg.sampler,
+        };
+        let apply = WorkerOp::ApplyDelta {
+            batch: DeltaBatch::new(0, vec![]).encode(),
+            persist_dir: None,
+            base_generation: 0,
+            fingerprint: 0,
+            parent_fingerprint: 0,
+            seed: cfg.seed,
+            theta: 0,
+            shard_count: 1,
+            sampler: cfg.sampler,
+        };
+        for op in [&persist, &apply] {
+            assert!(matches!(paired.execute(op), WorkerReply::Err(_)), "{op:?}");
+        }
+        assert_eq!(
+            paired.execute(&WorkerOp::SampleRr { count: 5 }),
+            WorkerReply::Ok
+        );
+        assert!(matches!(paired.execute(&validate), WorkerReply::Count(_)));
     }
 
     #[test]

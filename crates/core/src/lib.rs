@@ -25,9 +25,10 @@
 //! per-edge reverse BFS, which draws the same law. [`opim`] and [`ssa`] add
 //! OPIM-C and SSA — the adaptive-stopping frameworks the paper names as
 //! equally compatible with its building blocks — as one paired-collection
-//! loop with two stop rules. Each framework has one implementation, the
-//! distributed one; ℓ = 1 is its sequential run ([`imm()`] stays the plain
-//! single-thread baseline the speedups are measured against).
+//! loop with two stop rules, on DiIMM's worker in pair mode, so every
+//! framework runs on every backend. Each framework has one implementation,
+//! the distributed one; ℓ = 1 is its sequential run ([`imm()`] stays the
+//! plain single-thread baseline the speedups are measured against).
 //!
 //! # Example
 //!

@@ -23,23 +23,18 @@
 //! Both collections stay sharded: each machine samples its share of
 //! `(R₁, R₂)` pairs, selection runs through NewGreeDi on the `R₁` shards,
 //! and validation gathers one coverage count per machine over the `R₂`
-//! shards. OPIM-C and SSA differ only in their stop test (`PairedRule`);
-//! the doubling schedule, the rounds and the traffic are one loop.
+//! shards. The machines are [`DiimmWorker`]s in pair mode (even set ids
+//! into `R₁`, odd into `R₂`), so the one loop, [`paired_on`], runs on any
+//! [`OpCluster`]. OPIM-C and SSA differ only in its stop test
+//! ([`PairedRule`]).
 
 use dim_cluster::ops::expect_counts;
-use dim_cluster::{
-    phase, stream_seed, ExecMode, NetworkModel, OpCluster, OpExecutor, SimCluster, WireError,
-    WorkerOp, WorkerReply, WorkerStats,
-};
+use dim_cluster::{phase, ExecMode, NetworkModel, OpCluster, SimCluster, WireError, WorkerOp};
 use dim_coverage::newgreedi::newgreedi_incremental;
-use dim_coverage::{execute_coverage_op, seed_set_coverage, CoverageShard};
-use dim_diffusion::rr::{AnySampler, RrSampler};
-use dim_graph::rng::Rng;
-use dim_graph::scratch::EpochFlags;
 use dim_graph::Graph;
 
 use crate::config::{ImConfig, ImResult};
-use crate::diimm::{finish, sample_rr};
+use crate::diimm::{finish, sample_rr, DiimmWorker};
 use crate::params::{assert_domain, lambda_star_of};
 
 /// OPIM-C's lower bound on `σ(S)` given validation coverage `cov` over
@@ -59,75 +54,9 @@ fn sigma_upper(cov: u64, theta: usize, n: usize, a: f64) -> f64 {
     inner * inner * n as f64 / theta as f64
 }
 
-/// One machine's state for the paired-collection frameworks (distributed
-/// OPIM-C and distributed SSA): its shards of both collections plus its
-/// sampler/RNG.
-pub(crate) struct PairedRisWorker<'g> {
-    sampler: AnySampler<'g>,
-    rng: Rng,
-    /// Selection collection shard (`R₁,ᵢ`).
-    r1: CoverageShard,
-    /// Validation collection shard (`R₂,ᵢ`).
-    r2: CoverageShard,
-    buf: Vec<u32>,
-    visited: EpochFlags,
-    edges_examined: u64,
-}
-
-impl<'g> PairedRisWorker<'g> {
-    pub(crate) fn new(graph: &'g Graph, config: &ImConfig, machine_id: usize) -> Self {
-        PairedRisWorker {
-            sampler: config.sampler.build(graph),
-            rng: Rng::new(stream_seed(config.seed, machine_id)),
-            r1: CoverageShard::new(graph.num_nodes()),
-            r2: CoverageShard::new(graph.num_nodes()),
-            buf: Vec::new(),
-            visited: EpochFlags::new(graph.num_nodes()),
-            edges_examined: 0,
-        }
-    }
-
-    fn generate_pairs(&mut self, count: usize) {
-        for _ in 0..count {
-            for shard in [&mut self.r1, &mut self.r2] {
-                self.edges_examined +=
-                    self.sampler
-                        .sample(&mut self.rng, &mut self.buf, &mut self.visited);
-                shard.push_element(&self.buf);
-            }
-        }
-    }
-}
-
-/// The op vocabulary a paired-collection machine answers: paired sampling
-/// into both resident collections, NewGreeDi's coverage phases against
-/// `R₁`, and validation coverage of a broadcast seed set against `R₂`
-/// (OPIM-C's bound check, SSA's stare step).
-impl OpExecutor for PairedRisWorker<'_> {
-    fn execute(&mut self, op: &WorkerOp) -> WorkerReply {
-        match op {
-            WorkerOp::SampleRr { count } => {
-                self.generate_pairs(*count as usize);
-                WorkerReply::Ok
-            }
-            WorkerOp::Validate { seeds } => {
-                self.r2.prepare();
-                WorkerReply::Count(seed_set_coverage(std::slice::from_ref(&self.r2), seeds))
-            }
-            WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
-                num_elements: (self.r1.num_elements() + self.r2.num_elements()) as u64,
-                total_size: (self.r1.total_size() + self.r2.total_size()) as u64,
-                edges_examined: self.edges_examined,
-            }),
-            other => execute_coverage_op(&mut self.r1, other)
-                .unwrap_or_else(|| WorkerReply::Err("op unsupported by paired-RIS worker".into())),
-        }
-    }
-}
-
 /// The stop test that tells the paired-collection frameworks apart.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PairedRule {
+pub enum PairedRule {
     /// OPIM-C: reports `n·cov₁/θ`; stops once `σₗ/σᵤ ≥ 1 − 1/e − ε`.
     OpimC,
     /// SSA: reports the unbiased `n·cov₂/θ`; stops once `cov₂ ≥ Λ_min` and
@@ -163,16 +92,19 @@ pub(crate) fn paired(
 ) -> Result<ImResult, WireError> {
     assert!(machines >= 1, "need at least one machine");
     let workers = (0..machines)
-        .map(|i| PairedRisWorker::new(graph, config, i))
+        .map(|i| DiimmWorker::build(graph, config.sampler, config.seed, i, true))
         .collect();
     let mut cluster = SimCluster::new(workers, network, mode);
     paired_on(&mut cluster, graph.num_nodes(), config, rule)
 }
 
 /// The paired-collection loop over any [`OpCluster`] whose machines hold
-/// `PairedRisWorker`s: sample `θ − generated` pairs, select on `R₁` with
-/// NewGreeDi, validate on `R₂` by broadcast, apply `rule`, double `θ`.
-fn paired_on<B: OpCluster>(
+/// paired [`DiimmWorker`]s for an `n`-node graph and `config.seed`, built
+/// in machine order (on the process backends by
+/// [`crate::setup_im_cluster`] with `paired`): sample `θ − generated`
+/// pairs, select on `R₁` with NewGreeDi, validate on `R₂` by broadcast,
+/// apply `rule`, double `θ`.
+pub fn paired_on<B: OpCluster>(
     cluster: &mut B,
     n: usize,
     config: &ImConfig,
@@ -267,10 +199,13 @@ mod tests {
     /// pulling marginals under one tie rule: the traffic words moved, and
     /// the seeds (with D-SSA's estimate) where marginals tie. Re-pinned
     /// again (from `0xe411_04c6_57f0_f88d`) when the IC default became the
-    /// count-first law: every IC run's words moved, no LT run's.
+    /// count-first law: every IC run's words moved, no LT run's. Re-pinned
+    /// again (from `0x26ff_ea6b_9fae_6f5c`) when the pairs began to come
+    /// from DiIMM's per-set streams, dealt alternately, instead of one
+    /// sequential stream per machine: every run's words moved.
     #[test]
     fn paired_frameworks_reproduce_their_pinned_runs() {
-        const PINNED: u64 = 0x26ff_ea6b_9fae_6f5c;
+        const PINNED: u64 = 0x4629_58cb_cdf8_4e9f;
         let g = barabasi_albert(400, 4, WeightModel::WeightedCascade, 9);
         let mut bytes = Vec::new();
         for model in [

@@ -2,17 +2,18 @@
 //!
 //! A `dim-worker` process is a [`WorkerHost`] behind a TCP link. The host
 //! owns whatever state the master installs through setup ops — the graph
-//! (from [`WorkerOp::LoadGraph`]), a DiIMM sampler/shard pair (from
-//! [`WorkerOp::InitSampler`]), or a standalone coverage shard (from
-//! [`WorkerOp::BuildShard`]) — and answers every subsequent phase op
-//! against that resident state.
+//! (from [`WorkerOp::LoadGraph`]), an IM worker over it (from
+//! [`WorkerOp::InitSampler`]: a [`DiimmWorker`], single-collection for
+//! DiIMM or paired for OPIM-C and SSA, as the op's `paired` byte says), or
+//! a standalone coverage shard (from [`WorkerOp::BuildShard`]) — and
+//! answers every subsequent phase op against that resident state.
 //!
 //! Crucially the host delegates to the *same* interpreters the in-process
 //! simulator uses ([`DiimmWorker`]'s `OpExecutor` impl and
 //! [`dim_coverage::execute_coverage_op`]), so the process backend and
 //! [`dim_cluster::SimCluster`] execute identical phase logic by
-//! construction: equivalence is a property of the dispatch table, not of
-//! two implementations kept in sync by hand.
+//! construction, for every framework: equivalence is a property of the
+//! dispatch table, not of two implementations kept in sync by hand.
 
 use std::sync::Arc;
 
@@ -22,17 +23,17 @@ use dim_coverage::{execute_coverage_op, CoverageShard};
 use dim_graph::{binary, Graph};
 use dim_store::checksum;
 
-use crate::config::{ImConfig, SamplerKind};
+use crate::config::SamplerKind;
 use crate::diimm::DiimmWorker;
 
 /// One worker process's resident state: the op-dispatching peer of a
 /// [`SimCluster`](dim_cluster::SimCluster) slot.
 ///
-/// Phase ops route to the DiIMM worker when one has been initialized
-/// (IM runs: `LoadGraph` + `InitSampler`), otherwise to the standalone
-/// shard (max-coverage runs: `BuildShard`). The host holds one graph at a
-/// time, shared with the DiIMM worker's sampler: loading a different graph
-/// drops both holders, which frees the previous one.
+/// Phase ops route to the IM worker when one has been initialized (IM
+/// runs of every framework: `LoadGraph` + `InitSampler`), otherwise to the
+/// standalone shard (max-coverage runs: `BuildShard`). The host holds one
+/// graph at a time, shared with the IM worker's sampler: loading a
+/// different graph drops both holders, which frees the previous one.
 pub struct WorkerHost {
     machine_id: usize,
     master_seed: u64,
@@ -97,23 +98,16 @@ impl WorkerHost {
         }
     }
 
-    fn init_sampler(&mut self, sampler: SamplerKind) -> WorkerReply {
+    fn init_sampler(&mut self, sampler: SamplerKind, paired: bool) -> WorkerReply {
         let Some(graph) = &self.graph else {
             return WorkerReply::Err("InitSampler before LoadGraph".into());
         };
-        // Only `sampler` and `seed` shape worker-side state; the selection
-        // parameters (k, ε, δ) live with the master.
-        let config = ImConfig {
-            k: 1,
-            epsilon: 0.5,
-            delta: 0.5,
-            seed: self.master_seed,
-            sampler,
-        };
-        self.diimm = Some(DiimmWorker::new(
+        self.diimm = Some(DiimmWorker::build(
             Arc::clone(graph),
-            &config,
+            sampler,
+            self.master_seed,
             self.machine_id,
+            paired,
         ));
         WorkerReply::Ok
     }
@@ -121,10 +115,11 @@ impl WorkerHost {
 
 /// Installs resident IM state on every machine of an op cluster: the
 /// graph (its portable binary encoding, one [`WorkerOp::LoadGraph`] per
-/// machine) followed by a sampler over it ([`WorkerOp::InitSampler`]).
-/// After this, [`crate::diimm::diimm_on`] can run its phase ops against
-/// the cluster — process-backed or simulated — without ever touching
-/// worker state from the master side.
+/// machine) followed by a sampler over it ([`WorkerOp::InitSampler`]),
+/// with one collection, or two when `paired`. After this,
+/// [`crate::diimm::diimm_on`] (single) or [`crate::opim::paired_on`]
+/// (paired) can run its phase ops against the cluster — process-backed or
+/// simulated — without ever touching worker state from the master side.
 ///
 /// Setup traffic is deliberately recorded under the `setup` phase, whose
 /// modeled byte count stays zero: the paper's communication accounting
@@ -133,12 +128,13 @@ pub fn setup_im_cluster<B: OpCluster>(
     cluster: &mut B,
     graph: &Graph,
     sampler: SamplerKind,
+    paired: bool,
 ) -> Result<(), WireError> {
     let mut blob = Vec::new();
     binary::write_binary(graph, &mut blob).expect("writing to a Vec cannot fail");
     let replies = cluster.control(phase::SETUP, |_| WorkerOp::LoadGraph { blob: blob.clone() })?;
     expect_ok(&replies, phase::SETUP)?;
-    let replies = cluster.control(phase::SETUP, |_| WorkerOp::InitSampler { sampler })?;
+    let replies = cluster.control(phase::SETUP, |_| WorkerOp::InitSampler { sampler, paired })?;
     expect_ok(&replies, phase::SETUP)
 }
 
@@ -146,7 +142,7 @@ impl OpExecutor for WorkerHost {
     fn execute(&mut self, op: &WorkerOp) -> WorkerReply {
         match op {
             WorkerOp::LoadGraph { blob } => self.load_graph(blob),
-            WorkerOp::InitSampler { sampler } => self.init_sampler(*sampler),
+            WorkerOp::InitSampler { sampler, paired } => self.init_sampler(*sampler, *paired),
             WorkerOp::BuildShard { .. } => {
                 let shard = self.shard.get_or_insert_with(|| CoverageShard::new(0));
                 execute_coverage_op(shard, op)
@@ -172,6 +168,7 @@ impl OpExecutor for WorkerHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ImConfig;
     use dim_cluster::WorkerStats;
     use dim_diffusion::DiffusionModel::IndependentCascade as IC;
     use dim_graph::generators::erdos_renyi;
@@ -202,7 +199,7 @@ mod tests {
             WorkerReply::Ok
         );
         assert_eq!(
-            host.execute(&WorkerOp::InitSampler { sampler: config.sampler }),
+            host.execute(&WorkerOp::InitSampler { sampler: config.sampler, paired: false }),
             WorkerReply::Ok
         );
         for op in [
@@ -219,6 +216,47 @@ mod tests {
         }
     }
 
+    /// A paired host answers like the simulator's paired worker, and a
+    /// `Validate` naming a set outside the graph — which can now arrive
+    /// from a TCP port — is refused like `ApplySeed` refuses one, leaving
+    /// the worker serving.
+    #[test]
+    fn paired_host_matches_sim_worker_and_refuses_foreign_seeds() {
+        let g = erdos_renyi(120, 600, WeightModel::WeightedCascade, 3);
+        let sampler = SamplerKind::Standard(IC);
+        let mut sim = DiimmWorker::build(&g, sampler, 99, 1, true);
+        let mut host = WorkerHost::new(1, 99);
+        host.execute(&WorkerOp::LoadGraph {
+            blob: graph_blob(&g),
+        });
+        let init = WorkerOp::InitSampler {
+            sampler,
+            paired: true,
+        };
+        assert_eq!(host.execute(&init), WorkerReply::Ok);
+        let validate = WorkerOp::Validate {
+            seeds: vec![0, 3, 7],
+        };
+        for op in [
+            WorkerOp::SampleRr { count: 100 },
+            WorkerOp::InitialCoverage,
+            WorkerOp::ApplySeed {
+                seed: Some(7),
+                candidates: vec![0, 3],
+            },
+            validate.clone(),
+            WorkerOp::Stats,
+        ] {
+            assert_eq!(host.execute(&op), sim.execute(&op), "op {op:?}");
+        }
+        let foreign = WorkerOp::Validate {
+            seeds: vec![3, 120],
+        };
+        let refused = "Validate: set 120 outside the universe of 120".to_string();
+        assert_eq!(host.execute(&foreign), WorkerReply::Err(refused));
+        assert_eq!(host.execute(&validate), sim.execute(&validate));
+    }
+
     #[test]
     fn phase_op_without_state_is_a_typed_error() {
         let mut host = WorkerHost::new(0, 1);
@@ -227,7 +265,10 @@ mod tests {
             WorkerReply::Err(_)
         ));
         assert!(matches!(
-            host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::Standard(IC) }),
+            host.execute(&WorkerOp::InitSampler {
+                sampler: SamplerKind::Standard(IC),
+                paired: false
+            }),
             WorkerReply::Err(_)
         ));
     }
@@ -254,12 +295,12 @@ mod tests {
         assert!(std::ptr::eq(first, host.graph.as_deref().unwrap()));
         // The rebound host behaves exactly like a fresh one for that slot.
         assert_eq!(
-            host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs }),
+            host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs, paired: false }),
             WorkerReply::Ok
         );
         let mut fresh = WorkerHost::new(1, 8);
         fresh.execute(&WorkerOp::LoadGraph { blob: blob.clone() });
-        fresh.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs });
+        fresh.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs, paired: false });
         for op in [
             WorkerOp::SampleRr { count: 150 },
             WorkerOp::InitialCoverage,
@@ -274,6 +315,7 @@ mod tests {
         let blob = graph_blob(&erdos_renyi(60, 240, WeightModel::WeightedCascade, 5));
         let init = WorkerOp::InitSampler {
             sampler: SamplerKind::Standard(IC),
+            paired: false,
         };
         let mut host = WorkerHost::new(0, 7);
         assert_eq!(
@@ -334,7 +376,7 @@ mod tests {
                 other => panic!("hostile blob answered {other:?}"),
             }
             // Still serving: the next op gets its ordinary answer.
-            let next = host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs });
+            let next = host.execute(&WorkerOp::InitSampler { sampler: SamplerKind::ReverseBfs, paired: false });
             assert_eq!(next, WorkerReply::Err("InitSampler before LoadGraph".into()));
         }
         assert_eq!(host.execute(&WorkerOp::LoadGraph { blob: good }), WorkerReply::Ok);

@@ -4,6 +4,7 @@ use dim_cluster::{OpExecutor, WorkerOp, WorkerReply, WorkerStats};
 use dim_graph::scratch::{self, EpochFlags};
 
 use crate::pooled::PooledSets;
+use crate::query::seed_set_coverage;
 
 /// One machine's shard of the elements in an element-distributed maximum
 /// coverage instance (the machine's RR sets `R_i` in the paper).
@@ -305,8 +306,9 @@ const _: () = {
 
 /// Executes the coverage-phase subset of the [`WorkerOp`] vocabulary
 /// against a shard, or returns `None` for ops outside it (graph loading,
-/// RR sampling, validation) so composite workers can route those to their
-/// other components.
+/// RR sampling) so composite workers can route those to their other
+/// components. A paired worker routes [`WorkerOp::Validate`] to its
+/// validation shard and everything else here to its selection shard.
 ///
 /// This is the single interpretation of coverage ops: the in-process
 /// simulator and the `dim-worker` process both funnel through it, which is
@@ -320,6 +322,9 @@ const _: () = {
 /// [`WorkerOp::ApplySeed`] is NewGreeDi's pull round: it labels the seed's
 /// elements covered and answers one local marginal per candidate. No delta
 /// is computed.
+///
+/// [`WorkerOp::Validate`] counts the elements a seed set covers, without
+/// labelling them.
 ///
 /// An op the shard cannot serve — a record, seed or candidate naming a set
 /// outside the universe, a pull before the round's first op — is answered
@@ -352,17 +357,21 @@ pub fn execute_coverage_op(shard: &mut CoverageShard, op: &WorkerOp) -> Option<W
             "ApplySeed: no InitialCoverage or NewCoverage since the shard changed".into(),
         ),
         WorkerOp::ApplySeed { seed, candidates } => {
-            let universe = shard.num_sets;
-            let mut ids = seed.iter().chain(candidates);
-            if let Some(set) = ids.find(|&&s| s as usize >= universe) {
-                let msg = format!("ApplySeed: set {set} outside the universe of {universe}");
-                return Some(WorkerReply::Err(msg));
+            if let Some(err) = outside_universe("ApplySeed", shard, seed.iter().chain(candidates)) {
+                return Some(err);
             }
             if let Some(u) = *seed {
                 shard.apply_seed(u);
             }
             let marginals = candidates.iter().map(|&v| shard.marginal(v) as u32);
             WorkerReply::Marginals(marginals.collect())
+        }
+        WorkerOp::Validate { seeds } => {
+            if let Some(err) = outside_universe("Validate", shard, seeds.iter()) {
+                return Some(err);
+            }
+            shard.prepare();
+            WorkerReply::Count(seed_set_coverage(std::slice::from_ref(shard), seeds))
         }
         WorkerOp::CoveredCount => WorkerReply::Count(shard.covered_count() as u64),
         WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
@@ -372,6 +381,20 @@ pub fn execute_coverage_op(shard: &mut CoverageShard, op: &WorkerOp) -> Option<W
         }),
         _ => return None,
     })
+}
+
+/// The `Err` reply naming `op` and the first of `ids` outside `shard`'s
+/// universe, if any is.
+fn outside_universe<'a>(
+    op: &str,
+    shard: &CoverageShard,
+    mut ids: impl Iterator<Item = &'a u32>,
+) -> Option<WorkerReply> {
+    let universe = shard.num_sets;
+    let set = ids.find(|&&s| s as usize >= universe)?;
+    Some(WorkerReply::Err(format!(
+        "{op}: set {set} outside the universe of {universe}"
+    )))
 }
 
 impl OpExecutor for CoverageShard {

@@ -37,7 +37,8 @@
 //! `dim-worker` process per machine over loopback TCP and `join` waits for
 //! pre-started `dim-worker --join` processes, driving them through the
 //! same phase-op protocol, so seeds and marginals are identical to the
-//! simulator's.
+//! simulator's. Every `im` algorithm but the single-thread `imm` baseline
+//! runs on every backend.
 //!
 //! Graphs load from SNAP-style edge lists (`u v [p]`, `#` comments) or are
 //! generated from the paper's dataset profiles (`profile:facebook`,
@@ -136,7 +137,8 @@ graph sources: a SNAP edge-list path, or profile:NAME[:SCALE]
 
 common flags: --model ic|lt  --epsilon E  --delta D  --k K  --seed S
   --machines L  --algorithm imm|diimm|opim|subsim  --undirected
-  --backend sequential|threads|proc|join
+  --backend sequential|threads|proc|join   (diimm, subsim and opim run on
+  every backend with the same seeds; imm is the single-thread baseline)
   --weights wc|uniform:P|trivalency  --sims N  --evaluate  --breakdown
 
 samplers: IC RR sets always use SUBSIM's count-first subset sampling;
@@ -410,18 +412,20 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
             ("diimm" | "subsim", Backend::Sim(mode)) => {
                 diimm(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
-            ("diimm" | "subsim", Backend::Tcp { spawn }) => {
-                let mut cluster = tcp_cluster(spawn, machines, net, config.seed, flags)?;
-                setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
-                diimm_on(&mut cluster, &g, &config, true).map_err(|e| e.to_string())?
-            }
             ("opim", Backend::Sim(mode)) => {
                 dopim_c(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
-            ("opim", Backend::Tcp { .. }) => {
-                return Err("--backend proc/join supports diimm/subsim (opim keeps two \
-                            resident collections; use a simulated backend)"
-                    .into())
+            (name @ ("diimm" | "subsim" | "opim"), Backend::Tcp { spawn }) => {
+                let paired = name == "opim";
+                let mut cluster = tcp_cluster(spawn, machines, net, config.seed, flags)?;
+                setup_im_cluster(&mut cluster, &g, config.sampler, paired)
+                    .map_err(|e| e.to_string())?;
+                if paired {
+                    paired_on(&mut cluster, g.num_nodes(), &config, PairedRule::OpimC)
+                } else {
+                    diimm_on(&mut cluster, &g, &config, true)
+                }
+                .map_err(|e| e.to_string())?
             }
             (other, _) => return Err(format!("unknown algorithm {other:?}")),
         }
@@ -464,7 +468,7 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
         Backend::Tcp { spawn } => {
             let mut cluster = tcp_cluster(spawn, machines, net, config.seed, flags)?;
-            setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
+            setup_im_cluster(&mut cluster, &g, config.sampler, false).map_err(|e| e.to_string())?;
             diimm_sample_on(&mut cluster, &g, &config, &out, keep).map_err(|e| e.to_string())?
         }
     };
@@ -989,7 +993,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         }
         Backend::Tcp { spawn: true } => {
             let mut cluster = tcp_cluster(true, machines, net, config.seed, flags)?;
-            setup_im_cluster(&mut cluster, &g, config.sampler).map_err(|e| e.to_string())?;
+            setup_im_cluster(&mut cluster, &g, config.sampler, false).map_err(|e| e.to_string())?;
             // Armed after setup, so plan rounds count op rounds from
             // the first algorithm phase — same clock as the simulator.
             cluster.set_chaos(Some(injector));

@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use dim_core::diimm::{diimm, diimm_on, diimm_with_options};
     pub use dim_core::imm::imm;
-    pub use dim_core::opim::dopim_c;
+    pub use dim_core::opim::{dopim_c, paired_on, PairedRule};
     pub use dim_core::recover::{diimm_on_recovering, RecoveringCluster, RecoveryPolicy};
     pub use dim_core::snapshot::{
         diimm_sample_generation, diimm_sample_on, load_latest_rr_snapshot, persist_rr_shards,

@@ -10,6 +10,49 @@ use dim::prelude::*;
 const MACHINE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const MODES: [ExecMode; 2] = [ExecMode::Sequential, ExecMode::Threads];
 
+/// A framework's simulator entry: `(graph, config, ℓ, network, mode)`.
+type SimRun = fn(
+    &Graph,
+    &ImConfig,
+    usize,
+    NetworkModel,
+    ExecMode,
+) -> Result<ImResult, dim_cluster::WireError>;
+
+/// The paired-collection frameworks: each one's simulator entry, and the
+/// stop rule [`paired_on`] runs over any other cluster.
+const PAIRED_FRAMEWORKS: [(&str, SimRun, PairedRule); 2] = [
+    ("opim", dopim_c, PairedRule::OpimC),
+    ("ssa", dssa, PairedRule::Ssa),
+];
+
+/// Runs a paired framework over a TCP cluster: its machines get paired
+/// workers through `InitSampler`, then [`paired_on`] drives them.
+fn paired_over<B: OpCluster>(
+    cluster: &mut B,
+    g: &Graph,
+    config: &ImConfig,
+    rule: PairedRule,
+) -> ImResult {
+    setup_im_cluster(cluster, g, config.sampler, true).unwrap();
+    paired_on(cluster, g.num_nodes(), config, rule).unwrap()
+}
+
+/// Asserts a paired framework's run on another backend equals the
+/// sequential simulator's in the answer, the sampling work and the
+/// modeled traffic.
+fn assert_same_paired_run(r: &ImResult, reference: &ImResult, ctx: &str) {
+    assert_eq!(r.seeds, reference.seeds, "{ctx}");
+    assert_eq!(r.marginals, reference.marginals, "{ctx}");
+    assert_eq!(r.num_rr_sets, reference.num_rr_sets, "{ctx}");
+    assert_eq!(r.total_rr_size, reference.total_rr_size, "{ctx}");
+    assert_eq!(r.edges_examined, reference.edges_examined, "{ctx}");
+    let (m, want) = (&r.metrics, &reference.metrics);
+    assert_eq!(m.bytes_to_master, want.bytes_to_master, "{ctx}");
+    assert_eq!(m.bytes_from_master, want.bytes_from_master, "{ctx}");
+    assert_eq!(m.messages, want.messages, "{ctx}");
+}
+
 /// DiIMM: seeds, coverage, θ, RR-set mass, and the accounted traffic are
 /// identical whichever backend executes the phases.
 #[test]
@@ -369,7 +412,7 @@ mod stream {
             let mut proc =
                 ProcCluster::spawn(machines, NetworkModel::cluster_1gbps(), config.seed)
                     .expect("spawn dim-worker processes");
-            setup_im_cluster(&mut proc, &g, config.sampler).unwrap();
+            setup_im_cluster(&mut proc, &g, config.sampler, false).unwrap();
             let replies = proc
                 .control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
                     count: counts[i],
@@ -478,7 +521,7 @@ mod proc_backend {
                 )
                 .unwrap();
                 let mut cluster = proc_cluster(machines, config.seed);
-                setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
+                setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
                 let r = diimm_on(&mut cluster, &g, &config, incremental).unwrap();
                 let ctx = format!("ℓ = {machines}, incremental = {incremental}");
                 assert_eq!(r.seeds, reference.seeds, "{ctx}");
@@ -527,7 +570,7 @@ mod proc_backend {
             )
             .unwrap();
             let mut cluster = proc_cluster(machines, config.seed);
-            setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
+            setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
             let r = diimm_on(&mut cluster, &g, &config, true).unwrap();
             let ctx = format!("reverse BFS ℓ = {machines}");
             assert_eq!(r.seeds, reference.seeds, "{ctx}");
@@ -575,6 +618,29 @@ mod proc_backend {
         }
     }
 
+    /// OPIM-C and SSA on worker processes: `InitSampler`'s paired byte
+    /// gives each process DiIMM's worker in pair mode, and both frameworks
+    /// reproduce the simulator bit for bit at every machine count.
+    #[test]
+    fn paired_frameworks_proc_match_sequential() {
+        let g = DatasetProfile::Facebook.generate(0.1, 11);
+        let config = ImConfig {
+            k: 6,
+            ..ImConfig::paper_defaults(&g, 0.4, 29)
+        };
+        for (name, sim, rule) in PAIRED_FRAMEWORKS {
+            for machines in PROC_MACHINE_COUNTS {
+                let net = NetworkModel::cluster_1gbps();
+                let reference = sim(&g, &config, machines, net, ExecMode::Sequential).unwrap();
+                let mut cluster = proc_cluster(machines, config.seed);
+                let r = paired_over(&mut cluster, &g, &config, rule);
+                let ctx = format!("{name} ℓ = {machines}");
+                assert_same_paired_run(&r, &reference, &ctx);
+                assert_eq!(cluster.link_errors(), 0, "{ctx}");
+            }
+        }
+    }
+
     /// Process workers persist their *own* resident shard on
     /// `PersistShard` (the sketch never crosses the wire), and the
     /// snapshot they write replays to the same answer as one written by
@@ -598,7 +664,7 @@ mod proc_backend {
         ));
 
         let mut cluster = proc_cluster(machines, config.seed);
-        setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
+        setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
         let (_, r) = diimm_sample_on(&mut cluster, &g, &config, &proc_root, 1).unwrap();
         // The save phase is a control round: it models no shard traffic.
         let save = cluster.timeline().get(phase::STORE_SAVE);
@@ -633,11 +699,11 @@ mod proc_backend {
             ..ImConfig::paper_defaults(&g, 0.5, 7)
         };
         let mut full = proc_cluster(2, config.seed);
-        setup_im_cluster(&mut full, &g, config.sampler).unwrap();
+        setup_im_cluster(&mut full, &g, config.sampler, false).unwrap();
         let r_full = diimm_on(&mut full, &g, &config, false).unwrap();
 
         let mut inc = proc_cluster(2, config.seed);
-        setup_im_cluster(&mut inc, &g, config.sampler).unwrap();
+        setup_im_cluster(&mut inc, &g, config.sampler, false).unwrap();
         let r_inc = diimm_on(&mut inc, &g, &config, true).unwrap();
 
         assert_eq!(r_inc.seeds, r_full.seeds);
@@ -754,7 +820,7 @@ mod join_backend {
             let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
             let mut cluster = accept(&mut rendezvous, config.seed);
             assert_eq!(cluster.session_id(), 1, "join sessions count from 1");
-            setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
+            setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
             let r = diimm_on(&mut cluster, &g, &config, true).unwrap();
             let ctx = format!("ℓ = {machines}");
             assert_eq!(r.seeds, reference.seeds, "{ctx}");
@@ -811,7 +877,7 @@ mod join_backend {
         let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
         let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
         let mut cluster = accept(&mut rendezvous, config.seed);
-        setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
+        setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
         let r = diimm_on(&mut cluster, &g, &config, true).unwrap();
         assert_eq!(r.seeds, reference.seeds);
         assert_eq!(r.marginals, reference.marginals);
@@ -822,6 +888,32 @@ mod join_backend {
         drop(cluster);
         for w in workers {
             assert_eq!(w.join().unwrap(), vec![SessionEnd::Shutdown]);
+        }
+    }
+
+    /// OPIM-C and SSA over registered workers: the paired frameworks'
+    /// join runs equal the sequential simulator's.
+    #[test]
+    fn paired_frameworks_join_match_sequential() {
+        let g = DatasetProfile::Facebook.generate(0.1, 11);
+        let config = ImConfig {
+            k: 6,
+            ..ImConfig::paper_defaults(&g, 0.4, 29)
+        };
+        let machines = 2;
+        for (name, sim, rule) in PAIRED_FRAMEWORKS {
+            let net = NetworkModel::cluster_1gbps();
+            let reference = sim(&g, &config, machines, net, ExecMode::Sequential).unwrap();
+            let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
+            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
+            let mut cluster = accept(&mut rendezvous, config.seed);
+            let r = paired_over(&mut cluster, &g, &config, rule);
+            assert_same_paired_run(&r, &reference, name);
+            assert_eq!(cluster.link_errors(), 0, "{name}");
+            drop(cluster);
+            for w in workers {
+                assert_eq!(w.join().unwrap(), vec![SessionEnd::Shutdown], "{name}");
+            }
         }
     }
 
@@ -884,7 +976,7 @@ mod join_backend {
         // indistinguishable from a machine killed mid-round.
         let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, Some(faulty));
         let mut cluster = accept(&mut rendezvous, config.seed);
-        let err = setup_im_cluster(&mut cluster, &g, config.sampler)
+        let err = setup_im_cluster(&mut cluster, &g, config.sampler, false)
             .map(|()| diimm_on(&mut cluster, &g, &config, true).map(|_| ()))
             .and_then(|r| r)
             .expect_err("a worker died mid-round");
@@ -1061,7 +1153,7 @@ mod chaos {
             let mut cluster =
                 ProcCluster::spawn(machines, NetworkModel::cluster_1gbps(), config.seed)
                     .expect("spawn dim-worker processes");
-            setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
+            setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
             // Armed after setup so round 0 is the first algorithm op
             // round — the same clock the simulator's plan uses.
             cluster.set_chaos(Some(FaultInjector::new(
@@ -1107,7 +1199,7 @@ mod chaos {
         .unwrap();
         let mut cluster = ProcCluster::spawn(machines, NetworkModel::cluster_1gbps(), config.seed)
             .expect("spawn dim-worker processes");
-        setup_im_cluster(&mut cluster, &g, config.sampler).unwrap();
+        setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
         cluster.set_chaos(Some(FaultInjector::new(
             FaultPlan {
                 chaos_seed: 0x5742,

@@ -143,7 +143,7 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
     let sampler = any_sampler(rng);
     let all: [WorkerOp; 13] = [
         LoadGraph { blob: random_bytes(rng, 0..200) },
-        InitSampler { sampler },
+        InitSampler { sampler, paired: rng.below(2) == 1 },
         BuildShard { num_sets: any_u32(rng), elements: vec_of(rng, 0..20, ids) },
         SampleRr { count: any_u64(rng) },
         InitialCoverage,
@@ -421,6 +421,33 @@ fn sampler_tags_are_pinned() {
 #[test]
 fn worker_op_is_strict() {
     strict(Canonical, "worker_op", CASES, any_worker_op, WorkerOp::encode, WorkerOp::decode);
+}
+
+/// `InitSampler`'s last byte is its collection mode: 0 (one collection)
+/// and 1 (a pair) decode, every other value is refused.
+#[test]
+fn init_sampler_mode_byte_is_0_or_1() {
+    for sampler in [
+        SamplerKind::ReverseBfs,
+        SamplerKind::Standard(DiffusionModel::LinearThreshold),
+    ] {
+        let mut bytes = WorkerOp::InitSampler {
+            sampler,
+            paired: false,
+        }
+        .encode();
+        for mode in 0..=u8::MAX {
+            *bytes.last_mut().unwrap() = mode;
+            let decoded = WorkerOp::decode(&bytes);
+            match mode {
+                0 | 1 => {
+                    let paired = mode == 1;
+                    assert_eq!(decoded, Some(WorkerOp::InitSampler { sampler, paired }))
+                }
+                _ => assert_eq!(decoded, None, "mode byte {mode} accepted"),
+            }
+        }
+    }
 }
 
 /// Replies are strict, and the advertised wire size follows the payload

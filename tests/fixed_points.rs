@@ -3,9 +3,13 @@
 //! by name, and a test reports every counter that moved, not only the
 //! first, so a failure says what moved and by how much.
 
-use dim_cluster::{ExecMode, NetworkModel, OpExecutor, WorkerOp, WorkerReply};
+use dim_cluster::{
+    ClusterBackend, ExecMode, NetworkModel, OpExecutor, SimCluster, WorkerOp, WorkerReply,
+};
 use dim_core::diimm::DiimmWorker;
 use dim_core::{diimm, ImConfig};
+use dim_coverage::newgreedi_with;
+use dim_coverage::CoverageProblem;
 use dim_graph::generators::DatasetProfile;
 use dim_graph::{DeltaBatch, EdgeOp};
 
@@ -106,6 +110,37 @@ fn diimm_repair_counters() {
             ("sets_resampled", repaired.len() as u64, 3_130),
             ("repaired_members", members, 386_541),
             ("edges_examined", examined(&mut worker) - before, 846_326),
+        ],
+    );
+}
+
+/// NewGreeDi over element shards: maximum coverage of `livejournal:0.004`
+/// (seed 1) in-neighbourhoods, k = 20, two machines — the shape of the
+/// `maxcover-tcp` benchmark's smoke run, built here, not read from it.
+/// Modeled traffic is a function of the messages alone, so a
+/// [`SimCluster`] pins what the TCP backends send. `rounds` counts the
+/// solve's op rounds (the benchmark's `cluster.rounds`); the bytes and
+/// messages are its `cluster.bytes_up`, `bytes_down` and `msgs` at this
+/// input, not at the benchmark's full scale.
+#[test]
+fn newgreedi_maxcover_counters() {
+    let g = DatasetProfile::LiveJournal.generate(0.004, 1);
+    let problem = CoverageProblem::from_graph_neighborhoods(&g);
+    let mut cluster = SimCluster::new(
+        problem.shard_elements(2),
+        NetworkModel::cluster_1gbps(),
+        ExecMode::Sequential,
+    );
+    newgreedi_with(&mut cluster, problem.num_sets(), 20)
+        .expect("a simulated solve has no link to fail");
+    let m = cluster.metrics();
+    assert_counters(
+        "maxcover (livejournal:0.004, seed 1)",
+        &[
+            ("rounds", m.phases, 22),
+            ("bytes_to_master", m.bytes_to_master, 319_712),
+            ("bytes_from_master", m.bytes_from_master, 10_048),
+            ("messages", m.messages, 84),
         ],
     );
 }
