@@ -6,7 +6,7 @@ use dim_cluster::{ClusterBackend, NetworkModel, SimCluster};
 use dim_core::diimm::diimm_with_options;
 use dim_core::{ImConfig, SamplerKind};
 use dim_coverage::greedy::{bucket_greedy, naive_greedy};
-use dim_coverage::{newgreedi, CoverageProblem, PooledSets};
+use dim_coverage::{newgreedi_with, CoverageProblem, PooledSets};
 use dim_diffusion::rr::{sample_batch, AnySampler, IcRrSampler, SubsimRrSampler};
 use dim_graph::rng::Rng;
 
@@ -44,7 +44,7 @@ pub fn traffic(ctx: &Context) {
             NetworkModel::zero(),
             ctx.exec_mode(),
         );
-        let r = newgreedi(&mut cluster, ctx.k).expect("well-formed wire");
+        let r = newgreedi_with(&mut cluster, problem.num_sets(), ctx.k).expect("well-formed wire");
         let pulled = cluster.metrics().bytes_to_master;
         // Dense alternative: every machine uploads all n coverages once for
         // initialization and once per selected seed (8 bytes per tuple).

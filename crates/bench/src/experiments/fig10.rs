@@ -7,7 +7,7 @@ use std::time::Instant;
 use dim_cluster::{ClusterBackend, NetworkModel, SimCluster};
 use dim_coverage::greedi::greedi;
 use dim_coverage::greedy::bucket_greedy;
-use dim_coverage::{newgreedi, CoverageProblem};
+use dim_coverage::{newgreedi_with, CoverageProblem};
 
 use crate::context::Context;
 use crate::report::{self, ToJson};
@@ -67,7 +67,8 @@ pub fn run(ctx: &Context) {
                 NetworkModel::shared_memory(),
                 ctx.exec_mode(),
             );
-            let ng = newgreedi(&mut ng_cluster, ctx.k).expect("well-formed wire");
+            let ng = newgreedi_with(&mut ng_cluster, problem.num_sets(), ctx.k)
+                .expect("well-formed wire");
             let ng_metrics = ng_cluster.metrics();
             let ng_time = ng_metrics.elapsed().as_secs_f64();
             assert_eq!(
@@ -75,12 +76,10 @@ pub fn run(ctx: &Context) {
                 "NewGreeDi must match the sequential greedy (Lemma 2)"
             );
 
-            let mut gd_cluster = SimCluster::new(
-                problem.shard_sets(cores, None),
-                NetworkModel::shared_memory(),
-                ctx.exec_mode(),
-            );
-            let gd = greedi(&mut gd_cluster, ctx.k, ctx.k);
+            let (shards, partition) = problem.shard_sets(cores, None);
+            let mut gd_cluster =
+                SimCluster::new(shards, NetworkModel::shared_memory(), ctx.exec_mode());
+            let gd = greedi(&mut gd_cluster, &partition, ctx.k, ctx.k).expect("well-formed wire");
             let gd_time = gd_cluster.metrics().elapsed().as_secs_f64();
 
             let row = Row {

@@ -8,7 +8,7 @@
 use dim_cluster::{NetworkModel, SimCluster};
 use dim_coverage::greedi::greedi;
 use dim_coverage::greedy::bucket_greedy;
-use dim_coverage::{newgreedi, CoverageProblem};
+use dim_coverage::{newgreedi_with, CoverageProblem};
 
 use crate::context::Context;
 use crate::report::{self, ToJson};
@@ -46,21 +46,16 @@ pub fn run(ctx: &Context) {
             NetworkModel::zero(),
             ctx.exec_mode(),
         );
-        let ng = newgreedi(&mut ng_cluster, ctx.k).expect("well-formed wire");
+        let ng =
+            newgreedi_with(&mut ng_cluster, problem.num_sets(), ctx.k).expect("well-formed wire");
 
-        let mut gd_cluster = SimCluster::new(
-            problem.shard_sets(machines, None),
-            NetworkModel::zero(),
-            ctx.exec_mode(),
-        );
-        let gd = greedi(&mut gd_cluster, ctx.k, ctx.k);
-
-        let mut rg_cluster = SimCluster::new(
-            problem.shard_sets(machines, Some(ctx.seed)),
-            NetworkModel::zero(),
-            ctx.exec_mode(),
-        );
-        let rg = greedi(&mut rg_cluster, ctx.k, ctx.k);
+        let set_distributed = |shuffle| {
+            let (shards, partition) = problem.shard_sets(machines, shuffle);
+            let mut cluster = SimCluster::new(shards, NetworkModel::zero(), ctx.exec_mode());
+            greedi(&mut cluster, &partition, ctx.k, ctx.k).expect("well-formed wire")
+        };
+        let gd = set_distributed(None);
+        let rg = set_distributed(Some(ctx.seed));
 
         let base = central.covered as f64;
         let row = Row {

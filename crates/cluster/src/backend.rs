@@ -16,11 +16,9 @@
 //!   [`crate::WorkerOp`] rounds, the only way work reaches a machine on
 //!   every backend.
 //!
-//! Closure phases (`par_step` / `gather`) are *not* part of the contract:
-//! only a backend whose worker state lives in the master's address space
-//! can run a closure against it, so they are inherent methods of
-//! [`crate::SimCluster`] — its in-process primitives, used by the GreeDi
-//! baseline and by `SimCluster`'s own op interpreter.
+//! There is no closure phase: every algorithm, the GreeDi baseline
+//! included, reaches its machines through op rounds alone, so whatever
+//! runs on [`crate::SimCluster`] runs unchanged on the TCP backends.
 //!
 //! Per-machine RNG streams are derived outside the traits via
 //! [`crate::stream_seed`] — workers own their streams, so determinism
@@ -193,6 +191,7 @@ pub trait ClusterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{expect_counts, OpCluster, OpExecutor, WorkerOp, WorkerReply};
     use crate::runtime::SimCluster;
     use std::time::Duration;
 
@@ -210,16 +209,30 @@ mod tests {
         assert_eq!(unknown, r#"unknown backend "mpi""#);
     }
 
+    /// A shard of numbers that answers `CoveredCount` with its sum.
+    struct Numbers(Vec<u64>);
+
+    impl OpExecutor for Numbers {
+        fn execute(&mut self, op: &WorkerOp) -> WorkerReply {
+            match op {
+                WorkerOp::CoveredCount => WorkerReply::Count(self.0.iter().sum()),
+                _ => WorkerReply::Err("unsupported".into()),
+            }
+        }
+    }
+
     #[test]
     fn gather_then_provided_master_on_sim_backend() {
-        let shards = vec![vec![1u64, 2], vec![3], vec![4, 5, 6], vec![]];
-        let mut cluster =
-            SimCluster::new(shards, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
-        let partials = cluster.gather(
-            phase::COVERAGE_UPLOAD,
-            |_, shard| shard.iter().sum::<u64>(),
-            |_| crate::wire::u64_wire_size(),
+        let shards = [vec![1u64, 2], vec![3], vec![4, 5, 6], vec![]].map(Numbers);
+        let mut cluster = SimCluster::new(
+            shards.into(),
+            NetworkModel::cluster_1gbps(),
+            ExecMode::Sequential,
         );
+        let replies = cluster
+            .op_gather(phase::COVERAGE_UPLOAD, |_| WorkerOp::CoveredCount)
+            .unwrap();
+        let partials = expect_counts(&replies, phase::COVERAGE_UPLOAD).unwrap();
         let total: u64 = cluster.master(phase::SEED_SELECT, || partials.iter().sum());
         assert_eq!(total, 21);
         let tl = cluster.timeline();

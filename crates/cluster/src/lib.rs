@@ -30,10 +30,10 @@
 //!
 //! [`SimCluster`] executes phases in one of two [`ExecMode`]s:
 //! deterministic sequential (virtual time) or bounded OS threads (capped at
-//! the host's available parallelism). Because its worker state lives in
-//! the master's address space it also offers closure phases —
-//! [`SimCluster::par_step`] and [`SimCluster::gather`] — as in-process
-//! primitives; they are not part of the contract the TCP backend honours.
+//! the host's available parallelism). Its worker state lives in the
+//! master's address space, but work reaches it only as op rounds, exactly
+//! as on the TCP backend: no algorithm runs a closure against a worker or
+//! reads one's state.
 //!
 //! Randomness: seed derivation ([`rng`]), the chaos schedule ([`faults`])
 //! and reconnect jitter ([`Backoff`]) all call the one SplitMix64 finalizer
@@ -44,19 +44,25 @@
 //!
 //! ```
 //! use dim_cluster::{phase, ClusterBackend, ExecMode, NetworkModel, SimCluster};
+//! use dim_cluster::{OpCluster, OpExecutor, WorkerOp, WorkerReply};
 //!
-//! // Four machines each holding a shard of numbers; master sums the sums.
-//! let shards: Vec<Vec<u64>> = vec![vec![1, 2], vec![3], vec![4, 5, 6], vec![]];
-//! let mut cluster = SimCluster::new(shards, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
-//! let partials = cluster.gather(
-//!     phase::COUNT_UPLOAD,
-//!     |_, shard| shard.iter().sum::<u64>(),
-//!     |_| dim_cluster::wire::u64_wire_size(), // each machine uploads one u64
-//! );
+//! // Four machines each holding a shard of numbers; each uploads its sum
+//! // (one u64), and the master sums the sums.
+//! struct Numbers(Vec<u64>);
+//! impl OpExecutor for Numbers {
+//!     fn execute(&mut self, _: &WorkerOp) -> WorkerReply {
+//!         WorkerReply::Count(self.0.iter().sum())
+//!     }
+//! }
+//! let shards = [vec![1, 2], vec![3], vec![4, 5, 6], vec![]].map(Numbers);
+//! let mut cluster = SimCluster::new(shards.into(), NetworkModel::cluster_1gbps(), ExecMode::Sequential);
+//! let replies = cluster.op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount)?;
+//! let partials = dim_cluster::ops::expect_counts(&replies, phase::COUNT_UPLOAD)?;
 //! let total: u64 = cluster.master(phase::SEED_SELECT, || partials.iter().sum());
 //! assert_eq!(total, 21);
 //! assert_eq!(cluster.metrics().bytes_to_master, 32);
 //! assert_eq!(cluster.timeline().get(phase::COUNT_UPLOAD).messages, 4);
+//! # Ok::<(), dim_cluster::WireError>(())
 //! ```
 //!
 //! Distributed phases are expressed as serializable [`ops::WorkerOp`] /

@@ -104,6 +104,12 @@ pub enum WorkerOp {
     },
     /// Report how many resident elements are covered. → `Count`.
     CoveredCount,
+    /// GreeDi's core-set round: run the greedy for `kappa` of the shard's
+    /// sets and upload them. → `CoreSet`, the picks in pick order.
+    CoreSet {
+        /// Core-set size κ.
+        kappa: u32,
+    },
     /// Report shard statistics. → `Stats`.
     Stats,
     /// Count the validation collection's elements covered by `seeds`
@@ -185,6 +191,9 @@ pub enum WorkerReply {
     Count(u64),
     /// Shard statistics.
     Stats(WorkerStats),
+    /// A `CoreSet` round's picks, in pick order: each set's local id and
+    /// the elements it covers.
+    CoreSet(Vec<(u32, Vec<u32>)>),
     /// The op failed worker-side (unsupported op, bad state).
     Err(String),
 }
@@ -203,6 +212,7 @@ const OP_VALIDATE: u8 = 9;
 const OP_SHUTDOWN: u8 = 10;
 const OP_PERSIST_SHARD: u8 = 11;
 const OP_APPLY_DELTA: u8 = 12;
+const OP_CORE_SET: u8 = 13;
 
 const REPLY_OK: u8 = 0;
 const REPLY_DELTAS: u8 = 1;
@@ -210,6 +220,7 @@ const REPLY_COUNT: u8 = 2;
 const REPLY_STATS: u8 = 3;
 const REPLY_ERR: u8 = 4;
 const REPLY_MARGINALS: u8 = 5;
+const REPLY_CORE_SET: u8 = 6;
 
 /// Writes `[u32 count] ([u32 id])*`.
 fn put_ids(out: &mut Vec<u8>, ids: &[u32]) {
@@ -277,6 +288,10 @@ impl WorkerOp {
                 put_ids(&mut out, candidates);
             }
             WorkerOp::CoveredCount => out.push(OP_COVERED_COUNT),
+            WorkerOp::CoreSet { kappa } => {
+                out.push(OP_CORE_SET);
+                put_u32(&mut out, *kappa);
+            }
             WorkerOp::Stats => out.push(OP_STATS),
             WorkerOp::Validate { seeds } => {
                 out.push(OP_VALIDATE);
@@ -376,6 +391,7 @@ impl WorkerOp {
                 }
             }
             OP_COVERED_COUNT => WorkerOp::CoveredCount,
+            OP_CORE_SET => WorkerOp::CoreSet { kappa: r.u32()? },
             OP_STATS => WorkerOp::Stats,
             OP_VALIDATE => WorkerOp::Validate {
                 seeds: read_ids(&mut r)?,
@@ -455,6 +471,14 @@ impl WorkerReply {
                 out.push(REPLY_MARGINALS);
                 put_ids(&mut out, marginals);
             }
+            WorkerReply::CoreSet(picks) => {
+                out.push(REPLY_CORE_SET);
+                put_u32(&mut out, picks.len() as u32);
+                for (id, elements) in picks {
+                    put_u32(&mut out, *id);
+                    put_ids(&mut out, elements);
+                }
+            }
             WorkerReply::Count(c) => {
                 out.push(REPLY_COUNT);
                 put_u64(&mut out, *c);
@@ -484,6 +508,14 @@ impl WorkerReply {
                 WorkerReply::Deltas(tuples.map(|w| (le_u32(w), le_u32(&w[4..]))).collect())
             }
             REPLY_MARGINALS => WorkerReply::Marginals(read_ids(&mut r)?),
+            REPLY_CORE_SET => {
+                let count = r.u32()? as usize;
+                let mut picks = Vec::with_capacity(count.min(r.remaining() / 8));
+                for _ in 0..count {
+                    picks.push((r.u32()?, read_ids(&mut r)?));
+                }
+                WorkerReply::CoreSet(picks)
+            }
             REPLY_COUNT => WorkerReply::Count(r.u64()?),
             REPLY_STATS => WorkerReply::Stats(WorkerStats {
                 num_elements: r.u64()?,
@@ -502,16 +534,19 @@ impl WorkerReply {
     }
 
     /// The *modeled* payload size of this reply — the byte count the
-    /// paper's traffic accounting charges. Matches the sizes the
-    /// closure-based gathers used: sparse deltas cost
-    /// [`delta_wire_size`], marginals [`ids_wire_size`], counts one u64;
-    /// acknowledgements and control metadata (stats, errors) are free,
-    /// like MPI envelopes.
+    /// paper's traffic accounting charges: sparse deltas cost
+    /// [`delta_wire_size`], marginals [`ids_wire_size`], counts one u64,
+    /// a core-set its ids plus one id list per pick; acknowledgements and
+    /// control metadata (stats, errors) are free, like MPI envelopes.
     pub fn wire_size(&self) -> u64 {
         match self {
             WorkerReply::Ok | WorkerReply::Err(_) => 0,
             WorkerReply::Deltas(d) => delta_wire_size(d.len()),
             WorkerReply::Marginals(m) => ids_wire_size(m.len()),
+            WorkerReply::CoreSet(picks) => {
+                let lists: u64 = picks.iter().map(|(_, l)| ids_wire_size(l.len())).sum();
+                ids_wire_size(picks.len()) + lists
+            }
             WorkerReply::Count(_) => u64_wire_size(),
             WorkerReply::Stats(_) => 3 * u64_wire_size(),
         }
@@ -599,7 +634,7 @@ pub trait OpCluster: ClusterBackend {
 
     /// An op round whose replies are uploaded to the master: charges one
     /// tree collective of `Σ reply.wire_size()` bytes across ℓ messages
-    /// under `label`, exactly like [`SimCluster::gather`].
+    /// under `label`, next to the round's worker compute.
     fn op_gather<F>(&mut self, label: &'static str, op: F) -> Result<Vec<WorkerReply>, WireError>
     where
         F: Fn(usize) -> WorkerOp + Sync,
@@ -635,8 +670,8 @@ pub trait OpCluster: ClusterBackend {
 
 /// [`SimCluster`] interprets ops in process: the same [`WorkerOp`] values
 /// the TCP backend ships are handed straight to each worker's
-/// [`OpExecutor::execute`], under the same virtual-time accounting as any
-/// closure phase.
+/// [`OpExecutor::execute`], each machine timed on its own and the round
+/// charged the slowest (the virtual clock of [`crate::runtime`]).
 impl<W: Send + OpExecutor> OpCluster for SimCluster<W> {
     fn exec_ops_each<F>(
         &mut self,
@@ -766,6 +801,8 @@ mod tests {
                 candidates: vec![],
             },
             WorkerOp::CoveredCount,
+            WorkerOp::CoreSet { kappa: 20 },
+            WorkerOp::CoreSet { kappa: u32::MAX },
             WorkerOp::Stats,
             WorkerOp::Validate {
                 seeds: vec![1, u32::MAX],
@@ -820,6 +857,8 @@ mod tests {
             WorkerReply::Deltas(vec![(0, 1), (u32::MAX, 42)]),
             WorkerReply::Deltas(vec![]),
             WorkerReply::Marginals(vec![3, 0, u32::MAX]),
+            WorkerReply::CoreSet(vec![(2, vec![0, 9]), (u32::MAX, vec![])]),
+            WorkerReply::CoreSet(vec![]),
             WorkerReply::Count(u64::MAX),
             WorkerReply::Stats(WorkerStats {
                 num_elements: 3,
@@ -906,8 +945,8 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 8]);
         assert!(WorkerOp::decode(&bytes).is_none());
 
-        for tag in [1u8, 5] {
-            // REPLY_DELTAS, REPLY_MARGINALS
+        for tag in [1u8, 5, 6] {
+            // REPLY_DELTAS, REPLY_MARGINALS, REPLY_CORE_SET
             let mut reply = vec![tag];
             reply.extend_from_slice(&u32::MAX.to_le_bytes());
             reply.extend_from_slice(&[0u8; 8]);
@@ -933,6 +972,11 @@ mod tests {
             delta_wire_size(2)
         );
         assert_eq!(WorkerReply::Stats(WorkerStats::default()).wire_size(), 24);
+        let picks = WorkerReply::CoreSet(vec![(4, vec![1, 2, 3]), (0, vec![])]);
+        assert_eq!(
+            picks.wire_size(),
+            ids_wire_size(2) + ids_wire_size(3) + ids_wire_size(0)
+        );
     }
 
     /// A toy executor: `SampleRr` accumulates, `CoveredCount` reports, and

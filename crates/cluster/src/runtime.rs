@@ -1,5 +1,6 @@
-//! The simulated cluster runtime — the in-process backend, and the only one
-//! that can run closures against worker state ([`SimCluster::par_step`]).
+//! The simulated cluster runtime — the in-process backend. Work reaches its
+//! machines the way it reaches any backend's, as [`crate::WorkerOp`]
+//! rounds; the closure step underneath its op interpreter is private.
 
 use std::time::{Duration, Instant};
 
@@ -121,7 +122,7 @@ impl<W: Send> SimCluster<W> {
     /// Runs `f(machine_id, worker)` on every machine "in parallel" and
     /// returns the per-machine results in machine order. Charges the phase
     /// `max_i(elapsed_i)` of worker compute time under `label`.
-    pub fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
+    pub(crate) fn par_step<R, F>(&mut self, label: &'static str, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &mut W) -> R + Sync,
@@ -138,21 +139,6 @@ impl<W: Send> SimCluster<W> {
                 ..Default::default()
             },
         );
-        results
-    }
-
-    /// [`Self::par_step`] followed by an upload of each machine's result
-    /// to the master. `payload_bytes(result)` reports each message's wire
-    /// size; both compute and communication accrue under `label`.
-    pub fn gather<R, F, S>(&mut self, label: &'static str, f: F, payload_bytes: S) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut W) -> R + Sync,
-        S: Fn(&R) -> u64,
-    {
-        let results = self.par_step(label, f);
-        let bytes: u64 = results.iter().map(&payload_bytes).sum();
-        self.charge_upload(label, results.len() as u64, bytes);
         results
     }
 
@@ -239,6 +225,8 @@ impl<W: Send> ClusterBackend for SimCluster<W> {
 mod tests {
     use super::*;
     use crate::backend::phase;
+    use crate::ops::{OpCluster, OpExecutor, WorkerOp, WorkerReply};
+    use crate::wire::u64_wire_size;
 
     const STEP: &str = "step";
 
@@ -292,17 +280,28 @@ mod tests {
         assert_eq!(c.workers()[63], 64);
     }
 
+    /// Answers every op with one count: its machine's value.
+    struct Count(u64);
+
+    impl OpExecutor for Count {
+        fn execute(&mut self, _: &WorkerOp) -> WorkerReply {
+            WorkerReply::Count(self.0)
+        }
+    }
+
     #[test]
     fn gather_accounts_traffic() {
         let mut c = SimCluster::new(
-            vec![1u64; 8],
+            (0..8).map(Count).collect(),
             NetworkModel::cluster_1gbps(),
             ExecMode::Sequential,
         );
-        c.gather(phase::COUNT_UPLOAD, |_, w| *w, |_| 100);
+        let replies = c.op_gather(phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount);
+        let counts: Vec<_> = (0..8).map(WorkerReply::Count).collect();
+        assert_eq!(replies, Ok(counts));
         let m = c.metrics();
         assert_eq!(m.messages, 8);
-        assert_eq!(m.bytes_to_master, 800);
+        assert_eq!(m.bytes_to_master, 8 * u64_wire_size());
         // Tree collective over 8 machines: ⌈log₂ 9⌉ = 4 latency hops.
         assert!(m.comm_time >= Duration::from_micros(200));
         // The phase's compute and comm live under the same label.
@@ -350,7 +349,8 @@ mod tests {
         let mut c = cluster(2);
         c.par_step(phase::RR_SAMPLING, |_, _| ());
         c.par_step(phase::RR_SAMPLING, |_, _| ());
-        c.gather(phase::DELTA_UPLOAD, |_, w| *w, |_| 12);
+        c.par_step(phase::DELTA_UPLOAD, |_, w| *w);
+        c.charge_upload(phase::DELTA_UPLOAD, 2, 24);
         assert_eq!(c.timeline().get(phase::RR_SAMPLING).phases, 2);
         assert_eq!(c.timeline().get(phase::DELTA_UPLOAD).phases, 1);
         assert_eq!(c.timeline().get(phase::DELTA_UPLOAD).bytes_to_master, 24);

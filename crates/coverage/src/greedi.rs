@@ -17,16 +17,21 @@
 //! RandGreeDi (Barbosa et al., ICML'15) a uniformly random one — obtained
 //! here by building the shards with a shuffle seed
 //! ([`crate::CoverageProblem::shard_sets`]).
+//!
+//! Each machine holds its sets as a [`crate::CoverageShard`] over the global
+//! elements, naming them by local id; the master keeps the
+//! [`SetPartition`] that maps them back. The core-set stage is one op
+//! round over any [`OpCluster`]: every machine answers
+//! [`WorkerOp::CoreSet`] with the crate's one greedy on its shard, so
+//! GreeDi runs on every backend, and the bytes it is charged are the
+//! replies it sends.
 
-use std::convert::Infallible;
-
-use dim_cluster::{phase, wire, ClusterBackend, SimCluster};
+use dim_cluster::{phase, OpCluster, WireError, WorkerOp, WorkerReply};
 use dim_graph::scratch;
 
 use crate::greedy::bucket_greedy;
 use crate::pooled::PooledSets;
-use crate::problem::{CoverageProblem, SetShard};
-use crate::selector::LazySelector;
+use crate::problem::{CoverageProblem, SetPartition};
 
 /// Result of a GreeDi run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,142 +42,106 @@ pub struct GreediResult {
     pub covered: u64,
 }
 
-/// One machine's uploaded core-set: the picked set ids and their element
-/// lists (in pick order).
-struct Candidates {
-    ids: Vec<u32>,
-    element_lists: PooledSets,
-}
-
-impl Candidates {
-    fn wire_bytes(&self) -> u64 {
-        wire::ids_wire_size(self.ids.len())
-            + self
-                .element_lists
-                .iter()
-                .map(|l| wire::ids_wire_size(l.len()))
-                .sum::<u64>()
-    }
-}
-
-/// Local greedy on a set shard: the crate's [`LazySelector`] over the
-/// machine's sets, covering the *global* element domain. The covered flags
-/// come from the pooled epoch-stamped scratch, so repeated invocations
-/// (every machine, every round) reuse one thread-local buffer instead of
-/// allocating an `O(num_elements)` bitmap each time.
-fn local_greedy(shard: &SetShard, kappa: usize) -> Candidates {
-    let sets = &shard.set_elements;
-    scratch::with_flags(shard.num_elements, |covered| {
-        let selector = LazySelector::new((0..).zip(sets.iter().map(|l| l.len() as u64)));
-        let (mut picks, mut marginals) = (Vec::with_capacity(kappa), Vec::new());
-        let eval = |seed: Option<u32>, candidates: &[u32]| {
-            if let Some(i) = seed {
-                covered.set_all(sets.get(i as usize));
-            }
-            let fresh = |&i: &u32| covered.count_unset(sets.get(i as usize)) as u64;
-            Ok::<_, Infallible>(candidates.iter().map(fresh).collect())
-        };
-        let Ok(()) = selector.run(kappa, &mut picks, &mut marginals, eval);
-        let mut element_lists = PooledSets::new();
-        for &i in &picks {
-            element_lists.push(sets.get(i as usize));
-        }
-        let ids = picks.iter().map(|&i| shard.set_ids[i as usize]).collect();
-        Candidates { ids, element_lists }
-    })
-}
-
-/// Runs GreeDi with core-set size `kappa` (the paper sets `κ = k`).
+/// Runs GreeDi with core-set size `kappa` (the paper sets `κ = k`) on a
+/// cluster whose machine `i` holds the set shard of `partition.sets[i]`.
 /// Returns the better of the merged-greedy solution and the best
 /// single-machine solution, per the original algorithm.
-pub fn greedi(cluster: &mut SimCluster<SetShard>, k: usize, kappa: usize) -> GreediResult {
-    let num_elements = cluster.workers()[0].num_elements;
+///
+/// # Errors
+/// Returns a [`WireError`] if a link dies or a reply is malformed, and
+/// `IdOutOfRange` naming the machine if its core-set names a local set
+/// outside its partition or an element outside the domain.
+pub fn greedi<B: OpCluster>(
+    cluster: &mut B,
+    partition: &SetPartition,
+    k: usize,
+    kappa: usize,
+) -> Result<GreediResult, WireError> {
     // Stage 1: per-machine core-sets, uploaded with their element lists.
-    let candidates = cluster.gather(
-        phase::CORESET_UPLOAD,
-        |_, shard| local_greedy(shard, kappa),
-        Candidates::wire_bytes,
-    );
+    let kappa = u32::try_from(kappa).unwrap_or(u32::MAX);
+    let replies = cluster.op_gather(phase::CORESET_UPLOAD, |_| WorkerOp::CoreSet { kappa })?;
 
     // Stage 2 (master): merged greedy over the ℓ·κ candidates, plus the
     // best single-machine solution truncated to k.
+    let num_elements = partition.num_elements;
     cluster.master(phase::CORESET_MERGE, || {
-        let mut all_ids: Vec<u32> = Vec::new();
-        let mut all_lists = PooledSets::new();
-        for c in &candidates {
-            for (pos, &id) in c.ids.iter().enumerate() {
-                all_ids.push(id);
-                all_lists.push(c.element_lists.get(pos));
+        // All candidates in machine order; machine i's are `ends[i-1]..ends[i]`.
+        let (mut ids, mut lists, mut ends) = (Vec::new(), PooledSets::new(), Vec::new());
+        for (machine, reply) in replies.into_iter().enumerate() {
+            let WorkerReply::CoreSet(picks) = reply else {
+                return Err(WireError::malformed(phase::CORESET_UPLOAD, machine));
+            };
+            let sets = partition.sets.get(machine).map_or(&[][..], Vec::as_slice);
+            for (local, elements) in picks {
+                let in_domain = elements.iter().all(|&e| (e as usize) < num_elements);
+                let id = sets.get(local as usize).filter(|_| in_domain);
+                ids.push(*id.ok_or(WireError::id_out_of_range(phase::CORESET_UPLOAD, machine))?);
+                lists.push(&elements);
             }
+            ends.push(ids.len());
         }
-        let merged = if all_ids.is_empty() {
-            GreediResult {
-                seeds: Vec::new(),
-                covered: 0,
-            }
-        } else {
-            let problem = CoverageProblem::from_set_records(num_elements, all_lists.iter());
-            let mut shard = problem.single_shard();
-            let r = bucket_greedy(&mut shard, k);
-            GreediResult {
-                seeds: r.seeds.iter().map(|&i| all_ids[i as usize]).collect(),
-                covered: r.covered,
-            }
-        };
 
-        let mut best = merged;
+        let problem = CoverageProblem::from_set_records(num_elements, lists.iter());
+        let merged = bucket_greedy(&mut problem.single_shard(), k);
+        let mut best = GreediResult {
+            seeds: merged.seeds.iter().map(|&i| ids[i as usize]).collect(),
+            covered: merged.covered,
+        };
         scratch::with_flags(num_elements, |covered_buf| {
-            for c in &candidates {
+            let mut start = 0;
+            for &end in &ends {
                 covered_buf.clear();
-                let take = k.min(c.ids.len());
-                let lists = c.element_lists.iter().take(take);
-                let covered: u64 = lists.map(|l| covered_buf.set_all(l) as u64).sum();
+                let take = start..end.min(start + k);
+                let picks = take.clone().map(|p| lists.get(p));
+                let covered = picks.map(|l| covered_buf.set_all(l) as u64).sum();
                 if covered > best.covered {
                     best = GreediResult {
-                        seeds: c.ids[..take].to_vec(),
+                        seeds: ids[take].to_vec(),
                         covered,
                     };
                 }
+                start = end;
             }
         });
-        best
+        Ok(best)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dim_cluster::{ExecMode, NetworkModel};
+    use dim_cluster::{
+        ClusterBackend, ExecMode, NetworkModel, OpExecutor, SimCluster, WireErrorKind,
+    };
 
-    use crate::newgreedi::newgreedi;
+    use crate::newgreedi::newgreedi_with;
+    use crate::shard::CoverageShard;
 
     fn example3() -> CoverageProblem {
         CoverageProblem::from_element_records(
             5,
-            [
-                &[0u32][..],
-                &[1, 2],
-                &[0, 2],
-                &[1, 4],
-                &[0],
-                &[1, 3],
-            ],
+            [&[0u32][..], &[1, 2], &[0, 2], &[1, 4], &[0], &[1, 3]],
         )
     }
 
-    fn greedi_cluster(p: &CoverageProblem, l: usize, seed: Option<u64>) -> SimCluster<SetShard> {
-        SimCluster::new(
-            p.shard_sets(l, seed),
-            NetworkModel::cluster_1gbps(),
-            ExecMode::Sequential,
+    fn greedi_cluster(
+        p: &CoverageProblem,
+        l: usize,
+        seed: Option<u64>,
+    ) -> (SimCluster<CoverageShard>, SetPartition) {
+        let (shards, partition) = p.shard_sets(l, seed);
+        let net = NetworkModel::cluster_1gbps();
+        (
+            SimCluster::new(shards, net, ExecMode::Sequential),
+            partition,
         )
     }
 
     #[test]
     fn single_machine_equals_centralized() {
         let p = example3();
-        let mut c = greedi_cluster(&p, 1, None);
-        let r = greedi(&mut c, 2, 2);
+        let (mut c, partition) = greedi_cluster(&p, 1, None);
+        let r = greedi(&mut c, &partition, 2, 2).unwrap();
         assert_eq!(r.covered, 6);
         let mut s = r.seeds.clone();
         s.sort_unstable();
@@ -183,8 +152,8 @@ mod tests {
     fn coverage_consistent_with_global_evaluation() {
         let p = example3();
         for l in [1, 2, 3] {
-            let mut c = greedi_cluster(&p, l, None);
-            let r = greedi(&mut c, 2, 2);
+            let (mut c, partition) = greedi_cluster(&p, l, None);
+            let r = greedi(&mut c, &partition, 2, 2).unwrap();
             assert_eq!(r.covered, p.coverage_of(&r.seeds), "ℓ = {l}");
         }
     }
@@ -196,23 +165,28 @@ mod tests {
         // instance family.
         let p = example3();
         for l in [2, 3, 5] {
-            let mut gc = greedi_cluster(&p, l, None);
-            let g = greedi(&mut gc, 2, 2);
+            let (mut gc, partition) = greedi_cluster(&p, l, None);
+            let g = greedi(&mut gc, &partition, 2, 2).unwrap();
             let mut nc = SimCluster::new(
                 p.shard_elements(l),
                 NetworkModel::cluster_1gbps(),
                 ExecMode::Sequential,
             );
-            let n = newgreedi(&mut nc, 2).unwrap();
-            assert!(g.covered <= n.covered, "ℓ = {l}: {} > {}", g.covered, n.covered);
+            let n = newgreedi_with(&mut nc, p.num_sets(), 2).unwrap();
+            assert!(
+                g.covered <= n.covered,
+                "ℓ = {l}: {} > {}",
+                g.covered,
+                n.covered
+            );
         }
     }
 
     #[test]
     fn randomized_partition_valid() {
         let p = example3();
-        let mut c = greedi_cluster(&p, 2, Some(7));
-        let r = greedi(&mut c, 2, 2);
+        let (mut c, partition) = greedi_cluster(&p, 2, Some(7));
+        let r = greedi(&mut c, &partition, 2, 2).unwrap();
         assert_eq!(r.covered, p.coverage_of(&r.seeds));
         assert!(r.covered >= 4, "random partition still near-optimal here");
     }
@@ -220,8 +194,8 @@ mod tests {
     #[test]
     fn traffic_accounted() {
         let p = example3();
-        let mut c = greedi_cluster(&p, 3, None);
-        greedi(&mut c, 2, 2);
+        let (mut c, partition) = greedi_cluster(&p, 3, None);
+        greedi(&mut c, &partition, 2, 2).unwrap();
         let m = c.metrics();
         assert_eq!(m.messages, 3, "one upload per machine");
         assert!(m.bytes_to_master > 0);
@@ -230,9 +204,45 @@ mod tests {
     #[test]
     fn kappa_larger_than_local_sets() {
         let p = example3();
-        let mut c = greedi_cluster(&p, 5, None);
-        let r = greedi(&mut c, 3, 10);
+        let (mut c, partition) = greedi_cluster(&p, 5, None);
+        let r = greedi(&mut c, &partition, 3, 10).unwrap();
         assert_eq!(r.covered, p.coverage_of(&r.seeds));
         assert!(r.covered >= 5);
+    }
+
+    /// A worker that answers every op with the same reply.
+    struct Forged(WorkerReply);
+
+    impl OpExecutor for Forged {
+        fn execute(&mut self, _: &WorkerOp) -> WorkerReply {
+            self.0.clone()
+        }
+    }
+
+    /// GreeDi over two machines of example 3, machine 1 answering `forged`.
+    fn run_forged(forged: Vec<(u32, Vec<u32>)>) -> Result<GreediResult, WireError> {
+        let (_, partition) = example3().shard_sets(2, None);
+        let honest = WorkerReply::CoreSet(vec![(0, vec![0, 2, 4])]);
+        let workers = vec![Forged(honest), Forged(WorkerReply::CoreSet(forged))];
+        let mut c = SimCluster::new(workers, NetworkModel::zero(), ExecMode::Sequential);
+        greedi(&mut c, &partition, 2, 2)
+    }
+
+    #[test]
+    fn refuses_a_core_set_naming_a_foreign_local_set() {
+        // Machine 1 holds two sets (local ids 0 and 1); id 2 is not its.
+        assert!(run_forged(vec![(1, vec![1])]).is_ok());
+        let err = run_forged(vec![(2, vec![1])]).unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::IdOutOfRange);
+        assert_eq!((err.phase, err.machine), (phase::CORESET_UPLOAD, Some(1)));
+    }
+
+    #[test]
+    fn refuses_a_core_set_naming_an_element_outside_the_domain() {
+        // Example 3 has six elements, 0..6.
+        assert!(run_forged(vec![(0, vec![5])]).is_ok());
+        let err = run_forged(vec![(0, vec![1, 6])]).unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::IdOutOfRange);
+        assert_eq!((err.phase, err.machine), (phase::CORESET_UPLOAD, Some(1)));
     }
 }

@@ -21,7 +21,8 @@
 //!   marginals it needs from the machines, one round per seed.
 //! * [`greedi`] — the set-distributed composable core-sets baselines GreeDi
 //!   (Mirzasoleiman et al.) and RandGreeDi (Barbosa et al.), used by
-//!   Fig. 10's comparison.
+//!   Fig. 10's comparison: one [`dim_cluster::WorkerOp::CoreSet`] round
+//!   over any [`dim_cluster::OpCluster`], then a master-side merge.
 //! * [`query`] — read-only influence queries over frozen shards: seed-set
 //!   spread ([`seed_set_coverage`], over the pooled [`dim_graph::scratch`]
 //!   flags) and constrained top-k ([`constrained_greedy`], the selector
@@ -53,9 +54,9 @@ pub mod selector;
 pub mod shard;
 
 pub use greedy::GreedyResult;
-pub use newgreedi::{newgreedi, newgreedi_incremental, newgreedi_with, NewGreediResult};
+pub use newgreedi::{newgreedi_incremental, newgreedi_with, NewGreediResult};
 pub use pooled::PooledSets;
-pub use problem::CoverageProblem;
+pub use problem::{CoverageProblem, SetPartition};
 pub use query::{constrained_greedy, seed_set_coverage, SketchCursors};
 pub use selector::LazySelector;
 pub use shard::{execute_coverage_op, CoverageShard};

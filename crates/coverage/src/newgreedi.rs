@@ -1,9 +1,9 @@
 //! NewGreeDi — element-distributed maximum coverage (Algorithm 1), with
 //! the marginals pulled rather than pushed.
 //!
-//! Each machine holds a [`CoverageShard`] of the elements and first uploads
-//! its sparse `⟨v, Δᵢ(v)⟩` coverage: the master starts from every set's
-//! exact marginal. The crate's one [`LazySelector`] then asks only for the
+//! Each machine holds a [`crate::CoverageShard`] of the elements and first
+//! uploads its sparse `⟨v, Δᵢ(v)⟩` coverage: the master starts from every
+//! set's exact marginal. The crate's one [`LazySelector`] then asks only for the
 //! marginals that can reach the top. Each **pull round** is one
 //! [`WorkerOp::ApplySeed`]: every machine marks the seed selected since the
 //! last round covered and answers the local marginals of the master's top
@@ -24,12 +24,9 @@ use std::time::{Duration, Instant};
 
 use dim_cluster::ops::{expect_counts, expect_deltas};
 use dim_cluster::wire::DeltaVec;
-use dim_cluster::{
-    phase, wire, ClusterMetrics, OpCluster, SimCluster, WireError, WorkerOp, WorkerReply,
-};
+use dim_cluster::{phase, wire, ClusterMetrics, OpCluster, WireError, WorkerOp, WorkerReply};
 
 use crate::selector::LazySelector;
-use crate::shard::CoverageShard;
 
 /// Applies every `⟨set, Δ⟩` tuple of the per-machine delta vectors in
 /// `msgs` (machine order), rejecting out-of-range set ids with a typed
@@ -80,7 +77,7 @@ fn sum_marginals(replies: Vec<WorkerReply>, count: usize) -> Result<Vec<u64>, Wi
 pub type NewGreediResult = crate::greedy::GreedyResult;
 
 /// Runs Algorithm 1 on a cluster whose machines each hold a
-/// [`CoverageShard`] (directly, or inside a composite worker whose
+/// [`crate::CoverageShard`] (directly, or inside a composite worker whose
 /// executor routes coverage ops to it).
 ///
 /// `num_sets` is the global set-universe size; `k` the number of seeds.
@@ -173,25 +170,14 @@ fn upload_then_select<B: OpCluster>(
     })
 }
 
-/// [`newgreedi_with`] for the in-process cluster, whose worker state *is*
-/// the shard (reads `num_sets` off machine 0). Backends without
-/// master-side worker state (the process backend) call [`newgreedi_with`]
-/// directly.
-pub fn newgreedi(
-    cluster: &mut SimCluster<CoverageShard>,
-    k: usize,
-) -> Result<NewGreediResult, WireError> {
-    let num_sets = cluster.workers()[0].num_sets();
-    newgreedi_with(cluster, num_sets, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dim_cluster::{ClusterBackend, ExecMode, NetworkModel};
+    use dim_cluster::{ClusterBackend, ExecMode, NetworkModel, SimCluster};
 
     use crate::greedy::bucket_greedy;
     use crate::problem::CoverageProblem;
+    use crate::shard::CoverageShard;
 
     fn example3() -> CoverageProblem {
         CoverageProblem::from_element_records(
@@ -220,7 +206,7 @@ mod tests {
         let p = example3();
         for l in [1, 2, 3, 6] {
             let mut c = cluster_of(&p, l);
-            let r = newgreedi(&mut c, 2).unwrap();
+            let r = newgreedi_with(&mut c, p.num_sets(), 2).unwrap();
             assert_eq!(r.covered, 6, "ℓ = {l}");
             let mut s = r.seeds.clone();
             s.sort_unstable();
@@ -237,7 +223,7 @@ mod tests {
         let central = bucket_greedy(&mut shard, 4);
         for l in [1, 2, 3, 4, 6] {
             let mut c = cluster_of(&p, l);
-            let r = newgreedi(&mut c, 4).unwrap();
+            let r = newgreedi_with(&mut c, p.num_sets(), 4).unwrap();
             assert_eq!(r.seeds, central.seeds, "ℓ = {l}");
             assert_eq!(r.marginals, central.marginals, "ℓ = {l}");
             assert_eq!(r.covered, central.covered, "ℓ = {l}");
@@ -248,7 +234,7 @@ mod tests {
     fn traffic_accounted() {
         let p = example3();
         let mut c = cluster_of(&p, 3);
-        let r = newgreedi(&mut c, 2).unwrap();
+        let r = newgreedi_with(&mut c, p.num_sets(), 2).unwrap();
         assert_eq!(r.covered, 6);
         let m = c.metrics();
         // At least: initial coverage gather + per-seed broadcast/gather +
@@ -263,7 +249,7 @@ mod tests {
     fn timeline_labels_every_phase() {
         let p = example3();
         let mut c = cluster_of(&p, 3);
-        newgreedi(&mut c, 2).unwrap();
+        newgreedi_with(&mut c, p.num_sets(), 2).unwrap();
         let tl = c.timeline();
         let labels: Vec<_> = tl.labels().collect();
         assert_eq!(
@@ -294,7 +280,7 @@ mod tests {
     fn covered_reported_even_when_k_exceeds_sets() {
         let p = example3();
         let mut c = cluster_of(&p, 2);
-        let r = newgreedi(&mut c, 50).unwrap();
+        let r = newgreedi_with(&mut c, p.num_sets(), 50).unwrap();
         assert_eq!(r.covered, 6);
         assert!(r.seeds.len() <= 5);
     }
@@ -346,15 +332,15 @@ mod tests {
         let first = newgreedi_incremental(&mut c, 2, &mut base).unwrap();
         assert_eq!(first.covered, 6);
         // Append an element covered only by set 4 on machine 0, then rerun.
-        c.par_step(phase::RR_SAMPLING, |i, shard| {
-            if i == 0 {
-                shard.push_element(&[4]);
-            }
-        });
+        let mut shards = c.into_workers();
+        shards[0].push_element(&[4]);
+        let net = NetworkModel::cluster_1gbps();
+        let mut c = SimCluster::new(shards, net, ExecMode::Sequential);
         let second = newgreedi_incremental(&mut c, 3, &mut base).unwrap();
-        let mut full = cluster_of(&p, 1);
-        full.par_step(phase::RR_SAMPLING, |_, shard| shard.push_element(&[4]));
-        let fresh = newgreedi(&mut full, 3).unwrap();
+        let mut shards = p.shard_elements(1);
+        shards[0].push_element(&[4]);
+        let mut full = SimCluster::new(shards, net, ExecMode::Sequential);
+        let fresh = newgreedi_with(&mut full, p.num_sets(), 3).unwrap();
         assert_eq!(second.seeds, fresh.seeds);
         assert_eq!(second.covered, fresh.covered);
     }
@@ -363,7 +349,7 @@ mod tests {
     fn fraction_matches_problem_evaluation() {
         let p = example3();
         let mut c = cluster_of(&p, 2);
-        let r = newgreedi(&mut c, 2).unwrap();
+        let r = newgreedi_with(&mut c, p.num_sets(), 2).unwrap();
         assert_eq!(r.covered, p.coverage_of(&r.seeds));
         assert!((r.fraction(p.num_elements()) - 1.0).abs() < 1e-12);
     }

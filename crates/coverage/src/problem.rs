@@ -106,26 +106,32 @@ impl CoverageProblem {
     /// with their full element lists. When `shuffle_seed` is `Some`, set
     /// ids are first permuted pseudo-randomly (RandGreeDi's random
     /// partition).
-    pub fn shard_sets(&self, machines: usize, shuffle_seed: Option<u64>) -> Vec<SetShard> {
+    ///
+    /// Machine `i`'s shard holds one record per *global* element (empty
+    /// where none of its sets covers it), naming its sets by their local
+    /// ids `0..|Sᵢ|` in partition order. The local → global map stays
+    /// with the master, in the returned [`SetPartition`].
+    pub fn shard_sets(
+        &self,
+        machines: usize,
+        shuffle_seed: Option<u64>,
+    ) -> (Vec<CoverageShard>, SetPartition) {
         assert!(machines >= 1);
         let index = self.elements.transpose(self.num_sets);
         let mut order: Vec<u32> = (0..self.num_sets as u32).collect();
         if let Some(seed) = shuffle_seed {
             Rng::new(seed).shuffle(&mut order);
         }
-        let mut shards: Vec<SetShard> = (0..machines)
-            .map(|_| SetShard {
-                set_ids: Vec::new(),
-                set_elements: PooledSets::new(),
-                num_elements: self.num_elements(),
-            })
-            .collect();
+        let mut sets = vec![Vec::new(); machines];
         for (pos, &s) in order.iter().enumerate() {
-            let shard = &mut shards[pos % machines];
-            shard.set_ids.push(s);
-            shard.set_elements.push(index.get(s as usize));
+            sets[pos % machines].push(s);
         }
-        shards
+        let num_elements = self.num_elements();
+        let shards = sets.iter().map(|ids| {
+            let lists = ids.iter().map(|&s| index.get(s as usize));
+            CoverageProblem::from_set_records(num_elements, lists).single_shard()
+        });
+        (shards.collect(), SetPartition { sets, num_elements })
     }
 
     /// Number of elements covered by `seeds` (global evaluation).
@@ -196,17 +202,16 @@ impl CoverageProblem {
     }
 }
 
-/// One machine's shard in the *set-distributed* layout: its assigned set
-/// ids and, for each, the full (global) element list. This is the layout
-/// composable core-sets requires — and the reason it is incompatible with
+/// The master's half of a *set-distributed* layout: which global sets each
+/// machine holds, and the element domain they cover. Machine `i` names
+/// set `sets[i][j]` by its local id `j`. This is the layout composable
+/// core-sets requires — and the reason it is incompatible with
 /// distributed RIS (§III-B1): assembling it from distributed RR sets would
 /// require gathering all samples on one machine first.
-#[derive(Clone, Debug)]
-pub struct SetShard {
-    /// Global ids of the sets this machine owns.
-    pub set_ids: Vec<u32>,
-    /// `set_elements.get(i)` = elements of `set_ids[i]` (global ids).
-    pub set_elements: PooledSets,
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SetPartition {
+    /// `sets[i]` = global ids of machine `i`'s sets, in local-id order.
+    pub sets: Vec<Vec<u32>>,
     /// Size of the global element domain.
     pub num_elements: usize,
 }
@@ -298,23 +303,35 @@ mod tests {
     #[test]
     fn set_shards_partition_sets() {
         let p = example3();
-        let shards = p.shard_sets(2, None);
-        let mut all: Vec<u32> = shards.iter().flat_map(|s| s.set_ids.clone()).collect();
+        let (shards, partition) = p.shard_sets(2, None);
+        let mut all: Vec<u32> = partition.sets.concat();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
-        // Set 0 (= v1) covers elements R1, R3, R5 → global ids 0, 2, 4.
+        assert_eq!(partition.num_elements, 6);
+        // Set 0 (= v1) covers elements R1, R3, R5 → global ids 0, 2, 4,
+        // and is machine 0's first set, local id 0.
+        assert_eq!(partition.sets[0], vec![0, 2, 4]);
         let shard0 = &shards[0];
-        let pos = shard0.set_ids.iter().position(|&s| s == 0).unwrap();
-        assert_eq!(shard0.set_elements.get(pos), &[0, 2, 4]);
+        assert_eq!(shard0.num_sets(), 3);
+        assert_eq!(shard0.num_elements(), p.num_elements());
+        assert_eq!(shard0.elements_of(0), &[0, 2, 4]);
+        // Element R2 = {v2, v3}: only v3 (local id 1) lives on machine 0.
+        assert_eq!(shard0.elements().get(1), &[1]);
+        assert_eq!(shards[1].elements().get(1), &[0]);
     }
 
     #[test]
     fn shuffled_set_shards_still_partition() {
         let p = example3();
-        let shards = p.shard_sets(3, Some(9));
-        let mut all: Vec<u32> = shards.iter().flat_map(|s| s.set_ids.clone()).collect();
+        let (shards, partition) = p.shard_sets(3, Some(9));
+        let mut all: Vec<u32> = partition.sets.concat();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        let size: usize = shards.iter().map(|s| s.total_size()).sum();
+        assert_eq!(size, p.total_size());
+        for (shard, sets) in shards.iter().zip(&partition.sets) {
+            assert_eq!(shard.num_sets(), sets.len());
+        }
     }
 
     #[test]

@@ -23,10 +23,11 @@ pub const PULL_BATCH: usize = 64;
 /// The selector knows nothing of where marginals come from. It asks an
 /// evaluation callback `eval(seed, candidates)` to apply `seed` (the pick
 /// since the previous call, if any) and answer the exact marginal of each
-/// candidate, in order. The centralized greedy evaluates on a local shard,
-/// NewGreeDi by one pull round over the cluster, `constrained_greedy` over
-/// read-only cursors, GreeDi over a machine's sets: the same state and the
-/// same rule, so all of them select the same seeds as `naive_greedy` —
+/// candidate, in order. The centralized greedy evaluates on a local shard
+/// (GreeDi's core-set is that greedy on a machine's sets), NewGreeDi by one
+/// pull round over the cluster, `constrained_greedy` over read-only
+/// cursors: the same state and the same rule, so all of them select the
+/// same seeds as `naive_greedy` —
 /// the mechanism behind Lemma 2's exact (1 − 1/e) guarantee.
 #[derive(Clone, Debug)]
 pub struct LazySelector {

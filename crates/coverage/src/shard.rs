@@ -3,6 +3,7 @@
 use dim_cluster::{OpExecutor, WorkerOp, WorkerReply, WorkerStats};
 use dim_graph::scratch::{self, EpochFlags};
 
+use crate::greedy::bucket_greedy;
 use crate::pooled::PooledSets;
 use crate::query::seed_set_coverage;
 
@@ -312,12 +313,10 @@ const _: () = {
 ///
 /// This is the single interpretation of coverage ops: the in-process
 /// simulator and the `dim-worker` process both funnel through it, which is
-/// what makes backend equivalence hold by construction. Each handler
-/// mirrors the pre-op closure the master used to run against the shard —
-/// in particular [`WorkerOp::BuildShard`] installs the records and leaves
-/// the index stale, and [`WorkerOp::InitialCoverage`] and
-/// [`WorkerOp::NewCoverage`] call [`CoverageShard::prepare`] first,
-/// starting a fresh selection round.
+/// what makes backend equivalence hold by construction.
+/// [`WorkerOp::BuildShard`] installs the records and leaves the index
+/// stale; [`WorkerOp::InitialCoverage`] and [`WorkerOp::NewCoverage`] call
+/// [`CoverageShard::prepare`] first, starting a fresh selection round.
 ///
 /// [`WorkerOp::ApplySeed`] is NewGreeDi's pull round: it labels the seed's
 /// elements covered and answers one local marginal per candidate. No delta
@@ -325,6 +324,10 @@ const _: () = {
 ///
 /// [`WorkerOp::Validate`] counts the elements a seed set covers, without
 /// labelling them.
+///
+/// [`WorkerOp::CoreSet`] is GreeDi's core-set round on a set shard: the
+/// centralized greedy ([`bucket_greedy`]) for κ of the shard's sets, each
+/// answered with the elements it covers.
 ///
 /// An op the shard cannot serve — a record, seed or candidate naming a set
 /// outside the universe, a pull before the round's first op — is answered
@@ -374,6 +377,10 @@ pub fn execute_coverage_op(shard: &mut CoverageShard, op: &WorkerOp) -> Option<W
             WorkerReply::Count(seed_set_coverage(std::slice::from_ref(shard), seeds))
         }
         WorkerOp::CoveredCount => WorkerReply::Count(shard.covered_count() as u64),
+        WorkerOp::CoreSet { kappa } => {
+            let picks = bucket_greedy(shard, *kappa as usize).seeds.into_iter();
+            WorkerReply::CoreSet(picks.map(|u| (u, shard.elements_of(u).to_vec())).collect())
+        }
         WorkerOp::Stats => WorkerReply::Stats(WorkerStats {
             num_elements: shard.num_elements() as u64,
             total_size: shard.total_size() as u64,

@@ -41,14 +41,12 @@ fn main() {
             NetworkModel::shared_memory(),
             ExecMode::Sequential,
         );
-        let ng = newgreedi(&mut ng_cluster, k).expect("well-formed wire");
+        let ng = newgreedi_with(&mut ng_cluster, problem.num_sets(), k).expect("well-formed wire");
 
-        let mut g_cluster = SimCluster::new(
-            problem.shard_sets(machines, None),
-            NetworkModel::shared_memory(),
-            ExecMode::Sequential,
-        );
-        let gd = greedi(&mut g_cluster, k, k);
+        let (shards, partition) = problem.shard_sets(machines, None);
+        let mut g_cluster =
+            SimCluster::new(shards, NetworkModel::shared_memory(), ExecMode::Sequential);
+        let gd = greedi(&mut g_cluster, &partition, k, k).expect("well-formed wire");
 
         assert_eq!(
             ng.covered, central.covered,

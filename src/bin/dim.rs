@@ -38,7 +38,9 @@
 //! pre-started `dim-worker --join` processes, driving them through the
 //! same phase-op protocol, so seeds and marginals are identical to the
 //! simulator's. Every `im` algorithm but the single-thread `imm` baseline
-//! runs on every backend.
+//! runs on every backend; `imm` on `proc` or `join` exits 1 naming
+//! `--backend`. `coverage` runs one path on every backend: ship each
+//! machine its element shard (`BuildShard`), then NewGreeDi's op rounds.
 //!
 //! Graphs load from SNAP-style edge lists (`u v [p]`, `#` comments) or are
 //! generated from the paper's dataset profiles (`profile:facebook`,
@@ -138,7 +140,8 @@ graph sources: a SNAP edge-list path, or profile:NAME[:SCALE]
 common flags: --model ic|lt  --epsilon E  --delta D  --k K  --seed S
   --machines L  --algorithm imm|diimm|opim|subsim  --undirected
   --backend sequential|threads|proc|join   (diimm, subsim and opim run on
-  every backend with the same seeds; imm is the single-thread baseline)
+  every backend with the same seeds; imm, the single-thread baseline,
+  runs on sequential|threads only)
   --weights wc|uniform:P|trivalency  --sims N  --evaluate  --breakdown
 
 samplers: IC RR sets always use SUBSIM's count-first subset sampling;
@@ -408,7 +411,10 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
         session.select().map_err(|e| e.to_string())?
     } else {
         match (algorithm, backend) {
-            ("imm", _) => imm(&g, &config),
+            ("imm", Backend::Sim(_)) => imm(&g, &config),
+            ("imm", Backend::Tcp { .. }) => {
+                return Err("--algorithm imm runs on one machine; use a simulated --backend".into())
+            }
             ("diimm" | "subsim", Backend::Sim(mode)) => {
                 diimm(&g, &config, machines, net, mode).map_err(|e| e.to_string())?
             }
@@ -895,25 +901,21 @@ fn print_breakdown(timeline: &PhaseTimeline) {
     }
 }
 
-/// Runs NewGreeDi over an op-driven cluster: ships
-/// each machine its element partition, then executes the identical phase
-/// ops the simulated backends run.
+/// Runs NewGreeDi over any backend: ships each machine its element
+/// partition (`BuildShard`), then drives the same phase ops everywhere.
 fn coverage_on_ops<B: OpCluster>(
     cluster: &mut B,
     problem: &CoverageProblem,
     shards: &[CoverageShard],
     k: usize,
-) -> Result<(dim_coverage::NewGreediResult, ClusterMetrics, PhaseTimeline), String> {
-    let replies = cluster
-        .control(phase::SETUP, |i| WorkerOp::BuildShard {
-            num_sets: problem.num_sets() as u32,
-            elements: shards[i].elements().iter().map(<[u32]>::to_vec).collect(),
-        })
-        .map_err(|e| e.to_string())?;
-    dim_cluster::ops::expect_ok(&replies, phase::SETUP).map_err(|e| e.to_string())?;
-    let r = dim_coverage::newgreedi_with(cluster, problem.num_sets(), k)
-        .map_err(|e| e.to_string())?;
-    Ok((r, cluster.metrics(), cluster.timeline().clone()))
+) -> Result<(dim_coverage::NewGreediResult, PhaseTimeline), dim_cluster::WireError> {
+    let replies = cluster.control(phase::SETUP, |i| WorkerOp::BuildShard {
+        num_sets: problem.num_sets() as u32,
+        elements: shards[i].elements().iter().map(<[u32]>::to_vec).collect(),
+    })?;
+    dim_cluster::ops::expect_ok(&replies, phase::SETUP)?;
+    let r = dim_coverage::newgreedi_with(cluster, problem.num_sets(), k)?;
+    Ok((r, cluster.timeline().clone()))
 }
 
 fn cmd_coverage(flags: &Flags) -> Result<(), String> {
@@ -923,18 +925,18 @@ fn cmd_coverage(flags: &Flags) -> Result<(), String> {
     let net = NetworkModel::shared_memory();
     let problem = CoverageProblem::from_graph_neighborhoods(&g);
     let shards = problem.shard_elements(machines);
-    let (r, metrics, timeline) = match backend_of(flags)? {
+    let (r, timeline) = match backend_of(flags)? {
         Backend::Sim(mode) => {
-            let mut cluster = SimCluster::new(shards, net, mode);
-            let r = newgreedi(&mut cluster, k).map_err(|e| e.to_string())?;
-            (r, cluster.metrics(), cluster.timeline().clone())
+            let empty = (0..machines).map(|_| CoverageShard::new(0)).collect();
+            coverage_on_ops(&mut SimCluster::new(empty, net, mode), &problem, &shards, k)
         }
         Backend::Tcp { spawn } => {
             let seed = flags.num("seed", 42u64)?;
             let mut cluster = tcp_cluster(spawn, machines, net, seed, flags)?;
-            coverage_on_ops(&mut cluster, &problem, &shards, k)?
+            coverage_on_ops(&mut cluster, &problem, &shards, k)
         }
-    };
+    }
+    .map_err(|e| e.to_string())?;
     println!("sets: {:?}", r.seeds);
     println!(
         "covered {} / {} elements ({:.1}%)",
@@ -942,7 +944,7 @@ fn cmd_coverage(flags: &Flags) -> Result<(), String> {
         problem.num_elements(),
         100.0 * r.fraction(problem.num_elements())
     );
-    println!("{metrics}");
+    println!("{}", timeline.total());
     if flags.get("breakdown").is_some() {
         print_breakdown(&timeline);
     }

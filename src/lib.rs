@@ -71,7 +71,7 @@ pub mod prelude {
     pub use dim_core::{setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, WorkerHost};
     pub use dim_coverage::greedi::greedi;
     pub use dim_coverage::greedy::bucket_greedy;
-    pub use dim_coverage::{newgreedi, CoverageProblem, CoverageShard};
+    pub use dim_coverage::{newgreedi_with, CoverageProblem, CoverageShard};
     pub use dim_diffusion::exact::{exact_opt, exact_spread};
     pub use dim_diffusion::forward::estimate_spread;
     pub use dim_diffusion::{DiffusionModel, RrSampler};

@@ -5,6 +5,8 @@
 //! loop and the capped OS-thread pool must return the same answer bit for
 //! bit, at every machine count.
 
+use dim::dim_coverage::greedi::GreediResult;
+use dim::dim_coverage::SetPartition;
 use dim::prelude::*;
 
 const MACHINE_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -48,6 +50,52 @@ fn assert_same_paired_run(r: &ImResult, reference: &ImResult, ctx: &str) {
     assert_eq!(r.total_rr_size, reference.total_rr_size, "{ctx}");
     assert_eq!(r.edges_examined, reference.edges_examined, "{ctx}");
     let (m, want) = (&r.metrics, &reference.metrics);
+    assert_eq!(m.bytes_to_master, want.bytes_to_master, "{ctx}");
+    assert_eq!(m.bytes_from_master, want.bytes_from_master, "{ctx}");
+    assert_eq!(m.messages, want.messages, "{ctx}");
+}
+
+/// GreeDi and RandGreeDi: each variant's name and partition shuffle seed.
+const GREEDI_VARIANTS: [(&str, Option<u64>); 2] = [("greedi", None), ("randgreedi", Some(7))];
+
+/// GreeDi's reference run over set shards on the sequential simulator,
+/// k = κ = 12: the result and the run's counters.
+fn greedi_reference(
+    shards: &[CoverageShard],
+    partition: &SetPartition,
+) -> (GreediResult, ClusterMetrics) {
+    let net = NetworkModel::cluster_1gbps();
+    let mut seq = SimCluster::new(shards.to_vec(), net, ExecMode::Sequential);
+    let r = greedi(&mut seq, partition, 12, 12).unwrap();
+    (r, seq.metrics())
+}
+
+/// Runs GreeDi over a TCP cluster: ships each machine its set shard
+/// (`BuildShard`, no modeled traffic), then runs the core-set round.
+fn greedi_over<B: OpCluster>(
+    cluster: &mut B,
+    shards: &[CoverageShard],
+    partition: &SetPartition,
+) -> GreediResult {
+    let replies = cluster
+        .control(phase::SETUP, |i| WorkerOp::BuildShard {
+            num_sets: shards[i].num_sets() as u32,
+            elements: shards[i].elements().iter().map(<[u32]>::to_vec).collect(),
+        })
+        .unwrap();
+    dim_cluster::ops::expect_ok(&replies, phase::SETUP).unwrap();
+    greedi(cluster, partition, 12, 12).unwrap()
+}
+
+/// Asserts a GreeDi run on another backend equals the sequential
+/// simulator's in the answer and the modeled traffic.
+fn assert_same_greedi_run(
+    (r, m): (&GreediResult, &ClusterMetrics),
+    (reference, want): (&GreediResult, &ClusterMetrics),
+    ctx: &str,
+) {
+    assert_eq!(r.seeds, reference.seeds, "{ctx}");
+    assert_eq!(r.covered, reference.covered, "{ctx}");
     assert_eq!(m.bytes_to_master, want.bytes_to_master, "{ctx}");
     assert_eq!(m.bytes_from_master, want.bytes_from_master, "{ctx}");
     assert_eq!(m.messages, want.messages, "{ctx}");
@@ -162,7 +210,7 @@ fn newgreedi_identical_across_backends() {
                     NetworkModel::cluster_1gbps(),
                     mode,
                 );
-                let r = newgreedi(&mut cluster, k).unwrap();
+                let r = newgreedi_with(&mut cluster, problem.num_sets(), k).unwrap();
                 (r, cluster.metrics())
             })
             .collect();
@@ -597,7 +645,7 @@ mod proc_backend {
                 NetworkModel::cluster_1gbps(),
                 ExecMode::Sequential,
             );
-            let reference = newgreedi(&mut seq, k).unwrap();
+            let reference = newgreedi_with(&mut seq, problem.num_sets(), k).unwrap();
             let mut proc = proc_cluster(machines, 0xD1A7);
             let replies = proc
                 .control(phase::SETUP, |i| WorkerOp::BuildShard {
@@ -637,6 +685,27 @@ mod proc_backend {
                 let ctx = format!("{name} ℓ = {machines}");
                 assert_same_paired_run(&r, &reference, &ctx);
                 assert_eq!(cluster.link_errors(), 0, "{ctx}");
+            }
+        }
+    }
+
+    /// GreeDi and RandGreeDi on worker processes: each process holds its
+    /// set shard, answers the core-set round with its own greedy, and the
+    /// run reproduces the simulator bit for bit at every machine count.
+    #[test]
+    fn greedi_proc_matches_sequential() {
+        let g = DatasetProfile::Facebook.generate(0.15, 3);
+        let problem = CoverageProblem::from_graph_neighborhoods(&g);
+        for (name, shuffle) in GREEDI_VARIANTS {
+            for machines in PROC_MACHINE_COUNTS {
+                let (shards, partition) = problem.shard_sets(machines, shuffle);
+                let (reference, want) = greedi_reference(&shards, &partition);
+                let mut cluster = proc_cluster(machines, 0xD1A7);
+                let r = greedi_over(&mut cluster, &shards, &partition);
+                let ctx = format!("{name} ℓ = {machines}");
+                assert_same_greedi_run((&r, &cluster.metrics()), (&reference, &want), &ctx);
+                assert_eq!(cluster.link_errors(), 0, "{ctx}");
+                assert_measured_transfers(cluster.timeline(), &ctx);
             }
         }
     }
@@ -917,6 +986,29 @@ mod join_backend {
         }
     }
 
+    /// GreeDi and RandGreeDi over registered workers reproduce the
+    /// simulator bit for bit.
+    #[test]
+    fn greedi_join_matches_sequential() {
+        let g = DatasetProfile::Facebook.generate(0.15, 3);
+        let problem = CoverageProblem::from_graph_neighborhoods(&g);
+        let machines = 2;
+        for (name, shuffle) in GREEDI_VARIANTS {
+            let (shards, partition) = problem.shard_sets(machines, shuffle);
+            let (reference, want) = greedi_reference(&shards, &partition);
+            let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
+            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
+            let mut cluster = accept(&mut rendezvous, 0xD1A7);
+            let r = greedi_over(&mut cluster, &shards, &partition);
+            assert_same_greedi_run((&r, &cluster.metrics()), (&reference, &want), name);
+            assert_eq!(cluster.link_errors(), 0, "{name}");
+            drop(cluster);
+            for w in workers {
+                assert_eq!(w.join().unwrap(), vec![SessionEnd::Shutdown], "{name}");
+            }
+        }
+    }
+
     /// NewGreeDi seeds *and per-seed marginals* are byte-identical to the
     /// sequential simulator, and the same master serves two consecutive
     /// sessions to the same re-registering workers — the second session
@@ -933,7 +1025,7 @@ mod join_backend {
             NetworkModel::cluster_1gbps(),
             ExecMode::Sequential,
         );
-        let reference = newgreedi(&mut seq, k).unwrap();
+        let reference = newgreedi_with(&mut seq, problem.num_sets(), k).unwrap();
 
         let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
         let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 2, None);

@@ -218,6 +218,23 @@ fn out_of_range_parameters_exit_1_naming_the_flag() {
     }
 }
 
+/// `imm` is the single-machine baseline: on a TCP backend it exits 1
+/// naming `--backend`, before any work, instead of running in process.
+#[test]
+fn imm_refuses_tcp_backends_naming_the_flag() {
+    for backend in ["proc", "join"] {
+        let out = dim()
+            .args(["im", "--graph", "profile:facebook:0.05", "--k", "2"])
+            .args(["--algorithm", "imm", "--backend", backend])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{backend}: {err}");
+        assert!(err.contains("--backend"), "{backend}: {err}");
+        assert!(out.stdout.is_empty(), "{backend}: did work");
+    }
+}
+
 /// Unknown, misspelled and repeated flags exit 2 with the usage text,
 /// naming the flag, before any work: a typo must not run at a default.
 #[test]

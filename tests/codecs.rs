@@ -140,8 +140,8 @@ fn any_sampler(rng: &mut Rng) -> SamplerKind {
 
 fn any_worker_op(rng: &mut Rng) -> WorkerOp {
     use WorkerOp::*;
-    let sampler = any_sampler(rng);
-    let all: [WorkerOp; 13] = [
+    let (sampler, kappa) = (any_sampler(rng), any_u32(rng));
+    let all: [WorkerOp; 14] = [
         LoadGraph { blob: random_bytes(rng, 0..200) },
         InitSampler { sampler, paired: rng.below(2) == 1 },
         BuildShard { num_sets: any_u32(rng), elements: vec_of(rng, 0..20, ids) },
@@ -153,6 +153,7 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
             candidates: ids(rng),
         },
         CoveredCount,
+        CoreSet { kappa },
         Stats,
         Validate { seeds: ids(rng) },
         PersistShard {
@@ -170,24 +171,27 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
     ];
     match pick(rng, all) {
         op @ (LoadGraph { .. } | InitSampler { .. } | BuildShard { .. } | SampleRr { .. }
-        | InitialCoverage | NewCoverage | ApplySeed { .. } | CoveredCount | Stats
-        | Validate { .. } | PersistShard { .. } | ApplyDelta { .. } | Shutdown) => op,
+        | InitialCoverage | NewCoverage | ApplySeed { .. } | CoveredCount | CoreSet { .. }
+        | Stats | Validate { .. } | PersistShard { .. } | ApplyDelta { .. } | Shutdown) => op,
     }
 }
 
 fn any_worker_reply(rng: &mut Rng) -> WorkerReply {
     use WorkerReply::*;
     let (num_elements, total_size, edges_examined) = (any_u64(rng), any_u64(rng), any_u64(rng));
-    let all: [WorkerReply; 6] = [
+    let all: [WorkerReply; 7] = [
         Ok,
         Deltas(vec_of(rng, 0..60, |r| (any_u32(r), any_u32(r)))),
         Marginals(ids(rng)),
+        CoreSet(vec_of(rng, 0..8, |r| (any_u32(r), ids(r)))),
         Count(any_u64(rng)),
         Stats(WorkerStats { num_elements, total_size, edges_examined }),
         Err(ascii(rng, 0..41)),
     ];
     match pick(rng, all) {
-        reply @ (Ok | Deltas(_) | Marginals(_) | Count(_) | Stats(_) | Err(_)) => reply,
+        reply @ (Ok | Deltas(_) | Marginals(_) | CoreSet(_) | Count(_) | Stats(_) | Err(_)) => {
+            reply
+        }
     }
 }
 
@@ -451,8 +455,8 @@ fn init_sampler_mode_byte_is_0_or_1() {
 }
 
 /// Replies are strict, and the advertised wire size follows the payload
-/// accounting rules: deltas, marginals and counts cost bytes, envelopes
-/// are free.
+/// accounting rules: deltas, marginals, core-sets and counts cost bytes,
+/// envelopes are free.
 #[test]
 fn worker_reply_is_strict() {
     let encode = |reply: &WorkerReply| {
@@ -460,6 +464,10 @@ fn worker_reply_is_strict() {
             WorkerReply::Ok | WorkerReply::Err(_) => 0,
             WorkerReply::Deltas(d) => delta_wire_size(d.len()),
             WorkerReply::Marginals(m) => ids_wire_size(m.len()),
+            WorkerReply::CoreSet(picks) => {
+                let lists = picks.iter().map(|(_, l)| ids_wire_size(l.len()));
+                ids_wire_size(picks.len()) + lists.sum::<u64>()
+            }
             WorkerReply::Count(_) => u64_wire_size(),
             WorkerReply::Stats(_) => 24,
         };

@@ -84,7 +84,7 @@ fn newgreedi_exact_on_ris_instances() {
             NetworkModel::cluster_1gbps(),
             ExecMode::Sequential,
         );
-        let r = newgreedi(&mut cluster, 12).unwrap();
+        let r = newgreedi_with(&mut cluster, g.num_nodes(), 12).unwrap();
         assert_eq!(r.seeds, reference.seeds, "ℓ = {machines}");
         assert_eq!(r.covered, reference.covered, "ℓ = {machines}");
     }
@@ -109,18 +109,15 @@ fn greedi_bounded_by_newgreedi_on_neighborhoods() {
             NetworkModel::zero(),
             ExecMode::Sequential,
         );
-        let ng = newgreedi(&mut ng_cluster, 20).unwrap();
+        let ng = newgreedi_with(&mut ng_cluster, problem.num_sets(), 20).unwrap();
         assert_eq!(
             ng,
             naive_greedy(&mut problem.single_shard(), 20),
             "ℓ = {machines}"
         );
-        let mut gd_cluster = SimCluster::new(
-            problem.shard_sets(machines, Some(7)),
-            NetworkModel::zero(),
-            ExecMode::Sequential,
-        );
-        let gd = greedi(&mut gd_cluster, 20, 20);
+        let (shards, partition) = problem.shard_sets(machines, Some(7));
+        let mut gd_cluster = SimCluster::new(shards, NetworkModel::zero(), ExecMode::Sequential);
+        let gd = greedi(&mut gd_cluster, &partition, 20, 20).unwrap();
         assert!(
             gd.covered as f64 * (1.0 - (-1.0f64).exp()) <= ng.covered as f64,
             "ℓ = {machines}: GreeDi {} > NewGreeDi {} / (1 − 1/e)",

@@ -12,6 +12,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use common::{any_u64, forall, in_range, vec_of};
+use dim::dim_cluster::wire::ids_wire_size;
+use dim::dim_cluster::OpExecutor;
 use dim::dim_core::params::log_choose;
 use dim::dim_coverage::greedy::naive_greedy;
 use dim::dim_coverage::{
@@ -376,7 +378,7 @@ fn newgreedi_equals_centralized_greedy() {
         assert_eq!(total, p.num_elements(), "sharding is a partition");
         let top_k = constrained_greedy(&shards, *k, &[], &[]);
         let mut cluster = SimCluster::new(shards, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
-        let distributed = newgreedi(&mut cluster, *k).unwrap();
+        let distributed = newgreedi_with(&mut cluster, p.num_sets(), *k).unwrap();
         assert_eq!(distributed, bucket_greedy(&mut p.single_shard(), *k), "bucket_greedy");
         assert_eq!(distributed, naive_greedy(&mut p.single_shard(), *k), "naive_greedy");
         assert_eq!(distributed, top_k, "constrained_greedy");
@@ -423,9 +425,9 @@ fn greedy_variants_agree_on_the_invariant() {
 #[test]
 fn greedi_is_consistent() {
     forall("greedi_consistent", COVERAGE_CASES, with_k_and_l(4, 4), |(p, k, l), _| {
-        let mut cluster =
-            SimCluster::new(p.shard_sets(*l, None), NetworkModel::cluster_1gbps(), ExecMode::Sequential);
-        let r = greedi(&mut cluster, *k, *k);
+        let (shards, partition) = p.shard_sets(*l, None);
+        let mut cluster = SimCluster::new(shards, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
+        let r = greedi(&mut cluster, &partition, *k, *k).unwrap();
         assert_eq!(r.covered, p.coverage_of(&r.seeds));
         assert!(r.covered <= p.brute_force_opt((*k).min(p.num_sets())).1);
         assert!(r.seeds.len() <= *k);
@@ -693,19 +695,44 @@ fn stream_seeds_are_unique() {
     });
 }
 
-/// `gather` visits every machine exactly once, in machine order, in both
-/// execution modes, accounts exactly the advertised bytes, and attributes
-/// them to the gather's label.
+/// A machine of the accounting property: counts the ops it runs and
+/// answers a pull of `n` candidates with `n` marginals, each its own id.
+struct Echo {
+    id: u32,
+    ran: u32,
+}
+
+impl OpExecutor for Echo {
+    fn execute(&mut self, op: &WorkerOp) -> WorkerReply {
+        self.ran += 1;
+        match op {
+            WorkerOp::ApplySeed { candidates, .. } => WorkerReply::Marginals(vec![self.id; candidates.len()]),
+            _ => WorkerReply::Err("unsupported".into()),
+        }
+    }
+}
+
+/// `op_gather` visits every machine exactly once, in machine order, in
+/// both execution modes, accounts exactly the bytes its replies carry, and
+/// attributes them to the round's label.
 #[test]
 fn sim_cluster_accounts_every_gather() {
-    let gen = |r: &mut Rng| (in_range(r, 1..12) as usize, in_range(r, 0..10_000));
-    forall("cluster_accounting", CLUSTER_CASES, gen, |&(l, payload), _| {
+    let gen = |r: &mut Rng| (in_range(r, 1..12) as usize, in_range(r, 1..2_500) as usize);
+    forall("cluster_accounting", CLUSTER_CASES, gen, |&(l, n), _| {
         for mode in [ExecMode::Sequential, ExecMode::Threads] {
-            let mut c = SimCluster::new(vec![0u64; l], NetworkModel::cluster_1gbps(), mode);
-            let ids = c.gather(phase::COUNT_UPLOAD, |i, w| { *w += 1; i }, |_| payload);
-            assert_eq!(ids, (0..l).collect::<Vec<_>>());
-            assert!(c.workers().iter().all(|&w| w == 1));
+            let machines = (0..l as u32).map(|id| Echo { id, ran: 0 }).collect();
+            let mut c = SimCluster::new(machines, NetworkModel::cluster_1gbps(), mode);
+            let pull = |_| WorkerOp::ApplySeed {
+                seed: None,
+                candidates: vec![0; n],
+            };
+            let replies = c.op_gather(phase::COUNT_UPLOAD, pull).unwrap();
+            let marginals = |i| WorkerReply::Marginals(vec![i; n]);
+            let ids: Vec<_> = (0..l as u32).map(marginals).collect();
+            assert_eq!(replies, ids);
+            assert!(c.workers().iter().all(|w| w.ran == 1));
             let m = c.metrics();
+            let payload = ids_wire_size(n);
             assert_eq!((m.messages, m.bytes_to_master, m.phases), (l as u64, payload * l as u64, 1));
             assert!(m.worker_busy >= m.worker_compute);
             // The flat aggregate equals the single labeled entry.
