@@ -8,12 +8,13 @@ use dim_cluster::{
     WorkerReply,
 };
 use dim_core::diimm::DiimmWorker;
+use dim_core::snapshot::{diimm_sample_generation, StreamSession};
 use dim_core::{diimm, ImConfig};
 use dim_coverage::greedi::{greedi, GreediResult};
 use dim_coverage::newgreedi_with;
 use dim_coverage::CoverageProblem;
 use dim_graph::generators::DatasetProfile;
-use dim_graph::{DeltaBatch, EdgeOp};
+use dim_graph::{DeltaBatch, EdgeOp, Graph};
 
 /// The sampler work units a worker has spent so far.
 fn examined(worker: &mut DiimmWorker) -> u64 {
@@ -24,7 +25,7 @@ fn examined(worker: &mut DiimmWorker) -> u64 {
 }
 
 /// Asserts each `(name, got, want)`, listing every counter that moved.
-fn assert_counters(what: &str, counters: &[(&str, u64, u64)]) {
+fn assert_counters<S: std::fmt::Display>(what: &str, counters: &[(S, u64, u64)]) {
     let moved: Vec<String> = counters
         .iter()
         .filter(|(_, got, want)| got != want)
@@ -69,22 +70,11 @@ fn diimm_im_ic_counters() {
     );
 }
 
-/// Stream repair, the sampler's other caller: one machine of a two-machine
-/// DiIMM run on `livejournal:0.002` (seed 1) draws 20 000 RR sets, then
-/// applies one fixed batch of 16 edits (inserts, reweights and deletes;
-/// a hub among the targets). Its own input, not the `stream-apply`
-/// benchmark's: the repaired-set count and the sampler work are pinned.
-#[test]
-fn diimm_repair_counters() {
-    let g = DatasetProfile::LiveJournal.generate(0.002, 1);
-    let config = ImConfig {
-        k: 20,
-        ..ImConfig::paper_defaults(&g, 0.1, 1)
-    };
-    let mut worker = DiimmWorker::new(&g, &config, 1);
-    worker.generate(20_000);
+/// One fixed batch of 16 edits over `g`: inserts, reweights and deletes,
+/// a hub (node 0) among the targets.
+fn sixteen_edits(g: &Graph) -> Vec<EdgeOp> {
     let n = g.num_nodes() as u32;
-    let ops = (0..16u32)
+    (0..16u32)
         .map(|i| {
             let (u, v) = ((i * 7919 + 13) % n, (i * 104_729 + 1) % n);
             match i % 4 {
@@ -100,10 +90,26 @@ fn diimm_repair_counters() {
                 }
             }
         })
-        .collect();
+        .collect()
+}
+
+/// Stream repair, the sampler's other caller: one machine of a two-machine
+/// DiIMM run on `livejournal:0.002` (seed 1) draws 20 000 RR sets, then
+/// applies one fixed batch of 16 edits (inserts, reweights and deletes;
+/// a hub among the targets). Its own input, not the `stream-apply`
+/// benchmark's: the repaired-set count and the sampler work are pinned.
+#[test]
+fn diimm_repair_counters() {
+    let g = DatasetProfile::LiveJournal.generate(0.002, 1);
+    let config = ImConfig {
+        k: 20,
+        ..ImConfig::paper_defaults(&g, 0.1, 1)
+    };
+    let mut worker = DiimmWorker::new(&g, &config, 1);
+    worker.generate(20_000);
     let before = examined(&mut worker);
     let repaired = worker
-        .apply_delta(&DeltaBatch::new(0, ops))
+        .apply_delta(&DeltaBatch::new(0, sixteen_edits(&g)))
         .expect("every edit names nodes of the graph");
     let members: u64 = repaired.iter().map(|(_, set)| set.len() as u64).sum();
     assert_counters(
@@ -186,4 +192,68 @@ fn greedi_coreset_counters() {
             ],
         );
     }
+}
+
+/// The bytes a stream writes: DiIMM on `livejournal:0.002` (seed 1),
+/// k = 10, ε = 0.5, two machines, sampled into a store root; the batch of
+/// [`sixteen_edits`] applied and persisted; then compacted. Every file of
+/// the three generations (base shards, delta shards, compacted shards,
+/// the compacted graph image and each `MANIFEST`) is pinned by name,
+/// length and checksum, and so is the batch's repaired-set count.
+#[test]
+fn persisted_generation_bytes() {
+    let g = DatasetProfile::LiveJournal.generate(0.002, 1);
+    let config = ImConfig {
+        k: 10,
+        ..ImConfig::paper_defaults(&g, 0.5, 1)
+    };
+    let root = std::env::temp_dir().join(format!("dim-fixed-points-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let net = NetworkModel::cluster_1gbps();
+    diimm_sample_generation(&g, &config, 2, net, ExecMode::Sequential, &root, 8)
+        .expect("a simulated solve has no link to fail");
+    let mut session = StreamSession::open(&g, &config, &root, net, ExecMode::Sequential)
+        .expect("the generation just committed opens");
+    let applied = session
+        .apply(sixteen_edits(&g), true, 8)
+        .expect("every edit names nodes of the graph");
+    assert_eq!(session.compact(8).expect("one batch to compact"), Some(3));
+    let mut files = Vec::new();
+    for (id, dir) in dim_store::list_generations(&root).expect("the root lists") {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("a committed generation lists")
+            .map(|e| e.expect("a directory entry").file_name())
+            .collect();
+        names.sort();
+        for name in names {
+            let bytes = std::fs::read(dir.join(&name)).expect("a committed file reads");
+            let name = format!("gen {id} {}", name.to_string_lossy());
+            files.push((name, bytes.len() as u64, dim_store::checksum(&bytes)));
+        }
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+    let pinned: [(&str, u64, u64); 10] = [
+        ("gen 1 MANIFEST", 66, 8858099233268830104),
+        ("gen 1 shard-0-of-2.rrs", 282_361, 2155711251677442816),
+        ("gen 1 shard-1-of-2.rrs", 258_157, 7732372980740177352),
+        ("gen 2 MANIFEST", 66, 6460438525848720592),
+        ("gen 2 shard-0-of-2.rrd", 245_097, 14090277862547876672),
+        ("gen 2 shard-1-of-2.rrd", 218_053, 6609024206702203873),
+        ("gen 3 MANIFEST", 66, 17854297575263419421),
+        ("gen 3 graph.dimg", 2_288_088, 17975764909646208694),
+        ("gen 3 shard-0-of-2.rrs", 334_197, 1635905613267637017),
+        ("gen 3 shard-1-of-2.rrs", 306_881, 12681436428827964334),
+    ];
+    let listed: Vec<&str> = files.iter().map(|(name, ..)| name.as_str()).collect();
+    let want: Vec<&str> = pinned.iter().map(|(name, ..)| *name).collect();
+    assert_eq!(listed, want, "the generations' files");
+    let mut counters = vec![("sets_repaired".to_string(), applied.sets_repaired, 949)];
+    for ((name, len, sum), (_, want_len, want_sum)) in files.iter().zip(&pinned) {
+        counters.push((format!("{name} length"), *len, *want_len));
+        counters.push((format!("{name} checksum"), *sum, *want_sum));
+    }
+    assert_counters(
+        "persisted generations (livejournal:0.002, seed 1)",
+        &counters,
+    );
 }
