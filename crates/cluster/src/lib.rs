@@ -102,5 +102,5 @@ pub use rendezvous::{
 };
 pub use rng::{rr_set_seed, stream_seed};
 pub use runtime::{ExecMode, SimCluster};
-pub use tcp::{ProcCluster, SessionEnd, WorkerFault};
+pub use tcp::{ProcCluster, SessionEnd};
 pub use wire::{WireError, WireErrorKind};

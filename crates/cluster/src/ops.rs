@@ -122,24 +122,17 @@ pub enum WorkerOp {
     /// Persist the resident RR shard as a `dim-store` snapshot shard file
     /// under `dir` (the worker writes its own shard — on the process/join
     /// backends this lands on the worker's machine). → `Ok`, or `Err` with
-    /// the I/O failure. The master supplies every header field so the
-    /// written snapshot is self-describing without the worker knowing the
-    /// global run state.
+    /// the I/O failure. The master sends the run's fields; the worker
+    /// stamps its own provenance (seed, sampler, shard id) into the header.
     PersistShard {
         /// Directory the shard file is written into (created if missing).
         dir: String,
         /// Fingerprint of the graph the RR sets were sampled from.
         fingerprint: u64,
-        /// The run's master seed (machine streams derive from it).
-        seed: u64,
         /// Global θ — total RR sets across all shards.
         theta: u64,
-        /// This worker's shard index.
-        shard_id: u32,
         /// Total number of shards in the snapshot.
         shard_count: u32,
-        /// Which sampler generated the RR sets.
-        sampler: SamplerKind,
     },
     /// Apply an edge-delta batch to the resident graph and repair the
     /// resident RR shard incrementally: invalidate exactly the RR sets that
@@ -150,9 +143,9 @@ pub enum WorkerOp {
     /// When `persist_dir` is set the worker also writes its own `dim-store`
     /// delta shard (`DIMD` file) into that directory — like
     /// [`WorkerOp::PersistShard`], no shard bytes transit the master. The
-    /// master supplies the chain provenance (base generation, pre/post
-    /// graph fingerprints, run seed, θ); the worker contributes the batch
-    /// bytes and its repaired sets.
+    /// master sends the chain's fields (base generation, pre/post graph
+    /// fingerprints, θ); the worker stamps its own provenance and
+    /// contributes the batch bytes and its repaired sets.
     ApplyDelta {
         /// The encoded [`dim-graph` `DeltaBatch`] (canonical LE codec).
         batch: Vec<u8>,
@@ -165,14 +158,10 @@ pub enum WorkerOp {
         fingerprint: u64,
         /// Fingerprint of the graph *before* this batch (chain linkage).
         parent_fingerprint: u64,
-        /// The run's master seed (per-set streams derive from it).
-        seed: u64,
         /// Global θ — total RR sets across all shards.
         theta: u64,
         /// Total number of shards in the snapshot.
         shard_count: u32,
-        /// Which sampler generated (and re-generates) the RR sets.
-        sampler: SamplerKind,
     },
     /// Exit cleanly. → `Ok` (process workers exit afterwards).
     Shutdown,
@@ -247,6 +236,18 @@ fn read_ids(r: &mut Reader) -> Option<Vec<u32>> {
     Some(read_body(r, 4)?.chunks_exact(4).map(le_u32).collect())
 }
 
+/// Writes `[u32 len] [UTF-8 bytes]`.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads what [`put_str`] writes; `None` on bytes that are not UTF-8.
+fn read_str(r: &mut Reader) -> Option<String> {
+    let len = r.u32()? as usize;
+    String::from_utf8(r.take(len)?.to_vec()).ok()
+}
+
 impl WorkerOp {
     /// Serializes the op to its canonical byte encoding.
     pub fn encode(&self) -> Vec<u8> {
@@ -300,21 +301,14 @@ impl WorkerOp {
             WorkerOp::PersistShard {
                 dir,
                 fingerprint,
-                seed,
                 theta,
-                shard_id,
                 shard_count,
-                sampler,
             } => {
                 out.push(OP_PERSIST_SHARD);
                 put_u64(&mut out, *fingerprint);
-                put_u64(&mut out, *seed);
                 put_u64(&mut out, *theta);
-                put_u32(&mut out, *shard_id);
                 put_u32(&mut out, *shard_count);
-                out.push(sampler.tag());
-                put_u32(&mut out, dir.len() as u32);
-                out.extend_from_slice(dir.as_bytes());
+                put_str(&mut out, dir);
             }
             WorkerOp::ApplyDelta {
                 batch,
@@ -322,24 +316,19 @@ impl WorkerOp {
                 base_generation,
                 fingerprint,
                 parent_fingerprint,
-                seed,
                 theta,
                 shard_count,
-                sampler,
             } => {
                 out.push(OP_APPLY_DELTA);
                 put_u64(&mut out, *base_generation);
                 put_u64(&mut out, *fingerprint);
                 put_u64(&mut out, *parent_fingerprint);
-                put_u64(&mut out, *seed);
                 put_u64(&mut out, *theta);
                 put_u32(&mut out, *shard_count);
-                out.push(sampler.tag());
                 match persist_dir {
                     Some(dir) => {
                         out.push(1);
-                        put_u32(&mut out, dir.len() as u32);
-                        out.extend_from_slice(dir.as_bytes());
+                        put_str(&mut out, dir);
                     }
                     None => out.push(0),
                 }
@@ -396,55 +385,28 @@ impl WorkerOp {
             OP_VALIDATE => WorkerOp::Validate {
                 seeds: read_ids(&mut r)?,
             },
-            OP_PERSIST_SHARD => {
-                let fingerprint = r.u64()?;
-                let seed = r.u64()?;
-                let theta = r.u64()?;
-                let shard_id = r.u32()?;
-                let shard_count = r.u32()?;
-                let sampler = SamplerKind::from_tag(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let dir = String::from_utf8(r.take(len)?.to_vec()).ok()?;
-                WorkerOp::PersistShard {
-                    dir,
-                    fingerprint,
-                    seed,
-                    theta,
-                    shard_id,
-                    shard_count,
-                    sampler,
-                }
-            }
-            OP_APPLY_DELTA => {
-                let base_generation = r.u64()?;
-                let fingerprint = r.u64()?;
-                let parent_fingerprint = r.u64()?;
-                let seed = r.u64()?;
-                let theta = r.u64()?;
-                let shard_count = r.u32()?;
-                let sampler = SamplerKind::from_tag(r.u8()?)?;
-                let persist_dir = match r.u8()? {
+            OP_PERSIST_SHARD => WorkerOp::PersistShard {
+                fingerprint: r.u64()?,
+                theta: r.u64()?,
+                shard_count: r.u32()?,
+                dir: read_str(&mut r)?,
+            },
+            OP_APPLY_DELTA => WorkerOp::ApplyDelta {
+                base_generation: r.u64()?,
+                fingerprint: r.u64()?,
+                parent_fingerprint: r.u64()?,
+                theta: r.u64()?,
+                shard_count: r.u32()?,
+                persist_dir: match r.u8()? {
                     0 => None,
-                    1 => {
-                        let len = r.u32()? as usize;
-                        Some(String::from_utf8(r.take(len)?.to_vec()).ok()?)
-                    }
+                    1 => Some(read_str(&mut r)?),
                     _ => return None,
-                };
-                let len = r.u32()? as usize;
-                let batch = r.take(len)?.to_vec();
-                WorkerOp::ApplyDelta {
-                    batch,
-                    persist_dir,
-                    base_generation,
-                    fingerprint,
-                    parent_fingerprint,
-                    seed,
-                    theta,
-                    shard_count,
-                    sampler,
-                }
-            }
+                },
+                batch: {
+                    let len = r.u32()? as usize;
+                    r.take(len)?.to_vec()
+                },
+            },
             OP_SHUTDOWN => WorkerOp::Shutdown,
             _ => return None,
         };
@@ -491,8 +453,7 @@ impl WorkerReply {
             }
             WorkerReply::Err(msg) => {
                 out.push(REPLY_ERR);
-                put_u32(&mut out, msg.len() as u32);
-                out.extend_from_slice(msg.as_bytes());
+                put_str(&mut out, msg);
             }
         }
         out
@@ -522,11 +483,7 @@ impl WorkerReply {
                 total_size: r.u64()?,
                 edges_examined: r.u64()?,
             }),
-            REPLY_ERR => {
-                let len = r.u32()? as usize;
-                let msg = String::from_utf8(r.take(len)?.to_vec()).ok()?;
-                WorkerReply::Err(msg)
-            }
+            REPLY_ERR => WorkerReply::Err(read_str(&mut r)?),
             _ => return None,
         };
         r.finish()?;
@@ -810,20 +767,14 @@ mod tests {
             WorkerOp::PersistShard {
                 dir: "/tmp/dim-snapshot".into(),
                 fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-                seed: 42,
                 theta: u64::MAX,
-                shard_id: 3,
                 shard_count: 4,
-                sampler: SamplerKind::Standard(IC),
             },
             WorkerOp::PersistShard {
                 dir: String::new(),
                 fingerprint: 0,
-                seed: 0,
                 theta: 0,
-                shard_id: 0,
                 shard_count: 0,
-                sampler: SamplerKind::ReverseBfs,
             },
             WorkerOp::ApplyDelta {
                 batch: vec![7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -831,10 +782,8 @@ mod tests {
                 base_generation: 3,
                 fingerprint: 0xFEED_FACE_0123_4567,
                 parent_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-                seed: 29,
                 theta: 10_000,
                 shard_count: 4,
-                sampler: SamplerKind::Standard(IC),
             },
             WorkerOp::ApplyDelta {
                 batch: vec![],
@@ -842,10 +791,8 @@ mod tests {
                 base_generation: 0,
                 fingerprint: 0,
                 parent_fingerprint: u64::MAX,
-                seed: 0,
                 theta: 0,
                 shard_count: 0,
-                sampler: SamplerKind::ReverseBfs,
             },
             WorkerOp::Shutdown,
         ]
@@ -922,15 +869,13 @@ mod tests {
             base_generation: 1,
             fingerprint: 2,
             parent_fingerprint: 3,
-            seed: 4,
             theta: 5,
             shard_count: 6,
-            sampler: SamplerKind::Standard(IC),
         };
         let mut bytes = op.encode();
-        // The Option<persist_dir> flag byte sits right after the sampler
-        // tag; anything other than 0/1 must be rejected.
-        let flag_pos = 1 + 8 * 5 + 4 + 1;
+        // The Option<persist_dir> flag byte sits right after the shard
+        // count; anything other than 0/1 must be rejected.
+        let flag_pos = 1 + 8 * 4 + 4;
         assert_eq!(bytes[flag_pos], 0);
         bytes[flag_pos] = 2;
         assert!(WorkerOp::decode(&bytes).is_none());

@@ -8,11 +8,12 @@
 //! [`Rendezvous`], registers, and serves the session it was welcomed into.
 //! This module provides that front door:
 //!
-//! * **Codecs** for the v2 handshake frames ([`JoinHello`], [`Welcome`],
-//!   [`Hello`], [`Reject`]) — fixed-size,
-//!   little-endian, strict (trailing bytes are rejected), carrying a
-//!   protocol-version byte and capability flags ([`caps`]) so future
-//!   workers can be refused with a typed reason instead of desyncing.
+//! * **Codecs** for the v3 handshake frames ([`JoinHello`], [`Welcome`],
+//!   [`Hello`], [`Reject`]) — fixed-size, little-endian, strict (trailing
+//!   bytes are rejected). The JOIN leads with the protocol-version byte,
+//!   so a worker of another version is refused with a typed reason
+//!   instead of desyncing. Each frame carries only what its receiver does
+//!   not already hold.
 //! * A `MembershipTable` — the pure registration state machine. It
 //!   assigns machine-id slots, refuses duplicates and out-of-range
 //!   requests with typed [`RejectReason`]s (surfaced as
@@ -57,36 +58,25 @@ use crate::network::NetworkModel;
 use crate::ops::{put_u32, put_u64, OpExecutor, Reader};
 use crate::rng::stream_seed;
 use crate::tcp::{
-    self, env_secs, frame, handshake_timeout, protocol_err, read_frame, write_frame,
-    ProcCluster, SessionEnd, WorkerFault,
+    self, env_secs, frame, handshake_timeout, protocol_err, read_frame, write_frame, ProcCluster,
+    SessionEnd,
 };
 use crate::wire::WireError;
 
-/// Version byte carried by JOIN and HELLO. Version 1 was the implicit
-/// pre-rendezvous handshake (bare HELLO, no version byte); v2 is the
-/// JOIN/WELCOME/HELLO exchange this module implements. The master refuses
-/// any other version with [`RejectReason::Version`].
-pub const PROTOCOL_VERSION: u8 = 2;
-
-/// Capability flags a worker advertises in its JOIN and HELLO.
-///
-/// All current workers implement the full op set, so every flag is set;
-/// the byte exists so a future heterogeneous cluster (e.g. coverage-only
-/// replay workers) can be refused or specialized with a typed reason
-/// instead of failing mid-algorithm.
-pub mod caps {
-    /// Serves the coverage-oracle ops (`BuildShard`, `ApplySeed`, …).
-    pub const COVERAGE: u8 = 1;
-    /// Serves the IM sampling ops (`LoadGraph`, `InitSampler`, `SampleRr`).
-    pub const IM: u8 = 1 << 1;
-    /// Everything a current `dim-worker` serves.
-    pub const ALL: u8 = COVERAGE | IM;
-}
+/// Version byte that leads every JOIN. Version 1 was the implicit
+/// pre-rendezvous handshake (bare HELLO, no version byte); v2 carried a
+/// capability byte in JOIN and HELLO and echoed the version and machine id
+/// in HELLO; v3 is the exchange this module implements. The master refuses
+/// a JOIN led by any other byte with [`RejectReason::Version`] before it
+/// reads the rest.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Wire value of "any free slot" in [`JoinHello::requested`].
 const ANY_SLOT: u32 = u32::MAX;
 
-/// First frame of the v2 handshake, worker → master (opcode JOIN).
+/// First frame of the v3 handshake, worker → master (opcode JOIN):
+/// `[u8 version] [u32 requested] [auth; 32]`, the version always
+/// [`PROTOCOL_VERSION`].
 ///
 /// `requested` pins a specific machine id (workers the master launched
 /// request the id they were launched with; operators can pin via
@@ -96,10 +86,6 @@ const ANY_SLOT: u32 = u32::MAX;
 /// mismatch ([`RejectReason::Unauthorized`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JoinHello {
-    /// Protocol version the worker speaks (must be [`PROTOCOL_VERSION`]).
-    pub version: u8,
-    /// Capability flags ([`caps`]).
-    pub caps: u8,
     /// Requested machine id, or `None` for any free slot.
     pub requested: Option<u32>,
     /// SHA-256 digest of the cluster token; all-zeros when tokenless.
@@ -107,32 +93,31 @@ pub struct JoinHello {
 }
 
 impl JoinHello {
-    /// A v2, full-capability join asking for `requested`, presenting the
-    /// `DIM_CLUSTER_TOKEN` digest when that variable is set.
+    /// A join asking for `requested`, presenting the `DIM_CLUSTER_TOKEN`
+    /// digest when that variable is set.
     pub fn new(requested: Option<u32>) -> Self {
         JoinHello {
-            version: PROTOCOL_VERSION,
-            caps: caps::ALL,
             requested,
             auth: crate::auth::cluster_token_digest().unwrap_or([0; crate::auth::DIGEST_LEN]),
         }
     }
 
-    /// Serializes to the 38-byte wire form.
+    /// Serializes to the 37-byte wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(6 + crate::auth::DIGEST_LEN);
-        out.push(self.version);
-        out.push(self.caps);
+        let mut out = Vec::with_capacity(5 + crate::auth::DIGEST_LEN);
+        out.push(PROTOCOL_VERSION);
         put_u32(&mut out, self.requested.unwrap_or(ANY_SLOT));
         out.extend_from_slice(&self.auth);
         out
     }
 
-    /// Strict decode; `None` on truncation, trailing bytes, or garbage.
+    /// Strict decode; `None` on another version, truncation, trailing
+    /// bytes, or garbage.
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let mut r = Reader::new(buf);
-        let version = r.u8()?;
-        let caps = r.u8()?;
+        if r.u8()? != PROTOCOL_VERSION {
+            return None;
+        }
         let requested = match r.u32()? {
             ANY_SLOT => None,
             id => Some(id),
@@ -140,12 +125,7 @@ impl JoinHello {
         let mut auth = [0u8; crate::auth::DIGEST_LEN];
         auth.copy_from_slice(r.take(crate::auth::DIGEST_LEN)?);
         r.finish()?;
-        Some(JoinHello {
-            version,
-            caps,
-            requested,
-            auth,
-        })
+        Some(JoinHello { requested, auth })
     }
 }
 
@@ -192,47 +172,32 @@ impl Welcome {
     }
 }
 
-/// Final frame of the handshake, worker → master (opcode HELLO).
+/// Final frame of the handshake, worker → master (opcode HELLO): the
+/// stream seed the worker derived from its WELCOME, `[u64 stream_seed]`.
 ///
-/// Confirms the worker accepted its WELCOME and advertises the stream
-/// seed it actually derived. The master cross-checks it against
-/// [`stream_seed`] — the cross-process RNG contract is load-bearing for
-/// backend equivalence, so a divergent worker is refused
-/// ([`RejectReason::SeedMismatch`]) before it can compute anything.
+/// The master cross-checks it against [`stream_seed`]`(master_seed, id)`,
+/// which differs for a wrong id or master seed — the cross-process RNG
+/// contract is load-bearing for backend equivalence, so a divergent worker
+/// is refused ([`RejectReason::SeedMismatch`]) before it can compute
+/// anything. The version was settled by the JOIN on the same connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hello {
-    /// Protocol version (must match the JOIN's).
-    pub version: u8,
-    /// Capability flags ([`caps`]).
-    pub caps: u8,
-    /// The machine id the worker believes it holds.
-    pub machine_id: u32,
     /// The RNG stream seed the worker derived.
     pub stream_seed: u64,
 }
 
 impl Hello {
-    /// Serializes to the 14-byte wire form.
+    /// Serializes to the 8-byte wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(14);
-        out.push(self.version);
-        out.push(self.caps);
-        put_u32(&mut out, self.machine_id);
-        put_u64(&mut out, self.stream_seed);
-        out
+        self.stream_seed.to_le_bytes().to_vec()
     }
 
-    /// Strict decode; `None` on truncation, trailing bytes, or garbage.
+    /// Strict decode; `None` on truncation or trailing bytes.
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let mut r = Reader::new(buf);
-        let hello = Hello {
-            version: r.u8()?,
-            caps: r.u8()?,
-            machine_id: r.u32()?,
-            stream_seed: r.u64()?,
-        };
+        let stream_seed = r.u64()?;
         r.finish()?;
-        Some(hello)
+        Some(Hello { stream_seed })
     }
 }
 
@@ -381,18 +346,15 @@ impl MembershipTable {
         self.taken.iter().all(|&t| t)
     }
 
-    /// Registers a joiner, returning its assigned machine id.
+    /// Registers a joiner that requested `requested`, returning its
+    /// assigned machine id.
     ///
     /// A specific request gets exactly that slot or a typed refusal
     /// ([`RejectReason::OutOfRange`], [`RejectReason::Duplicate`]); an
     /// any-slot request gets the lowest free slot or
-    /// [`RejectReason::SessionFull`]. A wrong protocol version is refused
-    /// before any slot logic runs.
-    pub fn register(&mut self, join: &JoinHello) -> Result<u32, RejectReason> {
-        if join.version != PROTOCOL_VERSION {
-            return Err(RejectReason::Version);
-        }
-        match join.requested {
+    /// [`RejectReason::SessionFull`].
+    pub fn register(&mut self, requested: Option<u32>) -> Result<u32, RejectReason> {
+        match requested {
             Some(id) => {
                 let slot = self
                     .taken
@@ -530,13 +492,18 @@ impl Write for DeadlineIo<'_> {
     }
 }
 
-/// Master side of the v2 handshake on one accepted connection.
+/// Master side of the v3 handshake on one accepted connection.
 ///
 /// Reads JOIN, registers it in `table`, answers WELCOME (or REJECT with a
 /// typed reason), reads the confirming HELLO, and cross-checks its stream
 /// seed against [`stream_seed`]`(master_seed, id)`. Any failure after the
 /// slot was assigned releases it, so a crashed joiner does not leak a
 /// slot.
+///
+/// A JOIN led by a byte other than [`PROTOCOL_VERSION`] is refused with
+/// [`RejectReason::Version`] before the rest is decoded: a worker of
+/// another version (a v2 JOIN is 38 bytes) learns why it was refused
+/// instead of retrying on EOF.
 ///
 /// With `required` set (the accept loop passes the digest of
 /// `DIM_CLUSTER_TOKEN`; `None` = open port), the JOIN's auth digest must
@@ -563,27 +530,29 @@ pub(crate) fn master_handshake(
             "expected JOIN, got opcode {opcode}"
         ))));
     }
+    if matches!(body.first(), Some(&version) if version != PROTOCOL_VERSION) {
+        return Err(refuse(stream, RejectReason::Version, None));
+    }
     let join = JoinHello::decode(&body).ok_or(HandshakeError::Wire(WireError {
         phase: phase::RENDEZVOUS,
         machine: None,
         kind: crate::wire::WireErrorKind::Malformed,
     }))?;
-    if let Some(expected) = required {
-        if !crate::auth::verify_digest(&join.auth, expected) {
-            let reason = RejectReason::Unauthorized;
-            let _ = write_frame(stream, frame::REJECT, &Reject { reason }.encode());
-            return Err(HandshakeError::Wire(reason.wire_error(join.requested)));
-        }
+    if required.is_some_and(|expected| !crate::auth::verify_digest(&join.auth, expected)) {
+        return Err(refuse(stream, RejectReason::Unauthorized, join.requested));
     }
-    let id = match table.register(&join) {
-        Ok(id) => id,
-        Err(reason) => {
-            let _ = write_frame(stream, frame::REJECT, &Reject { reason }.encode());
-            return Err(HandshakeError::Wire(reason.wire_error(join.requested)));
-        }
-    };
+    let id = table
+        .register(join.requested)
+        .map_err(|reason| refuse(stream, reason, join.requested))?;
     // The slot is assigned; from here every failure must release it.
     confirm_member(stream, table, session, master_seed, id).inspect_err(|_| table.release(id))
+}
+
+/// Sends REJECT(`reason`) on a best-effort basis and returns the typed
+/// error it surfaces as on the master.
+fn refuse(stream: &mut impl Write, reason: RejectReason, requested: Option<u32>) -> HandshakeError {
+    let _ = write_frame(stream, frame::REJECT, &Reject { reason }.encode());
+    HandshakeError::Wire(reason.wire_error(requested))
 }
 
 /// WELCOME + HELLO verification half of [`master_handshake`].
@@ -610,11 +579,7 @@ fn confirm_member(
     let hello = Hello::decode(&body).ok_or_else(|| {
         HandshakeError::Wire(WireError::malformed(phase::RENDEZVOUS, id as usize))
     })?;
-    let expected_seed = stream_seed(master_seed, id as usize);
-    if hello.version != PROTOCOL_VERSION
-        || hello.machine_id != id
-        || hello.stream_seed != expected_seed
-    {
+    if hello.stream_seed != stream_seed(master_seed, id as usize) {
         let reject = Reject {
             reason: RejectReason::SeedMismatch,
         };
@@ -626,7 +591,7 @@ fn confirm_member(
     Ok(id)
 }
 
-/// Worker side of the v2 handshake on a connected stream.
+/// Worker side of the v3 handshake on a connected stream.
 ///
 /// Sends JOIN, waits for WELCOME (or REJECT), verifies the assignment
 /// against the request, and confirms with a HELLO carrying the derived
@@ -669,9 +634,6 @@ pub(crate) fn join_handshake(
         )));
     }
     let hello = Hello {
-        version: PROTOCOL_VERSION,
-        caps: join.caps,
-        machine_id: welcome.machine_id,
         stream_seed: stream_seed(welcome.master_seed, welcome.machine_id as usize),
     };
     write_frame(stream, frame::HELLO, &hello.encode())?;
@@ -867,8 +829,8 @@ pub fn tcp_cluster(
     Ok(cluster)
 }
 
-/// Worker-side join knobs. Every worker advertises the full capability
-/// set ([`caps::ALL`], see [`JoinHello::new`]).
+/// Worker-side join knobs: which slot to ask for, and how long to keep
+/// asking.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinOptions {
     /// Pin a specific machine id, or `None` for any free slot.
@@ -888,8 +850,8 @@ pub fn join_deadline_env() -> Option<Duration> {
 /// Connects to `addr` and completes the join handshake, retrying
 /// transient failures (master not up yet, session full, dropped
 /// connections) with jittered exponential backoff until the deadline in
-/// `opts` (if any) expires. Fatal rejections — version or capability
-/// mismatch, duplicate or out-of-range id — surface immediately.
+/// `opts` (if any) expires. Fatal rejections — version mismatch, wrong
+/// token, duplicate or out-of-range id — surface immediately.
 pub(crate) fn connect_and_join(
     addr: &str,
     opts: &JoinOptions,
@@ -955,19 +917,14 @@ pub struct JoinedSession {
 /// master seed and returns `&mut host`, keeping an already-loaded graph
 /// across sessions. Returns when the master ends the session;
 /// `dim-worker --join` loops this to re-register for the next run.
-pub fn run_join_worker<E, F>(
-    addr: &str,
-    opts: &JoinOptions,
-    fault: Option<WorkerFault>,
-    setup: F,
-) -> io::Result<JoinedSession>
+pub fn run_join_worker<E, F>(addr: &str, opts: &JoinOptions, setup: F) -> io::Result<JoinedSession>
 where
     E: OpExecutor,
     F: FnOnce(&Welcome) -> E,
 {
     let (stream, welcome) = connect_and_join(addr, opts)?;
     let mut executor = setup(&welcome);
-    let end = tcp::serve_session(stream, welcome.machine_id, &mut executor, fault)?;
+    let end = tcp::serve_session(stream, welcome.machine_id, &mut executor)?;
     Ok(JoinedSession { welcome, end })
 }
 
@@ -990,7 +947,7 @@ mod tests {
         for requested in [None, Some(0), Some(7), Some(u32::MAX - 1)] {
             let join = join_with_token(requested, "hunter2");
             let bytes = join.encode();
-            assert_eq!(bytes.len(), 38);
+            assert_eq!(bytes.len(), 37);
             assert_eq!(JoinHello::decode(&bytes), Some(join));
         }
         let welcome = Welcome {
@@ -1001,13 +958,8 @@ mod tests {
         };
         assert_eq!(welcome.encode().len(), 24);
         assert_eq!(Welcome::decode(&welcome.encode()), Some(welcome));
-        let hello = Hello {
-            version: PROTOCOL_VERSION,
-            caps: caps::ALL,
-            machine_id: 2,
-            stream_seed: 99,
-        };
-        assert_eq!(hello.encode().len(), 14);
+        let hello = Hello { stream_seed: 99 };
+        assert_eq!(hello.encode().len(), 8);
         assert_eq!(Hello::decode(&hello.encode()), Some(hello));
         for reason in [
             RejectReason::Version,
@@ -1029,6 +981,9 @@ mod tests {
         let mut long = join.clone();
         long.push(0);
         assert!(JoinHello::decode(&long).is_none());
+        let mut other_version = join.clone();
+        other_version[0] = PROTOCOL_VERSION - 1;
+        assert!(JoinHello::decode(&other_version).is_none());
         let welcome = Welcome {
             session: 1,
             machine_id: 0,
@@ -1038,6 +993,7 @@ mod tests {
         .encode();
         assert!(Welcome::decode(&welcome[..23]).is_none());
         assert!(Hello::decode(&[]).is_none());
+        assert!(Hello::decode(&[0; 9]).is_none());
         // Unknown reject reason codes are refused, not mapped arbitrarily.
         assert!(Reject::decode(&[0]).is_none());
         assert!(Reject::decode(&[7]).is_none());
@@ -1108,9 +1064,9 @@ mod tests {
     #[test]
     fn membership_assigns_requested_and_free_slots() {
         let mut table = MembershipTable::new(3);
-        assert_eq!(table.register(&JoinHello::new(Some(2))), Ok(2));
-        assert_eq!(table.register(&JoinHello::new(None)), Ok(0));
-        assert_eq!(table.register(&JoinHello::new(None)), Ok(1));
+        assert_eq!(table.register(Some(2)), Ok(2));
+        assert_eq!(table.register(None), Ok(0));
+        assert_eq!(table.register(None), Ok(1));
         assert!(table.is_full());
         assert_eq!(table.joined(), 3);
     }
@@ -1118,8 +1074,8 @@ mod tests {
     #[test]
     fn membership_rejects_duplicate_id_with_typed_error() {
         let mut table = MembershipTable::new(2);
-        assert_eq!(table.register(&JoinHello::new(Some(1))), Ok(1));
-        let reason = table.register(&JoinHello::new(Some(1))).unwrap_err();
+        assert_eq!(table.register(Some(1)), Ok(1));
+        let reason = table.register(Some(1)).unwrap_err();
         assert_eq!(reason, RejectReason::Duplicate);
         assert!(!reason.retryable());
         let err = reason.wire_error(Some(1));
@@ -1134,7 +1090,7 @@ mod tests {
     #[test]
     fn membership_rejects_out_of_range_id_with_typed_error() {
         let mut table = MembershipTable::new(2);
-        let reason = table.register(&JoinHello::new(Some(2))).unwrap_err();
+        let reason = table.register(Some(2)).unwrap_err();
         assert_eq!(reason, RejectReason::OutOfRange);
         assert!(!reason.retryable());
         let err = reason.wire_error(Some(2));
@@ -1146,25 +1102,62 @@ mod tests {
     #[test]
     fn membership_session_full_is_retryable() {
         let mut table = MembershipTable::new(1);
-        assert_eq!(table.register(&JoinHello::new(None)), Ok(0));
-        let reason = table.register(&JoinHello::new(None)).unwrap_err();
+        assert_eq!(table.register(None), Ok(0));
+        let reason = table.register(None).unwrap_err();
         assert_eq!(reason, RejectReason::SessionFull);
         assert!(reason.retryable());
         assert_eq!(reason.wire_error(None).kind, WireErrorKind::SessionFull);
     }
 
+    /// A JOIN led by another version byte is refused with REJECT(Version)
+    /// before the rest of it is decoded, whatever its length: a v1 byte, a
+    /// 38-byte v2 JOIN (version, capability byte, requested id, token
+    /// digest), a future version. None of them takes a slot; a v3 JOIN then does, and a
+    /// released slot can be registered again.
     #[test]
     fn membership_rejects_wrong_version_and_releases_slots() {
-        let mut table = MembershipTable::new(2);
-        let old = JoinHello {
-            version: 1,
-            ..JoinHello::new(Some(0))
-        };
-        assert_eq!(table.register(&old).unwrap_err(), RejectReason::Version);
-        assert_eq!(table.register(&JoinHello::new(Some(0))), Ok(0));
+        let mut v2_join = vec![2, 3];
+        v2_join.extend([0; 4 + crate::auth::DIGEST_LEN]);
+        assert_eq!(v2_join.len(), 38);
+        let mut future_join = JoinHello::new(Some(0)).encode();
+        future_join[0] = PROTOCOL_VERSION + 1;
+        let bodies = [vec![1], v2_join, future_join];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let count = bodies.len();
+        let master = std::thread::spawn(move || {
+            let mut table = MembershipTable::new(2);
+            let outcomes: Vec<_> = (0..count)
+                .map(|_| {
+                    let (mut stream, _) = listener.accept().unwrap();
+                    let deadline = Instant::now() + handshake_timeout();
+                    master_handshake(&mut stream, &mut table, 1, 42, None, deadline)
+                })
+                .collect();
+            (outcomes, table)
+        });
+        for body in &bodies {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write_frame(&mut stream, frame::JOIN, body).unwrap();
+            let (opcode, reply) = read_frame(&mut stream).unwrap();
+            let len = body.len();
+            assert_eq!(opcode, frame::REJECT, "JOIN of {len} bytes");
+            let reason = Reject::decode(&reply).unwrap().reason;
+            assert_eq!(reason, RejectReason::Version, "JOIN of {len} bytes");
+            assert!(!reason.retryable());
+        }
+        let (outcomes, mut table) = master.join().unwrap();
+        for outcome in outcomes {
+            assert!(matches!(
+                outcome,
+                Err(HandshakeError::Wire(e)) if e.kind == WireErrorKind::Malformed
+            ));
+        }
+        assert_eq!(table.joined(), 0);
+        assert_eq!(table.register(Some(0)), Ok(0));
         table.release(0);
         assert_eq!(table.joined(), 0);
-        assert_eq!(table.register(&JoinHello::new(Some(0))), Ok(0));
+        assert_eq!(table.register(Some(0)), Ok(0));
     }
 
     /// Toy resident executor counting SampleRr totals, as in tcp.rs tests.
@@ -1209,8 +1202,7 @@ mod tests {
                     };
                     let mut served = Vec::new();
                     for _ in 0..2 {
-                        let session =
-                            run_join_worker(&addr, &opts, None, |_welcome| &mut tally)?;
+                        let session = run_join_worker(&addr, &opts, |_welcome| &mut tally)?;
                         served.push((
                             session.welcome.session,
                             session.welcome.machine_id,
@@ -1276,7 +1268,7 @@ mod tests {
                         requested: Some(0),
                         deadline: Some(Duration::from_secs(10)),
                     };
-                    run_join_worker(&addr, &opts, None, |_| &mut tally).map(|s| s.end)
+                    run_join_worker(&addr, &opts, |_| &mut tally).map(|s| s.end)
                 })
             })
             .collect();
@@ -1348,7 +1340,7 @@ mod tests {
                 deadline: Some(Duration::from_secs(10)),
             };
             let mut tally = Tally(0);
-            run_join_worker(&master.to_string(), &opts, None, |_| {
+            run_join_worker(&master.to_string(), &opts, |_| {
                 let _ = joined_tx.send(());
                 &mut tally
             })

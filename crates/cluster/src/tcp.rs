@@ -17,23 +17,26 @@
 //!
 //! | opcode | name      | direction | body                                     |
 //! |--------|-----------|-----------|------------------------------------------|
-//! | 0      | HELLO     | w → m     | [`rendezvous::Hello`] (version, caps, id, stream seed) |
+//! | 0      | HELLO     | w → m     | [`rendezvous::Hello`] (stream seed)      |
 //! | 1      | OP        | m → w     | one encoded [`WorkerOp`]                 |
 //! | 2      | REPLY     | w → m     | `[u64 elapsed_ns]` + encoded [`WorkerReply`] |
-//! | 3      | JOIN      | w → m     | [`rendezvous::JoinHello`] (version, caps, requested id) |
+//! | 3      | JOIN      | w → m     | [`rendezvous::JoinHello`] (version, requested id, token digest) |
 //! | 4      | WELCOME   | m → w     | [`rendezvous::Welcome`] (session, id, ℓ, master seed) |
 //! | 6      | REJECT    | m → w     | [`rendezvous::Reject`] (reason)          |
 //!
 //! Every connection — from a spawned process, an in-process thread or an
 //! operator-started `dim-worker --join` — is accepted by the same loop
-//! ([`rendezvous::Rendezvous`]) and handshakes the same way (protocol v2):
-//! the worker sends JOIN, the master registers it
-//! in a `rendezvous::MembershipTable` and answers WELCOME (or REJECT
-//! with a typed reason), and the worker confirms with HELLO carrying the
-//! stream seed it derived from the WELCOME. The master cross-checks that
-//! seed against [`crate::stream_seed`]`(master_seed, id)` — the cross-process RNG
-//! contract is load-bearing for backend equivalence, so a divergent worker
-//! is refused before it can compute anything.
+//! ([`rendezvous::Rendezvous`]) and handshakes the same way (protocol v3):
+//! the worker sends JOIN, whose first byte is the protocol version (any
+//! other version is refused with REJECT before the rest is read), the
+//! master registers it in a `rendezvous::MembershipTable` and answers
+//! WELCOME (or REJECT with a typed reason), and the worker confirms with
+//! HELLO carrying only the stream seed it derived from the WELCOME. The
+//! master cross-checks that seed against
+//! [`crate::stream_seed`]`(master_seed, id)`, which a wrong id or master
+//! seed fails — the cross-process RNG contract is load-bearing for backend
+//! equivalence, so a divergent worker is refused before it can compute
+//! anything.
 //!
 //! An op round is pipelined: the master sends every machine its OP frame
 //! first, then reads the ℓ REPLY frames — so worker processes genuinely
@@ -122,18 +125,6 @@ pub(crate) mod frame {
     pub const REJECT: u8 = 6;
 }
 
-/// Fault injections for protocol tests (worker side), passed in process to
-/// [`rendezvous::run_join_worker`] / `ProcCluster::local_with_faults`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerFault {
-    /// On the `request`-th reply (1-based), declare a full frame but send
-    /// only a few bytes, then close the connection.
-    TruncateUpload {
-        /// Which reply (1-based) to sabotage.
-        request: usize,
-    },
-}
-
 /// How a served session ended, from the worker's point of view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionEnd {
@@ -154,7 +145,6 @@ pub(crate) fn serve_session<E: OpExecutor>(
     mut stream: TcpStream,
     machine_id: u32,
     executor: &mut E,
-    fault: Option<WorkerFault>,
 ) -> io::Result<SessionEnd> {
     // A master that hangs up mid-session is a *session end*, not a worker
     // fault — and it does not always look like a clean EOF. If the master
@@ -174,7 +164,6 @@ pub(crate) fn serve_session<E: OpExecutor>(
         }
         _ => Err(e),
     };
-    let mut replies = 0usize;
     loop {
         let (opcode, body) = match read_frame(&mut stream) {
             Ok(f) => f,
@@ -202,14 +191,6 @@ pub(crate) fn serve_session<E: OpExecutor>(
         let start = Instant::now();
         let reply = executor.execute(&op);
         let elapsed = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        replies += 1;
-        if fault == Some(WorkerFault::TruncateUpload { request: replies }) {
-            // Declare a 64-byte frame, deliver 3 bytes, vanish.
-            stream.write_all(&64u32.to_le_bytes())?;
-            stream.write_all(&[frame::REPLY, 0xde, 0xad])?;
-            stream.flush()?;
-            return Ok(SessionEnd::Disconnected);
-        }
         let body = [&elapsed.to_le_bytes()[..], &reply.encode()].concat();
         if let Err(e) = write_frame(&mut stream, frame::REPLY, &body) {
             return disconnected(e);
@@ -335,32 +316,14 @@ impl ProcCluster {
         E: OpExecutor + Send + 'static,
         F: Fn(usize) -> E,
     {
-        Self::local_with_faults(count, network, master_seed, factory, Vec::new())
-    }
-
-    /// [`ProcCluster::local_with`] with per-machine fault injections
-    /// (`faults.get(i)` applies to machine `i`).
-    pub(crate) fn local_with_faults<E, F>(
-        count: usize,
-        network: NetworkModel,
-        master_seed: u64,
-        factory: F,
-        faults: Vec<Option<WorkerFault>>,
-    ) -> io::Result<Self>
-    where
-        E: OpExecutor + Send + 'static,
-        F: Fn(usize) -> E,
-    {
         Self::launch("127.0.0.1:0", count, network, master_seed, |id, addr| {
-            let fault = faults.get(id).copied().flatten();
             let executor = factory(id);
             let opts = JoinOptions {
                 requested: Some(id as u32),
                 deadline: Some(handshake_timeout()),
             };
             Ok(Served::Thread(std::thread::spawn(move || {
-                rendezvous::run_join_worker(&addr.to_string(), &opts, fault, |_| executor)
-                    .map(|_| ())
+                rendezvous::run_join_worker(&addr.to_string(), &opts, |_| executor).map(|_| ())
             })))
         })
     }
@@ -698,7 +661,7 @@ impl OpCluster for ProcCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rendezvous::{JoinHello, MembershipTable, PROTOCOL_VERSION};
+    use crate::rendezvous::{JoinHello, MembershipTable};
     use crate::backend::phase;
     use crate::ops::{expect_counts, expect_ok};
     use crate::runtime::{ExecMode, SimCluster};
@@ -867,20 +830,51 @@ mod tests {
         );
     }
 
+    /// `count` loopback workers on threads serving `Tally(tally(i))`,
+    /// but for machine `bad`: a hostile worker on a raw socket that
+    /// answers its first `good` ops as its tally would, then declares a
+    /// 64-byte REPLY, delivers 3 bytes of it and vanishes.
+    fn with_truncating_worker(
+        count: usize,
+        bad: usize,
+        good: usize,
+        tally: fn(usize) -> u64,
+    ) -> ProcCluster {
+        ProcCluster::launch("127.0.0.1:0", count, NetworkModel::zero(), 3, |id, addr| {
+            let mut executor = Tally(tally(id));
+            let opts = JoinOptions {
+                requested: Some(id as u32),
+                deadline: Some(handshake_timeout()),
+            };
+            Ok(Served::Thread(std::thread::spawn(move || {
+                if id != bad {
+                    let session =
+                        rendezvous::run_join_worker(&addr.to_string(), &opts, |_| executor);
+                    return session.map(|_| ());
+                }
+                let mut s = TcpStream::connect(addr)?;
+                rendezvous::join_handshake(&mut s, JoinHello::new(opts.requested))
+                    .map_err(|e| e.into_io())?;
+                for _ in 0..good {
+                    let (_, body) = read_frame(&mut s)?;
+                    let reply = executor.execute(&WorkerOp::decode(&body).expect("an op"));
+                    let body = [&0u64.to_le_bytes()[..], &reply.encode()].concat();
+                    write_frame(&mut s, frame::REPLY, &body)?;
+                }
+                read_frame(&mut s)?;
+                s.write_all(&64u32.to_le_bytes())?;
+                s.write_all(&[frame::REPLY, 0xde, 0xad])
+            })))
+        })
+        .unwrap()
+    }
+
     #[test]
     fn truncated_reply_fails_round_with_typed_error() {
         // Machine 1 truncates its second reply. Worker state is resident, so
         // the round must fail with a typed error naming the machine — not
         // silently degrade like the old placeholder-payload path.
-        let faults = vec![None, Some(WorkerFault::TruncateUpload { request: 2 })];
-        let mut cluster = ProcCluster::local_with_faults(
-            2,
-            NetworkModel::cluster_1gbps(),
-            3,
-            |_| Tally(9),
-            faults,
-        )
-        .unwrap();
+        let mut cluster = with_truncating_worker(2, 1, 1, |_| 9);
         // The first round completes on both links.
         let replies = cluster
             .control(phase::RR_SAMPLING, |_| WorkerOp::SampleRr { count: 5 })
@@ -932,10 +926,8 @@ mod tests {
             let (opcode, body) = read_frame(&mut s).unwrap();
             assert_eq!(opcode, frame::WELCOME);
             let welcome = rendezvous::Welcome::decode(&body).unwrap();
+            assert_eq!(welcome.machine_id, 0);
             let hello = rendezvous::Hello {
-                version: PROTOCOL_VERSION,
-                caps: rendezvous::caps::ALL,
-                machine_id: welcome.machine_id,
                 stream_seed: 0xbad_5eed, // anything but the derived seed
             };
             let _ = write_frame(&mut s, frame::HELLO, &hello.encode());
@@ -994,15 +986,7 @@ mod tests {
         // Machine 0 truncates its reply mid-round; the partial-failure
         // primitive must still deliver machine 1's and 2's replies and
         // keep their sockets consistent for the next round.
-        let faults = vec![Some(WorkerFault::TruncateUpload { request: 1 }), None, None];
-        let mut cluster = ProcCluster::local_with_faults(
-            3,
-            NetworkModel::zero(),
-            21,
-            |i| Tally(i as u64 + 1),
-            faults,
-        )
-        .unwrap();
+        let mut cluster = with_truncating_worker(3, 0, 0, |i| i as u64 + 1);
         let replies =
             cluster.exec_ops_each(None, phase::COUNT_UPLOAD, |_| WorkerOp::CoveredCount);
         assert!(replies[0].is_err());
@@ -1052,7 +1036,7 @@ mod tests {
             let (worker, _) = listener.accept().unwrap();
             let session = std::thread::spawn(move || {
                 let mut tally = Tally(0);
-                (serve_session(worker, 0, &mut tally, None), tally.0)
+                (serve_session(worker, 0, &mut tally), tally.0)
             });
             let op = WorkerOp::SampleRr { count: 1 }.encode();
             write_frame(&mut master, opcode, &op).unwrap();

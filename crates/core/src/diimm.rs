@@ -10,6 +10,7 @@
 //!   returning exactly the centralized greedy solution (Lemma 2), hence
 //!   preserving IMM's `(1 − 1/e − ε)` guarantee (Theorem 1).
 
+use std::path::Path;
 use std::sync::Arc;
 
 use dim_cluster::ops::{expect_ok, expect_stats};
@@ -52,6 +53,10 @@ use crate::params::ImParams;
 pub struct DiimmWorker<'g> {
     sampler: AnySampler<'g>,
     sampler_kind: SamplerKind,
+    /// The run's master seed, and this machine's stream derived from it:
+    /// with `sampler_kind` and `machine_id`, the provenance this worker
+    /// stamps into every shard header it writes.
+    seed: u64,
     machine_seed: u64,
     machine_id: u32,
     /// The machine's RR sets, stored directly as coverage elements
@@ -90,6 +95,7 @@ impl<'g> DiimmWorker<'g> {
             visited: EpochFlags::new(n),
             sampler: sampler.build(graph),
             sampler_kind: sampler,
+            seed,
             machine_seed: stream_seed(seed, machine_id),
             machine_id: machine_id as u32,
             shard: CoverageShard::new(n),
@@ -211,54 +217,46 @@ impl OpExecutor for DiimmWorker<'_> {
                 WorkerReply::Err("a paired worker neither persists nor repairs its sets".into())
             }
             // Persist the resident shard as one dim-store snapshot file.
-            // The master supplies the run provenance (it owns θ and the
-            // config); the worker contributes only what is resident here —
-            // its RR sets and sampling stats. Failures come back as typed
-            // `Err` replies, never a worker panic.
+            // The master sends the run's fields (it owns θ); the worker
+            // stamps the provenance only it holds — its seed, sampler and
+            // shard id — next to its RR sets and sampling stats. Failures
+            // come back as typed `Err` replies, never a worker panic.
             WorkerOp::PersistShard {
                 dir,
                 fingerprint,
-                seed,
                 theta,
-                shard_id,
                 shard_count,
-                sampler,
             } => {
                 let header = dim_store::ShardHeader {
                     fingerprint: *fingerprint,
-                    sampler: *sampler,
-                    seed: *seed,
+                    sampler: self.sampler_kind,
+                    seed: self.seed,
                     theta: *theta,
-                    shard_id: *shard_id,
+                    shard_id: self.machine_id,
                     shard_count: *shard_count,
                     num_sets: self.shard.num_sets() as u64,
                     num_elements: self.shard.num_elements() as u64,
                     edges_examined: self.edges_examined,
                 };
-                match dim_store::write_shard(
-                    std::path::Path::new(dir),
-                    &header,
-                    self.shard.elements(),
-                ) {
+                match dim_store::write_shard(Path::new(dir), &header, self.shard.elements()) {
                     Ok(_) => WorkerReply::Ok,
                     Err(e) => WorkerReply::Err(format!("PersistShard: {e}")),
                 }
             }
             // Apply an edge batch and repair the resident shard in place
             // (the edge-stream half of sample-once/select-many). As with
-            // PersistShard, the master supplies chain provenance and the
-            // worker persists only its own repairs — shard bytes never
-            // cross the wire. Replies with the number of repaired sets.
+            // PersistShard, the master sends the chain's fields, the worker
+            // stamps its own provenance and persists only its own repairs —
+            // shard bytes never cross the wire. Replies with the number of
+            // repaired sets.
             WorkerOp::ApplyDelta {
                 batch,
                 persist_dir,
                 base_generation,
                 fingerprint,
                 parent_fingerprint,
-                seed,
                 theta,
                 shard_count,
-                sampler,
             } => {
                 let decoded = match DeltaBatch::decode(batch) {
                     Ok(b) => b,
@@ -273,8 +271,8 @@ impl OpExecutor for DiimmWorker<'_> {
                         base_generation: *base_generation,
                         parent_fingerprint: *parent_fingerprint,
                         fingerprint: *fingerprint,
-                        sampler: *sampler,
-                        seed: *seed,
+                        sampler: self.sampler_kind,
+                        seed: self.seed,
                         theta: *theta,
                         batch_seq: decoded.seq,
                         shard_id: self.machine_id,
@@ -283,12 +281,9 @@ impl OpExecutor for DiimmWorker<'_> {
                         num_elements: self.shard.num_elements() as u64,
                         repaired_count: repaired.len() as u64,
                     };
-                    if let Err(e) = dim_store::write_delta_shard(
-                        std::path::Path::new(dir),
-                        &header,
-                        &decoded,
-                        &repaired,
-                    ) {
+                    let written =
+                        dim_store::write_delta_shard(Path::new(dir), &header, &decoded, &repaired);
+                    if let Err(e) = written {
                         return WorkerReply::Err(format!("ApplyDelta: {e}"));
                     }
                 }
@@ -668,11 +663,8 @@ mod tests {
         let persist = WorkerOp::PersistShard {
             dir: String::new(),
             fingerprint: 0,
-            seed: cfg.seed,
             theta: 0,
-            shard_id: 0,
             shard_count: 1,
-            sampler: cfg.sampler,
         };
         let apply = WorkerOp::ApplyDelta {
             batch: DeltaBatch::new(0, vec![]).encode(),
@@ -680,10 +672,8 @@ mod tests {
             base_generation: 0,
             fingerprint: 0,
             parent_fingerprint: 0,
-            seed: cfg.seed,
             theta: 0,
             shard_count: 1,
-            sampler: cfg.sampler,
         };
         for op in [&persist, &apply] {
             assert!(matches!(paired.execute(op), WorkerReply::Err(_)), "{op:?}");

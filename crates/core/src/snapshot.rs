@@ -110,27 +110,24 @@ impl From<DeltaError> for SnapshotError {
 /// Has every machine persist its resident RR shard into `dir` (one file
 /// per machine, written by the machine that owns the shard — the shard
 /// itself never crosses the wire), with `fingerprint` as the headers'
-/// graph fingerprint. Works on any [`OpCluster`] whose workers answer
-/// [`WorkerOp::PersistShard`]; wall time accrues under
-/// [`phase::STORE_SAVE`]. Both a finished sampling run and a stream
+/// graph fingerprint and `theta` as their global set count; each worker
+/// stamps its own seed, sampler and shard id. Works on any [`OpCluster`]
+/// whose workers answer [`WorkerOp::PersistShard`]; wall time accrues
+/// under [`phase::STORE_SAVE`]. Both a finished sampling run and a stream
 /// compaction persist through here.
 pub fn persist_rr_shards<B: OpCluster>(
     cluster: &mut B,
     dir: &Path,
     fingerprint: u64,
-    config: &ImConfig,
     theta: u64,
 ) -> Result<(), WireError> {
     let dir = dir.display().to_string();
     let shard_count = cluster.num_machines() as u32;
-    let replies = cluster.control(phase::STORE_SAVE, |i| WorkerOp::PersistShard {
+    let replies = cluster.control(phase::STORE_SAVE, |_| WorkerOp::PersistShard {
         dir: dir.clone(),
         fingerprint,
-        seed: config.seed,
         theta,
-        shard_id: i as u32,
         shard_count,
-        sampler: config.sampler,
     })?;
     expect_ok(&replies, phase::STORE_SAVE)
 }
@@ -192,7 +189,7 @@ pub fn diimm_sample_on<B: OpCluster>(
     let (id, dir) = dim_store::begin_generation(root)?;
     let mut result = diimm_on(cluster, graph, config, true)?;
     let fingerprint = graph_fingerprint(graph);
-    persist_rr_shards(cluster, &dir, fingerprint, config, result.num_rr_sets as u64)?;
+    persist_rr_shards(cluster, &dir, fingerprint, result.num_rr_sets as u64)?;
     dim_store::commit_generation(&dir, id, &run_params(config))?;
     dim_store::gc_generations(root, keep)?;
     // Re-derive the result's metric views so they include the save phase.
@@ -347,11 +344,13 @@ impl<'g> StreamSession<'g> {
         }
         let theta = snapshot.theta;
         let n = snapshot.num_sets as usize;
+        // The store hands the shards back in shard-id order, so shard `i`
+        // is machine `i`'s.
         let workers: Vec<DiimmWorker<'g>> = snapshot
             .shards
             .into_iter()
-            .map(|s| {
-                let machine_id = s.header.shard_id as usize;
+            .enumerate()
+            .map(|(machine_id, s)| {
                 let edges = s.header.edges_examined;
                 let shard = CoverageShard::from_pooled(n, s.elements);
                 DiimmWorker::restore(current.clone(), config, machine_id, shard, edges)
@@ -453,10 +452,8 @@ impl<'g> StreamSession<'g> {
             base_generation: self.base_generation,
             fingerprint,
             parent_fingerprint: self.tip_fingerprint,
-            seed: self.config.seed,
             theta: self.theta,
             shard_count,
-            sampler: self.config.sampler,
         })?;
         let counts = expect_counts(&replies, phase::STREAM_APPLY)?;
         if let Some((id, dir)) = &staged {
@@ -508,8 +505,7 @@ impl<'g> StreamSession<'g> {
             }));
         }
         let (id, dir) = dim_store::begin_generation(&self.root)?;
-        let fingerprint = self.root_fingerprint;
-        persist_rr_shards(&mut self.cluster, &dir, fingerprint, &self.config, self.theta)?;
+        persist_rr_shards(&mut self.cluster, &dir, self.root_fingerprint, self.theta)?;
         dim_store::write_graph_file(&dir, self.current_graph())?;
         dim_store::commit_generation(&dir, id, &run_params(&self.config))?;
         self.generation = id;

@@ -99,7 +99,7 @@ fn main() -> ExitCode {
             // bound the re-join so the worker can notice and exit clean.
             deadline: deadline.or((sessions_served > 0).then_some(REJOIN_GRACE)),
         };
-        match rendezvous::run_join_worker(&addr, &opts, None, |welcome| {
+        match rendezvous::run_join_worker(&addr, &opts, |welcome| {
             host.reset_session(welcome.machine_id as usize, welcome.master_seed);
             if rejoin {
                 eprintln!(

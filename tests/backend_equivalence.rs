@@ -485,10 +485,8 @@ mod stream {
                         base_generation: 0,
                         fingerprint,
                         parent_fingerprint: parent,
-                        seed: config.seed,
                         theta,
                         shard_count: machines as u32,
-                        sampler: config.sampler,
                     })
                     .unwrap();
                 let repaired = expect_counts(&replies, phase::STREAM_APPLY).unwrap();
@@ -711,9 +709,9 @@ mod proc_backend {
     }
 
     /// Process workers persist their *own* resident shard on
-    /// `PersistShard` (the sketch never crosses the wire), and the
-    /// snapshot they write replays to the same answer as one written by
-    /// the in-process simulator.
+    /// `PersistShard` (the sketch never crosses the wire), stamping their
+    /// own provenance: each file they write is the one the in-process
+    /// simulator writes, byte for byte, and replays to the same answer.
     #[test]
     fn proc_workers_persist_replayable_snapshot() {
         let g = DatasetProfile::Facebook.generate(0.08, 17);
@@ -754,6 +752,13 @@ mod proc_backend {
         assert_eq!(from_proc.seeds, from_sim.seeds);
         assert_eq!(from_proc.coverage, from_sim.coverage);
         assert_eq!(from_proc.num_rr_sets, from_sim.num_rr_sets);
+        let generation = dim::dim_store::generation_dir_name(1);
+        for shard in 0..machines as u32 {
+            let name = dim::dim_store::shard_file_name(shard, machines as u32);
+            let read = |root: &std::path::Path| std::fs::read(root.join(&generation).join(&name));
+            let (proc_bytes, sim_bytes) = (read(&proc_root).unwrap(), read(&sim_root).unwrap());
+            assert!(proc_bytes == sim_bytes, "{name} differs");
+        }
         std::fs::remove_dir_all(&proc_root).ok();
         std::fs::remove_dir_all(&sim_root).ok();
     }
@@ -797,7 +802,6 @@ mod join_backend {
 
     use super::*;
     use dim_cluster::ops::expect_ok;
-    use dim_cluster::tcp::WorkerFault;
     use dim_cluster::rendezvous::{self, JoinConfig, JoinOptions, Rendezvous};
     use dim_core::diimm::{diimm_on, diimm_with_options};
 
@@ -817,12 +821,9 @@ mod join_backend {
         addr: std::net::SocketAddr,
         machines: usize,
         sessions: usize,
-        fault_on: Option<usize>,
     ) -> Vec<thread::JoinHandle<Vec<SessionEnd>>> {
         (0..machines)
             .map(|id| {
-                let fault = (fault_on == Some(id))
-                    .then_some(WorkerFault::TruncateUpload { request: 3 });
                 thread::spawn(move || {
                     let opts = JoinOptions {
                         requested: Some(id as u32),
@@ -831,11 +832,8 @@ mod join_backend {
                     let mut host: Option<WorkerHost> = None;
                     let mut ends = Vec::new();
                     for _ in 0..sessions {
-                        let session = rendezvous::run_join_worker(
-                            &addr.to_string(),
-                            &opts,
-                            fault,
-                            |welcome| {
+                        let session =
+                            rendezvous::run_join_worker(&addr.to_string(), &opts, |welcome| {
                                 let host = host.get_or_insert_with(|| {
                                     WorkerHost::new(
                                         welcome.machine_id as usize,
@@ -847,9 +845,8 @@ mod join_backend {
                                     welcome.master_seed,
                                 );
                                 host
-                            },
-                        )
-                        .expect("join worker serves its session");
+                            })
+                            .expect("join worker serves its session");
                         ends.push(session.end);
                     }
                     ends
@@ -886,7 +883,7 @@ mod join_backend {
             )
             .unwrap();
             let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
-            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
+            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1);
             let mut cluster = accept(&mut rendezvous, config.seed);
             assert_eq!(cluster.session_id(), 1, "join sessions count from 1");
             setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
@@ -944,7 +941,7 @@ mod join_backend {
         )
         .unwrap();
         let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
-        let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
+        let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1);
         let mut cluster = accept(&mut rendezvous, config.seed);
         setup_im_cluster(&mut cluster, &g, config.sampler, false).unwrap();
         let r = diimm_on(&mut cluster, &g, &config, true).unwrap();
@@ -974,7 +971,7 @@ mod join_backend {
             let net = NetworkModel::cluster_1gbps();
             let reference = sim(&g, &config, machines, net, ExecMode::Sequential).unwrap();
             let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
-            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
+            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1);
             let mut cluster = accept(&mut rendezvous, config.seed);
             let r = paired_over(&mut cluster, &g, &config, rule);
             assert_same_paired_run(&r, &reference, name);
@@ -997,7 +994,7 @@ mod join_backend {
             let (shards, partition) = problem.shard_sets(machines, shuffle);
             let (reference, want) = greedi_reference(&shards, &partition);
             let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
-            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, None);
+            let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1);
             let mut cluster = accept(&mut rendezvous, 0xD1A7);
             let r = greedi_over(&mut cluster, &shards, &partition);
             assert_same_greedi_run((&r, &cluster.metrics()), (&reference, &want), name);
@@ -1028,7 +1025,7 @@ mod join_backend {
         let reference = newgreedi_with(&mut seq, problem.num_sets(), k).unwrap();
 
         let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
-        let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 2, None);
+        let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 2);
         for session in 1..=2u64 {
             let mut cluster = accept(&mut rendezvous, 0xD1A7);
             assert_eq!(cluster.session_id(), session);
@@ -1064,10 +1061,12 @@ mod join_backend {
         let machines = 2;
         let faulty = 1;
         let mut rendezvous = Rendezvous::bind("127.0.0.1:0", join_config(machines)).unwrap();
-        // The faulty worker truncates its 3rd reply and vanishes —
-        // indistinguishable from a machine killed mid-round.
-        let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1, Some(faulty));
+        let workers = start_workers(rendezvous.local_addr().unwrap(), machines, 1);
         let mut cluster = accept(&mut rendezvous, config.seed);
+        // The faulty machine's link is torn down mid-frame in the third
+        // round (the first `SampleRr`, after the two setup rounds).
+        let plan = FaultPlan::kill_machine(faulty as u32, 2);
+        cluster.set_chaos(Some(FaultInjector::new(plan, machines)));
         let err = setup_im_cluster(&mut cluster, &g, config.sampler, false)
             .map(|()| diimm_on(&mut cluster, &g, &config, true).map(|_| ()))
             .and_then(|r| r)

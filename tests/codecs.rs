@@ -157,15 +157,14 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
         Stats,
         Validate { seeds: ids(rng) },
         PersistShard {
-            dir: ascii(rng, 0..61), fingerprint: any_u64(rng), seed: any_u64(rng),
-            theta: any_u64(rng), shard_id: any_u32(rng), shard_count: any_u32(rng), sampler,
+            dir: ascii(rng, 0..61), fingerprint: any_u64(rng), theta: any_u64(rng),
+            shard_count: any_u32(rng),
         },
         ApplyDelta {
             batch: random_bytes(rng, 0..200),
             persist_dir: (rng.below(2) == 0).then(|| ascii(rng, 0..61)),
             base_generation: any_u64(rng), fingerprint: any_u64(rng),
-            parent_fingerprint: any_u64(rng), seed: any_u64(rng), theta: any_u64(rng),
-            shard_count: any_u32(rng), sampler,
+            parent_fingerprint: any_u64(rng), theta: any_u64(rng), shard_count: any_u32(rng),
         },
         Shutdown,
     ];
@@ -210,8 +209,6 @@ fn any_join_hello(rng: &mut Rng) -> JoinHello {
     // outside the codec's domain.
     let id = any_u32(rng);
     JoinHello {
-        version: any_u8(rng),
-        caps: any_u8(rng),
         requested: (id != u32::MAX && rng.below(4) > 0).then_some(id),
         auth: digest(rng),
     }
@@ -483,12 +480,10 @@ fn rendezvous_frames_are_strict() {
         session: any_u64(r), machine_id: any_u32(r), cluster_size: any_u32(r),
         master_seed: any_u64(r),
     };
-    let hello = |r: &mut Rng| Hello {
-        version: any_u8(r), caps: any_u8(r), machine_id: any_u32(r), stream_seed: any_u64(r),
-    };
-    strict(Canonical, "join", CASES, any_join_hello, sized(38, JoinHello::encode), JoinHello::decode);
+    let hello = |r: &mut Rng| Hello { stream_seed: any_u64(r) };
+    strict(Canonical, "join", CASES, any_join_hello, sized(37, JoinHello::encode), JoinHello::decode);
     strict(Canonical, "welcome", CASES, welcome, sized(24, Welcome::encode), Welcome::decode);
-    strict(Canonical, "hello", CASES, hello, sized(14, Hello::encode), Hello::decode);
+    strict(Canonical, "hello", CASES, hello, sized(8, Hello::encode), Hello::decode);
     strict(Canonical, "reject", CASES, any_reject, sized(1, Reject::encode), Reject::decode);
 }
 

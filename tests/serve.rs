@@ -907,7 +907,7 @@ fn reload_and_gc_survive_fault_schedule() {
     let (id, dir) = begin_generation(&root).unwrap();
     assert_eq!(id, 5);
     let fingerprint = graph_fingerprint(&g);
-    persist_rr_shards(&mut recovering, &dir, fingerprint, &cfg5, result.num_rr_sets as u64)
+    persist_rr_shards(&mut recovering, &dir, fingerprint, result.num_rr_sets as u64)
         .expect("persist recovered shards");
     let run = RunParams { k: cfg5.k as u64, epsilon: cfg5.epsilon, delta: cfg5.delta };
     commit_generation(&dir, id, &run).unwrap();
