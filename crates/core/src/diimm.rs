@@ -108,11 +108,12 @@ impl<'g> DiimmWorker<'g> {
 
     /// Restores a machine's DiIMM worker from persisted state: the graph
     /// its resident RR sets are valid against (a streamed chain's tip), the
-    /// sets themselves (stream position resumes after them) and prior
-    /// sampling stats.
+    /// sampler and master seed its shard headers record, the sets
+    /// themselves (stream position resumes after them) and prior sampling
+    /// stats.
     pub(crate) fn restore(
         graph: GraphRef<'g>,
-        config: &ImConfig,
+        (sampler, seed): (SamplerKind, u64),
         machine_id: usize,
         shard: CoverageShard,
         edges_examined: u64,
@@ -121,7 +122,7 @@ impl<'g> DiimmWorker<'g> {
             sets: shard.num_elements() as u64,
             shard,
             edges_examined,
-            ..Self::build(graph, config.sampler, config.seed, machine_id, false)
+            ..Self::build(graph, sampler, seed, machine_id, false)
         }
     }
 

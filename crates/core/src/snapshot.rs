@@ -219,14 +219,13 @@ pub fn diimm_sample_generation(
 }
 
 /// The provenance a snapshot must match to serve `graph` under `config`:
-/// graph fingerprint, sampler kind and node count, any shard count. This
-/// is what `dim serve` hands to the hot-reload path, so reloads validate
-/// exactly like the initial load.
+/// graph fingerprint, sampler kind and node count. This is what `dim
+/// serve` hands to the hot-reload path, so reloads validate exactly like
+/// the initial load.
 pub fn rr_snapshot_request(graph: &Graph, config: &ImConfig) -> SnapshotRequest {
     SnapshotRequest {
         fingerprint: graph_fingerprint(graph),
         sampler: config.sampler,
-        shard_count: None,
         num_sets: graph.num_nodes() as u64,
     }
 }
@@ -311,7 +310,9 @@ impl<'g> StreamSession<'g> {
     /// A chain sampled for another `(k, ε, δ)` than `config`'s is refused
     /// ([`SnapshotError::OtherRun`]): its θ certifies only the run it was
     /// sampled for. So is one whose manifests do not record the run
-    /// ([`SnapshotError::UnknownRun`]).
+    /// ([`SnapshotError::UnknownRun`]). The seed is the store's, whatever
+    /// `config.seed` says: every repair and compaction redraws a set from
+    /// the stream that first drew it.
     pub fn open(
         base: &'g Graph,
         config: &ImConfig,
@@ -342,10 +343,10 @@ impl<'g> StreamSession<'g> {
                 found,
             }));
         }
-        let theta = snapshot.theta;
-        let n = snapshot.num_sets as usize;
-        // The store hands the shards back in shard-id order, so shard `i`
-        // is machine `i`'s.
+        let (theta, n) = (snapshot.theta, snapshot.num_sets as usize);
+        // Shards come back in shard-id order, all of one run: machine `i`
+        // resumes shard `i`'s streams under the stored sampler and seed.
+        let run = (snapshot.sampler, snapshot.seed);
         let workers: Vec<DiimmWorker<'g>> = snapshot
             .shards
             .into_iter()
@@ -353,7 +354,7 @@ impl<'g> StreamSession<'g> {
             .map(|(machine_id, s)| {
                 let edges = s.header.edges_examined;
                 let shard = CoverageShard::from_pooled(n, s.elements);
-                DiimmWorker::restore(current.clone(), config, machine_id, shard, edges)
+                DiimmWorker::restore(current.clone(), run, machine_id, shard, edges)
             })
             .collect();
         let mut cluster = SimCluster::new(workers, network, mode);
@@ -842,6 +843,56 @@ mod tests {
             StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();
         assert_eq!(final_reload.generation(), 4);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The store owns its seed: a session opened under a foreign
+    /// `config.seed` repairs from the streams that drew the stored sets, so
+    /// it commits the same delta and compacted files, byte for byte, as one
+    /// opened under the sampling seed — and the compacted base still names
+    /// the sampling seed.
+    #[test]
+    fn foreign_seed_session_writes_the_sampling_seeds_bytes() {
+        let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 7);
+        let cfg = config(4, 1);
+        let net = NetworkModel::zero();
+        let (u, v, _) = g.edges().next().unwrap();
+        let insert = EdgeOp::Insert {
+            u: (u + 1) % 200,
+            v: (u + 3) % 200,
+            p: 0.9,
+        };
+        let stream = |seed: u64| {
+            let root = temp_dir(&format!("foreign-seed-{seed}"));
+            diimm_sample_generation(&g, &cfg, 2, net, ExecMode::Sequential, &root, 4).unwrap();
+            let open_cfg = ImConfig { seed, ..cfg };
+            let mut session =
+                StreamSession::open(&g, &open_cfg, &root, net, ExecMode::Sequential).unwrap();
+            session
+                .apply(vec![EdgeOp::Delete { u, v }, insert], true, 4)
+                .unwrap();
+            assert_eq!(session.compact(4).unwrap(), Some(3));
+            let (_, compacted) = load_latest_rr_snapshot(&g, &open_cfg, &root).unwrap();
+            assert_eq!(compacted.seed, 1, "--seed {seed}: compacted header seed");
+            let mut files = Vec::new();
+            for (id, dir) in dim_store::list_generations(&root).unwrap() {
+                for entry in std::fs::read_dir(&dir).unwrap() {
+                    let path = entry.unwrap().path();
+                    files.push((
+                        id,
+                        path.file_name().unwrap().to_owned(),
+                        std::fs::read(&path).unwrap(),
+                    ));
+                }
+            }
+            files.sort();
+            std::fs::remove_dir_all(&root).unwrap();
+            files
+        };
+        let (own, foreign) = (stream(1), stream(2));
+        assert_eq!(own.len(), foreign.len());
+        for (a, b) in own.iter().zip(&foreign) {
+            assert!(a == b, "gen {} {:?} differs under a foreign seed", a.0, a.1);
+        }
     }
 
     /// A GC failure after the commit must not leave the session a step

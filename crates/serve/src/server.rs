@@ -1249,7 +1249,6 @@ mod tests {
         let request = SnapshotRequest {
             fingerprint: 0xabcd,
             sampler: SamplerKind::Standard(IC),
-            shard_count: None,
             num_sets: 5,
         };
         let gen1 = write_generation(&root, 0);

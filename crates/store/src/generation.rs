@@ -586,7 +586,6 @@ mod tests {
         SnapshotRequest {
             fingerprint: 0xfeed_f00d,
             sampler: SamplerKind::Standard(IC),
-            shard_count: None,
             num_sets: 5,
         }
     }

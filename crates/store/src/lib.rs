@@ -589,11 +589,6 @@ fn read_shard(path: &Path, request: &SnapshotRequest) -> Result<ShardSnapshot, S
             h.sampler.tag() as u64,
         ));
     }
-    if let Some(expect) = request.shard_count {
-        if h.shard_count != expect {
-            return Err(mismatch(path, "shard_count", expect as u64, h.shard_count as u64));
-        }
-    }
     if h.num_sets != request.num_sets {
         return Err(mismatch(path, "num_sets", request.num_sets, h.num_sets));
     }
@@ -651,9 +646,6 @@ pub struct SnapshotRequest {
     pub fingerprint: u64,
     /// Required sampler.
     pub sampler: SamplerKind,
-    /// Required shard count, if the caller cares (e.g. resuming onto a
-    /// cluster of a fixed size). `None` accepts whatever the snapshot has.
-    pub shard_count: Option<u32>,
     /// Required set-universe size: the graph's node count `n`. It bounds
     /// every node id, readers size per-node state by it (an index holds
     /// `n` lists) and no file bounds it, so every shard must name it.
@@ -1036,7 +1028,6 @@ mod tests {
         SnapshotRequest {
             fingerprint: 0xdead_beef_cafe_f00d,
             sampler: SamplerKind::Standard(IC),
-            shard_count: None,
             num_sets: 5,
         }
     }
@@ -1078,9 +1069,10 @@ mod tests {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "sampler"),
             other => panic!("expected mismatch, got {other:?}"),
         }
-        let mut req = request();
-        req.shard_count = Some(4);
-        match load_snapshot(&dir, &req) {
+        // A sibling from a run of another shard count.
+        let (header, elements) = shard(0, 4);
+        write_shard(&dir, &header, &elements).unwrap();
+        match load_snapshot(&dir, &request()) {
             Err(StoreError::Mismatch { field, .. }) => assert_eq!(field, "shard_count"),
             other => panic!("expected mismatch, got {other:?}"),
         }

@@ -147,8 +147,11 @@ common flags: --model ic|lt  --epsilon E  --delta D  --k K  --seed S
 samplers: IC RR sets always use SUBSIM's count-first subset sampling;
   --algorithm subsim is diimm under its Fig. 7 name (IC only, same seeds)
 
-stored sketches: im --load-rr and stream refuse a store sampled with
-  another --k, --epsilon or --delta
+stored sketches: im --load-rr, stream and serve take the run from the store:
+  --k/--epsilon/--delta are refused unless the store's (serve: unchecked),
+  --model must match the stored sampler, --machines the shard count (serve:
+  unused), and --seed comes from the store (it still seeds a profile: graph
+  and --evaluate's cascades)
 
 join backend: workers are pre-started (dim-worker --connect ADDR --join)
   and register with this master; bind via DIM_MASTER_BIND (e.g.

@@ -646,3 +646,62 @@ fn a_flat_store_is_refused_as_needing_a_resample() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&edits).ok();
 }
+
+/// A store owns its seed: `dim stream` repairs from the streams that drew
+/// the stored sets, whatever `--seed` says. Two copies of one `--seed 1`
+/// store, streamed the same edit under `--seed 1` and `--seed 2`, print
+/// equal seeds and spread, and write byte-identical generations. (An
+/// edge-list graph, so `--seed` cannot change the graph itself.)
+#[test]
+fn stream_takes_its_seed_from_the_store() {
+    let graph = temp_path("seed-owner.txt");
+    let graph_s = graph.to_str().unwrap();
+    let (ok, _, err) = run(&["generate", "--profile", "facebook:0.05", "--out", graph_s]);
+    assert!(ok, "generate failed: {err}");
+    let edits = temp_path("seed-owner-edits.jsonl");
+    std::fs::write(
+        &edits,
+        "{\"op\": \"insert\", \"u\": 1, \"v\": 2, \"p\": 0.9}\n",
+    )
+    .unwrap();
+    let common = ["--graph", graph_s, "--k", "5", "--machines", "2"];
+    let stream = |seed: &str| {
+        let dir = temp_path(&format!("seed-owner-{seed}"));
+        sample(&dir, &[&common[..], &["--seed", "1"]].concat());
+        let args = [
+            "--store",
+            dir.to_str().unwrap(),
+            "--apply",
+            edits.to_str().unwrap(),
+        ];
+        let flags = ["--compact", "--select", "--seed", seed];
+        let (ok, out, err) = run(&[&["stream"], &common[..], &args[..], &flags[..]].concat());
+        assert!(ok, "stream --seed {seed} failed: {err}");
+        let picked = out
+            .lines()
+            .filter(|l| l.starts_with("seeds:") || l.starts_with("estimated"));
+        let mut files = Vec::new();
+        for generation in ["gen-00000001", "gen-00000002", "gen-00000003"] {
+            let mut names: Vec<_> = std::fs::read_dir(dir.join(generation)).unwrap().collect();
+            names.sort_by_key(|e| e.as_ref().unwrap().file_name());
+            for entry in names {
+                let path = entry.unwrap().path();
+                files.push((
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(&path).unwrap(),
+                ));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        (picked.map(str::to_owned).collect::<Vec<_>>(), files)
+    };
+    let ((own_lines, own_files), (foreign_lines, foreign_files)) = (stream("1"), stream("2"));
+    assert_eq!(own_lines.len(), 2, "{own_lines:?}");
+    assert_eq!(own_lines, foreign_lines);
+    assert_eq!(own_files.len(), foreign_files.len());
+    for ((name, own), (_, foreign)) in own_files.iter().zip(&foreign_files) {
+        assert!(own == foreign, "{name:?} differs under --seed 2");
+    }
+    std::fs::remove_file(&graph).ok();
+    std::fs::remove_file(&edits).ok();
+}

@@ -1,20 +1,23 @@
 //! The run's fixed points as tier-1 tests: exact counters that a change
 //! must leave equal unless it declares the move. Each counter is asserted
-//! by name, and a test reports every counter that moved, not only the
-//! first, so a failure says what moved and by how much.
+//! by name — a run's through the [`RunRecord`] field of that name — and a
+//! test reports every counter that moved, not only the first, so a
+//! failure says what moved and by how much.
 
 use dim_cluster::{
-    ClusterBackend, ClusterMetrics, ExecMode, NetworkModel, OpExecutor, SimCluster, WorkerOp,
-    WorkerReply,
+    ClusterBackend, ExecMode, NetworkModel, OpExecutor, SimCluster, WorkerOp, WorkerReply,
 };
 use dim_core::diimm::DiimmWorker;
 use dim_core::snapshot::{diimm_sample_generation, StreamSession};
 use dim_core::{diimm, ImConfig};
-use dim_coverage::greedi::{greedi, GreediResult};
+use dim_coverage::greedi::greedi;
 use dim_coverage::newgreedi_with;
 use dim_coverage::CoverageProblem;
 use dim_graph::generators::DatasetProfile;
 use dim_graph::{DeltaBatch, EdgeOp, Graph};
+
+mod run_record;
+use run_record::{assert_same, RunRecord};
 
 /// The sampler work units a worker has spent so far.
 fn examined(worker: &mut DiimmWorker) -> u64 {
@@ -49,25 +52,19 @@ fn diimm_im_ic_counters() {
         k: 20,
         ..ImConfig::paper_defaults(&g, 0.1, 1)
     };
-    let r = diimm(
-        &g,
-        &config,
-        2,
-        NetworkModel::cluster_1gbps(),
-        ExecMode::Sequential,
-    )
-    .expect("a simulated solve has no link to fail");
-    assert_counters(
-        "im-ic (livejournal:0.02, seed 1)",
-        &[
-            ("theta", r.num_rr_sets as u64, 231_266),
-            ("edges_examined", r.edges_examined, 16_693_587),
-            ("bytes_to_master", r.metrics.bytes_to_master, 5_908_208),
-            ("bytes_from_master", r.metrics.bytes_from_master, 54_752),
-            ("messages", r.metrics.messages, 448),
-            ("phases", r.metrics.phases, 121),
-        ],
-    );
+    let net = NetworkModel::cluster_1gbps();
+    let r = diimm(&g, &config, 2, net, ExecMode::Sequential).expect("a simulated solve");
+    let got = RunRecord::from(&r);
+    let pinned = RunRecord {
+        theta: 231_266,
+        edges_examined: 16_693_587,
+        bytes_to_master: 5_908_208,
+        bytes_from_master: 54_752,
+        messages: 448,
+        phases: 121,
+        ..got.clone()
+    };
+    assert_same(&got, &pinned, "im-ic (livejournal:0.02, seed 1) moved");
 }
 
 /// One fixed batch of 16 edits over `g`: inserts, reweights and deletes,
@@ -126,7 +123,7 @@ fn diimm_repair_counters() {
 /// (seed 1) in-neighbourhoods, k = 20, two machines — the shape of the
 /// `maxcover-tcp` benchmark's smoke run, built here, not read from it.
 /// Modeled traffic is a function of the messages alone, so a
-/// [`SimCluster`] pins what the TCP backends send. `rounds` counts the
+/// [`SimCluster`] pins what the TCP backends send. `phases` counts the
 /// solve's op rounds (the benchmark's `cluster.rounds`); the bytes and
 /// messages are its `cluster.bytes_up`, `bytes_down` and `msgs` at this
 /// input, not at the benchmark's full scale.
@@ -139,28 +136,26 @@ fn newgreedi_maxcover_counters() {
         NetworkModel::cluster_1gbps(),
         ExecMode::Sequential,
     );
-    newgreedi_with(&mut cluster, problem.num_sets(), 20)
-        .expect("a simulated solve has no link to fail");
-    let m = cluster.metrics();
-    assert_counters(
-        "maxcover (livejournal:0.004, seed 1)",
-        &[
-            ("rounds", m.phases, 22),
-            ("bytes_to_master", m.bytes_to_master, 319_712),
-            ("bytes_from_master", m.bytes_from_master, 10_048),
-            ("messages", m.messages, 84),
-        ],
-    );
+    let r = newgreedi_with(&mut cluster, problem.num_sets(), 20).expect("a simulated solve");
+    let got = RunRecord::from((&r, cluster.timeline()));
+    let pinned = RunRecord {
+        phases: 22,
+        bytes_to_master: 319_712,
+        bytes_from_master: 10_048,
+        messages: 84,
+        ..got.clone()
+    };
+    assert_same(&got, &pinned, "maxcover (livejournal:0.004, seed 1) moved");
 }
 
-/// One GreeDi solve over `problem` on two simulated machines, k = κ = 20:
-/// its result and the cluster's counters. `shuffle` is RandGreeDi's
-/// partition seed (`None` for GreeDi's round-robin partition).
-fn greedi_run(problem: &CoverageProblem, shuffle: Option<u64>) -> (GreediResult, ClusterMetrics) {
+/// One GreeDi solve over `problem` on two simulated machines, k = κ = 20.
+/// `shuffle` is RandGreeDi's partition seed (`None` for GreeDi's
+/// round-robin partition).
+fn greedi_run(problem: &CoverageProblem, shuffle: Option<u64>) -> RunRecord {
     let (shards, partition) = problem.shard_sets(2, shuffle);
     let mut cluster = SimCluster::new(shards, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
     let r = greedi(&mut cluster, &partition, 20, 20).expect("a simulated solve has no link");
-    (r, cluster.metrics())
+    RunRecord::from((&r, cluster.timeline()))
 }
 
 /// GreeDi and RandGreeDi's core-set round over set shards of the same
@@ -179,18 +174,17 @@ fn greedi_coreset_counters() {
         ("GreeDi", None, 187_744),
         ("RandGreeDi (shuffle seed 7)", Some(7), 185_808),
     ] {
-        let (r, m) = greedi_run(&problem, shuffle);
-        assert_eq!(r.seeds, picks, "{variant} seeds");
-        assert_counters(
-            variant,
-            &[
-                ("covered", r.covered, 14_134),
-                ("bytes_to_master", m.bytes_to_master, bytes_up),
-                ("bytes_from_master", m.bytes_from_master, 0),
-                ("messages", m.messages, 2),
-                ("phases", m.phases, 1),
-            ],
-        );
+        let got = greedi_run(&problem, shuffle);
+        let pinned = RunRecord {
+            seeds: picks.to_vec(),
+            coverage: 14_134,
+            bytes_to_master: bytes_up,
+            bytes_from_master: 0,
+            messages: 2,
+            phases: 1,
+            ..got.clone()
+        };
+        assert_same(&got, &pinned, &format!("{variant} moved"));
     }
 }
 
