@@ -163,6 +163,29 @@ pub enum WorkerOp {
         /// Total number of shards in the snapshot.
         shard_count: u32,
     },
+    /// Restore this machine's own shard of a committed `dim-store` chain
+    /// the master resolved: fold base shard `dir` and its delta shard in
+    /// each of `links`, checking every header against the machine's id,
+    /// `shard_count` and the provenance sent, then resume sampling under
+    /// the header's sampler and seed. No RR set crosses the wire; the
+    /// machine must already hold the chain's tip graph. → `Ok`, or `Err`
+    /// naming the file at fault.
+    LoadShard {
+        /// The chain's base generation directory.
+        dir: String,
+        /// Its delta generation directories, in application order.
+        links: Vec<String>,
+        /// The graph fingerprint every base shard header names.
+        fingerprint: u64,
+        /// The sampler that drew the sets.
+        sampler: SamplerKind,
+        /// The master seed of the sampling run.
+        seed: u64,
+        /// Global θ — total RR sets across all shards.
+        theta: u64,
+        /// Total number of shards: the cluster size.
+        shard_count: u32,
+    },
     /// Exit cleanly. → `Ok` (process workers exit afterwards).
     Shutdown,
 }
@@ -202,6 +225,7 @@ const OP_SHUTDOWN: u8 = 10;
 const OP_PERSIST_SHARD: u8 = 11;
 const OP_APPLY_DELTA: u8 = 12;
 const OP_CORE_SET: u8 = 13;
+const OP_LOAD_SHARD: u8 = 14;
 
 const REPLY_OK: u8 = 0;
 const REPLY_DELTAS: u8 = 1;
@@ -335,6 +359,27 @@ impl WorkerOp {
                 put_u32(&mut out, batch.len() as u32);
                 out.extend_from_slice(batch);
             }
+            WorkerOp::LoadShard {
+                dir,
+                links,
+                fingerprint,
+                sampler,
+                seed,
+                theta,
+                shard_count,
+            } => {
+                out.push(OP_LOAD_SHARD);
+                put_u64(&mut out, *fingerprint);
+                out.push(sampler.tag());
+                put_u64(&mut out, *seed);
+                put_u64(&mut out, *theta);
+                put_u32(&mut out, *shard_count);
+                put_str(&mut out, dir);
+                put_u32(&mut out, links.len() as u32);
+                for link in links {
+                    put_str(&mut out, link);
+                }
+            }
             WorkerOp::Shutdown => out.push(OP_SHUTDOWN),
         }
         out
@@ -405,6 +450,23 @@ impl WorkerOp {
                 batch: {
                     let len = r.u32()? as usize;
                     r.take(len)?.to_vec()
+                },
+            },
+            OP_LOAD_SHARD => WorkerOp::LoadShard {
+                fingerprint: r.u64()?,
+                sampler: SamplerKind::from_tag(r.u8()?)?,
+                seed: r.u64()?,
+                theta: r.u64()?,
+                shard_count: r.u32()?,
+                dir: read_str(&mut r)?,
+                links: {
+                    // Each link is at least its 4-byte length.
+                    let count = r.u32()? as usize;
+                    let mut links = Vec::with_capacity(count.min(r.remaining() / 4));
+                    for _ in 0..count {
+                        links.push(read_str(&mut r)?);
+                    }
+                    links
                 },
             },
             OP_SHUTDOWN => WorkerOp::Shutdown,
@@ -546,7 +608,8 @@ pub trait OpCluster: ClusterBackend {
     /// replies of the survivors. The recovery layer (`dim_core::recover`)
     /// drives it directly — on a single-machine loss it needs every
     /// surviving machine's reply to keep the round going. A
-    /// [`WorkerReply::Err`] is the `Malformed` error of its machine.
+    /// [`WorkerReply::Err`] is its machine's `Refused` error, with the
+    /// worker's text.
     ///
     /// No *modeled* traffic is charged here — callers decide whether a
     /// round is free control flow ([`OpCluster::control`]), an upload
@@ -657,7 +720,7 @@ impl<W: Send + OpExecutor> OpCluster for SimCluster<W> {
             .enumerate()
             .map(|(i, reply)| match reply {
                 None => Err(WireError::link(up_label, i)),
-                Some(WorkerReply::Err(_)) => Err(WireError::malformed(up_label, i)),
+                Some(WorkerReply::Err(text)) => Err(WireError::refused(up_label, i, text)),
                 Some(reply) => Ok(reply),
             })
             .collect()
@@ -791,6 +854,24 @@ mod tests {
                 base_generation: 0,
                 fingerprint: 0,
                 parent_fingerprint: u64::MAX,
+                theta: 0,
+                shard_count: 0,
+            },
+            WorkerOp::LoadShard {
+                dir: "/tmp/dim-store/gen-00000003".into(),
+                links: vec!["/tmp/dim-store/gen-00000004".into(), String::new()],
+                fingerprint: 0xDEAD_BEEF_CAFE_F00D,
+                sampler: SamplerKind::Standard(LT),
+                seed: u64::MAX,
+                theta: 10_000,
+                shard_count: 4,
+            },
+            WorkerOp::LoadShard {
+                dir: String::new(),
+                links: vec![],
+                fingerprint: 0,
+                sampler: SamplerKind::ReverseBfs,
+                seed: 0,
                 theta: 0,
                 shard_count: 0,
             },

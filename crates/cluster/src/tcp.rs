@@ -531,8 +531,9 @@ impl OpCluster for ProcCluster {
     /// the ℓ REPLY frames. Worker compute is the maximum of the
     /// worker-reported elapsed times (workers run concurrently);
     /// `measured_comm` records the send wall clock under `down_label`
-    /// (falling back to `up_label`) and the receive wall clock minus the
-    /// compute window under `up_label`.
+    /// (falling back to `up_label`) and, under `up_label`, the slowest
+    /// link's time from the start of its OP write to its REPLY read, minus
+    /// that worker's own elapsed time.
     ///
     /// Every live link gets its OP and is read back even when another
     /// link fails mid-round — the seam speculative recovery needs (one
@@ -561,6 +562,7 @@ impl OpCluster for ProcCluster {
         });
 
         let send_start = Instant::now();
+        let mut sent_at = vec![send_start; l];
         for i in 0..l {
             if !self.links[i].alive {
                 out[i] = Some(Err(WireError::link(up_label, i)));
@@ -582,13 +584,16 @@ impl OpCluster for ProcCluster {
                 }
             }
             let encoded = op(i).encode();
+            // The worker cannot start before its OP write does, so this
+            // link's window holds its whole compute.
+            sent_at[i] = Instant::now();
             if write_frame(&mut self.links[i].stream, frame::OP, &encoded).is_err() {
                 out[i] = Some(Err(self.fail_link(up_label, i, WireErrorKind::Link)));
             }
         }
         let send_wall = send_start.elapsed();
 
-        let recv_start = Instant::now();
+        let mut recv_comm = Duration::ZERO;
         let mut max_elapsed = Duration::ZERO;
         let mut sum_elapsed = Duration::ZERO;
         for (i, slot) in out.iter_mut().enumerate() {
@@ -611,23 +616,22 @@ impl OpCluster for ProcCluster {
                 *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Truncated)));
                 continue;
             }
-            let nanos = u64::from_le_bytes(body[..8].try_into().unwrap());
+            let elapsed = Duration::from_nanos(u64::from_le_bytes(body[..8].try_into().unwrap()));
             let Some(reply) = WorkerReply::decode(&body[8..]) else {
                 *slot = Some(Err(self.fail_link(up_label, i, WireErrorKind::Malformed)));
                 continue;
             };
-            if let WorkerReply::Err(msg) = &reply {
-                // A typed worker-side failure: the link itself is healthy.
-                eprintln!("dim worker {i} failed op in phase `{up_label}`: {msg}");
-                *slot = Some(Err(WireError::malformed(up_label, i)));
-                continue;
-            }
-            let elapsed = Duration::from_nanos(nanos);
-            max_elapsed = max_elapsed.max(elapsed);
-            sum_elapsed += elapsed;
-            *slot = Some(Ok(reply));
+            recv_comm = recv_comm.max(sent_at[i].elapsed().saturating_sub(elapsed));
+            *slot = Some(match reply {
+                // A worker-side refusal, in its words: the link is healthy.
+                WorkerReply::Err(text) => Err(WireError::refused(up_label, i, text)),
+                reply => {
+                    max_elapsed = max_elapsed.max(elapsed);
+                    sum_elapsed += elapsed;
+                    Ok(reply)
+                }
+            });
         }
-        let recv_wall = recv_start.elapsed();
 
         self.record(
             up_label,
@@ -648,7 +652,7 @@ impl OpCluster for ProcCluster {
         self.record(
             up_label,
             ClusterMetrics {
-                measured_comm: recv_wall.saturating_sub(max_elapsed),
+                measured_comm: recv_comm,
                 ..Default::default()
             },
         );
@@ -910,7 +914,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.phase, phase::VALIDATION);
         assert_eq!(err.machine, Some(0));
-        assert_eq!(err.kind, WireErrorKind::Malformed);
+        assert_eq!(err.kind, WireErrorKind::Refused("unsupported".into()));
     }
 
     #[test]

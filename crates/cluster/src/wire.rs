@@ -34,7 +34,7 @@ pub struct WireError {
 }
 
 /// What kind of decode failure occurred.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireErrorKind {
     /// Header or body truncated / trailing garbage / count overflow.
     Malformed,
@@ -56,6 +56,9 @@ pub enum WireErrorKind {
     /// cluster size was taken (retryable by the worker: the *next* session
     /// may have room).
     SessionFull,
+    /// The worker answered with [`crate::WorkerReply::Err`]: it refused the
+    /// op, saying why. The link itself is healthy.
+    Refused(String),
 }
 
 impl WireError {
@@ -83,6 +86,15 @@ impl WireError {
             phase,
             machine: Some(machine),
             kind: WireErrorKind::IdOutOfRange,
+        }
+    }
+
+    /// Machine `machine`'s refusal of its op in `phase`, in its own words.
+    pub fn refused(phase: &'static str, machine: usize, text: String) -> Self {
+        WireError {
+            phase,
+            machine: Some(machine),
+            kind: WireErrorKind::Refused(text),
         }
     }
 
@@ -116,17 +128,22 @@ impl WireError {
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let what = match self.kind {
+        let what = match &self.kind {
             WireErrorKind::Malformed => "malformed wire message",
             WireErrorKind::Truncated => "truncated wire message",
             WireErrorKind::IdOutOfRange => "out-of-range id in wire message",
             WireErrorKind::Link => "dead link",
             WireErrorKind::DuplicateId => "duplicate machine id in registration",
             WireErrorKind::SessionFull => "session already has its full membership",
+            WireErrorKind::Refused(_) => "refusal",
         };
         match self.machine {
-            Some(m) => write!(f, "{what} from machine {m} in phase `{}`", self.phase),
-            None => write!(f, "{what} in phase `{}`", self.phase),
+            Some(m) => write!(f, "{what} from machine {m} in phase `{}`", self.phase)?,
+            None => write!(f, "{what} in phase `{}`", self.phase)?,
+        }
+        match &self.kind {
+            WireErrorKind::Refused(text) => write!(f, ": {text}"),
+            _ => Ok(()),
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   returning exactly the centralized greedy solution (Lemma 2), hence
 //!   preserving IMM's `(1 − 1/e − ε)` guarantee (Theorem 1).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dim_cluster::ops::{expect_ok, expect_stats};
@@ -48,8 +48,10 @@ use crate::params::ImParams;
 ///
 /// The sampler owns the machine's graph (borrowed, or shared with the
 /// other holders of one copy) and is built once per graph: by
-/// [`new`](Self::new)/`restore`, and again only when
-/// [`apply_delta`](Self::apply_delta) installs the mutated graph.
+/// [`new`](Self::new), and again only when
+/// [`apply_delta`](Self::apply_delta) installs the mutated graph. A
+/// [`WorkerOp::LoadShard`] restores a stored shard into the worker and
+/// keeps its sampler.
 pub struct DiimmWorker<'g> {
     sampler: AnySampler<'g>,
     sampler_kind: SamplerKind,
@@ -106,24 +108,18 @@ impl<'g> DiimmWorker<'g> {
         }
     }
 
-    /// Restores a machine's DiIMM worker from persisted state: the graph
-    /// its resident RR sets are valid against (a streamed chain's tip), the
-    /// sampler and master seed its shard headers record, the sets
-    /// themselves (stream position resumes after them) and prior sampling
-    /// stats.
-    pub(crate) fn restore(
-        graph: GraphRef<'g>,
-        (sampler, seed): (SamplerKind, u64),
-        machine_id: usize,
-        shard: CoverageShard,
-        edges_examined: u64,
-    ) -> Self {
-        DiimmWorker {
-            sets: shard.num_elements() as u64,
-            shard,
-            edges_examined,
-            ..Self::build(graph, sampler, seed, machine_id, false)
-        }
+    /// Resumes this machine from its folded stored shard, whose header
+    /// names this worker's sampler (the fold checked it): the RR sets
+    /// (stream position resumes after them), their sampling work, and the
+    /// master seed the header records, so every later draw and repair
+    /// comes from the streams that drew the stored sets.
+    fn restore(&mut self, stored: dim_store::ShardSnapshot) {
+        let h = stored.header;
+        self.seed = h.seed;
+        self.machine_seed = stream_seed(h.seed, self.machine_id as usize);
+        self.sets = h.num_elements;
+        self.edges_examined = h.edges_examined;
+        self.shard = CoverageShard::from_pooled(h.num_sets as usize, stored.elements);
     }
 
     /// The graph RR sets are currently drawn from.
@@ -212,10 +208,45 @@ impl OpExecutor for DiimmWorker<'_> {
                     edges_examined: self.edges_examined,
                 })
             }
-            WorkerOp::PersistShard { .. } | WorkerOp::ApplyDelta { .. }
+            WorkerOp::PersistShard { .. }
+            | WorkerOp::ApplyDelta { .. }
+            | WorkerOp::LoadShard { .. }
                 if self.validation.is_some() =>
             {
-                WorkerReply::Err("a paired worker neither persists nor repairs its sets".into())
+                WorkerReply::Err("a paired worker neither stores nor repairs its sets".into())
+            }
+            // Restore this machine's own shard of the chain the master
+            // resolved: the store reads only this machine's files, checking
+            // each header against its id, the cluster size, the graph and
+            // sampler this worker holds and the provenance sent.
+            WorkerOp::LoadShard {
+                dir,
+                links,
+                fingerprint,
+                sampler: _,
+                seed,
+                theta,
+                shard_count,
+            } => {
+                let files = dim_store::ChainFiles {
+                    base_dir: dir.into(),
+                    link_dirs: links.iter().map(PathBuf::from).collect(),
+                    request: dim_store::SnapshotRequest {
+                        fingerprint: *fingerprint,
+                        sampler: self.sampler_kind,
+                        num_sets: self.current_graph().num_nodes() as u64,
+                    },
+                    seed: *seed,
+                    theta: *theta,
+                    shard_count: *shard_count,
+                };
+                match files.fold_shard(self.machine_id) {
+                    Ok(stored) => {
+                        self.restore(stored);
+                        WorkerReply::Ok
+                    }
+                    Err(e) => WorkerReply::Err(format!("LoadShard: {e}")),
+                }
             }
             // Persist the resident shard as one dim-store snapshot file.
             // The master sends the run's fields (it owns θ); the worker
@@ -676,7 +707,16 @@ mod tests {
             theta: 0,
             shard_count: 1,
         };
-        for op in [&persist, &apply] {
+        let load = WorkerOp::LoadShard {
+            dir: String::new(),
+            links: vec![],
+            fingerprint: 0,
+            sampler: cfg.sampler,
+            seed: 0,
+            theta: 0,
+            shard_count: 1,
+        };
+        for op in [&persist, &apply, &load] {
             assert!(matches!(paired.execute(op), WorkerReply::Err(_)), "{op:?}");
         }
         assert_eq!(

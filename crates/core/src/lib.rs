@@ -74,9 +74,9 @@ pub use recover::{
 };
 pub use snapshot::{
     diimm_sample_generation, diimm_sample_on, load_latest_rr_snapshot, persist_rr_shards,
-    rr_snapshot_request, SnapshotError, StreamApplied, StreamSession,
+    rr_snapshot_request, SnapshotError, StoredChain, StreamApplied, StreamSession,
 };
-pub use worker::{setup_im_cluster, WorkerHost};
+pub use worker::{install_graph, setup_im_cluster, WorkerHost};
 pub use diimm::diimm;
 pub use imm::imm;
 pub use opim::dopim_c;

@@ -220,8 +220,8 @@ impl<'g, C: OpCluster> RecoveringCluster<'g, C> {
                     let op = self.log.last().expect("just pushed")[i].clone();
                     let worker = self.adopted[i].as_mut().expect("adopted above");
                     match worker.execute(&op) {
-                        WorkerReply::Err(_) => {
-                            return Err(WireError::malformed(up_label, i));
+                        WorkerReply::Err(text) => {
+                            return Err(WireError::refused(up_label, i, text));
                         }
                         reply => out.push(reply),
                     }

@@ -5,26 +5,25 @@
 //! keeping. [`diimm_sample_on`] runs DiIMM and then has every machine
 //! persist its resident shard ([`WorkerOp::PersistShard`], under the
 //! [`phase::STORE_SAVE`] label) into a new committed generation of a store
-//! root. [`StreamSession::open`] is the one restore path: it loads the
-//! newest committed generation (delta chains included) into resident
-//! workers, and [`StreamSession::select`] reruns seed selection without
-//! any sampling, producing byte-identical seeds and marginals — selection
-//! is a deterministic function of the per-machine RR collections, which
-//! the store preserves exactly (including machine order).
+//! root. [`StreamSession::open_on`] is the one restore path: each machine
+//! of any [`OpCluster`] folds its own shard of the newest committed chain
+//! ([`WorkerOp::LoadShard`]), and [`StreamSession::select`] reruns seed
+//! selection without any sampling, producing byte-identical seeds and
+//! marginals — selection is a deterministic function of the per-machine
+//! RR collections, which the store preserves exactly (including machine
+//! order).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dim_cluster::ops::{expect_counts, expect_ok};
 use dim_cluster::{
-    phase, ClusterBackend, ClusterMetrics, ExecMode, FaultInjector, NetworkModel, OpCluster,
-    SimCluster, WireError, WorkerOp,
+    phase, ClusterMetrics, ExecMode, NetworkModel, OpCluster, SimCluster, WireError, WorkerOp,
 };
 use dim_coverage::newgreedi::newgreedi_with;
-use dim_coverage::CoverageShard;
 use dim_graph::{apply_batch, DeltaBatch, DeltaError, EdgeOp, Graph, GraphRef};
-use dim_store::{graph_fingerprint, RunParams, Snapshot, SnapshotRequest, StoreError};
+use dim_store::{graph_fingerprint, ChainInfo, RunParams, Snapshot, SnapshotRequest, StoreError};
 
 use crate::config::{ImConfig, ImResult, Timings};
 use crate::diimm::{diimm_on, finish, DiimmWorker};
@@ -254,17 +253,79 @@ pub struct StreamApplied {
     pub sets_repaired: u64,
 }
 
+/// The master's half of a restore: the newest committed chain as its
+/// manifests and shard headers describe it, with its batches replayed onto
+/// the tip graph. No RR set is read; each machine folds its own shard in
+/// [`StreamSession::open_on`].
+pub struct StoredChain<'g> {
+    generation: u64,
+    chain: ChainInfo,
+    tip: GraphRef<'g>,
+    config: ImConfig,
+    root: PathBuf,
+    resolved_in: Duration,
+}
+
+impl<'g> StoredChain<'g> {
+    /// Resolves the newest committed chain under `root`, validated against
+    /// `base`/`config`. `base` is the graph the *base snapshot* was sampled
+    /// from; if the chain carries batches (or a compacted base), the tip is
+    /// the replayed graph, not `base`.
+    ///
+    /// A chain sampled for another `(k, ε, δ)` than `config`'s is refused
+    /// ([`SnapshotError::OtherRun`]): its θ certifies only the run it was
+    /// sampled for. So is one whose manifests do not record the run
+    /// ([`SnapshotError::UnknownRun`]). The seed is the store's, whatever
+    /// `config.seed` says: every repair and compaction redraws a set from
+    /// the stream that first drew it.
+    pub fn resolve(base: &'g Graph, config: &ImConfig, root: &Path) -> Result<Self, SnapshotError> {
+        let start = Instant::now();
+        let request = rr_snapshot_request(base, config);
+        let (generation, chain) = dim_store::resolve_latest_chain(root, &request)?;
+        let base_dir = &chain.files.base_dir;
+        check_run(chain.params, config, base_dir)?;
+        // Graph lineage: a compacted base persists its mutated graph
+        // next to its shards; an uncompacted one was sampled from the
+        // boot graph itself, which stays borrowed.
+        let mut tip = match dim_store::read_graph_file(base_dir)? {
+            Some(g) => GraphRef::from(Arc::new(g)),
+            None => GraphRef::from(base),
+        };
+        for batch in &chain.batches {
+            tip = Arc::new(apply_batch(&tip, batch)?).into();
+        }
+        let (expected, found) = (chain.tip_fingerprint, graph_fingerprint(&tip));
+        if found != expected {
+            return Err(dim_store::mismatch(base_dir, "tip fingerprint", expected, found).into());
+        }
+        Ok(StoredChain {
+            generation,
+            chain,
+            tip,
+            config: *config,
+            root: root.to_path_buf(),
+            resolved_in: start.elapsed(),
+        })
+    }
+
+    /// Number of shards, one per machine of the cluster that restores them.
+    pub fn num_machines(&self) -> usize {
+        self.chain.files.shard_count as usize
+    }
+
+    /// The tip graph, which every machine must hold before it restores.
+    pub fn tip_graph(&self) -> &Graph {
+        &self.tip
+    }
+}
+
 /// A resident sketch session: the restored cluster plus the chain
 /// bookkeeping needed to extend it — the `dim stream` and `dim im
-/// --load-rr` entry point.
+/// --load-rr` entry point, on every backend.
 ///
-/// Opening a session restores the newest committed chain under `root`
-/// (base shards + any stacked delta generations, folded by the store)
-/// into per-machine [`DiimmWorker`]s, and replays the chain's batches
-/// over the base graph so the resident graph matches the resident
-/// shards. [`select`](Self::select) on a freshly opened session selects
-/// the seeds and marginals of the run (and batches) that wrote the chain.
-/// Each [`apply`](Self::apply) then broadcasts one batch to every machine
+/// [`select`](Self::select) on a freshly opened session selects the seeds
+/// and marginals of the run (and batches) that wrote the chain. Each
+/// [`apply`](Self::apply) then broadcasts one batch to every machine
 /// ([`WorkerOp::ApplyDelta`], under [`phase::STREAM_APPLY`]): workers
 /// repair exactly the RR sets whose traversal touched a mutated in-list —
 /// on their original per-set RNG streams, so the repaired state is
@@ -278,41 +339,17 @@ pub struct StreamApplied {
 /// at the next load — until [`compact`](Self::compact) writes the
 /// resident state as a fresh base, which heals the chain.
 ///
-/// The tip graph lives with the workers: `open` restores every worker on
-/// one copy of it, each `apply` leaves every worker holding the mutated
-/// graph it built, and the session reads worker 0's
-/// ([`current_graph`](Self::current_graph)) rather than keep its own.
-pub struct StreamSession<'g> {
-    cluster: SimCluster<DiimmWorker<'g>>,
-    config: ImConfig,
-    root: PathBuf,
-    /// Fingerprint of the graph the chain's first base was sampled from:
-    /// what every base's shard headers name, compacted ones included.
-    root_fingerprint: u64,
-    theta: u64,
-    generation: u64,
-    base_generation: u64,
-    tip_fingerprint: u64,
-    next_seq: u64,
+/// The master keeps the tip graph, and so does every machine: a freshly
+/// opened simulator shares one copy, and each `apply` has the master and
+/// every machine build the mutated graph on its own.
+pub struct StreamSession<'g, C = SimCluster<DiimmWorker<'g>>> {
+    cluster: C,
+    stored: StoredChain<'g>,
 }
 
 impl<'g> StreamSession<'g> {
-    /// Restores the newest committed chain under `root` (validated
-    /// against `base`/`config`) into a resident cluster. `base` is the
-    /// graph the *base snapshot* was sampled from; if the chain carries
-    /// batches (or a compacted base), the session's resident graph is
-    /// the replayed tip, not `base`. Every worker samples from that one
-    /// graph: `base` itself, borrowed, or one shared copy of the tip. The
-    /// resident shards hold the RR sets only: each builds its index in the
-    /// first round of the next selection, and an `apply` never needs it.
-    /// The restore's wall time is recorded under [`phase::STORE_LOAD`].
-    ///
-    /// A chain sampled for another `(k, ε, δ)` than `config`'s is refused
-    /// ([`SnapshotError::OtherRun`]): its θ certifies only the run it was
-    /// sampled for. So is one whose manifests do not record the run
-    /// ([`SnapshotError::UnknownRun`]). The seed is the store's, whatever
-    /// `config.seed` says: every repair and compaction redraws a set from
-    /// the stream that first drew it.
+    /// [`open_on`](Self::open_on) the chain [`StoredChain::resolve`]
+    /// resolves, on simulated machines that share its tip graph.
     pub fn open(
         base: &'g Graph,
         config: &ImConfig,
@@ -320,102 +357,62 @@ impl<'g> StreamSession<'g> {
         network: NetworkModel,
         mode: ExecMode,
     ) -> Result<Self, SnapshotError> {
-        let start = Instant::now();
-        let request = rr_snapshot_request(base, config);
-        let (generation, snapshot, chain) = dim_store::load_latest_chain(root, &request)?;
-        check_run(chain.params, config, &chain.base_dir)?;
-        // Graph lineage: a compacted base persists its mutated graph
-        // next to its shards; an uncompacted one was sampled from the
-        // boot graph itself, which stays borrowed.
-        let mut current = match dim_store::read_graph_file(&chain.base_dir)? {
-            Some(g) => GraphRef::from(Arc::new(g)),
-            None => GraphRef::from(base),
-        };
-        for batch in &chain.batches {
-            current = Arc::new(apply_batch(&current, batch)?).into();
-        }
-        let found = graph_fingerprint(&current);
-        if found != chain.tip_fingerprint {
-            return Err(SnapshotError::Store(StoreError::Mismatch {
-                path: chain.base_dir.clone(),
-                field: "tip fingerprint",
-                expected: chain.tip_fingerprint,
-                found,
-            }));
-        }
-        let (theta, n) = (snapshot.theta, snapshot.num_sets as usize);
-        // Shards come back in shard-id order, all of one run: machine `i`
-        // resumes shard `i`'s streams under the stored sampler and seed.
-        let run = (snapshot.sampler, snapshot.seed);
-        let workers: Vec<DiimmWorker<'g>> = snapshot
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(machine_id, s)| {
-                let edges = s.header.edges_examined;
-                let shard = CoverageShard::from_pooled(n, s.elements);
-                DiimmWorker::restore(current.clone(), run, machine_id, shard, edges)
-            })
+        let stored = StoredChain::resolve(base, config, root)?;
+        let workers = (0..stored.num_machines())
+            .map(|i| DiimmWorker::new(stored.tip.clone(), config, i))
             .collect();
-        let mut cluster = SimCluster::new(workers, network, mode);
-        cluster.record(
-            phase::STORE_LOAD,
-            ClusterMetrics {
-                master_compute: start.elapsed(),
-                phases: 1,
-                ..Default::default()
-            },
-        );
-        Ok(StreamSession {
-            cluster,
-            config: *config,
-            root: root.to_path_buf(),
-            root_fingerprint: request.fingerprint,
-            theta,
-            generation,
-            base_generation: chain.base_generation,
-            tip_fingerprint: chain.tip_fingerprint,
-            next_seq: chain.next_seq,
-        })
+        Self::open_on(SimCluster::new(workers, network, mode), stored)
+    }
+}
+
+impl<'g, C: OpCluster> StreamSession<'g, C> {
+    /// Restores `stored` onto `cluster`, whose machines hold its tip graph:
+    /// machine `i` folds shard `i` ([`WorkerOp::LoadShard`]) and resumes
+    /// under the stored sampler and seed. The resident shards hold the RR
+    /// sets only: each builds its index in the first round of the next
+    /// selection, and an `apply` never needs it. The resolve and the
+    /// restore round are recorded under [`phase::STORE_LOAD`].
+    pub fn open_on(mut cluster: C, stored: StoredChain<'g>) -> Result<Self, SnapshotError> {
+        let resolve = ClusterMetrics {
+            master_compute: stored.resolved_in,
+            ..Default::default()
+        };
+        cluster.record(phase::STORE_LOAD, resolve);
+        let files = &stored.chain.files;
+        let path = |dir: &PathBuf| dir.display().to_string();
+        let links: Vec<String> = files.link_dirs.iter().map(path).collect();
+        let shard_count = cluster.num_machines() as u32;
+        let replies = cluster.control(phase::STORE_LOAD, |_| WorkerOp::LoadShard {
+            dir: path(&files.base_dir),
+            links: links.clone(),
+            fingerprint: files.request.fingerprint,
+            sampler: files.request.sampler,
+            seed: files.seed,
+            theta: files.theta,
+            shard_count,
+        })?;
+        expect_ok(&replies, phase::STORE_LOAD)?;
+        Ok(StreamSession { cluster, stored })
     }
 
-    /// Arms (or disarms) a fault injector on the resident cluster, so
-    /// subsequent applies and compactions run their repair broadcasts
-    /// under an injected stall/loss schedule — the chaos-test seam for
-    /// the streaming path. Repairs are deterministic functions of the
-    /// per-set RNG streams, so a schedule the link layer absorbs (stalls,
-    /// lossy sends within retry budgets) must not change a committed
-    /// byte.
-    pub fn set_faults(&mut self, injector: Option<FaultInjector>) {
-        self.cluster.set_faults(injector);
-    }
-
-    /// The armed injector, if any — inspect its event log to prove a
-    /// chaos schedule actually fired.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.cluster.fault_injector()
+    /// The cluster the session runs on (e.g. to read a fault injector's log).
+    pub fn cluster(&self) -> &C {
+        &self.cluster
     }
 
     /// Newest committed generation id under the root.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.stored.generation
     }
 
     /// Sequence number the next applied batch will carry.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.stored.chain.next_seq
     }
 
-    /// The resident (tip) graph — base graph plus every applied batch —
-    /// as worker 0 holds it: the session keeps no copy of its own. A
-    /// loaded generation has at least one shard, so worker 0 exists.
+    /// The resident (tip) graph — base graph plus every applied batch.
     pub fn current_graph(&self) -> &Graph {
-        self.cluster.workers()[0].current_graph()
-    }
-
-    /// Number of machines holding shards.
-    pub fn num_machines(&self) -> usize {
-        self.cluster.num_machines()
+        &self.stored.tip
     }
 
     /// Applies one batch of edge operations to every machine, repairing
@@ -432,41 +429,37 @@ impl<'g> StreamSession<'g> {
         persist: bool,
         keep: usize,
     ) -> Result<StreamApplied, SnapshotError> {
-        let batch = DeltaBatch {
-            seq: self.next_seq,
-            ops,
-        };
-        // `apply_batch` validates the batch. Its graph lives only to be
-        // fingerprinted: each worker builds its own in the round below.
-        let fingerprint = graph_fingerprint(&apply_batch(self.current_graph(), &batch)?);
-        let staged = if persist {
-            Some(dim_store::begin_generation(&self.root)?)
-        } else {
-            None
-        };
+        let stored = &mut self.stored;
+        let batch = DeltaBatch::new(stored.chain.next_seq, ops);
+        // `apply_batch` validates the batch; each machine builds its own
+        // mutated graph in the round below.
+        let tip = apply_batch(&stored.tip, &batch)?;
+        let fingerprint = graph_fingerprint(&tip);
+        let begin = || dim_store::begin_generation(&stored.root);
+        let staged = persist.then(begin).transpose()?;
         let persist_dir = staged.as_ref().map(|(_, dir)| dir.display().to_string());
-        let encoded = batch.encode();
-        let shard_count = self.cluster.num_machines() as u32;
+        let (encoded, files) = (batch.encode(), &stored.chain.files);
         let replies = self.cluster.control(phase::STREAM_APPLY, |_| WorkerOp::ApplyDelta {
             batch: encoded.clone(),
             persist_dir: persist_dir.clone(),
-            base_generation: self.base_generation,
+            base_generation: stored.chain.base_generation,
             fingerprint,
-            parent_fingerprint: self.tip_fingerprint,
-            theta: self.theta,
-            shard_count,
+            parent_fingerprint: stored.chain.tip_fingerprint,
+            theta: files.theta,
+            shard_count: files.shard_count,
         })?;
         let counts = expect_counts(&replies, phase::STREAM_APPLY)?;
         if let Some((id, dir)) = &staged {
-            dim_store::commit_generation(dir, *id, &run_params(&self.config))?;
-            self.generation = *id;
+            dim_store::commit_generation(dir, *id, &run_params(&stored.config))?;
+            stored.generation = *id;
         }
         // The workers and (when persisting) the disk now hold the batch:
         // the session follows before anything else can fail.
-        self.tip_fingerprint = fingerprint;
-        self.next_seq += 1;
+        stored.tip = Arc::new(tip).into();
+        stored.chain.tip_fingerprint = fingerprint;
+        stored.chain.next_seq += 1;
         if persist {
-            dim_store::gc_generations(&self.root, keep)?;
+            dim_store::gc_generations(&stored.root, keep)?;
         }
         Ok(StreamApplied {
             generation: staged.map(|(id, _)| id),
@@ -493,26 +486,24 @@ impl<'g> StreamSession<'g> {
     /// sequence 0 — also when the trailing GC fails, which leaves the new
     /// base committed.
     pub fn compact(&mut self, keep: usize) -> Result<Option<u64>, SnapshotError> {
-        if self.next_seq == 0 {
+        let stored = &mut self.stored;
+        if stored.chain.next_seq == 0 {
             return Ok(None);
         }
-        let newest = dim_store::latest_generation(&self.root)?.unwrap_or(0);
-        if newest != self.generation {
-            return Err(SnapshotError::Store(StoreError::Mismatch {
-                path: self.root.clone(),
-                field: "generation",
-                expected: self.generation,
-                found: newest,
-            }));
+        let (expected, root) = (stored.generation, &stored.root);
+        let newest = dim_store::latest_generation(root)?.unwrap_or(0);
+        if newest != expected {
+            return Err(dim_store::mismatch(root, "generation", expected, newest).into());
         }
-        let (id, dir) = dim_store::begin_generation(&self.root)?;
-        persist_rr_shards(&mut self.cluster, &dir, self.root_fingerprint, self.theta)?;
-        dim_store::write_graph_file(&dir, self.current_graph())?;
-        dim_store::commit_generation(&dir, id, &run_params(&self.config))?;
-        self.generation = id;
-        self.base_generation = id;
-        self.next_seq = 0;
-        dim_store::gc_generations(&self.root, keep)?;
+        let (id, dir) = dim_store::begin_generation(&stored.root)?;
+        let files = &stored.chain.files;
+        persist_rr_shards(&mut self.cluster, &dir, files.request.fingerprint, files.theta)?;
+        dim_store::write_graph_file(&dir, &stored.tip)?;
+        dim_store::commit_generation(&dir, id, &run_params(&stored.config))?;
+        stored.generation = id;
+        stored.chain.base_generation = id;
+        stored.chain.next_seq = 0;
+        dim_store::gc_generations(&stored.root, keep)?;
         Ok(Some(id))
     }
 
@@ -520,9 +511,9 @@ impl<'g> StreamSession<'g> {
     /// byte-identical to a full re-sample + select on the tip graph.
     /// `rounds` and `lower_bound` are not persisted and read 0.
     pub fn select(&mut self) -> Result<ImResult, SnapshotError> {
-        let n = self.current_graph().num_nodes();
-        let sel = newgreedi_with(&mut self.cluster, n, self.config.k)?;
-        let theta = self.theta as usize;
+        let n = self.stored.tip.num_nodes();
+        let sel = newgreedi_with(&mut self.cluster, n, self.stored.config.k)?;
+        let theta = self.stored.chain.files.theta as usize;
         let est_spread = n as f64 * sel.covered as f64 / theta as f64;
         Ok(finish(&mut self.cluster, sel, theta, est_spread, 0.0, 0)?)
     }
@@ -630,7 +621,7 @@ mod tests {
     /// Every resident worker samples from the session's one tip graph: the
     /// boot graph itself on a chain sampled from it, one shared copy on a
     /// compacted chain with a batch on top. After a committed batch the
-    /// session holds no tip of its own: it reads worker 0's.
+    /// master and each worker hold a copy of the same tip: ℓ + 1.
     #[test]
     fn open_restores_every_worker_on_one_tip_graph() {
         let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 9);
@@ -648,8 +639,12 @@ mod tests {
         session
             .apply(vec![EdgeOp::Delete { u, v }], true, 4)
             .unwrap();
-        let worker0 = session.cluster.workers()[0].current_graph();
-        assert!(std::ptr::eq(session.current_graph(), worker0));
+        let tip = session.current_graph();
+        let fingerprint = graph_fingerprint(tip);
+        for worker in session.cluster.workers() {
+            assert!(!std::ptr::eq(worker.current_graph(), tip));
+            assert_eq!(graph_fingerprint(worker.current_graph()), fingerprint);
+        }
         session.compact(4).unwrap();
         session.apply(vec![EdgeOp::Insert { u: v, v: u, p: 0.3 }], true, 4).unwrap();
         let tip = graph_fingerprint(session.current_graph());
@@ -724,6 +719,9 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A truncated shard body passes the master's header reads: the full
+    /// fold refuses it as corrupt, and at `open` the machine that owns it
+    /// refuses its restore, naming itself, the phase and the file.
     #[test]
     fn load_surfaces_truncated_file_as_typed_error() {
         let g = erdos_renyi(120, 500, WeightModel::WeightedCascade, 9);
@@ -736,9 +734,17 @@ mod tests {
             .join(dim_store::shard_file_name(1, 2));
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-        match load_and_select(&g, &cfg, &root, net) {
-            Err(SnapshotError::Store(StoreError::Corrupt { .. })) => {}
+        match load_latest_rr_snapshot(&g, &cfg, &root) {
+            Err(StoreError::Corrupt { .. }) => {}
             other => panic!("expected corrupt, got {other:?}"),
+        }
+        match load_and_select(&g, &cfg, &root, net) {
+            Err(SnapshotError::Wire(e)) => {
+                assert_eq!((e.phase, e.machine), (phase::STORE_LOAD, Some(1)));
+                let text = e.to_string();
+                assert!(text.contains(&victim.display().to_string()), "{text}");
+            }
+            other => panic!("expected machine 1's refusal, got {other:?}"),
         }
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -1085,7 +1091,7 @@ mod tests {
     /// directory collected by a later GC.
     #[test]
     fn compact_killed_mid_persist_commits_nothing() {
-        use dim_cluster::{FaultPlan, WireErrorKind};
+        use dim_cluster::{FaultInjector, FaultPlan, WireErrorKind};
 
         let g = erdos_renyi(200, 1000, WeightModel::WeightedCascade, 7);
         let cfg = config(4, 33);
@@ -1098,7 +1104,8 @@ mod tests {
         session.apply(second, true, 8).unwrap();
 
         // Round 0 after arming is the compaction's PersistShard round.
-        session.set_faults(Some(FaultInjector::new(FaultPlan::kill_machine(1, 0), 2)));
+        let kill = FaultInjector::new(FaultPlan::kill_machine(1, 0), 2);
+        session.cluster.set_faults(Some(kill));
         match session.compact(8) {
             Err(SnapshotError::Wire(e)) => assert_eq!(e.kind, WireErrorKind::Link),
             other => panic!("expected a link error, got {other:?}"),
@@ -1107,7 +1114,7 @@ mod tests {
         assert_eq!(generation_ids(&root), [1, 2, 3, 4]);
         assert_eq!(dim_store::latest_generation(&root).unwrap(), Some(3));
 
-        session.set_faults(None);
+        session.cluster.set_faults(None);
         assert_eq!(session.apply(third, true, 8).unwrap().generation, Some(5));
         let selected = session.select().unwrap();
         let mut reopened = StreamSession::open(&g, &cfg, &root, net, ExecMode::Sequential).unwrap();

@@ -4,8 +4,10 @@
 //! owns whatever state the master installs through setup ops — the graph
 //! (from [`WorkerOp::LoadGraph`]), an IM worker over it (from
 //! [`WorkerOp::InitSampler`]: a [`DiimmWorker`], single-collection for
-//! DiIMM or paired for OPIM-C and SSA, as the op's `paired` byte says), or
-//! a standalone coverage shard (from [`WorkerOp::BuildShard`]) — and
+//! DiIMM or paired for OPIM-C and SSA, as the op's `paired` byte says; or
+//! from [`WorkerOp::LoadShard`]: a DiIMM worker restored from this
+//! machine's stored shard), or a standalone coverage shard (from
+//! [`WorkerOp::BuildShard`]) — and
 //! answers every subsequent phase op against that resident state.
 //!
 //! Crucially the host delegates to the *same* interpreters the in-process
@@ -111,12 +113,37 @@ impl WorkerHost {
         ));
         WorkerReply::Ok
     }
+
+    /// A DiIMM worker of `sampler` over the loaded graph, restored by `op`
+    /// (a [`WorkerOp::LoadShard`]) from this machine's stored shard; a
+    /// refused restore leaves no IM worker behind.
+    fn load_shard(&mut self, sampler: SamplerKind, seed: u64, op: &WorkerOp) -> WorkerReply {
+        let Some(graph) = &self.graph else {
+            return WorkerReply::Err("LoadShard before LoadGraph".into());
+        };
+        let mut worker =
+            DiimmWorker::build(Arc::clone(graph), sampler, seed, self.machine_id, false);
+        let reply = worker.execute(op);
+        self.diimm = (reply == WorkerReply::Ok).then_some(worker);
+        reply
+    }
+}
+
+/// Ships `graph` to every machine of an op cluster: its portable binary
+/// encoding, one [`WorkerOp::LoadGraph`] per machine, under the `setup`
+/// phase. What a machine holds before it samples or restores a shard
+/// ([`WorkerOp::LoadShard`]).
+pub fn install_graph<B: OpCluster>(cluster: &mut B, graph: &Graph) -> Result<(), WireError> {
+    let mut blob = Vec::new();
+    binary::write_binary(graph, &mut blob).expect("writing to a Vec cannot fail");
+    let replies = cluster.control(phase::SETUP, |_| WorkerOp::LoadGraph { blob: blob.clone() })?;
+    expect_ok(&replies, phase::SETUP)
 }
 
 /// Installs resident IM state on every machine of an op cluster: the
-/// graph (its portable binary encoding, one [`WorkerOp::LoadGraph`] per
-/// machine) followed by a sampler over it ([`WorkerOp::InitSampler`]),
-/// with one collection, or two when `paired`. After this,
+/// graph ([`install_graph`]) followed by a sampler over it
+/// ([`WorkerOp::InitSampler`]), with one collection, or two when
+/// `paired`. After this,
 /// [`crate::diimm::diimm_on`] (single) or [`crate::opim::paired_on`]
 /// (paired) can run its phase ops against the cluster — process-backed or
 /// simulated — without ever touching worker state from the master side.
@@ -130,10 +157,7 @@ pub fn setup_im_cluster<B: OpCluster>(
     sampler: SamplerKind,
     paired: bool,
 ) -> Result<(), WireError> {
-    let mut blob = Vec::new();
-    binary::write_binary(graph, &mut blob).expect("writing to a Vec cannot fail");
-    let replies = cluster.control(phase::SETUP, |_| WorkerOp::LoadGraph { blob: blob.clone() })?;
-    expect_ok(&replies, phase::SETUP)?;
+    install_graph(cluster, graph)?;
     let replies = cluster.control(phase::SETUP, |_| WorkerOp::InitSampler { sampler, paired })?;
     expect_ok(&replies, phase::SETUP)
 }
@@ -143,6 +167,7 @@ impl OpExecutor for WorkerHost {
         match op {
             WorkerOp::LoadGraph { blob } => self.load_graph(blob),
             WorkerOp::InitSampler { sampler, paired } => self.init_sampler(*sampler, *paired),
+            WorkerOp::LoadShard { sampler, seed, .. } => self.load_shard(*sampler, *seed, op),
             WorkerOp::BuildShard { .. } => {
                 let shard = self.shard.get_or_insert_with(|| CoverageShard::new(0));
                 execute_coverage_op(shard, op)

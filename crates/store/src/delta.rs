@@ -43,7 +43,6 @@
 //! [`StoreError`]s.
 
 use std::fs;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use dim_cluster::ops::{put_u32, put_u64, Reader};
@@ -51,8 +50,8 @@ use dim_diffusion::SamplerKind;
 use dim_graph::DeltaBatch;
 
 use crate::{
-    files_with_extension, io_err, seal, unseal, unseal_header, write_atomic, StoreError,
-    MAX_PREFIX_LEN,
+    files_with_extension, io_err, read_prefix, seal, unseal, unseal_header, write_atomic,
+    ShardHeader, StoreError,
 };
 
 /// File magic for delta shard files.
@@ -155,6 +154,17 @@ impl DeltaShardHeader {
             num_elements,
             repaired_count,
         })
+    }
+}
+
+impl DeltaShardHeader {
+    /// Whether this delta shard repairs the sets of `base`: the same shard
+    /// of the same sampler, seed, θ, set universe and set count.
+    pub(crate) fn extends(&self, base: &ShardHeader) -> bool {
+        (self.shard_id, self.shard_count, self.sampler, self.seed)
+            == (base.shard_id, base.shard_count, base.sampler, base.seed)
+            && (self.theta, self.num_sets, self.num_elements)
+                == (base.theta, base.num_sets, base.num_elements)
     }
 }
 
@@ -312,18 +322,11 @@ pub fn decode_delta_header(bytes: &[u8]) -> Result<DeltaShardHeader, StoreError>
     DeltaShardHeader::decode(hdr)
 }
 
-/// Reads the header of one delta shard file: at most [`MAX_PREFIX_LEN`]
+/// Reads the header of one delta shard file: at most [`crate::MAX_PREFIX_LEN`]
 /// bytes come off the disk. The body — batch and repaired records,
 /// megabytes on a live chain — is neither read nor checked.
 fn read_delta_header(path: &Path) -> Result<DeltaShardHeader, StoreError> {
-    let io = |e| io_err(path, e);
-    let mut prefix = Vec::with_capacity(MAX_PREFIX_LEN);
-    fs::File::open(path)
-        .map_err(io)?
-        .take(MAX_PREFIX_LEN as u64)
-        .read_to_end(&mut prefix)
-        .map_err(io)?;
-    decode_delta_header(&prefix).map_err(|e| e.with_path(path))
+    decode_delta_header(&read_prefix(path)?).map_err(|e| e.with_path(path))
 }
 
 /// Reads the base-generation link from a delta generation directory (the
@@ -529,7 +532,7 @@ mod tests {
                 other => panic!("flip at byte {i}: {other:?}"),
             }
         }
-        for header_len in [MAX_PREFIX_LEN as u32, u32::MAX] {
+        for header_len in [crate::MAX_PREFIX_LEN as u32, u32::MAX] {
             let mut long = bytes.clone();
             long[8..12].copy_from_slice(&header_len.to_le_bytes());
             match decode_delta_header(&long) {

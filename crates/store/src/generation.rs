@@ -55,10 +55,11 @@ use std::path::{Path, PathBuf};
 use dim_coverage::PooledSets;
 use dim_graph::{DeltaBatch, Graph};
 
-use crate::delta::{delta_base_of, delta_paths, read_delta_shard, DeltaShard};
+use crate::delta::{delta_base_of, delta_file_name, delta_paths, read_delta_shard, DeltaShard};
 use crate::{
-    check_shard_ids, checksum, files_with_extension, io_err, load_snapshot, Snapshot,
-    SnapshotRequest, StoreError, SHARD_EXTENSION,
+    check_shard_ids, checksum, files_with_extension, io_err, mismatch, read_base_headers,
+    read_shard, shard_file_name, ShardHeader, ShardSnapshot, Snapshot, SnapshotRequest, StoreError,
+    SHARD_EXTENSION,
 };
 
 /// Prefix of generation directory names inside a store root.
@@ -227,8 +228,8 @@ pub struct ChainInfo {
     /// Generation id of the `DIMR` base (the loaded generation itself
     /// when no deltas are stacked on it).
     pub base_generation: u64,
-    /// Directory of that base generation.
-    pub base_dir: PathBuf,
+    /// The chain's shard files and the provenance they share.
+    pub files: ChainFiles,
     /// The chain's edge batches in application order.
     pub batches: Vec<DeltaBatch>,
     /// Fingerprint of the graph after every batch (the base graph's when
@@ -239,6 +240,88 @@ pub struct ChainInfo {
     /// The run the chain was sampled for; `None` when its manifests
     /// predate the record.
     pub params: Option<RunParams>,
+}
+
+/// A resolved chain's files and the provenance every shard of it carries:
+/// all one machine needs to fold its own shard ([`ChainFiles::fold_shard`]).
+#[derive(Clone, Debug)]
+pub struct ChainFiles {
+    /// Directory of the chain's base generation.
+    pub base_dir: PathBuf,
+    /// Directories of its delta generations, in application order.
+    pub link_dirs: Vec<PathBuf>,
+    /// The graph, sampler and set universe every shard header names.
+    pub request: SnapshotRequest,
+    /// Master seed of the run that sampled the base.
+    pub seed: u64,
+    /// Global RR-set count θ across all shards.
+    pub theta: u64,
+    /// Number of shards, one per machine.
+    pub shard_count: u32,
+}
+
+impl ChainFiles {
+    /// Folds shard `id`: its base shard file, then its delta shard in each
+    /// link, every header checked against `id` and the chain's provenance.
+    /// The last repair of a set wins, untouched sets keep their base bytes,
+    /// and the merged repairs are spliced in as one.
+    pub fn fold_shard(&self, id: u32) -> Result<ShardSnapshot, StoreError> {
+        let path = self.base_dir.join(shard_file_name(id, self.shard_count));
+        let mut shard = read_shard(&path, &self.request)?;
+        let h = shard.header;
+        for (field, expected, found) in [
+            ("shard_id", id as u64, h.shard_id as u64),
+            ("shard_count", self.shard_count as u64, h.shard_count as u64),
+            ("seed", self.seed, h.seed),
+            ("theta", self.theta, h.theta),
+        ] {
+            if expected != found {
+                return Err(mismatch(&path, field, expected, found));
+            }
+        }
+        let mut overrides: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for (seq, dir) in self.link_dirs.iter().enumerate() {
+            let path = dir.join(delta_file_name(id, self.shard_count));
+            let delta = read_delta_shard(&path)?;
+            if !delta.header.extends(&h) || delta.header.batch_seq != seq as u64 {
+                return Err(StoreError::Corrupt {
+                    path: Some(path),
+                    detail: "delta shard disagrees with its base shard",
+                });
+            }
+            overrides.extend(delta.repaired);
+        }
+        if !overrides.is_empty() {
+            let merged: Vec<_> = overrides.iter().map(|(&i, set)| (i, &set[..])).collect();
+            let mut spliced = PooledSets::new();
+            shard.elements.splice_into(&merged, &mut spliced);
+            shard.elements = spliced;
+        }
+        Ok(shard)
+    }
+
+    /// Folds every shard, each on its own thread, into one snapshot; the
+    /// error returned is the first failing shard's, in shard order.
+    pub(crate) fn fold(&self) -> Result<Snapshot, StoreError> {
+        let folded: Vec<Result<ShardSnapshot, StoreError>> = std::thread::scope(|scope| {
+            let folds: Vec<_> = (0..self.shard_count)
+                .map(|id| scope.spawn(move || self.fold_shard(id)))
+                .collect();
+            folds
+                .into_iter()
+                .map(|fold| fold.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        Ok(Snapshot {
+            fingerprint: self.request.fingerprint,
+            sampler: self.request.sampler,
+            seed: self.seed,
+            theta: self.theta,
+            num_sets: self.request.num_sets,
+            shard_count: self.shard_count,
+            shards: folded.into_iter().collect::<Result<_, _>>()?,
+        })
+    }
 }
 
 /// Fingerprint of the graph a base generation describes: the hash of its
@@ -329,15 +412,16 @@ fn read_delta_generation(dir: &Path) -> Result<Vec<DeltaShard>, StoreError> {
     Ok(shards)
 }
 
-/// Resolves and folds the chain whose tip is `gens[tip_idx]` — a base
-/// generation is a chain of no links: loads the base snapshot, validates
-/// every link (base id, sequence, graph fingerprints, provenance), and
-/// applies the repaired RR sets in order.
-fn load_chain(
+/// Resolves the chain whose tip is `gens[tip_idx]` — a base generation is
+/// a chain of no links — from manifests, shard headers and the delta
+/// generations: validates every link (base id, sequence, graph
+/// fingerprints, provenance) and collects the batches. No base shard's RR
+/// sets are read; [`ChainFiles::fold_shard`] reads them.
+fn resolve_chain(
     gens: &[(u64, PathBuf)],
     tip_idx: usize,
     request: &SnapshotRequest,
-) -> Result<(Snapshot, ChainInfo), StoreError> {
+) -> Result<ChainInfo, StoreError> {
     let (tip_id, tip_dir) = &gens[tip_idx];
     let corrupt = |detail: &'static str| StoreError::Corrupt {
         path: Some(tip_dir.clone()),
@@ -354,7 +438,7 @@ fn load_chain(
     // ids in between are crashed or in-progress attempts and do not
     // participate.
     let mut base: Option<(&PathBuf, Option<RunParams>)> = None;
-    let mut link_dirs: Vec<&PathBuf> = Vec::new();
+    let mut link_dirs: Vec<PathBuf> = Vec::new();
     for (id, dir) in &gens[..=tip_idx] {
         if *id < base_id {
             continue;
@@ -364,18 +448,17 @@ fn load_chain(
         };
         match base {
             None if *id == base_id => base = Some((dir, manifest.params)),
-            Some((_, params)) if params == manifest.params => link_dirs.push(dir),
+            Some((_, params)) if params == manifest.params => link_dirs.push(dir.clone()),
             Some(_) => return Err(corrupt("delta chain links name another run")),
             None => {}
         }
     }
     let (base_dir, params) = base.ok_or_else(|| corrupt("delta chain base generation missing"))?;
-    let snapshot = load_snapshot(base_dir, request)?;
-    let base_fp = base_graph_fingerprint(base_dir, snapshot.fingerprint)?;
-    let mut tip_fp = base_fp;
+    let bases: Vec<ShardHeader> = read_base_headers(base_dir, request)?;
+    let first = bases[0];
+    let mut tip_fp = base_graph_fingerprint(base_dir, first.fingerprint)?;
     let mut batches: Vec<DeltaBatch> = Vec::with_capacity(link_dirs.len());
-    let mut links: Vec<Vec<DeltaShard>> = Vec::with_capacity(link_dirs.len());
-    for dir in link_dirs {
+    for dir in &link_dirs {
         let shards = match read_delta_generation(dir) {
             Ok(shards) => shards,
             Err(StoreError::Empty { .. }) => {
@@ -393,54 +476,27 @@ fn load_chain(
         if h.parent_fingerprint != tip_fp {
             return Err(corrupt("delta chain fingerprint mismatch"));
         }
-        if h.sampler != snapshot.sampler
-            || h.seed != snapshot.seed
-            || h.theta != snapshot.theta
-            || h.num_sets != snapshot.num_sets
-            || h.shard_count != snapshot.shard_count
-        {
+        if !shards.iter().zip(&bases).all(|(d, b)| d.header.extends(b)) {
             return Err(corrupt("delta chain provenance mismatch"));
-        }
-        for (s, d) in shards.iter().enumerate() {
-            if d.header.num_elements != snapshot.shards[s].header.num_elements {
-                return Err(corrupt("delta chain shard size mismatch"));
-            }
         }
         tip_fp = h.fingerprint;
         batches.push(shards[0].batch.clone());
-        links.push(shards);
     }
-    // Fold: for each shard, the last repair of a set wins; untouched sets
-    // keep their base bytes. The merged repairs are spliced in as one
-    // repair.
-    let mut folded = snapshot;
-    for (s, shard) in folded.shards.iter_mut().enumerate() {
-        let mut overrides: BTreeMap<u32, &[u32]> = BTreeMap::new();
-        for link in &links {
-            for (idx, nodes) in &link[s].repaired {
-                overrides.insert(*idx, nodes.as_slice());
-            }
-        }
-        if !overrides.is_empty() {
-            let merged: Vec<(u32, &[u32])> = overrides.into_iter().collect();
-            let mut spliced = PooledSets::new();
-            shard.elements.splice_into(&merged, &mut spliced);
-            shard.elements = spliced;
-        }
-    }
-    let base_generation = base_id;
-    let next_seq = batches.len() as u64;
-    Ok((
-        folded,
-        ChainInfo {
-            base_generation,
+    Ok(ChainInfo {
+        base_generation: base_id,
+        files: ChainFiles {
             base_dir: base_dir.clone(),
-            batches,
-            tip_fingerprint: tip_fp,
-            next_seq,
-            params,
+            link_dirs,
+            request: *request,
+            seed: first.seed,
+            theta: first.theta,
+            shard_count: first.shard_count,
         },
-    ))
+        next_seq: batches.len() as u64,
+        batches,
+        tip_fingerprint: tip_fp,
+        params,
+    })
 }
 
 /// Loads the newest committed generation under `root` that validates
@@ -468,12 +524,25 @@ pub fn load_latest_snapshot(
     load_latest_chain(root, request).map(|(id, snapshot, _)| (id, snapshot))
 }
 
-/// [`load_latest_snapshot`] plus the resolved [`ChainInfo`] — what
-/// streaming writers need to extend or compact the chain.
+/// [`load_latest_snapshot`] plus the resolved [`ChainInfo`]: the chain
+/// [`resolve_latest_chain`] resolves, every shard folded on its own thread.
 pub fn load_latest_chain(
     root: &Path,
     request: &SnapshotRequest,
 ) -> Result<(u64, Snapshot, ChainInfo), StoreError> {
+    let (id, chain) = resolve_latest_chain(root, request)?;
+    Ok((id, chain.files.fold()?, chain))
+}
+
+/// Resolves the newest committed chain under `root` that validates against
+/// `request`, as [`load_latest_snapshot`] chooses it, from its manifests,
+/// shard headers and delta generations alone: what a streaming master
+/// reads before each machine folds its own shard
+/// ([`ChainFiles::fold_shard`]).
+pub fn resolve_latest_chain(
+    root: &Path,
+    request: &SnapshotRequest,
+) -> Result<(u64, ChainInfo), StoreError> {
     let gens = list_generations(root)?;
     if gens.is_empty() {
         let dir = root.to_path_buf();
@@ -492,8 +561,8 @@ pub fn load_latest_chain(
             continue;
         }
         any_committed = true;
-        match load_chain(&gens, tip_idx, request) {
-            Ok((snapshot, chain)) => return Ok((*id, snapshot, chain)),
+        match resolve_chain(&gens, tip_idx, request) {
+            Ok(chain) => return Ok((*id, chain)),
             Err(StoreError::MissingShard { .. }) | Err(StoreError::Empty { .. }) => continue,
             Err(e) => return Err(e),
         }

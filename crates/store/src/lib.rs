@@ -33,9 +33,9 @@
 //! section is `count u64 · offsets[count+1] u64 ·
 //! pool u32[offsets[count]]` — the flat [`PooledSets`] representation of
 //! the shard's RR sets. The inverted index (node → RR sets) is neither
-//! stored nor derived here: a loader hands back the RR sets, decoding a
-//! generation's shard files in parallel, and the coverage shard that
-//! reads the index builds it (`CoverageShard::prepare`). Files of an older
+//! stored nor derived here: a loader hands back the RR sets, each shard
+//! folded on its own thread (or by the machine that owns it), and the
+//! coverage shard that reads the index builds it (`CoverageShard::prepare`). Files of an older
 //! version are refused as [`StoreError::Corrupt`] ("unsupported format
 //! version") and must be re-sampled: version 1 also stored the index, and
 //! versions 1 and 2 were sealed with FNV-1a instead of XXH64
@@ -66,13 +66,14 @@ pub use delta::{
 };
 pub use generation::{
     begin_generation, commit_generation, gc_generations, generation_dir_name, latest_generation,
-    list_generations, load_latest_chain, load_latest_snapshot, read_graph_file, write_graph_file,
-    ChainInfo, RunParams, GENERATION_PREFIX, GRAPH_FILE, MANIFEST_FILE,
+    list_generations, load_latest_chain, load_latest_snapshot, read_graph_file,
+    resolve_latest_chain, write_graph_file, ChainFiles, ChainInfo, RunParams, GENERATION_PREFIX,
+    GRAPH_FILE, MANIFEST_FILE,
 };
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use dim_cluster::ops::{put_u32, put_u64, Reader};
@@ -479,6 +480,19 @@ pub(crate) fn unseal_header(
     Ok((hdr, r))
 }
 
+/// The first [`MAX_PREFIX_LEN`] bytes of the file at `path` (all of a
+/// shorter one): what [`unseal_header`] reads, and no more of the body.
+pub(crate) fn read_prefix(path: &Path) -> Result<Vec<u8>, StoreError> {
+    let io = |e| io_err(path, e);
+    let mut prefix = Vec::with_capacity(MAX_PREFIX_LEN);
+    fs::File::open(path)
+        .map_err(io)?
+        .take(MAX_PREFIX_LEN as u64)
+        .read_to_end(&mut prefix)
+        .map_err(io)?;
+    Ok(prefix)
+}
+
 /// Opens an envelope written by [`seal`]: magic, version and both
 /// checksums must match. Returns the header block and the body.
 pub(crate) fn unseal(
@@ -538,7 +552,7 @@ pub(crate) fn io_err(path: &Path, source: io::Error) -> StoreError {
 }
 
 /// A [`StoreError::Mismatch`] at `path`.
-fn mismatch(path: &Path, field: &'static str, expected: u64, found: u64) -> StoreError {
+pub fn mismatch(path: &Path, field: &'static str, expected: u64, found: u64) -> StoreError {
     StoreError::Mismatch {
         path: path.to_path_buf(),
         field,
@@ -574,10 +588,19 @@ pub fn write_shard(
 
 /// Reads and validates one shard file and checks its header against
 /// `request`, the set universe included.
-fn read_shard(path: &Path, request: &SnapshotRequest) -> Result<ShardSnapshot, StoreError> {
+pub(crate) fn read_shard(
+    path: &Path,
+    request: &SnapshotRequest,
+) -> Result<ShardSnapshot, StoreError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
     let shard = decode(&bytes).map_err(|e| e.with_path(path))?;
-    let h = &shard.header;
+    check_request(path, &shard.header, request)?;
+    Ok(shard)
+}
+
+/// Refuses a shard header (of the file at `path`) that names another
+/// graph, sampler or set universe than `request`.
+fn check_request(path: &Path, h: &ShardHeader, request: &SnapshotRequest) -> Result<(), StoreError> {
     if h.fingerprint != request.fingerprint {
         return Err(mismatch(path, "fingerprint", request.fingerprint, h.fingerprint));
     }
@@ -592,7 +615,7 @@ fn read_shard(path: &Path, request: &SnapshotRequest) -> Result<ShardSnapshot, S
     if h.num_sets != request.num_sets {
         return Err(mismatch(path, "num_sets", request.num_sets, h.num_sets));
     }
-    Ok(shard)
+    Ok(())
 }
 
 /// Every `*.extension` file in `dir`, sorted by name.
@@ -677,76 +700,42 @@ impl Snapshot {
     }
 }
 
-/// Loads every `*.rrs` shard in `dir`, validates mutual consistency and
-/// the request, and returns the assembled snapshot.
-///
-/// Each shard file is read, decoded and checked against the request on
-/// its own thread; the results are then taken, and the siblings compared,
-/// in path order, so the error returned is the one a one-file-at-a-time
-/// loader would return: that of the first bad path in sorted order.
-pub(crate) fn load_snapshot(dir: &Path, request: &SnapshotRequest) -> Result<Snapshot, StoreError> {
+/// Reads the header of every `*.rrs` shard in `dir` — no body — and
+/// checks each against `request` and its siblings' shard count, then the
+/// ids against that count and the sets against θ: what a base generation
+/// must pass before any machine folds a shard of it. Returns the headers
+/// in shard-id order; seed and θ are each shard's fold's to check.
+pub(crate) fn read_base_headers(
+    dir: &Path,
+    request: &SnapshotRequest,
+) -> Result<Vec<ShardHeader>, StoreError> {
     let paths = files_with_extension(dir, SHARD_EXTENSION)?;
-    if paths.is_empty() {
+    let mut headers: Vec<ShardHeader> = Vec::with_capacity(paths.len());
+    for path in &paths {
+        let prefix = read_prefix(path)?;
+        let h = unseal_header(&prefix, MAGIC, VERSION)
+            .and_then(|(hdr, _)| ShardHeader::decode(hdr))
+            .map_err(|e| e.with_path(path))?;
+        check_request(path, &h, request)?;
+        if let Some(first) = headers.first().filter(|f| f.shard_count != h.shard_count) {
+            let (expected, found) = (first.shard_count as u64, h.shard_count as u64);
+            return Err(mismatch(path, "shard_count", expected, found));
+        }
+        headers.push(h);
+    }
+    let Some(&first) = headers.first() else {
         return Err(StoreError::Empty {
             dir: dir.to_path_buf(),
         });
+    };
+    let ids = headers.iter().map(|h| h.shard_id);
+    check_shard_ids(dir, &paths, ids, first.shard_count, "duplicate shard id")?;
+    headers.sort_by_key(|h| h.shard_id);
+    let total: u64 = headers.iter().map(|h| h.num_elements).sum();
+    if total != headers[0].theta {
+        return Err(mismatch(dir, "theta", headers[0].theta, total));
     }
-    let decoded: Vec<Result<ShardSnapshot, StoreError>> = std::thread::scope(|scope| {
-        let readers: Vec<_> = paths
-            .iter()
-            .map(|path| scope.spawn(move || read_shard(path, request)))
-            .collect();
-        readers
-            .into_iter()
-            .map(|reader| reader.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    });
-    let mut shards: Vec<ShardSnapshot> = Vec::with_capacity(paths.len());
-    for (path, shard) in paths.iter().zip(decoded) {
-        let shard = shard?;
-        // The request (`num_sets` included) was checked by `read_shard`.
-        if let Some(first) = shards.first() {
-            let (h, f) = (&shard.header, &first.header);
-            if h.shard_count != f.shard_count {
-                return Err(mismatch(
-                    path,
-                    "shard_count",
-                    f.shard_count as u64,
-                    h.shard_count as u64,
-                ));
-            }
-            if h.seed != f.seed {
-                return Err(mismatch(path, "seed", f.seed, h.seed));
-            }
-            if h.theta != f.theta {
-                return Err(mismatch(path, "theta", f.theta, h.theta));
-            }
-        }
-        shards.push(shard);
-    }
-    let shard_count = shards[0].header.shard_count;
-    let ids = shards.iter().map(|s| s.header.shard_id);
-    check_shard_ids(dir, &paths, ids, shard_count, "duplicate shard id")?;
-    shards.sort_by_key(|s| s.header.shard_id);
-    let first = shards[0].header;
-    let total: u64 = shards.iter().map(|s| s.header.num_elements).sum();
-    if total != first.theta {
-        return Err(StoreError::Mismatch {
-            path: dir.to_path_buf(),
-            field: "theta",
-            expected: first.theta,
-            found: total,
-        });
-    }
-    Ok(Snapshot {
-        fingerprint: first.fingerprint,
-        sampler: first.sampler,
-        seed: first.seed,
-        theta: first.theta,
-        num_sets: first.num_sets,
-        shard_count,
-        shards,
-    })
+    Ok(headers)
 }
 
 #[cfg(test)]
@@ -1032,6 +1021,20 @@ mod tests {
         }
     }
 
+    /// A base generation's fold: the chain of no links on `dir`.
+    fn load_snapshot(dir: &Path, request: &SnapshotRequest) -> Result<Snapshot, StoreError> {
+        let first = read_base_headers(dir, request)?[0];
+        let files = ChainFiles {
+            base_dir: dir.to_path_buf(),
+            link_dirs: Vec::new(),
+            request: *request,
+            seed: first.seed,
+            theta: first.theta,
+            shard_count: first.shard_count,
+        };
+        files.fold()
+    }
+
     #[test]
     fn load_snapshot_assembles_all_shards() {
         let dir = temp_dir("load");
@@ -1108,8 +1111,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Shards decode in parallel, yet the error is always that of the
-    /// first bad file in path order, with its path: here a flipped body,
+    /// Shards fold in parallel, yet the error is always that of the
+    /// first bad shard in shard order, with its path: here a flipped body,
     /// then a truncation, then a sibling with another seed.
     #[test]
     fn load_snapshot_surfaces_on_disk_corruption() {

@@ -41,6 +41,8 @@
 //! runs on every backend; `imm` on `proc` or `join` exits 1 naming
 //! `--backend`. `coverage` runs one path on every backend: ship each
 //! machine its element shard (`BuildShard`), then NewGreeDi's op rounds.
+//! So do `im --load-rr` and `stream`: ship the store's tip graph, then
+//! each machine restores its own shard (`LoadShard`).
 //!
 //! Graphs load from SNAP-style edge lists (`u v [p]`, `#` comments) or are
 //! generated from the paper's dataset profiles (`profile:facebook`,
@@ -151,7 +153,9 @@ stored sketches: im --load-rr, stream and serve take the run from the store:
   --k/--epsilon/--delta are refused unless the store's (serve: unchecked),
   --model must match the stored sampler, --machines the shard count (serve:
   unused), and --seed comes from the store (it still seeds a profile: graph
-  and --evaluate's cascades)
+  and --evaluate's cascades); im --load-rr and stream run on every
+  --backend: the master reads manifests, shard headers and edge batches,
+  each machine its own shard files
 
 join backend: workers are pre-started (dim-worker --connect ADDR --join)
   and register with this master; bind via DIM_MASTER_BIND (e.g.
@@ -355,6 +359,31 @@ fn tcp_cluster(
         .map_err(|e| format!("cannot assemble the worker cluster: {e}"))
 }
 
+/// Evaluates `$body` with `$session` bound to the stream session on the
+/// store `$root`, on the `--backend` cluster, whose size is the store's.
+macro_rules! on_stored {
+    ($flags:expr, $g:expr, $config:expr, $root:expr, |$session:ident| $body:expr) => {{
+        let (flags, net) = ($flags, NetworkModel::shared_memory());
+        match backend_of(flags)? {
+            Backend::Sim(mode) => {
+                let open = StreamSession::open($g, $config, $root, net, mode);
+                let mut $session = open.map_err(|e| e.to_string())?;
+                flags.store_machines($session.cluster().num_machines())?;
+                $body
+            }
+            Backend::Tcp { spawn } => {
+                let stored = StoredChain::resolve($g, $config, $root).map_err(|e| e.to_string())?;
+                flags.store_machines(stored.num_machines())?;
+                let mut tcp = tcp_cluster(spawn, stored.num_machines(), net, $config.seed, flags)?;
+                install_graph(&mut tcp, stored.tip_graph()).map_err(|e| e.to_string())?;
+                let open = StreamSession::open_on(tcp, stored);
+                let mut $session = open.map_err(|e| e.to_string())?;
+                $body
+            }
+        }
+    }};
+}
+
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let stats = GraphStats::compute(&g);
@@ -404,14 +433,8 @@ fn cmd_im(flags: &Flags) -> Result<(), String> {
         if !matches!(algorithm, "diimm" | "subsim") {
             return Err("--load-rr replays a DiIMM sketch; use --algorithm diimm|subsim".into());
         }
-        let mode = match backend {
-            Backend::Sim(mode) => mode,
-            _ => return Err("--load-rr selects locally; use a simulated backend".into()),
-        };
-        let mut session = StreamSession::open(&g, &config, std::path::Path::new(root), net, mode)
-            .map_err(|e| e.to_string())?;
-        flags.store_machines(session.num_machines())?;
-        session.select().map_err(|e| e.to_string())?
+        on_stored!(flags, &g, &config, root.as_ref(), |session| session.select())
+            .map_err(|e| e.to_string())?
     } else {
         match (algorithm, backend) {
             ("imm", Backend::Sim(_)) => imm(&g, &config),
@@ -530,10 +553,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let edits_path = flags.required("apply")?;
     let keep = flags.num("keep", 3usize)?;
     let batch_size = flags.num("batch-size", 0usize)?;
-    let mode = match backend_of(flags)? {
-        Backend::Sim(mode) => mode,
-        _ => return Err("stream repairs the sketch locally; use a simulated backend".into()),
-    };
+    backend_of(flags)?;
 
     let text = std::fs::read_to_string(edits_path)
         .map_err(|e| format!("cannot read {edits_path}: {e}"))?;
@@ -549,56 +569,53 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
         return Err(format!("{edits_path} holds no edits"));
     }
 
-    let net = NetworkModel::shared_memory();
-    let mut session = StreamSession::open(&g, &config, &root, net, mode)
-        .map_err(|e| e.to_string())?;
-    flags.store_machines(session.num_machines())?;
-    println!(
-        "stream: resumed at generation {} (seq {}, {} machine(s))",
-        session.generation(),
-        session.next_seq(),
-        session.num_machines()
-    );
     let chunk = if batch_size == 0 { ops.len() } else { batch_size };
-    let mut total_ops = 0usize;
-    let mut total_repaired = 0u64;
-    let start = std::time::Instant::now();
-    for batch in ops.chunks(chunk) {
-        let applied = session
-            .apply(batch.to_vec(), true, keep)
-            .map_err(|e| e.to_string())?;
-        total_ops += applied.ops;
-        total_repaired += applied.sets_repaired;
+    on_stored!(flags, &g, &config, &root, |session| {
         println!(
-            "stream: batch seq {} ({} op(s)) -> generation {}, {} RR set(s) repaired",
-            session.next_seq() - 1,
-            applied.ops,
-            applied.generation.expect("persisted apply commits"),
-            applied.sets_repaired
+            "stream: resumed at generation {} (seq {}, {} machine(s))",
+            session.generation(),
+            session.next_seq(),
+            session.cluster().num_machines()
         );
-    }
-    let elapsed = start.elapsed();
-    println!(
-        "stream: {total_ops} edit(s) applied, {total_repaired} RR set(s) repaired \
-         in {:.3}s ({:.0} edits/s)",
-        elapsed.as_secs_f64(),
-        total_ops as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-    if flags.get("compact").is_some() {
-        match session.compact(keep).map_err(|e| e.to_string())? {
-            Some(id) => println!("stream: compacted chain into base generation {id}"),
-            None => println!("stream: nothing to compact"),
+        let (mut total_ops, mut total_repaired) = (0usize, 0u64);
+        let start = std::time::Instant::now();
+        for batch in ops.chunks(chunk) {
+            let applied = session
+                .apply(batch.to_vec(), true, keep)
+                .map_err(|e| e.to_string())?;
+            total_ops += applied.ops;
+            total_repaired += applied.sets_repaired;
+            println!(
+                "stream: batch seq {} ({} op(s)) -> generation {}, {} RR set(s) repaired",
+                session.next_seq() - 1,
+                applied.ops,
+                applied.generation.expect("persisted apply commits"),
+                applied.sets_repaired
+            );
         }
-    }
-    if flags.get("select").is_some() {
-        let r = session.select().map_err(|e| e.to_string())?;
-        println!("seeds: {:?}", r.seeds);
+        let elapsed = start.elapsed();
         println!(
-            "estimated spread: {:.1} ({} RR sets)",
-            r.est_spread, r.num_rr_sets
+            "stream: {total_ops} edit(s) applied, {total_repaired} RR set(s) repaired \
+             in {:.3}s ({:.0} edits/s)",
+            elapsed.as_secs_f64(),
+            total_ops as f64 / elapsed.as_secs_f64().max(1e-9)
         );
-    }
-    Ok(())
+        if flags.get("compact").is_some() {
+            match session.compact(keep).map_err(|e| e.to_string())? {
+                Some(id) => println!("stream: compacted chain into base generation {id}"),
+                None => println!("stream: nothing to compact"),
+            }
+        }
+        if flags.get("select").is_some() {
+            let r = session.select().map_err(|e| e.to_string())?;
+            println!("seeds: {:?}", r.seeds);
+            println!(
+                "estimated spread: {:.1} ({} RR sets)",
+                r.est_spread, r.num_rr_sets
+            );
+        }
+        Ok(())
+    })
 }
 
 /// SIGHUP → hot reload, the classic daemon idiom. Raw FFI against libc's

@@ -65,10 +65,12 @@ pub mod prelude {
     pub use dim_core::recover::{diimm_on_recovering, RecoveringCluster, RecoveryPolicy};
     pub use dim_core::snapshot::{
         diimm_sample_generation, diimm_sample_on, load_latest_rr_snapshot, persist_rr_shards,
-        rr_snapshot_request, StreamSession,
+        rr_snapshot_request, StoredChain, StreamSession,
     };
     pub use dim_core::ssa::dssa;
-    pub use dim_core::{setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, WorkerHost};
+    pub use dim_core::{
+        install_graph, setup_im_cluster, ImConfig, ImParams, ImResult, SamplerKind, WorkerHost,
+    };
     pub use dim_coverage::greedi::greedi;
     pub use dim_coverage::greedy::bucket_greedy;
     pub use dim_coverage::{newgreedi_with, CoverageProblem, CoverageShard};

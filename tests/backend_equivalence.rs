@@ -8,6 +8,7 @@
 //! the sequential simulator's, and the backend's own invariants hold.
 
 use std::net::SocketAddr;
+use std::path::Path;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -16,7 +17,7 @@ use dim::dim_cluster::{Backend, WireError};
 use dim::prelude::*;
 
 mod run_record;
-use run_record::{assert_same, RunRecord};
+use run_record::{assert_same, store_files, RunRecord};
 
 const IC: SamplerKind = SamplerKind::Standard(DiffusionModel::IndependentCascade);
 const RBFS: SamplerKind = SamplerKind::ReverseBfs;
@@ -33,6 +34,8 @@ enum Case {
     NewGreedi,
     /// GreeDi (`None`) or RandGreeDi (its partition shuffle seed) over set shards.
     Greedi(Option<u64>),
+    /// A DiIMM sketch sampled into a store and streamed ([`stream`]).
+    Stream,
 }
 
 /// A case's input: its graph, run parameters and neighbourhood coverage instance.
@@ -79,6 +82,7 @@ impl Case {
                 let r = greedi(cluster, &problem.shard_sets(l, shuffle).1, k, k).unwrap();
                 (&r, cluster.timeline()).into()
             }
+            Case::Stream => unreachable!("a stream session owns its cluster"),
         };
         (record, cluster.timeline().clone())
     }
@@ -99,6 +103,30 @@ impl Case {
             Case::Paired(PairedRule::Ssa) => im(dssa(g, config, l, net, mode)),
             Case::NewGreedi => self.run(input, &mut sim(problem.shard_elements(l))),
             Case::Greedi(shuffle) => self.run(input, &mut sim(problem.shard_sets(l, shuffle).0)),
+            Case::Stream => {
+                let root = temp_root("stream");
+                diimm_sample_generation(g, config, l, net, mode, &root, 8).unwrap();
+                let (_, stored) = load_latest_rr_snapshot(g, config, &root).unwrap();
+                let session = StreamSession::open(g, config, &root, net, mode).unwrap();
+                let (record, timeline) = stream(session, &root);
+                // Repair is never an algorithm change: the last selection
+                // is a full re-sample's of the tip graph, set for set.
+                let tip = stream_batches(g).iter().fold(g.clone(), |tip, ops| {
+                    apply_batch(&tip, &DeltaBatch::new(0, ops.clone())).unwrap()
+                });
+                let workers = stored.shards.iter().enumerate().map(|(i, shard)| {
+                    let mut w = dim_core::diimm::DiimmWorker::new(&tip, config, i);
+                    w.generate(shard.header.num_elements as usize);
+                    w
+                });
+                let mut fresh = SimCluster::new(workers.collect(), net, mode);
+                let fresh = newgreedi_with(&mut fresh, tip.num_nodes(), config.k).unwrap();
+                assert_eq!(
+                    (&record.seeds, &record.marginals),
+                    (&fresh.seeds, &fresh.marginals)
+                );
+                (record, timeline)
+            }
         };
         assert_eq!(timeline.total().measured_comm, Duration::ZERO);
         record
@@ -115,9 +143,77 @@ impl Case {
             Case::Paired(_) => setup_im_cluster(cluster, g, config.sampler, true).unwrap(),
             Case::NewGreedi => build_shards(cluster, &problem.shard_elements(l)),
             Case::Greedi(shuffle) => build_shards(cluster, &problem.shard_sets(l, shuffle).0),
+            Case::Stream => {
+                // The machines sample and persist the sketch, then restore
+                // it as `dim stream` does: the tip graph first, then each
+                // machine its own shard.
+                let root = temp_root("stream");
+                setup_im_cluster(cluster, g, config.sampler, false).unwrap();
+                diimm_sample_on(cluster, g, config, &root, 8).unwrap();
+                let chain = StoredChain::resolve(g, config, &root).unwrap();
+                install_graph(cluster, chain.tip_graph()).unwrap();
+                let view = RunView(cluster, PhaseTimeline::new());
+                return stream(StreamSession::open_on(view, chain).unwrap(), &root);
+            }
         }
         self.run(input, &mut RunView(cluster, PhaseTimeline::new()))
     }
+}
+
+/// The stream case's three batches over real edges of `g`: a delete and a
+/// fresh insert; a reweight and the insert's delete; a delete.
+fn stream_batches(g: &Graph) -> [Vec<EdgeOp>; 3] {
+    let n = g.num_nodes() as u32;
+    let mut edges = g.edges();
+    let [(u1, v1, _), (u2, v2, _), (u3, v3, _)] = std::array::from_fn(|_| edges.next().unwrap());
+    let (iu, iv) = ((u1 + 1) % n, (u1 + 2) % n);
+    [
+        vec![
+            EdgeOp::Delete { u: u1, v: v1 },
+            EdgeOp::Insert {
+                u: iu,
+                v: iv,
+                p: 0.3,
+            },
+        ],
+        vec![
+            EdgeOp::Reweight {
+                u: u2,
+                v: v2,
+                p: 0.7,
+            },
+            EdgeOp::Delete { u: iu, v: iv },
+        ],
+        vec![EdgeOp::Delete { u: u3, v: v3 }],
+    ]
+}
+
+/// Streams [`stream_batches`] through `session`, selecting after each
+/// persisted batch and compacting after the second: the last selection's
+/// record, with every file the store under `root` then holds, and its
+/// timeline.
+fn stream<C: OpCluster>(
+    mut session: StreamSession<'_, C>,
+    root: &Path,
+) -> (RunRecord, PhaseTimeline) {
+    let [first, second, third] = stream_batches(session.current_graph());
+    for (step, ops) in [first, second, third].into_iter().enumerate() {
+        if step == 2 {
+            assert!(session.compact(8).unwrap().is_some(), "nothing compacted");
+        }
+        assert!(
+            session.apply(ops, true, 8).unwrap().sets_repaired > 0,
+            "batch {step}"
+        );
+        session.select().unwrap();
+    }
+    let r = session.select().unwrap();
+    let record = RunRecord {
+        files: store_files(root),
+        ..(&r).into()
+    };
+    std::fs::remove_dir_all(root).ok();
+    (record, r.timeline)
 }
 
 /// Ships each machine its coverage shard (`BuildShard`, no modeled
@@ -181,14 +277,10 @@ impl OpCluster for RunView<'_> {
 /// Every phase that models byte movement must also have measured real
 /// transfer time on the process backend (rounds that model no bytes still
 /// measure their op traffic, so only modeled→measured is an invariant).
-/// The paired frameworks' `validation` round is exempt: it uploads one
-/// count per machine after a long computation, and the backend measures
-/// receive time as wall time minus the slowest worker's compute, which
-/// reads zero when that compute began before the send returned.
 fn assert_measured_transfers(timeline: &PhaseTimeline, context: &str) {
     let mut moved_any = false;
     for (label, m) in timeline.iter() {
-        if m.total_bytes() > 0 && label != phase::VALIDATION {
+        if m.total_bytes() > 0 {
             moved_any = true;
             assert!(
                 m.measured_comm > Duration::ZERO,
@@ -347,9 +439,11 @@ fn fault_free(input: &Input, l: usize) -> RunRecord {
     answer(Case::Diimm(IC, true).simulate(input, l, ExecMode::Sequential))
 }
 
-/// A fresh, empty store root for `tag`, private to this process.
+/// A fresh, empty store root for `tag`, private to this process and call.
 fn temp_root(tag: &str) -> std::path::PathBuf {
-    let root = std::env::temp_dir().join(format!("dim-equiv-{tag}-{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let root = std::env::temp_dir().join(format!("dim-equiv-{tag}-{}-{call}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     root
 }
@@ -387,216 +481,17 @@ fn snapshot_roundtrip_matches_direct_run() {
     }
 }
 
-/// Edge-stream repair is an execution path, never an algorithm change:
-/// applying a delta batch and repairing only the touched RR sets must be
-/// byte-identical — seeds *and* marginals — to throwing the sketch away
-/// and re-sampling the mutated graph from scratch with the same per-set
-/// RNG streams, at every machine count, on the simulated and the process
-/// backend alike.
+/// Edge-stream repair is an execution path, never an algorithm change: a
+/// sketch sampled into a store, restored, streamed, compacted and
+/// reselected ([`Case::Stream`]) selects what a full re-sample of the tip
+/// graph selects, and writes the same store files, on every backend at
+/// every machine count — each old test name one column's cell.
 mod stream {
     use super::*;
-    use dim_core::diimm::DiimmWorker;
 
-    const STREAM_MACHINE_COUNTS: [usize; 3] = [1, 2, 4];
-
-    /// Two chained batches over real edges of `g`: the first deletes an
-    /// existing edge and inserts a fresh one, the second reweights
-    /// another existing edge and deletes the fresh insert again.
-    fn chained_batches(g: &Graph) -> [Vec<EdgeOp>; 2] {
-        let n = g.num_nodes() as u32;
-        let mut edges = g.edges();
-        let (u1, v1, _) = edges.next().expect("graph has edges");
-        let (u2, v2, _) = edges.next().expect("graph has two edges");
-        let (iu, iv) = ((u1 + 1) % n, (u1 + 2) % n);
-        [
-            vec![
-                EdgeOp::Delete { u: u1, v: v1 },
-                EdgeOp::Insert {
-                    u: iu,
-                    v: iv,
-                    p: 0.3,
-                },
-            ],
-            vec![
-                EdgeOp::Reweight {
-                    u: u2,
-                    v: v2,
-                    p: 0.7,
-                },
-                EdgeOp::Delete { u: iu, v: iv },
-            ],
-        ]
-    }
-
-    /// Ground truth: sample `counts[i]` RR sets per machine from scratch
-    /// on `g` (same master seed → same per-set streams) and select.
-    fn select_from_scratch(g: &Graph, config: &ImConfig, counts: &[u64]) -> (Vec<u32>, Vec<u64>) {
-        let workers: Vec<DiimmWorker> = counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| {
-                let mut w = DiimmWorker::new(g, config, i);
-                w.generate(count as usize);
-                w
-            })
-            .collect();
-        let mut cluster =
-            SimCluster::new(workers, NetworkModel::cluster_1gbps(), ExecMode::Sequential);
-        let r = dim_coverage::newgreedi_with(&mut cluster, g.num_nodes(), config.k).unwrap();
-        (r.seeds, r.marginals)
-    }
-
-    /// Each stored shard's RR-set count.
-    fn stored_counts(g: &Graph, config: &ImConfig, root: &std::path::Path) -> Vec<u64> {
-        let (_, snapshot) = load_latest_rr_snapshot(g, config, root).unwrap();
-        snapshot
-            .shards
-            .iter()
-            .map(|s| s.header.num_elements)
-            .collect()
-    }
-
-    /// Incremental apply + select over a persisted chain equals a full
-    /// re-sample of the final graph, and a fresh session restored from
-    /// the committed chain agrees byte for byte.
-    #[test]
-    fn stream_repair_matches_full_resample_sim() {
-        let Input { g, config, .. } = &Case::Diimm(IC, true).input();
-        let batches = chained_batches(g);
-        let (net, seq) = (NetworkModel::cluster_1gbps(), ExecMode::Sequential);
-        for machines in STREAM_MACHINE_COUNTS {
-            let root = temp_root(&format!("stream-{machines}"));
-            diimm_sample_generation(g, config, machines, net, seq, &root, 8).unwrap();
-            let counts = stored_counts(g, config, &root);
-
-            let mut session = StreamSession::open(g, config, &root, net, seq).unwrap();
-            let mut tip = g.clone();
-            for ops in &batches {
-                let applied = session.apply(ops.clone(), true, 8).unwrap();
-                assert!(
-                    applied.sets_repaired > 0,
-                    "ℓ = {machines}: repaired nothing"
-                );
-                tip = apply_batch(&tip, &DeltaBatch::new(0, ops.clone())).unwrap();
-            }
-            let incremental = session.select().unwrap();
-            let (seeds, marginals) = select_from_scratch(&tip, config, &counts);
-            assert_eq!(incremental.seeds, seeds, "ℓ = {machines}");
-            assert_eq!(incremental.marginals, marginals, "ℓ = {machines}");
-
-            // A cold restart from the committed chain sees the same state.
-            let mut reloaded = StreamSession::open(g, config, &root, net, seq).unwrap();
-            assert_eq!(reloaded.next_seq(), 2, "ℓ = {machines}");
-            let replayed = reloaded.select().unwrap();
-            assert_eq!(replayed.seeds, seeds, "ℓ = {machines} (reloaded)");
-            assert_eq!(replayed.marginals, marginals, "ℓ = {machines} (reloaded)");
-            std::fs::remove_dir_all(&root).ok();
-        }
-    }
-
-    /// Selection and repair interleaved on one resident session:
-    /// `apply → select → apply → select → compact → apply → select`. Each
-    /// `select` rebuilds the shards' index and the next repair leaves it
-    /// stale again, so every selection after the first runs on an index
-    /// rebuilt from repaired records. Each one must equal a full re-sample
-    /// of the tip graph, on both execution modes.
-    #[test]
-    fn interleaved_stream_cycle_matches_full_resample() {
-        let Input { g, config, .. } = &Case::Diimm(IC, true).input();
-        let [first, second] = chained_batches(g);
-        let (u3, v3, _) = g.edges().nth(2).expect("graph has three edges");
-        let third = vec![EdgeOp::Delete { u: u3, v: v3 }];
-        let net = NetworkModel::cluster_1gbps();
-        for machines in STREAM_MACHINE_COUNTS {
-            for mode in [ExecMode::Sequential, ExecMode::Threads] {
-                let context = format!("ℓ = {machines}, {mode:?}");
-                let root = temp_root(&format!("stream-cycle-{machines}-{mode:?}"));
-                diimm_sample_generation(g, config, machines, net, mode, &root, 8).unwrap();
-                let counts = stored_counts(g, config, &root);
-
-                let mut session = StreamSession::open(g, config, &root, net, mode).unwrap();
-                let mut tip = g.clone();
-                let mut apply_then_select = |session: &mut StreamSession, ops: &[EdgeOp], step| {
-                    let applied = session.apply(ops.to_vec(), true, 8).unwrap();
-                    assert!(
-                        applied.sets_repaired > 0,
-                        "{context}, {step}: repaired nothing"
-                    );
-                    tip = apply_batch(&tip, &DeltaBatch::new(0, ops.to_vec())).unwrap();
-                    let selected = session.select().unwrap();
-                    let (seeds, marginals) = select_from_scratch(&tip, config, &counts);
-                    assert_eq!(selected.seeds, seeds, "{context}, {step}");
-                    assert_eq!(selected.marginals, marginals, "{context}, {step}");
-                };
-                apply_then_select(&mut session, &first, "first batch");
-                apply_then_select(&mut session, &second, "second batch");
-                assert!(
-                    session.compact(8).unwrap().is_some(),
-                    "{context}: nothing compacted"
-                );
-                apply_then_select(&mut session, &third, "batch after compact");
-                std::fs::remove_dir_all(&root).ok();
-            }
-        }
-    }
-
-    /// The same contract on the TCP process backend: workers sample a
-    /// fixed θ, the master broadcasts `ApplyDelta`, every worker repairs
-    /// its resident shard locally, and selection over the repaired
-    /// cluster equals a from-scratch re-sample of the mutated graph.
-    #[test]
-    fn stream_repair_matches_full_resample_proc() {
-        use dim_cluster::ops::{expect_counts, expect_ok};
-
-        let Input { g, config, .. } = &Case::Diimm(IC, true).input();
-        let batches = chained_batches(g);
-        let theta = 4000u64;
-        for machines in STREAM_MACHINE_COUNTS {
-            let counts: Vec<u64> = (0..machines as u64)
-                .map(|i| theta / machines as u64 + u64::from(i < theta % machines as u64))
-                .collect();
-            let mut proc = proc_cluster(machines, config.seed);
-            setup_im_cluster(&mut proc, g, config.sampler, false).unwrap();
-            let replies = proc
-                .control(phase::RR_SAMPLING, |i| WorkerOp::SampleRr {
-                    count: counts[i],
-                })
-                .unwrap();
-            expect_ok(&replies, phase::RR_SAMPLING).unwrap();
-
-            let mut tip = g.clone();
-            for (seq, ops) in batches.iter().enumerate() {
-                let batch = DeltaBatch::new(seq as u64, ops.clone());
-                let mutated = apply_batch(&tip, &batch).unwrap();
-                let encoded = batch.encode();
-                let parent = graph_fingerprint(&tip);
-                let fingerprint = graph_fingerprint(&mutated);
-                let replies = proc
-                    .control(phase::STREAM_APPLY, |_| WorkerOp::ApplyDelta {
-                        batch: encoded.clone(),
-                        persist_dir: None,
-                        base_generation: 0,
-                        fingerprint,
-                        parent_fingerprint: parent,
-                        theta,
-                        shard_count: machines as u32,
-                    })
-                    .unwrap();
-                let repaired = expect_counts(&replies, phase::STREAM_APPLY).unwrap();
-                assert!(
-                    repaired.iter().sum::<u64>() > 0,
-                    "ℓ = {machines}, seq {seq}: batch repaired nothing"
-                );
-                tip = mutated;
-            }
-
-            let r = dim_coverage::newgreedi_with(&mut proc, g.num_nodes(), config.k).unwrap();
-            let (seeds, marginals) = select_from_scratch(&tip, config, &counts);
-            assert_eq!(r.seeds, seeds, "ℓ = {machines}");
-            assert_eq!(r.marginals, marginals, "ℓ = {machines}");
-            assert_eq!(proc.link_errors(), 0, "ℓ = {machines}");
-        }
-    }
+    matrix! { "threads" at [1, 2, 4]; stream_repair_matches_full_resample_sim: Case::Stream; }
+    matrix! { "proc" at [1, 2, 4]; stream_repair_matches_full_resample_proc: Case::Stream; }
+    matrix! { "join" at [1, 2, 4]; interleaved_stream_cycle_matches_full_resample: Case::Stream; }
 }
 
 /// The `proc` column; process workers persist their own shards and report incrementally.

@@ -141,7 +141,7 @@ fn any_sampler(rng: &mut Rng) -> SamplerKind {
 fn any_worker_op(rng: &mut Rng) -> WorkerOp {
     use WorkerOp::*;
     let (sampler, kappa) = (any_sampler(rng), any_u32(rng));
-    let all: [WorkerOp; 14] = [
+    let all: [WorkerOp; 15] = [
         LoadGraph { blob: random_bytes(rng, 0..200) },
         InitSampler { sampler, paired: rng.below(2) == 1 },
         BuildShard { num_sets: any_u32(rng), elements: vec_of(rng, 0..20, ids) },
@@ -166,12 +166,18 @@ fn any_worker_op(rng: &mut Rng) -> WorkerOp {
             base_generation: any_u64(rng), fingerprint: any_u64(rng),
             parent_fingerprint: any_u64(rng), theta: any_u64(rng), shard_count: any_u32(rng),
         },
+        LoadShard {
+            dir: ascii(rng, 0..61), links: vec_of(rng, 0..4, |rng| ascii(rng, 0..61)),
+            fingerprint: any_u64(rng), sampler, seed: any_u64(rng), theta: any_u64(rng),
+            shard_count: any_u32(rng),
+        },
         Shutdown,
     ];
     match pick(rng, all) {
         op @ (LoadGraph { .. } | InitSampler { .. } | BuildShard { .. } | SampleRr { .. }
         | InitialCoverage | NewCoverage | ApplySeed { .. } | CoveredCount | CoreSet { .. }
-        | Stats | Validate { .. } | PersistShard { .. } | ApplyDelta { .. } | Shutdown) => op,
+        | Stats | Validate { .. } | PersistShard { .. } | ApplyDelta { .. } | LoadShard { .. }
+        | Shutdown) => op,
     }
 }
 

@@ -17,7 +17,7 @@ use dim_graph::generators::DatasetProfile;
 use dim_graph::{DeltaBatch, EdgeOp, Graph};
 
 mod run_record;
-use run_record::{assert_same, RunRecord};
+use run_record::{assert_same, store_files, RunRecord};
 
 /// The sampler work units a worker has spent so far.
 fn examined(worker: &mut DiimmWorker) -> u64 {
@@ -212,19 +212,7 @@ fn persisted_generation_bytes() {
         .apply(sixteen_edits(&g), true, 8)
         .expect("every edit names nodes of the graph");
     assert_eq!(session.compact(8).expect("one batch to compact"), Some(3));
-    let mut files = Vec::new();
-    for (id, dir) in dim_store::list_generations(&root).expect("the root lists") {
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
-            .expect("a committed generation lists")
-            .map(|e| e.expect("a directory entry").file_name())
-            .collect();
-        names.sort();
-        for name in names {
-            let bytes = std::fs::read(dir.join(&name)).expect("a committed file reads");
-            let name = format!("gen {id} {}", name.to_string_lossy());
-            files.push((name, bytes.len() as u64, dim_store::checksum(&bytes)));
-        }
-    }
+    let files = store_files(&root);
     std::fs::remove_dir_all(&root).unwrap();
     let pinned: [(&str, u64, u64); 10] = [
         ("gen 1 MANIFEST", 66, 8858099233268830104),

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use dim::prelude::*;
 use dim_cluster::ops::{expect_deltas, expect_ok};
+use dim_core::diimm::DiimmWorker;
 
 /// The `dim-worker` binary cargo built alongside this test.
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_dim-worker");
@@ -64,6 +65,32 @@ fn spawned_worker_processes_hold_shards_and_answer_ops() {
         .map(|d| dim_cluster::wire::delta_wire_size(d.len()) as u64)
         .sum();
     assert_eq!(m.bytes_to_master, expected);
+}
+
+/// A worker's refusal reaches the master in its own words: `Validate` on
+/// a DiIMM worker fails its round naming the machine, the phase and the
+/// worker's text, on the sequential simulator and on worker processes.
+#[test]
+fn a_refusal_names_machine_phase_and_text_on_every_backend() {
+    let g = erdos_renyi(60, 240, WeightModel::WeightedCascade, 4);
+    let config = ImConfig::paper_defaults(&g, 0.5, 3);
+    let workers = (0..2).map(|i| DiimmWorker::new(&g, &config, i)).collect();
+    let mut sim = SimCluster::new(workers, NetworkModel::zero(), ExecMode::Sequential);
+    let mut proc = spawn_cluster(2, config.seed);
+    setup_im_cluster(&mut proc, &g, config.sampler, false).unwrap();
+    let validate = |_| WorkerOp::Validate { seeds: vec![1] };
+    let refusals = [
+        sim.control(phase::VALIDATION, validate),
+        proc.control(phase::VALIDATION, validate),
+    ];
+    let text = "Validate: this worker has no validation sets";
+    for err in refusals.map(Result::unwrap_err) {
+        assert_eq!((err.phase, err.machine), (phase::VALIDATION, Some(0)));
+        assert_eq!(err.kind, WireErrorKind::Refused(text.into()));
+        let shown = format!("refusal from machine 0 in phase `validation`: {text}");
+        assert_eq!(err.to_string(), shown);
+    }
+    assert_eq!(proc.link_errors(), 0, "a refusal leaves the link up");
 }
 
 /// Spawns a pre-started join-mode worker process, as an operator would:

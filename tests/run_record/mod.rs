@@ -26,6 +26,27 @@ pub struct RunRecord {
     pub phases: u64,
     /// The timeline's phase labels, in first-use order.
     pub labels: Vec<&'static str>,
+    /// Every file of the store the run wrote ([`store_files`]).
+    pub files: Vec<(String, u64, u64)>,
+}
+
+/// Every file of every generation under the store `root`, in order, as
+/// `("gen <id> <name>", length, XXH64 checksum)`.
+pub fn store_files(root: &std::path::Path) -> Vec<(String, u64, u64)> {
+    let mut files = Vec::new();
+    for (id, dir) in dim::dim_store::list_generations(root).expect("the root lists") {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("a generation lists")
+            .map(|e| e.expect("a directory entry").file_name())
+            .collect();
+        names.sort();
+        for name in names {
+            let bytes = std::fs::read(dir.join(&name)).expect("a stored file reads");
+            let name = format!("gen {id} {}", name.to_string_lossy());
+            files.push((name, bytes.len() as u64, dim::dim_store::checksum(&bytes)));
+        }
+    }
+    files
 }
 
 impl RunRecord {
@@ -43,7 +64,7 @@ impl RunRecord {
     }
 
     /// Every field by name, as printed.
-    fn fields(&self) -> [(&'static str, String); 11] {
+    fn fields(&self) -> [(&'static str, String); 12] {
         [
             ("seeds", format!("{:?}", self.seeds)),
             ("marginals", format!("{:?}", self.marginals)),
@@ -56,6 +77,7 @@ impl RunRecord {
             ("messages", self.messages.to_string()),
             ("phases", self.phases.to_string()),
             ("labels", format!("{:?}", self.labels)),
+            ("files", format!("{:?}", self.files)),
         ]
     }
 }

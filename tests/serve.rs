@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::thread;
 
 use dim::prelude::*;
+use dim_core::diimm::DiimmWorker;
 use dim_serve::proto::{ERR_QUOTA, ERR_UNAUTHORIZED, ERR_UNKNOWN_TENANT};
 use dim_serve::QueryClient;
 
@@ -800,9 +801,8 @@ fn reload_and_gc_survive_fault_schedule() {
     // fault schedule armed on the resident cluster the whole time. The
     // link layer absorbs every fault (retries within budget), so commits
     // stay byte-identical; the injector's event log proves chaos fired.
-    let mut session =
-        StreamSession::open(&g, &base, &root, net, ExecMode::Sequential).expect("open session");
-    session.set_faults(Some(FaultInjector::new(
+    let chain = StoredChain::resolve(&g, &base, &root).expect("resolve the store");
+    let chaos = FaultInjector::new(
         FaultPlan {
             chaos_seed: 0xD1CE,
             link_faults: (0..2)
@@ -820,7 +820,10 @@ fn reload_and_gc_survive_fault_schedule() {
             ..FaultPlan::default()
         },
         2,
-    )));
+    );
+    let machines = (0..2).map(|i| DiimmWorker::new(&g, &base, i)).collect();
+    let armed = SimCluster::new(machines, net, ExecMode::Sequential).with_faults(chaos);
+    let mut session = StreamSession::open_on(armed, chain).expect("open session");
     let mut edges = g.edges();
     let (u1, v1, _) = edges.next().expect("graph has edges");
     let (u2, v2, _) = edges.next().expect("graph has two edges");
@@ -866,6 +869,7 @@ fn reload_and_gc_survive_fault_schedule() {
         thread::sleep(std::time::Duration::from_millis(40));
     }
     let events = session
+        .cluster()
         .fault_injector()
         .expect("injector stays armed")
         .events();
