@@ -348,8 +348,8 @@ pub struct StreamSession<'g, C = SimCluster<DiimmWorker<'g>>> {
 }
 
 impl<'g> StreamSession<'g> {
-    /// [`open_on`](Self::open_on) the chain [`StoredChain::resolve`]
-    /// resolves, on simulated machines that share its tip graph.
+    /// [`open_simulated`](Self::open_simulated) on the chain
+    /// [`StoredChain::resolve`] resolves.
     pub fn open(
         base: &'g Graph,
         config: &ImConfig,
@@ -357,9 +357,18 @@ impl<'g> StreamSession<'g> {
         network: NetworkModel,
         mode: ExecMode,
     ) -> Result<Self, SnapshotError> {
-        let stored = StoredChain::resolve(base, config, root)?;
+        Self::open_simulated(StoredChain::resolve(base, config, root)?, network, mode)
+    }
+
+    /// Restores `stored` onto a simulated cluster of its size whose
+    /// machines share its tip graph ([`open_on`](Self::open_on)).
+    pub fn open_simulated(
+        stored: StoredChain<'g>,
+        network: NetworkModel,
+        mode: ExecMode,
+    ) -> Result<Self, SnapshotError> {
         let workers = (0..stored.num_machines())
-            .map(|i| DiimmWorker::new(stored.tip.clone(), config, i))
+            .map(|i| DiimmWorker::new(stored.tip.clone(), &stored.config, i))
             .collect();
         Self::open_on(SimCluster::new(workers, network, mode), stored)
     }

@@ -2,8 +2,11 @@
 //!
 //! Text edge lists parse at tens of MB/s; the paper's Twitter graph has
 //! 1.5G edges, for which a binary CSR dump (magic `DIMG`, little-endian)
-//! loads at memory-copy speed. Only the forward CSR is stored; the reverse
-//! adjacency is rebuilt on load (a linear counting pass, deterministic).
+//! loads at memory-copy speed. Only the forward CSR is stored. On load its
+//! three arrays are converted in bulk straight into the graph's own, and
+//! the reverse adjacency is rebuilt by one linear counting pass (the
+//! crate's one reverse-CSR construction, deterministic): no builder, edge
+//! list or sort is involved.
 //!
 //! Layout:
 //! ```text
@@ -22,11 +25,9 @@
 use std::io::Write;
 use std::path::Path;
 
-use crate::builder::GraphBuilder;
 use crate::codec::Reader;
 use crate::csr::Graph;
 use crate::error::GraphError;
-use crate::weights::WeightModel;
 
 const MAGIC: &[u8; 4] = b"DIMG";
 const VERSION: u32 = 1;
@@ -133,43 +134,48 @@ pub fn decode_binary(bytes: &[u8]) -> Result<Graph, GraphError> {
         )));
     }
     let (n, m) = (n as usize, m as usize);
-    let offsets: Vec<usize> = (0..=n)
-        .map(|_| r.u64().and_then(|o| usize::try_from(o).ok()))
-        .collect::<Option<_>>()
-        .ok_or_else(truncated)?;
-    if offsets[0] != 0 || offsets[n] != m {
+    // Each array is converted in one pass straight into the vector the
+    // graph keeps. An offset too large for `usize` saturates, which the
+    // offset checks below then refuse (it exceeds `m`).
+    let offsets = r.take(8 * (n + 1)).ok_or_else(truncated)?;
+    let out_offsets: Vec<usize> = (offsets.as_chunks::<8>().0.iter())
+        .map(|&b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX))
+        .collect();
+    if out_offsets[0] != 0 || out_offsets[n] != m {
         return Err(corrupt("corrupt offset array"));
     }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
+    if out_offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(corrupt("non-monotone offsets"));
     }
-    let mut targets = Reader::new(r.take(4 * m).ok_or_else(truncated)?);
-    let mut probs = Reader::new(r.take(4 * m).ok_or_else(truncated)?);
+    let targets = r.take(4 * m).ok_or_else(truncated)?;
+    let out_targets: Vec<u32> = (targets.as_chunks::<4>().0.iter())
+        .map(|&b| u32::from_le_bytes(b))
+        .collect();
+    let probs = r.take(4 * m).ok_or_else(truncated)?;
+    let out_probs: Vec<f32> = (probs.as_chunks::<4>().0.iter())
+        .map(|&b| f32::from_le_bytes(b))
+        .collect();
     r.finish().ok_or_else(|| corrupt("trailing bytes"))?;
 
-    // Rebuild through the builder (constructs the reverse CSR for us).
-    let mut b = GraphBuilder::with_capacity(n, m);
     for u in 0..n {
+        let row = out_offsets[u]..out_offsets[u + 1];
         let mut prev = None;
-        for _ in offsets[u]..offsets[u + 1] {
-            let v = targets.u32().ok_or_else(truncated)?;
-            let p = probs.f32().ok_or_else(truncated)?;
+        for (&v, &p) in out_targets[row.clone()].iter().zip(&out_probs[row]) {
             if v as usize >= n {
                 return Err(corrupt("edge target out of range"));
             }
-            // What `write_binary` emits for any built graph; anything else
-            // the builder would silently drop or reorder.
+            // What `write_binary` emits for any built graph, and what
+            // `Graph::from_rows` takes.
             if v as usize == u || prev.is_some_and(|w| w >= v) {
                 return Err(corrupt("row is not strictly increasing and loop-free"));
             }
             if !(0.0..=1.0).contains(&p) {
                 return Err(corrupt("probability out of [0,1]"));
             }
-            b.add_weighted_edge(u as u32, v, p);
             prev = Some(v);
         }
     }
-    Ok(b.build(WeightModel::WeightedCascade))
+    Ok(Graph::from_rows(n, out_offsets, out_targets, out_probs))
 }
 
 /// Writes to a file path.
@@ -186,6 +192,7 @@ pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
 mod tests {
     use super::*;
     use crate::generators::erdos_renyi;
+    use crate::{GraphBuilder, WeightModel};
 
     #[test]
     fn roundtrip() {

@@ -82,68 +82,50 @@ impl GraphBuilder {
     /// Builds the immutable CSR graph, assigning each edge without an
     /// explicit probability according to `model`.
     pub fn build(mut self, model: WeightModel) -> Graph {
-        let n = self.n;
         // Sort by (u, v) then dedup so CSR rows come out ordered. `sort_by`
         // (stable) keeps the first occurrence of duplicate (u, v) pairs,
         // preserving its explicit weight.
         self.edges.sort_by_key(|e| (e.0, e.1));
         self.edges.dedup_by_key(|e| (e.0, e.1));
-        let m = self.edges.len();
-
-        let mut in_deg = vec![0usize; n];
-        let mut out_offsets = vec![0usize; n + 1];
-        for &(u, v, _) in &self.edges {
-            out_offsets[u as usize + 1] += 1;
-            in_deg[v as usize] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-
-        let mut out_targets = Vec::with_capacity(m);
-        let mut out_probs = Vec::with_capacity(m);
-        for (i, &(u, v, p)) in self.edges.iter().enumerate() {
-            debug_assert!(i >= out_offsets[u as usize]);
-            let prob = if p.is_nan() {
-                model.probability(u, v, in_deg[v as usize], i)
-            } else {
-                p
-            };
-            out_targets.push(v);
-            out_probs.push(prob);
-        }
-
-        // Transpose into reverse CSR.
-        let mut in_offsets = vec![0usize; n + 1];
-        for &v in &out_targets {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![0 as NodeId; m];
-        let mut in_probs = vec![0f32; m];
-        for u in 0..n {
-            for idx in out_offsets[u]..out_offsets[u + 1] {
-                let v = out_targets[idx] as usize;
-                let slot = cursor[v];
-                in_sources[slot] = u as NodeId;
-                in_probs[slot] = out_probs[idx];
-                cursor[v] += 1;
-            }
-        }
-
-        Graph::from_csr(
-            n,
-            out_offsets,
-            out_targets,
-            out_probs,
-            in_offsets,
-            in_sources,
-            in_probs,
-        )
+        let edges = &self.edges;
+        build_sorted(self.n, || edges.iter().copied(), model)
     }
+}
+
+/// The graph on `n` nodes of `edges`, which yields each edge as `(u, v,
+/// explicit probability or NaN)`, sorted by `(u, v)`, distinct and
+/// loop-free; an edge without an explicit probability gets `model`'s for
+/// its in-degree and its index in that order. One counting pass lays out
+/// the forward rows and one fills them (`edges` is walked twice), then
+/// [`Graph::from_rows`] builds the reverse CSR.
+pub(crate) fn build_sorted<I>(n: usize, edges: impl Fn() -> I, model: WeightModel) -> Graph
+where
+    I: Iterator<Item = (NodeId, NodeId, f32)>,
+{
+    let mut in_deg = vec![0usize; n];
+    let mut out_offsets = vec![0usize; n + 1];
+    for (u, v, _) in edges() {
+        out_offsets[u as usize + 1] += 1;
+        in_deg[v as usize] += 1;
+    }
+    for i in 0..n {
+        out_offsets[i + 1] += out_offsets[i];
+    }
+
+    let m = out_offsets[n];
+    let mut out_targets = Vec::with_capacity(m);
+    let mut out_probs = Vec::with_capacity(m);
+    for (i, (u, v, p)) in edges().enumerate() {
+        debug_assert!(i >= out_offsets[u as usize]);
+        let prob = if p.is_nan() {
+            model.probability(u, v, in_deg[v as usize], i)
+        } else {
+            p
+        };
+        out_targets.push(v);
+        out_probs.push(prob);
+    }
+    Graph::from_rows(n, out_offsets, out_targets, out_probs)
 }
 
 #[cfg(test)]

@@ -73,8 +73,9 @@ impl From<Arc<Graph>> for GraphRef<'_> {
 pub(crate) type RowEdit = (NodeId, NodeId, Option<f32>);
 
 impl Graph {
-    /// Assembles a graph from raw CSR arrays. Intended for
-    /// [`crate::GraphBuilder`]; invariants are checked with debug assertions.
+    /// Assembles a graph from raw CSR arrays, for [`from_rows`](Self::from_rows)
+    /// and [`spliced`](Self::spliced); invariants are checked with debug
+    /// assertions.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_csr(
         n: usize,
@@ -111,6 +112,53 @@ impl Graph {
             in_prob_sums,
             in_uniform_probs,
         }
+    }
+
+    /// The graph whose forward rows are `out_offsets`, `out_targets` and
+    /// `out_probs`, each row strictly increasing and loop-free. Every
+    /// constructor but [`spliced`](Self::spliced) ends here, the one place
+    /// a reverse CSR is built: one counting pass over the targets, then
+    /// one scatter in forward order, so every in-row lists its sources in
+    /// increasing order. The offsets double as the scatter's cursors, so
+    /// nothing but the graph's own arrays is allocated.
+    pub(crate) fn from_rows(
+        n: usize,
+        out_offsets: Vec<usize>,
+        out_targets: Vec<NodeId>,
+        out_probs: Vec<f32>,
+    ) -> Self {
+        let m = out_targets.len();
+        // Counted and summed, `in_offsets[v]` is where v's row starts. The
+        // scatter advances it to where the row ends, which is where v + 1's
+        // starts, so one shift right restores the offsets.
+        let mut in_offsets = vec![0usize; n + 1];
+        for &v in &out_targets {
+            in_offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut in_sources = vec![0 as NodeId; m];
+        let mut in_probs = vec![0f32; m];
+        for u in 0..n {
+            for idx in out_offsets[u]..out_offsets[u + 1] {
+                let slot = &mut in_offsets[out_targets[idx] as usize];
+                in_sources[*slot] = u as NodeId;
+                in_probs[*slot] = out_probs[idx];
+                *slot += 1;
+            }
+        }
+        in_offsets.copy_within(0..n, 1);
+        in_offsets[0] = 0;
+        Graph::from_csr(
+            n,
+            out_offsets,
+            out_targets,
+            out_probs,
+            in_offsets,
+            in_sources,
+            in_probs,
+        )
     }
 
     /// The graph with `edits` spliced in: untouched rows are copied as

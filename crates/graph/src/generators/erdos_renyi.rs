@@ -1,7 +1,7 @@
 //! Erdős–Rényi G(n, m) random graphs.
 
-use crate::builder::GraphBuilder;
 use crate::csr::Graph;
+use crate::generators::distinct_pairs_graph;
 use crate::rng::Rng;
 use crate::weights::WeightModel;
 
@@ -16,16 +16,11 @@ pub fn erdos_renyi(n: usize, m: usize, model: WeightModel, seed: u64) -> Graph {
     let max_edges = n * (n - 1);
     assert!(m <= max_edges, "m = {m} exceeds n(n-1) = {max_edges}");
     let mut rng = Rng::new(seed);
-    let mut seen = std::collections::HashSet::with_capacity(m * 2);
-    let mut builder = GraphBuilder::with_capacity(n, m);
-    while seen.len() < m {
+    distinct_pairs_graph(n, m, usize::MAX, model, || {
         let u = rng.below(n) as u32;
         let v = rng.below(n) as u32;
-        if u != v && seen.insert((u, v)) {
-            builder.add_edge(u, v);
-        }
-    }
-    builder.build(model)
+        (u, v)
+    })
 }
 
 #[cfg(test)]

@@ -9,7 +9,10 @@
 //!   because reverse influence sampling (RIS) traverses incoming edges.
 //!   A sampler or worker holds its graph as a [`GraphRef`]: borrowed, or
 //!   one `Arc` shared by every holder.
-//! * [`GraphBuilder`] — the mutable builder used by parsers and generators.
+//! * [`GraphBuilder`] — the mutable builder used by the edge-list parser,
+//!   the Barabási–Albert generator and callers building their own graphs.
+//!   The Chung–Lu and Erdős–Rényi generators and the DIMG decoder hand
+//!   their sorted rows to the same CSR assembly directly.
 //! * [`codec`] — the one strict little-endian byte cursor ([`codec::Reader`])
 //!   every binary format in the workspace decodes through.
 //! * [`delta`] — edge-stream mutations ([`EdgeOp`] / [`DeltaBatch`]) and

@@ -361,19 +361,21 @@ fn tcp_cluster(
 
 /// Evaluates `$body` with `$session` bound to the stream session on the
 /// store `$root`, on the `--backend` cluster, whose size is the store's.
+/// The chain is resolved and `--machines` checked against it before any
+/// machine restores a shard.
 macro_rules! on_stored {
     ($flags:expr, $g:expr, $config:expr, $root:expr, |$session:ident| $body:expr) => {{
         let (flags, net) = ($flags, NetworkModel::shared_memory());
-        match backend_of(flags)? {
+        let backend = backend_of(flags)?;
+        let stored = StoredChain::resolve($g, $config, $root).map_err(|e| e.to_string())?;
+        flags.store_machines(stored.num_machines())?;
+        match backend {
             Backend::Sim(mode) => {
-                let open = StreamSession::open($g, $config, $root, net, mode);
+                let open = StreamSession::open_simulated(stored, net, mode);
                 let mut $session = open.map_err(|e| e.to_string())?;
-                flags.store_machines($session.cluster().num_machines())?;
                 $body
             }
             Backend::Tcp { spawn } => {
-                let stored = StoredChain::resolve($g, $config, $root).map_err(|e| e.to_string())?;
-                flags.store_machines(stored.num_machines())?;
                 let mut tcp = tcp_cluster(spawn, stored.num_machines(), net, $config.seed, flags)?;
                 install_graph(&mut tcp, stored.tip_graph()).map_err(|e| e.to_string())?;
                 let open = StreamSession::open_on(tcp, stored);

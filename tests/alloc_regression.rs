@@ -3,7 +3,9 @@
 //! against a frozen sketch, repeated repairs of a resident shard,
 //! repeated sampling rounds and steady-state sampling itself must reuse
 //! their buffers and sampler, not re-allocate them. And a worker's memory
-//! is bounded by what it was shipped, whatever universe an op names.
+//! is bounded by what it was shipped, whatever universe an op names, and
+//! building a graph, generated or decoded, requests little beyond what the
+//! graph keeps.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, counting
 //! calls and bytes. The whole guard lives in ONE test function — the
@@ -21,7 +23,8 @@ use dim_coverage::{
 };
 use dim_diffusion::rr::RrSampler;
 use dim_diffusion::DiffusionModel::{IndependentCascade as IC, LinearThreshold as LT};
-use dim_graph::generators::erdos_renyi;
+use dim_graph::binary::{decode_binary, write_binary};
+use dim_graph::generators::{erdos_renyi, DatasetProfile};
 use dim_graph::rng::Rng;
 use dim_graph::{scratch, GraphBuilder, WeightModel};
 
@@ -343,5 +346,34 @@ fn hot_query_paths_do_not_allocate_in_steady_state() {
     assert!(
         bytes() - before < 4096,
         "a hostile candidate count was allocated"
+    );
+
+    // Building a graph requests what the graph keeps plus O(n). Generating
+    // `livejournal:0.002` (Chung–Lu) also holds its keys, 8 bytes per
+    // drawn key: the first round's m, and a buffer for the second's
+    // m − D₁ ≤ m. The O(n), 80 bytes per node plus 4 KiB: two power-law
+    // weight sequences (8 bytes per node each), two alias tables (12 each,
+    // and at most 16 more each for their work lists while they grow) and
+    // the in-degrees (8).
+    let before = bytes();
+    let graph = DatasetProfile::LiveJournal.generate(0.002, 1);
+    let (spent, kept) = (bytes() - before, graph.memory_bytes() as u64);
+    let (n, m) = (graph.num_nodes() as u64, graph.num_edges() as u64);
+    assert!(
+        spent <= kept + 16 * m + 80 * n + 4096,
+        "generating an {m}-edge graph requested {spent} bytes; it keeps {kept}"
+    );
+    // Decoding its image converts the arrays straight into the graph's,
+    // and the reverse pass uses the graph's own offsets as its cursors:
+    // nothing else is requested.
+    let mut image = Vec::new();
+    write_binary(&graph, &mut image).expect("a Vec takes every byte");
+    let before = bytes();
+    let decoded = decode_binary(&image).expect("a written image decodes");
+    let spent = bytes() - before;
+    assert_eq!(decoded.num_edges(), graph.num_edges());
+    assert!(
+        spent <= kept,
+        "decoding an {m}-edge image requested {spent} bytes; the graph keeps {kept}"
     );
 }

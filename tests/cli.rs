@@ -587,10 +587,26 @@ fn streams_chain_onto_a_default_sample_and_every_reader_follows() {
     assert!(second.contains("-> generation 3,"), "{second}");
 
     // A `--machines` other than the store's shard count exits 1 naming the
-    // flag, before anything is applied; omitted, as above, it takes the
-    // store's count.
+    // flag, before anything is applied or restored: on a copy whose machine
+    // 1 base shard is cut after its header (and the header's checksum),
+    // too. Omitted, as above, it takes the store's count.
+    let cut = temp_path("stream-chain-cut");
+    for generation in std::fs::read_dir(&dir).unwrap() {
+        let generation = generation.unwrap().path();
+        let copy = cut.join(generation.file_name().unwrap());
+        std::fs::create_dir_all(&copy).unwrap();
+        for file in std::fs::read_dir(&generation).unwrap() {
+            let file = file.unwrap().path();
+            std::fs::copy(&file, copy.join(file.file_name().unwrap())).unwrap();
+        }
+    }
+    let base_shard = cut.join("gen-00000001").join("shard-1-of-2.rrs");
+    let bytes = std::fs::read(&base_shard).unwrap();
+    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    std::fs::write(&base_shard, &bytes[..12 + header_len + 8]).unwrap();
     let restream = [&["stream"], &store[..], &["--apply", edits.to_str().unwrap()]].concat();
-    for cmd in [&["im", "--load-rr", store[1]][..], &restream] {
+    let cut_load = ["im", "--load-rr", cut.to_str().unwrap()];
+    for cmd in [&["im", "--load-rr", store[1]][..], &restream, &cut_load] {
         let out = dim().args([cmd, &common[..], &["--machines", "3"]].concat()).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{cmd:?}: {err}");
@@ -609,6 +625,7 @@ fn streams_chain_onto_a_default_sample_and_every_reader_follows() {
     assert!(out.contains("generation: 3"), "{out}");
     assert!(server.wait().expect("serve exits").success());
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&cut).ok();
     std::fs::remove_file(&edits).ok();
 }
 

@@ -239,3 +239,89 @@ fn persisted_generation_bytes() {
         &counters,
     );
 }
+
+/// Node `v`'s forward row, and its reverse row with the row's
+/// probability sum and uniform probability, every float by its bits.
+fn node_arrays(g: &Graph, v: u32) -> [Vec<u32>; 6] {
+    let bits = |ps: &[f32]| ps.iter().map(|p| p.to_bits()).collect();
+    [
+        g.out_neighbors(v).to_vec(),
+        bits(g.out_probs(v)),
+        g.in_neighbors(v).to_vec(),
+        bits(g.in_probs(v)),
+        vec![g.in_prob_sum(v).to_bits()],
+        g.in_uniform_prob(v).map(f32::to_bits).into_iter().collect(),
+    ]
+}
+
+/// The generated graphs themselves: `graph_fingerprint` (the XXH64 of the
+/// DIMG image, i.e. the forward CSR and every probability) of each profile
+/// on its own generator path — Chung–Lu for the directed three,
+/// Barabási–Albert for `facebook` — and of Erdős–Rényi, once under
+/// trivalency weights, which read each edge's CSR position. The image
+/// holds the forward arrays only, so each graph (and one built with
+/// non-uniform explicit weights) must also decode from its image equal in
+/// every reverse array.
+#[test]
+fn profile_graph_fingerprints() {
+    use dim_graph::binary::{decode_binary, write_binary};
+    use dim_graph::generators::erdos_renyi;
+    use dim_graph::{GraphBuilder, WeightModel};
+
+    let mut explicit = GraphBuilder::new(50);
+    for i in 0..400u32 {
+        let (u, v) = ((i * 7) % 50, (i * 13 + 1) % 50);
+        explicit.add_weighted_edge(u, v, ((i % 9) as f32 + 1.0) / 10.0);
+        explicit.add_edge(v, (u + 3) % 50);
+    }
+    let graphs = [
+        (
+            "livejournal:0.002",
+            DatasetProfile::LiveJournal.generate(0.002, 1),
+        ),
+        (
+            "twitter:0.00005 trivalency",
+            DatasetProfile::Twitter.generate_with(0.00005, WeightModel::Trivalency, 2),
+        ),
+        (
+            "googleplus:0.002",
+            DatasetProfile::GooglePlus.generate(0.002, 3),
+        ),
+        ("facebook:0.25", DatasetProfile::Facebook.generate(0.25, 4)),
+        (
+            "erdos_renyi(2000, 20000) trivalency",
+            erdos_renyi(2_000, 20_000, WeightModel::Trivalency, 6),
+        ),
+        (
+            "builder, explicit weights",
+            explicit.build(WeightModel::WeightedCascade),
+        ),
+    ];
+    let pinned: [u64; 6] = [
+        15_033_608_696_653_317_115,
+        359_026_948_413_265_542,
+        6_435_448_660_361_620_736,
+        15_422_573_079_142_909_359,
+        3_852_428_461_128_775_897,
+        16_113_856_447_766_806_749,
+    ];
+    let mut counters = Vec::new();
+    for ((name, g), want) in graphs.iter().zip(pinned) {
+        counters.push((
+            format!("{name} fingerprint"),
+            dim_store::graph_fingerprint(g),
+            want,
+        ));
+        let mut image = Vec::new();
+        write_binary(g, &mut image).expect("a Vec takes every byte");
+        let decoded = decode_binary(&image).expect("a written image decodes");
+        let differs = g
+            .nodes()
+            .find(|&v| node_arrays(&decoded, v) != node_arrays(g, v));
+        assert_eq!(
+            differs, None,
+            "{name}: a node's arrays differ after decoding"
+        );
+    }
+    assert_counters("generated graphs", &counters);
+}
